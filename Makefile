@@ -10,8 +10,23 @@ COVER_OUT ?= /tmp/qgear-observable-cover.out
 OBSERVABLE_COVER_FLOOR ?= 85
 
 .PHONY: build vet fmt-check test test-fresh check cover-observable serve bench \
-	bench-serve bench-baseline bench-gate ci-load ci-warmstart ci-chaos \
+	bench-baseline bench-gate ci-load ci-warmstart ci-chaos \
 	ci-scaling ci-sweep ci-store clean
+
+# run-selected is how every ci-* gate picks tests by name: a fresh,
+# race-enabled `go test -run '$(1)' $(2)` with extra flags $(3) and
+# environment $(4) — but only after `go test -list` has shown that each
+# `|` alternative of the pattern still selects at least one test in
+# those packages, so renaming or deleting a test fails its gate instead
+# of silently dropping out of it.
+define run-selected
+@listed="$$($(GO) test -list . $(2))" || { echo "$$listed"; exit 1; }; \
+for alt in $$(echo '$(1)' | tr '|' ' '); do \
+	echo "$$listed" | grep -E '^(Test|Fuzz|Example)' | grep -Eq -e "$$alt" || \
+		{ echo "ci gate: -run alternative '$$alt' selects no test in $(2)"; exit 1; }; \
+done
+$(4) $(GO) test -race -count=1 $(3) -run '$(1)' $(2)
+endef
 
 build:
 	$(GO) build ./...
@@ -74,9 +89,6 @@ bench-gate: build
 	$(GO) run ./cmd/qgear-bench -exp tiling -json-dir $(BENCH_OUT) \
 		-gate-baseline bench/baseline -gate-tol 0.20
 
-bench-serve: build
-	$(GO) run ./cmd/qgear-serve bench -clients 100 -waves 2 -qubits 16
-
 # CI service load check: 50 clients of mixed simulate/expectation HTTP
 # load through an embedded server with a deliberately tight byte budget
 # and a live store, so eviction, spill, and store-hit paths all run
@@ -98,9 +110,8 @@ ci-load: build
 # half of the scaling gate (timing is gated by bench-gate, single-core,
 # where host core counts cannot skew it).
 ci-scaling: build
-	$(GO) test -race -count=1 -run 'BitIdentity|TiledGateSoup|MaskedNorm2' \
-		./internal/statevec/ ./internal/kernel/
-	$(GO) test -race -count=1 -run 'TestTilingAblation' ./internal/bench/
+	$(call run-selected,BitIdentity|TiledGateSoup|MaskedNorm2,./internal/statevec/ ./internal/kernel/)
+	$(call run-selected,TestTilingAblation,./internal/bench/)
 
 # Chaos acceptance: the seeded fault-injection suite, race-enabled.
 # Injected disk faults, short writes, execution panics, and tight
@@ -109,7 +120,7 @@ ci-scaling: build
 # invariants, checked deterministically.
 ci-chaos: build
 	$(GO) test -race -count=1 ./internal/faultfs/
-	$(GO) test -race -count=1 -v -run 'TestChaos' ./internal/service/
+	$(call run-selected,TestChaos,./internal/service/,-v)
 
 # Sweep acceptance: the compile-once property under race detection.
 # The differential suites prove per-point sweep values bit-identical to
@@ -119,15 +130,12 @@ ci-chaos: build
 # individual expectation jobs — costs exactly one plan compile, via the
 # plan-cache counters of /v1/stats.
 ci-sweep: build
-	$(GO) test -race -count=1 -run 'TestRunSweep|TestRunGradient|TestPlanBind|TestStructuralFingerprint' \
-		./internal/backend/ ./internal/kernel/ ./internal/circuit/
-	$(GO) test -race -count=1 -run 'TestServiceSweep|TestServiceGradient|TestHTTPSweep|TestHTTPGradient|TestHTTPLongPoll' \
-		./internal/service/
-	QGEAR_SWEEP_ACCEPTANCE_POINTS=1000 $(GO) test -race -count=1 -v \
-		-run 'TestServiceSweepCompileOnce' -timeout 20m ./internal/service/
+	$(call run-selected,TestRunSweep|TestRunGradient|TestPlanBind|TestStructuralFingerprint,./internal/backend/ ./internal/kernel/ ./internal/circuit/)
+	$(call run-selected,TestServiceSweep|TestServiceGradient|TestHTTPSweep|TestHTTPGradient|TestHTTPLongPoll,./internal/service/)
+	$(call run-selected,TestServiceSweepCompileOnce,./internal/service/,-v -timeout 20m,QGEAR_SWEEP_ACCEPTANCE_POINTS=1000)
 
 # Bounded-store acceptance, race-enabled: the store and service suites
-# covering on-disk GC, the manifest journal, sharding/migration, and
+# covering on-disk GC, the manifest journal, the sharded layout, and
 # the store-layer bugfix regressions — then the two-phase acceptance
 # run: (1) 2000 concurrent saves against a tight byte budget, with the
 # on-disk footprint audited against the budget after every wave and
@@ -137,11 +145,9 @@ ci-sweep: build
 # The phase report lands in $(BENCH_OUT)/BENCH_store.json.
 ci-store: build
 	$(GO) test -race -count=1 ./internal/store/
-	$(GO) test -race -count=1 -run 'TestChaosStoreGCFaultingDeletes|TestChaosManifestReplayAfterKill|TestStoreAdmissionSkipsCheapResults|TestWarmRestart|TestCorruptStore' \
-		./internal/service/
+	$(call run-selected,TestChaosStoreGCFaultingDeletes|TestChaosManifestReplayAfterKill|TestStoreAdmissionSkipsCheapResults|TestWarmRestart|TestCorruptStore,./internal/service/)
 	mkdir -p $(BENCH_OUT)
-	QGEAR_STORE_ACCEPTANCE_N=10000 QGEAR_STORE_STATS_OUT=$(BENCH_OUT)/BENCH_store.json \
-		$(GO) test -race -count=1 -v -run 'TestStoreAcceptance' -timeout 20m ./internal/store/
+	$(call run-selected,TestStoreAcceptance,./internal/store/,-v -timeout 20m,QGEAR_STORE_ACCEPTANCE_N=10000 QGEAR_STORE_STATS_OUT=$(BENCH_OUT)/BENCH_store.json)
 
 # Warm-restart acceptance: seed a store in one process, kill it, and
 # verify from a second process that repeat submissions are store hits

@@ -9,9 +9,9 @@ import (
 	"net/http/httptest"
 	"time"
 
+	"qgear/internal/backend"
 	"qgear/internal/bench"
 	"qgear/internal/circuit"
-	"qgear/internal/core"
 	"qgear/internal/observable"
 	"qgear/internal/service"
 )
@@ -126,7 +126,7 @@ func warmstartVerify(cfg *service.Config, jobs, qubits, shots int) error {
 	// same pipeline the service uses, so "bit-identical" means against
 	// a real simulation, not against whatever the store said.
 	ecfg := srv.Config()
-	opts := core.Options{
+	opts := backend.Config{
 		FusionWindow: ecfg.FusionWindow, PruneAngle: ecfg.PruneAngle,
 		TileBits: ecfg.TileBits, PlanFusion: ecfg.PlanFusion,
 		Target: ecfg.Target, Devices: ecfg.Devices, Shots: shots,
@@ -144,7 +144,7 @@ func warmstartVerify(cfg *service.Config, jobs, qubits, shots int) error {
 		}
 		refopts := opts
 		refopts.Seed = uint64(i)
-		ref, err := core.RunOne(c, refopts)
+		ref, err := backend.Run(c, refopts)
 		if err != nil {
 			return fmt.Errorf("warmstart verify: reference run %d: %w", i, err)
 		}
@@ -187,7 +187,7 @@ func warmstartVerify(cfg *service.Config, jobs, qubits, shots int) error {
 	}
 	refopts := opts
 	refopts.Shots = 0
-	expRef, err := core.RunExpectation(expC, expH, refopts)
+	expRef, err := backend.RunExpectation(expC, expH, refopts)
 	if err != nil {
 		return fmt.Errorf("warmstart verify: expectation reference: %w", err)
 	}
@@ -221,7 +221,9 @@ func pushExpJob(client *http.Client, base string, c *circuit.Circuit, h *observa
 
 // pushJob submits one circuit and polls the full result back.
 func pushJob(client *http.Client, base string, c *circuit.Circuit, shots int, seed uint64) (*service.ResultResponse, error) {
-	return push(client, base, service.SubmitRequest{Circuit: service.FromCircuit(c), Shots: shots, Seed: seed})
+	return push(client, base, service.SubmitRequest{
+		Kind: "simulate", Circuit: service.FromCircuit(c), Shots: shots, Seed: seed,
+	})
 }
 
 func push(client *http.Client, base string, req service.SubmitRequest) (*service.ResultResponse, error) {

@@ -260,11 +260,11 @@ func cmdRun(args []string) error {
 // already in the persistent store from disk (bit-identical by the
 // store's integrity checks) and writing fresh results back, so repeat
 // CLI invocations — like repeat service submissions — never re-simulate
-// known work. With no store directory it is a plain core.Run.
+// known work. With no store directory it is a plain backend.RunBatch.
 func runWithStore(cs []*circuit.Circuit, opts core.Options, storeDir string) ([]*backend.Result, []bool, error) {
 	stored := make([]bool, len(cs))
 	if storeDir == "" {
-		results, err := core.Run(cs, opts)
+		results, err := backend.RunBatch(cs, opts)
 		return results, stored, err
 	}
 	if opts.Shots == 0 {
@@ -298,7 +298,7 @@ func runWithStore(cs []*circuit.Circuit, opts core.Options, storeDir string) ([]
 		freshIdx = append(freshIdx, i)
 	}
 	if len(fresh) > 0 {
-		ran, err := core.Run(fresh, opts)
+		ran, err := backend.RunBatch(fresh, opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -433,7 +433,7 @@ func cmdSweep(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, err := core.RunGradient(c, h, c.ParamValues(), opts)
+		res, err := backend.RunGradient(c, h, c.ParamValues(), opts)
 		if err != nil {
 			return err
 		}
@@ -462,7 +462,7 @@ func cmdSweep(args []string) error {
 			return err
 		}
 	}
-	res, err := core.RunSweep(c, h, points, opts)
+	res, err := backend.RunSweep(c, h, points, opts)
 	if err != nil {
 		return err
 	}
@@ -572,7 +572,7 @@ func buildHamiltonian(hamFile string, zz, tfimJ, tfimG float64, width int) (*obs
 // otherwise — the CLI mirror of the server's warm-start path.
 func expectWithStore(c *circuit.Circuit, h *observable.Hamiltonian, opts core.Options, st *store.Store, sig string) (*backend.Result, bool, error) {
 	if st == nil {
-		res, err := core.RunExpectation(c, h, opts)
+		res, err := backend.RunExpectation(c, h, opts)
 		return res, false, err
 	}
 	key := core.ExpectationCacheKey(c, h, opts)
@@ -585,7 +585,7 @@ func expectWithStore(c *circuit.Circuit, h *observable.Hamiltonian, opts core.Op
 			st.DropResult(key)
 		}
 	}
-	res, err := core.RunExpectation(c, h, opts)
+	res, err := backend.RunExpectation(c, h, opts)
 	if err != nil {
 		return nil, false, err
 	}

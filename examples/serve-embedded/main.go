@@ -14,7 +14,7 @@ import (
 
 func main() {
 	// A 4-device mqpu server: queued jobs are coalesced into one
-	// device-parallel core.Run call per batch.
+	// device-parallel backend.RunBatch call per batch.
 	srv, err := qgear.NewServer(qgear.ServerConfig{
 		Devices:      4,
 		FusionWindow: 2,

@@ -18,6 +18,7 @@ package backend
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -229,6 +230,30 @@ func (c Config) tileBits() int {
 // different effective width changes run boundaries and therefore
 // rounding — so artifacts must not be trusted across that divide.
 func (c Config) EffectiveTileBits() int { return c.tileBits() }
+
+// Signature returns the output-affecting option encoding core.CacheKey
+// folds into the content address: transform knobs (fusion window,
+// prune angle), target, device/worker sizing, the shot budget and
+// seed, and the plan-shaping knobs (tile width, plan fusion).
+func (c Config) Signature() string {
+	return fmt.Sprintf("f%d|p%x|t%s|d%d|w%d|s%d|r%d|b%d|pf%t",
+		c.FusionWindow, math.Float64bits(c.PruneAngle), c.Target,
+		c.Devices, c.Workers, c.Shots, c.Seed, c.TileBits, c.PlanFusion)
+}
+
+// StoreSignature is the per-job-normalized signature a persistent
+// artifact store records with each entry: Workers changes wall-clock
+// only and Shots/Seed are already part of the entry's cache key, so
+// all three are zeroed. TileBits is resolved to the *effective* width
+// (see EffectiveTileBits), so artifacts written under one effective
+// tiling are rejected by a server running another. A warm-starting
+// server compares this against its own configuration before trusting
+// an on-disk artifact.
+func (c Config) StoreSignature() string {
+	c.Workers, c.Shots, c.Seed = 0, 0, 0
+	c.TileBits = c.tileBits()
+	return c.Signature()
+}
 
 // globalBits is the rank-index bit count of the distributed target (0
 // on single-device targets).

@@ -205,10 +205,8 @@ func RunLoad(cfg LoadConfig, w io.Writer) (*LoadReport, error) {
 			c := loadCircuit(cfg.Qubits, i)
 			wire := service.FromCircuit(c)
 			for r := 0; r < cfg.Requests; r++ {
-				req := service.SubmitRequest{Circuit: wire}
-				kind := "simulate"
+				req := service.SubmitRequest{Kind: "simulate", Circuit: wire}
 				if cfg.ExpectEvery > 0 && r%cfg.ExpectEvery == cfg.ExpectEvery-1 {
-					kind = "expectation"
 					req.Kind = "expectation"
 					req.Hamiltonian = service.FromHamiltonian(ham)
 				} else {
@@ -217,7 +215,7 @@ func RunLoad(cfg LoadConfig, w io.Writer) (*LoadReport, error) {
 				}
 				t0 := time.Now()
 				id, err := loadSubmitAndPoll(client, base, &req)
-				sm := sample{kind: kind, lat: time.Since(t0), err: err}
+				sm := sample{kind: req.Kind, lat: time.Since(t0), err: err}
 				if err == nil && r == 0 {
 					// One result fetch per client verifies traces flow
 					// through the API without inflating every job's

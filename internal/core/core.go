@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"qgear/internal/backend"
-	"qgear/internal/cancel"
 	"qgear/internal/circuit"
 	"qgear/internal/kernel"
 	"qgear/internal/observable"
@@ -23,77 +22,10 @@ import (
 	"qgear/internal/tensorenc"
 )
 
-// Options configures the pipeline end to end.
-type Options struct {
-	// Transform options (§2.2, Appendix D.2).
-	FusionWindow int
-	PruneAngle   float64
-	// TileBits tunes the cache-blocked tiled sweep executor (see
-	// backend.Config.TileBits): 0 = auto (tiled on GPU-class targets
-	// at the cache-geometry-detected width, per-gate on aer), negative
-	// = per-gate everywhere, positive = force that tile width.
-	TileBits int
-	// PlanFusion enables within-run single-qubit fusion in the plan
-	// compiler (see backend.Config.PlanFusion).
-	PlanFusion bool
-	// Execution target and sizing.
-	Target  backend.Target
-	Devices int
-	Workers int
-	Shots   int
-	Seed    uint64
-	// Cancel is a cooperative cancellation flag the executors poll at
-	// work boundaries; nil runs unbounded. It never shapes the output
-	// of a completed run, so Signature deliberately excludes it.
-	Cancel *cancel.Flag
-	// ExecHook, when non-nil, fires at the start of every execution —
-	// the fault-injection point the chaos harness uses. Excluded from
-	// Signature for the same reason as Cancel.
-	ExecHook func()
-}
-
-// backendConfig lowers Options to a backend.Config.
-func (o Options) backendConfig() backend.Config {
-	return backend.Config{
-		Target:       o.Target,
-		Devices:      o.Devices,
-		Workers:      o.Workers,
-		Shots:        o.Shots,
-		Seed:         o.Seed,
-		FusionWindow: o.FusionWindow,
-		PruneAngle:   o.PruneAngle,
-		TileBits:     o.TileBits,
-		PlanFusion:   o.PlanFusion,
-		Cancel:       o.Cancel,
-		ExecHook:     o.ExecHook,
-	}
-}
-
-// Signature returns the output-affecting option encoding CacheKey
-// folds into the content address: transform knobs (fusion window,
-// prune angle), target, device/worker sizing, the shot budget and
-// seed, and the plan-shaping knobs (tile width, plan fusion).
-func (o Options) Signature() string {
-	return fmt.Sprintf("f%d|p%x|t%s|d%d|w%d|s%d|r%d|b%d|pf%t",
-		o.FusionWindow, math.Float64bits(o.PruneAngle), o.Target,
-		o.Devices, o.Workers, o.Shots, o.Seed, o.TileBits, o.PlanFusion)
-}
-
-// StoreSignature is the per-job-normalized signature a persistent
-// artifact store records with each entry: Workers changes wall-clock
-// only and Shots/Seed are already part of the entry's cache key, so
-// all three are zeroed. TileBits is resolved to the *effective* width
-// (the "0 = auto" policy lands on different widths across machines and
-// QGEAR_TILE_BITS environments, and with PlanFusion on, a different
-// width changes rounding), so artifacts written under one effective
-// tiling are rejected by a server running another. A warm-starting
-// server compares this against its own configuration before trusting
-// an on-disk artifact.
-func (o Options) StoreSignature() string {
-	o.Workers, o.Shots, o.Seed = 0, 0, 0
-	o.TileBits = o.backendConfig().EffectiveTileBits()
-	return o.Signature()
-}
+// Options configures the pipeline end to end: the backend's own
+// configuration, so the pipeline and the engines can never disagree
+// about a field.
+type Options = backend.Config
 
 // CacheKey returns the content address of (circuit, options): the
 // circuit fingerprint extended with every option that changes the
@@ -128,86 +60,6 @@ func Transform(circuits []*circuit.Circuit, opts Options) ([]*kernel.Kernel, []k
 		stats[i] = st
 	}
 	return kernels, stats, nil
-}
-
-// Run executes circuits end to end: transform then execute, one result
-// per circuit. On the mqpu target the batch runs device-parallel.
-func Run(circuits []*circuit.Circuit, opts Options) ([]*backend.Result, error) {
-	return backend.RunBatch(circuits, opts.backendConfig())
-}
-
-// RunOne is Run for a single circuit.
-func RunOne(c *circuit.Circuit, opts Options) (*backend.Result, error) {
-	return backend.Run(c, opts.backendConfig())
-}
-
-// Compile lowers one circuit to the execution IR (transformed kernel +
-// compiled TilePlan) without running it. Compiled artifacts are
-// immutable and reusable across executions — the service layer caches
-// them by circuit fingerprint so repeat submissions skip planning.
-func Compile(c *circuit.Circuit, opts Options) (*backend.Compiled, error) {
-	return backend.Compile(c, opts.backendConfig())
-}
-
-// RunCompiled executes one precompiled circuit.
-func RunCompiled(comp *backend.Compiled, opts Options) (*backend.Result, error) {
-	return backend.RunCompiled(comp, opts.backendConfig())
-}
-
-// RunCompiledBatch executes a batch of precompiled circuits — the
-// device-parallel mqpu path when so configured, exactly like Run.
-func RunCompiledBatch(comps []*backend.Compiled, opts Options) ([]*backend.Result, error) {
-	return backend.RunBatchCompiled(comps, opts.backendConfig())
-}
-
-// RunExpectation executes one circuit and evaluates the exact ⟨H⟩ on
-// its final state — the expectation-value job kind. Shots/Seed in
-// opts are ignored (expectation is exact).
-func RunExpectation(c *circuit.Circuit, h *observable.Hamiltonian, opts Options) (*backend.Result, error) {
-	return backend.RunExpectation(c, h, opts.backendConfig())
-}
-
-// RunExpectationCompiled evaluates ⟨H⟩ on a precompiled circuit: same
-// circuit, many observables = one compile, one execute per call, N
-// cheap term sweeps.
-func RunExpectationCompiled(comp *backend.Compiled, h *observable.Hamiltonian, opts Options) (*backend.Result, error) {
-	return backend.RunExpectationCompiled(comp, h, opts.backendConfig())
-}
-
-// RunSweep executes one circuit shape at every parameter point:
-// compile once, rebind and run per point (see backend.RunSweep). With
-// a Hamiltonian the artifact is the per-point ⟨H⟩ vector (exact;
-// Shots/Seed ignored must be unset by callers); without one it is the
-// per-point sampled histogram (Shots required).
-func RunSweep(c *circuit.Circuit, h *observable.Hamiltonian, points [][]float64, opts Options) (*backend.Result, error) {
-	return backend.RunSweep(c, h, points, opts.backendConfig())
-}
-
-// RunSweepCompiled is RunSweep for a precompiled circuit — the serving
-// layer's path: the structurally-cached compile serves every point
-// through rebinds. Surfaces backend.ErrNotRebindable for
-// configurations that must compile per point.
-func RunSweepCompiled(comp *backend.Compiled, h *observable.Hamiltonian, points [][]float64, opts Options) (*backend.Result, error) {
-	return backend.RunSweepCompiled(comp, h, points, opts.backendConfig())
-}
-
-// RunGradient evaluates the parameter-shift gradient of ⟨H⟩ at one
-// base point — a derived 2k+1-point sweep.
-func RunGradient(c *circuit.Circuit, h *observable.Hamiltonian, base []float64, opts Options) (*backend.Result, error) {
-	return backend.RunGradient(c, h, base, opts.backendConfig())
-}
-
-// RunGradientCompiled is RunGradient for a precompiled circuit.
-func RunGradientCompiled(comp *backend.Compiled, h *observable.Hamiltonian, base []float64, opts Options) (*backend.Result, error) {
-	return backend.RunGradientCompiled(comp, h, base, opts.backendConfig())
-}
-
-// Rebindable reports whether these options admit compile-once
-// rebinding (no fusion, no pruning, no plan fusion) — the predicate
-// gating the service's structural plan-cache keying and sweep fast
-// path.
-func (o Options) Rebindable() bool {
-	return o.backendConfig().Rebindable()
 }
 
 // SweepCacheKey returns the content address of a sweep job: the
@@ -321,7 +173,7 @@ func RunQPYFile(path string, opts Options) ([]*backend.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Run(circuits, opts)
+	return backend.RunBatch(circuits, opts)
 }
 
 // RunTensorFile is the same flow for the HDF5 tensor interchange
@@ -331,7 +183,7 @@ func RunTensorFile(path string, opts Options) ([]*backend.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Run(circuits, opts)
+	return backend.RunBatch(circuits, opts)
 }
 
 // WorkflowMode selects between the Fig. 2c execution modes.
@@ -362,5 +214,5 @@ func RunWorkflow(circuits []*circuit.Circuit, mode WorkflowMode, opts Options) (
 	default:
 		return nil, fmt.Errorf("core: unknown workflow mode %d", mode)
 	}
-	return Run(circuits, opts)
+	return backend.RunBatch(circuits, opts)
 }

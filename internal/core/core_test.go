@@ -7,6 +7,7 @@ import (
 
 	"qgear/internal/backend"
 	"qgear/internal/circuit"
+	"qgear/internal/observable"
 	"qgear/internal/qft"
 	"qgear/internal/randcirc"
 )
@@ -50,7 +51,7 @@ func TestEndToEndQPYFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Run(circs, Options{Target: backend.TargetAer})
+	direct, err := backend.RunBatch(circs, Options{Target: backend.TargetAer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +107,11 @@ func TestSaveTensorsTranspilesWideGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := RunOne(c, Options{Target: backend.TargetAer})
+	ref, err := backend.Run(c, Options{Target: backend.TargetAer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunOne(back[0], Options{Target: backend.TargetAer})
+	got, err := backend.Run(back[0], Options{Target: backend.TargetAer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,5 +167,38 @@ func TestErrorPropagation(t *testing.T) {
 	bad := &circuit.Circuit{NumQubits: 1, Ops: []circuit.Op{{Gate: 200, Qubits: []int{0}}}}
 	if _, _, err := Transform([]*circuit.Circuit{bad}, Options{}); err == nil {
 		t.Fatal("invalid circuit transformed")
+	}
+}
+
+// TestSignatureAndCacheKeyGolden pins the option signatures and all
+// four job kinds' content addresses to literal values: persisted
+// artifacts and cached results are addressed by these strings, so a
+// refactor that moves a byte silently orphans every store directory.
+func TestSignatureAndCacheKeyGolden(t *testing.T) {
+	o := Options{FusionWindow: 2, PruneAngle: 1e-9, TileBits: 12, PlanFusion: true,
+		Target: backend.TargetNvidiaMQPU, Devices: 4, Workers: 3, Shots: 100, Seed: 7}
+	c := circuit.New(2, 0)
+	c.Name = "g"
+	c.RY(0.25, 0)
+	c.CX(0, 1)
+	c.RY(0.5, 1)
+	h := observable.TransverseFieldIsing(2, 1, 0.7)
+	for _, tc := range []struct{ name, got, want string }{
+		{"Signature", o.Signature(), "f2|p3e112e0be826d695|tnvidia-mqpu|d4|w3|s100|r7|b12|pftrue"},
+		{"StoreSignature", o.StoreSignature(), "f2|p3e112e0be826d695|tnvidia-mqpu|d4|w0|s0|r0|b12|pftrue"},
+		{"StoreSignature/aer", Options{Target: backend.TargetAer, Workers: 5, Shots: 9, Seed: 1}.StoreSignature(),
+			"f0|p0|taer|d0|w0|s0|r0|b0|pffalse"},
+		{"CacheKey", CacheKey(c, o), "8171640d315f4dc097a0acdaab7a09355468d529ace99e3f9b486093562a1a48"},
+		{"ExpectationCacheKey", ExpectationCacheKey(c, h, o), "556a3dd78c2bb1197d33aca8da2258758e4dc4c12ad9c4f86901717cd08c74ff"},
+		{"SweepCacheKey/exact", SweepCacheKey(c, h, [][]float64{{0.1, 0.2}, {0.3, 0.4}}, o),
+			"c560cb0b0090e20153f965e2e60c9db0d3e5b7e057d69b888e9b5722496291d3"},
+		{"SweepCacheKey/sampled", SweepCacheKey(c, nil, [][]float64{{0.1, 0.2}}, o),
+			"5684daf7ca28f29b2e486f289e0dc76118d8a751cbed0d314d60908716d75217"},
+		{"GradientCacheKey", GradientCacheKey(c, h, c.ParamValues(), o),
+			"9fff2113cb06c57a6aeab365a38c91c16c6fdc8119e28c319c7b85cf1123ae2a"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %s, want %s", tc.name, tc.got, tc.want)
+		}
 	}
 }

@@ -25,11 +25,11 @@ func TestQASMInterchangeMatchesQPYPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := RunOne(c, Options{Target: backend.TargetNvidia, FusionWindow: 3})
+	a, err := backend.Run(c, Options{Target: backend.TargetNvidia, FusionWindow: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOne(viaQASM, Options{Target: backend.TargetAer})
+	b, err := backend.Run(viaQASM, Options{Target: backend.TargetAer})
 	if err != nil {
 		t.Fatal(err)
 	}

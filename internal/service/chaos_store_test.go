@@ -149,7 +149,7 @@ func TestChaosManifestReplayAfterKill(t *testing.T) {
 	circs := storeTestCircuits(6, 8)
 	ctx := context.Background()
 
-	s1, err := New(base)
+	s1, err := New(pinHost(base))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,7 +231,7 @@ func TestChaosHTTPStatusCodes(t *testing.T) {
 	s, ts := newHTTPServer(t, cfg)
 
 	// 422: priced out at admission.
-	_, code := postJob(t, ts.URL, SubmitRequest{Circuit: FromCircuit(circuit.GHZ(20, false))})
+	_, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", Circuit: FromCircuit(circuit.GHZ(20, false))})
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("over-budget submission returned %d, want 422", code)
 	}
@@ -239,7 +239,7 @@ func TestChaosHTTPStatusCodes(t *testing.T) {
 	// 504: deadline blown mid-run.
 	stall.Store(true)
 	info, code := postJob(t, ts.URL, SubmitRequest{
-		Circuit: FromCircuit(testCircuit(t, 8, 10, 5)), Shots: 50, TimeoutMs: 10,
+		Kind: "simulate", Circuit: FromCircuit(testCircuit(t, 8, 10, 5)), Shots: 50, TimeoutMs: 10,
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("submission returned %d", code)
@@ -260,7 +260,7 @@ func TestChaosHTTPStatusCodes(t *testing.T) {
 	// 429 + Retry-After: flood a 1-slot queue while the worker stalls.
 	var saw429 bool
 	for i := 0; i < 64 && !saw429; i++ {
-		req := SubmitRequest{Circuit: FromCircuit(testCircuit(t, 8, 10, uint64(200+i))), Shots: 10}
+		req := SubmitRequest{Kind: "simulate", Circuit: FromCircuit(testCircuit(t, 8, 10, uint64(200+i))), Shots: 10}
 		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
@@ -374,7 +374,7 @@ func TestChaosCorruptStoreQuarantine(t *testing.T) {
 	circs := storeTestCircuits(4, 8)
 	ctx := context.Background()
 
-	s1, err := New(base)
+	s1, err := New(pinHost(base))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 	"sync"
 	"testing"
 
+	"qgear/internal/backend"
 	"qgear/internal/circuit"
-	"qgear/internal/core"
 	"qgear/internal/observable"
 )
 
@@ -56,7 +56,7 @@ func TestExpectationEndToEnd(t *testing.T) {
 		t.Fatal("expectation job materialized a readout")
 	}
 	// Independent reference through the pipeline.
-	ref, err := core.RunExpectation(c, h, s.execOptions())
+	ref, err := backend.RunExpectation(c, h, s.execOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestExpectationWarmRestart(t *testing.T) {
 	ctx := context.Background()
 	h := expTestHamiltonian(8)
 
-	s1, err := New(cfg)
+	s1, err := New(pinHost(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestExpectationCorruptArtifactQuarantine(t *testing.T) {
 	c := expTestCircuit(0, 8)
 	h := expTestHamiltonian(8)
 
-	s1, err := New(cfg)
+	s1, err := New(pinHost(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestExpectationHTTP(t *testing.T) {
 	if len(out.Top) != 0 || len(out.Counts) != 0 {
 		t.Fatal("expectation response carries probabilities/counts")
 	}
-	ref, err := core.RunExpectation(c, h, s.execOptions())
+	ref, err := backend.RunExpectation(c, h, s.execOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

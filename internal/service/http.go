@@ -33,15 +33,13 @@ import (
 //	GET  /v1/healthz       liveness, version, uptime, queue depth
 //	GET  /metrics          Prometheus text exposition
 //
-// POST /v1/jobs takes a polymorphic envelope discriminated by "kind":
-// "simulate" (probabilities/counts), "expectation" (exact ⟨H⟩),
-// "sweep" (one parameterized circuit at many points), and "gradient"
-// (parameter-shift ∂⟨H⟩/∂θ). Envelopes carrying a "kind" parse
-// strictly — unknown fields are rejected — while legacy bodies without
-// one are still accepted as bare simulate/expectation submissions and
-// answered with a "Deprecation: true" header. Circuits are submitted
-// either as OpenQASM 2.0 text ("qasm") or as a structured op list
-// ("circuit").
+// POST /v1/jobs takes a polymorphic envelope discriminated by the
+// required "kind" field: "simulate" (probabilities/counts),
+// "expectation" (exact ⟨H⟩), "sweep" (one parameterized circuit at many
+// points), and "gradient" (parameter-shift ∂⟨H⟩/∂θ) — one entry each of
+// the kinds table. Envelopes parse strictly: unknown fields and unknown
+// or missing kinds are rejected. Circuits are submitted either as
+// OpenQASM 2.0 text ("qasm") or as a structured op list ("circuit").
 //
 // Every error response is the uniform envelope
 //
@@ -82,12 +80,10 @@ type WireCircuit struct {
 //   - "gradient" — exact parameter-shift ∂⟨H⟩/∂θ at the circuit's own
 //     parameter values (requires Hamiltonian).
 //
-// Bodies carrying Kind parse strictly (unknown fields are rejected
-// with invalid_request). A body without it is the deprecated legacy
-// form: parsed leniently as simulate — or expectation when a
-// Hamiltonian is present — and answered with "Deprecation: true".
+// Bodies parse strictly: unknown fields, and a missing or unknown Kind,
+// are rejected with invalid_request.
 type SubmitRequest struct {
-	Kind        string           `json:"kind,omitempty"` // "" | "simulate" | "expectation" | "sweep" | "gradient"
+	Kind        string           `json:"kind,omitempty"` // "simulate" | "expectation" | "sweep" | "gradient"
 	Circuit     *WireCircuit     `json:"circuit,omitempty"`
 	QASM        string           `json:"qasm,omitempty"`
 	Shots       int              `json:"shots,omitempty"`
@@ -191,8 +187,7 @@ func (w *WireCircuit) ToCircuit() (*circuit.Circuit, error) {
 	return c, nil
 }
 
-// FromCircuit renders a circuit in wire form (used by clients like the
-// qgear-serve bench subcommand).
+// FromCircuit renders a circuit in wire form (clients, bench).
 func FromCircuit(c *circuit.Circuit) *WireCircuit {
 	w := &WireCircuit{Name: c.Name, Qubits: c.NumQubits, Clbits: c.NumClbits}
 	w.Ops = make([]WireOp, len(c.Ops))
@@ -359,24 +354,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("reading request: %w", err))
 		return
 	}
-	// Version discrimination: a body carrying "kind" is the polymorphic
-	// envelope and parses strictly — a misspelled field fails loudly
-	// instead of silently doing something else. A body without it is
-	// the legacy bare form (simulate, or expectation via the
-	// hamiltonian field), still parsed leniently but flagged with a
-	// Deprecation header so clients can find themselves in logs.
-	var probe struct {
-		Kind *string `json:"kind"`
-	}
-	legacy := json.Unmarshal(body, &probe) == nil && probe.Kind == nil
-	if legacy {
-		w.Header().Set("Deprecation", "true")
-	}
+	// Strict parsing: a misspelled field fails loudly instead of
+	// silently doing something else.
 	var req SubmitRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
-	if !legacy {
-		dec.DisallowUnknownFields()
-	}
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("decoding request: %w", err))
 		return
@@ -399,43 +381,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := SubmitOptions{Shots: req.Shots, Seed: req.Seed, TimeoutMs: req.TimeoutMs}
-	switch req.Kind {
-	case "", "simulate":
-		if req.Kind == "simulate" && req.Hamiltonian != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, errors.New("kind simulate does not take a hamiltonian"))
-			return
-		}
-		if len(req.Points) > 0 {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, errors.New(`sweep points require kind "sweep"`))
-			return
-		}
-	case "expectation":
-		if req.Hamiltonian == nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, errors.New("kind expectation requires a hamiltonian"))
-			return
-		}
-		if len(req.Points) > 0 {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, errors.New(`sweep points require kind "sweep"`))
-			return
-		}
-	case "sweep":
-		if len(req.Points) == 0 {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, errors.New("kind sweep requires points"))
-			return
-		}
-		opts.SweepPoints = req.Points
-	case "gradient":
-		if req.Hamiltonian == nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, errors.New("kind gradient requires a hamiltonian"))
-			return
-		}
-		if len(req.Points) > 0 {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, errors.New("kind gradient derives its own sweep; points are not accepted"))
-			return
-		}
-		opts.Gradient = true
-	default:
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("unknown job kind %q", req.Kind))
+	spec, err := kindByName(req.Kind)
+	if err == nil {
+		err = spec.wire(&req, &opts)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
 	if req.Hamiltonian != nil {

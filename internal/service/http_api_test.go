@@ -14,7 +14,7 @@ import (
 )
 
 // The PR-9 API surface: polymorphic job kinds, the uniform error
-// envelope, legacy-body deprecation, and the wait_ms long-poll.
+// envelope, and the wait_ms long-poll.
 
 func wireAnsatz(nq int) *WireCircuit {
 	return FromCircuit(sweepAnsatz(nq))
@@ -45,6 +45,9 @@ func TestHTTPErrorEnvelopeGolden(t *testing.T) {
 	}{
 		{"bad json", "POST", "/v1/jobs", `{`, http.StatusBadRequest, CodeInvalidRequest},
 		{"unknown kind", "POST", "/v1/jobs", `{"kind":"warp"}`, http.StatusBadRequest, CodeInvalidRequest},
+		// "kind" is required: an otherwise valid body without one is
+		// refused, not guessed at.
+		{"missing kind", "POST", "/v1/jobs", `{"qasm":"OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n","shots":32,"seed":1}`, http.StatusBadRequest, CodeInvalidRequest},
 		{"unknown field", "POST", "/v1/jobs", `{"kind":"simulate","bogus":1}`, http.StatusBadRequest, CodeInvalidRequest},
 		{"missing circuit", "POST", "/v1/jobs", `{"kind":"simulate"}`, http.StatusBadRequest, CodeInvalidRequest},
 		{"sweep without points", "POST", "/v1/jobs", `{"kind":"sweep","qasm":"OPENQASM 2.0;\nqreg q[1];\nrx(0.5) q[0];\n"}`, http.StatusBadRequest, CodeInvalidRequest},
@@ -113,51 +116,6 @@ func TestHTTPQueueFullEnvelope(t *testing.T) {
 		infos = append(infos, info)
 	}
 	t.Skip("queue never filled on this machine")
-}
-
-// TestHTTPLegacyBodyDeprecation: bodies without "kind" still work,
-// parse leniently (unknown fields tolerated), and carry the
-// Deprecation header on the 202.
-func TestHTTPLegacyBodyDeprecation(t *testing.T) {
-	_, ts := newHTTPServer(t, Config{})
-	body := `{"qasm":"OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n","shots":32,"seed":1,"some_future_field":true}`
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("legacy body: HTTP %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy body accepted without a Deprecation header")
-	}
-
-	// The same body with kind set is strict: the unknown field is fatal
-	// and the response carries no Deprecation header.
-	strict := `{"kind":"simulate","qasm":"OPENQASM 2.0;\nqreg q[1];\nh q[0];\n","some_future_field":true}`
-	resp2, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(strict))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("strict body with unknown field: HTTP %d, want 400", resp2.StatusCode)
-	}
-	if resp2.Header.Get("Deprecation") != "" {
-		t.Error("kind-bearing body marked deprecated")
-	}
-
-	// An explicit kind gets no Deprecation header on success.
-	modern := `{"kind":"simulate","qasm":"OPENQASM 2.0;\nqreg q[1];\nh q[0];\n"}`
-	resp3, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(modern))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp3.Body.Close()
-	if resp3.StatusCode != http.StatusAccepted || resp3.Header.Get("Deprecation") != "" {
-		t.Fatalf("modern body: HTTP %d, Deprecation %q", resp3.StatusCode, resp3.Header.Get("Deprecation"))
-	}
 }
 
 // TestHTTPSweepJobKind: the sweep kind end to end over the wire,

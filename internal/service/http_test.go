@@ -16,7 +16,7 @@ import (
 
 func newHTTPServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(cfg)
+	s, err := New(pinHost(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestHTTPServeGHZ16Waves(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				info, code := postJob(t, ts.URL, SubmitRequest{Circuit: circs[i]})
+				info, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", Circuit: circs[i]})
 				if code != http.StatusAccepted {
 					errs <- fmt.Errorf("client %d: HTTP %d", i, code)
 					return
@@ -153,7 +153,7 @@ cx q[0],q[1];
 measure q[0] -> c[0];
 measure q[1] -> c[1];
 `
-	info, code := postJob(t, ts.URL, SubmitRequest{QASM: qasm, Shots: 1000, Seed: 5})
+	info, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", QASM: qasm, Shots: 1000, Seed: 5})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit HTTP %d", code)
 	}
@@ -211,9 +211,9 @@ func TestHTTPErrors(t *testing.T) {
 		want int
 	}{
 		{"empty", `{}`, http.StatusBadRequest},
-		{"both forms", `{"qasm":"x","circuit":{"qubits":1,"ops":[]}}`, http.StatusBadRequest},
-		{"bad gate", `{"circuit":{"qubits":1,"clbits":0,"ops":[{"gate":"warp","qubits":[0]}]}}`, http.StatusBadRequest},
-		{"bad qubit", `{"circuit":{"qubits":1,"clbits":0,"ops":[{"gate":"h","qubits":[4]}]}}`, http.StatusBadRequest},
+		{"both forms", `{"kind":"simulate","qasm":"x","circuit":{"qubits":1,"ops":[]}}`, http.StatusBadRequest},
+		{"bad gate", `{"kind":"simulate","circuit":{"qubits":1,"clbits":0,"ops":[{"gate":"warp","qubits":[0]}]}}`, http.StatusBadRequest},
+		{"bad qubit", `{"kind":"simulate","circuit":{"qubits":1,"clbits":0,"ops":[{"gate":"h","qubits":[4]}]}}`, http.StatusBadRequest},
 		{"bad json", `{`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
@@ -265,11 +265,11 @@ func TestHTTPResultPending(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		slow.H(0).H(0)
 	}
-	info1, code := postJob(t, ts.URL, SubmitRequest{Circuit: FromCircuit(slow)})
+	info1, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", Circuit: FromCircuit(slow)})
 	if code != http.StatusAccepted {
 		t.Fatalf("HTTP %d", code)
 	}
-	info2, code := postJob(t, ts.URL, SubmitRequest{Circuit: FromCircuit(circuit.GHZ(6, false))})
+	info2, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", Circuit: FromCircuit(circuit.GHZ(6, false))})
 	if code != http.StatusAccepted {
 		t.Fatalf("HTTP %d", code)
 	}

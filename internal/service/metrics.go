@@ -26,25 +26,26 @@ func (s *Server) registerMetrics() {
 
 	// Job flow.
 	r.CounterFunc("qgear_jobs_submitted_total", "Jobs accepted by Submit.", nil,
-		locked(func() float64 { return float64(s.submitted) }))
+		locked(func() float64 { return float64(total(s.submitted)) }))
 	r.CounterFunc("qgear_jobs_completed_total", "Jobs finished successfully.", nil,
 		locked(func() float64 { return float64(s.completed) }))
 	r.CounterFunc("qgear_jobs_failed_total", "Jobs finished with an error.", nil,
 		locked(func() float64 { return float64(s.failed) }))
 	r.CounterFunc("qgear_jobs_executed_total", "Jobs that reached a fresh execution (not served by cache, single-flight, or store).", nil,
-		locked(func() float64 { return float64(s.executed) }))
-	r.CounterFunc("qgear_expectation_jobs_total", "Expectation-value jobs submitted.", nil,
-		locked(func() float64 { return float64(s.expSubmitted) }))
-	r.CounterFunc("qgear_expectation_executed_total", "Expectation-value jobs freshly evaluated.", nil,
-		locked(func() float64 { return float64(s.expExecuted) }))
-	r.CounterFunc("qgear_sweep_jobs_total", "Sweep jobs submitted.", nil,
-		locked(func() float64 { return float64(s.sweepSubmitted) }))
-	r.CounterFunc("qgear_sweep_executed_total", "Sweep jobs freshly executed.", nil,
-		locked(func() float64 { return float64(s.sweepExecuted) }))
+		locked(func() float64 { return float64(total(s.executed)) }))
+	for k := range kinds {
+		k, spec := k, &kinds[k]
+		if spec.jobsHelp != "" {
+			r.CounterFunc("qgear_"+spec.stem+"_jobs_total", spec.jobsHelp, nil,
+				locked(func() float64 { return float64(s.submitted[k]) }))
+		}
+		if spec.executedHelp != "" {
+			r.CounterFunc("qgear_"+spec.stem+"_executed_total", spec.executedHelp, nil,
+				locked(func() float64 { return float64(s.executed[k]) }))
+		}
+	}
 	r.CounterFunc("qgear_sweep_points_total", "Sweep points freshly executed (rebind + run).", nil,
 		locked(func() float64 { return float64(s.sweepPointsRun) }))
-	r.CounterFunc("qgear_gradient_jobs_total", "Parameter-shift gradient jobs submitted.", nil,
-		locked(func() float64 { return float64(s.gradSubmitted) }))
 	r.CounterFunc("qgear_plan_rebinds_total", "Structural plan-cache hits served by rebinding a cached skeleton.", nil,
 		locked(func() float64 { return float64(s.planRebinds) }))
 	r.CounterFunc("qgear_singleflight_hits_total", "Submissions attached to an identical in-flight job.", nil,

@@ -14,17 +14,13 @@ import (
 // result cache (different content address) but reuses the compiled
 // TilePlan, and the replayed plan produces the identical distribution.
 func TestPlanCacheReusedAcrossSubmissions(t *testing.T) {
-	srv, err := New(Config{
+	srv := newTestServer(t, Config{
 		Target:     backend.TargetNvidia,
 		Workers:    2,
 		WorkerPool: 1,
 		TileBits:   4, // force real planning on the 8-qubit circuit
 		MaxBatch:   1, // no coalescing: each submission resolves the plan itself
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 
 	c := circuit.GHZ(8, false)
 	c.RY(0.3, 3).CX(3, 7)
@@ -78,7 +74,7 @@ func TestPlanCacheReusedAcrossSubmissions(t *testing.T) {
 // TestPlanCacheDisabled ensures PlanCacheSize < 0 keeps everything a
 // miss without breaking execution.
 func TestPlanCacheDisabled(t *testing.T) {
-	srv, err := New(Config{
+	srv := newTestServer(t, Config{
 		Target:        backend.TargetNvidia,
 		Workers:       1,
 		WorkerPool:    1,
@@ -86,10 +82,6 @@ func TestPlanCacheDisabled(t *testing.T) {
 		PlanCacheSize: -1,
 		MaxBatch:      1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 	c := circuit.GHZ(8, false)
 	for seed := uint64(0); seed < 2; seed++ {
 		if _, _, err := srv.Run(context.Background(), c, SubmitOptions{Shots: 16, Seed: seed}); err != nil {

@@ -12,7 +12,7 @@
 //   - single-flight: concurrent submissions of the same key attach to
 //     the one in-flight execution instead of queueing duplicates;
 //   - batch coalescing: a worker draining the queue gathers up to
-//     MaxBatch compatible jobs and executes them in one core.Run call,
+//     MaxBatch compatible jobs and executes them in one backend.RunBatch call,
 //     exploiting the nvidia-mqpu device-parallel path.
 //
 // Shot sampling is performed per job from the batch-computed
@@ -94,7 +94,7 @@ type Config struct {
 	// outgrow the budget. 0 = unbounded. Ignored without StoreDir.
 	MaxStoreBytes int64
 	// MaxBatch caps how many queued jobs one worker coalesces into a
-	// single core.Run call. Default 8; 1 disables coalescing.
+	// single backend.RunBatch call. Default 8; 1 disables coalescing.
 	MaxBatch int
 	// BatchWindow is how long a worker waits for more queued jobs
 	// before executing a partial batch. Default 2ms.
@@ -283,10 +283,10 @@ var (
 // attach to it (single-flight) and share its outcome.
 type job struct {
 	id   string
+	kind jobKind // resolved once in submit; indexes the kinds table
 	key  string
 	fp   string // circuit fingerprint (groups batch members sharing a state)
 	circ *circuit.Circuit
-	ham  *observable.Hamiltonian // non-nil selects an expectation job
 	opts SubmitOptions
 
 	state       JobState
@@ -382,32 +382,32 @@ type Server struct {
 	spillWG       sync.WaitGroup // the spiller goroutine
 	spillBytes    int64          // bytes pinned by the eviction-spill backlog
 
-	// counters (under mu)
-	submitted, completed, failed  uint64
-	cacheHits, sfHits, executed   uint64
-	expSubmitted, expExecuted     uint64
-	sweepSubmitted, sweepExecuted uint64
-	sweepPointsRun                uint64
-	gradSubmitted, gradExecuted   uint64
-	planHits, planMisses          uint64
-	planRebinds                   uint64
-	storeHits, planStoreHits      uint64
-	storeMisses, storeErrors      uint64
-	storeSpills, storeSpillDrops  uint64
-	storeQuarantines              uint64
-	storeAdmissionSkips           uint64
-	batches, batchedJobs          uint64
-	panicsRecovered               uint64
-	rejectedQueueFull             uint64
-	rejectedTooLarge              uint64
-	rejectedInvalid               uint64
-	cancelledQueue                uint64 // expired before execution started
-	cancelledRunning              uint64 // cancelled mid-execution
-	cacheEvictedBytes             int64
-	planEvictedBytes              int64
-	mgpuExchanges, mgpuAvoided    uint64
-	mgpuBytesSent                 int64
-	latency                       map[string]*telemetry.Histogram
+	// counters (under mu). submitted and executed are per kind and
+	// move only for admitted jobs (admitLocked, runBatch), so a refused
+	// submission has nothing to roll back; the totals are their sums.
+	submitted, executed          [numKinds]uint64
+	completed, failed            uint64
+	cacheHits, sfHits            uint64
+	sweepPointsRun               uint64
+	planHits, planMisses         uint64
+	planRebinds                  uint64
+	storeHits, planStoreHits     uint64
+	storeMisses, storeErrors     uint64
+	storeSpills, storeSpillDrops uint64
+	storeQuarantines             uint64
+	storeAdmissionSkips          uint64
+	batches, batchedJobs         uint64
+	panicsRecovered              uint64
+	rejectedQueueFull            uint64
+	rejectedTooLarge             uint64
+	rejectedInvalid              uint64
+	cancelledQueue               uint64 // expired before execution started
+	cancelledRunning             uint64 // cancelled mid-execution
+	cacheEvictedBytes            int64
+	planEvictedBytes             int64
+	mgpuExchanges, mgpuAvoided   uint64
+	mgpuBytesSent                int64
+	latency                      map[string]*telemetry.Histogram
 
 	// stageLatency holds the per-stage registry histograms, resolved
 	// once at registerMetrics time and read-only afterwards, so the
@@ -725,7 +725,7 @@ func (s *Server) compiled(c *circuit.Circuit, fp string) (*backend.Compiled, *te
 	}
 	if comp == nil {
 		tc := time.Now()
-		comp, err = core.Compile(c, s.execOptions())
+		comp, err = backend.Compile(c, s.execOptions())
 		compileDur = time.Since(tc)
 	}
 
@@ -814,39 +814,15 @@ func (s *Server) observeStages(tr *telemetry.Trace) {
 	}
 }
 
-// key returns the content address of (circuit, per-job options) under
-// this server's execution configuration. The worker count is excluded
-// (it changes wall-clock, not output) but the device count is kept: on
-// the mqpu target the shot sampler splits the budget per device with
-// per-device seeds, so Devices changes Counts. The seed is normalized
-// away when no shots are drawn, so probabilities-only submissions of
-// the same circuit always share a key.
-func (s *Server) key(c *circuit.Circuit, opts SubmitOptions) string {
+// key returns the content address of a kind k job under this server's
+// execution configuration. The worker count is excluded (it changes
+// wall-clock, not output) but the device count is kept: on the mqpu
+// target the shot sampler splits the budget per device with per-device
+// seeds, so Devices changes Counts.
+func (s *Server) key(k jobKind, c *circuit.Circuit, opts SubmitOptions) string {
 	kopts := s.execOptions() // derive, so key and execution never drift
 	kopts.Workers = 0        // wall-clock only, not output
-	if opts.Gradient {
-		// Gradient jobs: keyed on the structural shape, the base point
-		// (the circuit's own parameter values), and the Hamiltonian.
-		return core.GradientCacheKey(c, opts.Hamiltonian, c.ParamValues(), kopts)
-	}
-	if len(opts.SweepPoints) > 0 {
-		// Sweep jobs: structural shape + the point matrix bit-for-bit.
-		// Shots and seed shape sampling sweeps and are normalized away
-		// for exact Hamiltonian sweeps inside SweepCacheKey.
-		kopts.Shots = opts.Shots
-		kopts.Seed = opts.Seed
-		return core.SweepCacheKey(c, opts.Hamiltonian, opts.SweepPoints, kopts)
-	}
-	if opts.Hamiltonian != nil {
-		// Expectation jobs: (fingerprint, hamiltonian hash, options);
-		// shots and seed are normalized away inside (exact results).
-		return core.ExpectationCacheKey(c, opts.Hamiltonian, kopts)
-	}
-	kopts.Shots = opts.Shots
-	if opts.Shots > 0 {
-		kopts.Seed = opts.Seed
-	}
-	return core.CacheKey(c, kopts)
+	return kinds[k].key(c, opts, kopts)
 }
 
 // Submit validates and enqueues a circuit, returning immediately with
@@ -865,7 +841,7 @@ func (s *Server) Submit(c *circuit.Circuit, opts SubmitOptions) (JobInfo, error)
 
 // validateSubmit is the pure request validation half of submit; every
 // failure here counts as an "invalid" rejection.
-func (s *Server) validateSubmit(c *circuit.Circuit, opts SubmitOptions) error {
+func (s *Server) validateSubmit(k jobKind, c *circuit.Circuit, opts SubmitOptions) error {
 	if c == nil {
 		return errors.New("service: nil circuit")
 	}
@@ -878,44 +854,7 @@ func (s *Server) validateSubmit(c *circuit.Circuit, opts SubmitOptions) error {
 	if opts.TimeoutMs < 0 {
 		return fmt.Errorf("service: negative timeout %dms", opts.TimeoutMs)
 	}
-	if opts.Hamiltonian != nil {
-		if opts.Shots != 0 {
-			return fmt.Errorf("service: expectation jobs are exact; shots (%d) are not supported", opts.Shots)
-		}
-		if err := opts.Hamiltonian.Validate(); err != nil {
-			return fmt.Errorf("service: invalid hamiltonian: %w", err)
-		}
-		if opts.Hamiltonian.NumQubits > c.NumQubits {
-			return fmt.Errorf("service: hamiltonian spans %d qubits, circuit has %d",
-				opts.Hamiltonian.NumQubits, c.NumQubits)
-		}
-	}
-	if opts.Gradient {
-		if opts.Hamiltonian == nil {
-			return errors.New("service: gradient jobs need a hamiltonian")
-		}
-		if len(opts.SweepPoints) > 0 {
-			return errors.New("service: gradient jobs derive their own sweep; points are not accepted")
-		}
-		if c.NumParams() == 0 {
-			return errors.New("service: gradient of a circuit with no parameterized gates")
-		}
-	}
-	if n := len(opts.SweepPoints); n > 0 {
-		if s.cfg.MaxSweepPoints > 0 && n > s.cfg.MaxSweepPoints {
-			return fmt.Errorf("service: sweep of %d points exceeds the %d-point bound", n, s.cfg.MaxSweepPoints)
-		}
-		nParams := c.NumParams()
-		for i, pt := range opts.SweepPoints {
-			if len(pt) != nParams {
-				return fmt.Errorf("service: sweep point %d has %d values, circuit has %d parameter slots", i, len(pt), nParams)
-			}
-		}
-		if opts.Hamiltonian == nil && opts.Shots <= 0 {
-			return errors.New("service: a sweep without a hamiltonian must sample (shots > 0); per-point probability vectors are unbounded")
-		}
-	}
-	return nil
+	return kinds[k].validate(s, c, opts)
 }
 
 // deadlineFor resolves a job's absolute expiry from the server-wide
@@ -937,7 +876,8 @@ func (s *Server) deadlineFor(submitted time.Time, opts SubmitOptions) time.Time 
 // submit is Submit returning the job record itself, for callers (Run)
 // that must outlive the finished-job retention window.
 func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions) (*job, error) {
-	if err := s.validateSubmit(c, opts); err != nil {
+	kind := resolveKind(opts)
+	if err := s.validateSubmit(kind, c, opts); err != nil {
 		s.mu.Lock()
 		s.rejectedInvalid++
 		s.mu.Unlock()
@@ -955,24 +895,22 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions) (*job, error) {
 				ErrTooLarge, c.NumQubits, need, s.cfg.MaxStateBytes)
 		}
 	}
+	// Deep-copy everything the worker reads long after Submit returns:
+	// the server owns its jobs' inputs, so a caller mutating theirs
+	// afterwards cannot race the worker or poison the cache under the
+	// pre-mutation fingerprint.
 	if opts.Hamiltonian != nil {
-		// Deep-copy for the same reason as the circuit below.
 		opts.Hamiltonian = opts.Hamiltonian.Clone()
 	}
-	if len(opts.SweepPoints) > 0 {
-		// Deep-copy the point matrix: the worker reads it long after
-		// Submit returns.
+	if opts.SweepPoints != nil {
 		pts := make([][]float64, len(opts.SweepPoints))
 		for i, pt := range opts.SweepPoints {
 			pts[i] = append([]float64(nil), pt...)
 		}
 		opts.SweepPoints = pts
 	}
-	// Deep-copy: the server owns its jobs' circuits, so a caller
-	// mutating theirs after Submit cannot race the worker or poison
-	// the cache under the pre-mutation fingerprint.
 	c = c.Copy()
-	key := s.key(c, opts)
+	key := s.key(kind, c, opts)
 	fp := c.Fingerprint()
 
 	s.mu.Lock()
@@ -983,31 +921,22 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions) (*job, error) {
 	s.nextID++
 	j := &job{
 		id:          fmt.Sprintf("j-%08d", s.nextID),
+		kind:        kind,
 		key:         key,
 		fp:          fp,
 		circ:        c,
-		ham:         opts.Hamiltonian,
 		opts:        opts,
 		state:       StateQueued,
 		submittedAt: time.Now(),
 		done:        make(chan struct{}),
 	}
-	switch {
-	case j.opts.Gradient:
-		s.gradSubmitted++
-	case len(j.opts.SweepPoints) > 0:
-		s.sweepSubmitted++
-	case j.ham != nil:
-		s.expSubmitted++
-	}
 
 	// Content-addressed fast path: cache hit.
 	if res, ok := s.cache.Get(key); ok {
-		s.submitted++
+		s.admitLocked(j)
 		s.cacheHits++
 		j.cached = true
 		s.finishLocked(j, res, nil, "cache")
-		s.jobs[j.id] = j
 		s.retainLocked(j)
 		return j, nil
 	}
@@ -1016,24 +945,22 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions) (*job, error) {
 	// unbounded joiner removes it entirely — so attaching never
 	// tightens an execution already under way.
 	if f, ok := s.inflight[key]; ok {
-		s.submitted++
+		s.admitLocked(j)
 		s.sfHits++
 		j.cached = true
 		j.state = f.jobs[0].state // queued or already running
 		f.flag().Extend(s.deadlineFor(j.submittedAt, opts))
 		f.jobs = append(f.jobs, j)
-		s.jobs[j.id] = j
 		return j, nil
 	}
 	// Spill lookaside: an entry evicted moments ago may still be in
 	// flight to disk — serve it from the spill window instead of
 	// re-simulating (or racing the spiller on the file).
 	if it, ok := s.pendingSpills[key]; ok && it.result != nil {
-		s.submitted++
+		s.admitLocked(j)
 		s.cacheHits++
 		j.cached = true
 		s.finishLocked(j, it.result, nil, "cache")
-		s.jobs[j.id] = j
 		s.retainLocked(j)
 		return j, nil
 	}
@@ -1046,9 +973,8 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions) (*job, error) {
 	// via the single-flight path above instead of reading the file
 	// again.
 	if s.store != nil && s.store.HasResult(key) {
-		s.submitted++
+		s.admitLocked(j)
 		s.inflight[key] = &flight{jobs: []*job{j}}
-		s.jobs[j.id] = j
 		s.loadWG.Add(1)
 		go s.serveFromStore(key)
 		return j, nil
@@ -1061,21 +987,19 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions) (*job, error) {
 	case s.queue <- j:
 	default:
 		s.nextID-- // job never existed
-		switch {
-		case j.opts.Gradient:
-			s.gradSubmitted--
-		case len(j.opts.SweepPoints) > 0:
-			s.sweepSubmitted--
-		case j.ham != nil:
-			s.expSubmitted--
-		}
 		s.rejectedQueueFull++
 		return nil, ErrQueueFull
 	}
-	s.submitted++
+	s.admitLocked(j)
 	s.inflight[key] = &flight{jobs: []*job{j}}
-	s.jobs[j.id] = j
 	return j, nil
+}
+
+// admitLocked records an accepted submission — the only place the
+// submitted counters move. Callers hold s.mu.
+func (s *Server) admitLocked(j *job) {
+	s.submitted[j.kind]++
+	s.jobs[j.id] = j
 }
 
 // finishLocked records a terminal state for j. Callers hold s.mu.
@@ -1319,15 +1243,58 @@ func (s *Server) runBatchSafe(batch []*job) {
 	s.runBatch(batch)
 }
 
-// runBatch executes one coalesced batch: unique circuits (by
-// fingerprint) run through core.Run in a single call — the mqpu
-// device-parallel path when so configured — then each job's shots are
-// sampled from its circuit's probability vector with the job's seed,
-// reproducing exactly what a standalone backend.Run would return.
-// Expectation jobs ride the same queue but execute one by one through
-// the compiled-plan cache (their keys are unique within a batch by
-// single-flight), so one cached compile serves any number of
-// observables on the same circuit.
+// outcome is one job's terminal result as runBatch computes it, before
+// the batch commits under s.mu.
+type outcome struct {
+	j   *job
+	res *backend.Result
+	err error
+	// skipped marks a job that never executed (expired in queue): it
+	// completes like any failure but stays out of the executed counters.
+	skipped bool
+}
+
+// batchTally accumulates one batch's outcomes and counter deltas off
+// the lock, so a big batch never stalls submissions, polls, or other
+// workers' completions; runBatch commits it in one critical section.
+type batchTally struct {
+	outs                             []outcome
+	cancelledQueue, cancelledRunning uint64
+	sweepPts                         uint64
+	// Distributed-communication totals of the batch's fresh executions,
+	// counted once per execution event (batch-mates share one execution,
+	// so summing per job would overcount).
+	mgpuExch, mgpuAvoided uint64
+	mgpuBytes             int64
+}
+
+// ran folds one fresh execution event's counters into the tally.
+func (t *batchTally) ran(res *backend.Result) {
+	t.sweepPts += uint64(res.SweepPoints)
+	t.mgpuExch += uint64(res.Exchanges)
+	t.mgpuAvoided += uint64(res.AvoidedExchanges)
+	t.mgpuBytes += res.BytesSent
+}
+
+// failed records err for jobs, classifying deadline verdicts.
+func (t *batchTally) failed(jobs []*job, err error) {
+	for _, j := range jobs {
+		if errors.Is(err, ErrDeadlineExceeded) {
+			t.cancelledRunning++
+		}
+		t.outs = append(t.outs, outcome{j: j, err: err})
+	}
+}
+
+// runBatch executes one dequeued batch in the two shapes the kind table
+// distinguishes. Solo kinds (a run function in the table) execute one by
+// one through the compiled-plan cache — their keys are unique within a
+// batch by single-flight, so one cached compile serves any number of
+// observables or sweep points on the same circuit. The coalesced kind
+// runs every unique circuit (by fingerprint) in a single backend call —
+// the mqpu device-parallel path when so configured — then samples each
+// job's shots from its circuit's probability vector with the job's own
+// seed, reproducing exactly what a standalone backend.Run would return.
 func (s *Server) runBatch(batch []*job) {
 	// Queue wait ends for every member when the worker picks the batch
 	// up; each job's queue_wait span is measured against its own
@@ -1335,147 +1302,88 @@ func (s *Server) runBatch(batch []*job) {
 	dequeued := time.Now()
 	s.markRunning(batch)
 
-	type outcome struct {
-		j   *job
-		res *backend.Result
-		err error
-		// skipped marks a job that never executed (expired in queue):
-		// it completes like any failure but stays out of the executed
-		// counter.
-		skipped bool
-	}
-	var outs []outcome
-	var cancelledQueue, cancelledRunning uint64
-
-	// Distributed-communication totals for this batch's fresh
-	// executions, aggregated once per execution event (batch-mates
-	// share one execution, so summing per job would overcount).
-	var mgpuExch, mgpuAvoided uint64
-	var mgpuBytes int64
-
-	var probJobs []*job
-	var expJobs []*job
-	var sweepJobs []*job
+	var t batchTally
+	var coalesced []*job
 	for _, j := range batch {
-		switch {
-		case j.opts.Gradient || len(j.opts.SweepPoints) > 0:
-			sweepJobs = append(sweepJobs, j)
-		case j.ham != nil:
-			expJobs = append(expJobs, j)
-		default:
-			probJobs = append(probJobs, j)
-		}
-	}
-	for _, j := range expJobs {
 		if cerr := j.flag.Err(); cerr != nil {
 			// The budget ran out while the job sat in the queue: fail it
 			// without paying for compilation or execution.
-			cancelledQueue++
-			outs = append(outs, outcome{j: j, err: queueExpiredErr(cerr), skipped: true})
+			t.cancelledQueue++
+			t.outs = append(t.outs, outcome{j: j, err: queueExpiredErr(cerr), skipped: true})
 			continue
 		}
-		var comp *backend.Compiled
-		var ctr *telemetry.Trace
-		var res *backend.Result
-		var err error
-		if gerr := s.guardPanic(func() {
-			comp, ctr, err = s.compiled(j.circ, j.fp)
-			if err == nil {
-				res, err = core.RunExpectationCompiled(comp, j.ham, s.execOptionsCancel(j.flag))
-			}
-		}); gerr != nil {
-			res, err = nil, gerr
+		if kinds[j.kind].run == nil {
+			coalesced = append(coalesced, j)
+			continue
 		}
-		if cls := classifyExecErr(err); cls != err { //nolint:errorlint // identity check, not a match
-			res, err = nil, cls
-			cancelledRunning++
-		}
-		if res != nil {
-			// Expectation keys are unique within a batch (single-flight
-			// collapses duplicates), so the merged trace is both this
-			// job's breakdown and exactly one execution event.
-			tr := &telemetry.Trace{}
-			tr.Add(telemetry.StageQueueWait, dequeued.Sub(j.submittedAt))
-			tr.Append(ctr)
-			tr.Append(res.Trace)
-			res.Trace = tr
-			s.observeStages(tr)
-			mgpuExch += uint64(res.Exchanges)
-			mgpuAvoided += uint64(res.AvoidedExchanges)
-			mgpuBytes += res.BytesSent
-		}
-		outs = append(outs, outcome{j: j, res: res, err: err})
+		s.runSolo(j, dequeued, &t)
 	}
-	// Sweep and gradient jobs execute one by one like expectation jobs
-	// (their keys are unique within a batch by single-flight): one
-	// compiled() resolution — a single compile or a structural-cache
-	// hit — serves every point of the sweep through rebinds. A
-	// configuration whose transform is value-dependent surfaces
-	// ErrNotRebindable from the compiled fast path and falls back to
-	// per-point compilation from the source circuit: same results, none
-	// of the compile-once savings.
-	var sweepPts uint64
-	for _, j := range sweepJobs {
-		if cerr := j.flag.Err(); cerr != nil {
-			cancelledQueue++
-			outs = append(outs, outcome{j: j, err: queueExpiredErr(cerr), skipped: true})
-			continue
-		}
-		var comp *backend.Compiled
-		var ctr *telemetry.Trace
-		var res *backend.Result
-		var err error
-		if gerr := s.guardPanic(func() {
-			comp, ctr, err = s.compiled(j.circ, j.fp)
-			if err != nil {
-				return
-			}
-			o := s.execOptionsCancel(j.flag)
-			o.Shots, o.Seed = j.opts.Shots, j.opts.Seed
-			if j.opts.Gradient {
-				res, err = core.RunGradientCompiled(comp, j.ham, j.circ.ParamValues(), o)
-				if errors.Is(err, backend.ErrNotRebindable) {
-					res, err = core.RunGradient(j.circ, j.ham, j.circ.ParamValues(), o)
-				}
-			} else {
-				res, err = core.RunSweepCompiled(comp, j.ham, j.opts.SweepPoints, o)
-				if errors.Is(err, backend.ErrNotRebindable) {
-					res, err = core.RunSweep(j.circ, j.ham, j.opts.SweepPoints, o)
-				}
-			}
-		}); gerr != nil {
-			res, err = nil, gerr
-		}
-		if cls := classifyExecErr(err); cls != err { //nolint:errorlint // identity check, not a match
-			res, err = nil, cls
-			cancelledRunning++
-		}
-		if res != nil {
-			sweepPts += uint64(res.SweepPoints)
-			tr := &telemetry.Trace{}
-			tr.Add(telemetry.StageQueueWait, dequeued.Sub(j.submittedAt))
-			tr.Append(ctr)
-			tr.Append(res.Trace)
-			res.Trace = tr
-			s.observeStages(tr)
-			mgpuExch += uint64(res.Exchanges)
-			mgpuAvoided += uint64(res.AvoidedExchanges)
-			mgpuBytes += res.BytesSent
-		}
-		outs = append(outs, outcome{j: j, res: res, err: err})
-	}
-	// Probability jobs whose budget expired in the queue drop here, the
-	// same dequeue-time check the expectation path runs.
-	batch = batch[:0]
-	for _, j := range probJobs {
-		if cerr := j.flag.Err(); cerr != nil {
-			cancelledQueue++
-			outs = append(outs, outcome{j: j, err: queueExpiredErr(cerr), skipped: true})
-			continue
-		}
-		batch = append(batch, j)
+	if len(coalesced) > 0 {
+		s.runCoalesced(coalesced, dequeued, &t)
 	}
 
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.batches++
+	s.batchedJobs += uint64(len(t.outs))
+	s.mgpuExchanges += t.mgpuExch
+	s.mgpuAvoided += t.mgpuAvoided
+	s.mgpuBytesSent += t.mgpuBytes
+	s.cancelledQueue += t.cancelledQueue
+	s.cancelledRunning += t.cancelledRunning
+	s.sweepPointsRun += t.sweepPts
+	for _, o := range t.outs {
+		if !o.skipped {
+			s.executed[o.j.kind]++
+		}
+		key := kinds[o.j.kind].stem
+		if key == "" {
+			key = string(s.cfg.Target)
+		}
+		if o.err != nil && errors.Is(o.err, ErrDeadlineExceeded) {
+			key = "deadline"
+		}
+		s.completeKeyLocked(o.j.key, o.res, o.err, key)
+	}
+}
+
+// runSolo executes one solo-kind job behind the panic guard: resolve
+// the circuit's execution IR through the plan cache, then hand it to
+// the kind's run function under the job's own cancellation flag.
+func (s *Server) runSolo(j *job, dequeued time.Time, t *batchTally) {
+	var ctr *telemetry.Trace
+	var res *backend.Result
+	var err error
+	if gerr := s.guardPanic(func() {
+		var comp *backend.Compiled
+		if comp, ctr, err = s.compiled(j.circ, j.fp); err == nil {
+			res, err = kinds[j.kind].run(j, comp, s.execOptionsCancel(j.flag))
+		}
+	}); gerr != nil {
+		res, err = nil, gerr
+	}
+	if cls := classifyExecErr(err); cls != err { //nolint:errorlint // identity check, not a match
+		res, err = nil, cls
+		t.cancelledRunning++
+	}
+	if res != nil {
+		// Solo keys are unique within a batch (single-flight collapses
+		// duplicates), so the merged trace is both this job's breakdown
+		// and exactly one execution event.
+		tr := &telemetry.Trace{}
+		tr.Add(telemetry.StageQueueWait, dequeued.Sub(j.submittedAt))
+		tr.Append(ctr)
+		tr.Append(res.Trace)
+		res.Trace = tr
+		s.observeStages(tr)
+		t.ran(res)
+	}
+	t.outs = append(t.outs, outcome{j: j, res: res, err: err})
+}
+
+// runCoalesced executes the batch's coalesced jobs: one execution per
+// unique fingerprint, then per-job shot sampling.
+func (s *Server) runCoalesced(batch []*job, dequeued time.Time, t *batchTally) {
 	var order []string
 	byFP := make(map[string][]*job, len(batch))
 	circs := make([]*circuit.Circuit, 0, len(batch))
@@ -1509,7 +1417,7 @@ func (s *Server) runBatch(batch []*job) {
 	var results []*backend.Result
 	if err == nil {
 		if gerr := s.guardPanic(func() {
-			results, err = core.RunCompiledBatch(comps, s.execOptionsCancel(bflag))
+			results, err = backend.RunBatchCompiled(comps, s.execOptionsCancel(bflag))
 		}); gerr != nil {
 			results, err = nil, gerr
 		}
@@ -1531,7 +1439,7 @@ func (s *Server) runBatch(batch []*job) {
 		for i, c := range circs {
 			i, c := i, c
 			if gerr := s.guardPanic(func() {
-				results[i], indivErrs[i] = core.RunOne(c, s.execOptionsCancel(bflag))
+				results[i], indivErrs[i] = backend.Run(c, s.execOptionsCancel(bflag))
 			}); gerr != nil {
 				results[i], indivErrs[i] = nil, gerr
 			}
@@ -1541,18 +1449,12 @@ func (s *Server) runBatch(batch []*job) {
 	}
 	err = classifyExecErr(err)
 
-	// Build every job's outcome — including shot sampling, which is
-	// O(2^n + shots) — before touching s.mu, so a big batch never
-	// stalls submissions, polls, or other workers' completions.
+	// Build every job's outcome, including shot sampling, which is
+	// O(2^n + shots).
 	for i, fp := range order {
 		jobs := byFP[fp]
 		if err != nil {
-			for _, j := range jobs {
-				if errors.Is(err, ErrDeadlineExceeded) {
-					cancelledRunning++
-				}
-				outs = append(outs, outcome{j: j, err: err})
-			}
+			t.failed(jobs, err)
 			continue
 		}
 		if results[i] == nil {
@@ -1562,12 +1464,7 @@ func (s *Server) runBatch(batch []*job) {
 			if indivErrs != nil && indivErrs[i] != nil {
 				ferr = indivErrs[i]
 			}
-			for _, j := range jobs {
-				if errors.Is(ferr, ErrDeadlineExceeded) {
-					cancelledRunning++
-				}
-				outs = append(outs, outcome{j: j, err: ferr})
-			}
+			t.failed(jobs, ferr)
 			continue
 		}
 		// The compile/store-load/execute spans are shared by every
@@ -1577,9 +1474,7 @@ func (s *Server) runBatch(batch []*job) {
 		shared.Append(compTrs[i])
 		shared.Append(results[i].Trace)
 		s.observeStages(shared)
-		mgpuExch += uint64(results[i].Exchanges)
-		mgpuAvoided += uint64(results[i].AvoidedExchanges)
-		mgpuBytes += results[i].BytesSent
+		t.ran(results[i])
 		for _, j := range jobs {
 			// Duration is this circuit's own simulation time (from
 			// backend.Run), not the whole batch's wall-clock.
@@ -1628,47 +1523,8 @@ func (s *Server) runBatch(batch []*job) {
 			tr.Append(shared)
 			tr.Add(telemetry.StageSample, sampleDur)
 			jr.Trace = tr
-			outs = append(outs, outcome{j: j, res: jr, err: serr})
+			t.outs = append(t.outs, outcome{j: j, res: jr, err: serr})
 		}
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.batches++
-	s.batchedJobs += uint64(len(outs))
-	s.mgpuExchanges += mgpuExch
-	s.mgpuAvoided += mgpuAvoided
-	s.mgpuBytesSent += mgpuBytes
-	s.cancelledQueue += cancelledQueue
-	s.cancelledRunning += cancelledRunning
-	s.sweepPointsRun += sweepPts
-	lat := string(s.cfg.Target)
-	for _, o := range outs {
-		if !o.skipped {
-			s.executed++
-		}
-		key := lat
-		switch {
-		case o.j.opts.Gradient:
-			if !o.skipped {
-				s.gradExecuted++
-			}
-			key = "gradient"
-		case len(o.j.opts.SweepPoints) > 0:
-			if !o.skipped {
-				s.sweepExecuted++
-			}
-			key = "sweep"
-		case o.j.ham != nil:
-			if !o.skipped {
-				s.expExecuted++
-			}
-			key = "expectation"
-		}
-		if o.err != nil && errors.Is(o.err, ErrDeadlineExceeded) {
-			key = "deadline"
-		}
-		s.completeKeyLocked(o.j.key, o.res, o.err, key)
 	}
 }
 
@@ -1786,7 +1642,7 @@ func (s *Server) Stats() Stats {
 		QueueCapacity:         s.cfg.QueueSize,
 		Workers:               s.cfg.WorkerPool,
 		WorkersBusy:           int(s.busy.Load()),
-		Submitted:             s.submitted,
+		Submitted:             total(s.submitted),
 		Completed:             s.completed,
 		Failed:                s.failed,
 		PanicsRecovered:       s.panicsRecovered,
@@ -1797,14 +1653,14 @@ func (s *Server) Stats() Stats {
 		CancelledRunning:      s.cancelledRunning,
 		CacheHits:             s.cacheHits,
 		SingleFlightHits:      s.sfHits,
-		Executed:              s.executed,
-		ExpectationJobs:       s.expSubmitted,
-		ExpectationExecuted:   s.expExecuted,
-		SweepJobs:             s.sweepSubmitted,
-		SweepExecuted:         s.sweepExecuted,
+		Executed:              total(s.executed),
+		ExpectationJobs:       s.submitted[kindExpectation],
+		ExpectationExecuted:   s.executed[kindExpectation],
+		SweepJobs:             s.submitted[kindSweep],
+		SweepExecuted:         s.executed[kindSweep],
 		SweepPointsRun:        s.sweepPointsRun,
-		GradientJobs:          s.gradSubmitted,
-		GradientExecuted:      s.gradExecuted,
+		GradientJobs:          s.submitted[kindGradient],
+		GradientExecuted:      s.executed[kindGradient],
 		PlanRebinds:           s.planRebinds,
 		CacheLen:              s.cache.Len(),
 		CacheCapacity:         s.cfg.CacheSize,
@@ -1859,6 +1715,15 @@ func (s *Server) Stats() Stats {
 		st.Latency[k] = snapshotHistogram(h)
 	}
 	return st
+}
+
+// total sums a per-kind counter.
+func total(c [numKinds]uint64) uint64 {
+	var n uint64
+	for _, v := range c {
+		n += v
+	}
+	return n
 }
 
 // Registry returns the server's telemetry registry — the backing for

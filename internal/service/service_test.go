@@ -12,10 +12,24 @@ import (
 	"qgear/internal/randcirc"
 )
 
+// pinHost fixes the two Config defaults New would otherwise read off
+// the machine — the admission budget (half of MemAvailable) and the
+// per-device worker count (NumCPU) — wherever the caller left them
+// zero, so no test's outcome depends on the host's RAM or core count.
+func pinHost(cfg Config) Config {
+	if cfg.MaxStateBytes == 0 {
+		cfg.MaxStateBytes = 4 << 30
+	}
+	if cfg.Workers == 0 {
+		cfg.Workers = 2
+	}
+	return cfg
+}
+
 // newTestServer builds a server with small, deterministic sizing.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	s, err := New(cfg)
+	s, err := New(pinHost(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +141,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	a := testCircuit(t, 8, 10, 1)
 	b := testCircuit(t, 8, 10, 2)
 	c := testCircuit(t, 8, 10, 3)
-	keyOf := func(circ *circuit.Circuit) string { return s.key(circ, SubmitOptions{}) }
+	keyOf := func(circ *circuit.Circuit) string { return s.key(kindSimulate, circ, SubmitOptions{}) }
 
 	for _, circ := range []*circuit.Circuit{a, b} {
 		if _, _, err := s.Run(ctx, circ, SubmitOptions{}); err != nil {
@@ -162,7 +176,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 // TestBatchMatchesSequential coalesces a burst of distinct jobs into
-// shared core.Run calls and verifies each job's probabilities and
+// shared backend.RunBatch calls and verifies each job's probabilities and
 // counts are bit-identical to a standalone backend.Run.
 func TestBatchMatchesSequential(t *testing.T) {
 	s := newTestServer(t, Config{
@@ -264,7 +278,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // TestFailureIsolation: a job that exceeds the single-device qubit
 // limit fails alone; batch-mates coalesced with it still succeed.
 func TestFailureIsolation(t *testing.T) {
-	s := newTestServer(t, Config{WorkerPool: 1, MaxBatch: 4, BatchWindow: 200 * time.Millisecond})
+	// No admission budget: the bad job must reach execution, where
+	// statevec.New refuses n > 28 before allocating anything.
+	s := newTestServer(t, Config{WorkerPool: 1, MaxBatch: 4, BatchWindow: 200 * time.Millisecond, MaxStateBytes: -1})
 	good := circuit.GHZ(8, false)
 	bad := circuit.GHZ(30, false) // over statevec.MaxQubits
 	badInfo, err := s.Submit(bad, SubmitOptions{})
@@ -334,15 +350,15 @@ func TestSeedNormalizationSharesKey(t *testing.T) {
 	s := newTestServer(t, Config{})
 	c := circuit.GHZ(6, false)
 	// Shots == 0: seeds must not split the content address.
-	if s.key(c, SubmitOptions{Seed: 1}) != s.key(c, SubmitOptions{Seed: 2}) {
+	if s.key(kindSimulate, c, SubmitOptions{Seed: 1}) != s.key(kindSimulate, c, SubmitOptions{Seed: 2}) {
 		t.Fatal("probabilities-only submissions with different seeds got different keys")
 	}
 	// With shots, the seed matters.
-	if s.key(c, SubmitOptions{Shots: 10, Seed: 1}) == s.key(c, SubmitOptions{Shots: 10, Seed: 2}) {
+	if s.key(kindSimulate, c, SubmitOptions{Shots: 10, Seed: 1}) == s.key(kindSimulate, c, SubmitOptions{Shots: 10, Seed: 2}) {
 		t.Fatal("sampled submissions with different seeds share a key")
 	}
 	// And shots themselves matter.
-	if s.key(c, SubmitOptions{}) == s.key(c, SubmitOptions{Shots: 10}) {
+	if s.key(kindSimulate, c, SubmitOptions{}) == s.key(kindSimulate, c, SubmitOptions{Shots: 10}) {
 		t.Fatal("shots ignored in key")
 	}
 }

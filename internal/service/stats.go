@@ -14,8 +14,7 @@ import (
 // microseconds. The final bound is +Inf — the overflow bucket counts
 // everything past the largest finite bound. JSON has no Inf literal,
 // so the infinite bound marshals as the string "+Inf"; unmarshalling
-// accepts that string, plain numbers, and the legacy -1 sentinel that
-// older servers emitted for the overflow bucket.
+// accepts that string and plain numbers.
 type BoundsUS []float64
 
 // MarshalJSON renders finite bounds as numbers and the +Inf overflow
@@ -37,8 +36,7 @@ func (b BoundsUS) MarshalJSON() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalJSON accepts numbers, the "+Inf" string, and the legacy -1
-// overflow sentinel (normalized to +Inf).
+// UnmarshalJSON accepts numbers and the "+Inf" string.
 func (b *BoundsUS) UnmarshalJSON(data []byte) error {
 	var raw []json.RawMessage
 	if err := json.Unmarshal(data, &raw); err != nil {
@@ -59,14 +57,9 @@ func (b *BoundsUS) UnmarshalJSON(data []byte) error {
 			out[i] = v
 			continue
 		}
-		var v float64
-		if err := json.Unmarshal(r, &v); err != nil {
+		if err := json.Unmarshal(r, &out[i]); err != nil {
 			return err
 		}
-		if v < 0 {
-			v = math.Inf(1) // legacy overflow sentinel
-		}
-		out[i] = v
 	}
 	*b = out
 	return nil

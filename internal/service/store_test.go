@@ -34,7 +34,7 @@ func TestWarmRestartServesFromStore(t *testing.T) {
 	circs := storeTestCircuits(5, 8)
 	ctx := context.Background()
 
-	s1, err := New(cfg)
+	s1, err := New(pinHost(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestWarmRestartPlansFromStore(t *testing.T) {
 	c := storeTestCircuits(1, 8)[0]
 	ctx := context.Background()
 
-	s1, err := New(cfg)
+	s1, err := New(pinHost(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCorruptStoreFallsBack(t *testing.T) {
 	c := storeTestCircuits(1, 8)[0]
 	ctx := context.Background()
 
-	s1, err := New(cfg)
+	s1, err := New(pinHost(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,15 +47,15 @@ func TestHistogramSnapshotGoldenJSON(t *testing.T) {
 	}
 }
 
-// TestBoundsLegacyUnmarshal keeps old clients decodable: servers before
-// the +Inf convention emitted -1 for the overflow bucket.
-func TestBoundsLegacyUnmarshal(t *testing.T) {
+// TestBoundsUnmarshal: numbers decode verbatim (no value is a sentinel
+// for the overflow bucket), "+Inf" decodes to the infinite bound.
+func TestBoundsUnmarshal(t *testing.T) {
 	var b BoundsUS
 	if err := json.Unmarshal([]byte(`[1,2,-1]`), &b); err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsInf(b[2], 1) {
-		t.Errorf("legacy -1 not normalized to +Inf: %v", b)
+	if b[2] != -1 {
+		t.Errorf("-1 rewritten to %v", b[2])
 	}
 	if err := json.Unmarshal([]byte(`[1,"+Inf"]`), &b); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		if i == 1 {
 			c.RZ(0.25, 0)
 		}
-		body, _ := json.Marshal(SubmitRequest{Circuit: FromCircuit(c), Shots: 16, Seed: seed})
+		body, _ := json.Marshal(SubmitRequest{Kind: "simulate", Circuit: FromCircuit(c), Shots: 16, Seed: seed})
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
 		if err != nil {
 			t.Fatal(err)

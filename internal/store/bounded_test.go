@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"qgear/internal/backend"
-	"qgear/internal/circuit"
 	"qgear/internal/faultfs"
 	"qgear/internal/hdf5"
 	"qgear/internal/kernel"
@@ -72,14 +71,13 @@ func diskArtifactBytes(t *testing.T, dir string) int64 {
 	return total
 }
 
-// --- key encoding: the lossy-sanitizer collision bugfix -------------
+// --- key encoding ---------------------------------------------------
 
-// TestKeyCollisionDistinctArtifacts is the regression for the
-// pre-sharding sanitizer that mapped every unsafe byte to '+': the
-// keys "a|b" and "a+b" collided on one filename, so the second save
-// was silently skipped and the second load quarantined the first
-// key's artifact. The injective percent-escape encoding keeps them
-// apart.
+// TestKeyCollisionDistinctArtifacts is the regression for a lossy
+// sanitizer that mapped every unsafe byte to '+': the keys "a|b" and
+// "a+b" collided on one filename, so the second save was silently
+// skipped and the second load quarantined the first key's artifact.
+// The injective percent-escape encoding keeps them apart.
 func TestKeyCollisionDistinctArtifacts(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -109,10 +107,12 @@ func TestKeyCollisionDistinctArtifacts(t *testing.T) {
 	}
 }
 
-// TestLegacyCollisionIsNotQuarantined: a key-mismatch on a
-// legacy-sanitized file is a collision, not corruption — the file must
-// survive for its true owner instead of being deleted.
-func TestLegacyCollisionIsNotQuarantined(t *testing.T) {
+// TestBootScanIgnoresForeignFiles: the store reads only the layout it
+// writes. A file sitting flat under results/ or plans/, or a shard file
+// whose stem encodeKey could not have produced, is not the store's:
+// the boot scan must neither index, move nor delete it, and Open must
+// still succeed.
+func TestBootScanIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
@@ -121,36 +121,55 @@ func TestLegacyCollisionIsNotQuarantined(t *testing.T) {
 	if err := st.SaveResult("a|b", testSig, probsResult(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// Rewind history: move the artifact to the flat, lossy-sanitized
-	// location a pre-sharding store would have used, and drop the
-	// manifest so the next Open rediscovers it by scanning.
-	legacy := filepath.Join(dir, resultsSubdir, legacyStem("a|b")+kindResult.ext())
-	if err := os.Rename(st.resultPath("a|b"), legacy); err != nil {
+	artifact, err := os.ReadFile(st.resultPath("a|b"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	shard := filepath.Dir(st.resultPath("a|b"))
+	foreign := []string{
+		filepath.Join(dir, resultsSubdir, "flat"+resultExt), // flat, valid stem
+		filepath.Join(dir, plansSubdir, "flat"+planExt),     // flat plan
+		filepath.Join(shard, "a+b"+resultExt),               // '+' is never emitted raw
+		filepath.Join(shard, "a%7cb"+resultExt),             // escapes are upper-case
+		filepath.Join(shard, "a%4"+resultExt),               // truncated escape
+		filepath.Join(shard, "a%41b"+resultExt),             // safe bytes are never escaped
+	}
+	for _, p := range foreign {
+		if err := os.WriteFile(p, artifact, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Drop the manifest so the reopen walks the tree.
 	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
 		t.Fatal(err)
 	}
 
 	st2, err := Open(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Open over foreign files: %v", err)
 	}
-	// The true owner still loads through the legacy stem.
-	if _, err := st2.LoadResult("a|b", testSig); err != nil {
-		t.Fatalf("legacy artifact unreadable by its own key: %v", err)
+	if !st2.Stats().BootScanned {
+		t.Fatal("reopen did not scan")
 	}
-	// "a*b" sanitizes to the same legacy stem. The mismatch must be a
-	// plain error, not ErrIntegrity, and must not delete the file.
-	_, err = st2.LoadResult("a*b", testSig)
-	if err == nil {
-		t.Fatal("collision load succeeded")
+	if got := st2.Stats(); got.ResultEntries != 1 || got.PlanEntries != 0 {
+		t.Fatalf("foreign files indexed: %d results, %d plans, want 1 and 0", got.ResultEntries, got.PlanEntries)
 	}
-	if errors.Is(err, ErrIntegrity) {
-		t.Fatalf("legacy collision classified as corruption: %v", err)
+	for _, k := range []string{"flat", "a+b", "aAb"} {
+		if st2.HasResult(k) || st2.HasPlan(k) {
+			t.Fatalf("key %q resolves to a foreign file", k)
+		}
 	}
 	if _, err := st2.LoadResult("a|b", testSig); err != nil {
-		t.Fatalf("collision quarantined the true owner's artifact: %v", err)
+		t.Fatalf("the store's own artifact: %v", err)
+	}
+	for _, p := range foreign {
+		got, err := os.ReadFile(p)
+		if err != nil || !bytes.Equal(got, artifact) {
+			t.Fatalf("foreign file %s moved, deleted or rewritten (err %v)", p, err)
+		}
+	}
+	if _, err := os.Stat(st2.resultPath("flat")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("flat file was copied into its shard: %v", err)
 	}
 }
 
@@ -498,102 +517,6 @@ func TestManifestTornTailReplaysPrefix(t *testing.T) {
 	}
 	if _, torn, err := parseManifest(raw); err != nil || torn {
 		t.Fatalf("journal not compacted clean after torn tail: torn=%v err=%v", torn, err)
-	}
-}
-
-// --- layout migration -----------------------------------------------
-
-// TestFlatLayoutMigration: artifacts written by the pre-sharding store
-// (flat results/ and plans/) must be discovered, physically moved into
-// their shards, and served.
-func TestFlatLayoutMigration(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []string{"m0", "m1", "m2"}
-	for i, k := range keys {
-		if err := st.SaveResult(k, testSig, probsResult(i, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := circuit.GHZ(4, false)
-	comp, err := backend.Compile(c, backend.Config{Target: backend.TargetNvidia, TileBits: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SavePlan("mp", testSig, comp, 3); err != nil {
-		t.Fatal(err)
-	}
-
-	// Flatten: hoist every artifact out of its shard, as if written by
-	// the old layout, and drop the manifest.
-	for _, sub := range []string{resultsSubdir, plansSubdir} {
-		root := filepath.Join(dir, sub)
-		ents, err := os.ReadDir(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ents {
-			if !e.IsDir() {
-				continue
-			}
-			shard := filepath.Join(root, e.Name())
-			files, err := os.ReadDir(shard)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range files {
-				if err := os.Rename(filepath.Join(shard, f.Name()), filepath.Join(root, f.Name())); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := os.Remove(shard); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		res, err := st2.LoadResult(k, testSig)
-		if err != nil {
-			t.Fatalf("migrated artifact %q unreadable: %v", k, err)
-		}
-		if !reflect.DeepEqual(res.Probabilities, probsResult(i, 1).Probabilities) {
-			t.Fatalf("artifact %q drifted through migration", k)
-		}
-	}
-	if _, _, err := st2.LoadPlan("mp", testSig); err != nil {
-		t.Fatalf("migrated plan unreadable: %v", err)
-	}
-	// Migration is physical: the flat directories hold no artifacts.
-	for _, sub := range []string{resultsSubdir, plansSubdir} {
-		ents, err := os.ReadDir(filepath.Join(dir, sub))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ents {
-			if !e.IsDir() {
-				t.Fatalf("file %s left behind in flat %s/", e.Name(), sub)
-			}
-		}
-	}
-	// And recorded: the next open replays the rewritten manifest.
-	inj := faultfs.New(faultfs.OS{}, faultfs.Config{})
-	st3, err := OpenFS(dir, inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inj.ReadDirCalls() != 0 || st3.Stats().BootScanned {
-		t.Fatal("migration did not leave a replayable manifest behind")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"io"
 	"io/fs"
 	"math"
+	"net/url"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -90,12 +91,11 @@ func (k kind) ext() string {
 // Greedy-Dual-Size accounting of Cache: prio = clock + cost/size at
 // last touch, and the store-level GC evicts lowest-prio first.
 type entry struct {
-	stem   string
-	size   int64
-	cost   float64
-	prio   float64
-	seq    uint64
-	legacy bool // stem written by the pre-sharding lossy sanitizer
+	stem string
+	size int64
+	cost float64
+	prio float64
+	seq  uint64
 }
 
 // Store is the on-disk artifact store: simulation results as HDF5-lite
@@ -103,8 +103,8 @@ type entry struct {
 // as compact binary sidecars, both sharded into 256 two-hex-char
 // subdirectories so the tree stays listable at millions of entries.
 // Open replays the manifest journal when one is present (O(one file
-// read)) and falls back to a full directory scan — migrating any flat
-// pre-sharding layout — when it is missing or corrupt. Loads verify
+// read)) and falls back to a full directory scan when it is missing or
+// corrupt. Loads verify
 // checksums and the recorded key/config signature before anything is
 // trusted. Store is safe for concurrent use.
 type Store struct {
@@ -187,8 +187,7 @@ func OpenFS(dir string, fsys faultfs.FS) (*Store, error) {
 // OpenOptions creates (if needed) and indexes the store rooted at dir.
 // When a manifest journal is present and sound, the index comes from
 // replaying it — one file read, no directory walk; otherwise the
-// artifact tree is scanned (migrating any flat pre-sharding layout
-// into the sharded one) and a fresh manifest written from the scan.
+// artifact tree is scanned and a fresh manifest written from the scan.
 func OpenOptions(dir string, opts Options) (*Store, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -266,12 +265,11 @@ func (st *Store) applyRecord(r manRecord) {
 		}
 		st.seq++
 		index[r.stem] = &entry{
-			stem:   r.stem,
-			size:   r.size,
-			cost:   r.cost,
-			prio:   r.cost / float64(max(r.size, int64(1))),
-			seq:    st.seq,
-			legacy: isLegacyStem(r.stem),
+			stem: r.stem,
+			size: r.size,
+			cost: r.cost,
+			prio: r.cost / float64(max(r.size, int64(1))),
+			seq:  st.seq,
 		}
 		st.bytes += r.size
 	case manDrop:
@@ -297,48 +295,19 @@ func isShardDir(name string) bool {
 	return true
 }
 
-// scanKind walks one artifact family's tree: sharded subdirectories
-// plus any flat pre-sharding files, which it migrates into their shard
-// bucket as it indexes them.
+// scanKind walks one artifact family's shard buckets. Anything else
+// under the family root is not the store's and is left alone.
 func (st *Store) scanKind(k kind, index map[string]*entry) error {
-	root := filepath.Join(st.dir, k.subdir())
-	entries, err := st.fsys.ReadDir(root)
+	entries, err := st.fsys.ReadDir(filepath.Join(st.dir, k.subdir()))
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			if isShardDir(name) {
-				if err := st.scanShard(k, name, index); err != nil {
-					return err
-				}
+		if e.IsDir() && isShardDir(e.Name()) {
+			if err := st.scanShard(k, e.Name(), index); err != nil {
+				return err
 			}
-			continue
 		}
-		if isTempName(name) {
-			st.reapStaleTemp(root, e)
-			continue
-		}
-		if !strings.HasSuffix(name, k.ext()) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue // raced with deletion; skip
-		}
-		// Flat legacy layout: move the artifact into its shard bucket.
-		// A failed migration just leaves the file flat for the next
-		// scan-boot to retry; it is not indexed meanwhile.
-		stem := strings.TrimSuffix(name, k.ext())
-		shardDir := filepath.Join(root, shardOf(stem))
-		if err := st.fsys.MkdirAll(shardDir, 0o755); err != nil {
-			continue
-		}
-		if err := st.fsys.Rename(filepath.Join(root, name), filepath.Join(shardDir, name)); err != nil {
-			continue
-		}
-		st.addScanned(index, stem, info.Size())
 	}
 	return nil
 }
@@ -361,11 +330,17 @@ func (st *Store) scanShard(k kind, shard string, index map[string]*entry) error 
 		if !strings.HasSuffix(name, k.ext()) {
 			continue
 		}
-		info, err := e.Info()
-		if err != nil {
+		// A stem outside encodeKey's image was not written by the store
+		// and no key can ever resolve to it: not ours, left alone.
+		stem := strings.TrimSuffix(name, k.ext())
+		if !isKeyStem(stem) {
 			continue
 		}
-		st.addScanned(index, strings.TrimSuffix(name, k.ext()), info.Size())
+		info, err := e.Info()
+		if err != nil {
+			continue // raced with deletion; skip
+		}
+		st.addScanned(index, stem, info.Size())
 	}
 	return nil
 }
@@ -379,12 +354,11 @@ func (st *Store) addScanned(index map[string]*entry, stem string, size int64) {
 	}
 	st.seq++
 	index[stem] = &entry{
-		stem:   stem,
-		size:   size,
-		cost:   float64(size),
-		prio:   1,
-		seq:    st.seq,
-		legacy: isLegacyStem(stem),
+		stem: stem,
+		size: size,
+		cost: float64(size),
+		prio: 1,
+		seq:  st.seq,
 	}
 	st.bytes += size
 }
@@ -477,63 +451,10 @@ func encodeKey(key string) string {
 	return b.String()
 }
 
-// legacyStem is the lossy sanitizer earlier releases used: every
-// disallowed byte collapsed to '+', so distinct keys could collide.
-// Kept only to locate artifacts those releases wrote; never used for
-// new files.
-func legacyStem(key string) string {
-	return strings.Map(func(r rune) rune {
-		if r < 0x80 && safeStemByte(byte(r)) {
-			return r
-		}
-		return '+'
-	}, key)
-}
-
-// decodeStem inverts encodeKey; failure means the stem was not
-// produced by it (a legacy sanitized name).
-func decodeStem(stem string) (string, bool) {
-	var b strings.Builder
-	for i := 0; i < len(stem); i++ {
-		c := stem[i]
-		switch {
-		case c == '%':
-			if i+2 >= len(stem) {
-				return "", false
-			}
-			hi, ok1 := unhex(stem[i+1])
-			lo, ok2 := unhex(stem[i+2])
-			if !ok1 || !ok2 {
-				return "", false
-			}
-			b.WriteByte(hi<<4 | lo)
-			i += 2
-		case safeStemByte(c):
-			b.WriteByte(c)
-		default:
-			return "", false
-		}
-	}
-	return b.String(), true
-}
-
-func unhex(c byte) (byte, bool) {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0', true
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10, true
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, true
-	}
-	return 0, false
-}
-
-// isLegacyStem reports whether a stem could not have come from
-// encodeKey, i.e. it was written by the legacy sanitizer.
-func isLegacyStem(stem string) bool {
-	_, ok := decodeStem(stem)
-	return !ok
+// isKeyStem reports whether stem is in encodeKey's image.
+func isKeyStem(stem string) bool {
+	key, err := url.PathUnescape(stem)
+	return err == nil && encodeKey(key) == stem
 }
 
 // shardOf buckets a stem into one of 256 two-hex-char subdirectories.
@@ -564,37 +485,11 @@ func (st *Store) index(k kind) map[string]*entry {
 	return st.results
 }
 
-// lookupLocked resolves a key in an index: the injective stem first,
-// then — for artifacts written by pre-sharding releases — the stem the
-// lossy legacy sanitizer would have produced.
-func lookupLocked(index map[string]*entry, key string) (*entry, bool) {
-	enc := encodeKey(key)
-	if e, ok := index[enc]; ok {
-		return e, true
-	}
-	if ls := legacyStem(key); ls != enc {
-		if e, ok := index[ls]; ok && e.legacy {
-			return e, true
-		}
-	}
-	return nil, false
-}
-
-// resolve finds the on-disk stem serving key, if any.
-func (st *Store) resolve(k kind, key string) (stem string, legacy bool, ok bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if e, found := lookupLocked(st.index(k), key); found {
-		return e.stem, e.legacy, true
-	}
-	return "", false, false
-}
-
 // HasResult reports whether a result for key is on disk.
 func (st *Store) HasResult(key string) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	_, ok := lookupLocked(st.results, key)
+	_, ok := st.results[encodeKey(key)]
 	return ok
 }
 
@@ -602,7 +497,7 @@ func (st *Store) HasResult(key string) bool {
 func (st *Store) HasPlan(key string) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	_, ok := lookupLocked(st.plans, key)
+	_, ok := st.plans[encodeKey(key)]
 	return ok
 }
 
@@ -897,19 +792,16 @@ func (st *Store) saveArtifact(k kind, stem string, data []byte, cost float64) er
 // sig. The returned probabilities and counts are bit-identical to
 // what was saved.
 func (st *Store) LoadResult(key, sig string) (*backend.Result, error) {
-	stem, legacy, indexed := st.resolve(kindResult, key)
-	if !indexed {
-		stem, legacy = encodeKey(key), false
-	}
+	stem := encodeKey(key)
 	path := st.stemPath(kindResult, stem)
 	// Read and parse in two steps so a transient I/O failure stays
 	// distinguishable from a corrupt file: only the latter is
 	// ErrIntegrity and only it justifies quarantining the artifact.
 	raw, err := st.fsys.ReadFile(path)
 	if err != nil {
-		if indexed && errors.Is(err, fs.ErrNotExist) {
-			// Ghost entry (journal promised a file that is gone): heal
-			// the index so the miss is not permanent.
+		if errors.Is(err, fs.ErrNotExist) {
+			// A ghost entry (journal promised a file that is gone) heals
+			// here, so the miss is not permanent.
 			st.forget(kindResult, stem)
 		}
 		return nil, fmt.Errorf("store: %w", err)
@@ -918,7 +810,7 @@ func (st *Store) LoadResult(key, sig string) (*backend.Result, error) {
 	if err != nil {
 		return nil, integrityErr("store: result %s: %v", key, err)
 	}
-	if err := st.verifyAttrs(f, "result", key, sig, legacy); err != nil {
+	if err := st.verifyAttrs(f, "result", key, sig); err != nil {
 		return nil, err
 	}
 	metaAttr, err := f.Attr("result", "meta")
@@ -1041,21 +933,16 @@ func (st *Store) LoadResult(key, sig string) (*backend.Result, error) {
 	return res, nil
 }
 
-// verifyAttrs checks the artifact's self-describing attributes. A
-// recorded-key mismatch on a legacy-named artifact is NOT an
-// integrity failure: the lossy legacy sanitizer could map two distinct
-// keys to one stem, so the file legitimately belongs to the other key
-// and must not be quarantined — the caller just misses.
-func (st *Store) verifyAttrs(f *hdf5.File, group, key, sig string, legacy bool) error {
+// verifyAttrs checks the artifact's self-describing attributes. Stems
+// are injective in the key, so a recorded-key mismatch can only be a
+// damaged or misplaced file.
+func (st *Store) verifyAttrs(f *hdf5.File, group, key, sig string) error {
 	v, err := f.Attr(group, "format_version")
 	if err != nil || v.I != FormatVersion {
 		return integrityErr("store: %s %s: wrong or missing format version", group, key)
 	}
 	k, err := f.Attr(group, "cache_key")
 	if err != nil || k.S != key {
-		if legacy && err == nil {
-			return fmt.Errorf("store: legacy %s file for key %s records key %q (sanitizer collision)", group, key, k.S)
-		}
 		return integrityErr("store: %s file for key %s records key %q", group, key, k.S)
 	}
 	s, err := f.Attr(group, "config_sig")
@@ -1115,13 +1002,10 @@ func (st *Store) SavePlan(key, sig string, comp *backend.Compiled, cost float64)
 // and the recompute cost recorded when it was built (the abstract
 // units SavePlan was given).
 func (st *Store) LoadPlan(key, sig string) (*backend.Compiled, float64, error) {
-	stem, legacy, indexed := st.resolve(kindPlan, key)
-	if !indexed {
-		stem, legacy = encodeKey(key), false
-	}
+	stem := encodeKey(key)
 	raw, err := st.fsys.ReadFile(st.stemPath(kindPlan, stem))
 	if err != nil {
-		if indexed && errors.Is(err, fs.ErrNotExist) {
+		if errors.Is(err, fs.ErrNotExist) {
 			st.forget(kindPlan, stem)
 		}
 		return nil, 0, fmt.Errorf("store: %w", err)
@@ -1162,9 +1046,6 @@ func (st *Store) LoadPlan(key, sig string) (*backend.Compiled, float64, error) {
 		return nil, 0, integrityErr("store: plan %s: %v", key, err)
 	}
 	if gotKey != key {
-		if legacy {
-			return nil, 0, fmt.Errorf("store: legacy plan file for key %s records key %q (sanitizer collision)", key, gotKey)
-		}
 		return nil, 0, integrityErr("store: plan file for key %s records key %q", key, gotKey)
 	}
 	gotSig, err := readStr()
@@ -1199,10 +1080,7 @@ func (st *Store) DropPlan(key string) {
 }
 
 func (st *Store) dropKey(k kind, key string) {
-	stem, _, ok := st.resolve(k, key)
-	if !ok {
-		stem = encodeKey(key)
-	}
+	stem := encodeKey(key)
 	st.mu.Lock()
 	index := st.index(k)
 	e, had := index[stem]

@@ -116,7 +116,8 @@ func TestPlanRoundTrip(t *testing.T) {
 }
 
 // TestWrongKeyRejected: a file whose recorded key does not match the
-// requested one (e.g. renamed on disk) is rejected.
+// requested one (e.g. renamed on disk) is rejected — always as
+// ErrIntegrity, since injective stems leave no innocent explanation.
 func TestWrongKeyRejected(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -144,8 +145,8 @@ func TestWrongKeyRejected(t *testing.T) {
 	if !st2.HasResult("bbbb") {
 		t.Fatal("renamed file not indexed")
 	}
-	if _, err := st2.LoadResult("bbbb", testSig); err == nil {
-		t.Fatal("moved file accepted under the wrong key")
+	if _, err := st2.LoadResult("bbbb", testSig); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("moved file under the wrong key: err = %v, want ErrIntegrity", err)
 	}
 }
 

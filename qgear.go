@@ -100,11 +100,11 @@ func AutoTileBits() int { return kernel.AutoTileBits() }
 
 // Compile lowers a circuit to its execution IR without running it;
 // the Compiled artifact is immutable and safe for concurrent reuse.
-func Compile(c *Circuit, opts RunOptions) (*Compiled, error) { return core.Compile(c, opts) }
+func Compile(c *Circuit, opts RunOptions) (*Compiled, error) { return backend.Compile(c, opts) }
 
 // RunCompiled executes a precompiled circuit.
 func RunCompiled(comp *Compiled, opts RunOptions) (*Result, error) {
-	return core.RunCompiled(comp, opts)
+	return backend.RunCompiled(comp, opts)
 }
 
 // NewCircuit returns an empty circuit with nq qubits and nc classical
@@ -125,7 +125,7 @@ func Transform(c *Circuit, opts RunOptions) (*Kernel, TransformStats, error) {
 }
 
 // Run transforms and executes one circuit.
-func Run(c *Circuit, opts RunOptions) (*Result, error) { return core.RunOne(c, opts) }
+func Run(c *Circuit, opts RunOptions) (*Result, error) { return backend.Run(c, opts) }
 
 // Fingerprint returns the stable content hash of a circuit (register
 // sizes, ops, exact parameter bits) — the basis of the serving layer's
@@ -173,7 +173,7 @@ func NewServer(cfg ServerConfig) (*Server, error) { return service.New(cfg) }
 
 // RunBatch transforms and executes a circuit batch (device-parallel on
 // the nvidia-mqpu target).
-func RunBatch(cs []*Circuit, opts RunOptions) ([]*Result, error) { return core.Run(cs, opts) }
+func RunBatch(cs []*Circuit, opts RunOptions) ([]*Result, error) { return backend.RunBatch(cs, opts) }
 
 // SaveQPY / LoadQPY persist circuit lists in the QPY-like interchange
 // format of the paper's pipeline (Fig. 2c).
@@ -308,13 +308,13 @@ func TransverseFieldIsing(n int, j, g float64) *Hamiltonian {
 // term-parallel mqpu, and distributed mgpu — return bit-identical
 // values. Shots/Seed in opts are ignored (expectation is exact).
 func RunExpectation(c *Circuit, h *Hamiltonian, opts RunOptions) (*Result, error) {
-	return core.RunExpectation(c, h, opts)
+	return backend.RunExpectation(c, h, opts)
 }
 
 // RunExpectationCompiled evaluates ⟨H⟩ on a precompiled circuit: same
 // circuit, many observables = one compile, one execute per call.
 func RunExpectationCompiled(comp *Compiled, h *Hamiltonian, opts RunOptions) (*Result, error) {
-	return core.RunExpectationCompiled(comp, h, opts)
+	return backend.RunExpectationCompiled(comp, h, opts)
 }
 
 // ExpectationCacheKey returns the content address of an expectation
@@ -334,13 +334,13 @@ func ExpectationCacheKey(c *Circuit, h *Hamiltonian, opts RunOptions) string {
 // seed. Per-point values are bit-identical to submitting each point
 // as its own job.
 func RunSweep(c *Circuit, h *Hamiltonian, points [][]float64, opts RunOptions) (*Result, error) {
-	return core.RunSweep(c, h, points, opts)
+	return backend.RunSweep(c, h, points, opts)
 }
 
 // RunSweepCompiled is RunSweep against an already-compiled circuit:
 // the plan skeleton is rebound per point with zero re-planning.
 func RunSweepCompiled(comp *Compiled, h *Hamiltonian, points [][]float64, opts RunOptions) (*Result, error) {
-	return core.RunSweepCompiled(comp, h, points, opts)
+	return backend.RunSweepCompiled(comp, h, points, opts)
 }
 
 // RunGradient computes the exact parameter-shift gradient of ⟨H⟩ at
@@ -348,12 +348,12 @@ func RunSweepCompiled(comp *Compiled, h *Hamiltonian, points [][]float64, opts R
 // per parameter) executed as one compile-once sweep.
 // Result.ExpValue is ⟨H⟩ at base and Result.Gradient[j] = ∂⟨H⟩/∂θj.
 func RunGradient(c *Circuit, h *Hamiltonian, base []float64, opts RunOptions) (*Result, error) {
-	return core.RunGradient(c, h, base, opts)
+	return backend.RunGradient(c, h, base, opts)
 }
 
 // RunGradientCompiled is RunGradient against a precompiled circuit.
 func RunGradientCompiled(comp *Compiled, h *Hamiltonian, base []float64, opts RunOptions) (*Result, error) {
-	return core.RunGradientCompiled(comp, h, base, opts)
+	return backend.RunGradientCompiled(comp, h, base, opts)
 }
 
 // StructuralFingerprint returns the circuit's value-erased shape hash:
