@@ -11,7 +11,7 @@ OBSERVABLE_COVER_FLOOR ?= 85
 
 .PHONY: build vet fmt-check test test-fresh check cover-observable serve bench \
 	bench-baseline bench-gate ci-load ci-warmstart ci-chaos \
-	ci-scaling ci-sweep ci-store clean
+	ci-scaling ci-sweep ci-store ci-oneproc ci-fuzz clean
 
 # run-selected is how every ci-* gate picks tests by name: a fresh,
 # race-enabled `go test -run '$(1)' $(2)` with extra flags $(3) and
@@ -112,6 +112,19 @@ ci-load: build
 ci-scaling: build
 	$(call run-selected,BitIdentity|TiledGateSoup|MaskedNorm2,./internal/statevec/ ./internal/kernel/)
 	$(call run-selected,TestTilingAblation,./internal/bench/)
+
+# One P: the whole suite with GOMAXPROCS=1. The sweep pool, the grouped
+# expectation sweep's fan-out and its scratch free list, the service's
+# worker pool and every mpi rendezvous must make progress and stay
+# bit-identical when only one goroutine runs at a time.
+ci-oneproc: build
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+
+# Fixed-budget native fuzzing of the grouped Pauli evaluator against
+# the per-index reference loop (seed corpus first, then 20 s of
+# mutation; a failing input lands in testdata/fuzz and fails the gate).
+ci-fuzz: build
+	$(call run-selected,FuzzExpPauliGroup,./internal/statevec/,-fuzz FuzzExpPauliGroup -fuzztime 20s)
 
 # Chaos acceptance: the seeded fault-injection suite, race-enabled.
 # Injected disk faults, short writes, execution panics, and tight

@@ -97,7 +97,7 @@ type Config struct {
 	PlanFusion bool
 	// Cancel, when non-nil, is a cooperative cancellation flag the
 	// executors poll at work boundaries (tile run, exchange segment,
-	// Pauli term): a tripped flag stops the run with the flag's error.
+	// expectation block batch): a tripped flag stops the run with the flag's error.
 	// Nil runs unbounded. Cancel never shapes the output of a run that
 	// completes, so it is excluded from option signatures and cache
 	// keys.

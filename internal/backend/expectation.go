@@ -15,8 +15,9 @@ import (
 // TilePlan executes exactly once and every Pauli term of the
 // Hamiltonian is evaluated against the resident statevector — no
 // probability readout, no permutation materialization, no shot
-// sampling. The single-process engines share the canonical chunked
-// reduction of statevec.PauliEvaluator; the mqpu target partitions
+// sampling. The single-process engines hand all terms to one grouped
+// block sweep (statevec.PauliEvaluator.ExpPauliGroup) with the
+// canonical chunked reduction; the mqpu target partitions
 // terms across its simulated devices; the mgpu target computes
 // rank-local partial sums with one gathered reduction. All engines
 // return bit-identical ⟨H⟩ values (the differential suite pins this).

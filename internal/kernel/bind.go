@@ -64,20 +64,22 @@ func (k *Kernel) NumParams() int {
 
 // Bind returns a copy of the kernel with its free parameters replaced
 // by params (flat vector, program order). Instruction slices are
-// copy-on-write: only parameterized instructions get fresh Params
-// backing; everything else is shared with the receiver.
+// copy-on-write: parameterized instructions get windows into one
+// private copy of params; everything else is shared with the receiver.
 func (k *Kernel) Bind(params []float64) (*Kernel, error) {
 	if want := k.NumParams(); len(params) != want {
 		return nil, fmt.Errorf("kernel %q: binding %d values to %d parameter slots", k.Name, len(params), want)
 	}
 	out := *k
 	out.Instrs = append([]Instr(nil), k.Instrs...)
+	vals := append([]float64(nil), params...)
 	i := 0
 	for j := range out.Instrs {
 		in := &out.Instrs[j]
 		if in.Kind == KGate && in.Gate.ParamCount() > 0 {
-			in.Params = append([]float64(nil), params[i:i+len(in.Params)]...)
-			i += len(in.Params)
+			end := i + len(in.Params)
+			in.Params = vals[i:end:end]
+			i = end
 		}
 	}
 	return &out, nil

@@ -58,6 +58,17 @@ func FromCircuit(c *circuit.Circuit, opts Options) (*Kernel, Stats, error) {
 	}
 	k := New(c.Name+"_kernel", c.NumQubits)
 	k.NumClbits = c.NumClbits
+	// Operands of all gate instructions live in two arenas sized up
+	// front; each instruction gets a capacity-clipped window, so an
+	// append to one can never reach its neighbour.
+	nq, np := 0, 0
+	for _, op := range c.Ops {
+		nq += len(op.Qubits)
+		np += len(op.Params)
+	}
+	qubits := make([]int, 0, nq)
+	params := make([]float64, 0, np)
+	k.Instrs = make([]Instr, 0, len(c.Ops))
 	for _, op := range c.Ops {
 		st.SourceOps++
 		switch op.Gate {
@@ -76,12 +87,14 @@ func FromCircuit(c *circuit.Circuit, opts Options) (*Kernel, Stats, error) {
 				st.PrunedGates++
 				continue
 			}
-			k.Instrs = append(k.Instrs, Instr{
-				Kind:   KGate,
-				Gate:   op.Gate,
-				Qubits: append([]int(nil), op.Qubits...),
-				Params: append([]float64(nil), op.Params...),
-			})
+			in := Instr{Kind: KGate, Gate: op.Gate}
+			qubits = append(qubits, op.Qubits...)
+			in.Qubits = qubits[len(qubits)-len(op.Qubits) : len(qubits) : len(qubits)]
+			if len(op.Params) > 0 { // parameterless gates keep nil Params
+				params = append(params, op.Params...)
+				in.Params = params[len(params)-len(op.Params) : len(params) : len(params)]
+			}
+			k.Instrs = append(k.Instrs, in)
 		}
 	}
 	if opts.FusionWindow >= 2 {

@@ -53,6 +53,17 @@ func (d *DistState) ExecutePlanCancel(p *kernel.TilePlan, flag *cancel.Flag) err
 	d.st.MaterializePerm()
 	localMask := uint64(1)<<uint(d.local) - 1
 	rankAbs := uint64(d.comm.Rank()) << uint(d.local)
+	// Size the resolved-op buffer once for the plan's longest run, so
+	// filling it never regrows by doubling.
+	longest := 0
+	for _, seg := range p.Segments {
+		if seg.Kind == kernel.SegRun && len(seg.Ops) > longest {
+			longest = len(seg.Ops)
+		}
+	}
+	if cap(d.opBuf) < longest {
+		d.opBuf = make([]statevec.TileOp, 0, longest)
+	}
 	for i, seg := range p.Segments {
 		var err error
 		if err = d.pollCancel(flag); err != nil {

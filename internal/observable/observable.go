@@ -7,8 +7,9 @@
 // A Hamiltonian is a real-weighted sum of Pauli strings. Expectation
 // values are evaluated directly against the resident state vector
 // (statevec.PauliEvaluator): no clone, no basis-rotation sweeps, no
-// materialization of a pending qubit permutation, and only the
-// affected index half enumerated per term. Partition splits the term
+// materialization of a pending qubit permutation, only the affected
+// index half enumerated per term, and one sweep over the state per
+// group of terms rather than per term. Partition splits the term
 // list into balanced groups, and ExpectationParallel evaluates terms
 // concurrently across simulated devices with a bit-identical result.
 package observable
@@ -105,13 +106,13 @@ func (t Term) Masks(n int) (xm, ym, zm uint64, err error) {
 
 // Expectation computes <ψ|T|ψ> directly on the resident state — s is
 // read, never modified (no clone, no rotation sweeps; a pending qubit
-// permutation is translated, not materialized).
+// permutation is read through, not materialized).
 func (t Term) Expectation(s *statevec.State) (float64, error) {
 	v, _, err := t.expectationOn(s.PauliEvaluator(), s.NumQubits())
 	return v, err
 }
 
-// expectationOn evaluates the term through a shared evaluator,
+// expectationOn evaluates the term alone (the one-term group),
 // returning the coefficient-weighted value and the enumerated index
 // count (the stride-iteration invariant the regression tests pin:
 // non-identity terms visit exactly half the state).
@@ -174,31 +175,59 @@ func (h *Hamiltonian) String() string {
 	return strings.Join(parts, " + ")
 }
 
-// Expectation evaluates every term sequentially against one shared
-// evaluator (one index-table build for all terms), accumulating in
-// term order.
+// Expectation evaluates every term in one grouped block sweep of the
+// state (statevec.PauliEvaluator.ExpPauliGroup), accumulating the
+// coefficient-weighted values in term order.
 func (h *Hamiltonian) Expectation(s *statevec.State) (float64, error) {
 	return h.ExpectationCancel(s, nil)
 }
 
 // ExpectationCancel is Expectation with a cooperative cancellation
-// flag, polled once per Pauli term — each term is a full pass over the
-// state, so that is the natural unit of interruptible work. A nil flag
-// never trips.
+// flag, polled by every sweep worker once per block batch (one
+// L2-sized super-block of the state, all terms). A nil flag never
+// trips.
 func (h *Hamiltonian) ExpectationCancel(s *statevec.State, flag *cancel.Flag) (float64, error) {
-	ev := s.PauliEvaluator()
+	masks, err := h.masks(s.NumQubits())
+	if err != nil {
+		return 0, err
+	}
+	vals, err := sweep(s.PauliEvaluator(), masks, flag)
+	if err != nil {
+		return 0, err
+	}
 	var acc float64
 	for i, t := range h.Terms {
-		if err := flag.Err(); err != nil {
-			return 0, fmt.Errorf("observable: term %d: %w", i, err)
-		}
-		v, _, err := t.expectationOn(ev, s.NumQubits())
-		if err != nil {
-			return 0, err
-		}
-		acc += v
+		// The conversion rounds the product before the add on every
+		// architecture, as the one-term path's return does.
+		acc += float64(t.Coef * vals[i])
 	}
 	return acc, nil
+}
+
+// masks converts every term to the evaluator's mask form.
+func (h *Hamiltonian) masks(n int) ([]statevec.PauliTerm, error) {
+	masks := make([]statevec.PauliTerm, len(h.Terms))
+	for i, t := range h.Terms {
+		xm, ym, zm, err := t.Masks(n)
+		if err != nil {
+			return nil, err
+		}
+		masks[i] = statevec.PauliTerm{X: xm, Y: ym, Z: zm}
+	}
+	return masks, nil
+}
+
+// sweep is one grouped evaluation under the flag.
+func sweep(ev *statevec.PauliEvaluator, masks []statevec.PauliTerm, flag *cancel.Flag) ([]float64, error) {
+	var poll func() error
+	if flag != nil {
+		poll = flag.Err
+	}
+	vals, _, err := ev.ExpPauliGroup(masks, poll)
+	if err != nil {
+		return nil, fmt.Errorf("observable: expectation sweep: %w", err)
+	}
+	return vals, nil
 }
 
 // Partition splits the term list into k balanced groups (round-robin),
@@ -228,9 +257,9 @@ func (h *Hamiltonian) ExpectationParallel(s *statevec.State, devices int) (float
 }
 
 // ExpectationParallelCancel is ExpectationParallel with a cooperative
-// cancellation flag: every striped evaluator polls it per term and
-// abandons its remaining stripe once tripped, so the whole sweep stops
-// within one term per device. A nil flag never trips.
+// cancellation flag: every device evaluates its stripe of terms as one
+// grouped sweep, polls the flag per block batch and abandons the
+// stripe once it trips. A nil flag never trips.
 func (h *Hamiltonian) ExpectationParallelCancel(s *statevec.State, devices int, flag *cancel.Flag) (float64, error) {
 	if devices < 1 {
 		devices = 1
@@ -238,31 +267,34 @@ func (h *Hamiltonian) ExpectationParallelCancel(s *statevec.State, devices int, 
 	if devices > len(h.Terms) && len(h.Terms) > 0 {
 		devices = len(h.Terms)
 	}
+	masks, err := h.masks(s.NumQubits())
+	if err != nil {
+		return 0, err
+	}
 	ev := s.PauliEvaluator()
-	n := s.NumQubits()
-	vals := make([]float64, len(h.Terms))
-	errs := make([]error, len(h.Terms))
+	stripes := make([][]float64, devices)
+	errs := make([]error, devices)
 	var wg sync.WaitGroup
 	for d := 0; d < devices; d++ {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
-			for i := d; i < len(h.Terms); i += devices {
-				if err := flag.Err(); err != nil {
-					errs[i] = fmt.Errorf("observable: term %d: %w", i, err)
-					return
-				}
-				vals[i], _, errs[i] = h.Terms[i].expectationOn(ev, n)
+			var stripe []statevec.PauliTerm
+			for i := d; i < len(masks); i += devices {
+				stripe = append(stripe, masks[i])
 			}
+			stripes[d], errs[d] = sweep(ev, stripe, flag)
 		}(d)
 	}
 	wg.Wait()
-	var acc float64
-	for i := range h.Terms {
-		if errs[i] != nil {
-			return 0, errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
 		}
-		acc += vals[i]
+	}
+	var acc float64
+	for i, t := range h.Terms {
+		acc += float64(t.Coef * stripes[i%devices][i/devices])
 	}
 	return acc, nil
 }

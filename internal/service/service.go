@@ -115,7 +115,7 @@ type Config struct {
 	// JobTimeout bounds every job's lifetime from submission: a job
 	// still queued past it is dropped at dequeue without executing, and
 	// a running job is cooperatively cancelled at its next poll point
-	// (tile run, exchange segment, Pauli term). Per-job
+	// (tile run, exchange segment, expectation block batch). Per-job
 	// SubmitOptions.TimeoutMs tightens this further; single-flight
 	// joiners can only loosen the budget their leader already runs
 	// under. 0 = no server-wide timeout.

@@ -292,7 +292,7 @@ func (s *State) maskedNorm2(t uint, val uint64) float64 {
 	partials := make([]float64, nChunks)
 	v := lanes(s.amps)
 	step := 1 << t
-	s.forChunks(nChunks, 1<<uint(cb), func(c int) {
+	chunk := func(c int) float64 {
 		var acc float64
 		lo, hi := c<<uint(cb), (c+1)<<uint(cb)
 		if t == 0 {
@@ -301,8 +301,7 @@ func (s *State) maskedNorm2(t uint, val uint64) float64 {
 				ar, ai := v[j], v[j+1]
 				acc += float64(ar*ar) + float64(ai*ai)
 			}
-			partials[c] = acc
-			return
+			return acc
 		}
 		for p := lo; p < hi; {
 			within := p & (step - 1)
@@ -317,7 +316,14 @@ func (s *State) maskedNorm2(t uint, val uint64) float64 {
 			}
 			p += run
 		}
-		partials[c] = acc
+		return acc
+	}
+	// Chunk partials land in disjoint slots, so the reduction order (and
+	// hence the result) is independent of the worker count.
+	s.parallelTiles(nChunks, cb, func(_, lo, hi int) {
+		for c := lo; c < hi; c++ {
+			partials[c] = chunk(c)
+		}
 	})
 	return TreeSum(partials)
 }
