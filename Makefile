@@ -115,10 +115,14 @@ ci-scaling: build
 
 # One P: the whole suite with GOMAXPROCS=1. The sweep pool, the grouped
 # expectation sweep's fan-out and its scratch free list, the service's
-# worker pool and every mpi rendezvous must make progress and stay
-# bit-identical when only one goroutine runs at a time.
+# worker pool (whose non-blocking batch drain must not starve the
+# submitter) and every mpi rendezvous must make progress and stay
+# bit-identical when only one goroutine runs at a time. The second pass
+# adds a small soft memory limit: a collector running almost
+# continuously must change no result and hang nothing either.
 ci-oneproc: build
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
+	GOMAXPROCS=1 GOMEMLIMIT=512MiB $(GO) test -count=1 ./...
 
 # Fixed-budget native fuzzing of the grouped Pauli evaluator against
 # the per-index reference loop (seed corpus first, then 20 s of

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"qgear/internal/bench"
 )
@@ -103,7 +102,6 @@ func cmdLoad(args []string) error {
 	fs.IntVar(&cfg.Service.QueueSize, "queue", 256, "embedded server queue bound")
 	fs.Int64Var(&cfg.Service.MaxCacheBytes, "max-cache-bytes", 0, "embedded server result-cache byte budget")
 	fs.StringVar(&cfg.Service.StoreDir, "store-dir", "", "embedded server persistent store directory")
-	fs.DurationVar(&cfg.Service.BatchWindow, "window", 2*time.Millisecond, "embedded server batch coalescing window")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -74,12 +74,30 @@ func serviceFlags(fs *flag.FlagSet) *service.Config {
 	fs.Int64Var(&cfg.MaxPlanCacheBytes, "max-plan-cache-bytes", 0, "plan-cache resident byte budget (0 = 256 MiB default, -1 = unbounded)")
 	fs.StringVar(&cfg.StoreDir, "store-dir", "", "persistent artifact store directory: evicted/shutdown cache entries spill there and a restarted server answers repeat fingerprints from disk (empty = no persistence)")
 	fs.Int64Var(&cfg.MaxStoreBytes, "max-store-bytes", 0, "on-disk store byte budget: saves evict lowest-priority artifacts (Greedy-Dual-Size) or are refused so the store directory never outgrows this (0 = unbounded)")
-	fs.IntVar(&cfg.MaxBatch, "batch", 8, "max jobs coalesced into one run")
-	fs.DurationVar(&cfg.BatchWindow, "window", 2*time.Millisecond, "batch coalescing wait window")
+	fs.IntVar(&cfg.MaxBatch, "batch", 8, "max queued jobs one worker coalesces into one run (it takes a backlog, never waits for one)")
 	fs.DurationVar(&cfg.JobTimeout, "job-timeout", 0, "per-job lifetime bound from submission (0 = unbounded); expired jobs fail with a 504 result")
 	fs.IntVar(&cfg.MaxWaitMs, "max-wait-ms", 0, "long-poll cap for GET /v1/jobs/{id}?wait_ms=N in milliseconds (0 = 30000 default); larger client budgets are clamped, never rejected")
 	fs.Int64Var(&cfg.MaxStateBytes, "max-state-bytes", 0, "memory admission budget: reject circuits whose simulation working set exceeds this many bytes with 422 (0 = half of available RAM, -1 = no admission control)")
 	return cfg
+}
+
+// newHTTPServer builds the edge server with every timeout set, so a
+// client that stalls mid-request, never reads its response, or parks an
+// idle keep-alive connection cannot hold a goroutine and a descriptor
+// forever. net/http counts the write timeout from the end of the
+// request headers, and a legal GET /v1/jobs/{id}?wait_ms=N holds its
+// response for up to maxWaitMs before writing it, so the write timeout
+// is that cap plus slack for the write itself — a long poll is never
+// cut.
+func newHTTPServer(addr string, h http.Handler, maxWaitMs int) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       60 * time.Second, // a 16 MiB submission on a slow link
+		WriteTimeout:      time.Duration(maxWaitMs)*time.Millisecond + 10*time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 func cmdServe(args []string) error {
@@ -105,14 +123,14 @@ func cmdServe(args []string) error {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	ecfg := srv.Config()
+	httpSrv := newHTTPServer(*addr, handler, ecfg.MaxWaitMs)
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.ListenAndServe() }()
 	sig := make(chan os.Signal, 1)
 	// SIGTERM is what orchestrators (Kubernetes, systemd) send first;
 	// both it and Ctrl-C get the same graceful drain.
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	ecfg := srv.Config()
 	fmt.Printf("qgear-serve: listening on %s (target=%s devices=%d pool=%d queue=%d cache=%d batch=%d)\n",
 		*addr, ecfg.Target, ecfg.Devices, ecfg.WorkerPool, ecfg.QueueSize, ecfg.CacheSize, ecfg.MaxBatch)
 	select {

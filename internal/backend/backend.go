@@ -370,6 +370,12 @@ func RunKernel(k *kernel.Kernel, cfg Config) (*Result, error) {
 // the distributed engine runs it against each rank shard, and a nil
 // plan selects the per-gate baseline on either.
 func RunCompiled(comp *Compiled, cfg Config) (*Result, error) {
+	return runCompiled(comp, cfg, nil)
+}
+
+// runCompiled is RunCompiled on a statevector the caller may share
+// across consecutive runs (see deviceState; nil allocates a fresh one).
+func runCompiled(comp *Compiled, cfg Config, dev *deviceState) (*Result, error) {
 	if !cfg.Target.Valid() {
 		return nil, fmt.Errorf("backend: unknown target %q", cfg.Target)
 	}
@@ -398,13 +404,13 @@ func RunCompiled(comp *Compiled, cfg Config) (*Result, error) {
 		t0 := time.Now()
 		pennylaneTranspile(comp.Kernel)
 		tr.Add(telemetry.StageTranspile, time.Since(t0))
-		probs, err := runSingleTraced(comp, cfg.workers(), tr, cfg.Cancel)
+		probs, err := runSingleTraced(comp, cfg.workers(), tr, cfg.Cancel, dev)
 		if err != nil {
 			return nil, err
 		}
 		res.Probabilities = probs
 	default: // aer, nvidia, and mqpu-with-one-circuit all run the local engine
-		probs, err := runSingleTraced(comp, cfg.workers(), tr, cfg.Cancel)
+		probs, err := runSingleTraced(comp, cfg.workers(), tr, cfg.Cancel, dev)
 		if err != nil {
 			return nil, err
 		}
@@ -488,9 +494,9 @@ func sampleShots(probs []float64, cfg Config) (sampling.Counts, error) {
 // runSingleTraced executes a compiled circuit on one in-memory device,
 // through the plan when one was compiled (bit-identical output either
 // way), recording execute and readout spans into tr.
-func runSingleTraced(comp *Compiled, workers int, tr *telemetry.Trace, flag *cancel.Flag) ([]float64, error) {
+func runSingleTraced(comp *Compiled, workers int, tr *telemetry.Trace, flag *cancel.Flag, dev *deviceState) ([]float64, error) {
 	t0 := time.Now()
-	s, err := runSingleState(comp, workers, flag)
+	s, err := runSingleState(comp, workers, flag, dev)
 	if err != nil {
 		return nil, err
 	}
@@ -501,11 +507,32 @@ func runSingleTraced(comp *Compiled, workers int, tr *telemetry.Trace, flag *can
 	return probs, nil
 }
 
+// deviceState is one in-memory device's statevector kept across the
+// consecutive runs of a sequential sweep: each run starts from a reset
+// to |0…0⟩ — exactly the state a fresh allocation holds — instead of
+// allocating 2^n amplitudes per point. A nil *deviceState allocates a
+// fresh state per run. Not safe for concurrent runs.
+type deviceState struct{ s *statevec.State }
+
+// zeroed returns the n-qubit |0…0⟩ state to execute on.
+func (d *deviceState) zeroed(n, workers int) (*statevec.State, error) {
+	if d == nil {
+		return statevec.New(n, workers)
+	}
+	if d.s == nil {
+		s, err := statevec.New(n, workers)
+		d.s = s
+		return s, err
+	}
+	d.s.Reset()
+	return d.s, nil
+}
+
 // runSingleState executes a compiled circuit and returns the resident
 // state itself — possibly with a pending qubit permutation, which the
 // expectation evaluator reads through rather than materializing.
-func runSingleState(comp *Compiled, workers int, flag *cancel.Flag) (*statevec.State, error) {
-	s, err := statevec.New(comp.Kernel.NumQubits, workers)
+func runSingleState(comp *Compiled, workers int, flag *cancel.Flag, dev *deviceState) (*statevec.State, error) {
+	s, err := dev.zeroed(comp.Kernel.NumQubits, workers)
 	if err != nil {
 		return nil, err
 	}

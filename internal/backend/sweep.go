@@ -227,6 +227,13 @@ func runSweepPoints(res *Result, h *observable.Hamiltonian, points [][]float64, 
 		}
 	}
 
+	// Points run one after another share one statevector; the mqpu
+	// fan-out keeps one per in-flight point.
+	var dev *deviceState
+	if conc <= 1 {
+		dev = &deviceState{}
+	}
+
 	runPoint := func(i int) (*Result, time.Duration, error) {
 		if err := cfg.Cancel.Err(); err != nil {
 			return nil, 0, fmt.Errorf("backend: sweep point %d: %w", i, err)
@@ -239,11 +246,11 @@ func runSweepPoints(res *Result, h *observable.Hamiltonian, points [][]float64, 
 		rebind := time.Since(t0)
 		var r *Result
 		if h != nil {
-			r, err = RunExpectationCompiled(bound, h, pcfg)
+			r, err = runExpectationCompiled(bound, h, pcfg, dev)
 		} else {
 			pc := pcfg
 			pc.Seed = SweepPointSeed(cfg.Seed, i)
-			r, err = RunCompiled(bound, pc)
+			r, err = runCompiled(bound, pc, dev)
 		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("backend: sweep point %d: %w", i, err)

@@ -41,15 +41,36 @@ func New(nq, nc int) *Circuit {
 	return &Circuit{NumQubits: nq, NumClbits: nc}
 }
 
+// Carve copies src onto the end of *arena and returns the copy,
+// capacity-clipped so that an append to it can never reach its
+// neighbour; an empty src yields nil. A program's operand lists carved
+// from one arena sized up front cost one allocation instead of one per
+// op.
+func Carve[T any](arena *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	*arena = append(*arena, src...)
+	n := len(*arena)
+	return (*arena)[n-len(src) : n : n]
+}
+
 // Copy returns a deep copy of the circuit.
 func (c *Circuit) Copy() *Circuit {
 	out := &Circuit{Name: c.Name, NumQubits: c.NumQubits, NumClbits: c.NumClbits}
 	out.Ops = make([]Op, len(c.Ops))
+	nq, np := 0, 0
+	for _, op := range c.Ops {
+		nq += len(op.Qubits)
+		np += len(op.Params)
+	}
+	qubits := make([]int, 0, nq)
+	params := make([]float64, 0, np)
 	for i, op := range c.Ops {
 		out.Ops[i] = Op{
 			Gate:   op.Gate,
-			Qubits: append([]int(nil), op.Qubits...),
-			Params: append([]float64(nil), op.Params...),
+			Qubits: Carve(&qubits, op.Qubits),
+			Params: Carve(&params, op.Params),
 			Clbit:  op.Clbit,
 		}
 	}

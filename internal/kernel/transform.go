@@ -59,8 +59,7 @@ func FromCircuit(c *circuit.Circuit, opts Options) (*Kernel, Stats, error) {
 	k := New(c.Name+"_kernel", c.NumQubits)
 	k.NumClbits = c.NumClbits
 	// Operands of all gate instructions live in two arenas sized up
-	// front; each instruction gets a capacity-clipped window, so an
-	// append to one can never reach its neighbour.
+	// front (circuit.Carve).
 	nq, np := 0, 0
 	for _, op := range c.Ops {
 		nq += len(op.Qubits)
@@ -87,14 +86,12 @@ func FromCircuit(c *circuit.Circuit, opts Options) (*Kernel, Stats, error) {
 				st.PrunedGates++
 				continue
 			}
-			in := Instr{Kind: KGate, Gate: op.Gate}
-			qubits = append(qubits, op.Qubits...)
-			in.Qubits = qubits[len(qubits)-len(op.Qubits) : len(qubits) : len(qubits)]
-			if len(op.Params) > 0 { // parameterless gates keep nil Params
-				params = append(params, op.Params...)
-				in.Params = params[len(params)-len(op.Params) : len(params) : len(params)]
-			}
-			k.Instrs = append(k.Instrs, in)
+			k.Instrs = append(k.Instrs, Instr{
+				Kind:   KGate,
+				Gate:   op.Gate,
+				Qubits: circuit.Carve(&qubits, op.Qubits),
+				Params: circuit.Carve(&params, op.Params),
+			})
 		}
 	}
 	if opts.FusionWindow >= 2 {

@@ -51,15 +51,17 @@ func (c Counts) TopK(k int) []uint64 {
 // Bitstring renders basis index i as an n-character bitstring with
 // qubit 0 rightmost (Qiskit little-endian display convention).
 func Bitstring(i uint64, n int) string {
-	var b strings.Builder
+	var buf [64]byte // every index fits; the string conversion is the one allocation
+	return string(AppendBitstring(buf[:0], i, n))
+}
+
+// AppendBitstring appends Bitstring(i, n) to dst, for callers rendering
+// many outcomes into one buffer.
+func AppendBitstring(dst []byte, i uint64, n int) []byte {
 	for q := n - 1; q >= 0; q-- {
-		if i>>uint(q)&1 == 1 {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
+		dst = append(dst, '0'+byte(i>>uint(q)&1))
 	}
-	return b.String()
+	return dst
 }
 
 // String renders counts sorted by frequency, e.g. `{"00": 512, "11": 488}`.

@@ -15,6 +15,24 @@ func TestBitstring(t *testing.T) {
 	if s := Bitstring(0, 3); s != "000" {
 		t.Fatalf("Bitstring = %q", s)
 	}
+	// Wider than the index (zero-padded), bits above the width dropped,
+	// empty widths.
+	if s := Bitstring(1<<63|1, 66); s != "00"+"1"+"00000000000000000000000000000000000000000000000000000000000000"+"1" {
+		t.Fatalf("Bitstring = %q", s)
+	}
+	if s := Bitstring(0b1101, 2); s != "01" {
+		t.Fatalf("Bitstring = %q", s)
+	}
+	if s := Bitstring(5, 0) + Bitstring(5, -1); s != "" {
+		t.Fatalf("Bitstring = %q", s)
+	}
+	if got := string(AppendBitstring([]byte("x"), 2, 2)); got != "x10" {
+		t.Fatalf("AppendBitstring = %q", got)
+	}
+	var sink string
+	if a := testing.AllocsPerRun(100, func() { sink = Bitstring(0xabc, 12) }); a != 1 {
+		t.Fatalf("Bitstring allocates %v times, want once (%q)", a, sink)
+	}
 }
 
 func TestCountsTotalAndTopK(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -169,6 +170,13 @@ func FromHamiltonian(h *observable.Hamiltonian) *WireHamiltonian {
 func (w *WireCircuit) ToCircuit() (*circuit.Circuit, error) {
 	c := &circuit.Circuit{Name: w.Name, NumQubits: w.Qubits, NumClbits: w.Clbits}
 	c.Ops = make([]circuit.Op, len(w.Ops))
+	nq, np := 0, 0
+	for _, op := range w.Ops {
+		nq += len(op.Qubits)
+		np += len(op.Params)
+	}
+	qubits := make([]int, 0, nq)
+	params := make([]float64, 0, np)
 	for i, op := range w.Ops {
 		g, err := gate.Parse(op.Gate)
 		if err != nil {
@@ -176,8 +184,8 @@ func (w *WireCircuit) ToCircuit() (*circuit.Circuit, error) {
 		}
 		c.Ops[i] = circuit.Op{
 			Gate:   g,
-			Qubits: append([]int(nil), op.Qubits...),
-			Params: append([]float64(nil), op.Params...),
+			Qubits: circuit.Carve(&qubits, op.Qubits),
+			Params: circuit.Carve(&params, op.Params),
 			Clbit:  op.Clbit,
 		}
 	}
@@ -212,6 +220,8 @@ type TopProb struct {
 // ResultResponse is the GET /v1/results/{id} payload. The full
 // probability vector (2^n entries) is included only when requested
 // with ?full=1; by default the top-k states carry the distribution.
+// Clients decode into it; the server writes the same fields through
+// resultWire, which renders the histograms without building these maps.
 type ResultResponse struct {
 	ID            string         `json:"id"`
 	State         JobState       `json:"state"`
@@ -397,7 +407,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.Hamiltonian = h
 	}
-	info, err := s.Submit(c, opts)
+	// The circuit, Hamiltonian and points were built from this request's
+	// body a few lines up and nothing else holds them: the job owns them
+	// without the defensive copy Submit makes for embedded callers.
+	info, err := s.submitInfo(c, opts, true)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Shed load with a hint: the queue drains at batch granularity,
@@ -523,10 +536,55 @@ func numQubits(res *backend.Result) int {
 	return n
 }
 
+// resultWire is ResultResponse as the server writes it: every field and
+// JSON name of the embedded struct, with the two histogram fields
+// shadowed by ones that encode straight from sampling.Counts (the
+// embedded Counts and SweepCounts stay nil).
+type resultWire struct {
+	ResultResponse
+	Counts      *wireCounts  `json:"counts,omitempty"`
+	SweepCounts []wireCounts `json:"sweep_counts,omitempty"`
+}
+
+// wireCounts renders one histogram as the JSON object a map[string]int
+// of bitstring keys would: keys are fixed-width, so ascending index
+// order is encoding/json's sorted key order.
+type wireCounts struct {
+	counts sampling.Counts
+	qubits int
+}
+
+// MarshalJSON appends every "bitstring":count pair into one buffer
+// sized up front — no per-key string, no map, no reflection over
+// entries.
+func (w wireCounts) MarshalJSON() ([]byte, error) {
+	idx := make([]uint64, 0, len(w.counts))
+	size := 2
+	for i, n := range w.counts {
+		idx = append(idx, i)
+		size += w.qubits + 5 // two quotes, colon, comma, first digit
+		for ; n >= 10; n /= 10 {
+			size++
+		}
+	}
+	slices.Sort(idx)
+	buf := append(make([]byte, 0, size), '{')
+	for k, i := range idx {
+		if k > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '"')
+		buf = sampling.AppendBitstring(buf, i, w.qubits)
+		buf = append(buf, '"', ':')
+		buf = strconv.AppendInt(buf, int64(w.counts[i]), 10)
+	}
+	return append(buf, '}'), nil
+}
+
 // buildResultResponse renders a finished result under the truncation
 // rules documented at truncationLimit.
-func buildResultResponse(info JobInfo, res *backend.Result, k int, full bool) ResultResponse {
-	resp := ResultResponse{
+func buildResultResponse(info JobInfo, res *backend.Result, k int, full bool) resultWire {
+	resp := resultWire{ResultResponse: ResultResponse{
 		ID:            info.ID,
 		State:         info.State,
 		Cached:        info.Cached,
@@ -543,12 +601,9 @@ func buildResultResponse(info JobInfo, res *backend.Result, k int, full bool) Re
 		SweepPoints:   res.SweepPoints,
 		Rebinds:       res.Rebinds,
 		SweepCompiles: res.SweepCompiles,
-	}
+	}}
 	if len(res.Counts) > 0 {
-		resp.Counts = make(map[string]int, len(res.Counts))
-		for idx, n := range res.Counts {
-			resp.Counts[sampling.Bitstring(idx, resp.NumQubits)] = n
-		}
+		resp.Counts = &wireCounts{res.Counts, resp.NumQubits}
 	}
 	if full {
 		resp.Probabilities = res.Probabilities
@@ -570,13 +625,9 @@ func buildResultResponse(info JobInfo, res *backend.Result, k int, full bool) Re
 	resp.SweepValues = sv
 	resp.Gradient = grad
 	if len(sc) > 0 {
-		resp.SweepCounts = make([]map[string]int, len(sc))
+		resp.SweepCounts = make([]wireCounts, len(sc))
 		for i, cts := range sc {
-			m := make(map[string]int, len(cts))
-			for idx, n := range cts {
-				m[sampling.Bitstring(idx, resp.NumQubits)] = n
-			}
-			resp.SweepCounts[i] = m
+			resp.SweepCounts[i] = wireCounts{cts, resp.NumQubits}
 		}
 	}
 	return resp

@@ -1,16 +1,22 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"reflect"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"qgear/internal/backend"
 	"qgear/internal/observable"
+	"qgear/internal/sampling"
 )
 
 // The PR-9 API surface: polymorphic job kinds, the uniform error
@@ -250,5 +256,131 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bitstringMap is the histogram a client decodes: what the server
+// rendered, key by key, before it encoded sampling.Counts directly.
+func bitstringMap(w wireCounts) map[string]int {
+	m := make(map[string]int, len(w.counts))
+	for idx, n := range w.counts {
+		m[sampling.Bitstring(idx, w.qubits)] = n
+	}
+	return m
+}
+
+// A histogram object on the wire, and one of its keys.
+var (
+	wireHistogram = regexp.MustCompile(`\{("[01]+":\d+,?)+\}`)
+	wireHistKey   = regexp.MustCompile(`"([01]+)":`)
+)
+
+// TestHTTPResultWireCompat: for every job kind and every view, the
+// /v1/results body decodes strictly into the ResultResponse that
+// buildResultResponse describes — the direct histogram encoding changed
+// no field, name or value — with histogram keys in ascending order and
+// an empty histogram omitted.
+func TestHTTPResultWireCompat(t *testing.T) {
+	s, ts := newHTTPServer(t, Config{Target: backend.TargetNvidia, Workers: 1})
+	const nq, points = 4, 20
+	c := sweepAnsatz(nq)
+	circ, ham := FromCircuit(c), FromHamiltonian(observable.TransverseFieldIsing(nq, 1.0, 0.7))
+	grid := angleGrid(c.NumParams(), points)
+	for _, tc := range []struct {
+		name       string
+		req        SubmitRequest
+		histograms int // histogram objects in the full view
+	}{
+		{"simulate", SubmitRequest{Kind: "simulate", Circuit: circ, Shots: 500, Seed: 3}, 1},
+		{"simulate without shots", SubmitRequest{Kind: "simulate", Circuit: circ}, 0},
+		{"expectation", SubmitRequest{Kind: "expectation", Circuit: circ, Hamiltonian: ham}, 0},
+		{"hamiltonian sweep", SubmitRequest{Kind: "sweep", Circuit: circ, Hamiltonian: ham, Points: grid}, 0},
+		{"sampling sweep", SubmitRequest{Kind: "sweep", Circuit: circ, Shots: 100, Seed: 5, Points: grid}, points},
+		{"gradient", SubmitRequest{Kind: "gradient", Circuit: circ, Hamiltonian: ham}, 0},
+	} {
+		posted, status := postJob(t, ts.URL, tc.req)
+		if status != http.StatusAccepted {
+			t.Fatalf("%s: submit HTTP %d", tc.name, status)
+		}
+		pollDone(t, ts.URL, posted.ID)
+		info, res, err := s.Lookup(posted.ID)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, view := range []struct {
+			query string
+			k     int
+			full  bool
+		}{{"", 16, false}, {"?top=3", 3, false}, {"?full=1", 0, true}} {
+			name := tc.name + view.query
+			resp, err := http.Get(ts.URL + "/v1/results/" + posted.ID + view.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: HTTP %d, %v", name, resp.StatusCode, err)
+			}
+			var got ResultResponse
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&got); err != nil {
+				t.Fatalf("%s: body does not decode as a ResultResponse: %v\n%s", name, err, body)
+			}
+
+			w := buildResultResponse(info, res, view.k, view.full)
+			want := w.ResultResponse
+			if w.Counts != nil {
+				want.Counts = bitstringMap(*w.Counts)
+			}
+			for _, sc := range w.SweepCounts {
+				want.SweepCounts = append(want.SweepCounts, bitstringMap(sc))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: decoded body differs from the rendered result\n got %+v\nwant %+v", name, got, want)
+			}
+
+			hists := wireHistogram.FindAll(body, -1)
+			wantHists := tc.histograms
+			if !view.full && wantHists > view.k {
+				wantHists = view.k
+			}
+			if len(hists) != wantHists {
+				t.Fatalf("%s: %d histogram objects in the body, want %d\n%s", name, len(hists), wantHists, body)
+			}
+			for _, h := range hists {
+				var keys []string
+				for _, m := range wireHistKey.FindAllSubmatch(h, -1) {
+					keys = append(keys, string(m[1]))
+				}
+				if !sort.StringsAreSorted(keys) {
+					t.Fatalf("%s: histogram keys out of order: %v", name, keys)
+				}
+			}
+			if wantHists == 0 && (bytes.Contains(body, []byte(`"counts"`)) || bytes.Contains(body, []byte(`"sweep_counts"`))) {
+				t.Fatalf("%s: an empty histogram was not omitted\n%s", name, body)
+			}
+		}
+	}
+}
+
+// TestRenderHistogramAllocationBudget: a 1000-outcome 12-qubit
+// histogram renders in a handful of allocations — one index slice, one
+// buffer, the encoder's own — not one string and one map entry per key.
+func TestRenderHistogramAllocationBudget(t *testing.T) {
+	counts := make(sampling.Counts, 1000)
+	for i := 0; i < 1000; i++ {
+		counts[uint64(i*4+i%3)] = 1 + i%17
+	}
+	res := &backend.Result{NumQubits: 12, Counts: counts}
+	enc := json.NewEncoder(io.Discard)
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := enc.Encode(buildResultResponse(JobInfo{ID: "j-1", State: StateDone}, res, 16, false)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("rendering a 1000-key histogram: %v allocations, want <= 8", allocs)
 	}
 }

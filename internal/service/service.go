@@ -11,9 +11,10 @@
 //     cached and identical resubmissions are served instantly;
 //   - single-flight: concurrent submissions of the same key attach to
 //     the one in-flight execution instead of queueing duplicates;
-//   - batch coalescing: a worker draining the queue gathers up to
-//     MaxBatch compatible jobs and executes them in one backend.RunBatch call,
-//     exploiting the nvidia-mqpu device-parallel path.
+//   - batch coalescing: a worker that finds a backlog takes up to
+//     MaxBatch queued jobs and executes them in one backend.RunBatch call,
+//     exploiting the nvidia-mqpu device-parallel path; it never waits for
+//     one to form.
 //
 // Shot sampling is performed per job from the batch-computed
 // probability vector with the job's own seed, so coalesced execution
@@ -95,10 +96,9 @@ type Config struct {
 	MaxStoreBytes int64
 	// MaxBatch caps how many queued jobs one worker coalesces into a
 	// single backend.RunBatch call. Default 8; 1 disables coalescing.
+	// Batches form from backlog only: a worker takes what is already
+	// queued and never waits for more.
 	MaxBatch int
-	// BatchWindow is how long a worker waits for more queued jobs
-	// before executing a partial batch. Default 2ms.
-	BatchWindow time.Duration
 	// MaxRetainedJobs bounds the finished-job table consulted by
 	// polling clients; the oldest finished jobs are forgotten beyond
 	// it. Default 4096.
@@ -172,9 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.MaxRetainedJobs <= 0 {
 		c.MaxRetainedJobs = 4096
@@ -830,7 +827,12 @@ func (s *Server) key(k jobKind, c *circuit.Circuit, opts SubmitOptions) string {
 // served from the result cache or attached to the in-flight execution
 // without consuming queue capacity.
 func (s *Server) Submit(c *circuit.Circuit, opts SubmitOptions) (JobInfo, error) {
-	j, err := s.submit(c, opts)
+	return s.submitInfo(c, opts, false)
+}
+
+// submitInfo is submit returning the admitted job's snapshot.
+func (s *Server) submitInfo(c *circuit.Circuit, opts SubmitOptions, owned bool) (JobInfo, error) {
+	j, err := s.submit(c, opts, owned)
 	if err != nil {
 		return JobInfo{}, err
 	}
@@ -874,8 +876,11 @@ func (s *Server) deadlineFor(submitted time.Time, opts SubmitOptions) time.Time 
 }
 
 // submit is Submit returning the job record itself, for callers (Run)
-// that must outlive the finished-job retention window.
-func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions) (*job, error) {
+// that must outlive the finished-job retention window. owned declares
+// that nothing but this call references c, opts.Hamiltonian and
+// opts.SweepPoints — the HTTP handler's freshly decoded inputs — so the
+// job takes them as they are; every other caller gets a deep copy.
+func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions, owned bool) (*job, error) {
 	kind := resolveKind(opts)
 	if err := s.validateSubmit(kind, c, opts); err != nil {
 		s.mu.Lock()
@@ -899,17 +904,19 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions) (*job, error) {
 	// the server owns its jobs' inputs, so a caller mutating theirs
 	// afterwards cannot race the worker or poison the cache under the
 	// pre-mutation fingerprint.
-	if opts.Hamiltonian != nil {
-		opts.Hamiltonian = opts.Hamiltonian.Clone()
-	}
-	if opts.SweepPoints != nil {
-		pts := make([][]float64, len(opts.SweepPoints))
-		for i, pt := range opts.SweepPoints {
-			pts[i] = append([]float64(nil), pt...)
+	if !owned {
+		if opts.Hamiltonian != nil {
+			opts.Hamiltonian = opts.Hamiltonian.Clone()
 		}
-		opts.SweepPoints = pts
+		if opts.SweepPoints != nil {
+			pts := make([][]float64, len(opts.SweepPoints))
+			for i, pt := range opts.SweepPoints {
+				pts[i] = append([]float64(nil), pt...)
+			}
+			opts.SweepPoints = pts
+		}
+		c = c.Copy()
 	}
-	c = c.Copy()
 	key := s.key(kind, c, opts)
 	fp := c.Fingerprint()
 
@@ -1126,18 +1133,15 @@ func (s *Server) worker() {
 	}
 }
 
-// collectBatch gathers up to MaxBatch-1 additional queued jobs, waiting
-// at most BatchWindow for stragglers. Every queued job is compatible by
+// collectBatch adds to the dequeued job whatever is already queued, up
+// to MaxBatch, and never waits: a batch forms exactly when it pays —
+// every worker was busy and a backlog built up — and an idle server
+// dispatches a lone job at once. Every queued job is compatible by
 // construction: the server owns all output-affecting options except
 // shots and seed, which are applied per job after the shared
 // probabilities are computed.
 func (s *Server) collectBatch(first *job) []*job {
 	batch := []*job{first}
-	if s.cfg.MaxBatch <= 1 {
-		return batch
-	}
-	timer := time.NewTimer(s.cfg.BatchWindow)
-	defer timer.Stop()
 	for len(batch) < s.cfg.MaxBatch {
 		select {
 		case j, ok := <-s.queue:
@@ -1145,7 +1149,7 @@ func (s *Server) collectBatch(first *job) []*job {
 				return batch
 			}
 			batch = append(batch, j)
-		case <-timer.C:
+		default:
 			return batch
 		}
 	}
@@ -1616,7 +1620,7 @@ func (s *Server) WaitFor(id string, d time.Duration) (JobInfo, error) {
 // finished-job retention window evicts the id before the caller reads
 // it.
 func (s *Server) Run(ctx context.Context, c *circuit.Circuit, opts SubmitOptions) (*backend.Result, JobInfo, error) {
-	j, err := s.submit(c, opts)
+	j, err := s.submit(c, opts, false)
 	if err != nil {
 		return nil, JobInfo{}, err
 	}

@@ -3,13 +3,17 @@ package service
 import (
 	"context"
 	"math"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"qgear/internal/backend"
 	"qgear/internal/circuit"
+	"qgear/internal/observable"
 	"qgear/internal/randcirc"
+	"qgear/internal/telemetry"
 )
 
 // pinHost fixes the two Config defaults New would otherwise read off
@@ -35,6 +39,30 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// newHeldServer is newTestServer with every backend execution parked
+// in ExecHook until release is called: the first one to start announces
+// itself on started. Tests build a backlog deterministically behind a
+// held worker instead of racing a timer — the worker takes whatever is
+// queued the moment it is released. Cleanup releases, so a failing test
+// never wedges Close.
+func newHeldServer(t *testing.T, cfg Config) (s *Server, started <-chan struct{}, release func()) {
+	t.Helper()
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	cfg.ExecHook = func() {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+	s = newTestServer(t, cfg)
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return s, entered, release
 }
 
 func testCircuit(t *testing.T, qubits, blocks int, seed uint64) *circuit.Circuit {
@@ -81,7 +109,9 @@ func TestRunMatchesBackend(t *testing.T) {
 // TestSingleFlight races concurrent submissions of one content address:
 // exactly one simulation must run, everyone else attaches or hits.
 func TestSingleFlight(t *testing.T) {
-	s := newTestServer(t, Config{WorkerPool: 2, BatchWindow: 20 * time.Millisecond})
+	// The leader's execution is held until every submission has
+	// returned, so all the others meet it in flight.
+	s, _, release := newHeldServer(t, Config{WorkerPool: 2})
 	c := testCircuit(t, 12, 30, 1)
 	const n = 32
 	var wg sync.WaitGroup
@@ -96,6 +126,7 @@ func TestSingleFlight(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	release()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -175,72 +206,91 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequential coalesces a burst of distinct jobs into
-// shared backend.RunBatch calls and verifies each job's probabilities and
-// counts are bit-identical to a standalone backend.Run.
+// TestBatchMatchesSequential coalesces a backlog of distinct jobs into
+// one shared backend.RunBatch call and verifies each job's probabilities
+// and counts are bit-identical to a standalone backend.Run. The backlog
+// builds behind the single worker while it is held in the first job: on
+// release that job finishes alone and the worker takes all the others at
+// once — two batches, with no timer anywhere.
 func TestBatchMatchesSequential(t *testing.T) {
-	s := newTestServer(t, Config{
-		Target:       backend.TargetNvidiaMQPU,
-		Devices:      4,
-		WorkerPool:   1,
-		MaxBatch:     8,
-		BatchWindow:  200 * time.Millisecond,
-		FusionWindow: 2,
-	})
-	const n = 6
-	circs := make([]*circuit.Circuit, n)
-	for i := range circs {
-		circs[i] = testCircuit(t, 10, 20, uint64(100+i))
-	}
-	ids := make([]string, n)
-	for i, c := range circs {
-		info, err := s.Submit(c, SubmitOptions{Shots: 200, Seed: uint64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = info.ID
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	for _, id := range ids {
-		if info, err := s.Wait(ctx, id); err != nil || info.State != StateDone {
-			t.Fatalf("job %s: %+v, %v", id, info, err)
-		}
-	}
-	st := s.Stats()
-	if st.BatchedJobs != n {
-		t.Fatalf("batched jobs %d, want %d", st.BatchedJobs, n)
-	}
-	if st.Batches >= n {
-		t.Fatalf("no coalescing: %d batches for %d jobs", st.Batches, n)
-	}
-	for i, id := range ids {
-		got, err := s.Result(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Reference runs on the server's own target/devices: coalesced
-		// execution must match a standalone mqpu Run bit for bit,
-		// including the mqpu per-device shot-sampling split.
-		ref, err := backend.Run(circs[i], backend.Config{
-			Target: backend.TargetNvidiaMQPU, Devices: 4, FusionWindow: 2, Shots: 200, Seed: uint64(i),
+	for _, tc := range []struct {
+		target  backend.Target
+		devices int
+	}{
+		{backend.TargetNvidiaMQPU, 4},
+		{backend.TargetNvidia, 1},
+	} {
+		t.Run(string(tc.target), func(t *testing.T) {
+			s, started, release := newHeldServer(t, Config{
+				Target:       tc.target,
+				Devices:      tc.devices,
+				WorkerPool:   1,
+				MaxBatch:     8,
+				FusionWindow: 2,
+			})
+			const n = 6
+			circs := make([]*circuit.Circuit, n)
+			for i := range circs {
+				circs[i] = testCircuit(t, 10, 20, uint64(100+i))
+			}
+			ids := make([]string, n)
+			for i, c := range circs {
+				info, err := s.Submit(c, SubmitOptions{Shots: 200, Seed: uint64(i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[i] = info.ID
+				if i == 0 {
+					<-started // the worker now sits in job 0; the rest queue behind it
+				}
+			}
+			release()
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			for _, id := range ids {
+				if info, err := s.Wait(ctx, id); err != nil || info.State != StateDone {
+					t.Fatalf("job %s: %+v, %v", id, info, err)
+				}
+			}
+			st := s.Stats()
+			if st.BatchedJobs != n {
+				t.Fatalf("batched jobs %d, want %d", st.BatchedJobs, n)
+			}
+			if st.Batches >= n {
+				t.Fatalf("no coalescing: %d batches for %d jobs", st.Batches, n)
+			}
+			if st.Batches > 2 {
+				t.Fatalf("%d batches for a held job plus a backlog of %d, want 2", st.Batches, n-1)
+			}
+			for i, id := range ids {
+				got, err := s.Result(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Reference runs on the server's own target/devices: coalesced
+				// execution must match a standalone Run bit for bit,
+				// including the mqpu per-device shot-sampling split.
+				ref, err := backend.Run(circs[i], backend.Config{
+					Target: tc.target, Devices: tc.devices, FusionWindow: 2, Shots: 200, Seed: uint64(i),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range ref.Probabilities {
+					if got.Probabilities[j] != ref.Probabilities[j] {
+						t.Fatalf("job %d prob[%d]: %g vs %g", i, j, got.Probabilities[j], ref.Probabilities[j])
+					}
+				}
+				if len(got.Counts) != len(ref.Counts) {
+					t.Fatalf("job %d: counts size %d vs %d", i, len(got.Counts), len(ref.Counts))
+				}
+				for k, v := range ref.Counts {
+					if got.Counts[k] != v {
+						t.Fatalf("job %d counts[%d]: %d vs %d", i, k, got.Counts[k], v)
+					}
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range ref.Probabilities {
-			if got.Probabilities[j] != ref.Probabilities[j] {
-				t.Fatalf("job %d prob[%d]: %g vs %g", i, j, got.Probabilities[j], ref.Probabilities[j])
-			}
-		}
-		if len(got.Counts) != len(ref.Counts) {
-			t.Fatalf("job %d: counts size %d vs %d", i, len(got.Counts), len(ref.Counts))
-		}
-		for k, v := range ref.Counts {
-			if got.Counts[k] != v {
-				t.Fatalf("job %d counts[%d]: %d vs %d", i, k, got.Counts[k], v)
-			}
-		}
 	}
 }
 
@@ -280,7 +330,13 @@ func TestGracefulShutdownDrains(t *testing.T) {
 func TestFailureIsolation(t *testing.T) {
 	// No admission budget: the bad job must reach execution, where
 	// statevec.New refuses n > 28 before allocating anything.
-	s := newTestServer(t, Config{WorkerPool: 1, MaxBatch: 4, BatchWindow: 200 * time.Millisecond, MaxStateBytes: -1})
+	s, started, release := newHeldServer(t, Config{WorkerPool: 1, MaxBatch: 4, MaxStateBytes: -1})
+	// A first job holds the only worker while the bad job and its
+	// batch-mate queue up behind it.
+	if _, err := s.Submit(circuit.GHZ(6, false), SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
 	good := circuit.GHZ(8, false)
 	bad := circuit.GHZ(30, false) // over statevec.MaxQubits
 	badInfo, err := s.Submit(bad, SubmitOptions{})
@@ -291,6 +347,7 @@ func TestFailureIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	release()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	bi, err := s.Wait(ctx, badInfo.ID)
@@ -311,8 +368,144 @@ func TestFailureIsolation(t *testing.T) {
 		t.Fatal("failed job returned a result")
 	}
 	st := s.Stats()
-	if st.Failed != 1 || st.Completed != 1 {
-		t.Fatalf("failed %d completed %d, want 1/1", st.Failed, st.Completed)
+	// Completed counts the good batch-mate and the holding job.
+	if st.Failed != 1 || st.Completed != 2 {
+		t.Fatalf("failed %d completed %d, want 1/2", st.Failed, st.Completed)
+	}
+	if st.Batches != 2 || st.BatchedJobs != 3 {
+		t.Fatalf("%d jobs in %d batches: the bad job and its batch-mate were not coalesced", st.BatchedJobs, st.Batches)
+	}
+}
+
+// TestIdleServerDispatchesAtOnce: with nothing queued behind it a job
+// goes straight to execution — the worker takes what is there and never
+// lingers for batch-mates.
+func TestIdleServerDispatchesAtOnce(t *testing.T) {
+	s := newTestServer(t, Config{WorkerPool: 1})
+	const n = 50
+	waits := make([]time.Duration, 0, n)
+	for i := 0; i < n; i++ {
+		c := circuit.GHZ(6, false)
+		c.RZ(float64(i+1)*0.1, 0) // distinct fingerprints
+		res, _, err := s.Run(context.Background(), c, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wait time.Duration
+		for _, sp := range res.Trace.Spans {
+			if sp.Stage == telemetry.StageQueueWait {
+				wait += sp.Duration()
+			}
+		}
+		waits = append(waits, wait)
+	}
+	sort.Slice(waits, func(a, b int) bool { return waits[a] < waits[b] })
+	if med := waits[n/2]; med >= 500*time.Microsecond {
+		t.Fatalf("median queue_wait of %d sequential jobs on an idle server is %v, want < 0.5ms", n, med)
+	}
+	if st := s.Stats(); st.Batches != n || st.BatchedJobs != n {
+		t.Fatalf("%d jobs in %d batches, want %d batches of one", st.BatchedJobs, st.Batches, n)
+	}
+}
+
+// TestSubmitOwnsItsInputs: Submit returns with the server holding its
+// own copy of everything the worker will read. Mutating the caller's
+// circuit, Hamiltonian and sweep points while the jobs are still queued
+// changes neither their results nor their cache keys.
+func TestSubmitOwnsItsInputs(t *testing.T) {
+	s, started, release := newHeldServer(t, Config{Target: backend.TargetNvidia, WorkerPool: 1})
+	if _, err := s.Submit(circuit.GHZ(6, false), SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	const nq = 5
+	circ := sweepAnsatz(nq)
+	ham := observable.TransverseFieldIsing(nq, 1.0, 0.7)
+	points := angleGrid(circ.NumParams(), 4)
+	jobs := []SubmitOptions{
+		{Shots: 300, Seed: 9},
+		{Hamiltonian: ham},
+		{Hamiltonian: ham, SweepPoints: points},
+		{Hamiltonian: ham, Gradient: true},
+	}
+	// What was submitted, kept apart from what the caller goes on to
+	// scribble over.
+	wantCirc, wantHam := circ.Copy(), ham.Clone()
+	wantPoints := angleGrid(circ.NumParams(), 4)
+	ids := make([]string, len(jobs))
+	for i, opts := range jobs {
+		info, err := s.Submit(circ, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = info.ID
+	}
+
+	circ.Ops[0].Params[0] += 1
+	circ.Ops[nq].Qubits[0], circ.Ops[nq].Qubits[1] = circ.Ops[nq].Qubits[1], circ.Ops[nq].Qubits[0]
+	ham.Terms[0].Coef *= 3
+	for q := range ham.Terms[1].Ops {
+		ham.Terms[1].Ops[q] = observable.Y
+	}
+	for _, pt := range points {
+		pt[0] += 0.5
+	}
+	release()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cfg := backend.Config{Target: backend.TargetNvidia}
+	for i, id := range ids {
+		if info, err := s.Wait(ctx, id); err != nil || info.State != StateDone {
+			t.Fatalf("job %d: %+v, %v", i, info, err)
+		}
+		got, err := s.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want *backend.Result
+		switch i {
+		case 0:
+			c := cfg
+			c.Shots, c.Seed = 300, 9
+			want, err = backend.Run(wantCirc, c)
+		case 1:
+			want, err = backend.RunExpectation(wantCirc, wantHam, cfg)
+		case 2:
+			want, err = backend.RunSweep(wantCirc, wantHam, wantPoints, cfg)
+		case 3:
+			want, err = backend.RunGradient(wantCirc, wantHam, wantCirc.ParamValues(), cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Probabilities, want.Probabilities) || !reflect.DeepEqual(got.Counts, want.Counts) ||
+			!reflect.DeepEqual(got.ExpValue, want.ExpValue) || !reflect.DeepEqual(got.SweepValues, want.SweepValues) ||
+			!reflect.DeepEqual(got.Gradient, want.Gradient) {
+			t.Fatalf("job %d ran on inputs mutated after Submit returned", i)
+		}
+	}
+	// The keys are those of the submitted inputs: resubmitting them hits
+	// the cache, the mutated ones are new work.
+	executed := s.Stats().Executed
+	for i, opts := range jobs {
+		pristine := opts
+		if opts.Hamiltonian != nil {
+			pristine.Hamiltonian = wantHam
+		}
+		if opts.SweepPoints != nil {
+			pristine.SweepPoints = wantPoints
+		}
+		if _, info, err := s.Run(ctx, wantCirc, pristine); err != nil || !info.Cached {
+			t.Fatalf("job %d: resubmitting the original inputs: %+v, %v; want a cache hit", i, info, err)
+		}
+		if _, info, err := s.Run(ctx, circ, opts); err != nil || info.Cached {
+			t.Fatalf("job %d: submitting the mutated inputs: %+v, %v; want a fresh execution", i, info, err)
+		}
+	}
+	if got := s.Stats().Executed; got != executed+uint64(len(jobs)) {
+		t.Fatalf("executed %d -> %d, want +%d", executed, got, len(jobs))
 	}
 }
 

@@ -18,45 +18,52 @@ func (s *State) ApplyMat1(target int, m gate.Mat2) {
 	half := len(s.amps) >> 1
 	lm := mat2Lanes(m)
 	v := lanes(s.amps)
+	if s.serial(half) {
+		mat1Chunk(v, lm, t, 0, half)
+		return
+	}
+	s.fanOut(half, func(_, lo, hi int) { mat1Chunk(v, lm, t, lo, hi) })
+}
+
+// mat1Chunk is ApplyMat1 over amplitude pairs [lo, hi).
+func mat1Chunk(v []float64, lm laneMat2, t uint, lo, hi int) {
+	if t == 0 {
+		// Pair p is amplitudes (2p, 2p+1): one flat lane pass.
+		lm.adj(v[4*lo : 4*hi])
+		return
+	}
+	// Pairs with equal upper bits form contiguous runs of up to
+	// 2^t. Whole target blocks in the chunk interior stream through
+	// a single inline sweep call (block b's amplitudes are the
+	// contiguous window [2b·2^t, 2(b+1)·2^t)); only the partial
+	// blocks at the chunk edges pay a per-run call.
 	step := 1 << t
-	s.parallelRange(half, func(lo, hi int) {
-		if t == 0 {
-			// Pair p is amplitudes (2p, 2p+1): one flat lane pass.
-			lm.adj(v[4*lo : 4*hi])
-			return
-		}
-		// Pairs with equal upper bits form contiguous runs of up to
-		// 2^t. Whole target blocks in the chunk interior stream through
-		// a single inline sweep call (block b's amplitudes are the
-		// contiguous window [2b·2^t, 2(b+1)·2^t)); only the partial
-		// blocks at the chunk edges pay a per-run call.
-		bLo := (lo + step - 1) &^ (step - 1)
-		bHi := hi &^ (step - 1)
-		if bLo >= bHi {
-			for p := lo; p < hi; {
-				within := p & (step - 1)
-				run := step - within
-				if run > hi-p {
-					run = hi - p
-				}
-				j := 2 * int(insertBit(uint64(p), t, 0))
-				lm.run(v[j:j+2*run:j+2*run], v[j+2*step:j+2*step+2*run:j+2*step+2*run])
-				p += run
+	bLo := (lo + step - 1) &^ (step - 1)
+	bHi := hi &^ (step - 1)
+	if bLo >= bHi {
+		for p := lo; p < hi; {
+			within := p & (step - 1)
+			run := step - within
+			if run > hi-p {
+				run = hi - p
 			}
-			return
-		}
-		if lo < bLo {
-			run := bLo - lo
-			j := 2 * int(insertBit(uint64(lo), t, 0))
+			j := 2 * int(insertBit(uint64(p), t, 0))
 			lm.run(v[j:j+2*run:j+2*run], v[j+2*step:j+2*step+2*run:j+2*step+2*run])
+			p += run
 		}
-		lm.sweep(v[4*bLo:4*bHi:4*bHi], 2*step)
-		if bHi < hi {
-			run := hi - bHi
-			j := 2 * int(insertBit(uint64(bHi), t, 0))
-			lm.run(v[j:j+2*run:j+2*run], v[j+2*step:j+2*step+2*run:j+2*step+2*run])
-		}
-	})
+		return
+	}
+	if lo < bLo {
+		run := bLo - lo
+		j := 2 * int(insertBit(uint64(lo), t, 0))
+		lm.run(v[j:j+2*run:j+2*run], v[j+2*step:j+2*step+2*run:j+2*step+2*run])
+	}
+	lm.sweep(v[4*bLo:4*bHi:4*bHi], 2*step)
+	if bHi < hi {
+		run := hi - bHi
+		j := 2 * int(insertBit(uint64(bHi), t, 0))
+		lm.run(v[j:j+2*run:j+2*run], v[j+2*step:j+2*step+2*run:j+2*step+2*run])
+	}
 }
 
 // ApplyControlled1 applies a 2×2 unitary to target, controlled on
@@ -75,56 +82,63 @@ func (s *State) ApplyControlled1(control, target int, m gate.Mat2) {
 	quarter := len(s.amps) >> 2
 	lm := mat2Lanes(m)
 	v := lanes(s.amps)
+	if s.serial(quarter) {
+		controlled1Chunk(v, lm, c, t, 0, quarter)
+		return
+	}
+	s.fanOut(quarter, func(_, lo, hi int) { controlled1Chunk(v, lm, c, t, lo, hi) })
+}
+
+// controlled1Chunk is ApplyControlled1 over control-set pairs [lo, hi).
+func controlled1Chunk(v []float64, lm laneMat2, c, t uint, lo, hi int) {
 	step := 1 << t
-	s.parallelRange(quarter, func(lo, hi int) {
-		switch {
-		case t == 0:
-			// Pairs are adjacent cells (2q, 2q+1) with the control bit
-			// set in cell space; cells run contiguously below it.
-			cw := c - 1
-			cm := 1 << cw
-			for p := lo; p < hi; {
-				within := p & (cm - 1)
-				run := cm - within
-				if run > hi-p {
-					run = hi - p
-				}
-				cell := int(insertBit(uint64(p), cw, 1))
-				lm.adj(v[4*cell : 4*(cell+run)])
-				p += run
+	switch {
+	case t == 0:
+		// Pairs are adjacent cells (2q, 2q+1) with the control bit
+		// set in cell space; cells run contiguously below it.
+		cw := c - 1
+		cm := 1 << cw
+		for p := lo; p < hi; {
+			within := p & (cm - 1)
+			run := cm - within
+			if run > hi-p {
+				run = hi - p
 			}
-		case c == 0:
-			// Odd amplitude slots of each target block participate.
-			tw := t - 1
-			tm := 1 << tw
-			for p := lo; p < hi; {
-				within := p & (tm - 1)
-				run := tm - within
-				if run > hi-p {
-					run = hi - p
-				}
-				j := 2 * (int(qmath.InsertTwoBits(uint64(p), 0, 1, t, 0)) - 1)
-				lm.runOdd(v[j:j+4*run:j+4*run], v[j+2*step:j+2*step+4*run:j+2*step+4*run])
-				p += run
-			}
-		default:
-			b0 := c
-			if t < c {
-				b0 = t
-			}
-			m0 := 1 << b0
-			for p := lo; p < hi; {
-				within := p & (m0 - 1)
-				run := m0 - within
-				if run > hi-p {
-					run = hi - p
-				}
-				j := 2 * int(qmath.InsertTwoBits(uint64(p), c, 1, t, 0))
-				lm.run(v[j:j+2*run:j+2*run], v[j+2*step:j+2*step+2*run:j+2*step+2*run])
-				p += run
-			}
+			cell := int(insertBit(uint64(p), cw, 1))
+			lm.adj(v[4*cell : 4*(cell+run)])
+			p += run
 		}
-	})
+	case c == 0:
+		// Odd amplitude slots of each target block participate.
+		tw := t - 1
+		tm := 1 << tw
+		for p := lo; p < hi; {
+			within := p & (tm - 1)
+			run := tm - within
+			if run > hi-p {
+				run = hi - p
+			}
+			j := 2 * (int(qmath.InsertTwoBits(uint64(p), 0, 1, t, 0)) - 1)
+			lm.runOdd(v[j:j+4*run:j+4*run], v[j+2*step:j+2*step+4*run:j+2*step+4*run])
+			p += run
+		}
+	default:
+		b0 := c
+		if t < c {
+			b0 = t
+		}
+		m0 := 1 << b0
+		for p := lo; p < hi; {
+			within := p & (m0 - 1)
+			run := m0 - within
+			if run > hi-p {
+				run = hi - p
+			}
+			j := 2 * int(qmath.InsertTwoBits(uint64(p), c, 1, t, 0))
+			lm.run(v[j:j+2*run:j+2*run], v[j+2*step:j+2*step+2*run:j+2*step+2*run])
+			p += run
+		}
+	}
 }
 
 // ApplyCX applies the controlled-X with a swap-only inner loop (no
@@ -140,54 +154,61 @@ func (s *State) ApplyCX(control, target int) {
 	}
 	c, t := uint(control), uint(target)
 	quarter := len(s.amps) >> 2
-	step := 1 << t
 	amps := s.amps
-	s.parallelRange(quarter, func(lo, hi int) {
-		switch {
-		case t == 0:
-			cw := c - 1
-			cm := 1 << cw
-			for p := lo; p < hi; {
-				within := p & (cm - 1)
-				run := cm - within
-				if run > hi-p {
-					run = hi - p
-				}
-				cell := int(insertBit(uint64(p), cw, 1))
-				swapAdj(amps[2*cell : 2*(cell+run)])
-				p += run
+	if s.serial(quarter) {
+		cxChunk(amps, c, t, 0, quarter)
+		return
+	}
+	s.fanOut(quarter, func(_, lo, hi int) { cxChunk(amps, c, t, lo, hi) })
+}
+
+// cxChunk is ApplyCX over control-set pairs [lo, hi).
+func cxChunk(amps []complex128, c, t uint, lo, hi int) {
+	step := 1 << t
+	switch {
+	case t == 0:
+		cw := c - 1
+		cm := 1 << cw
+		for p := lo; p < hi; {
+			within := p & (cm - 1)
+			run := cm - within
+			if run > hi-p {
+				run = hi - p
 			}
-		case c == 0:
-			tw := t - 1
-			tm := 1 << tw
-			for p := lo; p < hi; {
-				within := p & (tm - 1)
-				run := tm - within
-				if run > hi-p {
-					run = hi - p
-				}
-				base := int(qmath.InsertTwoBits(uint64(p), 0, 1, t, 0)) - 1
-				swapOdd(amps[base:base+2*run:base+2*run], amps[base+step:base+step+2*run:base+step+2*run])
-				p += run
-			}
-		default:
-			b0 := c
-			if t < c {
-				b0 = t
-			}
-			m0 := 1 << b0
-			for p := lo; p < hi; {
-				within := p & (m0 - 1)
-				run := m0 - within
-				if run > hi-p {
-					run = hi - p
-				}
-				i0 := int(qmath.InsertTwoBits(uint64(p), c, 1, t, 0))
-				swapRun(amps[i0:i0+run:i0+run], amps[i0+step:i0+step+run:i0+step+run])
-				p += run
-			}
+			cell := int(insertBit(uint64(p), cw, 1))
+			swapAdj(amps[2*cell : 2*(cell+run)])
+			p += run
 		}
-	})
+	case c == 0:
+		tw := t - 1
+		tm := 1 << tw
+		for p := lo; p < hi; {
+			within := p & (tm - 1)
+			run := tm - within
+			if run > hi-p {
+				run = hi - p
+			}
+			base := int(qmath.InsertTwoBits(uint64(p), 0, 1, t, 0)) - 1
+			swapOdd(amps[base:base+2*run:base+2*run], amps[base+step:base+step+2*run:base+step+2*run])
+			p += run
+		}
+	default:
+		b0 := c
+		if t < c {
+			b0 = t
+		}
+		m0 := 1 << b0
+		for p := lo; p < hi; {
+			within := p & (m0 - 1)
+			run := m0 - within
+			if run > hi-p {
+				run = hi - p
+			}
+			i0 := int(qmath.InsertTwoBits(uint64(p), c, 1, t, 0))
+			swapRun(amps[i0:i0+run:i0+run], amps[i0+step:i0+step+run:i0+step+run])
+			p += run
+		}
+	}
 }
 
 // ApplyMat2 applies a 4×4 unitary to the qubit pair (hi=q1, lo=q0); the
@@ -201,22 +222,30 @@ func (s *State) ApplyMat2(q1, q0 int, m gate.Mat4) {
 	}
 	u1, u0 := uint(q1), uint(q0)
 	quarter := len(s.amps) >> 2
+	amps := s.amps
+	if s.serial(quarter) {
+		mat2Chunk(amps, &m, u1, u0, 0, quarter)
+		return
+	}
+	shared := m // the closure's copy: m itself must not escape on the serial path
+	s.fanOut(quarter, func(_, lo, hi int) { mat2Chunk(amps, &shared, u1, u0, lo, hi) })
+}
+
+// mat2Chunk is ApplyMat2 over amplitude quadruples [lo, hi).
+func mat2Chunk(amps []complex128, m *gate.Mat4, u1, u0 uint, lo, hi int) {
 	m1 := uint64(1) << u1
 	m0 := uint64(1) << u0
-	amps := s.amps
-	s.parallelRange(quarter, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			i00 := qmath.InsertTwoBits(uint64(p), u1, 0, u0, 0)
-			i01 := i00 | m0
-			i10 := i00 | m1
-			i11 := i00 | m0 | m1
-			a0, a1, a2, a3 := amps[i00], amps[i01], amps[i10], amps[i11]
-			amps[i00] = m[0]*a0 + m[1]*a1 + m[2]*a2 + m[3]*a3
-			amps[i01] = m[4]*a0 + m[5]*a1 + m[6]*a2 + m[7]*a3
-			amps[i10] = m[8]*a0 + m[9]*a1 + m[10]*a2 + m[11]*a3
-			amps[i11] = m[12]*a0 + m[13]*a1 + m[14]*a2 + m[15]*a3
-		}
-	})
+	for p := lo; p < hi; p++ {
+		i00 := qmath.InsertTwoBits(uint64(p), u1, 0, u0, 0)
+		i01 := i00 | m0
+		i10 := i00 | m1
+		i11 := i00 | m0 | m1
+		a0, a1, a2, a3 := amps[i00], amps[i01], amps[i10], amps[i11]
+		amps[i00] = m[0]*a0 + m[1]*a1 + m[2]*a2 + m[3]*a3
+		amps[i01] = m[4]*a0 + m[5]*a1 + m[6]*a2 + m[7]*a3
+		amps[i10] = m[8]*a0 + m[9]*a1 + m[10]*a2 + m[11]*a3
+		amps[i11] = m[12]*a0 + m[13]*a1 + m[14]*a2 + m[15]*a3
+	}
 }
 
 // ApplySwap exchanges qubits a and b in a single sweep: amplitudes
@@ -241,42 +270,49 @@ func (s *State) ApplySwap(a, b int) {
 // contiguous runs.
 func (s *State) swapBits(a, b uint) {
 	quarter := len(s.amps) >> 2
+	amps := s.amps
+	if s.serial(quarter) {
+		swapBitsChunk(amps, a, b, 0, quarter)
+		return
+	}
+	s.fanOut(quarter, func(_, lo, hi int) { swapBitsChunk(amps, a, b, lo, hi) })
+}
+
+// swapBitsChunk is swapBits over the exchanged pairs [lo, hi).
+func swapBitsChunk(amps []complex128, a, b uint, lo, hi int) {
 	lo1, hi1 := a, b
 	if lo1 > hi1 {
 		lo1, hi1 = hi1, lo1
 	}
 	d := 1<<hi1 - 1<<lo1 // partner offset
-	amps := s.amps
-	s.parallelRange(quarter, func(lo, hi int) {
-		if lo1 == 0 {
-			// One operand is qubit 0: partners interleave, so swap
-			// every second amplitude of paired windows.
-			hw := hi1 - 1
-			hm := 1 << hw
-			for p := lo; p < hi; {
-				within := p & (hm - 1)
-				run := hm - within
-				if run > hi-p {
-					run = hi - p
-				}
-				i0 := 2*int(insertBit(uint64(p), hw, 0)) + 1
-				swapStride(amps[i0:i0+2*run:i0+2*run], amps[i0+d:i0+d+2*run:i0+d+2*run])
-				p += run
-			}
-			return
-		}
-		m0 := 1 << lo1
+	if lo1 == 0 {
+		// One operand is qubit 0: partners interleave, so swap
+		// every second amplitude of paired windows.
+		hw := hi1 - 1
+		hm := 1 << hw
 		for p := lo; p < hi; {
-			within := p & (m0 - 1)
-			run := m0 - within
+			within := p & (hm - 1)
+			run := hm - within
 			if run > hi-p {
 				run = hi - p
 			}
-			i0 := int(qmath.InsertTwoBits(uint64(p), lo1, 1, hi1, 0))
-			swapRun(amps[i0:i0+run:i0+run], amps[i0+d:i0+d+run:i0+d+run])
+			i0 := 2*int(insertBit(uint64(p), hw, 0)) + 1
+			swapStride(amps[i0:i0+2*run:i0+2*run], amps[i0+d:i0+d+2*run:i0+d+2*run])
 			p += run
 		}
-	})
+		return
+	}
+	m0 := 1 << lo1
+	for p := lo; p < hi; {
+		within := p & (m0 - 1)
+		run := m0 - within
+		if run > hi-p {
+			run = hi - p
+		}
+		i0 := int(qmath.InsertTwoBits(uint64(p), lo1, 1, hi1, 0))
+		swapRun(amps[i0:i0+run:i0+run], amps[i0+d:i0+d+run:i0+d+run])
+		p += run
+	}
 }
 
 // MaxFusedQubits caps fused-unitary width; the paper's QFT kernel uses
@@ -326,18 +362,25 @@ func (s *State) ApplyFused(qubits []int, m []complex128) error {
 	s.sortBuf, s.maskBuf = sorted, masks
 
 	outer := len(s.amps) >> uint(k)
-	amps := s.amps
-	s.parallelRangeIndexed(outer, func(w, lo, hi int) {
-		in, out, idx := s.fusedBuffers(w, dim)
-		for p := lo; p < hi; p++ {
-			base := uint64(p)
-			for _, q := range sorted {
-				base = insertBit(base, uint(q), 0)
-			}
-			fusedApplyAt(amps, base, masks, m, in, out, idx)
-		}
-	})
+	if s.serial(outer) {
+		s.fusedChunk(sorted, masks, m, dim, 0, 0, outer)
+		return nil
+	}
+	s.fanOut(outer, func(w, lo, hi int) { s.fusedChunk(sorted, masks, m, dim, w, lo, hi) })
 	return nil
+}
+
+// fusedChunk is ApplyFused over amplitude groups [lo, hi), gathering
+// through worker w's scratch.
+func (s *State) fusedChunk(sorted []int, masks []uint64, m []complex128, dim, w, lo, hi int) {
+	in, out, idx := s.fusedBuffers(w, dim)
+	for p := lo; p < hi; p++ {
+		base := uint64(p)
+		for _, q := range sorted {
+			base = insertBit(base, uint(q), 0)
+		}
+		fusedApplyAt(s.amps, base, masks, m, in, out, idx)
+	}
 }
 
 // fusedBuffers returns worker w's gather/result/index scratch, each of

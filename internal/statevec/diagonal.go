@@ -26,23 +26,30 @@ func (s *State) ApplyPhase1(target int, phase complex128) {
 	half := len(s.amps) >> 1
 	pr, pi := real(phase), imag(phase)
 	v := lanes(s.amps)
+	if s.serial(half) {
+		phase1Chunk(v, t, pr, pi, 0, half)
+		return
+	}
+	s.fanOut(half, func(_, lo, hi int) { phase1Chunk(v, t, pr, pi, lo, hi) })
+}
+
+// phase1Chunk is ApplyPhase1 over the target-set indices [lo, hi).
+func phase1Chunk(v []float64, t uint, pr, pi float64, lo, hi int) {
+	if t == 0 {
+		scaleOdd(v[4*lo:4*hi], pr, pi)
+		return
+	}
 	step := 1 << t
-	s.parallelRange(half, func(lo, hi int) {
-		if t == 0 {
-			scaleOdd(v[4*lo:4*hi], pr, pi)
-			return
+	for p := lo; p < hi; {
+		within := p & (step - 1)
+		run := step - within
+		if run > hi-p {
+			run = hi - p
 		}
-		for p := lo; p < hi; {
-			within := p & (step - 1)
-			run := step - within
-			if run > hi-p {
-				run = hi - p
-			}
-			j := 2 * int(insertBit(uint64(p), t, 1))
-			scaleRun(v[j:j+2*run:j+2*run], pr, pi)
-			p += run
-		}
-	})
+		j := 2 * int(insertBit(uint64(p), t, 1))
+		scaleRun(v[j:j+2*run:j+2*run], pr, pi)
+		p += run
+	}
 }
 
 // ApplyGlobalAndRelativePhase applies diag(a, b) on the target qubit —
@@ -55,27 +62,37 @@ func (s *State) ApplyGlobalAndRelativePhase(target int, a, b complex128) {
 	s.checkQubit(target)
 	t := uint(target)
 	v := lanes(s.amps)
+	// Work units are cells of two amplitudes when t = 0, blocks of 2^t
+	// otherwise.
+	units, unitBits := len(s.amps)>>1, 1
+	if t > 0 {
+		units, unitBits = len(s.amps)>>t, int(t)
+	}
+	if s.serialTiles(units, unitBits) {
+		diag1Chunk(v, t, a, b, 0, units)
+		return
+	}
+	s.fanOut(units, func(_, lo, hi int) { diag1Chunk(v, t, a, b, lo, hi) })
+}
+
+// diag1Chunk is ApplyGlobalAndRelativePhase over cells (t = 0) or
+// blocks [lo, hi).
+func diag1Chunk(v []float64, t uint, a, b complex128, lo, hi int) {
 	ar, ai := real(a), imag(a)
 	br, bi := real(b), imag(b)
 	if t == 0 {
-		cells := len(s.amps) >> 1
-		s.parallelTiles(cells, 1, func(_, lo, hi int) {
-			scaleAB(v[4*lo:4*hi], ar, ai, br, bi)
-		})
+		scaleAB(v[4*lo:4*hi], ar, ai, br, bi)
 		return
 	}
-	blocks := len(s.amps) >> t
-	s.parallelTiles(blocks, int(t), func(_, lo, hi int) {
-		for blk := lo; blk < hi; blk++ {
-			j := 2 * (blk << t)
-			seg := v[j : j+2<<t : j+2<<t]
-			if blk&1 == 1 {
-				scaleRun(seg, br, bi)
-			} else {
-				scaleRun(seg, ar, ai)
-			}
+	for blk := lo; blk < hi; blk++ {
+		j := 2 * (blk << t)
+		seg := v[j : j+2<<t : j+2<<t]
+		if blk&1 == 1 {
+			scaleRun(seg, br, bi)
+		} else {
+			scaleRun(seg, ar, ai)
 		}
-	})
+	}
 }
 
 // ApplyControlledPhase multiplies amplitudes with both control and
@@ -93,40 +110,48 @@ func (s *State) ApplyControlledPhase(control, target int, phase complex128) {
 	quarter := len(s.amps) >> 2
 	pr, pi := real(phase), imag(phase)
 	v := lanes(s.amps)
+	if s.serial(quarter) {
+		controlledPhaseChunk(v, c, t, pr, pi, 0, quarter)
+		return
+	}
+	s.fanOut(quarter, func(_, lo, hi int) { controlledPhaseChunk(v, c, t, pr, pi, lo, hi) })
+}
+
+// controlledPhaseChunk is ApplyControlledPhase over the both-bits-set
+// indices [lo, hi).
+func controlledPhaseChunk(v []float64, c, t uint, pr, pi float64, lo, hi int) {
 	b0, b1 := c, t
 	if b0 > b1 {
 		b0, b1 = b1, b0
 	}
-	s.parallelRange(quarter, func(lo, hi int) {
-		if b0 == 0 {
-			// Affected indices are the odd slots of cells with the
-			// other operand bit set.
-			hw := b1 - 1
-			hm := 1 << hw
-			for p := lo; p < hi; {
-				within := p & (hm - 1)
-				run := hm - within
-				if run > hi-p {
-					run = hi - p
-				}
-				cell := int(insertBit(uint64(p), hw, 1))
-				scaleOdd(v[4*cell:4*(cell+run)], pr, pi)
-				p += run
-			}
-			return
-		}
-		m0 := 1 << b0
+	if b0 == 0 {
+		// Affected indices are the odd slots of cells with the
+		// other operand bit set.
+		hw := b1 - 1
+		hm := 1 << hw
 		for p := lo; p < hi; {
-			within := p & (m0 - 1)
-			run := m0 - within
+			within := p & (hm - 1)
+			run := hm - within
 			if run > hi-p {
 				run = hi - p
 			}
-			j := 2 * int(qmath.InsertTwoBits(uint64(p), c, 1, t, 1))
-			scaleRun(v[j:j+2*run:j+2*run], pr, pi)
+			cell := int(insertBit(uint64(p), hw, 1))
+			scaleOdd(v[4*cell:4*(cell+run)], pr, pi)
 			p += run
 		}
-	})
+		return
+	}
+	m0 := 1 << b0
+	for p := lo; p < hi; {
+		within := p & (m0 - 1)
+		run := m0 - within
+		if run > hi-p {
+			run = hi - p
+		}
+		j := 2 * int(qmath.InsertTwoBits(uint64(p), c, 1, t, 1))
+		scaleRun(v[j:j+2*run:j+2*run], pr, pi)
+		p += run
+	}
 }
 
 // IsDiagonalGate reports whether the fast path covers gate g.

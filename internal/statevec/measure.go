@@ -45,26 +45,12 @@ func (s *State) CollapseQubit(q int, outcome int) {
 	// as contiguous runs.
 	half := len(s.amps) >> 1
 	amps := s.amps
-	step := 1 << t
 	drop := 1 - keep
-	s.parallelRange(half, func(lo, hi int) {
-		if t == 0 {
-			for p := lo; p < hi; p++ {
-				amps[2*p+int(drop)] = 0
-			}
-			return
-		}
-		for p := lo; p < hi; {
-			within := p & (step - 1)
-			run := step - within
-			if run > hi-p {
-				run = hi - p
-			}
-			i0 := int(insertBit(uint64(p), t, drop))
-			clearRun(amps[i0 : i0+run : i0+run])
-			p += run
-		}
-	})
+	if s.serial(half) {
+		clearBitChunk(amps, t, drop, 0, half)
+	} else {
+		s.fanOut(half, func(_, lo, hi int) { clearBitChunk(amps, t, drop, lo, hi) })
+	}
 
 	if norm == 0 {
 		s.Reset()
@@ -72,7 +58,31 @@ func (s *State) CollapseQubit(q int, outcome int) {
 	}
 	k := 1 / math.Sqrt(norm)
 	v := lanes(amps)
-	s.parallelRange(len(amps), func(lo, hi int) {
-		scaleRun(v[2*lo:2*hi], k, 0)
-	})
+	if s.serial(len(amps)) {
+		scaleRun(v, k, 0)
+		return
+	}
+	s.fanOut(len(amps), func(_, lo, hi int) { scaleRun(v[2*lo:2*hi], k, 0) })
+}
+
+// clearBitChunk zeroes the amplitudes whose bit t equals val, over
+// that half's indices [lo, hi).
+func clearBitChunk(amps []complex128, t uint, val uint64, lo, hi int) {
+	if t == 0 {
+		for p := lo; p < hi; p++ {
+			amps[2*p+int(val)] = 0
+		}
+		return
+	}
+	step := 1 << t
+	for p := lo; p < hi; {
+		within := p & (step - 1)
+		run := step - within
+		if run > hi-p {
+			run = hi - p
+		}
+		i0 := int(insertBit(uint64(p), t, val))
+		clearRun(amps[i0 : i0+run : i0+run])
+		p += run
+	}
 }

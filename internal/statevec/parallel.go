@@ -44,32 +44,33 @@ func poolInit() {
 	})
 }
 
-// parallelRange splits [0, n) into at most s.workers contiguous chunks
-// and runs fn on each via the shared pool. The chunks never overlap,
-// so fn bodies may write disjoint amplitude indices without
-// synchronization — the contract a CUDA kernel launch gives its thread
-// blocks.
-func (s *State) parallelRange(n int, fn func(lo, hi int)) {
-	s.parallelRangeIndexed(n, func(_, lo, hi int) { fn(lo, hi) })
+// serial reports whether a sweep over [0, n) runs on the caller's
+// goroutine: a single-worker state, or an index space too small for the
+// dispatch to pay. Every kernel keeps its chunk body as a plain
+// function of (lo, hi) and asks this first: the serial case calls the
+// body directly on [0, n) and builds nothing, and only the fan-out case
+// wraps the same body in the closure fanOut ships to the pool. The
+// chunks never overlap, so a body may write disjoint amplitude indices
+// without synchronization — the contract a CUDA kernel launch gives its
+// thread blocks.
+func (s *State) serial(n int) bool {
+	return s.workers <= 1 || n < minParallelWork
 }
 
-// parallelRangeIndexed is parallelRange with a worker id in [0,
-// s.workers) for kernels needing per-worker scratch buffers.
-func (s *State) parallelRangeIndexed(n int, fn func(worker, lo, hi int)) {
-	if s.workers <= 1 || n < minParallelWork {
-		fn(0, 0, n)
-		return
-	}
-	s.fanOut(n, fn)
+// serialTiles is serial for an index space of tiles, each covering
+// 2^tileBits amplitudes. The fan-out threshold is judged on amplitudes,
+// not tiles: a 2^24 state split into 2^10 tiles is far past the point
+// where dispatch pays for itself even though the tile count alone sits
+// below minParallelWork.
+func (s *State) serialTiles(tiles, tileBits int) bool {
+	return s.workers <= 1 || tiles < 2 || tiles<<uint(tileBits) < minParallelWork
 }
 
-// parallelTiles splits [0, tiles) across workers, where each unit of
-// the index space covers 2^tileBits amplitudes. The fan-out threshold
-// is judged on amplitudes, not tiles: a 2^24 state split into 2^10
-// tiles is far past the point where dispatch pays for itself even
-// though the tile count alone sits below minParallelWork.
+// parallelTiles runs fn over [0, tiles), fanned out unless serialTiles —
+// for the per-run sweeps (tile runs, Pauli blocks), whose one closure is
+// amortized over a whole run of gates.
 func (s *State) parallelTiles(tiles, tileBits int, fn func(worker, lo, hi int)) {
-	if s.workers <= 1 || tiles < 2 || tiles<<uint(tileBits) < minParallelWork {
+	if s.serialTiles(tiles, tileBits) {
 		fn(0, 0, tiles)
 		return
 	}

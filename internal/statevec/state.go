@@ -204,27 +204,43 @@ func (s *State) Clone() *State {
 // n-1 bit-swap sweeps a physical rearrangement would pay — and the
 // amplitude layout is left untouched for further tiled execution.
 func (s *State) Probabilities() []float64 {
-	p := make([]float64, len(s.amps))
+	n := len(s.amps)
+	p := make([]float64, n)
 	v := lanes(s.amps)
 	if s.perm == nil {
-		s.parallelRange(len(s.amps), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ar, ai := v[2*i], v[2*i+1]
-				p[i] = float64(ar*ar) + float64(ai*ai)
-			}
-		})
+		if s.serial(n) {
+			probsChunk(p, v, 0, n)
+		} else {
+			s.fanOut(n, func(_, lo, hi int) { probsChunk(p, v, lo, hi) })
+		}
 		return p
 	}
 	tabLo, tabHi, loBits := s.permTables()
-	loMask := uint64(1)<<loBits - 1
-	s.parallelRange(len(s.amps), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar, ai := v[2*i], v[2*i+1]
-			l := tabLo[uint64(i)&loMask] | tabHi[uint64(i)>>loBits]
-			p[l] = float64(ar*ar) + float64(ai*ai)
-		}
-	})
+	if s.serial(n) {
+		probsPermChunk(p, v, tabLo, tabHi, loBits, 0, n)
+	} else {
+		s.fanOut(n, func(_, lo, hi int) { probsPermChunk(p, v, tabLo, tabHi, loBits, lo, hi) })
+	}
 	return p
+}
+
+// probsChunk writes |amps[i]|² for i in [lo, hi) on an identity layout.
+func probsChunk(p, v []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		ar, ai := v[2*i], v[2*i+1]
+		p[i] = float64(ar*ar) + float64(ai*ai)
+	}
+}
+
+// probsPermChunk scatters |amps[i]|² for physical i in [lo, hi) to its
+// logical slot through the permTables lookup.
+func probsPermChunk(p, v []float64, tabLo, tabHi []uint64, loBits uint, lo, hi int) {
+	loMask := uint64(1)<<loBits - 1
+	for i := lo; i < hi; i++ {
+		ar, ai := v[2*i], v[2*i+1]
+		l := tabLo[uint64(i)&loMask] | tabHi[uint64(i)>>loBits]
+		p[l] = float64(ar*ar) + float64(ai*ai)
+	}
 }
 
 // permTables returns physical→logical index-chunk lookup tables: a bit
@@ -291,23 +307,38 @@ func (s *State) maskedNorm2(t uint, val uint64) float64 {
 	nChunks := half >> uint(cb)
 	partials := make([]float64, nChunks)
 	v := lanes(s.amps)
+	// Chunk partials land in disjoint slots, so the reduction order (and
+	// hence the result) is independent of the worker count.
+	if s.serialTiles(nChunks, cb) {
+		maskedNorm2Chunks(partials, v, t, val, cb, 0, nChunks)
+	} else {
+		s.fanOut(nChunks, func(_, lo, hi int) { maskedNorm2Chunks(partials, v, t, val, cb, lo, hi) })
+	}
+	return TreeSum(partials)
+}
+
+// maskedNorm2Chunks fills partials[c] for canonical chunks c in
+// [lo, hi): each the sequential Σ|amps[i]|² over the chunk's 2^cb
+// indices of the bit-t-equals-val half.
+func maskedNorm2Chunks(partials, v []float64, t uint, val uint64, cb, lo, hi int) {
 	step := 1 << t
-	chunk := func(c int) float64 {
+	for c := lo; c < hi; c++ {
 		var acc float64
-		lo, hi := c<<uint(cb), (c+1)<<uint(cb)
+		pLo, pHi := c<<uint(cb), (c+1)<<uint(cb)
 		if t == 0 {
-			base := 4*lo + 2*int(val)
-			for j := base; j < 4*hi; j += 4 {
+			base := 4*pLo + 2*int(val)
+			for j := base; j < 4*pHi; j += 4 {
 				ar, ai := v[j], v[j+1]
 				acc += float64(ar*ar) + float64(ai*ai)
 			}
-			return acc
+			partials[c] = acc
+			continue
 		}
-		for p := lo; p < hi; {
+		for p := pLo; p < pHi; {
 			within := p & (step - 1)
 			run := step - within
-			if run > hi-p {
-				run = hi - p
+			if run > pHi-p {
+				run = pHi - p
 			}
 			j := 2 * int(insertBit(uint64(p), t, val))
 			for e := j + 2*run; j < e; j += 2 {
@@ -316,16 +347,8 @@ func (s *State) maskedNorm2(t uint, val uint64) float64 {
 			}
 			p += run
 		}
-		return acc
+		partials[c] = acc
 	}
-	// Chunk partials land in disjoint slots, so the reduction order (and
-	// hence the result) is independent of the worker count.
-	s.parallelTiles(nChunks, cb, func(_, lo, hi int) {
-		for c := lo; c < hi; c++ {
-			partials[c] = chunk(c)
-		}
-	})
-	return TreeSum(partials)
 }
 
 // ExpZ returns <Z_q> = P(0) - P(1) on qubit q — the observable the

@@ -398,3 +398,38 @@ func requireClose(t *testing.T, a, b *State, tol float64) {
 		}
 	}
 }
+
+// TestSerialKernelsAllocateNothing: a single-worker state runs every
+// per-gate kernel on the caller's goroutine and builds nothing for the
+// fan-out it does not perform — the per-gate cost of a small served
+// circuit. Probabilities allocates its result and nothing else.
+func TestSerialKernelsAllocateNothing(t *testing.T) {
+	s := MustNew(12, 1)
+	theta := []float64{0.37}
+	for _, g := range []struct {
+		name   string
+		typ    gate.Type
+		qubits []int
+		params []float64
+	}{
+		{"h", gate.H, []int{3}, nil},
+		{"h q0", gate.H, []int{0}, nil},
+		{"ry", gate.RY, []int{7}, theta},
+		{"cx", gate.CX, []int{2, 9}, nil},
+		{"cx t0", gate.CX, []int{5, 0}, nil},
+		{"cr1", gate.CP, []int{4, 1}, theta},
+		{"rz", gate.RZ, []int{6}, theta},
+		{"rz q0", gate.RZ, []int{0}, theta},
+		{"p", gate.P, []int{8}, theta},
+		{"cry", gate.CRY, []int{10, 3}, theta},
+		{"swap", gate.SWAP, []int{1, 11}, nil},
+	} {
+		if a := testing.AllocsPerRun(20, func() { s.ApplyGate(g.typ, g.qubits, g.params) }); a != 0 {
+			t.Errorf("ApplyGate(%s) on a 12-qubit Workers=1 state: %v allocations, want 0", g.name, a)
+		}
+	}
+	var probs []float64
+	if a := testing.AllocsPerRun(20, func() { probs = s.Probabilities() }); a != 1 {
+		t.Errorf("Probabilities on an identity layout: %v allocations, want 1 (%d entries)", a, len(probs))
+	}
+}
