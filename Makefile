@@ -1,6 +1,6 @@
 GO ?= go
 
-# Where CI-run bench artifacts land (uploaded as workflow artifacts).
+# Where ci-store's phase report lands (uploaded as a workflow artifact).
 BENCH_OUT ?= /tmp/qgear-bench
 # Scratch store directory for the warm-restart acceptance check.
 WARMSTART_DIR ?= /tmp/qgear-warmstart
@@ -9,8 +9,8 @@ WARMSTART_DIR ?= /tmp/qgear-warmstart
 COVER_OUT ?= /tmp/qgear-observable-cover.out
 OBSERVABLE_COVER_FLOOR ?= 85
 
-.PHONY: build vet fmt-check test test-fresh check cover-observable serve bench \
-	bench-baseline bench-gate ci-load ci-warmstart ci-chaos \
+.PHONY: build vet fmt-check test test-fresh check cover-observable serve \
+	bench-compare ci-wired ci-load ci-warmstart ci-chaos \
 	ci-scaling ci-sweep ci-store ci-oneproc ci-fuzz clean
 
 # run-selected is how every ci-* gate picks tests by name: a fresh,
@@ -71,47 +71,55 @@ cover-observable:
 serve: build
 	$(GO) run ./cmd/qgear-serve serve -addr :8042 -fusion 2
 
-# Tiled-executor ablation at acceptance sizes (QFT-24, QCrank image
-# encoding): per-gate sweeps vs cache-blocked tile runs, with the
-# speedup trajectory recorded in BENCH_qft.json / BENCH_qcrank.json.
-bench: build
-	$(GO) run ./cmd/qgear-bench -exp tiling -large -json-dir .
+# The regression gate: the repository's one benchmark (benchmark/,
+# BENCHMARK.json) on BASE and on the work tree, same host, back to back,
+# then its own --compare — which fails on a gated allocation metric
+# beyond its bound, on any failed op or failed oracle, or on an
+# exact-repeat counter that moved, and never on a wall-clock ratio. The
+# benchmark itself must be the same on both sides, so a difference under
+# benchmark/ or in BENCHMARK.json refuses the run. BASE is checked out
+# as a git worktree under the git-ignored .bench_build/ (removed again
+# on every exit); both summaries stay there for upload.
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev>"; exit 2; }
+	@moved="$$(git diff --name-only $(BASE) -- benchmark BENCHMARK.json && \
+		git ls-files --others --exclude-standard -- benchmark)" || exit 1; \
+	if [ -n "$$moved" ]; then \
+		echo "bench-compare: the benchmark differs between $(BASE) and the work tree:"; \
+		echo "$$moved" | sed 's/^/  /'; \
+		echo "a benchmark change is a PR of its own; nothing can be compared across it"; exit 1; fi
+	@set -e; mkdir -p .bench_build; base=.bench_build/base; \
+	trap 'git worktree remove --force '$$base' 2>/dev/null; git worktree prune' EXIT; \
+	git worktree remove --force $$base 2>/dev/null || true; \
+	git worktree add --quiet --detach $$base $(BASE); \
+	bash $$base/benchmark/run.sh --out .bench_build/base.json; \
+	bash benchmark/run.sh --out .bench_build/head.json; \
+	bash benchmark/run.sh --compare .bench_build/base.json .bench_build/head.json
 
-# Re-record the committed small-size baselines the CI bench gate
-# compares against (run after an intentional perf-affecting change).
-bench-baseline: build
-	$(GO) run ./cmd/qgear-bench -exp tiling -json-dir bench/baseline
+# Gates that cannot rot: every ci-* target of this Makefile must be run
+# by the workflow, so a gate that is added here and never wired fails
+# CI the day it is added instead of silently never running.
+ci-wired:
+	@for t in $$(grep -oE '^ci-[a-z0-9-]+:' Makefile | tr -d ':'); do \
+		grep -Eq "run: make ([a-z0-9-]+ )*$$t( |\$$)" .github/workflows/ci.yml || \
+			{ echo "ci-wired: target $$t is not run by .github/workflows/ci.yml"; unwired=1; }; \
+	done; test -z "$$unwired"
 
-# The CI bench-regression gate: rerun the small-size ablation and fail
-# if speedup regresses >20% vs bench/baseline, or if bit-identity
-# (max |Δp| = 0, identical fixed-seed counts) is ever violated.
-bench-gate: build
-	$(GO) run ./cmd/qgear-bench -exp tiling -json-dir $(BENCH_OUT) \
-		-gate-baseline bench/baseline -gate-tol 0.20
-
-# CI service load check: 50 clients of mixed simulate/expectation HTTP
-# load through an embedded server with a deliberately tight byte budget
+# CI service load check: 50 concurrent HTTP clients of mixed
+# simulate/expectation jobs against a deliberately tight byte budget
 # and a live store, so eviction, spill, and store-hit paths all run
-# under real concurrency. -require-metrics makes it the observability
-# gate too: the run fails when /metrics is missing a required family or
-# the scraped counters disagree with /v1/stats. The percentile report
-# lands in $(BENCH_OUT)/BENCH_load.json for artifact upload.
+# under real concurrency. It is the observability gate too: the test
+# fails when /metrics is missing a required family or the scraped job
+# totals disagree with /v1/stats.
 ci-load: build
-	rm -rf $(WARMSTART_DIR)-load
-	mkdir -p $(BENCH_OUT)
-	$(GO) run ./cmd/qgear-bench load -clients 50 -requests 6 -qubits 14 \
-		-shots 64 -expect-every 3 \
-		-max-cache-bytes 2097152 -store-dir $(WARMSTART_DIR)-load \
-		-require-metrics -out $(BENCH_OUT)/BENCH_load.json
+	$(call run-selected,TestLoadMixedTraffic,./internal/service/)
 
-# Workers-axis scaling smoke: the lane-kernel bit-identity fuzz suites
-# and the multi-worker tiled ablation path, race-enabled and uncached.
-# Worker count must never change an amplitude bit — the correctness
-# half of the scaling gate (timing is gated by bench-gate, single-core,
-# where host core counts cannot skew it).
+# Workers-axis scaling smoke: the lane-kernel and tiled-executor
+# bit-identity fuzz suites, race-enabled and uncached. Worker count
+# must never change an amplitude bit; wall-clock scaling is reported by
+# benchmark/ (statevec.scaling_speedup_w*), never gated.
 ci-scaling: build
 	$(call run-selected,BitIdentity|TiledGateSoup|MaskedNorm2,./internal/statevec/ ./internal/kernel/)
-	$(call run-selected,TestTilingAblation,./internal/bench/)
 
 # One P: the whole suite with GOMAXPROCS=1. The sweep pool, the grouped
 # expectation sweep's fan-out and its scratch free list, the service's

@@ -2,7 +2,7 @@
 // API over the internal/service layer (bounded job queue, worker pool,
 // batch coalescing onto the mqpu device-parallel path, and a
 // content-addressed LRU result cache). Load generation lives in
-// `qgear-bench load`.
+// benchmark/ (the serve_mix workload).
 //
 // Usage:
 //

@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"time"
 
 	"qgear/internal/backend"
-	"qgear/internal/bench"
 	"qgear/internal/circuit"
 	"qgear/internal/observable"
 	"qgear/internal/service"
@@ -226,6 +226,22 @@ func pushJob(client *http.Client, base string, c *circuit.Circuit, shots int, se
 	})
 }
 
+// retryAfterDelay converts a 429's Retry-After hint into a sleep: the
+// hinted whole seconds when present and sane (capped at 5s — a client
+// should not be parked indefinitely by one response), otherwise the
+// caller's fallback backoff.
+func retryAfterDelay(h http.Header, fallback time.Duration) time.Duration {
+	secs, err := strconv.Atoi(h.Get("Retry-After"))
+	if err != nil || secs < 0 {
+		return fallback
+	}
+	d := time.Duration(secs) * time.Second
+	if max := 5 * time.Second; d > max {
+		d = max
+	}
+	return d
+}
+
 func push(client *http.Client, base string, req service.SubmitRequest) (*service.ResultResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -241,7 +257,7 @@ func push(client *http.Client, base string, req service.SubmitRequest) (*service
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusTooManyRequests && attempt < 200 {
 			// Shed by the bounded queue: honor the server's hint.
-			time.Sleep(bench.RetryAfterDelay(resp.Header, time.Duration(attempt+1)*time.Millisecond))
+			time.Sleep(retryAfterDelay(resp.Header, time.Duration(attempt+1)*time.Millisecond))
 			continue
 		}
 		if resp.StatusCode != http.StatusAccepted {

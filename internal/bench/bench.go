@@ -1,24 +1,24 @@
-// Package bench is the experiment harness that regenerates every table
+// Package bench is the paper-figure runner: it regenerates every table
 // and figure of the paper's evaluation (§3, Figs. 1 and 4–6, Tables 1
 // and 2, Appendix C, Theorem B.3). Each experiment combines:
 //
-//   - measured runs of the real Go engine at locally feasible sizes
-//     (the 21 GB / 24-core box replaces the Perlmutter node), and
+//   - measured runs of the real Go engine at sizes the local host can
+//     hold (it stands in for the Perlmutter node), and
 //   - modeled paper-scale points from the calibrated hardware model
 //     (internal/cluster), so the printed series cover the paper's
 //     qubit ranges.
 //
 // The printed output is row/series-oriented: the same numbers the
-// paper plots, with paper-vs-measured shape notes. EXPERIMENTS.md is
-// generated from these runs.
+// paper plots, with paper-vs-measured shape notes. It is a
+// reproduction aid, not a regression measurement: the numbers a change
+// is judged on come from benchmark/ (see benchmark/README.md).
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
-	"strings"
 	"time"
 
 	"qgear/internal/cluster"
@@ -85,7 +85,8 @@ func (t Table) Print(w io.Writer) {
 	}
 }
 
-// Experiment bundles one paper artifact's regenerated data.
+// Experiment bundles one paper artifact's regenerated data. Run fills
+// ID and Title from the experiment table.
 type Experiment struct {
 	ID     string // e.g. "fig4a"
 	Title  string
@@ -115,15 +116,10 @@ type Runner struct {
 	Model *cluster.Cluster
 	// Seed drives all randomness.
 	Seed uint64
-	// Large widens the measured local sweeps (slower, closer shapes);
-	// enabled by the QGEAR_LARGE=1 environment or -qgear.large flag in
-	// benches.
+	// Large widens the measured local sweeps (slower, closer shapes).
 	Large bool
 	// Workers caps the GPU-stand-in parallelism (0 = NumCPU).
 	Workers int
-	// JSONDir, when set, makes machine-readable experiments (the
-	// tiling ablation) write BENCH_*.json files there.
-	JSONDir string
 }
 
 // NewRunner returns a Runner with the Perlmutter model.
@@ -159,57 +155,63 @@ func fitExponentBase2(points []Point) float64 {
 	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
 }
 
-// Registry maps experiment ids to their runners.
-func (r *Runner) Registry() map[string]func() (Experiment, error) {
-	return map[string]func() (Experiment, error){
-		"fig1":   r.Fig1,
-		"fig4a":  r.Fig4a,
-		"fig4b":  r.Fig4b,
-		"fig4c":  r.Fig4c,
-		"fig5":   r.Fig5,
-		"fig6":   r.Fig6,
-		"table1": r.Table1,
-		"table2": r.Table2,
-		"appC":   r.AppendixC,
-		"thmB3":  r.TheoremB3,
-		"mqpu":   r.Mqpu,
-		"tiling": r.Tiling,
+// experiments is the experiment table, in the paper's order: ids are
+// listed, explained and run in this order. Adding an experiment is one
+// row and its run function.
+var experiments = []struct {
+	id    string // the -exp value
+	title string
+	paper string // the paper artifact the experiment regenerates
+	run   func(*Runner) (Experiment, error)
+}{
+	{"fig1", "NISQ-era simulation comparison: CPU vs GPU running-time gap", "Fig. 1", (*Runner).Fig1},
+	{"fig4a", "random non-Clifford unitaries: CPU node vs 1 GPU vs 4 GPU", "Fig. 4a", (*Runner).Fig4a},
+	{"fig4b", "scaling on 4-1024 GPU clusters, 3000-block unitaries", "Fig. 4b", (*Runner).Fig4b},
+	{"fig4c", "QFT: Q-GEAR vs Pennylane baseline on 4 GPUs", "Fig. 4c", (*Runner).Fig4c},
+	{"fig5", "QCrank image encoding: CPU node vs 1 GPU vs image size", "Fig. 5", (*Runner).Fig5},
+	{"fig6", "QCrank image reconstruction quality (shot-limited)", "Fig. 6", (*Runner).Fig6},
+	{"table1", "experiment configurations (paper Table 1)", "Table 1", (*Runner).Table1},
+	{"table2", "QCrank circuit configurations (paper Table 2)", "Table 2", (*Runner).Table2},
+	{"appC", "HDF5 constant-time encoding and compression (Appendix C)", "Appendix C", (*Runner).AppendixC},
+	{"thmB3", "Theorem B.3: serial 2^n scaling vs parallel speedup", "Theorem B.3", (*Runner).TheoremB3},
+	{"mqpu", "multi-QPU circuit parallelism (the paper's nvidia-mqpu note)", "§3 (nvidia-mqpu)", (*Runner).Mqpu},
+}
+
+// ErrUnknownExperiment is returned (wrapped) by Run for an id that is
+// not in the experiment table.
+var ErrUnknownExperiment = errors.New("unknown experiment")
+
+// PrintIndex writes the experiment table — id, paper artifact, title —
+// one row per line, in run order.
+func PrintIndex(w io.Writer) {
+	for _, e := range experiments {
+		fmt.Fprintf(w, "  %-7s %-18s %s\n", e.id, e.paper, e.title)
 	}
 }
 
-// IDs returns the experiment ids in stable order.
-func (r *Runner) IDs() []string {
-	reg := r.Registry()
-	ids := make([]string, 0, len(reg))
-	for id := range reg {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// RunAll executes every experiment and prints it to w.
+// RunAll executes every experiment in table order and prints it to w.
 func (r *Runner) RunAll(w io.Writer) error {
-	for _, id := range r.IDs() {
-		exp, err := r.Registry()[id]()
-		if err != nil {
-			return fmt.Errorf("bench: %s: %w", id, err)
+	for _, e := range experiments {
+		if err := r.Run(e.id, w); err != nil {
+			return err
 		}
-		exp.Print(w)
 	}
 	return nil
 }
 
 // Run executes one experiment by id and prints it to w.
 func (r *Runner) Run(id string, w io.Writer) error {
-	fn, ok := r.Registry()[id]
-	if !ok {
-		return fmt.Errorf("bench: unknown experiment %q (have: %s)", id, strings.Join(r.IDs(), ", "))
+	for _, e := range experiments {
+		if e.id != id {
+			continue
+		}
+		exp, err := e.run(r)
+		if err != nil {
+			return fmt.Errorf("bench: %s: %w", id, err)
+		}
+		exp.ID, exp.Title = e.id, e.title
+		exp.Print(w)
+		return nil
 	}
-	exp, err := fn()
-	if err != nil {
-		return fmt.Errorf("bench: %s: %w", id, err)
-	}
-	exp.Print(w)
-	return nil
+	return fmt.Errorf("bench: %w %q", ErrUnknownExperiment, id)
 }

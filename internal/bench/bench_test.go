@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"strconv"
 	"strings"
@@ -338,24 +339,32 @@ func TestAppendixC(t *testing.T) {
 }
 
 func TestTheoremB3(t *testing.T) {
-	exp, err := testRunner().TheoremB3()
+	r := testRunner()
+	r.Workers = 2
+	exp, err := r.TheoremB3()
 	if err != nil {
 		t.Fatal(err)
 	}
 	serial := exp.Series[0]
 	assertSeriesMeasured(t, serial, 3) // the non-Large sweep: 12, 14, 16 qubits
 	assertScalingExponent(t, "thmB3 per-gate", fitExponentBase2(serial.Points), 0.5)
-	// The local box saturates its RAM bandwidth well below core count
-	// (the same wall that caps real state-vector engines); assert the
-	// mechanism shows where it can (tolerance-guarded: a 1-core box has
-	// no parallelism to measure), not a specific multiple.
+	// The workers axis is the powers of two up to Runner.Workers:
+	// strictly ascending, so no point repeats and the closing note's
+	// "speedup at N workers" names the widest run.
 	speed := exp.Series[1]
-	if len(speed.Points) != 5 {
-		t.Fatalf("%d speedup points, want 5", len(speed.Points))
+	if len(speed.Points) != 2 || speed.Points[0].X != 1 || speed.Points[1].X != 2 {
+		t.Fatalf("workers axis %v, want x = 1, 2", speed.Points)
 	}
 	if speed.Points[0].Y != 1 {
 		t.Fatalf("1-worker speedup %.2f, want exactly 1 (self-relative)", speed.Points[0].Y)
 	}
+	if note := exp.Notes[len(exp.Notes)-1]; !strings.Contains(note, "speedup at 2 workers") {
+		t.Fatalf("closing note %q does not report the 2-worker point", note)
+	}
+	// The local box saturates its RAM bandwidth well below core count
+	// (the same wall that caps real state-vector engines); assert the
+	// mechanism shows where it can (tolerance-guarded: a 1-core box has
+	// no parallelism to measure), not a specific multiple.
 	lastSpeedup := speed.Points[len(speed.Points)-1].Y
 	switch {
 	case lastSpeedup >= 1.3:
@@ -385,11 +394,34 @@ func TestMqpu(t *testing.T) {
 }
 
 func TestRunAllAndRegistry(t *testing.T) {
-	r := testRunner()
-	ids := r.IDs()
-	if len(ids) != 12 {
-		t.Fatalf("%d experiments registered", len(ids))
+	if len(experiments) != 11 {
+		t.Fatalf("%d experiments registered, want 11", len(experiments))
 	}
+	// Every row explains itself, and the index prints the table in
+	// table order — the order RunAll runs it in.
+	var index bytes.Buffer
+	PrintIndex(&index)
+	lines := strings.Split(strings.TrimSpace(index.String()), "\n")
+	if len(lines) != len(experiments) {
+		t.Fatalf("index has %d lines for %d experiments", len(lines), len(experiments))
+	}
+	seen := map[string]bool{}
+	for i, e := range experiments {
+		if e.id == "" || e.title == "" || e.paper == "" || e.run == nil {
+			t.Errorf("row %d (%q) has an empty id, title, paper reference or run", i, e.id)
+		}
+		if seen[e.id] {
+			t.Errorf("id %q registered twice", e.id)
+		}
+		seen[e.id] = true
+		if f := strings.Fields(lines[i]); len(f) == 0 || f[0] != e.id {
+			t.Errorf("index line %d is %q, want id %q first", i, lines[i], e.id)
+		}
+		if !strings.Contains(lines[i], e.paper) || !strings.Contains(lines[i], e.title) {
+			t.Errorf("index line %q lacks the paper reference or title", lines[i])
+		}
+	}
+	r := testRunner()
 	var buf bytes.Buffer
 	// Run the cheap static ones through the dispatcher.
 	for _, id := range []string{"table1", "table2", "fig4b"} {
@@ -398,13 +430,13 @@ func TestRunAllAndRegistry(t *testing.T) {
 		}
 	}
 	out := buf.String()
-	for _, want := range []string{"== table1", "== table2", "== fig4b", "reversal"} {
+	for _, want := range []string{"== table1: experiment configurations", "== table2", "== fig4b", "reversal"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q", want)
 		}
 	}
-	if err := r.Run("nope", &buf); err == nil {
-		t.Fatal("unknown experiment accepted")
+	if err := r.Run("nope", &buf); !errors.Is(err, ErrUnknownExperiment) {
+		t.Fatalf("unknown experiment: err = %v, want ErrUnknownExperiment", err)
 	}
 }
 

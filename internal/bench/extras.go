@@ -3,7 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"runtime"
+	"math"
 
 	"qgear/internal/backend"
 	"qgear/internal/circuit"
@@ -14,9 +14,6 @@ import (
 	"qgear/internal/randcirc"
 	"qgear/internal/tensorenc"
 )
-
-// backendWorkers reports the default GPU-stand-in parallelism.
-func backendWorkers() int { return runtime.NumCPU() }
 
 // localImageConfigs are the measured Fig. 5/6 mini-workloads: scaled
 // versions of the paper's images small enough for local state vectors
@@ -44,7 +41,7 @@ const localShotsPerAddr = 200
 // Qiskit-on-CPU vs Q-GEAR-on-1-GPU, vs image size — measured at mini
 // scale, modeled at Table 2 scale with ~5% error bars.
 func (r *Runner) Fig5() (Experiment, error) {
-	exp := Experiment{ID: "fig5", Title: "QCrank image encoding: CPU node vs 1 GPU vs image size"}
+	var exp Experiment
 
 	mcpu := Series{Label: "measured: cpu-serial", XLabel: "pixels", YLabel: "seconds"}
 	mgpu := Series{Label: "measured: gpu-parallel", XLabel: "pixels", YLabel: "seconds"}
@@ -139,7 +136,7 @@ func (r *Runner) Fig5() (Experiment, error) {
 // (synthetic) image, sample, decode, and report the residual metrics
 // of the per-image panels.
 func (r *Runner) Fig6() (Experiment, error) {
-	exp := Experiment{ID: "fig6", Title: "QCrank image reconstruction quality (shot-limited)"}
+	var exp Experiment
 	tbl := Table{
 		Title:  "reconstruction metrics per image (synthetic stand-ins, scaled sizes)",
 		Header: []string{"image", "pixels", "qubits", "2q-gates", "shots", "MAE", "RMSE", "max|err|", "corr"},
@@ -196,7 +193,7 @@ func (r *Runner) Fig6() (Experiment, error) {
 
 // Table1 regenerates Table 1: the experiment-configuration summary.
 func (r *Runner) Table1() (Experiment, error) {
-	exp := Experiment{ID: "table1", Title: "experiment configurations (paper Table 1)"}
+	var exp Experiment
 	exp.Tables = append(exp.Tables, Table{
 		Title:  "Q-GEAR experiments on CPU/GPU HPC (paper values; reproduced by the listed experiment ids)",
 		Header: []string{"task", "objective", "qubits", "max gate depth", "shots", "precision", "input size", "reproduced by"},
@@ -214,7 +211,7 @@ func (r *Runner) Table1() (Experiment, error) {
 
 // Table2 regenerates Table 2: QCrank circuit configurations per image.
 func (r *Runner) Table2() (Experiment, error) {
-	exp := Experiment{ID: "table2", Title: "QCrank circuit configurations (paper Table 2)"}
+	var exp Experiment
 	rows, err := qcrank.Table2()
 	if err != nil {
 		return exp, err
@@ -241,7 +238,7 @@ func (r *Runner) Table2() (Experiment, error) {
 // fixed capacity is nearly independent of circuit complexity, and HDF5
 // compression saves substantial space losslessly.
 func (r *Runner) AppendixC() (Experiment, error) {
-	exp := Experiment{ID: "appC", Title: "HDF5 constant-time encoding and compression (Appendix C)"}
+	var exp Experiment
 	nCirc := 50
 	if r.Large {
 		nCirc = 200
@@ -254,12 +251,18 @@ func (r *Runner) AppendixC() (Experiment, error) {
 		if err != nil {
 			return exp, err
 		}
-		sec, err := measure(func() error {
-			_, err := tensorenc.Encode(circs, capacity)
-			return err
-		})
-		if err != nil {
-			return exp, err
+		// Best of three: one millisecond-scale run is at the mercy of
+		// a GC cycle, and the claim is about the work, not the pauses.
+		sec := math.Inf(1)
+		for rep := 0; rep < 3; rep++ {
+			t, err := measure(func() error {
+				_, err := tensorenc.Encode(circs, capacity)
+				return err
+			})
+			if err != nil {
+				return exp, err
+			}
+			sec = math.Min(sec, t)
 		}
 		s.Points = append(s.Points, Point{X: float64(blocks * randcirc.GatesPerBlock), Y: sec})
 		times = append(times, sec)
@@ -298,7 +301,7 @@ func (r *Runner) AppendixC() (Experiment, error) {
 // engine: serial per-gate time grows ~2^n; the parallel engine divides
 // it by its worker count.
 func (r *Runner) TheoremB3() (Experiment, error) {
-	exp := Experiment{ID: "thmB3", Title: "Theorem B.3: serial 2^n scaling vs parallel speedup"}
+	var exp Experiment
 	serial := Series{Label: "measured: serial seconds/gate", XLabel: "qubits", YLabel: "seconds"}
 	qubits := []int{12, 14, 16}
 	if r.Large {
@@ -329,7 +332,7 @@ func (r *Runner) TheoremB3() (Experiment, error) {
 	}
 	speed := Series{Label: "measured: parallel speedup vs workers", XLabel: "workers", YLabel: "speedup"}
 	base := 0.0
-	for _, w := range []int{1, 2, 4, 8, backendWorkers()} {
+	for w := 1; w <= maxWorkers(r); w *= 2 {
 		sec, err := measure(func() error {
 			_, err := backend.Run(c, backend.Config{Target: backend.TargetNvidia, Workers: w})
 			return err
@@ -343,17 +346,18 @@ func (r *Runner) TheoremB3() (Experiment, error) {
 		speed.Points = append(speed.Points, Point{X: float64(w), Y: base / sec})
 	}
 	exp.Series = append(exp.Series, speed)
+	widest := speed.Points[len(speed.Points)-1]
 	exp.Notes = append(exp.Notes,
 		fmt.Sprintf("serial scaling exponent: 2^(%.2f·n) per gate (theorem: 2^n)", fitExponentBase2(serial.Points)),
 		fmt.Sprintf("parallel speedup at %d workers: %.1fx on %d qubits (theorem: ~P with P parallel resources)",
-			backendWorkers(), speed.Points[len(speed.Points)-1].Y, n))
+			int(widest.X), widest.Y, n))
 	return exp, nil
 }
 
 // Mqpu regenerates the §3 'nvidia-mqpu' observation: a batch of
 // circuits runs faster when the devices act as independent QPUs.
 func (r *Runner) Mqpu() (Experiment, error) {
-	exp := Experiment{ID: "mqpu", Title: "multi-QPU circuit parallelism (the paper's nvidia-mqpu note)"}
+	var exp Experiment
 	n := 14
 	batchSize := 8
 	if r.Large {

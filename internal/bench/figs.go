@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"qgear/internal/backend"
 	"qgear/internal/cluster"
@@ -57,7 +58,7 @@ func (r *Runner) runLocalUnitary(qubits, blocks int, target backend.Target, devi
 // time vs qubits for the CPU and GPU platforms, showing the
 // performance gap and the simulation (capacity) gap.
 func (r *Runner) Fig1() (Experiment, error) {
-	exp := Experiment{ID: "fig1", Title: "NISQ-era simulation comparison: CPU vs GPU running-time gap"}
+	var exp Experiment
 	cpu := Series{Label: "cpu", XLabel: "qubits", YLabel: "minutes"}
 	gpu := Series{Label: "gpu (q-gear)", XLabel: "qubits", YLabel: "minutes"}
 	const gates = 3000
@@ -101,7 +102,7 @@ func interpY(s Series, x float64) float64 {
 // GPUs — measured locally at small n with the real engine, and modeled
 // at the paper's 28–34 qubit range.
 func (r *Runner) Fig4a() (Experiment, error) {
-	exp := Experiment{ID: "fig4a", Title: "random non-Clifford unitaries: CPU node vs 1 GPU vs 4 GPU"}
+	var exp Experiment
 
 	// Measured local series (real engine).
 	type cfg struct {
@@ -190,18 +191,19 @@ func (r *Runner) Fig4a() (Experiment, error) {
 	return exp, nil
 }
 
+// maxWorkers is the GPU-stand-in parallelism the measured runs get.
 func maxWorkers(r *Runner) int {
 	if r.Workers > 0 {
 		return r.Workers
 	}
-	return backendWorkers()
+	return runtime.NumCPU()
 }
 
 // Fig4b regenerates Fig. 4b: the 3,000-block unitary on 30–42 qubits
 // across 4–1024 pooled GPUs (80 GB parts), modeled; including the
 // highlighted 39→40 reversal for the 1,024-GPU cluster.
 func (r *Runner) Fig4b() (Experiment, error) {
-	exp := Experiment{ID: "fig4b", Title: "scaling on 4-1024 GPU clusters, 3000-block unitaries"}
+	var exp Experiment
 	model := r.Model.WithGPU(cluster.A100HBM80)
 	gates := randcirc.IntermediateBlocks * randcirc.GatesPerBlock
 	gpuCounts := []int{4, 8, 16, 32, 64, 128, 256, 512, 1024}
@@ -234,7 +236,7 @@ func (r *Runner) Fig4b() (Experiment, error) {
 // Pennylane-like baseline on 4 GPUs — measured locally with both real
 // targets, modeled at the paper's 28–34 range.
 func (r *Runner) Fig4c() (Experiment, error) {
-	exp := Experiment{ID: "fig4c", Title: "QFT: Q-GEAR vs Pennylane baseline on 4 GPUs"}
+	var exp Experiment
 
 	// Measured: the real pennylane target pays real per-gate
 	// transpilation work.

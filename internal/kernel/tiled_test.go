@@ -7,6 +7,7 @@ import (
 
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
+	"qgear/internal/qcrank"
 	"qgear/internal/qmath"
 	"qgear/internal/statevec"
 )
@@ -323,5 +324,57 @@ func TestTiledRelabelLadder(t *testing.T) {
 	}
 	if d := maxAmpDiff(t, naive, tiled); d > 1e-12 {
 		t.Fatalf("ladder tiled diff %g", d)
+	}
+}
+
+// TestTiledQCrankPlanShape checks the same win on a real qcrank.Encode
+// circuit (6 address + 10 data qubits, tile width 10): the data qubits
+// above the tile boundary are relabeled rather than swept, so the plan
+// needs bit-swaps and at most one full sweep per qubit, collapses the
+// ~1300-gate stream into far fewer memory passes, and stays exact.
+func TestTiledQCrankPlanShape(t *testing.T) {
+	const addr, pixels, tileBits = 6, 640, 10
+	cplan, err := qcrank.NewPlan(pixels, addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := qmath.NewRNG(2026)
+	values := make([]float64, pixels)
+	for i := range values {
+		values[i] = 2*rng.Float64() - 1
+	}
+	c, err := qcrank.Encode(values, cplan, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, _, err := FromCircuit(c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := PlanTiled(k, tileBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := plan.Stats
+	if st.BitSwaps == 0 {
+		t.Error("BitSwaps = 0, want the high data qubits relabeled")
+	}
+	if st.Global > k.NumQubits {
+		t.Errorf("Global = %d, want at most %d (one per qubit)", st.Global, k.NumQubits)
+	}
+	if passes := st.Runs + st.Global + st.BitSwaps; passes*3 >= len(k.Instrs) {
+		t.Errorf("%d memory passes for %d instructions — tiling did not collapse the stream", passes, len(k.Instrs))
+	}
+
+	naive := statevec.MustNew(k.NumQubits, 2)
+	if err := Execute(k, naive); err != nil {
+		t.Fatal(err)
+	}
+	tiled := statevec.MustNew(k.NumQubits, 2)
+	if err := plan.Execute(tiled); err != nil {
+		t.Fatal(err)
+	}
+	if d := maxAmpDiff(t, naive, tiled); d > 1e-12 {
+		t.Fatalf("qcrank tiled diff %g", d)
 	}
 }

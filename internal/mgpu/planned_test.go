@@ -7,6 +7,7 @@ import (
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
 	"qgear/internal/kernel"
+	"qgear/internal/qcrank"
 	"qgear/internal/qmath"
 	"qgear/internal/sampling"
 	"qgear/internal/statevec"
@@ -224,6 +225,54 @@ func TestPlannedExchangeBatching(t *testing.T) {
 	}
 	if want := ranks * (2*ladder - 1); planned.AvoidedExchanges != want {
 		t.Errorf("planned avoided exchanges = %d, want %d", planned.AvoidedExchanges, want)
+	}
+}
+
+// TestPlannedQCrankExchanges checks the batching win on a real
+// qcrank.Encode circuit (6 address + 10 data qubits, 4 ranks): the
+// Ry/CX ladders of the data qubits that sit on rank bits compile into
+// exchange segments, so the planned run exchanges strictly less than
+// the per-gate run and gathers bit-identical probabilities.
+func TestPlannedQCrankExchanges(t *testing.T) {
+	const addr, pixels, tileBits, ranks = 6, 640, 10, 4
+	cplan, err := qcrank.NewPlan(pixels, addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := qmath.NewRNG(2026)
+	values := make([]float64, pixels)
+	for i := range values {
+		values[i] = 2*rng.Float64() - 1
+	}
+	c, err := qcrank.Encode(values, cplan, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, _, err := kernel.FromCircuit(c, kernel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := kernel.Plan(k, kernel.PlanConfig{TileBits: tileBits, GlobalBits: log2ranks(ranks)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Stats.ExchangeSegs == 0 {
+		t.Error("ExchangeSegs = 0, want the rank-bit ladders batched")
+	}
+	legacy, err := SimulateKernel(k, ranks, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned, err := SimulateCompiled(k, plan, ranks, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planned.Exchanges >= legacy.Exchanges || planned.AvoidedExchanges == 0 {
+		t.Errorf("planned exchanges %d (avoided %d) vs per-gate %d: batching did not reduce communication",
+			planned.Exchanges, planned.AvoidedExchanges, legacy.Exchanges)
+	}
+	if d := maxDiff(planned.Probabilities, legacy.Probabilities); d != 0 {
+		t.Errorf("qcrank planned vs per-gate diff %g, want exact 0", d)
 	}
 }
 

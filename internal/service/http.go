@@ -414,8 +414,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Shed load with a hint: the queue drains at batch granularity,
-		// so a short fixed horizon beats an exponential guess. Clients
-		// (qgear-bench load, the serve warm-start pusher) honor this.
+		// so a short fixed horizon beats an exponential guess. The
+		// serve warm-start pusher honors this.
 		writeError(w, http.StatusTooManyRequests, CodeQueueFull, err)
 	case errors.Is(err, ErrTooLarge):
 		writeError(w, http.StatusUnprocessableEntity, CodeTooLarge, err)

@@ -1,14 +1,18 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -236,6 +240,151 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestLoadMixedTraffic is the service load gate (`make ci-load`): 50
+// concurrent HTTP clients, each submitting six jobs back to back —
+// every third an expectation job, the simulate seeds cycling so a
+// client repeats itself — against a result cache too small for the
+// working set and a live store, so eviction, spill and store-hit paths
+// all run under real concurrency. Afterwards /metrics must expose every
+// required family, agree with /v1/stats on the job totals, and show
+// that hits, evictions and store hits all moved.
+func TestLoadMixedTraffic(t *testing.T) {
+	const (
+		clients  = 50
+		requests = 6
+		qubits   = 14 // 128 KiB of probabilities per result: ~16 fit the budget
+	)
+	s := newTestServer(t, Config{
+		WorkerPool:    2,
+		QueueSize:     256,
+		MaxCacheBytes: 2 << 20,
+		StoreDir:      t.TempDir(),
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	ham := FromHamiltonian(expTestHamiltonian(qubits))
+	var traced atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// A client-specific phase twist: distinct clients never
+			// share a content address, one client's repeats do.
+			c := circuit.GHZ(qubits, false)
+			c.RZ(1e-6*float64(i+1), 0)
+			wire := FromCircuit(c)
+			for r := 0; r < requests; r++ {
+				req := SubmitRequest{Kind: "simulate", Circuit: wire, Shots: 64, Seed: uint64(r % 4)}
+				if r%3 == 2 {
+					req = SubmitRequest{Kind: "expectation", Circuit: wire, Hamiltonian: ham}
+				}
+				// One result fetch per client: traces flow through the API.
+				hasTrace, err := submitAndAwait(ts.URL, req, r == 0)
+				if err != nil {
+					t.Errorf("client %d request %d: %v", i, r, err)
+					return
+				}
+				if hasTrace {
+					traced.Add(1)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if got := traced.Load(); got != clients {
+		t.Errorf("traced results = %d, want one per client (%d)", got, clients)
+	}
+
+	metrics := fetchText(t, ts.URL+"/metrics")
+	for _, fam := range []string{
+		"qgear_jobs_submitted_total counter",
+		"qgear_jobs_completed_total counter",
+		"qgear_cache_hits_total counter",
+		"qgear_job_duration_seconds histogram",
+		"qgear_stage_duration_seconds histogram",
+		"qgear_queue_depth gauge",
+		"qgear_panics_recovered_total counter",
+		"qgear_jobs_rejected_total counter",
+		"qgear_jobs_cancelled_total counter",
+		"go_goroutines gauge",
+	} {
+		if !strings.Contains(metrics, "# TYPE "+fam) {
+			t.Errorf("/metrics missing family %q", fam)
+		}
+	}
+	// The scrape and /v1/stats are one set of counters viewed two ways:
+	// once every job is terminal the totals must agree exactly.
+	var st Stats
+	if err := json.Unmarshal([]byte(fetchText(t, ts.URL+"/v1/stats")), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Submitted != clients*requests || st.Completed != clients*requests || st.Failed != 0 {
+		t.Errorf("stats submitted/completed/failed = %d/%d/%d, want %d/%d/0",
+			st.Submitted, st.Completed, st.Failed, clients*requests, clients*requests)
+	}
+	for series, want := range map[string]uint64{
+		"qgear_jobs_submitted_total": st.Submitted,
+		"qgear_jobs_completed_total": st.Completed,
+		"qgear_jobs_failed_total":    st.Failed,
+	} {
+		if got, ok := metricValue(metrics, series); !ok || got != float64(want) {
+			t.Errorf("%s = %v (present %v), /v1/stats says %d", series, got, ok, want)
+		}
+	}
+	// Repeats hit; the tight budget evicted; evicted repeats came back
+	// from disk — the spill path demonstrably ran.
+	for _, series := range []string{
+		`qgear_cache_hits_total{cache="result"}`,
+		`qgear_cache_evictions_total{cache="result"}`,
+		`qgear_store_hits_total{kind="result"}`,
+	} {
+		if got, ok := metricValue(metrics, series); !ok || got <= 0 {
+			t.Errorf("%s = %v (present %v), want > 0", series, got, ok)
+		}
+	}
+}
+
+// submitAndAwait pushes one job through the HTTP API to StateDone and,
+// when fetch is set, reports whether its result carries a stage trace.
+// Failures come back as errors so client goroutines can call it.
+func submitAndAwait(base string, req SubmitRequest, fetch bool) (hasTrace bool, err error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return false, err
+	}
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return false, err
+	}
+	var info JobInfo
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		return false, fmt.Errorf("submit: HTTP %d", resp.StatusCode)
+	}
+	if err != nil {
+		return false, err
+	}
+	if err := awaitDone(base, info.ID); err != nil || !fetch {
+		return false, err
+	}
+	resp, err = http.Get(base + "/v1/results/" + info.ID)
+	if err != nil {
+		return false, err
+	}
+	defer resp.Body.Close()
+	var rr ResultResponse
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		return false, err
+	}
+	return rr.Trace != nil && len(rr.Trace.Spans) > 0, nil
+}
+
 func TestHealthz(t *testing.T) {
 	s := newTestServer(t, Config{WorkerPool: 3, QueueSize: 17})
 	ts := httptest.NewServer(s.Handler())
@@ -285,25 +434,33 @@ func fetchText(t *testing.T, url string) string {
 
 func waitDone(t *testing.T, base, id string) {
 	t.Helper()
+	if err := awaitDone(base, id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// awaitDone polls a job to StateDone. It reports failure as an error,
+// not through t, so client goroutines can call it.
+func awaitDone(base, id string) error {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(base + "/v1/jobs/" + id)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		var info JobInfo
 		err = json.NewDecoder(resp.Body).Decode(&info)
 		resp.Body.Close()
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		switch info.State {
 		case StateDone:
-			return
+			return nil
 		case StateFailed:
-			t.Fatalf("job %s failed: %s", id, info.Error)
+			return fmt.Errorf("job %s failed: %s", id, info.Error)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("job %s did not finish", id)
+	return fmt.Errorf("job %s did not finish", id)
 }
