@@ -9,7 +9,7 @@ WARMSTART_DIR ?= /tmp/qgear-warmstart
 COVER_OUT ?= /tmp/qgear-observable-cover.out
 OBSERVABLE_COVER_FLOOR ?= 85
 
-.PHONY: build vet fmt-check test test-fresh check cover-observable serve \
+.PHONY: build vet fmt-check loc test test-fresh check cover-observable serve \
 	bench-compare ci-wired ci-load ci-warmstart ci-chaos \
 	ci-scaling ci-sweep ci-store ci-oneproc ci-fuzz clean
 
@@ -38,6 +38,12 @@ vet:
 fmt-check:
 	@files="$$(gofmt -l .)"; if [ -n "$$files" ]; then \
 		echo "gofmt needed on:"; echo "$$files"; exit 1; fi
+
+# ROADMAP aim 2's metric: Go lines outside benchmark/ (which is its own
+# module and its own budget), non-test and test.
+loc:
+	@count() { find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*' "$$@" -print0 | xargs -0 cat | wc -l; }; \
+	printf 'non-test Go LoC: %d\ntest Go LoC:     %d\n' "$$(count -not -name '*_test.go')" "$$(count -name '*_test.go')"
 
 test: vet
 	$(GO) test -race ./...
@@ -132,11 +138,26 @@ ci-oneproc: build
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
 	GOMAXPROCS=1 GOMEMLIMIT=512MiB $(GO) test -count=1 ./...
 
-# Fixed-budget native fuzzing of the grouped Pauli evaluator against
-# the per-index reference loop (seed corpus first, then 20 s of
-# mutation; a failing input lands in testdata/fuzz and fails the gate).
+# Fixed-budget native fuzzing (seed corpus first, then mutation; a
+# failing input lands in testdata/fuzz and fails the gate): the grouped
+# Pauli evaluator against the per-index reference loop, then the
+# artifact envelope and every payload decoder behind it — never a
+# panic, allocation bounded by the input's length, and whatever a
+# decoder accepts re-encodes to the bytes it was decoded from. go test
+# fuzzes one target of one package per run, hence one leg each;
+# minimization is capped because its default budget (60 s per new
+# input) would eat a 10 s leg whole.
+FUZZ_DECODER = -fuzztime 10s -fuzzminimizetime 100x
 ci-fuzz: build
 	$(call run-selected,FuzzExpPauliGroup,./internal/statevec/,-fuzz FuzzExpPauliGroup -fuzztime 20s)
+	$(call run-selected,FuzzOpen,./internal/artifact/,-fuzz FuzzOpen $(FUZZ_DECODER))
+	$(call run-selected,FuzzDecodeKernel,./internal/kernel/,-fuzz FuzzDecodeKernel $(FUZZ_DECODER))
+	$(call run-selected,FuzzDecodePlan,./internal/kernel/,-fuzz FuzzDecodePlan $(FUZZ_DECODER))
+	$(call run-selected,FuzzDecodeCompiled,./internal/backend/,-fuzz FuzzDecodeCompiled $(FUZZ_DECODER))
+	$(call run-selected,FuzzUnmarshal,./internal/qpy/,-fuzz FuzzUnmarshal $(FUZZ_DECODER))
+	$(call run-selected,FuzzUnmarshal,./internal/tensorenc/,-fuzz FuzzUnmarshal $(FUZZ_DECODER))
+	$(call run-selected,FuzzDecodeResult,./internal/store/,-fuzz FuzzDecodeResult $(FUZZ_DECODER))
+	$(call run-selected,FuzzDecodePlan,./internal/store/,-fuzz FuzzDecodePlan $(FUZZ_DECODER))
 
 # Chaos acceptance: the seeded fault-injection suite, race-enabled.
 # Injected disk faults, short writes, execution panics, and tight

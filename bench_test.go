@@ -14,8 +14,6 @@ import (
 	"qgear/internal/circuit"
 	"qgear/internal/cluster"
 	"qgear/internal/gate"
-	"qgear/internal/kernel"
-	"qgear/internal/mgpu"
 	"qgear/internal/qcrank"
 	"qgear/internal/qft"
 	"qgear/internal/qimage"
@@ -206,7 +204,7 @@ func BenchmarkAppendixCSaveCompressed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := enc.SaveFile(fmt.Sprintf("%s/e%d.h5", dir, i%4), "c"); err != nil {
+		if err := enc.SaveFile(fmt.Sprintf("%s/e%d.qgt", dir, i%4)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -352,38 +350,6 @@ func BenchmarkAblationDiagonal(b *testing.B) {
 			s.ApplyMat2(i%n, (i+1)%n, m)
 		}
 	})
-}
-
-// Placement: a hot-high-qubit workload distributed with and without
-// the exchange-minimizing qubit remap.
-func BenchmarkAblationPlacement(b *testing.B) {
-	c := circuit.New(8, 0)
-	r := qmath.NewRNG(3)
-	for i := 0; i < 150; i++ {
-		c.CX(r.Intn(2), 6+r.Intn(2)).RY(r.Angle(), 6+r.Intn(2))
-	}
-	k, _, err := kernelFromCircuit(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mgpu.SimulateKernel(k, 4, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("placed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := mgpu.SimulateKernelPlaced(k, 4, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func kernelFromCircuit(c *circuit.Circuit) (*kernel.Kernel, kernel.Stats, error) {
-	return kernel.FromCircuit(c, kernel.Options{})
 }
 
 // Sampler choice: alias vs cumulative at QCrank-like shot counts.

@@ -1,5 +1,5 @@
 // Command qgear is the CLI front end of the Q-GEAR pipeline: generate
-// workload circuits, save/load them as QPY or HDF5 tensors, transform
+// workload circuits, save/load them as QPY lists or tensor files, transform
 // them into kernels, and execute them on any target — the same flow as
 // the paper's run.py driver (§E.3).
 //
@@ -76,10 +76,11 @@ commands:
   info       describe a saved circuit file`)
 }
 
-// loadAny reads circuits from .qpy, .h5 or .qasm by extension.
+// loadAny reads circuits from .qpy, .qgt (tensor file) or .qasm by
+// extension.
 func loadAny(path string) ([]*circuit.Circuit, error) {
 	switch {
-	case strings.HasSuffix(path, ".h5"):
+	case strings.HasSuffix(path, ".qgt"):
 		return core.LoadTensors(path)
 	case strings.HasSuffix(path, ".qasm"):
 		src, err := os.ReadFile(path)
@@ -98,11 +99,11 @@ func loadAny(path string) ([]*circuit.Circuit, error) {
 
 func saveAny(path string, cs []*circuit.Circuit) error {
 	switch {
-	case strings.HasSuffix(path, ".h5"):
+	case strings.HasSuffix(path, ".qgt"):
 		return core.SaveTensors(path, cs, 0)
 	case strings.HasSuffix(path, ".qasm"):
 		if len(cs) != 1 {
-			return fmt.Errorf("qasm files hold one circuit; have %d (use .qpy or .h5)", len(cs))
+			return fmt.Errorf("qasm files hold one circuit; have %d (use .qpy or .qgt)", len(cs))
 		}
 		src, err := qasm.Export(cs[0])
 		if err != nil {
@@ -123,7 +124,7 @@ func cmdGenerate(args []string) error {
 	seed := fs.Uint64("seed", 42, "generator seed")
 	reverse := fs.Bool("reverse", false, "QFT bit-order reversal swaps")
 	measure := fs.Bool("measure", false, "append measure_all")
-	out := fs.String("out", "circuits.qpy", "output path (.qpy or .h5)")
+	out := fs.String("out", "circuits.qpy", "output path (.qpy or .qgt)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -160,7 +161,7 @@ func cmdGenerate(args []string) error {
 
 func cmdTransform(args []string) error {
 	fs := flag.NewFlagSet("transform", flag.ExitOnError)
-	in := fs.String("in", "", "input circuits (.qpy or .h5)")
+	in := fs.String("in", "", "input circuits (.qpy or .qgt)")
 	fusion := fs.Int("fusion", 0, "gate fusion window (paper default for QFT: 5)")
 	prune := fs.Float64("prune", 0, "prune rotations below this angle")
 	verbose := fs.Bool("v", false, "print kernel listings")
@@ -191,7 +192,7 @@ func cmdTransform(args []string) error {
 
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	in := fs.String("in", "", "input circuits (.qpy or .h5)")
+	in := fs.String("in", "", "input circuits (.qpy or .qgt)")
 	target := fs.String("target", "nvidia", "execution target: aer | nvidia | nvidia-mgpu | nvidia-mqpu | pennylane")
 	devices := fs.Int("devices", 1, "simulated devices for mgpu/mqpu")
 	shots := fs.Int("shots", 0, "measurement shots (0 = probabilities only)")
@@ -321,7 +322,7 @@ func runWithStore(cs []*circuit.Circuit, opts core.Options, storeDir string) ([]
 // content address — the same artifacts qgear-serve warm-starts from.
 func cmdExpect(args []string) error {
 	fs := flag.NewFlagSet("expect", flag.ExitOnError)
-	in := fs.String("in", "", "input circuits (.qpy, .h5 or .qasm)")
+	in := fs.String("in", "", "input circuits (.qpy, .qgt or .qasm)")
 	target := fs.String("target", "nvidia", "execution target: aer | nvidia | nvidia-mgpu | nvidia-mqpu | pennylane")
 	devices := fs.Int("devices", 1, "simulated devices for mgpu (memory pooling) / mqpu (term-parallel evaluation)")
 	fusion := fs.Int("fusion", 0, "gate fusion window")
@@ -394,7 +395,7 @@ func cmdExpect(args []string) error {
 // circuit's stored parameter values instead.
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	in := fs.String("in", "", "input circuit (.qpy, .h5 or .qasm; first circuit is swept)")
+	in := fs.String("in", "", "input circuit (.qpy, .qgt or .qasm; first circuit is swept)")
 	target := fs.String("target", "nvidia", "execution target: aer | nvidia | nvidia-mgpu | nvidia-mqpu | pennylane")
 	devices := fs.Int("devices", 1, "simulated devices for mgpu / mqpu (mqpu fans sweep points across devices)")
 	tile := fs.Int("tile", 0, "tiled-executor tile width in qubits (0 = auto, negative = per-gate sweeps)")
@@ -597,7 +598,7 @@ func expectWithStore(c *circuit.Circuit, h *observable.Hamiltonian, opts core.Op
 
 func cmdInfo(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	in := fs.String("in", "", "input circuits (.qpy or .h5)")
+	in := fs.String("in", "", "input circuits (.qpy or .qgt)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -1,0 +1,76 @@
+package backend_test
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"qgear/internal/artifact/artifacttest"
+	. "qgear/internal/backend"
+	"qgear/internal/gate"
+	"qgear/internal/kernel"
+	"qgear/internal/statevec"
+)
+
+func encodeCompiled(tb testing.TB, c *Compiled) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := c.Encode(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzDecodeCompiled starts from what Compile really produces for one
+// small circuit of each workload family, planned and per-gate.
+func FuzzDecodeCompiled(f *testing.F) {
+	var like []byte
+	for i, c := range artifacttest.SeedCircuits(f) {
+		comp, err := Compile(c, Config{Target: TargetNvidia, TileBits: 3 - 4*(i%2)}) // the second one per-gate
+		if err != nil {
+			f.Fatal(err)
+		}
+		like = encodeCompiled(f, comp)
+		f.Add(artifacttest.Payload(f, like))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		artifacttest.FuzzDecoder(t, like, payload, func(sealed []byte) (func() ([]byte, error), error) {
+			comp, err := DecodeCompiled(bytes.NewReader(sealed))
+			return func() ([]byte, error) {
+				var buf bytes.Buffer
+				err := comp.Encode(&buf)
+				return buf.Bytes(), err
+			}, err
+		})
+	})
+}
+
+// goldenCompiled is written out by hand so the committed bytes move
+// only when a layout does (the kernel's, the plan's or this one's).
+func goldenCompiled() *Compiled {
+	return &Compiled{
+		Kernel: &kernel.Kernel{Name: "golden", NumQubits: 2, NumClbits: 1, Instrs: []kernel.Instr{
+			{Kind: kernel.KGate, Gate: gate.H, Qubits: []int{0}},
+			{Kind: kernel.KMeasure, Qubits: []int{1}, Clbit: 0},
+		}},
+		Plan: &kernel.TilePlan{
+			TileBits: 1, NumQubits: 2,
+			Segments: []kernel.Segment{{Kind: kernel.SegRun, Ops: []statevec.TileOp{
+				{Kind: statevec.TileMat1, M: [4]complex128{0.5, 0.5, 0.5, -0.5}},
+			}}},
+			Stats: kernel.PlanStats{TileLocal: 1, Runs: 1},
+		},
+		TransformStats: kernel.Stats{SourceOps: 2, EmittedOps: 2, Measurements: 1},
+		TileBits:       1,
+	}
+}
+
+// TestGoldenCompiled pins the compiled-circuit layout to committed
+// bytes, both ways.
+func TestGoldenCompiled(t *testing.T) {
+	want := artifacttest.Golden(t, "testdata/compiled.golden", encodeCompiled(t, goldenCompiled()))
+	comp, err := DecodeCompiled(bytes.NewReader(want))
+	if err != nil || !reflect.DeepEqual(comp, goldenCompiled()) {
+		t.Fatalf("golden compiled circuit decodes to %+v (err %v)", comp, err)
+	}
+}

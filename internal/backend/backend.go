@@ -352,19 +352,6 @@ func Run(c *circuit.Circuit, cfg Config) (*Result, error) {
 	return RunCompiled(comp, cfg)
 }
 
-// RunKernel executes an already-transformed kernel, planning it on the
-// fly.
-func RunKernel(k *kernel.Kernel, cfg Config) (*Result, error) {
-	if !cfg.Target.Valid() {
-		return nil, fmt.Errorf("backend: unknown target %q", cfg.Target)
-	}
-	comp, err := compileKernel(k, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return RunCompiled(comp, cfg)
-}
-
 // RunCompiled executes a compiled circuit. Every engine consumes the
 // same plan: the single-process statevec executor runs it directly,
 // the distributed engine runs it against each rank shard, and a nil
@@ -444,7 +431,7 @@ func addDistSpans(tr *telemetry.Trace, wall, exchange time.Duration) {
 }
 
 // SampleShots draws measurement shots from an already-computed
-// probability vector exactly as RunKernel would for cfg — including
+// probability vector exactly as RunCompiled would for cfg — including
 // the mqpu split-across-devices path — so schedulers that defer
 // sampling (the service layer) still match a standalone Run bit for
 // bit.

@@ -1,146 +1,74 @@
 package backend
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"unsafe"
 
+	"qgear/internal/artifact"
 	"qgear/internal/kernel"
 )
 
-// Compiled artifacts round-trip through a versioned, CRC-protected
-// container so the persistence layer can keep execution IR across
-// process restarts: a warm-started server decodes the plan it compiled
-// last run instead of re-transforming and re-planning the circuit.
-// The payload is the exact kernel + TilePlan encoding from
-// internal/kernel, so a decoded Compiled executes amplitude-
-// identically to the original.
+// Compiled artifacts persist so a warm-started server decodes the plan
+// it compiled last run instead of re-transforming and re-planning the
+// circuit. The payload is the exact kernel + TilePlan encoding from
+// internal/kernel, so a decoded Compiled executes amplitude-identically
+// to the original.
 
-var compiledMagic = []byte("QGCMP1\n")
+// compiledVersion tags the Compiled payload layout (3: the shared
+// artifact envelope; 2 added binding sites to the plan encoding).
+const compiledVersion uint16 = 3
 
-// compiledVersion tags the Compiled container layout. Version 2 added
-// binding sites to the plan encoding (compile-once parameter sweeps);
-// version-1 artifacts are rejected on load and recompiled fresh.
-const compiledVersion uint16 = 2
-
-// maxCompiledBytes bounds one encoded Compiled (a plan is a few MB at
-// the sizes this repo serves; 1 GiB is a corruption guard, not a real
-// ceiling).
-const maxCompiledBytes = 1 << 30
-
-// Encode writes the compiled circuit to w: magic, version, payload
-// length, payload (kernel, optional plan, stats, tile width), CRC-32
-// of the payload.
+// Encode writes the compiled circuit to w as one sealed artifact.
 func (c *Compiled) Encode(w io.Writer) error {
-	var payload bytes.Buffer
-	if err := kernel.EncodeKernel(&payload, c.Kernel); err != nil {
-		return fmt.Errorf("backend: encoding kernel: %w", err)
-	}
-	if c.Plan != nil {
-		payload.WriteByte(1)
-		if err := kernel.EncodePlan(&payload, c.Plan); err != nil {
-			return fmt.Errorf("backend: encoding plan: %w", err)
-		}
-	} else {
-		payload.WriteByte(0)
-	}
-	var stats [8]byte
-	for _, v := range [...]int{
-		c.TransformStats.SourceOps, c.TransformStats.EmittedOps,
-		c.TransformStats.FusedGroups, c.TransformStats.FusedGates,
-		c.TransformStats.PrunedGates, c.TransformStats.Measurements,
-		c.TileBits,
-	} {
-		binary.LittleEndian.PutUint64(stats[:], uint64(int64(v)))
-		payload.Write(stats[:])
-	}
-
-	if _, err := w.Write(compiledMagic); err != nil {
-		return fmt.Errorf("backend: %w", err)
-	}
-	var hdr [10]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], compiledVersion)
-	binary.LittleEndian.PutUint32(hdr[2:6], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[6:10], crc32.ChecksumIEEE(payload.Bytes()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("backend: %w", err)
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
+	aw := artifact.NewWriter(int(c.SizeBytes()))
+	WriteCompiled(aw, c)
+	if err := aw.SealTo(w, artifact.KindCompiled, compiledVersion, false); err != nil {
 		return fmt.Errorf("backend: %w", err)
 	}
 	return nil
 }
 
-// DecodeCompiled reads a compiled circuit written by Encode, verifying
-// magic, version and payload checksum before parsing a single field —
-// a truncated or bit-flipped file is rejected, never half-decoded.
+// DecodeCompiled reads a compiled circuit written by Encode. The
+// checksum is verified before a single field is parsed — a truncated or
+// bit-flipped file is rejected, never half-decoded.
 func DecodeCompiled(r io.Reader) (*Compiled, error) {
-	got := make([]byte, len(compiledMagic))
-	if _, err := io.ReadFull(r, got); err != nil {
-		return nil, fmt.Errorf("backend: reading compiled magic: %w", err)
-	}
-	if !bytes.Equal(got, compiledMagic) {
-		return nil, fmt.Errorf("backend: bad compiled-artifact magic %q", got)
-	}
-	var hdr [10]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("backend: reading compiled header: %w", err)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[0:2]); v != compiledVersion {
-		return nil, fmt.Errorf("backend: unsupported compiled-artifact version %d", v)
-	}
-	n := binary.LittleEndian.Uint32(hdr[2:6])
-	if n > maxCompiledBytes {
-		return nil, fmt.Errorf("backend: implausible compiled payload of %d bytes", n)
-	}
-	want := binary.LittleEndian.Uint32(hdr[6:10])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("backend: reading compiled payload: %w", err)
-	}
-	if sum := crc32.ChecksumIEEE(payload); sum != want {
-		return nil, fmt.Errorf("backend: compiled payload checksum mismatch (file %08x, payload %08x)", want, sum)
-	}
-
-	pr := bytes.NewReader(payload)
-	k, err := kernel.DecodeKernel(pr)
+	ar, err := artifact.Read(r, artifact.KindCompiled, compiledVersion)
 	if err != nil {
-		return nil, err
-	}
-	comp := &Compiled{Kernel: k}
-	var hasPlan [1]byte
-	if _, err := io.ReadFull(pr, hasPlan[:]); err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
-	if hasPlan[0] != 0 {
-		plan, err := kernel.DecodePlan(pr)
-		if err != nil {
-			return nil, err
-		}
-		if plan.NumQubits != k.NumQubits {
-			return nil, fmt.Errorf("backend: compiled plan spans %d qubits, kernel %d", plan.NumQubits, k.NumQubits)
-		}
-		comp.Plan = plan
-	}
-	var buf [8]byte
-	for _, dst := range [...]*int{
-		&comp.TransformStats.SourceOps, &comp.TransformStats.EmittedOps,
-		&comp.TransformStats.FusedGroups, &comp.TransformStats.FusedGates,
-		&comp.TransformStats.PrunedGates, &comp.TransformStats.Measurements,
-		&comp.TileBits,
-	} {
-		if _, err := io.ReadFull(pr, buf[:]); err != nil {
-			return nil, fmt.Errorf("backend: %w", err)
-		}
-		*dst = int(int64(binary.LittleEndian.Uint64(buf[:])))
-	}
-	if pr.Len() != 0 {
-		return nil, fmt.Errorf("backend: %d trailing bytes after compiled payload", pr.Len())
+	comp := ReadCompiled(ar)
+	if err := ar.Close(); err != nil {
+		return nil, fmt.Errorf("backend: %w", err)
 	}
 	return comp, nil
+}
+
+// WriteCompiled appends c's payload encoding — kernel, optional plan,
+// transform stats, tile width — for artifacts that embed it under their
+// own checksum (the store's plan files).
+func WriteCompiled(w *artifact.Writer, c *Compiled) {
+	kernel.WriteKernel(w, c.Kernel)
+	w.Bool(c.Plan != nil)
+	if c.Plan != nil {
+		kernel.WritePlan(w, c.Plan)
+	}
+	kernel.WriteStats(w, c.TransformStats)
+	w.Int(c.TileBits)
+}
+
+// ReadCompiled reads a WriteCompiled payload; a failure is left on r.
+func ReadCompiled(r *artifact.Reader) *Compiled {
+	comp := &Compiled{Kernel: kernel.ReadKernel(r)}
+	if r.Bool() {
+		comp.Plan = kernel.ReadPlan(r)
+		if r.Err() == nil && comp.Plan.NumQubits != comp.Kernel.NumQubits {
+			r.Failf("compiled plan spans %d qubits, kernel %d", comp.Plan.NumQubits, comp.Kernel.NumQubits)
+		}
+	}
+	comp.TransformStats = kernel.ReadStats(r)
+	comp.TileBits = r.Int()
+	return comp
 }
 
 // SizeBytes returns the compiled circuit's resident memory footprint

@@ -172,7 +172,7 @@ var experiments = []struct {
 	{"fig6", "QCrank image reconstruction quality (shot-limited)", "Fig. 6", (*Runner).Fig6},
 	{"table1", "experiment configurations (paper Table 1)", "Table 1", (*Runner).Table1},
 	{"table2", "QCrank circuit configurations (paper Table 2)", "Table 2", (*Runner).Table2},
-	{"appC", "HDF5 constant-time encoding and compression (Appendix C)", "Appendix C", (*Runner).AppendixC},
+	{"appC", "Constant-time tensor encoding and compression (Appendix C)", "Appendix C", (*Runner).AppendixC},
 	{"thmB3", "Theorem B.3: serial 2^n scaling vs parallel speedup", "Theorem B.3", (*Runner).TheoremB3},
 	{"mqpu", "multi-QPU circuit parallelism (the paper's nvidia-mqpu note)", "§3 (nvidia-mqpu)", (*Runner).Mqpu},
 }

@@ -1,10 +1,8 @@
 // Package core wires the Q-GEAR pipeline together — the paper's
 // primary contribution (Fig. 2c): Qiskit-style circuits are saved as
-// QPY, read back, tensor-encoded into HDF5, transformed gate-by-gate
-// into CUDA-Q-style kernels, and executed on the selected target
-// ("aer", "nvidia", "nvidia-mgpu", "nvidia-mqpu", "pennylane"), either
-// in the large-circuit mode (one circuit spread over pooled devices)
-// or the parallel mode (many circuits across devices as QPUs).
+// QPY, read back, tensor-encoded into a tensor file, transformed
+// gate-by-gate into CUDA-Q-style kernels, and executed on the selected
+// target ("aer", "nvidia", "nvidia-mgpu", "nvidia-mqpu", "pennylane").
 package core
 
 import (
@@ -132,11 +130,8 @@ func LoadQPY(path string) ([]*circuit.Circuit, error) {
 	return qpy.LoadFile(path)
 }
 
-// TensorGroup is the HDF5 group the tensor encoding lives under.
-const TensorGroup = "qgear/circuits"
-
-// SaveTensors tensor-encodes circuits (§2.1) and writes the HDF5-lite
-// file with flate compression; capacity <= 0 auto-sizes per Lemma B.2.
+// SaveTensors tensor-encodes circuits (§2.1) and writes the deflated
+// tensor file; capacity <= 0 auto-sizes per Lemma B.2.
 // Circuits are transpiled to the native basis first when they contain
 // gates outside the encodable set.
 func SaveTensors(path string, circuits []*circuit.Circuit, capacity int) error {
@@ -154,65 +149,14 @@ func SaveTensors(path string, circuits []*circuit.Circuit, capacity int) error {
 	if err != nil {
 		return err
 	}
-	return enc.SaveFile(path, TensorGroup)
+	return enc.SaveFile(path)
 }
 
-// LoadTensors reads a tensor-encoded circuit list back from HDF5.
+// LoadTensors reads a tensor-encoded circuit list back.
 func LoadTensors(path string) ([]*circuit.Circuit, error) {
-	enc, err := tensorenc.LoadFile(path, TensorGroup)
+	enc, err := tensorenc.LoadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	return enc.Decode()
-}
-
-// RunQPYFile is the separate-program flow of §3: read a QPY circuit
-// list produced elsewhere, transform, execute.
-func RunQPYFile(path string, opts Options) ([]*backend.Result, error) {
-	circuits, err := LoadQPY(path)
-	if err != nil {
-		return nil, err
-	}
-	return backend.RunBatch(circuits, opts)
-}
-
-// RunTensorFile is the same flow for the HDF5 tensor interchange
-// format.
-func RunTensorFile(path string, opts Options) ([]*backend.Result, error) {
-	circuits, err := LoadTensors(path)
-	if err != nil {
-		return nil, err
-	}
-	return backend.RunBatch(circuits, opts)
-}
-
-// WorkflowMode selects between the Fig. 2c execution modes.
-type WorkflowMode int
-
-// Workflow modes.
-const (
-	// ModeLargeCircuit pools device memory for one big circuit
-	// (nvidia-mgpu).
-	ModeLargeCircuit WorkflowMode = iota
-	// ModeParallelCircuits fans independent circuits out across
-	// devices used as QPUs (nvidia-mqpu).
-	ModeParallelCircuits
-)
-
-// RunWorkflow dispatches a circuit batch according to the workflow
-// mode, defaulting the target appropriately.
-func RunWorkflow(circuits []*circuit.Circuit, mode WorkflowMode, opts Options) ([]*backend.Result, error) {
-	switch mode {
-	case ModeLargeCircuit:
-		if opts.Target == "" {
-			opts.Target = backend.TargetNvidiaMGPU
-		}
-	case ModeParallelCircuits:
-		if opts.Target == "" {
-			opts.Target = backend.TargetNvidiaMQPU
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown workflow mode %d", mode)
-	}
-	return backend.RunBatch(circuits, opts)
 }

@@ -47,7 +47,11 @@ func TestEndToEndQPYFlow(t *testing.T) {
 	if err := SaveQPY(path, circs); err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunQPYFile(path, Options{Target: backend.TargetNvidia, FusionWindow: 4})
+	loaded, err := LoadQPY(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := backend.RunBatch(loaded, Options{Target: backend.TargetNvidia, FusionWindow: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +70,7 @@ func TestEndToEndQPYFlow(t *testing.T) {
 
 func TestEndToEndTensorFlow(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "circuits.h5")
+	path := filepath.Join(dir, "circuits.qgt")
 	q, err := qft.Circuit(5, true)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +79,11 @@ func TestEndToEndTensorFlow(t *testing.T) {
 	if err := SaveTensors(path, []*circuit.Circuit{q, ghz}, 0); err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunTensorFile(path, Options{Target: backend.TargetNvidia})
+	circuits, err := LoadTensors(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := backend.RunBatch(circuits, Options{Target: backend.TargetNvidia})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +107,7 @@ func TestSaveTensorsTranspilesWideGates(t *testing.T) {
 	// u3 circuits can't tensor-encode directly; SaveTensors must
 	// transpile them rather than fail.
 	c := circuit.New(2, 0).U3(0.3, 0.4, 0.5, 0).CX(0, 1)
-	path := filepath.Join(t.TempDir(), "u3.h5")
+	path := filepath.Join(t.TempDir(), "u3.qgt")
 	if err := SaveTensors(path, []*circuit.Circuit{c}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -122,47 +130,12 @@ func TestSaveTensorsTranspilesWideGates(t *testing.T) {
 	}
 }
 
-func TestWorkflowModes(t *testing.T) {
-	// Large-circuit mode on a GHZ spread over 4 devices.
-	big := circuit.GHZ(6, false)
-	res, err := RunWorkflow([]*circuit.Circuit{big}, ModeLargeCircuit, Options{Devices: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Target != backend.TargetNvidiaMGPU || res[0].Exchanges == 0 {
-		t.Fatalf("large-circuit mode did not use mgpu: %+v", res[0].Target)
-	}
-	// Parallel mode on a batch.
-	batch, err := randcirc.GenerateList(4, 10, 6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := RunWorkflow(batch, ModeParallelCircuits, Options{Devices: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2) != 6 || res2[0].Target != backend.TargetNvidiaMQPU {
-		t.Fatal("parallel mode wrong")
-	}
-	// Explicit target wins over the mode default.
-	res3, err := RunWorkflow(batch[:1], ModeParallelCircuits, Options{Target: backend.TargetAer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3[0].Target != backend.TargetAer {
-		t.Fatal("explicit target overridden")
-	}
-	if _, err := RunWorkflow(batch, WorkflowMode(9), Options{}); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-}
-
 func TestErrorPropagation(t *testing.T) {
-	if _, err := RunQPYFile("/nonexistent.qpy", Options{Target: backend.TargetAer}); err == nil {
+	if _, err := LoadQPY("/nonexistent.qpy"); err == nil {
 		t.Fatal("missing qpy accepted")
 	}
-	if _, err := RunTensorFile("/nonexistent.h5", Options{Target: backend.TargetAer}); err == nil {
-		t.Fatal("missing h5 accepted")
+	if _, err := LoadTensors("/nonexistent.qgt"); err == nil {
+		t.Fatal("missing tensor file accepted")
 	}
 	bad := &circuit.Circuit{NumQubits: 1, Ops: []circuit.Op{{Gate: 200, Qubits: []int{0}}}}
 	if _, _, err := Transform([]*circuit.Circuit{bad}, Options{}); err == nil {

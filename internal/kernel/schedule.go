@@ -717,13 +717,6 @@ func (p *TilePlan) ExecuteCancel(s *statevec.State, flag *cancel.Flag) error {
 // state for lazy materialization. States no larger than one tile are
 // already cache-resident and run the plain per-gate executor.
 func ExecuteTiled(k *Kernel, s *statevec.State, tileBits int) error {
-	return ExecuteTiledCancel(k, s, tileBits, nil)
-}
-
-// ExecuteTiledCancel is ExecuteTiled with a cooperative cancellation
-// flag (polled per segment on the planned path, every few instructions
-// on the per-gate fallback). A nil flag never trips.
-func ExecuteTiledCancel(k *Kernel, s *statevec.State, tileBits int, flag *cancel.Flag) error {
 	if tileBits <= 0 {
 		tileBits = AutoTileBits()
 	}
@@ -731,11 +724,11 @@ func ExecuteTiledCancel(k *Kernel, s *statevec.State, tileBits int, flag *cancel
 		return fmt.Errorf("kernel: state has %d qubits, kernel %q wants %d", s.NumQubits(), k.Name, k.NumQubits)
 	}
 	if k.NumQubits <= tileBits {
-		return ExecuteCancel(k, s, flag)
+		return Execute(k, s)
 	}
 	plan, err := PlanTiled(k, tileBits)
 	if err != nil {
 		return err
 	}
-	return plan.ExecuteCancel(s, flag)
+	return plan.Execute(s)
 }

@@ -1,461 +1,350 @@
 package kernel
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
-	"math"
 	"unsafe"
 
+	"qgear/internal/artifact"
 	"qgear/internal/gate"
 	"qgear/internal/statevec"
 )
 
 // Binary serialization for the execution IR: kernels and compiled
-// TilePlans round-trip through a compact little-endian encoding so the
-// persistence layer can keep compiled artifacts across process
-// restarts (the backend wraps these raw streams in a versioned,
-// CRC-protected container). Encodings are exact — float64 parameters
-// and complex matrix entries are written bit-for-bit — so a decoded
-// plan executes amplitude-identically to the one that was saved.
+// TilePlans are artifact payloads (internal/artifact). EncodeKernel and
+// EncodePlan seal one value per artifact; WriteKernel/ReadKernel and
+// WritePlan/ReadPlan are the payload halves, for the artifacts that
+// embed them (a backend.Compiled, a store plan file) under their own
+// single checksum. Encodings are exact — float64 parameters and complex
+// matrix entries are written bit-for-bit — so a decoded plan executes
+// amplitude-identically to the one that was saved.
 
-// Serialization limits: decode rejects implausible counts up front so
-// a corrupt length field cannot demand a giant allocation.
+// serialVersion tags the kernel and plan payload layouts.
+const serialVersion uint16 = 1
+
+// Smallest encodings of one element, the divisors of Reader.Count.
 const (
-	maxSerialInstrs = 1 << 26
-	maxSerialOps    = 1 << 26
-	maxSerialQubits = 1 << 20
-	maxSerialName   = 1 << 16
+	minInstrBytes   = 1 + 1 + 4 + 4 + 4 + 8
+	minSegmentBytes = 1 + 4
+	minTileOpBytes  = 1 + 4 + 4 + 1 + 8 + 8 + 7*16 + 4 + 4
+	exchOpBytes     = 4*16 + 8 + 8
+	bindSiteBytes   = 1 + 4 + 4 + 1 + 4 + 4
 )
 
-// wire wraps a writer with sticky-error little-endian primitives.
-type wire struct {
-	w   io.Writer
-	err error
-	buf [8]byte
-}
-
-func (e *wire) u8(v uint8) {
-	if e.err != nil {
-		return
-	}
-	e.buf[0] = v
-	_, e.err = e.w.Write(e.buf[:1])
-}
-
-func (e *wire) u32(v uint32) {
-	if e.err != nil {
-		return
-	}
-	binary.LittleEndian.PutUint32(e.buf[:4], v)
-	_, e.err = e.w.Write(e.buf[:4])
-}
-
-func (e *wire) u64(v uint64) {
-	if e.err != nil {
-		return
-	}
-	binary.LittleEndian.PutUint64(e.buf[:8], v)
-	_, e.err = e.w.Write(e.buf[:8])
-}
-
-func (e *wire) i64(v int64)       { e.u64(uint64(v)) }
-func (e *wire) f64(v float64)     { e.u64(math.Float64bits(v)) }
-func (e *wire) c128(v complex128) { e.f64(real(v)); e.f64(imag(v)) }
-func (e *wire) str(s string) {
-	if e.err == nil && len(s) > maxSerialName {
-		e.err = fmt.Errorf("kernel: string of %d bytes exceeds serialization limit", len(s))
-		return
-	}
-	e.u32(uint32(len(s)))
-	if e.err != nil {
-		return
-	}
-	_, e.err = io.WriteString(e.w, s)
-}
-
-// unwire wraps a reader with sticky-error little-endian primitives.
-type unwire struct {
-	r   io.Reader
-	err error
-	buf [8]byte
-}
-
-func (d *unwire) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	_, d.err = io.ReadFull(d.r, d.buf[:1])
-	return d.buf[0]
-}
-
-func (d *unwire) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	_, d.err = io.ReadFull(d.r, d.buf[:4])
-	return binary.LittleEndian.Uint32(d.buf[:4])
-}
-
-func (d *unwire) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	_, d.err = io.ReadFull(d.r, d.buf[:8])
-	return binary.LittleEndian.Uint64(d.buf[:8])
-}
-
-func (d *unwire) i64() int64       { return int64(d.u64()) }
-func (d *unwire) f64() float64     { return math.Float64frombits(d.u64()) }
-func (d *unwire) c128() complex128 { re := d.f64(); return complex(re, d.f64()) }
-func (d *unwire) str() string {
-	n := d.u32()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxSerialName {
-		d.err = fmt.Errorf("kernel: implausible string length %d", n)
-		return ""
-	}
-	buf := make([]byte, n)
-	_, d.err = io.ReadFull(d.r, buf)
-	return string(buf)
-}
-
-// count reads a length field bounded by limit.
-func (d *unwire) count(limit int, what string) int {
-	n := d.u32()
-	if d.err == nil && int(n) > limit {
-		d.err = fmt.Errorf("kernel: implausible %s count %d", what, n)
-	}
-	return int(n)
-}
-
-// EncodeKernel writes k's exact binary encoding to w.
+// EncodeKernel writes k to w as one sealed artifact.
 func EncodeKernel(w io.Writer, k *Kernel) error {
-	e := &wire{w: w}
-	e.str(k.Name)
-	e.u32(uint32(k.NumQubits))
-	e.u32(uint32(k.NumClbits))
-	e.u32(uint32(len(k.Instrs)))
-	for _, in := range k.Instrs {
-		e.u8(uint8(in.Kind))
-		e.u8(uint8(in.Gate))
-		e.u32(uint32(len(in.Qubits)))
-		for _, q := range in.Qubits {
-			e.u32(uint32(q))
-		}
-		e.u32(uint32(len(in.Params)))
-		for _, p := range in.Params {
-			e.f64(p)
-		}
-		e.u32(uint32(len(in.Mat)))
-		for _, m := range in.Mat {
-			e.c128(m)
-		}
-		e.i64(int64(in.Clbit))
-	}
-	return e.err
+	aw := artifact.NewWriter(64 + 64*len(k.Instrs))
+	WriteKernel(aw, k)
+	return aw.SealTo(w, artifact.KindKernel, serialVersion, false)
 }
 
-// DecodeKernel reads a kernel written by EncodeKernel and validates
-// its structural invariants.
+// DecodeKernel reads a kernel written by EncodeKernel: checksum first,
+// then the fields, then the kernel's structural invariants.
 func DecodeKernel(r io.Reader) (*Kernel, error) {
-	d := &unwire{r: r}
-	k := &Kernel{Name: d.str()}
-	k.NumQubits = int(d.u32())
-	k.NumClbits = int(d.u32())
-	n := d.count(maxSerialInstrs, "instruction")
-	if d.err != nil {
-		return nil, d.err
+	ar, err := artifact.Read(r, artifact.KindKernel, serialVersion)
+	if err != nil {
+		return nil, err
 	}
-	k.Instrs = make([]Instr, n)
-	for i := range k.Instrs {
-		in := &k.Instrs[i]
-		in.Kind = InstrKind(d.u8())
-		in.Gate = gate.Type(d.u8())
-		if nq := d.count(maxSerialQubits, "qubit"); d.err == nil && nq > 0 {
-			in.Qubits = make([]int, nq)
-			for j := range in.Qubits {
-				in.Qubits[j] = int(d.u32())
-			}
-		}
-		if np := d.count(maxSerialQubits, "param"); d.err == nil && np > 0 {
-			in.Params = make([]float64, np)
-			for j := range in.Params {
-				in.Params[j] = d.f64()
-			}
-		}
-		if nm := d.count(maxSerialOps, "matrix entry"); d.err == nil && nm > 0 {
-			in.Mat = make([]complex128, nm)
-			for j := range in.Mat {
-				in.Mat[j] = d.c128()
-			}
-		}
-		in.Clbit = int(d.i64())
-		if d.err != nil {
-			return nil, d.err
-		}
-	}
-	if err := k.Validate(); err != nil {
-		return nil, fmt.Errorf("kernel: decoded kernel invalid: %w", err)
+	k := ReadKernel(ar)
+	if err := ar.Close(); err != nil {
+		return nil, err
 	}
 	return k, nil
 }
 
-// EncodePlan writes p's exact binary encoding to w.
-func EncodePlan(w io.Writer, p *TilePlan) error {
-	e := &wire{w: w}
-	e.u32(uint32(p.TileBits))
-	e.u32(uint32(p.NumQubits))
-	e.u32(uint32(p.GlobalBits))
-	e.u32(uint32(len(p.Segments)))
-	for _, seg := range p.Segments {
-		e.u8(uint8(seg.Kind))
-		switch seg.Kind {
-		case SegRun:
-			e.u32(uint32(len(seg.Ops)))
-			for _, op := range seg.Ops {
-				encodeTileOp(e, op)
-			}
-		case SegGlobal:
-			encodeInstr(e, seg.Instr)
-		case SegBitSwap:
-			e.u32(uint32(seg.A))
-			e.u32(uint32(seg.B))
-		case SegExchange:
-			e.u32(uint32(seg.TBit))
-			e.u32(uint32(len(seg.XOps)))
-			for _, x := range seg.XOps {
-				for _, m := range x.M {
-					e.c128(m)
-				}
-				e.u64(x.LowCtrl)
-				e.u64(x.RankCtrl)
-			}
-		default:
-			return fmt.Errorf("kernel: cannot encode segment kind %d", seg.Kind)
+// WriteKernel appends k's payload encoding.
+func WriteKernel(w *artifact.Writer, k *Kernel) {
+	w.Str(k.Name)
+	w.U32(uint32(k.NumQubits))
+	w.U32(uint32(k.NumClbits))
+	w.Count(len(k.Instrs))
+	for _, in := range k.Instrs {
+		writeInstr(w, in)
+	}
+}
+
+// ReadKernel reads a WriteKernel payload and validates the kernel; a
+// failure is left on r.
+func ReadKernel(r *artifact.Reader) *Kernel {
+	k := &Kernel{Name: r.Str()}
+	k.NumQubits = int(r.U32())
+	k.NumClbits = int(r.U32())
+	k.Instrs = make([]Instr, r.Count(minInstrBytes))
+	for i := range k.Instrs {
+		k.Instrs[i] = readInstr(r)
+	}
+	if r.Err() == nil {
+		if err := k.Validate(); err != nil {
+			r.Failf("decoded kernel invalid: %v", err)
 		}
 	}
-	e.u32(uint32(len(p.FinalPerm)))
-	for _, q := range p.FinalPerm {
-		e.u32(uint32(q))
-	}
-	for _, v := range [...]int{
-		p.Stats.TileLocal, p.Stats.Global, p.Stats.Runs, p.Stats.BitSwaps,
-		p.Stats.PermSwaps, p.Stats.FusedOps, p.Stats.ExchangeSegs,
-		p.Stats.ExchangeGates, p.Stats.RankLocal,
-	} {
-		e.i64(int64(v))
-	}
-	var bindable uint8
-	if p.Bindable {
-		bindable = 1
-	}
-	e.u8(bindable)
-	e.u32(uint32(p.BindSlots))
-	e.u32(uint32(len(p.Binds)))
-	for _, b := range p.Binds {
-		e.u8(uint8(b.Kind))
-		e.u32(uint32(b.Seg))
-		e.u32(uint32(b.Op))
-		e.u8(uint8(b.Gate))
-		e.u32(uint32(b.Slot))
-		e.u32(uint32(b.NParams))
-	}
-	return e.err
+	return k
 }
 
-func encodeInstr(e *wire, in Instr) {
-	e.u8(uint8(in.Kind))
-	e.u8(uint8(in.Gate))
-	e.u32(uint32(len(in.Qubits)))
+func writeInstr(w *artifact.Writer, in Instr) {
+	w.U8(uint8(in.Kind))
+	w.U8(uint8(in.Gate))
+	w.Count(len(in.Qubits))
 	for _, q := range in.Qubits {
-		e.u32(uint32(q))
+		w.U32(uint32(q))
 	}
-	e.u32(uint32(len(in.Params)))
-	for _, p := range in.Params {
-		e.f64(p)
-	}
-	e.u32(uint32(len(in.Mat)))
-	for _, m := range in.Mat {
-		e.c128(m)
-	}
-	e.i64(int64(in.Clbit))
+	w.F64s(in.Params)
+	writeC128s(w, in.Mat)
+	w.Int(in.Clbit)
 }
 
-func decodeInstr(d *unwire) Instr {
+func readInstr(r *artifact.Reader) Instr {
 	var in Instr
-	in.Kind = InstrKind(d.u8())
-	in.Gate = gate.Type(d.u8())
-	if nq := d.count(maxSerialQubits, "qubit"); d.err == nil && nq > 0 {
+	in.Kind = InstrKind(r.U8())
+	in.Gate = gate.Type(r.U8())
+	if nq := r.Count(4); nq > 0 {
 		in.Qubits = make([]int, nq)
 		for j := range in.Qubits {
-			in.Qubits[j] = int(d.u32())
+			in.Qubits[j] = int(r.U32())
 		}
 	}
-	if np := d.count(maxSerialQubits, "param"); d.err == nil && np > 0 {
-		in.Params = make([]float64, np)
-		for j := range in.Params {
-			in.Params[j] = d.f64()
-		}
-	}
-	if nm := d.count(maxSerialOps, "matrix entry"); d.err == nil && nm > 0 {
-		in.Mat = make([]complex128, nm)
-		for j := range in.Mat {
-			in.Mat[j] = d.c128()
-		}
-	}
-	in.Clbit = int(d.i64())
+	in.Params = r.F64s()
+	in.Mat = readC128s(r)
+	in.Clbit = r.Int()
 	return in
 }
 
-func encodeTileOp(e *wire, op statevec.TileOp) {
-	e.u8(uint8(op.Kind))
-	e.u32(uint32(op.T))
-	e.u32(uint32(op.C))
-	var ctrl uint8
-	if op.HasCtrl {
-		ctrl = 1
-	}
-	e.u8(ctrl)
-	e.u64(op.HighMask)
-	e.u64(op.LowMask)
-	e.c128(op.Phase)
-	e.c128(op.A)
-	e.c128(op.B)
-	for _, m := range op.M {
-		e.c128(m)
-	}
-	e.u32(uint32(len(op.Qubits)))
-	for _, q := range op.Qubits {
-		e.u32(uint32(q))
-	}
-	e.u32(uint32(len(op.Mat)))
-	for _, m := range op.Mat {
-		e.c128(m)
+func writeC128s(w *artifact.Writer, v []complex128) {
+	w.Count(len(v))
+	for _, m := range v {
+		w.C128(m)
 	}
 }
 
-func decodeTileOp(d *unwire) statevec.TileOp {
-	var op statevec.TileOp
-	op.Kind = statevec.TileOpKind(d.u8())
-	op.T = uint(d.u32())
-	op.C = uint(d.u32())
-	op.HasCtrl = d.u8() != 0
-	op.HighMask = d.u64()
-	op.LowMask = d.u64()
-	op.Phase = d.c128()
-	op.A = d.c128()
-	op.B = d.c128()
-	for i := range op.M {
-		op.M[i] = d.c128()
+func readC128s(r *artifact.Reader) []complex128 {
+	n := r.Count(16)
+	if n == 0 {
+		return nil
 	}
-	if nq := d.count(maxSerialQubits, "fused qubit"); d.err == nil && nq > 0 {
-		op.Qubits = make([]uint, nq)
-		for j := range op.Qubits {
-			op.Qubits[j] = uint(d.u32())
-		}
+	out := make([]complex128, n)
+	for i := range out {
+		out[i] = r.C128()
 	}
-	if nm := d.count(maxSerialOps, "fused matrix entry"); d.err == nil && nm > 0 {
-		op.Mat = make([]complex128, nm)
-		for j := range op.Mat {
-			op.Mat[j] = d.c128()
-		}
+	return out
+}
+
+// WriteStats appends the transformation statistics.
+func WriteStats(w *artifact.Writer, s Stats) {
+	for _, v := range [...]int{s.SourceOps, s.EmittedOps, s.FusedGroups, s.FusedGates, s.PrunedGates, s.Measurements} {
+		w.Int(v)
 	}
-	return op
+}
+
+// ReadStats reads what WriteStats wrote.
+func ReadStats(r *artifact.Reader) (s Stats) {
+	for _, dst := range [...]*int{&s.SourceOps, &s.EmittedOps, &s.FusedGroups, &s.FusedGates, &s.PrunedGates, &s.Measurements} {
+		*dst = r.Int()
+	}
+	return s
+}
+
+// WritePlanStats appends the plan compiler's statistics.
+func WritePlanStats(w *artifact.Writer, s PlanStats) {
+	for _, v := range [...]int{
+		s.TileLocal, s.Global, s.Runs, s.BitSwaps, s.PermSwaps,
+		s.FusedOps, s.ExchangeSegs, s.ExchangeGates, s.RankLocal,
+	} {
+		w.Int(v)
+	}
+}
+
+// ReadPlanStats reads what WritePlanStats wrote.
+func ReadPlanStats(r *artifact.Reader) (s PlanStats) {
+	for _, dst := range [...]*int{
+		&s.TileLocal, &s.Global, &s.Runs, &s.BitSwaps, &s.PermSwaps,
+		&s.FusedOps, &s.ExchangeSegs, &s.ExchangeGates, &s.RankLocal,
+	} {
+		*dst = r.Int()
+	}
+	return s
+}
+
+// EncodePlan writes p to w as one sealed artifact.
+func EncodePlan(w io.Writer, p *TilePlan) error {
+	aw := artifact.NewWriter(256 + int(p.SizeBytes()))
+	WritePlan(aw, p)
+	return aw.SealTo(w, artifact.KindPlan, serialVersion, false)
 }
 
 // DecodePlan reads a plan written by EncodePlan.
 func DecodePlan(r io.Reader) (*TilePlan, error) {
-	d := &unwire{r: r}
-	p := &TilePlan{}
-	p.TileBits = int(d.u32())
-	p.NumQubits = int(d.u32())
-	p.GlobalBits = int(d.u32())
-	nseg := d.count(maxSerialInstrs, "segment")
-	if d.err != nil {
-		return nil, d.err
+	ar, err := artifact.Read(r, artifact.KindPlan, serialVersion)
+	if err != nil {
+		return nil, err
 	}
-	p.Segments = make([]Segment, nseg)
-	for i := range p.Segments {
-		seg := &p.Segments[i]
-		seg.Kind = SegmentKind(d.u8())
+	p := ReadPlan(ar)
+	if err := ar.Close(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// WritePlan appends p's payload encoding; a segment kind it cannot
+// encode fails the Writer.
+func WritePlan(w *artifact.Writer, p *TilePlan) {
+	w.U32(uint32(p.TileBits))
+	w.U32(uint32(p.NumQubits))
+	w.U32(uint32(p.GlobalBits))
+	w.Count(len(p.Segments))
+	for _, seg := range p.Segments {
+		w.U8(uint8(seg.Kind))
 		switch seg.Kind {
 		case SegRun:
-			nops := d.count(maxSerialOps, "tile op")
-			if d.err != nil {
-				return nil, d.err
-			}
-			seg.Ops = make([]statevec.TileOp, nops)
-			for j := range seg.Ops {
-				seg.Ops[j] = decodeTileOp(d)
+			w.Count(len(seg.Ops))
+			for _, op := range seg.Ops {
+				writeTileOp(w, op)
 			}
 		case SegGlobal:
-			seg.Instr = decodeInstr(d)
+			writeInstr(w, seg.Instr)
 		case SegBitSwap:
-			seg.A = int(d.u32())
-			seg.B = int(d.u32())
+			w.U32(uint32(seg.A))
+			w.U32(uint32(seg.B))
 		case SegExchange:
-			seg.TBit = int(d.u32())
-			nx := d.count(maxSerialOps, "exchange op")
-			if d.err != nil {
-				return nil, d.err
+			w.U32(uint32(seg.TBit))
+			w.Count(len(seg.XOps))
+			for _, x := range seg.XOps {
+				for _, m := range x.M {
+					w.C128(m)
+				}
+				w.U64(x.LowCtrl)
+				w.U64(x.RankCtrl)
 			}
-			seg.XOps = make([]ExchOp, nx)
+		default:
+			w.Failf("cannot encode segment kind %d", seg.Kind)
+		}
+	}
+	w.Count(len(p.FinalPerm))
+	for _, q := range p.FinalPerm {
+		w.U32(uint32(q))
+	}
+	WritePlanStats(w, p.Stats)
+	w.Bool(p.Bindable)
+	w.U32(uint32(p.BindSlots))
+	w.Count(len(p.Binds))
+	for _, b := range p.Binds {
+		w.U8(uint8(b.Kind))
+		w.U32(uint32(b.Seg))
+		w.U32(uint32(b.Op))
+		w.U8(uint8(b.Gate))
+		w.U32(uint32(b.Slot))
+		w.U32(uint32(b.NParams))
+	}
+}
+
+func writeTileOp(w *artifact.Writer, op statevec.TileOp) {
+	w.U8(uint8(op.Kind))
+	w.U32(uint32(op.T))
+	w.U32(uint32(op.C))
+	w.Bool(op.HasCtrl)
+	w.U64(op.HighMask)
+	w.U64(op.LowMask)
+	w.C128(op.Phase)
+	w.C128(op.A)
+	w.C128(op.B)
+	for _, m := range op.M {
+		w.C128(m)
+	}
+	w.Count(len(op.Qubits))
+	for _, q := range op.Qubits {
+		w.U32(uint32(q))
+	}
+	writeC128s(w, op.Mat)
+}
+
+func readTileOp(r *artifact.Reader) statevec.TileOp {
+	var op statevec.TileOp
+	op.Kind = statevec.TileOpKind(r.U8())
+	op.T = uint(r.U32())
+	op.C = uint(r.U32())
+	op.HasCtrl = r.Bool()
+	op.HighMask = r.U64()
+	op.LowMask = r.U64()
+	op.Phase = r.C128()
+	op.A = r.C128()
+	op.B = r.C128()
+	for i := range op.M {
+		op.M[i] = r.C128()
+	}
+	if nq := r.Count(4); nq > 0 {
+		op.Qubits = make([]uint, nq)
+		for j := range op.Qubits {
+			op.Qubits[j] = uint(r.U32())
+		}
+	}
+	op.Mat = readC128s(r)
+	return op
+}
+
+// ReadPlan reads a WritePlan payload and checks the plan's geometry; a
+// failure is left on r.
+func ReadPlan(r *artifact.Reader) *TilePlan {
+	p := &TilePlan{}
+	p.TileBits = int(r.U32())
+	p.NumQubits = int(r.U32())
+	p.GlobalBits = int(r.U32())
+	p.Segments = make([]Segment, r.Count(minSegmentBytes))
+	for i := range p.Segments {
+		seg := &p.Segments[i]
+		seg.Kind = SegmentKind(r.U8())
+		switch seg.Kind {
+		case SegRun:
+			seg.Ops = make([]statevec.TileOp, r.Count(minTileOpBytes))
+			for j := range seg.Ops {
+				seg.Ops[j] = readTileOp(r)
+			}
+		case SegGlobal:
+			seg.Instr = readInstr(r)
+		case SegBitSwap:
+			seg.A = int(r.U32())
+			seg.B = int(r.U32())
+		case SegExchange:
+			seg.TBit = int(r.U32())
+			seg.XOps = make([]ExchOp, r.Count(exchOpBytes))
 			for j := range seg.XOps {
 				x := &seg.XOps[j]
 				for mi := range x.M {
-					x.M[mi] = d.c128()
+					x.M[mi] = r.C128()
 				}
-				x.LowCtrl = d.u64()
-				x.RankCtrl = d.u64()
+				x.LowCtrl = r.U64()
+				x.RankCtrl = r.U64()
 			}
 		default:
-			if d.err != nil {
-				return nil, d.err
-			}
-			return nil, fmt.Errorf("kernel: unknown segment kind %d in encoded plan", seg.Kind)
+			r.Failf("unknown segment kind %d in encoded plan", seg.Kind)
 		}
-		if d.err != nil {
-			return nil, d.err
+		if r.Err() != nil {
+			return p
 		}
 	}
-	if np := d.count(maxSerialQubits, "permutation entry"); d.err == nil && np > 0 {
+	if np := r.Count(4); np > 0 {
 		p.FinalPerm = make([]int, np)
 		for j := range p.FinalPerm {
-			p.FinalPerm[j] = int(d.u32())
+			p.FinalPerm[j] = int(r.U32())
 		}
 	}
-	for _, dst := range [...]*int{
-		&p.Stats.TileLocal, &p.Stats.Global, &p.Stats.Runs, &p.Stats.BitSwaps,
-		&p.Stats.PermSwaps, &p.Stats.FusedOps, &p.Stats.ExchangeSegs,
-		&p.Stats.ExchangeGates, &p.Stats.RankLocal,
-	} {
-		*dst = int(d.i64())
-	}
-	p.Bindable = d.u8() != 0
-	p.BindSlots = int(d.u32())
-	if nb := d.count(maxSerialInstrs, "binding site"); d.err == nil && nb > 0 {
+	p.Stats = ReadPlanStats(r)
+	p.Bindable = r.Bool()
+	p.BindSlots = int(r.U32())
+	if nb := r.Count(bindSiteBytes); nb > 0 {
 		p.Binds = make([]BindSite, nb)
 		for j := range p.Binds {
 			b := &p.Binds[j]
-			b.Kind = BindSiteKind(d.u8())
-			b.Seg = int(d.u32())
-			b.Op = int(d.u32())
-			b.Gate = gate.Type(d.u8())
-			b.Slot = int(d.u32())
-			b.NParams = int(d.u32())
+			b.Kind = BindSiteKind(r.U8())
+			b.Seg = int(r.U32())
+			b.Op = int(r.U32())
+			b.Gate = gate.Type(r.U8())
+			b.Slot = int(r.U32())
+			b.NParams = int(r.U32())
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if p.NumQubits <= 0 || p.TileBits <= 0 || p.GlobalBits < 0 || p.GlobalBits >= p.NumQubits {
-		return nil, fmt.Errorf("kernel: decoded plan has inconsistent geometry (%d qubits, tile %d, %d global bits)",
+	if r.Err() == nil && (p.NumQubits <= 0 || p.TileBits <= 0 || p.GlobalBits < 0 || p.GlobalBits >= p.NumQubits) {
+		r.Failf("decoded plan has inconsistent geometry (%d qubits, tile %d, %d global bits)",
 			p.NumQubits, p.TileBits, p.GlobalBits)
 	}
-	return p, nil
+	return p
 }
 
 // Static struct sizes for byte accounting (unsafe.Sizeof is the exact

@@ -4,355 +4,126 @@
 // Kernels"): the workload generator persists circuit lists, and the
 // transformer reads them back in a separate process.
 //
-// The format is versioned, length-prefixed, and CRC-32 protected:
+// A file is one internal/artifact envelope of kind "QGCL" around
 //
-//	magic "QGQPY1\n" | version u16 | count u32
+//	count u32
 //	per circuit: name | nqubits u32 | nclbits u32 | nops u32 | ops…
 //	per op: gate u8 | nqubits u8 | qubit u32… | nparams u8 | param f64… | clbit i32
-//	crc32 (IEEE) of everything after the magic
-//
-// All integers are little-endian.
 package qpy
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/crc32"
-	"io"
-	"math"
 	"os"
 
+	"qgear/internal/artifact"
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
 )
 
-// Version is the current format version.
-const Version uint16 = 1
+// Version is the current payload layout (2: the shared envelope).
+const Version uint16 = 2
 
-var magic = []byte("QGQPY1\n")
-
-// limits guard against corrupt headers allocating absurd buffers.
+// Smallest encodings of one circuit and one op, the divisors of
+// Reader.Count.
 const (
-	maxCircuits   = 1 << 24
-	maxOps        = 1 << 28
-	maxNameLength = 1 << 16
+	minCircuitBytes = 4 + 4 + 4 + 4
+	minOpBytes      = 1 + 1 + 1 + 4
 )
 
-type countingWriter struct {
-	w   io.Writer
-	crc hash.Hash32
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc.Write(p[:n])
-	return n, err
-}
-
-// Write serializes circuits to w.
-func Write(w io.Writer, circuits []*circuit.Circuit) error {
+// Marshal renders circuits as one sealed artifact.
+func Marshal(circuits []*circuit.Circuit) ([]byte, error) {
+	w := artifact.NewWriter(64)
+	w.Count(len(circuits))
 	for _, c := range circuits {
 		if err := c.Validate(); err != nil {
-			return fmt.Errorf("qpy: refusing to serialize invalid circuit: %w", err)
+			return nil, fmt.Errorf("qpy: refusing to serialize invalid circuit: %w", err)
 		}
-		if len(c.Name) > maxNameLength {
-			return fmt.Errorf("qpy: circuit name longer than %d bytes", maxNameLength)
+		w.Str(c.Name)
+		w.U32(uint32(c.NumQubits))
+		w.U32(uint32(c.NumClbits))
+		w.Count(len(c.Ops))
+		for _, op := range c.Ops {
+			if len(op.Qubits) > 255 || len(op.Params) > 255 {
+				return nil, fmt.Errorf("qpy: circuit %q: op with %d qubits and %d params does not fit the format",
+					c.Name, len(op.Qubits), len(op.Params))
+			}
+			w.U8(uint8(op.Gate))
+			w.U8(uint8(len(op.Qubits)))
+			for _, q := range op.Qubits {
+				w.U32(uint32(q))
+			}
+			w.U8(uint8(len(op.Params)))
+			for _, p := range op.Params {
+				w.F64(p)
+			}
+			w.U32(uint32(int32(op.Clbit)))
 		}
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic); err != nil {
-		return fmt.Errorf("qpy: %w", err)
+	data, err := w.Seal(artifact.KindCircuits, Version, false)
+	if err != nil {
+		return nil, fmt.Errorf("qpy: %w", err)
 	}
-	cw := &countingWriter{w: bw, crc: crc32.NewIEEE()}
-	if err := writeAll(cw, circuits); err != nil {
-		return err
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], cw.crc.Sum32())
-	if _, err := bw.Write(crcBuf[:]); err != nil {
-		return fmt.Errorf("qpy: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("qpy: %w", err)
-	}
-	return nil
+	return data, nil
 }
 
-func writeAll(w io.Writer, circuits []*circuit.Circuit) error {
-	if err := writeU16(w, Version); err != nil {
-		return err
+// Unmarshal parses an artifact written by Marshal — checksum first,
+// then the fields — and validates every decoded circuit.
+func Unmarshal(data []byte) ([]*circuit.Circuit, error) {
+	r, err := artifact.Open(artifact.KindCircuits, Version, data)
+	if err != nil {
+		return nil, fmt.Errorf("qpy: %w", err)
 	}
-	if err := writeU32(w, uint32(len(circuits))); err != nil {
-		return err
-	}
-	for _, c := range circuits {
-		if err := writeString(w, c.Name); err != nil {
-			return err
+	circuits := make([]*circuit.Circuit, r.Count(minCircuitBytes))
+	for ci := range circuits {
+		c := &circuit.Circuit{Name: r.Str(), NumQubits: int(r.U32()), NumClbits: int(r.U32())}
+		c.Ops = make([]circuit.Op, r.Count(minOpBytes))
+		for i := range c.Ops {
+			op := &c.Ops[i]
+			op.Gate = gate.Type(r.U8())
+			if nq := int(r.U8()); nq > 0 {
+				op.Qubits = make([]int, nq)
+				for j := range op.Qubits {
+					op.Qubits[j] = int(r.U32())
+				}
+			}
+			if np := int(r.U8()); np > 0 {
+				op.Params = make([]float64, np)
+				for j := range op.Params {
+					op.Params[j] = r.F64()
+				}
+			}
+			op.Clbit = int(int32(r.U32()))
 		}
-		if err := writeU32(w, uint32(c.NumQubits)); err != nil {
-			return err
-		}
-		if err := writeU32(w, uint32(c.NumClbits)); err != nil {
-			return err
-		}
-		if err := writeU32(w, uint32(len(c.Ops))); err != nil {
-			return err
-		}
-		for _, op := range c.Ops {
-			if err := writeOp(w, op); err != nil {
-				return err
+		if r.Err() == nil {
+			if err := c.Validate(); err != nil {
+				r.Failf("circuit %d invalid: %v", ci, err)
 			}
 		}
+		circuits[ci] = c
 	}
-	return nil
-}
-
-func writeOp(w io.Writer, op circuit.Op) error {
-	if _, err := w.Write([]byte{byte(op.Gate), byte(len(op.Qubits))}); err != nil {
-		return fmt.Errorf("qpy: %w", err)
-	}
-	for _, q := range op.Qubits {
-		if err := writeU32(w, uint32(q)); err != nil {
-			return err
-		}
-	}
-	if _, err := w.Write([]byte{byte(len(op.Params))}); err != nil {
-		return fmt.Errorf("qpy: %w", err)
-	}
-	for _, p := range op.Params {
-		if err := writeU64(w, math.Float64bits(p)); err != nil {
-			return err
-		}
-	}
-	return writeU32(w, uint32(int32(op.Clbit)))
-}
-
-// Read deserializes a circuit list from r, verifying magic, version and
-// checksum, and validating every decoded circuit.
-func Read(r io.Reader) ([]*circuit.Circuit, error) {
-	br := bufio.NewReader(r)
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, fmt.Errorf("qpy: reading magic: %w", err)
-	}
-	for i := range magic {
-		if got[i] != magic[i] {
-			return nil, fmt.Errorf("qpy: bad magic %q", got)
-		}
-	}
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(br, crc)
-
-	version, err := readU16(tr)
-	if err != nil {
-		return nil, err
-	}
-	if version != Version {
-		return nil, fmt.Errorf("qpy: unsupported version %d (have %d)", version, Version)
-	}
-	count, err := readU32(tr)
-	if err != nil {
-		return nil, err
-	}
-	if count > maxCircuits {
-		return nil, fmt.Errorf("qpy: implausible circuit count %d", count)
-	}
-	circuits := make([]*circuit.Circuit, 0, count)
-	for ci := uint32(0); ci < count; ci++ {
-		c, err := readCircuit(tr)
-		if err != nil {
-			return nil, fmt.Errorf("qpy: circuit %d: %w", ci, err)
-		}
-		circuits = append(circuits, c)
-	}
-	wantSum := crc.Sum32()
-	gotSum, err := readU32(br) // checksum itself is not part of the CRC
-	if err != nil {
-		return nil, fmt.Errorf("qpy: reading checksum: %w", err)
-	}
-	if gotSum != wantSum {
-		return nil, fmt.Errorf("qpy: checksum mismatch: file says %08x, payload hashes to %08x", gotSum, wantSum)
-	}
-	for _, c := range circuits {
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("qpy: decoded circuit invalid: %w", err)
-		}
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("qpy: %w", err)
 	}
 	return circuits, nil
 }
 
-func readCircuit(r io.Reader) (*circuit.Circuit, error) {
-	name, err := readString(r)
-	if err != nil {
-		return nil, err
-	}
-	nq, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	nc, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	nops, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if nops > maxOps {
-		return nil, fmt.Errorf("implausible op count %d", nops)
-	}
-	c := &circuit.Circuit{Name: name, NumQubits: int(nq), NumClbits: int(nc)}
-	c.Ops = make([]circuit.Op, 0, nops)
-	for i := uint32(0); i < nops; i++ {
-		op, err := readOp(r)
-		if err != nil {
-			return nil, fmt.Errorf("op %d: %w", i, err)
-		}
-		c.Ops = append(c.Ops, op)
-	}
-	return c, nil
-}
-
-func readOp(r io.Reader) (circuit.Op, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return circuit.Op{}, err
-	}
-	op := circuit.Op{Gate: gate.Type(hdr[0])}
-	nq := int(hdr[1])
-	if nq > 0 {
-		op.Qubits = make([]int, nq)
-		for i := range op.Qubits {
-			v, err := readU32(r)
-			if err != nil {
-				return op, err
-			}
-			op.Qubits[i] = int(v)
-		}
-	}
-	var np [1]byte
-	if _, err := io.ReadFull(r, np[:]); err != nil {
-		return op, err
-	}
-	if n := int(np[0]); n > 0 {
-		op.Params = make([]float64, n)
-		for i := range op.Params {
-			v, err := readU64(r)
-			if err != nil {
-				return op, err
-			}
-			op.Params[i] = math.Float64frombits(v)
-		}
-	}
-	cb, err := readU32(r)
-	if err != nil {
-		return op, err
-	}
-	op.Clbit = int(int32(cb))
-	return op, nil
-}
-
 // SaveFile writes circuits to a file path.
 func SaveFile(path string, circuits []*circuit.Circuit) error {
-	f, err := os.Create(path)
+	data, err := Marshal(circuits)
 	if err != nil {
-		return fmt.Errorf("qpy: %w", err)
-	}
-	if err := Write(f, circuits); err != nil {
-		f.Close()
 		return err
 	}
-	return f.Close()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return fmt.Errorf("qpy: %w", err)
+	}
+	return nil
 }
 
 // LoadFile reads circuits from a file path.
 func LoadFile(path string) ([]*circuit.Circuit, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("qpy: %w", err)
 	}
-	defer f.Close()
-	return Read(f)
-}
-
-func writeU16(w io.Writer, v uint16) error {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	_, err := w.Write(b[:])
-	if err != nil {
-		return fmt.Errorf("qpy: %w", err)
-	}
-	return nil
-}
-
-func writeU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	if err != nil {
-		return fmt.Errorf("qpy: %w", err)
-	}
-	return nil
-}
-
-func writeU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	if err != nil {
-		return fmt.Errorf("qpy: %w", err)
-	}
-	return nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := writeU32(w, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	if err != nil {
-		return fmt.Errorf("qpy: %w", err)
-	}
-	return nil
-}
-
-func readU16(r io.Reader) (uint16, error) {
-	var b [2]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, fmt.Errorf("qpy: %w", err)
-	}
-	return binary.LittleEndian.Uint16(b[:]), nil
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, fmt.Errorf("qpy: %w", err)
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, fmt.Errorf("qpy: %w", err)
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-func readString(r io.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
-	if n > maxNameLength {
-		return "", fmt.Errorf("qpy: implausible string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("qpy: %w", err)
-	}
-	return string(buf), nil
+	return Unmarshal(data)
 }

@@ -1,7 +1,6 @@
 package qpy
 
 import (
-	"bytes"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -24,12 +23,12 @@ func sampleCircuits() []*circuit.Circuit {
 }
 
 func TestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	want := sampleCircuits()
-	if err := Write(&buf, want); err != nil {
+	data, err := Marshal(want)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,38 +78,35 @@ func TestLoadFileMissing(t *testing.T) {
 }
 
 func TestBadMagic(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, sampleCircuits()); err != nil {
+	data, err := Marshal(sampleCircuits())
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
 	data[0] = 'X'
-	if _, err := Read(bytes.NewReader(data)); err == nil {
+	if _, err := Unmarshal(data); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
 
 func TestChecksumDetectsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, sampleCircuits()); err != nil {
+	data, err := Marshal(sampleCircuits())
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
 	// Flip a payload byte mid-file (beyond magic, before checksum).
 	data[len(data)/2] ^= 0xFF
-	if _, err := Read(bytes.NewReader(data)); err == nil {
+	if _, err := Unmarshal(data); err == nil {
 		t.Fatal("corruption not detected")
 	}
 }
 
 func TestTruncationDetected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, sampleCircuits()); err != nil {
+	data, err := Marshal(sampleCircuits())
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
 	for _, cut := range []int{3, len(data) / 2, len(data) - 2} {
-		if _, err := Read(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := Unmarshal(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
@@ -118,31 +114,29 @@ func TestTruncationDetected(t *testing.T) {
 
 func TestRejectsInvalidCircuitOnWrite(t *testing.T) {
 	bad := &circuit.Circuit{NumQubits: 1, Ops: []circuit.Op{{Gate: gate.H, Qubits: []int{5}}}}
-	var buf bytes.Buffer
-	if err := Write(&buf, []*circuit.Circuit{bad}); err == nil {
+	if _, err := Marshal([]*circuit.Circuit{bad}); err == nil {
 		t.Fatal("invalid circuit serialized")
 	}
 }
 
 func TestVersionMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, nil); err != nil {
+	data, err := Marshal(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	// Version field sits right after the magic.
-	data[len(magic)] = 99
-	if _, err := Read(bytes.NewReader(data)); err == nil {
+	// The version field sits right after the four-byte magic.
+	data[4] = 99
+	if _, err := Unmarshal(data); err == nil {
 		t.Fatal("future version accepted")
 	}
 }
 
 func TestEmptyList(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, nil); err != nil {
+	data, err := Marshal(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +167,11 @@ func TestRandomCircuitsRoundTripProperty(t *testing.T) {
 				c.Measure(q, r.Intn(n))
 			}
 		}
-		var buf bytes.Buffer
-		if err := Write(&buf, []*circuit.Circuit{c}); err != nil {
+		data, err := Marshal([]*circuit.Circuit{c})
+		if err != nil {
 			return false
 		}
-		got, err := Read(&buf)
+		got, err := Unmarshal(data)
 		if err != nil || len(got) != 1 {
 			return false
 		}

@@ -219,7 +219,7 @@ func TestExpectationCorruptArtifactQuarantine(t *testing.T) {
 	}
 
 	// Corrupt every result artifact on disk.
-	files, err := filepath.Glob(filepath.Join(dir, "results", "*", "*.h5"))
+	files, err := filepath.Glob(filepath.Join(dir, "results", "*", "*.qgr"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no artifacts to corrupt (err %v)", err)
 	}

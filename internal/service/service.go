@@ -83,11 +83,12 @@ type Config struct {
 	// Default 256 MiB; < 0 removes the byte bound.
 	MaxPlanCacheBytes int64
 	// StoreDir enables the persistent artifact store: evicted and
-	// shutdown-time cache entries are written there (results as HDF5
-	// datasets keyed by core.CacheKey, compiled plans as binary
-	// sidecars), and a restarting server warm-starts from it — repeat
-	// fingerprints are answered from disk, bit-identically, without
-	// re-simulating. Empty disables persistence.
+	// shutdown-time cache entries are written there (results keyed by
+	// core.CacheKey, compiled plans by plan-cache key, one
+	// internal/artifact file each), and a restarting server warm-starts
+	// from it — repeat fingerprints are answered from disk,
+	// bit-identically, without re-simulating. Empty disables
+	// persistence.
 	StoreDir string
 	// MaxStoreBytes bounds the store's on-disk footprint: saves evict
 	// the lowest-priority artifacts (Greedy-Dual-Size, same policy as

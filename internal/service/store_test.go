@@ -138,7 +138,7 @@ func TestCorruptStoreFallsBack(t *testing.T) {
 	}
 
 	// Flip a byte in every result file.
-	matches, err := filepath.Glob(filepath.Join(dir, "results", "*", "*.h5"))
+	matches, err := filepath.Glob(filepath.Join(dir, "results", "*", "*.qgr"))
 	if err != nil || len(matches) == 0 {
 		t.Fatalf("no spill files found: %v", err)
 	}
@@ -178,7 +178,7 @@ func TestCorruptStoreFallsBack(t *testing.T) {
 	}
 	// The corrupt file was quarantined: a second restart re-simulates
 	// without error noise.
-	if got, _ := filepath.Glob(filepath.Join(dir, "results", "*", "*.h5")); len(got) >= len(matches) {
+	if got, _ := filepath.Glob(filepath.Join(dir, "results", "*", "*.qgr")); len(got) >= len(matches) {
 		t.Fatalf("corrupt file not dropped: %d files, had %d", len(got), len(matches))
 	}
 }

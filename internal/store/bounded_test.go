@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -13,9 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"qgear/internal/artifact"
 	"qgear/internal/backend"
 	"qgear/internal/faultfs"
-	"qgear/internal/hdf5"
 	"qgear/internal/kernel"
 )
 
@@ -216,39 +215,21 @@ func TestSaveResultFailsWhenSyncFails(t *testing.T) {
 // --- gradient length: the unvalidated-dataset bugfix ----------------
 
 // TestGradientLengthMismatchRejected crafts an artifact whose gradient
-// dataset disagrees with the recorded gradient_len and one whose
-// gradient dataset was dropped entirely; both must fail integrity.
+// vector disagrees with the recorded gradient_len and one whose
+// gradient vector was dropped entirely; both must fail integrity.
 func TestGradientLengthMismatchRejected(t *testing.T) {
-	build := func(gradient []float64, metaLen int) []byte {
-		meta := resultMeta{Target: backend.TargetNvidia, NumQubits: 1, SweepPoints: 2, GradientLen: metaLen}
-		mj, err := json.Marshal(meta)
+	build := func(gradient []float64, recordedLen int) []byte {
+		res := &backend.Result{
+			Target: backend.TargetNvidia, NumQubits: 1, SweepPoints: 2,
+			SweepValues: []float64{0.25, 0.5}, Gradient: gradient,
+		}
+		w := artifact.NewWriter(0)
+		writeResult(w, "gk", testSig, res, recordedLen)
+		data, err := w.Seal(artifact.KindResult, FormatVersion, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := hdf5.NewFile()
-		if err := f.PutFloat64s("result/sweep_values", []float64{0.25, 0.5}); err != nil {
-			t.Fatal(err)
-		}
-		if len(gradient) > 0 {
-			if err := f.PutFloat64s("result/gradient", gradient); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for k, a := range map[string]hdf5.Attr{
-			"format_version": hdf5.IntAttr(FormatVersion),
-			"cache_key":      hdf5.StringAttr("gk"),
-			"config_sig":     hdf5.StringAttr(testSig),
-			"meta":           hdf5.StringAttr(string(mj)),
-		} {
-			if err := f.SetAttr("result", k, a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var buf bytes.Buffer
-		if err := f.Save(&buf, hdf5.SaveOptions{Compression: hdf5.CompressionFlate}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return data
 	}
 	for name, data := range map[string][]byte{
 		"truncated": build([]float64{1, 2, 3}, 5),
@@ -342,8 +323,8 @@ func TestStaleTempReaping(t *testing.T) {
 		t.Fatal(err)
 	}
 	shard := filepath.Dir(st.resultPath("k"))
-	fresh := filepath.Join(shard, "f.h5.tmp99-1")
-	stale := filepath.Join(shard, "s.h5.tmp99-2")
+	fresh := filepath.Join(shard, "f"+resultExt+".tmp99-1")
+	stale := filepath.Join(shard, "s"+resultExt+".tmp99-2")
 	for _, p := range []string{fresh, stale} {
 		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)

@@ -2,9 +2,9 @@
 // byte-accounted in-memory cache with cost-aware eviction, and an
 // on-disk artifact store that spilled and shutdown-time entries land
 // in so a restarted server answers repeat fingerprints from disk
-// instead of re-simulating. Results are persisted as HDF5-lite files
-// keyed by their core.CacheKey content address; compiled plans as
-// compact CRC-protected binary sidecars.
+// instead of re-simulating. Results are persisted under their
+// core.CacheKey content address and compiled plans under their
+// plan-cache key, one checksummed internal/artifact file each.
 package store
 
 import (

@@ -1,0 +1,342 @@
+package store
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"qgear/internal/artifact"
+	"qgear/internal/artifact/artifacttest"
+	"qgear/internal/backend"
+	"qgear/internal/circuit"
+	"qgear/internal/kernel"
+	"qgear/internal/observable"
+	"qgear/internal/qpy"
+	"qgear/internal/sampling"
+	"qgear/internal/tensorenc"
+)
+
+// The store sits on top of every artifact kind, so the tests that walk
+// all of them live here.
+
+const fuzzKey = "k|1"
+
+// artifactKind is one row of the all-kinds tables: a small valid
+// artifact, its decoder, and a payload whose first array count is
+// maximal (what a flipped or crafted length field looks like).
+type artifactKind struct {
+	name     string
+	sample   []byte
+	decode   func(data []byte) error
+	maxCount func(w *artifact.Writer)
+}
+
+func allKinds(t *testing.T) []artifactKind {
+	t.Helper()
+	c := circuit.GHZ(3, true)
+	comp, err := backend.Compile(c, backend.Config{Target: backend.TargetNvidia, TileBits: 2})
+	if err != nil || comp.Plan == nil {
+		t.Fatalf("compiling the sample circuit: plan %v, err %v", comp.Plan, err)
+	}
+	var kbuf, pbuf, cbuf bytes.Buffer
+	if err := errors.Join(kernel.EncodeKernel(&kbuf, comp.Kernel), kernel.EncodePlan(&pbuf, comp.Plan), comp.Encode(&cbuf)); err != nil {
+		t.Fatal(err)
+	}
+	circuits, err := qpy.Marshal([]*circuit.Circuit{c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := tensorenc.Encode([]*circuit.Circuit{c}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tensors, err := enc.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An empty key and signature leave the crafted 64 bytes room to
+	// reach a count.
+	result, err := encodeResult("", "", goldenResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := encodePlan("", "", comp, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernelHead := func(w *artifact.Writer) { w.Str("k"); w.U32(3); w.U32(0) }
+	return []artifactKind{
+		{"kernel", kbuf.Bytes(),
+			func(d []byte) error { _, err := kernel.DecodeKernel(bytes.NewReader(d)); return err },
+			func(w *artifact.Writer) { kernelHead(w); w.U32(math.MaxUint32) }},
+		{"plan", pbuf.Bytes(),
+			func(d []byte) error { _, err := kernel.DecodePlan(bytes.NewReader(d)); return err },
+			func(w *artifact.Writer) { w.U32(2); w.U32(3); w.U32(0); w.U32(math.MaxUint32) }},
+		{"compiled", cbuf.Bytes(),
+			func(d []byte) error { _, err := backend.DecodeCompiled(bytes.NewReader(d)); return err },
+			func(w *artifact.Writer) {
+				kernelHead(w)
+				w.U32(0)
+				w.Bool(true)
+				w.U32(2)
+				w.U32(3)
+				w.U32(0)
+				w.U32(math.MaxUint32)
+			}},
+		{"circuits", circuits,
+			func(d []byte) error { _, err := qpy.Unmarshal(d); return err },
+			func(w *artifact.Writer) { w.U32(1); w.Str("c"); w.U32(3); w.U32(0); w.U32(math.MaxUint32) }},
+		{"tensors", tensors,
+			func(d []byte) error { _, err := tensorenc.Unmarshal(d); return err },
+			func(w *artifact.Writer) { w.U32(math.MaxUint32); w.U32(math.MaxUint32); w.U32(math.MaxUint32) }},
+		{"result", result,
+			func(d []byte) error { _, err := decodeResult(d, "", ""); return err },
+			func(w *artifact.Writer) { w.Str(""); w.Str(""); w.U32(math.MaxUint32) }},
+		{"store plan", plan,
+			func(d []byte) error { _, _, err := decodePlan(d, "", ""); return err },
+			func(w *artifact.Writer) { w.Str(""); w.Str(""); w.F64(7); kernelHead(w); w.U32(math.MaxUint32) }},
+	}
+}
+
+// TestDecodersBoundAllocation is the regression for counts that reached
+// make() unguarded by the input's size (a 4-byte field could ask
+// DecodeKernel for ~6 GiB): every decoder, handed at most 64 bytes in a
+// valid envelope with a valid checksum and a maximal count, must refuse
+// without allocating.
+func TestDecodersBoundAllocation(t *testing.T) {
+	for _, k := range allKinds(t) {
+		w := artifact.NewWriter(0)
+		k.maxCount(w)
+		data, err := w.Seal(artifact.Kind(k.sample[:4]), binary.LittleEndian.Uint16(k.sample[4:]), false)
+		if err != nil || len(data) > 64 {
+			t.Fatalf("%s: crafted artifact is %d bytes (err %v)", k.name, len(data), err)
+		}
+		if err := k.decode(k.sample); err != nil {
+			t.Fatalf("%s: the sample itself: %v", k.name, err)
+		}
+		grew := artifacttest.AllocBytes(func() { err = k.decode(data) })
+		if err == nil {
+			t.Errorf("%s: a maximal count in %d bytes was accepted", k.name, len(data))
+		}
+		if grew >= 1<<20 {
+			t.Errorf("%s: refused only after allocating %d bytes", k.name, grew)
+		}
+	}
+}
+
+// TestByteFlipSweep: flipping any single byte of an artifact of any
+// kind is an error, never a different decoded value — and at the store,
+// an ErrIntegrity, the class that quarantines the file.
+func TestByteFlipSweep(t *testing.T) {
+	for _, k := range allKinds(t) {
+		for i := range k.sample {
+			for _, mask := range []byte{0x01, 0xFF} {
+				bad := append([]byte(nil), k.sample...)
+				bad[i] ^= mask
+				if err := k.decode(bad); err == nil {
+					t.Fatalf("%s: byte %d ^ %#x of %d decoded without error", k.name, i, mask, len(bad))
+				}
+			}
+		}
+	}
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveResult(fuzzKey, testSig, goldenResult()); err != nil {
+		t.Fatal(err)
+	}
+	path := st.resultPath(fuzzKey)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range good {
+		bad := append([]byte(nil), good...)
+		bad[i] ^= 0xFF
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.LoadResult(fuzzKey, testSig); !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("result byte %d flipped: err = %v, want ErrIntegrity", i, err)
+		}
+	}
+}
+
+// goldenResult carries every section a result artifact can hold.
+func goldenResult() *backend.Result {
+	ev := -0.625
+	return &backend.Result{
+		Target: backend.TargetNvidia, NumQubits: 2, Duration: 1500 * time.Microsecond,
+		Probabilities: []float64{0.5, 0, 0.125, 0.375},
+		Counts:        sampling.Counts{0: 5, 3: 3},
+		ExpValue:      &ev, ExpTerms: 3,
+		SweepValues: []float64{0.25, -0.25}, SweepPoints: 2, Rebinds: 1, SweepCompiles: 1,
+		SweepCounts: []sampling.Counts{{1: 2}, {}},
+		Gradient:    []float64{0.5, -0.5, 0},
+		KernelStats: kernel.Stats{SourceOps: 4, EmittedOps: 3, FusedGroups: 1, FusedGates: 2, Measurements: 2},
+		PlanStats:   &kernel.PlanStats{TileLocal: 3, Runs: 1, FusedOps: 1},
+		TileBits:    2, Exchanges: 1, BytesSent: 64, AvoidedExchanges: 2,
+	}
+}
+
+// TestGoldenStoreArtifacts pins the result and plan layouts to
+// committed bytes, both ways.
+func TestGoldenStoreArtifacts(t *testing.T) {
+	data, err := encodeResult("golden|key", testSig, goldenResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := decodeResult(artifacttest.Golden(t, "testdata/result.golden", data), "golden|key", testSig)
+	if err != nil || !reflect.DeepEqual(res, goldenResult()) {
+		t.Fatalf("golden result decodes to %+v (err %v)", res, err)
+	}
+	comp := &backend.Compiled{
+		Kernel:         &kernel.Kernel{Name: "golden", NumQubits: 1, Instrs: []kernel.Instr{}},
+		TransformStats: kernel.Stats{SourceOps: 1},
+	}
+	if data, err = encodePlan("golden|key", testSig, comp, 12.5); err != nil {
+		t.Fatal(err)
+	}
+	got, cost, err := decodePlan(artifacttest.Golden(t, "testdata/plan.golden", data), "golden|key", testSig)
+	if err != nil || cost != 12.5 || !reflect.DeepEqual(got, comp) {
+		t.Fatalf("golden plan decodes to %+v at cost %v (err %v)", got, cost, err)
+	}
+}
+
+// fuzzResults is one result of each job kind, from the real engines.
+func fuzzResults(f *testing.F) []*backend.Result {
+	f.Helper()
+	cfg := backend.Config{Target: backend.TargetNvidia, Workers: 1, TileBits: 2, Shots: 20, Seed: 5}
+	exact := cfg
+	exact.Shots = 0
+	c := circuit.New(3, 3)
+	c.RY(0.3, 0).CX(0, 1).RZ(0.2, 1).CX(1, 2).Measure(0, 0).Measure(1, 1).Measure(2, 2)
+	h := observable.TransverseFieldIsing(3, 1, 0.7)
+	points := [][]float64{{0.1, 0.2}, {0.3, 0.4}}
+	var out []*backend.Result
+	for _, run := range []func() (*backend.Result, error){
+		func() (*backend.Result, error) { return backend.Run(c, cfg) },
+		func() (*backend.Result, error) { return backend.RunExpectation(c, h, exact) },
+		func() (*backend.Result, error) { return backend.RunSweep(c, h, points, exact) },
+		func() (*backend.Result, error) { return backend.RunSweep(c, nil, points, cfg) },
+		func() (*backend.Result, error) { return backend.RunGradient(c, h, points[0], exact) },
+	} {
+		res, err := run()
+		if err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, res)
+	}
+	return out
+}
+
+func FuzzDecodeResult(f *testing.F) {
+	var like []byte
+	for _, res := range append(fuzzResults(f), goldenResult()) {
+		var err error
+		if like, err = encodeResult(fuzzKey, testSig, res); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(artifacttest.Payload(f, like))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		artifacttest.FuzzDecoder(t, like, payload, func(sealed []byte) (func() ([]byte, error), error) {
+			res, err := decodeResult(sealed, fuzzKey, testSig)
+			return func() ([]byte, error) { return encodeResult(fuzzKey, testSig, res) }, err
+		})
+	})
+}
+
+func FuzzDecodePlan(f *testing.F) {
+	var like []byte
+	for i, c := range artifacttest.SeedCircuits(f) {
+		comp, err := backend.Compile(c, backend.Config{Target: backend.TargetNvidia, TileBits: 3 - 4*(i%2)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if like, err = encodePlan(fuzzKey, testSig, comp, float64(i)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(artifacttest.Payload(f, like))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		artifacttest.FuzzDecoder(t, like, payload, func(sealed []byte) (func() ([]byte, error), error) {
+			comp, cost, err := decodePlan(sealed, fuzzKey, testSig)
+			return func() ([]byte, error) { return encodePlan(fuzzKey, testSig, comp, cost) }, err
+		})
+	})
+}
+
+// TestOpenOverParentFormatDirectory: a directory written by the build
+// before this format — a manifest stamped FormatVersion 1, HDF5-lite
+// results, CRC-wrapped plans — opens without error and empty: nothing
+// of it is indexed, served or left on disk outside the accounting, and
+// the next Open replays a manifest of this format.
+func TestOpenOverParentFormatDirectory(t *testing.T) {
+	dir := t.TempDir()
+	old := []string{
+		filepath.Join(dir, resultsSubdir, "2d", "a03fd0ee.h5"),
+		filepath.Join(dir, resultsSubdir, "2d", "a03fd0ee.h5.tmp77-1"),
+		filepath.Join(dir, plansSubdir, "82", "f76d3628%7Cb4.plan"),
+	}
+	for _, p := range old {
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte("QGH5L1\nnot this build's bytes"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := filepath.Join(dir, resultsSubdir, "notes.txt") // flat: not the store's
+	if err := os.WriteFile(keep, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifestV1 := append(append([]byte(nil), manifestMagic...), 1, 0)
+	var frame bytes.Buffer
+	encodeRecord(&frame, manRecord{op: manAdd, kind: kindPlan, stem: "f76d3628%7Cb4", size: 28, cost: 1})
+	if err := os.WriteFile(filepath.Join(dir, manifestName), append(manifestV1, frame.Bytes()...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := OpenOptions(dir, Options{MaxBytes: 1 << 20})
+	if err != nil {
+		t.Fatalf("Open over a format-1 directory: %v", err)
+	}
+	if got := st.Stats(); got.ResultEntries != 0 || got.PlanEntries != 0 || got.Bytes != 0 || !got.BootScanned {
+		t.Fatalf("stats over a format-1 directory: %+v", got)
+	}
+	if st.HasPlan("f76d3628|b4") {
+		t.Fatal("a format-1 plan is indexed")
+	}
+	for _, p := range old {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s survived (err %v): bytes on disk the budget does not count", p, err)
+		}
+	}
+	if _, err := os.Stat(keep); err != nil {
+		t.Fatalf("a file outside the shard buckets was touched: %v", err)
+	}
+	if got := diskArtifactBytes(t, dir); got != 0 {
+		t.Fatalf("%d artifact bytes on disk, index accounts for 0", got)
+	}
+	if err := st.SaveResult("fresh", testSig, probsResult(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st2.Stats(); got.BootScanned || got.ResultEntries != 1 {
+		t.Fatalf("second open: %+v, want a manifest replay of one result", got)
+	}
+	if _, err := st2.LoadResult("fresh", testSig); err != nil {
+		t.Fatal(err)
+	}
+}

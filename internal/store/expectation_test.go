@@ -76,7 +76,7 @@ func TestExpectationCorruptionRejected(t *testing.T) {
 	if err := st.SaveResult("expkey", testSig, testExpResult(t)); err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "results", "*", "*.h5"))
+	files, _ := filepath.Glob(filepath.Join(dir, "results", "*", "*"+resultExt))
 	if len(files) != 1 {
 		t.Fatalf("%d artifacts", len(files))
 	}

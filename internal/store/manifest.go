@@ -36,6 +36,10 @@ const manifestName = "manifest.qgm"
 
 var manifestMagic = []byte("QGMAN1\n")
 
+// errOtherFormat marks a sound header stamped with a FormatVersion this
+// build does not read: the directory was written by another build.
+var errOtherFormat = errors.New("not this build's on-disk format")
+
 // maxManifestFrame bounds a frame's payload; anything larger is
 // corruption, not a record (stems are key-sized, well under this).
 const maxManifestFrame = 1 << 20
@@ -142,7 +146,7 @@ func parseManifest(raw []byte) (recs []manRecord, torn bool, err error) {
 		return nil, false, errors.New("store: manifest: bad header")
 	}
 	if v := binary.LittleEndian.Uint16(raw[len(manifestMagic):]); v != FormatVersion {
-		return nil, false, fmt.Errorf("store: manifest: unsupported format version %d", v)
+		return nil, false, fmt.Errorf("store: manifest: format version %d: %w", v, errOtherFormat)
 	}
 	off := len(manifestMagic) + 2
 	for off < len(raw) {

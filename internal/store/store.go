@@ -1,20 +1,14 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
+	"hash/fnv"
 	"io/fs"
-	"math"
 	"net/url"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,24 +16,22 @@ import (
 
 	"qgear/internal/backend"
 	"qgear/internal/faultfs"
-	"qgear/internal/hdf5"
-	"qgear/internal/kernel"
-	"qgear/internal/sampling"
 )
 
-// FormatVersion tags the on-disk artifact layout; it bumps if the
-// result or plan encoding ever changes so stale spill directories are
-// rejected instead of misread.
-const FormatVersion = 1
+// FormatVersion tags the on-disk layout — the result and plan payloads
+// (codec.go), the shard function and the manifest journal, whose header
+// stamps the whole directory with it. It bumps whenever any of those
+// changes; Open empties a directory stamped with another version
+// instead of misreading it (2: the internal/artifact envelope; 1 was
+// the HDF5-lite results and the CRC-32 sharding of PR 10).
+const FormatVersion = 2
 
 const (
 	resultsSubdir = "results"
 	plansSubdir   = "plans"
-	resultExt     = ".h5"
+	resultExt     = ".qgr"
 	planExt       = ".plan"
 )
-
-var planMagic = []byte("QGPLN1\n")
 
 // staleTempAge is how old a .tmp file must be before the boot-time
 // scan treats it as a crashed writer's orphan and reaps it.
@@ -98,15 +90,15 @@ type entry struct {
 	seq  uint64
 }
 
-// Store is the on-disk artifact store: simulation results as HDF5-lite
-// files keyed by their core.CacheKey content address, compiled plans
-// as compact binary sidecars, both sharded into 256 two-hex-char
-// subdirectories so the tree stays listable at millions of entries.
-// Open replays the manifest journal when one is present (O(one file
-// read)) and falls back to a full directory scan when it is missing or
-// corrupt. Loads verify
-// checksums and the recorded key/config signature before anything is
-// trusted. Store is safe for concurrent use.
+// Store is the on-disk artifact store: simulation results keyed by
+// their core.CacheKey content address and compiled plans keyed by their
+// plan-cache key, one internal/artifact file each, sharded into 256
+// two-hex-char subdirectories so the tree stays listable at millions of
+// entries. Open replays the manifest journal when one is present (O(one
+// file read)) and falls back to a full directory scan when it is
+// missing or corrupt. Loads verify checksums and the recorded
+// key/config signature before anything is trusted. Store is safe for
+// concurrent use.
 type Store struct {
 	dir string
 	// fsys is the filesystem every disk operation goes through —
@@ -216,11 +208,17 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 }
 
 // load builds the index: manifest replay when possible, full scan
-// (with self-healing manifest rewrite) otherwise.
+// (with self-healing manifest rewrite) otherwise. A manifest stamped
+// with another FormatVersion means every file in the shard buckets was
+// written in that format: the store is a cache of recomputable
+// artifacts, so the scan removes them instead of indexing files no
+// load could read (or leaving bytes on disk that no budget counts).
 func (st *Store) load() error {
+	purge := false
 	raw, err := st.fsys.ReadFile(st.man.path)
 	if err == nil {
-		if recs, torn, perr := parseManifest(raw); perr == nil {
+		recs, torn, perr := parseManifest(raw)
+		if perr == nil {
 			for _, r := range recs {
 				st.applyRecord(r)
 			}
@@ -232,14 +230,15 @@ func (st *Store) load() error {
 			}
 			return nil
 		}
-		// Mid-file corruption: distrust the whole journal and rebuild
-		// from what is actually on disk.
+		// Another format, or mid-file corruption: distrust the whole
+		// journal and rebuild from what is actually on disk.
+		purge = errors.Is(perr, errOtherFormat)
 	}
 	st.bootScanned = true
-	if err := st.scanKind(kindResult, st.results); err != nil {
+	if err := st.scanKind(kindResult, st.results, purge); err != nil {
 		return err
 	}
-	if err := st.scanKind(kindPlan, st.plans); err != nil {
+	if err := st.scanKind(kindPlan, st.plans, purge); err != nil {
 		return err
 	}
 	st.compactManifest()
@@ -295,16 +294,17 @@ func isShardDir(name string) bool {
 	return true
 }
 
-// scanKind walks one artifact family's shard buckets. Anything else
-// under the family root is not the store's and is left alone.
-func (st *Store) scanKind(k kind, index map[string]*entry) error {
+// scanKind walks one artifact family's shard buckets, indexing what it
+// finds — or, with purge, removing it. Anything else under the family
+// root is not the store's and is left alone.
+func (st *Store) scanKind(k kind, index map[string]*entry, purge bool) error {
 	entries, err := st.fsys.ReadDir(filepath.Join(st.dir, k.subdir()))
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	for _, e := range entries {
 		if e.IsDir() && isShardDir(e.Name()) {
-			if err := st.scanShard(k, e.Name(), index); err != nil {
+			if err := st.scanShard(k, e.Name(), index, purge); err != nil {
 				return err
 			}
 		}
@@ -312,7 +312,7 @@ func (st *Store) scanKind(k kind, index map[string]*entry) error {
 	return nil
 }
 
-func (st *Store) scanShard(k kind, shard string, index map[string]*entry) error {
+func (st *Store) scanShard(k kind, shard string, index map[string]*entry, purge bool) error {
 	dir := filepath.Join(st.dir, k.subdir(), shard)
 	entries, err := st.fsys.ReadDir(dir)
 	if err != nil {
@@ -323,6 +323,12 @@ func (st *Store) scanShard(k kind, shard string, index map[string]*entry) error 
 			continue
 		}
 		name := e.Name()
+		if purge {
+			// Best effort, like the temp reaper below: a file that will
+			// not go is never indexed, so it can only cost its bytes.
+			st.fsys.Remove(filepath.Join(dir, name))
+			continue
+		}
 		if isTempName(name) {
 			st.reapStaleTemp(dir, e)
 			continue
@@ -462,7 +468,9 @@ func isKeyStem(stem string) bool {
 // share long common hex prefixes, which would pile everything into a
 // handful of buckets.
 func shardOf(stem string) string {
-	return fmt.Sprintf("%02x", byte(crc32.ChecksumIEEE([]byte(stem))))
+	h := fnv.New32a()
+	h.Write([]byte(stem))
+	return fmt.Sprintf("%02x", byte(h.Sum32()))
 }
 
 // stemPath is the sharded on-disk location of an artifact stem.
@@ -533,67 +541,6 @@ func (st *Store) forget(k kind, stem string) {
 	}
 }
 
-// resultMeta is the JSON metadata blob persisted with each result —
-// everything a backend.Result carries besides the probability vector
-// and counts, plus the qubit count for shape validation. Expectation
-// results persist through the same container: ExpValue carries the
-// exact ⟨H⟩ (float bits survive JSON round-trips via the string
-// field), and the probability dataset is simply absent.
-type resultMeta struct {
-	Target           backend.Target    `json:"target"`
-	NumQubits        int               `json:"num_qubits"`
-	DurationNS       int64             `json:"duration_ns"`
-	KernelStats      kernel.Stats      `json:"kernel_stats"`
-	PlanStats        *kernel.PlanStats `json:"plan_stats,omitempty"`
-	TileBits         int               `json:"tile_bits"`
-	Exchanges        int               `json:"exchanges"`
-	BytesSent        int64             `json:"bytes_sent"`
-	AvoidedExchanges int               `json:"avoided_exchanges"`
-	// ExpValueBits is the IEEE-754 bit pattern of ExpValue, the field
-	// the loader trusts: a decimal JSON float could lose the last ulp,
-	// and warm restarts must answer bit-identical ⟨H⟩ values.
-	ExpValueBits *uint64 `json:"exp_value_bits,omitempty"`
-	// ExpValue duplicates the value in human-readable form for
-	// debugging spilled artifacts; never parsed back.
-	ExpValue *float64 `json:"exp_value,omitempty"`
-	ExpTerms int      `json:"exp_terms,omitempty"`
-	// Sweep artifacts: the per-point vectors live in their own datasets
-	// (result/sweep_values, result/gradient, and the flattened
-	// result/sweep_count_* triplet); the meta records the point count
-	// and how the points were produced.
-	SweepPoints   int `json:"sweep_points,omitempty"`
-	Rebinds       int `json:"rebinds,omitempty"`
-	SweepCompiles int `json:"sweep_compiles,omitempty"`
-	// GradientLen pins the gradient dataset's expected length so a
-	// truncated or padded dataset is rejected like any other shape
-	// mismatch.
-	GradientLen int `json:"gradient_len,omitempty"`
-}
-
-// numQubits infers n from the probability-vector length.
-func numQubits(probs []float64) int {
-	n := 0
-	for 1<<uint(n) < len(probs) {
-		n++
-	}
-	return n
-}
-
-// resultRecomputeCost models what re-simulating this result would cost
-// in the same abstract units the serving layer's caches use (emitted
-// kernel ops × state size), so on-disk GC ranks artifacts exactly like
-// the in-memory Greedy-Dual-Size cache does.
-func resultRecomputeCost(meta *resultMeta, probsLen int) float64 {
-	size := probsLen
-	if size == 0 && meta.NumQubits > 0 && meta.NumQubits < 63 {
-		size = 1 << uint(meta.NumQubits)
-	}
-	if size == 0 {
-		size = 1
-	}
-	return float64(1+meta.KernelStats.EmittedOps) * float64(size)
-}
-
 // SaveResult persists a completed result under its cache key, tagged
 // with the server's configuration signature. Writes are durable and
 // atomic (temp file + fsync + rename + directory fsync) and
@@ -611,124 +558,15 @@ func (st *Store) SaveResult(key, sig string, res *backend.Result) error {
 		return nil
 	}
 
-	meta := resultMeta{
-		Target:           res.Target,
-		NumQubits:        res.NumQubits,
-		DurationNS:       res.Duration.Nanoseconds(),
-		KernelStats:      res.KernelStats,
-		PlanStats:        res.PlanStats,
-		TileBits:         res.TileBits,
-		Exchanges:        res.Exchanges,
-		BytesSent:        res.BytesSent,
-		AvoidedExchanges: res.AvoidedExchanges,
-		ExpTerms:         res.ExpTerms,
-		SweepPoints:      res.SweepPoints,
-		Rebinds:          res.Rebinds,
-		SweepCompiles:    res.SweepCompiles,
-		GradientLen:      len(res.Gradient),
-	}
-	if meta.NumQubits == 0 {
-		meta.NumQubits = numQubits(res.Probabilities)
-	}
 	sweepArtifact := len(res.SweepValues) > 0 || len(res.SweepCounts) > 0 || len(res.Gradient) > 0
-	if res.ExpValue != nil {
-		bits := math.Float64bits(*res.ExpValue)
-		v := *res.ExpValue
-		meta.ExpValueBits, meta.ExpValue = &bits, &v
-	} else if len(res.Probabilities) == 0 && !sweepArtifact {
+	if res.ExpValue == nil && len(res.Probabilities) == 0 && !sweepArtifact {
 		return fmt.Errorf("store: result %s carries neither probabilities, an expectation value, nor a sweep artifact", key)
 	}
-	metaJSON, err := json.Marshal(meta)
+	data, err := encodeResult(key, sig, res)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-
-	f := hdf5.NewFile()
-	if len(res.Probabilities) > 0 {
-		if err := f.PutFloat64s("result/probabilities", res.Probabilities); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	if res.ExpValue != nil {
-		// The raw-bits dataset both carries the value exactly and
-		// creates the result group for the attribute block below.
-		if err := f.PutFloat64s("result/expval", []float64{*res.ExpValue}); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	if len(res.Counts) > 0 {
-		keys := make([]uint64, 0, len(res.Counts))
-		for k := range res.Counts {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		ck := make([]int64, len(keys))
-		cv := make([]int64, len(keys))
-		for i, k := range keys {
-			ck[i] = int64(k)
-			cv[i] = int64(res.Counts[k])
-		}
-		if err := f.PutInt64s("result/count_keys", ck); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		if err := f.PutInt64s("result/count_vals", cv); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	if len(res.SweepValues) > 0 {
-		if err := f.PutFloat64s("result/sweep_values", res.SweepValues); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	if len(res.Gradient) > 0 {
-		if err := f.PutFloat64s("result/gradient", res.Gradient); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	if len(res.SweepCounts) > 0 {
-		// Per-point count maps flatten into one key stream, one value
-		// stream, and an offsets vector of length points+1: point i's
-		// pairs live at [offsets[i], offsets[i+1]).
-		offs := make([]int64, len(res.SweepCounts)+1)
-		var ck, cv []int64
-		for i, counts := range res.SweepCounts {
-			keys := make([]uint64, 0, len(counts))
-			for k := range counts {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-			for _, k := range keys {
-				ck = append(ck, int64(k))
-				cv = append(cv, int64(counts[k]))
-			}
-			offs[i+1] = int64(len(ck))
-		}
-		if err := f.PutInt64s("result/sweep_count_keys", ck); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		if err := f.PutInt64s("result/sweep_count_vals", cv); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		if err := f.PutInt64s("result/sweep_count_offsets", offs); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	for k, a := range map[string]hdf5.Attr{
-		"format_version": hdf5.IntAttr(FormatVersion),
-		"cache_key":      hdf5.StringAttr(key),
-		"config_sig":     hdf5.StringAttr(sig),
-		"meta":           hdf5.StringAttr(string(metaJSON)),
-	} {
-		if err := f.SetAttr("result", k, a); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := f.Save(&buf, hdf5.SaveOptions{Compression: hdf5.CompressionFlate}); err != nil {
-		return err
-	}
-	return st.saveArtifact(kindResult, stem, buf.Bytes(), resultRecomputeCost(&meta, len(res.Probabilities)))
+	return st.saveArtifact(kindResult, stem, data, resultRecomputeCost(res))
 }
 
 // saveArtifact lands an encoded artifact under the byte budget:
@@ -787,169 +625,38 @@ func (st *Store) saveArtifact(k kind, stem string, data []byte, cost float64) er
 }
 
 // LoadResult reads the result stored under key, rejecting it unless
-// the file's checksum verifies (hdf5.Load), its recorded cache key
-// matches the one requested, and its configuration signature matches
-// sig. The returned probabilities and counts are bit-identical to
-// what was saved.
+// the file's checksum verifies, its recorded cache key matches the one
+// requested, and its configuration signature matches sig. The returned
+// probabilities and counts are bit-identical to what was saved.
 func (st *Store) LoadResult(key, sig string) (*backend.Result, error) {
 	stem := encodeKey(key)
-	path := st.stemPath(kindResult, stem)
-	// Read and parse in two steps so a transient I/O failure stays
-	// distinguishable from a corrupt file: only the latter is
-	// ErrIntegrity and only it justifies quarantining the artifact.
-	raw, err := st.fsys.ReadFile(path)
+	raw, err := st.readArtifact(kindResult, stem)
+	if err != nil {
+		return nil, err
+	}
+	res, err := decodeResult(raw, key, sig)
+	if err != nil {
+		return nil, integrityErr("store: result %s: %v", key, err)
+	}
+	st.touchEntry(kindResult, stem, resultRecomputeCost(res))
+	return res, nil
+}
+
+// readArtifact reads an artifact file whole. Reading and parsing are
+// two steps so a transient I/O failure stays distinguishable from a
+// corrupt file: only the latter is ErrIntegrity and only it justifies
+// quarantining the artifact.
+func (st *Store) readArtifact(k kind, stem string) ([]byte, error) {
+	raw, err := st.fsys.ReadFile(st.stemPath(k, stem))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			// A ghost entry (journal promised a file that is gone) heals
 			// here, so the miss is not permanent.
-			st.forget(kindResult, stem)
+			st.forget(k, stem)
 		}
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	f, err := hdf5.Load(bytes.NewReader(raw))
-	if err != nil {
-		return nil, integrityErr("store: result %s: %v", key, err)
-	}
-	if err := st.verifyAttrs(f, "result", key, sig); err != nil {
-		return nil, err
-	}
-	metaAttr, err := f.Attr("result", "meta")
-	if err != nil {
-		return nil, integrityErr("store: result %s: %v", key, err)
-	}
-	var meta resultMeta
-	if err := json.Unmarshal([]byte(metaAttr.S), &meta); err != nil {
-		return nil, integrityErr("store: result %s: bad meta: %v", key, err)
-	}
-	if meta.NumQubits < 0 || meta.NumQubits > 62 {
-		return nil, integrityErr("store: result %s: implausible qubit count %d", key, meta.NumQubits)
-	}
-	var probs []float64
-	if _, derr := f.Dataset("result/probabilities"); derr == nil {
-		probs, _, err = f.Float64s("result/probabilities")
-		if err != nil {
-			return nil, integrityErr("store: result %s: %v", key, err)
-		}
-		if len(probs) != 1<<uint(meta.NumQubits) {
-			return nil, integrityErr("store: result %s: %d probabilities for %d qubits", key, len(probs), meta.NumQubits)
-		}
-	} else if meta.ExpValueBits == nil && meta.SweepPoints == 0 {
-		// Expectation and sweep artifacts legitimately omit the vector;
-		// anything else without one is damaged.
-		return nil, integrityErr("store: result %s: no probability dataset and no expectation value", key)
-	}
-	res := &backend.Result{
-		Target:           meta.Target,
-		Probabilities:    probs,
-		NumQubits:        meta.NumQubits,
-		Duration:         time.Duration(meta.DurationNS),
-		KernelStats:      meta.KernelStats,
-		PlanStats:        meta.PlanStats,
-		TileBits:         meta.TileBits,
-		Exchanges:        meta.Exchanges,
-		BytesSent:        meta.BytesSent,
-		AvoidedExchanges: meta.AvoidedExchanges,
-		ExpTerms:         meta.ExpTerms,
-	}
-	if meta.ExpValueBits != nil {
-		v := math.Float64frombits(*meta.ExpValueBits)
-		res.ExpValue = &v
-	}
-	if _, err := f.Dataset("result/count_keys"); err == nil {
-		ck, _, err := f.Int64s("result/count_keys")
-		if err != nil {
-			return nil, integrityErr("store: result %s: %v", key, err)
-		}
-		cv, _, err := f.Int64s("result/count_vals")
-		if err != nil {
-			return nil, integrityErr("store: result %s: %v", key, err)
-		}
-		if len(ck) != len(cv) {
-			return nil, integrityErr("store: result %s: %d count keys, %d values", key, len(ck), len(cv))
-		}
-		res.Counts = make(sampling.Counts, len(ck))
-		for i := range ck {
-			res.Counts[uint64(ck[i])] = int(cv[i])
-		}
-	}
-	res.SweepPoints = meta.SweepPoints
-	res.Rebinds = meta.Rebinds
-	res.SweepCompiles = meta.SweepCompiles
-	if _, derr := f.Dataset("result/sweep_values"); derr == nil {
-		sv, _, err := f.Float64s("result/sweep_values")
-		if err != nil {
-			return nil, integrityErr("store: result %s: %v", key, err)
-		}
-		if len(sv) != meta.SweepPoints {
-			return nil, integrityErr("store: result %s: %d sweep values for %d points", key, len(sv), meta.SweepPoints)
-		}
-		res.SweepValues = sv
-	}
-	if _, derr := f.Dataset("result/gradient"); derr == nil {
-		g, _, err := f.Float64s("result/gradient")
-		if err != nil {
-			return nil, integrityErr("store: result %s: %v", key, err)
-		}
-		if len(g) != meta.GradientLen {
-			return nil, integrityErr("store: result %s: %d gradient values, meta records %d", key, len(g), meta.GradientLen)
-		}
-		res.Gradient = g
-	} else if meta.GradientLen > 0 {
-		return nil, integrityErr("store: result %s: gradient dataset missing (%d values recorded)", key, meta.GradientLen)
-	}
-	if _, derr := f.Dataset("result/sweep_count_offsets"); derr == nil {
-		offs, _, err := f.Int64s("result/sweep_count_offsets")
-		if err != nil {
-			return nil, integrityErr("store: result %s: %v", key, err)
-		}
-		ck, _, err := f.Int64s("result/sweep_count_keys")
-		if err != nil {
-			return nil, integrityErr("store: result %s: %v", key, err)
-		}
-		cv, _, err := f.Int64s("result/sweep_count_vals")
-		if err != nil {
-			return nil, integrityErr("store: result %s: %v", key, err)
-		}
-		if len(ck) != len(cv) {
-			return nil, integrityErr("store: result %s: %d sweep count keys, %d values", key, len(ck), len(cv))
-		}
-		if len(offs) == 0 || offs[0] != 0 || offs[len(offs)-1] != int64(len(ck)) || len(offs)-1 != meta.SweepPoints {
-			return nil, integrityErr("store: result %s: malformed sweep count offsets", key)
-		}
-		res.SweepCounts = make([]sampling.Counts, len(offs)-1)
-		for i := 0; i < len(offs)-1; i++ {
-			lo, hi := offs[i], offs[i+1]
-			if lo > hi || hi > int64(len(ck)) {
-				return nil, integrityErr("store: result %s: malformed sweep count offsets", key)
-			}
-			counts := make(sampling.Counts, hi-lo)
-			for j := lo; j < hi; j++ {
-				counts[uint64(ck[j])] = int(cv[j])
-			}
-			res.SweepCounts[i] = counts
-		}
-	}
-	st.touchEntry(kindResult, stem, resultRecomputeCost(&meta, len(probs)))
-	return res, nil
-}
-
-// verifyAttrs checks the artifact's self-describing attributes. Stems
-// are injective in the key, so a recorded-key mismatch can only be a
-// damaged or misplaced file.
-func (st *Store) verifyAttrs(f *hdf5.File, group, key, sig string) error {
-	v, err := f.Attr(group, "format_version")
-	if err != nil || v.I != FormatVersion {
-		return integrityErr("store: %s %s: wrong or missing format version", group, key)
-	}
-	k, err := f.Attr(group, "cache_key")
-	if err != nil || k.S != key {
-		return integrityErr("store: %s file for key %s records key %q", group, key, k.S)
-	}
-	s, err := f.Attr(group, "config_sig")
-	if err != nil || s.S != sig {
-		return integrityErr("store: %s %s: config signature %q does not match %q", group, key, s.S, sig)
-	}
-	return nil
+	return raw, nil
 }
 
 // SavePlan persists a compiled execution IR under its plan-cache key
@@ -965,35 +672,14 @@ func (st *Store) SavePlan(key, sig string, comp *backend.Compiled, cost float64)
 	if exists {
 		return nil
 	}
-
-	var payload bytes.Buffer
-	writeStr := func(s string) {
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(s)))
-		payload.Write(n[:])
-		payload.WriteString(s)
+	data, err := encodePlan(key, sig, comp, cost)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint16(hdr[:2], FormatVersion)
-	payload.Write(hdr[:2])
-	writeStr(key)
-	writeStr(sig)
-	binary.LittleEndian.PutUint64(hdr[:8], math.Float64bits(cost))
-	payload.Write(hdr[:8])
-	if err := comp.Encode(&payload); err != nil {
-		return err
-	}
-
-	var out bytes.Buffer
-	out.Write(planMagic)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload.Bytes()))
-	out.Write(crc[:])
-	out.Write(payload.Bytes())
 	if cost <= 0 {
-		cost = float64(out.Len())
+		cost = float64(len(data))
 	}
-	return st.saveArtifact(kindPlan, stem, out.Bytes(), cost)
+	return st.saveArtifact(kindPlan, stem, data, cost)
 }
 
 // LoadPlan reads the compiled plan stored under key, with the same
@@ -1003,69 +689,16 @@ func (st *Store) SavePlan(key, sig string, comp *backend.Compiled, cost float64)
 // units SavePlan was given).
 func (st *Store) LoadPlan(key, sig string) (*backend.Compiled, float64, error) {
 	stem := encodeKey(key)
-	raw, err := st.fsys.ReadFile(st.stemPath(kindPlan, stem))
+	raw, err := st.readArtifact(kindPlan, stem)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			st.forget(kindPlan, stem)
-		}
-		return nil, 0, fmt.Errorf("store: %w", err)
+		return nil, 0, err
 	}
-	if len(raw) < len(planMagic)+4 || !bytes.Equal(raw[:len(planMagic)], planMagic) {
-		return nil, 0, integrityErr("store: plan %s: bad magic", key)
-	}
-	want := binary.LittleEndian.Uint32(raw[len(planMagic):])
-	payload := raw[len(planMagic)+4:]
-	if sum := crc32.ChecksumIEEE(payload); sum != want {
-		return nil, 0, integrityErr("store: plan %s: checksum mismatch (file %08x, payload %08x)", key, want, sum)
-	}
-	r := bytes.NewReader(payload)
-	var two [2]byte
-	if _, err := io.ReadFull(r, two[:]); err != nil {
-		return nil, 0, integrityErr("store: plan %s: %v", key, err)
-	}
-	if v := binary.LittleEndian.Uint16(two[:]); v != FormatVersion {
-		return nil, 0, integrityErr("store: plan %s: unsupported format version %d", key, v)
-	}
-	readStr := func() (string, error) {
-		var n [4]byte
-		if _, err := io.ReadFull(r, n[:]); err != nil {
-			return "", err
-		}
-		ln := binary.LittleEndian.Uint32(n[:])
-		if int(ln) > r.Len() {
-			return "", fmt.Errorf("implausible string length %d", ln)
-		}
-		buf := make([]byte, ln)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	gotKey, err := readStr()
+	comp, cost, err := decodePlan(raw, key, sig)
 	if err != nil {
 		return nil, 0, integrityErr("store: plan %s: %v", key, err)
 	}
-	if gotKey != key {
-		return nil, 0, integrityErr("store: plan file for key %s records key %q", key, gotKey)
-	}
-	gotSig, err := readStr()
-	if err != nil {
-		return nil, 0, integrityErr("store: plan %s: %v", key, err)
-	}
-	if gotSig != sig {
-		return nil, 0, integrityErr("store: plan %s: config signature %q does not match %q", key, gotSig, sig)
-	}
-	var cost [8]byte
-	if _, err := io.ReadFull(r, cost[:]); err != nil {
-		return nil, 0, integrityErr("store: plan %s: %v", key, err)
-	}
-	costVal := math.Float64frombits(binary.LittleEndian.Uint64(cost[:]))
-	comp, err := backend.DecodeCompiled(r)
-	if err != nil {
-		return nil, 0, integrityErr("store: plan %s: %v", key, err)
-	}
-	st.touchEntry(kindPlan, stem, costVal)
-	return comp, costVal, nil
+	st.touchEntry(kindPlan, stem, cost)
+	return comp, cost, nil
 }
 
 // DropResult removes a (corrupt or mismatched) result file from disk

@@ -9,17 +9,19 @@
 // Lemma B.2 (d ≥ max(|G|, |C|)) and overridden in place as circuits are
 // processed, which is what makes the conversion time constant per gate
 // and independent of entanglement depth (Appendix C). The encoding
-// persists to the HDF5-lite container with the Eq. (8) one-hot matrix
-// and generation metadata attached.
+// persists as one deflated internal/artifact file with the Eq. (8)
+// one-hot matrix attached.
 package tensorenc
 
 import (
 	"fmt"
+	"math"
+	"os"
 	"strings"
 
+	"qgear/internal/artifact"
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
-	"qgear/internal/hdf5"
 )
 
 // Circuit type ids stored in the circ_type tensor (first dimension of
@@ -198,120 +200,90 @@ func (e *Encoding) Decode() ([]*circuit.Circuit, error) {
 	return out, nil
 }
 
-// Dataset and attribute names inside the HDF5 container.
-const (
-	DSCircType  = "circ_type"
-	DSGateType  = "gate_type"
-	DSGateParam = "gate_param"
-	DSNames     = "names"
-	DSOneHot    = "one_hot"
-	AttrNumCirc = "num_circ"
-	AttrCap     = "capacity"
-	AttrVersion = "version"
-)
+// Version tags the tensor-file payload layout (2: the shared
+// envelope).
+const Version uint16 = 2
 
-// ToHDF5 packs the encoding into an HDF5-lite file under the given
-// group path, including the Eq. (8) one-hot matrix and metadata
-// attributes.
-func (e *Encoding) ToHDF5(group string) (*hdf5.File, error) {
-	f := hdf5.NewFile()
-	p := func(name string) string { return group + "/" + name }
-	if err := f.PutInt64s(p(DSCircType), e.CircType, e.NumCircuits, 3); err != nil {
-		return nil, err
+// Marshal renders the encoding as one sealed, deflated artifact: the
+// two dimensions, the three tensors, the circuit names and the Eq. (8)
+// one-hot matrix of the gate set the gate ids index.
+func (e *Encoding) Marshal() ([]byte, error) {
+	w := artifact.NewWriter(64 + 8*(len(e.CircType)+len(e.GateType)+len(e.GateParam)))
+	w.U32(uint32(e.NumCircuits))
+	w.U32(uint32(e.Capacity))
+	w.I64s(e.CircType)
+	w.I64s(e.GateType)
+	w.F64s(e.GateParam)
+	w.Count(len(e.Names))
+	for _, name := range e.Names {
+		w.Str(name)
 	}
-	if err := f.PutInt64s(p(DSGateType), e.GateType, e.NumCircuits, e.Capacity, 3); err != nil {
-		return nil, err
+	oneHot := gate.OneHot()
+	w.Count(len(oneHot) * len(oneHot))
+	for _, row := range oneHot {
+		for _, v := range row {
+			w.F64(v)
+		}
 	}
-	if err := f.PutFloat64s(p(DSGateParam), e.GateParam, e.NumCircuits, e.Capacity); err != nil {
-		return nil, err
+	data, err := w.Seal(artifact.KindTensors, Version, true)
+	if err != nil {
+		return nil, fmt.Errorf("tensorenc: %w", err)
 	}
-	if err := f.PutUint8s(p(DSNames), []byte(strings.Join(e.Names, "\n"))); err != nil {
-		return nil, err
-	}
-	oh := gate.OneHot()
-	flat := make([]float64, 0, gate.OneHotSize*gate.OneHotSize)
-	for i := 0; i < gate.OneHotSize; i++ {
-		flat = append(flat, oh[i][:]...)
-	}
-	if err := f.PutFloat64s(p(DSOneHot), flat, gate.OneHotSize, gate.OneHotSize); err != nil {
-		return nil, err
-	}
-	if err := f.SetAttr(group, AttrNumCirc, hdf5.IntAttr(int64(e.NumCircuits))); err != nil {
-		return nil, err
-	}
-	if err := f.SetAttr(group, AttrCap, hdf5.IntAttr(int64(e.Capacity))); err != nil {
-		return nil, err
-	}
-	if err := f.SetAttr(group, AttrVersion, hdf5.IntAttr(1)); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return data, nil
 }
 
-// FromHDF5 unpacks an encoding from the given group of an HDF5-lite
-// file.
-func FromHDF5(f *hdf5.File, group string) (*Encoding, error) {
-	p := func(name string) string { return group + "/" + name }
-	nAttr, err := f.Attr(group, AttrNumCirc)
+// Unmarshal parses an artifact written by Marshal — checksum first,
+// then the fields — and rejects tensors whose lengths disagree with
+// the recorded dimensions or a one-hot matrix of another gate set.
+func Unmarshal(data []byte) (*Encoding, error) {
+	r, err := artifact.Open(artifact.KindTensors, Version, data)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tensorenc: %w", err)
 	}
-	capAttr, err := f.Attr(group, AttrCap)
-	if err != nil {
-		return nil, err
+	e := &Encoding{NumCircuits: int(r.U32()), Capacity: int(r.U32())}
+	e.CircType = r.I64s()
+	e.GateType = r.I64s()
+	e.GateParam = r.F64s()
+	e.Names = make([]string, r.Count(4))
+	for i := range e.Names {
+		e.Names[i] = r.Str()
 	}
-	e := &Encoding{NumCircuits: int(nAttr.I), Capacity: int(capAttr.I)}
-	if e.NumCircuits < 0 || e.Capacity < 0 {
-		return nil, fmt.Errorf("tensorenc: negative dimensions in metadata")
+	oneHot, want := r.F64s(), gate.OneHot()
+	same := len(oneHot) == len(want)*len(want)
+	for i := 0; same && i < len(oneHot); i++ {
+		same = math.Float64bits(oneHot[i]) == math.Float64bits(want[i/len(want)][i%len(want)])
 	}
-	var shape []int
-	if e.CircType, shape, err = f.Int64s(p(DSCircType)); err != nil {
-		return nil, err
+	if !same {
+		r.Failf("one-hot matrix is not this gate set's")
 	}
-	if len(shape) != 2 || shape[0] != e.NumCircuits || shape[1] != 3 {
-		return nil, fmt.Errorf("tensorenc: circ_type shape %v inconsistent with %d circuits", shape, e.NumCircuits)
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("tensorenc: %w", err)
 	}
-	if e.GateType, shape, err = f.Int64s(p(DSGateType)); err != nil {
-		return nil, err
-	}
-	if len(shape) != 3 || shape[0] != e.NumCircuits || shape[1] != e.Capacity || shape[2] != 3 {
-		return nil, fmt.Errorf("tensorenc: gate_type shape %v inconsistent", shape)
-	}
-	if e.GateParam, shape, err = f.Float64s(p(DSGateParam)); err != nil {
-		return nil, err
-	}
-	if len(shape) != 2 || shape[0] != e.NumCircuits || shape[1] != e.Capacity {
-		return nil, fmt.Errorf("tensorenc: gate_param shape %v inconsistent", shape)
-	}
-	raw, _, err := f.Uint8s(p(DSNames))
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) > 0 {
-		e.Names = strings.Split(string(raw), "\n")
-	}
-	if len(e.Names) < e.NumCircuits {
-		pad := make([]string, e.NumCircuits-len(e.Names))
-		e.Names = append(e.Names, pad...)
+	n, d := int64(e.NumCircuits), int64(e.Capacity)
+	if int64(len(e.CircType)) != n*3 || int64(len(e.GateType)) != n*d*3 ||
+		int64(len(e.GateParam)) != n*d || int64(len(e.Names)) != n {
+		return nil, fmt.Errorf("tensorenc: tensor lengths inconsistent with %d circuits × %d capacity", n, d)
 	}
 	return e, nil
 }
 
-// SaveFile writes the encoding to an HDF5-lite file at path with flate
-// compression (the Appendix C configuration).
-func (e *Encoding) SaveFile(path, group string) error {
-	f, err := e.ToHDF5(group)
+// SaveFile writes the encoding to a tensor file at path.
+func (e *Encoding) SaveFile(path string) error {
+	data, err := e.Marshal()
 	if err != nil {
 		return err
 	}
-	return f.SaveFile(path, hdf5.SaveOptions{Compression: hdf5.CompressionFlate})
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return fmt.Errorf("tensorenc: %w", err)
+	}
+	return nil
 }
 
 // LoadFile reads an encoding back from path.
-func LoadFile(path, group string) (*Encoding, error) {
-	f, err := hdf5.LoadFile(path)
+func LoadFile(path string) (*Encoding, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tensorenc: %w", err)
 	}
-	return FromHDF5(f, group)
+	return Unmarshal(data)
 }

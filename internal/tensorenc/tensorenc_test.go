@@ -1,13 +1,13 @@
 package tensorenc
 
 import (
+	"bytes"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
-	"qgear/internal/hdf5"
 	"qgear/internal/qmath"
 )
 
@@ -172,44 +172,43 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestHDF5RoundTrip(t *testing.T) {
+func TestMarshalRoundTrip(t *testing.T) {
 	e, err := Encode(sampleCircuits(), 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := e.ToHDF5("circuits")
+	data, err := e.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The one-hot matrix of Eq. (8) must be present and identity.
-	oh, shape, err := f.Float64s("circuits/" + DSOneHot)
-	if err != nil || shape[0] != gate.OneHotSize {
-		t.Fatalf("one-hot missing: %v", err)
-	}
-	for i := 0; i < gate.OneHotSize; i++ {
-		if oh[i*gate.OneHotSize+i] != 1 {
-			t.Fatal("one-hot diagonal wrong")
-		}
-	}
-	back, err := FromHDF5(f, "circuits")
+	back, err := Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(e, back) {
-		t.Fatalf("hdf5 round trip differs:\n%+v\n%+v", e, back)
+		t.Fatalf("round trip differs:\n%+v\n%+v", e, back)
+	}
+	again, err := back.Marshal()
+	if err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("re-encoding differs (err %v)", err)
+	}
+	// The structured tensors deflate well below their raw size
+	// (Appendix C).
+	if raw := 8 * (len(e.CircType) + len(e.GateType) + len(e.GateParam)); len(data) >= raw {
+		t.Fatalf("%d-byte file for %d raw tensor bytes", len(data), raw)
 	}
 }
 
 func TestFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "enc.h5")
+	path := filepath.Join(t.TempDir(), "enc.qgt")
 	e, err := Encode(sampleCircuits(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SaveFile(path, "circ"); err != nil {
+	if err := e.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadFile(path, "circ")
+	back, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,20 +221,20 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromHDF5ShapeValidation(t *testing.T) {
+// TestUnmarshalShapeValidation: a file whose recorded dimensions
+// disagree with its tensors is rejected even though its checksum holds.
+func TestUnmarshalShapeValidation(t *testing.T) {
 	e, err := Encode(sampleCircuits(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := e.ToHDF5("g")
+	// Lie about the circuit count in the header.
+	e.NumCircuits = 99
+	data, err := e.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Lie about the circuit count in the metadata.
-	if err := f.SetAttr("g", AttrNumCirc, hdf5.IntAttr(99)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FromHDF5(f, "g"); err == nil {
+	if _, err := Unmarshal(data); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
 }

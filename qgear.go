@@ -14,9 +14,9 @@
 // The package re-exports the stable subset of the internal layers:
 // circuit building, the kernel transformation, execution targets, the
 // workload generators used in the paper's evaluation (random CX-block
-// unitaries, QFT, QCrank image encoding), the QPY/HDF5 interchange
-// formats, and the calibrated Perlmutter performance model used to
-// extrapolate paper-scale figures.
+// unitaries, QFT, QCrank image encoding), the circuit-list and tensor
+// file formats, and the calibrated Perlmutter performance model used
+// to extrapolate paper-scale figures.
 package qgear
 
 import (
@@ -182,8 +182,8 @@ func SaveQPY(path string, cs []*Circuit) error { return core.SaveQPY(path, cs) }
 // LoadQPY reads a circuit list saved by SaveQPY.
 func LoadQPY(path string) ([]*Circuit, error) { return core.LoadQPY(path) }
 
-// SaveTensors tensor-encodes circuits (§2.1) into a compressed
-// HDF5-lite file; capacity <= 0 auto-sizes per Lemma B.2.
+// SaveTensors tensor-encodes circuits (§2.1) into a deflated tensor
+// file; capacity <= 0 auto-sizes per Lemma B.2.
 func SaveTensors(path string, cs []*Circuit, capacity int) error {
 	return core.SaveTensors(path, cs, capacity)
 }

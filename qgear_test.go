@@ -127,11 +127,11 @@ func TestFileFormatsViaFacade(t *testing.T) {
 	if err != nil || len(back) != 1 {
 		t.Fatal("qpy facade broken")
 	}
-	h5Path := filepath.Join(dir, "c.h5")
-	if err := SaveTensors(h5Path, cs, 0); err != nil {
+	tensorPath := filepath.Join(dir, "c.qgt")
+	if err := SaveTensors(tensorPath, cs, 0); err != nil {
 		t.Fatal(err)
 	}
-	back2, err := LoadTensors(h5Path)
+	back2, err := LoadTensors(tensorPath)
 	if err != nil || len(back2) != 1 {
 		t.Fatal("tensor facade broken")
 	}
