@@ -2,7 +2,7 @@ GO ?= go
 
 # Where ci-store's phase report lands (uploaded as a workflow artifact).
 BENCH_OUT ?= /tmp/qgear-bench
-# Scratch store directory for the warm-restart acceptance check.
+# Scratch directory (circuit file, store, both outputs) of the warm-restart check.
 WARMSTART_DIR ?= /tmp/qgear-warmstart
 # Coverage profile and floor for internal/observable (near-dead code
 # until PR 5; the floor keeps the expectation pathway exercised).
@@ -195,13 +195,25 @@ ci-store: build
 	mkdir -p $(BENCH_OUT)
 	$(call run-selected,TestStoreAcceptance,./internal/store/,-v -timeout 20m,QGEAR_STORE_ACCEPTANCE_N=10000 QGEAR_STORE_STATS_OUT=$(BENCH_OUT)/BENCH_store.json)
 
-# Warm-restart acceptance: seed a store in one process, kill it, and
-# verify from a second process that repeat submissions are store hits
-# with bit-identical probabilities and exact shot counts.
+# Warm-restart acceptance, made of the product itself: two separate
+# `qgear run` processes on one generated circuit file and one store
+# directory. The first simulates and, closing its server, leaves every
+# result on disk; the second must answer every circuit from there —
+# each result line marked "(store hit)" — and print, that marker aside,
+# exactly what the first printed: the recorded durations and the
+# fixed-seed shot counts, line for line.
 ci-warmstart: build
 	rm -rf $(WARMSTART_DIR)
-	$(GO) run ./cmd/qgear-serve warmstart -phase seed -store-dir $(WARMSTART_DIR)
-	$(GO) run ./cmd/qgear-serve warmstart -phase verify -store-dir $(WARMSTART_DIR)
+	mkdir -p $(WARMSTART_DIR)
+	$(GO) run ./cmd/qgear generate -kind random -qubits 10 -blocks 40 -count 8 -out $(WARMSTART_DIR)/circuits.qpy
+	$(GO) run ./cmd/qgear run -in $(WARMSTART_DIR)/circuits.qpy -shots 256 -store-dir $(WARMSTART_DIR)/store > $(WARMSTART_DIR)/first.txt
+	$(GO) run ./cmd/qgear run -in $(WARMSTART_DIR)/circuits.qpy -shots 256 -store-dir $(WARMSTART_DIR)/store > $(WARMSTART_DIR)/second.txt
+	@cd $(WARMSTART_DIR) && grep -q 'target=' first.txt || { echo "ci-warmstart: the first run printed no result line"; exit 1; }; \
+	if grep 'target=' second.txt | grep -v '(store hit)'; then \
+		echo "ci-warmstart: the restarted process re-simulated the circuits above"; exit 1; fi; \
+	sed 's/  (store hit)//' second.txt | diff first.txt - || \
+		{ echo "ci-warmstart: the store answered differently from the run that filled it"; exit 1; }; \
+	echo "ci-warmstart: PASS — $$(grep -c 'target=' second.txt) circuits answered from the store, output identical"
 
 clean:
 	$(GO) clean ./...

@@ -1,13 +1,15 @@
 // Command qgear-serve runs the Q-GEAR simulation service: an HTTP JSON
 // API over the internal/service layer (bounded job queue, worker pool,
 // batch coalescing onto the mqpu device-parallel path, and a
-// content-addressed LRU result cache). Load generation lives in
-// benchmark/ (the serve_mix workload).
+// content-addressed LRU result cache). It is one of the two front ends
+// of service.Server — the qgear CLI is the other, as an in-process
+// client — and nothing but a listener: load generation lives in
+// benchmark/ (the serve_mix workload), the warm-restart check in
+// `make ci-warmstart` (two qgear processes on one -store-dir).
 //
 // Usage:
 //
 //	qgear-serve serve -addr :8042 -target nvidia-mqpu -devices 4 -pool 2 -cache 1024
-//	qgear-serve warmstart -store-dir /tmp/qgear-store
 package main
 
 import (
@@ -33,8 +35,6 @@ func main() {
 	switch os.Args[1] {
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "warmstart":
-		err = cmdWarmstart(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -51,28 +51,27 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `qgear-serve <command> [flags]
 commands:
-  serve      run the simulation HTTP service (/v1/jobs, /v1/results, /v1/stats)
-  warmstart  warm-restart acceptance check for the -store-dir persistence path
-run "qgear-serve <command> -h" for flags`)
+  serve      run the simulation HTTP service (/v1/jobs, /v1/results, /v1/stats, /metrics)
+run "qgear-serve serve -h" for flags. The execution flags (-target -devices
+-fusion -tile -plan-fusion -store-dir) are the ones qgear run / expect / sweep
+take: both binaries are front ends of the same server, so a -store-dir filled
+by either answers the other's repeat work from disk.`)
 }
 
-// serviceFlags registers the shared server-configuration flags.
+// serviceFlags registers the server-configuration flags: the execution
+// block shared with the qgear CLI, then the sizing of a long-running
+// server.
 func serviceFlags(fs *flag.FlagSet) *service.Config {
 	cfg := &service.Config{}
-	fs.StringVar((*string)(&cfg.Target), "target", "", "execution target (default nvidia; nvidia-mqpu when -devices > 1)")
-	fs.IntVar(&cfg.Devices, "devices", 1, "simulated device count")
+	service.RegisterExecFlags(fs, cfg)
 	fs.IntVar(&cfg.Workers, "workers", 0, "goroutine parallelism per device (0 = NumCPU)")
-	fs.IntVar(&cfg.FusionWindow, "fusion", 0, "gate-fusion window (0 = off)")
 	fs.Float64Var(&cfg.PruneAngle, "prune", 0, "small-angle prune threshold")
-	fs.IntVar(&cfg.TileBits, "tile", 0, "tiled-executor tile width in qubits (0 = auto from cache geometry, negative = per-gate sweeps)")
-	fs.BoolVar(&cfg.PlanFusion, "plan-fusion", false, "pre-multiply adjacent same-target 1q gates in the plan compiler")
 	fs.IntVar(&cfg.QueueSize, "queue", 256, "job queue bound")
 	fs.IntVar(&cfg.WorkerPool, "pool", 2, "executor worker pool size")
 	fs.IntVar(&cfg.CacheSize, "cache", 1024, "result-cache entry bound (-1 disables)")
 	fs.Int64Var(&cfg.MaxCacheBytes, "max-cache-bytes", 0, "result-cache resident byte budget (0 = 1 GiB default, -1 = unbounded)")
 	fs.IntVar(&cfg.PlanCacheSize, "plan-cache", 512, "compiled-plan cache entry bound (-1 disables)")
 	fs.Int64Var(&cfg.MaxPlanCacheBytes, "max-plan-cache-bytes", 0, "plan-cache resident byte budget (0 = 256 MiB default, -1 = unbounded)")
-	fs.StringVar(&cfg.StoreDir, "store-dir", "", "persistent artifact store directory: evicted/shutdown cache entries spill there and a restarted server answers repeat fingerprints from disk (empty = no persistence)")
 	fs.Int64Var(&cfg.MaxStoreBytes, "max-store-bytes", 0, "on-disk store byte budget: saves evict lowest-priority artifacts (Greedy-Dual-Size) or are refused so the store directory never outgrows this (0 = unbounded)")
 	fs.IntVar(&cfg.MaxBatch, "batch", 8, "max queued jobs one worker coalesces into one run (it takes a backlog, never waits for one)")
 	fs.DurationVar(&cfg.JobTimeout, "job-timeout", 0, "per-job lifetime bound from submission (0 = unbounded); expired jobs fail with a 504 result")

@@ -3,6 +3,13 @@
 // them into kernels, and execute them on any target — the same flow as
 // the paper's run.py driver (§E.3).
 //
+// The executing commands (run, expect, sweep) are clients of
+// service.Server: each starts one in process, submits its circuits,
+// prints what comes back and closes it. Content addressing, the
+// persistent store and everything else about how a job is answered
+// live in internal/service only, so the CLI and qgear-serve on one
+// -store-dir serve each other's repeat work.
+//
 // Usage:
 //
 //	qgear generate -kind random -qubits 8 -blocks 100 -count 4 -out circuits.qpy
@@ -14,10 +21,11 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,7 +38,6 @@ import (
 	"qgear/internal/qft"
 	"qgear/internal/randcirc"
 	"qgear/internal/service"
-	"qgear/internal/store"
 )
 
 func main() {
@@ -38,31 +45,36 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	var err error
-	switch os.Args[1] {
-	case "generate":
-		err = cmdGenerate(os.Args[2:])
-	case "transform":
-		err = cmdTransform(os.Args[2:])
-	case "run":
-		err = cmdRun(os.Args[2:])
-	case "expect":
-		err = cmdExpect(os.Args[2:])
-	case "sweep":
-		err = cmdSweep(os.Args[2:])
-	case "info":
-		err = cmdInfo(os.Args[2:])
-	case "-h", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "qgear: unknown command %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "qgear: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// run dispatches one command line (without the program name), printing
+// results to out.
+func run(args []string, out io.Writer) error {
+	switch args[0] {
+	case "generate":
+		return cmdGenerate(args[1:], out)
+	case "transform":
+		return cmdTransform(args[1:], out)
+	case "run":
+		return cmdRun(args[1:], out)
+	case "expect":
+		return cmdExpect(args[1:], out)
+	case "sweep":
+		return cmdSweep(args[1:], out)
+	case "info":
+		return cmdInfo(args[1:], out)
+	case "-h", "--help", "help":
+		usage()
+		return nil
+	}
+	fmt.Fprintf(os.Stderr, "qgear: unknown command %q\n", args[0])
+	usage()
+	os.Exit(2)
+	return nil
 }
 
 func usage() {
@@ -73,7 +85,11 @@ commands:
   run        transform and execute saved circuits on a target
   expect     evaluate exact Hamiltonian expectation values on saved circuits
   sweep      evaluate a parameterized circuit at many points (compile once, rebind per point)
-  info       describe a saved circuit file`)
+  info       describe a saved circuit file
+run, expect and sweep submit to an in-process server — the one qgear-serve
+puts a listener on — and take its execution flags: -target -devices -fusion
+-tile -plan-fusion -store-dir. With -store-dir, work an earlier qgear or
+qgear-serve process left there is answered from disk, marked "(store hit)".`)
 }
 
 // loadAny reads circuits from .qpy, .qgt (tensor file) or .qasm by
@@ -115,7 +131,7 @@ func saveAny(path string, cs []*circuit.Circuit) error {
 	}
 }
 
-func cmdGenerate(args []string) error {
+func cmdGenerate(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("generate", flag.ExitOnError)
 	kind := fs.String("kind", "random", "workload kind: random | qft | ghz")
 	qubits := fs.Int("qubits", 8, "number of qubits")
@@ -124,7 +140,7 @@ func cmdGenerate(args []string) error {
 	seed := fs.Uint64("seed", 42, "generator seed")
 	reverse := fs.Bool("reverse", false, "QFT bit-order reversal swaps")
 	measure := fs.Bool("measure", false, "append measure_all")
-	out := fs.String("out", "circuits.qpy", "output path (.qpy or .qgt)")
+	outPath := fs.String("out", "circuits.qpy", "output path (.qpy or .qgt)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -152,14 +168,14 @@ func cmdGenerate(args []string) error {
 			c.MeasureAll()
 		}
 	}
-	if err := saveAny(*out, cs); err != nil {
+	if err := saveAny(*outPath, cs); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d circuit(s) to %s\n", len(cs), *out)
+	fmt.Fprintf(out, "wrote %d circuit(s) to %s\n", len(cs), *outPath)
 	return nil
 }
 
-func cmdTransform(args []string) error {
+func cmdTransform(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("transform", flag.ExitOnError)
 	in := fs.String("in", "", "input circuits (.qpy or .qgt)")
 	fusion := fs.Int("fusion", 0, "gate fusion window (paper default for QFT: 5)")
@@ -181,26 +197,83 @@ func cmdTransform(args []string) error {
 	}
 	for i, k := range kernels {
 		st := stats[i]
-		fmt.Printf("%-28s %3d qubits  %6d ops -> %6d instrs  (fused %d groups/%d gates, pruned %d)\n",
+		fmt.Fprintf(out, "%-28s %3d qubits  %6d ops -> %6d instrs  (fused %d groups/%d gates, pruned %d)\n",
 			k.Name, k.NumQubits, st.SourceOps, st.EmittedOps, st.FusedGroups, st.FusedGates, st.PrunedGates)
 		if *verbose {
-			fmt.Print(k.String())
+			fmt.Fprint(out, k.String())
 		}
 	}
 	return nil
 }
 
-func cmdRun(args []string) error {
+// clientFlags registers the execution-flag block on a command's flag
+// set and returns the configuration of the in-process server that
+// command will be a client of. One user runs one command at a time, so
+// the server executes with one worker (batches of a backlog still fan
+// out over the mqpu devices) and admits whatever it is asked for: no
+// memory budget, no sweep-size bound.
+func clientFlags(fs *flag.FlagSet) *service.Config {
+	cfg := &service.Config{WorkerPool: 1, MaxStateBytes: -1, MaxSweepPoints: -1}
+	service.RegisterExecFlags(fs, cfg)
+	return cfg
+}
+
+// storeHit is the marker a result line carries when its job was served
+// without a fresh simulation (JobInfo.Cached) — with -store-dir, the
+// artifact an earlier process left on disk.
+const storeHit = "  (store hit)"
+
+// serve starts the command's server, submits one job per circuit with
+// opts in windows no larger than the queue bound, and hands each
+// finished result to each, in input order; then it closes the server,
+// which is when a configured store directory receives everything this
+// invocation computed.
+func serve(cfg *service.Config, cs []*circuit.Circuit, opts service.SubmitOptions, each func(c *circuit.Circuit, res *backend.Result, marker string)) (err error) {
+	srv, err := service.New(*cfg)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := srv.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	for window := srv.Config().QueueSize; len(cs) > 0; {
+		n := min(window, len(cs))
+		ids := make([]string, n)
+		for i, c := range cs[:n] {
+			info, err := srv.Submit(c, opts)
+			if err != nil {
+				return fmt.Errorf("%s: %w", c.Name, err)
+			}
+			ids[i] = info.ID
+		}
+		for i, id := range ids {
+			info, err := srv.Wait(context.Background(), id)
+			if err != nil {
+				return err
+			}
+			res, err := srv.Result(id)
+			if err != nil {
+				return fmt.Errorf("%s: %w", cs[i].Name, err)
+			}
+			marker := ""
+			if info.Cached {
+				marker = storeHit
+			}
+			each(cs[i], res, marker)
+		}
+		cs = cs[n:]
+	}
+	return nil
+}
+
+func cmdRun(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
+	cfg := clientFlags(fs)
 	in := fs.String("in", "", "input circuits (.qpy or .qgt)")
-	target := fs.String("target", "nvidia", "execution target: aer | nvidia | nvidia-mgpu | nvidia-mqpu | pennylane")
-	devices := fs.Int("devices", 1, "simulated devices for mgpu/mqpu")
 	shots := fs.Int("shots", 0, "measurement shots (0 = probabilities only)")
 	seed := fs.Uint64("seed", 42, "sampling seed")
-	fusion := fs.Int("fusion", 0, "gate fusion window")
-	tile := fs.Int("tile", 0, "tiled-executor tile width in qubits (0 = auto from cache geometry, negative = per-gate sweeps)")
-	planFusion := fs.Bool("plan-fusion", false, "pre-multiply adjacent same-target 1q gates in the plan compiler")
-	storeDir := fs.String("store-dir", "", "persistent result store: reuse bit-identical results across invocations (same content address = no re-simulation)")
 	top := fs.Int("top", 8, "top outcomes to print")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -212,126 +285,46 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := core.Options{
-		Target: backend.Target(*target), Devices: *devices,
-		Shots: *shots, Seed: *seed, FusionWindow: *fusion,
-		TileBits: *tile, PlanFusion: *planFusion,
-	}
-	results, stored, err := runWithStore(cs, opts, *storeDir)
-	if err != nil {
-		return err
-	}
-	for i, res := range results {
-		fromStore := ""
-		if stored[i] {
-			fromStore = "  (store hit)"
-		}
-		fmt.Printf("%-28s target=%-12s %v%s", cs[i].Name, res.Target, res.Duration.Round(1e3), fromStore)
+	return serve(cfg, cs, service.SubmitOptions{Shots: *shots, Seed: *seed}, func(c *circuit.Circuit, res *backend.Result, marker string) {
+		fmt.Fprintf(out, "%-28s target=%-12s %v%s", c.Name, res.Target, res.Duration.Round(1e3), marker)
 		if res.Exchanges > 0 {
-			fmt.Printf("  exchanges=%d bytes=%d", res.Exchanges, res.BytesSent)
+			fmt.Fprintf(out, "  exchanges=%d bytes=%d", res.Exchanges, res.BytesSent)
 		}
 		if res.AvoidedExchanges > 0 {
-			fmt.Printf("  avoided=%d", res.AvoidedExchanges)
+			fmt.Fprintf(out, "  avoided=%d", res.AvoidedExchanges)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 		if st := res.PlanStats; st != nil {
-			fmt.Printf("    plan: tile=%d runs=%d local=%d global=%d fused=%d relabels=%d free-swaps=%d",
+			fmt.Fprintf(out, "    plan: tile=%d runs=%d local=%d global=%d fused=%d relabels=%d free-swaps=%d",
 				res.TileBits, st.Runs, st.TileLocal, st.Global, st.FusedOps, st.BitSwaps, st.PermSwaps)
 			if st.ExchangeSegs > 0 || st.RankLocal > 0 {
-				fmt.Printf(" exch-segs=%d/%dg rank-local=%d", st.ExchangeSegs, st.ExchangeGates, st.RankLocal)
+				fmt.Fprintf(out, " exch-segs=%d/%dg rank-local=%d", st.ExchangeSegs, st.ExchangeGates, st.RankLocal)
 			}
-			fmt.Println()
+			fmt.Fprintln(out)
 		}
 		if res.Counts != nil {
 			for _, key := range res.Counts.TopK(*top) {
-				fmt.Printf("    %0*b  %d\n", cs[i].NumQubits, key, res.Counts[key])
+				fmt.Fprintf(out, "    %0*b  %d\n", c.NumQubits, key, res.Counts[key])
 			}
 		} else {
 			for j, p := range res.Probabilities {
 				if p > 0.01 && j < 1<<16 {
-					fmt.Printf("    |%0*b>  %.4f\n", cs[i].NumQubits, j, p)
+					fmt.Fprintf(out, "    |%0*b>  %.4f\n", c.NumQubits, j, p)
 				}
 			}
 		}
-	}
-	return nil
-}
-
-// runWithStore executes circuits, serving any whose content address is
-// already in the persistent store from disk (bit-identical by the
-// store's integrity checks) and writing fresh results back, so repeat
-// CLI invocations — like repeat service submissions — never re-simulate
-// known work. With no store directory it is a plain backend.RunBatch.
-func runWithStore(cs []*circuit.Circuit, opts core.Options, storeDir string) ([]*backend.Result, []bool, error) {
-	stored := make([]bool, len(cs))
-	if storeDir == "" {
-		results, err := backend.RunBatch(cs, opts)
-		return results, stored, err
-	}
-	if opts.Shots == 0 {
-		// The seed only drives shot sampling; normalize it out of the
-		// content address (as the service does) so probabilities-only
-		// runs share a key regardless of -seed.
-		opts.Seed = 0
-	}
-	st, err := store.Open(storeDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	sig := opts.StoreSignature()
-	results := make([]*backend.Result, len(cs))
-	var fresh []*circuit.Circuit
-	var freshIdx []int
-	for i, c := range cs {
-		key := core.CacheKey(c, opts)
-		if st.HasResult(key) {
-			res, err := st.LoadResult(key, sig)
-			if err == nil {
-				results[i], stored[i] = res, true
-				continue
-			}
-			if errors.Is(err, store.ErrIntegrity) {
-				// Corrupt or mismatched artifact: quarantine and re-simulate.
-				st.DropResult(key)
-			}
-		}
-		fresh = append(fresh, c)
-		freshIdx = append(freshIdx, i)
-	}
-	if len(fresh) > 0 {
-		ran, err := backend.RunBatch(fresh, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		for j, res := range ran {
-			i := freshIdx[j]
-			results[i] = res
-			if err := st.SaveResult(core.CacheKey(cs[i], opts), sig, res); err != nil {
-				fmt.Fprintf(os.Stderr, "qgear: warning: persisting %s: %v\n", cs[i].Name, err)
-			}
-		}
-	}
-	return results, stored, nil
+	})
 }
 
 // cmdExpect is the expectation-value job kind on the CLI: load
 // circuits, build a Hamiltonian (a JSON spec, a ZZ chain, or the
 // built-in transverse-field Ising model), and print the exact ⟨H⟩ per
-// circuit. With -store-dir, repeat invocations answer from the
-// persistent store under the (fingerprint, hamiltonian hash, options)
-// content address — the same artifacts qgear-serve warm-starts from.
-func cmdExpect(args []string) error {
+// circuit.
+func cmdExpect(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("expect", flag.ExitOnError)
+	cfg := clientFlags(fs)
 	in := fs.String("in", "", "input circuits (.qpy, .qgt or .qasm)")
-	target := fs.String("target", "nvidia", "execution target: aer | nvidia | nvidia-mgpu | nvidia-mqpu | pennylane")
-	devices := fs.Int("devices", 1, "simulated devices for mgpu (memory pooling) / mqpu (term-parallel evaluation)")
-	fusion := fs.Int("fusion", 0, "gate fusion window")
-	tile := fs.Int("tile", 0, "tiled-executor tile width in qubits (0 = auto, negative = per-gate sweeps)")
-	hamFile := fs.String("hamiltonian", "", "Hamiltonian JSON file ({\"qubits\":n,\"terms\":[{\"coef\":c,\"paulis\":[{\"q\":0,\"p\":\"Z\"},...]}]})")
-	zz := fs.Float64("zz", 0, "build a ZZ-chain Hamiltonian -J·ΣZiZi+1 with this coupling instead of a file")
-	tfimJ := fs.Float64("tfim-j", 1, "built-in transverse-field Ising coupling J (used when no -hamiltonian/-zz)")
-	tfimG := fs.Float64("tfim-g", 1, "built-in transverse-field Ising field g")
-	storeDir := fs.String("store-dir", "", "persistent store: reuse bit-identical expectation values across invocations")
+	ham := hamiltonianFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -342,49 +335,21 @@ func cmdExpect(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := core.Options{
-		Target: backend.Target(*target), Devices: *devices,
-		FusionWindow: *fusion, TileBits: *tile,
-	}
-
 	// The Hamiltonian spans the widest loaded circuit unless a JSON
 	// spec pins its own width.
 	width := 0
 	for _, c := range cs {
-		if c.NumQubits > width {
-			width = c.NumQubits
-		}
+		width = max(width, c.NumQubits)
 	}
-	h, hname, err := buildHamiltonian(*hamFile, *zz, *tfimJ, *tfimG, width)
+	h, hname, err := ham.build(width)
 	if err != nil {
 		return err
 	}
-
-	var st *store.Store
-	var sig string
-	if *storeDir != "" {
-		if st, err = store.Open(*storeDir); err != nil {
-			return err
-		}
-		sig = opts.StoreSignature()
-	}
-	fmt.Printf("hamiltonian: %s (%d terms, hash %.12s…)\n", hname, len(h.Terms), h.Fingerprint())
-	for _, c := range cs {
-		if c.NumQubits < h.NumQubits {
-			return fmt.Errorf("expect: hamiltonian spans %d qubits, circuit %q has %d", h.NumQubits, c.Name, c.NumQubits)
-		}
-		res, hit, err := expectWithStore(c, h, opts, st, sig)
-		if err != nil {
-			return err
-		}
-		fromStore := ""
-		if hit {
-			fromStore = "  (store hit)"
-		}
-		fmt.Printf("%-28s target=%-12s ⟨H⟩ = %+.12f  terms=%d  %v%s\n",
-			c.Name, res.Target, *res.ExpValue, res.ExpTerms, res.Duration.Round(1e3), fromStore)
-	}
-	return nil
+	fmt.Fprintf(out, "hamiltonian: %s (%d terms, hash %.12s…)\n", hname, len(h.Terms), h.Fingerprint())
+	return serve(cfg, cs, service.SubmitOptions{Hamiltonian: h}, func(c *circuit.Circuit, res *backend.Result, marker string) {
+		fmt.Fprintf(out, "%-28s target=%-12s ⟨H⟩ = %+.12f  terms=%d  %v%s\n",
+			c.Name, res.Target, *res.ExpValue, res.ExpTerms, res.Duration.Round(1e3), marker)
+	})
 }
 
 // cmdSweep is the sweep job kind on the CLI: load one parameterized
@@ -393,22 +358,17 @@ func cmdExpect(args []string) error {
 // point), and print per-point ⟨H⟩ values or sampled counts. With
 // -gradient it computes the exact parameter-shift gradient at the
 // circuit's stored parameter values instead.
-func cmdSweep(args []string) error {
+func cmdSweep(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	cfg := clientFlags(fs)
 	in := fs.String("in", "", "input circuit (.qpy, .qgt or .qasm; first circuit is swept)")
-	target := fs.String("target", "nvidia", "execution target: aer | nvidia | nvidia-mgpu | nvidia-mqpu | pennylane")
-	devices := fs.Int("devices", 1, "simulated devices for mgpu / mqpu (mqpu fans sweep points across devices)")
-	tile := fs.Int("tile", 0, "tiled-executor tile width in qubits (0 = auto, negative = per-gate sweeps)")
 	pointsFile := fs.String("points", "", "JSON point matrix [[θ0,...],[θ0,...],...]; one row per sweep point")
 	grid := fs.String("grid", "", "linear grid start:stop:count for single-parameter circuits (e.g. 0:6.28:100)")
 	gradient := fs.Bool("gradient", false, "compute the parameter-shift gradient at the circuit's own parameter values")
 	counts := fs.Bool("counts", false, "sample measurement counts per point instead of ⟨H⟩ (requires -shots)")
 	shots := fs.Int("shots", 0, "measurement shots per point for -counts mode")
 	seed := fs.Uint64("seed", 42, "base sampling seed (each point derives its own)")
-	hamFile := fs.String("hamiltonian", "", "Hamiltonian JSON file (see qgear expect)")
-	zz := fs.Float64("zz", 0, "ZZ-chain Hamiltonian coupling instead of a file")
-	tfimJ := fs.Float64("tfim-j", 1, "built-in transverse-field Ising coupling J")
-	tfimG := fs.Float64("tfim-g", 1, "built-in transverse-field Ising field g")
+	ham := hamiltonianFlags(fs)
 	top := fs.Int("top", 4, "top outcomes to print per point in -counts mode")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -425,66 +385,51 @@ func cmdSweep(args []string) error {
 	if nParams == 0 {
 		return fmt.Errorf("sweep: circuit %q has no parameterized gates", c.Name)
 	}
-	opts := core.Options{
-		Target: backend.Target(*target), Devices: *devices, TileBits: *tile,
-	}
 
-	if *gradient {
-		h, hname, err := buildHamiltonian(*hamFile, *zz, *tfimJ, *tfimG, c.NumQubits)
-		if err != nil {
-			return err
-		}
-		res, err := backend.RunGradient(c, h, c.ParamValues(), opts)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("hamiltonian: %s   points=%d rebinds=%d compiles=%d   %v\n",
-			hname, res.SweepPoints, res.Rebinds, res.SweepCompiles, res.Duration.Round(1e3))
-		fmt.Printf("⟨H⟩ = %+.12f\n", *res.ExpValue)
-		for j, g := range res.Gradient {
-			fmt.Printf("  ∂⟨H⟩/∂θ%-3d = %+.12f\n", j, g)
-		}
-		return nil
-	}
-
-	points, err := sweepPoints(*pointsFile, *grid, nParams)
-	if err != nil {
-		return err
-	}
-	var h *observable.Hamiltonian
+	var opts service.SubmitOptions
 	hname := "(none: sampling counts)"
-	if *counts {
+	if *counts && !*gradient {
 		if *shots <= 0 {
 			return fmt.Errorf("sweep: -counts requires -shots > 0")
 		}
 		opts.Shots, opts.Seed = *shots, *seed
-	} else {
-		if h, hname, err = buildHamiltonian(*hamFile, *zz, *tfimJ, *tfimG, c.NumQubits); err != nil {
-			return err
-		}
+	} else if opts.Hamiltonian, hname, err = ham.build(c.NumQubits); err != nil {
+		return err
 	}
-	res, err := backend.RunSweep(c, h, points, opts)
-	if err != nil {
+	if *gradient {
+		opts.Gradient = true
+		return serve(cfg, cs[:1], opts, func(_ *circuit.Circuit, res *backend.Result, marker string) {
+			fmt.Fprintf(out, "hamiltonian: %s   points=%d rebinds=%d compiles=%d   %v%s\n",
+				hname, res.SweepPoints, res.Rebinds, res.SweepCompiles, res.Duration.Round(1e3), marker)
+			fmt.Fprintf(out, "⟨H⟩ = %+.12f\n", *res.ExpValue)
+			for j, g := range res.Gradient {
+				fmt.Fprintf(out, "  ∂⟨H⟩/∂θ%-3d = %+.12f\n", j, g)
+			}
+		})
+	}
+
+	if opts.SweepPoints, err = sweepPoints(*pointsFile, *grid, nParams); err != nil {
 		return err
 	}
 	name := c.Name
 	if name == "" {
 		name = filepath.Base(*in)
 	}
-	fmt.Printf("%s: %d params, %d points   hamiltonian: %s\n", name, nParams, len(points), hname)
-	fmt.Printf("compile-once: rebinds=%d compiles=%d   target=%s   %v\n",
-		res.Rebinds, res.SweepCompiles, res.Target, res.Duration.Round(1e3))
-	for i, pt := range points {
-		if h != nil {
-			fmt.Printf("  point %-5d %v  ⟨H⟩ = %+.12f\n", i, fmtPoint(pt), res.SweepValues[i])
-			continue
+	return serve(cfg, cs[:1], opts, func(_ *circuit.Circuit, res *backend.Result, marker string) {
+		fmt.Fprintf(out, "%s: %d params, %d points   hamiltonian: %s\n", name, nParams, len(opts.SweepPoints), hname)
+		fmt.Fprintf(out, "compile-once: rebinds=%d compiles=%d   target=%s   %v%s\n",
+			res.Rebinds, res.SweepCompiles, res.Target, res.Duration.Round(1e3), marker)
+		for i, pt := range opts.SweepPoints {
+			if res.SweepValues != nil {
+				fmt.Fprintf(out, "  point %-5d %v  ⟨H⟩ = %+.12f\n", i, fmtPoint(pt), res.SweepValues[i])
+				continue
+			}
+			fmt.Fprintf(out, "  point %-5d %v\n", i, fmtPoint(pt))
+			for _, key := range res.SweepCounts[i].TopK(*top) {
+				fmt.Fprintf(out, "    %0*b  %d\n", c.NumQubits, key, res.SweepCounts[i][key])
+			}
 		}
-		fmt.Printf("  point %-5d %v\n", i, fmtPoint(pt))
-		for _, key := range res.SweepCounts[i].TopK(*top) {
-			fmt.Printf("    %0*b  %d\n", c.NumQubits, key, res.SweepCounts[i][key])
-		}
-	}
-	return nil
+	})
 }
 
 // sweepPoints resolves the CLI's point-matrix sources: an explicit
@@ -535,68 +480,56 @@ func fmtPoint(pt []float64) string {
 	return "[" + strings.Join(parts, " ") + "]"
 }
 
-// buildHamiltonian resolves the CLI's Hamiltonian source precedence:
-// explicit JSON file, then ZZ chain, then the built-in TFIM.
-func buildHamiltonian(hamFile string, zz, tfimJ, tfimG float64, width int) (*observable.Hamiltonian, string, error) {
+// hamiltonianSource is the Hamiltonian flag block expect and sweep
+// share.
+type hamiltonianSource struct {
+	file             *string
+	zz, tfimJ, tfimG *float64
+}
+
+func hamiltonianFlags(fs *flag.FlagSet) hamiltonianSource {
+	return hamiltonianSource{
+		file:  fs.String("hamiltonian", "", "Hamiltonian JSON file ({\"qubits\":n,\"terms\":[{\"coef\":c,\"paulis\":[{\"q\":0,\"p\":\"Z\"},...]}]})"),
+		zz:    fs.Float64("zz", 0, "build a ZZ-chain Hamiltonian -J·ΣZiZi+1 with this coupling instead of a file"),
+		tfimJ: fs.Float64("tfim-j", 1, "built-in transverse-field Ising coupling J (used when no -hamiltonian/-zz)"),
+		tfimG: fs.Float64("tfim-g", 1, "built-in transverse-field Ising field g"),
+	}
+}
+
+// build resolves the source precedence — explicit JSON file, then ZZ
+// chain, then the built-in TFIM — for a register of width qubits.
+func (src hamiltonianSource) build(width int) (*observable.Hamiltonian, string, error) {
 	switch {
-	case hamFile != "":
-		raw, err := os.ReadFile(hamFile)
+	case *src.file != "":
+		raw, err := os.ReadFile(*src.file)
 		if err != nil {
 			return nil, "", err
 		}
 		var wire service.WireHamiltonian
 		if err := json.Unmarshal(raw, &wire); err != nil {
-			return nil, "", fmt.Errorf("expect: parsing %s: %w", hamFile, err)
+			return nil, "", fmt.Errorf("parsing %s: %w", *src.file, err)
 		}
 		if wire.Qubits == 0 {
 			wire.Qubits = width
 		}
 		h, err := wire.ToHamiltonian()
 		if err != nil {
-			return nil, "", fmt.Errorf("expect: %s: %w", hamFile, err)
+			return nil, "", fmt.Errorf("%s: %w", *src.file, err)
 		}
-		return h, hamFile, nil
-	case zz != 0:
+		return h, *src.file, nil
+	case *src.zz != 0:
 		h := &observable.Hamiltonian{NumQubits: width}
 		for i := 0; i+1 < width; i++ {
-			h.Add(observable.NewTerm(-zz, map[int]observable.Pauli{i: observable.Z, i + 1: observable.Z}))
+			h.Add(observable.NewTerm(-*src.zz, map[int]observable.Pauli{i: observable.Z, i + 1: observable.Z}))
 		}
-		return h, fmt.Sprintf("zz-chain(J=%g)", zz), nil
+		return h, fmt.Sprintf("zz-chain(J=%g)", *src.zz), nil
 	default:
-		return observable.TransverseFieldIsing(width, tfimJ, tfimG),
-			fmt.Sprintf("tfim(J=%g, g=%g)", tfimJ, tfimG), nil
+		return observable.TransverseFieldIsing(width, *src.tfimJ, *src.tfimG),
+			fmt.Sprintf("tfim(J=%g, g=%g)", *src.tfimJ, *src.tfimG), nil
 	}
 }
 
-// expectWithStore answers one expectation job from the persistent
-// store when its content address is known, simulating (and persisting)
-// otherwise — the CLI mirror of the server's warm-start path.
-func expectWithStore(c *circuit.Circuit, h *observable.Hamiltonian, opts core.Options, st *store.Store, sig string) (*backend.Result, bool, error) {
-	if st == nil {
-		res, err := backend.RunExpectation(c, h, opts)
-		return res, false, err
-	}
-	key := core.ExpectationCacheKey(c, h, opts)
-	if st.HasResult(key) {
-		res, err := st.LoadResult(key, sig)
-		if err == nil && res.ExpValue != nil {
-			return res, true, nil
-		}
-		if errors.Is(err, store.ErrIntegrity) {
-			st.DropResult(key)
-		}
-	}
-	res, err := backend.RunExpectation(c, h, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := st.SaveResult(key, sig, res); err != nil {
-		fmt.Fprintf(os.Stderr, "qgear: warning: persisting %s: %v\n", c.Name, err)
-	}
-	return res, false, nil
-}
-
-func cmdInfo(args []string) error {
+func cmdInfo(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	in := fs.String("in", "", "input circuits (.qpy or .qgt)")
 	if err := fs.Parse(args); err != nil {
@@ -609,9 +542,9 @@ func cmdInfo(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d circuit(s)\n", *in, len(cs))
+	fmt.Fprintf(out, "%s: %d circuit(s)\n", *in, len(cs))
 	for _, c := range cs {
-		fmt.Printf("  %-28s %3d qubits  %6d ops  depth %5d  2q-gates %6d  2q-depth %5d\n",
+		fmt.Fprintf(out, "  %-28s %3d qubits  %6d ops  depth %5d  2q-gates %6d  2q-depth %5d\n",
 			c.Name, c.NumQubits, c.NumOps(), c.Depth(), c.CountTwoQubit(), c.TwoQubitDepth())
 	}
 	return nil

@@ -132,10 +132,9 @@ type Result struct {
 	Probabilities []float64
 	Counts        sampling.Counts
 	Duration      time.Duration
-	// NumQubits is the simulated register width. Expectation results
-	// carry no probability vector, so the width is recorded explicitly
-	// (probability results record it too; older persisted artifacts may
-	// leave it 0, in which case it is inferred from the vector length).
+	// NumQubits is the simulated register width, recorded by every
+	// constructor of a Result (expectation results carry no probability
+	// vector to infer it from).
 	NumQubits int
 	// ExpValue is the exact ⟨H⟩ of an expectation job (RunExpectation);
 	// nil on probability/sampling runs.

@@ -27,9 +27,9 @@ func mat4Of(t *testing.T, c *Circuit) gate.Mat4 {
 		case op.Gate.Arity() == 1:
 			g := gate.Matrix1(op.Gate, op.Params)
 			if op.Qubits[0] == 0 {
-				m = gate.Kron(gate.Identity2(), g)
+				m = kron(gate.Identity2(), g)
 			} else {
-				m = gate.Kron(g, gate.Identity2())
+				m = kron(g, gate.Identity2())
 			}
 		case op.Gate == gate.SWAP:
 			m = gate.Matrix2(gate.SWAP, nil)
@@ -51,12 +51,31 @@ func mat4Of(t *testing.T, c *Circuit) gate.Mat4 {
 			if op.Qubits[0] == 1 {
 				m = gate.ControlledOnHigh(tgt)
 			} else {
-				m = gate.ControlledOnLow(tgt)
+				// Controlled on the low qubit: the high-controlled
+				// embedding with the pair swapped around it.
+				sw := gate.Matrix2(gate.SWAP, nil)
+				m = sw.Mul(gate.ControlledOnHigh(tgt)).Mul(sw)
 			}
 		}
 		u = m.Mul(u)
 	}
 	return u
+}
+
+// kron returns the Kronecker product hi ⊗ lo: hi acts on the
+// more-significant qubit of the pair, lo on the less-significant one.
+func kron(hi, lo gate.Mat2) gate.Mat4 {
+	var m gate.Mat4
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			for k := 0; k < 2; k++ {
+				for l := 0; l < 2; l++ {
+					m[(i*2+k)*4+(j*2+l)] = hi[i*2+j] * lo[k*2+l]
+				}
+			}
+		}
+	}
+	return m
 }
 
 // equalUpToPhase4 reports whether a == e^{iφ}·b for some φ.

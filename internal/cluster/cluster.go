@@ -11,10 +11,7 @@
 // gates on global qubits pay pairwise-exchange communication over the
 // link class their rank distance selects, and rack-crossing exchanges
 // share a fixed bisection bandwidth — the mechanism behind Fig. 4b's
-// highlighted reversal. The model's engine-level constants can also be
-// recalibrated from measured runs of the real Go engine (Calibrate), so
-// measured small-n curves and modeled paper-scale curves are directly
-// comparable in the benchmark harness.
+// highlighted reversal.
 package cluster
 
 import (
@@ -311,18 +308,4 @@ func MaxQubits(memGB float64, p Precision) int {
 		n++
 	}
 	return n
-}
-
-// Calibrate rebuilds a device spec from a measured run of the real Go
-// engine: given a measured seconds-per-gate at `qubits` qubits, it
-// returns a DeviceSpec whose EffBandwidthGBs reproduces it. The bench
-// harness uses this to extend measured local curves with modeled
-// large-n points that are anchored to reality.
-func Calibrate(name string, qubits int, p Precision, secondsPerGate float64, memGB float64) DeviceSpec {
-	traffic := 2 * math.Exp2(float64(qubits)) * p.AmpBytes()
-	return DeviceSpec{
-		Name:            name,
-		MemGB:           memGB,
-		EffBandwidthGBs: traffic / secondsPerGate / 1e9,
-	}
 }

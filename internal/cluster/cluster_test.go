@@ -280,9 +280,11 @@ func TestJitterIsModest(t *testing.T) {
 }
 
 func TestCalibrateRoundTrip(t *testing.T) {
-	// A device calibrated from a measured per-gate time must estimate
-	// that same time back.
-	dev := Calibrate("local", 20, FP64, 0.001, 64)
+	// A device whose effective bandwidth is a measured per-gate time's
+	// traffic (2 · 2^n amplitudes per gate) over that time must estimate
+	// the same time back.
+	const qubits, secondsPerGate = 20, 0.001
+	dev := DeviceSpec{Name: "local", MemGB: 64, EffBandwidthGBs: 2 * math.Exp2(qubits) * FP64.AmpBytes() / secondsPerGate / 1e9}
 	cl := Perlmutter()
 	cl.GPU = dev
 	cl.FusionFactor = 1

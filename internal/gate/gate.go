@@ -18,7 +18,7 @@ type Type uint8
 
 // Gate kinds. The order of the first five entries (H, RY, RZ, CX,
 // Measure) matches the columns of the paper's one-hot matrix M in
-// Eq. (8); OneHotIndex relies on it.
+// Eq. (8).
 const (
 	I Type = iota
 	H
@@ -117,29 +117,9 @@ func Parse(name string) (Type, error) {
 	return I, fmt.Errorf("gate: unknown gate name %q", name)
 }
 
-// Types returns all defined gate types, useful for exhaustive tests.
-func Types() []Type {
-	ts := make([]Type, numTypes)
-	for i := range ts {
-		ts[i] = Type(i)
-	}
-	return ts
-}
-
 // OneHotSize is the number of gate categories in the paper's one-hot
 // matrix M of Eq. (8): (h, ry, rz, cx, measure).
 const OneHotSize = 5
-
-// OneHotIndex returns the row of gate type t in the Eq. (8) one-hot
-// matrix and whether t belongs to the encoded category set.
-func OneHotIndex(t Type) (int, bool) {
-	switch t {
-	case H, RY, RZ, CX, Measure:
-		return int(t) - int(H), true
-	default:
-		return 0, false
-	}
-}
 
 // OneHot returns the 5×5 identity-like matrix M^T of Eq. (8) mapping the
 // gate categories (h, ry, rz, cx, measure) to one-hot rows.

@@ -98,38 +98,12 @@ func (a Mat4) IsUnitary(tol float64) bool {
 	return true
 }
 
-// Kron returns the Kronecker product hi ⊗ lo: hi acts on the
-// more-significant qubit of the pair, lo on the less-significant one.
-func Kron(hi, lo Mat2) Mat4 {
-	var m Mat4
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			for k := 0; k < 2; k++ {
-				for l := 0; l < 2; l++ {
-					m[(i*2+k)*4+(j*2+l)] = hi[i*2+j] * lo[k*2+l]
-				}
-			}
-		}
-	}
-	return m
-}
-
 // ControlledOnHigh embeds u on the low qubit controlled by the high
 // qubit of the pair: diag(I, u) per Eq. (3) of the paper.
 func ControlledOnHigh(u Mat2) Mat4 {
 	m := Identity4()
 	m[2*4+2], m[2*4+3] = u[0], u[1]
 	m[3*4+2], m[3*4+3] = u[2], u[3]
-	return m
-}
-
-// ControlledOnLow embeds u on the high qubit controlled by the low
-// qubit of the pair.
-func ControlledOnLow(u Mat2) Mat4 {
-	m := Identity4()
-	// basis order |q1 q0>: control = q0 = low bit; rows 1 and 3 have it set.
-	m[1*4+1], m[1*4+3] = u[0], u[1]
-	m[3*4+1], m[3*4+3] = u[2], u[3]
 	return m
 }
 

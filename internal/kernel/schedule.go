@@ -140,7 +140,7 @@ type PlanConfig struct {
 
 // TilePlan is a compiled tiled execution schedule for one kernel — the
 // IR shared by the single-process statevec engine (Execute) and the
-// distributed mgpu engine (DistState.ExecutePlan). It is immutable
+// distributed mgpu engine (DistState.ExecutePlanCancel). It is immutable
 // after planning and safe to execute against many states concurrently,
 // which is what lets the service layer cache plans across submissions.
 type TilePlan struct {
@@ -188,13 +188,6 @@ func mixingTargets(in Instr, dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// PlanTiled compiles a single-process plan — Plan with only the tile
-// width configured (no rank boundary, no run fusion), the bit-exact
-// default every engine had before plans became the shared IR.
-func PlanTiled(k *Kernel, tileBits int) (*TilePlan, error) {
-	return Plan(k, PlanConfig{TileBits: tileBits})
 }
 
 // Plan compiles the kernel into a tiled execution plan. It fails with
@@ -666,7 +659,7 @@ func compileTileOp(in Instr, perm []int, tileBits int) statevec.TileOp {
 // be in the canonical layout (any pending permutation is materialized
 // first); afterwards the state carries the plan's final permutation,
 // which readout materializes lazily. Distributed plans (GlobalBits >
-// 0) belong to mgpu.DistState.ExecutePlan and are rejected here.
+// 0) belong to mgpu.DistState.ExecutePlanCancel and are rejected here.
 func (p *TilePlan) Execute(s *statevec.State) error {
 	return p.ExecuteCancel(s, nil)
 }
@@ -710,25 +703,4 @@ func (p *TilePlan) ExecuteCancel(s *statevec.State, flag *cancel.Flag) error {
 		return s.SetPermutation(p.FinalPerm)
 	}
 	return nil
-}
-
-// ExecuteTiled applies the kernel to the state through the tiled
-// executor: plan, run, and leave any residual qubit relabeling on the
-// state for lazy materialization. States no larger than one tile are
-// already cache-resident and run the plain per-gate executor.
-func ExecuteTiled(k *Kernel, s *statevec.State, tileBits int) error {
-	if tileBits <= 0 {
-		tileBits = AutoTileBits()
-	}
-	if s.NumQubits() != k.NumQubits {
-		return fmt.Errorf("kernel: state has %d qubits, kernel %q wants %d", s.NumQubits(), k.Name, k.NumQubits)
-	}
-	if k.NumQubits <= tileBits {
-		return Execute(k, s)
-	}
-	plan, err := PlanTiled(k, tileBits)
-	if err != nil {
-		return err
-	}
-	return plan.Execute(s)
 }

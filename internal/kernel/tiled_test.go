@@ -84,6 +84,20 @@ func maxAmpDiff(t *testing.T, a, b *statevec.State) float64 {
 	return worst
 }
 
+// executeTiled runs k on s through a plan compiled at tileBits — no
+// rank boundary, no run fusion — or, when the whole state fits one
+// tile, through the per-gate executor.
+func executeTiled(k *Kernel, s *statevec.State, tileBits int) error {
+	if k.NumQubits <= tileBits {
+		return Execute(k, s)
+	}
+	plan, err := Plan(k, PlanConfig{TileBits: tileBits})
+	if err != nil {
+		return err
+	}
+	return plan.Execute(s)
+}
+
 // TestTiledGateSoupEquivalence is the randomized equivalence suite:
 // tiled execution must match the naive per-gate path to 1e-12 across
 // qubit counts, tile widths, worker counts, fusion windows, and the
@@ -115,7 +129,7 @@ func TestTiledGateSoupEquivalence(t *testing.T) {
 			t.Fatalf("n=%d: naive execute: %v", tc.n, err)
 		}
 		tiled := statevec.MustNew(tc.n, tc.workers)
-		if err := ExecuteTiled(k, tiled, tc.tileBits); err != nil {
+		if err := executeTiled(k, tiled, tc.tileBits); err != nil {
 			t.Fatalf("n=%d tile=%d: tiled execute: %v", tc.n, tc.tileBits, err)
 		}
 
@@ -155,7 +169,7 @@ func TestTiledWorkerCountBitIdentity(t *testing.T) {
 		var ref *statevec.State
 		for _, workers := range []int{1, 2, 4} {
 			s := statevec.MustNew(tc.n, workers)
-			if err := ExecuteTiled(k, s, tc.tileBits); err != nil {
+			if err := executeTiled(k, s, tc.tileBits); err != nil {
 				t.Fatalf("n=%d workers=%d: tiled execute: %v", tc.n, workers, err)
 			}
 			if ref == nil {
@@ -181,7 +195,7 @@ func TestTiledWorkerCountBitIdentity(t *testing.T) {
 		var qref *statevec.State
 		for _, workers := range []int{1, 2, 4} {
 			s := statevec.MustNew(tc.n, workers)
-			if err := ExecuteTiled(kq, s, tc.tileBits); err != nil {
+			if err := executeTiled(kq, s, tc.tileBits); err != nil {
 				t.Fatalf("qft n=%d workers=%d: tiled execute: %v", tc.n, workers, err)
 			}
 			if qref == nil {
@@ -217,7 +231,7 @@ func TestTiledResumesAfterMaterialize(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiled := statevec.MustNew(n, 1)
-	if err := ExecuteTiled(k, tiled, tileBits); err != nil {
+	if err := executeTiled(k, tiled, tileBits); err != nil {
 		t.Fatal(err)
 	}
 
@@ -243,7 +257,7 @@ func TestTiledQFTPlanShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanTiled(k, tileBits)
+	plan, err := Plan(k, PlanConfig{TileBits: tileBits})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +314,7 @@ func TestTiledRelabelLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanTiled(k, tileBits)
+	plan, err := Plan(k, PlanConfig{TileBits: tileBits})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +365,7 @@ func TestTiledQCrankPlanShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanTiled(k, tileBits)
+	plan, err := Plan(k, PlanConfig{TileBits: tileBits})
 	if err != nil {
 		t.Fatal(err)
 	}

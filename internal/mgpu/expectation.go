@@ -30,8 +30,7 @@ import (
 // pair it owns. Per-term rank partials are gathered once at root:
 // rank-local partial sums plus a single reduction.
 
-// ExpResult is what ExpectationKernel/ExpectationCompiled return at
-// root.
+// ExpResult is what ExpectationCompiled returns at root.
 type ExpResult struct {
 	Value float64
 	Terms int
@@ -251,9 +250,4 @@ func ExpectationCompiledCancel(k *kernel.Kernel, plan *kernel.TilePlan, h *obser
 		return nil, err
 	}
 	return res, nil
-}
-
-// ExpectationKernel is ExpectationCompiled on the per-gate path.
-func ExpectationKernel(k *kernel.Kernel, h *observable.Hamiltonian, nRanks, workersPerRank int) (*ExpResult, error) {
-	return ExpectationCompiled(k, nil, h, nRanks, workersPerRank)
 }

@@ -81,7 +81,7 @@ func TestExpectationMatchesSingleDevice(t *testing.T) {
 			if n-int(qmath.Log2Ceil(uint64(ranks))) < 2 {
 				continue
 			}
-			perGate, err := ExpectationKernel(k, h, ranks, 1)
+			perGate, err := ExpectationCompiled(k, nil, h, ranks, 1)
 			if err != nil {
 				t.Fatalf("ranks=%d per-gate: %v", ranks, err)
 			}
@@ -111,7 +111,7 @@ func TestExpectationMatchesSingleDevice(t *testing.T) {
 func TestExpectationIdentityAndEmpty(t *testing.T) {
 	k := soupK(t, 4, 10, 1)
 	empty := &observable.Hamiltonian{NumQubits: 4}
-	res, err := ExpectationKernel(k, empty, 2, 1)
+	res, err := ExpectationCompiled(k, nil, empty, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestExpectationIdentityAndEmpty(t *testing.T) {
 	}
 	ident := &observable.Hamiltonian{NumQubits: 4}
 	ident.Add(observable.NewTerm(2.5, nil))
-	res, err = ExpectationKernel(k, ident, 2, 1)
+	res, err = ExpectationCompiled(k, nil, ident, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestExpectationIdentityAndEmpty(t *testing.T) {
 	}
 	bad := &observable.Hamiltonian{NumQubits: 4}
 	bad.Add(observable.NewTerm(1, map[int]observable.Pauli{9: observable.Z}))
-	if _, err := ExpectationKernel(k, bad, 2, 1); err == nil {
+	if _, err := ExpectationCompiled(k, nil, bad, 2, 1); err == nil {
 		t.Fatal("out-of-range term accepted")
 	}
 }

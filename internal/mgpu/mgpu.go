@@ -386,20 +386,15 @@ func (d *DistState) pollCancel(flag *cancel.Flag) error {
 	return err
 }
 
-// ExecuteKernel runs a kernel's instruction stream on the distributed
-// state.
-func (d *DistState) ExecuteKernel(k *kernel.Kernel) error {
-	return d.ExecuteKernelCancel(k, nil)
-}
-
 // cancelPollInstrs is how many per-gate instructions run between
 // collective cancellation polls on the distributed per-gate path — the
 // poll is an Allreduce, so it is rationed more coarsely than a local
 // atomic load would be.
 const cancelPollInstrs = 16
 
-// ExecuteKernelCancel is ExecuteKernel with a cooperative cancellation
-// flag, polled collectively every cancelPollInstrs instructions.
+// ExecuteKernelCancel runs a kernel's instruction stream on the
+// distributed state, polling the cooperative cancellation flag (nil =
+// run unbounded) collectively every cancelPollInstrs instructions.
 func (d *DistState) ExecuteKernelCancel(k *kernel.Kernel, flag *cancel.Flag) error {
 	if k.NumQubits != d.n {
 		return fmt.Errorf("mgpu: kernel %q wants %d qubits, state has %d", k.Name, k.NumQubits, d.n)
@@ -427,7 +422,7 @@ func (d *DistState) ExecuteKernelCancel(k *kernel.Kernel, flag *cancel.Flag) err
 	return nil
 }
 
-// Result is what SimulateKernel/SimulateCompiled return at root.
+// Result is what SimulateCompiled returns at root.
 type Result struct {
 	Probabilities []float64
 	Exchanges     int   // total pairwise exchanges across all ranks
@@ -474,15 +469,4 @@ func simulate(numQubits, nRanks, workersPerRank int, exec func(*DistState) error
 		return nil, err
 	}
 	return res, nil
-}
-
-// SimulateKernel runs the kernel gate-by-gate on nRanks simulated
-// devices and returns the gathered result. It wraps mpi.Run, so it is
-// a single-call entry point; the 'nvidia-mgpu' backend target routes
-// through SimulateCompiled, which executes a compiled TilePlan when
-// one exists and falls back to this per-gate path otherwise.
-func SimulateKernel(k *kernel.Kernel, nRanks, workersPerRank int) (*Result, error) {
-	return simulate(k.NumQubits, nRanks, workersPerRank, func(d *DistState) error {
-		return d.ExecuteKernel(k)
-	})
 }

@@ -70,7 +70,7 @@ func TestDistributedMatchesSingleDevice(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4, 8} {
 		k := randomKernel(7, 120, uint64(ranks)*31)
 		want := singleDeviceProbs(t, k)
-		res, err := SimulateKernel(k, ranks, 1)
+		res, err := SimulateCompiled(k, nil, ranks, 1)
 		if err != nil {
 			t.Fatalf("ranks=%d: %v", ranks, err)
 		}
@@ -91,7 +91,7 @@ func TestGHZAcrossDevices(t *testing.T) {
 	for i := 1; i < n; i++ {
 		k.XCtrl(0, i)
 	}
-	res, err := SimulateKernel(k, 4, 1)
+	res, err := SimulateCompiled(k, nil, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestLocalityCasesExplicitly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := SimulateKernel(k, 4, 1)
+		res, err := SimulateCompiled(k, nil, 4, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestControlGlobalTargetLocalNeedsNoComm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SimulateKernel(k, 4, 1)
+	res, err := SimulateCompiled(k, nil, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestControlGlobalTargetLocalNeedsNoComm(t *testing.T) {
 func TestExchangeAccounting(t *testing.T) {
 	// One single-qubit gate on a global qubit = one exchange per rank.
 	k := kernel.New("x", 4).Ry(0.5, 3)
-	res, err := SimulateKernel(k, 4, 1)
+	res, err := SimulateCompiled(k, nil, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestExchangeAccounting(t *testing.T) {
 	}
 	// Local gates are free.
 	k2 := kernel.New("loc", 4).Ry(0.5, 0).XCtrl(0, 1)
-	res2, err := SimulateKernel(k2, 4, 1)
+	res2, err := SimulateCompiled(k2, nil, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,14 +194,14 @@ func TestExchangeAccounting(t *testing.T) {
 
 func TestWorldSizeValidation(t *testing.T) {
 	k := kernel.New("k", 3).H(0)
-	if _, err := SimulateKernel(k, 3, 1); err == nil {
+	if _, err := SimulateCompiled(k, nil, 3, 1); err == nil {
 		t.Fatal("non-power-of-two world accepted")
 	}
-	if _, err := SimulateKernel(k, 8, 1); err == nil {
+	if _, err := SimulateCompiled(k, nil, 8, 1); err == nil {
 		t.Fatal("world leaving 0 local qubits accepted")
 	}
 	// 4 ranks on 3 qubits => local = 1, allowed.
-	if _, err := SimulateKernel(k, 4, 1); err != nil {
+	if _, err := SimulateCompiled(k, nil, 4, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -213,7 +213,7 @@ func TestKernelSizeMismatch(t *testing.T) {
 			return err
 		}
 		k := kernel.New("wrong", 3).H(0)
-		if err := d.ExecuteKernel(k); err == nil {
+		if err := d.ExecuteKernelCancel(k, nil); err == nil {
 			t.Error("kernel size mismatch accepted")
 		}
 		return nil
@@ -273,7 +273,7 @@ func TestFusedKernelDistributed(t *testing.T) {
 		t.Fatal("expected fusion")
 	}
 	want := singleDeviceProbs(t, k)
-	res, err := SimulateKernel(k, 4, 1)
+	res, err := SimulateCompiled(k, nil, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestFusedKernelDistributed(t *testing.T) {
 func TestNormPreservedAcrossRandomDistributedRuns(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		k := randomKernel(6, 80, seed)
-		res, err := SimulateKernel(k, 8, 1)
+		res, err := SimulateCompiled(k, nil, 8, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func TestNormPreservedAcrossRandomDistributedRuns(t *testing.T) {
 func TestMoreWorkersPerRank(t *testing.T) {
 	k := randomKernel(8, 60, 404)
 	want := singleDeviceProbs(t, k)
-	res, err := SimulateKernel(k, 2, 4)
+	res, err := SimulateCompiled(k, nil, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,17 +29,14 @@ import (
 // bit-identical to it — the randomized suite in planned_test.go pins
 // that across rank counts, shard shapes, and fusion settings.
 
-// ExecutePlan runs a compiled distributed plan against this rank's
-// shard. The plan must have been compiled with GlobalBits matching the
-// world size. Every rank must call it (SPMD, like ExecuteKernel).
-func (d *DistState) ExecutePlan(p *kernel.TilePlan) error {
-	return d.ExecutePlanCancel(p, nil)
-}
-
-// ExecutePlanCancel is ExecutePlan with a cooperative cancellation
-// flag, polled collectively (see pollCancel) at every segment boundary
-// — the natural SPMD-aligned point where all ranks agree on whether to
-// stop before any of them commits to the segment's pairwise exchange.
+// ExecutePlanCancel runs a compiled distributed plan against this
+// rank's shard. The plan must have been compiled with GlobalBits
+// matching the world size. Every rank must call it (SPMD, like
+// ExecuteKernelCancel). The cooperative cancellation flag (nil = run
+// unbounded) is polled collectively (see pollCancel) at every segment
+// boundary — the natural SPMD-aligned point where all ranks agree on
+// whether to stop before any of them commits to the segment's pairwise
+// exchange.
 func (d *DistState) ExecutePlanCancel(p *kernel.TilePlan, flag *cancel.Flag) error {
 	if p.NumQubits != d.n {
 		return fmt.Errorf("mgpu: plan wants %d qubits, state has %d", p.NumQubits, d.n)

@@ -125,7 +125,7 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 		}
 		refProbs := ref.Probabilities()
 
-		legacy, err := SimulateKernel(k, tc.ranks, 1)
+		legacy, err := SimulateCompiled(k, nil, tc.ranks, 1)
 		if err != nil {
 			t.Fatalf("ranks=%d: per-gate: %v", tc.ranks, err)
 		}
@@ -205,7 +205,7 @@ func TestPlannedExchangeBatching(t *testing.T) {
 		t.Errorf("ExchangeGates = %d, want %d", plan.Stats.ExchangeGates, 2*ladder)
 	}
 
-	legacy, err := SimulateKernel(k, ranks, 1)
+	legacy, err := SimulateCompiled(k, nil, ranks, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestPlannedQCrankExchanges(t *testing.T) {
 	if plan.Stats.ExchangeSegs == 0 {
 		t.Error("ExchangeSegs = 0, want the rank-bit ladders batched")
 	}
-	legacy, err := SimulateKernel(k, ranks, 1)
+	legacy, err := SimulateCompiled(k, nil, ranks, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestDiagonalRankLocalNoExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SimulateKernel(k, ranks, 1)
+	res, err := SimulateCompiled(k, nil, ranks, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestPlannedCrossBoundarySwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := SimulateKernel(k, ranks, 1)
+	legacy, err := SimulateCompiled(k, nil, ranks, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

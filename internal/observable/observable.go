@@ -10,7 +10,7 @@
 // materialization of a pending qubit permutation, only the affected
 // index half enumerated per term, and one sweep over the state per
 // group of terms rather than per term. Partition splits the term
-// list into balanced groups, and ExpectationParallel evaluates terms
+// list into balanced groups, and ExpectationParallelCancel evaluates terms
 // concurrently across simulated devices with a bit-identical result.
 package observable
 
@@ -246,20 +246,15 @@ func (h *Hamiltonian) Partition(k int) [][]Term {
 	return groups
 }
 
-// ExpectationParallel partitions the Hamiltonian's terms over
+// ExpectationParallelCancel partitions the Hamiltonian's terms over
 // `devices` concurrent evaluators — the multi-device Hamiltonian
 // evaluation mode. Direct evaluation is read-only, so every device
 // works against the one resident state (no per-device clones), and
 // per-term values land in a slice that is then summed in term order:
 // the result is bit-identical to Expectation for any device count.
-func (h *Hamiltonian) ExpectationParallel(s *statevec.State, devices int) (float64, error) {
-	return h.ExpectationParallelCancel(s, devices, nil)
-}
-
-// ExpectationParallelCancel is ExpectationParallel with a cooperative
-// cancellation flag: every device evaluates its stripe of terms as one
-// grouped sweep, polls the flag per block batch and abandons the
-// stripe once it trips. A nil flag never trips.
+// Every device evaluates its stripe of terms as one grouped sweep,
+// polls the cooperative cancellation flag per block batch and abandons
+// the stripe once it trips. A nil flag never trips.
 func (h *Hamiltonian) ExpectationParallelCancel(s *statevec.State, devices int, flag *cancel.Flag) (float64, error) {
 	if devices < 1 {
 		devices = 1

@@ -93,7 +93,7 @@ func TestHamiltonianSequentialVsParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, devices := range []int{1, 2, 4, 16} {
-		par, err := h.ExpectationParallel(s, devices)
+		par, err := h.ExpectationParallelCancel(s, devices, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestExpectationParallelBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, devices := range []int{1, 2, 3, 5, 100} {
-		par, err := h.ExpectationParallel(s, devices)
+		par, err := h.ExpectationParallelCancel(s, devices, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestParallelErrorPropagation(t *testing.T) {
 	h := &Hamiltonian{NumQubits: 2}
 	h.Add(NewTerm(1, map[int]Pauli{5: Z})) // out of range
 	s := statevec.MustNew(2, 1)
-	if _, err := h.ExpectationParallel(s, 2); err == nil {
+	if _, err := h.ExpectationParallelCancel(s, 2, nil); err == nil {
 		t.Fatal("error not propagated from parallel group")
 	}
 }

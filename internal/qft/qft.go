@@ -56,11 +56,6 @@ func Kernel(n int, reverse bool, opts kernel.Options) (*kernel.Kernel, kernel.St
 	return kernel.FromCircuit(c, opts)
 }
 
-// DefaultKernelOptions is the Appendix D.2 configuration.
-func DefaultKernelOptions() kernel.Options {
-	return kernel.Options{FusionWindow: 5}
-}
-
 // Inverse returns the inverse QFT circuit.
 func Inverse(n int, reverse bool) (*circuit.Circuit, error) {
 	c, err := Circuit(n, reverse)

@@ -97,7 +97,7 @@ func TestGateCount(t *testing.T) {
 
 func TestKernelWithFusionMatchesCircuit(t *testing.T) {
 	n := 6
-	k, st, err := Kernel(n, true, DefaultKernelOptions())
+	k, st, err := Kernel(n, true, kernel.Options{FusionWindow: 5}) // the Appendix D.2 configuration
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,30 +65,9 @@ func (im *Image) Clone() *Image {
 	return out
 }
 
-// The paper's test image inventory (Table 2).
-var paperImages = map[string][2]int{
-	"finger":   {64, 80},
-	"shoes":    {128, 128},
-	"building": {192, 128},
-	"zebra":    {384, 256},
-}
-
-// PaperImageNames lists the Table 2 image kinds in paper order.
-func PaperImageNames() []string { return []string{"finger", "shoes", "building", "zebra"} }
-
-// PaperDimensions returns the Table 2 dimensions for a paper image
-// kind.
-func PaperDimensions(kind string) (w, h int, err error) {
-	d, ok := paperImages[kind]
-	if !ok {
-		return 0, 0, fmt.Errorf("qimage: unknown paper image %q", kind)
-	}
-	return d[0], d[1], nil
-}
-
 // Synthetic generates a procedural stand-in for one of the paper's
-// image kinds at the given size (use PaperDimensions for the Table 2
-// sizes). Seeded noise keeps every run reproducible.
+// image kinds (finger, shoes, building, zebra — Table 2) at the given
+// size. Seeded noise keeps every run reproducible.
 func Synthetic(kind string, w, h int, seed uint64) (*Image, error) {
 	im, err := New(kind, w, h)
 	if err != nil {

@@ -7,31 +7,15 @@ import (
 	"testing"
 )
 
-func TestPaperDimensions(t *testing.T) {
-	want := map[string][2]int{
-		"finger": {64, 80}, "shoes": {128, 128},
-		"building": {192, 128}, "zebra": {384, 256},
-	}
-	for _, name := range PaperImageNames() {
-		w, h, err := PaperDimensions(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w != want[name][0] || h != want[name][1] {
-			t.Errorf("%s: %dx%d", name, w, h)
-		}
-	}
-	if _, _, err := PaperDimensions("cat"); err == nil {
-		t.Fatal("unknown image accepted")
-	}
+// The paper's test image inventory (Table 2).
+var paperImages = map[string][2]int{
+	"finger": {64, 80}, "shoes": {128, 128},
+	"building": {192, 128}, "zebra": {384, 256},
 }
 
 func TestSyntheticAllKinds(t *testing.T) {
-	for _, name := range PaperImageNames() {
-		w, h, err := PaperDimensions(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, dims := range paperImages {
+		w, h := dims[0], dims[1]
 		im, err := Synthetic(name, w, h, 1)
 		if err != nil {
 			t.Fatal(err)

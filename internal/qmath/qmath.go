@@ -32,17 +32,6 @@ func InsertTwoBits(x uint64, p1 uint, b1 uint64, p2 uint, b2 uint64) uint64 {
 	return InsertBit(x, p2, b2)
 }
 
-// Bit reports bit pos of x as 0 or 1.
-func Bit(x uint64, pos uint) uint64 { return (x >> pos) & 1 }
-
-// FlipBit returns x with bit pos toggled.
-func FlipBit(x uint64, pos uint) uint64 { return x ^ (1 << pos) }
-
-// SetBit returns x with bit pos forced to val (0 or 1).
-func SetBit(x uint64, pos uint, val uint64) uint64 {
-	return (x &^ (1 << pos)) | (val << pos)
-}
-
 // GrayCode returns the i-th Gray code: i ^ (i >> 1).
 func GrayCode(i uint64) uint64 { return i ^ (i >> 1) }
 
@@ -74,9 +63,6 @@ func Log2Ceil(x uint64) uint {
 	return n
 }
 
-// Pow2 returns 2^n as a uint64. n must be < 64.
-func Pow2(n uint) uint64 { return 1 << n }
-
 // IsPow2 reports whether x is a power of two (x > 0).
 func IsPow2(x uint64) bool { return x != 0 && x&(x-1) == 0 }
 
@@ -101,51 +87,10 @@ func WalshHadamard(data []float64) {
 	}
 }
 
-// WalshHadamardInverse applies the inverse transform (forward scaled by
-// 1/n).
-func WalshHadamardInverse(data []float64) {
-	WalshHadamard(data)
-	inv := 1 / float64(len(data))
-	for i := range data {
-		data[i] *= inv
-	}
-}
-
-// BitReverse reverses the low `bits` bits of x.
-func BitReverse(x uint64, bits uint) uint64 {
-	var r uint64
-	for i := uint(0); i < bits; i++ {
-		r = r<<1 | (x>>i)&1
-	}
-	return r
-}
-
-// Binomial returns C(n, k) using the multiplicative formula; it is used
-// by the sampling statistics helpers and stays exact for the small
-// arguments the tests need.
-func Binomial(n, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	r := 1.0
-	for i := 0; i < k; i++ {
-		r = r * float64(n-i) / float64(i+1)
-	}
-	return r
-}
-
 // AlmostEqual reports |a-b| <= tol, treating NaN as never equal.
 func AlmostEqual(a, b, tol float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
 		return false
 	}
 	return math.Abs(a-b) <= tol
-}
-
-// CAlmostEqual reports complex closeness under tolerance tol.
-func CAlmostEqual(a, b complex128, tol float64) bool {
-	return AlmostEqual(real(a), real(b), tol) && AlmostEqual(imag(a), imag(b), tol)
 }

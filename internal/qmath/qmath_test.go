@@ -68,7 +68,7 @@ func TestInsertTwoBitsCoversSpace(t *testing.T) {
 		for b1 := uint64(0); b1 < 2; b1++ {
 			for b2 := uint64(0); b2 < 2; b2++ {
 				idx := InsertTwoBits(i, 1, b1, 4, b2)
-				if Bit(idx, 1) != b1 || Bit(idx, 4) != b2 {
+				if (idx>>1)&1 != b1 || (idx>>4)&1 != b2 {
 					t.Fatalf("pins not honored: idx=%b b1=%d b2=%d", idx, b1, b2)
 				}
 				seen[idx] = true
@@ -77,18 +77,6 @@ func TestInsertTwoBitsCoversSpace(t *testing.T) {
 	}
 	if len(seen) != 32 {
 		t.Fatalf("covered %d of 32", len(seen))
-	}
-}
-
-func TestBitHelpers(t *testing.T) {
-	if Bit(0b100, 2) != 1 || Bit(0b100, 1) != 0 {
-		t.Fatal("Bit wrong")
-	}
-	if FlipBit(0b100, 2) != 0 {
-		t.Fatal("FlipBit wrong")
-	}
-	if SetBit(0b100, 0, 1) != 0b101 || SetBit(0b101, 0, 0) != 0b100 {
-		t.Fatal("SetBit wrong")
 	}
 }
 
@@ -118,8 +106,8 @@ func TestLog2CeilAndPow2(t *testing.T) {
 			t.Errorf("Log2Ceil(%d) = %d, want %d", x, got, w)
 		}
 	}
-	if Pow2(10) != 1024 || !IsPow2(1024) || IsPow2(1023) || IsPow2(0) {
-		t.Fatal("Pow2/IsPow2 wrong")
+	if !IsPow2(1024) || IsPow2(1023) || IsPow2(0) {
+		t.Fatal("IsPow2 wrong")
 	}
 }
 
@@ -132,9 +120,11 @@ func TestWalshHadamardRoundTrip(t *testing.T) {
 			data[i] = r.Float64()*2 - 1
 			orig[i] = data[i]
 		}
+		// The unnormalized transform is its own inverse up to 1/n.
 		WalshHadamard(data)
-		WalshHadamardInverse(data)
+		WalshHadamard(data)
 		for i := range data {
+			data[i] /= float64(n)
 			if !AlmostEqual(data[i], orig[i], 1e-12) {
 				t.Fatalf("n=%d round trip failed at %d: %g vs %g", n, i, data[i], orig[i])
 			}
@@ -166,23 +156,6 @@ func TestWalshHadamardPanicsOnBadLength(t *testing.T) {
 	WalshHadamard(make([]float64, 3))
 }
 
-func TestBitReverse(t *testing.T) {
-	if BitReverse(0b001, 3) != 0b100 {
-		t.Fatal("BitReverse wrong")
-	}
-	if BitReverse(0b110, 3) != 0b011 {
-		t.Fatal("BitReverse wrong")
-	}
-	// Property: double reverse is identity.
-	f := func(x uint16) bool {
-		v := uint64(x) & 0xFFF
-		return BitReverse(BitReverse(v, 12), 12) == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestInsertBitProperty(t *testing.T) {
 	// Property: removing the inserted bit recovers the original index.
 	f := func(x uint32, pos8 uint8, val bool) bool {
@@ -192,7 +165,7 @@ func TestInsertBitProperty(t *testing.T) {
 			v = 1
 		}
 		y := InsertBit(uint64(x), pos, v)
-		if Bit(y, pos) != v {
+		if (y>>pos)&1 != v {
 			return false
 		}
 		lower := y & ((1 << pos) - 1)
@@ -201,15 +174,6 @@ func TestInsertBitProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBinomial(t *testing.T) {
-	if Binomial(5, 2) != 10 || Binomial(10, 0) != 1 || Binomial(10, 10) != 1 {
-		t.Fatal("Binomial wrong")
-	}
-	if Binomial(5, 6) != 0 || Binomial(5, -1) != 0 {
-		t.Fatal("Binomial out-of-range wrong")
 	}
 }
 
@@ -325,8 +289,5 @@ func TestAlmostEqual(t *testing.T) {
 	}
 	if AlmostEqual(math.NaN(), math.NaN(), 1) {
 		t.Fatal("NaN must never be almost equal")
-	}
-	if !CAlmostEqual(complex(1, 2), complex(1+1e-13, 2-1e-13), 1e-12) {
-		t.Fatal("complex almost equal failed")
 	}
 }

@@ -414,8 +414,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Shed load with a hint: the queue drains at batch granularity,
-		// so a short fixed horizon beats an exponential guess. The
-		// serve warm-start pusher honors this.
+		// so a short fixed horizon beats an exponential guess.
 		writeError(w, http.StatusTooManyRequests, CodeQueueFull, err)
 	case errors.Is(err, ErrTooLarge):
 		writeError(w, http.StatusUnprocessableEntity, CodeTooLarge, err)
@@ -525,17 +524,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, buildResultResponse(info, res, k, full))
 }
 
-func numQubits(res *backend.Result) int {
-	if res.NumQubits > 0 {
-		return res.NumQubits
-	}
-	n := 0
-	for 1<<uint(n) < len(res.Probabilities) {
-		n++
-	}
-	return n
-}
-
 // resultWire is ResultResponse as the server writes it: every field and
 // JSON name of the embedded struct, with the two histogram fields
 // shadowed by ones that encode straight from sampling.Counts (the
@@ -590,7 +578,7 @@ func buildResultResponse(info JobInfo, res *backend.Result, k int, full bool) re
 		Cached:        info.Cached,
 		Target:        string(res.Target),
 		DurationMS:    float64(res.Duration.Microseconds()) / 1e3,
-		NumQubits:     numQubits(res),
+		NumQubits:     res.NumQubits,
 		GateCount:     res.KernelStats.SourceOps,
 		FusedOps:      res.KernelStats.EmittedOps,
 		ExpValue:      res.ExpValue,

@@ -36,6 +36,9 @@ type kindSpec struct {
 	// jobsHelp and executedHelp are the HELP texts of the kind's two
 	// metric families; an empty text means the family is not exported.
 	jobsHelp, executedHelp string
+	// counters picks the kind's <stem>_jobs and <stem>_executed fields out
+	// of a Stats value; nil for simulate, which has only the totals.
+	counters func(st *Stats) (jobs, executed *uint64)
 	// wire checks the envelope fields this kind takes or refuses and
 	// moves its own into opts.
 	wire func(req *SubmitRequest, opts *SubmitOptions) error
@@ -75,6 +78,9 @@ var kinds = [numKinds]kindSpec{
 		stem:         "expectation",
 		jobsHelp:     "Expectation-value jobs submitted.",
 		executedHelp: "Expectation-value jobs freshly evaluated.",
+		counters: func(st *Stats) (*uint64, *uint64) {
+			return &st.ExpectationJobs, &st.ExpectationExecuted
+		},
 		wire: func(req *SubmitRequest, _ *SubmitOptions) error {
 			if req.Hamiltonian == nil {
 				return errors.New("kind expectation requires a hamiltonian")
@@ -97,6 +103,7 @@ var kinds = [numKinds]kindSpec{
 		stem:         "sweep",
 		jobsHelp:     "Sweep jobs submitted.",
 		executedHelp: "Sweep jobs freshly executed.",
+		counters:     func(st *Stats) (*uint64, *uint64) { return &st.SweepJobs, &st.SweepExecuted },
 		wire: func(req *SubmitRequest, opts *SubmitOptions) error {
 			if len(req.Points) == 0 {
 				return errors.New("kind sweep requires points")
@@ -130,6 +137,7 @@ var kinds = [numKinds]kindSpec{
 		name:     "gradient",
 		stem:     "gradient",
 		jobsHelp: "Parameter-shift gradient jobs submitted.",
+		counters: func(st *Stats) (*uint64, *uint64) { return &st.GradientJobs, &st.GradientExecuted },
 		wire: func(req *SubmitRequest, opts *SubmitOptions) error {
 			if req.Hamiltonian == nil {
 				return errors.New("kind gradient requires a hamiltonian")

@@ -3,6 +3,7 @@ package service
 import (
 	"time"
 
+	"qgear/internal/store"
 	"qgear/internal/telemetry"
 )
 
@@ -26,66 +27,66 @@ func (s *Server) registerMetrics() {
 
 	// Job flow.
 	r.CounterFunc("qgear_jobs_submitted_total", "Jobs accepted by Submit.", nil,
-		locked(func() float64 { return float64(total(s.submitted)) }))
+		locked(func() float64 { return float64(s.stats.Submitted) }))
 	r.CounterFunc("qgear_jobs_completed_total", "Jobs finished successfully.", nil,
-		locked(func() float64 { return float64(s.completed) }))
+		locked(func() float64 { return float64(s.stats.Completed) }))
 	r.CounterFunc("qgear_jobs_failed_total", "Jobs finished with an error.", nil,
-		locked(func() float64 { return float64(s.failed) }))
+		locked(func() float64 { return float64(s.stats.Failed) }))
 	r.CounterFunc("qgear_jobs_executed_total", "Jobs that reached a fresh execution (not served by cache, single-flight, or store).", nil,
-		locked(func() float64 { return float64(total(s.executed)) }))
+		locked(func() float64 { return float64(s.stats.Executed) }))
 	for k := range kinds {
-		k, spec := k, &kinds[k]
+		spec := &kinds[k]
 		if spec.jobsHelp != "" {
 			r.CounterFunc("qgear_"+spec.stem+"_jobs_total", spec.jobsHelp, nil,
-				locked(func() float64 { return float64(s.submitted[k]) }))
+				locked(func() float64 { jobs, _ := spec.counters(&s.stats); return float64(*jobs) }))
 		}
 		if spec.executedHelp != "" {
 			r.CounterFunc("qgear_"+spec.stem+"_executed_total", spec.executedHelp, nil,
-				locked(func() float64 { return float64(s.executed[k]) }))
+				locked(func() float64 { _, executed := spec.counters(&s.stats); return float64(*executed) }))
 		}
 	}
 	r.CounterFunc("qgear_sweep_points_total", "Sweep points freshly executed (rebind + run).", nil,
-		locked(func() float64 { return float64(s.sweepPointsRun) }))
+		locked(func() float64 { return float64(s.stats.SweepPointsRun) }))
 	r.CounterFunc("qgear_plan_rebinds_total", "Structural plan-cache hits served by rebinding a cached skeleton.", nil,
-		locked(func() float64 { return float64(s.planRebinds) }))
+		locked(func() float64 { return float64(s.stats.PlanRebinds) }))
 	r.CounterFunc("qgear_singleflight_hits_total", "Submissions attached to an identical in-flight job.", nil,
-		locked(func() float64 { return float64(s.sfHits) }))
+		locked(func() float64 { return float64(s.stats.SingleFlightHits) }))
 	r.CounterFunc("qgear_batches_total", "Coalesced batches executed.", nil,
-		locked(func() float64 { return float64(s.batches) }))
+		locked(func() float64 { return float64(s.stats.Batches) }))
 	r.CounterFunc("qgear_batched_jobs_total", "Jobs executed through coalesced batches.", nil,
-		locked(func() float64 { return float64(s.batchedJobs) }))
+		locked(func() float64 { return float64(s.stats.BatchedJobs) }))
 
 	// Resilience: panic isolation, admission rejections, cancellation.
 	r.CounterFunc("qgear_panics_recovered_total", "Execution panics recovered at the worker boundary (job failed, worker survived).", nil,
-		locked(func() float64 { return float64(s.panicsRecovered) }))
+		locked(func() float64 { return float64(s.stats.PanicsRecovered) }))
 	r.CounterFunc("qgear_jobs_rejected_total", "Submissions rejected, labeled by reason.", telemetry.Labels{"reason": "queue_full"},
-		locked(func() float64 { return float64(s.rejectedQueueFull) }))
+		locked(func() float64 { return float64(s.stats.RejectedQueueFull) }))
 	r.CounterFunc("qgear_jobs_rejected_total", "Submissions rejected, labeled by reason.", telemetry.Labels{"reason": "too_large"},
-		locked(func() float64 { return float64(s.rejectedTooLarge) }))
+		locked(func() float64 { return float64(s.stats.RejectedTooLarge) }))
 	r.CounterFunc("qgear_jobs_rejected_total", "Submissions rejected, labeled by reason.", telemetry.Labels{"reason": "invalid"},
-		locked(func() float64 { return float64(s.rejectedInvalid) }))
+		locked(func() float64 { return float64(s.stats.RejectedInvalid) }))
 	r.CounterFunc("qgear_jobs_cancelled_total", "Jobs failed on their deadline, labeled by where the budget ran out.", telemetry.Labels{"stage": "queue"},
-		locked(func() float64 { return float64(s.cancelledQueue) }))
+		locked(func() float64 { return float64(s.stats.CancelledQueue) }))
 	r.CounterFunc("qgear_jobs_cancelled_total", "Jobs failed on their deadline, labeled by where the budget ran out.", telemetry.Labels{"stage": "running"},
-		locked(func() float64 { return float64(s.cancelledRunning) }))
+		locked(func() float64 { return float64(s.stats.CancelledRunning) }))
 
 	// Caches, labeled by which cache.
 	result := telemetry.Labels{"cache": "result"}
 	plan := telemetry.Labels{"cache": "plan"}
 	r.CounterFunc("qgear_cache_hits_total", "Cache hits, labeled by cache (result includes spill-lookaside hits).", result,
-		locked(func() float64 { return float64(s.cacheHits) }))
+		locked(func() float64 { return float64(s.stats.CacheHits) }))
 	r.CounterFunc("qgear_cache_hits_total", "Cache hits, labeled by cache (result includes spill-lookaside hits).", plan,
-		locked(func() float64 { return float64(s.planHits) }))
+		locked(func() float64 { return float64(s.stats.PlanCacheHits) }))
 	r.CounterFunc("qgear_cache_misses_total", "Plan-cache misses (compilations that could not be served from memory).", plan,
-		locked(func() float64 { return float64(s.planMisses) }))
+		locked(func() float64 { return float64(s.stats.PlanCacheMisses) }))
 	r.CounterFunc("qgear_cache_evictions_total", "Entries evicted, labeled by cache.", result,
 		locked(func() float64 { return float64(s.cache.Evictions()) }))
 	r.CounterFunc("qgear_cache_evictions_total", "Entries evicted, labeled by cache.", plan,
 		locked(func() float64 { return float64(s.plans.Evictions()) }))
 	r.CounterFunc("qgear_cache_evicted_bytes_total", "Accounted bytes of evicted entries, labeled by cache.", result,
-		locked(func() float64 { return float64(s.cacheEvictedBytes) }))
+		locked(func() float64 { return float64(s.stats.CacheEvictedBytes) }))
 	r.CounterFunc("qgear_cache_evicted_bytes_total", "Accounted bytes of evicted entries, labeled by cache.", plan,
-		locked(func() float64 { return float64(s.planEvictedBytes) }))
+		locked(func() float64 { return float64(s.stats.PlanCacheEvictedBytes) }))
 	r.GaugeFunc("qgear_cache_entries", "Resident entries, labeled by cache.", result,
 		locked(func() float64 { return float64(s.cache.Len()) }))
 	r.GaugeFunc("qgear_cache_entries", "Resident entries, labeled by cache.", plan,
@@ -99,78 +100,57 @@ func (s *Server) registerMetrics() {
 	r.GaugeFunc("qgear_cache_max_bytes", "Configured byte bound (0 = unbounded), labeled by cache.", plan,
 		func() float64 { return float64(s.cfg.MaxPlanCacheBytes) })
 
-	// Persistent store.
+	// Persistent store. onDisk adapts a read of the store's own stats
+	// (zero without a store) into a scrape callback.
+	onDisk := func(read func(store.Stats) float64) func() float64 {
+		return func() float64 {
+			if s.store == nil {
+				return 0
+			}
+			return read(s.store.Stats())
+		}
+	}
 	r.CounterFunc("qgear_store_hits_total", "Persistent-store hits, labeled by artifact kind.", telemetry.Labels{"kind": "result"},
-		locked(func() float64 { return float64(s.storeHits) }))
+		locked(func() float64 { return float64(s.stats.StoreHits) }))
 	r.CounterFunc("qgear_store_hits_total", "Persistent-store hits, labeled by artifact kind.", telemetry.Labels{"kind": "plan"},
-		locked(func() float64 { return float64(s.planStoreHits) }))
+		locked(func() float64 { return float64(s.stats.StorePlanHits) }))
 	r.CounterFunc("qgear_store_misses_total", "Result-cache misses the store could not answer either.", nil,
-		locked(func() float64 { return float64(s.storeMisses) }))
+		locked(func() float64 { return float64(s.stats.StoreMisses) }))
 	r.CounterFunc("qgear_store_spills_total", "Artifacts written to the persistent store.", nil,
-		locked(func() float64 { return float64(s.storeSpills) }))
+		locked(func() float64 { return float64(s.stats.StoreSpills) }))
 	r.CounterFunc("qgear_store_spill_drops_total", "Eviction spills shed under backlog pressure.", nil,
-		locked(func() float64 { return float64(s.storeSpillDrops) }))
+		locked(func() float64 { return float64(s.stats.StoreSpillDrops) }))
 	r.CounterFunc("qgear_store_errors_total", "Store loads or writes that failed (I/O or integrity).", nil,
-		locked(func() float64 { return float64(s.storeErrors) }))
+		locked(func() float64 { return float64(s.stats.StoreErrors) }))
 	r.CounterFunc("qgear_store_quarantines_total", "Provably corrupt store files dropped.", nil,
-		locked(func() float64 { return float64(s.storeQuarantines) }))
+		locked(func() float64 { return float64(s.stats.StoreQuarantines) }))
 	r.GaugeFunc("qgear_store_bytes", "Bytes resident in the persistent store.", nil,
-		func() float64 {
-			if s.store == nil {
-				return 0
-			}
-			return float64(s.store.Stats().Bytes)
-		})
+		onDisk(func(ss store.Stats) float64 { return float64(ss.Bytes) }))
 	r.GaugeFunc("qgear_store_entries", "Persistent-store entries, labeled by artifact kind.", telemetry.Labels{"kind": "result"},
-		func() float64 {
-			if s.store == nil {
-				return 0
-			}
-			return float64(s.store.Stats().ResultEntries)
-		})
+		onDisk(func(ss store.Stats) float64 { return float64(ss.ResultEntries) }))
 	r.GaugeFunc("qgear_store_entries", "Persistent-store entries, labeled by artifact kind.", telemetry.Labels{"kind": "plan"},
-		func() float64 {
-			if s.store == nil {
-				return 0
-			}
-			return float64(s.store.Stats().PlanEntries)
-		})
+		onDisk(func(ss store.Stats) float64 { return float64(ss.PlanEntries) }))
 	r.GaugeFunc("qgear_store_max_bytes", "Configured on-disk store budget (0 = unbounded).", nil,
 		func() float64 { return float64(s.cfg.MaxStoreBytes) })
 	r.CounterFunc("qgear_store_gc_total", "Artifacts evicted from disk by the store byte-budget GC.", nil,
-		func() float64 {
-			if s.store == nil {
-				return 0
-			}
-			return float64(s.store.Stats().GCEvictions)
-		})
+		onDisk(func(ss store.Stats) float64 { return float64(ss.GCEvictions) }))
 	r.CounterFunc("qgear_store_gc_bytes_total", "Bytes reclaimed from disk by the store byte-budget GC.", nil,
-		func() float64 {
-			if s.store == nil {
-				return 0
-			}
-			return float64(s.store.Stats().GCEvictedBytes)
-		})
+		onDisk(func(ss store.Stats) float64 { return float64(ss.GCEvictedBytes) }))
 	r.CounterFunc("qgear_store_gc_rejected_total", "Saves refused because the artifact could not fit under the store budget.", nil,
-		func() float64 {
-			if s.store == nil {
-				return 0
-			}
-			return float64(s.store.Stats().GCRejected)
-		})
+		onDisk(func(ss store.Stats) float64 { return float64(ss.GCRejected) }))
 	r.CounterFunc("qgear_store_admission_skips_total", "Results not persisted because recomputing them is cheaper than a median store load.", nil,
-		locked(func() float64 { return float64(s.storeAdmissionSkips) }))
+		locked(func() float64 { return float64(s.stats.StoreAdmissionSkips) }))
 	// Store-load latency: the measured half of the admission rule.
 	s.storeLoad = r.Histogram("qgear_store_load_seconds",
 		"Latency of successful result loads from the persistent store.", nil)
 
 	// Distributed-execution communication (nvidia-mgpu).
 	r.CounterFunc("qgear_mgpu_exchanges_total", "Pairwise buffer exchanges across completed distributed executions.", nil,
-		locked(func() float64 { return float64(s.mgpuExchanges) }))
+		locked(func() float64 { return float64(s.stats.MgpuExchanges) }))
 	r.CounterFunc("qgear_mgpu_avoided_exchanges_total", "Exchanges elided by the avoided-exchange optimization.", nil,
-		locked(func() float64 { return float64(s.mgpuAvoided) }))
+		locked(func() float64 { return float64(s.stats.MgpuAvoidedExchanges) }))
 	r.CounterFunc("qgear_mgpu_bytes_sent_total", "Bytes moved by distributed buffer exchanges.", nil,
-		locked(func() float64 { return float64(s.mgpuBytesSent) }))
+		locked(func() float64 { return float64(s.stats.MgpuBytesSent) }))
 
 	// Queue and worker pool.
 	r.GaugeFunc("qgear_queue_depth", "Jobs waiting in the bounded queue.", nil,

@@ -380,32 +380,14 @@ type Server struct {
 	spillWG       sync.WaitGroup // the spiller goroutine
 	spillBytes    int64          // bytes pinned by the eviction-spill backlog
 
-	// counters (under mu). submitted and executed are per kind and
-	// move only for admitted jobs (admitLocked, runBatch), so a refused
-	// submission has nothing to roll back; the totals are their sums.
-	submitted, executed          [numKinds]uint64
-	completed, failed            uint64
-	cacheHits, sfHits            uint64
-	sweepPointsRun               uint64
-	planHits, planMisses         uint64
-	planRebinds                  uint64
-	storeHits, planStoreHits     uint64
-	storeMisses, storeErrors     uint64
-	storeSpills, storeSpillDrops uint64
-	storeQuarantines             uint64
-	storeAdmissionSkips          uint64
-	batches, batchedJobs         uint64
-	panicsRecovered              uint64
-	rejectedQueueFull            uint64
-	rejectedTooLarge             uint64
-	rejectedInvalid              uint64
-	cancelledQueue               uint64 // expired before execution started
-	cancelledRunning             uint64 // cancelled mid-execution
-	cacheEvictedBytes            int64
-	planEvictedBytes             int64
-	mgpuExchanges, mgpuAvoided   uint64
-	mgpuBytesSent                int64
-	latency                      map[string]*telemetry.Histogram
+	// stats is the one set of counters (under mu): the serving path
+	// counts straight into it, Stats() copies it and fills in the gauges
+	// and derived ratios, and the metric registry reads the same fields.
+	// Submitted and Executed — with their per-kind fields, picked by
+	// kindSpec.counters — move only for admitted jobs (admitLocked,
+	// runBatch), so a refused submission has nothing to roll back.
+	stats   Stats
+	latency map[string]*telemetry.Histogram
 
 	// stageLatency holds the per-stage registry histograms, resolved
 	// once at registerMetrics time and read-only afterwards, so the
@@ -513,9 +495,9 @@ func (s *Server) spiller() {
 		s.stageHist(telemetry.StageSpill).Observe(time.Since(t0))
 		s.mu.Lock()
 		if err != nil {
-			s.storeErrors++
+			s.stats.StoreErrors++
 		} else {
-			s.storeSpills++
+			s.stats.StoreSpills++
 		}
 		s.spillBytes -= it.bytes
 		if cur, ok := s.pendingSpills[it.key]; ok && cur.result == it.result && cur.plan == it.plan {
@@ -563,7 +545,7 @@ func (s *Server) enqueueSpillLocked(it spillItem) {
 		return
 	}
 	if it.result != nil && !s.admitResultSpill(it.result) {
-		s.storeAdmissionSkips++
+		s.stats.StoreAdmissionSkips++
 		return
 	}
 	if s.spillBytes > 0 && s.spillBytes+it.bytes > spillBudget(s.cfg.MaxCacheBytes) {
@@ -572,7 +554,7 @@ func (s *Server) enqueueSpillLocked(it spillItem) {
 		// the process, at the cost of re-simulating this key if it is
 		// asked for after a restart. An empty backlog always admits one
 		// entry, so even over-budget artifacts eventually persist.
-		s.storeSpillDrops++
+		s.stats.StoreSpillDrops++
 		return
 	}
 	select {
@@ -580,7 +562,7 @@ func (s *Server) enqueueSpillLocked(it spillItem) {
 		s.spillBytes += it.bytes
 		s.pendingSpills[it.key] = it
 	default:
-		s.storeSpillDrops++
+		s.stats.StoreSpillDrops++
 	}
 }
 
@@ -660,7 +642,7 @@ func (s *Server) compiled(c *circuit.Circuit, fp string) (*backend.Compiled, *te
 	s.mu.Lock()
 	for {
 		if comp, ok := s.plans.Get(key); ok {
-			s.planHits++
+			s.stats.PlanCacheHits++
 			s.mu.Unlock()
 			return s.rebound(comp, c, structural, t0, 0, 0)
 		}
@@ -669,9 +651,9 @@ func (s *Server) compiled(c *circuit.Circuit, fp string) (*backend.Compiled, *te
 			// an ordinary cache hit (it never touched the store) —
 			// serve it and re-admit.
 			comp := it.plan
-			s.planHits++
+			s.stats.PlanCacheHits++
 			for _, ev := range s.plans.Add(key, comp, comp.SizeBytes(), planCost(comp)) {
-				s.planEvictedBytes += ev.Bytes
+				s.stats.PlanCacheEvictedBytes += ev.Bytes
 				s.enqueueSpillLocked(spillItem{key: ev.Key, plan: ev.Val, cost: ev.Cost, bytes: ev.Bytes})
 			}
 			s.mu.Unlock()
@@ -687,7 +669,7 @@ func (s *Server) compiled(c *circuit.Circuit, fp string) (*backend.Compiled, *te
 		// Re-check: the winner cached the plan (or failed, in which
 		// case this worker becomes the next compiler).
 	}
-	s.planMisses++
+	s.stats.PlanCacheMisses++
 	ch := make(chan struct{})
 	s.planFlights[key] = ch
 	s.mu.Unlock()
@@ -713,9 +695,9 @@ func (s *Server) compiled(c *circuit.Circuit, fp string) (*backend.Compiled, *te
 				quarantined = true
 			}
 			s.mu.Lock()
-			s.storeErrors++
+			s.stats.StoreErrors++
 			if quarantined {
-				s.storeQuarantines++
+				s.stats.StoreQuarantines++
 			}
 			s.mu.Unlock()
 			comp = nil
@@ -730,7 +712,7 @@ func (s *Server) compiled(c *circuit.Circuit, fp string) (*backend.Compiled, *te
 	s.mu.Lock()
 	if err == nil {
 		if fromStore {
-			s.planStoreHits++
+			s.stats.StorePlanHits++
 		}
 		// Admit at the cost the sidecar recorded when warm-started (the
 		// same units planCost produces), else the fresh model value.
@@ -738,7 +720,7 @@ func (s *Server) compiled(c *circuit.Circuit, fp string) (*backend.Compiled, *te
 			cost = planCost(comp)
 		}
 		for _, ev := range s.plans.Add(key, comp, comp.SizeBytes(), cost) {
-			s.planEvictedBytes += ev.Bytes
+			s.stats.PlanCacheEvictedBytes += ev.Bytes
 			s.enqueueSpillLocked(spillItem{key: ev.Key, plan: ev.Val, cost: ev.Cost, bytes: ev.Bytes})
 		}
 	}
@@ -768,7 +750,7 @@ func (s *Server) rebound(comp *backend.Compiled, c *circuit.Circuit, structural 
 		return nil, nil, fmt.Errorf("service: rebinding cached plan: %w", err)
 	}
 	s.mu.Lock()
-	s.planRebinds++
+	s.stats.PlanRebinds++
 	s.mu.Unlock()
 	return bound, planTrace(t0, loadDur, compileDur, rebindDur), nil
 }
@@ -885,7 +867,7 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions, owned bool) (*jo
 	kind := resolveKind(opts)
 	if err := s.validateSubmit(kind, c, opts); err != nil {
 		s.mu.Lock()
-		s.rejectedInvalid++
+		s.stats.RejectedInvalid++
 		s.mu.Unlock()
 		return nil, err
 	}
@@ -895,7 +877,7 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions, owned bool) (*jo
 	if s.cfg.MaxStateBytes > 0 {
 		if need := s.estimateStateBytes(c.NumQubits); need > s.cfg.MaxStateBytes {
 			s.mu.Lock()
-			s.rejectedTooLarge++
+			s.stats.RejectedTooLarge++
 			s.mu.Unlock()
 			return nil, fmt.Errorf("%w: %d-qubit simulation needs ~%d bytes, budget is %d",
 				ErrTooLarge, c.NumQubits, need, s.cfg.MaxStateBytes)
@@ -942,7 +924,7 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions, owned bool) (*jo
 	// Content-addressed fast path: cache hit.
 	if res, ok := s.cache.Get(key); ok {
 		s.admitLocked(j)
-		s.cacheHits++
+		s.stats.CacheHits++
 		j.cached = true
 		s.finishLocked(j, res, nil, "cache")
 		s.retainLocked(j)
@@ -954,7 +936,7 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions, owned bool) (*jo
 	// tightens an execution already under way.
 	if f, ok := s.inflight[key]; ok {
 		s.admitLocked(j)
-		s.sfHits++
+		s.stats.SingleFlightHits++
 		j.cached = true
 		j.state = f.jobs[0].state // queued or already running
 		f.flag().Extend(s.deadlineFor(j.submittedAt, opts))
@@ -966,7 +948,7 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions, owned bool) (*jo
 	// re-simulating (or racing the spiller on the file).
 	if it, ok := s.pendingSpills[key]; ok && it.result != nil {
 		s.admitLocked(j)
-		s.cacheHits++
+		s.stats.CacheHits++
 		j.cached = true
 		s.finishLocked(j, it.result, nil, "cache")
 		s.retainLocked(j)
@@ -988,14 +970,14 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions, owned bool) (*jo
 		return j, nil
 	}
 	if s.store != nil {
-		s.storeMisses++
+		s.stats.StoreMisses++
 	}
 	// Leader: consume queue capacity.
 	select {
 	case s.queue <- j:
 	default:
 		s.nextID-- // job never existed
-		s.rejectedQueueFull++
+		s.stats.RejectedQueueFull++
 		return nil, ErrQueueFull
 	}
 	s.admitLocked(j)
@@ -1006,7 +988,11 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions, owned bool) (*jo
 // admitLocked records an accepted submission — the only place the
 // submitted counters move. Callers hold s.mu.
 func (s *Server) admitLocked(j *job) {
-	s.submitted[j.kind]++
+	s.stats.Submitted++
+	if f := kinds[j.kind].counters; f != nil {
+		jobs, _ := f(&s.stats)
+		*jobs++
+	}
 	s.jobs[j.id] = j
 }
 
@@ -1017,10 +1003,10 @@ func (s *Server) finishLocked(j *job, res *backend.Result, err error, latencyKey
 	j.finishedAt = time.Now()
 	if err != nil {
 		j.state = StateFailed
-		s.failed++
+		s.stats.Failed++
 	} else {
 		j.state = StateDone
-		s.completed++
+		s.stats.Completed++
 	}
 	h := s.latency[latencyKey]
 	if h == nil {
@@ -1056,7 +1042,7 @@ func (s *Server) completeKeyLocked(key string, res *backend.Result, err error, l
 	delete(s.inflight, key)
 	if err == nil && res != nil {
 		for _, ev := range s.cache.Add(key, res, res.SizeBytes(), resultCost(res)) {
-			s.cacheEvictedBytes += ev.Bytes
+			s.stats.CacheEvictedBytes += ev.Bytes
 			s.enqueueSpillLocked(spillItem{key: ev.Key, result: ev.Val, bytes: ev.Bytes})
 		}
 	}
@@ -1085,7 +1071,7 @@ func (s *Server) serveFromStore(key string) {
 	}
 	s.mu.Lock()
 	if err == nil {
-		s.storeHits++
+		s.stats.StoreHits++
 		if f := s.inflight[key]; f != nil {
 			for _, j := range f.jobs {
 				j.cached = true
@@ -1095,9 +1081,9 @@ func (s *Server) serveFromStore(key string) {
 		s.mu.Unlock()
 		return
 	}
-	s.storeErrors++
+	s.stats.StoreErrors++
 	if errors.Is(err, store.ErrIntegrity) {
-		s.storeQuarantines++
+		s.stats.StoreQuarantines++
 	}
 	// Capture the leader under the mutex: concurrent identical
 	// submissions keep appending to f.jobs through the single-flight
@@ -1180,7 +1166,7 @@ func (s *Server) guardPanic(fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.mu.Lock()
-			s.panicsRecovered++
+			s.stats.PanicsRecovered++
 			s.mu.Unlock()
 			err = fmt.Errorf("%w: %v", ErrPanic, r)
 		}
@@ -1236,7 +1222,7 @@ func (s *Server) runBatchSafe(batch []*job) {
 		if r := recover(); r != nil {
 			err := fmt.Errorf("%w: %v", ErrPanic, r)
 			s.mu.Lock()
-			s.panicsRecovered++
+			s.stats.PanicsRecovered++
 			for _, j := range batch {
 				// Idempotent per key: members runBatch already completed
 				// before panicking have no flight left and are skipped.
@@ -1329,17 +1315,21 @@ func (s *Server) runBatch(batch []*job) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.batches++
-	s.batchedJobs += uint64(len(t.outs))
-	s.mgpuExchanges += t.mgpuExch
-	s.mgpuAvoided += t.mgpuAvoided
-	s.mgpuBytesSent += t.mgpuBytes
-	s.cancelledQueue += t.cancelledQueue
-	s.cancelledRunning += t.cancelledRunning
-	s.sweepPointsRun += t.sweepPts
+	s.stats.Batches++
+	s.stats.BatchedJobs += uint64(len(t.outs))
+	s.stats.MgpuExchanges += t.mgpuExch
+	s.stats.MgpuAvoidedExchanges += t.mgpuAvoided
+	s.stats.MgpuBytesSent += t.mgpuBytes
+	s.stats.CancelledQueue += t.cancelledQueue
+	s.stats.CancelledRunning += t.cancelledRunning
+	s.stats.SweepPointsRun += t.sweepPts
 	for _, o := range t.outs {
 		if !o.skipped {
-			s.executed[o.j.kind]++
+			s.stats.Executed++
+			if f := kinds[o.j.kind].counters; f != nil {
+				_, executed := f(&s.stats)
+				*executed++
+			}
 		}
 		key := kinds[o.j.kind].stem
 		if key == "" {
@@ -1642,59 +1632,22 @@ func (s *Server) Run(ctx context.Context, c *circuit.Circuit, opts SubmitOptions
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{
-		QueueDepth:            len(s.queue),
-		QueueCapacity:         s.cfg.QueueSize,
-		Workers:               s.cfg.WorkerPool,
-		WorkersBusy:           int(s.busy.Load()),
-		Submitted:             total(s.submitted),
-		Completed:             s.completed,
-		Failed:                s.failed,
-		PanicsRecovered:       s.panicsRecovered,
-		RejectedQueueFull:     s.rejectedQueueFull,
-		RejectedTooLarge:      s.rejectedTooLarge,
-		RejectedInvalid:       s.rejectedInvalid,
-		CancelledQueue:        s.cancelledQueue,
-		CancelledRunning:      s.cancelledRunning,
-		CacheHits:             s.cacheHits,
-		SingleFlightHits:      s.sfHits,
-		Executed:              total(s.executed),
-		ExpectationJobs:       s.submitted[kindExpectation],
-		ExpectationExecuted:   s.executed[kindExpectation],
-		SweepJobs:             s.submitted[kindSweep],
-		SweepExecuted:         s.executed[kindSweep],
-		SweepPointsRun:        s.sweepPointsRun,
-		GradientJobs:          s.submitted[kindGradient],
-		GradientExecuted:      s.executed[kindGradient],
-		PlanRebinds:           s.planRebinds,
-		CacheLen:              s.cache.Len(),
-		CacheCapacity:         s.cfg.CacheSize,
-		CacheBytes:            s.cache.Bytes(),
-		CacheMaxBytes:         s.cfg.MaxCacheBytes,
-		CacheEvictions:        s.cache.Evictions(),
-		CacheEvictedBytes:     s.cacheEvictedBytes,
-		PlanCacheHits:         s.planHits,
-		PlanCacheMisses:       s.planMisses,
-		PlanCacheLen:          s.plans.Len(),
-		PlanCacheBytes:        s.plans.Bytes(),
-		PlanCacheMaxBytes:     s.cfg.MaxPlanCacheBytes,
-		PlanCacheEvictions:    s.plans.Evictions(),
-		PlanCacheEvictedBytes: s.planEvictedBytes,
-		StoreHits:             s.storeHits,
-		StorePlanHits:         s.planStoreHits,
-		StoreMisses:           s.storeMisses,
-		StoreSpills:           s.storeSpills,
-		StoreSpillDrops:       s.storeSpillDrops,
-		StoreErrors:           s.storeErrors,
-		StoreQuarantines:      s.storeQuarantines,
-		Batches:               s.batches,
-		BatchedJobs:           s.batchedJobs,
-		MgpuExchanges:         s.mgpuExchanges,
-		MgpuAvoidedExchanges:  s.mgpuAvoided,
-		MgpuBytesSent:         s.mgpuBytesSent,
-		Latency:               make(map[string]HistogramSnapshot, len(s.latency)),
-		UptimeSeconds:         time.Since(s.start).Seconds(),
-	}
+	st := s.stats
+	st.QueueDepth = len(s.queue)
+	st.QueueCapacity = s.cfg.QueueSize
+	st.Workers = s.cfg.WorkerPool
+	st.WorkersBusy = int(s.busy.Load())
+	st.CacheLen = s.cache.Len()
+	st.CacheCapacity = s.cfg.CacheSize
+	st.CacheBytes = s.cache.Bytes()
+	st.CacheMaxBytes = s.cfg.MaxCacheBytes
+	st.CacheEvictions = s.cache.Evictions()
+	st.PlanCacheLen = s.plans.Len()
+	st.PlanCacheBytes = s.plans.Bytes()
+	st.PlanCacheMaxBytes = s.cfg.MaxPlanCacheBytes
+	st.PlanCacheEvictions = s.plans.Evictions()
+	st.Latency = make(map[string]HistogramSnapshot, len(s.latency))
+	st.UptimeSeconds = time.Since(s.start).Seconds()
 	if s.store != nil {
 		ss := s.store.Stats()
 		st.StoreDir = ss.Dir
@@ -1705,7 +1658,6 @@ func (s *Server) Stats() Stats {
 		st.StoreGCEvictions = ss.GCEvictions
 		st.StoreGCEvictedBytes = ss.GCEvictedBytes
 		st.StoreGCRejected = ss.GCRejected
-		st.StoreAdmissionSkips = s.storeAdmissionSkips
 		st.StoreManifestRecords = ss.ManifestRecords
 		st.StoreManifestCompactions = ss.ManifestCompactions
 		st.StoreBootScanned = ss.BootScanned
@@ -1720,15 +1672,6 @@ func (s *Server) Stats() Stats {
 		st.Latency[k] = snapshotHistogram(h)
 	}
 	return st
-}
-
-// total sums a per-kind counter.
-func total(c [numKinds]uint64) uint64 {
-	var n uint64
-	for _, v := range c {
-		n += v
-	}
-	return n
 }
 
 // Registry returns the server's telemetry registry — the backing for

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,53 +26,90 @@ func storeTestCircuits(n, qubits int) []*circuit.Circuit {
 
 // TestWarmRestartServesFromStore is the acceptance test: a server is
 // filled, closed (spilling to disk), and a second server on the same
-// directory answers every repeat submission from the store — marked
-// cached, zero simulations — with bit-identical probabilities and
-// exact shot counts.
+// directory answers every repeat submission — simulate and expectation
+// jobs, one of them through the HTTP handler — from the store: marked
+// cached, zero simulations. Every restarted answer is held against an
+// independent backend.Run / RunExpectation of the same circuit, not
+// against what the first server said: bit-identical probabilities,
+// exact shot counts, bit-identical ⟨H⟩.
 func TestWarmRestartServesFromStore(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{StoreDir: dir, WorkerPool: 1, MaxBatch: 1, TileBits: 4}
+	cfg := pinHost(Config{StoreDir: dir, WorkerPool: 1, MaxBatch: 1, TileBits: 4})
 	circs := storeTestCircuits(5, 8)
+	h := expTestHamiltonian(8)
 	ctx := context.Background()
+	const shots = 300
 
-	s1, err := New(pinHost(cfg))
+	s1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]*backend.Result, len(circs))
 	for i, c := range circs {
-		res, _, err := s1.Run(ctx, c, SubmitOptions{Shots: 300, Seed: uint64(i)})
-		if err != nil {
+		if _, _, err := s1.Run(ctx, c, SubmitOptions{Shots: shots, Seed: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
-		want[i] = res
+	}
+	if _, _, err := s1.Run(ctx, circs[0], SubmitOptions{Hamiltonian: h}); err != nil {
+		t.Fatal(err)
 	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2 := newTestServer(t, cfg)
+	ref := backend.Config{Target: backend.TargetNvidia, Workers: cfg.Workers, TileBits: cfg.TileBits, Shots: shots}
+	s2, ts := newHTTPServer(t, cfg)
 	for i, c := range circs {
-		res, info, err := s2.Run(ctx, c, SubmitOptions{Shots: 300, Seed: uint64(i)})
+		ref.Seed = uint64(i)
+		want, err := backend.Run(c, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !info.Cached {
+		var probs []float64
+		var counts map[string]int
+		var cached bool
+		if i == 0 {
+			// The same job as a client sees it: POST, poll, fetch.
+			info, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", Circuit: FromCircuit(c), Shots: shots, Seed: ref.Seed})
+			if code != http.StatusAccepted {
+				t.Fatalf("submit over HTTP: %d", code)
+			}
+			pollDone(t, ts.URL, info.ID)
+			var body ResultResponse
+			getJSON(t, ts.URL+"/v1/results/"+info.ID+"?full=1", &body)
+			probs, counts, cached = body.Probabilities, body.Counts, body.Cached
+		} else {
+			res, info, err := s2.Run(ctx, c, SubmitOptions{Shots: shots, Seed: ref.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			probs, counts, cached = res.Probabilities, bitstringMap(wireCounts{res.Counts, res.NumQubits}), info.Cached
+		}
+		if !cached {
 			t.Fatalf("circuit %d was re-simulated after restart", i)
 		}
-		for k := range want[i].Probabilities {
-			if res.Probabilities[k] != want[i].Probabilities[k] {
-				t.Fatalf("circuit %d probability[%d]: %v vs %v (bit-identity across restart)",
-					i, k, res.Probabilities[k], want[i].Probabilities[k])
-			}
+		if !reflect.DeepEqual(probs, want.Probabilities) {
+			t.Fatalf("circuit %d: restarted probabilities differ from an independent run (max |Δp| must be 0)", i)
 		}
-		if !reflect.DeepEqual(res.Counts, want[i].Counts) {
-			t.Fatalf("circuit %d counts differ across restart", i)
+		if wantCounts := bitstringMap(wireCounts{want.Counts, want.NumQubits}); !reflect.DeepEqual(counts, wantCounts) {
+			t.Fatalf("circuit %d: restarted counts %v, independent run %v", i, counts, wantCounts)
 		}
 	}
+	ref.Shots, ref.Seed = 0, 0
+	wantExp, err := backend.RunExpectation(circs[0], h, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, info, err := s2.Run(ctx, circs[0], SubmitOptions{Hamiltonian: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Cached || res.ExpValue == nil || *res.ExpValue != *wantExp.ExpValue {
+		t.Fatalf("expectation after restart: cached=%v ⟨H⟩=%v, independent evaluation %.17g", info.Cached, res.ExpValue, *wantExp.ExpValue)
+	}
+
 	st := s2.Stats()
-	if st.StoreHits != uint64(len(circs)) {
-		t.Fatalf("store hits %d, want %d", st.StoreHits, len(circs))
+	if want := uint64(len(circs)) + 1; st.StoreHits != want {
+		t.Fatalf("store hits %d, want %d", st.StoreHits, want)
 	}
 	if st.Executed != 0 {
 		t.Fatalf("%d simulations ran on the warm-started server", st.Executed)

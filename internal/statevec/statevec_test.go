@@ -128,7 +128,7 @@ func TestApplyGateDispatchAgainstMatrices(t *testing.T) {
 		gate.RX: {0.3}, gate.RY: {0.9}, gate.RZ: {-0.4}, gate.P: {1.2},
 		gate.U3: {0.5, 0.6, 0.7}, gate.CP: {0.8}, gate.CRY: {1.4},
 	}
-	for _, g := range gate.Types() {
+	for g := gate.Type(0); g.Valid(); g++ {
 		if !g.IsUnitary() {
 			continue
 		}
@@ -203,6 +203,22 @@ func TestNormPreservationProperty(t *testing.T) {
 	}
 }
 
+// kron returns the Kronecker product hi ⊗ lo: hi acts on the
+// more-significant qubit of the pair, lo on the less-significant one.
+func kron(hi, lo gate.Mat2) gate.Mat4 {
+	var m gate.Mat4
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			for k := 0; k < 2; k++ {
+				for l := 0; l < 2; l++ {
+					m[(i*2+k)*4+(j*2+l)] = hi[i*2+j] * lo[k*2+l]
+				}
+			}
+		}
+	}
+	return m
+}
+
 func TestFusedMatchesSequential(t *testing.T) {
 	// A fused 2-qubit matrix equals applying the constituent gates.
 	r := qmath.NewRNG(13)
@@ -211,7 +227,7 @@ func TestFusedMatchesSequential(t *testing.T) {
 		b := a.Clone()
 		th := r.Angle()
 		// Sequence: ry(th) on q3; cx(3,1).
-		m := gate.Matrix2(gate.CX, nil).Mul(gate.Kron(gate.Matrix1(gate.RY, []float64{th}), gate.Identity2()))
+		m := gate.Matrix2(gate.CX, nil).Mul(kron(gate.Matrix1(gate.RY, []float64{th}), gate.Identity2()))
 		// Fused matrix on qubits (hi=3, lo=1): qubits[j]=bit j -> [1,3].
 		if err := a.ApplyFused([]int{1, 3}, m[:]); err != nil {
 			t.Fatal(err)

@@ -186,7 +186,7 @@ func TestStoreAcceptance(t *testing.T) {
 
 	inj := faultfs.New(faultfs.OS{}, faultfs.Config{})
 	t0 := time.Now()
-	big2, err := OpenFS(bootDir, inj)
+	big2, err := OpenOptions(bootDir, Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

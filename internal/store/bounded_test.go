@@ -24,6 +24,7 @@ import (
 func probsResult(i int, ops int) *backend.Result {
 	return &backend.Result{
 		Target:        backend.TargetNvidia,
+		NumQubits:     2,
 		Probabilities: []float64{0.5, 1e-9 * float64(i+1), 0, 0.5 - 1e-9*float64(i+1)},
 		Duration:      time.Millisecond,
 		KernelStats:   kernel.Stats{EmittedOps: ops},
@@ -179,7 +180,7 @@ func TestBootScanIgnoresForeignFiles(t *testing.T) {
 // manifest append) before reporting success.
 func TestSaveResultSyncsBeforeRename(t *testing.T) {
 	inj := faultfs.New(faultfs.OS{}, faultfs.Config{})
-	st, err := OpenFS(t.TempDir(), inj)
+	st, err := OpenOptions(t.TempDir(), Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestSaveResultFailsWhenSyncFails(t *testing.T) {
 		Seed:  1,
 		PerOp: map[faultfs.Op]faultfs.Rates{faultfs.OpSync: {ErrPerMille: 1000}},
 	})
-	st, err := OpenFS(t.TempDir(), inj)
+	st, err := OpenOptions(t.TempDir(), Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +371,7 @@ func TestManifestReplayNoScan(t *testing.T) {
 		}
 	}
 	inj := faultfs.New(faultfs.OS{}, faultfs.Config{})
-	st2, err := OpenFS(dir, inj)
+	st2, err := OpenOptions(dir, Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +421,7 @@ func TestManifestCorruptionFallsBackAndHeals(t *testing.T) {
 	}
 
 	inj := faultfs.New(faultfs.OS{}, faultfs.Config{})
-	st2, err := OpenFS(dir, inj)
+	st2, err := OpenOptions(dir, Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +437,7 @@ func TestManifestCorruptionFallsBackAndHeals(t *testing.T) {
 
 	// Self-healed: the third open replays the rewritten manifest.
 	inj2 := faultfs.New(faultfs.OS{}, faultfs.Config{})
-	st3, err := OpenFS(dir, inj2)
+	st3, err := OpenOptions(dir, Options{FS: inj2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +479,7 @@ func TestManifestTornTailReplaysPrefix(t *testing.T) {
 	fh.Close()
 
 	inj := faultfs.New(faultfs.OS{}, faultfs.Config{})
-	st2, err := OpenFS(dir, inj)
+	st2, err := OpenOptions(dir, Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,6 +620,7 @@ func TestGCRejectsOversizedArtifact(t *testing.T) {
 	}
 	big := &backend.Result{
 		Target:        backend.TargetNvidia,
+		NumQubits:     12,
 		Probabilities: make([]float64, 1<<12),
 		KernelStats:   kernel.Stats{EmittedOps: 1},
 	}

@@ -39,11 +39,7 @@ func writeResult(w *artifact.Writer, key, sig string, res *backend.Result, gradi
 	w.Str(key)
 	w.Str(sig)
 	w.Str(string(res.Target))
-	nq := res.NumQubits
-	if nq == 0 {
-		nq = numQubits(res.Probabilities)
-	}
-	w.U32(uint32(nq))
+	w.U32(uint32(res.NumQubits))
 	w.I64(res.Duration.Nanoseconds())
 	kernel.WriteStats(w, res.KernelStats)
 	w.Bool(res.PlanStats != nil)
@@ -191,15 +187,6 @@ func readIdentity(r *artifact.Reader, key, sig string) error {
 		return fmt.Errorf("config signature %q does not match %q", gotSig, sig)
 	}
 	return nil
-}
-
-// numQubits infers n from the probability-vector length.
-func numQubits(probs []float64) int {
-	n := 0
-	for 1<<uint(n) < len(probs) {
-		n++
-	}
-	return n
 }
 
 // resultRecomputeCost models what re-simulating this result would cost

@@ -169,13 +169,6 @@ func Open(dir string) (*Store, error) {
 	return OpenOptions(dir, Options{})
 }
 
-// OpenFS is Open against an explicit filesystem — the seam the chaos
-// harness uses to inject deterministic disk faults under the store. A
-// nil fsys selects the real filesystem.
-func OpenFS(dir string, fsys faultfs.FS) (*Store, error) {
-	return OpenOptions(dir, Options{FS: fsys})
-}
-
 // OpenOptions creates (if needed) and indexes the store rooted at dir.
 // When a manifest journal is present and sound, the index comes from
 // replaying it — one file read, no directory walk; otherwise the

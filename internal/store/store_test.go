@@ -72,7 +72,7 @@ func TestResultCountsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &backend.Result{Target: backend.TargetNvidia, Probabilities: []float64{0.5, 0, 0, 0.5}}
+	res := &backend.Result{Target: backend.TargetNvidia, NumQubits: 2, Probabilities: []float64{0.5, 0, 0, 0.5}}
 	if err := st.SaveResult("k", testSig, res); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestSaveIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := &backend.Result{Target: backend.TargetAer, Probabilities: []float64{1, 0}, Counts: sampling.Counts{0: 1}}
+	other := &backend.Result{Target: backend.TargetAer, NumQubits: 1, Probabilities: []float64{1, 0}, Counts: sampling.Counts{0: 1}}
 	if err := st.SaveResult("k", testSig, other); err != nil {
 		t.Fatal(err)
 	}

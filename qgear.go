@@ -33,7 +33,6 @@ import (
 	"qgear/internal/randcirc"
 	"qgear/internal/sampling"
 	"qgear/internal/service"
-	"qgear/internal/statevec"
 )
 
 // Circuit is a Qiskit-like object circuit (builder API: H, CX, RY,
@@ -388,26 +387,3 @@ type (
 	WireCircuit     = service.WireCircuit
 	WireHamiltonian = service.WireHamiltonian
 )
-
-// Expectation evaluates a Hamiltonian on the final state of a circuit,
-// partitioning its terms across `devices` concurrent evaluators when
-// devices > 1 (the Fig. 2c parallel-Hamiltonian mode). RunExpectation
-// is the full-featured path (targets, tiling, caching-friendly
-// Result); this helper remains for quick in-process estimates.
-func Expectation(c *Circuit, h *Hamiltonian, devices int) (float64, error) {
-	k, _, err := kernel.FromCircuit(c, kernel.Options{DropMeasurements: true})
-	if err != nil {
-		return 0, err
-	}
-	s, err := statevec.New(c.NumQubits, 0)
-	if err != nil {
-		return 0, err
-	}
-	if err := kernel.Execute(k, s); err != nil {
-		return 0, err
-	}
-	if devices > 1 {
-		return h.ExpectationParallel(s, devices)
-	}
-	return h.Expectation(s)
-}

@@ -27,14 +27,6 @@ func TestPublicRunExpectation(t *testing.T) {
 	if math.Abs(*res.ExpValue-want) > 1e-12 {
 		t.Fatalf("GHZ TFIM energy %g, want %g", *res.ExpValue, want)
 	}
-	// The legacy helper and the job-kind API agree.
-	legacy, err := qgear.Expectation(c, h, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(legacy-*res.ExpValue) > 1e-12 {
-		t.Fatalf("legacy %g vs run %g", legacy, *res.ExpValue)
-	}
 
 	// Cache keys: same operator spelled differently shares a key;
 	// different coefficients do not.

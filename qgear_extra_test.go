@@ -38,6 +38,16 @@ func TestQASMViaFacade(t *testing.T) {
 	}
 }
 
+// expectation is ⟨H⟩ through RunExpectation with the Hamiltonian's terms
+// partitioned over `devices` term-parallel evaluators.
+func expectation(c *Circuit, h *Hamiltonian, devices int) (float64, error) {
+	res, err := RunExpectation(c, h, RunOptions{Target: TargetNvidiaMQPU, Devices: devices})
+	if err != nil {
+		return 0, err
+	}
+	return *res.ExpValue, nil
+}
+
 func TestExpectationViaFacade(t *testing.T) {
 	// GHZ: <Z0Z1> + <Z1Z2> = 2; the measured circuit must also work
 	// (measurements dropped for the pure state).
@@ -46,7 +56,7 @@ func TestExpectationViaFacade(t *testing.T) {
 	h.Add(NewPauliTerm(1, map[int]Pauli{0: PauliZ, 1: PauliZ}))
 	h.Add(NewPauliTerm(1, map[int]Pauli{1: PauliZ, 2: PauliZ}))
 	for _, devices := range []int{1, 2} {
-		v, err := Expectation(c, h, devices)
+		v, err := expectation(c, h, devices)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +71,7 @@ func TestTFIMViaFacade(t *testing.T) {
 	n := 6
 	c := NewCircuit(n, 0)
 	h := TransverseFieldIsing(n, 1.25, 0.5)
-	v, err := Expectation(c, h, 4)
+	v, err := expectation(c, h, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +84,7 @@ func TestExpectationErrors(t *testing.T) {
 	c := NewCircuit(2, 0)
 	h := &Hamiltonian{NumQubits: 2}
 	h.Add(NewPauliTerm(1, map[int]Pauli{5: PauliZ}))
-	if _, err := Expectation(c, h, 1); err == nil {
+	if _, err := expectation(c, h, 1); err == nil {
 		t.Fatal("out-of-range term accepted")
 	}
 }
