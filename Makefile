@@ -143,7 +143,9 @@ ci-oneproc: build
 # Pauli evaluator against the per-index reference loop, then the
 # artifact envelope and every payload decoder behind it — never a
 # panic, allocation bounded by the input's length, and whatever a
-# decoder accepts re-encodes to the bytes it was decoded from. go test
+# decoder accepts re-encodes to the bytes it was decoded from — then
+# the samplers against their table-and-hash references (exact counts,
+# same RNG consumption). go test
 # fuzzes one target of one package per run, hence one leg each;
 # minimization is capped because its default budget (60 s per new
 # input) would eat a 10 s leg whole.
@@ -158,6 +160,7 @@ ci-fuzz: build
 	$(call run-selected,FuzzUnmarshal,./internal/tensorenc/,-fuzz FuzzUnmarshal $(FUZZ_DECODER))
 	$(call run-selected,FuzzDecodeResult,./internal/store/,-fuzz FuzzDecodeResult $(FUZZ_DECODER))
 	$(call run-selected,FuzzDecodePlan,./internal/store/,-fuzz FuzzDecodePlan $(FUZZ_DECODER))
+	$(call run-selected,FuzzSampleMatchesReference,./internal/sampling/,-fuzz FuzzSampleMatchesReference $(FUZZ_DECODER))
 
 # Chaos acceptance: the seeded fault-injection suite, race-enabled.
 # Injected disk faults, short writes, execution panics, and tight

@@ -352,28 +352,41 @@ func BenchmarkAblationDiagonal(b *testing.B) {
 	})
 }
 
-// Sampler choice: alias vs cumulative at QCrank-like shot counts.
+// Sampler choice at the two shapes the benchmark workloads sample:
+// qft_exec's (2^21 outcomes, 4096 shots — Sample takes the cumulative
+// path) and qcrank_mgpu's (2^15 outcomes, 1 536 000 shots — the alias
+// path). MB/s is the probability vector consumed per second.
 func BenchmarkAblationSamplers(b *testing.B) {
-	probs := make([]float64, 1<<14)
-	r := qmath.NewRNG(2)
-	for i := range probs {
-		probs[i] = r.Float64()
+	for _, shape := range []struct {
+		name            string
+		outcomes, shots int
+	}{
+		{"qft_2p21_x4096", 1 << 21, 4096},
+		{"qcrank_2p15_x1536000", 1 << 15, 1536000},
+	} {
+		probs := make([]float64, shape.outcomes)
+		r := qmath.NewRNG(2)
+		for i := range probs {
+			probs[i] = r.Float64()
+		}
+		for _, s := range []struct {
+			name   string
+			sample func([]float64, int, *qmath.RNG) (sampling.Counts, error)
+		}{
+			{"alias", sampling.SampleAlias},
+			{"cumulative", sampling.SampleCumulative},
+		} {
+			b.Run(shape.name+"/"+s.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(8 * shape.outcomes))
+				for i := 0; i < b.N; i++ {
+					if _, err := s.sample(probs, shape.shots, qmath.NewRNG(uint64(i))); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
-	const shots = 100000
-	b.Run("alias", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sampling.SampleAlias(probs, shots, qmath.NewRNG(uint64(i))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cumulative", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sampling.SampleCumulative(probs, shots, qmath.NewRNG(uint64(i))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // Transformation throughput: §2.1's constant-time-per-gate conversion.

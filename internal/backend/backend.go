@@ -356,12 +356,6 @@ func Run(c *circuit.Circuit, cfg Config) (*Result, error) {
 // the distributed engine runs it against each rank shard, and a nil
 // plan selects the per-gate baseline on either.
 func RunCompiled(comp *Compiled, cfg Config) (*Result, error) {
-	return runCompiled(comp, cfg, nil)
-}
-
-// runCompiled is RunCompiled on a statevector the caller may share
-// across consecutive runs (see deviceState; nil allocates a fresh one).
-func runCompiled(comp *Compiled, cfg Config, dev *deviceState) (*Result, error) {
 	if !cfg.Target.Valid() {
 		return nil, fmt.Errorf("backend: unknown target %q", cfg.Target)
 	}
@@ -390,13 +384,9 @@ func runCompiled(comp *Compiled, cfg Config, dev *deviceState) (*Result, error) 
 		t0 := time.Now()
 		pennylaneTranspile(comp.Kernel)
 		tr.Add(telemetry.StageTranspile, time.Since(t0))
-		probs, err := runSingleTraced(comp, cfg.workers(), tr, cfg.Cancel, dev)
-		if err != nil {
-			return nil, err
-		}
-		res.Probabilities = probs
-	default: // aer, nvidia, and mqpu-with-one-circuit all run the local engine
-		probs, err := runSingleTraced(comp, cfg.workers(), tr, cfg.Cancel, dev)
+		fallthrough
+	default: // aer, nvidia, pennylane, and mqpu-with-one-circuit all run the local engine
+		probs, err := runSingleTraced(comp, cfg.workers(), tr, cfg.Cancel)
 		if err != nil {
 			return nil, err
 		}
@@ -405,7 +395,7 @@ func runCompiled(comp *Compiled, cfg Config, dev *deviceState) (*Result, error) 
 
 	if cfg.Shots > 0 {
 		t0 := time.Now()
-		counts, err := sampleShots(res.Probabilities, cfg)
+		counts, err := SampleShots(res.Probabilities, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -429,21 +419,15 @@ func addDistSpans(tr *telemetry.Trace, wall, exchange time.Duration) {
 	tr.Add(telemetry.StageExecute, wall)
 }
 
-// SampleShots draws measurement shots from an already-computed
-// probability vector exactly as RunCompiled would for cfg — including
-// the mqpu split-across-devices path — so schedulers that defer
-// sampling (the service layer) still match a standalone Run bit for
-// bit.
+// SampleShots draws measurement shots from a probability vector exactly
+// as RunCompiled does for cfg, so schedulers that defer sampling (the
+// service layer) still match a standalone Run bit for bit. On the mqpu
+// target the shot budget is split across the simulated QPUs and sampled
+// concurrently — the multi-shot parallelism of the paper's ref. [23]
+// (and the reason §3 notes mqpu "significantly improves the execution
+// time"); results merge into one Counts and stay deterministic under a
+// fixed seed.
 func SampleShots(probs []float64, cfg Config) (sampling.Counts, error) {
-	return sampleShots(probs, cfg)
-}
-
-// sampleShots draws measurement shots. On the mqpu target the shot
-// budget is split across the simulated QPUs and sampled concurrently —
-// the multi-shot parallelism of the paper's ref. [23] (and the reason
-// §3 notes mqpu "significantly improves the execution time"); results
-// merge into one Counts and stay deterministic under a fixed seed.
-func sampleShots(probs []float64, cfg Config) (sampling.Counts, error) {
 	devices := cfg.devices()
 	if cfg.Target != TargetNvidiaMQPU || devices <= 1 || cfg.Shots < devices {
 		return sampling.Sample(probs, cfg.Shots, qmath.NewRNG(cfg.Seed))
@@ -479,13 +463,15 @@ func sampleShots(probs []float64, cfg Config) (sampling.Counts, error) {
 
 // runSingleTraced executes a compiled circuit on one in-memory device,
 // through the plan when one was compiled (bit-identical output either
-// way), recording execute and readout spans into tr.
-func runSingleTraced(comp *Compiled, workers int, tr *telemetry.Trace, flag *cancel.Flag, dev *deviceState) ([]float64, error) {
+// way), recording execute and readout spans into tr. The state goes
+// back to the slab free list once its probabilities are read out.
+func runSingleTraced(comp *Compiled, workers int, tr *telemetry.Trace, flag *cancel.Flag) ([]float64, error) {
 	t0 := time.Now()
-	s, err := runSingleState(comp, workers, flag, dev)
+	s, err := runSingleState(comp, workers, flag)
 	if err != nil {
 		return nil, err
 	}
+	defer s.Release()
 	tr.Add(telemetry.StageExecute, time.Since(t0))
 	t1 := time.Now()
 	probs := s.Probabilities()
@@ -493,32 +479,12 @@ func runSingleTraced(comp *Compiled, workers int, tr *telemetry.Trace, flag *can
 	return probs, nil
 }
 
-// deviceState is one in-memory device's statevector kept across the
-// consecutive runs of a sequential sweep: each run starts from a reset
-// to |0…0⟩ — exactly the state a fresh allocation holds — instead of
-// allocating 2^n amplitudes per point. A nil *deviceState allocates a
-// fresh state per run. Not safe for concurrent runs.
-type deviceState struct{ s *statevec.State }
-
-// zeroed returns the n-qubit |0…0⟩ state to execute on.
-func (d *deviceState) zeroed(n, workers int) (*statevec.State, error) {
-	if d == nil {
-		return statevec.New(n, workers)
-	}
-	if d.s == nil {
-		s, err := statevec.New(n, workers)
-		d.s = s
-		return s, err
-	}
-	d.s.Reset()
-	return d.s, nil
-}
-
 // runSingleState executes a compiled circuit and returns the resident
 // state itself — possibly with a pending qubit permutation, which the
-// expectation evaluator reads through rather than materializing.
-func runSingleState(comp *Compiled, workers int, flag *cancel.Flag, dev *deviceState) (*statevec.State, error) {
-	s, err := dev.zeroed(comp.Kernel.NumQubits, workers)
+// expectation evaluator reads through rather than materializing. The
+// caller releases it; a run that fails releases it here.
+func runSingleState(comp *Compiled, workers int, flag *cancel.Flag) (*statevec.State, error) {
+	s, err := statevec.New(comp.Kernel.NumQubits, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -528,6 +494,7 @@ func runSingleState(comp *Compiled, workers int, flag *cancel.Flag, dev *deviceS
 		err = kernel.ExecuteCancel(comp.Kernel, s, flag)
 	}
 	if err != nil {
+		s.Release()
 		return nil, err
 	}
 	return s, nil

@@ -38,12 +38,6 @@ func RunExpectation(c *circuit.Circuit, h *observable.Hamiltonian, cfg Config) (
 // the serving layer's path: one cached compile serves any number of
 // observables on the same circuit.
 func RunExpectationCompiled(comp *Compiled, h *observable.Hamiltonian, cfg Config) (*Result, error) {
-	return runExpectationCompiled(comp, h, cfg, nil)
-}
-
-// runExpectationCompiled is RunExpectationCompiled on a statevector the
-// caller may share across consecutive runs (see deviceState).
-func runExpectationCompiled(comp *Compiled, h *observable.Hamiltonian, cfg Config, dev *deviceState) (*Result, error) {
 	if !cfg.Target.Valid() {
 		return nil, fmt.Errorf("backend: unknown target %q", cfg.Target)
 	}
@@ -95,10 +89,11 @@ func runExpectationCompiled(comp *Compiled, h *observable.Hamiltonian, cfg Confi
 		fallthrough
 	default: // aer, nvidia, pennylane, and the mqpu term-parallel mode
 		t0 := time.Now()
-		s, err := runSingleState(comp, cfg.workers(), cfg.Cancel, dev)
+		s, err := runSingleState(comp, cfg.workers(), cfg.Cancel)
 		if err != nil {
 			return nil, err
 		}
+		defer s.Release()
 		tr.Add(telemetry.StageExecute, time.Since(t0))
 		t1 := time.Now()
 		if cfg.Target == TargetNvidiaMQPU && cfg.devices() > 1 {

@@ -266,7 +266,7 @@ func TestExpectationPendingPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := runSingleState(comp, 2, nil, nil)
+	s, err := runSingleState(comp, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,13 +227,6 @@ func runSweepPoints(res *Result, h *observable.Hamiltonian, points [][]float64, 
 		}
 	}
 
-	// Points run one after another share one statevector; the mqpu
-	// fan-out keeps one per in-flight point.
-	var dev *deviceState
-	if conc <= 1 {
-		dev = &deviceState{}
-	}
-
 	runPoint := func(i int) (*Result, time.Duration, error) {
 		if err := cfg.Cancel.Err(); err != nil {
 			return nil, 0, fmt.Errorf("backend: sweep point %d: %w", i, err)
@@ -246,11 +239,11 @@ func runSweepPoints(res *Result, h *observable.Hamiltonian, points [][]float64, 
 		rebind := time.Since(t0)
 		var r *Result
 		if h != nil {
-			r, err = runExpectationCompiled(bound, h, pcfg, dev)
+			r, err = RunExpectationCompiled(bound, h, pcfg)
 		} else {
 			pc := pcfg
 			pc.Seed = SweepPointSeed(cfg.Seed, i)
-			r, err = runCompiled(bound, pc, dev)
+			r, err = RunCompiled(bound, pc)
 		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("backend: sweep point %d: %w", i, err)

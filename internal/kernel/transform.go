@@ -210,6 +210,7 @@ func denseMatrix(group []Instr, qubits []int) []complex128 {
 	}
 	m := make([]complex128, dim*dim)
 	s := statevec.MustNew(kw, 1)
+	defer s.Release()
 	for col := 0; col < dim; col++ {
 		if err := s.PrepareBasis(uint64(col)); err != nil {
 			panic(err) // col < dim by construction

@@ -215,6 +215,7 @@ func ExpectationCompiledCancel(k *kernel.Kernel, plan *kernel.TilePlan, h *obser
 		if err != nil {
 			return err
 		}
+		defer d.Release()
 		if plan != nil {
 			err = d.ExecutePlanCancel(plan, flag)
 		} else {

@@ -15,7 +15,6 @@ package mgpu
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"qgear/internal/cancel"
@@ -65,11 +64,18 @@ func NewDist(comm *mpi.Comm, n, workersPerRank int) (*DistState, error) {
 	return &DistState{comm: comm, n: n, local: local, st: st}, nil
 }
 
+// Release gives this rank's shard and exchange buffer back to the slab
+// free list. A buffer has one owner at a time — an exchange hands the
+// send buffer to the partner and takes the partner's in return — so a
+// rank releases only what nobody else reads, whenever it stops.
+func (d *DistState) Release() {
+	d.st.Release()
+	statevec.PutSlab(d.sendBuf)
+	d.sendBuf = nil
+}
+
 // NumQubits returns the total (global) qubit count.
 func (d *DistState) NumQubits() int { return d.n }
-
-// LocalQubits returns the per-rank qubit count.
-func (d *DistState) LocalQubits() int { return d.local }
 
 // Exchanges returns how many pairwise buffer exchanges this rank
 // performed — the communication metric the Fig. 4b model consumes.
@@ -116,7 +122,7 @@ func (d *DistState) exchangeRaw(partner int) []complex128 {
 	start := time.Now()
 	amps := d.st.AmplitudesRaw()
 	if d.sendBuf == nil {
-		d.sendBuf = make([]complex128, len(amps))
+		d.sendBuf = statevec.TakeSlab(d.local)
 	}
 	buf := d.sendBuf
 	copy(buf, amps)
@@ -338,15 +344,6 @@ func (d *DistState) ApplyFused(qubits []int, m []complex128) error {
 	return d.st.ApplyFused(qubits, m)
 }
 
-// Norm returns the global 2-norm (allreduced; identical on all ranks).
-func (d *DistState) Norm() float64 {
-	var local float64
-	for _, a := range d.st.Amplitudes() {
-		local += real(a)*real(a) + imag(a)*imag(a)
-	}
-	return math.Sqrt(d.comm.Allreduce(local, mpi.OpSum))
-}
-
 // Probabilities gathers the global |αi|² vector at root (rank 0);
 // other ranks receive nil. Rank order equals amplitude order because
 // rank bits are the top index bits.
@@ -435,7 +432,6 @@ type Result struct {
 	// representative (SPMD-symmetric) communication share of the run's
 	// wall clock, not a cross-rank sum (ranks exchange concurrently).
 	ExchangeTime time.Duration
-	Norm         float64
 }
 
 // simulate spawns nRanks device ranks, runs exec on each shard, and
@@ -447,17 +443,16 @@ func simulate(numQubits, nRanks, workersPerRank int, exec func(*DistState) error
 		if err != nil {
 			return err
 		}
+		defer d.Release()
 		if err := exec(d); err != nil {
 			return err
 		}
-		norm := d.Norm()
 		probs := d.Probabilities()
 		ex := c.Reduce(0, float64(d.Exchanges()), mpi.OpSum)
 		by := c.Reduce(0, float64(d.BytesSent()), mpi.OpSum)
 		av := c.Reduce(0, float64(d.AvoidedExchanges()), mpi.OpSum)
 		if c.Rank() == 0 {
 			res.Probabilities = probs
-			res.Norm = norm
 			res.Exchanges = int(ex)
 			res.BytesSent = int64(by)
 			res.AvoidedExchanges = int(av)

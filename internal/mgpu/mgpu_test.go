@@ -1,9 +1,13 @@
 package mgpu
 
 import (
+	"errors"
 	"math"
+	"runtime/debug"
 	"testing"
+	"time"
 
+	"qgear/internal/cancel"
 	"qgear/internal/circuit"
 	"qgear/internal/kernel"
 	"qgear/internal/mpi"
@@ -20,6 +24,15 @@ func singleDeviceProbs(t *testing.T, k *kernel.Kernel) []float64 {
 		t.Fatal(err)
 	}
 	return s.Probabilities()
+}
+
+// norm is the 2-norm of the state behind a probability vector.
+func norm(probs []float64) float64 {
+	var sum float64
+	for _, p := range probs {
+		sum += p
+	}
+	return math.Sqrt(sum)
 }
 
 // randomKernel builds a seeded random kernel covering every locality
@@ -77,8 +90,8 @@ func TestDistributedMatchesSingleDevice(t *testing.T) {
 		if !probsClose(res.Probabilities, want, 1e-10) {
 			t.Fatalf("ranks=%d: distributed probabilities differ", ranks)
 		}
-		if math.Abs(res.Norm-1) > 1e-10 {
-			t.Fatalf("ranks=%d: norm %g", ranks, res.Norm)
+		if math.Abs(norm(res.Probabilities)-1) > 1e-10 {
+			t.Fatalf("ranks=%d: norm %g", ranks, norm(res.Probabilities))
 		}
 	}
 }
@@ -289,8 +302,8 @@ func TestNormPreservedAcrossRandomDistributedRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(res.Norm-1) > 1e-9 {
-			t.Fatalf("seed %d: norm %g", seed, res.Norm)
+		if math.Abs(norm(res.Probabilities)-1) > 1e-9 {
+			t.Fatalf("seed %d: norm %g", seed, norm(res.Probabilities))
 		}
 		var sum float64
 		for _, p := range res.Probabilities {
@@ -311,5 +324,83 @@ func TestMoreWorkersPerRank(t *testing.T) {
 	}
 	if !probsClose(res.Probabilities, want, 1e-10) {
 		t.Fatal("multi-worker ranks differ")
+	}
+}
+
+// TestCancelledWorldReleasesEachSlabOnce: a world stopped part-way —
+// after some exchanges have swapped send buffers between ranks — gives
+// back shards and buffers that are all distinct memory (no slab with
+// two owners on the free list), and the run after it, on those recycled
+// slabs, is bit-identical to the single-process reference. Under -race
+// a rank releasing what its partner still reads is a reported race.
+func TestCancelledWorldReleasesEachSlabOnce(t *testing.T) {
+	// No GC cycle may age a released slab away before it is counted.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n, ranks = 11, 4
+	local := n - log2ranks(ranks)
+	c := gateSoup(n, 400, qmath.NewRNG(77))
+	k, _, err := kernel.FromCircuit(c, kernel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := kernel.Plan(k, kernel.PlanConfig{TileBits: 4, GlobalBits: log2ranks(ranks)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := statevec.MustNew(n, 1)
+	if err := kernel.Execute(k, ref); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Probabilities()
+
+	// freeSlabs takes every shard-sized slab off the free list.
+	freeSlabs := func() [][]complex128 {
+		var free [][]complex128
+		for {
+			before := statevec.SlabStats().Hits
+			slab := statevec.TakeSlab(local)
+			if statevec.SlabStats().Hits == before {
+				return free
+			}
+			free = append(free, slab)
+		}
+	}
+	freeSlabs()
+	stopped := 0
+	for _, budget := range []time.Duration{0, 20 * time.Microsecond, 100 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond, time.Hour} {
+		for _, p := range []*kernel.TilePlan{plan, nil} {
+			_, err := SimulateCompiledCancel(k, p, ranks, 1, cancel.WithDeadline(time.Now().Add(budget)))
+			if err != nil {
+				if !errors.Is(err, cancel.ErrCancelled) {
+					t.Fatalf("budget %v: %v", budget, err)
+				}
+				stopped++
+			}
+			free := freeSlabs()
+			seen := make(map[*complex128]bool, len(free))
+			for _, slab := range free {
+				if seen[&slab[0]] {
+					t.Fatalf("budget %v: one slab is on the free list twice", budget)
+				}
+				seen[&slab[0]] = true
+			}
+			if len(free) < ranks || len(free) > 2*ranks {
+				t.Fatalf("budget %v: %d slabs came back from %d ranks, want a shard each and at most a buffer each", budget, len(free), ranks)
+			}
+			for _, slab := range free[:ranks] { // the next world runs on recycled memory
+				statevec.PutSlab(slab)
+			}
+			got, err := SimulateCompiled(k, p, ranks, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if maxDiff(got.Probabilities, want) != 0 {
+				t.Fatalf("budget %v: probabilities after a stopped world differ from the reference", budget)
+			}
+			freeSlabs()
+		}
+	}
+	if stopped == 0 {
+		t.Fatal("no world was stopped; the zero budget must always cancel")
 	}
 }

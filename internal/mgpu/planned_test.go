@@ -150,8 +150,8 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 		if d := maxDiff(planned.Probabilities, refProbs); d > 1e-12 {
 			t.Errorf("n=%d ranks=%d tile=%d: planned vs single-process diff %g > 1e-12", tc.n, tc.ranks, tc.tileBits, d)
 		}
-		if math.Abs(planned.Norm-1) > 1e-9 {
-			t.Errorf("n=%d ranks=%d: planned norm %g", tc.n, tc.ranks, planned.Norm)
+		if math.Abs(norm(planned.Probabilities)-1) > 1e-9 {
+			t.Errorf("n=%d ranks=%d: planned norm %g", tc.n, tc.ranks, norm(planned.Probabilities))
 		}
 		if planned.Exchanges > legacy.Exchanges {
 			t.Errorf("n=%d ranks=%d: planned exchanges %d exceed per-gate %d",

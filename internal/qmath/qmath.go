@@ -5,8 +5,6 @@
 // the paper reproduction is seedable and bit-for-bit repeatable.
 package qmath
 
-import "math"
-
 // InsertBit inserts a bit with the given value at position pos (counted
 // from the least-significant end) into x, shifting the higher bits left.
 // It is the core index transform for applying a gate to one qubit: for a
@@ -85,12 +83,4 @@ func WalshHadamard(data []float64) {
 			}
 		}
 	}
-}
-
-// AlmostEqual reports |a-b| <= tol, treating NaN as never equal.
-func AlmostEqual(a, b, tol float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	return math.Abs(a-b) <= tol
 }

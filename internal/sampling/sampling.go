@@ -11,6 +11,7 @@ package sampling
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -95,40 +96,64 @@ func (c Counts) Marginal(qubits []int) Counts {
 	return out
 }
 
-// SampleCumulative draws shots by binary search over the cumulative
-// distribution of probs. probs must be non-negative; it is normalized
+// SampleCumulative draws shots by inverting the cumulative distribution
+// of probs: a shot lands on the first outcome whose running sum reaches
+// its uniform draw. probs must be non-negative; it is normalized
 // internally so small fp drift in Σp is tolerated.
+//
+// No cumulative table is built: the draws are taken in RNG order,
+// sorted, and placed by one merge pass over probs carrying the running
+// sum the table would hold — the counts of a binary search of that table
+// per shot, bit for bit, for 8 bytes per shot and one map insert per
+// distinct outcome.
 func SampleCumulative(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
 	if shots < 0 {
 		return nil, fmt.Errorf("sampling: negative shots %d", shots)
 	}
-	cum := make([]float64, len(probs))
-	var acc float64
-	for i, p := range probs {
-		if p < 0 {
-			return nil, fmt.Errorf("sampling: negative probability at %d", i)
-		}
-		acc += p
-		cum[i] = acc
+	total, err := sum(probs)
+	if err != nil {
+		return nil, err
 	}
-	if acc <= 0 {
-		return nil, fmt.Errorf("sampling: zero total probability")
+	xs := make([]float64, shots)
+	for s := range xs {
+		xs[s] = rng.Float64() * total
 	}
+	slices.Sort(xs)
+
 	counts := make(Counts)
-	for s := 0; s < shots; s++ {
-		x := rng.Float64() * acc
-		idx := sort.SearchFloat64s(cum, x)
-		if idx == len(cum) {
-			idx = len(cum) - 1
+	last := len(probs) - 1
+	// i is the outcome the previous draw landed on, cum the table's entry
+	// for it. Draws ascend and the table never descends, so each search
+	// resumes here: on to the first i with cum ≥ x, past a zero-probability
+	// plateau aliasing onto that boundary, never past the last outcome
+	// (where a NaN draw, being below no entry, ends up as well).
+	i, cum := 0, probs[0]
+	for s := 0; s < shots; {
+		for x := xs[s]; i < last && (!(cum >= x) || probs[i] == 0); {
+			i++
+			cum += probs[i]
 		}
-		// SearchFloat64s returns the first i with cum[i] >= x; skip
-		// zero-probability plateaus that can alias onto the boundary.
-		for idx < len(probs)-1 && probs[idx] == 0 {
-			idx++
+		run := s
+		for s++; s < shots && xs[s] <= cum; s++ {
 		}
-		counts[uint64(idx)]++
+		counts[uint64(i)] += s - run
 	}
 	return counts, nil
+}
+
+// sum validates a distribution and returns its sequential total.
+func sum(probs []float64) (float64, error) {
+	var total float64
+	for i, p := range probs {
+		if p < 0 {
+			return 0, fmt.Errorf("sampling: negative probability at %d", i)
+		}
+		total += p
+	}
+	if total <= 0 {
+		return 0, fmt.Errorf("sampling: zero total probability")
+	}
+	return total, nil
 }
 
 // AliasTable is a Walker alias table for O(1) categorical sampling.
@@ -137,53 +162,45 @@ type AliasTable struct {
 	alias []int
 }
 
-// NewAliasTable builds the table in O(N).
+// NewAliasTable builds the table in O(N) and three N-length arrays: the
+// scaled probabilities settle in place into prob, and the small and
+// large worklists are two stacks growing from the two ends of one array
+// (an outcome is on exactly one of them until it is paired).
 func NewAliasTable(probs []float64) (*AliasTable, error) {
 	n := len(probs)
 	if n == 0 {
 		return nil, fmt.Errorf("sampling: empty distribution")
 	}
-	var total float64
-	for i, p := range probs {
-		if p < 0 {
-			return nil, fmt.Errorf("sampling: negative probability at %d", i)
-		}
-		total += p
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("sampling: zero total probability")
+	total, err := sum(probs)
+	if err != nil {
+		return nil, err
 	}
 	t := &AliasTable{prob: make([]float64, n), alias: make([]int, n)}
-	scaled := make([]float64, n)
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
+	work := make([]int, n)
+	small, large := 0, n // the stacks are work[:small] and work[large:]
+	push := func(i int) {
+		if t.prob[i] < 1 {
+			work[small] = i
+			small++
+		} else {
+			large--
+			work[large] = i
+		}
+	}
 	for i, p := range probs {
-		scaled[i] = p / total * float64(n)
-		if scaled[i] < 1 {
-			small = append(small, i)
-		} else {
-			large = append(large, i)
-		}
+		t.prob[i] = p / total * float64(n)
+		push(i)
 	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		t.prob[s] = scaled[s]
+	for small > 0 && large < n {
+		small--
+		s, l := work[small], work[large]
+		large++
 		t.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
-		}
+		t.prob[l] -= 1 - t.prob[s]
+		push(l)
 	}
-	for _, i := range large {
-		t.prob[i] = 1
-		t.alias[i] = i
-	}
-	for _, i := range small {
+	// One stack is empty now; the other's outcomes keep whole columns.
+	for _, i := range append(work[:small], work[large:]...) {
 		t.prob[i] = 1
 		t.alias[i] = i
 	}
@@ -199,7 +216,8 @@ func (t *AliasTable) Draw(rng *qmath.RNG) uint64 {
 	return uint64(t.alias[i])
 }
 
-// SampleAlias draws shots with an alias table.
+// SampleAlias draws shots with an alias table, counting into a dense
+// histogram (no hash per shot) that becomes a presized Counts once.
 func SampleAlias(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
 	if shots < 0 {
 		return nil, fmt.Errorf("sampling: negative shots %d", shots)
@@ -208,17 +226,48 @@ func SampleAlias(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
 	if err != nil {
 		return nil, err
 	}
-	counts := make(Counts)
+	hist := make([]int, len(probs))
+	distinct := 0
 	for s := 0; s < shots; s++ {
-		counts[t.Draw(rng)]++
+		i := t.Draw(rng)
+		if hist[i] == 0 {
+			distinct++
+		}
+		hist[i]++
+	}
+	counts := make(Counts, distinct)
+	for i, c := range hist {
+		if c > 0 {
+			counts[uint64(i)] = c
+		}
 	}
 	return counts, nil
 }
 
-// Sample picks the faster sampler for the workload: alias for shot
-// counts that amortize the table build, cumulative otherwise.
+// usesAlias is Sample's choice: the alias table when the shots amortize
+// its O(N) build — then shots > N/4, so the dense histogram is under 32
+// bytes per shot — and the cumulative merge otherwise.
+func usesAlias(outcomes, shots int) bool {
+	return shots > outcomes/4 && shots > 1024
+}
+
+// PeakBytes bounds what Sample allocates, working set and returned
+// Counts together: admission control's price of a job's shots. A Counts
+// entry is a map slot and its share of an at-worst half-empty bucket
+// array, 64 bytes; grown by insertion it costs that twice, for the
+// arrays growth left behind.
+func PeakBytes(outcomes, shots int) int64 {
+	distinct := int64(max(0, min(outcomes, shots)))
+	if usesAlias(outcomes, shots) {
+		// prob, alias, worklist, histogram; a presized Counts.
+		return 32*int64(outcomes) + 64*distinct
+	}
+	return (8 + 128) * distinct // a sorted draw and a grown Counts entry per shot
+}
+
+// Sample picks the faster sampler for the workload.
 func Sample(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
-	if shots > len(probs)/4 && shots > 1024 {
+	if usesAlias(len(probs), shots) {
 		return SampleAlias(probs, shots, rng)
 	}
 	return SampleCumulative(probs, shots, rng)

@@ -2,11 +2,13 @@ package service
 
 import (
 	"bufio"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 
 	"qgear/internal/backend"
+	"qgear/internal/sampling"
 )
 
 // Memory admission control: a dense n-qubit statevector is 2^n
@@ -16,25 +18,36 @@ import (
 // every circuit before any allocation and refuses, with ErrTooLarge,
 // anything whose working set cannot fit the configured budget.
 
+// runOverheadBytes covers what a run allocates that scales with neither
+// 2^n nor the shots: the result and its trace, tile and gather scratch,
+// the rank mailboxes of a small distributed world.
+const runOverheadBytes = 256 << 10
+
 // estimateStateBytes prices the peak resident working set of one
-// n-qubit simulation under the server's target: the amplitude vector
-// (16 bytes each), the probability readout (8 bytes each), and — on
-// the distributed target — the pairwise exchange buffers, which across
-// all ranks total one extra amplitude vector.
-func (s *Server) estimateStateBytes(n int) int64 {
+// n-qubit simulation sampled with shots under the server's target: the
+// amplitude vector (16 bytes each; recycled between runs, resident
+// either way), the probability readout (8 bytes each), on the
+// distributed target the exchange buffers and per-rank readouts (one
+// more of each across all ranks), and the sampler's working set — per
+// simulated QPU on mqpu, which samples its shares concurrently.
+func (s *Server) estimateStateBytes(n, shots int) int64 {
 	if n < 0 {
 		return 0
 	}
-	if n > 57 {
-		// 24<<58 overflows int64; anything this wide exceeds every
-		// realistic budget anyway.
-		return 1<<63 - 1
+	if n > 50 {
+		// These terms overflow int64 from 2^57 amplitudes on; anything
+		// this wide exceeds every realistic budget anyway.
+		return math.MaxInt64
 	}
-	b := int64(24) << uint(n)
+	b := int64(24)<<uint(n) + runOverheadBytes
 	if s.cfg.Target == backend.TargetNvidiaMGPU {
-		b += int64(16) << uint(n)
+		b += int64(24) << uint(n)
 	}
-	return b
+	samplers := 1
+	if d := s.cfg.Devices; s.cfg.Target == backend.TargetNvidiaMQPU && d > 1 && shots >= d {
+		samplers = d
+	}
+	return b + int64(samplers)*sampling.PeakBytes(1<<uint(n), (shots+samplers-1)/samplers)
 }
 
 // defaultMaxStateBytes derives the default admission budget: half the

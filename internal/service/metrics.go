@@ -3,6 +3,7 @@ package service
 import (
 	"time"
 
+	"qgear/internal/statevec"
 	"qgear/internal/store"
 	"qgear/internal/telemetry"
 )
@@ -151,6 +152,14 @@ func (s *Server) registerMetrics() {
 		locked(func() float64 { return float64(s.stats.MgpuAvoidedExchanges) }))
 	r.CounterFunc("qgear_mgpu_bytes_sent_total", "Bytes moved by distributed buffer exchanges.", nil,
 		locked(func() float64 { return float64(s.stats.MgpuBytesSent) }))
+
+	// The statevector slab free list: process-wide, so not in /v1/stats.
+	r.CounterFunc("qgear_state_pool_hits_total", "Statevectors served from a recycled slab.", nil,
+		func() float64 { return float64(statevec.SlabStats().Hits) })
+	r.CounterFunc("qgear_state_pool_misses_total", "Statevectors that had to allocate their slab.", nil,
+		func() float64 { return float64(statevec.SlabStats().Misses) })
+	r.GaugeFunc("qgear_state_pool_retained_bytes", "Bytes of released statevector slabs held for reuse (dropped after two idle GC cycles).", nil,
+		func() float64 { return float64(statevec.SlabStats().RetainedBytes) })
 
 	// Queue and worker pool.
 	r.GaugeFunc("qgear_queue_depth", "Jobs waiting in the bounded queue.", nil,

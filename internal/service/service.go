@@ -875,7 +875,7 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions, owned bool) (*jo
 	// the budget before anything is allocated for them — no deep copy,
 	// no queue slot, no statevector.
 	if s.cfg.MaxStateBytes > 0 {
-		if need := s.estimateStateBytes(c.NumQubits); need > s.cfg.MaxStateBytes {
+		if need := s.estimateStateBytes(c.NumQubits, opts.Shots); need > s.cfg.MaxStateBytes {
 			s.mu.Lock()
 			s.stats.RejectedTooLarge++
 			s.mu.Unlock()

@@ -311,6 +311,9 @@ func TestLoadMixedTraffic(t *testing.T) {
 		"qgear_panics_recovered_total counter",
 		"qgear_jobs_rejected_total counter",
 		"qgear_jobs_cancelled_total counter",
+		"qgear_state_pool_hits_total counter",
+		"qgear_state_pool_misses_total counter",
+		"qgear_state_pool_retained_bytes gauge",
 		"go_goroutines gauge",
 	} {
 		if !strings.Contains(metrics, "# TYPE "+fam) {
@@ -337,11 +340,13 @@ func TestLoadMixedTraffic(t *testing.T) {
 		}
 	}
 	// Repeats hit; the tight budget evicted; evicted repeats came back
-	// from disk — the spill path demonstrably ran.
+	// from disk — the spill path demonstrably ran — and the executions
+	// in between recycled their statevectors.
 	for _, series := range []string{
 		`qgear_cache_hits_total{cache="result"}`,
 		`qgear_cache_evictions_total{cache="result"}`,
 		`qgear_store_hits_total{kind="result"}`,
+		`qgear_state_pool_hits_total`,
 	} {
 		if got, ok := metricValue(metrics, series); !ok || got <= 0 {
 			t.Errorf("%s = %v (present %v), want > 0", series, got, ok)

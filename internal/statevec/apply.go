@@ -363,17 +363,17 @@ func (s *State) ApplyFused(qubits []int, m []complex128) error {
 
 	outer := len(s.amps) >> uint(k)
 	if s.serial(outer) {
-		s.fusedChunk(sorted, masks, m, dim, 0, 0, outer)
+		s.fusedChunk(sorted, masks, m, dim, 0, outer)
 		return nil
 	}
-	s.fanOut(outer, func(w, lo, hi int) { s.fusedChunk(sorted, masks, m, dim, w, lo, hi) })
+	s.fanOut(outer, func(_, lo, hi int) { s.fusedChunk(sorted, masks, m, dim, lo, hi) })
 	return nil
 }
 
-// fusedChunk is ApplyFused over amplitude groups [lo, hi), gathering
-// through worker w's scratch.
-func (s *State) fusedChunk(sorted []int, masks []uint64, m []complex128, dim, w, lo, hi int) {
-	in, out, idx := s.fusedBuffers(w, dim)
+// fusedChunk is ApplyFused over amplitude groups [lo, hi).
+func (s *State) fusedChunk(sorted []int, masks []uint64, m []complex128, dim, lo, hi int) {
+	var scr fusedScratch
+	in, out, idx := scr.amps[:dim], scr.amps[dim:2*dim], scr.idx[:dim]
 	for p := lo; p < hi; p++ {
 		base := uint64(p)
 		for _, q := range sorted {
@@ -383,16 +383,12 @@ func (s *State) fusedChunk(sorted []int, masks []uint64, m []complex128, dim, w,
 	}
 }
 
-// fusedBuffers returns worker w's gather/result/index scratch, each of
-// length dim, growing the per-worker buffers as needed.
-func (s *State) fusedBuffers(w, dim int) (in, out []complex128, idx []uint64) {
-	if len(s.scratch[w]) < 2*dim {
-		s.scratch[w] = make([]complex128, 2*dim)
-	}
-	if len(s.idxBuf[w]) < dim {
-		s.idxBuf[w] = make([]uint64, dim)
-	}
-	return s.scratch[w][:dim], s.scratch[w][dim : 2*dim], s.idxBuf[w][:dim]
+// fusedScratch is the gather+result and index scratch of one chunk of a
+// fused sweep. MaxFusedQubits bounds it, so it lives on the chunk's
+// stack and a state carries no per-worker buffers.
+type fusedScratch struct {
+	amps [2 << MaxFusedQubits]complex128
+	idx  [1 << MaxFusedQubits]uint64
 }
 
 // fusedApplyAt applies the dim×dim matrix m (dim = 2^len(masks)) to

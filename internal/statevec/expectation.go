@@ -139,6 +139,7 @@ type PauliEvaluator struct {
 
 // PauliEvaluator snapshots the state's current layout.
 func (s *State) PauliEvaluator() *PauliEvaluator {
+	s.live()
 	e := &PauliEvaluator{s: s, scratchBits: expScratchBits}
 	if !s.PermIsIdentity() {
 		e.inv = make([]int, s.n)
@@ -758,4 +759,7 @@ func putExpScratch(buf []complex128) {
 // expectation path's exchange buffers ship raw layouts and the
 // evaluator gathers through the permutation instead. Interpret indices
 // via Permutation(); use Amplitudes() for the canonical logical order.
-func (s *State) AmplitudesRaw() []complex128 { return s.amps }
+func (s *State) AmplitudesRaw() []complex128 {
+	s.live()
+	return s.amps
+}

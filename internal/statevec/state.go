@@ -39,12 +39,10 @@ type State struct {
 	n       int
 	amps    []complex128
 	workers int
-	scratch [][]complex128 // per-worker gather buffers for fused gates
-	idxBuf  [][]uint64     // per-worker scatter-index buffers for fused gates
-	sortBuf []int          // reusable sorted-qubit buffer for ApplyFused
-	maskBuf []uint64       // reusable bit-mask buffer for ApplyFused
-	perm    []int          // logical→physical qubit map; nil = identity
-	permTab *permTabs      // cached permTables for the current perm; nil = stale
+	sortBuf []int     // reusable sorted-qubit buffer for ApplyFused
+	maskBuf []uint64  // reusable bit-mask buffer for ApplyFused
+	perm    []int     // logical→physical qubit map; nil = identity
+	permTab *permTabs // cached permTables for the current perm; nil = stale
 }
 
 // permTabs is the cached physical→logical index-chunk translation of
@@ -55,8 +53,9 @@ type permTabs struct {
 	loBits uint
 }
 
-// New allocates the n-qubit |0...0> state with the given worker count
-// (workers <= 1 selects the serial path).
+// New returns the n-qubit |0...0> state with the given worker count
+// (workers <= 1 selects the serial path), on a slab from the free list
+// (slab.go) that a caller done with the state gives back with Release.
 func New(n, workers int) (*State, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("statevec: negative qubit count %d", n)
@@ -69,12 +68,10 @@ func New(n, workers int) (*State, error) {
 	}
 	s := &State{
 		n:       n,
-		amps:    make([]complex128, 1<<uint(n)),
+		amps:    TakeSlab(n),
 		workers: workers,
 	}
 	s.amps[0] = 1
-	s.scratch = make([][]complex128, workers)
-	s.idxBuf = make([][]uint64, workers)
 	return s, nil
 }
 
@@ -85,6 +82,22 @@ func MustNew(n, workers int) *State {
 		panic(err)
 	}
 	return s
+}
+
+// Release returns the state's amplitudes to the slab free list. The
+// state is unusable afterwards: it holds no amplitudes, so a use after
+// release panics instead of writing into a slab that now belongs to
+// another run. A second Release is a no-op (PutSlab ignores nil).
+func (s *State) Release() {
+	PutSlab(s.amps)
+	*s = State{n: s.n, workers: s.workers}
+}
+
+// live panics on a released state (a live one holds ≥ 1 amplitude).
+func (s *State) live() {
+	if s.amps == nil {
+		panic("statevec: use of a released State")
+	}
 }
 
 // NumQubits returns n.
@@ -118,6 +131,7 @@ func (s *State) SetAmp(i uint64, v complex128) {
 // mgpu engine and samplers iterate it directly. A pending qubit
 // permutation is materialized first so indices read in logical order.
 func (s *State) Amplitudes() []complex128 {
+	s.live()
 	if s.perm != nil {
 		s.MaterializePerm()
 	}
@@ -188,6 +202,7 @@ func (s *State) Fidelity(o *State) (float64, error) {
 
 // Clone returns a deep copy sharing no storage.
 func (s *State) Clone() *State {
+	s.live()
 	c := MustNew(s.n, s.workers)
 	copy(c.amps, s.amps)
 	if s.perm != nil {
@@ -204,6 +219,7 @@ func (s *State) Clone() *State {
 // n-1 bit-swap sweeps a physical rearrangement would pay — and the
 // amplitude layout is left untouched for further tiled execution.
 func (s *State) Probabilities() []float64 {
+	s.live()
 	n := len(s.amps)
 	p := make([]float64, n)
 	v := lanes(s.amps)
@@ -287,9 +303,7 @@ func (s *State) permTables() (tabLo, tabHi []uint64, loBits uint) {
 // partials), so the value is bit-identical for any worker count — the
 // same contract as the PauliEvaluator.
 func (s *State) ProbOne(q int) float64 {
-	if q < 0 || q >= s.n {
-		panic(fmt.Sprintf("statevec: qubit %d out of range", q))
-	}
+	s.checkQubit(q)
 	if s.perm != nil {
 		q = s.perm[q]
 	}
@@ -359,6 +373,7 @@ func (s *State) ExpZ(q int) float64 { return 1 - 2*s.ProbOne(q) }
 // hot path and the callers (kernel executor) validate programs up
 // front, so this is a programming-error guard, not input validation.
 func (s *State) checkQubit(q int) {
+	s.live()
 	if q < 0 || q >= s.n {
 		panic(fmt.Sprintf("statevec: qubit %d out of range [0,%d)", q, s.n))
 	}

@@ -80,6 +80,7 @@ type tileFusedPre struct {
 // construction, so they shard across the worker pool like any other
 // sweep — but the whole run costs a single pass over the state.
 func (s *State) ApplyTileRun(tileBits int, ops []TileOp) error {
+	s.live()
 	if len(ops) == 0 {
 		return nil
 	}
@@ -122,8 +123,8 @@ func (s *State) ApplyTileRun(tileBits int, ops []TileOp) error {
 			}
 		case TileFused:
 			kw := len(op.Qubits)
-			if kw == 0 || kw > tileBits {
-				return fmt.Errorf("statevec: tile op %d fused width %d outside [1,%d]", i, kw, tileBits)
+			if kw == 0 || kw > min(tileBits, MaxFusedQubits) {
+				return fmt.Errorf("statevec: tile op %d fused width %d outside [1,%d]", i, kw, min(tileBits, MaxFusedQubits))
 			}
 			if len(op.Mat) != 1<<uint(2*kw) {
 				return fmt.Errorf("statevec: tile op %d fused matrix has %d entries, want %d", i, len(op.Mat), 1<<uint(2*kw))
@@ -168,12 +169,9 @@ func (s *State) ApplyTileRun(tileBits int, ops []TileOp) error {
 	}
 
 	amps := s.amps
-	s.parallelTiles(tiles, tileBits, func(w, lo, hi int) {
-		var in, out []complex128
-		var idx []uint64
-		if maxDim > 0 {
-			in, out, idx = s.fusedBuffers(w, maxDim)
-		}
+	s.parallelTiles(tiles, tileBits, func(_, lo, hi int) {
+		var scr fusedScratch
+		in, out, idx := scr.amps[:maxDim], scr.amps[maxDim:2*maxDim], scr.idx[:maxDim]
 		for t := lo; t < hi; t++ {
 			base := uint64(t) << uint(tileBits)
 			tile := amps[base : base+uint64(tileSize)]
