@@ -125,7 +125,7 @@ ci-load: build
 # must never change an amplitude bit; wall-clock scaling is reported by
 # benchmark/ (statevec.scaling_speedup_w*), never gated.
 ci-scaling: build
-	$(call run-selected,BitIdentity|TiledGateSoup|MaskedNorm2,./internal/statevec/ ./internal/kernel/)
+	$(call run-selected,BitIdentity|TiledGateSoup,./internal/statevec/ ./internal/kernel/)
 
 # One P: the whole suite with GOMAXPROCS=1. The sweep pool, the grouped
 # expectation sweep's fan-out and its scratch free list, the service's
@@ -145,7 +145,9 @@ ci-oneproc: build
 # panic, allocation bounded by the input's length, and whatever a
 # decoder accepts re-encodes to the bytes it was decoded from — then
 # the samplers against their table-and-hash references (exact counts,
-# same RNG consumption). go test
+# same RNG consumption), then the three executors against the naive
+# oracle (fuzzer-chosen width, world, tile and gate soup: exact among
+# themselves, 1e-12 to internal/oracle, total probability 1). go test
 # fuzzes one target of one package per run, hence one leg each;
 # minimization is capped because its default budget (60 s per new
 # input) would eat a 10 s leg whole.
@@ -161,6 +163,7 @@ ci-fuzz: build
 	$(call run-selected,FuzzDecodeResult,./internal/store/,-fuzz FuzzDecodeResult $(FUZZ_DECODER))
 	$(call run-selected,FuzzDecodePlan,./internal/store/,-fuzz FuzzDecodePlan $(FUZZ_DECODER))
 	$(call run-selected,FuzzSampleMatchesReference,./internal/sampling/,-fuzz FuzzSampleMatchesReference $(FUZZ_DECODER))
+	$(call run-selected,FuzzEnginesMatchOracle,./internal/mgpu/,-fuzz FuzzEnginesMatchOracle $(FUZZ_DECODER))
 
 # Chaos acceptance: the seeded fault-injection suite, race-enabled.
 # Injected disk faults, short writes, execution panics, and tight

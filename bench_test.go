@@ -332,14 +332,14 @@ func BenchmarkAblationMGPUDevices(b *testing.B) {
 }
 
 // Diagonal fast path: QFT's cr1 ladder through the phase-multiply
-// kernels vs forced general two-qubit kernels.
+// kernels vs the general dense two-qubit kernel.
 func BenchmarkAblationDiagonal(b *testing.B) {
 	n := 16
 	b.Run("fast-path", func(b *testing.B) {
 		s := statevec.MustNew(n, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.ApplyDiagonalGate(gate.CP, []int{i % n, (i + 1) % n}, []float64{0.3})
+			s.ApplyGate(gate.CP, []int{i % n, (i + 1) % n}, []float64{0.3})
 		}
 	})
 	b.Run("general-kernel", func(b *testing.B) {
@@ -347,7 +347,9 @@ func BenchmarkAblationDiagonal(b *testing.B) {
 		m := gate.Matrix2(gate.CP, []float64{0.3})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.ApplyMat2(i%n, (i+1)%n, m)
+			if err := s.ApplyFused([]int{(i + 1) % n, i % n}, m[:]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -86,8 +86,10 @@ type Config struct {
 	// tiled path is bit-identical to the per-gate path. 0 selects
 	// kernel.AutoTileBits (cache-geometry detected at startup, env
 	// QGEAR_TILE_BITS override) on GPU-class targets and leaves aer on
-	// the per-gate baseline; negative disables tiling everywhere;
-	// positive forces that tile width on any target.
+	// the per-gate baseline; negative selects per-gate sweeps on the
+	// single-process targets and is rejected on nvidia-mgpu, whose
+	// engine executes compiled plans only; positive forces that tile
+	// width on any target (clamped into the rank shard on nvidia-mgpu).
 	TileBits int
 	// PlanFusion enables within-run fusion in the plan compiler:
 	// adjacent same-target single-qubit gates pre-multiply into one
@@ -164,15 +166,16 @@ type Result struct {
 	KernelStats kernel.Stats
 	// PlanStats reports what the plan compiler did (tile runs, global
 	// fallbacks, fused micro-ops, exchange segments); nil when the run
-	// took the per-gate path.
+	// took the single-process per-gate path.
 	PlanStats *kernel.PlanStats
 	// TileBits is the effective tile width the run executed with; 0 on
 	// the per-gate path.
 	TileBits int
 	// Exchanges/BytesSent/AvoidedExchanges are the mgpu communication
 	// counters (zero for single-device targets): exchanges paid, bytes
-	// shipped, and exchanges the per-gate baseline would have paid
-	// that this run resolved locally or batched away.
+	// shipped, and the exchanges batching saved — gates that rode on
+	// their exchange segment's one buffer exchange instead of paying
+	// one each.
 	Exchanges        int
 	BytesSent        int64
 	AvoidedExchanges int
@@ -254,6 +257,28 @@ func (c Config) StoreSignature() string {
 	return c.Signature()
 }
 
+// Validate rejects what no circuit can run under: an unknown target
+// and, on nvidia-mgpu — whose engine pools device memory over a
+// hypercube of ranks and executes compiled plans only — a device count
+// that is not a power of two or a negative TileBits. Compile calls it
+// for every circuit and the service once at startup, so a bad geometry
+// fails where it is configured rather than on every job.
+func (c Config) Validate() error {
+	if !c.Target.Valid() {
+		return fmt.Errorf("backend: unknown target %q", c.Target)
+	}
+	if c.Target != TargetNvidiaMGPU {
+		return nil
+	}
+	if !qmath.IsPow2(uint64(c.devices())) {
+		return fmt.Errorf("backend: nvidia-mgpu needs a power-of-two device count, got %d", c.devices())
+	}
+	if c.TileBits < 0 {
+		return fmt.Errorf("backend: nvidia-mgpu executes compiled plans only: TileBits %d (per-gate sweeps) is for the single-process targets", c.TileBits)
+	}
+	return nil
+}
+
 // globalBits is the rank-index bit count of the distributed target (0
 // on single-device targets).
 func (c Config) globalBits() int {
@@ -282,15 +307,16 @@ func (c Config) transformOptions(n int) kernel.Options {
 }
 
 // Compiled is a circuit lowered all the way to the execution IR: the
-// transformed kernel plus its compiled TilePlan (nil when the target
-// runs per-gate). A Compiled is immutable and safe to execute
-// concurrently — the service layer caches them across submissions so
-// repeat work skips transformation and planning entirely.
+// transformed kernel plus its compiled TilePlan (nil when a
+// single-process target runs per-gate). A Compiled is immutable and
+// safe to execute concurrently — the service layer caches them across
+// submissions so repeat work skips transformation and planning
+// entirely.
 type Compiled struct {
 	Kernel *kernel.Kernel
 	// Plan is the compiled execution schedule; nil selects the
-	// per-gate executor (aer, disabled tiling, or a state too small to
-	// tile).
+	// single-process per-gate executor (aer, disabled tiling, or a
+	// state too small to tile). nvidia-mgpu always has one.
 	Plan *kernel.TilePlan
 	// TransformStats reports the circuit→kernel conversion.
 	TransformStats kernel.Stats
@@ -301,8 +327,8 @@ type Compiled struct {
 // Compile transforms a circuit for the configured target and compiles
 // its execution plan, without running anything.
 func Compile(c *circuit.Circuit, cfg Config) (*Compiled, error) {
-	if !cfg.Target.Valid() {
-		return nil, fmt.Errorf("backend: unknown target %q", cfg.Target)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	k, stats, err := kernel.FromCircuit(c, cfg.transformOptions(c.NumQubits))
 	if err != nil {
@@ -316,18 +342,31 @@ func Compile(c *circuit.Circuit, cfg Config) (*Compiled, error) {
 	return comp, nil
 }
 
-// compileKernel plans an already-transformed kernel. States too small
-// to tile fall back to the per-gate executor (nil plan); real planning
-// failures surface as errors.
+// compileKernel plans an already-transformed kernel under a validated
+// configuration. Single-process states too small to tile fall back to
+// the per-gate executor (nil plan); nvidia-mgpu always gets a plan;
+// real planning failures surface as errors.
 func compileKernel(k *kernel.Kernel, cfg Config) (*Compiled, error) {
 	comp := &Compiled{Kernel: k}
 	tb := cfg.tileBits()
-	if tb <= 0 {
+	g := cfg.globalBits()
+	if cfg.Target == TargetNvidiaMGPU {
+		n := k.NumQubits
+		if n < 2 || n-g < 1 {
+			return nil, fmt.Errorf("backend: nvidia-mgpu on %d devices cannot hold a %d-qubit circuit: it needs at least 2 qubits and one per rank shard", cfg.devices(), n)
+		}
+		if g == 0 {
+			// A one-rank world runs a single-process plan, which the
+			// scheduler does not clamp: keep the tile inside the state
+			// the way it keeps one inside a shard.
+			tb = min(tb, n-1)
+		}
+	} else if tb <= 0 {
 		return comp, nil
 	}
 	plan, err := kernel.Plan(k, kernel.PlanConfig{
 		TileBits:   tb,
-		GlobalBits: cfg.globalBits(),
+		GlobalBits: g,
 		FuseRuns:   cfg.PlanFusion,
 	})
 	if err != nil {
@@ -352,9 +391,10 @@ func Run(c *circuit.Circuit, cfg Config) (*Result, error) {
 }
 
 // RunCompiled executes a compiled circuit. Every engine consumes the
-// same plan: the single-process statevec executor runs it directly,
-// the distributed engine runs it against each rank shard, and a nil
-// plan selects the per-gate baseline on either.
+// same plan: the single-process statevec executor runs it directly and
+// the distributed engine runs it against each rank shard. A nil plan
+// selects the per-gate baseline on a single-process target and is an
+// error on nvidia-mgpu.
 func RunCompiled(comp *Compiled, cfg Config) (*Result, error) {
 	if !cfg.Target.Valid() {
 		return nil, fmt.Errorf("backend: unknown target %q", cfg.Target)

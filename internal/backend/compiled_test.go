@@ -4,24 +4,21 @@ import (
 	"sync"
 	"testing"
 
+	"qgear/internal/observable"
 	"qgear/internal/qft"
 )
 
 // TestCompiledMGPUPlannedMatchesPerGate is the backend-level check of
 // the shared-IR pipeline on the distributed target: the planned mgpu
-// path must produce bit-identical fixed-seed shot counts to the
-// per-gate path, while reporting its plan stats and exchanging no more
-// than the baseline.
+// run must produce bit-identical fixed-seed shot counts to the
+// single-device per-gate engine (aer), while reporting its plan stats
+// and paying at most one exchange per rank per exchange segment.
 func TestCompiledMGPUPlannedMatchesPerGate(t *testing.T) {
 	c, err := qft.Circuit(9, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Config{Target: TargetNvidiaMGPU, Devices: 4, Workers: 2, Shots: 1500, Seed: 99}
-
-	perGateCfg := base
-	perGateCfg.TileBits = -1
-	perGate, err := Run(c, perGateCfg)
+	perGate, err := Run(c, Config{Target: TargetAer, Shots: 1500, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,17 +26,19 @@ func TestCompiledMGPUPlannedMatchesPerGate(t *testing.T) {
 		t.Fatalf("per-gate run reported a plan: tile=%d", perGate.TileBits)
 	}
 
-	plannedCfg := base
-	plannedCfg.TileBits = 4
-	planned, err := Run(c, plannedCfg)
+	const devices = 4
+	planned, err := Run(c, Config{Target: TargetNvidiaMGPU, Devices: devices, Workers: 2, Shots: 1500, Seed: 99, TileBits: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if planned.PlanStats == nil || planned.TileBits != 4 {
 		t.Fatalf("planned run missing plan stats (tile=%d)", planned.TileBits)
 	}
-	if planned.Exchanges > perGate.Exchanges {
-		t.Errorf("planned exchanges %d exceed per-gate %d", planned.Exchanges, perGate.Exchanges)
+	if planned.Exchanges == 0 || planned.Exchanges > devices*planned.PlanStats.ExchangeSegs {
+		t.Errorf("planned run paid %d exchanges over %d segments on %d devices", planned.Exchanges, planned.PlanStats.ExchangeSegs, devices)
+	}
+	if !probsClose(planned.Probabilities, perGate.Probabilities, 0) {
+		t.Fatal("planned mgpu probabilities differ from the single-device per-gate engine's")
 	}
 	if len(planned.Counts) != len(perGate.Counts) {
 		t.Fatalf("distinct outcomes differ: %d vs %d", len(planned.Counts), len(perGate.Counts))
@@ -47,6 +46,62 @@ func TestCompiledMGPUPlannedMatchesPerGate(t *testing.T) {
 	for key, n := range perGate.Counts {
 		if planned.Counts[key] != n {
 			t.Fatalf("outcome %b: %d vs %d — not bit-identical", key, n, planned.Counts[key])
+		}
+	}
+}
+
+// TestMGPUExecutesPlansOnly: the two things the distributed target
+// cannot run fail with an error where they are configured or loaded —
+// per-gate sweeps at Compile, a plan-less artifact at execution — and
+// a geometry no plan exists for (three devices; more rank bits than the
+// circuit leaves room for) is refused by Compile, not compiled into a
+// plan that can never run.
+func TestMGPUExecutesPlansOnly(t *testing.T) {
+	c, err := qft.Circuit(6, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{Target: TargetNvidiaMGPU, Devices: 2, TileBits: -1},
+		{Target: TargetNvidiaMGPU, Devices: 3},
+		{Target: TargetNvidiaMGPU, Devices: 64},
+	} {
+		if err := cfg.Validate(); (err == nil) != (cfg.Devices == 64) {
+			t.Errorf("Validate(%+v) = %v", cfg, err)
+		}
+		if comp, err := Compile(c, cfg); err == nil {
+			t.Errorf("Compile accepted %+v (plan %v)", cfg, comp.Plan != nil)
+		}
+	}
+	// A Compiled as an older build persisted it for a small mgpu run.
+	cfg := Config{Target: TargetNvidiaMGPU, Devices: 2}
+	planless, err := Compile(c, Config{Target: TargetAer})
+	if err != nil || planless.Plan != nil {
+		t.Fatalf("aer compile: plan %v, err %v", planless.Plan != nil, err)
+	}
+	if _, err := RunCompiled(planless, cfg); err == nil {
+		t.Error("RunCompiled ran a plan-less artifact on nvidia-mgpu")
+	}
+	if _, err := RunExpectationCompiled(planless, observable.TransverseFieldIsing(6, 1, 0.7), cfg); err == nil {
+		t.Error("RunExpectationCompiled ran a plan-less artifact on nvidia-mgpu")
+	}
+	// Everything that ran per-gate on mgpu before — a one-device world,
+	// 1-qubit shards — compiles to a plan now.
+	for _, cfg := range []Config{{Target: TargetNvidiaMGPU}, {Target: TargetNvidiaMGPU, Devices: 32}} {
+		comp, err := Compile(c, cfg)
+		if err != nil || comp.Plan == nil {
+			t.Fatalf("%+v: plan %v, err %v", cfg, comp != nil && comp.Plan != nil, err)
+		}
+		got, err := RunCompiled(comp, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(c, Config{Target: TargetAer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !probsClose(got.Probabilities, want.Probabilities, 0) {
+			t.Errorf("%+v: probabilities differ from the single-device per-gate engine's", cfg)
 		}
 	}
 }

@@ -57,7 +57,7 @@ func TestWarmedRunAllocatesWhatItReturns(t *testing.T) {
 	}{
 		{TargetNvidia, 1000, 8},
 		{TargetAer, 1000, 8},
-		{TargetNvidiaMGPU, 1000, 16}, // each rank's readout, then the gathered vector
+		{TargetNvidiaMGPU, 1000, 8}, // every rank reads out into its slice of the one vector
 	} {
 		cfg := Config{Target: tc.target, Devices: 2, Workers: 2, Shots: tc.shots, Seed: 7}
 		comp, err := Compile(c, cfg)
@@ -297,19 +297,20 @@ func TestFailedRunsLeakNoSlab(t *testing.T) {
 			t.Fatalf("%s: probabilities after failed runs differ from the reference", what)
 		}
 	}
-	// A failure every rank raises (a kernel addressing a qubit beyond
+	// A failure every rank raises (a plan exchanging over a qubit beyond
 	// the world: each rank panics naming a peer that does not exist)
 	// releases every shard exactly once.
 	wide := circuit.New(n+1, 0)
 	wide.H(0).H(n)
-	compWide, err := Compile(wide, Config{Target: TargetNvidiaMGPU, Devices: 2, TileBits: -1})
+	compWide, err := Compile(wide, Config{Target: TargetNvidiaMGPU, Devices: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compWide.Kernel.NumQubits = n // the ranks allocate n, the instructions address n+1
+	// The ranks allocate n, the exchange segment addresses n+1.
+	compWide.Kernel.NumQubits, compWide.Plan.NumQubits = n, n
 	warm := statevec.SlabStats()
-	if _, err := RunCompiled(compWide, Config{Target: TargetNvidiaMGPU, Devices: 2, TileBits: -1}); err == nil {
-		t.Fatal("mis-sized kernel ran")
+	if _, err := RunCompiled(compWide, Config{Target: TargetNvidiaMGPU, Devices: 2}); err == nil {
+		t.Fatal("mis-sized plan ran")
 	}
 	if got := statevec.SlabStats(); got.RetainedBytes < warm.RetainedBytes {
 		t.Errorf("rank errors lost slabs: retained %d → %d", warm.RetainedBytes, got.RetainedBytes)

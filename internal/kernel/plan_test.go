@@ -202,18 +202,24 @@ func TestDistributedPlanRejectedBySingleExecutor(t *testing.T) {
 	}
 }
 
-// TestPlanNoTilingSentinel checks that too-small states fail with
-// ErrNoTiling (the signal for the per-gate fallback), distinguishable
-// from real planning errors.
+// TestPlanNoTilingSentinel checks that too-small single-process states
+// fail with ErrNoTiling (the signal for the per-gate fallback),
+// distinguishable from real planning errors — and that distributed
+// plans never do: the distributed engine has no per-gate fallback.
 func TestPlanNoTilingSentinel(t *testing.T) {
 	k := New("small", 3).H(0)
 	if _, err := Plan(k, PlanConfig{TileBits: 5}); !errors.Is(err, ErrNoTiling) {
 		t.Errorf("small single-process state: err = %v, want ErrNoTiling", err)
 	}
-	// A distributed shard of one qubit cannot tile either.
-	k2 := New("shard", 4).H(0)
-	if _, err := Plan(k2, PlanConfig{TileBits: 2, GlobalBits: 3}); !errors.Is(err, ErrNoTiling) {
-		t.Errorf("1-qubit shard: err = %v, want ErrNoTiling", err)
+	// A distributed shard of one qubit is planned as one tile.
+	k2 := New("shard", 4).H(0).H(3).CR1(0.3, 3, 0)
+	plan, err := Plan(k2, PlanConfig{TileBits: 2, GlobalBits: 3})
+	if err != nil {
+		t.Fatalf("1-qubit shard: %v", err)
+	}
+	if plan.TileBits != 1 || plan.Stats.Global != 0 || plan.Stats.BitSwaps != 0 {
+		t.Errorf("1-qubit shard: tile width %d, %d globals, %d bit swaps; want one tile and neither",
+			plan.TileBits, plan.Stats.Global, plan.Stats.BitSwaps)
 	}
 	// Invalid configuration is a hard error, not a fallback.
 	if _, err := Plan(k2, PlanConfig{TileBits: 2, GlobalBits: 4}); err == nil || errors.Is(err, ErrNoTiling) {
@@ -222,15 +228,18 @@ func TestPlanNoTilingSentinel(t *testing.T) {
 }
 
 // TestDistributedPlanClampsTileToShard: tiles must fit strictly inside
-// the rank shard, whatever width was requested.
+// the rank shard, whatever width was requested — except that a 1-qubit
+// shard, which has no strict inside, is one tile.
 func TestDistributedPlanClampsTileToShard(t *testing.T) {
 	k := New("k", 8).H(0).H(7)
-	plan, err := Plan(k, PlanConfig{TileBits: 14, GlobalBits: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if local := 8 - 2; plan.TileBits != local-1 {
-		t.Errorf("TileBits = %d, want %d (clamped below the shard width)", plan.TileBits, local-1)
+	for _, tc := range []struct{ globalBits, want int }{{2, 5}, {5, 2}, {6, 1}, {7, 1}} {
+		plan, err := Plan(k, PlanConfig{TileBits: 14, GlobalBits: tc.globalBits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.TileBits != tc.want {
+			t.Errorf("%d rank bits: TileBits = %d, want %d", tc.globalBits, plan.TileBits, tc.want)
+		}
 	}
 }
 

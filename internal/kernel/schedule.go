@@ -46,7 +46,9 @@ import (
 // rank bit share one pairwise buffer exchange instead of paying one
 // per gate. SWAPs with a rank-bit operand decompose into three CX
 // (data must really move between ranks); all-shard-local SWAPs stay
-// free table updates.
+// free table updates. The distributed engine executes plans and nothing
+// else, so a distributed plan always exists: the tile is clamped
+// strictly inside the shard, and a 1-qubit shard is one tile.
 
 // DefaultTileBits sizes tiles at 2^14 amplitudes × 16 B = 256 KiB —
 // resident in any modern L2 — matching the cache blocking of
@@ -60,10 +62,12 @@ const DefaultTileBits = 14
 // uses to come out ahead.
 const minResidencyUses = 2
 
-// ErrNoTiling reports that a kernel is too small to tile (the whole
-// state — or the whole rank shard — already fits in one tile); callers
-// fall back to the plain per-gate executor, which is both correct and
-// cache-resident at those sizes.
+// ErrNoTiling reports that a single-process kernel is too small to tile
+// (the whole state already fits in one tile); callers fall back to the
+// plain per-gate executor, which is both correct and cache-resident at
+// those sizes. Distributed plans never fail this way: the distributed
+// engine executes plans only, so a shard that fits in one tile is
+// planned as one tile.
 var ErrNoTiling = errors.New("kernel: state too small to tile")
 
 // SegmentKind discriminates plan segments.
@@ -88,8 +92,8 @@ const (
 // ExchOp is one compiled gate of an exchange segment: a 2×2 unitary on
 // the segment's rank-bit target, optionally conditioned on shard-local
 // index bits (LowCtrl) and/or other rank bits (RankCtrl). Predicates
-// are conjunctions of must-be-1 bits, exactly the control semantics of
-// the per-gate distributed path.
+// are conjunctions of must-be-1 bits, the control semantics of every
+// other executor.
 type ExchOp struct {
 	M        gate.Mat2
 	LowCtrl  uint64 // shard-local index bits that must all be 1
@@ -191,11 +195,10 @@ func mixingTargets(in Instr, dst []int) []int {
 }
 
 // Plan compiles the kernel into a tiled execution plan. It fails with
-// ErrNoTiling when the state (or the per-rank shard) is too small to
-// tile — callers should run the plain per-gate executor instead, the
-// whole state being already cache-resident — and with a hard error
-// when the kernel does not validate or the configuration is
-// inconsistent.
+// ErrNoTiling when a single-process state is too small to tile —
+// callers should run the plain per-gate executor instead, the whole
+// state being already cache-resident — and with a hard error when the
+// kernel does not validate or the configuration is inconsistent.
 func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	tileBits := cfg.TileBits
 	if tileBits <= 0 {
@@ -207,13 +210,8 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	}
 	local := k.NumQubits - g
 	if g > 0 {
-		if local < 2 {
-			return nil, fmt.Errorf("kernel: %d-qubit rank shard: %w", local, ErrNoTiling)
-		}
-		// Tiles must sit strictly inside the shard.
-		if tileBits >= local {
-			tileBits = local - 1
-		}
+		// Tiles sit strictly inside the shard; a 1-qubit shard is one tile.
+		tileBits = max(1, min(tileBits, local-1))
 	} else if k.NumQubits <= tileBits {
 		return nil, fmt.Errorf("kernel: %d qubits at tile width %d: %w", k.NumQubits, tileBits, ErrNoTiling)
 	}
@@ -577,8 +575,8 @@ func physInstr(in Instr, perm []int) Instr {
 
 // compileTileOp lowers one tile-local instruction to a micro-op. The
 // matrices and phases are derived exactly as the per-gate path derives
-// them (statevec.ApplyGate / ApplyDiagonalGate), keeping the two
-// executors arithmetic-identical. Positions at or above the tile width
+// them (statevec.ApplyGate), keeping the two executors
+// arithmetic-identical. Positions at or above the tile width
 // land in HighMask — including rank-bit positions of distributed
 // plans, which each rank resolves against its own rank index before
 // running the op.

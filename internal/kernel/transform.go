@@ -24,7 +24,8 @@ type Options struct {
 	// FusionLocalQubits, when positive, restricts fusion to gates whose
 	// operands all lie below this qubit index. Distributed (mgpu)
 	// executions set it to the per-device local qubit count so fused
-	// blocks never straddle the device boundary.
+	// blocks never straddle the device boundary (Plan refuses one that
+	// does).
 	FusionLocalQubits int
 	// DropMeasurements omits measure instructions, producing the pure
 	// unitary kernel (the caller samples from the final state instead).
@@ -263,9 +264,13 @@ func (k *Kernel) Adjoint() (*Kernel, error) {
 	return out, nil
 }
 
-// Execute applies the kernel's unitary instructions to the state.
-// Measure instructions are skipped (sampling happens on the final
-// state); the caller is responsible for state/kernel size agreement.
+// Execute applies the kernel's unitary instructions to the state, gate
+// by gate — the single-device per-gate engine: aer's baseline, the path
+// of states too small to tile, and the reference the planned executors
+// (TilePlan.Execute, mgpu's ExecutePlanCancel) are held bit-identical
+// to. It has no distributed twin. Measure instructions are skipped
+// (sampling happens on the final state); the caller is responsible for
+// state/kernel size agreement.
 func Execute(k *Kernel, s *statevec.State) error {
 	return ExecuteCancel(k, s, nil)
 }

@@ -3,17 +3,15 @@ package mgpu
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
 	"qgear/internal/cancel"
 	"qgear/internal/kernel"
-	"qgear/internal/mpi"
 	"qgear/internal/observable"
 	"qgear/internal/statevec"
 )
 
 // Distributed observable estimation: every rank executes the compiled
-// plan (or the per-gate kernel) on its shard, then evaluates each
+// plan on its shard, then evaluates each
 // Pauli term against the *resident* shard amplitudes — no probability
 // gather, no permutation materialization. The canonical reduction of
 // statevec's expectation contract makes rank partials exact subtrees
@@ -34,15 +32,9 @@ import (
 type ExpResult struct {
 	Value float64
 	Terms int
-	// Communication counters, summed over ranks (plan execution plus
-	// the expectation exchanges for rank-bit X/Y factors).
-	Exchanges        int
-	BytesSent        int64
-	AvoidedExchanges int
-	// ExchangeTime is the root rank's cumulative exchange wait (plan
-	// execution plus expectation-term exchanges), wall-clock
-	// representative rather than a cross-rank sum.
-	ExchangeTime time.Duration
+	// CommStats cover plan execution plus the expectation exchanges for
+	// rank-bit X/Y factors.
+	CommStats
 }
 
 // termSpec is one term's SPMD-identical classification: every rank
@@ -114,7 +106,7 @@ func (d *DistState) expTermPartial(ev *statevec.PauliEvaluator, sp termSpec) flo
 		if gflip := sp.flip >> uint(d.local); gflip != 0 {
 			// One exchange serves every pair of this term; both sides of
 			// a pivot pair must call it even if only one side sums.
-			args.Partner = d.exchangeRaw(d.comm.Rank() ^ int(gflip))
+			args.Partner = d.exchange(d.comm.Rank() ^ int(gflip))
 		}
 		if args.Pivot < 0 && d.rankBit(sp.pivot) == 1 {
 			return 0 // the pivot-0 partner owns these pairs
@@ -186,8 +178,8 @@ func combineExpectation(specs []termSpec, all []float64, ranks, local int) float
 	return total
 }
 
-// ExpectationCompiled executes the compiled plan (or, when plan is
-// nil, the per-gate kernel) on nRanks simulated devices and evaluates
+// ExpectationCompiled executes the compiled plan on nRanks simulated
+// devices (a nil plan is an error, as in SimulateCompiled) and evaluates
 // ⟨H⟩ against the resident shards: rank-local partial sums, one
 // gather, bit-identical to the single-device engines for up to
 // 2^4 = 16 ranks (the reserve statevec.ExpChunkBits bakes into the
@@ -200,9 +192,9 @@ func ExpectationCompiled(k *kernel.Kernel, plan *kernel.TilePlan, h *observable.
 }
 
 // ExpectationCompiledCancel is ExpectationCompiled with a cooperative
-// cancellation flag: polled collectively during plan/kernel execution
-// and once per Pauli term of the reduction (terms with rank-bit X/Y
-// factors pay a pairwise exchange, so the per-term poll uses the same
+// cancellation flag: polled collectively during plan execution and once
+// per Pauli term of the reduction (terms with rank-bit X/Y factors pay
+// a pairwise exchange, so the per-term poll uses the same
 // all-ranks-agree discipline).
 func ExpectationCompiledCancel(k *kernel.Kernel, plan *kernel.TilePlan, h *observable.Hamiltonian, nRanks, workersPerRank int, flag *cancel.Flag) (*ExpResult, error) {
 	specs, err := buildTermSpecs(h, k.NumQubits)
@@ -210,20 +202,7 @@ func ExpectationCompiledCancel(k *kernel.Kernel, plan *kernel.TilePlan, h *obser
 		return nil, err
 	}
 	res := &ExpResult{Terms: len(specs)}
-	err = mpi.Run(nRanks, func(c *mpi.Comm) error {
-		d, err := NewDist(c, k.NumQubits, workersPerRank)
-		if err != nil {
-			return err
-		}
-		defer d.Release()
-		if plan != nil {
-			err = d.ExecutePlanCancel(plan, flag)
-		} else {
-			err = d.ExecuteKernelCancel(k, flag)
-		}
-		if err != nil {
-			return err
-		}
+	res.CommStats, err = runWorld(k, plan, nRanks, workersPerRank, flag, func(d *DistState) error {
 		// One evaluator per rank: the shard layout (including a pending
 		// plan permutation) is frozen for the whole term sweep.
 		ev := d.st.PauliEvaluator()
@@ -234,16 +213,8 @@ func ExpectationCompiledCancel(k *kernel.Kernel, plan *kernel.TilePlan, h *obser
 			}
 			partials[ti] = d.expTermPartial(ev, sp)
 		}
-		all := c.GatherFloat64s(0, partials)
-		ex := c.Reduce(0, float64(d.Exchanges()), mpi.OpSum)
-		by := c.Reduce(0, float64(d.BytesSent()), mpi.OpSum)
-		av := c.Reduce(0, float64(d.AvoidedExchanges()), mpi.OpSum)
-		if c.Rank() == 0 {
-			res.Value = combineExpectation(specs, all, c.Size(), d.local)
-			res.Exchanges = int(ex)
-			res.BytesSent = int64(by)
-			res.AvoidedExchanges = int(av)
-			res.ExchangeTime = d.ExchangeTime()
+		if all := d.comm.GatherFloat64s(0, partials); all != nil {
+			res.Value = combineExpectation(specs, all, d.comm.Size(), d.local)
 		}
 		return nil
 	})

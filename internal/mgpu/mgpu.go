@@ -8,17 +8,19 @@
 // Qubit bits below log2(R) from the top are "local": gates on them
 // touch only rank-resident amplitudes. Gates on the top ("global")
 // qubits require a pairwise buffer exchange between partner ranks —
-// the communication cost that shapes Fig. 4b. Exchange and byte
-// counters are exported so the cluster model can be calibrated against
-// real exchange counts.
+// the communication cost that shapes Fig. 4b. Which gate is which is
+// decided once, by the plan compiler (kernel.Plan with GlobalBits =
+// log2(R)); this package executes compiled plans and nothing else
+// (planned.go). Exchange and byte counters are exported so the cluster
+// model can be calibrated against real exchange counts.
 package mgpu
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"qgear/internal/cancel"
-	"qgear/internal/gate"
 	"qgear/internal/kernel"
 	"qgear/internal/mpi"
 	"qgear/internal/qmath"
@@ -36,7 +38,7 @@ type DistState struct {
 	// Stats
 	exchanges   int
 	bytesSent   int64
-	avoidedExch int   // exchanges the per-gate baseline would have paid
+	avoidedExch int   // gates that rode on an exchange segment's one exchange
 	exchangeNS  int64 // time this rank spent copying + swapping buffers
 	opBuf       []statevec.TileOp
 }
@@ -74,31 +76,6 @@ func (d *DistState) Release() {
 	d.sendBuf = nil
 }
 
-// NumQubits returns the total (global) qubit count.
-func (d *DistState) NumQubits() int { return d.n }
-
-// Exchanges returns how many pairwise buffer exchanges this rank
-// performed — the communication metric the Fig. 4b model consumes.
-func (d *DistState) Exchanges() int { return d.exchanges }
-
-// BytesSent returns the total bytes this rank shipped to partners.
-func (d *DistState) BytesSent() int64 { return d.bytesSent }
-
-// AvoidedExchanges returns how many pairwise exchanges this rank did
-// *not* perform relative to the naive per-gate baseline: diagonal and
-// phase gates on rank-index qubits resolved locally, plus the extra
-// exchanges a batched exchange segment absorbs into its first.
-func (d *DistState) AvoidedExchanges() int { return d.avoidedExch }
-
-// ExchangeTime returns how long this rank spent inside pairwise buffer
-// exchanges (send-copy plus the blocking swap with the partner) — the
-// communication share of its execution wall time, reported as the
-// "exchange" stage of a job trace.
-func (d *DistState) ExchangeTime() time.Duration { return time.Duration(d.exchangeNS) }
-
-// isGlobal reports whether qubit q lives in the rank-index bits.
-func (d *DistState) isGlobal(q int) bool { return q >= d.local }
-
 // rankBit returns this rank's value of global qubit q.
 func (d *DistState) rankBit(q int) int {
 	return d.comm.Rank() >> uint(q-d.local) & 1
@@ -108,17 +85,12 @@ func (d *DistState) rankBit(q int) int {
 // returns the partner's amplitudes. A copy is shipped (not the live
 // slice) because ranks share an address space here, while real
 // CUDA-aware MPI would DMA the buffer; the copy is also what makes the
-// communication cost physically meaningful.
+// communication cost physically meaningful. The amplitudes go out in
+// their current physical layout: plan execution holds the identity
+// layout throughout, the expectation evaluator translates indices
+// through its lookup tables, and both shards of a pair always share one
+// layout (SPMD execution).
 func (d *DistState) exchange(partner int) []complex128 {
-	d.st.Amplitudes() // materialize any pending permutation first
-	return d.exchangeRaw(partner)
-}
-
-// exchangeRaw ships the shard's amplitudes in their current physical
-// layout, without materializing a pending qubit permutation — the
-// expectation evaluator translates indices through its lookup tables,
-// and both shards of a pair always share one layout (SPMD execution).
-func (d *DistState) exchangeRaw(partner int) []complex128 {
 	start := time.Now()
 	amps := d.st.AmplitudesRaw()
 	if d.sendBuf == nil {
@@ -138,217 +110,24 @@ func (d *DistState) exchangeRaw(partner int) []complex128 {
 	return theirs
 }
 
-// ApplyGate applies a gate across the distributed state. Every rank
-// must call it with identical arguments (SPMD, like an MPI program).
-func (d *DistState) ApplyGate(g gate.Type, qubits []int, params []float64) error {
-	switch {
-	case g == gate.Barrier || g == gate.Measure || g == gate.I:
-		return nil
-	case statevec.IsDiagonalGate(g):
-		return d.applyDiagonal(g, qubits, params)
-	case g == gate.SWAP:
-		if err := d.ApplyGate(gate.CX, []int{qubits[0], qubits[1]}, nil); err != nil {
-			return err
-		}
-		if err := d.ApplyGate(gate.CX, []int{qubits[1], qubits[0]}, nil); err != nil {
-			return err
-		}
-		return d.ApplyGate(gate.CX, []int{qubits[0], qubits[1]}, nil)
-	case g.Arity() == 1:
-		return d.apply1(qubits[0], gate.Matrix1(g, params))
-	case g.Arity() == 2:
-		// cz/cp are diagonal and already routed above; only the
-		// non-diagonal controlled gates reach here.
-		var u gate.Mat2
-		switch g {
-		case gate.CX:
-			u = gate.Matrix1(gate.X, nil)
-		case gate.CRY:
-			u = gate.Matrix1(gate.RY, params)
-		default:
-			return fmt.Errorf("mgpu: unhandled two-qubit gate %v", g)
-		}
-		return d.applyControlled(qubits[0], qubits[1], u)
-	}
-	return fmt.Errorf("mgpu: unhandled gate %v", g)
-}
-
-// apply1 applies a single-qubit unitary.
-func (d *DistState) apply1(q int, m gate.Mat2) error {
-	if !d.isGlobal(q) {
-		d.st.ApplyMat1(q, m)
-		return nil
-	}
-	partner := d.comm.Rank() ^ 1<<uint(q-d.local)
-	theirs := d.exchange(partner)
-	amps := d.st.Amplitudes()
-	if d.rankBit(q) == 0 {
-		// This rank holds the |q=0> half: new a0 = m00·a0 + m01·a1.
-		for i := range amps {
-			amps[i] = m[0]*amps[i] + m[1]*theirs[i]
-		}
-	} else {
-		// |q=1> half: new a1 = m10·a0 + m11·a1.
-		for i := range amps {
-			amps[i] = m[2]*theirs[i] + m[3]*amps[i]
-		}
-	}
-	return nil
-}
-
-// applyControlled applies a controlled single-qubit unitary with the
-// four locality cases the paper's multi-GPU layout induces.
-func (d *DistState) applyControlled(c, t int, m gate.Mat2) error {
-	if c == t {
-		return fmt.Errorf("mgpu: control equals target %d", c)
-	}
-	cGlobal, tGlobal := d.isGlobal(c), d.isGlobal(t)
-	switch {
-	case !cGlobal && !tGlobal:
-		d.st.ApplyControlled1(c, t, m)
-		return nil
-	case cGlobal && !tGlobal:
-		// Control is a rank bit: ranks in the |c=1> half apply the
-		// unitary locally; the rest idle. No communication at all —
-		// the reason control-qubit placement matters for comm volume.
-		if d.rankBit(c) == 1 {
-			d.st.ApplyMat1(t, m)
-		}
-		return nil
-	case !cGlobal && tGlobal:
-		// Target is a rank bit: exchange, then update only amplitudes
-		// whose local control bit is set.
-		partner := d.comm.Rank() ^ 1<<uint(t-d.local)
-		theirs := d.exchange(partner)
-		amps := d.st.Amplitudes()
-		cmask := uint64(1) << uint(c)
-		if d.rankBit(t) == 0 {
-			for i := range amps {
-				if uint64(i)&cmask != 0 {
-					amps[i] = m[0]*amps[i] + m[1]*theirs[i]
-				}
-			}
-		} else {
-			for i := range amps {
-				if uint64(i)&cmask != 0 {
-					amps[i] = m[2]*theirs[i] + m[3]*amps[i]
-				}
-			}
-		}
-		return nil
-	default:
-		// Both global: ranks whose control bit is 1 pair-exchange over
-		// the target bit; ranks with control 0 idle.
-		if d.rankBit(c) == 0 {
-			return nil
-		}
-		partner := d.comm.Rank() ^ 1<<uint(t-d.local)
-		theirs := d.exchange(partner)
-		amps := d.st.Amplitudes()
-		if d.rankBit(t) == 0 {
-			for i := range amps {
-				amps[i] = m[0]*amps[i] + m[1]*theirs[i]
-			}
-		} else {
-			for i := range amps {
-				amps[i] = m[2]*theirs[i] + m[3]*amps[i]
-			}
-		}
-		return nil
-	}
-}
-
-// applyDiagonal applies a diagonal/phase gate with zero communication
-// at any operand placement: a rank-index bit is constant across the
-// whole shard, so a diagonal factor on it collapses to one scalar
-// (chosen by this rank's bit) multiplied into the resident amplitudes
-// — where the naive path would pay a full pairwise buffer exchange.
-// Each skipped exchange is counted in AvoidedExchanges. The arithmetic
-// is exactly the per-gate path's (multiplying by the same factors the
-// dense 2×2 would, whose off-diagonal terms are exact zeros), so this
-// is bit-identical to exchanging.
-func (d *DistState) applyDiagonal(g gate.Type, qubits []int, params []float64) error {
-	if g.Arity() == 1 {
-		q := qubits[0]
-		if !d.isGlobal(q) {
-			d.st.ApplyDiagonalGate(g, qubits, params)
-			return nil
-		}
-		m := gate.Matrix1(g, params)
-		f := m[0]
-		if d.rankBit(q) == 1 {
-			f = m[3]
-		}
-		d.scale(f)
-		d.avoidedExch++
-		return nil
-	}
-	// cz / cp: phase on the |c=1,t=1> subspace.
-	c, t := qubits[0], qubits[1]
-	if c == t {
-		return fmt.Errorf("mgpu: control equals target %d", c)
-	}
-	phase := complex128(-1)
-	if g == gate.CP {
-		phase = gate.Matrix1(gate.P, params)[3]
-	}
-	cGlobal, tGlobal := d.isGlobal(c), d.isGlobal(t)
-	switch {
-	case !cGlobal && !tGlobal:
-		d.st.ApplyControlledPhase(c, t, phase)
-	case cGlobal && !tGlobal:
-		// Control on a rank bit was already communication-free.
-		if d.rankBit(c) == 1 {
-			d.st.ApplyPhase1(t, phase)
-		}
-	case !cGlobal && tGlobal:
-		// The naive path exchanges here; the rank-bit phase does not.
-		if d.rankBit(t) == 1 {
-			d.st.ApplyPhase1(c, phase)
-		}
-		d.avoidedExch++
-	default:
-		// Both on rank bits: at most one scalar multiply per rank. The
-		// naive path exchanged on the |c=1> ranks only.
-		if d.rankBit(c) == 1 {
-			d.avoidedExch++
-			if d.rankBit(t) == 1 {
-				d.scale(phase)
-			}
-		}
-	}
-	return nil
-}
-
-// scale multiplies every resident amplitude by f (a rank-constant
-// diagonal factor). Multiplying by an exact 1 is skipped.
-func (d *DistState) scale(f complex128) {
-	if f == 1 {
-		return
-	}
-	amps := d.st.Amplitudes()
-	for i := range amps {
-		amps[i] *= f
-	}
-}
-
-// ApplyFused applies a fused unitary if all its qubits are local;
-// distributed executors transform kernels with fusion restricted to
-// local qubits (or disabled) before running.
-func (d *DistState) ApplyFused(qubits []int, m []complex128) error {
-	for _, q := range qubits {
-		if d.isGlobal(q) {
-			return fmt.Errorf("mgpu: fused op touches global qubit %d; refuse fusion across device boundaries", q)
-		}
-	}
-	return d.st.ApplyFused(qubits, m)
-}
-
-// Probabilities gathers the global |αi|² vector at root (rank 0);
-// other ranks receive nil. Rank order equals amplitude order because
-// rank bits are the top index bits.
+// Probabilities assembles the global |αi|² vector at root (rank 0);
+// other ranks receive nil. Root allocates the one 2^n vector and every
+// rank reads its shard out straight into its own slice of it — rank
+// order equals amplitude order because rank bits are the top index
+// bits — so a run allocates exactly what it returns.
 func (d *DistState) Probabilities() []float64 {
-	return d.comm.GatherFloat64s(0, d.st.Probabilities())
+	var all []float64
+	if d.comm.Rank() == 0 {
+		all = make([]float64, 1<<uint(d.n))
+	}
+	all = d.comm.Bcast(0, all).([]float64)
+	lo := d.comm.Rank() << uint(d.local)
+	d.st.ProbabilitiesInto(all[lo : lo+1<<uint(d.local)])
+	d.comm.Barrier() // root returns only once every slice is written
+	if d.comm.Rank() != 0 {
+		return nil
+	}
+	return all
 }
 
 // pollCancel decides a cancellation check collectively. Ranks share
@@ -383,50 +162,14 @@ func (d *DistState) pollCancel(flag *cancel.Flag) error {
 	return err
 }
 
-// cancelPollInstrs is how many per-gate instructions run between
-// collective cancellation polls on the distributed per-gate path — the
-// poll is an Allreduce, so it is rationed more coarsely than a local
-// atomic load would be.
-const cancelPollInstrs = 16
-
-// ExecuteKernelCancel runs a kernel's instruction stream on the
-// distributed state, polling the cooperative cancellation flag (nil =
-// run unbounded) collectively every cancelPollInstrs instructions.
-func (d *DistState) ExecuteKernelCancel(k *kernel.Kernel, flag *cancel.Flag) error {
-	if k.NumQubits != d.n {
-		return fmt.Errorf("mgpu: kernel %q wants %d qubits, state has %d", k.Name, k.NumQubits, d.n)
-	}
-	for i, in := range k.Instrs {
-		var err error
-		if i%cancelPollInstrs == 0 {
-			if err = d.pollCancel(flag); err != nil {
-				return fmt.Errorf("mgpu: instr %d: %w", i, err)
-			}
-		}
-		switch in.Kind {
-		case kernel.KGate:
-			err = d.ApplyGate(in.Gate, in.Qubits, in.Params)
-		case kernel.KFused:
-			err = d.ApplyFused(in.Qubits, in.Mat)
-		case kernel.KMeasure, kernel.KBarrier:
-		default:
-			err = fmt.Errorf("unknown instr kind %d", in.Kind)
-		}
-		if err != nil {
-			return fmt.Errorf("mgpu: instr %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Result is what SimulateCompiled returns at root.
-type Result struct {
-	Probabilities []float64
-	Exchanges     int   // total pairwise exchanges across all ranks
-	BytesSent     int64 // total bytes shipped between ranks
-	// AvoidedExchanges counts exchanges the naive per-gate baseline
-	// would have performed but this run resolved locally (rank-bit
-	// diagonal phases) or absorbed into a batched exchange segment.
+// CommStats are the communication counters of one distributed run, as
+// reduced at root.
+type CommStats struct {
+	Exchanges int   // total pairwise exchanges across all ranks
+	BytesSent int64 // total bytes shipped between ranks
+	// AvoidedExchanges counts the exchanges batching saved: every gate
+	// of an exchange segment after the first rides on the segment's one
+	// buffer exchange instead of paying its own.
 	AvoidedExchanges int
 	// ExchangeTime is the root rank's cumulative exchange wait — a
 	// representative (SPMD-symmetric) communication share of the run's
@@ -434,34 +177,41 @@ type Result struct {
 	ExchangeTime time.Duration
 }
 
-// simulate spawns nRanks device ranks, runs exec on each shard, and
-// gathers probabilities plus communication counters at root.
-func simulate(numQubits, nRanks, workersPerRank int, exec func(*DistState) error) (*Result, error) {
-	res := &Result{}
+// Result is what SimulateCompiled returns at root.
+type Result struct {
+	Probabilities []float64
+	CommStats
+}
+
+// runWorld is the one rank harness: it spawns nRanks device ranks,
+// executes the compiled plan on each shard, lets finish read the shard
+// out (every rank calls it; what it keeps at root is its own business),
+// and reduces the communication counters at root. The distributed
+// engine has no other executor, so a missing plan is an error.
+func runWorld(k *kernel.Kernel, plan *kernel.TilePlan, nRanks, workersPerRank int, flag *cancel.Flag, finish func(d *DistState) error) (CommStats, error) {
+	var cs CommStats
+	if plan == nil {
+		return cs, errors.New("mgpu: no compiled plan: the distributed engine executes a kernel.TilePlan only")
+	}
 	err := mpi.Run(nRanks, func(c *mpi.Comm) error {
-		d, err := NewDist(c, numQubits, workersPerRank)
+		d, err := NewDist(c, k.NumQubits, workersPerRank)
 		if err != nil {
 			return err
 		}
 		defer d.Release()
-		if err := exec(d); err != nil {
+		if err := d.ExecutePlanCancel(plan, flag); err != nil {
 			return err
 		}
-		probs := d.Probabilities()
-		ex := c.Reduce(0, float64(d.Exchanges()), mpi.OpSum)
-		by := c.Reduce(0, float64(d.BytesSent()), mpi.OpSum)
-		av := c.Reduce(0, float64(d.AvoidedExchanges()), mpi.OpSum)
+		if err := finish(d); err != nil {
+			return err
+		}
+		ex := c.Reduce(0, float64(d.exchanges), mpi.OpSum)
+		by := c.Reduce(0, float64(d.bytesSent), mpi.OpSum)
+		av := c.Reduce(0, float64(d.avoidedExch), mpi.OpSum)
 		if c.Rank() == 0 {
-			res.Probabilities = probs
-			res.Exchanges = int(ex)
-			res.BytesSent = int64(by)
-			res.AvoidedExchanges = int(av)
-			res.ExchangeTime = d.ExchangeTime()
+			cs = CommStats{Exchanges: int(ex), BytesSent: int64(by), AvoidedExchanges: int(av), ExchangeTime: time.Duration(d.exchangeNS)}
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return cs, err
 }

@@ -11,19 +11,42 @@ import (
 	"qgear/internal/circuit"
 	"qgear/internal/kernel"
 	"qgear/internal/mpi"
+	"qgear/internal/observable"
 	"qgear/internal/qmath"
 	"qgear/internal/statevec"
 )
 
 // singleDeviceProbs runs the kernel on one in-memory state as the
 // reference.
-func singleDeviceProbs(t *testing.T, k *kernel.Kernel) []float64 {
+func singleDeviceProbs(t testing.TB, k *kernel.Kernel) []float64 {
 	t.Helper()
 	s := statevec.MustNew(k.NumQubits, 1)
 	if err := kernel.Execute(k, s); err != nil {
 		t.Fatal(err)
 	}
 	return s.Probabilities()
+}
+
+// planFor compiles k's plan for a world of ranks devices — the only
+// thing the distributed engine executes. One rank is a single-process
+// plan (GlobalBits 0), which needs tileBits < n.
+func planFor(t testing.TB, k *kernel.Kernel, ranks, tileBits int) *kernel.TilePlan {
+	t.Helper()
+	plan, err := kernel.Plan(k, kernel.PlanConfig{TileBits: tileBits, GlobalBits: log2ranks(ranks)})
+	if err != nil {
+		t.Fatalf("plan for %d ranks: %v", ranks, err)
+	}
+	return plan
+}
+
+// simulate plans k for the world and runs it.
+func simulate(t testing.TB, k *kernel.Kernel, ranks, tileBits, workers int) *Result {
+	t.Helper()
+	res, err := SimulateCompiled(k, planFor(t, k, ranks, tileBits), ranks, workers)
+	if err != nil {
+		t.Fatalf("ranks=%d: %v", ranks, err)
+	}
+	return res
 }
 
 // norm is the 2-norm of the state behind a probability vector.
@@ -67,31 +90,19 @@ func randomKernel(n, ops int, seed uint64) *kernel.Kernel {
 	return k
 }
 
-func probsClose(a, b []float64, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 func TestDistributedMatchesSingleDevice(t *testing.T) {
-	for _, ranks := range []int{1, 2, 4, 8} {
-		k := randomKernel(7, 120, uint64(ranks)*31)
+	for _, w := range []struct{ n, ranks int }{
+		{7, 1}, {7, 2}, {7, 4}, {7, 8},
+		{2, 2}, {3, 4}, {4, 8}, // 1-qubit shards: the whole shard is one tile
+	} {
+		k := randomKernel(w.n, 120, uint64(w.ranks)*31)
 		want := singleDeviceProbs(t, k)
-		res, err := SimulateCompiled(k, nil, ranks, 1)
-		if err != nil {
-			t.Fatalf("ranks=%d: %v", ranks, err)
-		}
-		if !probsClose(res.Probabilities, want, 1e-10) {
-			t.Fatalf("ranks=%d: distributed probabilities differ", ranks)
+		res := simulate(t, k, w.ranks, 3, 1)
+		if d := maxDiff(res.Probabilities, want); d != 0 {
+			t.Fatalf("n=%d ranks=%d: distributed vs single-device diff %g, want exact 0", w.n, w.ranks, d)
 		}
 		if math.Abs(norm(res.Probabilities)-1) > 1e-10 {
-			t.Fatalf("ranks=%d: norm %g", ranks, norm(res.Probabilities))
+			t.Fatalf("n=%d ranks=%d: norm %g", w.n, w.ranks, norm(res.Probabilities))
 		}
 	}
 }
@@ -104,10 +115,7 @@ func TestGHZAcrossDevices(t *testing.T) {
 	for i := 1; i < n; i++ {
 		k.XCtrl(0, i)
 	}
-	res, err := SimulateCompiled(k, nil, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulate(t, k, 4, 2, 1)
 	p := res.Probabilities
 	if math.Abs(p[0]-0.5) > 1e-12 || math.Abs(p[len(p)-1]-0.5) > 1e-12 {
 		t.Fatalf("GHZ probs wrong: p0=%g pN=%g", p[0], p[len(p)-1])
@@ -117,8 +125,10 @@ func TestGHZAcrossDevices(t *testing.T) {
 			t.Fatalf("unexpected probability mass at %d", i)
 		}
 	}
-	if res.Exchanges == 0 {
-		t.Fatal("entangling across ranks must exchange buffers")
+	// One exchange segment per rank-bit target (qubits 4 and 5), every
+	// rank taking part in each.
+	if res.Exchanges != 2*4 {
+		t.Fatalf("exchanges = %d, want 8", res.Exchanges)
 	}
 }
 
@@ -137,11 +147,7 @@ func TestLocalityCasesExplicitly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := SimulateCompiled(k, nil, 4, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, singleDeviceProbs(t, k)
+		return simulate(t, k, 4, 1, 1), singleDeviceProbs(t, k)
 	}
 
 	cases := map[string]func(c *circuit.Circuit){
@@ -154,8 +160,8 @@ func TestLocalityCasesExplicitly(t *testing.T) {
 	}
 	for name, build := range cases {
 		res, want := run(build)
-		if !probsClose(res.Probabilities, want, 1e-10) {
-			t.Errorf("%s: distributed result differs", name)
+		if d := maxDiff(res.Probabilities, want); d != 0 {
+			t.Errorf("%s: distributed vs single-device diff %g, want exact 0", name, d)
 		}
 	}
 }
@@ -170,10 +176,7 @@ func TestControlGlobalTargetLocalNeedsNoComm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SimulateCompiled(k, nil, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulate(t, k, 4, 1, 1)
 	// Only the initial H on the global qubit exchanges (4 ranks × 1).
 	if res.Exchanges != 4 {
 		t.Fatalf("exchanges = %d, want 4 (controlled ops should be free)", res.Exchanges)
@@ -183,10 +186,7 @@ func TestControlGlobalTargetLocalNeedsNoComm(t *testing.T) {
 func TestExchangeAccounting(t *testing.T) {
 	// One single-qubit gate on a global qubit = one exchange per rank.
 	k := kernel.New("x", 4).Ry(0.5, 3)
-	res, err := SimulateCompiled(k, nil, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulate(t, k, 4, 1, 1)
 	if res.Exchanges != 4 {
 		t.Fatalf("exchanges = %d, want 4", res.Exchanges)
 	}
@@ -196,10 +196,7 @@ func TestExchangeAccounting(t *testing.T) {
 	}
 	// Local gates are free.
 	k2 := kernel.New("loc", 4).Ry(0.5, 0).XCtrl(0, 1)
-	res2, err := SimulateCompiled(k2, nil, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := simulate(t, k2, 4, 1, 1)
 	if res2.Exchanges != 0 {
 		t.Fatalf("local gates exchanged %d times", res2.Exchanges)
 	}
@@ -207,27 +204,48 @@ func TestExchangeAccounting(t *testing.T) {
 
 func TestWorldSizeValidation(t *testing.T) {
 	k := kernel.New("k", 3).H(0)
-	if _, err := SimulateCompiled(k, nil, 3, 1); err == nil {
+	plan := planFor(t, k, 4, 1)
+	if _, err := SimulateCompiled(k, plan, 3, 1); err == nil {
 		t.Fatal("non-power-of-two world accepted")
 	}
-	if _, err := SimulateCompiled(k, nil, 8, 1); err == nil {
+	if _, err := SimulateCompiled(k, plan, 8, 1); err == nil {
 		t.Fatal("world leaving 0 local qubits accepted")
 	}
-	// 4 ranks on 3 qubits => local = 1, allowed.
-	if _, err := SimulateCompiled(k, nil, 4, 1); err != nil {
+	// 4 ranks on 3 qubits => local = 1, allowed: one tile per shard.
+	if plan.TileBits != 1 {
+		t.Fatalf("1-qubit shard planned with tile width %d, want 1", plan.TileBits)
+	}
+	if _, err := SimulateCompiled(k, plan, 4, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestNilPlanIsAnError: the distributed engine has no executor but the
+// plan's, so a plan-less artifact fails cleanly on both entry points.
+func TestNilPlanIsAnError(t *testing.T) {
+	k := kernel.New("k", 4).H(0).XCtrl(0, 3)
+	if _, err := SimulateCompiled(k, nil, 2, 1); err == nil {
+		t.Error("SimulateCompiled ran without a plan")
+	}
+	h := &observable.Hamiltonian{NumQubits: 4}
+	h.Add(observable.NewTerm(1, map[int]observable.Pauli{3: observable.Z}))
+	if _, err := ExpectationCompiled(k, nil, h, 2, 1); err == nil {
+		t.Error("ExpectationCompiled ran without a plan")
+	}
+}
+
+// TestKernelSizeMismatch: a plan compiled for another register width
+// is refused by every rank before it touches the shard.
 func TestKernelSizeMismatch(t *testing.T) {
+	plan := planFor(t, kernel.New("wrong", 3).H(0), 2, 1)
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		d, err := NewDist(c, 4, 1)
 		if err != nil {
 			return err
 		}
-		k := kernel.New("wrong", 3).H(0)
-		if err := d.ExecuteKernelCancel(k, nil); err == nil {
-			t.Error("kernel size mismatch accepted")
+		defer d.Release()
+		if err := d.ExecutePlanCancel(plan, nil); err == nil {
+			t.Error("plan size mismatch accepted")
 		}
 		return nil
 	})
@@ -236,28 +254,34 @@ func TestKernelSizeMismatch(t *testing.T) {
 	}
 }
 
+// TestFusedRefusesGlobalQubits: a fused block may not straddle the
+// device boundary. The refusal lives in the planner — the one place
+// rank-bit placement is decided — and a kernel fused on shard-local
+// qubits only plans and runs.
 func TestFusedRefusesGlobalQubits(t *testing.T) {
-	err := mpi.Run(4, func(c *mpi.Comm) error {
-		d, err := NewDist(c, 4, 1)
-		if err != nil {
-			return err
-		}
-		// Fused on local qubits 0,1 works.
-		id := make([]complex128, 16)
-		for i := 0; i < 4; i++ {
-			id[i*4+i] = 1
-		}
-		if err := d.ApplyFused([]int{0, 1}, id); err != nil {
-			t.Errorf("local fused rejected: %v", err)
-		}
-		// Fused touching global qubit 3 must refuse.
-		if err := d.ApplyFused([]int{0, 3}, id); err == nil {
-			t.Error("global fused accepted")
-		}
-		return nil
-	})
+	c := circuit.New(4, 0)
+	c.H(0).RY(0.3, 0).RZ(0.2, 1) // local at 4 ranks
+	c.H(3).RY(0.1, 3)            // qubit 3 is a rank bit
+	wild, st, err := kernel.FromCircuit(c, kernel.Options{FusionWindow: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.FusedGroups == 0 {
+		t.Fatal("expected fusion")
+	}
+	if _, err := kernel.Plan(wild, kernel.PlanConfig{TileBits: 1, GlobalBits: 2}); err == nil {
+		t.Error("planner accepted a fused block on a rank bit")
+	}
+	tame, st, err := kernel.FromCircuit(c, kernel.Options{FusionWindow: 2, FusionLocalQubits: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FusedGroups == 0 {
+		t.Fatal("expected local fusion")
+	}
+	res := simulate(t, tame, 4, 1, 1)
+	if d := maxDiff(res.Probabilities, singleDeviceProbs(t, tame)); d != 0 {
+		t.Errorf("locally fused kernel: distributed vs single-device diff %g, want exact 0", d)
 	}
 }
 
@@ -285,23 +309,16 @@ func TestFusedKernelDistributed(t *testing.T) {
 	if st.FusedGroups == 0 {
 		t.Fatal("expected fusion")
 	}
-	want := singleDeviceProbs(t, k)
-	res, err := SimulateCompiled(k, nil, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !probsClose(res.Probabilities, want, 1e-10) {
-		t.Fatal("fused distributed run differs")
+	res := simulate(t, k, 4, 2, 1)
+	if d := maxDiff(res.Probabilities, singleDeviceProbs(t, k)); d != 0 {
+		t.Fatalf("fused distributed vs single-device diff %g, want exact 0", d)
 	}
 }
 
 func TestNormPreservedAcrossRandomDistributedRuns(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		k := randomKernel(6, 80, seed)
-		res, err := SimulateCompiled(k, nil, 8, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := simulate(t, k, 8, 2, 1)
 		if math.Abs(norm(res.Probabilities)-1) > 1e-9 {
 			t.Fatalf("seed %d: norm %g", seed, norm(res.Probabilities))
 		}
@@ -317,13 +334,9 @@ func TestNormPreservedAcrossRandomDistributedRuns(t *testing.T) {
 
 func TestMoreWorkersPerRank(t *testing.T) {
 	k := randomKernel(8, 60, 404)
-	want := singleDeviceProbs(t, k)
-	res, err := SimulateCompiled(k, nil, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !probsClose(res.Probabilities, want, 1e-10) {
-		t.Fatal("multi-worker ranks differ")
+	res := simulate(t, k, 2, 3, 4)
+	if d := maxDiff(res.Probabilities, singleDeviceProbs(t, k)); d != 0 {
+		t.Fatalf("multi-worker ranks vs single-device diff %g, want exact 0", d)
 	}
 }
 
@@ -368,37 +381,35 @@ func TestCancelledWorldReleasesEachSlabOnce(t *testing.T) {
 	freeSlabs()
 	stopped := 0
 	for _, budget := range []time.Duration{0, 20 * time.Microsecond, 100 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond, time.Hour} {
-		for _, p := range []*kernel.TilePlan{plan, nil} {
-			_, err := SimulateCompiledCancel(k, p, ranks, 1, cancel.WithDeadline(time.Now().Add(budget)))
-			if err != nil {
-				if !errors.Is(err, cancel.ErrCancelled) {
-					t.Fatalf("budget %v: %v", budget, err)
-				}
-				stopped++
+		_, err := SimulateCompiledCancel(k, plan, ranks, 1, cancel.WithDeadline(time.Now().Add(budget)))
+		if err != nil {
+			if !errors.Is(err, cancel.ErrCancelled) {
+				t.Fatalf("budget %v: %v", budget, err)
 			}
-			free := freeSlabs()
-			seen := make(map[*complex128]bool, len(free))
-			for _, slab := range free {
-				if seen[&slab[0]] {
-					t.Fatalf("budget %v: one slab is on the free list twice", budget)
-				}
-				seen[&slab[0]] = true
-			}
-			if len(free) < ranks || len(free) > 2*ranks {
-				t.Fatalf("budget %v: %d slabs came back from %d ranks, want a shard each and at most a buffer each", budget, len(free), ranks)
-			}
-			for _, slab := range free[:ranks] { // the next world runs on recycled memory
-				statevec.PutSlab(slab)
-			}
-			got, err := SimulateCompiled(k, p, ranks, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if maxDiff(got.Probabilities, want) != 0 {
-				t.Fatalf("budget %v: probabilities after a stopped world differ from the reference", budget)
-			}
-			freeSlabs()
+			stopped++
 		}
+		free := freeSlabs()
+		seen := make(map[*complex128]bool, len(free))
+		for _, slab := range free {
+			if seen[&slab[0]] {
+				t.Fatalf("budget %v: one slab is on the free list twice", budget)
+			}
+			seen[&slab[0]] = true
+		}
+		if len(free) < ranks || len(free) > 2*ranks {
+			t.Fatalf("budget %v: %d slabs came back from %d ranks, want a shard each and at most a buffer each", budget, len(free), ranks)
+		}
+		for _, slab := range free[:ranks] { // the next world runs on recycled memory
+			statevec.PutSlab(slab)
+		}
+		got, err := SimulateCompiled(k, plan, ranks, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if maxDiff(got.Probabilities, want) != 0 {
+			t.Fatalf("budget %v: probabilities after a stopped world differ from the reference", budget)
+		}
+		freeSlabs()
 	}
 	if stopped == 0 {
 		t.Fatal("no world was stopped; the zero budget must always cancel")

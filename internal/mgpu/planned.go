@@ -4,14 +4,15 @@ import (
 	"fmt"
 
 	"qgear/internal/cancel"
+	"qgear/internal/gate"
 	"qgear/internal/kernel"
 	"qgear/internal/statevec"
 )
 
 // Planned execution: the distributed engine consumes the same compiled
-// TilePlan IR as the single-process engine. A distributed plan
-// (kernel.PlanConfig.GlobalBits = log2(ranks)) classifies every
-// instruction exactly once, at compile time:
+// TilePlan IR as the single-process engine, and nothing else. A
+// distributed plan (kernel.PlanConfig.GlobalBits = log2(ranks))
+// classifies every instruction exactly once, at compile time:
 //
 //   - tile-local micro-ops run against the rank shard through
 //     statevec.ApplyTileRun — one memory pass per run, as on a single
@@ -25,18 +26,19 @@ import (
 //     subspace and can co-update them locally.
 //
 // Every step performs the same arithmetic on the same amplitudes as
-// the per-gate path (DistState.ApplyGate), so planned execution is
-// bit-identical to it — the randomized suite in planned_test.go pins
-// that across rank counts, shard shapes, and fusion settings.
+// the single-device per-gate engine (kernel.Execute on one
+// statevec.State), so planned execution is bit-identical to it — the
+// randomized suite in planned_test.go pins that across rank counts,
+// shard shapes (1-qubit shards included) and fusion settings, and
+// oracle_test.go holds both to a naive dense reference.
 
 // ExecutePlanCancel runs a compiled distributed plan against this
 // rank's shard. The plan must have been compiled with GlobalBits
-// matching the world size. Every rank must call it (SPMD, like
-// ExecuteKernelCancel). The cooperative cancellation flag (nil = run
-// unbounded) is polled collectively (see pollCancel) at every segment
-// boundary — the natural SPMD-aligned point where all ranks agree on
-// whether to stop before any of them commits to the segment's pairwise
-// exchange.
+// matching the world size. Every rank must call it (SPMD, like an MPI
+// program). The cooperative cancellation flag (nil = run unbounded) is
+// polled collectively (see pollCancel) at every segment boundary — the
+// natural SPMD-aligned point where all ranks agree on whether to stop
+// before any of them commits to the segment's pairwise exchange.
 func (d *DistState) ExecutePlanCancel(p *kernel.TilePlan, flag *cancel.Flag) error {
 	if p.NumQubits != d.n {
 		return fmt.Errorf("mgpu: plan wants %d qubits, state has %d", p.NumQubits, d.n)
@@ -44,8 +46,8 @@ func (d *DistState) ExecutePlanCancel(p *kernel.TilePlan, flag *cancel.Flag) err
 	if gbits := d.n - d.local; p.GlobalBits != gbits {
 		return fmt.Errorf("mgpu: plan compiled for %d rank bits, world has %d", p.GlobalBits, gbits)
 	}
-	if p.TileBits < 1 || p.TileBits >= d.local {
-		return fmt.Errorf("mgpu: plan tile width %d outside [1,%d)", p.TileBits, d.local)
+	if p.TileBits < 1 || p.TileBits > d.local {
+		return fmt.Errorf("mgpu: plan tile width %d outside [1,%d]", p.TileBits, d.local)
 	}
 	d.st.MaterializePerm()
 	localMask := uint64(1)<<uint(d.local) - 1
@@ -81,15 +83,7 @@ func (d *DistState) ExecutePlanCancel(p *kernel.TilePlan, flag *cancel.Flag) err
 		case kernel.SegBitSwap:
 			d.st.ApplySwap(seg.A, seg.B)
 		case kernel.SegGlobal:
-			// Operands are physical positions; positions at or above
-			// d.local are rank bits, which is exactly the numbering
-			// ApplyGate's locality cases dispatch on.
-			switch seg.Instr.Kind {
-			case kernel.KGate:
-				err = d.ApplyGate(seg.Instr.Gate, seg.Instr.Qubits, seg.Instr.Params)
-			case kernel.KFused:
-				err = d.ApplyFused(seg.Instr.Qubits, seg.Instr.Mat)
-			}
+			err = d.applyGlobal(seg.Instr)
 		case kernel.SegExchange:
 			d.execExchange(seg, rankAbs)
 		default:
@@ -132,14 +126,45 @@ func resolveRankOp(op statevec.TileOp, rankAbs, localMask uint64) (statevec.Tile
 	return op, true
 }
 
+// applyGlobal runs one full-sweep segment on the shard. Operands are
+// physical positions, and the planner only emits a global for a mixing
+// target that is shard-local (a rank-bit target is an exchange segment,
+// a diagonal is a tile op), so the one rank-bit case left is a control
+// on a rank bit: ranks whose bit is 1 apply the target's one-qubit
+// unitary, the rest idle — no communication, the reason control-qubit
+// placement matters for comm volume. Everything else is the shard's own
+// gate kernel.
+func (d *DistState) applyGlobal(in kernel.Instr) error {
+	if in.Kind == kernel.KFused {
+		return d.st.ApplyFused(in.Qubits, in.Mat)
+	}
+	if in.Gate.Arity() != 2 || in.Qubits[0] < d.local {
+		d.st.ApplyGate(in.Gate, in.Qubits, in.Params)
+		return nil
+	}
+	var u gate.Type
+	switch in.Gate {
+	case gate.CX:
+		u = gate.X
+	case gate.CRY:
+		u = gate.RY
+	default:
+		return fmt.Errorf("mgpu: global %v with a rank-bit control is not something the planner emits", in.Gate)
+	}
+	if d.rankBit(in.Qubits[0]) == 1 {
+		d.st.ApplyGate(u, in.Qubits[1:], in.Params)
+	}
+	return nil
+}
+
 // execExchange runs one batched exchange segment: filter the ops to
 // those whose rank-bit controls this rank satisfies (the partner rank
 // differs only in the target bit, so it filters identically), perform
 // a single buffer exchange if anything survived, then co-update both
 // halves of the pair subspace gate by gate. The two-buffer update
-// computes, per gate, exactly the expressions the per-gate path
-// computes on each side of the exchange, so the retained half is
-// bit-identical to executing the gates with one exchange each.
+// computes, per gate, exactly the pair expressions a single device
+// computes with both halves resident, so the retained half is
+// bit-identical to it.
 func (d *DistState) execExchange(seg kernel.Segment, rankAbs uint64) {
 	active := seg.XOps[:0:0]
 	for _, op := range seg.XOps {
@@ -153,7 +178,7 @@ func (d *DistState) execExchange(seg kernel.Segment, rankAbs uint64) {
 	partner := d.comm.Rank() ^ 1<<uint(seg.TBit-d.local)
 	theirs := d.exchange(partner)
 	d.avoidedExch += len(active) - 1
-	amps := d.st.Amplitudes()
+	amps := d.st.AmplitudesRaw()
 	bit1 := d.rankBit(seg.TBit) == 1
 	for _, op := range active {
 		m0, m1, m2, m3 := op.M[0], op.M[1], op.M[2], op.M[3]
@@ -176,10 +201,10 @@ func (d *DistState) execExchange(seg kernel.Segment, rankAbs uint64) {
 	}
 }
 
-// SimulateCompiled runs an already-compiled plan (or, when plan is
-// nil, the per-gate baseline) on nRanks simulated devices and returns
-// the gathered result — the distributed half of the shared-IR
-// pipeline: transform once, plan once, execute anywhere.
+// SimulateCompiled runs a compiled plan on nRanks simulated devices and
+// returns the gathered result — the distributed half of the shared-IR
+// pipeline: transform once, plan once, execute anywhere. A nil plan is
+// an error: this engine has no other executor.
 func SimulateCompiled(k *kernel.Kernel, plan *kernel.TilePlan, nRanks, workersPerRank int) (*Result, error) {
 	return SimulateCompiledCancel(k, plan, nRanks, workersPerRank, nil)
 }
@@ -189,11 +214,16 @@ func SimulateCompiled(k *kernel.Kernel, plan *kernel.TilePlan, nRanks, workersPe
 // world at the next collective poll and surfaces through mpi.Run as a
 // rank error wrapping the flag's verdict.
 func SimulateCompiledCancel(k *kernel.Kernel, plan *kernel.TilePlan, nRanks, workersPerRank int, flag *cancel.Flag) (*Result, error) {
-	exec := func(d *DistState) error {
-		if plan != nil {
-			return d.ExecutePlanCancel(plan, flag)
+	res := &Result{}
+	var err error
+	res.CommStats, err = runWorld(k, plan, nRanks, workersPerRank, flag, func(d *DistState) error {
+		if probs := d.Probabilities(); probs != nil {
+			res.Probabilities = probs
 		}
-		return d.ExecuteKernelCancel(k, flag)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return simulate(k.NumQubits, nRanks, workersPerRank, exec)
+	return res, nil
 }

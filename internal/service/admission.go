@@ -26,10 +26,11 @@ const runOverheadBytes = 256 << 10
 // estimateStateBytes prices the peak resident working set of one
 // n-qubit simulation sampled with shots under the server's target: the
 // amplitude vector (16 bytes each; recycled between runs, resident
-// either way), the probability readout (8 bytes each), on the
-// distributed target the exchange buffers and per-rank readouts (one
-// more of each across all ranks), and the sampler's working set — per
-// simulated QPU on mqpu, which samples its shares concurrently.
+// either way), the probability readout (8 bytes each; the distributed
+// ranks write theirs straight into it), on the distributed target the
+// exchange buffers (one more amplitude vector across all ranks), and
+// the sampler's working set — per simulated QPU on mqpu, which samples
+// its shares concurrently.
 func (s *Server) estimateStateBytes(n, shots int) int64 {
 	if n < 0 {
 		return 0
@@ -41,7 +42,7 @@ func (s *Server) estimateStateBytes(n, shots int) int64 {
 	}
 	b := int64(24)<<uint(n) + runOverheadBytes
 	if s.cfg.Target == backend.TargetNvidiaMGPU {
-		b += int64(24) << uint(n)
+		b += int64(16) << uint(n)
 	}
 	samplers := 1
 	if d := s.cfg.Devices; s.cfg.Target == backend.TargetNvidiaMQPU && d > 1 && shots >= d {

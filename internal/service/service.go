@@ -435,14 +435,6 @@ func spillBudget(maxCacheBytes int64) int64 {
 // New starts a server with cfg's worker pool running.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if !cfg.Target.Valid() {
-		return nil, fmt.Errorf("service: unknown target %q", cfg.Target)
-	}
-	if cfg.Target == backend.TargetNvidiaMGPU && cfg.Devices&(cfg.Devices-1) != 0 {
-		// mgpu pools device memory over a hypercube; reject up front
-		// rather than failing every job at runtime.
-		return nil, fmt.Errorf("service: nvidia-mgpu needs a power-of-two device count, got %d", cfg.Devices)
-	}
 	s := &Server{
 		cfg:         cfg,
 		start:       time.Now(),
@@ -455,8 +447,14 @@ func New(cfg Config) (*Server, error) {
 		reg:         telemetry.NewRegistry(),
 		latency:     make(map[string]*telemetry.Histogram),
 	}
-	s.registerMetrics()
 	opts := s.execOptions()
+	if err := opts.Validate(); err != nil {
+		// What backend.Compile would refuse for every circuit (an unknown
+		// target, an mgpu geometry no plan exists for) is refused once,
+		// here, rather than failing every job at runtime.
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	s.registerMetrics()
 	s.cfgSig = opts.StoreSignature()
 	s.rebindable = opts.Rebindable()
 	if cfg.StoreDir != "" {
@@ -686,6 +684,11 @@ func (s *Server) compiled(c *circuit.Circuit, fp string) (*backend.Compiled, *te
 		tl := time.Now()
 		comp, cost, err = s.store.LoadPlan(key, s.cfgSig)
 		loadDur = time.Since(tl)
+		if err == nil && comp.Plan == nil && s.cfg.Target == backend.TargetNvidiaMGPU {
+			// Written before the distributed engine became plans-only:
+			// nothing can execute it, so it goes the way of a corrupt file.
+			err = fmt.Errorf("%w: plan-less nvidia-mgpu artifact", store.ErrIntegrity)
+		}
 		if err == nil {
 			fromStore = true
 		} else {

@@ -655,6 +655,9 @@ func TestInvalidSubmissions(t *testing.T) {
 	if _, err := New(Config{Target: backend.TargetNvidiaMGPU, Devices: 3}); err == nil {
 		t.Fatal("mgpu with non-power-of-two devices accepted")
 	}
+	if _, err := New(Config{Target: backend.TargetNvidiaMGPU, Devices: 2, TileBits: -1}); err == nil {
+		t.Fatal("mgpu with per-gate sweeps accepted: its engine executes plans only")
+	}
 	if _, err := s.Job("j-nope"); err != ErrNotFound {
 		t.Fatalf("unknown job: %v", err)
 	}

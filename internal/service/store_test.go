@@ -154,6 +154,34 @@ func TestWarmRestartPlansFromStore(t *testing.T) {
 	}
 }
 
+// TestPlanlessMGPUArtifactIsRecompiled: a store written when small
+// nvidia-mgpu worlds still ran per-gate holds compiled artifacts with no
+// plan under an unchanged signature. The plans-only engine cannot run
+// one, so the warm-starting server quarantines it like a corrupt file
+// and compiles afresh.
+func TestPlanlessMGPUArtifactIsRecompiled(t *testing.T) {
+	cfg := Config{StoreDir: t.TempDir(), Target: backend.TargetNvidiaMGPU, Devices: 2, WorkerPool: 1, MaxBatch: 1}
+	c := storeTestCircuits(1, 6)[0]
+	s := newTestServer(t, cfg)
+	planless, err := backend.Compile(c, backend.Config{Target: backend.TargetAer})
+	if err != nil || planless.Plan != nil {
+		t.Fatalf("aer compile: plan %v, err %v", planless.Plan != nil, err)
+	}
+	if err := s.store.SavePlan(s.planKey(c, c.Fingerprint()), s.cfgSig, planless, 1); err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := s.Run(context.Background(), c, SubmitOptions{Shots: 100, Seed: 4})
+	if err != nil {
+		t.Fatalf("plan-less artifact must fall back to a fresh compile, got %v", err)
+	}
+	if res.PlanStats == nil {
+		t.Fatal("the job ran without a plan")
+	}
+	if st := s.Stats(); st.StoreQuarantines != 1 || st.StorePlanHits != 0 {
+		t.Fatalf("quarantines %d, plan store hits %d; want 1 and 0", st.StoreQuarantines, st.StorePlanHits)
+	}
+}
+
 // TestCorruptStoreFallsBack: a bit-flipped spill file is rejected,
 // quarantined, and the submission transparently falls back to a real
 // simulation with a correct result.

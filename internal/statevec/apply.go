@@ -66,12 +66,12 @@ func mat1Chunk(v []float64, lm laneMat2, t uint, lo, hi int) {
 	}
 }
 
-// ApplyControlled1 applies a 2×2 unitary to target, controlled on
+// applyControlled1 applies a 2×2 unitary to target, controlled on
 // control being |1> — Eq. (3)'s diag(I, U) block structure. Only the
 // 2^(n-2) amplitude pairs with the control bit set are touched, which
 // is the scattered, non-contiguous access pattern Appendix A describes
 // for the CX gate.
-func (s *State) ApplyControlled1(control, target int, m gate.Mat2) {
+func (s *State) applyControlled1(control, target int, m gate.Mat2) {
 	s.ensureCanonical()
 	s.checkQubit(control)
 	s.checkQubit(target)
@@ -89,7 +89,7 @@ func (s *State) ApplyControlled1(control, target int, m gate.Mat2) {
 	s.fanOut(quarter, func(_, lo, hi int) { controlled1Chunk(v, lm, c, t, lo, hi) })
 }
 
-// controlled1Chunk is ApplyControlled1 over control-set pairs [lo, hi).
+// controlled1Chunk is applyControlled1 over control-set pairs [lo, hi).
 func controlled1Chunk(v []float64, lm laneMat2, c, t uint, lo, hi int) {
 	step := 1 << t
 	switch {
@@ -208,43 +208,6 @@ func cxChunk(amps []complex128, c, t uint, lo, hi int) {
 			swapRun(amps[i0:i0+run:i0+run], amps[i0+step:i0+step+run:i0+step+run])
 			p += run
 		}
-	}
-}
-
-// ApplyMat2 applies a 4×4 unitary to the qubit pair (hi=q1, lo=q0); the
-// matrix row/column index is (bit(q1)<<1)|bit(q0).
-func (s *State) ApplyMat2(q1, q0 int, m gate.Mat4) {
-	s.ensureCanonical()
-	s.checkQubit(q1)
-	s.checkQubit(q0)
-	if q1 == q0 {
-		panic("statevec: duplicate qubit operands")
-	}
-	u1, u0 := uint(q1), uint(q0)
-	quarter := len(s.amps) >> 2
-	amps := s.amps
-	if s.serial(quarter) {
-		mat2Chunk(amps, &m, u1, u0, 0, quarter)
-		return
-	}
-	shared := m // the closure's copy: m itself must not escape on the serial path
-	s.fanOut(quarter, func(_, lo, hi int) { mat2Chunk(amps, &shared, u1, u0, lo, hi) })
-}
-
-// mat2Chunk is ApplyMat2 over amplitude quadruples [lo, hi).
-func mat2Chunk(amps []complex128, m *gate.Mat4, u1, u0 uint, lo, hi int) {
-	m1 := uint64(1) << u1
-	m0 := uint64(1) << u0
-	for p := lo; p < hi; p++ {
-		i00 := qmath.InsertTwoBits(uint64(p), u1, 0, u0, 0)
-		i01 := i00 | m0
-		i10 := i00 | m1
-		i11 := i00 | m0 | m1
-		a0, a1, a2, a3 := amps[i00], amps[i01], amps[i10], amps[i11]
-		amps[i00] = m[0]*a0 + m[1]*a1 + m[2]*a2 + m[3]*a3
-		amps[i01] = m[4]*a0 + m[5]*a1 + m[6]*a2 + m[7]*a3
-		amps[i10] = m[8]*a0 + m[9]*a1 + m[10]*a2 + m[11]*a3
-		amps[i11] = m[12]*a0 + m[13]*a1 + m[14]*a2 + m[15]*a3
 	}
 }
 
@@ -498,7 +461,7 @@ func (s *State) ApplyGate(g gate.Type, qubits []int, params []float64) {
 	case g == gate.Barrier || g == gate.Measure || g == gate.I:
 		return
 	case IsDiagonalGate(g):
-		s.ApplyDiagonalGate(g, qubits, params)
+		s.applyDiagonalGate(g, qubits, params)
 	case g == gate.CX:
 		s.ApplyCX(qubits[0], qubits[1])
 	case g == gate.SWAP:
@@ -516,7 +479,7 @@ func (s *State) ApplyGate(g gate.Type, qubits []int, params []float64) {
 		default:
 			panic(fmt.Sprintf("statevec: unhandled two-qubit gate %v", g))
 		}
-		s.ApplyControlled1(qubits[0], qubits[1], tgt)
+		s.applyControlled1(qubits[0], qubits[1], tgt)
 	default:
 		s.ApplyMat1(qubits[0], gate.Matrix1(g, params))
 	}

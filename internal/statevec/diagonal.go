@@ -15,11 +15,11 @@ import (
 // large fraction of its runtime; BenchmarkAblationDiagonal quantifies
 // it.
 
-// ApplyPhase1 multiplies amplitudes whose target bit is 1 by phase —
+// applyPhase1 multiplies amplitudes whose target bit is 1 by phase —
 // the diag(1, e^{iλ}) family. Stride iteration enumerates exactly the
 // 2^(n-1) affected indices; the untouched half is never read, halving
 // the memory traffic of the old branchy full-2^n scan.
-func (s *State) ApplyPhase1(target int, phase complex128) {
+func (s *State) applyPhase1(target int, phase complex128) {
 	s.ensureCanonical()
 	s.checkQubit(target)
 	t := uint(target)
@@ -33,7 +33,7 @@ func (s *State) ApplyPhase1(target int, phase complex128) {
 	s.fanOut(half, func(_, lo, hi int) { phase1Chunk(v, t, pr, pi, lo, hi) })
 }
 
-// phase1Chunk is ApplyPhase1 over the target-set indices [lo, hi).
+// phase1Chunk is applyPhase1 over the target-set indices [lo, hi).
 func phase1Chunk(v []float64, t uint, pr, pi float64, lo, hi int) {
 	if t == 0 {
 		scaleOdd(v[4*lo:4*hi], pr, pi)
@@ -95,11 +95,11 @@ func diag1Chunk(v []float64, t uint, a, b complex128, lo, hi int) {
 	}
 }
 
-// ApplyControlledPhase multiplies amplitudes with both control and
+// applyControlledPhase multiplies amplitudes with both control and
 // target bits set by phase — cz (phase = -1) and cr1(λ) (Eq. 9).
 // Stride iteration touches only the affected quarter of the indices
 // instead of scanning and branch-testing all 2^n.
-func (s *State) ApplyControlledPhase(control, target int, phase complex128) {
+func (s *State) applyControlledPhase(control, target int, phase complex128) {
 	s.ensureCanonical()
 	s.checkQubit(control)
 	s.checkQubit(target)
@@ -117,7 +117,7 @@ func (s *State) ApplyControlledPhase(control, target int, phase complex128) {
 	s.fanOut(quarter, func(_, lo, hi int) { controlledPhaseChunk(v, c, t, pr, pi, lo, hi) })
 }
 
-// controlledPhaseChunk is ApplyControlledPhase over the both-bits-set
+// controlledPhaseChunk is applyControlledPhase over the both-bits-set
 // indices [lo, hi).
 func controlledPhaseChunk(v []float64, c, t uint, pr, pi float64, lo, hi int) {
 	b0, b1 := c, t
@@ -163,21 +163,21 @@ func IsDiagonalGate(g gate.Type) bool {
 	return false
 }
 
-// ApplyDiagonalGate dispatches a diagonal gate through the fast path.
+// applyDiagonalGate dispatches a diagonal gate through the fast path.
 // It panics for non-diagonal gates; callers gate on IsDiagonalGate.
-func (s *State) ApplyDiagonalGate(g gate.Type, qubits []int, params []float64) {
+func (s *State) applyDiagonalGate(g gate.Type, qubits []int, params []float64) {
 	switch g {
 	case gate.Z, gate.S, gate.Sdg, gate.T, gate.Tdg, gate.P:
 		m := gate.Matrix1(g, params)
-		s.ApplyPhase1(qubits[0], m[3])
+		s.applyPhase1(qubits[0], m[3])
 	case gate.RZ:
 		m := gate.Matrix1(g, params)
 		s.ApplyGlobalAndRelativePhase(qubits[0], m[0], m[3])
 	case gate.CZ:
-		s.ApplyControlledPhase(qubits[0], qubits[1], -1)
+		s.applyControlledPhase(qubits[0], qubits[1], -1)
 	case gate.CP:
 		m := gate.Matrix1(gate.P, params)
-		s.ApplyControlledPhase(qubits[0], qubits[1], m[3])
+		s.applyControlledPhase(qubits[0], qubits[1], m[3])
 	default:
 		panic(fmt.Sprintf("statevec: %v is not diagonal", g))
 	}

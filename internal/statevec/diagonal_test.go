@@ -18,11 +18,11 @@ func TestDiagonalFastPathMatchesGeneralKernels(t *testing.T) {
 		slow := fast.Clone()
 		switch g.Arity() {
 		case 1:
-			fast.ApplyDiagonalGate(g, []int{2}, params[g])
+			fast.applyDiagonalGate(g, []int{2}, params[g])
 			slow.ApplyMat1(2, gate.Matrix1(g, params[g]))
 		case 2:
-			fast.ApplyDiagonalGate(g, []int{1, 3}, params[g])
-			slow.ApplyMat2(1, 3, gate.Matrix2(g, params[g]))
+			fast.applyDiagonalGate(g, []int{1, 3}, params[g])
+			applyDense2(slow, 1, 3, gate.Matrix2(g, params[g]))
 		}
 		requireClose(t, fast, slow, 1e-13)
 	}
@@ -39,7 +39,7 @@ func TestNonDiagonalGatesExcluded(t *testing.T) {
 			t.Fatal("expected panic for non-diagonal dispatch")
 		}
 	}()
-	MustNew(2, 1).ApplyDiagonalGate(gate.H, []int{0}, nil)
+	MustNew(2, 1).applyDiagonalGate(gate.H, []int{0}, nil)
 }
 
 func TestApplyGateUsesDiagonalPath(t *testing.T) {
@@ -65,7 +65,7 @@ func TestApplyGateUsesDiagonalPath(t *testing.T) {
 		case 1:
 			b.ApplyMat1(op.qs[0], gate.Matrix1(op.g, op.ps))
 		case 2:
-			b.ApplyMat2(op.qs[0], op.qs[1], gate.Matrix2(op.g, op.ps))
+			applyDense2(b, op.qs[0], op.qs[1], gate.Matrix2(op.g, op.ps))
 		}
 	}
 	requireClose(t, a, b, 1e-13)
@@ -79,11 +79,11 @@ func TestDiagonalPreservesNorm(t *testing.T) {
 		q2 := (q + 1 + r.Intn(7)) % 8
 		switch r.Intn(3) {
 		case 0:
-			s.ApplyDiagonalGate(gate.RZ, []int{q}, []float64{r.Angle()})
+			s.applyDiagonalGate(gate.RZ, []int{q}, []float64{r.Angle()})
 		case 1:
-			s.ApplyDiagonalGate(gate.CP, []int{q, q2}, []float64{r.Angle()})
+			s.applyDiagonalGate(gate.CP, []int{q, q2}, []float64{r.Angle()})
 		case 2:
-			s.ApplyDiagonalGate(gate.CZ, []int{q, q2}, nil)
+			s.applyDiagonalGate(gate.CZ, []int{q, q2}, nil)
 		}
 	}
 	if n := s.Norm(); n < 1-1e-10 || n > 1+1e-10 {
@@ -97,5 +97,5 @@ func TestDiagonalControlEqualsTargetPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MustNew(3, 1).ApplyControlledPhase(1, 1, -1)
+	MustNew(3, 1).applyControlledPhase(1, 1, -1)
 }

@@ -378,11 +378,3 @@ func swapSweep(w []complex128, step int) {
 		swapRun(w[blk:blk+step:blk+step], w[blk+step:blk+2*step:blk+2*step])
 	}
 }
-
-// clearRun zeroes a run of amplitudes (the discarded half of a
-// projective collapse).
-func clearRun(a []complex128) {
-	for i := range a {
-		a[i] = 0
-	}
-}

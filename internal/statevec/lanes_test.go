@@ -2,7 +2,6 @@ package statevec
 
 import (
 	"math"
-	"math/bits"
 	"testing"
 
 	"qgear/internal/gate"
@@ -329,8 +328,8 @@ func TestFullSweepKernelBitIdentityFuzz(t *testing.T) {
 			} else {
 				m = randReal2(rng)
 			}
-			ctx = "ApplyControlled1"
-			s.ApplyControlled1(int(c), int(tq), m)
+			ctx = "applyControlled1"
+			s.applyControlled1(int(c), int(tq), m)
 			refControlled1(ref, c, tq, m)
 		case 2:
 			c := uint(rng.Intn(n))
@@ -345,8 +344,8 @@ func TestFullSweepKernelBitIdentityFuzz(t *testing.T) {
 			tq := uint(rng.Intn(n))
 			if rng.Intn(2) == 0 {
 				p := phaseOf(rng)
-				ctx = "ApplyPhase1"
-				s.ApplyPhase1(int(tq), p)
+				ctx = "applyPhase1"
+				s.applyPhase1(int(tq), p)
 				refPhase1(ref, tq, p)
 			} else {
 				a, b := phaseOf(rng), phaseOf(rng)
@@ -361,8 +360,8 @@ func TestFullSweepKernelBitIdentityFuzz(t *testing.T) {
 				tq++
 			}
 			p := phaseOf(rng)
-			ctx = "ApplyControlledPhase"
-			s.ApplyControlledPhase(int(c), int(tq), p)
+			ctx = "applyControlledPhase"
+			s.applyControlledPhase(int(c), int(tq), p)
 			refControlledPhase(ref, c, tq, p)
 		case 5:
 			a := uint(rng.Intn(n))
@@ -503,36 +502,6 @@ func TestWorkerCountBitIdentity(t *testing.T) {
 	}
 }
 
-// TestProbOneCollapseWorkerBitIdentity checks the chunked reductions:
-// ProbOne and CollapseQubit must produce bit-identical results at any
-// worker count (fixed chunk decomposition + TreeSum, the PauliEvaluator
-// contract).
-func TestProbOneCollapseWorkerBitIdentity(t *testing.T) {
-	rng := qmath.NewRNG(0xabcde)
-	for trial := 0; trial < 40; trial++ {
-		n := 3 + rng.Intn(8)
-		amps := randAmps(1<<uint(n), rng)
-		q := rng.Intn(n)
-		outcome := rng.Intn(2)
-
-		var probs []float64
-		var collapsed [][]complex128
-		for _, w := range []int{1, 2, 4} {
-			s := MustNew(n, w)
-			copy(s.amps, amps)
-			probs = append(probs, s.ProbOne(q))
-			s.CollapseQubit(q, outcome)
-			collapsed = append(collapsed, append([]complex128(nil), s.amps...))
-		}
-		if math.Float64bits(probs[0]) != math.Float64bits(probs[1]) ||
-			math.Float64bits(probs[0]) != math.Float64bits(probs[2]) {
-			t.Fatalf("ProbOne differs across workers: %v", probs)
-		}
-		bitsEqual(t, collapsed[1], collapsed[0], "collapse workers=2 vs 1")
-		bitsEqual(t, collapsed[2], collapsed[0], "collapse workers=4 vs 1")
-	}
-}
-
 // TestPermTablesCached checks the readout-table cache: permTables is
 // built once per permutation, reused across repeated readouts (the
 // shot-loop pattern), shared by Clone, and dropped by every perm
@@ -614,46 +583,5 @@ func BenchmarkRepeatedReadout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.Probabilities()
-	}
-}
-
-// TestMaskedNorm2MatchesSerial pins the chunked masked reduction to a
-// brute-force serial sum over the kept half (same chunk order as the
-// kernel's contract demands, so equality is exact for 1 worker and —
-// by the worker-identity test above — for all).
-func TestMaskedNorm2MatchesSerial(t *testing.T) {
-	rng := qmath.NewRNG(0x5e71a1)
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(8)
-		s := MustNew(n, 1)
-		copy(s.amps, randAmps(1<<uint(n), rng))
-		q := rng.Intn(n)
-
-		got := s.ProbOne(q)
-		// Reference: the same fixed chunk decomposition the kernel
-		// documents — ascending per-chunk partial sums, TreeSum over
-		// the chunk vector.
-		half := len(s.amps) >> 1
-		cb := ExpChunkBits(s.n)
-		if half>>uint(cb) > 0 {
-			nChunks := half >> uint(cb)
-			partials := make([]float64, nChunks)
-			for c := 0; c < nChunks; c++ {
-				acc := 0.0
-				for p := c << uint(cb); p < (c+1)<<uint(cb); p++ {
-					i := insertBit(uint64(p), uint(q), 1)
-					re, im := real(s.amps[i]), imag(s.amps[i])
-					acc += float64(re*re) + float64(im*im)
-				}
-				partials[c] = acc
-			}
-			want := TreeSum(partials)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d q=%d: ProbOne %v != chunked reference %v", n, q, got, want)
-			}
-		}
-		if bits.OnesCount64(uint64(len(s.amps))) != 1 {
-			t.Fatal("state length not a power of two")
-		}
 	}
 }

@@ -53,10 +53,9 @@ func TestReleaseMakesStateUnusable(t *testing.T) {
 	mustPanic(t, "Amplitudes", func() { s.Amplitudes() })
 	mustPanic(t, "AmplitudesRaw", func() { s.AmplitudesRaw() })
 	mustPanic(t, "Amp", func() { s.Amp(0) })
-	mustPanic(t, "Reset", func() { s.Reset() })
 	mustPanic(t, "Clone", func() { s.Clone() })
 	mustPanic(t, "PauliEvaluator", func() { s.PauliEvaluator() })
-	mustPanic(t, "ProbOne", func() { s.ProbOne(0) })
+	mustPanic(t, "ProbabilitiesInto", func() { s.ProbabilitiesInto(nil) })
 	// None of that touched the slab on the free list.
 	if got := SlabStats(); got != want {
 		t.Fatalf("use after release moved the free list: %+v, was %+v", got, want)

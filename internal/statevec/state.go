@@ -16,7 +16,6 @@ package statevec
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"qgear/internal/qmath"
 )
@@ -138,16 +137,6 @@ func (s *State) Amplitudes() []complex128 {
 	return s.amps
 }
 
-// Reset returns the state to |0...0>.
-func (s *State) Reset() {
-	s.perm = nil
-	s.permTab = nil
-	for i := range s.amps {
-		s.amps[i] = 0
-	}
-	s.amps[0] = 1
-}
-
 // PrepareBasis sets the state to the computational basis state |idx>.
 func (s *State) PrepareBasis(idx uint64) error {
 	if idx >= uint64(len(s.amps)) {
@@ -172,34 +161,6 @@ func (s *State) Norm() float64 {
 	return math.Sqrt(acc)
 }
 
-// InnerProduct returns <s|o>.
-func (s *State) InnerProduct(o *State) (complex128, error) {
-	if s.n != o.n {
-		return 0, fmt.Errorf("statevec: size mismatch %d vs %d qubits", s.n, o.n)
-	}
-	if s.perm != nil {
-		s.MaterializePerm()
-	}
-	if o.perm != nil {
-		o.MaterializePerm()
-	}
-	var acc complex128
-	for i, a := range s.amps {
-		acc += cmplx.Conj(a) * o.amps[i]
-	}
-	return acc, nil
-}
-
-// Fidelity returns |<s|o>|².
-func (s *State) Fidelity(o *State) (float64, error) {
-	ip, err := s.InnerProduct(o)
-	if err != nil {
-		return 0, err
-	}
-	m := cmplx.Abs(ip)
-	return m * m, nil
-}
-
 // Clone returns a deep copy sharing no storage.
 func (s *State) Clone() *State {
 	s.live()
@@ -219,9 +180,20 @@ func (s *State) Clone() *State {
 // n-1 bit-swap sweeps a physical rearrangement would pay — and the
 // amplitude layout is left untouched for further tiled execution.
 func (s *State) Probabilities() []float64 {
+	p := make([]float64, len(s.amps))
+	s.ProbabilitiesInto(p) // panics on a released state
+	return p
+}
+
+// ProbabilitiesInto is Probabilities written into p, which must hold
+// 2^n entries — the distributed engine hands each rank its slice of the
+// one gathered vector, so a shard's readout is never copied.
+func (s *State) ProbabilitiesInto(p []float64) {
 	s.live()
 	n := len(s.amps)
-	p := make([]float64, n)
+	if len(p) != n {
+		panic(fmt.Sprintf("statevec: readout into %d entries, state has %d", len(p), n))
+	}
 	v := lanes(s.amps)
 	if s.perm == nil {
 		if s.serial(n) {
@@ -229,7 +201,7 @@ func (s *State) Probabilities() []float64 {
 		} else {
 			s.fanOut(n, func(_, lo, hi int) { probsChunk(p, v, lo, hi) })
 		}
-		return p
+		return
 	}
 	tabLo, tabHi, loBits := s.permTables()
 	if s.serial(n) {
@@ -237,7 +209,6 @@ func (s *State) Probabilities() []float64 {
 	} else {
 		s.fanOut(n, func(_, lo, hi int) { probsPermChunk(p, v, tabLo, tabHi, loBits, lo, hi) })
 	}
-	return p
 }
 
 // probsChunk writes |amps[i]|² for i in [lo, hi) on an identity layout.
@@ -295,79 +266,6 @@ func (s *State) permTables() (tabLo, tabHi []uint64, loBits uint) {
 	s.permTab = &permTabs{lo: tabLo, hi: tabHi, loBits: loBits}
 	return tabLo, tabHi, loBits
 }
-
-// ProbOne returns the probability that logical qubit q measures 1. A
-// pending permutation is consulted, not materialized: only the bit
-// position changes. The sum follows the canonical chunked reduction
-// (sequential within ExpChunkBits-wide chunks, TreeSum over chunk
-// partials), so the value is bit-identical for any worker count — the
-// same contract as the PauliEvaluator.
-func (s *State) ProbOne(q int) float64 {
-	s.checkQubit(q)
-	if s.perm != nil {
-		q = s.perm[q]
-	}
-	return s.maskedNorm2(uint(q), 1)
-}
-
-// maskedNorm2 returns Σ|amps[i]|² over indices whose bit t equals
-// val, reduced in the canonical chunk order (worker-count independent).
-func (s *State) maskedNorm2(t uint, val uint64) float64 {
-	half := len(s.amps) >> 1
-	if half == 0 {
-		return 0
-	}
-	cb := ExpChunkBits(s.n)
-	nChunks := half >> uint(cb)
-	partials := make([]float64, nChunks)
-	v := lanes(s.amps)
-	// Chunk partials land in disjoint slots, so the reduction order (and
-	// hence the result) is independent of the worker count.
-	if s.serialTiles(nChunks, cb) {
-		maskedNorm2Chunks(partials, v, t, val, cb, 0, nChunks)
-	} else {
-		s.fanOut(nChunks, func(_, lo, hi int) { maskedNorm2Chunks(partials, v, t, val, cb, lo, hi) })
-	}
-	return TreeSum(partials)
-}
-
-// maskedNorm2Chunks fills partials[c] for canonical chunks c in
-// [lo, hi): each the sequential Σ|amps[i]|² over the chunk's 2^cb
-// indices of the bit-t-equals-val half.
-func maskedNorm2Chunks(partials, v []float64, t uint, val uint64, cb, lo, hi int) {
-	step := 1 << t
-	for c := lo; c < hi; c++ {
-		var acc float64
-		pLo, pHi := c<<uint(cb), (c+1)<<uint(cb)
-		if t == 0 {
-			base := 4*pLo + 2*int(val)
-			for j := base; j < 4*pHi; j += 4 {
-				ar, ai := v[j], v[j+1]
-				acc += float64(ar*ar) + float64(ai*ai)
-			}
-			partials[c] = acc
-			continue
-		}
-		for p := pLo; p < pHi; {
-			within := p & (step - 1)
-			run := step - within
-			if run > pHi-p {
-				run = pHi - p
-			}
-			j := 2 * int(insertBit(uint64(p), t, val))
-			for e := j + 2*run; j < e; j += 2 {
-				ar, ai := v[j], v[j+1]
-				acc += float64(ar*ar) + float64(ai*ai)
-			}
-			p += run
-		}
-		partials[c] = acc
-	}
-}
-
-// ExpZ returns <Z_q> = P(0) - P(1) on qubit q — the observable the
-// QCrank decoder estimates from shots.
-func (s *State) ExpZ(q int) float64 { return 1 - 2*s.ProbOne(q) }
 
 // checkQubit panics on out-of-range targets: gate application is on the
 // hot path and the callers (kernel executor) validate programs up

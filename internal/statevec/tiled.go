@@ -84,8 +84,8 @@ func (s *State) ApplyTileRun(tileBits int, ops []TileOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if tileBits < 1 || tileBits >= s.n {
-		return fmt.Errorf("statevec: tile width %d outside [1,%d)", tileBits, s.n)
+	if tileBits < 1 || tileBits > s.n { // tileBits == n: the whole state is one tile
+		return fmt.Errorf("statevec: tile width %d outside [1,%d]", tileBits, s.n)
 	}
 	if s.perm != nil {
 		// Tile runs address physical positions; a pending logical
@@ -216,7 +216,7 @@ func (s *State) ApplyTileRun(tileBits int, ops []TileOp) error {
 // results stay bit-identical; the sequential access pattern is what
 // lets a hot tile stream through the core at L2 speed.
 
-// applyTileMat1 mirrors ApplyMat1 / ApplyControlled1 within one tile.
+// applyTileMat1 mirrors ApplyMat1 / applyControlled1 within one tile.
 // Controlled cases reduce to the uncontrolled sweep: with C > T each
 // control=1 block is a contiguous window holding an uncontrolled mat1;
 // with C < T the control selects strided sub-runs inside each target

@@ -66,16 +66,16 @@ func TestDiagonalStrideEquivalence(t *testing.T) {
 	s1 := MustNew(n, 4)
 	randomize(s1, qmath.NewRNG(11))
 	s2 := s1.Clone()
-	s1.ApplyPhase1(6, phase)
+	s1.applyPhase1(6, phase)
 	ref(s2, 1<<6)
-	statesEqual(t, s1, s2, 0, "ApplyPhase1")
+	statesEqual(t, s1, s2, 0, "applyPhase1")
 
 	s3 := MustNew(n, 4)
 	randomize(s3, qmath.NewRNG(12))
 	s4 := s3.Clone()
-	s3.ApplyControlledPhase(2, 8, phase)
+	s3.applyControlledPhase(2, 8, phase)
 	ref(s4, 1<<2|1<<8)
-	statesEqual(t, s3, s4, 0, "ApplyControlledPhase")
+	statesEqual(t, s3, s4, 0, "applyControlledPhase")
 }
 
 // TestPermutationLifecycle exercises the lazy table: logical swaps are
@@ -92,8 +92,15 @@ func TestPermutationLifecycle(t *testing.T) {
 		t.Fatal("perm should be pending after SwapLogical")
 	}
 	b.ApplySwap(1, 4)
-	if got, want := a.ProbOne(1), b.ProbOne(1); qmathAbs(got-want) > 1e-14 {
-		t.Fatalf("ProbOne through perm: %g vs %g", got, want)
+	// Probabilities reads through the pending table without materializing.
+	pa, pb := a.Probabilities(), b.Probabilities()
+	for i := range pa {
+		if pa[i] != pb[i] {
+			t.Fatalf("probability %d through perm: %g vs %g", i, pa[i], pb[i])
+		}
+	}
+	if a.PermIsIdentity() {
+		t.Fatal("Probabilities materialized the permutation")
 	}
 	statesEqual(t, a, b, 0, "SwapLogical vs ApplySwap") // Amp materializes a
 	if !a.PermIsIdentity() {
@@ -206,15 +213,47 @@ func TestApplyTileRunDirect(t *testing.T) {
 	}
 
 	naive.ApplyMat1(2, h)
-	naive.ApplyControlled1(8, 1, ry)
+	naive.applyControlled1(8, 1, ry)
 	naive.ApplyCX(3, 0)
 	naive.ApplyCX(9, 2)
-	naive.ApplyControlledPhase(7, 1, phase)
-	naive.ApplyControlledPhase(6, 9, phase)
+	naive.applyControlledPhase(7, 1, phase)
+	naive.applyControlledPhase(6, 9, phase)
 	naive.ApplyGlobalAndRelativePhase(3, phase, cmplx.Conj(phase))
 	naive.ApplyGlobalAndRelativePhase(5, phase, -phase)
 
 	statesEqual(t, tiled, naive, 0, "tile micro-ops")
+}
+
+// TestApplyTileRunOneTile: a tile as wide as the state — a 1-qubit rank
+// shard is the case that needs it — is one tile run on the caller's
+// goroutine; one qubit wider is refused.
+func TestApplyTileRunOneTile(t *testing.T) {
+	h := gate.Matrix1(gate.H, nil)
+	phase := cmplx.Exp(complex(0, 0.61))
+	for n := 1; n <= 5; n++ {
+		tiled := MustNew(n, 4)
+		randomize(tiled, qmath.NewRNG(uint64(70+n)))
+		naive := tiled.Clone()
+		ops := []TileOp{
+			{Kind: TileMat1, T: uint(n - 1), M: h},
+			{Kind: TileCX, T: 0},
+			{Kind: TileDiag, LowMask: 1, Phase: phase},
+			{Kind: TileDiag, Phase: phase}, // a rank-resolved diagonal: the whole tile
+			{Kind: TileRelPhase, T: 0, A: phase, B: -phase},
+		}
+		if err := tiled.ApplyTileRun(n, ops); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		naive.ApplyMat1(n-1, h)
+		naive.ApplyMat1(0, gate.Matrix1(gate.X, nil))
+		naive.applyPhase1(0, phase)
+		naive.ApplyGlobalAndRelativePhase(0, phase, phase)
+		naive.ApplyGlobalAndRelativePhase(0, phase, -phase)
+		statesEqual(t, tiled, naive, 0, "one-tile run")
+		if err := tiled.ApplyTileRun(n+1, ops); err == nil {
+			t.Fatalf("n=%d: tile width %d accepted", n, n+1)
+		}
+	}
 }
 
 // TestApplyTileRunFused checks the in-tile fused path against the
