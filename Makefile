@@ -123,9 +123,16 @@ ci-load: build
 # Workers-axis scaling smoke: the lane-kernel and tiled-executor
 # bit-identity fuzz suites, race-enabled and uncached. Worker count
 # must never change an amplitude bit; wall-clock scaling is reported by
-# benchmark/ (statevec.scaling_speedup_w*), never gated.
+# benchmark/ (statevec.scaling_speedup_w*), never gated. The plan IR's
+# size and compile-allocation contract rides along (a 96-byte op, a
+# 24-byte segment header, a shard base instead of per-rank op copies),
+# and the plan, lane-kernel and mgpu micro-benchmarks run one iteration
+# each so they cannot rot — their numbers gate nothing, BENCHMARK.json
+# does.
 ci-scaling: build
-	$(call run-selected,BitIdentity|TiledGateSoup,./internal/statevec/ ./internal/kernel/)
+	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|TileRunBaseMatchesFullState,./internal/statevec/ ./internal/kernel/)
+	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|TileRun|ExecutePlanQCrank' -benchtime=1x \
+		./internal/statevec/ ./internal/kernel/ ./internal/mgpu/
 
 # One P: the whole suite with GOMAXPROCS=1. The sweep pool, the grouped
 # expectation sweep's fan-out and its scratch free list, the service's

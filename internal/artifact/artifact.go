@@ -345,6 +345,9 @@ func (r *Reader) I64s() []int64 {
 	return out
 }
 
+// Skip consumes n bytes unread.
+func (r *Reader) Skip(n int) { r.take(n) }
+
 // Rest consumes and returns every unread byte.
 func (r *Reader) Rest() []byte { return r.take(len(r.b)) }
 

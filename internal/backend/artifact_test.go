@@ -55,10 +55,9 @@ func goldenCompiled() *Compiled {
 		}},
 		Plan: &kernel.TilePlan{
 			TileBits: 1, NumQubits: 2,
-			Segments: []kernel.Segment{{Kind: kernel.SegRun, Ops: []statevec.TileOp{
-				{Kind: statevec.TileMat1, M: [4]complex128{0.5, 0.5, 0.5, -0.5}},
-			}}},
-			Stats: kernel.PlanStats{TileLocal: 1, Runs: 1},
+			Segments: []kernel.Segment{{Kind: kernel.SegRun, Lo: 0, Hi: 1}},
+			Ops:      []statevec.TileOp{{Kind: statevec.TileMat1, M: [4]complex128{0.5, 0.5, 0.5, -0.5}}},
+			Stats:    kernel.PlanStats{TileLocal: 1, Runs: 1},
 		},
 		TransformStats: kernel.Stats{SourceOps: 2, EmittedOps: 2, Measurements: 1},
 		TileBits:       1,
@@ -72,5 +71,9 @@ func TestGoldenCompiled(t *testing.T) {
 	comp, err := DecodeCompiled(bytes.NewReader(want))
 	if err != nil || !reflect.DeepEqual(comp, goldenCompiled()) {
 		t.Fatalf("golden compiled circuit decodes to %+v (err %v)", comp, err)
+	}
+	// The writer is sized from this; short of the payload, it regrows.
+	if got, want := comp.EncodedLen(), len(artifacttest.Payload(t, want)); got != want {
+		t.Fatalf("EncodedLen %d, payload is %d bytes", got, want)
 	}
 }

@@ -21,7 +21,7 @@ const compiledVersion uint16 = 3
 
 // Encode writes the compiled circuit to w as one sealed artifact.
 func (c *Compiled) Encode(w io.Writer) error {
-	aw := artifact.NewWriter(int(c.SizeBytes()))
+	aw := artifact.NewWriter(c.EncodedLen())
 	WriteCompiled(aw, c)
 	if err := aw.SealTo(w, artifact.KindCompiled, compiledVersion, false); err != nil {
 		return fmt.Errorf("backend: %w", err)
@@ -69,6 +69,16 @@ func ReadCompiled(r *artifact.Reader) *Compiled {
 	comp.TransformStats = kernel.ReadStats(r)
 	comp.TileBits = r.Int()
 	return comp
+}
+
+// EncodedLen returns the length of c's WriteCompiled payload: what a
+// Writer is sized with (a plan is smaller in memory than on the wire).
+func (c *Compiled) EncodedLen() int {
+	n := c.Kernel.EncodedLen() + 1 + 6*8 + 8 // plan flag, transform stats, tile width
+	if c.Plan != nil {
+		n += c.Plan.EncodedLen()
+	}
+	return n
 }
 
 // SizeBytes returns the compiled circuit's resident memory footprint

@@ -100,15 +100,20 @@ func goldenPlan() *TilePlan {
 	return &TilePlan{
 		TileBits: 2, NumQubits: 3, GlobalBits: 1,
 		Segments: []Segment{
-			{Kind: SegRun, Ops: []statevec.TileOp{
-				{Kind: statevec.TileMat1, T: 1, M: [4]complex128{0, 1, 1, 0}},
-				{Kind: statevec.TileCX, T: 0, C: 1, HasCtrl: true, HighMask: 4, LowMask: 2, Phase: 1i, A: 0.5, B: -0.5,
-					Qubits: []uint{0, 1}, Mat: []complex128{1, 0, 0, 1}},
-			}},
-			{Kind: SegGlobal, Instr: Instr{Kind: KGate, Gate: gate.RY, Qubits: []int{2}, Params: []float64{0.25}}},
+			{Kind: SegRun, Lo: 0, Hi: 2},
+			{Kind: SegGlobal, Lo: 0, Hi: 1},
 			{Kind: SegBitSwap, A: 0, B: 2},
-			{Kind: SegExchange, TBit: 2, XOps: []ExchOp{{M: [4]complex128{1, 0, 0, -1}, LowCtrl: 1, RankCtrl: 0}}},
+			{Kind: SegExchange, Lo: 0, Hi: 1, A: 2},
 		},
+		Ops: []statevec.TileOp{
+			{Kind: statevec.TileMat1, T: 1, M: [4]complex128{0, 1, 1, 0}},
+			// Every wire field set at once: A, Phase and B (0.5, 1i, -0.5)
+			// ride in M wherever the op is no TileMat1.
+			{Kind: statevec.TileCX, T: 0, C: 1, HasCtrl: true, HighMask: 4, LowMask: 2, M: [4]complex128{0.5, 1i, 0, -0.5},
+				Fused: &statevec.FusedBlock{Qubits: []uint{0, 1}, Mat: []complex128{1, 0, 0, 1}}},
+		},
+		Globals:   []Instr{{Kind: KGate, Gate: gate.RY, Qubits: []int{2}, Params: []float64{0.25}}},
+		XOps:      []ExchOp{{M: [4]complex128{1, 0, 0, -1}, LowCtrl: 1, RankCtrl: 0}},
 		FinalPerm: []int{2, 1, 0},
 		Stats:     PlanStats{TileLocal: 2, Global: 1, Runs: 1, BitSwaps: 1, ExchangeSegs: 1, ExchangeGates: 1},
 		Bindable:  true, BindSlots: 1,
@@ -129,6 +134,38 @@ func TestGoldenArtifacts(t *testing.T) {
 	p, err := DecodePlan(bytes.NewReader(want))
 	if err != nil || !reflect.DeepEqual(p, goldenPlan()) {
 		t.Fatalf("golden plan decodes to %+v (err %v)", p, err)
+	}
+}
+
+// TestEncodedLenIsThePayloadLength: the writers are sized from
+// EncodedLen — not from SizeBytes, which is smaller than the wire form
+// now that a tile op is 96 bytes — so it must be the exact payload
+// length of every kernel and plan, or a save regrows its buffer midway.
+func TestEncodedLenIsThePayloadLength(t *testing.T) {
+	kernels := append(seedKernels(t), goldenKernel())
+	plans := []*TilePlan{goldenPlan()}
+	for _, k := range kernels {
+		for _, cfg := range []PlanConfig{
+			{TileBits: 2}, {TileBits: 1, FuseRuns: true}, {TileBits: 2, GlobalBits: 1}, {TileBits: 1, GlobalBits: 2, FuseRuns: true},
+		} {
+			// A fused block that reaches a rank bit has no distributed plan.
+			if p, err := Plan(k, cfg); err == nil {
+				plans = append(plans, p)
+			}
+		}
+	}
+	if len(plans) < 12 {
+		t.Fatalf("only %d plans compiled", len(plans))
+	}
+	for i, k := range kernels {
+		if got, want := k.EncodedLen(), len(artifacttest.Payload(t, encodeKernelBytes(t, k))); got != want {
+			t.Errorf("kernel %d: EncodedLen %d, payload is %d bytes", i, got, want)
+		}
+	}
+	for i, p := range plans {
+		if got, want := p.EncodedLen(), len(artifacttest.Payload(t, encodePlanBytes(t, p))); got != want {
+			t.Errorf("plan %d (%+v): EncodedLen %d, payload is %d bytes", i, p.Stats, got, want)
+		}
 	}
 }
 

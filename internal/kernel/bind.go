@@ -23,28 +23,32 @@ import (
 // time, entangling values with structure; fused plans are compiled
 // with Bindable=false and sweeps fall back to per-point compiles.
 
-// BindSiteKind says which segment field a binding site patches.
+// BindSiteKind says which arena a binding site patches.
 type BindSiteKind uint8
 
 const (
-	// BindRun patches Segments[Seg].Ops[Op] (a tile-run micro-op).
+	// BindRun patches op Op of run segment Seg (a tile micro-op).
 	BindRun BindSiteKind = iota
-	// BindGlobal patches Segments[Seg].Instr.Params (a full-sweep op).
+	// BindGlobal patches the Params of global segment Seg's instruction.
 	BindGlobal
-	// BindExch patches Segments[Seg].XOps[Op].M (an exchange-segment op).
+	// BindExch patches the matrix of op Op of exchange segment Seg.
 	BindExch
 )
+
+// bindSegment is the kind of segment each kind of site must point at:
+// the site indexes that segment's arena.
+var bindSegment = [...]SegmentKind{BindRun: SegRun, BindGlobal: SegGlobal, BindExch: SegExchange}
 
 // BindSite locates one parameterized gate's value-derived artifact
 // inside a compiled plan. Slot/NParams address the gate's values in
 // the flat parameter vector (program order over the source kernel).
 type BindSite struct {
 	Kind    BindSiteKind
-	Seg     int       // segment index
-	Op      int       // op index within Ops/XOps (unused for BindGlobal)
 	Gate    gate.Type // source gate, for re-deriving the matrix
-	Slot    int       // offset into the flat parameter vector
-	NParams int       // parameter count of the gate
+	Seg     int32     // segment index
+	Op      int32     // op index within the segment's range (unused for BindGlobal)
+	Slot    int32     // offset into the flat parameter vector
+	NParams int32     // parameter count of the gate
 }
 
 // NumParams returns the kernel's free-parameter count: summed
@@ -86,13 +90,13 @@ func (k *Kernel) Bind(params []float64) (*Kernel, error) {
 }
 
 // Bind returns a copy of the plan rebound to a new parameter vector.
-// Segment structure is shared; only segments holding a binding site
-// get copy-on-write op slices, and only the value-derived fields of
-// the sites themselves are recomputed — with the identical
-// gate.Matrix1 derivations compileTileOp makes, so at configurations
-// where plan structure is value-independent the result is
-// bit-identical to freshly compiling the rebound kernel. The receiver
-// is never mutated (plans are executed concurrently).
+// Segment headers, binding sites and the final permutation are shared;
+// the three arenas are copied — one copy each, whatever the segment
+// count — and only the value-derived fields of the sites themselves are
+// recomputed, with the identical gate.Matrix1 derivations compileTileOp
+// makes, so at configurations where plan structure is value-independent
+// the result is bit-identical to freshly compiling the rebound kernel.
+// The receiver is never mutated (plans are executed concurrently).
 func (p *TilePlan) Bind(params []float64) (*TilePlan, error) {
 	if !p.Bindable {
 		return nil, fmt.Errorf("kernel: plan was compiled without binding sites (run fusion entangles values with structure)")
@@ -101,43 +105,35 @@ func (p *TilePlan) Bind(params []float64) (*TilePlan, error) {
 		return nil, fmt.Errorf("kernel: binding %d values to a plan with %d parameter slots", len(params), p.BindSlots)
 	}
 	out := *p
-	out.Segments = append([]Segment(nil), p.Segments...)
-	copied := make(map[int]bool, len(p.Binds))
+	out.Ops = append([]statevec.TileOp(nil), p.Ops...)
+	out.XOps = append([]ExchOp(nil), p.XOps...)
+	out.Globals = append([]Instr(nil), p.Globals...)
 	for _, b := range p.Binds {
-		if b.Seg < 0 || b.Seg >= len(out.Segments) {
-			return nil, fmt.Errorf("kernel: binding site references segment %d of %d", b.Seg, len(out.Segments))
+		if b.Seg < 0 || int(b.Seg) >= len(p.Segments) {
+			return nil, fmt.Errorf("kernel: binding site references segment %d of %d", b.Seg, len(p.Segments))
 		}
-		if b.Slot < 0 || b.NParams < 0 || b.Slot+b.NParams > len(params) {
-			return nil, fmt.Errorf("kernel: binding site slot [%d,%d) outside %d-slot vector", b.Slot, b.Slot+b.NParams, len(params))
+		lo, hi := int(b.Slot), int(b.Slot)+int(b.NParams)
+		if lo < 0 || hi < lo || hi > len(params) {
+			return nil, fmt.Errorf("kernel: binding site slot [%d,%d) outside %d-slot vector", lo, hi, len(params))
 		}
-		seg := &out.Segments[b.Seg]
-		vals := params[b.Slot : b.Slot+b.NParams]
+		seg := p.Segments[b.Seg]
+		if int(b.Kind) >= len(bindSegment) || seg.Kind != bindSegment[b.Kind] {
+			return nil, fmt.Errorf("kernel: binding site of kind %d references segment %d of kind %d", b.Kind, b.Seg, seg.Kind)
+		}
+		if b.Op < 0 || b.Op >= seg.Hi-seg.Lo {
+			return nil, fmt.Errorf("kernel: binding site references op %d of %d in segment %d", b.Op, seg.Hi-seg.Lo, b.Seg)
+		}
+		at := seg.Lo + b.Op
+		vals := params[lo:hi]
 		switch b.Kind {
 		case BindRun:
-			if b.Op < 0 || b.Op >= len(seg.Ops) {
-				return nil, fmt.Errorf("kernel: binding site references op %d of %d in segment %d", b.Op, len(seg.Ops), b.Seg)
-			}
-			if !copied[b.Seg] {
-				seg.Ops = append([]statevec.TileOp(nil), seg.Ops...)
-				copied[b.Seg] = true
-			}
-			rebindTileOp(&seg.Ops[b.Op], b.Gate, vals)
+			rebindTileOp(&out.Ops[at], b.Gate, vals)
 		case BindGlobal:
-			// Segment structs were copied with the slice; give the
-			// instruction a fresh Params backing so the source plan's
-			// slice (shared with the kernel) stays untouched.
-			seg.Instr.Params = append([]float64(nil), vals...)
+			// A fresh Params backing: the source plan's slice (shared
+			// with the kernel) stays untouched.
+			out.Globals[at].Params = append([]float64(nil), vals...)
 		case BindExch:
-			if b.Op < 0 || b.Op >= len(seg.XOps) {
-				return nil, fmt.Errorf("kernel: binding site references exchange op %d of %d in segment %d", b.Op, len(seg.XOps), b.Seg)
-			}
-			if !copied[b.Seg] {
-				seg.XOps = append([]ExchOp(nil), seg.XOps...)
-				copied[b.Seg] = true
-			}
-			seg.XOps[b.Op].M = exchMatrix(b.Gate, vals)
-		default:
-			return nil, fmt.Errorf("kernel: unknown binding-site kind %d", b.Kind)
+			out.XOps[at].M = targetMatrix(b.Gate, vals)
 		}
 	}
 	return &out, nil
@@ -150,27 +146,23 @@ func rebindTileOp(op *statevec.TileOp, g gate.Type, vals []float64) {
 	switch {
 	case g == gate.RZ:
 		m := gate.Matrix1(g, vals)
-		op.A, op.B = m[0], m[3]
+		*op = statevec.RelPhaseOp(m[0], m[3], op.T, op.HighMask)
 	case statevec.IsDiagonalGate(g):
-		src := g
 		if g == gate.CP {
-			src = gate.P
+			g = gate.P
 		}
-		op.Phase = gate.Matrix1(src, vals)[3]
-	case g == gate.CRY:
-		op.M = gate.Matrix1(gate.RY, vals)
-	default: // rx, ry, u3, and any future parameterized mat1
-		op.M = gate.Matrix1(g, vals)
+		*op = statevec.DiagOp(gate.Matrix1(g, vals)[3], op.LowMask, op.HighMask)
+	default:
+		op.M = targetMatrix(g, vals)
 	}
 }
 
-// exchMatrix re-derives an exchange op's 2×2 for new values, mirroring
-// the exchange lowering in Plan's add.
-func exchMatrix(g gate.Type, vals []float64) gate.Mat2 {
-	switch {
-	case g == gate.CRY:
-		return gate.Matrix1(gate.RY, vals)
-	default:
-		return gate.Matrix1(g, vals)
+// targetMatrix re-derives the 2×2 a non-diagonal parameterized gate
+// applies to its target (rx, ry, u3; cry's is ry's) for new values,
+// mirroring the lowerings in compileTileOp and Plan's add.
+func targetMatrix(g gate.Type, vals []float64) gate.Mat2 {
+	if g == gate.CRY {
+		g = gate.RY
 	}
+	return gate.Matrix1(g, vals)
 }

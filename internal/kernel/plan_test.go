@@ -49,15 +49,8 @@ func TestRunFusionFoldsAdjacentMat1(t *testing.T) {
 		t.Errorf("TileLocal changed under fusion: %d vs %d (source gates must still be counted)", got, want)
 	}
 	// Fewer executed micro-ops, same distribution to rounding.
-	opCount := func(p *TilePlan) int {
-		total := 0
-		for _, seg := range p.Segments {
-			total += len(seg.Ops)
-		}
-		return total
-	}
-	if opCount(fused) >= opCount(exact) {
-		t.Errorf("fusion did not shrink the op stream: %d vs %d", opCount(fused), opCount(exact))
+	if len(fused.Ops) >= len(exact.Ops) {
+		t.Errorf("fusion did not shrink the op stream: %d vs %d", len(fused.Ops), len(exact.Ops))
 	}
 	a := statevec.MustNew(n, 1)
 	if err := exact.Execute(a); err != nil {
@@ -122,16 +115,9 @@ func TestRunFusionFoldsDiagonals(t *testing.T) {
 			if fused.Stats.FusedOps == 0 {
 				t.Fatal("no micro-ops folded in a diagonal-heavy stream")
 			}
-			opCount := func(p *TilePlan) int {
-				total := 0
-				for _, seg := range p.Segments {
-					total += len(seg.Ops)
-				}
-				return total
-			}
-			if opCount(fused) >= opCount(exact) {
+			if len(fused.Ops) >= len(exact.Ops) {
 				t.Errorf("diag folding did not shrink the op stream: %d vs %d",
-					opCount(fused), opCount(exact))
+					len(fused.Ops), len(exact.Ops))
 			}
 			a := statevec.MustNew(n, 1)
 			if err := exact.Execute(a); err != nil {
@@ -163,10 +149,7 @@ func TestDiagDiagCollapsesToRelPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ops []statevec.TileOp
-	for _, seg := range fused.Segments {
-		ops = append(ops, seg.Ops...)
-	}
+	ops := fused.Ops
 	if len(ops) != 1 {
 		t.Fatalf("want 1 merged micro-op, got %d", len(ops))
 	}
@@ -176,8 +159,8 @@ func TestDiagDiagCollapsesToRelPhase(t *testing.T) {
 	}
 	// T then S is diag(1, e^{iπ/4}) then diag(1, i): product diag(1, e^{i3π/4}).
 	want := complex(math.Cos(3*math.Pi/4), math.Sin(3*math.Pi/4))
-	if cmplx.Abs(op.A-1) > 1e-15 || cmplx.Abs(op.B-want) > 1e-15 {
-		t.Fatalf("merged factors A=%v B=%v, want A=1 B=%v", op.A, op.B, want)
+	if a, b := op.AB(); cmplx.Abs(a-1) > 1e-15 || cmplx.Abs(b-want) > 1e-15 {
+		t.Fatalf("merged factors A=%v B=%v, want A=1 B=%v", a, b, want)
 	}
 	if fused.Stats.FusedOps != 1 {
 		t.Fatalf("FusedOps = %d, want 1", fused.Stats.FusedOps)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	mbits "math/bits"
+	"slices"
 
 	"qgear/internal/cancel"
 	"qgear/internal/gate"
@@ -100,14 +101,17 @@ type ExchOp struct {
 	RankCtrl uint64 // absolute rank-bit positions (≥ local) that must all be 1
 }
 
-// Segment is one step of a tiled execution plan.
+// Segment is one step of a tiled execution plan: a 20-byte header over
+// the plan's arenas, so a run of one op costs what the op costs.
 type Segment struct {
-	Kind  SegmentKind
-	Ops   []statevec.TileOp // SegRun
-	Instr Instr             // SegGlobal, with physical qubit operands
-	A, B  int               // SegBitSwap: physical bit positions
-	TBit  int               // SegExchange: rank-bit target position
-	XOps  []ExchOp          // SegExchange
+	Kind SegmentKind
+	// [Lo, Hi) is the segment's range of TilePlan.Ops (SegRun), XOps
+	// (SegExchange) or Globals (SegGlobal, one entry). Ranges follow
+	// program order and tile their arena exactly.
+	Lo, Hi int32
+	// A, B are a SegBitSwap's physical bit positions; A alone is a
+	// SegExchange's rank-bit target position.
+	A, B int32
 }
 
 // PlanStats summarizes what the scheduler did. It travels with the
@@ -147,11 +151,18 @@ type PlanConfig struct {
 // distributed mgpu engine (DistState.ExecutePlanCancel). It is immutable
 // after planning and safe to execute against many states concurrently,
 // which is what lets the service layer cache plans across submissions.
+//
+// Everything a segment executes lives in one of three arenas the
+// segment headers index into: a plan is four allocations plus its
+// binding sites, whatever its length.
 type TilePlan struct {
 	TileBits   int
 	NumQubits  int
 	GlobalBits int // rank-index bits of a distributed plan; 0 = single-process
 	Segments   []Segment
+	Ops        []statevec.TileOp // every SegRun's micro-ops, in program order
+	XOps       []ExchOp          // every SegExchange's ops
+	Globals    []Instr           // every SegGlobal's instruction, with physical qubit operands
 	// FinalPerm is the logical→physical layout the state data is left
 	// in after all segments run (nil when it ends at the identity);
 	// Execute hands it to the state, which materializes lazily on
@@ -167,6 +178,18 @@ type TilePlan struct {
 	Binds     []BindSite
 	BindSlots int
 	Bindable  bool
+}
+
+// planned reports whether the plan compiler emits anything for in:
+// barriers, measurements and identities compile to nothing.
+func planned(in Instr) bool {
+	switch in.Kind {
+	case KBarrier, KMeasure:
+		return false
+	case KGate:
+		return in.Gate != gate.Barrier && in.Gate != gate.Measure && in.Gate != gate.I
+	}
+	return true
 }
 
 // mixingTargets appends to dst the logical qubits instruction in mixes
@@ -221,32 +244,67 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	p := &TilePlan{TileBits: tileBits, NumQubits: k.NumQubits, GlobalBits: g}
 	n := k.NumQubits
 
-	// Binding-site recording: slotOf[i] is instruction i's offset into
-	// the flat parameter vector. Fusion pre-multiplies values into
-	// matrices, so fused plans skip recording and stay non-bindable.
-	bindable := !cfg.FuseRuns
-	slotOf := make([]int, len(k.Instrs))
-	slots := 0
-	for i, in := range k.Instrs {
-		slotOf[i] = slots
-		if in.Kind == KGate && in.Gate.ParamCount() > 0 {
-			slots += len(in.Params)
-		}
-	}
-	p.BindSlots = slots
-	var pendRun, pendX []BindSite
-
-	// Per-qubit mixing-use positions, for residency decisions: uses[q]
-	// lists the instruction indices where q must be tile-resident, and
-	// ptr[q] advances monotonically as planning walks the stream.
+	// One pass over the instruction stream sizes what the plan will
+	// hold, so ops and binding sites are written in place and no arena
+	// regrows. uses[q] lists the instruction indices where q must be
+	// tile-resident (ptr[q] advances monotonically as planning walks the
+	// stream). The tile-op / exchange-op split is static: rank bits
+	// never relabel, so a qubit sits on a rank position iff its index is
+	// at or above local. Every shard-local op counts as a tile op; the
+	// few that fall back to a global sweep leave their slot unused.
 	uses := make([][]int, n)
 	var scratch []int
+	var nOps, nXOps, nBinds int
+	count := func(target int) {
+		if target >= local {
+			nXOps++
+		} else {
+			nOps++
+		}
+	}
 	for i, in := range k.Instrs {
+		if in.Kind == KGate && in.Gate.ParamCount() > 0 {
+			nBinds++
+		}
 		scratch = mixingTargets(in, scratch[:0])
 		for _, q := range scratch {
 			uses[q] = append(uses[q], i)
 		}
+		switch {
+		case !planned(in):
+		case in.Kind == KGate && in.Gate == gate.SWAP:
+			if a, b := in.Qubits[0], in.Qubits[1]; max(a, b) >= local { // three CX: targets b, a, b
+				count(b)
+				count(a)
+				count(b)
+			}
+		default:
+			t := -1
+			for _, q := range scratch {
+				t = max(t, q)
+			}
+			count(t)
+		}
 	}
+	p.Ops, p.XOps = arena[statevec.TileOp](nOps), arena[ExchOp](nXOps)
+	// Fusion pre-multiplies values into matrices, so fused plans record
+	// no binding sites and stay non-bindable.
+	if p.Bindable = !cfg.FuseRuns; p.Bindable {
+		p.Binds = arena[BindSite](nBinds)
+	}
+	// bind records where the parameterized gate in left its value-derived
+	// artifact — op op of segment seg — and advances BindSlots, the
+	// gate's offset into the flat parameter vector (program order).
+	bind := func(kind BindSiteKind, seg, op int, in Instr) {
+		if in.Kind != KGate || in.Gate.ParamCount() == 0 {
+			return
+		}
+		if p.Bindable {
+			p.Binds = append(p.Binds, BindSite{Kind: kind, Gate: in.Gate, Seg: int32(seg), Op: int32(op), Slot: int32(p.BindSlots), NParams: int32(len(in.Params))})
+		}
+		p.BindSlots += len(in.Params)
+	}
+
 	ptr := make([]int, n)
 	nextUse := func(q, i int) int { // first mixing use at or after i
 		for ptr[q] < len(uses[q]) && uses[q][ptr[q]] < i {
@@ -268,59 +326,20 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 		perm[q], inv[q] = q, q
 	}
 
-	var run []statevec.TileOp
-	flush := func() {
-		if len(run) == 0 {
-			return
-		}
-		seg := len(p.Segments)
-		p.Segments = append(p.Segments, Segment{Kind: SegRun, Ops: append([]statevec.TileOp(nil), run...)})
-		for _, b := range pendRun {
-			b.Seg = seg
-			p.Binds = append(p.Binds, b)
-		}
-		pendRun = pendRun[:0]
-		p.Stats.Runs++
-		run = run[:0]
-	}
-
-	var xOps []ExchOp
-	xTBit := -1
-	flushX := func() {
-		if len(xOps) == 0 {
-			return
-		}
-		seg := len(p.Segments)
-		p.Segments = append(p.Segments, Segment{Kind: SegExchange, TBit: xTBit, XOps: append([]ExchOp(nil), xOps...)})
-		for _, b := range pendX {
-			b.Seg = seg
-			p.Binds = append(p.Binds, b)
-		}
-		pendX = pendX[:0]
-		p.Stats.ExchangeSegs++
-		p.Stats.ExchangeGates += len(xOps)
-		xOps = xOps[:0]
-	}
-
-	isOperand := func(in Instr, q int) bool {
-		for _, o := range in.Qubits {
-			if o == q {
-				return true
-			}
-		}
-		return false
-	}
+	// run and xseg index the open SegRun / SegExchange header — the one
+	// the next tile op / exchange op extends in place — or are -1. At
+	// most one is open at a time; closing one is forgetting its index.
+	run, xseg := -1, -1
 
 	// relabel brings logical qubit q (currently high but shard-local)
 	// below the tile boundary with one physical bit-swap, evicting the
 	// resident qubit whose next mixing use is farthest away (never an
-	// operand of the current instruction). Returns false when no slot
-	// qualifies.
-	relabel := func(in Instr, q, i int) bool {
+	// operand of the current instruction); a no-op when no slot qualifies.
+	relabel := func(in Instr, q, i int) {
 		victim, victimNext := -1, -1
 		for v := 0; v < tileBits; v++ {
 			lq := inv[v]
-			if isOperand(in, lq) {
+			if slices.Contains(in.Qubits, lq) {
 				continue
 			}
 			nu := nextUse(lq, i+1)
@@ -333,16 +352,15 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 			}
 		}
 		if victim < 0 {
-			return false
+			return
 		}
-		flush()
+		run = -1
 		src := perm[q]
-		p.Segments = append(p.Segments, Segment{Kind: SegBitSwap, A: victim, B: src})
+		p.Segments = append(p.Segments, Segment{Kind: SegBitSwap, A: int32(victim), B: int32(src)})
 		p.Stats.BitSwaps++
 		vq := inv[victim]
 		perm[q], perm[vq] = victim, src
 		inv[victim], inv[src] = q, vq
-		return true
 	}
 
 	// plainMat1 reports whether op is an uncontrolled, unpredicated
@@ -354,16 +372,17 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	// diagFactors recognizes a single-target, unpredicated diagonal
 	// micro-op on a low target and returns it as diag(a, b) on t:
 	// TileRelPhase directly, TileDiag with one low bit as diag(1, Phase).
-	diagFactors := func(op *statevec.TileOp) (t uint, a, b complex128, ok bool) {
+	diagFactors := func(op *statevec.TileOp) (t uint8, a, b complex128, ok bool) {
 		if op.HighMask != 0 {
 			return 0, 0, 0, false
 		}
 		switch op.Kind {
 		case statevec.TileRelPhase:
-			return op.T, op.A, op.B, true
+			a, b = op.AB()
+			return op.T, a, b, true
 		case statevec.TileDiag:
 			if mbits.OnesCount64(op.LowMask) == 1 {
-				return uint(mbits.TrailingZeros64(op.LowMask)), 1, op.Phase, true
+				return uint8(mbits.TrailingZeros64(op.LowMask)), 1, op.Phase(), true
 			}
 		}
 		return 0, 0, 0, false
@@ -381,8 +400,12 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	// agree with per-gate execution to rounding, not bitwise — the
 	// documented FuseRuns trade.
 	appendRunOp := func(op statevec.TileOp) {
-		if cfg.FuseRuns && len(run) > 0 {
-			last := &run[len(run)-1]
+		if run < 0 {
+			run = len(p.Segments)
+			p.Segments = append(p.Segments, Segment{Kind: SegRun, Lo: int32(len(p.Ops)), Hi: int32(len(p.Ops))})
+			p.Stats.Runs++
+		} else if cfg.FuseRuns {
+			last := &p.Ops[len(p.Ops)-1]
 			if plainMat1(&op) {
 				if plainMat1(last) && last.T == op.T {
 					last.M = op.M.Mul(last.M)
@@ -410,44 +433,40 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 					return
 				}
 				if lt, la, lb, lok := diagFactors(last); lok && lt == t {
-					*last = statevec.TileOp{Kind: statevec.TileRelPhase, T: t, A: la * a, B: lb * b}
+					*last = statevec.RelPhaseOp(la*a, lb*b, t, 0)
 					p.Stats.FusedOps++
 					return
 				}
 			}
 		}
-		run = append(run, op)
+		p.Ops = append(p.Ops, op)
+		p.Segments[run].Hi++
 	}
 
 	// add processes one instruction; SWAPs crossing the rank boundary
 	// recurse through it as their three-CX decomposition.
 	var add func(in Instr, i int) error
 	add = func(in Instr, i int) error {
-		switch in.Kind {
-		case KBarrier, KMeasure:
+		if !planned(in) {
 			return nil
-		case KGate:
-			if in.Gate == gate.Barrier || in.Gate == gate.Measure || in.Gate == gate.I {
+		}
+		if in.Kind == KGate && in.Gate == gate.SWAP {
+			a, b := in.Qubits[0], in.Qubits[1]
+			pa, pb := perm[a], perm[b]
+			if pa < local && pb < local {
+				perm[a], perm[b] = pb, pa
+				inv[pa], inv[pb] = b, a
+				p.Stats.PermSwaps++
 				return nil
 			}
-			if in.Gate == gate.SWAP {
-				a, b := in.Qubits[0], in.Qubits[1]
-				pa, pb := perm[a], perm[b]
-				if pa < local && pb < local {
-					perm[a], perm[b] = pb, pa
-					inv[pa], inv[pb] = b, a
-					p.Stats.PermSwaps++
-					return nil
+			// A rank-bit operand: the data really moves between
+			// ranks, so decompose into the textbook three CX.
+			for _, pair := range [3][2]int{{a, b}, {b, a}, {a, b}} {
+				if err := add(Instr{Kind: KGate, Gate: gate.CX, Qubits: []int{pair[0], pair[1]}}, i); err != nil {
+					return err
 				}
-				// A rank-bit operand: the data really moves between
-				// ranks, so decompose into the textbook three CX.
-				for _, pair := range [3][2]int{{a, b}, {b, a}, {a, b}} {
-					if err := add(Instr{Kind: KGate, Gate: gate.CX, Qubits: []int{pair[0], pair[1]}}, i); err != nil {
-						return err
-					}
-				}
-				return nil
 			}
+			return nil
 		}
 
 		scratch = mixingTargets(in, scratch[:0])
@@ -456,28 +475,18 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 		// exchange segment (one buffer exchange per segment, not per
 		// gate). Controls and diagonal factors never land here — they
 		// stay HighMask predicates.
-		xq := -1
-		for _, q := range scratch {
-			if perm[q] >= local {
-				xq = q
-				break
-			}
-		}
-		if xq >= 0 {
+		if xi := slices.IndexFunc(scratch, func(q int) bool { return perm[q] >= local }); xi >= 0 {
+			xq := scratch[xi]
 			if in.Kind == KFused {
 				return fmt.Errorf("kernel: fused op touches rank-global qubit %d; restrict fusion to local qubits", xq)
 			}
-			var op ExchOp
-			switch {
-			case in.Gate.Arity() == 1:
-				op.M = gate.Matrix1(in.Gate, in.Params)
-			case in.Gate == gate.CX:
-				op.M = gate.Matrix1(gate.X, nil)
-			case in.Gate == gate.CRY:
-				op.M = gate.Matrix1(gate.RY, in.Params)
-			default:
-				return fmt.Errorf("kernel: unhandled rank-global gate %v", in.Gate)
+			g := in.Gate
+			if g == gate.CX {
+				g = gate.X
+			} else if g.Arity() == 2 && g != gate.CRY {
+				return fmt.Errorf("kernel: unhandled rank-global gate %v", g)
 			}
+			op := ExchOp{M: targetMatrix(g, in.Params)}
 			if in.Gate.Arity() == 2 {
 				if cpos := perm[in.Qubits[0]]; cpos < local {
 					op.LowCtrl = 1 << uint(cpos)
@@ -485,23 +494,21 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 					op.RankCtrl = 1 << uint(cpos)
 				}
 			}
-			t := perm[xq]
-			if len(xOps) > 0 && xTBit != t {
-				flushX()
+			if t := int32(perm[xq]); xseg < 0 || p.Segments[xseg].A != t {
+				run = -1
+				xseg = len(p.Segments)
+				p.Segments = append(p.Segments, Segment{Kind: SegExchange, Lo: int32(len(p.XOps)), Hi: int32(len(p.XOps)), A: t})
+				p.Stats.ExchangeSegs++
 			}
-			if len(xOps) == 0 {
-				flush()
-				xTBit = t
-			}
-			xOps = append(xOps, op)
-			if bindable && in.Gate.ParamCount() > 0 {
-				pendX = append(pendX, BindSite{Kind: BindExch, Op: len(xOps) - 1, Gate: in.Gate, Slot: slotOf[i], NParams: len(in.Params)})
-			}
+			bind(BindExch, xseg, len(p.XOps)-int(p.Segments[xseg].Lo), in)
+			p.XOps = append(p.XOps, op)
+			p.Segments[xseg].Hi++
+			p.Stats.ExchangeGates++
 			return nil
 		}
 		// Anything else closes the exchange segment (ops must stay in
 		// program order across segment kinds).
-		flushX()
+		xseg = -1
 
 		// Relabel any high shard-local mixing target that will be mixed
 		// again; rank bits never relabel — moving them is communication.
@@ -513,19 +520,12 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 			}
 		}
 
-		tileLocal := true
-		for _, q := range scratch {
-			if perm[q] >= tileBits {
-				tileLocal = false
-				break
-			}
-		}
-		if !tileLocal {
-			flush()
-			p.Segments = append(p.Segments, Segment{Kind: SegGlobal, Instr: physInstr(in, perm)})
-			if bindable && in.Kind == KGate && in.Gate.ParamCount() > 0 {
-				p.Binds = append(p.Binds, BindSite{Kind: BindGlobal, Seg: len(p.Segments) - 1, Gate: in.Gate, Slot: slotOf[i], NParams: len(in.Params)})
-			}
+		if slices.ContainsFunc(scratch, func(q int) bool { return perm[q] >= tileBits }) {
+			run = -1
+			at := int32(len(p.Globals))
+			p.Globals = append(p.Globals, physInstr(in, perm))
+			bind(BindGlobal, len(p.Segments), 0, in)
+			p.Segments = append(p.Segments, Segment{Kind: SegGlobal, Lo: at, Hi: at + 1})
 			p.Stats.Global++
 			return nil
 		}
@@ -534,9 +534,7 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 			p.Stats.RankLocal++
 		}
 		appendRunOp(op)
-		if bindable && in.Kind == KGate && in.Gate.ParamCount() > 0 {
-			pendRun = append(pendRun, BindSite{Kind: BindRun, Op: len(run) - 1, Gate: in.Gate, Slot: slotOf[i], NParams: len(in.Params)})
-		}
+		bind(BindRun, run, len(p.Ops)-1-int(p.Segments[run].Lo), in)
 		p.Stats.TileLocal++
 		return nil
 	}
@@ -546,8 +544,6 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 			return nil, err
 		}
 	}
-	flush()
-	flushX()
 
 	identity := true
 	for q, pos := range perm {
@@ -559,7 +555,6 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	if !identity {
 		p.FinalPerm = append([]int(nil), perm...)
 	}
-	p.Bindable = bindable
 	return p, nil
 }
 
@@ -578,8 +573,7 @@ func physInstr(in Instr, perm []int) Instr {
 // them (statevec.ApplyGate), keeping the two executors
 // arithmetic-identical. Positions at or above the tile width
 // land in HighMask — including rank-bit positions of distributed
-// plans, which each rank resolves against its own rank index before
-// running the op.
+// plans, which each rank's shard base answers (statevec.ApplyTileRun).
 func compileTileOp(in Instr, perm []int, tileBits int) statevec.TileOp {
 	split := func(pos int) (low uint64, high uint64) {
 		if pos < tileBits {
@@ -587,12 +581,22 @@ func compileTileOp(in Instr, perm []int, tileBits int) statevec.TileOp {
 		}
 		return 0, 1 << uint(pos)
 	}
-	if in.Kind == KFused {
-		op := statevec.TileOp{Kind: statevec.TileFused, Mat: in.Mat, Qubits: make([]uint, len(in.Qubits))}
-		for j, q := range in.Qubits {
-			op.Qubits[j] = uint(perm[q])
+	// ctrl places a control: a low one is the op's C, a high one a
+	// HighMask predicate.
+	ctrl := func(op statevec.TileOp, pos int) statevec.TileOp {
+		if pos < tileBits {
+			op.C, op.HasCtrl = uint8(pos), true
+		} else {
+			op.HighMask = 1 << uint(pos)
 		}
 		return op
+	}
+	if in.Kind == KFused {
+		fb := &statevec.FusedBlock{Mat: in.Mat, Qubits: make([]uint, len(in.Qubits))}
+		for j, q := range in.Qubits {
+			fb.Qubits[j] = uint(perm[q])
+		}
+		return statevec.TileOp{Kind: statevec.TileFused, Fused: fb}
 	}
 	g := in.Gate
 	switch {
@@ -600,56 +604,34 @@ func compileTileOp(in Instr, perm []int, tileBits int) statevec.TileOp {
 		switch g {
 		case gate.RZ:
 			m := gate.Matrix1(g, in.Params)
-			op := statevec.TileOp{Kind: statevec.TileRelPhase, A: m[0], B: m[3]}
 			pos := perm[in.Qubits[0]]
 			if pos < tileBits {
-				op.T = uint(pos)
-			} else {
-				op.HighMask = 1 << uint(pos)
+				return statevec.RelPhaseOp(m[0], m[3], uint8(pos), 0)
 			}
-			return op
-		case gate.CZ, gate.CP:
-			phase := complex128(-1)
+			return statevec.RelPhaseOp(m[0], m[3], 0, 1<<uint(pos))
+		default: // z, s, sdg, t, tdg, p, cz, cp: one phase where every operand bit is 1
+			phase := complex128(-1) // cz
 			if g == gate.CP {
 				phase = gate.Matrix1(gate.P, in.Params)[3]
+			} else if g != gate.CZ {
+				phase = gate.Matrix1(g, in.Params)[3]
 			}
-			op := statevec.TileOp{Kind: statevec.TileDiag, Phase: phase}
+			var lowMask, highMask uint64
 			for _, q := range in.Qubits {
 				low, high := split(perm[q])
-				op.LowMask |= low
-				op.HighMask |= high
+				lowMask |= low
+				highMask |= high
 			}
-			return op
-		default: // z, s, sdg, t, tdg, p
-			op := statevec.TileOp{Kind: statevec.TileDiag, Phase: gate.Matrix1(g, in.Params)[3]}
-			op.LowMask, op.HighMask = split(perm[in.Qubits[0]])
-			return op
+			return statevec.DiagOp(phase, lowMask, highMask)
 		}
 	case g == gate.CX:
-		op := statevec.TileOp{Kind: statevec.TileCX, T: uint(perm[in.Qubits[1]])}
-		if cpos := perm[in.Qubits[0]]; cpos < tileBits {
-			op.C, op.HasCtrl = uint(cpos), true
-		} else {
-			op.HighMask = 1 << uint(cpos)
-		}
-		return op
-	case g.Arity() == 2: // cry (cz/cp are diagonal, swap never reaches here)
-		var m gate.Mat2
-		switch g {
-		case gate.CRY:
-			m = gate.Matrix1(gate.RY, in.Params)
-		default:
-			panic(fmt.Sprintf("kernel: unhandled two-qubit gate %v in tile compiler", g))
-		}
-		op := statevec.TileOp{Kind: statevec.TileMat1, T: uint(perm[in.Qubits[1]]), M: m}
-		if cpos := perm[in.Qubits[0]]; cpos < tileBits {
-			op.C, op.HasCtrl = uint(cpos), true
-		} else {
-			op.HighMask = 1 << uint(cpos)
-		}
-		return op
+		return ctrl(statevec.TileOp{Kind: statevec.TileCX, T: uint8(perm[in.Qubits[1]])}, perm[in.Qubits[0]])
+	case g == gate.CRY: // cz/cp are diagonal, swap never reaches here
+		return ctrl(statevec.TileOp{Kind: statevec.TileMat1, T: uint8(perm[in.Qubits[1]]), M: gate.Matrix1(gate.RY, in.Params)}, perm[in.Qubits[0]])
+	case g.Arity() == 2:
+		panic(fmt.Sprintf("kernel: unhandled two-qubit gate %v in tile compiler", g))
 	default:
-		return statevec.TileOp{Kind: statevec.TileMat1, T: uint(perm[in.Qubits[0]]), M: gate.Matrix1(g, in.Params)}
+		return statevec.TileOp{Kind: statevec.TileMat1, T: uint8(perm[in.Qubits[0]]), M: gate.Matrix1(g, in.Params)}
 	}
 }
 
@@ -679,17 +661,17 @@ func (p *TilePlan) ExecuteCancel(s *statevec.State, flag *cancel.Flag) error {
 		}
 		switch seg.Kind {
 		case SegRun:
-			if err := s.ApplyTileRun(p.TileBits, seg.Ops); err != nil {
+			if err := s.ApplyTileRun(p.TileBits, 0, p.Ops[seg.Lo:seg.Hi]); err != nil {
 				return fmt.Errorf("kernel: tile run %d: %w", i, err)
 			}
 		case SegBitSwap:
-			s.ApplySwap(seg.A, seg.B)
+			s.ApplySwap(int(seg.A), int(seg.B))
 		case SegGlobal:
-			switch seg.Instr.Kind {
+			switch in := &p.Globals[seg.Lo]; in.Kind {
 			case KGate:
-				s.ApplyGate(seg.Instr.Gate, seg.Instr.Qubits, seg.Instr.Params)
+				s.ApplyGate(in.Gate, in.Qubits, in.Params)
 			case KFused:
-				if err := s.ApplyFused(seg.Instr.Qubits, seg.Instr.Mat); err != nil {
+				if err := s.ApplyFused(in.Qubits, in.Mat); err != nil {
 					return fmt.Errorf("kernel: global segment %d: %w", i, err)
 				}
 			}

@@ -28,11 +28,12 @@ const (
 	minTileOpBytes  = 1 + 4 + 4 + 1 + 8 + 8 + 7*16 + 4 + 4
 	exchOpBytes     = 4*16 + 8 + 8
 	bindSiteBytes   = 1 + 4 + 4 + 1 + 4 + 4
+	planStatsBytes  = 9 * 8
 )
 
 // EncodeKernel writes k to w as one sealed artifact.
 func EncodeKernel(w io.Writer, k *Kernel) error {
-	aw := artifact.NewWriter(64 + 64*len(k.Instrs))
+	aw := artifact.NewWriter(k.EncodedLen())
 	WriteKernel(aw, k)
 	return aw.SealTo(w, artifact.KindKernel, serialVersion, false)
 }
@@ -165,7 +166,7 @@ func ReadPlanStats(r *artifact.Reader) (s PlanStats) {
 
 // EncodePlan writes p to w as one sealed artifact.
 func EncodePlan(w io.Writer, p *TilePlan) error {
-	aw := artifact.NewWriter(256 + int(p.SizeBytes()))
+	aw := artifact.NewWriter(p.EncodedLen())
 	WritePlan(aw, p)
 	return aw.SealTo(w, artifact.KindPlan, serialVersion, false)
 }
@@ -184,7 +185,9 @@ func DecodePlan(r io.Reader) (*TilePlan, error) {
 }
 
 // WritePlan appends p's payload encoding; a segment kind it cannot
-// encode fails the Writer.
+// encode fails the Writer. The layout predates the arenas and is
+// unchanged by them: every segment carries its own ops inline, and a
+// tile op spells out Phase, A, B and the 2×2 as separate fields.
 func WritePlan(w *artifact.Writer, p *TilePlan) {
 	w.U32(uint32(p.TileBits))
 	w.U32(uint32(p.NumQubits))
@@ -194,19 +197,21 @@ func WritePlan(w *artifact.Writer, p *TilePlan) {
 		w.U8(uint8(seg.Kind))
 		switch seg.Kind {
 		case SegRun:
-			w.Count(len(seg.Ops))
-			for _, op := range seg.Ops {
-				writeTileOp(w, op)
+			ops := p.Ops[seg.Lo:seg.Hi]
+			w.Count(len(ops))
+			for i := range ops {
+				writeTileOp(w, &ops[i])
 			}
 		case SegGlobal:
-			writeInstr(w, seg.Instr)
+			writeInstr(w, p.Globals[seg.Lo])
 		case SegBitSwap:
 			w.U32(uint32(seg.A))
 			w.U32(uint32(seg.B))
 		case SegExchange:
-			w.U32(uint32(seg.TBit))
-			w.Count(len(seg.XOps))
-			for _, x := range seg.XOps {
+			w.U32(uint32(seg.A))
+			xops := p.XOps[seg.Lo:seg.Hi]
+			w.Count(len(xops))
+			for _, x := range xops {
 				for _, m := range x.M {
 					w.C128(m)
 				}
@@ -235,83 +240,165 @@ func WritePlan(w *artifact.Writer, p *TilePlan) {
 	}
 }
 
-func writeTileOp(w *artifact.Writer, op statevec.TileOp) {
+func writeTileOp(w *artifact.Writer, op *statevec.TileOp) {
 	w.U8(uint8(op.Kind))
 	w.U32(uint32(op.T))
 	w.U32(uint32(op.C))
 	w.Bool(op.HasCtrl)
 	w.U64(op.HighMask)
 	w.U64(op.LowMask)
-	w.C128(op.Phase)
-	w.C128(op.A)
-	w.C128(op.B)
-	for _, m := range op.M {
-		w.C128(m)
+	// The one value slot spreads over the wire's seven: a TileMat1 writes
+	// its matrix and zero factors, every other kind its factors and a
+	// zero matrix. readTileOp accepts exactly these shapes.
+	var phase, a, b complex128
+	m := op.M
+	if op.Kind != statevec.TileMat1 {
+		a, b = op.AB()
+		phase, m = op.Phase(), gate.Mat2{}
 	}
-	w.Count(len(op.Qubits))
-	for _, q := range op.Qubits {
+	w.C128(phase)
+	w.C128(a)
+	w.C128(b)
+	for _, v := range m {
+		w.C128(v)
+	}
+	var fb statevec.FusedBlock
+	if op.Fused != nil {
+		fb = *op.Fused
+	}
+	w.Count(len(fb.Qubits))
+	for _, q := range fb.Qubits {
 		w.U32(uint32(q))
 	}
-	writeC128s(w, op.Mat)
+	writeC128s(w, fb.Mat)
 }
 
+// readTileOp fails the Reader on what the 96-byte form cannot hold — a
+// position that is no bit position, factors on a TileMat1, a matrix on
+// any other kind — so what decodes re-encodes to the bytes it came from.
 func readTileOp(r *artifact.Reader) statevec.TileOp {
 	var op statevec.TileOp
 	op.Kind = statevec.TileOpKind(r.U8())
-	op.T = uint(r.U32())
-	op.C = uint(r.U32())
+	t, c := r.U32(), r.U32()
+	if t > 63 || c > 63 {
+		r.Failf("tile op positions %d, %d are not bit positions", t, c)
+	}
+	op.T, op.C = uint8(t), uint8(c)
 	op.HasCtrl = r.Bool()
 	op.HighMask = r.U64()
 	op.LowMask = r.U64()
-	op.Phase = r.C128()
-	op.A = r.C128()
-	op.B = r.C128()
+	phase, a, b := r.C128(), r.C128(), r.C128()
 	for i := range op.M {
 		op.M[i] = r.C128()
 	}
+	if op.Kind != statevec.TileMat1 {
+		if op.M != (gate.Mat2{}) {
+			r.Failf("tile op of kind %d carries a 2×2 matrix", op.Kind)
+		}
+		op.M = gate.Mat2{0: a, 1: phase, 3: b}
+	} else if phase != 0 || a != 0 || b != 0 {
+		r.Failf("mat1 tile op carries diagonal factors")
+	}
+	var qubits []uint
 	if nq := r.Count(4); nq > 0 {
-		op.Qubits = make([]uint, nq)
-		for j := range op.Qubits {
-			op.Qubits[j] = uint(r.U32())
+		qubits = make([]uint, nq)
+		for j := range qubits {
+			qubits[j] = uint(r.U32())
 		}
 	}
-	op.Mat = readC128s(r)
+	if mat := readC128s(r); qubits != nil || mat != nil {
+		op.Fused = &statevec.FusedBlock{Qubits: qubits, Mat: mat}
+	}
 	return op
 }
 
+// arenaSizes scans nseg segments on a copy of the reader and counts the
+// tile ops, exchange ops and global instructions in them, so ReadPlan
+// allocates each arena once at its final size. Every element counted
+// was skipped, so no payload claims more than it has bytes for.
+func arenaSizes(r artifact.Reader, nseg int) (ops, xops, globals int) {
+	skip := func(elem int) int { // one counted vector
+		n := r.Count(elem)
+		r.Skip(n * elem)
+		return n
+	}
+	for ; nseg > 0 && r.Err() == nil; nseg-- {
+		switch SegmentKind(r.U8()) {
+		case SegRun:
+			n := r.Count(minTileOpBytes)
+			for ops += n; n > 0; n-- {
+				r.Skip(minTileOpBytes - 8)
+				skip(4)
+				skip(16)
+			}
+		case SegGlobal:
+			globals++
+			r.Skip(2)
+			skip(4)
+			skip(8)
+			skip(16)
+			r.Skip(8)
+		case SegBitSwap:
+			r.Skip(8)
+		case SegExchange:
+			r.Skip(4)
+			xops += skip(exchOpBytes)
+		}
+	}
+	return
+}
+
+// arena returns an empty arena with room for n elements; nil for none,
+// so a plan that holds nothing of a kind is the same value however it
+// was made.
+func arena[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
 // ReadPlan reads a WritePlan payload and checks the plan's geometry; a
-// failure is left on r.
+// failure is left on r. Segment ranges are assigned as the arenas fill,
+// so they tile them exactly whatever the bytes say.
 func ReadPlan(r *artifact.Reader) *TilePlan {
 	p := &TilePlan{}
 	p.TileBits = int(r.U32())
 	p.NumQubits = int(r.U32())
 	p.GlobalBits = int(r.U32())
 	p.Segments = make([]Segment, r.Count(minSegmentBytes))
+	nOps, nXOps, nGlobals := arenaSizes(*r, len(p.Segments))
+	p.Ops, p.XOps, p.Globals = arena[statevec.TileOp](nOps), arena[ExchOp](nXOps), arena[Instr](nGlobals)
 	for i := range p.Segments {
 		seg := &p.Segments[i]
 		seg.Kind = SegmentKind(r.U8())
 		switch seg.Kind {
 		case SegRun:
-			seg.Ops = make([]statevec.TileOp, r.Count(minTileOpBytes))
-			for j := range seg.Ops {
-				seg.Ops[j] = readTileOp(r)
+			seg.Lo = int32(len(p.Ops))
+			for n := r.Count(minTileOpBytes); n > 0; n-- {
+				p.Ops = append(p.Ops, readTileOp(r))
 			}
+			seg.Hi = int32(len(p.Ops))
 		case SegGlobal:
-			seg.Instr = readInstr(r)
+			seg.Lo = int32(len(p.Globals))
+			p.Globals = append(p.Globals, readInstr(r))
+			seg.Hi = seg.Lo + 1
 		case SegBitSwap:
-			seg.A = int(r.U32())
-			seg.B = int(r.U32())
+			seg.A = int32(r.U32())
+			seg.B = int32(r.U32())
 		case SegExchange:
-			seg.TBit = int(r.U32())
-			seg.XOps = make([]ExchOp, r.Count(exchOpBytes))
-			for j := range seg.XOps {
-				x := &seg.XOps[j]
+			seg.A = int32(r.U32())
+			seg.Lo = int32(len(p.XOps))
+			for n := r.Count(exchOpBytes); n > 0; n-- {
+				var x ExchOp
 				for mi := range x.M {
 					x.M[mi] = r.C128()
 				}
 				x.LowCtrl = r.U64()
 				x.RankCtrl = r.U64()
+				p.XOps = append(p.XOps, x)
 			}
+			seg.Hi = int32(len(p.XOps))
 		default:
 			r.Failf("unknown segment kind %d in encoded plan", seg.Kind)
 		}
@@ -333,11 +420,11 @@ func ReadPlan(r *artifact.Reader) *TilePlan {
 		for j := range p.Binds {
 			b := &p.Binds[j]
 			b.Kind = BindSiteKind(r.U8())
-			b.Seg = int(r.U32())
-			b.Op = int(r.U32())
+			b.Seg = int32(r.U32())
+			b.Op = int32(r.U32())
 			b.Gate = gate.Type(r.U8())
-			b.Slot = int(r.U32())
-			b.NParams = int(r.U32())
+			b.Slot = int32(r.U32())
+			b.NParams = int32(r.U32())
 		}
 	}
 	if r.Err() == nil && (p.NumQubits <= 0 || p.TileBits <= 0 || p.GlobalBits < 0 || p.GlobalBits >= p.NumQubits) {
@@ -347,47 +434,73 @@ func ReadPlan(r *artifact.Reader) *TilePlan {
 	return p
 }
 
-// Static struct sizes for byte accounting (unsafe.Sizeof is the exact
-// resident footprint of the fixed parts; dynamic slices are added per
-// element below).
+// Two sizes of one value: SizeBytes is the resident footprint a
+// byte-accounted cache charges, EncodedLen the exact payload length a
+// Writer is sized with so that it never regrows mid-save. A tile op is
+// 96 bytes in memory and at least 146 on the wire. unsafe.Sizeof is the
+// exact footprint of the fixed parts; slices are added per element.
 const (
 	instrBase  = int64(unsafe.Sizeof(Instr{}))
 	segBase    = int64(unsafe.Sizeof(Segment{}))
 	tileOpBase = int64(unsafe.Sizeof(statevec.TileOp{}))
+	fusedBase  = int64(unsafe.Sizeof(statevec.FusedBlock{}))
 	exchOpBase = int64(unsafe.Sizeof(ExchOp{}))
 	bindBase   = int64(unsafe.Sizeof(BindSite{}))
 	planBase   = int64(unsafe.Sizeof(TilePlan{}))
 	kernelBase = int64(unsafe.Sizeof(Kernel{}))
 )
 
-func instrBytes(in Instr) int64 {
-	return instrBase + 8*int64(len(in.Qubits)) + 8*int64(len(in.Params)) + 16*int64(len(in.Mat))
+// instrSizes is what one instruction adds to either size.
+func instrSizes(in Instr) (resident int64, encoded int) {
+	q, v := len(in.Qubits), 8*len(in.Params)+16*len(in.Mat)
+	return instrBase + int64(8*q+v), minInstrBytes + 4*q + v
 }
 
-// SizeBytes returns the kernel's resident memory footprint — the
-// figure byte-accounted caches charge for holding it.
-func (k *Kernel) SizeBytes() int64 {
-	n := kernelBase + int64(len(k.Name))
+func (k *Kernel) sizes() (resident int64, encoded int) {
+	resident, encoded = kernelBase+int64(len(k.Name)), 4+len(k.Name)+3*4
 	for _, in := range k.Instrs {
-		n += instrBytes(in)
+		r, e := instrSizes(in)
+		resident, encoded = resident+r, encoded+e
 	}
-	return n
+	return
 }
 
-// SizeBytes returns the plan's resident memory footprint: the segment
-// array with every tile micro-op, exchange op, global instruction and
-// the final permutation. Byte-accounted plan caches charge this figure
-// per entry.
-func (p *TilePlan) SizeBytes() int64 {
-	n := planBase + 8*int64(len(p.FinalPerm)) + segBase*int64(len(p.Segments)) + bindBase*int64(len(p.Binds))
+// SizeBytes returns the kernel's resident memory footprint.
+func (k *Kernel) SizeBytes() int64 { r, _ := k.sizes(); return r }
+
+// EncodedLen returns the length of k's WriteKernel payload.
+func (k *Kernel) EncodedLen() int { _, e := k.sizes(); return e }
+
+// segFieldBytes is what follows a segment's kind byte, its ops aside: a
+// count, nothing, two positions, a position and a count.
+var segFieldBytes = [4]int{SegRun: 4, SegGlobal: 0, SegBitSwap: 8, SegExchange: 8}
+
+func (p *TilePlan) sizes() (resident int64, encoded int) {
+	resident = planBase + 8*int64(len(p.FinalPerm)) + segBase*int64(cap(p.Segments)) + bindBase*int64(cap(p.Binds)) +
+		tileOpBase*int64(cap(p.Ops)) + exchOpBase*int64(cap(p.XOps))
+	encoded = 5*4 + 4*len(p.FinalPerm) + planStatsBytes + 1 + 2*4 + bindSiteBytes*len(p.Binds) +
+		minTileOpBytes*len(p.Ops) + exchOpBytes*len(p.XOps)
 	for _, seg := range p.Segments {
-		for _, op := range seg.Ops {
-			n += tileOpBase + 8*int64(len(op.Qubits)) + 16*int64(len(op.Mat))
-		}
-		n += exchOpBase * int64(len(seg.XOps))
-		if seg.Kind == SegGlobal {
-			n += instrBytes(seg.Instr) - instrBase // Instr base already inside segBase
+		encoded += 1 + segFieldBytes[seg.Kind&3] // an unknown kind fails the encode anyway
+	}
+	for i := range p.Ops {
+		if fb := p.Ops[i].Fused; fb != nil {
+			q, m := len(fb.Qubits), 16*len(fb.Mat)
+			resident, encoded = resident+fusedBase+int64(8*q+m), encoded+4*q+m
 		}
 	}
-	return n
+	for _, in := range p.Globals {
+		r, e := instrSizes(in)
+		resident, encoded = resident+r, encoded+e
+	}
+	return resident + instrBase*int64(cap(p.Globals)-len(p.Globals)), encoded
 }
+
+// SizeBytes returns the plan's resident memory footprint: headers,
+// binding sites and arenas at their capacity (a global sweep leaves an
+// op slot unused), what fused ops and global instructions point at, and
+// the final permutation.
+func (p *TilePlan) SizeBytes() int64 { r, _ := p.sizes(); return r }
+
+// EncodedLen returns the length of p's WritePlan payload.
+func (p *TilePlan) EncodedLen() int { _, e := p.sizes(); return e }

@@ -40,7 +40,6 @@ type DistState struct {
 	bytesSent   int64
 	avoidedExch int   // gates that rode on an exchange segment's one exchange
 	exchangeNS  int64 // time this rank spent copying + swapping buffers
-	opBuf       []statevec.TileOp
 }
 
 // NewDist allocates the shard for this rank. The world size must be a

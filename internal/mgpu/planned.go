@@ -6,7 +6,6 @@ import (
 	"qgear/internal/cancel"
 	"qgear/internal/gate"
 	"qgear/internal/kernel"
-	"qgear/internal/statevec"
 )
 
 // Planned execution: the distributed engine consumes the same compiled
@@ -18,8 +17,9 @@ import (
 //     statevec.ApplyTileRun — one memory pass per run, as on a single
 //     device;
 //   - diagonal factors and controls on rank-index bits arrive as
-//     HighMask predicates; each rank resolves them against its own
-//     rank index below, with zero communication;
+//     HighMask predicates; ApplyTileRun tests them against the shard's
+//     absolute base (rank << local) exactly as it tests high local
+//     bits, with zero communication and no per-rank copy of the ops;
 //   - non-diagonal targets on rank bits arrive as exchange segments:
 //     one pairwise buffer exchange serves every gate in the segment,
 //     because after the exchange a rank holds both halves of the pair
@@ -50,19 +50,9 @@ func (d *DistState) ExecutePlanCancel(p *kernel.TilePlan, flag *cancel.Flag) err
 		return fmt.Errorf("mgpu: plan tile width %d outside [1,%d]", p.TileBits, d.local)
 	}
 	d.st.MaterializePerm()
-	localMask := uint64(1)<<uint(d.local) - 1
+	// The shard's absolute index base: ApplyTileRun tests every HighMask
+	// predicate against it, so rank-bit predicates need no rewriting.
 	rankAbs := uint64(d.comm.Rank()) << uint(d.local)
-	// Size the resolved-op buffer once for the plan's longest run, so
-	// filling it never regrows by doubling.
-	longest := 0
-	for _, seg := range p.Segments {
-		if seg.Kind == kernel.SegRun && len(seg.Ops) > longest {
-			longest = len(seg.Ops)
-		}
-	}
-	if cap(d.opBuf) < longest {
-		d.opBuf = make([]statevec.TileOp, 0, longest)
-	}
 	for i, seg := range p.Segments {
 		var err error
 		if err = d.pollCancel(flag); err != nil {
@@ -70,22 +60,13 @@ func (d *DistState) ExecutePlanCancel(p *kernel.TilePlan, flag *cancel.Flag) err
 		}
 		switch seg.Kind {
 		case kernel.SegRun:
-			buf := d.opBuf[:0]
-			for _, op := range seg.Ops {
-				if rop, keep := resolveRankOp(op, rankAbs, localMask); keep {
-					buf = append(buf, rop)
-				}
-			}
-			d.opBuf = buf
-			if len(buf) > 0 {
-				err = d.st.ApplyTileRun(p.TileBits, buf)
-			}
+			err = d.st.ApplyTileRun(p.TileBits, rankAbs, p.Ops[seg.Lo:seg.Hi])
 		case kernel.SegBitSwap:
-			d.st.ApplySwap(seg.A, seg.B)
+			d.st.ApplySwap(int(seg.A), int(seg.B))
 		case kernel.SegGlobal:
-			err = d.applyGlobal(seg.Instr)
+			err = d.applyGlobal(p.Globals[seg.Lo])
 		case kernel.SegExchange:
-			d.execExchange(seg, rankAbs)
+			d.execExchange(int(seg.A), p.XOps[seg.Lo:seg.Hi], rankAbs)
 		default:
 			err = fmt.Errorf("unknown segment kind %d", seg.Kind)
 		}
@@ -98,32 +79,6 @@ func (d *DistState) ExecutePlanCancel(p *kernel.TilePlan, flag *cancel.Flag) err
 		return d.st.SetPermutation(p.FinalPerm[:d.local])
 	}
 	return nil
-}
-
-// resolveRankOp specializes one tile micro-op to this rank: HighMask
-// bits at or above the shard width are rank-index predicates — strip
-// them when this rank's bits satisfy them, drop the op when they do
-// not. A relative-phase op *targeting* a rank bit degenerates to the
-// one factor this rank's bit selects, multiplied across the shard.
-func resolveRankOp(op statevec.TileOp, rankAbs, localMask uint64) (statevec.TileOp, bool) {
-	rankMask := op.HighMask &^ localMask
-	if rankMask == 0 {
-		return op, true
-	}
-	if op.Kind == statevec.TileRelPhase {
-		// HighMask holds the target bit, selecting between the two
-		// diagonal factors rather than gating the op.
-		f := op.A
-		if rankAbs&rankMask != 0 {
-			f = op.B
-		}
-		return statevec.TileOp{Kind: statevec.TileDiag, Phase: f}, true
-	}
-	if rankAbs&rankMask != rankMask {
-		return op, false
-	}
-	op.HighMask &= localMask
-	return op, true
 }
 
 // applyGlobal runs one full-sweep segment on the shard. Operands are
@@ -157,30 +112,34 @@ func (d *DistState) applyGlobal(in kernel.Instr) error {
 	return nil
 }
 
-// execExchange runs one batched exchange segment: filter the ops to
-// those whose rank-bit controls this rank satisfies (the partner rank
-// differs only in the target bit, so it filters identically), perform
-// a single buffer exchange if anything survived, then co-update both
-// halves of the pair subspace gate by gate. The two-buffer update
-// computes, per gate, exactly the pair expressions a single device
-// computes with both halves resident, so the retained half is
-// bit-identical to it.
-func (d *DistState) execExchange(seg kernel.Segment, rankAbs uint64) {
-	active := seg.XOps[:0:0]
-	for _, op := range seg.XOps {
-		if rankAbs&op.RankCtrl == op.RankCtrl {
-			active = append(active, op)
+// execExchange runs one batched exchange segment on rank-bit target
+// tbit: skip the ops whose rank-bit controls this rank does not satisfy
+// (the partner rank differs only in the target bit, so it skips the
+// same ones), perform a single buffer exchange if any is left, then
+// co-update both halves of the pair subspace gate by gate. The
+// two-buffer update computes, per gate, exactly the pair expressions a
+// single device computes with both halves resident, so the retained
+// half is bit-identical to it.
+func (d *DistState) execExchange(tbit int, ops []kernel.ExchOp, rankAbs uint64) {
+	active := 0
+	for i := range ops {
+		if rankAbs&ops[i].RankCtrl == ops[i].RankCtrl {
+			active++
 		}
 	}
-	if len(active) == 0 {
+	if active == 0 {
 		return
 	}
-	partner := d.comm.Rank() ^ 1<<uint(seg.TBit-d.local)
+	partner := d.comm.Rank() ^ 1<<uint(tbit-d.local)
 	theirs := d.exchange(partner)
-	d.avoidedExch += len(active) - 1
+	d.avoidedExch += active - 1
 	amps := d.st.AmplitudesRaw()
-	bit1 := d.rankBit(seg.TBit) == 1
-	for _, op := range active {
+	bit1 := d.rankBit(tbit) == 1
+	for k := range ops {
+		op := &ops[k]
+		if rankAbs&op.RankCtrl != op.RankCtrl {
+			continue
+		}
 		m0, m1, m2, m3 := op.M[0], op.M[1], op.M[2], op.M[3]
 		ctrl := op.LowCtrl
 		for i := range amps {

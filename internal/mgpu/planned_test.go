@@ -343,3 +343,39 @@ func TestExecutePlanGeometryChecks(t *testing.T) {
 		t.Fatal("geometry mismatch accepted")
 	}
 }
+
+// BenchmarkExecutePlanQCrank is the benchmark's qcrank_mgpu engine
+// call: an a9_d6 image encoding (15 qubits) on two ranks, plan compiled
+// once outside the loop — what is left is the shards, the exchange
+// buffers and the gathered vector.
+func BenchmarkExecutePlanQCrank(b *testing.B) {
+	const addr, data, ranks = 9, 6, 2
+	cplan, err := qcrank.NewPlan(data<<addr, addr, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := qmath.NewRNG(2026)
+	values := make([]float64, data<<addr)
+	for i := range values {
+		values[i] = 2*rng.Float64() - 1
+	}
+	c, err := qcrank.Encode(values, cplan, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k, _, err := kernel.FromCircuit(c, kernel.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := kernel.Plan(k, kernel.PlanConfig{TileBits: 16, GlobalBits: log2ranks(ranks)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SimulateCompiled(k, plan, ranks, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -124,7 +124,7 @@ func refTileCX(tile []complex128, op *TileOp) {
 }
 
 func refTileDiag(tile []complex128, op *TileOp) {
-	phase := op.Phase
+	phase := op.Phase()
 	for i := range tile {
 		if uint64(i)&op.LowMask == op.LowMask {
 			tile[i] *= phase
@@ -133,17 +133,17 @@ func refTileDiag(tile []complex128, op *TileOp) {
 }
 
 func refTileRelPhase(tile []complex128, base uint64, op *TileOp) {
+	a, b := op.AB()
 	if op.HighMask != 0 {
-		f := op.A
+		f := a
 		if base&op.HighMask != 0 {
-			f = op.B
+			f = b
 		}
 		for i := range tile {
 			tile[i] *= f
 		}
 		return
 	}
-	a, b := op.A, op.B
 	step := 1 << op.T
 	for blk := 0; blk < len(tile); blk += 2 * step {
 		for i0 := blk; i0 < blk+step; i0++ {
@@ -167,7 +167,7 @@ func TestTileKernelBitIdentityFuzz(t *testing.T) {
 		var ctx string
 		switch rng.Intn(4) {
 		case 0: // TileMat1, all control placements
-			op := TileOp{Kind: TileMat1, T: uint(rng.Intn(tb))}
+			op := TileOp{Kind: TileMat1, T: uint8(rng.Intn(tb))}
 			if rng.Intn(2) == 0 {
 				op.M = randUnitary2(rng)
 			} else {
@@ -175,7 +175,7 @@ func TestTileKernelBitIdentityFuzz(t *testing.T) {
 			}
 			if tb >= 2 && rng.Intn(3) > 0 {
 				op.HasCtrl = true
-				op.C = uint(rng.Intn(tb - 1))
+				op.C = uint8(rng.Intn(tb - 1))
 				if op.C >= op.T {
 					op.C++
 				}
@@ -184,10 +184,10 @@ func TestTileKernelBitIdentityFuzz(t *testing.T) {
 			applyTileMat1(tile, &op)
 			refTileMat1(ref, &op)
 		case 1: // TileCX, all control placements
-			op := TileOp{Kind: TileCX, T: uint(rng.Intn(tb))}
+			op := TileOp{Kind: TileCX, T: uint8(rng.Intn(tb))}
 			if tb >= 2 && rng.Intn(3) > 0 {
 				op.HasCtrl = true
-				op.C = uint(rng.Intn(tb - 1))
+				op.C = uint8(rng.Intn(tb - 1))
 				if op.C >= op.T {
 					op.C++
 				}
@@ -196,7 +196,7 @@ func TestTileKernelBitIdentityFuzz(t *testing.T) {
 			applyTileCX(tile, &op)
 			refTileCX(ref, &op)
 		case 2: // TileDiag with 0..3 low predicate bits
-			op := TileOp{Kind: TileDiag, Phase: phaseOf(rng)}
+			op := DiagOp(phaseOf(rng), 0, 0)
 			for n := rng.Intn(4); n > 0; n-- {
 				op.LowMask |= 1 << uint(rng.Intn(tb))
 			}
@@ -204,10 +204,10 @@ func TestTileKernelBitIdentityFuzz(t *testing.T) {
 			applyTileDiag(tile, &op)
 			refTileDiag(ref, &op)
 		case 3: // TileRelPhase, low target and high (tile-constant) form
-			op := TileOp{Kind: TileRelPhase, A: phaseOf(rng), B: phaseOf(rng)}
+			op := RelPhaseOp(phaseOf(rng), phaseOf(rng), 0, 0)
 			var base uint64
 			if rng.Intn(2) == 0 {
-				op.T = uint(rng.Intn(tb))
+				op.T = uint8(rng.Intn(tb))
 			} else {
 				op.HighMask = 1 << uint(tb+rng.Intn(8))
 				if rng.Intn(2) == 0 {

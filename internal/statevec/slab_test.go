@@ -48,7 +48,7 @@ func TestReleaseMakesStateUnusable(t *testing.T) {
 	}
 	mustPanic(t, "ApplyGate", func() { s.ApplyGate(gate.H, []int{0}, nil) })
 	mustPanic(t, "ApplyFused", func() { _ = s.ApplyFused([]int{0}, make([]complex128, 4)) })
-	mustPanic(t, "ApplyTileRun", func() { _ = s.ApplyTileRun(2, []TileOp{{Kind: TileDiag, Phase: 1}}) })
+	mustPanic(t, "ApplyTileRun", func() { _ = s.ApplyTileRun(2, 0, []TileOp{DiagOp(1, 0, 0)}) })
 	mustPanic(t, "Probabilities", func() { s.Probabilities() })
 	mustPanic(t, "Amplitudes", func() { s.Amplitudes() })
 	mustPanic(t, "AmplitudesRaw", func() { s.AmplitudesRaw() })

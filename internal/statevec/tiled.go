@@ -50,22 +50,49 @@ const (
 	TileFused
 )
 
-// TileOp is one compiled tile-local micro-op. Qubit positions are
-// physical bit positions (the scheduler resolves its permutation table
-// before compiling). Ops are immutable once built: a plan may be
-// executed concurrently against many states.
+// TileOp is one compiled tile-local micro-op, 96 bytes — the tile loop
+// streams the whole run once per tile. Qubit positions are physical bit
+// positions (the scheduler resolves its permutation table before
+// compiling). Ops are immutable once built: a plan may be executed
+// concurrently against many states.
+//
+// M is the one value slot: TileMat1's 2×2, TileRelPhase's diag(A, B) on
+// its diagonal (M[0], M[3]), TileDiag's Phase in M[1] — written by
+// DiagOp and RelPhaseOp, read by Phase and AB.
 type TileOp struct {
 	Kind     TileOpKind
-	T, C     uint   // low physical positions: target, control (HasCtrl)
-	HasCtrl  bool   // low control present (TileMat1 / TileCX)
-	HighMask uint64 // absolute bit positions ≥ tile width that must be 1
-	LowMask  uint64 // TileDiag: in-tile bits that must be 1
-	Phase    complex128
-	A, B     complex128   // TileRelPhase factors diag(A, B)
-	M        gate.Mat2    // TileMat1 matrix
-	Qubits   []uint       // TileFused: low positions; bit j of the index
-	Mat      []complex128 // TileFused: row-major 2^k × 2^k
+	T, C     uint8       // low physical positions: target, control (HasCtrl)
+	HasCtrl  bool        // low control present (TileMat1 / TileCX)
+	HighMask uint64      // absolute bit positions ≥ tile width that must be 1
+	LowMask  uint64      // TileDiag: in-tile bits that must be 1
+	M        gate.Mat2   // TileMat1 matrix; TileDiag / TileRelPhase factors
+	Fused    *FusedBlock // TileFused payload, nil otherwise
 }
+
+// FusedBlock is a TileFused micro-op's dense unitary on a few low
+// qubits — rare, so behind a pointer instead of widening every op.
+type FusedBlock struct {
+	Qubits []uint       // low positions; qubit j is bit j of the matrix index
+	Mat    []complex128 // row-major 2^k × 2^k
+}
+
+// DiagOp returns the TileDiag micro-op multiplying by phase where every
+// lowMask (in-tile) and highMask (tile-base) bit is 1.
+func DiagOp(phase complex128, lowMask, highMask uint64) TileOp {
+	return TileOp{Kind: TileDiag, LowMask: lowMask, HighMask: highMask, M: gate.Mat2{1: phase}}
+}
+
+// RelPhaseOp returns the TileRelPhase micro-op applying diag(a, b) on
+// low target t, or — highMask non-zero — on the one high bit it holds.
+func RelPhaseOp(a, b complex128, t uint8, highMask uint64) TileOp {
+	return TileOp{Kind: TileRelPhase, T: t, HighMask: highMask, M: gate.Mat2{0: a, 3: b}}
+}
+
+// Phase is a TileDiag op's factor.
+func (op *TileOp) Phase() complex128 { return op.M[1] }
+
+// AB are a TileRelPhase op's factors diag(A, B).
+func (op *TileOp) AB() (a, b complex128) { return op.M[0], op.M[3] }
 
 // tileFusedPre caches the per-op expansion tables a fused micro-op
 // needs inside the tile loop (sorted insertion positions and masks).
@@ -79,7 +106,12 @@ type tileFusedPre struct {
 // cache-resident tile at a time. Tiles are independent by
 // construction, so they shard across the worker pool like any other
 // sweep — but the whole run costs a single pass over the state.
-func (s *State) ApplyTileRun(tileBits int, ops []TileOp) error {
+//
+// base is the absolute index of this state's amplitude 0: 0 on one
+// device, rank << local on a rank shard. HighMask is tested against
+// base | tile base, so a predicate on a rank-index bit is the same test
+// as one on a high local bit and every rank runs the plan's ops as is.
+func (s *State) ApplyTileRun(tileBits int, base uint64, ops []TileOp) error {
 	s.live()
 	if len(ops) == 0 {
 		return nil
@@ -92,12 +124,17 @@ func (s *State) ApplyTileRun(tileBits int, ops []TileOp) error {
 		// permutation means the caller and the plan disagree on layout.
 		return fmt.Errorf("statevec: tile run on a state with a pending qubit permutation")
 	}
+	if base&uint64(len(s.amps)-1) != 0 {
+		return fmt.Errorf("statevec: shard base %#x is not a multiple of the %d-amplitude shard", base, len(s.amps))
+	}
 	tileSize := 1 << uint(tileBits)
 	tiles := len(s.amps) >> uint(tileBits)
 
 	// Validate every op's in-tile positions up front — a bad position
 	// must surface as an error here, not as an index panic inside a
 	// pool goroutine — and pre-resolve fused expansion tables.
+	var pres []*tileFusedPre
+	maxDim := 0
 	for i := range ops {
 		op := &ops[i]
 		if op.HighMask&(1<<uint(tileBits)-1) != 0 {
@@ -106,66 +143,50 @@ func (s *State) ApplyTileRun(tileBits int, ops []TileOp) error {
 			return fmt.Errorf("statevec: tile op %d high mask %#x has bits below tile width %d", i, op.HighMask, tileBits)
 		}
 		switch op.Kind {
-		case TileMat1, TileCX:
-			if int(op.T) >= tileBits {
+		case TileMat1, TileCX, TileRelPhase:
+			if int(op.T) >= tileBits && (op.Kind != TileRelPhase || op.HighMask == 0) { // a high rz target sits in HighMask
 				return fmt.Errorf("statevec: tile op %d target %d at or above tile width %d", i, op.T, tileBits)
 			}
 			if op.HasCtrl && (int(op.C) >= tileBits || op.C == op.T) {
 				return fmt.Errorf("statevec: tile op %d control %d invalid for tile width %d", i, op.C, tileBits)
-			}
-		case TileRelPhase:
-			if op.HighMask == 0 && int(op.T) >= tileBits {
-				return fmt.Errorf("statevec: tile op %d target %d at or above tile width %d", i, op.T, tileBits)
 			}
 		case TileDiag:
 			if op.LowMask>>uint(tileBits) != 0 {
 				return fmt.Errorf("statevec: tile op %d low mask %#x exceeds tile width %d", i, op.LowMask, tileBits)
 			}
 		case TileFused:
-			kw := len(op.Qubits)
+			if op.Fused == nil {
+				return fmt.Errorf("statevec: tile op %d is fused without a payload", i)
+			}
+			qs := op.Fused.Qubits
+			kw := len(qs)
 			if kw == 0 || kw > min(tileBits, MaxFusedQubits) {
 				return fmt.Errorf("statevec: tile op %d fused width %d outside [1,%d]", i, kw, min(tileBits, MaxFusedQubits))
 			}
-			if len(op.Mat) != 1<<uint(2*kw) {
-				return fmt.Errorf("statevec: tile op %d fused matrix has %d entries, want %d", i, len(op.Mat), 1<<uint(2*kw))
+			if len(op.Fused.Mat) != 1<<uint(2*kw) {
+				return fmt.Errorf("statevec: tile op %d fused matrix has %d entries, want %d", i, len(op.Fused.Mat), 1<<uint(2*kw))
 			}
-			for a, q := range op.Qubits {
-				for b := 0; b < a; b++ {
-					if op.Qubits[b] == q {
-						return fmt.Errorf("statevec: tile op %d duplicate fused qubit %d", i, q)
-					}
+			pre := &tileFusedPre{sorted: append([]uint(nil), qs...), masks: make([]uint64, kw), dim: 1 << uint(kw)}
+			for a := 1; a < kw; a++ {
+				for b := a; b > 0 && pre.sorted[b] < pre.sorted[b-1]; b-- {
+					pre.sorted[b], pre.sorted[b-1] = pre.sorted[b-1], pre.sorted[b]
 				}
 			}
-		}
-	}
-	var pres []*tileFusedPre
-	maxDim := 0
-	for i := range ops {
-		op := &ops[i]
-		if op.Kind != TileFused {
-			continue
-		}
-		if pres == nil {
-			pres = make([]*tileFusedPre, len(ops))
-		}
-		k := len(op.Qubits)
-		pre := &tileFusedPre{sorted: make([]uint, k), masks: make([]uint64, k), dim: 1 << uint(k)}
-		copy(pre.sorted, op.Qubits)
-		for a := 1; a < k; a++ {
-			for b := a; b > 0 && pre.sorted[b] < pre.sorted[b-1]; b-- {
-				pre.sorted[b], pre.sorted[b-1] = pre.sorted[b-1], pre.sorted[b]
+			for j, q := range qs {
+				if int(q) >= tileBits {
+					return fmt.Errorf("statevec: tile op %d fused qubit %d at or above tile width %d", i, q, tileBits)
+				}
+				if j > 0 && pre.sorted[j] == pre.sorted[j-1] {
+					return fmt.Errorf("statevec: tile op %d duplicate fused qubit %d", i, pre.sorted[j])
+				}
+				pre.masks[j] = 1 << q
 			}
-		}
-		for j, q := range op.Qubits {
-			if int(q) >= tileBits {
-				return fmt.Errorf("statevec: fused tile op qubit %d at or above tile width %d", q, tileBits)
+			if pres == nil {
+				pres = make([]*tileFusedPre, len(ops))
 			}
-			pre.masks[j] = 1 << q
+			pres[i] = pre
+			maxDim = max(maxDim, pre.dim)
 		}
-		if pre.dim > maxDim {
-			maxDim = pre.dim
-		}
-		pres[i] = pre
 	}
 
 	amps := s.amps
@@ -173,11 +194,12 @@ func (s *State) ApplyTileRun(tileBits int, ops []TileOp) error {
 		var scr fusedScratch
 		in, out, idx := scr.amps[:maxDim], scr.amps[maxDim:2*maxDim], scr.idx[:maxDim]
 		for t := lo; t < hi; t++ {
-			base := uint64(t) << uint(tileBits)
-			tile := amps[base : base+uint64(tileSize)]
+			off := uint64(t) << uint(tileBits)
+			tile := amps[off : off+uint64(tileSize)]
+			abs := base | off
 			for i := range ops {
 				op := &ops[i]
-				if base&op.HighMask != op.HighMask && op.Kind != TileRelPhase {
+				if abs&op.HighMask != op.HighMask && op.Kind != TileRelPhase {
 					continue
 				}
 				switch op.Kind {
@@ -188,7 +210,7 @@ func (s *State) ApplyTileRun(tileBits int, ops []TileOp) error {
 				case TileDiag:
 					applyTileDiag(tile, op)
 				case TileRelPhase:
-					applyTileRelPhase(tile, base, op)
+					applyTileRelPhase(tile, abs, op)
 				case TileFused:
 					pre := pres[i]
 					outer := len(tile) >> uint(len(pre.sorted))
@@ -197,7 +219,7 @@ func (s *State) ApplyTileRun(tileBits int, ops []TileOp) error {
 						for _, q := range pre.sorted {
 							b = insertBit(b, q, 0)
 						}
-						fusedApplyAt(tile, b, pre.masks, op.Mat, in, out, idx)
+						fusedApplyAt(tile, b, pre.masks, op.Fused.Mat, in, out, idx)
 					}
 				}
 			}
@@ -298,7 +320,7 @@ func applyTileCX(tile []complex128, op *TileOp) {
 	}
 }
 
-// applyTileDiag multiplies by op.Phase every tile amplitude whose
+// applyTileDiag multiplies by op.Phase() every tile amplitude whose
 // LowMask bits are all set, enumerating only the affected subspace as
 // lane runs. The scale loops are written inline, two amplitudes per
 // iteration — this is the cr1 inner loop that dominates the QFT tile
@@ -308,7 +330,8 @@ func applyTileCX(tile []complex128, op *TileOp) {
 // scaleRun's.
 func applyTileDiag(tile []complex128, op *TileOp) {
 	v := lanes(tile)
-	pr, pi := real(op.Phase), imag(op.Phase)
+	phase := op.Phase()
+	pr, pi := real(phase), imag(phase)
 	switch bits.OnesCount64(op.LowMask) {
 	case 0: // all diagonal factors live in the tile base: whole tile
 		for j := 0; j+3 < len(v); j += 4 {
@@ -360,7 +383,6 @@ func applyTileDiag(tile []complex128, op *TileOp) {
 			}
 		}
 	default: // not produced by the current gate set; kept for safety
-		phase := op.Phase
 		for i := range tile {
 			if uint64(i)&op.LowMask == op.LowMask {
 				tile[i] *= phase
@@ -374,16 +396,16 @@ func applyTileDiag(tile []complex128, op *TileOp) {
 // tile shares one factor chosen by the tile base bit.
 func applyTileRelPhase(tile []complex128, base uint64, op *TileOp) {
 	v := lanes(tile)
+	a, b := op.AB()
 	if op.HighMask != 0 {
-		f := op.A
 		if base&op.HighMask != 0 {
-			f = op.B
+			a = b
 		}
-		scaleRun(v, real(f), imag(f))
+		scaleRun(v, real(a), imag(a))
 		return
 	}
-	ar, ai := real(op.A), imag(op.A)
-	br, bi := real(op.B), imag(op.B)
+	ar, ai := real(a), imag(a)
+	br, bi := real(b), imag(b)
 	if op.T == 0 {
 		scaleAB(v, ar, ai, br, bi)
 		return

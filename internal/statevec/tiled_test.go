@@ -1,8 +1,10 @@
 package statevec
 
 import (
+	"fmt"
 	"math/cmplx"
 	"testing"
+	"unsafe"
 
 	"qgear/internal/gate"
 	"qgear/internal/qmath"
@@ -149,18 +151,19 @@ func TestProbabilitiesReadThroughPerm(t *testing.T) {
 func TestApplyTileRunValidatesOps(t *testing.T) {
 	s := MustNew(8, 1)
 	for _, ops := range [][]TileOp{
-		{{Kind: TileMat1, T: 5}},                                               // target above tile width
-		{{Kind: TileCX, T: 1, C: 4, HasCtrl: true}},                            // control above tile width
-		{{Kind: TileCX, T: 1, C: 1, HasCtrl: true}},                            // control == target
-		{{Kind: TileRelPhase, T: 6, A: 1, B: 1}},                               // low relphase out of range
-		{{Kind: TileDiag, LowMask: 1 << 4, Phase: 1}},                          // low mask out of range
-		{{Kind: TileFused, Qubits: []uint{4}, Mat: nil}},                       // fused qubit out of range
-		{{Kind: TileFused, Qubits: []uint{0, 0}, Mat: make([]complex128, 16)}}, // duplicate fused qubit
-		{{Kind: TileMat1, T: 0, M: gate.Identity2(), HighMask: 1 << 2}},        // predicate bit below tile width
-		{{Kind: TileDiag, LowMask: 1, HighMask: 1<<6 | 1<<3, Phase: 1}},        // mixed-high mask dips low
-		{{Kind: TileFused, Qubits: []uint{0, 1}, Mat: make([]complex128, 8)}},  // short matrix
+		{{Kind: TileMat1, T: 5}},                    // target above tile width
+		{{Kind: TileCX, T: 1, C: 4, HasCtrl: true}}, // control above tile width
+		{{Kind: TileCX, T: 1, C: 1, HasCtrl: true}}, // control == target
+		{RelPhaseOp(1, 1, 6, 0)},                    // low relphase out of range
+		{DiagOp(1, 1<<4, 0)},                        // low mask out of range
+		{{Kind: TileFused}},                         // fused without a payload
+		{{Kind: TileFused, Fused: &FusedBlock{Qubits: []uint{4}, Mat: nil}}},                       // fused qubit out of range
+		{{Kind: TileFused, Fused: &FusedBlock{Qubits: []uint{0, 0}, Mat: make([]complex128, 16)}}}, // duplicate fused qubit
+		{{Kind: TileMat1, T: 0, M: gate.Identity2(), HighMask: 1 << 2}},                            // predicate bit below tile width
+		{DiagOp(1, 1, 1<<6|1<<3)}, // mixed-high mask dips low
+		{{Kind: TileFused, Fused: &FusedBlock{Qubits: []uint{0, 1}, Mat: make([]complex128, 8)}}}, // short matrix
 	} {
-		if err := s.ApplyTileRun(4, ops); err == nil {
+		if err := s.ApplyTileRun(4, 0, ops); err == nil {
 			t.Errorf("ops %+v accepted at tile width 4", ops)
 		}
 	}
@@ -199,16 +202,16 @@ func TestApplyTileRunDirect(t *testing.T) {
 	naive := tiled.Clone()
 
 	ops := []TileOp{
-		{Kind: TileMat1, T: 2, M: h},                                      // plain low 1q
-		{Kind: TileMat1, T: 1, M: ry, HighMask: 1 << 8},                   // high-controlled 1q
-		{Kind: TileCX, T: 0, C: 3, HasCtrl: true},                         // low-low cx
-		{Kind: TileCX, T: 2, HighMask: 1 << 9},                            // high-controlled cx
-		{Kind: TileDiag, LowMask: 1 << 1, HighMask: 1 << 7, Phase: phase}, // split cr1
-		{Kind: TileDiag, HighMask: 1<<6 | 1<<9, Phase: phase},             // both high
-		{Kind: TileRelPhase, T: 3, A: phase, B: cmplx.Conj(phase)},        // low rz
-		{Kind: TileRelPhase, HighMask: 1 << 5, A: phase, B: -phase},       // high rz
+		{Kind: TileMat1, T: 2, M: h},                    // plain low 1q
+		{Kind: TileMat1, T: 1, M: ry, HighMask: 1 << 8}, // high-controlled 1q
+		{Kind: TileCX, T: 0, C: 3, HasCtrl: true},       // low-low cx
+		{Kind: TileCX, T: 2, HighMask: 1 << 9},          // high-controlled cx
+		DiagOp(phase, 1<<1, 1<<7),                       // split cr1
+		DiagOp(phase, 0, 1<<6|1<<9),                     // both high
+		RelPhaseOp(phase, cmplx.Conj(phase), 3, 0),      // low rz
+		RelPhaseOp(phase, -phase, 0, 1<<5),              // high rz
 	}
-	if err := tiled.ApplyTileRun(tileBits, ops); err != nil {
+	if err := tiled.ApplyTileRun(tileBits, 0, ops); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,13 +238,13 @@ func TestApplyTileRunOneTile(t *testing.T) {
 		randomize(tiled, qmath.NewRNG(uint64(70+n)))
 		naive := tiled.Clone()
 		ops := []TileOp{
-			{Kind: TileMat1, T: uint(n - 1), M: h},
+			{Kind: TileMat1, T: uint8(n - 1), M: h},
 			{Kind: TileCX, T: 0},
-			{Kind: TileDiag, LowMask: 1, Phase: phase},
-			{Kind: TileDiag, Phase: phase}, // a rank-resolved diagonal: the whole tile
-			{Kind: TileRelPhase, T: 0, A: phase, B: -phase},
+			DiagOp(phase, 1, 0),
+			DiagOp(phase, 0, 0), // every predicate bit in the base: the whole tile
+			RelPhaseOp(phase, -phase, 0, 0),
 		}
-		if err := tiled.ApplyTileRun(n, ops); err != nil {
+		if err := tiled.ApplyTileRun(n, 0, ops); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		naive.ApplyMat1(n-1, h)
@@ -250,7 +253,7 @@ func TestApplyTileRunOneTile(t *testing.T) {
 		naive.ApplyGlobalAndRelativePhase(0, phase, phase)
 		naive.ApplyGlobalAndRelativePhase(0, phase, -phase)
 		statesEqual(t, tiled, naive, 0, "one-tile run")
-		if err := tiled.ApplyTileRun(n+1, ops); err == nil {
+		if err := tiled.ApplyTileRun(n+1, 0, ops); err == nil {
 			t.Fatalf("n=%d: tile width %d accepted", n, n+1)
 		}
 	}
@@ -277,7 +280,7 @@ func TestApplyTileRunFused(t *testing.T) {
 		for i, q := range qubits {
 			uq[i] = uint(q)
 		}
-		if err := tiled.ApplyTileRun(tileBits, []TileOp{{Kind: TileFused, Qubits: uq, Mat: m}}); err != nil {
+		if err := tiled.ApplyTileRun(tileBits, 0, []TileOp{{Kind: TileFused, Fused: &FusedBlock{Qubits: uq, Mat: m}}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := naive.ApplyFused(qubits, m); err != nil {
@@ -292,4 +295,95 @@ func qmathAbs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// TestTileOpSize pins the micro-op at 96 bytes: the tile loop streams a
+// run's ops once per tile, so their size is memory traffic.
+func TestTileOpSize(t *testing.T) {
+	if sz := unsafe.Sizeof(TileOp{}); sz > 96 {
+		t.Fatalf("TileOp is %d bytes, want ≤ 96", sz)
+	}
+}
+
+// TestTileRunBaseMatchesFullState: a run applied to the 2^g shards of a
+// state, each with its base rank << local, is the run applied to the
+// whole state — every kind, with predicates on rank bits, and the
+// relative phase whose *target* is a rank bit (the base picks the
+// factor). This is what lets a distributed executor pass a plan's ops
+// through untouched.
+func TestTileRunBaseMatchesFullState(t *testing.T) {
+	const n, tileBits = 9, 3
+	h := gate.Matrix1(gate.H, nil)
+	ry := gate.Matrix1(gate.RY, []float64{0.7})
+	phase := cmplx.Exp(complex(0, 0.61))
+	ident := []complex128{1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}
+	for g := 1; g <= 3; g++ {
+		local := n - g
+		top, rank0 := uint64(1)<<(n-1), uint64(1)<<uint(local)
+		ops := []TileOp{
+			{Kind: TileMat1, T: 1, M: h},
+			{Kind: TileMat1, T: 0, C: 2, HasCtrl: true, M: ry, HighMask: top},       // rank-bit control
+			{Kind: TileMat1, T: 2, M: ry, HighMask: top | 1<<uint(tileBits)},        // rank and high local bit
+			{Kind: TileCX, T: 1, HighMask: rank0},                                   // rank-bit control
+			{Kind: TileCX, T: 0, C: 1, HasCtrl: true},                               //
+			DiagOp(phase, 1<<2, top),                                                // cr1 across the boundary
+			DiagOp(-phase, 0, top|rank0),                                            // both factors on rank bits (g = 1: one bit)
+			DiagOp(phase, 1|1<<1, 0),                                                //
+			RelPhaseOp(phase, -phase, 2, 0),                                         // low rz
+			RelPhaseOp(phase, cmplx.Conj(phase), 0, 1<<uint(local-1)),               // rz on a high local bit
+			RelPhaseOp(cmplx.Conj(phase), phase, 0, top),                            // rz on a rank bit
+			{Kind: TileFused, Fused: &FusedBlock{Qubits: []uint{2, 0}, Mat: ident}}, //
+			{Kind: TileMat1, T: 2, M: h},
+		}
+		full := MustNew(n, 2)
+		randomize(full, qmath.NewRNG(uint64(90+g)))
+		shards := make([]*State, 1<<uint(g))
+		for r := range shards {
+			shards[r] = MustNew(local, 1)
+			copy(shards[r].AmplitudesRaw(), full.AmplitudesRaw()[r<<uint(local):])
+		}
+		if err := full.ApplyTileRun(tileBits, 0, ops); err != nil {
+			t.Fatal(err)
+		}
+		for r, s := range shards {
+			if err := s.ApplyTileRun(tileBits, uint64(r)<<uint(local), ops); err != nil {
+				t.Fatalf("g=%d rank %d: %v", g, r, err)
+			}
+			bitsEqual(t, s.AmplitudesRaw(), full.AmplitudesRaw()[r<<uint(local):(r+1)<<uint(local)], fmt.Sprintf("g=%d rank %d", g, r))
+		}
+		if err := shards[1].ApplyTileRun(tileBits, 1, ops); err == nil {
+			t.Fatal("a base inside the shard was accepted")
+		}
+	}
+}
+
+var tileRunShapes = []struct {
+	name string
+	op   TileOp
+}{
+	{"mat1", TileOp{Kind: TileMat1, T: 5, M: gate.Matrix1(gate.U3, []float64{0.3, 0.5, 0.7})}},
+	{"mat1ctrl", TileOp{Kind: TileMat1, T: 5, C: 9, HasCtrl: true, M: gate.Matrix1(gate.RY, []float64{0.3})}},
+	{"cx", TileOp{Kind: TileCX, T: 5, C: 9, HasCtrl: true}},
+	{"diag1", DiagOp(1i, 1<<5, 0)},
+	{"diag2", DiagOp(1i, 1<<5|1<<9, 0)},
+	{"relphase", RelPhaseOp(1i, -1i, 5, 0)},
+}
+
+// BenchmarkTileRun is one micro-op of each lane-kernel shape over a
+// 2^20-amplitude state in 2^14-amplitude tiles: MB/s is state bytes
+// swept per second (each sweep reads and writes them once).
+func BenchmarkTileRun(b *testing.B) {
+	s := MustNew(20, 1)
+	randomize(s, qmath.NewRNG(5))
+	for _, shape := range tileRunShapes {
+		ops := []TileOp{shape.op}
+		b.Run(shape.name, func(b *testing.B) {
+			b.SetBytes(16 << 20)
+			for i := 0; i < b.N; i++ {
+				if err := s.ApplyTileRun(14, 0, ops); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

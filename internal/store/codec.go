@@ -203,7 +203,7 @@ func resultRecomputeCost(res *backend.Result) float64 {
 
 // encodePlan renders comp as a store plan artifact.
 func encodePlan(key, sig string, comp *backend.Compiled, cost float64) ([]byte, error) {
-	w := artifact.NewWriter(64 + len(key) + len(sig) + int(comp.SizeBytes()))
+	w := artifact.NewWriter(4 + len(key) + 4 + len(sig) + 8 + comp.EncodedLen())
 	w.Str(key)
 	w.Str(sig)
 	w.F64(cost)

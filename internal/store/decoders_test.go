@@ -254,6 +254,26 @@ func FuzzDecodeResult(f *testing.F) {
 	})
 }
 
+// TestEncodePlanNeverGrowsItsWriter: an uncompressed seal returns the
+// writer's own buffer, so one that was sized exactly — from the encoded
+// length, not from the smaller resident size — comes back full to
+// capacity; a regrown one would not.
+func TestEncodePlanNeverGrowsItsWriter(t *testing.T) {
+	for i, c := range artifacttest.SeedCircuits(t) {
+		comp, err := backend.Compile(c, backend.Config{Target: backend.TargetNvidia, TileBits: 3 - 4*(i%2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := encodePlan(fuzzKey, testSig, comp, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(data) != len(data) {
+			t.Errorf("circuit %d: a %d-byte plan artifact came back in a %d-byte buffer", i, len(data), cap(data))
+		}
+	}
+}
+
 func FuzzDecodePlan(f *testing.F) {
 	var like []byte
 	for i, c := range artifacttest.SeedCircuits(f) {
