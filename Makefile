@@ -130,8 +130,8 @@ ci-load: build
 # each so they cannot rot — their numbers gate nothing, BENCHMARK.json
 # does.
 ci-scaling: build
-	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|TileRunBaseMatchesFullState,./internal/statevec/ ./internal/kernel/)
-	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|TileRun|ExecutePlanQCrank' -benchtime=1x \
+	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|TileRunBaseMatchesFullState,./internal/statevec/ ./internal/kernel/)
+	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|PlanPerGate|TileRun|ExecutePlanQCrank' -benchtime=1x \
 		./internal/statevec/ ./internal/kernel/ ./internal/mgpu/
 
 # One P: the whole suite with GOMAXPROCS=1. The sweep pool, the grouped

@@ -22,7 +22,9 @@ func encodeCompiled(tb testing.TB, c *Compiled) []byte {
 }
 
 // FuzzDecodeCompiled starts from what Compile really produces for one
-// small circuit of each workload family, planned and per-gate.
+// small circuit of each workload family, tiled and per-gate, and from
+// the three mixes of a width-0 plan the plan reader refuses: a tile run,
+// a relabeling, rank bits.
 func FuzzDecodeCompiled(f *testing.F) {
 	var like []byte
 	for i, c := range artifacttest.SeedCircuits(f) {
@@ -32,6 +34,23 @@ func FuzzDecodeCompiled(f *testing.F) {
 		}
 		like = encodeCompiled(f, comp)
 		f.Add(artifacttest.Payload(f, like))
+		if comp.Plan.TileBits != 0 {
+			continue
+		}
+		for _, spoil := range []func(p *kernel.TilePlan){
+			func(p *kernel.TilePlan) { p.Segments[0] = kernel.Segment{Kind: kernel.SegRun} },
+			func(p *kernel.TilePlan) { p.Segments[0] = kernel.Segment{Kind: kernel.SegBitSwap, B: 1} },
+			func(p *kernel.TilePlan) { p.GlobalBits = 1 },
+		} {
+			p := *comp.Plan
+			p.Segments = append([]kernel.Segment(nil), p.Segments...)
+			spoil(&p)
+			bad := encodeCompiled(f, &Compiled{Kernel: comp.Kernel, Plan: &p})
+			if _, err := DecodeCompiled(bytes.NewReader(bad)); err == nil {
+				f.Fatal("an illegal width-0 mix decoded")
+			}
+			f.Add(artifacttest.Payload(f, bad))
+		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		artifacttest.FuzzDecoder(t, like, payload, func(sealed []byte) (func() ([]byte, error), error) {
@@ -60,7 +79,6 @@ func goldenCompiled() *Compiled {
 			Stats:    kernel.PlanStats{TileLocal: 1, Runs: 1},
 		},
 		TransformStats: kernel.Stats{SourceOps: 2, EmittedOps: 2, Measurements: 1},
-		TileBits:       1,
 	}
 }
 

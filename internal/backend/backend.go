@@ -16,7 +16,6 @@
 package backend
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -79,22 +78,23 @@ type Config struct {
 	FusionWindow int
 	// PruneAngle forwards to the kernel transformation.
 	PruneAngle float64
-	// TileBits selects the cache-blocked tiled executor: runs of gates
+	// TileBits is the tile width of the compiled plan: runs of gates
 	// whose mixing operands sit below 2^TileBits amplitudes apply to
 	// L2-resident tiles in one memory pass per run instead of one per
-	// gate, with SWAPs absorbed into a qubit relabeling table. The
-	// tiled path is bit-identical to the per-gate path. 0 selects
+	// gate, with SWAPs absorbed into a qubit relabeling table, bit-
+	// identical to the per-gate schedule — the width-0 plan. 0 selects
 	// kernel.AutoTileBits (cache-geometry detected at startup, env
-	// QGEAR_TILE_BITS override) on GPU-class targets and leaves aer on
-	// the per-gate baseline; negative selects per-gate sweeps on the
-	// single-process targets and is rejected on nvidia-mgpu, whose
-	// engine executes compiled plans only; positive forces that tile
-	// width on any target (clamped into the rank shard on nvidia-mgpu).
+	// QGEAR_TILE_BITS override) on GPU-class targets and leaves aer
+	// per-gate; negative selects the per-gate schedule on the
+	// single-process targets and is rejected on nvidia-mgpu, whose rank
+	// shards need a tile; positive forces that width on any target
+	// (clamped into the rank shard on nvidia-mgpu; a single-process
+	// state that fits one tile has nothing to block and runs per-gate).
 	TileBits int
 	// PlanFusion enables within-run fusion in the plan compiler:
 	// adjacent same-target single-qubit gates pre-multiply into one
-	// micro-op. Off (the default) keeps planned execution
-	// arithmetic-identical to the per-gate path; on trades exactness
+	// micro-op. Off (the default) keeps tiled execution
+	// arithmetic-identical to the per-gate schedule; on trades exactness
 	// at the ~1e-15 rounding level for fewer in-tile multiplies.
 	PlanFusion bool
 	// Cancel, when non-nil, is a cooperative cancellation flag the
@@ -165,11 +165,11 @@ type Result struct {
 	// KernelStats reports the circuit→kernel transformation.
 	KernelStats kernel.Stats
 	// PlanStats reports what the plan compiler did (tile runs, global
-	// fallbacks, fused micro-ops, exchange segments); nil when the run
-	// took the single-process per-gate path.
+	// sweeps, fused micro-ops, exchange segments); on the per-gate
+	// schedule Global is the gate count and the rest are zero.
 	PlanStats *kernel.PlanStats
-	// TileBits is the effective tile width the run executed with; 0 on
-	// the per-gate path.
+	// TileBits is the tile width of the plan the run executed; 0 is the
+	// per-gate schedule.
 	TileBits int
 	// Exchanges/BytesSent/AvoidedExchanges are the mgpu communication
 	// counters (zero for single-device targets): exchanges paid, bytes
@@ -206,11 +206,11 @@ func (c Config) devices() int {
 	return 1
 }
 
-// tileBits resolves the tiled-executor policy: explicit widths win,
-// negative disables, and the zero default enables tiling on GPU-class
-// targets while keeping aer on the per-gate sweep baseline (the same
-// way aer keeps fusion off). The auto width comes from the cache
-// geometry detected at startup.
+// tileBits resolves the plan's tile width, 0 being the per-gate
+// schedule: explicit widths win, negative disables, and the zero default
+// enables tiling on GPU-class targets while keeping aer on the per-gate
+// sweep baseline (the same way aer keeps fusion off). The auto width
+// comes from the cache geometry detected at startup.
 func (c Config) tileBits() int {
 	switch {
 	case c.TileBits > 0:
@@ -223,15 +223,6 @@ func (c Config) tileBits() int {
 		return kernel.AutoTileBits()
 	}
 }
-
-// EffectiveTileBits is the tile width this configuration actually
-// executes with once the auto policy is resolved (0 = per-gate path).
-// Persistence layers sign artifacts with this, not the raw TileBits
-// knob: a "0 = auto" setting resolves differently across machines and
-// QGEAR_TILE_BITS environments, and with PlanFusion enabled a
-// different effective width changes run boundaries and therefore
-// rounding — so artifacts must not be trusted across that divide.
-func (c Config) EffectiveTileBits() int { return c.tileBits() }
 
 // Signature returns the output-affecting option encoding core.CacheKey
 // folds into the content address: transform knobs (fusion window,
@@ -247,10 +238,12 @@ func (c Config) Signature() string {
 // artifact store records with each entry: Workers changes wall-clock
 // only and Shots/Seed are already part of the entry's cache key, so
 // all three are zeroed. TileBits is resolved to the *effective* width
-// (see EffectiveTileBits), so artifacts written under one effective
-// tiling are rejected by a server running another. A warm-starting
-// server compares this against its own configuration before trusting
-// an on-disk artifact.
+// (tileBits: "0 = auto" differs across machines and QGEAR_TILE_BITS
+// environments, and under PlanFusion a different width changes run
+// boundaries and therefore rounding), so artifacts written under one
+// effective tiling are rejected by a server running another. A
+// warm-starting server compares this against its own configuration
+// before trusting an on-disk artifact.
 func (c Config) StoreSignature() string {
 	c.Workers, c.Shots, c.Seed = 0, 0, 0
 	c.TileBits = c.tileBits()
@@ -259,7 +252,7 @@ func (c Config) StoreSignature() string {
 
 // Validate rejects what no circuit can run under: an unknown target
 // and, on nvidia-mgpu — whose engine pools device memory over a
-// hypercube of ranks and executes compiled plans only — a device count
+// hypercube of ranks, each shard at least one tile — a device count
 // that is not a power of two or a negative TileBits. Compile calls it
 // for every circuit and the service once at startup, so a bad geometry
 // fails where it is configured rather than on every job.
@@ -274,7 +267,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("backend: nvidia-mgpu needs a power-of-two device count, got %d", c.devices())
 	}
 	if c.TileBits < 0 {
-		return fmt.Errorf("backend: nvidia-mgpu executes compiled plans only: TileBits %d (per-gate sweeps) is for the single-process targets", c.TileBits)
+		return fmt.Errorf("backend: nvidia-mgpu executes tiled plans only: TileBits %d (per-gate sweeps) is for the single-process targets", c.TileBits)
 	}
 	return nil
 }
@@ -307,21 +300,26 @@ func (c Config) transformOptions(n int) kernel.Options {
 }
 
 // Compiled is a circuit lowered all the way to the execution IR: the
-// transformed kernel plus its compiled TilePlan (nil when a
-// single-process target runs per-gate). A Compiled is immutable and
-// safe to execute concurrently — the service layer caches them across
+// transformed kernel plus the TilePlan every engine executes — tiled,
+// distributed, or the width-0 per-gate schedule (aer, disabled tiling,
+// a state that fits one tile). A Compiled is immutable and safe to
+// execute concurrently — the service layer caches them across
 // submissions so repeat work skips transformation and planning
 // entirely.
 type Compiled struct {
 	Kernel *kernel.Kernel
-	// Plan is the compiled execution schedule; nil selects the
-	// single-process per-gate executor (aer, disabled tiling, or a
-	// state too small to tile). nvidia-mgpu always has one.
+	// Plan is the compiled execution schedule, never nil; its TileBits
+	// is the effective tile width, 0 for the per-gate schedule.
 	Plan *kernel.TilePlan
 	// TransformStats reports the circuit→kernel conversion.
 	TransformStats kernel.Stats
-	// TileBits is the plan's effective tile width (0 when Plan is nil).
-	TileBits int
+}
+
+// newResult starts the Result of a run of c on target with what the
+// compile already knows.
+func (c *Compiled) newResult(target Target) *Result {
+	stats := c.Plan.Stats
+	return &Result{Target: target, KernelStats: c.TransformStats, PlanStats: &stats, TileBits: c.Plan.TileBits, NumQubits: c.Kernel.NumQubits}
 }
 
 // Compile transforms a circuit for the configured target and compiles
@@ -343,11 +341,9 @@ func Compile(c *circuit.Circuit, cfg Config) (*Compiled, error) {
 }
 
 // compileKernel plans an already-transformed kernel under a validated
-// configuration. Single-process states too small to tile fall back to
-// the per-gate executor (nil plan); nvidia-mgpu always gets a plan;
-// real planning failures surface as errors.
+// configuration; width 0 and a single-process state that fits one tile
+// plan as the per-gate schedule.
 func compileKernel(k *kernel.Kernel, cfg Config) (*Compiled, error) {
-	comp := &Compiled{Kernel: k}
 	tb := cfg.tileBits()
 	g := cfg.globalBits()
 	if cfg.Target == TargetNvidiaMGPU {
@@ -361,8 +357,6 @@ func compileKernel(k *kernel.Kernel, cfg Config) (*Compiled, error) {
 			// the way it keeps one inside a shard.
 			tb = min(tb, n-1)
 		}
-	} else if tb <= 0 {
-		return comp, nil
 	}
 	plan, err := kernel.Plan(k, kernel.PlanConfig{
 		TileBits:   tb,
@@ -370,14 +364,9 @@ func compileKernel(k *kernel.Kernel, cfg Config) (*Compiled, error) {
 		FuseRuns:   cfg.PlanFusion,
 	})
 	if err != nil {
-		if errors.Is(err, kernel.ErrNoTiling) {
-			return comp, nil
-		}
 		return nil, err
 	}
-	comp.Plan = plan
-	comp.TileBits = plan.TileBits
-	return comp, nil
+	return &Compiled{Kernel: k, Plan: plan}, nil
 }
 
 // Run transforms the circuit for the configured target and executes it
@@ -392,19 +381,13 @@ func Run(c *circuit.Circuit, cfg Config) (*Result, error) {
 
 // RunCompiled executes a compiled circuit. Every engine consumes the
 // same plan: the single-process statevec executor runs it directly and
-// the distributed engine runs it against each rank shard. A nil plan
-// selects the per-gate baseline on a single-process target and is an
-// error on nvidia-mgpu.
+// the distributed engine runs it against each rank shard.
 func RunCompiled(comp *Compiled, cfg Config) (*Result, error) {
 	if !cfg.Target.Valid() {
 		return nil, fmt.Errorf("backend: unknown target %q", cfg.Target)
 	}
 	start := time.Now()
-	res := &Result{Target: cfg.Target, KernelStats: comp.TransformStats, TileBits: comp.TileBits, NumQubits: comp.Kernel.NumQubits}
-	if comp.Plan != nil {
-		stats := comp.Plan.Stats
-		res.PlanStats = &stats
-	}
+	res := comp.newResult(cfg.Target)
 	tr := &telemetry.Trace{}
 	cfg.execHook()
 
@@ -501,9 +484,8 @@ func SampleShots(probs []float64, cfg Config) (sampling.Counts, error) {
 	return merged, nil
 }
 
-// runSingleTraced executes a compiled circuit on one in-memory device,
-// through the plan when one was compiled (bit-identical output either
-// way), recording execute and readout spans into tr. The state goes
+// runSingleTraced executes a compiled circuit's plan on one in-memory
+// device, recording execute and readout spans into tr. The state goes
 // back to the slab free list once its probabilities are read out.
 func runSingleTraced(comp *Compiled, workers int, tr *telemetry.Trace, flag *cancel.Flag) ([]float64, error) {
 	t0 := time.Now()
@@ -528,12 +510,7 @@ func runSingleState(comp *Compiled, workers int, flag *cancel.Flag) (*statevec.S
 	if err != nil {
 		return nil, err
 	}
-	if comp.Plan != nil {
-		err = comp.Plan.ExecuteCancel(s, flag)
-	} else {
-		err = kernel.ExecuteCancel(comp.Kernel, s, flag)
-	}
-	if err != nil {
+	if err := comp.Plan.ExecuteCancel(s, flag); err != nil {
 		s.Release()
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"qgear/internal/circuit"
@@ -226,5 +227,44 @@ func TestWorkersDefaults(t *testing.T) {
 	}
 	if d := (Config{}).devices(); d != 1 {
 		t.Fatalf("default devices %d", d)
+	}
+}
+
+// TestTinyRegistersRunEverywhere: nothing about a plan needs a qubit to
+// block. 0- and 1-qubit circuits compile (to the width-0 plan), run and
+// read out on every single-process target; nvidia-mgpu, whose rank shards
+// need a qubit each besides the rank bits, keeps its own refusal.
+func TestTinyRegistersRunEverywhere(t *testing.T) {
+	ry := circuit.New(1, 0)
+	ry.RY(2*math.Pi/3, 0) // cos²(π/3), sin²(π/3)
+	for _, tc := range []struct {
+		c    *circuit.Circuit
+		want []float64
+	}{
+		{circuit.New(0, 0), []float64{1}},
+		{ry, []float64{0.25, 0.75}},
+	} {
+		for _, target := range []Target{TargetAer, TargetNvidia, TargetPennylane, TargetNvidiaMQPU} {
+			cfg := Config{Target: target, Devices: 2}
+			comp, err := Compile(tc.c, cfg)
+			if err != nil {
+				t.Errorf("%s, %d qubits: compile: %v", target, tc.c.NumQubits, err)
+				continue
+			}
+			if comp.Plan.TileBits != 0 || comp.Plan.Stats.Global != len(tc.c.Ops) {
+				t.Errorf("%s, %d qubits: plan %+v, want the width-0 plan", target, tc.c.NumQubits, comp.Plan)
+			}
+			res, err := RunCompiled(comp, cfg)
+			if err != nil {
+				t.Errorf("%s, %d qubits: run: %v", target, tc.c.NumQubits, err)
+				continue
+			}
+			if !probsClose(res.Probabilities, tc.want, 1e-15) {
+				t.Errorf("%s, %d qubits: probabilities %v, want %v", target, tc.c.NumQubits, res.Probabilities, tc.want)
+			}
+		}
+		if _, err := Compile(tc.c, Config{Target: TargetNvidiaMGPU}); err == nil || !strings.Contains(err.Error(), "at least 2 qubits") {
+			t.Errorf("nvidia-mgpu, %d qubits: err = %v, want its at-least-2-qubits refusal", tc.c.NumQubits, err)
+		}
 	}
 }

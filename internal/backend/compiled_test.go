@@ -22,8 +22,8 @@ func TestCompiledMGPUPlannedMatchesPerGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if perGate.PlanStats != nil || perGate.TileBits != 0 {
-		t.Fatalf("per-gate run reported a plan: tile=%d", perGate.TileBits)
+	if st := perGate.PlanStats; st == nil || perGate.TileBits != 0 || st.Global != perGate.KernelStats.EmittedOps-perGate.KernelStats.Measurements || st.Runs != 0 || st.PermSwaps != 0 {
+		t.Fatalf("per-gate run did not report the width-0 plan: tile=%d stats=%+v", perGate.TileBits, st)
 	}
 
 	const devices = 4
@@ -52,8 +52,8 @@ func TestCompiledMGPUPlannedMatchesPerGate(t *testing.T) {
 
 // TestMGPUExecutesPlansOnly: the two things the distributed target
 // cannot run fail with an error where they are configured or loaded —
-// per-gate sweeps at Compile, a plan-less artifact at execution — and
-// a geometry no plan exists for (three devices; more rank bits than the
+// per-gate sweeps at Compile, a width-0 plan at execution — and a
+// geometry no plan exists for (three devices; more rank bits than the
 // circuit leaves room for) is refused by Compile, not compiled into a
 // plan that can never run.
 func TestMGPUExecutesPlansOnly(t *testing.T) {
@@ -73,17 +73,18 @@ func TestMGPUExecutesPlansOnly(t *testing.T) {
 			t.Errorf("Compile accepted %+v (plan %v)", cfg, comp.Plan != nil)
 		}
 	}
-	// A Compiled as an older build persisted it for a small mgpu run.
+	// Every Compiled carries a plan; the per-gate schedule is one no rank
+	// shard can run.
 	cfg := Config{Target: TargetNvidiaMGPU, Devices: 2}
-	planless, err := Compile(c, Config{Target: TargetAer})
-	if err != nil || planless.Plan != nil {
-		t.Fatalf("aer compile: plan %v, err %v", planless.Plan != nil, err)
+	perGate, err := Compile(c, Config{Target: TargetAer})
+	if err != nil || perGate.Plan == nil || perGate.Plan.TileBits != 0 {
+		t.Fatalf("aer compile: plan %+v, err %v", perGate.Plan, err)
 	}
-	if _, err := RunCompiled(planless, cfg); err == nil {
-		t.Error("RunCompiled ran a plan-less artifact on nvidia-mgpu")
+	if _, err := RunCompiled(perGate, cfg); err == nil {
+		t.Error("RunCompiled ran a width-0 plan on nvidia-mgpu")
 	}
-	if _, err := RunExpectationCompiled(planless, observable.TransverseFieldIsing(6, 1, 0.7), cfg); err == nil {
-		t.Error("RunExpectationCompiled ran a plan-less artifact on nvidia-mgpu")
+	if _, err := RunExpectationCompiled(perGate, observable.TransverseFieldIsing(6, 1, 0.7), cfg); err == nil {
+		t.Error("RunExpectationCompiled ran a width-0 plan on nvidia-mgpu")
 	}
 	// Everything that ran per-gate on mgpu before — a one-device world,
 	// 1-qubit shards — compiles to a plan now.

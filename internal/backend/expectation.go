@@ -52,17 +52,8 @@ func RunExpectationCompiled(comp *Compiled, h *observable.Hamiltonian, cfg Confi
 		return nil, fmt.Errorf("backend: hamiltonian spans %d qubits, circuit has %d", h.NumQubits, n)
 	}
 	start := time.Now()
-	res := &Result{
-		Target:      cfg.Target,
-		KernelStats: comp.TransformStats,
-		TileBits:    comp.TileBits,
-		NumQubits:   n,
-		ExpTerms:    len(h.Terms),
-	}
-	if comp.Plan != nil {
-		stats := comp.Plan.Stats
-		res.PlanStats = &stats
-	}
+	res := comp.newResult(cfg.Target)
+	res.ExpTerms = len(h.Terms)
 	tr := &telemetry.Trace{}
 	cfg.execHook()
 

@@ -8,6 +8,7 @@ import (
 	"qgear/internal/circuit"
 	"qgear/internal/kernel"
 	"qgear/internal/observable"
+	"qgear/internal/oracle"
 	"qgear/internal/qmath"
 	"qgear/internal/statevec"
 )
@@ -83,9 +84,20 @@ func randomHamiltonian(n int, terms int, r *qmath.RNG) *observable.Hamiltonian {
 	return h
 }
 
-// referenceAmps computes the final-state amplitudes through the plain
-// per-gate executor with no fusion and no tiling — an execution path
-// independent of every engine under test.
+// oracleAmps computes the final-state amplitudes with internal/oracle's
+// textbook loop — no lane kernel, plan or executor in common with any
+// engine under test.
+func oracleAmps(c *circuit.Circuit) []complex128 {
+	o := oracle.New(c.NumQubits)
+	for _, op := range c.Ops {
+		o.Apply(op.Gate, op.Qubits, op.Params)
+	}
+	return o
+}
+
+// referenceAmps computes the final-state amplitudes through the per-gate
+// schedule with no fusion and no tiling: the width-0 plan, the engines'
+// own reference.
 func referenceAmps(t *testing.T, c *circuit.Circuit) []complex128 {
 	t.Helper()
 	k, _, err := kernel.FromCircuit(c, kernel.Options{})
@@ -172,6 +184,9 @@ func TestExpectationDifferentialSuite(t *testing.T) {
 		h := randomHamiltonian(n, 1+r.Intn(6), r)
 
 		ref := bruteForceExpectation(t, referenceAmps(t, c), h)
+		if d := math.Abs(ref - bruteForceExpectation(t, oracleAmps(c), h)); d > 1e-12 {
+			t.Fatalf("trial %d (n=%d): the per-gate schedule's ⟨H⟩ is %.3g off the oracle's", trial, n, d)
+		}
 		fusion := 2 + r.Intn(3)
 		tb := 2
 		if n > 3 {

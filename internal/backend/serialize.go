@@ -44,55 +44,49 @@ func DecodeCompiled(r io.Reader) (*Compiled, error) {
 	return comp, nil
 }
 
-// WriteCompiled appends c's payload encoding — kernel, optional plan,
-// transform stats, tile width — for artifacts that embed it under their
-// own checksum (the store's plan files).
+// WriteCompiled appends c's payload encoding — kernel, plan, transform
+// stats, tile width — for artifacts that embed it under their own
+// checksum (the store's plan files). The layout predates "every Compiled
+// carries a plan": the flag is always set, the width repeats the plan's.
 func WriteCompiled(w *artifact.Writer, c *Compiled) {
 	kernel.WriteKernel(w, c.Kernel)
-	w.Bool(c.Plan != nil)
-	if c.Plan != nil {
-		kernel.WritePlan(w, c.Plan)
-	}
+	w.Bool(true)
+	kernel.WritePlan(w, c.Plan)
 	kernel.WriteStats(w, c.TransformStats)
-	w.Int(c.TileBits)
+	w.Int(c.Plan.TileBits)
 }
 
-// ReadCompiled reads a WriteCompiled payload; a failure is left on r.
+// ReadCompiled reads a WriteCompiled payload; a failure is left on r. A
+// payload without a plan (per-gate execution, once) fails, so its
+// artifact is quarantined and recompiled.
 func ReadCompiled(r *artifact.Reader) *Compiled {
 	comp := &Compiled{Kernel: kernel.ReadKernel(r)}
-	if r.Bool() {
-		comp.Plan = kernel.ReadPlan(r)
-		if r.Err() == nil && comp.Plan.NumQubits != comp.Kernel.NumQubits {
-			r.Failf("compiled plan spans %d qubits, kernel %d", comp.Plan.NumQubits, comp.Kernel.NumQubits)
-		}
+	if !r.Bool() {
+		r.Failf("compiled artifact carries no plan")
+		return comp
+	}
+	comp.Plan = kernel.ReadPlan(r)
+	if r.Err() == nil && comp.Plan.NumQubits != comp.Kernel.NumQubits {
+		r.Failf("compiled plan spans %d qubits, kernel %d", comp.Plan.NumQubits, comp.Kernel.NumQubits)
 	}
 	comp.TransformStats = kernel.ReadStats(r)
-	comp.TileBits = r.Int()
+	if tb := r.Int(); r.Err() == nil && tb != comp.Plan.TileBits {
+		r.Failf("compiled artifact records tile width %d, its plan %d", tb, comp.Plan.TileBits)
+	}
 	return comp
 }
 
 // EncodedLen returns the length of c's WriteCompiled payload: what a
 // Writer is sized with (a plan is smaller in memory than on the wire).
 func (c *Compiled) EncodedLen() int {
-	n := c.Kernel.EncodedLen() + 1 + 6*8 + 8 // plan flag, transform stats, tile width
-	if c.Plan != nil {
-		n += c.Plan.EncodedLen()
-	}
-	return n
+	return c.Kernel.EncodedLen() + 1 + c.Plan.EncodedLen() + 6*8 + 8 // plan flag, transform stats, tile width
 }
 
 // SizeBytes returns the compiled circuit's resident memory footprint
-// (kernel instruction stream plus the plan's segment arrays) — what a
-// byte-accounted plan cache charges per entry.
+// (kernel plus plan, the instructions a width-0 plan shares with the
+// kernel counted once) — what a byte-accounted plan cache charges.
 func (c *Compiled) SizeBytes() int64 {
-	n := int64(unsafe.Sizeof(Compiled{}))
-	if c.Kernel != nil {
-		n += c.Kernel.SizeBytes()
-	}
-	if c.Plan != nil {
-		n += c.Plan.SizeBytes()
-	}
-	return n
+	return int64(unsafe.Sizeof(Compiled{})) + c.Kernel.SizeBytes() + c.Plan.SizeBytesBeside(c.Kernel)
 }
 
 // countsEntryBytes approximates one Counts map entry's resident

@@ -3,6 +3,7 @@ package backend
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"qgear/internal/randcirc"
@@ -22,15 +23,18 @@ func compileTestCircuit(t *testing.T, cfg Config) *Compiled {
 }
 
 // TestCompiledRoundTrip: a Compiled encodes and decodes DeepEqual,
-// with and without a plan.
+// tiled plan or per-gate schedule.
 func TestCompiledRoundTrip(t *testing.T) {
 	for _, cfg := range []Config{
 		{Target: TargetNvidia, TileBits: 4},
-		{Target: TargetNvidia, TileBits: -1}, // per-gate: nil plan
+		{Target: TargetNvidia, TileBits: -1}, // per-gate: the width-0 plan
 		{Target: TargetNvidia, TileBits: 4, FusionWindow: 3},
 		{Target: TargetNvidia, TileBits: 4, PlanFusion: true},
 	} {
 		comp := compileTestCircuit(t, cfg)
+		if comp.Plan == nil || comp.Plan.TileBits != max(cfg.TileBits, 0) {
+			t.Fatalf("cfg %+v: compiled plan %+v", cfg, comp.Plan)
+		}
 		var buf bytes.Buffer
 		if err := comp.Encode(&buf); err != nil {
 			t.Fatalf("cfg %+v: %v", cfg, err)
@@ -109,4 +113,46 @@ func TestSizeBytesAccounting(t *testing.T) {
 	if comp.SizeBytes() <= comp.Kernel.SizeBytes() {
 		t.Fatalf("compiled size %d should exceed its kernel alone (%d)", comp.SizeBytes(), comp.Kernel.SizeBytes())
 	}
+}
+
+// TestCompiledSizeBytesTracksHeap: a width-0 plan executes the kernel's
+// own instruction slice, so a Compiled is charged for it once — what the
+// plan cache's byte budget sees is within 15 % of what compiling the
+// serve_mix circuit shape keeps alive — while the decoded artifact, whose
+// plan owns a second copy, is charged for both.
+func TestCompiledSizeBytesTracksHeap(t *testing.T) {
+	c, err := randcirc.Generate(randcirc.Spec{Qubits: 12, Blocks: 100, Seed: 7, Measure: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Target: TargetNvidia, TileBits: -1}
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ { // earlier tests' state slabs outlive two cycles
+		runtime.GC()
+	}
+	runtime.ReadMemStats(&before)
+	comp, err := Compile(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held, charged := float64(after.HeapAlloc)-float64(before.HeapAlloc), float64(comp.SizeBytes())
+	t.Logf("SizeBytes %.0f, heap growth %.0f", charged, held)
+	if held < 0.85*charged || held > 1.15*charged {
+		t.Errorf("SizeBytes charges %.0f bytes for a compiled circuit that keeps %.0f alive", charged, held)
+	}
+	var buf bytes.Buffer
+	if err := comp.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeCompiled(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own := comp.SizeBytes() - comp.Kernel.SizeBytes(); decoded.SizeBytes() < comp.SizeBytes()+2*own {
+		t.Errorf("compiled: %d bytes (%d beside its kernel); decoded, with its own instruction copy: %d", comp.SizeBytes(), own, decoded.SizeBytes())
+	}
+	runtime.KeepAlive(comp)
+	runtime.KeepAlive(c)
 }

@@ -48,31 +48,16 @@ func (c Config) rebindableTransform() bool {
 	return c.PruneAngle == 0 && c.FusionWindow < 2
 }
 
-// Rebindable reports whether the compiled artifact itself can be
-// rebound: a nil plan always can (per-gate execution reads Params
-// directly), a compiled plan must carry its binding sites.
-func (c *Compiled) Rebindable() bool {
-	return c.Plan == nil || c.Plan.Bindable
-}
-
 // BindParams returns a copy of the compiled artifact rebound to a new
-// flat parameter vector. Copy-on-write throughout: structure is shared
-// with the receiver, which stays immutable and safe for concurrent
-// execution.
+// flat parameter vector. Only the plan — what executes — is rebound; the
+// kernel, like the plan's structure, is shared with the receiver, which
+// stays immutable and safe for concurrent execution.
 func (c *Compiled) BindParams(params []float64) (*Compiled, error) {
-	k, err := c.Kernel.Bind(params)
+	p, err := c.Plan.Bind(params)
 	if err != nil {
 		return nil, err
 	}
-	out := &Compiled{Kernel: k, TransformStats: c.TransformStats, TileBits: c.TileBits}
-	if c.Plan != nil {
-		p, err := c.Plan.Bind(params)
-		if err != nil {
-			return nil, err
-		}
-		out.Plan = p
-	}
-	return out, nil
+	return &Compiled{Kernel: c.Kernel, Plan: p, TransformStats: c.TransformStats}, nil
 }
 
 // SweepPointSeed derives the sampling seed of sweep point i from the
@@ -123,7 +108,7 @@ func RunSweepCompiled(comp *Compiled, h *observable.Hamiltonian, points [][]floa
 	// place (copy-on-write). A fused plan — or one decoded from an
 	// artifact predating binding sites — recompiles per point from the
 	// rebound kernel instead.
-	planRebind := !cfg.PlanFusion && (comp.Plan == nil || (comp.Plan.Bindable && comp.Plan.BindSlots == nParams))
+	planRebind := !cfg.PlanFusion && comp.Plan.Bindable && comp.Plan.BindSlots == nParams
 	bindPoint := func(i int) (*Compiled, error) {
 		if planRebind {
 			return comp.BindParams(points[i])
@@ -140,17 +125,8 @@ func RunSweepCompiled(comp *Compiled, h *observable.Hamiltonian, points [][]floa
 		return bound, nil
 	}
 
-	res := &Result{
-		Target:      cfg.Target,
-		KernelStats: comp.TransformStats,
-		TileBits:    comp.TileBits,
-		NumQubits:   comp.Kernel.NumQubits,
-		SweepPoints: len(points),
-	}
-	if comp.Plan != nil {
-		stats := comp.Plan.Stats
-		res.PlanStats = &stats
-	}
+	res := comp.newResult(cfg.Target)
+	res.SweepPoints = len(points)
 	if planRebind {
 		res.Rebinds = len(points)
 	} else {
@@ -306,7 +282,7 @@ func runSweepPoints(res *Result, h *observable.Hamiltonian, points [][]float64, 
 		agg[telemetry.StageRebind] += int64(rebinds[i])
 		// Per-point-compile fallbacks carry plan geometry the caller
 		// could not know up front.
-		if res.PlanStats == nil && r.PlanStats != nil {
+		if res.PlanStats == nil {
 			stats := *r.PlanStats
 			res.PlanStats = &stats
 			res.TileBits = r.TileBits

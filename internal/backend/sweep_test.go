@@ -50,7 +50,8 @@ var sweepEngines = []Config{
 
 // TestRunSweepDifferential: per-point sweep values must be
 // bit-identical to submitting every point as its own expectation job,
-// on all four engines.
+// on all four engines — and, since both sides of that run plans, within
+// 1e-12 of the oracle's ⟨H⟩ at the point.
 func TestRunSweepDifferential(t *testing.T) {
 	const nq = 5
 	c := sweepTestCircuit(nq)
@@ -80,6 +81,9 @@ func TestRunSweepDifferential(t *testing.T) {
 			if math.Float64bits(res.SweepValues[i]) != math.Float64bits(*ind.ExpValue) {
 				t.Fatalf("%s point %d: sweep value %v != individual job %v",
 					cfg.Target, i, res.SweepValues[i], *ind.ExpValue)
+			}
+			if want := bruteForceExpectation(t, oracleAmps(bound), h); math.Abs(res.SweepValues[i]-want) > 1e-12 {
+				t.Fatalf("%s point %d: sweep value %.17g, oracle %.17g", cfg.Target, i, res.SweepValues[i], want)
 			}
 		}
 	}

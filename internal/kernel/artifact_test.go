@@ -62,6 +62,42 @@ func FuzzDecodeKernel(f *testing.F) {
 	})
 }
 
+// width0Plans is the per-gate plan of the first seed circuit and the
+// three mixes of it the reader refuses: width 0 is the single-process
+// schedule of full sweeps and nothing else.
+func width0Plans(tb testing.TB) (legal *TilePlan, illegal []*TilePlan) {
+	tb.Helper()
+	legal, err := Plan(seedKernels(tb)[0], PlanConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, spoil := range []func(p *TilePlan){
+		func(p *TilePlan) { p.Segments[0] = Segment{Kind: SegRun} },
+		func(p *TilePlan) { p.Segments[0] = Segment{Kind: SegBitSwap, B: 1} },
+		func(p *TilePlan) { p.GlobalBits = 1 },
+	} {
+		p := *legal
+		p.Segments = append([]Segment(nil), legal.Segments...)
+		spoil(&p)
+		illegal = append(illegal, &p)
+	}
+	return legal, illegal
+}
+
+// TestPlanReaderWidth0Rule: TileBits 0 decodes exactly when there are no
+// rank bits and every segment is a SegGlobal.
+func TestPlanReaderWidth0Rule(t *testing.T) {
+	legal, illegal := width0Plans(t)
+	if got, err := DecodePlan(bytes.NewReader(encodePlanBytes(t, legal))); err != nil || !reflect.DeepEqual(got, legal) {
+		t.Fatalf("the width-0 plan decodes to %+v (err %v)", got, err)
+	}
+	for i, p := range illegal {
+		if _, err := DecodePlan(bytes.NewReader(encodePlanBytes(t, p))); err == nil {
+			t.Errorf("illegal width-0 mix %d decoded", i)
+		}
+	}
+}
+
 func FuzzDecodePlan(f *testing.F) {
 	var like []byte
 	for i, k := range seedKernels(f) {
@@ -71,6 +107,10 @@ func FuzzDecodePlan(f *testing.F) {
 		}
 		like = encodePlanBytes(f, p)
 		f.Add(artifacttest.Payload(f, like))
+	}
+	legal, illegal := width0Plans(f)
+	for _, p := range append(illegal, legal) {
+		f.Add(artifacttest.Payload(f, encodePlanBytes(f, p)))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		artifacttest.FuzzDecoder(t, like, payload, func(sealed []byte) (func() ([]byte, error), error) {

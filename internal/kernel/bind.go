@@ -59,11 +59,18 @@ type BindSite struct {
 func (k *Kernel) NumParams() int {
 	n := 0
 	for _, in := range k.Instrs {
-		if in.Kind == KGate && in.Gate.ParamCount() > 0 {
+		if parameterized(in) {
 			n += len(in.Params)
 		}
 	}
 	return n
+}
+
+// parameterized reports whether in is a gate whose matrix depends on
+// rotation angles — an instruction that owns slots of the flat parameter
+// vector and, in a bindable plan, a binding site.
+func parameterized(in Instr) bool {
+	return in.Kind == KGate && in.Gate.ParamCount() > 0
 }
 
 // Bind returns a copy of the kernel with its free parameters replaced
@@ -80,7 +87,7 @@ func (k *Kernel) Bind(params []float64) (*Kernel, error) {
 	i := 0
 	for j := range out.Instrs {
 		in := &out.Instrs[j]
-		if in.Kind == KGate && in.Gate.ParamCount() > 0 {
+		if parameterized(*in) {
 			end := i + len(in.Params)
 			in.Params = vals[i:end:end]
 			i = end
@@ -96,7 +103,8 @@ func (k *Kernel) Bind(params []float64) (*Kernel, error) {
 // recomputed, with the identical gate.Matrix1 derivations compileTileOp
 // makes, so at configurations where plan structure is value-independent
 // the result is bit-identical to freshly compiling the rebound kernel.
-// The receiver is never mutated (plans are executed concurrently).
+// The receiver is never mutated (plans are executed concurrently), and
+// neither is the kernel a width-0 plan shares its Globals with.
 func (p *TilePlan) Bind(params []float64) (*TilePlan, error) {
 	if !p.Bindable {
 		return nil, fmt.Errorf("kernel: plan was compiled without binding sites (run fusion entangles values with structure)")
@@ -108,6 +116,9 @@ func (p *TilePlan) Bind(params []float64) (*TilePlan, error) {
 	out.Ops = append([]statevec.TileOp(nil), p.Ops...)
 	out.XOps = append([]ExchOp(nil), p.XOps...)
 	out.Globals = append([]Instr(nil), p.Globals...)
+	// Global sites get capacity-clipped windows into one owned copy of
+	// params, taken at the first of them, as Kernel.Bind does.
+	var owned []float64
 	for _, b := range p.Binds {
 		if b.Seg < 0 || int(b.Seg) >= len(p.Segments) {
 			return nil, fmt.Errorf("kernel: binding site references segment %d of %d", b.Seg, len(p.Segments))
@@ -129,9 +140,10 @@ func (p *TilePlan) Bind(params []float64) (*TilePlan, error) {
 		case BindRun:
 			rebindTileOp(&out.Ops[at], b.Gate, vals)
 		case BindGlobal:
-			// A fresh Params backing: the source plan's slice (shared
-			// with the kernel) stays untouched.
-			out.Globals[at].Params = append([]float64(nil), vals...)
+			if owned == nil {
+				owned = append([]float64(nil), params...)
+			}
+			out.Globals[at].Params = owned[lo:hi:hi]
 		case BindExch:
 			out.XOps[at].M = targetMatrix(b.Gate, vals)
 		}

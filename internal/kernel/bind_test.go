@@ -145,6 +145,15 @@ func encodePlanBytes(t *testing.T, p *TilePlan) []byte {
 	return buf.Bytes()
 }
 
+func encodeKernelBytes(t *testing.T, k *Kernel) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeKernel(&buf, k); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestPlanBindFusedRejected: run fusion entangles values with
 // structure, so fused plans must refuse to rebind.
 func TestPlanBindFusedRejected(t *testing.T) {

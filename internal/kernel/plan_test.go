@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"errors"
 	"math"
 	"math/cmplx"
 	"os"
@@ -185,14 +184,23 @@ func TestDistributedPlanRejectedBySingleExecutor(t *testing.T) {
 	}
 }
 
-// TestPlanNoTilingSentinel checks that too-small single-process states
-// fail with ErrNoTiling (the signal for the per-gate fallback),
-// distinguishable from real planning errors — and that distributed
-// plans never do: the distributed engine has no per-gate fallback.
+// TestPlanNoTilingSentinel checks that a single-process state too small
+// to tile is no error of any kind: it compiles to the width-0 per-gate
+// plan, the same one TileBits 0 asks for — and that distributed plans
+// never do: a shard that fits one tile is planned as one tile.
 func TestPlanNoTilingSentinel(t *testing.T) {
 	k := New("small", 3).H(0)
-	if _, err := Plan(k, PlanConfig{TileBits: 5}); !errors.Is(err, ErrNoTiling) {
-		t.Errorf("small single-process state: err = %v, want ErrNoTiling", err)
+	for _, tileBits := range []int{0, 3, 5} {
+		plan, err := Plan(k, PlanConfig{TileBits: tileBits})
+		if err != nil || plan.TileBits != 0 || plan.Stats.Global != 1 || len(plan.Ops) != 0 {
+			t.Errorf("small single-process state at tile width %d: plan %+v, err %v; want the width-0 plan", tileBits, plan, err)
+		}
+	}
+	if plan, err := Plan(k, PlanConfig{TileBits: 2}); err != nil || plan.TileBits != 2 {
+		t.Errorf("a state wider than the tile: plan %+v, err %v; want a tiled plan", plan, err)
+	}
+	if _, err := Plan(k, PlanConfig{TileBits: -1}); err == nil {
+		t.Error("negative tile width accepted")
 	}
 	// A distributed shard of one qubit is planned as one tile.
 	k2 := New("shard", 4).H(0).H(3).CR1(0.3, 3, 0)
@@ -204,9 +212,12 @@ func TestPlanNoTilingSentinel(t *testing.T) {
 		t.Errorf("1-qubit shard: tile width %d, %d globals, %d bit swaps; want one tile and neither",
 			plan.TileBits, plan.Stats.Global, plan.Stats.BitSwaps)
 	}
-	// Invalid configuration is a hard error, not a fallback.
-	if _, err := Plan(k2, PlanConfig{TileBits: 2, GlobalBits: 4}); err == nil || errors.Is(err, ErrNoTiling) {
-		t.Errorf("GlobalBits == NumQubits: err = %v, want hard error", err)
+	// Invalid configuration is a hard error, not a fallback: no shard is
+	// left, or no tile width to cut one into.
+	for _, cfg := range []PlanConfig{{TileBits: 2, GlobalBits: 4}, {GlobalBits: 1}} {
+		if _, err := Plan(k2, cfg); err == nil {
+			t.Errorf("%+v: planned, want hard error", cfg)
+		}
 	}
 }
 

@@ -50,6 +50,11 @@ import (
 // free table updates. The distributed engine executes plans and nothing
 // else, so a distributed plan always exists: the tile is clamped
 // strictly inside the shard, and a 1-qubit shard is one tile.
+//
+// "No tile" is a plan too: width 0 — or a single-process state that fits
+// one tile — compiles the per-gate schedule (planPerGate), one full sweep
+// per instruction: aer's baseline, and the reference the tiled and
+// distributed schedules are held bit-identical to.
 
 // DefaultTileBits sizes tiles at 2^14 amplitudes × 16 B = 256 KiB —
 // resident in any modern L2 — matching the cache blocking of
@@ -63,12 +68,9 @@ const DefaultTileBits = 14
 // uses to come out ahead.
 const minResidencyUses = 2
 
-// ErrNoTiling reports that a single-process kernel is too small to tile
-// (the whole state already fits in one tile); callers fall back to the
-// plain per-gate executor, which is both correct and cache-resident at
-// those sizes. Distributed plans never fail this way: the distributed
-// engine executes plans only, so a shard that fits in one tile is
-// planned as one tile.
+// ErrNoTiling is never returned: a state too small to tile compiles to
+// the width-0 plan. It stays declared until benchmark/ (its own module,
+// changed in PRs of its own) drops its three references.
 var ErrNoTiling = errors.New("kernel: state too small to tile")
 
 // SegmentKind discriminates plan segments.
@@ -131,7 +133,9 @@ type PlanStats struct {
 
 // PlanConfig tunes plan compilation.
 type PlanConfig struct {
-	// TileBits is the tile width in qubits; <= 0 selects AutoTileBits.
+	// TileBits is the tile width in qubits. 0 — or, single-process, a
+	// width the whole state fits in — compiles the per-gate schedule;
+	// negative is an error. The machine's width is AutoTileBits().
 	TileBits int
 	// GlobalBits marks the top GlobalBits qubit positions as
 	// distributed rank-index bits (the mgpu engine's device boundary);
@@ -146,23 +150,23 @@ type PlanConfig struct {
 	FuseRuns bool
 }
 
-// TilePlan is a compiled tiled execution schedule for one kernel — the
-// IR shared by the single-process statevec engine (Execute) and the
-// distributed mgpu engine (DistState.ExecutePlanCancel). It is immutable
-// after planning and safe to execute against many states concurrently,
-// which is what lets the service layer cache plans across submissions.
+// TilePlan is a compiled execution schedule for one kernel, tiled or
+// per-gate — the IR shared by the single-process statevec engine
+// (Execute) and the distributed mgpu engine (ExecutePlanCancel). It is
+// immutable after planning and safe to execute against many states
+// concurrently, which lets the service layer cache plans across jobs.
 //
 // Everything a segment executes lives in one of three arenas the
 // segment headers index into: a plan is four allocations plus its
 // binding sites, whatever its length.
 type TilePlan struct {
-	TileBits   int
+	TileBits   int // 0: the per-gate schedule, every segment a SegGlobal
 	NumQubits  int
 	GlobalBits int // rank-index bits of a distributed plan; 0 = single-process
 	Segments   []Segment
 	Ops        []statevec.TileOp // every SegRun's micro-ops, in program order
 	XOps       []ExchOp          // every SegExchange's ops
-	Globals    []Instr           // every SegGlobal's instruction, with physical qubit operands
+	Globals    []Instr           // every SegGlobal's instruction, with physical qubit operands (width 0: the kernel's own slice)
 	// FinalPerm is the logical→physical layout the state data is left
 	// in after all segments run (nil when it ends at the identity);
 	// Execute hands it to the state, which materializes lazily on
@@ -217,29 +221,31 @@ func mixingTargets(in Instr, dst []int) []int {
 	return dst
 }
 
-// Plan compiles the kernel into a tiled execution plan. It fails with
-// ErrNoTiling when a single-process state is too small to tile —
-// callers should run the plain per-gate executor instead, the whole
-// state being already cache-resident — and with a hard error when the
-// kernel does not validate or the configuration is inconsistent.
+// Plan compiles the kernel into an execution plan: tiled when there is
+// something to block, the per-gate schedule otherwise (TileBits 0, or a
+// single-process state that fits one tile). It fails when the kernel
+// does not validate or the configuration is inconsistent.
 func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
-	tileBits := cfg.TileBits
-	if tileBits <= 0 {
-		tileBits = AutoTileBits()
+	tileBits, g := cfg.TileBits, cfg.GlobalBits
+	if tileBits < 0 {
+		return nil, fmt.Errorf("kernel: negative tile width %d", tileBits)
 	}
-	g := cfg.GlobalBits
-	if g < 0 || g >= k.NumQubits {
+	if g < 0 || g > 0 && g >= k.NumQubits {
 		return nil, fmt.Errorf("kernel: %d global bits out of range for %d qubits", g, k.NumQubits)
+	}
+	if g > 0 && tileBits == 0 {
+		return nil, fmt.Errorf("kernel: a distributed plan (%d global bits) needs a tile width", g)
+	}
+	if err := k.Validate(); err != nil {
+		return nil, fmt.Errorf("kernel: cannot plan invalid kernel: %w", err)
+	}
+	if g == 0 && (tileBits == 0 || tileBits >= k.NumQubits) {
+		return planPerGate(k, !cfg.FuseRuns), nil
 	}
 	local := k.NumQubits - g
 	if g > 0 {
 		// Tiles sit strictly inside the shard; a 1-qubit shard is one tile.
 		tileBits = max(1, min(tileBits, local-1))
-	} else if k.NumQubits <= tileBits {
-		return nil, fmt.Errorf("kernel: %d qubits at tile width %d: %w", k.NumQubits, tileBits, ErrNoTiling)
-	}
-	if err := k.Validate(); err != nil {
-		return nil, fmt.Errorf("kernel: cannot plan invalid kernel: %w", err)
 	}
 	p := &TilePlan{TileBits: tileBits, NumQubits: k.NumQubits, GlobalBits: g}
 	n := k.NumQubits
@@ -263,7 +269,7 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 		}
 	}
 	for i, in := range k.Instrs {
-		if in.Kind == KGate && in.Gate.ParamCount() > 0 {
+		if parameterized(in) {
 			nBinds++
 		}
 		scratch = mixingTargets(in, scratch[:0])
@@ -296,7 +302,7 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	// artifact — op op of segment seg — and advances BindSlots, the
 	// gate's offset into the flat parameter vector (program order).
 	bind := func(kind BindSiteKind, seg, op int, in Instr) {
-		if in.Kind != KGate || in.Gate.ParamCount() == 0 {
+		if !parameterized(in) {
 			return
 		}
 		if p.Bindable {
@@ -558,6 +564,45 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	return p, nil
 }
 
+// planPerGate compiles the width-0 plan: one SegGlobal per planned
+// instruction at the identity layout, so a SWAP stays a real sweep and
+// nothing is left to materialize. No op is lowered — the plan executes
+// the kernel's own instructions: Globals is the shared, capacity-clipped
+// prefix of k.Instrs when every barrier and measurement trails the gates
+// (any measured circuit) and a filtered copy otherwise, DeepEqual to the
+// decoded plan either way. Only headers and binding sites are allocated.
+func planPerGate(k *Kernel, bindable bool) *TilePlan {
+	p := &TilePlan{NumQubits: k.NumQubits, Bindable: bindable}
+	m, nBinds, prefix := 0, 0, true
+	for i, in := range k.Instrs {
+		if planned(in) {
+			prefix = prefix && i == m
+			m++
+			if bindable && parameterized(in) {
+				nBinds++
+			}
+		}
+	}
+	if m == 0 {
+		return p
+	}
+	p.Globals = k.Instrs[:m:m]
+	if !prefix {
+		p.Globals = slices.DeleteFunc(slices.Clone(k.Instrs), func(in Instr) bool { return !planned(in) })
+	}
+	p.Segments, p.Binds, p.Stats.Global = make([]Segment, m), arena[BindSite](nBinds), m
+	for i, in := range p.Globals {
+		p.Segments[i] = Segment{Kind: SegGlobal, Lo: int32(i), Hi: int32(i + 1)}
+		if parameterized(in) {
+			if bindable {
+				p.Binds = append(p.Binds, BindSite{Kind: BindGlobal, Gate: in.Gate, Seg: int32(i), Slot: int32(p.BindSlots), NParams: int32(len(in.Params))})
+			}
+			p.BindSlots += len(in.Params)
+		}
+	}
+	return p
+}
+
 // physInstr rewrites an instruction's operands to physical positions.
 func physInstr(in Instr, perm []int) Instr {
 	out := in
@@ -667,13 +712,8 @@ func (p *TilePlan) ExecuteCancel(s *statevec.State, flag *cancel.Flag) error {
 		case SegBitSwap:
 			s.ApplySwap(int(seg.A), int(seg.B))
 		case SegGlobal:
-			switch in := &p.Globals[seg.Lo]; in.Kind {
-			case KGate:
-				s.ApplyGate(in.Gate, in.Qubits, in.Params)
-			case KFused:
-				if err := s.ApplyFused(in.Qubits, in.Mat); err != nil {
-					return fmt.Errorf("kernel: global segment %d: %w", i, err)
-				}
+			if err := p.Globals[seg.Lo].Apply(s); err != nil {
+				return fmt.Errorf("kernel: global segment %d: %w", i, err)
 			}
 		default:
 			return fmt.Errorf("kernel: segment %d has kind %d, which no single-process executor handles", i, seg.Kind)

@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"io"
+	"math"
+	"slices"
 	"unsafe"
 
 	"qgear/internal/artifact"
@@ -273,6 +275,15 @@ func writeTileOp(w *artifact.Writer, op *statevec.TileOp) {
 	writeC128s(w, fb.Mat)
 }
 
+// valueBits is 0 only for +0 values: a -0 compares equal to 0, so it
+// would decode and then re-encode as +0.
+func valueBits(vs ...complex128) (b uint64) {
+	for _, v := range vs {
+		b |= math.Float64bits(real(v)) | math.Float64bits(imag(v))
+	}
+	return b
+}
+
 // readTileOp fails the Reader on what the 96-byte form cannot hold — a
 // position that is no bit position, factors on a TileMat1, a matrix on
 // any other kind — so what decodes re-encodes to the bytes it came from.
@@ -292,11 +303,11 @@ func readTileOp(r *artifact.Reader) statevec.TileOp {
 		op.M[i] = r.C128()
 	}
 	if op.Kind != statevec.TileMat1 {
-		if op.M != (gate.Mat2{}) {
+		if valueBits(op.M[:]...) != 0 {
 			r.Failf("tile op of kind %d carries a 2×2 matrix", op.Kind)
 		}
 		op.M = gate.Mat2{0: a, 1: phase, 3: b}
-	} else if phase != 0 || a != 0 || b != 0 {
+	} else if valueBits(phase, a, b) != 0 {
 		r.Failf("mat1 tile op carries diagonal factors")
 	}
 	var qubits []uint
@@ -366,7 +377,9 @@ func ReadPlan(r *artifact.Reader) *TilePlan {
 	p.TileBits = int(r.U32())
 	p.NumQubits = int(r.U32())
 	p.GlobalBits = int(r.U32())
-	p.Segments = make([]Segment, r.Count(minSegmentBytes))
+	if n := r.Count(minSegmentBytes); n > 0 { // none is nil, as Plan leaves it
+		p.Segments = make([]Segment, n)
+	}
 	nOps, nXOps, nGlobals := arenaSizes(*r, len(p.Segments))
 	p.Ops, p.XOps, p.Globals = arena[statevec.TileOp](nOps), arena[ExchOp](nXOps), arena[Instr](nGlobals)
 	for i := range p.Segments {
@@ -427,7 +440,12 @@ func ReadPlan(r *artifact.Reader) *TilePlan {
 			b.NParams = int32(r.U32())
 		}
 	}
-	if r.Err() == nil && (p.NumQubits <= 0 || p.TileBits <= 0 || p.GlobalBits < 0 || p.GlobalBits >= p.NumQubits) {
+	// Width 0 is the single-process per-gate schedule and nothing else.
+	ok := p.TileBits > 0 && p.GlobalBits >= 0 && p.GlobalBits < p.NumQubits
+	if p.TileBits == 0 {
+		ok = p.GlobalBits == 0 && !slices.ContainsFunc(p.Segments, func(seg Segment) bool { return seg.Kind != SegGlobal })
+	}
+	if r.Err() == nil && !ok {
 		r.Failf("decoded plan has inconsistent geometry (%d qubits, tile %d, %d global bits)",
 			p.NumQubits, p.TileBits, p.GlobalBits)
 	}
@@ -501,6 +519,17 @@ func (p *TilePlan) sizes() (resident int64, encoded int) {
 // op slot unused), what fused ops and global instructions point at, and
 // the final permutation.
 func (p *TilePlan) SizeBytes() int64 { r, _ := p.sizes(); return r }
+
+// SizeBytesBeside is SizeBytes for an owner that also holds, and charges
+// in full, the kernel p was compiled from: a width-0 plan executes k's
+// own instruction slice (planPerGate), which is resident once.
+func (p *TilePlan) SizeBytesBeside(k *Kernel) int64 {
+	n := p.SizeBytes()
+	if len(p.Globals) > 0 && len(k.Instrs) > 0 && &p.Globals[0] == &k.Instrs[0] {
+		n -= (&Kernel{Instrs: p.Globals}).SizeBytes() - kernelBase
+	}
+	return n
+}
 
 // EncodedLen returns the length of p's WritePlan payload.
 func (p *TilePlan) EncodedLen() int { _, e := p.sizes(); return e }

@@ -7,6 +7,7 @@ import (
 
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
+	"qgear/internal/oracle"
 	"qgear/internal/qcrank"
 	"qgear/internal/qmath"
 	"qgear/internal/statevec"
@@ -84,13 +85,30 @@ func maxAmpDiff(t *testing.T, a, b *statevec.State) float64 {
 	return worst
 }
 
-// executeTiled runs k on s through a plan compiled at tileBits — no
-// rank boundary, no run fusion — or, when the whole state fits one
-// tile, through the per-gate executor.
-func executeTiled(k *Kernel, s *statevec.State, tileBits int) error {
-	if k.NumQubits <= tileBits {
-		return Execute(k, s)
+// maxProbDiff compares a state's probabilities with a reference vector.
+func maxProbDiff(s *statevec.State, want []float64) float64 {
+	worst := 0.0
+	for i, p := range s.Probabilities() {
+		worst = max(worst, math.Abs(p-want[i]))
 	}
+	return worst
+}
+
+// oracleProbs walks the source circuit — not the kernel, whose transform
+// is under test too — through internal/oracle's textbook loop: the
+// reference that is no executor of this package.
+func oracleProbs(c *circuit.Circuit) []float64 {
+	o := oracle.New(c.NumQubits)
+	for _, op := range c.Ops {
+		o.Apply(op.Gate, op.Qubits, op.Params)
+	}
+	return o.Probabilities()
+}
+
+// executeTiled runs k on s through the plan compiled at tileBits — no
+// rank boundary, no run fusion; when the whole state fits one tile that
+// is the per-gate schedule.
+func executeTiled(k *Kernel, s *statevec.State, tileBits int) error {
 	plan, err := Plan(k, PlanConfig{TileBits: tileBits})
 	if err != nil {
 		return err
@@ -99,15 +117,17 @@ func executeTiled(k *Kernel, s *statevec.State, tileBits int) error {
 }
 
 // TestTiledGateSoupEquivalence is the randomized equivalence suite:
-// tiled execution must match the naive per-gate path to 1e-12 across
-// qubit counts, tile widths, worker counts, fusion windows, and the
-// permutation states the SWAP-heavy soup drives the table through.
+// tiled execution must match the naive per-gate schedule (the width-0
+// plan) to 1e-12 across qubit counts, tile widths, worker counts, fusion
+// windows, and the permutation states the SWAP-heavy soup drives the
+// table through. Both run on one executor now, so both are also held to
+// the oracle, which is none.
 func TestTiledGateSoupEquivalence(t *testing.T) {
 	seed := uint64(0x7a11ed)
 	for _, tc := range []struct {
 		n, tileBits, workers, window int
 	}{
-		{3, 5, 1, 0},  // smaller than one tile: plain-executor fallback
+		{3, 5, 1, 0},  // smaller than one tile: the per-gate schedule again
 		{6, 3, 1, 0},  // 8 tiles of 8 amplitudes
 		{6, 3, 4, 0},  // same, parallel
 		{9, 4, 1, 0},  // deeper index space
@@ -139,6 +159,14 @@ func TestTiledGateSoupEquivalence(t *testing.T) {
 		}
 		if norm := tiled.Norm(); math.Abs(norm-1) > 1e-9 {
 			t.Errorf("n=%d tile=%d: tiled norm %g", tc.n, tc.tileBits, norm)
+		}
+		want := oracleProbs(c)
+		if d := maxProbDiff(naive, want); d > 1e-12 {
+			t.Errorf("n=%d window=%d: per-gate schedule vs oracle: max |Δp| %g > 1e-12", tc.n, tc.window, d)
+		}
+		if d := maxProbDiff(tiled, want); d > 1e-12 {
+			t.Errorf("n=%d tile=%d workers=%d window=%d: tiled vs oracle: max |Δp| %g > 1e-12",
+				tc.n, tc.tileBits, tc.workers, tc.window, d)
 		}
 	}
 }

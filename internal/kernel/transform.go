@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/cmplx"
 
-	"qgear/internal/cancel"
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
 	"qgear/internal/statevec"
@@ -265,47 +264,26 @@ func (k *Kernel) Adjoint() (*Kernel, error) {
 }
 
 // Execute applies the kernel's unitary instructions to the state, gate
-// by gate — the single-device per-gate engine: aer's baseline, the path
-// of states too small to tile, and the reference the planned executors
-// (TilePlan.Execute, mgpu's ExecutePlanCancel) are held bit-identical
-// to. It has no distributed twin. Measure instructions are skipped
-// (sampling happens on the final state); the caller is responsible for
-// state/kernel size agreement.
+// by gate: it compiles the width-0 plan and runs it, which is what aer
+// and every state too small to tile execute, and the reference the tiled
+// and distributed schedules are held bit-identical to. Measure
+// instructions compile to nothing (sampling happens on the final state).
 func Execute(k *Kernel, s *statevec.State) error {
-	return ExecuteCancel(k, s, nil)
+	p, err := Plan(k, PlanConfig{})
+	if err != nil {
+		return err
+	}
+	return p.Execute(s)
 }
 
-// cancelPollInstrs is how many per-gate instructions run between
-// cancellation polls: frequent enough that an expired job stops within
-// a handful of state sweeps, sparse enough that the poll (an atomic
-// load plus, with a deadline set, a clock read) is never measurable
-// against a gate application.
-const cancelPollInstrs = 16
-
-// ExecuteCancel is Execute with a cooperative cancellation flag,
-// polled every cancelPollInstrs instructions. A nil flag never trips.
-func ExecuteCancel(k *Kernel, s *statevec.State, flag *cancel.Flag) error {
-	if s.NumQubits() != k.NumQubits {
-		return fmt.Errorf("kernel: state has %d qubits, kernel %q wants %d", s.NumQubits(), k.Name, k.NumQubits)
-	}
-	for i, in := range k.Instrs {
-		if i%cancelPollInstrs == 0 {
-			if err := flag.Err(); err != nil {
-				return fmt.Errorf("kernel: instr %d: %w", i, err)
-			}
-		}
-		switch in.Kind {
-		case KGate:
-			s.ApplyGate(in.Gate, in.Qubits, in.Params)
-		case KFused:
-			if err := s.ApplyFused(in.Qubits, in.Mat); err != nil {
-				return fmt.Errorf("kernel: instr %d: %w", i, err)
-			}
-		case KMeasure, KBarrier:
-			// no-op for state evolution
-		default:
-			return fmt.Errorf("kernel: instr %d has unknown kind %d", i, in.Kind)
-		}
+// Apply runs one gate or fused instruction, operands physical, as a full
+// sweep over s — a SegGlobal, on a single state or a rank shard alike.
+func (in *Instr) Apply(s *statevec.State) error {
+	switch in.Kind {
+	case KGate:
+		s.ApplyGate(in.Gate, in.Qubits, in.Params)
+	case KFused:
+		return s.ApplyFused(in.Qubits, in.Mat)
 	}
 	return nil
 }

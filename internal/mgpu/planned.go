@@ -26,8 +26,8 @@ import (
 //     subspace and can co-update them locally.
 //
 // Every step performs the same arithmetic on the same amplitudes as
-// the single-device per-gate engine (kernel.Execute on one
-// statevec.State), so planned execution is bit-identical to it — the
+// the single-device per-gate schedule (kernel.Execute's width-0 plan on
+// one statevec.State), so planned execution is bit-identical to it — the
 // randomized suite in planned_test.go pins that across rank counts,
 // shard shapes (1-qubit shards included) and fusion settings, and
 // oracle_test.go holds both to a naive dense reference.
@@ -90,12 +90,8 @@ func (d *DistState) ExecutePlanCancel(p *kernel.TilePlan, flag *cancel.Flag) err
 // placement matters for comm volume. Everything else is the shard's own
 // gate kernel.
 func (d *DistState) applyGlobal(in kernel.Instr) error {
-	if in.Kind == kernel.KFused {
-		return d.st.ApplyFused(in.Qubits, in.Mat)
-	}
-	if in.Gate.Arity() != 2 || in.Qubits[0] < d.local {
-		d.st.ApplyGate(in.Gate, in.Qubits, in.Params)
-		return nil
+	if in.Kind == kernel.KFused || in.Gate.Arity() != 2 || in.Qubits[0] < d.local {
+		return in.Apply(d.st)
 	}
 	var u gate.Type
 	switch in.Gate {

@@ -145,6 +145,16 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 		if math.Abs(norm(planned.Probabilities)-1) > 1e-9 {
 			t.Errorf("n=%d ranks=%d: planned norm %g", tc.n, tc.ranks, norm(planned.Probabilities))
 		}
+		// The single-device reference is a plan on the same kernels; the
+		// oracle is neither.
+		oracle := oracleProbs(c)
+		if d := maxDiff(want, oracle); d > 1e-12 {
+			t.Errorf("n=%d window=%d: single-device vs oracle diff %g > 1e-12", tc.n, tc.window, d)
+		}
+		if d := maxDiff(planned.Probabilities, oracle); d > 1e-12 {
+			t.Errorf("n=%d ranks=%d tile=%d window=%d fuse=%v: planned vs oracle diff %g > 1e-12",
+				tc.n, tc.ranks, tc.tileBits, tc.window, tc.fuseRuns, d)
+		}
 		// A segment costs each rank at most one exchange; ranks whose
 		// rank-bit controls rule out every op of a segment sit it out.
 		if planned.Exchanges != tc.exchanges || planned.Exchanges > tc.ranks*plan.Stats.ExchangeSegs {

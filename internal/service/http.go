@@ -239,7 +239,8 @@ type ResultResponse struct {
 	ExpValue *float64 `json:"expval,omitempty"`
 	ExpTerms int      `json:"exp_terms,omitempty"`
 	// TileBits and PlanStats describe the compiled execution plan the
-	// run used (absent on the per-gate path).
+	// run used. Every run has one: on the per-gate schedule tile_bits is
+	// 0 (omitted) and plan_stats reads global_sweeps == gates, rest zero.
 	TileBits  int               `json:"tile_bits,omitempty"`
 	PlanStats *kernel.PlanStats `json:"plan_stats,omitempty"`
 	// Trace is the per-stage timing breakdown of how this result was

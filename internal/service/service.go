@@ -684,11 +684,6 @@ func (s *Server) compiled(c *circuit.Circuit, fp string) (*backend.Compiled, *te
 		tl := time.Now()
 		comp, cost, err = s.store.LoadPlan(key, s.cfgSig)
 		loadDur = time.Since(tl)
-		if err == nil && comp.Plan == nil && s.cfg.Target == backend.TargetNvidiaMGPU {
-			// Written before the distributed engine became plans-only:
-			// nothing can execute it, so it goes the way of a corrupt file.
-			err = fmt.Errorf("%w: plan-less nvidia-mgpu artifact", store.ErrIntegrity)
-		}
 		if err == nil {
 			fromStore = true
 		} else {

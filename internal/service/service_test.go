@@ -12,6 +12,7 @@ import (
 	"qgear/internal/backend"
 	"qgear/internal/circuit"
 	"qgear/internal/observable"
+	"qgear/internal/oracle"
 	"qgear/internal/randcirc"
 	"qgear/internal/telemetry"
 )
@@ -91,9 +92,23 @@ func TestRunMatchesBackend(t *testing.T) {
 	if len(res.Probabilities) != len(ref.Probabilities) {
 		t.Fatalf("prob lengths %d vs %d", len(res.Probabilities), len(ref.Probabilities))
 	}
+	// Both sides of that executed the same plan — the width-0 one unless
+	// QGEAR_TILE_BITS says otherwise, ten qubits fitting any detected tile
+	// — so the job is also held to the oracle.
+	if res.PlanStats == nil || res.TileBits == 0 && res.PlanStats.Global != res.KernelStats.EmittedOps {
+		t.Fatalf("tile=%d plan stats %+v for %d kernel instructions", res.TileBits, res.PlanStats, res.KernelStats.EmittedOps)
+	}
+	o := oracle.New(c.NumQubits)
+	for _, op := range c.Ops {
+		o.Apply(op.Gate, op.Qubits, op.Params)
+	}
+	want := o.Probabilities()
 	for i := range res.Probabilities {
 		if res.Probabilities[i] != ref.Probabilities[i] {
 			t.Fatalf("prob[%d] = %g, want %g", i, res.Probabilities[i], ref.Probabilities[i])
+		}
+		if math.Abs(res.Probabilities[i]-want[i]) > 1e-12 {
+			t.Fatalf("prob[%d] = %g, oracle %g", i, res.Probabilities[i], want[i])
 		}
 	}
 	if len(res.Counts) != len(ref.Counts) {

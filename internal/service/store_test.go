@@ -9,8 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"qgear/internal/artifact"
 	"qgear/internal/backend"
 	"qgear/internal/circuit"
+	"qgear/internal/kernel"
+	"qgear/internal/store"
 )
 
 // storeTestCircuits builds n deterministic, distinct circuits.
@@ -154,31 +157,60 @@ func TestWarmRestartPlansFromStore(t *testing.T) {
 	}
 }
 
-// TestPlanlessMGPUArtifactIsRecompiled: a store written when small
-// nvidia-mgpu worlds still ran per-gate holds compiled artifacts with no
-// plan under an unchanged signature. The plans-only engine cannot run
-// one, so the warm-starting server quarantines it like a corrupt file
-// and compiles afresh.
+// TestPlanlessMGPUArtifactIsRecompiled: a store written while per-gate
+// execution was the absence of a plan — aer, small states, and before
+// that small nvidia-mgpu worlds — holds compiled artifacts with no plan
+// under an unchanged signature. Every engine executes plans only, so the
+// warm-starting server quarantines one like a corrupt file and compiles
+// afresh, whatever the target.
 func TestPlanlessMGPUArtifactIsRecompiled(t *testing.T) {
-	cfg := Config{StoreDir: t.TempDir(), Target: backend.TargetNvidiaMGPU, Devices: 2, WorkerPool: 1, MaxBatch: 1}
-	c := storeTestCircuits(1, 6)[0]
-	s := newTestServer(t, cfg)
-	planless, err := backend.Compile(c, backend.Config{Target: backend.TargetAer})
-	if err != nil || planless.Plan != nil {
-		t.Fatalf("aer compile: plan %v, err %v", planless.Plan != nil, err)
-	}
-	if err := s.store.SavePlan(s.planKey(c, c.Fingerprint()), s.cfgSig, planless, 1); err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := s.Run(context.Background(), c, SubmitOptions{Shots: 100, Seed: 4})
-	if err != nil {
-		t.Fatalf("plan-less artifact must fall back to a fresh compile, got %v", err)
-	}
-	if res.PlanStats == nil {
-		t.Fatal("the job ran without a plan")
-	}
-	if st := s.Stats(); st.StoreQuarantines != 1 || st.StorePlanHits != 0 {
-		t.Fatalf("quarantines %d, plan store hits %d; want 1 and 0", st.StoreQuarantines, st.StorePlanHits)
+	for _, cfg := range []Config{
+		{Target: backend.TargetAer},
+		{Target: backend.TargetNvidiaMGPU, Devices: 2},
+	} {
+		cfg.StoreDir, cfg.WorkerPool, cfg.MaxBatch = t.TempDir(), 1, 1
+		c := storeTestCircuits(1, 6)[0]
+		s := newTestServer(t, cfg)
+		key := s.planKey(c, c.Fingerprint())
+		comp, err := backend.Compile(c, backend.Config{Target: cfg.Target, Devices: cfg.Devices})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The index entry comes from a real save; the file is then replaced
+		// by what the older build wrote: kernel, a cleared plan flag,
+		// transform stats, tile width 0.
+		if err := s.store.SavePlan(key, s.cfgSig, comp, 1); err != nil {
+			t.Fatal(err)
+		}
+		files, err := filepath.Glob(filepath.Join(cfg.StoreDir, "plans", "*", "*.plan"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("plan files %v (err %v), want one", files, err)
+		}
+		w := artifact.NewWriter(0)
+		w.Str(key)
+		w.Str(s.cfgSig)
+		w.F64(1)
+		kernel.WriteKernel(w, comp.Kernel)
+		w.Bool(false)
+		kernel.WriteStats(w, comp.TransformStats)
+		w.Int(0)
+		planless, err := w.Seal(artifact.KindStorePlan, store.FormatVersion, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(files[0], planless, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := s.Run(context.Background(), c, SubmitOptions{Shots: 100, Seed: 4})
+		if err != nil {
+			t.Fatalf("%s: plan-less artifact must fall back to a fresh compile, got %v", cfg.Target, err)
+		}
+		if res.PlanStats == nil {
+			t.Fatalf("%s: the job ran without a plan", cfg.Target)
+		}
+		if st := s.Stats(); st.StoreQuarantines != 1 || st.StorePlanHits != 0 {
+			t.Fatalf("%s: quarantines %d, plan store hits %d; want 1 and 0", cfg.Target, st.StoreQuarantines, st.StorePlanHits)
+		}
 	}
 }
 

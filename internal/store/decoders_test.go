@@ -197,14 +197,33 @@ func TestGoldenStoreArtifacts(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(res, goldenResult()) {
 		t.Fatalf("golden result decodes to %+v (err %v)", res, err)
 	}
-	comp := &backend.Compiled{
-		Kernel:         &kernel.Kernel{Name: "golden", NumQubits: 1, Instrs: []kernel.Instr{}},
-		TransformStats: kernel.Stats{SourceOps: 1},
+	// plan.golden is what a build wrote while per-gate execution was the
+	// absence of a plan: kernel, a cleared plan flag, transform stats, tile
+	// width 0. Stores hold such files under this format version, so the
+	// bytes stay pinned — as the artifact that must be refused (and so
+	// quarantined and recompiled), not served.
+	k := &kernel.Kernel{Name: "golden", NumQubits: 1, Instrs: []kernel.Instr{}}
+	stats := kernel.Stats{SourceOps: 1}
+	w := artifact.NewWriter(0)
+	w.Str("golden|key")
+	w.Str(testSig)
+	w.F64(12.5)
+	kernel.WriteKernel(w, k)
+	w.Bool(false)
+	kernel.WriteStats(w, stats)
+	w.Int(0)
+	if data, err = w.Seal(artifact.KindStorePlan, FormatVersion, false); err != nil {
+		t.Fatal(err)
 	}
+	if _, _, err := decodePlan(artifacttest.Golden(t, "testdata/plan.golden", data), "golden|key", testSig); err == nil {
+		t.Fatal("a plan-less plan artifact decoded")
+	}
+	// What the same circuit persists as now: the width-0 plan.
+	comp := &backend.Compiled{Kernel: k, Plan: &kernel.TilePlan{NumQubits: 1}, TransformStats: stats}
 	if data, err = encodePlan("golden|key", testSig, comp, 12.5); err != nil {
 		t.Fatal(err)
 	}
-	got, cost, err := decodePlan(artifacttest.Golden(t, "testdata/plan.golden", data), "golden|key", testSig)
+	got, cost, err := decodePlan(artifacttest.Golden(t, "testdata/plan_pergate.golden", data), "golden|key", testSig)
 	if err != nil || cost != 12.5 || !reflect.DeepEqual(got, comp) {
 		t.Fatalf("golden plan decodes to %+v at cost %v (err %v)", got, cost, err)
 	}
@@ -285,6 +304,28 @@ func FuzzDecodePlan(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(artifacttest.Payload(f, like))
+		if comp.Plan.TileBits != 0 {
+			continue
+		}
+		// The per-gate seed, spoiled the three ways the plan reader
+		// refuses a width-0 plan: a tile run, a relabeling, rank bits.
+		for _, spoil := range []func(p *kernel.TilePlan){
+			func(p *kernel.TilePlan) { p.Segments[0] = kernel.Segment{Kind: kernel.SegRun} },
+			func(p *kernel.TilePlan) { p.Segments[0] = kernel.Segment{Kind: kernel.SegBitSwap, B: 1} },
+			func(p *kernel.TilePlan) { p.GlobalBits = 1 },
+		} {
+			p := *comp.Plan
+			p.Segments = append([]kernel.Segment(nil), p.Segments...)
+			spoil(&p)
+			bad, err := encodePlan(fuzzKey, testSig, &backend.Compiled{Kernel: comp.Kernel, Plan: &p}, 1)
+			if err != nil {
+				f.Fatal(err)
+			}
+			if _, _, err := decodePlan(bad, fuzzKey, testSig); err == nil {
+				f.Fatal("an illegal width-0 mix decoded")
+			}
+			f.Add(artifacttest.Payload(f, bad))
+		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		artifacttest.FuzzDecoder(t, like, payload, func(sealed []byte) (func() ([]byte, error), error) {

@@ -17,7 +17,8 @@ const (
 	StagePlanCache = "plan_cache"
 	// StageCompile is a fresh circuit→kernel transform + plan compile.
 	StageCompile = "compile"
-	// StageExecute is gate execution proper (plan or per-gate sweep).
+	// StageExecute is gate execution proper: the compiled plan, tiled or
+	// per-gate (width 0) — one executor, so one meaning on every target.
 	// On the distributed target it excludes exchange waits, which are
 	// reported under StageExchange.
 	StageExecute = "execute"
