@@ -126,11 +126,11 @@ ci-load: build
 # benchmark/ (statevec.scaling_speedup_w*), never gated. The plan IR's
 # size and compile-allocation contract rides along (a 96-byte op, a
 # 24-byte segment header, a shard base instead of per-rank op copies),
-# and the plan, lane-kernel and mgpu micro-benchmarks run one iteration
-# each so they cannot rot — their numbers gate nothing, BENCHMARK.json
-# does.
+# as do the distributed relabeling's reader rule and shapes, and the
+# plan, lane-kernel and mgpu micro-benchmarks run one iteration each so
+# they cannot rot — their numbers gate nothing, BENCHMARK.json does.
 ci-scaling: build
-	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|TileRunBaseMatchesFullState,./internal/statevec/ ./internal/kernel/)
+	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/)
 	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|PlanPerGate|TileRun|ExecutePlanQCrank' -benchtime=1x \
 		./internal/statevec/ ./internal/kernel/ ./internal/mgpu/
 

@@ -290,15 +290,12 @@ func cmdRun(args []string, out io.Writer) error {
 		if res.Exchanges > 0 {
 			fmt.Fprintf(out, "  exchanges=%d bytes=%d", res.Exchanges, res.BytesSent)
 		}
-		if res.AvoidedExchanges > 0 {
-			fmt.Fprintf(out, "  avoided=%d", res.AvoidedExchanges)
-		}
 		fmt.Fprintln(out)
 		if st := res.PlanStats; st != nil {
 			fmt.Fprintf(out, "    plan: tile=%d runs=%d local=%d global=%d fused=%d relabels=%d free-swaps=%d",
 				res.TileBits, st.Runs, st.TileLocal, st.Global, st.FusedOps, st.BitSwaps, st.PermSwaps)
 			if st.ExchangeSegs > 0 || st.RankLocal > 0 {
-				fmt.Fprintf(out, " exch-segs=%d/%dg rank-local=%d", st.ExchangeSegs, st.ExchangeGates, st.RankLocal)
+				fmt.Fprintf(out, " exch-segs=%d rank-local=%d", st.ExchangeSegs, st.RankLocal)
 			}
 			fmt.Fprintln(out)
 		}

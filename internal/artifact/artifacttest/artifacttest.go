@@ -48,6 +48,35 @@ func SeedCircuits(tb testing.TB) []*circuit.Circuit {
 	return []*circuit.Circuit{rc, qc, cc}
 }
 
+// WriteExchangePlan appends a plan payload as builds that batched
+// rank-bit targets into exchange segments wrote one, for the stores and
+// compiled artifacts that still hold such plans: the geometry of an
+// n-qubit plan with one rank bit, a single segment of kind 3 (the
+// rank-bit target, one op: a 2×2 and its shard-local and rank control
+// masks), no final permutation, statistics counting that one segment
+// and gate, and no binding sites.
+func WriteExchangePlan(w *artifact.Writer, tileBits, n int) {
+	w.U32(uint32(tileBits))
+	w.U32(uint32(n))
+	w.U32(1)
+	w.Count(1)
+	w.U8(3)
+	w.U32(uint32(n - 1))
+	w.Count(1)
+	for _, m := range [4]complex128{0, 1, 1, 0} {
+		w.C128(m)
+	}
+	w.U64(0)
+	w.U64(0)
+	w.Count(0)
+	for _, v := range [9]int{6: 1, 7: 1} { // the plan statistics; ExchangeSegs and ExchangeGates sit at 6 and 7
+		w.Int(v)
+	}
+	w.Bool(true)
+	w.U32(0)
+	w.Count(0)
+}
+
 // header returns the kind and version a sealed artifact carries.
 func header(tb testing.TB, sealed []byte) (artifact.Kind, uint16) {
 	tb.Helper()

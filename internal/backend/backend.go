@@ -98,8 +98,8 @@ type Config struct {
 	// at the ~1e-15 rounding level for fewer in-tile multiplies.
 	PlanFusion bool
 	// Cancel, when non-nil, is a cooperative cancellation flag the
-	// executors poll at work boundaries (tile run, exchange segment,
-	// expectation block batch): a tripped flag stops the run with the flag's error.
+	// executors poll at work boundaries (plan segment, expectation
+	// block batch): a tripped flag stops the run with the flag's error.
 	// Nil runs unbounded. Cancel never shapes the output of a run that
 	// completes, so it is excluded from option signatures and cache
 	// keys.
@@ -165,19 +165,19 @@ type Result struct {
 	// KernelStats reports the circuit→kernel transformation.
 	KernelStats kernel.Stats
 	// PlanStats reports what the plan compiler did (tile runs, global
-	// sweeps, fused micro-ops, exchange segments); on the per-gate
+	// sweeps, fused micro-ops, relabeling swaps); on the per-gate
 	// schedule Global is the gate count and the rest are zero.
 	PlanStats *kernel.PlanStats
 	// TileBits is the tile width of the plan the run executed; 0 is the
 	// per-gate schedule.
 	TileBits int
-	// Exchanges/BytesSent/AvoidedExchanges are the mgpu communication
-	// counters (zero for single-device targets): exchanges paid, bytes
-	// shipped, and the exchanges batching saved — gates that rode on
-	// their exchange segment's one buffer exchange instead of paying
-	// one each.
-	Exchanges        int
-	BytesSent        int64
+	// Exchanges/BytesSent are the mgpu communication counters (zero for
+	// single-device targets): exchanges paid and bytes shipped.
+	Exchanges int
+	BytesSent int64
+	// AvoidedExchanges is always 0: no gate batches onto an exchange
+	// any more (a rank-bit target is relabeled into the tile). It stays
+	// declared, and in the store's result layout, for benchmark/.
 	AvoidedExchanges int
 	// Trace is the per-stage timing breakdown of the run (execute,
 	// readout, sample, ... — see the telemetry.Stage* constants). The
@@ -401,7 +401,6 @@ func RunCompiled(comp *Compiled, cfg Config) (*Result, error) {
 		res.Probabilities = out.Probabilities
 		res.Exchanges = out.Exchanges
 		res.BytesSent = out.BytesSent
-		res.AvoidedExchanges = out.AvoidedExchanges
 		addDistSpans(tr, time.Since(t0), out.ExchangeTime)
 	case TargetPennylane:
 		t0 := time.Now()

@@ -12,7 +12,7 @@ import (
 // the shared-IR pipeline on the distributed target: the planned mgpu
 // run must produce bit-identical fixed-seed shot counts to the
 // single-device per-gate engine (aer), while reporting its plan stats
-// and paying at most one exchange per rank per exchange segment.
+// and paying one exchange per rank per swap across the rank boundary.
 func TestCompiledMGPUPlannedMatchesPerGate(t *testing.T) {
 	c, err := qft.Circuit(9, true)
 	if err != nil {
@@ -34,8 +34,8 @@ func TestCompiledMGPUPlannedMatchesPerGate(t *testing.T) {
 	if planned.PlanStats == nil || planned.TileBits != 4 {
 		t.Fatalf("planned run missing plan stats (tile=%d)", planned.TileBits)
 	}
-	if planned.Exchanges == 0 || planned.Exchanges > devices*planned.PlanStats.ExchangeSegs {
-		t.Errorf("planned run paid %d exchanges over %d segments on %d devices", planned.Exchanges, planned.PlanStats.ExchangeSegs, devices)
+	if st := planned.PlanStats; planned.Exchanges == 0 || planned.Exchanges != devices*st.ExchangeSegs || st.ExchangeGates != 0 {
+		t.Errorf("planned run paid %d exchanges for %d rank-bit swaps on %d devices (%d exchange gates)", planned.Exchanges, st.ExchangeSegs, devices, st.ExchangeGates)
 	}
 	if !probsClose(planned.Probabilities, perGate.Probabilities, 0) {
 		t.Fatal("planned mgpu probabilities differ from the single-device per-gate engine's")

@@ -68,7 +68,6 @@ func RunExpectationCompiled(comp *Compiled, h *observable.Hamiltonian, cfg Confi
 		val = out.Value
 		res.Exchanges = out.Exchanges
 		res.BytesSent = out.BytesSent
-		res.AvoidedExchanges = out.AvoidedExchanges
 		// The distributed path executes and reduces inside one mpi.Run;
 		// the whole wall is the expectation stage, with the measured
 		// exchange share split out.

@@ -297,8 +297,8 @@ func TestFailedRunsLeakNoSlab(t *testing.T) {
 			t.Fatalf("%s: probabilities after failed runs differ from the reference", what)
 		}
 	}
-	// A failure every rank raises (a plan exchanging over a qubit beyond
-	// the world: each rank panics naming a peer that does not exist)
+	// A failure every rank raises (a plan swapping a rank bit beyond the
+	// world: each rank panics naming a peer that does not exist)
 	// releases every shard exactly once.
 	wide := circuit.New(n+1, 0)
 	wide.H(0).H(n)
@@ -306,7 +306,7 @@ func TestFailedRunsLeakNoSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ranks allocate n, the exchange segment addresses n+1.
+	// The ranks allocate n, the rank-bit swap addresses n+1.
 	compWide.Kernel.NumQubits, compWide.Plan.NumQubits = n, n
 	warm := statevec.SlabStats()
 	if _, err := RunCompiled(compWide, Config{Target: TargetNvidiaMGPU, Devices: 2}); err == nil {

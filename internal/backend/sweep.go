@@ -273,7 +273,6 @@ func runSweepPoints(res *Result, h *observable.Hamiltonian, points [][]float64, 
 		}
 		res.Exchanges += r.Exchanges
 		res.BytesSent += r.BytesSent
-		res.AvoidedExchanges += r.AvoidedExchanges
 		if r.Trace != nil {
 			for _, sp := range r.Trace.Spans {
 				agg[sp.Stage] += sp.DurationNS

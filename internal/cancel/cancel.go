@@ -1,8 +1,8 @@
 // Package cancel is the cooperative-cancellation primitive the serving
 // stack threads through the execution engines: a Flag is an atomic
 // cancelled bit plus an optional absolute deadline, and executors poll
-// Err at natural work boundaries (one tile run, one exchange segment,
-// one block batch of an expectation sweep) so a job that has outlived its budget stops within a
+// Err at natural work boundaries (one plan segment, one block batch of
+// an expectation sweep) so a job that has outlived its budget stops within a
 // bounded amount of work instead of running to completion.
 //
 // The package sits below every engine (kernel, mgpu, observable,

@@ -75,14 +75,14 @@ func TestPlanCompileAllocBound(t *testing.T) {
 	if got := after.Mallocs - before.Mallocs; got >= 160 {
 		t.Errorf("compile made %d allocations, want fewer than 160", got)
 	}
-	if p.Stats.ExchangeGates == 0 || p.Stats.Runs == 0 || len(p.Binds) == 0 {
-		t.Fatalf("plan %+v exercises neither arena", p.Stats)
+	if p.Stats.ExchangeSegs == 0 || p.Stats.Runs == 0 || len(p.Binds) == 0 {
+		t.Fatalf("plan %+v relabels no rank bit or has no run", p.Stats)
 	}
-	// Every shard-local gate got an op slot and only the global sweeps
-	// left theirs unused; the other two were counted exactly.
-	if cap(p.Ops) != len(p.Ops)+len(p.Globals) || cap(p.XOps) != len(p.XOps) || cap(p.Binds) != len(p.Binds) {
-		t.Errorf("arenas were not sized once: ops %d/%d (+%d globals), exchange ops %d/%d, binding sites %d/%d",
-			len(p.Ops), cap(p.Ops), len(p.Globals), len(p.XOps), cap(p.XOps), len(p.Binds), cap(p.Binds))
+	// Every gate got an op slot and only the global sweeps left theirs
+	// unused; the binding sites were counted exactly.
+	if cap(p.Ops) != len(p.Ops)+len(p.Globals) || cap(p.Binds) != len(p.Binds) {
+		t.Errorf("arenas were not sized once: ops %d/%d (+%d globals), binding sites %d/%d",
+			len(p.Ops), cap(p.Ops), len(p.Globals), len(p.Binds), cap(p.Binds))
 	}
 }
 
@@ -220,7 +220,7 @@ func TestBindOwnsOneParamCopy(t *testing.T) {
 	if slot != plan.BindSlots {
 		t.Fatalf("%d of %d slots bound", slot, plan.BindSlots)
 	}
-	// Two arena copies (Ops and XOps are empty), the plan and the vector.
+	// The Globals copy (Ops is empty), the plan and the vector.
 	if got := testing.AllocsPerRun(20, func() { planSink, _ = plan.Bind(vals) }); got > 3 {
 		t.Errorf("a width-0 rebind made %v allocations, want ≤ 3", got)
 	}
@@ -286,9 +286,9 @@ func TestPerGatePlan(t *testing.T) {
 					t.Fatalf("%s %+v: segment %d is %+v", tc.k.Name, cfg, i, seg)
 				}
 			}
-			if p.TileBits != 0 || p.GlobalBits != 0 || len(p.Ops) != 0 || len(p.XOps) != 0 || p.FinalPerm != nil {
-				t.Errorf("%s %+v: tile %d, %d rank bits, %d ops, %d exchange ops, final permutation %v; want none of them",
-					tc.k.Name, cfg, p.TileBits, p.GlobalBits, len(p.Ops), len(p.XOps), p.FinalPerm)
+			if p.TileBits != 0 || p.GlobalBits != 0 || len(p.Ops) != 0 || p.FinalPerm != nil {
+				t.Errorf("%s %+v: tile %d, %d rank bits, %d ops, final permutation %v; want none of them",
+					tc.k.Name, cfg, p.TileBits, p.GlobalBits, len(p.Ops), p.FinalPerm)
 			}
 			if p.Stats != (PlanStats{Global: len(want)}) {
 				t.Errorf("%s %+v: stats %+v, want %d global sweeps and nothing else", tc.k.Name, cfg, p.Stats, len(want))

@@ -2,9 +2,12 @@ package kernel_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 
+	"qgear/internal/artifact"
 	"qgear/internal/artifact/artifacttest"
 	"qgear/internal/gate"
 	. "qgear/internal/kernel"
@@ -98,6 +101,70 @@ func TestPlanReaderWidth0Rule(t *testing.T) {
 	}
 }
 
+// refusedPlan is an encoded plan the reader must refuse, and why.
+type refusedPlan struct {
+	name string
+	data []byte
+}
+
+// relabelPlans is a compiled distributed plan that swaps a rank bit into
+// the tile and back, and the encoded shapes of it the reader refuses:
+// no executor could run them.
+func relabelPlans(tb testing.TB) (legal *TilePlan, illegal []refusedPlan) {
+	tb.Helper()
+	k := New("relabel", 5).H(0).H(1).H(2).Ry(0.3, 4).XCtrl(0, 4).H(3).Rz(0.2, 3)
+	legal, err := Plan(k, PlanConfig{TileBits: 2, GlobalBits: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if legal.Stats.ExchangeSegs == 0 || legal.Stats.Global == 0 || len(legal.Binds) == 0 {
+		tb.Fatalf("plan %+v has no rank-bit swap, no global sweep or no binding site", legal.Stats)
+	}
+	swap := slices.IndexFunc(legal.Segments, func(seg Segment) bool { return seg.Kind == SegBitSwap })
+	global := slices.IndexFunc(legal.Segments, func(seg Segment) bool { return seg.Kind == SegGlobal })
+	illegal = []refusedPlan{{"exchange segment", withExchangeSegment(tb, legal, 4)}}
+	for _, sp := range []struct {
+		name  string
+		spoil func(p *TilePlan)
+	}{
+		{"swap outside the register", func(p *TilePlan) { p.Segments[swap] = Segment{Kind: SegBitSwap, A: 0, B: 5} }},
+		{"swap of a position with itself", func(p *TilePlan) { p.Segments[swap] = Segment{Kind: SegBitSwap, A: 1, B: 1} }},
+		{"swap of two rank positions", func(p *TilePlan) { p.Segments[swap] = Segment{Kind: SegBitSwap, A: 3, B: 4} }},
+		{"single-process swap past the register", func(p *TilePlan) {
+			p.GlobalBits, p.Segments[swap] = 0, Segment{Kind: SegBitSwap, A: 1, B: 5}
+		}},
+		{"global sweep on a rank bit", func(p *TilePlan) {
+			p.Globals = slices.Clone(p.Globals)
+			p.Globals[p.Segments[global].Lo].Qubits = []int{3}
+		}},
+		{"binding site of kind 2", func(p *TilePlan) {
+			p.Binds = slices.Clone(p.Binds)
+			p.Binds[0].Kind = 2
+		}},
+	} {
+		p := *legal
+		p.Segments = slices.Clone(legal.Segments)
+		sp.spoil(&p)
+		illegal = append(illegal, refusedPlan{sp.name, encodePlanBytes(tb, &p)})
+	}
+	return legal, illegal
+}
+
+// TestPlanReaderRelabelRule: a cross-rank bit-swap decodes; a swap no
+// shard pair can perform, a sweep with a rank-bit operand and a segment
+// or binding-site kind the format dropped do not.
+func TestPlanReaderRelabelRule(t *testing.T) {
+	legal, illegal := relabelPlans(t)
+	if got, err := DecodePlan(bytes.NewReader(encodePlanBytes(t, legal))); err != nil || !reflect.DeepEqual(got, legal) {
+		t.Fatalf("the relabeling plan decodes to %+v (err %v)", got, err)
+	}
+	for _, p := range illegal {
+		if _, err := DecodePlan(bytes.NewReader(p.data)); err == nil {
+			t.Errorf("%s: decoded", p.name)
+		}
+	}
+}
+
 func FuzzDecodePlan(f *testing.F) {
 	var like []byte
 	for i, k := range seedKernels(f) {
@@ -111,6 +178,11 @@ func FuzzDecodePlan(f *testing.F) {
 	legal, illegal := width0Plans(f)
 	for _, p := range append(illegal, legal) {
 		f.Add(artifacttest.Payload(f, encodePlanBytes(f, p)))
+	}
+	relabel, refused := relabelPlans(f)
+	f.Add(artifacttest.Payload(f, encodePlanBytes(f, relabel)))
+	for _, p := range refused {
+		f.Add(artifacttest.Payload(f, p.data))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		artifacttest.FuzzDecoder(t, like, payload, func(sealed []byte) (func() ([]byte, error), error) {
@@ -126,7 +198,9 @@ func FuzzDecodePlan(f *testing.F) {
 
 // goldenKernel and goldenPlan are written out by hand, not compiled,
 // so the committed bytes move only when the layout does — not when the
-// transformer or the planner changes its mind.
+// transformer or the planner changes its mind. goldenPlan is the shape
+// of a distributed plan: a run, a sweep above the tile, a rank bit
+// swapped into the tile, a run on it, and the swap back.
 func goldenKernel() *Kernel {
 	return &Kernel{Name: "golden", NumQubits: 3, NumClbits: 1, Instrs: []Instr{
 		{Kind: KGate, Gate: gate.H, Qubits: []int{0}},
@@ -138,12 +212,13 @@ func goldenKernel() *Kernel {
 
 func goldenPlan() *TilePlan {
 	return &TilePlan{
-		TileBits: 2, NumQubits: 3, GlobalBits: 1,
+		TileBits: 2, NumQubits: 4, GlobalBits: 1,
 		Segments: []Segment{
 			{Kind: SegRun, Lo: 0, Hi: 2},
 			{Kind: SegGlobal, Lo: 0, Hi: 1},
-			{Kind: SegBitSwap, A: 0, B: 2},
-			{Kind: SegExchange, Lo: 0, Hi: 1, A: 2},
+			{Kind: SegBitSwap, A: 0, B: 3},
+			{Kind: SegRun, Lo: 2, Hi: 3},
+			{Kind: SegBitSwap, A: 0, B: 3},
 		},
 		Ops: []statevec.TileOp{
 			{Kind: statevec.TileMat1, T: 1, M: [4]complex128{0, 1, 1, 0}},
@@ -151,29 +226,86 @@ func goldenPlan() *TilePlan {
 			// ride in M wherever the op is no TileMat1.
 			{Kind: statevec.TileCX, T: 0, C: 1, HasCtrl: true, HighMask: 4, LowMask: 2, M: [4]complex128{0.5, 1i, 0, -0.5},
 				Fused: &statevec.FusedBlock{Qubits: []uint{0, 1}, Mat: []complex128{1, 0, 0, 1}}},
+			{Kind: statevec.TileMat1, T: 0, HighMask: 8, M: [4]complex128{0.75, -0.5, 0.5, 0.75}},
 		},
 		Globals:   []Instr{{Kind: KGate, Gate: gate.RY, Qubits: []int{2}, Params: []float64{0.25}}},
-		XOps:      []ExchOp{{M: [4]complex128{1, 0, 0, -1}, LowCtrl: 1, RankCtrl: 0}},
+		FinalPerm: []int{1, 0, 2, 3},
+		Stats:     PlanStats{TileLocal: 3, Global: 1, Runs: 2, BitSwaps: 2, ExchangeSegs: 2, RankLocal: 1},
+		Bindable:  true, BindSlots: 2,
+		Binds: []BindSite{
+			{Kind: BindGlobal, Seg: 1, Gate: gate.RY, Slot: 0, NParams: 1},
+			{Kind: BindRun, Seg: 3, Op: 0, Gate: gate.RY, Slot: 1, NParams: 1},
+		},
+	}
+}
+
+// withExchangeSegment encodes p with one more segment after its own:
+// what builds that batched rank-bit targets wrote for an exchange
+// segment — kind 3, a rank-bit target position, one op (a 2×2 and two
+// control masks). The format has no such segment any more, so the bytes
+// are assembled around it from what the encoder still writes.
+func withExchangeSegment(tb testing.TB, p *TilePlan, target int) []byte {
+	tb.Helper()
+	head := &TilePlan{TileBits: p.TileBits, NumQubits: p.NumQubits, GlobalBits: p.GlobalBits, Segments: p.Segments, Ops: p.Ops, Globals: p.Globals}
+	tail := &TilePlan{FinalPerm: p.FinalPerm, Stats: p.Stats, Bindable: p.Bindable, BindSlots: p.BindSlots, Binds: p.Binds}
+	const geometry, emptyTail = 4 * 4, 4 + 9*8 + 1 + 4 + 4 // three fields and a count; no permutation, stats, sites
+	like := encodePlanBytes(tb, head)
+	payload := artifacttest.Payload(tb, like)
+	payload = payload[:len(payload)-emptyTail]
+	binary.LittleEndian.PutUint32(payload[3*4:], uint32(len(p.Segments)+1))
+	w := artifact.NewWriter(0)
+	w.Raw(payload)
+	w.U8(3)
+	w.U32(uint32(target))
+	w.Count(1)
+	for _, m := range [4]complex128{1, 0, 0, -1} {
+		w.C128(m)
+	}
+	w.U64(1) // shard-local control bits
+	w.U64(0) // rank control bits
+	w.Raw(artifacttest.Payload(tb, encodePlanBytes(tb, tail))[geometry:])
+	sealed, err := w.Seal(artifact.KindPlan, binary.LittleEndian.Uint16(like[4:]), false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sealed
+}
+
+// legacyPlan is testdata/plan.golden: a run, a sweep and a bit-swap
+// before the exchange segment.
+func legacyPlan(tb testing.TB) []byte {
+	return withExchangeSegment(tb, &TilePlan{
+		TileBits: 2, NumQubits: 3, GlobalBits: 1,
+		Segments:  []Segment{{Kind: SegRun, Lo: 0, Hi: 2}, {Kind: SegGlobal, Lo: 0, Hi: 1}, {Kind: SegBitSwap, A: 0, B: 2}},
+		Ops:       goldenPlan().Ops[:2],
+		Globals:   goldenPlan().Globals,
 		FinalPerm: []int{2, 1, 0},
 		Stats:     PlanStats{TileLocal: 2, Global: 1, Runs: 1, BitSwaps: 1, ExchangeSegs: 1, ExchangeGates: 1},
 		Bindable:  true, BindSlots: 1,
 		Binds: []BindSite{{Kind: BindGlobal, Seg: 1, Gate: gate.RY, Slot: 0, NParams: 1}},
-	}
+	}, 2)
 }
 
 // TestGoldenArtifacts pins the kernel and plan layouts to committed
 // bytes: the encoders still produce them, and they still decode to the
-// values they were made from.
+// values they were made from. plan.golden is a plan with an exchange
+// segment; stores and compiled artifacts hold such plans under the
+// unchanged format versions, so its bytes stay pinned — as a plan the
+// reader refuses (and a store therefore quarantines and recompiles).
 func TestGoldenArtifacts(t *testing.T) {
 	want := artifacttest.Golden(t, "testdata/kernel.golden", encodeKernelBytes(t, goldenKernel()))
 	k, err := DecodeKernel(bytes.NewReader(want))
 	if err != nil || !reflect.DeepEqual(k, goldenKernel()) {
 		t.Fatalf("golden kernel decodes to %+v (err %v)", k, err)
 	}
-	want = artifacttest.Golden(t, "testdata/plan.golden", encodePlanBytes(t, goldenPlan()))
+	want = artifacttest.Golden(t, "testdata/plan_relabel.golden", encodePlanBytes(t, goldenPlan()))
 	p, err := DecodePlan(bytes.NewReader(want))
 	if err != nil || !reflect.DeepEqual(p, goldenPlan()) {
 		t.Fatalf("golden plan decodes to %+v (err %v)", p, err)
+	}
+	legacy := artifacttest.Golden(t, "testdata/plan.golden", legacyPlan(t))
+	if p, err := DecodePlan(bytes.NewReader(legacy)); err == nil {
+		t.Fatalf("a plan with an exchange segment decoded to %+v", p)
 	}
 }
 

@@ -9,12 +9,12 @@ import (
 
 // Parameterized plans: a TilePlan compiled from a parameterized kernel
 // records, for every gate whose matrix depends on a rotation angle,
-// *where* the value-derived artifact landed (a micro-op in a tile run,
-// a global-sweep instruction, an exchange op). Rebinding then patches
-// exactly those artifacts with matrices derived by the same
-// gate.Matrix1 calls a fresh compile would make, while reusing the
-// plan's structure — run boundaries, relabeling schedule, exchange
-// batching — untouched. At the default transform configuration the
+// *where* the value-derived artifact landed (a micro-op in a tile run
+// or a global-sweep instruction). Rebinding then patches exactly those
+// artifacts with matrices derived by the same gate.Matrix1 calls a
+// fresh compile would make, while reusing the plan's structure — run
+// boundaries, the relabeling schedule across the tile and rank
+// boundaries — untouched. At the default transform configuration the
 // plan structure is value-independent (mixingTargets never reads
 // Params), so a rebound plan is bit-identical to a fresh compile at
 // the new values: the compile-once guarantee parameter sweeps rest on.
@@ -31,13 +31,11 @@ const (
 	BindRun BindSiteKind = iota
 	// BindGlobal patches the Params of global segment Seg's instruction.
 	BindGlobal
-	// BindExch patches the matrix of op Op of exchange segment Seg.
-	BindExch
 )
 
 // bindSegment is the kind of segment each kind of site must point at:
 // the site indexes that segment's arena.
-var bindSegment = [...]SegmentKind{BindRun: SegRun, BindGlobal: SegGlobal, BindExch: SegExchange}
+var bindSegment = [...]SegmentKind{BindRun: SegRun, BindGlobal: SegGlobal}
 
 // BindSite locates one parameterized gate's value-derived artifact
 // inside a compiled plan. Slot/NParams address the gate's values in
@@ -98,7 +96,7 @@ func (k *Kernel) Bind(params []float64) (*Kernel, error) {
 
 // Bind returns a copy of the plan rebound to a new parameter vector.
 // Segment headers, binding sites and the final permutation are shared;
-// the three arenas are copied — one copy each, whatever the segment
+// the two arenas are copied — one copy each, whatever the segment
 // count — and only the value-derived fields of the sites themselves are
 // recomputed, with the identical gate.Matrix1 derivations compileTileOp
 // makes, so at configurations where plan structure is value-independent
@@ -114,7 +112,6 @@ func (p *TilePlan) Bind(params []float64) (*TilePlan, error) {
 	}
 	out := *p
 	out.Ops = append([]statevec.TileOp(nil), p.Ops...)
-	out.XOps = append([]ExchOp(nil), p.XOps...)
 	out.Globals = append([]Instr(nil), p.Globals...)
 	// Global sites get capacity-clipped windows into one owned copy of
 	// params, taken at the first of them, as Kernel.Bind does.
@@ -144,8 +141,6 @@ func (p *TilePlan) Bind(params []float64) (*TilePlan, error) {
 				owned = append([]float64(nil), params...)
 			}
 			out.Globals[at].Params = owned[lo:hi:hi]
-		case BindExch:
-			out.XOps[at].M = targetMatrix(b.Gate, vals)
 		}
 	}
 	return &out, nil
@@ -171,7 +166,7 @@ func rebindTileOp(op *statevec.TileOp, g gate.Type, vals []float64) {
 
 // targetMatrix re-derives the 2×2 a non-diagonal parameterized gate
 // applies to its target (rx, ry, u3; cry's is ry's) for new values,
-// mirroring the lowerings in compileTileOp and Plan's add.
+// mirroring the lowering in compileTileOp.
 func targetMatrix(g gate.Type, vals []float64) gate.Mat2 {
 	if g == gate.CRY {
 		g = gate.RY

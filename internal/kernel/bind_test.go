@@ -13,8 +13,8 @@ import (
 // paramCircuit builds a parameterized workload that exercises every
 // binding-site kind once planned: tile-local rotations (BindRun),
 // rotations on qubits above the tile boundary (BindGlobal), and — with
-// GlobalBits — controlled rotations crossing the rank boundary
-// (BindExch).
+// GlobalBits — rotations on rank qubits, relabeled into the tile
+// (BindRun again).
 func paramCircuit(nq int, rng *rand.Rand) *circuit.Circuit {
 	c := circuit.New(nq, 0)
 	for q := 0; q < nq; q++ {
@@ -66,7 +66,7 @@ func sameAmps(a, b []complex128) bool {
 // TestPlanBindBitIdentity: rebinding a compiled plan to new parameter
 // values must reproduce, bit for bit, the amplitudes of a plan freshly
 // compiled from the rebound kernel — across tiled and distributed
-// (exchange-bearing) plan shapes.
+// (rank-relabeling) plan shapes.
 func TestPlanBindBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {

@@ -208,9 +208,10 @@ func TestPlanNoTilingSentinel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("1-qubit shard: %v", err)
 	}
-	if plan.TileBits != 1 || plan.Stats.Global != 0 || plan.Stats.BitSwaps != 0 {
-		t.Errorf("1-qubit shard: tile width %d, %d globals, %d bit swaps; want one tile and neither",
-			plan.TileBits, plan.Stats.Global, plan.Stats.BitSwaps)
+	// The rank-bit h is swapped into the tile and back, nothing sweeps.
+	if plan.TileBits != 1 || plan.Stats.Global != 0 || plan.Stats.BitSwaps != 2 || plan.Stats.ExchangeSegs != 2 {
+		t.Errorf("1-qubit shard: tile width %d, %d globals, %d bit swaps (%d across ranks); want one tile, no global and 2 swaps across",
+			plan.TileBits, plan.Stats.Global, plan.Stats.BitSwaps, plan.Stats.ExchangeSegs)
 	}
 	// Invalid configuration is a hard error, not a fallback: no shard is
 	// left, or no tile width to cut one into.
@@ -307,15 +308,16 @@ func TestReadCacheGeometry(t *testing.T) {
 }
 
 // TestDistributedPlanStatsShape pins the classification on a mixed
-// stream: rank-bit diagonals stay in runs (RankLocal), rank-bit
-// targets batch into exchange segments, shard-local work tiles.
+// stream: rank-bit diagonals stay in runs (RankLocal), each rank-bit
+// target is swapped into the tile once and back once at the end,
+// shard-local work tiles, and no rank position is left permuted.
 func TestDistributedPlanStatsShape(t *testing.T) {
 	const n, gbits, tileBits = 6, 2, 2
 	c := circuit.New(n, 0)
 	c.H(0).H(1).CX(0, 1)       // tile-local
 	c.RZ(0.4, 5).CP(0.2, 0, 4) // rank-bit diagonals: rank-local, zero comm
-	c.H(4).RY(0.3, 4)          // rank-bit targets, same bit: one exchange segment
-	c.H(5)                     // different rank bit: second segment
+	c.H(4).RY(0.3, 4)          // rank-bit targets, same bit: one swap in
+	c.H(5)                     // different rank bit: a second
 	k, _, err := FromCircuit(c, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -328,13 +330,18 @@ func TestDistributedPlanStatsShape(t *testing.T) {
 	if st.RankLocal != 2 {
 		t.Errorf("RankLocal = %d, want 2 (rz and cp)", st.RankLocal)
 	}
-	if st.ExchangeSegs != 2 {
-		t.Errorf("ExchangeSegs = %d, want 2", st.ExchangeSegs)
+	if st.ExchangeSegs != 4 || st.BitSwaps != 4 {
+		t.Errorf("%d bit swaps, %d across ranks; want 4 across (q4, q5 in and back)", st.BitSwaps, st.ExchangeSegs)
 	}
-	if st.ExchangeGates != 3 {
-		t.Errorf("ExchangeGates = %d, want 3 (h, ry on q4; h on q5)", st.ExchangeGates)
+	if st.ExchangeGates != 0 {
+		t.Errorf("ExchangeGates = %d, want 0", st.ExchangeGates)
 	}
-	if st.Global != 0 {
-		t.Errorf("Global = %d, want 0", st.Global)
+	if st.Global != 0 || st.TileLocal != 8 {
+		t.Errorf("Global = %d, TileLocal = %d; want every gate in a run", st.Global, st.TileLocal)
+	}
+	for q, pos := range plan.FinalPerm {
+		if q >= n-gbits && pos != q {
+			t.Errorf("rank qubit %d ends at position %d", q, pos)
+		}
 	}
 }

@@ -38,18 +38,22 @@ import (
 // ever force data movement.
 //
 // Distributed plans (PlanConfig.GlobalBits > 0) extend the same
-// classification across the rank boundary of the mgpu engine: the top
-// GlobalBits qubit positions are rank-index bits. Diagonal factors and
-// controls at those positions compile into the same HighMask
-// predicates — each rank resolves them against its own rank bits with
-// zero communication — while non-diagonal targets at rank positions
-// compile into *exchange segments*: consecutive gates mixing the same
-// rank bit share one pairwise buffer exchange instead of paying one
-// per gate. SWAPs with a rank-bit operand decompose into three CX
-// (data must really move between ranks); all-shard-local SWAPs stay
-// free table updates. The distributed engine executes plans and nothing
-// else, so a distributed plan always exists: the tile is clamped
-// strictly inside the shard, and a 1-qubit shard is one tile.
+// placement across the rank boundary of the mgpu engine: the top
+// GlobalBits qubit positions are rank-index bits, one more kind of high
+// position. Diagonal factors and controls there compile into the same
+// HighMask predicates — each rank resolves them against its own rank
+// bits with zero communication. A non-diagonal target at a rank
+// position is always relabeled into the tile, whatever its remaining
+// uses (the gate's own control may be the victim: at a rank position it
+// is a predicate), and so is a target above the tile whose control sits
+// on a rank bit. A bit-swap across the boundary is the plan's only
+// communication — one half-shard exchange per rank — after which every
+// gate on that qubit is tile-local. SWAPs are table updates on either
+// side of the boundary. Before the plan ends every rank position gets
+// its own logical qubit back, so FinalPerm never moves a rank bit. The
+// distributed engine executes plans and nothing else, so a distributed
+// plan always exists: the tile is clamped strictly inside the shard,
+// and a 1-qubit shard is one tile.
 //
 // "No tile" is a plan too: width 0 — or a single-process state that fits
 // one tile — compiles the per-gate schedule (planPerGate), one full sweep
@@ -83,36 +87,21 @@ const (
 	// rewritten to physical positions).
 	SegGlobal
 	// SegBitSwap physically exchanges two bit positions to relabel a
-	// hot high qubit into the tile-resident range.
+	// hot high qubit into the tile-resident range. In a distributed plan
+	// at most one of them is a rank position: the swap is then a
+	// half-shard exchange with the partner rank across it.
 	SegBitSwap
-	// SegExchange is a batched distributed segment: every op mixes the
-	// same rank-bit target, so one pairwise buffer exchange with the
-	// partner rank serves the whole batch (the partner's half is
-	// co-updated locally between ops).
-	SegExchange
 )
-
-// ExchOp is one compiled gate of an exchange segment: a 2×2 unitary on
-// the segment's rank-bit target, optionally conditioned on shard-local
-// index bits (LowCtrl) and/or other rank bits (RankCtrl). Predicates
-// are conjunctions of must-be-1 bits, the control semantics of every
-// other executor.
-type ExchOp struct {
-	M        gate.Mat2
-	LowCtrl  uint64 // shard-local index bits that must all be 1
-	RankCtrl uint64 // absolute rank-bit positions (≥ local) that must all be 1
-}
 
 // Segment is one step of a tiled execution plan: a 20-byte header over
 // the plan's arenas, so a run of one op costs what the op costs.
 type Segment struct {
 	Kind SegmentKind
-	// [Lo, Hi) is the segment's range of TilePlan.Ops (SegRun), XOps
-	// (SegExchange) or Globals (SegGlobal, one entry). Ranges follow
-	// program order and tile their arena exactly.
+	// [Lo, Hi) is the segment's range of TilePlan.Ops (SegRun) or
+	// Globals (SegGlobal, one entry). Ranges follow program order and
+	// tile their arena exactly.
 	Lo, Hi int32
-	// A, B are a SegBitSwap's physical bit positions; A alone is a
-	// SegExchange's rank-bit target position.
+	// A, B are a SegBitSwap's physical bit positions.
 	A, B int32
 }
 
@@ -123,11 +112,11 @@ type PlanStats struct {
 	TileLocal     int `json:"tile_local_gates"`   // gate instructions compiled into tile runs
 	Global        int `json:"global_sweeps"`      // full-sweep fallbacks
 	Runs          int `json:"runs"`               // tile runs emitted (≈ memory passes for local gates)
-	BitSwaps      int `json:"bit_swaps"`          // relabeling sweeps inserted
+	BitSwaps      int `json:"bit_swaps"`          // relabeling swaps inserted, rank-boundary ones included
 	PermSwaps     int `json:"perm_swaps"`         // SWAP gates absorbed into the permutation table
 	FusedOps      int `json:"fused_ops"`          // micro-ops removed by within-run 1q fusion
-	ExchangeSegs  int `json:"exchange_segments"`  // batched rank-exchange segments (distributed plans)
-	ExchangeGates int `json:"exchange_gates"`     // gates compiled into exchange segments
+	ExchangeSegs  int `json:"exchange_segments"`  // relabeling swaps across the rank boundary: one half-shard exchange per rank each
+	ExchangeGates int `json:"exchange_gates"`     // always 0 (every gate is a tile op or a sweep); declared for benchmark/
 	RankLocal     int `json:"rank_local_globals"` // rank-bit diagonal/control ops resolved with zero communication
 }
 
@@ -156,22 +145,22 @@ type PlanConfig struct {
 // immutable after planning and safe to execute against many states
 // concurrently, which lets the service layer cache plans across jobs.
 //
-// Everything a segment executes lives in one of three arenas the
-// segment headers index into: a plan is four allocations plus its
-// binding sites, whatever its length.
+// Everything a segment executes lives in one of two arenas the segment
+// headers index into: a plan is three allocations plus its binding
+// sites, whatever its length.
 type TilePlan struct {
 	TileBits   int // 0: the per-gate schedule, every segment a SegGlobal
 	NumQubits  int
 	GlobalBits int // rank-index bits of a distributed plan; 0 = single-process
 	Segments   []Segment
 	Ops        []statevec.TileOp // every SegRun's micro-ops, in program order
-	XOps       []ExchOp          // every SegExchange's ops
 	Globals    []Instr           // every SegGlobal's instruction, with physical qubit operands (width 0: the kernel's own slice)
 	// FinalPerm is the logical→physical layout the state data is left
 	// in after all segments run (nil when it ends at the identity);
 	// Execute hands it to the state, which materializes lazily on
-	// readout. Rank-bit positions are never permuted, so a distributed
-	// executor applies FinalPerm[:local] to its shard.
+	// readout. A distributed plan hands every rank position back to its
+	// own qubit before it ends, so FinalPerm moves shard positions only
+	// and a distributed executor applies FinalPerm[:local] to its shard.
 	FinalPerm []int
 	Stats     PlanStats
 	// Binds locates every parameterized gate's value-derived artifact,
@@ -254,20 +243,11 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	// hold, so ops and binding sites are written in place and no arena
 	// regrows. uses[q] lists the instruction indices where q must be
 	// tile-resident (ptr[q] advances monotonically as planning walks the
-	// stream). The tile-op / exchange-op split is static: rank bits
-	// never relabel, so a qubit sits on a rank position iff its index is
-	// at or above local. Every shard-local op counts as a tile op; the
-	// few that fall back to a global sweep leave their slot unused.
+	// stream). Every planned instruction but a SWAP counts as a tile op;
+	// the few that fall back to a global sweep leave their slot unused.
 	uses := make([][]int, n)
 	var scratch []int
-	var nOps, nXOps, nBinds int
-	count := func(target int) {
-		if target >= local {
-			nXOps++
-		} else {
-			nOps++
-		}
-	}
+	var nOps, nBinds int
 	for i, in := range k.Instrs {
 		if parameterized(in) {
 			nBinds++
@@ -276,23 +256,11 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 		for _, q := range scratch {
 			uses[q] = append(uses[q], i)
 		}
-		switch {
-		case !planned(in):
-		case in.Kind == KGate && in.Gate == gate.SWAP:
-			if a, b := in.Qubits[0], in.Qubits[1]; max(a, b) >= local { // three CX: targets b, a, b
-				count(b)
-				count(a)
-				count(b)
-			}
-		default:
-			t := -1
-			for _, q := range scratch {
-				t = max(t, q)
-			}
-			count(t)
+		if planned(in) && (in.Kind != KGate || in.Gate != gate.SWAP) {
+			nOps++
 		}
 	}
-	p.Ops, p.XOps = arena[statevec.TileOp](nOps), arena[ExchOp](nXOps)
+	p.Ops = arena[statevec.TileOp](nOps)
 	// Fusion pre-multiplies values into matrices, so fused plans record
 	// no binding sites and stay non-bindable.
 	if p.Bindable = !cfg.FuseRuns; p.Bindable {
@@ -332,20 +300,33 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 		perm[q], inv[q] = q, q
 	}
 
-	// run and xseg index the open SegRun / SegExchange header — the one
-	// the next tile op / exchange op extends in place — or are -1. At
-	// most one is open at a time; closing one is forgetting its index.
-	run, xseg := -1, -1
+	// run indexes the open SegRun header — the one the next tile op
+	// extends in place — or is -1; closing it is forgetting its index.
+	run := -1
 
-	// relabel brings logical qubit q (currently high but shard-local)
-	// below the tile boundary with one physical bit-swap, evicting the
-	// resident qubit whose next mixing use is farthest away (never an
-	// operand of the current instruction); a no-op when no slot qualifies.
-	relabel := func(in Instr, q, i int) {
+	// swap emits a physical bit-swap of positions a < b; b at a rank
+	// position makes it an exchange with the partner rank.
+	swap := func(a, b int) {
+		run = -1
+		p.Segments = append(p.Segments, Segment{Kind: SegBitSwap, A: int32(a), B: int32(b)})
+		p.Stats.BitSwaps++
+		if b >= local {
+			p.Stats.ExchangeSegs++
+		}
+		la, lb := inv[a], inv[b]
+		perm[la], perm[lb] = b, a
+		inv[a], inv[b] = lb, la
+	}
+
+	// relabel brings logical qubit q below position span (the tile, or
+	// the shard for a fused block wider than the tile) with one bit-swap,
+	// evicting the resident qubit whose next mixing use is farthest away
+	// and that keep does not name. It reports whether a slot qualified.
+	relabel := func(keep []int, q, i, span int) bool {
 		victim, victimNext := -1, -1
-		for v := 0; v < tileBits; v++ {
+		for v := 0; v < span; v++ {
 			lq := inv[v]
-			if slices.Contains(in.Qubits, lq) {
+			if slices.Contains(keep, lq) {
 				continue
 			}
 			nu := nextUse(lq, i+1)
@@ -357,16 +338,10 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 				victim, victimNext = v, nu
 			}
 		}
-		if victim < 0 {
-			return
+		if victim >= 0 {
+			swap(victim, perm[q])
 		}
-		run = -1
-		src := perm[q]
-		p.Segments = append(p.Segments, Segment{Kind: SegBitSwap, A: int32(victim), B: int32(src)})
-		p.Stats.BitSwaps++
-		vq := inv[victim]
-		perm[q], perm[vq] = victim, src
-		inv[victim], inv[src] = q, vq
+		return victim >= 0
 	}
 
 	// plainMat1 reports whether op is an uncontrolled, unpredicated
@@ -449,80 +424,48 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 		p.Segments[run].Hi++
 	}
 
-	// add processes one instruction; SWAPs crossing the rank boundary
-	// recurse through it as their three-CX decomposition.
-	var add func(in Instr, i int) error
-	add = func(in Instr, i int) error {
+	// add processes one instruction.
+	add := func(in Instr, i int) error {
 		if !planned(in) {
 			return nil
 		}
 		if in.Kind == KGate && in.Gate == gate.SWAP {
 			a, b := in.Qubits[0], in.Qubits[1]
 			pa, pb := perm[a], perm[b]
-			if pa < local && pb < local {
-				perm[a], perm[b] = pb, pa
-				inv[pa], inv[pb] = b, a
-				p.Stats.PermSwaps++
-				return nil
-			}
-			// A rank-bit operand: the data really moves between
-			// ranks, so decompose into the textbook three CX.
-			for _, pair := range [3][2]int{{a, b}, {b, a}, {a, b}} {
-				if err := add(Instr{Kind: KGate, Gate: gate.CX, Qubits: []int{pair[0], pair[1]}}, i); err != nil {
-					return err
-				}
-			}
+			perm[a], perm[b] = pb, pa
+			inv[pa], inv[pb] = b, a
+			p.Stats.PermSwaps++
 			return nil
+		}
+		// A fused block wider than the tile runs as a shard sweep, which
+		// needs its operands in the shard: it may name shard-local qubits
+		// only (backend keeps fusion below the rank boundary).
+		if in.Kind == KFused {
+			if j := slices.IndexFunc(in.Qubits, func(q int) bool { return q >= local }); j >= 0 {
+				return fmt.Errorf("kernel: fused op touches rank-global qubit %d; restrict fusion to local qubits", in.Qubits[j])
+			}
 		}
 
 		scratch = mixingTargets(in, scratch[:0])
 
-		// A mixing target at a rank-bit position compiles into the open
-		// exchange segment (one buffer exchange per segment, not per
-		// gate). Controls and diagonal factors never land here — they
-		// stay HighMask predicates.
-		if xi := slices.IndexFunc(scratch, func(q int) bool { return perm[q] >= local }); xi >= 0 {
-			xq := scratch[xi]
-			if in.Kind == KFused {
-				return fmt.Errorf("kernel: fused op touches rank-global qubit %d; restrict fusion to local qubits", xq)
-			}
-			g := in.Gate
-			if g == gate.CX {
-				g = gate.X
-			} else if g.Arity() == 2 && g != gate.CRY {
-				return fmt.Errorf("kernel: unhandled rank-global gate %v", g)
-			}
-			op := ExchOp{M: targetMatrix(g, in.Params)}
-			if in.Gate.Arity() == 2 {
-				if cpos := perm[in.Qubits[0]]; cpos < local {
-					op.LowCtrl = 1 << uint(cpos)
-				} else {
-					op.RankCtrl = 1 << uint(cpos)
+		// Relabel any mixing target off a rank position — into the tile,
+		// the gate's own control a possible victim — and any high one
+		// that will be mixed again or whose control sits on a rank bit
+		// (no full sweep is predicated on a rank bit).
+		fits := len(scratch) <= tileBits
+		rankCtrl := in.Kind == KGate && in.Gate.Arity() == 2 && perm[in.Qubits[0]] >= local
+		for _, q := range scratch {
+			switch pq := perm[q]; {
+			case pq >= local:
+				span := tileBits
+				if !fits {
+					span = local
 				}
-			}
-			if t := int32(perm[xq]); xseg < 0 || p.Segments[xseg].A != t {
-				run = -1
-				xseg = len(p.Segments)
-				p.Segments = append(p.Segments, Segment{Kind: SegExchange, Lo: int32(len(p.XOps)), Hi: int32(len(p.XOps)), A: t})
-				p.Stats.ExchangeSegs++
-			}
-			bind(BindExch, xseg, len(p.XOps)-int(p.Segments[xseg].Lo), in)
-			p.XOps = append(p.XOps, op)
-			p.Segments[xseg].Hi++
-			p.Stats.ExchangeGates++
-			return nil
-		}
-		// Anything else closes the exchange segment (ops must stay in
-		// program order across segment kinds).
-		xseg = -1
-
-		// Relabel any high shard-local mixing target that will be mixed
-		// again; rank bits never relabel — moving them is communication.
-		if len(scratch) <= tileBits {
-			for _, q := range scratch {
-				if pq := perm[q]; pq >= tileBits && pq < local && remainingUses(q, i) >= minResidencyUses {
-					relabel(in, q, i)
+				if !relabel(scratch, q, i, span) {
+					return fmt.Errorf("kernel: no shard position free for rank-global qubit %d", q)
 				}
+			case pq >= tileBits && fits && (rankCtrl || remainingUses(q, i) >= minResidencyUses):
+				relabel(in.Qubits, q, i, tileBits)
 			}
 		}
 
@@ -548,6 +491,17 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	for i, in := range k.Instrs {
 		if err := add(in, i); err != nil {
 			return nil, err
+		}
+	}
+	// Every rank position gets its own qubit back: one swap from the
+	// shard position it sits at, or two — through position 0 — when it is
+	// parked on another rank position.
+	for r := local; r < n; r++ {
+		if perm[r] != r && perm[r] >= local {
+			swap(0, perm[r])
+		}
+		if perm[r] != r {
+			swap(perm[r], r)
 		}
 	}
 

@@ -28,7 +28,6 @@ const (
 	minInstrBytes   = 1 + 1 + 4 + 4 + 4 + 8
 	minSegmentBytes = 1 + 4
 	minTileOpBytes  = 1 + 4 + 4 + 1 + 8 + 8 + 7*16 + 4 + 4
-	exchOpBytes     = 4*16 + 8 + 8
 	bindSiteBytes   = 1 + 4 + 4 + 1 + 4 + 4
 	planStatsBytes  = 9 * 8
 )
@@ -209,17 +208,6 @@ func WritePlan(w *artifact.Writer, p *TilePlan) {
 		case SegBitSwap:
 			w.U32(uint32(seg.A))
 			w.U32(uint32(seg.B))
-		case SegExchange:
-			w.U32(uint32(seg.A))
-			xops := p.XOps[seg.Lo:seg.Hi]
-			w.Count(len(xops))
-			for _, x := range xops {
-				for _, m := range x.M {
-					w.C128(m)
-				}
-				w.U64(x.LowCtrl)
-				w.U64(x.RankCtrl)
-			}
 		default:
 			w.Failf("cannot encode segment kind %d", seg.Kind)
 		}
@@ -324,10 +312,10 @@ func readTileOp(r *artifact.Reader) statevec.TileOp {
 }
 
 // arenaSizes scans nseg segments on a copy of the reader and counts the
-// tile ops, exchange ops and global instructions in them, so ReadPlan
-// allocates each arena once at its final size. Every element counted
-// was skipped, so no payload claims more than it has bytes for.
-func arenaSizes(r artifact.Reader, nseg int) (ops, xops, globals int) {
+// tile ops and global instructions in them, so ReadPlan allocates each
+// arena once at its final size. Every element counted was skipped, so
+// no payload claims more than it has bytes for.
+func arenaSizes(r artifact.Reader, nseg int) (ops, globals int) {
 	skip := func(elem int) int { // one counted vector
 		n := r.Count(elem)
 		r.Skip(n * elem)
@@ -351,9 +339,8 @@ func arenaSizes(r artifact.Reader, nseg int) (ops, xops, globals int) {
 			r.Skip(8)
 		case SegBitSwap:
 			r.Skip(8)
-		case SegExchange:
-			r.Skip(4)
-			xops += skip(exchOpBytes)
+		default:
+			return // ReadPlan fails on it
 		}
 	}
 	return
@@ -371,17 +358,23 @@ func arena[T any](n int) []T {
 
 // ReadPlan reads a WritePlan payload and checks the plan's geometry; a
 // failure is left on r. Segment ranges are assigned as the arenas fill,
-// so they tile them exactly whatever the bytes say.
+// so they tile them exactly whatever the bytes say. What no executor
+// can run is refused here rather than at execution: a bit-swap of a
+// position with itself or outside the register, or of two rank
+// positions; a global sweep with an operand outside the shard; a
+// segment or binding-site kind the format does not have (kind 3 was a
+// batched rank-exchange segment, kind 2 its binding site).
 func ReadPlan(r *artifact.Reader) *TilePlan {
 	p := &TilePlan{}
 	p.TileBits = int(r.U32())
 	p.NumQubits = int(r.U32())
 	p.GlobalBits = int(r.U32())
+	local := p.NumQubits - p.GlobalBits
 	if n := r.Count(minSegmentBytes); n > 0 { // none is nil, as Plan leaves it
 		p.Segments = make([]Segment, n)
 	}
-	nOps, nXOps, nGlobals := arenaSizes(*r, len(p.Segments))
-	p.Ops, p.XOps, p.Globals = arena[statevec.TileOp](nOps), arena[ExchOp](nXOps), arena[Instr](nGlobals)
+	nOps, nGlobals := arenaSizes(*r, len(p.Segments))
+	p.Ops, p.Globals = arena[statevec.TileOp](nOps), arena[Instr](nGlobals)
 	for i := range p.Segments {
 		seg := &p.Segments[i]
 		seg.Kind = SegmentKind(r.U8())
@@ -394,24 +387,18 @@ func ReadPlan(r *artifact.Reader) *TilePlan {
 			seg.Hi = int32(len(p.Ops))
 		case SegGlobal:
 			seg.Lo = int32(len(p.Globals))
-			p.Globals = append(p.Globals, readInstr(r))
+			in := readInstr(r)
+			if slices.ContainsFunc(in.Qubits, func(q int) bool { return q >= local }) {
+				r.Failf("global segment %d has an operand outside the %d-qubit shard", i, local)
+			}
+			p.Globals = append(p.Globals, in)
 			seg.Hi = seg.Lo + 1
 		case SegBitSwap:
-			seg.A = int32(r.U32())
-			seg.B = int32(r.U32())
-		case SegExchange:
-			seg.A = int32(r.U32())
-			seg.Lo = int32(len(p.XOps))
-			for n := r.Count(exchOpBytes); n > 0; n-- {
-				var x ExchOp
-				for mi := range x.M {
-					x.M[mi] = r.C128()
-				}
-				x.LowCtrl = r.U64()
-				x.RankCtrl = r.U64()
-				p.XOps = append(p.XOps, x)
+			a, b := int(r.U32()), int(r.U32())
+			if a == b || max(a, b) >= p.NumQubits || min(a, b) >= local {
+				r.Failf("segment %d swaps bit positions %d and %d of %d qubits (%d rank bits)", i, a, b, p.NumQubits, p.GlobalBits)
 			}
-			seg.Hi = int32(len(p.XOps))
+			seg.A, seg.B = int32(a), int32(b)
 		default:
 			r.Failf("unknown segment kind %d in encoded plan", seg.Kind)
 		}
@@ -438,6 +425,9 @@ func ReadPlan(r *artifact.Reader) *TilePlan {
 			b.Gate = gate.Type(r.U8())
 			b.Slot = int32(r.U32())
 			b.NParams = int32(r.U32())
+			if b.Kind > BindGlobal {
+				r.Failf("unknown binding site kind %d in encoded plan", b.Kind)
+			}
 		}
 	}
 	// Width 0 is the single-process per-gate schedule and nothing else.
@@ -462,7 +452,6 @@ const (
 	segBase    = int64(unsafe.Sizeof(Segment{}))
 	tileOpBase = int64(unsafe.Sizeof(statevec.TileOp{}))
 	fusedBase  = int64(unsafe.Sizeof(statevec.FusedBlock{}))
-	exchOpBase = int64(unsafe.Sizeof(ExchOp{}))
 	bindBase   = int64(unsafe.Sizeof(BindSite{}))
 	planBase   = int64(unsafe.Sizeof(TilePlan{}))
 	kernelBase = int64(unsafe.Sizeof(Kernel{}))
@@ -490,14 +479,14 @@ func (k *Kernel) SizeBytes() int64 { r, _ := k.sizes(); return r }
 func (k *Kernel) EncodedLen() int { _, e := k.sizes(); return e }
 
 // segFieldBytes is what follows a segment's kind byte, its ops aside: a
-// count, nothing, two positions, a position and a count.
-var segFieldBytes = [4]int{SegRun: 4, SegGlobal: 0, SegBitSwap: 8, SegExchange: 8}
+// count, nothing, two positions.
+var segFieldBytes = [4]int{SegRun: 4, SegGlobal: 0, SegBitSwap: 8}
 
 func (p *TilePlan) sizes() (resident int64, encoded int) {
 	resident = planBase + 8*int64(len(p.FinalPerm)) + segBase*int64(cap(p.Segments)) + bindBase*int64(cap(p.Binds)) +
-		tileOpBase*int64(cap(p.Ops)) + exchOpBase*int64(cap(p.XOps))
+		tileOpBase*int64(cap(p.Ops))
 	encoded = 5*4 + 4*len(p.FinalPerm) + planStatsBytes + 1 + 2*4 + bindSiteBytes*len(p.Binds) +
-		minTileOpBytes*len(p.Ops) + exchOpBytes*len(p.XOps)
+		minTileOpBytes*len(p.Ops)
 	for _, seg := range p.Segments {
 		encoded += 1 + segFieldBytes[seg.Kind&3] // an unknown kind fails the encode anyway
 	}

@@ -6,13 +6,15 @@
 // paper reach 34 qubits on 4 GPUs and 42 qubits on 1024.
 //
 // Qubit bits below log2(R) from the top are "local": gates on them
-// touch only rank-resident amplitudes. Gates on the top ("global")
-// qubits require a pairwise buffer exchange between partner ranks —
-// the communication cost that shapes Fig. 4b. Which gate is which is
-// decided once, by the plan compiler (kernel.Plan with GlobalBits =
-// log2(R)); this package executes compiled plans and nothing else
-// (planned.go). Exchange and byte counters are exported so the cluster
-// model can be calibrated against real exchange counts.
+// touch only rank-resident amplitudes. On the top ("global") qubits
+// diagonal factors and controls are resolved per rank for free, while a
+// gate that mixes one needs it inside the shard: the plan compiler
+// (kernel.Plan with GlobalBits = log2(R)) swaps it with a shard-local
+// qubit once — a pairwise half-shard exchange between partner ranks,
+// the communication cost that shapes Fig. 4b — and every later gate on
+// it runs locally. This package executes compiled plans and nothing
+// else (planned.go). Exchange and byte counters are exported so the
+// cluster model can be calibrated against real exchange counts.
 package mgpu
 
 import (
@@ -36,10 +38,9 @@ type DistState struct {
 	sendBuf []complex128
 
 	// Stats
-	exchanges   int
-	bytesSent   int64
-	avoidedExch int   // gates that rode on an exchange segment's one exchange
-	exchangeNS  int64 // time this rank spent copying + swapping buffers
+	exchanges  int
+	bytesSent  int64
+	exchangeNS int64 // time this rank spent copying + swapping buffers
 }
 
 // NewDist allocates the shard for this rank. The world size must be a
@@ -85,26 +86,33 @@ func (d *DistState) rankBit(q int) int {
 // slice) because ranks share an address space here, while real
 // CUDA-aware MPI would DMA the buffer; the copy is also what makes the
 // communication cost physically meaningful. The amplitudes go out in
-// their current physical layout: plan execution holds the identity
-// layout throughout, the expectation evaluator translates indices
-// through its lookup tables, and both shards of a pair always share one
-// layout (SPMD execution).
+// their current physical layout: the expectation evaluator translates
+// indices through its lookup tables, and both shards of a pair always
+// share one layout (SPMD execution).
 func (d *DistState) exchange(partner int) []complex128 {
 	start := time.Now()
-	amps := d.st.AmplitudesRaw()
+	return d.trade(partner, copy(d.slab(), d.st.AmplitudesRaw()), start)
+}
+
+// slab returns this rank's send buffer, a whole 2^local slab taken from
+// the free list on first use.
+func (d *DistState) slab() []complex128 {
 	if d.sendBuf == nil {
 		d.sendBuf = statevec.TakeSlab(d.local)
 	}
-	buf := d.sendBuf
-	copy(buf, amps)
-	// Ownership of buf transfers to the partner; the buffer received
-	// from the partner becomes our send buffer for the next exchange
-	// (it is fully consumed before that exchange starts, because gates
-	// run sequentially within a rank).
-	theirs := d.comm.Exchange(partner, buf).([]complex128)
+	return d.sendBuf
+}
+
+// trade hands the send buffer, its first n amplitudes filled, to the
+// partner rank and returns the partner's. Ownership transfers: the
+// buffer received becomes this rank's send buffer for the next exchange
+// (fully consumed before that exchange starts, because segments run
+// sequentially within a rank).
+func (d *DistState) trade(partner, n int, start time.Time) []complex128 {
+	theirs := d.comm.Exchange(partner, d.sendBuf).([]complex128)
 	d.sendBuf = theirs
 	d.exchanges++
-	d.bytesSent += int64(len(amps) * 16)
+	d.bytesSent += int64(16 * n)
 	d.exchangeNS += int64(time.Since(start))
 	return theirs
 }
@@ -166,10 +174,6 @@ func (d *DistState) pollCancel(flag *cancel.Flag) error {
 type CommStats struct {
 	Exchanges int   // total pairwise exchanges across all ranks
 	BytesSent int64 // total bytes shipped between ranks
-	// AvoidedExchanges counts the exchanges batching saved: every gate
-	// of an exchange segment after the first rides on the segment's one
-	// buffer exchange instead of paying its own.
-	AvoidedExchanges int
 	// ExchangeTime is the root rank's cumulative exchange wait — a
 	// representative (SPMD-symmetric) communication share of the run's
 	// wall clock, not a cross-rank sum (ranks exchange concurrently).
@@ -206,9 +210,8 @@ func runWorld(k *kernel.Kernel, plan *kernel.TilePlan, nRanks, workersPerRank in
 		}
 		ex := c.Reduce(0, float64(d.exchanges), mpi.OpSum)
 		by := c.Reduce(0, float64(d.bytesSent), mpi.OpSum)
-		av := c.Reduce(0, float64(d.avoidedExch), mpi.OpSum)
 		if c.Rank() == 0 {
-			cs = CommStats{Exchanges: int(ex), BytesSent: int64(by), AvoidedExchanges: int(av), ExchangeTime: time.Duration(d.exchangeNS)}
+			cs = CommStats{Exchanges: int(ex), BytesSent: int64(by), ExchangeTime: time.Duration(d.exchangeNS)}
 		}
 		return nil
 	})

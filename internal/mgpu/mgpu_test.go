@@ -109,13 +109,17 @@ func TestDistributedMatchesSingleDevice(t *testing.T) {
 
 func TestGHZAcrossDevices(t *testing.T) {
 	// GHZ entangles across the device boundary: the cx fan-out from
-	// qubit 0 hits every global qubit.
+	// qubit 0 hits every global qubit. Each rank-bit target is swapped
+	// into the tile (the first one evicting the control itself) and
+	// handed back at the end: four half-shard swaps, the bytes of the
+	// two full-shard exchanges exchange segments paid.
 	n := 6
-	k := kernel.New("ghz", n).H(0)
+	c := circuit.New(n, 0)
+	c.H(0)
 	for i := 1; i < n; i++ {
-		k.XCtrl(0, i)
+		c.CX(0, i)
 	}
-	res := simulate(t, k, 4, 2, 1)
+	_, res := runRelabeled(t, "ghz", c, 4, 2, 2048)
 	p := res.Probabilities
 	if math.Abs(p[0]-0.5) > 1e-12 || math.Abs(p[len(p)-1]-0.5) > 1e-12 {
 		t.Fatalf("GHZ probs wrong: p0=%g pN=%g", p[0], p[len(p)-1])
@@ -125,10 +129,8 @@ func TestGHZAcrossDevices(t *testing.T) {
 			t.Fatalf("unexpected probability mass at %d", i)
 		}
 	}
-	// One exchange segment per rank-bit target (qubits 4 and 5), every
-	// rank taking part in each.
-	if res.Exchanges != 2*4 {
-		t.Fatalf("exchanges = %d, want 8", res.Exchanges)
+	if res.Exchanges != 4*4 {
+		t.Fatalf("exchanges = %d, want 16", res.Exchanges)
 	}
 }
 
@@ -167,32 +169,36 @@ func TestLocalityCasesExplicitly(t *testing.T) {
 }
 
 func TestControlGlobalTargetLocalNeedsNoComm(t *testing.T) {
-	// The control-on-rank-bit case must be communication-free.
+	// The control-on-rank-bit case must be communication-free: the
+	// controlled gates add no exchange to what the H on the global qubit
+	// pays (one swap into the tile and one back, per rank).
+	h := circuit.New(4, 0)
+	h.H(3) // put amplitude into the |c=1> half (global qubit)
 	c := circuit.New(4, 0)
-	c.H(3)           // put amplitude into the |c=1> half (global qubit)
+	c.H(3)
 	c.CX(3, 0)       // control global, target local
 	c.CRY(0.5, 2, 1) // control global, target local
-	k, _, err := kernel.FromCircuit(c, kernel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := simulate(t, k, 4, 1, 1)
-	// Only the initial H on the global qubit exchanges (4 ranks × 1).
-	if res.Exchanges != 4 {
-		t.Fatalf("exchanges = %d, want 4 (controlled ops should be free)", res.Exchanges)
+	_, alone := runRelabeled(t, "h", h, 4, 1, 256)
+	plan, res := runRelabeled(t, "controlled", c, 4, 1, 256)
+	if res.Exchanges != alone.Exchanges || res.Exchanges != 2*4 || plan.Stats.Global != 0 {
+		t.Fatalf("exchanges = %d (%d sweeps), the H alone %d; want 8 and no sweep (controlled ops should be free)",
+			res.Exchanges, plan.Stats.Global, alone.Exchanges)
 	}
 }
 
 func TestExchangeAccounting(t *testing.T) {
-	// One single-qubit gate on a global qubit = one exchange per rank.
-	k := kernel.New("x", 4).Ry(0.5, 3)
-	res := simulate(t, k, 4, 1, 1)
-	if res.Exchanges != 4 {
-		t.Fatalf("exchanges = %d, want 4", res.Exchanges)
+	// One single-qubit gate on a global qubit = the qubit swapped into
+	// the tile and back: two exchanges per rank.
+	c := circuit.New(4, 0)
+	c.RY(0.5, 3)
+	_, res := runRelabeled(t, "ry", c, 4, 1, 256)
+	if res.Exchanges != 2*4 {
+		t.Fatalf("exchanges = %d, want 8", res.Exchanges)
 	}
-	// local = 2 qubits => 4 amplitudes × 16 bytes per rank.
-	if res.BytesSent != 4*4*16 {
-		t.Fatalf("bytes = %d, want %d", res.BytesSent, 4*4*16)
+	// local = 2 qubits => half a shard, 2 amplitudes × 16 bytes, per
+	// rank per swap.
+	if res.BytesSent != 2*4*2*16 {
+		t.Fatalf("bytes = %d, want %d", res.BytesSent, 2*4*2*16)
 	}
 	// Local gates are free.
 	k2 := kernel.New("loc", 4).Ry(0.5, 0).XCtrl(0, 1)

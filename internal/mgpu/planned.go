@@ -2,9 +2,9 @@ package mgpu
 
 import (
 	"fmt"
+	"time"
 
 	"qgear/internal/cancel"
-	"qgear/internal/gate"
 	"qgear/internal/kernel"
 )
 
@@ -20,17 +20,19 @@ import (
 //     HighMask predicates; ApplyTileRun tests them against the shard's
 //     absolute base (rank << local) exactly as it tests high local
 //     bits, with zero communication and no per-rank copy of the ops;
-//   - non-diagonal targets on rank bits arrive as exchange segments:
-//     one pairwise buffer exchange serves every gate in the segment,
-//     because after the exchange a rank holds both halves of the pair
-//     subspace and can co-update them locally.
+//   - a non-diagonal target on a rank bit never arrives at all: the
+//     planner relabels it into the tile first, with a bit-swap across
+//     the rank boundary (swapRankBit, one half-shard exchange with the
+//     partner rank), and hands every rank position back before the
+//     plan ends.
 //
-// Every step performs the same arithmetic on the same amplitudes as
-// the single-device per-gate schedule (kernel.Execute's width-0 plan on
-// one statevec.State), so planned execution is bit-identical to it — the
-// randomized suite in planned_test.go pins that across rank counts,
-// shard shapes (1-qubit shards included) and fusion settings, and
-// oracle_test.go holds both to a naive dense reference.
+// Every gate therefore runs on the lane kernels, as the same
+// arithmetic on the same amplitudes as the single-device per-gate
+// schedule (kernel.Execute's width-0 plan on one statevec.State), and
+// a bit-swap only moves values — so planned execution is bit-identical
+// to it. The randomized suite in planned_test.go pins that across rank
+// counts, shard shapes (1-qubit shards included) and fusion settings,
+// and oracle_test.go holds both to a naive dense reference.
 
 // ExecutePlanCancel runs a compiled distributed plan against this
 // rank's shard. The plan must have been compiled with GlobalBits
@@ -62,11 +64,14 @@ func (d *DistState) ExecutePlanCancel(p *kernel.TilePlan, flag *cancel.Flag) err
 		case kernel.SegRun:
 			err = d.st.ApplyTileRun(p.TileBits, rankAbs, p.Ops[seg.Lo:seg.Hi])
 		case kernel.SegBitSwap:
-			d.st.ApplySwap(int(seg.A), int(seg.B))
+			if a, b := int(min(seg.A, seg.B)), int(max(seg.A, seg.B)); b >= d.local {
+				d.swapRankBit(a, b)
+			} else {
+				d.st.ApplySwap(a, b)
+			}
 		case kernel.SegGlobal:
-			err = d.applyGlobal(p.Globals[seg.Lo])
-		case kernel.SegExchange:
-			d.execExchange(int(seg.A), p.XOps[seg.Lo:seg.Hi], rankAbs)
+			// The planner keeps every operand of a sweep in the shard.
+			err = p.Globals[seg.Lo].Apply(d.st)
 		default:
 			err = fmt.Errorf("unknown segment kind %d", seg.Kind)
 		}
@@ -75,84 +80,33 @@ func (d *DistState) ExecutePlanCancel(p *kernel.TilePlan, flag *cancel.Flag) err
 		}
 	}
 	if p.FinalPerm != nil {
-		// Rank bits never permute, so the shard applies the local slice.
+		// Every rank position holds its own qubit again, so the shard
+		// applies the local slice.
 		return d.st.SetPermutation(p.FinalPerm[:d.local])
 	}
 	return nil
 }
 
-// applyGlobal runs one full-sweep segment on the shard. Operands are
-// physical positions, and the planner only emits a global for a mixing
-// target that is shard-local (a rank-bit target is an exchange segment,
-// a diagonal is a tile op), so the one rank-bit case left is a control
-// on a rank bit: ranks whose bit is 1 apply the target's one-qubit
-// unitary, the rest idle — no communication, the reason control-qubit
-// placement matters for comm volume. Everything else is the shard's own
-// gate kernel.
-func (d *DistState) applyGlobal(in kernel.Instr) error {
-	if in.Kind == kernel.KFused || in.Gate.Arity() != 2 || in.Qubits[0] < d.local {
-		return in.Apply(d.st)
+// swapRankBit exchanges shard position l with rank position r. The
+// amplitudes whose bit l equals this rank's bit r stay put; the other
+// half goes to the partner rank across r, whose matching half comes
+// back into the same indices. Both halves are packed in index order, so
+// the k-th amplitude sent is the k-th received. Each side ships half a
+// shard — in the front of a whole exchange slab, which is what the free
+// list recycles.
+func (d *DistState) swapRankBit(l, r int) {
+	start := time.Now()
+	amps, buf := d.st.AmplitudesRaw(), d.slab()
+	run := 1 << uint(l)
+	first := (d.rankBit(r) ^ 1) << uint(l) // the first index whose bit l differs
+	n := 0
+	for i := first; i < len(amps); i += 2 * run {
+		n += copy(buf[n:], amps[i:i+run])
 	}
-	var u gate.Type
-	switch in.Gate {
-	case gate.CX:
-		u = gate.X
-	case gate.CRY:
-		u = gate.RY
-	default:
-		return fmt.Errorf("mgpu: global %v with a rank-bit control is not something the planner emits", in.Gate)
-	}
-	if d.rankBit(in.Qubits[0]) == 1 {
-		d.st.ApplyGate(u, in.Qubits[1:], in.Params)
-	}
-	return nil
-}
-
-// execExchange runs one batched exchange segment on rank-bit target
-// tbit: skip the ops whose rank-bit controls this rank does not satisfy
-// (the partner rank differs only in the target bit, so it skips the
-// same ones), perform a single buffer exchange if any is left, then
-// co-update both halves of the pair subspace gate by gate. The
-// two-buffer update computes, per gate, exactly the pair expressions a
-// single device computes with both halves resident, so the retained
-// half is bit-identical to it.
-func (d *DistState) execExchange(tbit int, ops []kernel.ExchOp, rankAbs uint64) {
-	active := 0
-	for i := range ops {
-		if rankAbs&ops[i].RankCtrl == ops[i].RankCtrl {
-			active++
-		}
-	}
-	if active == 0 {
-		return
-	}
-	partner := d.comm.Rank() ^ 1<<uint(tbit-d.local)
-	theirs := d.exchange(partner)
-	d.avoidedExch += active - 1
-	amps := d.st.AmplitudesRaw()
-	bit1 := d.rankBit(tbit) == 1
-	for k := range ops {
-		op := &ops[k]
-		if rankAbs&op.RankCtrl != op.RankCtrl {
-			continue
-		}
-		m0, m1, m2, m3 := op.M[0], op.M[1], op.M[2], op.M[3]
-		ctrl := op.LowCtrl
-		for i := range amps {
-			if uint64(i)&ctrl != ctrl {
-				continue
-			}
-			var a0, a1 complex128
-			if bit1 {
-				a0, a1 = theirs[i], amps[i]
-				theirs[i] = m0*a0 + m1*a1
-				amps[i] = m2*a0 + m3*a1
-			} else {
-				a0, a1 = amps[i], theirs[i]
-				amps[i] = m0*a0 + m1*a1
-				theirs[i] = m2*a0 + m3*a1
-			}
-		}
+	theirs := d.trade(d.comm.Rank()^1<<uint(r-d.local), n, start)
+	n = 0
+	for i := first; i < len(amps); i += 2 * run {
+		n += copy(amps[i:i+run], theirs[n:])
 	}
 }
 

@@ -1,7 +1,9 @@
 package mgpu
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"qgear/internal/circuit"
@@ -10,6 +12,7 @@ import (
 	"qgear/internal/qcrank"
 	"qgear/internal/qmath"
 	"qgear/internal/sampling"
+	"qgear/internal/statevec"
 )
 
 // The planned-mgpu equivalence suite: distributed execution of a
@@ -21,8 +24,9 @@ import (
 // every case pinned. oracle_test.go holds both to a naive reference.
 
 // soupPool covers every gate the engines execute, including the
-// diagonal family (rank-local when global), SWAP (permutation table
-// locally, three-CX across the boundary), and parameterized rotations.
+// diagonal family (rank-local when global), SWAP (a permutation-table
+// update on either side of the rank boundary), and parameterized
+// rotations.
 var soupPool = []struct {
 	g      gate.Type
 	params int
@@ -95,20 +99,20 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 		fuseRuns                   bool
 		exchanges                  int // pinned: what this plan pays on this world
 	}{
-		{6, 2, 3, 0, false, 30},  // 1 rank bit
-		{6, 4, 2, 0, false, 118}, // 2 rank bits, 4-amp tiles
-		{6, 8, 2, 0, false, 268}, // 3 rank bits, shard of 3 qubits
-		{8, 4, 3, 0, false, 56},  // roomier shard
-		{8, 4, 3, 0, true, 56},   // within-run fusion on
-		{9, 8, 3, 0, false, 208}, // deep rank boundary
-		{9, 8, 3, 0, true, 208},  //   ... with fusion
-		{8, 4, 3, 3, false, 52},  // transform-level fused blocks in the stream
-		{8, 4, 3, 3, true, 52},   // both fusion layers at once
-		{10, 2, 4, 4, false, 30}, // wide fused blocks, single rank bit
-		{2, 2, 3, 0, false, 90},  // 1-qubit shards: the shard is one tile
-		{3, 4, 3, 0, false, 148},
-		{4, 8, 3, 0, true, 424},
-		{5, 16, 3, 0, false, 744},
+		{6, 2, 3, 0, false, 16},  // 1 rank bit
+		{6, 4, 2, 0, false, 56},  // 2 rank bits, 4-amp tiles
+		{6, 8, 2, 0, false, 184}, // 3 rank bits, shard of 3 qubits
+		{8, 4, 3, 0, false, 72},  // roomier shard
+		{8, 4, 3, 0, true, 72},   // within-run fusion on
+		{9, 8, 3, 0, false, 152}, // deep rank boundary
+		{9, 8, 3, 0, true, 152},  //   ... with fusion
+		{8, 4, 3, 3, false, 84},  // transform-level fused blocks in the stream
+		{8, 4, 3, 3, true, 84},   // both fusion layers at once
+		{10, 2, 4, 4, false, 26}, // wide fused blocks, single rank bit
+		{2, 2, 3, 0, false, 68},  // 1-qubit shards: the shard is one tile
+		{3, 4, 3, 0, false, 176},
+		{4, 8, 3, 0, true, 328},
+		{5, 16, 3, 0, false, 704},
 	} {
 		rng := qmath.NewRNG(seed + uint64(tc.n*1000+tc.ranks*100+tc.tileBits*10+tc.window))
 		c := gateSoup(tc.n, 140, rng)
@@ -155,12 +159,12 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 			t.Errorf("n=%d ranks=%d tile=%d window=%d fuse=%v: planned vs oracle diff %g > 1e-12",
 				tc.n, tc.ranks, tc.tileBits, tc.window, tc.fuseRuns, d)
 		}
-		// A segment costs each rank at most one exchange; ranks whose
-		// rank-bit controls rule out every op of a segment sit it out.
-		if planned.Exchanges != tc.exchanges || planned.Exchanges > tc.ranks*plan.Stats.ExchangeSegs {
-			t.Errorf("n=%d ranks=%d tile=%d window=%d fuse=%v: %d exchanges, pinned %d (bound %d = ranks × %d segments)",
-				tc.n, tc.ranks, tc.tileBits, tc.window, tc.fuseRuns, planned.Exchanges, tc.exchanges,
-				tc.ranks*plan.Stats.ExchangeSegs, plan.Stats.ExchangeSegs)
+		// Every rank takes part in every swap across the rank boundary,
+		// each a half-shard exchange; nothing else communicates.
+		if planned.Exchanges != tc.exchanges || planned.Exchanges != tc.ranks*plan.Stats.ExchangeSegs ||
+			planned.BytesSent != int64(planned.Exchanges)*8<<uint(local) || plan.Stats.ExchangeGates != 0 {
+			t.Errorf("n=%d ranks=%d tile=%d window=%d fuse=%v: %d exchanges (%d bytes), pinned %d = ranks × %d swaps across ranks",
+				tc.n, tc.ranks, tc.tileBits, tc.window, tc.fuseRuns, planned.Exchanges, planned.BytesSent, tc.exchanges, plan.Stats.ExchangeSegs)
 		}
 		if tc.fuseRuns {
 			continue
@@ -180,10 +184,57 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 	}
 }
 
+// rankBitsMoved counts the rank positions a plan's bit-swaps cross.
+func rankBitsMoved(p *kernel.TilePlan) int {
+	local := int32(p.NumQubits - p.GlobalBits)
+	moved := map[int32]bool{}
+	for _, seg := range p.Segments {
+		if hi := max(seg.A, seg.B); seg.Kind == kernel.SegBitSwap && hi >= local {
+			moved[hi] = true
+		}
+	}
+	return len(moved)
+}
+
+// runRelabeled plans c for ranks devices, runs it, and holds the run to
+// the relabeling contract: probabilities exactly the single device's
+// and within 1e-12 of the oracle; no gate outside the lane kernels;
+// every rank in each swap across the rank boundary, and at most two
+// such swaps — in and back — per rank bit moved; and no more bytes on
+// the wire than maxBytes, what the engine that batched rank-bit gates
+// into exchange segments shipped for the same circuit.
+func runRelabeled(t *testing.T, name string, c *circuit.Circuit, ranks, tileBits int, maxBytes int64) (*kernel.TilePlan, *Result) {
+	t.Helper()
+	k, _, err := kernel.FromCircuit(c, kernel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := planFor(t, k, ranks, tileBits)
+	res, err := SimulateCompiled(k, plan, ranks, 1)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if d := maxDiff(res.Probabilities, singleDeviceProbs(t, k)); d != 0 {
+		t.Errorf("%s: distributed vs single-device diff %g, want exact 0", name, d)
+	}
+	if d := maxDiff(res.Probabilities, oracleProbs(c)); d > 1e-12 {
+		t.Errorf("%s: distributed vs oracle diff %g > 1e-12", name, d)
+	}
+	st, moved := plan.Stats, rankBitsMoved(plan)
+	if st.ExchangeGates != 0 || res.Exchanges != ranks*st.ExchangeSegs || res.Exchanges > 2*moved*ranks {
+		t.Errorf("%s: %d exchanges on %d ranks for %d swaps across %d rank bits, %d exchange gates; want one per rank per swap, at most %d",
+			name, res.Exchanges, ranks, st.ExchangeSegs, moved, st.ExchangeGates, 2*moved*ranks)
+	}
+	if res.BytesSent > maxBytes {
+		t.Errorf("%s: %d bytes sent, the exchange-segment engine sent %d", name, res.BytesSent, maxBytes)
+	}
+	return plan, res
+}
+
 // TestPlannedExchangeBatching pins the headline distributed win: a
-// QCrank-shaped Ry/CX ladder whose data qubit sits on a rank bit
-// compiles into one exchange segment — one buffer exchange per rank
-// for the whole ladder, every later gate counted as an exchange avoided.
+// QCrank-shaped Ry/CX ladder whose data qubit sits on a rank bit costs
+// one swap of that bit into the tile and one back — two half-shard
+// exchanges per rank for the whole ladder, which then runs tile-local.
 func TestPlannedExchangeBatching(t *testing.T) {
 	const n, ranks, ladder = 6, 4, 16
 	data := n - 1 // top qubit: a rank bit at 4 ranks
@@ -196,43 +247,22 @@ func TestPlannedExchangeBatching(t *testing.T) {
 		c.RY(rng.Angle(), data)
 		c.CX(i%4, data)
 	}
-	k, _, err := kernel.FromCircuit(c, kernel.Options{})
-	if err != nil {
-		t.Fatal(err)
+	plan, res := runRelabeled(t, "ladder", c, ranks, 2, 1024)
+	if st := plan.Stats; st.ExchangeSegs != 2 || st.BitSwaps != 2 || st.TileLocal != 2*ladder+2 {
+		t.Errorf("plan %+v: want the ladder tile-local after one swap in and one back", st)
 	}
-	plan, err := kernel.Plan(k, kernel.PlanConfig{TileBits: 2, GlobalBits: log2ranks(ranks)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Stats.ExchangeSegs != 1 {
-		t.Errorf("ExchangeSegs = %d, want 1 (whole ladder batched)", plan.Stats.ExchangeSegs)
-	}
-	if plan.Stats.ExchangeGates != 2*ladder {
-		t.Errorf("ExchangeGates = %d, want %d", plan.Stats.ExchangeGates, 2*ladder)
-	}
-
-	planned, err := SimulateCompiled(k, plan, ranks, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxDiff(planned.Probabilities, singleDeviceProbs(t, k)); d != 0 {
-		t.Errorf("ladder planned vs single-device diff %g, want exact 0", d)
-	}
-	// One exchange per rank for the segment, not one per rank per gate.
-	if planned.Exchanges != ranks {
-		t.Errorf("planned exchanges = %d, want %d", planned.Exchanges, ranks)
-	}
-	if want := ranks * (2*ladder - 1); planned.AvoidedExchanges != want {
-		t.Errorf("planned avoided exchanges = %d, want %d", planned.AvoidedExchanges, want)
+	if res.Exchanges != 2*ranks {
+		t.Errorf("exchanges = %d, want %d", res.Exchanges, 2*ranks)
 	}
 }
 
-// TestPlannedQCrankExchanges checks the batching win on a real
-// qcrank.Encode circuit (6 address + 10 data qubits, 4 ranks): the
-// Ry/CX ladders of the data qubits that sit on rank bits compile into
-// exchange segments — a pinned handful of exchanges for thousands of
-// rank-bit gates — and the gathered probabilities are bit-identical to
-// the single-device per-gate engine's.
+// TestPlannedQCrankExchanges checks the relabeling win on a real
+// qcrank.Encode circuit (6 address + 10 data qubits, 4 ranks): the two
+// data qubits on rank bits are each swapped into the tile once and back
+// once, so thousands of rank-bit gates cost sixteen half-shard
+// exchanges — the bytes of the eight full-shard ones exchange segments
+// paid — and the gathered probabilities are bit-identical to the
+// single-device per-gate engine's.
 func TestPlannedQCrankExchanges(t *testing.T) {
 	const addr, pixels, tileBits, ranks = 6, 640, 10, 4
 	cplan, err := qcrank.NewPlan(pixels, addr, 1)
@@ -248,40 +278,27 @@ func TestPlannedQCrankExchanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, _, err := kernel.FromCircuit(c, kernel.Options{})
-	if err != nil {
-		t.Fatal(err)
+	plan, res := runRelabeled(t, "qcrank", c, ranks, tileBits, 2097152)
+	if st := plan.Stats; st.ExchangeSegs != 4 || st.Global != 0 {
+		t.Errorf("plan %+v: want two rank bits swapped in and back, no sweep", st)
 	}
-	plan, err := kernel.Plan(k, kernel.PlanConfig{TileBits: tileBits, GlobalBits: log2ranks(ranks)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Stats.ExchangeSegs == 0 {
-		t.Error("ExchangeSegs = 0, want the rank-bit ladders batched")
-	}
-	planned, err := SimulateCompiled(k, plan, ranks, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every exchange gate either paid an exchange or rode on one.
-	if planned.Exchanges != 2*ranks || planned.Exchanges+planned.AvoidedExchanges != ranks*plan.Stats.ExchangeGates {
-		t.Errorf("planned exchanges %d (avoided %d) over %d exchange gates in %d segments: want %d exchanges (one per rank per segment)",
-			planned.Exchanges, planned.AvoidedExchanges, plan.Stats.ExchangeGates, plan.Stats.ExchangeSegs, 2*ranks)
-	}
-	if d := maxDiff(planned.Probabilities, singleDeviceProbs(t, k)); d != 0 {
-		t.Errorf("qcrank planned vs single-device diff %g, want exact 0", d)
+	if res.Exchanges != 4*ranks {
+		t.Errorf("exchanges = %d, want %d", res.Exchanges, 4*ranks)
 	}
 }
 
 // TestDiagonalRankLocalNoExchange pins the placement rule: diagonal and
 // phase gates whose operands sit on rank bits compile into predicates
-// each rank resolves against its own index — zero exchanges.
+// each rank resolves against its own index — they add no exchange to
+// what the mixing gates pay.
 func TestDiagonalRankLocalNoExchange(t *testing.T) {
 	const n, ranks = 6, 4
-	c := circuit.New(n, 0)
+	mixing := circuit.New(n, 0)
 	for q := 0; q < n; q++ {
-		c.H(q) // the two global H's pay 2 exchanges per rank
+		mixing.H(q) // the two rank-bit H's are swapped into the tile and back
 	}
+	c := circuit.New(n, 0)
+	c.Ops = append(c.Ops, mixing.Ops...)
 	c.RZ(0.3, n-1)        // rank-bit rz
 	c.Z(n - 2)            // rank-bit z
 	c.CP(0.7, 0, n-1)     // local ctrl, rank-bit target
@@ -289,53 +306,96 @@ func TestDiagonalRankLocalNoExchange(t *testing.T) {
 	c.CP(0.9, n-1, 1)     // rank-bit ctrl, local target
 	c.S(n - 1).T(n - 2)   // more rank-bit phases
 	c.RZ(0.2, 0).CZ(0, 1) // local diagonals
-	k, _, err := kernel.FromCircuit(c, kernel.Options{})
-	if err != nil {
-		t.Fatal(err)
+	plan, res := runRelabeled(t, "diagonals", c, ranks, 2, 2048)
+	refPlan, ref := runRelabeled(t, "h layer", mixing, ranks, 2, 2048)
+	if res.Exchanges != ref.Exchanges || plan.Stats.Global != refPlan.Stats.Global {
+		t.Errorf("with diagonals: %d exchanges, %d sweeps; the h layer alone: %d, %d", res.Exchanges, plan.Stats.Global, ref.Exchanges, refPlan.Stats.Global)
 	}
-	plan := planFor(t, k, ranks, 2)
-	// The seven gates with a rank-bit operand, none of them an exchange.
-	if plan.Stats.RankLocal != 7 {
-		t.Errorf("RankLocal = %d, want 7", plan.Stats.RankLocal)
-	}
-	res, err := SimulateCompiled(k, plan, ranks, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only the H gates on the two rank-bit qubits exchange, one segment
-	// each: nothing batched, so nothing counted as avoided.
-	if want := 2 * ranks; res.Exchanges != want || res.AvoidedExchanges != 0 {
-		t.Errorf("exchanges = %d (avoided %d), want %d and 0 (diagonals must be rank-local)", res.Exchanges, res.AvoidedExchanges, want)
-	}
-	// And the distribution still matches the single-process engine.
-	if d := maxDiff(res.Probabilities, singleDeviceProbs(t, k)); d != 0 {
-		t.Errorf("rank-local diagonals vs single-device diff %g, want exact 0", d)
+	// The qubits the h's evicted now sit on rank positions: the
+	// diagonals on them are rank-bit predicates.
+	if plan.Stats.RankLocal == 0 {
+		t.Errorf("RankLocal = 0, want the diagonals on evicted qubits resolved per rank")
 	}
 }
 
-// TestPlannedCrossBoundarySwap checks the SWAP decomposition: a SWAP
-// with one rank-bit operand must move real data (three CX through the
-// exchange machinery) and still match the single device exactly.
+// TestPlannedCrossBoundarySwap: a SWAP with a rank-bit operand is a free
+// table update like any other; the data moves once, when the plan hands
+// the rank position back at the end.
 func TestPlannedCrossBoundarySwap(t *testing.T) {
 	const n, ranks = 6, 4
-	rng := qmath.NewRNG(23)
-	c := gateSoup(n, 30, rng)
+	c := circuit.New(n, 0)
+	for q := 0; q < 4; q++ {
+		c.H(q)
+	}
+	c.RY(0.3, 0).CX(0, 1)
 	c.SWAP(0, n-1) // crosses the boundary
-	c.SWAP(1, 2)   // stays local: free table update
-	k, _, err := kernel.FromCircuit(c, kernel.Options{})
-	if err != nil {
-		t.Fatal(err)
+	c.SWAP(1, 2)   // stays local
+	c.RY(0.7, n-1).CP(0.4, 0, 1).CX(0, 3)
+	plan, res := runRelabeled(t, "cross-boundary swap", c, ranks, 2, 2048)
+	if st := plan.Stats; st.PermSwaps != 2 || st.ExchangeSegs != 1 {
+		t.Errorf("plan %+v: want both swaps absorbed and one swap across ranks, at the end", st)
 	}
-	plan, err := kernel.Plan(k, kernel.PlanConfig{TileBits: 2, GlobalBits: log2ranks(ranks)})
-	if err != nil {
-		t.Fatal(err)
+	if res.Exchanges != ranks {
+		t.Errorf("exchanges = %d, want %d", res.Exchanges, ranks)
 	}
-	planned, err := SimulateCompiled(k, plan, ranks, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxDiff(planned.Probabilities, singleDeviceProbs(t, k)); d != 0 {
-		t.Errorf("cross-boundary swap vs single-device diff %g, want exact 0", d)
+}
+
+// TestRankBitRelabelCases pins the shapes only distributed plans have,
+// each held to the relabeling contract.
+func TestRankBitRelabelCases(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		n, ranks, tile int
+		build          func(c *circuit.Circuit)
+		maxBytes       int64
+		check          func(p *kernel.TilePlan) bool
+		want           string
+	}{{
+		// The tile is the control's one slot: the control goes to the
+		// rank position and becomes a predicate there.
+		name: "rank target, local control, 1-qubit shards", n: 3, ranks: 4, tile: 1, maxBytes: 256,
+		build: func(c *circuit.Circuit) { c.H(0).CX(0, 2).CX(0, 1) },
+		check: func(p *kernel.TilePlan) bool {
+			swap := slices.IndexFunc(p.Segments, func(seg kernel.Segment) bool { return seg.Kind == kernel.SegBitSwap })
+			return p.Segments[swap] == kernel.Segment{Kind: kernel.SegBitSwap, A: 0, B: 2} && p.Stats.RankLocal > 0 && p.Stats.Global == 0
+		},
+		want: "the first swap evicts the control to rank position 2",
+	}, {
+		// q0 is parked on a rank position by a free SWAP; the CX's high
+		// target, mixed once, still comes into the tile (a local swap)
+		// rather than sweep under a rank-bit control.
+		name: "rank control, single-use high target", n: 5, ranks: 2, tile: 2, maxBytes: 1024,
+		build: func(c *circuit.Circuit) { c.H(0).H(1).SWAP(0, 4).CX(0, 3) },
+		check: func(p *kernel.TilePlan) bool {
+			return p.Stats.Global == 0 && p.Stats.BitSwaps == p.Stats.ExchangeSegs+1 && p.Stats.RankLocal == 1
+		},
+		want: "one local relabel, no sweep",
+	}, {
+		// Three SWAPs with rank operands move no data; the rank positions
+		// are handed back at the end, one swap each.
+		name: "rank-bit swaps", n: 5, ranks: 4, tile: 2, maxBytes: 4608,
+		build: func(c *circuit.Circuit) {
+			c.H(0).H(1).RY(0.3, 0).SWAP(0, 3).SWAP(1, 4).SWAP(3, 4).CP(0.5, 0, 1).RY(0.2, 4)
+		},
+		check: func(p *kernel.TilePlan) bool {
+			return p.Stats.PermSwaps == 3 && p.Stats.ExchangeSegs == 2 && p.Stats.BitSwaps == 2 && p.Stats.Global == 0
+		},
+		want: "every swap absorbed, two swaps across ranks at the end",
+	}, {
+		// Free SWAPs park two |+⟩ qubits on both rank positions: the
+		// target comes into the tile, the control stays a predicate.
+		name: "cry with both operands on rank bits", n: 5, ranks: 4, tile: 2, maxBytes: 2304,
+		build: func(c *circuit.Circuit) {
+			c.H(0).H(1).H(2).SWAP(0, 3).SWAP(1, 4).CRY(0.9, 0, 1).RY(0.4, 2).CRY(0.6, 3, 4)
+		},
+		check: func(p *kernel.TilePlan) bool { return p.Stats.RankLocal > 0 && p.Stats.Global == 0 },
+		want:  "the cry compiled to a predicated tile op",
+	}} {
+		c := circuit.New(tc.n, 0)
+		tc.build(c)
+		if plan, _ := runRelabeled(t, tc.name, c, tc.ranks, tc.tile, tc.maxBytes); !tc.check(plan) {
+			t.Errorf("%s: plan %+v %v: want %s", tc.name, plan.Stats, plan.Segments, tc.want)
+		}
 	}
 }
 
@@ -355,37 +415,59 @@ func TestExecutePlanGeometryChecks(t *testing.T) {
 }
 
 // BenchmarkExecutePlanQCrank is the benchmark's qcrank_mgpu engine
-// call: an a9_d6 image encoding (15 qubits) on two ranks, plan compiled
-// once outside the loop — what is left is the shards, the exchange
-// buffers and the gathered vector.
+// call — an a9_d6 image encoding (15 qubits) on two ranks — and
+// TestPlannedQCrankExchanges' a6 / 640-pixel shape (16 qubits) on four,
+// each next to its single-device counterpart: the same circuit planned
+// at the same tile width on one state with as many workers as the world
+// has ranks. The ratio of the two is the distributed engine's overhead.
+// Plans are compiled once outside the loop, so what is left is the
+// shards, the exchange buffers and the returned vector.
 func BenchmarkExecutePlanQCrank(b *testing.B) {
-	const addr, data, ranks = 9, 6, 2
-	cplan, err := qcrank.NewPlan(data<<addr, addr, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := qmath.NewRNG(2026)
-	values := make([]float64, data<<addr)
-	for i := range values {
-		values[i] = 2*rng.Float64() - 1
-	}
-	c, err := qcrank.Encode(values, cplan, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	k, _, err := kernel.FromCircuit(c, kernel.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := kernel.Plan(k, kernel.PlanConfig{TileBits: 16, GlobalBits: log2ranks(ranks)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SimulateCompiled(k, plan, ranks, 1); err != nil {
+	for _, tc := range []struct {
+		name                          string
+		addr, pixels, ranks, tileBits int
+	}{
+		{"a9_d6", 9, 6 << 9, 2, 16},
+		{"a6_p640", 6, 640, 4, 10},
+	} {
+		cplan, err := qcrank.NewPlan(tc.pixels, tc.addr, 1)
+		if err != nil {
 			b.Fatal(err)
+		}
+		rng := qmath.NewRNG(2026)
+		values := make([]float64, tc.pixels)
+		for i := range values {
+			values[i] = 2*rng.Float64() - 1
+		}
+		c, err := qcrank.Encode(values, cplan, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		k, _, err := kernel.FromCircuit(c, kernel.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		dist := planFor(b, k, tc.ranks, tc.tileBits)
+		for _, ranks := range []int{tc.ranks, 1} {
+			plan := dist
+			if ranks == 1 {
+				plan = planFor(b, k, 1, dist.TileBits)
+			}
+			b.Run(fmt.Sprintf("%s/ranks=%d", tc.name, ranks), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if ranks == 1 {
+						s := statevec.MustNew(k.NumQubits, tc.ranks)
+						if err := plan.Execute(s); err != nil {
+							b.Fatal(err)
+						}
+						s.Probabilities()
+						s.Release()
+					} else if _, err := SimulateCompiled(k, plan, ranks, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

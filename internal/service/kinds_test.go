@@ -204,7 +204,6 @@ var goldenStatsKeys = []string{
 	"hit_rate",
 	"latency",
 	"mean_batch_len",
-	"mgpu_avoided_exchanges",
 	"mgpu_bytes_sent",
 	"mgpu_exchanges",
 	"panics_recovered",
@@ -270,7 +269,6 @@ var goldenMetricHelp = []string{
 	"qgear_jobs_failed_total Jobs finished with an error.",
 	"qgear_jobs_rejected_total Submissions rejected, labeled by reason.",
 	"qgear_jobs_submitted_total Jobs accepted by Submit.",
-	"qgear_mgpu_avoided_exchanges_total Exchanges elided by the avoided-exchange optimization.",
 	"qgear_mgpu_bytes_sent_total Bytes moved by distributed buffer exchanges.",
 	"qgear_mgpu_exchanges_total Pairwise buffer exchanges across completed distributed executions.",
 	"qgear_panics_recovered_total Execution panics recovered at the worker boundary (job failed, worker survived).",

@@ -148,8 +148,6 @@ func (s *Server) registerMetrics() {
 	// Distributed-execution communication (nvidia-mgpu).
 	r.CounterFunc("qgear_mgpu_exchanges_total", "Pairwise buffer exchanges across completed distributed executions.", nil,
 		locked(func() float64 { return float64(s.stats.MgpuExchanges) }))
-	r.CounterFunc("qgear_mgpu_avoided_exchanges_total", "Exchanges elided by the avoided-exchange optimization.", nil,
-		locked(func() float64 { return float64(s.stats.MgpuAvoidedExchanges) }))
 	r.CounterFunc("qgear_mgpu_bytes_sent_total", "Bytes moved by distributed buffer exchanges.", nil,
 		locked(func() float64 { return float64(s.stats.MgpuBytesSent) }))
 

@@ -116,7 +116,7 @@ type Config struct {
 	// JobTimeout bounds every job's lifetime from submission: a job
 	// still queued past it is dropped at dequeue without executing, and
 	// a running job is cooperatively cancelled at its next poll point
-	// (tile run, exchange segment, expectation block batch). Per-job
+	// (plan segment, expectation block batch). Per-job
 	// SubmitOptions.TimeoutMs tightens this further; single-flight
 	// joiners can only loosen the budget their leader already runs
 	// under. 0 = no server-wide timeout.
@@ -1253,15 +1253,14 @@ type batchTally struct {
 	// Distributed-communication totals of the batch's fresh executions,
 	// counted once per execution event (batch-mates share one execution,
 	// so summing per job would overcount).
-	mgpuExch, mgpuAvoided uint64
-	mgpuBytes             int64
+	mgpuExch  uint64
+	mgpuBytes int64
 }
 
 // ran folds one fresh execution event's counters into the tally.
 func (t *batchTally) ran(res *backend.Result) {
 	t.sweepPts += uint64(res.SweepPoints)
 	t.mgpuExch += uint64(res.Exchanges)
-	t.mgpuAvoided += uint64(res.AvoidedExchanges)
 	t.mgpuBytes += res.BytesSent
 }
 
@@ -1316,7 +1315,6 @@ func (s *Server) runBatch(batch []*job) {
 	s.stats.Batches++
 	s.stats.BatchedJobs += uint64(len(t.outs))
 	s.stats.MgpuExchanges += t.mgpuExch
-	s.stats.MgpuAvoidedExchanges += t.mgpuAvoided
 	s.stats.MgpuBytesSent += t.mgpuBytes
 	s.stats.CancelledQueue += t.cancelledQueue
 	s.stats.CancelledRunning += t.cancelledRunning
@@ -1472,16 +1470,15 @@ func (s *Server) runCoalesced(batch []*job, dequeued time.Time, t *batchTally) {
 			// Duration is this circuit's own simulation time (from
 			// backend.Run), not the whole batch's wall-clock.
 			jr := &backend.Result{
-				Target:           s.cfg.Target,
-				Probabilities:    results[i].Probabilities,
-				KernelStats:      results[i].KernelStats,
-				PlanStats:        results[i].PlanStats,
-				TileBits:         results[i].TileBits,
-				NumQubits:        results[i].NumQubits,
-				Exchanges:        results[i].Exchanges,
-				BytesSent:        results[i].BytesSent,
-				AvoidedExchanges: results[i].AvoidedExchanges,
-				Duration:         results[i].Duration,
+				Target:        s.cfg.Target,
+				Probabilities: results[i].Probabilities,
+				KernelStats:   results[i].KernelStats,
+				PlanStats:     results[i].PlanStats,
+				TileBits:      results[i].TileBits,
+				NumQubits:     results[i].NumQubits,
+				Exchanges:     results[i].Exchanges,
+				BytesSent:     results[i].BytesSent,
+				Duration:      results[i].Duration,
 			}
 			// Per-job spans (queue_wait, sample) are observed per job;
 			// the attached trace additionally carries the shared spans

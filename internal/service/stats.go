@@ -216,9 +216,8 @@ type Stats struct {
 
 	// Distributed-execution communication, summed over completed mgpu
 	// executions (zero on other targets).
-	MgpuExchanges        uint64 `json:"mgpu_exchanges"`
-	MgpuAvoidedExchanges uint64 `json:"mgpu_avoided_exchanges"`
-	MgpuBytesSent        int64  `json:"mgpu_bytes_sent"`
+	MgpuExchanges uint64 `json:"mgpu_exchanges"`
+	MgpuBytesSent int64  `json:"mgpu_bytes_sent"`
 
 	// Per-target end-to-end job latency (submit -> done), keyed by
 	// execution target, plus the synthetic "cache", "store", and

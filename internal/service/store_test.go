@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"qgear/internal/artifact"
+	"qgear/internal/artifact/artifacttest"
 	"qgear/internal/backend"
 	"qgear/internal/circuit"
 	"qgear/internal/kernel"
@@ -168,49 +169,75 @@ func TestPlanlessMGPUArtifactIsRecompiled(t *testing.T) {
 		{Target: backend.TargetAer},
 		{Target: backend.TargetNvidiaMGPU, Devices: 2},
 	} {
-		cfg.StoreDir, cfg.WorkerPool, cfg.MaxBatch = t.TempDir(), 1, 1
-		c := storeTestCircuits(1, 6)[0]
-		s := newTestServer(t, cfg)
-		key := s.planKey(c, c.Fingerprint())
-		comp, err := backend.Compile(c, backend.Config{Target: cfg.Target, Devices: cfg.Devices})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The index entry comes from a real save; the file is then replaced
-		// by what the older build wrote: kernel, a cleared plan flag,
+		// What the older build wrote: kernel, a cleared plan flag,
 		// transform stats, tile width 0.
-		if err := s.store.SavePlan(key, s.cfgSig, comp, 1); err != nil {
-			t.Fatal(err)
-		}
-		files, err := filepath.Glob(filepath.Join(cfg.StoreDir, "plans", "*", "*.plan"))
-		if err != nil || len(files) != 1 {
-			t.Fatalf("plan files %v (err %v), want one", files, err)
-		}
-		w := artifact.NewWriter(0)
-		w.Str(key)
-		w.Str(s.cfgSig)
-		w.F64(1)
+		oldPlanIsRecompiled(t, cfg, func(w *artifact.Writer, comp *backend.Compiled) {
+			kernel.WriteKernel(w, comp.Kernel)
+			w.Bool(false)
+			kernel.WriteStats(w, comp.TransformStats)
+			w.Int(0)
+		})
+	}
+}
+
+// TestExchangePlanArtifactIsRecompiled: a store written while rank-bit
+// targets compiled into exchange segments holds nvidia-mgpu plans with
+// a segment kind the plan reader no longer has, under an unchanged
+// format version and signature. The warm-starting server quarantines
+// one and compiles afresh.
+func TestExchangePlanArtifactIsRecompiled(t *testing.T) {
+	oldPlanIsRecompiled(t, Config{Target: backend.TargetNvidiaMGPU, Devices: 2}, func(w *artifact.Writer, comp *backend.Compiled) {
 		kernel.WriteKernel(w, comp.Kernel)
-		w.Bool(false)
+		w.Bool(true)
+		artifacttest.WriteExchangePlan(w, comp.Plan.TileBits, comp.Kernel.NumQubits)
 		kernel.WriteStats(w, comp.TransformStats)
-		w.Int(0)
-		planless, err := w.Seal(artifact.KindStorePlan, store.FormatVersion, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(files[0], planless, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		res, _, err := s.Run(context.Background(), c, SubmitOptions{Shots: 100, Seed: 4})
-		if err != nil {
-			t.Fatalf("%s: plan-less artifact must fall back to a fresh compile, got %v", cfg.Target, err)
-		}
-		if res.PlanStats == nil {
-			t.Fatalf("%s: the job ran without a plan", cfg.Target)
-		}
-		if st := s.Stats(); st.StoreQuarantines != 1 || st.StorePlanHits != 0 {
-			t.Fatalf("%s: quarantines %d, plan store hits %d; want 1 and 0", cfg.Target, st.StoreQuarantines, st.StorePlanHits)
-		}
+		w.Int(comp.Plan.TileBits)
+	})
+}
+
+// oldPlanIsRecompiled saves a circuit's plan through a fresh server for
+// cfg, replaces the file's payload after key, signature and cost by what
+// write puts there, and checks that the next run of the circuit
+// quarantines the file and compiles afresh.
+func oldPlanIsRecompiled(t *testing.T, cfg Config, write func(w *artifact.Writer, comp *backend.Compiled)) {
+	t.Helper()
+	cfg.StoreDir, cfg.WorkerPool, cfg.MaxBatch = t.TempDir(), 1, 1
+	c := storeTestCircuits(1, 6)[0]
+	s := newTestServer(t, cfg)
+	key := s.planKey(c, c.Fingerprint())
+	comp, err := backend.Compile(c, backend.Config{Target: cfg.Target, Devices: cfg.Devices})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The index entry comes from a real save; the file is then replaced.
+	if err := s.store.SavePlan(key, s.cfgSig, comp, 1); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(cfg.StoreDir, "plans", "*", "*.plan"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("plan files %v (err %v), want one", files, err)
+	}
+	w := artifact.NewWriter(0)
+	w.Str(key)
+	w.Str(s.cfgSig)
+	w.F64(1)
+	write(w, comp)
+	old, err := w.Seal(artifact.KindStorePlan, store.FormatVersion, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[0], old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := s.Run(context.Background(), c, SubmitOptions{Shots: 100, Seed: 4})
+	if err != nil {
+		t.Fatalf("%s: an old plan artifact must fall back to a fresh compile, got %v", cfg.Target, err)
+	}
+	if res.PlanStats == nil {
+		t.Fatalf("%s: the job ran without a plan", cfg.Target)
+	}
+	if st := s.Stats(); st.StoreQuarantines != 1 || st.StorePlanHits != 0 {
+		t.Fatalf("%s: quarantines %d, plan store hits %d; want 1 and 0", cfg.Target, st.StoreQuarantines, st.StorePlanHits)
 	}
 }
 

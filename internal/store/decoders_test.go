@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -327,12 +328,86 @@ func FuzzDecodePlan(f *testing.F) {
 			f.Add(artifacttest.Payload(f, bad))
 		}
 	}
+	for _, data := range mgpuPlanSeeds(f) {
+		f.Add(artifacttest.Payload(f, data))
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		artifacttest.FuzzDecoder(t, like, payload, func(sealed []byte) (func() ([]byte, error), error) {
 			comp, cost, err := decodePlan(sealed, fuzzKey, testSig)
 			return func() ([]byte, error) { return encodePlan(fuzzKey, testSig, comp, cost) }, err
 		})
 	})
+}
+
+// mgpuPlanSeeds is a plan artifact of a two-rank compile — rank bits
+// swapped into the tile and back — followed by the shapes of it the
+// plan reader refuses: a swap outside the register, of a position with
+// itself, of two rank positions, a sweep with a rank-bit operand, a
+// binding site of kind 2, and an exchange segment (kind 3) as older
+// builds wrote them.
+func mgpuPlanSeeds(f *testing.F) [][]byte {
+	f.Helper()
+	c := artifacttest.SeedCircuits(f)[2]
+	comp, err := backend.Compile(c, backend.Config{Target: backend.TargetNvidiaMGPU, Devices: 4, TileBits: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	n, local := comp.Plan.NumQubits, comp.Plan.NumQubits-comp.Plan.GlobalBits
+	swap := slices.IndexFunc(comp.Plan.Segments, func(seg kernel.Segment) bool { return seg.Kind == kernel.SegBitSwap })
+	if comp.Plan.Stats.ExchangeSegs == 0 || len(comp.Plan.Globals) == 0 || len(comp.Plan.Binds) == 0 {
+		f.Fatalf("plan %+v has no rank-bit swap, no global sweep or no binding site", comp.Plan.Stats)
+	}
+	good, err := encodePlan(fuzzKey, testSig, comp, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	out := [][]byte{good}
+	for _, spoil := range []func(p *kernel.TilePlan){
+		func(p *kernel.TilePlan) {
+			p.Segments[swap] = kernel.Segment{Kind: kernel.SegBitSwap, A: 0, B: int32(n)}
+		},
+		func(p *kernel.TilePlan) { p.Segments[swap] = kernel.Segment{Kind: kernel.SegBitSwap, A: 1, B: 1} },
+		func(p *kernel.TilePlan) {
+			p.Segments[swap] = kernel.Segment{Kind: kernel.SegBitSwap, A: int32(local), B: int32(local + 1)}
+		},
+		func(p *kernel.TilePlan) {
+			p.Globals = slices.Clone(p.Globals)
+			p.Globals[0].Qubits = []int{local}
+		},
+		func(p *kernel.TilePlan) {
+			p.Binds = slices.Clone(p.Binds)
+			p.Binds[0].Kind = 2
+		},
+	} {
+		p := *comp.Plan
+		p.Segments = slices.Clone(p.Segments)
+		spoil(&p)
+		bad, err := encodePlan(fuzzKey, testSig, &backend.Compiled{Kernel: comp.Kernel, Plan: &p, TransformStats: comp.TransformStats}, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, bad)
+	}
+	w := artifact.NewWriter(0)
+	w.Str(fuzzKey)
+	w.Str(testSig)
+	w.F64(1)
+	kernel.WriteKernel(w, comp.Kernel)
+	w.Bool(true)
+	artifacttest.WriteExchangePlan(w, comp.Plan.TileBits, n)
+	kernel.WriteStats(w, comp.TransformStats)
+	w.Int(comp.Plan.TileBits)
+	legacy, err := w.Seal(artifact.KindStorePlan, FormatVersion, false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	out = append(out, legacy)
+	for _, bad := range out[1:] {
+		if _, _, err := decodePlan(bad, fuzzKey, testSig); err == nil {
+			f.Fatal("an illegal distributed plan decoded")
+		}
+	}
+	return out
 }
 
 // TestOpenOverParentFormatDirectory: a directory written by the build

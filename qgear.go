@@ -72,13 +72,13 @@ type Counts = sampling.Counts
 type RunOptions = core.Options
 
 // PlanStats reports what the plan compiler did (tile runs, full-sweep
-// fallbacks, fused micro-ops, exchange segments) — carried on
+// fallbacks, fused micro-ops, relabeling swaps) — carried on
 // Result.PlanStats for every planned execution.
 type PlanStats = kernel.PlanStats
 
 // TilePlan is the compiled execution IR every engine consumes: tile
-// runs, relabeling bit-swaps, full-sweep fallbacks, and (on the
-// distributed target) batched exchange segments.
+// runs, relabeling bit-swaps (on the distributed target, across the
+// rank boundary too) and full-sweep fallbacks.
 type TilePlan = kernel.TilePlan
 
 // Compiled is a circuit lowered to the execution IR (kernel + plan),
