@@ -116,9 +116,14 @@ ci-wired:
 # and a live store, so eviction, spill, and store-hit paths all run
 # under real concurrency. It is the observability gate too: the test
 # fails when /metrics is missing a required family or the scraped job
-# totals disagree with /v1/stats.
+# totals disagree with /v1/stats. The submit path rides along: the
+# decoder's allocation bound on serve_mix's three envelope shapes, no
+# decoded job sharing bytes with its pooled body buffer under
+# concurrent submitters, and the 413 limit with and without a declared
+# length; BenchmarkSubmitDecode runs once and gates nothing.
 ci-load: build
-	$(call run-selected,TestLoadMixedTraffic,./internal/service/)
+	$(call run-selected,TestLoadMixedTraffic|TestSubmitDecodeAllocBound|TestSubmitBodyNotRetained|TestHTTPBodyTooLarge,./internal/service/)
+	$(GO) test -run '^$$' -bench SubmitDecode -benchtime=1x ./internal/service/
 
 # Workers-axis scaling smoke: the lane-kernel and tiled-executor
 # bit-identity fuzz suites, race-enabled and uncached. Worker count
@@ -154,8 +159,11 @@ ci-oneproc: build
 # the samplers against their table-and-hash references (exact counts,
 # same RNG consumption), then the three executors against the naive
 # oracle (fuzzer-chosen width, world, tile and gate soup: exact among
-# themselves, 1e-12 to internal/oracle, total probability 1). go test
-# fuzzes one target of one package per run, hence one leg each;
+# themselves, 1e-12 to internal/oracle, total probability 1), then the
+# two readers of a job submission's untrusted bytes: the POST /v1/jobs
+# envelope decoder against the reflection decode it replaced (same
+# verdict, same job), and the QASM parser (export∘parse round trip).
+# go test fuzzes one target of one package per run, hence one leg each;
 # minimization is capped because its default budget (60 s per new
 # input) would eat a 10 s leg whole.
 FUZZ_DECODER = -fuzztime 10s -fuzzminimizetime 100x
@@ -171,6 +179,8 @@ ci-fuzz: build
 	$(call run-selected,FuzzDecodePlan,./internal/store/,-fuzz FuzzDecodePlan $(FUZZ_DECODER))
 	$(call run-selected,FuzzSampleMatchesReference,./internal/sampling/,-fuzz FuzzSampleMatchesReference $(FUZZ_DECODER))
 	$(call run-selected,FuzzEnginesMatchOracle,./internal/mgpu/,-fuzz FuzzEnginesMatchOracle $(FUZZ_DECODER))
+	$(call run-selected,FuzzSubmitEnvelope,./internal/service/,-fuzz FuzzSubmitEnvelope $(FUZZ_DECODER))
+	$(call run-selected,FuzzQASMParse,./internal/qasm/,-fuzz FuzzQASMParse $(FUZZ_DECODER))
 
 # Chaos acceptance: the seeded fault-injection suite, race-enabled.
 # Injected disk faults, short writes, execution panics, and tight

@@ -3,9 +3,11 @@ package qasm
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"qgear/internal/artifact/artifacttest"
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
 	"qgear/internal/qmath"
@@ -24,11 +26,15 @@ func normalize(c *circuit.Circuit) *circuit.Circuit {
 	return out
 }
 
-func TestExportKnownProgram(t *testing.T) {
+func bellCircuit() *circuit.Circuit {
 	c := circuit.New(2, 2)
 	c.Name = "bell"
 	c.H(0).CX(0, 1).Barrier().Measure(0, 0).Measure(1, 1)
-	src, err := Export(c)
+	return c
+}
+
+func TestExportKnownProgram(t *testing.T) {
+	src, err := Export(bellCircuit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +56,7 @@ func TestExportKnownProgram(t *testing.T) {
 	}
 }
 
-func TestRoundTripAllGates(t *testing.T) {
+func allGatesCircuit() *circuit.Circuit {
 	c := circuit.New(3, 3)
 	c.Name = "allgates"
 	c.H(0).X(1).Y(2).Z(0).S(1).T(2)
@@ -61,6 +67,11 @@ func TestRoundTripAllGates(t *testing.T) {
 	c.U3(0.1, 0.2, 0.3, 1)
 	c.CX(0, 1).CZ(1, 2).CP(0.625, 2, 0).CRY(-0.875, 0, 2).SWAP(1, 2)
 	c.Barrier().Measure(2, 1)
+	return c
+}
+
+func TestRoundTripAllGates(t *testing.T) {
+	c := allGatesCircuit()
 	src, err := Export(c)
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +107,7 @@ func TestRoundTripExactAngles(t *testing.T) {
 	}
 }
 
-func TestParsePiExpressions(t *testing.T) {
-	src := `OPENQASM 2.0;
+const piExprSrc = `OPENQASM 2.0;
 include "qelib1.inc";
 qreg q[2];
 ry(pi) q[0];
@@ -107,7 +117,9 @@ ry(2*pi) q[1];
 cu1(3*pi/8) q[0],q[1];
 ry(0.5) q[0];
 `
-	c, err := Parse(src)
+
+func TestParsePiExpressions(t *testing.T) {
+	c, err := Parse(piExprSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +131,10 @@ ry(0.5) q[0];
 	}
 }
 
+const aliasSrc = "OPENQASM 2.0;\nqreg q[2];\np(0.5) q[0];\ncp(0.25) q[0],q[1];\n"
+
 func TestParseQiskitAliases(t *testing.T) {
-	src := "OPENQASM 2.0;\nqreg q[2];\np(0.5) q[0];\ncp(0.25) q[0],q[1];\n"
-	c, err := Parse(src)
+	c, err := Parse(aliasSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,24 +143,27 @@ func TestParseQiskitAliases(t *testing.T) {
 	}
 }
 
+// parseErrorCases are sources Parse must refuse; they also seed
+// FuzzQASMParse.
+var parseErrorCases = map[string]string{
+	"bad version":       "OPENQASM 3.0;\nqreg q[1];\n",
+	"no qreg":           "OPENQASM 2.0;\nh q[0];\n",
+	"missing semicolon": "OPENQASM 2.0;\nqreg q[1]\n",
+	"unknown gate":      "OPENQASM 2.0;\nqreg q[1];\nfoo q[0];\n",
+	"bad arity":         "OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n",
+	"bad params":        "OPENQASM 2.0;\nqreg q[1];\nry q[0];\n",
+	"bad index":         "OPENQASM 2.0;\nqreg q[1];\nh q[x];\n",
+	"out of range":      "OPENQASM 2.0;\nqreg q[1];\nh q[5];\n",
+	"bad measure":       "OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nmeasure q[0];\n",
+	"bad angle":         "OPENQASM 2.0;\nqreg q[1];\nry(banana) q[0];\n",
+	"div by zero":       "OPENQASM 2.0;\nqreg q[1];\nry(pi/0) q[0];\n",
+	"unterminated":      "OPENQASM 2.0;\nqreg q[1];\nry(0.5 q[0];\n",
+	"bad qreg":          "OPENQASM 2.0;\nqreg r[1];\n",
+	"empty":             "",
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad version":       "OPENQASM 3.0;\nqreg q[1];\n",
-		"no qreg":           "OPENQASM 2.0;\nh q[0];\n",
-		"missing semicolon": "OPENQASM 2.0;\nqreg q[1]\n",
-		"unknown gate":      "OPENQASM 2.0;\nqreg q[1];\nfoo q[0];\n",
-		"bad arity":         "OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n",
-		"bad params":        "OPENQASM 2.0;\nqreg q[1];\nry q[0];\n",
-		"bad index":         "OPENQASM 2.0;\nqreg q[1];\nh q[x];\n",
-		"out of range":      "OPENQASM 2.0;\nqreg q[1];\nh q[5];\n",
-		"bad measure":       "OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nmeasure q[0];\n",
-		"bad angle":         "OPENQASM 2.0;\nqreg q[1];\nry(banana) q[0];\n",
-		"div by zero":       "OPENQASM 2.0;\nqreg q[1];\nry(pi/0) q[0];\n",
-		"unterminated":      "OPENQASM 2.0;\nqreg q[1];\nry(0.5 q[0];\n",
-		"bad qreg":          "OPENQASM 2.0;\nqreg r[1];\n",
-		"empty":             "",
-	}
-	for name, src := range cases {
+	for name, src := range parseErrorCases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -214,4 +230,67 @@ func TestEmptyCircuitRoundTrip(t *testing.T) {
 	if back.NumQubits != 3 || len(back.Ops) != 0 {
 		t.Fatal("empty circuit round trip failed")
 	}
+}
+
+// sameCircuit is normalize-equality with parameters compared by bits;
+// any two NaNs are equal, since Export spells every NaN the same way.
+func sameCircuit(a, b *circuit.Circuit) bool {
+	a, b = normalize(a), normalize(b)
+	if len(a.Ops) != len(b.Ops) {
+		return false
+	}
+	for i := range a.Ops {
+		if !slices.EqualFunc(a.Ops[i].Params, b.Ops[i].Params, func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+		}) {
+			return false
+		}
+		a.Ops[i].Params, b.Ops[i].Params = nil, nil
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// FuzzQASMParse: Parse reads the untrusted "qasm" member of a job
+// submission. It must not panic, must allocate no more than a constant
+// times the source (a huge qreg costs nothing per qubit), and whatever it
+// accepts and Export can write re-parses to the same circuit.
+func FuzzQASMParse(f *testing.F) {
+	for _, c := range append(artifacttest.SeedCircuits(f), bellCircuit(), allGatesCircuit(), circuit.New(3, 0)) {
+		src, err := Export(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(src)
+	}
+	for _, src := range []string{piExprSrc, aliasSrc,
+		"OPENQASM 2.0;\nqreg q[2000000000];\nh q[1999999999];\n",
+		"OPENQASM 2.0;\r\n// circuit: x // y\r\nqreg q[1];\r\nrx(-nan) q[0]; // circuit: z\nry(+inf*-1) q[0];\nrz(-0) q[0];\n",
+	} {
+		f.Add(src)
+	}
+	for _, src := range parseErrorCases {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		var c *circuit.Circuit
+		var err error
+		grew := artifacttest.AllocBytes(func() { c, err = Parse(src) })
+		if limit := uint64(64*len(src) + 64<<10); grew > limit {
+			t.Fatalf("parsing %d bytes allocated %d", len(src), grew)
+		}
+		if err != nil {
+			return
+		}
+		again, err := Export(c)
+		if err != nil {
+			return
+		}
+		back, err := Parse(again)
+		if err != nil {
+			t.Fatalf("an exported circuit does not parse: %v\n%s", err, again)
+		}
+		if !sameCircuit(c, back) {
+			t.Fatalf("round trip differs:\n%q\n%q", src, again)
+		}
+	})
 }

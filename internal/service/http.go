@@ -1,12 +1,10 @@
 package service
 
 import (
-	"bytes"
 	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"slices"
@@ -20,7 +18,6 @@ import (
 	"qgear/internal/gate"
 	"qgear/internal/kernel"
 	"qgear/internal/observable"
-	"qgear/internal/qasm"
 	"qgear/internal/sampling"
 	"qgear/internal/telemetry"
 )
@@ -38,9 +35,14 @@ import (
 // required "kind" field: "simulate" (probabilities/counts),
 // "expectation" (exact ⟨H⟩), "sweep" (one parameterized circuit at many
 // points), and "gradient" (parameter-shift ∂⟨H⟩/∂θ) — one entry each of
-// the kinds table. Envelopes parse strictly: unknown fields and unknown
-// or missing kinds are rejected. Circuits are submitted either as
-// OpenQASM 2.0 text ("qasm") or as a structured op list ("circuit").
+// the kinds table. Circuits are submitted either as OpenQASM 2.0 text
+// ("qasm") or as a structured op list ("circuit"). Envelopes parse
+// strictly, each value as encoding/json reads it (null leaves a field
+// unset): an unknown key, a key matching a field only after case folding
+// ("KIND", "ſhots"), a key repeated in one object, bytes after the
+// envelope, a number its field cannot hold (1.0, 1e2 or -1 for an int,
+// -0 for "seed", 1e400 anywhere), and an unknown or missing kind are each
+// a 400 invalid_request.
 //
 // Every error response is the uniform envelope
 //
@@ -81,8 +83,7 @@ type WireCircuit struct {
 //   - "gradient" — exact parameter-shift ∂⟨H⟩/∂θ at the circuit's own
 //     parameter values (requires Hamiltonian).
 //
-// Bodies parse strictly: unknown fields, and a missing or unknown Kind,
-// are rejected with invalid_request.
+// Bodies parse strictly, by the rules of the HTTP API comment above.
 type SubmitRequest struct {
 	Kind        string           `json:"kind,omitempty"` // "simulate" | "expectation" | "sweep" | "gradient"
 	Circuit     *WireCircuit     `json:"circuit,omitempty"`
@@ -354,7 +355,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, CodeInvalidRequest, errors.New("POST required"))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	job, err := readJob(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -362,39 +363,19 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("request body exceeds %d bytes", maxSubmitBytes))
 			return
 		}
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("reading request: %w", err))
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
-	// Strict parsing: a misspelled field fails loudly instead of
-	// silently doing something else.
-	var req SubmitRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	var c *circuit.Circuit
-	switch {
-	case req.Circuit != nil && req.QASM != "":
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, errors.New("set exactly one of circuit and qasm"))
-		return
-	case req.Circuit != nil:
-		c, err = req.Circuit.ToCircuit()
-	case req.QASM != "":
-		c, err = qasm.Parse(req.QASM)
-	default:
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, errors.New("missing circuit"))
-		return
-	}
+	c, err := job.circuit()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
+	req := &job.req
 	opts := SubmitOptions{Shots: req.Shots, Seed: req.Seed, TimeoutMs: req.TimeoutMs}
 	spec, err := kindByName(req.Kind)
 	if err == nil {
-		err = spec.wire(&req, &opts)
+		err = spec.wire(req, &opts)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
@@ -407,6 +388,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		opts.Hamiltonian = h
+		// c lives in job's allocation: drop the wire form it would pin.
+		job.ham = WireHamiltonian{}
 	}
 	// The circuit, Hamiltonian and points were built from this request's
 	// body a few lines up and nothing else holds them: the job owns them

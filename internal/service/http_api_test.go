@@ -35,33 +35,43 @@ func decodeError(t *testing.T, resp *http.Response) ErrorResponse {
 	return e
 }
 
+// errorEnvelopeRows are TestHTTPErrorEnvelopeGolden's cases; the
+// /v1/jobs bodies among them also seed FuzzSubmitEnvelope.
+var errorEnvelopeRows = []struct {
+	name   string
+	method string
+	path   string
+	body   string
+	status int
+	code   string
+}{
+	{"bad json", "POST", "/v1/jobs", `{`, http.StatusBadRequest, CodeInvalidRequest},
+	{"unknown kind", "POST", "/v1/jobs", `{"kind":"warp"}`, http.StatusBadRequest, CodeInvalidRequest},
+	// "kind" is required: an otherwise valid body without one is
+	// refused, not guessed at.
+	{"missing kind", "POST", "/v1/jobs", `{"qasm":"OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n","shots":32,"seed":1}`, http.StatusBadRequest, CodeInvalidRequest},
+	{"unknown field", "POST", "/v1/jobs", `{"kind":"simulate","bogus":1}`, http.StatusBadRequest, CodeInvalidRequest},
+	{"missing circuit", "POST", "/v1/jobs", `{"kind":"simulate"}`, http.StatusBadRequest, CodeInvalidRequest},
+	{"sweep without points", "POST", "/v1/jobs", `{"kind":"sweep","qasm":"OPENQASM 2.0;\nqreg q[1];\nrx(0.5) q[0];\n"}`, http.StatusBadRequest, CodeInvalidRequest},
+	{"job not found", "GET", "/v1/jobs/j-missing", "", http.StatusNotFound, CodeNotFound},
+	{"result not found", "GET", "/v1/results/j-missing", "", http.StatusNotFound, CodeNotFound},
+	{"bad wait_ms", "GET", "/v1/jobs/j-x?wait_ms=banana", "", http.StatusBadRequest, CodeInvalidRequest},
+	{"method", "GET", "/v1/jobs", "", http.StatusMethodNotAllowed, CodeInvalidRequest},
+	// Strictness beyond encoding/json's Decoder, which accepts all three:
+	// bytes after the envelope, a repeated key (it would merge two
+	// "circuit" members), and a key matching only after case folding.
+	{"trailing data", "POST", "/v1/jobs", `{"kind":"simulate","qasm":"OPENQASM 2.0;\nqreg q[1];\nh q[0];\n"} {"kind":"simulate"}`, http.StatusBadRequest, CodeInvalidRequest},
+	{"duplicate key", "POST", "/v1/jobs", `{"kind":"simulate","circuit":{"qubits":1},"circuit":{"ops":[{"gate":"h","qubits":[0]}]}}`, http.StatusBadRequest, CodeInvalidRequest},
+	{"case-folded key", "POST", "/v1/jobs", `{"KIND":"simulate","qasm":"OPENQASM 2.0;\nqreg q[1];\nh q[0];\n"}`, http.StatusBadRequest, CodeInvalidRequest},
+}
+
 // TestHTTPErrorEnvelopeGolden: every failure mode answers with the
 // exact {"error":{"code","message",...}} JSON shape and its documented
 // machine-readable code.
 func TestHTTPErrorEnvelopeGolden(t *testing.T) {
 	_, ts := newHTTPServer(t, Config{})
 
-	for _, tc := range []struct {
-		name   string
-		method string
-		path   string
-		body   string
-		status int
-		code   string
-	}{
-		{"bad json", "POST", "/v1/jobs", `{`, http.StatusBadRequest, CodeInvalidRequest},
-		{"unknown kind", "POST", "/v1/jobs", `{"kind":"warp"}`, http.StatusBadRequest, CodeInvalidRequest},
-		// "kind" is required: an otherwise valid body without one is
-		// refused, not guessed at.
-		{"missing kind", "POST", "/v1/jobs", `{"qasm":"OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n","shots":32,"seed":1}`, http.StatusBadRequest, CodeInvalidRequest},
-		{"unknown field", "POST", "/v1/jobs", `{"kind":"simulate","bogus":1}`, http.StatusBadRequest, CodeInvalidRequest},
-		{"missing circuit", "POST", "/v1/jobs", `{"kind":"simulate"}`, http.StatusBadRequest, CodeInvalidRequest},
-		{"sweep without points", "POST", "/v1/jobs", `{"kind":"sweep","qasm":"OPENQASM 2.0;\nqreg q[1];\nrx(0.5) q[0];\n"}`, http.StatusBadRequest, CodeInvalidRequest},
-		{"job not found", "GET", "/v1/jobs/j-missing", "", http.StatusNotFound, CodeNotFound},
-		{"result not found", "GET", "/v1/results/j-missing", "", http.StatusNotFound, CodeNotFound},
-		{"bad wait_ms", "GET", "/v1/jobs/j-x?wait_ms=banana", "", http.StatusBadRequest, CodeInvalidRequest},
-		{"method", "GET", "/v1/jobs", "", http.StatusMethodNotAllowed, CodeInvalidRequest},
-	} {
+	for _, tc := range errorEnvelopeRows {
 		var resp *http.Response
 		var err error
 		if tc.method == "POST" {
