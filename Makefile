@@ -153,16 +153,17 @@ ci-oneproc: build
 # Fixed-budget native fuzzing (seed corpus first, then mutation; a
 # failing input lands in testdata/fuzz and fails the gate): the grouped
 # Pauli evaluator against the per-index reference loop, then the
-# artifact envelope and every payload decoder behind it — never a
-# panic, allocation bounded by the input's length, and whatever a
-# decoder accepts re-encodes to the bytes it was decoded from — then
+# artifact envelope, every payload decoder behind it and the store's
+# manifest-journal replay — never a panic, allocation bounded by the
+# input's length, and whatever a decoder accepts re-encodes to the
+# bytes it was decoded from (a torn journal's records to a prefix) — then
 # the samplers against their table-and-hash references (exact counts,
 # same RNG consumption), then the three executors against the naive
 # oracle (fuzzer-chosen width, world, tile and gate soup: exact among
 # themselves, 1e-12 to internal/oracle, total probability 1), then the
 # two readers of a job submission's untrusted bytes: the POST /v1/jobs
 # envelope decoder against the reflection decode it replaced (same
-# verdict, same job), and the QASM parser (export∘parse round trip).
+# verdict, same job) and the QASM parser (export∘parse round trip).
 # go test fuzzes one target of one package per run, hence one leg each;
 # minimization is capped because its default budget (60 s per new
 # input) would eat a 10 s leg whole.
@@ -177,6 +178,7 @@ ci-fuzz: build
 	$(call run-selected,FuzzUnmarshal,./internal/tensorenc/,-fuzz FuzzUnmarshal $(FUZZ_DECODER))
 	$(call run-selected,FuzzDecodeResult,./internal/store/,-fuzz FuzzDecodeResult $(FUZZ_DECODER))
 	$(call run-selected,FuzzDecodePlan,./internal/store/,-fuzz FuzzDecodePlan $(FUZZ_DECODER))
+	$(call run-selected,FuzzParseManifest,./internal/store/,-fuzz FuzzParseManifest $(FUZZ_DECODER))
 	$(call run-selected,FuzzSampleMatchesReference,./internal/sampling/,-fuzz FuzzSampleMatchesReference $(FUZZ_DECODER))
 	$(call run-selected,FuzzEnginesMatchOracle,./internal/mgpu/,-fuzz FuzzEnginesMatchOracle $(FUZZ_DECODER))
 	$(call run-selected,FuzzSubmitEnvelope,./internal/service/,-fuzz FuzzSubmitEnvelope $(FUZZ_DECODER))

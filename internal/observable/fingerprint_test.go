@@ -140,7 +140,8 @@ func TestFingerprintFuzzNoCollisions(t *testing.T) {
 func canonicalDescription(h *Hamiltonian) string {
 	encs := make([]string, len(h.Terms))
 	for i, t := range h.Terms {
-		encs[i] = t.canonicalKey()
+		key, _ := t.appendKey(nil, nil)
+		encs[i] = string(key)
 	}
 	// Reuse the same canonical ordering the fingerprint applies.
 	for i := 0; i < len(encs); i++ {
@@ -155,4 +156,17 @@ func canonicalDescription(h *Hamiltonian) string {
 		out += e + ";"
 	}
 	return out
+}
+
+// TestTermKeySpelling: a term key is the "%016x" coefficient bits, then
+// "|%d%s" per factor — the spelling every committed fingerprint hashes —
+// including the zero padding the golden coefficients never need.
+func TestTermKeySpelling(t *testing.T) {
+	for _, coef := range []float64{0, math.Copysign(0, -1), 5e-324, 1e-310, 1, -2.5, math.Inf(1), math.NaN()} {
+		term := NewTerm(coef, map[int]Pauli{12: X, 0: Z, 3: Y, 7: 0})
+		want := fmt.Sprintf("%016x|%d%s|%d%s|%d%s|%d%s", math.Float64bits(coef), 0, Z, 3, Y, 7, Pauli(0), 12, X)
+		if got, _ := term.appendKey(nil, nil); string(got) != want {
+			t.Errorf("coef %v: key %q, want %q", coef, got, want)
+		}
+	}
 }

@@ -476,3 +476,52 @@ func TestOpenOverParentFormatDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzParseManifest holds the manifest journal's replay to the
+// artifact decoders' invariants: no panic, allocation bounded by the
+// input's length, and a journal accepted whole (not torn) re-encodes to
+// its own bytes — a torn one's records to a prefix of them.
+func FuzzParseManifest(f *testing.F) {
+	for _, recs := range [][]manRecord{
+		nil,
+		{{op: manAdd, kind: kindResult, stem: "2da03fd0ee", size: 4096, cost: 0.25}},
+		{
+			{op: manAdd, kind: kindPlan, stem: "f76d3628%7Cb4", size: 28, cost: 1},
+			{op: manAdd, kind: kindResult, stem: "a", size: 0, cost: math.Copysign(0, -1)},
+			{op: manDrop, kind: kindPlan, stem: "f76d3628%7Cb4", size: 28, cost: math.NaN()},
+			{op: manDrop, kind: kindResult, stem: "a", size: math.MaxInt64, cost: math.Inf(1)},
+		},
+	} {
+		raw := encodeManifest(recs)
+		f.Add(raw)
+		for cut := len(raw) - 1; cut > 0; cut -= 5 {
+			f.Add(raw[:cut])
+		}
+		for bit := 0; bit < 8*len(raw); bit += 13 {
+			flipped := slices.Clone(raw)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			f.Add(flipped)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var (
+			recs []manRecord
+			torn bool
+			err  error
+		)
+		grew := artifacttest.AllocBytes(func() { recs, torn, err = parseManifest(raw) })
+		if limit := uint64(256*len(raw) + 128<<10); grew > limit {
+			t.Fatalf("replaying a %d-byte journal allocated %d bytes", len(raw), grew)
+		}
+		if err != nil {
+			return
+		}
+		again := encodeManifest(recs)
+		if !torn && !bytes.Equal(again, raw) {
+			t.Fatal("an accepted journal does not re-encode to its bytes")
+		}
+		if torn && !bytes.HasPrefix(raw, again) {
+			t.Fatal("a torn journal's records do not re-encode to a prefix of it")
+		}
+	})
+}
