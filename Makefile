@@ -131,13 +131,18 @@ ci-load: build
 # benchmark/ (statevec.scaling_speedup_w*), never gated. The plan IR's
 # size and compile-allocation contract rides along (a 96-byte op, a
 # 24-byte segment header, a shard base instead of per-rank op copies),
-# as do the distributed relabeling's reader rule and shapes, and the
-# plan, lane-kernel and mgpu micro-benchmarks run one iteration each so
-# they cannot rot — their numbers gate nothing, BENCHMARK.json does.
+# as do the distributed relabeling's reader rule and shapes, the alias
+# sampler's packed table (entry for entry the two-array reference, a
+# state slab when 2^n outcomes make one) and a warmed alias-path run
+# allocating only its worklist beyond what it returns, and the plan,
+# lane-kernel, mgpu and sampler micro-benchmarks run one iteration each
+# so they cannot rot — their numbers gate nothing, BENCHMARK.json does
+# (the samplers' DRAM-resident alias shape is there to be read).
 ci-scaling: build
-	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/)
+	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
 	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|PlanPerGate|TileRun|ExecutePlanQCrank' -benchtime=1x \
 		./internal/statevec/ ./internal/kernel/ ./internal/mgpu/
+	$(GO) test -run '^$$' -bench AblationSamplers -benchtime=1x .
 
 # One P: the whole suite with GOMAXPROCS=1. The sweep pool, the grouped
 # expectation sweep's fan-out and its scratch free list, the service's

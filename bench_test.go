@@ -357,14 +357,18 @@ func BenchmarkAblationDiagonal(b *testing.B) {
 // Sampler choice at the two shapes the benchmark workloads sample:
 // qft_exec's (2^21 outcomes, 4096 shots — Sample takes the cumulative
 // path) and qcrank_mgpu's (2^15 outcomes, 1 536 000 shots — the alias
-// path). MB/s is the probability vector consumed per second.
+// path), plus one alias shape whose 64 MiB table is DRAM-resident, as
+// at the paper's QCrank scale, where a draw's one-entry column read
+// shows. MB/s is the probability vector consumed per second.
 func BenchmarkAblationSamplers(b *testing.B) {
 	for _, shape := range []struct {
 		name            string
 		outcomes, shots int
+		aliasOnly       bool // 2^24 sorted draws would dwarf the alias run
 	}{
-		{"qft_2p21_x4096", 1 << 21, 4096},
-		{"qcrank_2p15_x1536000", 1 << 15, 1536000},
+		{"qft_2p21_x4096", 1 << 21, 4096, false},
+		{"qcrank_2p15_x1536000", 1 << 15, 1536000, false},
+		{"dram_2p22_x2p24", 1 << 22, 1 << 24, true},
 	} {
 		probs := make([]float64, shape.outcomes)
 		r := qmath.NewRNG(2)
@@ -378,6 +382,9 @@ func BenchmarkAblationSamplers(b *testing.B) {
 			{"alias", sampling.SampleAlias},
 			{"cumulative", sampling.SampleCumulative},
 		} {
+			if shape.aliasOnly && s.name != "alias" {
+				continue
+			}
 			b.Run(shape.name+"/"+s.name, func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(8 * shape.outcomes))

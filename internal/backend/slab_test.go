@@ -2,6 +2,7 @@ package backend
 
 import (
 	"errors"
+	"fmt"
 	"runtime/debug"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"qgear/internal/circuit"
 	"qgear/internal/observable"
 	"qgear/internal/qft"
+	"qgear/internal/sampling"
 	"qgear/internal/statevec"
 )
 
@@ -41,7 +43,10 @@ func noGC(t *testing.T) {
 // TestWarmedRunAllocatesWhatItReturns: a warmed 16-qubit sampled
 // RunCompiled allocates its 8·2^n probability vector plus a term linear
 // in the shots — no second state, no outcome-sized table — and every
-// such run is a free-list hit that leaves exactly its slab behind.
+// such run is a free-list hit that leaves exactly its slab behind. With
+// enough shots for the alias table, the table is one more hit (on one
+// device, the slab the run's state just released) and the run adds only
+// the table's worklist and the Counts it returns.
 func TestWarmedRunAllocatesWhatItReturns(t *testing.T) {
 	noGC(t)
 	const n = 16
@@ -50,6 +55,7 @@ func TestWarmedRunAllocatesWhatItReturns(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.MeasureAll()
+	hits := map[Target]uint64{} // slab takes of a cumulative-path run
 	for _, tc := range []struct {
 		target Target
 		shots  int
@@ -58,7 +64,11 @@ func TestWarmedRunAllocatesWhatItReturns(t *testing.T) {
 		{TargetNvidia, 1000, 8},
 		{TargetAer, 1000, 8},
 		{TargetNvidiaMGPU, 1000, 8}, // every rank reads out into its slice of the one vector
+		{TargetNvidia, 3 << n, 8},
+		{TargetNvidiaMGPU, 3 << n, 8},
 	} {
+		alias := tc.shots > 1000
+		what := fmt.Sprintf("%s shots=%d", tc.target, tc.shots)
 		cfg := Config{Target: tc.target, Devices: 2, Workers: 2, Shots: tc.shots, Seed: 7}
 		comp, err := Compile(c, cfg)
 		if err != nil {
@@ -75,20 +85,30 @@ func TestWarmedRunAllocatesWhatItReturns(t *testing.T) {
 		}
 		after := statevec.SlabStats()
 		if after.Misses != before.Misses || after.Hits == before.Hits {
-			t.Errorf("%s: warmed run was not a free-list hit: %+v, before %+v", tc.target, after, before)
+			t.Errorf("%s: warmed run was not a free-list hit: %+v, before %+v", what, after, before)
+		}
+		if !alias {
+			hits[tc.target] = after.Hits - before.Hits
+		} else if got := after.Hits - before.Hits; got != hits[tc.target]+1 {
+			t.Errorf("%s: %d slab hits, want %d: the state's and one for the alias table", what, got, hits[tc.target]+1)
 		}
 		if after.RetainedBytes != before.RetainedBytes {
-			t.Errorf("%s: retained bytes moved %d → %d over a run", tc.target, before.RetainedBytes, after.RetainedBytes)
+			t.Errorf("%s: retained bytes moved %d → %d over a run", what, before.RetainedBytes, after.RetainedBytes)
 		}
 		// The probabilities; per shot the sorted draw (8 B) and at worst a
-		// Counts entry of its own; 128 KiB for the result, its trace, tile
-		// scratch and the rank mailboxes.
+		// Counts entry of its own — or, on the alias path, the worklist
+		// (8·2^n) and the Counts as returned; 128 KiB for the result, its
+		// trace, tile scratch and the rank mailboxes.
 		limit := uint64(tc.probs<<n + 160*tc.shots + 128<<10)
+		if alias {
+			counts := artifacttest.AllocBytes(func() { _ = make(sampling.Counts, len(res.Counts)) })
+			limit = uint64(tc.probs<<n+8<<n+128<<10) + counts
+		}
 		if grew > limit {
-			t.Errorf("%s: warmed run allocated %d bytes, want ≤ %d (%d·2^n = %d)", tc.target, grew, limit, tc.probs, tc.probs<<n)
+			t.Errorf("%s: warmed run allocated %d bytes, want ≤ %d (%d·2^n = %d)", what, grew, limit, tc.probs, tc.probs<<n)
 		}
 		if res.Counts.Total() != tc.shots || len(res.Probabilities) != 1<<n {
-			t.Errorf("%s: %d probabilities, %d shots", tc.target, len(res.Probabilities), res.Counts.Total())
+			t.Errorf("%s: %d probabilities, %d shots", what, len(res.Probabilities), res.Counts.Total())
 		}
 	}
 }

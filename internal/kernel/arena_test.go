@@ -71,9 +71,11 @@ func TestPlanCompileAllocBound(t *testing.T) {
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(p.SizeBytes())*3/2; got > limit {
 		t.Errorf("compiling a %d-byte plan allocated %d bytes, want ≤ %d", p.SizeBytes(), got, limit)
 	}
-	// The compile this layout replaced made 160 allocations here.
-	if got := after.Mallocs - before.Mallocs; got >= 160 {
-		t.Errorf("compile made %d allocations, want fewer than 160", got)
+	// The compile this layout replaced made 160 allocations here, and 94
+	// while each qubit's use list grew by append; one arena for all the
+	// lists leaves 14.
+	if got := after.Mallocs - before.Mallocs; got >= 20 {
+		t.Errorf("compile made %d allocations, want fewer than 20", got)
 	}
 	if p.Stats.ExchangeSegs == 0 || p.Stats.Runs == 0 || len(p.Binds) == 0 {
 		t.Fatalf("plan %+v relabels no rank bit or has no run", p.Stats)

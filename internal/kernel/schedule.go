@@ -243,21 +243,36 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	// hold, so ops and binding sites are written in place and no arena
 	// regrows. uses[q] lists the instruction indices where q must be
 	// tile-resident (ptr[q] advances monotonically as planning walks the
-	// stream). Every planned instruction but a SWAP counts as a tile op;
-	// the few that fall back to a global sweep leave their slot unused.
-	uses := make([][]int, n)
+	// stream); the sizing pass counts them into ptr, and every list is
+	// carved out of one array. Every planned instruction but a SWAP
+	// counts as a tile op; the few that fall back to a global sweep leave
+	// their slot unused.
+	ptr := make([]int, n)
 	var scratch []int
-	var nOps, nBinds int
-	for i, in := range k.Instrs {
+	var nOps, nBinds, nUses int
+	for _, in := range k.Instrs {
 		if parameterized(in) {
 			nBinds++
 		}
 		scratch = mixingTargets(in, scratch[:0])
 		for _, q := range scratch {
-			uses[q] = append(uses[q], i)
+			ptr[q]++
 		}
+		nUses += len(scratch)
 		if planned(in) && (in.Kind != KGate || in.Gate != gate.SWAP) {
 			nOps++
+		}
+	}
+	uses := make([][]int, n)
+	free := make([]int, nUses)
+	for q, c := range ptr {
+		uses[q], free = free[:0:c], free[c:]
+		ptr[q] = 0
+	}
+	for i, in := range k.Instrs {
+		scratch = mixingTargets(in, scratch[:0])
+		for _, q := range scratch {
+			uses[q] = append(uses[q], i)
 		}
 	}
 	p.Ops = arena[statevec.TileOp](nOps)
@@ -279,7 +294,6 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 		p.BindSlots += len(in.Params)
 	}
 
-	ptr := make([]int, n)
 	nextUse := func(q, i int) int { // first mixing use at or after i
 		for ptr[q] < len(uses[q]) && uses[q][ptr[q]] < i {
 			ptr[q]++

@@ -11,11 +11,13 @@ package sampling
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
 
 	"qgear/internal/qmath"
+	"qgear/internal/statevec"
 )
 
 // Counts maps basis-state index to observed shot count.
@@ -31,7 +33,7 @@ func (c Counts) Total() int {
 }
 
 // TopK returns the k most frequent outcomes in descending count order
-// (ties broken by index for determinism).
+// (ties broken by index for determinism); none for k ≤ 0.
 func (c Counts) TopK(k int) []uint64 {
 	keys := make([]uint64, 0, len(c))
 	for key := range c {
@@ -43,10 +45,7 @@ func (c Counts) TopK(k int) []uint64 {
 		}
 		return keys[i] < keys[j]
 	})
-	if k > len(keys) {
-		k = len(keys)
-	}
-	return keys[:k]
+	return keys[:max(0, min(k, len(keys)))]
 }
 
 // Bitstring renders basis index i as an n-character bitstring with
@@ -156,30 +155,44 @@ func sum(probs []float64) (float64, error) {
 	return total, nil
 }
 
-// AliasTable is a Walker alias table for O(1) categorical sampling.
+// AliasTable is a Walker alias table for O(1) categorical sampling. An
+// outcome's column is one 16-byte entry — the probability of keeping
+// the outcome in the real part, its alias index in the imaginary part
+// (an index below 2^53 is exact in a float64) — so a draw reads one
+// entry, one cache line however far the table outgrows the cache.
 type AliasTable struct {
-	prob  []float64
-	alias []int
+	cols []complex128
 }
 
-// NewAliasTable builds the table in O(N) and three N-length arrays: the
-// scaled probabilities settle in place into prob, and the small and
-// large worklists are two stacks growing from the two ends of one array
-// (an outcome is on exactly one of them until it is paired).
+// NewAliasTable builds the table in O(N) and one N-length worklist.
 func NewAliasTable(probs []float64) (*AliasTable, error) {
-	n := len(probs)
-	if n == 0 {
-		return nil, fmt.Errorf("sampling: empty distribution")
-	}
-	total, err := sum(probs)
+	total, err := aliasTotal(probs)
 	if err != nil {
 		return nil, err
 	}
-	t := &AliasTable{prob: make([]float64, n), alias: make([]int, n)}
-	work := make([]int, n)
+	t := &AliasTable{cols: make([]complex128, len(probs))}
+	t.build(probs, total, make([]int, len(probs)))
+	return t, nil
+}
+
+// aliasTotal validates a distribution an alias table can be built over.
+func aliasTotal(probs []float64) (float64, error) {
+	if len(probs) == 0 {
+		return 0, fmt.Errorf("sampling: empty distribution")
+	}
+	return sum(probs)
+}
+
+// build fills t's columns from probs, whose sum is total. The scaled
+// probabilities settle in place into the real parts, and the small and
+// large worklists are two stacks growing from the two ends of work (an
+// outcome is on exactly one of them until it is paired).
+func (t *AliasTable) build(probs []float64, total float64, work []int) {
+	cols := t.cols
+	n := len(cols)
 	small, large := 0, n // the stacks are work[:small] and work[large:]
 	push := func(i int) {
-		if t.prob[i] < 1 {
+		if real(cols[i]) < 1 {
 			work[small] = i
 			small++
 		} else {
@@ -188,45 +201,52 @@ func NewAliasTable(probs []float64) (*AliasTable, error) {
 		}
 	}
 	for i, p := range probs {
-		t.prob[i] = p / total * float64(n)
+		cols[i] = complex(p/total*float64(n), 0)
 		push(i)
 	}
 	for small > 0 && large < n {
 		small--
 		s, l := work[small], work[large]
 		large++
-		t.alias[s] = l
-		t.prob[l] -= 1 - t.prob[s]
+		cols[s] = complex(real(cols[s]), float64(l))
+		cols[l] = complex(real(cols[l])-(1-real(cols[s])), 0)
 		push(l)
 	}
 	// One stack is empty now; the other's outcomes keep whole columns.
 	for _, i := range append(work[:small], work[large:]...) {
-		t.prob[i] = 1
-		t.alias[i] = i
+		cols[i] = complex(1, float64(i))
 	}
-	return t, nil
 }
 
 // Draw returns one sample.
 func (t *AliasTable) Draw(rng *qmath.RNG) uint64 {
-	i := rng.Intn(len(t.prob))
-	if rng.Float64() < t.prob[i] {
+	i := rng.Intn(len(t.cols))
+	col := t.cols[i]
+	if rng.Float64() < real(col) {
 		return uint64(i)
 	}
-	return uint64(t.alias[i])
+	return uint64(imag(col))
 }
 
-// SampleAlias draws shots with an alias table, counting into a dense
-// histogram (no hash per shot) that becomes a presized Counts once.
+// SampleAlias draws shots with an alias table and allocates little but
+// the Counts it returns. The table is 16 bytes per outcome, a whole
+// state slab for 2^n outcomes: it is taken from the slab free list —
+// after a run, the slab the run's state just released — and given back
+// once the shots are drawn. The worklist is dead once the table is
+// built and becomes the dense histogram (no hash per shot) that turns
+// into a presized Counts once.
 func SampleAlias(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
 	if shots < 0 {
 		return nil, fmt.Errorf("sampling: negative shots %d", shots)
 	}
-	t, err := NewAliasTable(probs)
+	total, err := aliasTotal(probs)
 	if err != nil {
 		return nil, err
 	}
+	t := AliasTable{cols: tableCols(len(probs))}
 	hist := make([]int, len(probs))
+	t.build(probs, total, hist)
+	clear(hist)
 	distinct := 0
 	for s := 0; s < shots; s++ {
 		i := t.Draw(rng)
@@ -235,6 +255,7 @@ func SampleAlias(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
 		}
 		hist[i]++
 	}
+	statevec.PutSlab(t.cols)
 	counts := make(Counts, distinct)
 	for i, c := range hist {
 		if c > 0 {
@@ -242,6 +263,16 @@ func SampleAlias(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
 		}
 	}
 	return counts, nil
+}
+
+// tableCols returns n zeroed table columns: a slab off the state free
+// list when n is one (2^k outcomes, k ≤ statevec.MaxQubits), and a
+// fresh array the free list will not take back otherwise.
+func tableCols(n int) []complex128 {
+	if k := bits.Len(uint(n)) - 1; n == 1<<k && k <= statevec.MaxQubits {
+		return statevec.TakeSlab(k)
+	}
+	return make([]complex128, n)
 }
 
 // usesAlias is Sample's choice: the alias table when the shots amortize
@@ -259,8 +290,9 @@ func usesAlias(outcomes, shots int) bool {
 func PeakBytes(outcomes, shots int) int64 {
 	distinct := int64(max(0, min(outcomes, shots)))
 	if usesAlias(outcomes, shots) {
-		// prob, alias, worklist, histogram; a presized Counts.
-		return 32*int64(outcomes) + 64*distinct
+		// The table (a state slab when it hits the free list) and the
+		// worklist that becomes the histogram; a presized Counts.
+		return 24*int64(outcomes) + 64*distinct
 	}
 	return (8 + 128) * distinct // a sorted draw and a grown Counts entry per shot
 }

@@ -6,11 +6,13 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"qgear/internal/qmath"
+	"qgear/internal/statevec"
 )
 
 func TestBitstring(t *testing.T) {
@@ -51,6 +53,9 @@ func TestCountsTotalAndTopK(t *testing.T) {
 	}
 	if got := c.TopK(10); len(got) != 3 {
 		t.Fatal("TopK should clamp")
+	}
+	if got := c.TopK(-1); len(got) != 0 {
+		t.Fatalf("TopK(-1) = %v, want none", got)
 	}
 }
 
@@ -242,9 +247,24 @@ func refSampleCumulative(probs []float64, shots int, rng *qmath.RNG) (Counts, er
 	return counts, nil
 }
 
+// refAliasTable is AliasTable as it stood before its columns were
+// packed into one entry each: two arrays, two loads per draw.
+type refAliasTable struct {
+	prob  []float64
+	alias []int
+}
+
+func (t *refAliasTable) Draw(rng *qmath.RNG) uint64 {
+	i := rng.Intn(len(t.prob))
+	if rng.Float64() < t.prob[i] {
+		return uint64(i)
+	}
+	return uint64(t.alias[i])
+}
+
 // refNewAliasTable is NewAliasTable as it stood before the three-array
 // rewrite, verbatim (five N-length arrays).
-func refNewAliasTable(probs []float64) (*AliasTable, error) {
+func refNewAliasTable(probs []float64) (*refAliasTable, error) {
 	n := len(probs)
 	if n == 0 {
 		return nil, fmt.Errorf("sampling: empty distribution")
@@ -259,7 +279,7 @@ func refNewAliasTable(probs []float64) (*AliasTable, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("sampling: zero total probability")
 	}
-	t := &AliasTable{prob: make([]float64, n), alias: make([]int, n)}
+	t := &refAliasTable{prob: make([]float64, n), alias: make([]int, n)}
 	scaled := make([]float64, n)
 	small := make([]int, 0, n)
 	large := make([]int, 0, n)
@@ -433,8 +453,9 @@ func TestSamplersMatchReference(t *testing.T) {
 	}
 }
 
-// TestAliasTableMatchesReference: the three-array construction pairs
-// the same columns in the same order as the five-array one.
+// TestAliasTableMatchesReference: the packed construction pairs the
+// same columns in the same order as the five-array one — each entry
+// holds the reference's probability bits and alias index.
 func TestAliasTableMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		r := qmath.NewRNG(seed)
@@ -453,16 +474,51 @@ func TestAliasTableMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: alias table differs from the reference", seed)
+		if len(got.cols) != len(want.prob) {
+			t.Fatalf("seed %d: %d columns, reference %d", seed, len(got.cols), len(want.prob))
 		}
+		for i, col := range got.cols {
+			if math.Float64bits(real(col)) != math.Float64bits(want.prob[i]) || imag(col) != float64(want.alias[i]) {
+				t.Fatalf("seed %d: column %d is (%v, %v), reference (%v, %d)", seed, i, real(col), imag(col), want.prob[i], want.alias[i])
+			}
+		}
+	}
+}
+
+// TestAliasTableSlab: a table of 2^n outcomes is a state slab, taken
+// from the free list and given back; any other length is an array of
+// its own and leaves the free list alone.
+func TestAliasTableSlab(t *testing.T) {
+	old := debug.SetGCPercent(-1) // no cycle may age the slab between the two samples
+	defer debug.SetGCPercent(old)
+	rng := qmath.NewRNG(4)
+	before := statevec.SlabStats()
+	if _, err := SampleAlias([]float64{0.2, 0.5, 0.3}, 5000, rng); err != nil {
+		t.Fatal(err)
+	}
+	if got := statevec.SlabStats(); got != before {
+		t.Errorf("a 3-outcome table moved the free list: %+v, before %+v", got, before)
+	}
+	probs := make([]float64, 1<<10)
+	for i := range probs {
+		probs[i] = rng.Float64()
+	}
+	if _, err := SampleAlias(probs, 5000, rng); err != nil { // warm: the slab exists now
+		t.Fatal(err)
+	}
+	before = statevec.SlabStats()
+	if _, err := SampleAlias(probs, 5000, rng); err != nil {
+		t.Fatal(err)
+	}
+	if got := statevec.SlabStats(); got.Hits != before.Hits+1 || got.Misses != before.Misses || got.RetainedBytes != before.RetainedBytes {
+		t.Errorf("a 2^10-outcome table did not take and give back a slab: %+v, before %+v", got, before)
 	}
 }
 
 // TestSamplerWorkingSet pins what the rewrite is for: the cumulative
 // path allocates per shot, not per outcome, and the alias path builds
-// three outcome-sized arrays plus the histogram (PeakBytes is what
-// admission charges; it must cover both).
+// its table and a worklist that becomes the histogram (PeakBytes is
+// what admission charges; it must cover both).
 func TestSamplerWorkingSet(t *testing.T) {
 	const n = 1 << 16
 	probs := make([]float64, n)

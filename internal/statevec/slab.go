@@ -10,8 +10,8 @@ import (
 // thing it allocates and the one thing it never returns, so New takes a
 // 2^n-amplitude slab from here and Release gives it back: a warmed
 // process allocates per run what the run hands its caller and nothing
-// state-sized. The distributed engine's exchange buffers come from the
-// same list.
+// state-sized. The distributed engine's exchange buffers and the alias
+// sampler's tables (16 bytes per outcome) come from the same list.
 //
 // Retention is the standard library object pool's rule without its
 // per-P slots (they hide one large object from a caller that migrated
