@@ -31,6 +31,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 )
 
 // Kind is an artifact's four-byte magic.
@@ -55,9 +56,49 @@ const (
 	// maxInflate is deflate's best possible ratio (258 bytes from two
 	// bits); a recorded inflated length beyond it is a lie.
 	maxInflate = 1032
+	// maxPooledDeflate is the largest compressed-payload buffer a pooled
+	// compressor keeps, so one huge artifact does not stay pinned.
+	maxPooledDeflate = 4 << 20
 )
 
 var le = binary.LittleEndian
+
+// compressor is a BestSpeed deflate writer and the buffer it writes
+// into. A flate.Writer carries about 1 MiB of hash tables, window and
+// token buffer — more than most artifacts — so Seal borrows one from
+// compressors instead of building it; Reset makes it emit exactly the
+// stream a new writer would.
+type compressor struct {
+	fw  *flate.Writer
+	out bytes.Buffer
+}
+
+var compressors = sync.Pool{New: func() any {
+	c := new(compressor)
+	c.fw, _ = flate.NewWriter(&c.out, flate.BestSpeed) // a valid level: no error
+	return c
+}}
+
+// decompressor is an inflater and the reader it pulls a stored payload
+// from, pooled like compressor: a new inflater is a 32 KiB window and
+// its code tables.
+type decompressor struct {
+	src  bytes.Reader
+	fr   inflater
+	tail [1]byte
+}
+
+// inflater is what flate.NewReader returns.
+type inflater interface {
+	io.Reader
+	flate.Resetter
+}
+
+var decompressors = sync.Pool{New: func() any {
+	d := new(decompressor)
+	d.fr = flate.NewReader(&d.src).(inflater)
+	return d
+}}
 
 // Writer appends little-endian primitives to an in-memory payload. Its
 // failures — a count that does not fit its field, an encoder's own
@@ -140,36 +181,20 @@ func (w *Writer) Raw(p []byte) { w.buf = append(w.buf, p...) }
 
 // Seal wraps the payload written so far in the envelope and returns
 // the finished artifact. With deflate the payload is stored as one
-// deflate stream; otherwise the returned slice is the Writer's own
-// buffer, which must not be written to again.
+// deflate stream, in a buffer allocated once at the artifact's length;
+// otherwise the returned slice is the Writer's own buffer, which must
+// not be written to again.
 func (w *Writer) Seal(kind Kind, version uint16, deflate bool) ([]byte, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
 	out, raw, flags := w.buf, len(w.buf)-headerLen, uint16(0)
 	if deflate {
-		z := bytes.NewBuffer(make([]byte, headerLen, headerLen+raw/2))
-		fw, err := flate.NewWriter(z, flate.BestSpeed)
-		prev := headerLen
-		for _, m := range w.marks {
-			if err == nil {
-				_, err = fw.Write(w.buf[prev:m])
-			}
-			if err == nil {
-				err = fw.Flush()
-			}
-			prev = m
-		}
-		if err == nil {
-			_, err = fw.Write(w.buf[prev:])
-		}
-		if err == nil {
-			err = fw.Close()
-		}
-		if err != nil {
+		var err error
+		if out, err = w.deflate(); err != nil {
 			return nil, fmt.Errorf("artifact: deflate: %w", err)
 		}
-		out, flags = z.Bytes(), flagDeflate
+		flags = flagDeflate
 	}
 	copy(out[:4], kind)
 	le.PutUint16(out[4:], version)
@@ -177,6 +202,40 @@ func (w *Writer) Seal(kind Kind, version uint16, deflate bool) ([]byte, error) {
 	le.PutUint64(out[8:], uint64(len(out)-headerLen))
 	le.PutUint64(out[16:], uint64(raw))
 	le.PutUint32(out[24:], checksum(out))
+	return out, nil
+}
+
+// deflate compresses the payload through a pooled compressor, starting
+// a block at every Section mark, and returns it behind headerLen bytes
+// left for the header.
+func (w *Writer) deflate() ([]byte, error) {
+	c := compressors.Get().(*compressor)
+	defer func() {
+		if c.out.Cap() > maxPooledDeflate {
+			c.out = bytes.Buffer{}
+		}
+		compressors.Put(c)
+	}()
+	c.out.Reset()
+	c.fw.Reset(&c.out)
+	prev := headerLen
+	for _, m := range w.marks {
+		if _, err := c.fw.Write(w.buf[prev:m]); err != nil {
+			return nil, err
+		}
+		if err := c.fw.Flush(); err != nil {
+			return nil, err
+		}
+		prev = m
+	}
+	if _, err := c.fw.Write(w.buf[prev:]); err != nil {
+		return nil, err
+	}
+	if err := c.fw.Close(); err != nil {
+		return nil, err
+	}
+	out := make([]byte, headerLen+c.out.Len())
+	copy(out[headerLen:], c.out.Bytes())
 	return out, nil
 }
 
@@ -229,15 +288,32 @@ func Open(kind Kind, version uint16, data []byte) (*Reader, error) {
 	if raw/maxInflate > stored {
 		return nil, fmt.Errorf("artifact: %d stored bytes cannot inflate to %d", stored, raw)
 	}
-	fr := flate.NewReader(bytes.NewReader(payload))
 	inflated := make([]byte, raw)
-	if _, err := io.ReadFull(fr, inflated); err != nil {
-		return nil, fmt.Errorf("artifact: inflate: %w", err)
-	}
-	if n, err := fr.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-		return nil, errors.New("artifact: deflate stream runs past its recorded length")
+	if err := inflate(inflated, payload); err != nil {
+		return nil, err
 	}
 	return &Reader{b: inflated}, nil
+}
+
+// inflate decompresses the deflate stream src through a pooled
+// decompressor into dst, which the stream must fill exactly.
+func inflate(dst, src []byte) error {
+	d := decompressors.Get().(*decompressor)
+	defer func() {
+		d.src.Reset(nil) // the pool must not pin the caller's bytes
+		decompressors.Put(d)
+	}()
+	d.src.Reset(src)
+	if err := d.fr.Reset(&d.src, nil); err != nil {
+		return fmt.Errorf("artifact: inflate: %w", err)
+	}
+	if _, err := io.ReadFull(d.fr, dst); err != nil {
+		return fmt.Errorf("artifact: inflate: %w", err)
+	}
+	if n, err := d.fr.Read(d.tail[:]); n != 0 || err != io.EOF {
+		return errors.New("artifact: deflate stream runs past its recorded length")
+	}
+	return nil
 }
 
 // Read is Open over everything r delivers.

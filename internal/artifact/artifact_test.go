@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"qgear/internal/artifact"
@@ -103,6 +104,99 @@ func TestSectionKeepsThePayload(t *testing.T) {
 	if len(with) > len(without)+64 {
 		t.Fatalf("sectioned stream is %d bytes, unsectioned %d", len(with), len(without))
 	}
+}
+
+// minAlloc is the least fn allocated over several calls: under the race
+// detector sync.Pool drops items at random, so one call may rebuild.
+func minAlloc(fn func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 12; i++ {
+		least = min(least, artifacttest.AllocBytes(fn))
+	}
+	return least
+}
+
+// TestWarmCodecAllocatesWhatItReturns: once the codec pools are warm, a
+// deflated Seal allocates the artifact it returns, and Open the payload
+// it inflates, plus small change — never a compressor's tables (about
+// 1 MiB) or a decompressor's 32 KiB window.
+func TestWarmCodecAllocatesWhatItReturns(t *testing.T) {
+	noise, x := make([]byte, 64<<10), uint32(88172645)
+	for i := range noise {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		noise[i] = byte(x)
+	}
+	w := artifact.NewWriter(0)
+	w.Raw(bytes.Repeat([]byte{3, 0, 0, 0}, 16<<10))
+	w.Section()
+	w.Raw(noise)
+	w.Section()
+	w.Raw(bytes.Repeat([]byte{4, 0, 0, 0}, 16<<10))
+	var data []byte
+	var err error
+	sealed := minAlloc(func() { data, err = w.Seal(testKind, 1, true) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sealed > uint64(len(data))+8<<10 { // page rounding of a large buffer
+		t.Errorf("a warm deflated seal of a %d-byte artifact allocated %d bytes", len(data), sealed)
+	}
+	if cap(data) != len(data) {
+		t.Errorf("a %d-byte artifact came back in a %d-byte buffer", len(data), cap(data))
+	}
+	payload := artifacttest.Payload(t, data)
+	var r *artifact.Reader
+	opened := minAlloc(func() { r, err = artifact.Open(testKind, 1, data) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opened > uint64(len(payload))+16<<10 {
+		t.Errorf("a warm open of a %d-byte payload allocated %d bytes", len(payload), opened)
+	}
+	if !bytes.Equal(r.Rest(), payload) {
+		t.Fatal("the payload changed across a warm open")
+	}
+}
+
+// TestCodecConcurrentUse: seals and opens running at once share the
+// pooled compressors and decompressors but never each other's bytes —
+// every artifact opens to its own payload, and one sealed first is not
+// touched by any seal after it.
+func TestCodecConcurrentUse(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var first, firstCopy []byte
+			for i := 0; i < 40; i++ {
+				payload := bytes.Repeat([]byte{byte(g), byte(i), byte(g * i)}, 500+97*i)
+				w := artifact.NewWriter(len(payload))
+				w.Raw(payload[:len(payload)/2])
+				w.Section()
+				w.Raw(payload[len(payload)/2:])
+				data, err := w.Seal(testKind, 1, true)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i == 0 {
+					first, firstCopy = data, append([]byte(nil), data...)
+				}
+				r, err := artifact.Open(testKind, 1, data)
+				if err != nil || !bytes.Equal(r.Rest(), payload) {
+					t.Errorf("goroutine %d, artifact %d: opened to another payload (err %v)", g, i, err)
+					return
+				}
+			}
+			if !bytes.Equal(first, firstCopy) {
+				t.Errorf("goroutine %d: a later seal wrote into an artifact already returned", g)
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestOpenRejects walks the verification order: every tampering is an
