@@ -131,17 +131,22 @@ ci-load: build
 # benchmark/ (statevec.scaling_speedup_w*), never gated. The plan IR's
 # size and compile-allocation contract rides along (a 96-byte op, a
 # 24-byte segment header, a shard base instead of per-rank op copies),
-# as do the distributed relabeling's reader rule and shapes, the alias
-# sampler's packed table (entry for entry the two-array reference, a
-# state slab when 2^n outcomes make one) and a warmed alias-path run
-# allocating only its worklist beyond what it returns, and the plan,
-# lane-kernel, mgpu and sampler micro-benchmarks run one iteration each
-# so they cannot rot — their numbers gate nothing, BENCHMARK.json does
-# (the samplers' DRAM-resident alias shape is there to be read).
+# as do the distributed relabeling's reader rule and shapes, the split
+# of a 13- to 16-qubit state that fits one tile into two (its plan
+# shapes, and probabilities, ⟨H⟩ and rebound sweep points bit-equal to
+# aer's per-gate run at 1–3 workers), the alias sampler's packed table
+# (entry for entry the two-array reference, a state slab when 2^n
+# outcomes make one) and a warmed alias-path run allocating only its
+# worklist beyond what it returns, and the plan,
+# lane-kernel, mgpu, small-state schedule and sampler micro-benchmarks
+# run one iteration each so they cannot rot — their numbers gate
+# nothing, BENCHMARK.json does (the samplers' DRAM-resident alias shape
+# is there to be read).
 ci-scaling: build
-	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
+	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
 	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|PlanPerGate|TileRun|ExecutePlanQCrank' -benchtime=1x \
 		./internal/statevec/ ./internal/kernel/ ./internal/mgpu/
+	$(GO) test -run '^$$' -bench SmallStateSchedule -benchtime=1x ./internal/backend/
 	$(GO) test -run '^$$' -bench AblationSamplers -benchtime=1x .
 
 # One P: the whole suite with GOMAXPROCS=1. The sweep pool, the grouped

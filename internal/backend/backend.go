@@ -87,9 +87,11 @@ type Config struct {
 	// QGEAR_TILE_BITS override) on GPU-class targets and leaves aer
 	// per-gate; negative selects the per-gate schedule on the
 	// single-process targets and is rejected on nvidia-mgpu, whose rank
-	// shards need a tile; positive forces that width on any target
-	// (clamped into the rank shard on nvidia-mgpu; a single-process
-	// state that fits one tile has nothing to block and runs per-gate).
+	// shards need a tile; positive forces that width on any target,
+	// clamped strictly inside the rank shard or, single-process, the
+	// state: a state that fits one tile runs as two tiles, and per-gate
+	// only when half of it is under statevec.MinParallelWork (12 qubits
+	// or fewer), where no per-gate sweep fans out.
 	TileBits int
 	// PlanFusion enables within-run fusion in the plan compiler:
 	// adjacent same-target single-qubit gates pre-multiply into one
@@ -244,10 +246,20 @@ func (c Config) Signature() string {
 // effective tiling are rejected by a server running another. A
 // warm-starting server compares this against its own configuration
 // before trusting an on-disk artifact.
+//
+// A single-process width above the fan-out threshold ends in "|split":
+// under it kernel.Plan splits a 13-qubit-or-wider state that fits one
+// tile into two tiles, where stores written before that rule hold the
+// per-gate plan (slower to run and, under PlanFusion, rounded
+// differently) and its result under the bare signature.
 func (c Config) StoreSignature() string {
 	c.Workers, c.Shots, c.Seed = 0, 0, 0
 	c.TileBits = c.tileBits()
-	return c.Signature()
+	sig := c.Signature()
+	if c.Target != TargetNvidiaMGPU && 1<<c.TileBits>>1 >= statevec.MinParallelWork {
+		sig += "|split"
+	}
+	return sig
 }
 
 // Validate rejects what no circuit can run under: an unknown target
@@ -302,10 +314,10 @@ func (c Config) transformOptions(n int) kernel.Options {
 // Compiled is a circuit lowered all the way to the execution IR: the
 // transformed kernel plus the TilePlan every engine executes — tiled,
 // distributed, or the width-0 per-gate schedule (aer, disabled tiling,
-// a state that fits one tile). A Compiled is immutable and safe to
-// execute concurrently — the service layer caches them across
-// submissions so repeat work skips transformation and planning
-// entirely.
+// a state of 12 qubits or fewer that fits one tile). A Compiled is
+// immutable and safe to execute concurrently — the service layer caches
+// them across submissions so repeat work skips transformation and
+// planning entirely.
 type Compiled struct {
 	Kernel *kernel.Kernel
 	// Plan is the compiled execution schedule, never nil; its TileBits
@@ -341,8 +353,8 @@ func Compile(c *circuit.Circuit, cfg Config) (*Compiled, error) {
 }
 
 // compileKernel plans an already-transformed kernel under a validated
-// configuration; width 0 and a single-process state that fits one tile
-// plan as the per-gate schedule.
+// configuration; kernel.Plan picks the shape (width 0, and a state of 12
+// qubits or fewer that fits one tile, plan as the per-gate schedule).
 func compileKernel(k *kernel.Kernel, cfg Config) (*Compiled, error) {
 	tb := cfg.tileBits()
 	g := cfg.globalBits()
@@ -353,8 +365,9 @@ func compileKernel(k *kernel.Kernel, cfg Config) (*Compiled, error) {
 		}
 		if g == 0 {
 			// A one-rank world runs a single-process plan, which the
-			// scheduler does not clamp: keep the tile inside the state
-			// the way it keeps one inside a shard.
+			// scheduler leaves per-gate below the fan-out threshold:
+			// keep the tile inside the state the way it keeps one
+			// inside a shard.
 			tb = min(tb, n-1)
 		}
 	}

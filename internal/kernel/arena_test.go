@@ -29,9 +29,12 @@ func TestSegmentSize(t *testing.T) {
 
 // qcrankKernel is the benchmark's qcrank_mgpu circuit shape: an a9_d6
 // image encoding, 15 qubits, 6160 instructions.
-func qcrankKernel(tb testing.TB) *Kernel {
+func qcrankKernel(tb testing.TB) *Kernel { return qcrankKernelOf(tb, 9, 6) }
+
+// qcrankKernelOf is an a<addr>_d<data> image encoding of seeded random
+// values: addr+data qubits.
+func qcrankKernelOf(tb testing.TB, addr, data int) *Kernel {
 	tb.Helper()
-	const addr, data = 9, 6
 	cplan, err := qcrank.NewPlan(data<<addr, addr, 1)
 	if err != nil {
 		tb.Fatal(err)
@@ -230,9 +233,12 @@ func TestBindOwnsOneParamCopy(t *testing.T) {
 
 // serveKernel is the benchmark's serve_mix circuit shape: a measured
 // 12-qubit, 100-block random circuit — 300 gates, then 12 measurements.
-func serveKernel(tb testing.TB) *Kernel {
+func serveKernel(tb testing.TB) *Kernel { return randKernel(tb, 12) }
+
+// randKernel is the serve_mix circuit shape on n qubits.
+func randKernel(tb testing.TB, n int) *Kernel {
 	tb.Helper()
-	c, err := randcirc.Generate(randcirc.Spec{Qubits: 12, Blocks: 100, Seed: 7, Measure: true})
+	c, err := randcirc.Generate(randcirc.Spec{Qubits: n, Blocks: 100, Seed: 7, Measure: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -243,11 +249,12 @@ func serveKernel(tb testing.TB) *Kernel {
 	return k
 }
 
-// TestPerGatePlan pins the width-0 plan's shape: one SegGlobal per
-// planned instruction over an arena that is the kernel's own instruction
-// slice exactly when nothing unplanned sits among the gates, no op, no
-// relabeling, nothing absorbed — and DeepEqual to its decoded self
-// either way.
+// TestPerGatePlan pins the width-0 plan's shape — compiled at width 0,
+// and at every width a state of 12 qubits or fewer fits in (the auto
+// width 16 among them): one SegGlobal per planned instruction over an
+// arena that is the kernel's own instruction slice exactly when nothing
+// unplanned sits among the gates, no op, no relabeling, nothing
+// absorbed — and DeepEqual to its decoded self either way.
 func TestPerGatePlan(t *testing.T) {
 	interior := New("interior", 4).H(0).Barrier().Ry(0.3, 1).XCtrl(0, 1).Swap(1, 3).Mz()
 	identity := New("identity", 3).H(2).gate1(gate.I, 0).CR1(0.7, 2, 0).Rz(0.2, 1)
@@ -268,7 +275,7 @@ func TestPerGatePlan(t *testing.T) {
 		{New("empty", 2).Mz(), false}, // nothing planned: no arena to share
 		{New("none", 0), false},
 	} {
-		for _, cfg := range []PlanConfig{{}, {TileBits: tc.k.NumQubits}, {TileBits: 30}, {FuseRuns: true}} {
+		for _, cfg := range []PlanConfig{{}, {TileBits: tc.k.NumQubits}, {TileBits: 16}, {TileBits: 30}, {FuseRuns: true}} {
 			p := mustPlan(t, tc.k, cfg)
 			var want []Instr
 			sites := 0 // a parameterized gate each, unless fusion forbids rebinding

@@ -238,6 +238,46 @@ func TestDistributedPlanClampsTileToShard(t *testing.T) {
 	}
 }
 
+// TestSmallStatePlanShape is the plan-shape table of the split rule at
+// the auto width 16: a 12-qubit state stays per-gate; a 13- to 16-qubit
+// single-process state that fits the tile compiles to two tiles of n−1
+// qubits, which for a QCrank encoding is two runs around one relabeling
+// swap of the top qubit and no full sweep; width 0 stays per-gate at any
+// size; and a distributed plan is clamped into its shard exactly as
+// before the rule. The random circuits keep one sweep at 13 and 15
+// qubits: a high target mixed once more is swept, not relabeled, at any
+// width.
+func TestSmallStatePlanShape(t *testing.T) {
+	qcrank15 := qcrankKernelOf(t, 9, 6)
+	for _, tc := range []struct {
+		name                       string
+		k                          *Kernel
+		cfg                        PlanConfig
+		tile, runs, swaps, globals int
+	}{
+		{"randcirc12", randKernel(t, 12), PlanConfig{TileBits: 16}, 0, 0, 0, 300},
+		{"qcrank13", qcrankKernelOf(t, 7, 6), PlanConfig{TileBits: 16}, 12, 2, 1, 0},
+		{"qcrank15", qcrank15, PlanConfig{TileBits: 16}, 14, 2, 1, 0},
+		{"qcrank16", qcrankKernelOf(t, 10, 6), PlanConfig{TileBits: 16}, 15, 2, 1, 0},
+		{"randcirc13", randKernel(t, 13), PlanConfig{TileBits: 16}, 12, 6, 5, 1},
+		{"randcirc15", randKernel(t, 15), PlanConfig{TileBits: 16}, 14, 7, 5, 1},
+		{"randcirc16", randKernel(t, 16), PlanConfig{TileBits: 16}, 15, 5, 4, 0},
+		{"qcrank15/width0", qcrank15, PlanConfig{}, 0, 0, 0, 6153},
+		{"qcrank15/ranks2", qcrank15, qcrankPlanConfig, 13, 3, 3, 0},
+		{"randcirc16/ranks4", randKernel(t, 16), PlanConfig{TileBits: 16, GlobalBits: 2}, 13, 14, 15, 0},
+	} {
+		p := mustPlan(t, tc.k, tc.cfg)
+		st := p.Stats
+		if p.TileBits != tc.tile || st.Runs != tc.runs || st.BitSwaps != tc.swaps || st.Global != tc.globals {
+			t.Errorf("%s: tile %d, %d runs, %d bit swaps, %d sweeps; want %d, %d, %d, %d",
+				tc.name, p.TileBits, st.Runs, st.BitSwaps, st.Global, tc.tile, tc.runs, tc.swaps, tc.globals)
+		}
+		if st.TileLocal+st.Global != tc.k.NumGates() || p.GlobalBits != tc.cfg.GlobalBits {
+			t.Errorf("%s: %d tile ops and %d sweeps for %d gates, %d rank bits", tc.name, st.TileLocal, st.Global, tc.k.NumGates(), p.GlobalBits)
+		}
+	}
+}
+
 // TestAutoTileBitsSane: whatever the detection found, the startup
 // default must be a usable tile width and consistent with its origin
 // report.

@@ -55,10 +55,17 @@ import (
 // plan always exists: the tile is clamped strictly inside the shard,
 // and a 1-qubit shard is one tile.
 //
-// "No tile" is a plan too: width 0 — or a single-process state that fits
-// one tile — compiles the per-gate schedule (planPerGate), one full sweep
-// per instruction: aer's baseline, and the reference the tiled and
-// distributed schedules are held bit-identical to.
+// "No tile" is a plan too: width 0 compiles the per-gate schedule
+// (planPerGate), one full sweep per instruction: aer's baseline, and the
+// reference the tiled and distributed schedules are held bit-identical
+// to. A single-process state that fits one tile is clamped the way a
+// shard is, to two tiles of half the state, so each run is one pool
+// dispatch over the two halves instead of one dispatch per gate. Below
+// the fan-out threshold — half the state under statevec.MinParallelWork,
+// 12 qubits or fewer — no per-gate sweep fans out, so there is no
+// dispatch per gate to save, and such a state stays per-gate: its plan
+// lowers nothing and shares the kernel's instructions, where a split
+// plan would lower every gate into a TileOp.
 
 // DefaultTileBits sizes tiles at 2^14 amplitudes × 16 B = 256 KiB —
 // resident in any modern L2 — matching the cache blocking of
@@ -122,9 +129,11 @@ type PlanStats struct {
 
 // PlanConfig tunes plan compilation.
 type PlanConfig struct {
-	// TileBits is the tile width in qubits. 0 — or, single-process, a
-	// width the whole state fits in — compiles the per-gate schedule;
-	// negative is an error. The machine's width is AutoTileBits().
+	// TileBits is the tile width in qubits. 0 compiles the per-gate
+	// schedule, and so does a width a single-process state fits in when
+	// half the state is under statevec.MinParallelWork; a wider state
+	// that fits is split into two tiles. Negative is an error. The
+	// machine's width is AutoTileBits().
 	TileBits int
 	// GlobalBits marks the top GlobalBits qubit positions as
 	// distributed rank-index bits (the mgpu engine's device boundary);
@@ -210,10 +219,14 @@ func mixingTargets(in Instr, dst []int) []int {
 	return dst
 }
 
-// Plan compiles the kernel into an execution plan: tiled when there is
-// something to block, the per-gate schedule otherwise (TileBits 0, or a
-// single-process state that fits one tile). It fails when the kernel
-// does not validate or the configuration is inconsistent.
+// Plan compiles the kernel into an execution plan: the per-gate
+// schedule for TileBits 0, and for a single-process state that fits one
+// tile while half of it is under statevec.MinParallelWork (12 qubits or
+// fewer); tiled otherwise, the tile clamped strictly inside the shard —
+// on one process, the state — so a state that fits one tile runs as two.
+// The rule reads the qubit count, the width and the rank bits only, so
+// every caller compiles a circuit to the same plan. It fails when the
+// kernel does not validate or the configuration is inconsistent.
 func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	tileBits, g := cfg.TileBits, cfg.GlobalBits
 	if tileBits < 0 {
@@ -228,16 +241,14 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	if err := k.Validate(); err != nil {
 		return nil, fmt.Errorf("kernel: cannot plan invalid kernel: %w", err)
 	}
-	if g == 0 && (tileBits == 0 || tileBits >= k.NumQubits) {
+	n, local := k.NumQubits, k.NumQubits-g
+	if tileBits == 0 || g == 0 && tileBits >= n && 1<<n>>1 < statevec.MinParallelWork {
 		return planPerGate(k, !cfg.FuseRuns), nil
 	}
-	local := k.NumQubits - g
-	if g > 0 {
-		// Tiles sit strictly inside the shard; a 1-qubit shard is one tile.
-		tileBits = max(1, min(tileBits, local-1))
-	}
-	p := &TilePlan{TileBits: tileBits, NumQubits: k.NumQubits, GlobalBits: g}
-	n := k.NumQubits
+	// Tiles sit strictly inside the shard — on one process the state, so
+	// a state that fits one tile runs as two; a 1-qubit shard is one tile.
+	tileBits = max(1, min(tileBits, local-1))
+	p := &TilePlan{TileBits: tileBits, NumQubits: n, GlobalBits: g}
 
 	// One pass over the instruction stream sizes what the plan will
 	// hold, so ops and binding sites are written in place and no arena

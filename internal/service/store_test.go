@@ -378,3 +378,78 @@ func TestStoreEndpoint(t *testing.T) {
 		t.Fatalf("store stats %+v, want indexed artifacts under %s", st, dir)
 	}
 }
+
+// TestPreSplitArtifactsAreRefused: before single-process states that fit
+// one tile were split into two, a 13- to 16-qubit circuit compiled to
+// the per-gate plan, and a store kept that plan and its result under
+// the bare signature. Reopened by a server that splits, both artifacts
+// are refused — the plan would run at the old speed and, under plan
+// fusion, round differently from what the server now compiles — and
+// the job is recompiled and simulated, not served.
+func TestPreSplitArtifactsAreRefused(t *testing.T) {
+	for _, tc := range []struct {
+		planFusion bool
+		parentSig  string
+	}{
+		{false, "f0|p0|tnvidia|d0|w0|s0|r0|b16|pffalse"},
+		{true, "f0|p0|tnvidia|d0|w0|s0|r0|b16|pftrue"},
+	} {
+		cfg := Config{StoreDir: t.TempDir(), WorkerPool: 1, MaxBatch: 1, TileBits: 16, PlanFusion: tc.planFusion}
+		c := storeTestCircuits(1, 14)[0]
+		opts := SubmitOptions{Shots: 100, Seed: 3}
+
+		// What the parent wrote: the per-gate compile and its run.
+		s1 := newTestServer(t, cfg)
+		if s1.cfgSig == tc.parentSig {
+			t.Fatalf("plan fusion %v: the signature %q did not change with the split rule", tc.planFusion, s1.cfgSig)
+		}
+		perGate := backend.Config{Target: backend.TargetNvidia, TileBits: -1, PlanFusion: tc.planFusion, Shots: opts.Shots, Seed: opts.Seed}
+		comp, err := backend.Compile(c, perGate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := backend.RunCompiled(comp, perGate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resKey, planKey := s1.key(kindSimulate, c, opts), s1.planKey(c, c.Fingerprint())
+		if err := s1.store.SavePlan(planKey, tc.parentSig, comp, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s1.store.SaveResult(resKey, tc.parentSig, old); err != nil {
+			t.Fatal(err)
+		}
+		if err := s1.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s2 := newTestServer(t, cfg)
+		if !s2.store.HasResult(resKey) || !s2.store.HasPlan(planKey) {
+			t.Fatalf("plan fusion %v: the reopened store lost the parent's artifacts", tc.planFusion)
+		}
+		res, info, err := s2.Run(context.Background(), c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := s2.Stats()
+		if info.Cached || st.StoreHits != 0 || st.StorePlanHits != 0 || st.Executed != 1 || st.StoreQuarantines != 2 {
+			t.Fatalf("plan fusion %v: cached %v, store hits %d, plan store hits %d, executed %d, quarantines %d; want the result and plan refused and the job run",
+				tc.planFusion, info.Cached, st.StoreHits, st.StorePlanHits, st.Executed, st.StoreQuarantines)
+		}
+		if res.TileBits != c.NumQubits-1 {
+			t.Fatalf("plan fusion %v: ran at tile width %d, want the split %d", tc.planFusion, res.TileBits, c.NumQubits-1)
+		}
+		if !tc.planFusion && !reflect.DeepEqual(res.Probabilities, old.Probabilities) {
+			t.Fatal("the split run's probabilities differ from the per-gate run's")
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// What the splitting server spilled is served on the next start.
+		s3 := newTestServer(t, cfg)
+		if _, info, err := s3.Run(context.Background(), c, opts); err != nil || !info.Cached || s3.Stats().StoreHits != 1 {
+			t.Fatalf("plan fusion %v: rerun after restart cached %v, store hits %d, err %v; want a store hit", tc.planFusion, info.Cached, s3.Stats().StoreHits, err)
+		}
+	}
+}

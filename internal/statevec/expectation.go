@@ -474,7 +474,7 @@ func (e *PauliEvaluator) sweep(jobs []pauliJob, partner []complex128, cb int, po
 	// A state worth fanning out keeps at least one super-block per
 	// worker.
 	split := 0
-	if e.s.workers > 1 && 1<<uint(n) >= minParallelWork {
+	if e.s.workers > 1 && 1<<uint(n) >= MinParallelWork {
 		split = bits.Len(uint(e.s.workers - 1))
 	}
 	// wCap[0] is how many wide qubits fit in the resident set next to

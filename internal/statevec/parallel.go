@@ -5,10 +5,13 @@ import (
 	"sync"
 )
 
-// minParallelWork is the smallest index-space size worth fanning out;
+// MinParallelWork is the smallest index-space size worth fanning out;
 // below it the dispatch overhead dominates the amplitude math (the
-// same reason real GPU simulators batch tiny kernels).
-const minParallelWork = 1 << 12
+// same reason real GPU simulators batch tiny kernels). kernel.Plan
+// reads it too: a state whose half falls below it — where no per-gate
+// sweep fans out — stays on the per-gate schedule instead of being
+// split into two tiles.
+const MinParallelWork = 1 << 12
 
 // The amplitude-sweep executor: a process-wide pool of worker
 // goroutines fed from one task channel. Gate application dispatches
@@ -54,16 +57,16 @@ func poolInit() {
 // without synchronization — the contract a CUDA kernel launch gives its
 // thread blocks.
 func (s *State) serial(n int) bool {
-	return s.workers <= 1 || n < minParallelWork
+	return s.workers <= 1 || n < MinParallelWork
 }
 
 // serialTiles is serial for an index space of tiles, each covering
 // 2^tileBits amplitudes. The fan-out threshold is judged on amplitudes,
 // not tiles: a 2^24 state split into 2^10 tiles is far past the point
 // where dispatch pays for itself even though the tile count alone sits
-// below minParallelWork.
+// below MinParallelWork.
 func (s *State) serialTiles(tiles, tileBits int) bool {
-	return s.workers <= 1 || tiles < 2 || tiles<<uint(tileBits) < minParallelWork
+	return s.workers <= 1 || tiles < 2 || tiles<<uint(tileBits) < MinParallelWork
 }
 
 // parallelTiles runs fn over [0, tiles), fanned out unless serialTiles —
