@@ -75,7 +75,7 @@ cover-observable:
 		printf "internal/observable coverage %.1f%% (floor %d%%)\n", t, floor }'
 
 serve: build
-	$(GO) run ./cmd/qgear-serve serve -addr :8042 -fusion 2
+	$(GO) run ./cmd/qgear serve -addr :8042 -fusion 2
 
 # The regression gate: the repository's one benchmark (benchmark/,
 # BENCHMARK.json) on BASE and on the work tree, same host, back to back,
@@ -104,12 +104,17 @@ bench-compare:
 
 # Gates that cannot rot: every ci-* target of this Makefile must be run
 # by the workflow, so a gate that is added here and never wired fails
-# CI the day it is added instead of silently never running.
+# CI the day it is added instead of silently never running. The same
+# holds for the one front door: qgear/cmd/qgear is the module's only
+# main package, so a second binary fails CI the day it is added.
 ci-wired:
 	@for t in $$(grep -oE '^ci-[a-z0-9-]+:' Makefile | tr -d ':'); do \
 		grep -Eq "run: make ([a-z0-9-]+ )*$$t( |\$$)" .github/workflows/ci.yml || \
 			{ echo "ci-wired: target $$t is not run by .github/workflows/ci.yml"; unwired=1; }; \
 	done; test -z "$$unwired"
+	@mains="$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./... | sed '/^$$/d')" || exit 1; \
+	test "$$mains" = qgear/cmd/qgear || \
+		{ echo "ci-wired: main packages other than qgear/cmd/qgear:"; echo "$$mains"; exit 1; }
 
 # CI service load check: 50 concurrent HTTP clients of mixed
 # simulate/expectation jobs against a deliberately tight byte budget

@@ -1,8 +1,8 @@
 // bench_test.go holds one testing.B benchmark per paper artifact
 // (tables and figures) plus ablation benches of single mechanisms.
-// Figure benches exercise the same code paths as the qgear-bench
+// Figure benches exercise the same code paths as the `qgear paper`
 // runner at sizes that finish quickly; `-benchtime` lengthens them.
-// Paper-scale numbers come from `qgear-bench -exp <id>`.
+// Paper-scale numbers come from `qgear paper <id>`.
 package qgear_test
 
 import (

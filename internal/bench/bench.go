@@ -159,7 +159,7 @@ func fitExponentBase2(points []Point) float64 {
 // listed, explained and run in this order. Adding an experiment is one
 // row and its run function.
 var experiments = []struct {
-	id    string // the -exp value
+	id    string // the `qgear paper` id
 	title string
 	paper string // the paper artifact the experiment regenerates
 	run   func(*Runner) (Experiment, error)

@@ -4,8 +4,8 @@ import "flag"
 
 // RegisterExecFlags defines the execution-flag block on fs, writing into
 // cfg: the six options that decide what a job computes and where its
-// artifacts persist. Every binary that starts a Server (qgear-serve, and
-// qgear's run / expect / sweep as in-process clients) registers them
+// artifacts persist. Every command that starts a Server (qgear serve,
+// and qgear run / expect / sweep as in-process clients) registers them
 // here, so one spelling, one default and one help text exist for each.
 func RegisterExecFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.StringVar((*string)(&cfg.Target), "target", "", "execution target: aer | nvidia | nvidia-mgpu | nvidia-mqpu | pennylane (default nvidia; nvidia-mqpu when -devices > 1)")

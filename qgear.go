@@ -138,7 +138,7 @@ func CacheKey(c *Circuit, opts RunOptions) string { return core.CacheKey(c, opts
 // Server is the embeddable simulation service: a bounded job queue and
 // worker pool over the pipeline, with single-flight deduplication,
 // batch coalescing onto the mqpu device-parallel path, and a
-// content-addressed LRU result cache. The qgear-serve command exposes
+// content-addressed LRU result cache. The `qgear serve` command exposes
 // the same server over HTTP.
 type Server = service.Server
 
