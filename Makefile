@@ -141,14 +141,17 @@ ci-load: build
 # shapes, and probabilities, ⟨H⟩ and rebound sweep points bit-equal to
 # aer's per-gate run at 1–3 workers), the alias sampler's packed table
 # (entry for entry the two-array reference, a state slab when 2^n
-# outcomes make one) and a warmed alias-path run allocating only its
-# worklist beyond what it returns, and the plan,
+# outcomes make one), a warmed alias-path run allocating only its
+# worklist beyond what it returns, and distributed ⟨H⟩: bit-equal to
+# one device at 2–16 ranks (1e-12 at 32) and, on TFIM-20 at 1–16
+# ranks, at most 2 + log2(ranks) sweeps of the root shard and one
+# exchange per rank for each rank part of a flip mask. The plan,
 # lane-kernel, mgpu, small-state schedule and sampler micro-benchmarks
 # run one iteration each so they cannot rot — their numbers gate
 # nothing, BENCHMARK.json does (the samplers' DRAM-resident alias shape
 # is there to be read).
 ci-scaling: build
-	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
+	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
 	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|PlanPerGate|TileRun|ExecutePlanQCrank' -benchtime=1x \
 		./internal/statevec/ ./internal/kernel/ ./internal/mgpu/
 	$(GO) test -run '^$$' -bench SmallStateSchedule -benchtime=1x ./internal/backend/
@@ -174,8 +177,9 @@ ci-oneproc: build
 # bytes it was decoded from (a torn journal's records to a prefix) — then
 # the samplers against their table-and-hash references (exact counts,
 # same RNG consumption), then the three executors against the naive
-# oracle (fuzzer-chosen width, world, tile and gate soup: exact among
-# themselves, 1e-12 to internal/oracle, total probability 1), then the
+# oracle (fuzzer-chosen width, world, tile and gate soup: probabilities
+# and ⟨H⟩ of a random Hamiltonian with factors on rank bits exact among
+# themselves and 1e-12 to internal/oracle, total probability 1), then the
 # two readers of a job submission's untrusted bytes: the POST /v1/jobs
 # envelope decoder against the reflection decode it replaced (same
 # verdict, same job) and the QASM parser (export∘parse round trip).

@@ -18,8 +18,8 @@ import (
 // sampling. The single-process engines hand all terms to one grouped
 // block sweep (statevec.PauliEvaluator.ExpPauliGroup) with the
 // canonical chunked reduction; the mqpu target partitions
-// terms across its simulated devices; the mgpu target computes
-// rank-local partial sums with one gathered reduction. All engines
+// terms across its simulated devices; the mgpu target runs the same
+// sweep on every rank shard into one shared partial slab. All engines
 // return bit-identical ⟨H⟩ values (the differential suite pins this).
 
 // RunExpectation transforms and compiles the circuit for the

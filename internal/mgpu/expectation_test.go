@@ -39,7 +39,7 @@ func soupK(t *testing.T, n, ops int, seed uint64) *kernel.Kernel {
 
 // singleDeviceExpectation executes the same kernel on one process and
 // evaluates through the shared canonical evaluator.
-func singleDeviceExpectation(t *testing.T, k *kernel.Kernel, h *observable.Hamiltonian) float64 {
+func singleDeviceExpectation(t testing.TB, k *kernel.Kernel, h *observable.Hamiltonian) float64 {
 	t.Helper()
 	s := statevec.MustNew(k.NumQubits, 1)
 	if err := kernel.Execute(k, s); err != nil {
@@ -55,9 +55,11 @@ func singleDeviceExpectation(t *testing.T, k *kernel.Kernel, h *observable.Hamil
 // TestExpectationMatchesSingleDevice sweeps rank counts × tile widths:
 // every distributed value must be bit-identical to the single-process
 // evaluation, with terms landing on every global/local mask split (Z,
-// X, Y factors on rank bits included).
+// X, Y factors on rank bits included). Past 16 ranks a shard is smaller
+// than one canonical chunk, and the contract is 1e-12.
 func TestExpectationMatchesSingleDevice(t *testing.T) {
 	r := qmath.NewRNG(31337)
+	wide := 0 // worlds past 16 ranks checked
 	for trial := 0; trial < 10; trial++ {
 		n := 4 + r.Intn(6) // 4..9
 		k := soupK(t, n, 30+r.Intn(40), r.Uint64())
@@ -77,7 +79,7 @@ func TestExpectationMatchesSingleDevice(t *testing.T) {
 		}
 
 		want := singleDeviceExpectation(t, k, h)
-		for _, ranks := range []int{2, 4, 8} {
+		for _, ranks := range []int{2, 4, 8, 32} {
 			if n-int(qmath.Log2Ceil(uint64(ranks))) < 2 {
 				continue
 			}
@@ -90,12 +92,54 @@ func TestExpectationMatchesSingleDevice(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ranks=%d planned: %v", ranks, err)
 			}
+			if ranks > 16 {
+				wide++
+				if d := math.Abs(planned.Value - want); d > 1e-12 {
+					t.Fatalf("trial %d ranks=%d planned(tile=%d): %.17g is %g off single-device %.17g", trial, ranks, tb, planned.Value, d, want)
+				}
+				continue
+			}
 			if planned.Value != want {
 				t.Fatalf("trial %d ranks=%d planned(tile=%d): %.17g != single-device %.17g", trial, ranks, tb, planned.Value, want)
 			}
-			if planned.Terms != len(h.Terms) {
-				t.Fatalf("terms %d, want %d", planned.Terms, len(h.Terms))
-			}
+		}
+	}
+	if wide == 0 {
+		t.Fatal("no trial had a register wide enough for 32 ranks")
+	}
+}
+
+// TestTFIMRanksShape pins the shape of distributed ⟨H⟩ on TFIM-20, not
+// a clock. At 1 to 16 ranks the value has the single device's bits;
+// the root rank sweeps its shard at most 2 + log2(ranks) times — the
+// local groups, then one two-sided sweep per rank bit (3 on one rank,
+// where all seven high X terms fit three resident sets); and the
+// expectation costs one exchange per rank for each distinct rank part
+// of a flip mask, the plan's exchanges aside.
+func TestTFIMRanksShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20-qubit state")
+	}
+	const n = 20
+	k := soupK(t, n, 40, 20)
+	h := observable.TransverseFieldIsing(n, 1, 0.7)
+	want := singleDeviceExpectation(t, k, h)
+	for _, ranks := range []int{1, 2, 4, 8, 16} {
+		rb := log2ranks(ranks)
+		plan := planFor(t, k, ranks, 8)
+		res, err := ExpectationCompiled(k, plan, h, ranks, 1)
+		if err != nil {
+			t.Fatalf("ranks=%d: %v", ranks, err)
+		}
+		if math.Float64bits(res.Value) != math.Float64bits(want) {
+			t.Errorf("ranks=%d: ⟨H⟩ %.17g, single device %.17g", ranks, res.Value, want)
+		}
+		if maxSweeps := max(2+rb, 3); res.Sweeps > maxSweeps {
+			t.Errorf("ranks=%d: the root rank swept its shard %d times, want <= %d", ranks, res.Sweeps, maxSweeps)
+		}
+		// TFIM flips one qubit per term: one rank part per rank bit.
+		if got := res.Exchanges - ranks*plan.Stats.ExchangeSegs; got != rb*ranks {
+			t.Errorf("ranks=%d: %d expectation exchanges, want %d", ranks, got, rb*ranks)
 		}
 	}
 }

@@ -76,19 +76,11 @@ func (d *DistState) Release() {
 	d.sendBuf = nil
 }
 
-// rankBit returns this rank's value of global qubit q.
-func (d *DistState) rankBit(q int) int {
-	return d.comm.Rank() >> uint(q-d.local) & 1
-}
-
 // exchange swaps the full local buffer with the partner rank and
-// returns the partner's amplitudes. A copy is shipped (not the live
-// slice) because ranks share an address space here, while real
-// CUDA-aware MPI would DMA the buffer; the copy is also what makes the
-// communication cost physically meaningful. The amplitudes go out in
-// their current physical layout: the expectation evaluator translates
-// indices through its lookup tables, and both shards of a pair always
-// share one layout (SPMD execution).
+// returns the partner's amplitudes, in the physical layout both shards
+// share (SPMD execution). A copy is shipped, not the live slice: real
+// CUDA-aware MPI would DMA the buffer, and the copy is what makes the
+// communication cost physically meaningful.
 func (d *DistState) exchange(partner int) []complex128 {
 	start := time.Now()
 	return d.trade(partner, copy(d.slab(), d.st.AmplitudesRaw()), start)

@@ -351,7 +351,12 @@ func TestMoreWorkersPerRank(t *testing.T) {
 // back shards and buffers that are all distinct memory (no slab with
 // two owners on the free list), and the run after it, on those recycled
 // slabs, is bit-identical to the single-process reference. Under -race
-// a rank releasing what its partner still reads is a reported race.
+// a rank releasing what its partner still reads is a reported race. A
+// simulation and an expectation with X/Y factors on rank bits (whose
+// exchanges follow the plan's) are each stopped at every budget: a run
+// either reports ErrCancelled or returns the exact result. The
+// expectation of |0…0⟩ runs an empty plan, so every poll it makes — the
+// one the zero budget trips included — is one of the expectation's own.
 func TestCancelledWorldReleasesEachSlabOnce(t *testing.T) {
 	// No GC cycle may age a released slab away before it is counted.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -371,6 +376,36 @@ func TestCancelledWorldReleasesEachSlabOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ref.Probabilities()
+	h := observable.TransverseFieldIsing(n, 1, 0.7)
+	h.Add(observable.NewTerm(0.3, map[int]observable.Pauli{n - 1: observable.Y, 0: observable.Z}))
+	// A leg runs a world under flag and fails the test on a finished run
+	// that is not exact.
+	type leg struct {
+		name string
+		run  func(flag *cancel.Flag) error
+	}
+	expLeg := func(name string, k *kernel.Kernel) leg {
+		plan := planFor(t, k, ranks, 4)
+		want := singleDeviceExpectation(t, k, h)
+		return leg{name, func(flag *cancel.Flag) error {
+			res, err := ExpectationCompiledCancel(k, plan, h, ranks, 1, flag)
+			if err == nil && math.Float64bits(res.Value) != math.Float64bits(want) {
+				t.Fatalf("%s: %.17g, want the reference's %.17g", name, res.Value, want)
+			}
+			return err
+		}}
+	}
+	legs := []leg{
+		{"simulate", func(flag *cancel.Flag) error {
+			res, err := SimulateCompiledCancel(k, plan, ranks, 1, flag)
+			if err == nil && maxDiff(res.Probabilities, want) != 0 {
+				t.Fatal("simulate: probabilities differ from the reference")
+			}
+			return err
+		}},
+		expLeg("expectation", k),
+		expLeg("expectation of |0…0⟩", &kernel.Kernel{Name: "empty", NumQubits: n}),
+	}
 
 	// freeSlabs takes every shard-sized slab off the free list.
 	freeSlabs := func() [][]complex128 {
@@ -385,39 +420,36 @@ func TestCancelledWorldReleasesEachSlabOnce(t *testing.T) {
 		}
 	}
 	freeSlabs()
-	stopped := 0
-	for _, budget := range []time.Duration{0, 20 * time.Microsecond, 100 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond, time.Hour} {
-		_, err := SimulateCompiledCancel(k, plan, ranks, 1, cancel.WithDeadline(time.Now().Add(budget)))
-		if err != nil {
-			if !errors.Is(err, cancel.ErrCancelled) {
-				t.Fatalf("budget %v: %v", budget, err)
+	for _, leg := range legs {
+		stopped := 0
+		for _, budget := range []time.Duration{0, 20 * time.Microsecond, 100 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond, time.Hour} {
+			if err := leg.run(cancel.WithDeadline(time.Now().Add(budget))); err != nil {
+				if !errors.Is(err, cancel.ErrCancelled) {
+					t.Fatalf("%s, budget %v: %v", leg.name, budget, err)
+				}
+				stopped++
 			}
-			stopped++
-		}
-		free := freeSlabs()
-		seen := make(map[*complex128]bool, len(free))
-		for _, slab := range free {
-			if seen[&slab[0]] {
-				t.Fatalf("budget %v: one slab is on the free list twice", budget)
+			free := freeSlabs()
+			seen := make(map[*complex128]bool, len(free))
+			for _, slab := range free {
+				if seen[&slab[0]] {
+					t.Fatalf("%s, budget %v: one slab is on the free list twice", leg.name, budget)
+				}
+				seen[&slab[0]] = true
 			}
-			seen[&slab[0]] = true
+			if len(free) < ranks || len(free) > 2*ranks {
+				t.Fatalf("%s, budget %v: %d slabs came back from %d ranks, want a shard each and at most a buffer each", leg.name, budget, len(free), ranks)
+			}
+			for _, slab := range free[:ranks] { // the next world runs on recycled memory
+				statevec.PutSlab(slab)
+			}
+			if err := leg.run(nil); err != nil {
+				t.Fatalf("%s after budget %v: %v", leg.name, budget, err)
+			}
+			freeSlabs()
 		}
-		if len(free) < ranks || len(free) > 2*ranks {
-			t.Fatalf("budget %v: %d slabs came back from %d ranks, want a shard each and at most a buffer each", budget, len(free), ranks)
+		if stopped == 0 {
+			t.Fatalf("%s: no world was stopped; the zero budget must always cancel", leg.name)
 		}
-		for _, slab := range free[:ranks] { // the next world runs on recycled memory
-			statevec.PutSlab(slab)
-		}
-		got, err := SimulateCompiled(k, plan, ranks, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if maxDiff(got.Probabilities, want) != 0 {
-			t.Fatalf("budget %v: probabilities after a stopped world differ from the reference", budget)
-		}
-		freeSlabs()
-	}
-	if stopped == 0 {
-		t.Fatal("no world was stopped; the zero budget must always cancel")
 	}
 }

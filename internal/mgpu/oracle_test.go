@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"qgear/internal/circuit"
+	"qgear/internal/gate"
 	"qgear/internal/kernel"
+	"qgear/internal/observable"
 	"qgear/internal/oracle"
 	"qgear/internal/qft"
 	"qgear/internal/qmath"
@@ -20,21 +22,60 @@ import (
 // textbook gather-multiply-scatter loop, and closed forms that need no
 // simulator at all.
 
-// oracleProbs walks the source circuit (not the transformed kernel:
+// oracleState walks the source circuit (not the transformed kernel:
 // the transform is under test too) through the naive reference.
-func oracleProbs(c *circuit.Circuit) []float64 {
+func oracleState(c *circuit.Circuit) oracle.State {
 	o := oracle.New(c.NumQubits)
 	for _, op := range c.Ops {
 		o.Apply(op.Gate, op.Qubits, op.Params)
 	}
-	return o.Probabilities()
+	return o
 }
 
-// engineProbs runs c un-fused through every executor: per-gate and
+// oracleProbs is the reference's probability vector.
+func oracleProbs(c *circuit.Circuit) []float64 { return oracleState(c).Probabilities() }
+
+// oracleHamiltonian writes h for the oracle.
+func oracleHamiltonian(h *observable.Hamiltonian) []oracle.PauliTerm {
+	factor := map[observable.Pauli]gate.Type{observable.X: gate.X, observable.Y: gate.Y, observable.Z: gate.Z}
+	terms := make([]oracle.PauliTerm, len(h.Terms))
+	for i, t := range h.Terms {
+		terms[i] = oracle.PauliTerm{Coef: t.Coef, Ops: map[int]gate.Type{}}
+		for q, p := range t.Ops {
+			terms[i].Ops[q] = factor[p]
+		}
+	}
+	return terms
+}
+
+// randomHamiltonian draws eight weighted Pauli strings of one to three
+// factors, the first on one of the top three qubits — a rank bit in
+// any world of up to eight ranks — and the identity.
+func randomHamiltonian(n int, r *qmath.RNG) *observable.Hamiltonian {
+	h := &observable.Hamiltonian{NumQubits: n}
+	for i := 0; i < 8; i++ {
+		ops := map[int]observable.Pauli{n - 1 - r.Intn(min(n, 3)): observable.Pauli(1 + r.Intn(3))}
+		for f := r.Intn(3); f > 0; f-- {
+			ops[r.Intn(n)] = observable.Pauli(1 + r.Intn(3))
+		}
+		h.Add(observable.NewTerm(2*r.Float64()-1, ops))
+	}
+	h.Add(observable.NewTerm(0.5, nil))
+	return h
+}
+
+// engineRun is what one executor made of a circuit: its probabilities
+// and its ⟨H⟩.
+type engineRun struct {
+	probs []float64
+	exp   float64
+}
+
+// engineRuns runs c un-fused through every executor: per-gate and
 // planned on one device, planned on each world of worlds that leaves a
 // rank at least one qubit (1 = a one-rank world running the
 // single-process plan). tile is folded into [1, n).
-func engineProbs(t testing.TB, c *circuit.Circuit, tile int, worlds []int) map[string][]float64 {
+func engineRuns(t testing.TB, c *circuit.Circuit, h *observable.Hamiltonian, tile int, worlds []int) map[string]engineRun {
 	t.Helper()
 	n := c.NumQubits
 	tile = 1 + tile%(n-1)
@@ -42,37 +83,66 @@ func engineProbs(t testing.TB, c *circuit.Circuit, tile int, worlds []int) map[s
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string][]float64{"per-gate": singleDeviceProbs(t, k)}
-	s := statevec.MustNew(n, 2)
-	defer s.Release()
-	if err := planFor(t, k, 1, tile).Execute(s); err != nil {
+	run := func(s *statevec.State) engineRun {
+		defer s.Release()
+		v, err := h.Expectation(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return engineRun{s.Probabilities(), v}
+	}
+	perGate := statevec.MustNew(n, 1)
+	if err := kernel.Execute(k, perGate); err != nil {
 		t.Fatal(err)
 	}
-	out["planned"] = s.Probabilities()
+	out := map[string]engineRun{"per-gate": run(perGate)}
+	planned := statevec.MustNew(n, 2)
+	if err := planFor(t, k, 1, tile).Execute(planned); err != nil {
+		t.Fatal(err)
+	}
+	out["planned"] = run(planned)
 	for _, ranks := range worlds {
 		if n-log2ranks(ranks) < 1 {
 			continue
 		}
-		out[fmt.Sprintf("mgpu/%d", ranks)] = simulate(t, k, ranks, tile, 1).Probabilities
+		plan := planFor(t, k, ranks, tile)
+		res, err := SimulateCompiled(k, plan, ranks, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := ExpectationCompiled(k, plan, h, ranks, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[fmt.Sprintf("mgpu/%d", ranks)] = engineRun{res.Probabilities, e.Value}
 	}
 	return out
 }
 
-// checkAgainstOracle holds every engine to max |Δp| = 0 against the
-// per-gate engine, 1e-12 against the oracle, and total probability 1.
-func checkAgainstOracle(t testing.TB, name string, c *circuit.Circuit, tile int, worlds []int) {
+// checkAgainstOracle holds every engine to max |Δp| = 0 and the same
+// ⟨H⟩ bits as the per-gate engine, 1e-12 against the oracle for both,
+// and total probability 1. h is a random Hamiltonian drawn from hseed.
+func checkAgainstOracle(t testing.TB, name string, c *circuit.Circuit, tile int, worlds []int, hseed uint64) {
 	t.Helper()
-	want := oracleProbs(c)
-	got := engineProbs(t, c, tile, worlds)
-	for engine, p := range got {
-		if d := maxDiff(p, got["per-gate"]); d != 0 {
+	h := randomHamiltonian(c.NumQubits, qmath.NewRNG(hseed))
+	o := oracleState(c)
+	want, wantExp := o.Probabilities(), o.Expectation(oracleHamiltonian(h))
+	got := engineRuns(t, c, h, tile, worlds)
+	for engine, r := range got {
+		if d := maxDiff(r.probs, got["per-gate"].probs); d != 0 {
 			t.Errorf("%s: %s vs per-gate diff %g, want exact 0", name, engine, d)
 		}
-		if d := maxDiff(p, want); d > 1e-12 {
+		if d := maxDiff(r.probs, want); d > 1e-12 {
 			t.Errorf("%s: %s vs oracle diff %g > 1e-12", name, engine, d)
 		}
+		if v := got["per-gate"].exp; math.Float64bits(r.exp) != math.Float64bits(v) {
+			t.Errorf("%s: %s ⟨H⟩ %.17g vs per-gate %.17g, want the same bits", name, engine, r.exp, v)
+		}
+		if d := math.Abs(r.exp - wantExp); d > 1e-12 {
+			t.Errorf("%s: %s ⟨H⟩ %.17g is %g off the oracle's %.17g", name, engine, r.exp, d, wantExp)
+		}
 		var sum float64
-		for _, v := range p {
+		for _, v := range r.probs {
 			sum += v
 		}
 		if math.Abs(sum-1) > 1e-12 {
@@ -85,7 +155,7 @@ func TestEnginesMatchOracle(t *testing.T) {
 	worlds := []int{1, 2, 4, 8}
 	for seed := uint64(1); seed <= 12; seed++ {
 		n := 2 + int(seed)%9 // 2..10
-		checkAgainstOracle(t, "soup", gateSoup(n, 160, qmath.NewRNG(seed*7919)), int(seed), worlds)
+		checkAgainstOracle(t, "soup", gateSoup(n, 160, qmath.NewRNG(seed*7919)), int(seed), worlds, seed)
 	}
 	for _, spec := range []randcirc.Spec{
 		{Qubits: 5, Blocks: 40, Seed: 3},
@@ -96,7 +166,7 @@ func TestEnginesMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAgainstOracle(t, c.Name, c, 3, worlds)
+		checkAgainstOracle(t, c.Name, c, 3, worlds, spec.Seed)
 	}
 }
 
@@ -128,10 +198,10 @@ func TestClosedForms(t *testing.T) {
 			c    *circuit.Circuit
 			want []float64
 		}{{"ghz", circuit.GHZ(n, false), ghz}, {"qft|basis⟩", qftOfBasis, uniform}} {
-			got := engineProbs(t, tc.c, 2, []int{2, 4, 8})
-			got["oracle"] = oracleProbs(tc.c)
-			for engine, p := range got {
-				if d := maxDiff(p, tc.want); d > 1e-12 {
+			got := engineRuns(t, tc.c, &observable.Hamiltonian{NumQubits: n}, 2, []int{2, 4, 8})
+			got["oracle"] = engineRun{probs: oracleProbs(tc.c)}
+			for engine, r := range got {
+				if d := maxDiff(r.probs, tc.want); d > 1e-12 {
 					t.Errorf("%s n=%d: %s is %g off the closed form", tc.name, n, engine, d)
 				}
 			}
@@ -150,6 +220,6 @@ func FuzzEnginesMatchOracle(f *testing.F) {
 		n := 2 + int(width)%9               // 2..10
 		ranks := 1 << uint(int(rankBits)%4) // 1, 2, 4, 8
 		c := gateSoup(n, 1+int(gates), qmath.NewRNG(seed))
-		checkAgainstOracle(t, "fuzz", c, int(tile), []int{ranks})
+		checkAgainstOracle(t, "fuzz", c, int(tile), []int{ranks}, seed)
 	})
 }

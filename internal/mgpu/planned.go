@@ -98,7 +98,7 @@ func (d *DistState) swapRankBit(l, r int) {
 	start := time.Now()
 	amps, buf := d.st.AmplitudesRaw(), d.slab()
 	run := 1 << uint(l)
-	first := (d.rankBit(r) ^ 1) << uint(l) // the first index whose bit l differs
+	first := (d.comm.Rank()>>uint(r-d.local)&1 ^ 1) << uint(l) // the first index whose bit l differs
 	n := 0
 	for i := first; i < len(amps); i += 2 * run {
 		n += copy(buf[n:], amps[i:i+run])

@@ -237,22 +237,3 @@ func (c *Comm) Allgather(v any) []any {
 	out := c.Bcast(0, got)
 	return out.([]any)
 }
-
-// GatherFloat64s gathers per-rank float64 slices at root and
-// concatenates them in rank order; nil on other ranks. The mgpu engine
-// uses it to assemble the global probability vector.
-func (c *Comm) GatherFloat64s(root int, v []float64) []float64 {
-	parts := c.Gather(root, v)
-	if parts == nil {
-		return nil
-	}
-	var total int
-	for _, p := range parts {
-		total += len(p.([]float64))
-	}
-	out := make([]float64, 0, total)
-	for _, p := range parts {
-		out = append(out, p.([]float64)...)
-	}
-	return out
-}

@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 	"testing"
 )
@@ -191,32 +190,6 @@ func TestGatherAndAllgather(t *testing.T) {
 		for r := 0; r < 4; r++ {
 			if all[r].(int) != r {
 				return fmt.Errorf("allgather slot %d = %v", r, all[r])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherFloat64s(t *testing.T) {
-	err := Run(3, func(c *Comm) error {
-		local := []float64{float64(c.Rank()), float64(c.Rank()) + 0.5}
-		got := c.GatherFloat64s(0, local)
-		if c.Rank() != 0 {
-			if got != nil {
-				return errors.New("non-root should get nil")
-			}
-			return nil
-		}
-		want := []float64{0, 0.5, 1, 1.5, 2, 2.5}
-		if len(got) != len(want) {
-			return fmt.Errorf("len %d", len(got))
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 0 {
-				return fmt.Errorf("slot %d = %g", i, got[i])
 			}
 		}
 		return nil

@@ -12,6 +12,9 @@
 // group of terms rather than per term. Partition splits the term
 // list into balanced groups, and ExpectationParallelCancel evaluates terms
 // concurrently across simulated devices with a bit-identical result.
+// Every engine — one device, the term-parallel devices, and the
+// distributed engine's rank shards — reads terms through PauliTerms and
+// finishes with Combine, so the masks and the final sum exist once.
 package observable
 
 import (
@@ -187,7 +190,7 @@ func (h *Hamiltonian) Expectation(s *statevec.State) (float64, error) {
 // L2-sized super-block of the state, all terms). A nil flag never
 // trips.
 func (h *Hamiltonian) ExpectationCancel(s *statevec.State, flag *cancel.Flag) (float64, error) {
-	masks, err := h.masks(s.NumQubits())
+	masks, err := h.PauliTerms(s.NumQubits())
 	if err != nil {
 		return 0, err
 	}
@@ -195,17 +198,12 @@ func (h *Hamiltonian) ExpectationCancel(s *statevec.State, flag *cancel.Flag) (f
 	if err != nil {
 		return 0, err
 	}
-	var acc float64
-	for i, t := range h.Terms {
-		// The conversion rounds the product before the add on every
-		// architecture, as the one-term path's return does.
-		acc += float64(t.Coef * vals[i])
-	}
-	return acc, nil
+	return h.Combine(vals), nil
 }
 
-// masks converts every term to the evaluator's mask form.
-func (h *Hamiltonian) masks(n int) ([]statevec.PauliTerm, error) {
+// PauliTerms converts every term to the evaluator's mask form over an
+// n-qubit register, in term order.
+func (h *Hamiltonian) PauliTerms(n int) ([]statevec.PauliTerm, error) {
 	masks := make([]statevec.PauliTerm, len(h.Terms))
 	for i, t := range h.Terms {
 		xm, ym, zm, err := t.Masks(n)
@@ -215,6 +213,19 @@ func (h *Hamiltonian) masks(n int) ([]statevec.PauliTerm, error) {
 		masks[i] = statevec.PauliTerm{X: xm, Y: ym, Z: zm}
 	}
 	return masks, nil
+}
+
+// Combine weights per-term values (statevec.PauliValues, in term order)
+// by their coefficients and sums them in term order: the last step of
+// ⟨H⟩ on every engine.
+func (h *Hamiltonian) Combine(vals []float64) float64 {
+	var acc float64
+	for i, t := range h.Terms {
+		// The conversion rounds the product before the add on every
+		// architecture, as the one-term path's return does.
+		acc += float64(t.Coef * vals[i])
+	}
+	return acc
 }
 
 // sweep is one grouped evaluation under the flag.
@@ -262,7 +273,7 @@ func (h *Hamiltonian) ExpectationParallelCancel(s *statevec.State, devices int, 
 	if devices > len(h.Terms) && len(h.Terms) > 0 {
 		devices = len(h.Terms)
 	}
-	masks, err := h.masks(s.NumQubits())
+	masks, err := h.PauliTerms(s.NumQubits())
 	if err != nil {
 		return 0, err
 	}
@@ -287,11 +298,11 @@ func (h *Hamiltonian) ExpectationParallelCancel(s *statevec.State, devices int, 
 			return 0, err
 		}
 	}
-	var acc float64
-	for i, t := range h.Terms {
-		acc += float64(t.Coef * stripes[i%devices][i/devices])
+	vals := make([]float64, len(h.Terms))
+	for i := range vals {
+		vals[i] = stripes[i%devices][i/devices]
 	}
-	return acc, nil
+	return h.Combine(vals), nil
 }
 
 // TransverseFieldIsing builds the n-qubit TFIM chain

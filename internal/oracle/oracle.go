@@ -14,6 +14,7 @@ package oracle
 
 import (
 	"fmt"
+	"math/cmplx"
 
 	"qgear/internal/gate"
 )
@@ -93,4 +94,31 @@ func (s State) Probabilities() []float64 {
 		p[i] = real(a)*real(a) + imag(a)*imag(a)
 	}
 	return p
+}
+
+// PauliTerm is one weighted Pauli string: each listed qubit carries
+// gate.X, gate.Y or gate.Z.
+type PauliTerm struct {
+	Coef float64
+	Ops  map[int]gate.Type
+}
+
+// Expectation returns ⟨ψ|H|ψ⟩ for H = Σ coef·P over the terms: each
+// string is applied to a copy of the state one factor at a time, then
+// the inner product with the state is taken.
+func (s State) Expectation(h []PauliTerm) float64 {
+	var total complex128
+	p := make(State, len(s))
+	for _, t := range h {
+		copy(p, s)
+		for q, g := range t.Ops {
+			p.Apply(g, []int{q}, nil)
+		}
+		var ip complex128
+		for i, a := range s {
+			ip += cmplx.Conj(a) * p[i]
+		}
+		total += complex(t.Coef, 0) * ip
+	}
+	return real(total)
 }

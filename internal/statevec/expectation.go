@@ -28,14 +28,15 @@ import (
 //
 // Summation order is part of the contract. The compact enumeration
 // index j (b with the pivot bit removed) is split into chunks of
-// 2^ExpChunkBits(n) contributions; each chunk is summed sequentially
-// in ascending j, and chunk partials reduce through a balanced binary
-// tree (TreeSum). Because a rank shard of the distributed engine
-// covers a chunk-aligned, power-of-two, contiguous j-range, its
-// tree-reduced partial is an exact subtree of the global reduction:
-// single-device, tiled (permuted layout), and distributed evaluation
-// produce bit-identical values, for any worker count and — via
-// expReserveBits — up to 2^expReserveBits ranks.
+// 2^expChunkBits(n) contributions; each chunk is summed sequentially
+// in ascending j into its slot of one partial slab, and a term's slots
+// reduce through a balanced binary tree (treeSum). A rank shard of the
+// distributed engine runs the same sweep on absolute indices
+// (ShardEvaluator) and writes the chunks it holds into the same slots
+// of one shared slab — expReserveBits keeps every chunk inside one
+// shard for up to 2^expReserveBits ranks — so single-device, tiled
+// (permuted layout) and distributed evaluation produce bit-identical
+// values for any worker count.
 //
 // Memory order is not. A chunk's 2^cb contributions read one block of
 // 2^(cb+1) consecutive logical amplitudes (pivot inside the block) or
@@ -66,11 +67,11 @@ const (
 	expScratchBits = 16
 )
 
-// ExpChunkBits returns the canonical chunk width (log2 contributions
-// per chunk) of the n-qubit expectation reduction. Every engine must
-// use this value for the register's total qubit count — it is part of
-// the bit-identity contract, not a tuning knob.
-func ExpChunkBits(n int) int {
+// expChunkBits returns the canonical chunk width (log2 contributions
+// per chunk) of the n-qubit expectation reduction, n being the whole
+// register's width on a rank shard too — it is part of the
+// bit-identity contract, not a tuning knob.
+func expChunkBits(n int) int {
 	cb := n - 1 - expReserveBits
 	if cb > expMaxChunkBits {
 		cb = expMaxChunkBits
@@ -81,12 +82,10 @@ func ExpChunkBits(n int) int {
 	return cb
 }
 
-// TreeSum reduces partial sums through a balanced binary tree:
-// TreeSum(v) = TreeSum(left half) + TreeSum(right half). On the
-// power-of-two lengths the expectation reduction produces, an aligned
-// power-of-two sub-range is an exact subtree, which is what lets a
-// rank shard reduce locally and still compose bit-identically.
-func TreeSum(v []float64) float64 {
+// treeSum reduces partial sums through a balanced binary tree:
+// treeSum(v) = treeSum(left half) + treeSum(right half), one fixed
+// order whichever worker or rank filled which slot.
+func treeSum(v []float64) float64 {
 	switch len(v) {
 	case 0:
 		return 0
@@ -94,14 +93,8 @@ func TreeSum(v []float64) float64 {
 		return v[0]
 	}
 	h := len(v) / 2
-	return TreeSum(v[:h]) + TreeSum(v[h:])
+	return treeSum(v[:h]) + treeSum(v[h:])
 }
-
-// IPow returns i^k — the evaluator's phase convention for Y factors
-// (phase(b) = i^{|Y|}·(−1)^{popcount(b & (Y|Z))}). Exported so the
-// distributed engine derives its rank-constant Phase0 from the same
-// definition instead of a copy that could drift.
-func IPow(k int) complex128 { return iPow(k) }
 
 // iPow returns i^k.
 func iPow(k int) complex128 {
@@ -123,11 +116,18 @@ func iPow(k int) complex128 {
 type PauliTerm struct{ X, Y, Z uint64 }
 
 // PauliEvaluator evaluates Pauli strings against one state whose
-// amplitude layout may be permuted. It is read-only over the state and
-// safe for concurrent calls, but it is a snapshot — it must be rebuilt
-// if the state's amplitudes or permutation change.
+// amplitude layout may be permuted — the whole register, or one rank
+// shard of it. It is read-only over the state and safe for concurrent
+// calls, but it is a snapshot — it must be rebuilt if the state's
+// amplitudes or permutation change.
 type PauliEvaluator struct {
 	s *State
+	// total is the register's width and base the absolute index of the
+	// state's first amplitude: s.n and 0 on one device, the world's
+	// width and rank << s.n on a rank shard. Terms, blocks and chunk
+	// slots are addressed in the whole register.
+	total int
+	base  uint64
 	// inv is the physical→logical qubit map of a permuted layout; nil
 	// means blocks are read in place.
 	inv []int
@@ -138,9 +138,15 @@ type PauliEvaluator struct {
 }
 
 // PauliEvaluator snapshots the state's current layout.
-func (s *State) PauliEvaluator() *PauliEvaluator {
+func (s *State) PauliEvaluator() *PauliEvaluator { return s.ShardEvaluator(s.n, 0) }
+
+// ShardEvaluator snapshots a state holding amplitudes base … base+2^n−1
+// of a total-qubit register (rank r's shard: base = r << n). Because
+// every index it computes is absolute, Z/Y signs, parity and pivots on
+// the bits above the shard come out of the same code one device runs.
+func (s *State) ShardEvaluator(total int, base uint64) *PauliEvaluator {
 	s.live()
-	e := &PauliEvaluator{s: s, scratchBits: expScratchBits}
+	e := &PauliEvaluator{s: s, total: total, base: base, scratchBits: expScratchBits}
 	if !s.PermIsIdentity() {
 		e.inv = make([]int, s.n)
 		for q, p := range s.perm {
@@ -150,76 +156,110 @@ func (s *State) PauliEvaluator() *PauliEvaluator {
 	return e
 }
 
-// PauliShardArgs describes one shard's slice of the canonical
-// evaluation. A single-device state is the degenerate one-rank shard
-// (zero ParityBase, Phase0 = i^{|Y|}, pivot always local); the
-// distributed engine folds its rank-index bits into Phase0/ParityBase
-// and ships partner amplitudes for terms whose flip mask crosses the
-// rank boundary.
-type PauliShardArgs struct {
-	// XMask/YMask/ZMask are the term's factors on shard-local logical
-	// qubits (bits ≥ the shard width must be stripped by the caller).
-	XMask, YMask, ZMask uint64
-	// Flip selects the pair-product evaluation: it reflects the term's
-	// FULL flip mask (X|Y over every qubit, rank bits included), which
-	// can be nonzero even when the local masks carry no X/Y factor —
-	// the pairs then live entirely across the rank boundary and arrive
-	// via Partner. False selects the pure-Z parity walk.
-	Flip bool
-	// Phase0 is the rank-constant phase of flip terms: i^{|Y|} counted
-	// over the whole term, times (−1) for each set rank bit under the
-	// term's Y|Z mask.
-	Phase0 complex128
-	// Pivot is the pairing/parity pivot's shard-local position, or −1
-	// when the pivot is a rank bit (the shard then enumerates all
-	// resident amplitudes; the caller decides participation).
-	Pivot int
-	// ParityBase seeds the Z-parity with the rank bits' contribution
-	// (pure-Z terms with a local pivot only).
-	ParityBase int
-	// Partner is the partner shard's raw physical-layout amplitudes
-	// for terms whose flip mask has rank bits; nil means both pair
-	// members are resident.
-	Partner []complex128
-	// ChunkBits is ExpChunkBits of the register's TOTAL qubit count
-	// (clamped internally when a shard is smaller than one chunk).
-	ChunkBits int
-}
-
-// Shard computes the tree-reduced partial of this state's
-// contribution stream in canonical chunk order, returning the partial
-// and the number of enumerated indices (the visit count the
-// stride-iteration regression tests pin). For pure-Z terms the caller
-// converts the odd-parity mass S into 1 − 2·S after the final
-// reduction.
-func (e *PauliEvaluator) Shard(a PauliShardArgs) (float64, int) {
-	m := e.s.n // log2 of the enumeration size
-	if a.Pivot >= 0 {
-		m--
-	}
-	cb := a.ChunkBits
-	if cb > m {
-		cb = m
+// chunkBits is the canonical chunk width, clamped so that one block (a
+// chunk with its pivot, or two chunks) lies inside the state. The
+// clamp binds only on a shard of a world wider than
+// 2^expReserveBits ranks, whose reduction tree is then finer than one
+// device's.
+func (e *PauliEvaluator) chunkBits() int {
+	cb := expChunkBits(e.total)
+	if cb > e.s.n-1 {
+		cb = e.s.n - 1
 	}
 	if cb < 0 {
 		cb = 0
 	}
-	job := pauliJob{
-		flip:     a.Flip,
-		flipMask: a.XMask | a.YMask, // local flip; rank-bit pairs arrive via Partner
-		sign:     a.ZMask,
-		pivot:    a.Pivot,
-		partials: make([]float64, 1<<uint(m-cb)),
+	return cb
+}
+
+// PartialSlab checks terms against the register and returns the zeroed
+// slab the sweeps fill: one canonical slot per chunk of each
+// non-identity term, in term order.
+func (e *PauliEvaluator) PartialSlab(terms []PauliTerm) ([]float64, error) {
+	jobs := 0
+	for _, t := range terms {
+		all := t.X | t.Y | t.Z
+		if e.total < 64 && all>>uint(e.total) != 0 {
+			return nil, fmt.Errorf("statevec: pauli masks %x/%x/%x exceed %d qubits", t.X, t.Y, t.Z, e.total)
+		}
+		if t.X&t.Y|t.Y&t.Z|t.X&t.Z != 0 {
+			return nil, fmt.Errorf("statevec: overlapping pauli masks %x/%x/%x", t.X, t.Y, t.Z)
+		}
+		if all != 0 {
+			jobs++
+		}
 	}
-	if a.Flip {
-		job.sign |= a.YMask
-		job.ph0 = a.Phase0
-	} else {
-		job.pb = a.ParityBase & 1
+	if jobs == 0 {
+		return nil, nil
 	}
-	// Without a poll the sweep cannot fail.
-	_, _ = e.sweep([]pauliJob{job}, a.Partner, cb, nil)
-	return TreeSum(job.partials), 1 << uint(m)
+	// A non-identity term needs a qubit, so the pivot halves the
+	// enumeration and cb ≤ total−1.
+	return make([]float64, jobs<<uint(e.total-1-e.chunkBits())), nil
+}
+
+// SweepShard writes into slab (from PartialSlab) the chunk partials
+// this state holds of every term whose rank flip — the flip mask's
+// bits above the state, shifted down — is rankFlip, and returns the
+// number of sweeps made. Rank flip 0 selects the pure-Z terms and those
+// flipping resident qubits only; any other value the terms pairing
+// this shard with rank ^ rankFlip, whose raw amplitudes (in this
+// shard's physical layout) partner is. poll is as in ExpPauliGroup.
+func (e *PauliEvaluator) SweepShard(terms []PauliTerm, slab []float64, rankFlip uint64, partner []complex128, poll func() error) (int, error) {
+	cb := e.chunkBits()
+	nChunks := 1 << uint(e.total-1-cb)
+	jobs := make([]pauliJob, 0, len(terms))
+	slot := 0
+	for _, t := range terms {
+		if t.X|t.Y|t.Z == 0 {
+			continue
+		}
+		partials := slab[slot*nChunks : (slot+1)*nChunks : (slot+1)*nChunks]
+		slot++
+		flip := t.X | t.Y
+		switch {
+		case flip>>uint(e.s.n) != rankFlip: // another sweep's term
+		case flip != 0:
+			jobs = append(jobs, pauliJob{
+				flip:     true,
+				flipMask: flip,
+				sign:     t.Y | t.Z,
+				ph0:      iPow(bits.OnesCount64(t.Y)),
+				pivot:    bits.TrailingZeros64(flip),
+				partials: partials,
+			})
+		default:
+			jobs = append(jobs, pauliJob{sign: t.Z, pivot: bits.TrailingZeros64(t.Z), partials: partials})
+		}
+	}
+	return e.sweep(jobs, partner, cb, poll)
+}
+
+// PauliValues reduces a filled slab to ⟨P⟩ per term, in term order:
+// each term's chunk partials through treeSum, 1 − 2·S for a parity
+// term, 1 for the identity. It is the last step of every engine's
+// evaluation, so one device and a world of ranks share it.
+func PauliValues(terms []PauliTerm, slab []float64) []float64 {
+	jobs := 0
+	for _, t := range terms {
+		if t.X|t.Y|t.Z != 0 {
+			jobs++
+		}
+	}
+	vals := make([]float64, len(terms))
+	slot := 0
+	for i, t := range terms {
+		if t.X|t.Y|t.Z == 0 {
+			vals[i] = 1
+			continue
+		}
+		nChunks := len(slab) / jobs
+		vals[i] = treeSum(slab[slot*nChunks : (slot+1)*nChunks])
+		slot++
+		if t.X|t.Y == 0 {
+			vals[i] = 1 - 2*vals[i]
+		}
+	}
+	return vals
 }
 
 // ExpPauliGroup computes ⟨ψ|P|ψ⟩ for every term in as few sweeps over
@@ -230,60 +270,15 @@ func (e *PauliEvaluator) Shard(a PauliShardArgs) (float64, int) {
 // before each super-block; its first error stops the sweep within that
 // block batch and is returned.
 func (e *PauliEvaluator) ExpPauliGroup(terms []PauliTerm, poll func() error) ([]float64, int, error) {
-	n := e.s.n
-	cb := ExpChunkBits(n)
-	jobs := make([]pauliJob, 0, len(terms))
-	for _, t := range terms {
-		all := t.X | t.Y | t.Z
-		if n < 64 && all>>uint(n) != 0 {
-			return nil, 0, fmt.Errorf("statevec: pauli masks %x/%x/%x exceed %d qubits", t.X, t.Y, t.Z, n)
-		}
-		if t.X&t.Y|t.Y&t.Z|t.X&t.Z != 0 {
-			return nil, 0, fmt.Errorf("statevec: overlapping pauli masks %x/%x/%x", t.X, t.Y, t.Z)
-		}
-		if all == 0 {
-			continue
-		}
-		if flip := t.X | t.Y; flip != 0 {
-			jobs = append(jobs, pauliJob{
-				flip:     true,
-				flipMask: flip,
-				sign:     t.Y | t.Z,
-				ph0:      iPow(bits.OnesCount64(t.Y)),
-				pivot:    bits.TrailingZeros64(flip),
-			})
-		} else {
-			jobs = append(jobs, pauliJob{sign: t.Z, pivot: bits.TrailingZeros64(t.Z)})
-		}
+	slab, err := e.PartialSlab(terms)
+	if err != nil {
+		return nil, 0, err
 	}
-	if len(jobs) > 0 {
-		// A non-identity term needs n ≥ 1, so the pivot halves the
-		// enumeration and cb ≤ n−1.
-		nChunks := 1 << uint(n-1-cb)
-		slab := make([]float64, len(jobs)*nChunks)
-		for i := range jobs {
-			jobs[i].partials = slab[i*nChunks : (i+1)*nChunks : (i+1)*nChunks]
-		}
-	}
-	passes, err := e.sweep(jobs, nil, cb, poll)
+	passes, err := e.SweepShard(terms, slab, 0, nil, poll)
 	if err != nil {
 		return nil, passes, err
 	}
-	vals := make([]float64, len(terms))
-	next := 0
-	for i, t := range terms {
-		if t.X|t.Y|t.Z == 0 {
-			vals[i] = 1
-			continue
-		}
-		j := &jobs[next]
-		next++
-		vals[i] = TreeSum(j.partials)
-		if !j.flip {
-			vals[i] = 1 - 2*vals[i]
-		}
-	}
-	return vals, passes, nil
+	return PauliValues(terms, slab), passes, nil
 }
 
 // ExpPauli computes ⟨ψ|P|ψ⟩ for the Pauli string given as logical
@@ -308,16 +303,16 @@ func (s *State) ExpPauli(xm, ym, zm uint64) (float64, int, error) {
 	return s.PauliEvaluator().ExpPauli(xm, ym, zm)
 }
 
-// pauliJob is one term (or one rank shard of a term) prepared for the
-// block sweep. A flip job sums pair products 2·Re(ph·a_b·conj(a'_{b⊕flip}));
-// a parity job sums |a_b|² over the odd-parity half.
+// pauliJob is one term prepared for the block sweep, its masks over
+// the whole register. A flip job sums pair products
+// 2·Re(ph·a_b·conj(a'_{b⊕flip})); a parity job sums |a_b|² over the
+// odd-parity half.
 type pauliJob struct {
 	flip     bool
-	flipMask uint64     // X|Y on this state's qubits
+	flipMask uint64     // X|Y
 	sign     uint64     // Y|Z (flip job) or Z (parity job)
 	ph0      complex128 // phase of an even-parity index (flip job)
-	pivot    int        // −1: every resident amplitude is enumerated
-	pb       int        // parity seed (parity job)
+	pivot    int        // the lowest flip (or Z) qubit
 	partials []float64  // one slot per canonical chunk
 
 	// Set by sweep from the block width bb.
@@ -325,9 +320,9 @@ type pauliJob struct {
 	highFlip uint64 // flip bits above it, as a block-index xor
 }
 
-// active reports whether block B (a logical index shifted down by bb)
-// holds any of the job's chunks: every block when the pivot is inside
-// the block or absent, the pivot-clear half of the blocks for a pair
+// active reports whether block B (an absolute logical index shifted
+// down by bb) holds any of the job's chunks: every block when the pivot
+// is inside the block, the pivot-clear half of the blocks for a pair
 // walk with a high pivot, the odd-parity half for a parity walk whose
 // Z bits all sit above the block.
 func (j *pauliJob) active(B uint64, bb int) bool {
@@ -337,7 +332,7 @@ func (j *pauliJob) active(B uint64, bb int) bool {
 	case j.flip:
 		return B>>uint(j.pivot-bb)&1 == 0
 	default:
-		return (j.pb+bits.OnesCount64(B<<uint(bb)&j.sign))&1 == 1
+		return bits.OnesCount64(B<<uint(bb)&j.sign)&1 == 1
 	}
 }
 
@@ -346,19 +341,15 @@ func (j *pauliJob) active(B uint64, bb int) bool {
 // the partner block's (B ⊕ highFlip, from the partner shard when there
 // is one).
 func (j *pauliJob) evalBlock(B uint64, bb, cb int, self, other []complex128) {
-	hp := (j.pb + bits.OnesCount64(B<<uint(bb)&j.sign)) & 1
-	if j.pivot >= 0 && j.pivot < bb {
+	hp := bits.OnesCount64(B<<uint(bb)&j.sign) & 1
+	if j.pivot < bb {
 		// bb = cb+1: inserting the pivot maps chunk B onto block B.
 		j.partials[B] = j.chunk(self, other, 0, 1<<uint(cb), j.pivot, hp)
 		return
 	}
-	// The block's halves (the whole block when a shard is one chunk)
-	// are contiguous runs of the enumeration.
+	// The block's halves are contiguous runs of the enumeration.
 	for off := 0; off < 1<<uint(bb); off += 1 << uint(cb) {
-		c := B<<uint(bb) | uint64(off)
-		if j.pivot >= 0 {
-			c = removeBit(c, uint(j.pivot))
-		}
+		c := removeBit(B<<uint(bb)|uint64(off), uint(j.pivot))
 		j.partials[c>>uint(cb)] = j.chunk(self, other, off, 1<<uint(cb), -1, hp)
 	}
 }
@@ -454,12 +445,11 @@ func extractBits(v, mask uint64) uint64 {
 type pauliGroup struct {
 	// wide selects the high qubits that vary inside a super-block.
 	wide uint64
-	// twoSided groups read partner blocks from a second resident set:
-	// the partner shard's, or — when a term has more high flip bits
-	// than fit in wide — the super-block hx away.
-	twoSided bool
-	hx       uint64
-	jobs     []*pauliJob
+	// A nonzero hx makes the group two-sided: partner blocks come from
+	// a second resident set, the super-block hx away — in the partner
+	// shard when hx has bits above the state.
+	hx   uint64
+	jobs []*pauliJob
 }
 
 // sweep evaluates every job's chunk partials. partner, when non-nil,
@@ -467,10 +457,7 @@ type pauliGroup struct {
 // returns the number of groups swept.
 func (e *PauliEvaluator) sweep(jobs []pauliJob, partner []complex128, cb int, poll func() error) (int, error) {
 	n := e.s.n
-	bb := cb + 1 // log2 amplitudes per block
-	if bb > n {
-		bb = n
-	}
+	bb := cb + 1 // log2 amplitudes per block; chunkBits keeps bb ≤ n
 	// A state worth fanning out keeps at least one super-block per
 	// worker.
 	split := 0
@@ -496,27 +483,29 @@ place:
 		j := &jobs[i]
 		j.lowFlip = j.flipMask & (1<<uint(bb) - 1)
 		j.highFlip = j.flipMask >> uint(bb)
-		if partner == nil && bits.OnesCount64(j.highFlip) <= wCap[0] {
-			// First fit: a sweep serves every term whose high flip bits
-			// it can keep resident together.
-			for gi := range groups {
-				g := &groups[gi]
-				if !g.twoSided && bits.OnesCount64(g.wide|j.highFlip) <= wCap[0] {
-					g.wide |= j.highFlip
-					g.jobs = append(g.jobs, j)
-					continue place
-				}
-			}
-			groups = append(groups, pauliGroup{wide: j.highFlip, jobs: []*pauliJob{j}})
-			continue
+		// First fit: a sweep serves every term whose high flip bits on
+		// this state it can keep resident together. A term's flip bits
+		// above the state (hx) pair it with the same super-block of the
+		// partner shard; a term with more high flip bits than fit pairs
+		// whole super-blocks hx apart.
+		hx := j.highFlip >> uint(n-bb) << uint(n-bb)
+		side := 0
+		if hx != 0 {
+			side = 1
 		}
+		if bits.OnesCount64(j.highFlip^hx) > wCap[side] {
+			side, hx = 1, j.highFlip
+		}
+		wide := j.highFlip ^ hx
 		for gi := range groups {
-			if g := &groups[gi]; g.twoSided && g.hx == j.highFlip {
+			g := &groups[gi]
+			if g.hx == hx && bits.OnesCount64(g.wide|wide) <= wCap[side] {
+				g.wide |= wide
 				g.jobs = append(g.jobs, j)
 				continue place
 			}
 		}
-		groups = append(groups, pauliGroup{twoSided: true, hx: j.highFlip, jobs: []*pauliJob{j}})
+		groups = append(groups, pauliGroup{wide: wide, hx: hx, jobs: []*pauliJob{j}})
 	}
 	for gi := range groups {
 		g := &groups[gi]
@@ -524,7 +513,7 @@ place:
 		// positions, so a gather uses the whole of each cache line it
 		// touches (and an in-place super-block is one contiguous run).
 		w := wCap[0]
-		if g.twoSided {
+		if g.hx != 0 {
 			w = wCap[1]
 		}
 		for p := 0; p < n && bits.OnesCount64(g.wide) < w; p++ {
@@ -559,6 +548,7 @@ func (e *PauliEvaluator) sweepGroup(g *pauliGroup, partner []complex128, bb, cb 
 	if otherSrc == nil {
 		otherSrc = s.amps
 	}
+	bBase := e.base >> uint(bb)
 	var (
 		failed atomic.Bool
 		mu     sync.Mutex
@@ -571,7 +561,7 @@ func (e *PauliEvaluator) sweepGroup(g *pauliGroup, partner []complex128, bb, cb 
 			defer putExpScratch(buf)
 			r.self = buf[:1<<uint(bb+w)]
 			r.other = r.self
-			if g.twoSided {
+			if g.hx != 0 {
 				r.other = buf[1<<uint(bb+w) : 2<<uint(bb+w)]
 			}
 		}
@@ -594,7 +584,7 @@ func (e *PauliEvaluator) sweepGroup(g *pauliGroup, partner []complex128, bb, cb 
 			r.loaded = false
 			for _, j := range g.jobs {
 				for k := uint64(0); k < 1<<uint(w); k++ {
-					B := r.hb | depositBits(k, g.wide)
+					B := bBase | r.hb | depositBits(k, g.wide)
 					if !j.active(B, bb) {
 						continue
 					}
@@ -617,7 +607,7 @@ type expResident struct {
 	// self/other are the scratch sides of a permuted layout (the same
 	// slice unless the group is two-sided); nil reads blocks in place.
 	self, other []complex128
-	hb          uint64 // the super-block's fixed high bits
+	hb          uint64 // the super-block's fixed high bits on this state
 	loaded      bool   // scratch holds super-block hb
 }
 
@@ -627,13 +617,14 @@ type expResident struct {
 func (r *expResident) blocks(j *pauliJob, B, k uint64) (self, other []complex128) {
 	size := 1 << uint(r.bb)
 	if r.self == nil {
+		lm := uint64(len(r.e.s.amps) - 1) // bits above the state pick the shard
 		P := B ^ j.highFlip
-		return r.e.s.amps[B<<uint(r.bb):][:size], r.otherSrc[P<<uint(r.bb):][:size]
+		return r.e.s.amps[B<<uint(r.bb)&lm:][:size], r.otherSrc[P<<uint(r.bb)&lm:][:size]
 	}
 	if !r.loaded {
 		r.loaded = true
 		r.tabs.gather(r.self, r.e.s.amps, r.e.physBase(r.hb, r.bb))
-		if r.g.twoSided {
+		if r.g.hx != 0 {
 			r.tabs.gather(r.other, r.otherSrc, r.e.physBase(r.hb^r.g.hx, r.bb))
 		}
 	}
@@ -641,10 +632,11 @@ func (r *expResident) blocks(j *pauliJob, B, k uint64) (self, other []complex128
 	return r.self[k<<uint(r.bb):][:size], r.other[kp<<uint(r.bb):][:size]
 }
 
-// physBase is the physical offset of the block-index bits hb.
+// physBase is the physical offset of the block-index bits hb on this
+// state; bits above it pick the shard, not an offset.
 func (e *PauliEvaluator) physBase(hb uint64, bb int) uint64 {
 	var base uint64
-	for ; hb != 0; hb &= hb - 1 {
+	for hb &= 1<<uint(e.s.n-bb) - 1; hb != 0; hb &= hb - 1 {
 		base |= 1 << uint(e.s.perm[bb+bits.TrailingZeros64(hb)])
 	}
 	return base

@@ -12,12 +12,35 @@ import (
 	"qgear/internal/qmath"
 )
 
+// shardArgs is one shard's slice of a term as the reference loop takes
+// it: masks on the shard's own qubits, with the rank bits' share folded
+// in by hand.
+type shardArgs struct {
+	XMask, YMask, ZMask uint64
+	// Flip selects the pair-product walk (the term's whole flip mask is
+	// nonzero), false the pure-Z parity walk.
+	Flip bool
+	// Phase0 is i^{|Y|} over the whole term, negated once per set rank
+	// bit under its Y|Z mask.
+	Phase0 complex128
+	// Pivot is the shard-local pivot, or −1 when it is a rank bit (every
+	// resident amplitude is then enumerated).
+	Pivot int
+	// ParityBase is the rank bits' share of a parity term's Z parity.
+	ParityBase int
+	// Partner holds the partner shard's raw amplitudes for pairs across
+	// the rank boundary; nil means both members are resident.
+	Partner []complex128
+	// ChunkBits is the chunk width (clamped to the enumeration).
+	ChunkBits int
+}
+
 // refShard is the evaluator this package shipped before the grouped
 // block sweep, kept as the oracle: one pass per term, every amplitude
 // read through a logical→physical index translation, chunks summed in
-// ascending j and reduced by TreeSum. The grouped evaluator must match
+// ascending j and reduced by treeSum. The grouped evaluator must match
 // it bit for bit.
-func refShard(s *State, a PauliShardArgs) (float64, int) {
+func refShard(s *State, a shardArgs) (float64, int) {
 	// logical→physical index-chunk tables, identity when no permutation
 	// is pending.
 	loBits := uint(s.n) / 2
@@ -87,7 +110,7 @@ func refShard(s *State, a PauliShardArgs) (float64, int) {
 		}
 		partials[c] = acc
 	}
-	return TreeSum(partials), 1 << uint(m)
+	return treeSum(partials), 1 << uint(m)
 }
 
 // refExpPauli is the old ExpPauli over refShard.
@@ -95,7 +118,7 @@ func refExpPauli(s *State, t PauliTerm) float64 {
 	if t.X|t.Y|t.Z == 0 {
 		return 1
 	}
-	args := PauliShardArgs{XMask: t.X, YMask: t.Y, ZMask: t.Z, ChunkBits: ExpChunkBits(s.n)}
+	args := shardArgs{XMask: t.X, YMask: t.Y, ZMask: t.Z, ChunkBits: expChunkBits(s.n)}
 	if flip := t.X | t.Y; flip != 0 {
 		args.Flip = true
 		args.Phase0 = iPow(bits.OnesCount64(t.Y))
@@ -162,7 +185,7 @@ func randomTerm(n int, r *qmath.RNG) PauliTerm {
 // resident set is wide), a Z string entirely above it, duplicates and
 // the identity.
 func edgeTerms(n int) []PauliTerm {
-	bb := ExpChunkBits(n) + 1
+	bb := expChunkBits(n) + 1
 	if bb > n {
 		bb = n
 	}
@@ -242,59 +265,94 @@ func TestExpPauliGroupMatchesReference(t *testing.T) {
 				}
 
 				small := s.PauliEvaluator()
-				small.scratchBits = ExpChunkBits(n) + 1 + r.Intn(2)
+				small.scratchBits = expChunkBits(n) + 1 + r.Intn(2)
 				checkGroup(t, s, small, terms, what+" shrunk scratch")
 			}
 		}
 	}
 }
 
-// TestShardMatchesReference covers the rank-shard form the distributed
-// engine calls: partner buffers, a pivot on a rank bit (−1), a parity
-// seed and a rank-folded phase, on shards of a larger register.
+// refTermShard folds a whole-register term into shard rank's reference
+// arguments, as the distributed engine did term by term before shards
+// ran the grouped sweep: a constant phase and parity seed from the rank
+// bits, a pivot of −1 on a rank bit. ok is false when the shard owns
+// none of the term's chunks (the pivot rank bit is set, or a Z string
+// on rank bits only is even here).
+func refTermShard(t PauliTerm, local, rank, cb int, partner []complex128) (a shardArgs, ok bool) {
+	lmask := uint64(1)<<uint(local) - 1
+	a = shardArgs{XMask: t.X & lmask, YMask: t.Y & lmask, ZMask: t.Z & lmask, Partner: partner, ChunkBits: cb}
+	hi := uint64(rank)
+	if flip := t.X | t.Y; flip != 0 {
+		a.Flip = true
+		a.Phase0 = iPow(bits.OnesCount64(t.Y))
+		if bits.OnesCount64(hi&((t.Y|t.Z)>>uint(local)))&1 == 1 {
+			a.Phase0 = -a.Phase0
+		}
+		a.Pivot = bits.TrailingZeros64(flip)
+		if a.Pivot >= local {
+			a.Pivot = -1
+			return a, hi>>uint(bits.TrailingZeros64(flip)-local)&1 == 0
+		}
+		return a, true
+	}
+	parity := bits.OnesCount64(hi&(t.Z>>uint(local))) & 1
+	a.Pivot = bits.TrailingZeros64(t.Z)
+	if a.Pivot >= local {
+		a.Pivot = -1 // the whole shard is on one side of the parity
+		return a, parity == 1
+	}
+	a.ParityBase = parity
+	return a, true
+}
+
+// TestShardMatchesReference drives the evaluator on one rank shard of a
+// wider register — terms with X/Y/Z factors on rank bits, partner
+// buffers for pairs across the rank boundary, pivots on rank bits,
+// rank-bit parity and phase, and worlds of up to 64 ranks, whose shards
+// are smaller than one canonical chunk — and holds the shard's slots of
+// the partial slab to the per-term reference loop, bit for bit.
 func TestShardMatchesReference(t *testing.T) {
 	r := qmath.NewRNG(0x5ba2d)
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + r.Intn(15)    // shard width
-		total := n + r.Intn(5) // register width; sets the canonical chunk
+	for trial := 0; trial < 500; trial++ {
+		local := 1 + r.Intn(15)
+		total := local + r.Intn(7)
+		rank := r.Intn(1 << uint(total-local))
 		layout := groupLayouts[r.Intn(len(groupLayouts))]
-		if n == 1 {
+		if local == 1 {
 			layout = "identity"
 		}
-		s := layoutState(t, n, 1+r.Intn(3), layout, r)
-		term := randomTerm(n, r)
-		a := PauliShardArgs{XMask: term.X, YMask: term.Y, ZMask: term.Z, ChunkBits: ExpChunkBits(total)}
-		switch flip := term.X | term.Y; {
-		case r.Intn(3) == 0:
-			// Pairs across the rank boundary, with or without local flips.
-			a.Flip = true
-			a.Phase0 = iPow(r.Intn(4))
-			a.Partner = randAmps(1<<uint(n), r)
-			a.Pivot = -1
-			if flip != 0 && r.Intn(2) == 0 {
-				a.Pivot = bits.TrailingZeros64(flip)
-			}
-		case flip != 0:
-			a.Flip = true
-			a.Phase0 = iPow(r.Intn(4))
-			a.Pivot = bits.TrailingZeros64(flip)
-		case r.Intn(2) == 0:
-			a.Pivot = bits.TrailingZeros64(term.Z)
-			a.ParityBase = r.Intn(2)
-		default:
-			// A Z string on rank bits only: the whole shard is odd.
-			a.ZMask = 0
-			a.Pivot = -1
-		}
-		ev := s.PauliEvaluator()
+		s := layoutState(t, local, 1+r.Intn(3), layout, r)
+		term := randomTerm(total, r)
+		ev := s.ShardEvaluator(total, uint64(rank)<<uint(local))
+		cb := min(expChunkBits(total), local-1)
 		if r.Intn(2) == 0 {
-			ev.scratchBits = a.ChunkBits + 1 + r.Intn(3)
+			ev.scratchBits = cb + 1 + r.Intn(3)
 		}
-		got, visited := ev.Shard(a)
-		want, wantVisited := refShard(s, a)
-		if math.Float64bits(got) != math.Float64bits(want) || visited != wantVisited {
-			t.Fatalf("trial %d (n=%d total=%d %s, args %+v): shard %.17g/%d != reference %.17g/%d",
-				trial, n, total, layout, a, got, visited, want, wantVisited)
+		rankFlip := (term.X | term.Y) >> uint(local)
+		var partner []complex128
+		if rankFlip != 0 {
+			partner = randAmps(1<<uint(local), r)
+		}
+		terms := []PauliTerm{term}
+		slab, err := ev.PartialSlab(terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ev.SweepShard(terms, slab, rankFlip, partner, nil); err != nil {
+			t.Fatal(err)
+		}
+		// The shard's chunks are an aligned power-of-two run of slots and
+		// every other slot is still zero, so the whole slab reduces to
+		// the shard's subtree.
+		got := treeSum(slab)
+		var want float64
+		a, ok := refTermShard(term, local, rank, cb, partner)
+		if ok {
+			want, _ = refShard(s, a)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (local=%d total=%d rank=%d %s, term %x/%x/%x): shard %.17g != reference %.17g",
+				trial, local, total, rank, layout, term.X, term.Y, term.Z, got, want)
 		}
 	}
 }

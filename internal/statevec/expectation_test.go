@@ -193,12 +193,12 @@ func TestTreeSumShape(t *testing.T) {
 	// 8 chunk partials: ((a+b)+(c+d))+((e+f)+(g+h)) — and an aligned
 	// half must be an exact subtree.
 	v := []float64{1e-16, 1, -1, 1e-16, 3, 1e-3, -4, 0.5}
-	full := TreeSum(v)
-	composed := TreeSum([]float64{TreeSum(v[:4]), TreeSum(v[4:])})
+	full := treeSum(v)
+	composed := treeSum([]float64{treeSum(v[:4]), treeSum(v[4:])})
 	if full != composed {
 		t.Fatalf("subtree composition broke: %.17g vs %.17g", full, composed)
 	}
-	if TreeSum(nil) != 0 || TreeSum([]float64{42}) != 42 {
+	if treeSum(nil) != 0 || treeSum([]float64{42}) != 42 {
 		t.Fatal("degenerate tree sums")
 	}
 }
