@@ -19,51 +19,10 @@ func (s *State) ApplyMat1(target int, m gate.Mat2) {
 	lm := mat2Lanes(m)
 	v := lanes(s.amps)
 	if s.serial(half) {
-		mat1Chunk(v, lm, t, 0, half)
+		lm.pairSubspace(v, t, 0, 0, 0, half)
 		return
 	}
-	s.fanOut(half, func(_, lo, hi int) { mat1Chunk(v, lm, t, lo, hi) })
-}
-
-// mat1Chunk is ApplyMat1 over amplitude pairs [lo, hi).
-func mat1Chunk(v []float64, lm laneMat2, t uint, lo, hi int) {
-	if t == 0 {
-		// Pair p is amplitudes (2p, 2p+1): one flat lane pass.
-		lm.adj(v[4*lo : 4*hi])
-		return
-	}
-	// Pairs with equal upper bits form contiguous runs of up to
-	// 2^t. Whole target blocks in the chunk interior stream through
-	// a single inline sweep call (block b's amplitudes are the
-	// contiguous window [2b·2^t, 2(b+1)·2^t)); only the partial
-	// blocks at the chunk edges pay a per-run call.
-	step := 1 << t
-	bLo := (lo + step - 1) &^ (step - 1)
-	bHi := hi &^ (step - 1)
-	if bLo >= bHi {
-		for p := lo; p < hi; {
-			within := p & (step - 1)
-			run := step - within
-			if run > hi-p {
-				run = hi - p
-			}
-			j := 2 * int(insertBit(uint64(p), t, 0))
-			lm.run(v[j:j+2*run:j+2*run], v[j+2*step:j+2*step+2*run:j+2*step+2*run])
-			p += run
-		}
-		return
-	}
-	if lo < bLo {
-		run := bLo - lo
-		j := 2 * int(insertBit(uint64(lo), t, 0))
-		lm.run(v[j:j+2*run:j+2*run], v[j+2*step:j+2*step+2*run:j+2*step+2*run])
-	}
-	lm.sweep(v[4*bLo:4*bHi:4*bHi], 2*step)
-	if bHi < hi {
-		run := hi - bHi
-		j := 2 * int(insertBit(uint64(bHi), t, 0))
-		lm.run(v[j:j+2*run:j+2*run], v[j+2*step:j+2*step+2*run:j+2*step+2*run])
-	}
+	s.fanOut(half, func(_, lo, hi int) { lm.pairSubspace(v, t, 0, 0, lo, hi) })
 }
 
 // applyControlled1 applies a 2×2 unitary to target, controlled on
@@ -82,63 +41,12 @@ func (s *State) applyControlled1(control, target int, m gate.Mat2) {
 	quarter := len(s.amps) >> 2
 	lm := mat2Lanes(m)
 	v := lanes(s.amps)
+	cbit := uint64(1) << c
 	if s.serial(quarter) {
-		controlled1Chunk(v, lm, c, t, 0, quarter)
+		lm.pairSubspace(v, t, cbit, cbit, 0, quarter)
 		return
 	}
-	s.fanOut(quarter, func(_, lo, hi int) { controlled1Chunk(v, lm, c, t, lo, hi) })
-}
-
-// controlled1Chunk is applyControlled1 over control-set pairs [lo, hi).
-func controlled1Chunk(v []float64, lm laneMat2, c, t uint, lo, hi int) {
-	step := 1 << t
-	switch {
-	case t == 0:
-		// Pairs are adjacent cells (2q, 2q+1) with the control bit
-		// set in cell space; cells run contiguously below it.
-		cw := c - 1
-		cm := 1 << cw
-		for p := lo; p < hi; {
-			within := p & (cm - 1)
-			run := cm - within
-			if run > hi-p {
-				run = hi - p
-			}
-			cell := int(insertBit(uint64(p), cw, 1))
-			lm.adj(v[4*cell : 4*(cell+run)])
-			p += run
-		}
-	case c == 0:
-		// Odd amplitude slots of each target block participate.
-		tw := t - 1
-		tm := 1 << tw
-		for p := lo; p < hi; {
-			within := p & (tm - 1)
-			run := tm - within
-			if run > hi-p {
-				run = hi - p
-			}
-			j := 2 * (int(qmath.InsertTwoBits(uint64(p), 0, 1, t, 0)) - 1)
-			lm.runOdd(v[j:j+4*run:j+4*run], v[j+2*step:j+2*step+4*run:j+2*step+4*run])
-			p += run
-		}
-	default:
-		b0 := c
-		if t < c {
-			b0 = t
-		}
-		m0 := 1 << b0
-		for p := lo; p < hi; {
-			within := p & (m0 - 1)
-			run := m0 - within
-			if run > hi-p {
-				run = hi - p
-			}
-			j := 2 * int(qmath.InsertTwoBits(uint64(p), c, 1, t, 0))
-			lm.run(v[j:j+2*run:j+2*run], v[j+2*step:j+2*step+2*run:j+2*step+2*run])
-			p += run
-		}
-	}
+	s.fanOut(quarter, func(_, lo, hi int) { lm.pairSubspace(v, t, cbit, cbit, lo, hi) })
 }
 
 // ApplyCX applies the controlled-X with a swap-only inner loop (no

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"qgear/internal/gate"
-	"qgear/internal/qmath"
 )
 
 // Diagonal-gate fast paths. Z-axis rotations (rz, p, z, s, t) and
@@ -22,77 +21,44 @@ import (
 func (s *State) applyPhase1(target int, phase complex128) {
 	s.ensureCanonical()
 	s.checkQubit(target)
-	t := uint(target)
+	bit := uint64(1) << uint(target)
 	half := len(s.amps) >> 1
 	pr, pi := real(phase), imag(phase)
 	v := lanes(s.amps)
 	if s.serial(half) {
-		phase1Chunk(v, t, pr, pi, 0, half)
+		scaleSubspace(v, bit, bit, 0, half, pr, pi)
 		return
 	}
-	s.fanOut(half, func(_, lo, hi int) { phase1Chunk(v, t, pr, pi, lo, hi) })
-}
-
-// phase1Chunk is applyPhase1 over the target-set indices [lo, hi).
-func phase1Chunk(v []float64, t uint, pr, pi float64, lo, hi int) {
-	if t == 0 {
-		scaleOdd(v[4*lo:4*hi], pr, pi)
-		return
-	}
-	step := 1 << t
-	for p := lo; p < hi; {
-		within := p & (step - 1)
-		run := step - within
-		if run > hi-p {
-			run = hi - p
-		}
-		j := 2 * int(insertBit(uint64(p), t, 1))
-		scaleRun(v[j:j+2*run:j+2*run], pr, pi)
-		p += run
-	}
+	s.fanOut(half, func(_, lo, hi int) { scaleSubspace(v, bit, bit, lo, hi, pr, pi) })
 }
 
 // ApplyGlobalAndRelativePhase applies diag(a, b) on the target qubit —
-// the general single-qubit diagonal (rz has a ≠ 1). The index space
-// alternates contiguous a/b blocks of 2^t amplitudes, so the branchy
-// full scan becomes one lane-scale run per block (interleaved
-// two-factor passes when t = 0).
+// the general single-qubit diagonal (rz has a ≠ 1): the target-0 half
+// scaled by a and the target-1 half by b, worked as pairs of the two
+// (interleaved in one pass when t = 0).
 func (s *State) ApplyGlobalAndRelativePhase(target int, a, b complex128) {
 	s.ensureCanonical()
 	s.checkQubit(target)
 	t := uint(target)
+	half := len(s.amps) >> 1
 	v := lanes(s.amps)
-	// Work units are cells of two amplitudes when t = 0, blocks of 2^t
-	// otherwise.
-	units, unitBits := len(s.amps)>>1, 1
-	if t > 0 {
-		units, unitBits = len(s.amps)>>t, int(t)
-	}
-	if s.serialTiles(units, unitBits) {
-		diag1Chunk(v, t, a, b, 0, units)
+	if s.serial(half) {
+		diag1Chunk(v, t, a, b, 0, half)
 		return
 	}
-	s.fanOut(units, func(_, lo, hi int) { diag1Chunk(v, t, a, b, lo, hi) })
+	s.fanOut(half, func(_, lo, hi int) { diag1Chunk(v, t, a, b, lo, hi) })
 }
 
-// diag1Chunk is ApplyGlobalAndRelativePhase over cells (t = 0) or
-// blocks [lo, hi).
+// diag1Chunk is diag(a, b) on qubit t over the amplitude pairs [lo, hi)
+// — a whole state, a worker's chunk, or a tile.
 func diag1Chunk(v []float64, t uint, a, b complex128, lo, hi int) {
-	ar, ai := real(a), imag(a)
-	br, bi := real(b), imag(b)
 	if t == 0 {
-		scaleAB(v[4*lo:4*hi], ar, ai, br, bi)
+		scaleAB(v[4*lo:4*hi], real(a), imag(a), real(b), imag(b))
 		return
 	}
-	for blk := lo; blk < hi; blk++ {
-		j := 2 * (blk << t)
-		seg := v[j : j+2<<t : j+2<<t]
-		if blk&1 == 1 {
-			scaleRun(seg, br, bi)
-		} else {
-			scaleRun(seg, ar, ai)
-		}
-	}
+	bit := uint64(1) << t
+	scaleSubspace(v, bit, 0, lo, hi, real(a), imag(a))
+	scaleSubspace(v, bit, bit, lo, hi, real(b), imag(b))
 }
 
 // applyControlledPhase multiplies amplitudes with both control and
@@ -106,52 +72,15 @@ func (s *State) applyControlledPhase(control, target int, phase complex128) {
 	if control == target {
 		panic("statevec: control equals target")
 	}
-	c, t := uint(control), uint(target)
+	mask := uint64(1)<<uint(control) | uint64(1)<<uint(target)
 	quarter := len(s.amps) >> 2
 	pr, pi := real(phase), imag(phase)
 	v := lanes(s.amps)
 	if s.serial(quarter) {
-		controlledPhaseChunk(v, c, t, pr, pi, 0, quarter)
+		scaleSubspace(v, mask, mask, 0, quarter, pr, pi)
 		return
 	}
-	s.fanOut(quarter, func(_, lo, hi int) { controlledPhaseChunk(v, c, t, pr, pi, lo, hi) })
-}
-
-// controlledPhaseChunk is applyControlledPhase over the both-bits-set
-// indices [lo, hi).
-func controlledPhaseChunk(v []float64, c, t uint, pr, pi float64, lo, hi int) {
-	b0, b1 := c, t
-	if b0 > b1 {
-		b0, b1 = b1, b0
-	}
-	if b0 == 0 {
-		// Affected indices are the odd slots of cells with the
-		// other operand bit set.
-		hw := b1 - 1
-		hm := 1 << hw
-		for p := lo; p < hi; {
-			within := p & (hm - 1)
-			run := hm - within
-			if run > hi-p {
-				run = hi - p
-			}
-			cell := int(insertBit(uint64(p), hw, 1))
-			scaleOdd(v[4*cell:4*(cell+run)], pr, pi)
-			p += run
-		}
-		return
-	}
-	m0 := 1 << b0
-	for p := lo; p < hi; {
-		within := p & (m0 - 1)
-		run := m0 - within
-		if run > hi-p {
-			run = hi - p
-		}
-		j := 2 * int(qmath.InsertTwoBits(uint64(p), c, 1, t, 1))
-		scaleRun(v[j:j+2*run:j+2*run], pr, pi)
-		p += run
-	}
+	s.fanOut(quarter, func(_, lo, hi int) { scaleSubspace(v, mask, mask, lo, hi, pr, pi) })
 }
 
 // IsDiagonalGate reports whether the fast path covers gate g.

@@ -1,6 +1,7 @@
 package statevec
 
 import (
+	"math/bits"
 	"unsafe"
 
 	"qgear/internal/gate"
@@ -14,6 +15,14 @@ import (
 // registers, stream contiguous lane runs with hoisted bounds checks,
 // and drop the block/stride bookkeeping to plain increments — none of
 // which the compiler can do for opaque complex128 values.
+//
+// Every kernel is one of three strided primitives — scaleWindows (a
+// complex scale), pairReal and pairComplex (a 2×2 on lanes dist apart)
+// — applied to the sets of strided windows subspaceSets enumerates.
+// Call granularity is the rule: a primitive is called once per set of
+// windows, never once per window, so the narrowest shapes (one
+// amplitude per window, qubit 0) cost no call per amplitude and the
+// primitives are free to be out-of-line assembly.
 //
 // Bit-identity contract: every lane kernel performs *exactly* the
 // operations of the complex128 arithmetic it replaces, in the same
@@ -30,6 +39,23 @@ import (
 // complex kernels round identically everywhere. The lane fuzz suite
 // (lanes_test.go) pins exact bit equality against reference complex128
 // implementations for every micro-op kind.
+//
+// Packed doubles (lanes_amd64.s): the SSE2 bodies of the three
+// primitives work on one amplitude per register, both lanes at once,
+// with MULPD and ADDPD — each lane still one IEEE 754 multiply or add of
+// the same operands, so it rounds exactly as the scalar form. A complex
+// product's real lane is computed as re(x)*re(y) + im(x)*(−im(y)), the
+// factor's sign flipped once by XORPD: rounding to nearest is symmetric,
+// so a·(−b) = −(a·b), and IEEE 754 defines x − y as x + (−y). Addition
+// is commutative, so a lane's two operands may arrive in either order;
+// the grouping of a sum of products is the scalar form's. No FMA and
+// nothing above SSE2 (GOAMD64=v1), so no CPU detection. The one divergence is the sign (and payload) of a NaN: a
+// NaN propagates through a flipped factor and through either operand
+// order, where the scalar form's choice of NaN operand differs — a
+// state holding a NaN is already lost, and every NaN stays a NaN.
+// FuzzLanePrimitives holds each assembly body bit for bit to its Go
+// loop over arbitrary lane bits and window shapes, NaNs compared only
+// as NaNs.
 //
 // Real-matrix fast path: matrices whose four imaginary lanes are all
 // exactly +0 (h, x, y-axis rotations — the QCrank workload is nothing
@@ -60,8 +86,8 @@ type laneMat2 struct {
 	r2, i2, r3, i3 float64 // row 1: m[2], m[3]
 	// isReal marks a matrix whose imaginary lanes are all exact zeros
 	// (either sign: complex negation of a real entry yields -0, e.g.
-	// the -1/√2 in h); the mat1 kernels dispatch such matrices to the
-	// term-skipping real-arithmetic loops.
+	// the -1/√2 in h); pairs dispatches such matrices to the
+	// term-skipping pairReal.
 	isReal bool
 }
 
@@ -74,20 +100,135 @@ func mat2Lanes(m gate.Mat2) laneMat2 {
 	return lm
 }
 
-// run applies the matrix to a contiguous run of amplitude pairs: pair
-// j/2 is (p0[j], p0[j+1]) with partner (p1[j], p1[j+1]). This is the
-// workhorse: both streams are sequential, so the loop is four loads,
-// twenty-eight guarded float ops, and four stores per pair with no
-// index math.
-func (m *laneMat2) run(p0, p1 []float64) {
-	r0, i0, r1, i1 := m.r0, m.i0, m.r1, m.i1
-	r2, i2, r3, i3 := m.r2, m.i2, m.r3, m.i3
-	p1 = p1[:len(p0)]
+// pairs applies the matrix to windows of run lanes, one every period
+// lanes from lane 0 of v (as many as fit), each paired with the window
+// dist lanes on; real matrices take pairReal, the rest pairComplex.
+func (m *laneMat2) pairs(v []float64, dist, run, period int) {
 	if m.isReal {
-		// Same dispatch as sweep: a pair must see one formula no
-		// matter which kernel shape (or worker chunk) reaches it, so
-		// results stay bit-identical across worker counts.
-		for j := 0; j < len(p0); j += 2 {
+		pairReal(v, dist, run, period, m.r0, m.r1, m.r2, m.r3)
+		return
+	}
+	pairComplex(v, dist, run, period, m)
+}
+
+// pairSubspace applies the matrix to the amplitude pairs (i, i+2^t) of
+// members [lo, hi) of the subspace whose fixed bits equal val and whose
+// bit t is 0 — an uncontrolled mat1 (fixed = 0) or a controlled one
+// (fixed = val = the control bits) over a whole state, a worker's
+// chunk of one, or a tile.
+func (m laneMat2) pairSubspace(v []float64, t uint, fixed, val uint64, lo, hi int) {
+	dist := 1 << t
+	subspaceSets(fixed|1<<t, val, lo, hi, func(off, run, period, count int) {
+		end := off + (count-1)*period + dist + run
+		m.pairs(v[2*off:2*end], 2*dist, 2*run, 2*period)
+	})
+}
+
+// scaleSubspace multiplies members [lo, hi) of the subspace whose fixed
+// bits equal val by the complex scalar (pr + pi·i) — every diagonal
+// factor, from a whole-state phase to a tile's multi-bit predicate.
+func scaleSubspace(v []float64, fixed, val uint64, lo, hi int, pr, pi float64) {
+	subspaceSets(fixed, val, lo, hi, func(off, run, period, count int) {
+		end := off + (count-1)*period + run
+		scaleWindows(v[2*off:2*end], 2*run, 2*period, pr, pi)
+	})
+}
+
+// subspaceSets enumerates members [lo, hi) of the subspace of amplitude
+// indices whose fixed bits equal val (members numbered in index order)
+// as sets of strided windows: visit(off, run, period, count) receives
+// count windows of run amplitudes, the first at amplitude off and each
+// next one period amplitudes on. A lane primitive takes one set per
+// call.
+//
+// [lo, hi) is cut into aligned power-of-two blocks of members — one
+// block for a whole sweep or an aligned chunk, a few at the edges of an
+// unaligned one. A block is a cube: index bits [0, w) vary apart from
+// the fixed bits among them, and everything above is constant. In a
+// cube the free bits below the lowest fixed bit make the run, one
+// stretch of free bits above it makes the stride, and every other free
+// bit is enumerated, one set each.
+func subspaceSets(fixed, val uint64, lo, hi int, visit func(off, run, period, count int)) {
+	// strideBits picks the stride: the lowest stretch of at least this
+	// many free bits, so a set walks nearby windows (a set of windows
+	// far apart would pull each cache line of a tile in once per set);
+	// failing that, the widest stretch. 2^4 windows per call keep the
+	// call under the arithmetic even at one-amplitude windows.
+	const strideBits = 4
+
+	for p := lo; p < hi; {
+		k := bits.Len(uint(hi-p)) - 1 // the block: 2^k members at p
+		if tz := bits.TrailingZeros(uint(p)); tz < k {
+			k = tz
+		}
+		// The block's base index and cube width: its members' k low
+		// free bits, plus the fixed bits among them.
+		base, w := uint64(p), k
+		for f := fixed; f != 0; f &= f - 1 {
+			pos := bits.TrailingZeros64(f)
+			base = insertBit(base, uint(pos), val>>uint(pos)&1)
+			if pos < w {
+				w++
+			}
+		}
+		cube := uint64(1)<<uint(w) - 1
+		base = base&^cube | val&fixed&cube
+		lb := min(bits.TrailingZeros64(fixed&cube), w)
+		free := cube &^ (uint64(1)<<uint(lb) - 1) &^ fixed
+		g, glen := 0, 0 // the stride: see strideBits
+		for f := free; f != 0; {
+			s := bits.TrailingZeros64(f)
+			l := bits.TrailingZeros64(^(f >> uint(s)))
+			if l > glen {
+				g, glen = s, l
+			}
+			if l >= strideBits {
+				break
+			}
+			f &^= (uint64(1)<<uint(l) - 1) << uint(s)
+		}
+		outer := free &^ ((uint64(1)<<uint(glen) - 1) << uint(g))
+		for sub := uint64(0); ; {
+			visit(int(base|sub), 1<<uint(lb), 1<<uint(g), 1<<uint(glen))
+			if sub = (sub - outer) & outer; sub == 0 {
+				break
+			}
+		}
+		p += 1 << uint(k)
+	}
+}
+
+// The lane primitives. Each takes one set of strided windows per call
+// — windows of run lanes, one every period (> 0) lanes from lane 0 of
+// v, as many as fit in v — never one window: at the narrowest windows (one
+// amplitude) a call per window would cost more than the arithmetic. On
+// amd64 they are the SSE2 bodies of lanes_amd64.s; elsewhere they are
+// the Go loops below, which stay compiled on every GOARCH as the
+// reference the lane fuzz suite holds the assembly to. An odd last lane
+// of a window is left alone: windows hold whole amplitudes.
+
+// scaleWindowsGo multiplies every amplitude of the windows by the
+// complex scalar (pr + pi·i): scaleWindows' Go body.
+func scaleWindowsGo(v []float64, run, period int, pr, pi float64) {
+	for b := 0; b+run <= len(v); b += period {
+		w := v[b : b+run : b+run]
+		for j := 0; j+1 < len(w); j += 2 {
+			ar, ai := w[j], w[j+1]
+			w[j] = float64(ar*pr) - float64(ai*pi)
+			w[j+1] = float64(ar*pi) + float64(ai*pr)
+		}
+	}
+}
+
+// pairRealGo applies the real 2×2 [r0 r1; r2 r3] to each window and
+// its partner dist lanes on, lane by lane (real and imaginary lanes
+// decouple under a real matrix): pairReal's Go body. Windows and
+// partners must not overlap (dist ≥ run, no lane in two windows).
+func pairRealGo(v []float64, dist, run, period int, r0, r1, r2, r3 float64) {
+	for b := 0; b+dist+run <= len(v); b += period {
+		p0 := v[b : b+run : b+run]
+		p1 := v[b+dist : b+dist+run : b+dist+run]
+		for j := 0; j+1 < len(p0); j += 2 {
 			ar, ai := p0[j], p0[j+1]
 			br, bi := p1[j], p1[j+1]
 			p0[j] = float64(r0*ar) + float64(r1*br)
@@ -95,225 +236,26 @@ func (m *laneMat2) run(p0, p1 []float64) {
 			p1[j] = float64(r2*ar) + float64(r3*br)
 			p1[j+1] = float64(r2*ai) + float64(r3*bi)
 		}
-		return
-	}
-	for j := 0; j < len(p0); j += 2 {
-		ar, ai := p0[j], p0[j+1]
-		br, bi := p1[j], p1[j+1]
-		p0[j] = (float64(r0*ar) - float64(i0*ai)) + (float64(r1*br) - float64(i1*bi))
-		p0[j+1] = (float64(r0*ai) + float64(i0*ar)) + (float64(r1*bi) + float64(i1*br))
-		p1[j] = (float64(r2*ar) - float64(i2*ai)) + (float64(r3*br) - float64(i3*bi))
-		p1[j+1] = (float64(r2*ai) + float64(i2*ar)) + (float64(r3*bi) + float64(i3*br))
 	}
 }
 
-// adj applies the matrix to adjacent amplitude pairs — target bit 0,
-// where pair k is amplitudes (2k, 2k+1), i.e. lanes (4k..4k+3). One
-// flat pass, no block nesting: the degenerate one-iteration inner
-// loops of the blocked form cost more than the arithmetic at this
-// width, and low targets are exactly where relabeling parks the
-// hottest qubits.
-func (m *laneMat2) adj(v []float64) {
+// pairComplexGo is pairRealGo for a complex matrix: the full complex
+// pair update, four loads, twenty-eight float ops and four stores per
+// amplitude pair. pairComplex's Go body.
+func pairComplexGo(v []float64, dist, run, period int, m *laneMat2) {
 	r0, i0, r1, i1 := m.r0, m.i0, m.r1, m.i1
 	r2, i2, r3, i3 := m.r2, m.i2, m.r3, m.i3
-	if m.isReal {
-		for j := 0; j+3 < len(v); j += 4 {
-			ar, ai := v[j], v[j+1]
-			br, bi := v[j+2], v[j+3]
-			v[j] = float64(r0*ar) + float64(r1*br)
-			v[j+1] = float64(r0*ai) + float64(r1*bi)
-			v[j+2] = float64(r2*ar) + float64(r3*br)
-			v[j+3] = float64(r2*ai) + float64(r3*bi)
-		}
-		return
-	}
-	for j := 0; j+3 < len(v); j += 4 {
-		ar, ai := v[j], v[j+1]
-		br, bi := v[j+2], v[j+3]
-		v[j] = (float64(r0*ar) - float64(i0*ai)) + (float64(r1*br) - float64(i1*bi))
-		v[j+1] = (float64(r0*ai) + float64(i0*ar)) + (float64(r1*bi) + float64(i1*br))
-		v[j+2] = (float64(r2*ar) - float64(i2*ai)) + (float64(r3*br) - float64(i3*bi))
-		v[j+3] = (float64(r2*ai) + float64(i2*ar)) + (float64(r3*bi) + float64(i3*br))
-	}
-}
-
-// runOdd is run restricted to the odd amplitude slots of both
-// windows — the (control=qubit 0, target=T) subspace, where every
-// second pair participates.
-func (m *laneMat2) runOdd(p0, p1 []float64) {
-	r0, i0, r1, i1 := m.r0, m.i0, m.r1, m.i1
-	r2, i2, r3, i3 := m.r2, m.i2, m.r3, m.i3
-	p1 = p1[:len(p0)]
-	if m.isReal {
-		for j := 2; j < len(p0); j += 4 {
+	for b := 0; b+dist+run <= len(v); b += period {
+		p0 := v[b : b+run : b+run]
+		p1 := v[b+dist : b+dist+run : b+dist+run]
+		for j := 0; j+1 < len(p0); j += 2 {
 			ar, ai := p0[j], p0[j+1]
 			br, bi := p1[j], p1[j+1]
-			p0[j] = float64(r0*ar) + float64(r1*br)
-			p0[j+1] = float64(r0*ai) + float64(r1*bi)
-			p1[j] = float64(r2*ar) + float64(r3*br)
-			p1[j+1] = float64(r2*ai) + float64(r3*bi)
+			p0[j] = (float64(r0*ar) - float64(i0*ai)) + (float64(r1*br) - float64(i1*bi))
+			p0[j+1] = (float64(r0*ai) + float64(i0*ar)) + (float64(r1*bi) + float64(i1*br))
+			p1[j] = (float64(r2*ar) - float64(i2*ai)) + (float64(r3*br) - float64(i3*bi))
+			p1[j+1] = (float64(r2*ai) + float64(i2*ar)) + (float64(r3*bi) + float64(i3*br))
 		}
-		return
-	}
-	for j := 2; j < len(p0); j += 4 {
-		ar, ai := p0[j], p0[j+1]
-		br, bi := p1[j], p1[j+1]
-		p0[j] = (float64(r0*ar) - float64(i0*ai)) + (float64(r1*br) - float64(i1*bi))
-		p0[j+1] = (float64(r0*ai) + float64(i0*ar)) + (float64(r1*bi) + float64(i1*br))
-		p1[j] = (float64(r2*ar) - float64(i2*ai)) + (float64(r3*br) - float64(i3*bi))
-		p1[j+1] = (float64(r2*ai) + float64(i2*ar)) + (float64(r3*bi) + float64(i3*br))
-	}
-}
-
-// sweep applies the matrix to every pair of a window whose target
-// stride is step lanes (2 << T): the uncontrolled mat1 pattern.
-// Controlled kernels reuse it per control block — inside a block the
-// control bit is constant, so the remaining structure is exactly an
-// uncontrolled sweep. The pair-update body is written inline in every
-// shape (run/adj are too large for the inliner, and a call per
-// two-pair block at small strides costs more than the arithmetic —
-// exactly the degenerate-loop overhead this layer exists to remove);
-// the fuzz suite pins each copy against the complex reference.
-func (m *laneMat2) sweep(v []float64, step int) {
-	if m.isReal {
-		m.sweepReal(v, step)
-		return
-	}
-	r0, i0, r1, i1 := m.r0, m.i0, m.r1, m.i1
-	r2, i2, r3, i3 := m.r2, m.i2, m.r3, m.i3
-	switch step {
-	case 2: // target bit 0: adjacent pairs, one flat pass
-		for j := 0; j+3 < len(v); j += 4 {
-			ar, ai := v[j], v[j+1]
-			br, bi := v[j+2], v[j+3]
-			v[j] = (float64(r0*ar) - float64(i0*ai)) + (float64(r1*br) - float64(i1*bi))
-			v[j+1] = (float64(r0*ai) + float64(i0*ar)) + (float64(r1*bi) + float64(i1*br))
-			v[j+2] = (float64(r2*ar) - float64(i2*ai)) + (float64(r3*br) - float64(i3*bi))
-			v[j+3] = (float64(r2*ai) + float64(i2*ar)) + (float64(r3*bi) + float64(i3*br))
-		}
-	case 4: // target bit 1: two pairs per block, unrolled flat
-		for j := 0; j+7 < len(v); j += 8 {
-			ar, ai := v[j], v[j+1]
-			br, bi := v[j+4], v[j+5]
-			v[j] = (float64(r0*ar) - float64(i0*ai)) + (float64(r1*br) - float64(i1*bi))
-			v[j+1] = (float64(r0*ai) + float64(i0*ar)) + (float64(r1*bi) + float64(i1*br))
-			v[j+4] = (float64(r2*ar) - float64(i2*ai)) + (float64(r3*br) - float64(i3*bi))
-			v[j+5] = (float64(r2*ai) + float64(i2*ar)) + (float64(r3*bi) + float64(i3*br))
-			cr, ci := v[j+2], v[j+3]
-			dr, di := v[j+6], v[j+7]
-			v[j+2] = (float64(r0*cr) - float64(i0*ci)) + (float64(r1*dr) - float64(i1*di))
-			v[j+3] = (float64(r0*ci) + float64(i0*cr)) + (float64(r1*di) + float64(i1*dr))
-			v[j+6] = (float64(r2*cr) - float64(i2*ci)) + (float64(r3*dr) - float64(i3*di))
-			v[j+7] = (float64(r2*ci) + float64(i2*cr)) + (float64(r3*di) + float64(i3*dr))
-		}
-	default:
-		for blk := 0; blk < len(v); blk += 2 * step {
-			p0 := v[blk : blk+step : blk+step]
-			p1 := v[blk+step : blk+2*step : blk+2*step]
-			p1 = p1[:len(p0)]
-			for j := 0; j < len(p0); j += 2 {
-				ar, ai := p0[j], p0[j+1]
-				br, bi := p1[j], p1[j+1]
-				p0[j] = (float64(r0*ar) - float64(i0*ai)) + (float64(r1*br) - float64(i1*bi))
-				p0[j+1] = (float64(r0*ai) + float64(i0*ar)) + (float64(r1*bi) + float64(i1*br))
-				p1[j] = (float64(r2*ar) - float64(i2*ai)) + (float64(r3*br) - float64(i3*bi))
-				p1[j+1] = (float64(r2*ai) + float64(i2*ar)) + (float64(r3*bi) + float64(i3*br))
-			}
-		}
-	}
-}
-
-// sweepReal is sweep for real-valued matrices: the imaginary matrix
-// lanes are exact zeros, so their products are skipped (see the
-// real-matrix fast path note in the package doc). Real and imaginary
-// amplitude lanes decouple into the same 2×2 real transform.
-func (m *laneMat2) sweepReal(v []float64, step int) {
-	r0, r1, r2, r3 := m.r0, m.r1, m.r2, m.r3
-	switch step {
-	case 2: // target bit 0: adjacent pairs, flat, two pairs per iteration
-		j := 0
-		for ; j+7 < len(v); j += 8 {
-			ar, ai := v[j], v[j+1]
-			br, bi := v[j+2], v[j+3]
-			v[j] = float64(r0*ar) + float64(r1*br)
-			v[j+1] = float64(r0*ai) + float64(r1*bi)
-			v[j+2] = float64(r2*ar) + float64(r3*br)
-			v[j+3] = float64(r2*ai) + float64(r3*bi)
-			cr, ci := v[j+4], v[j+5]
-			dr, di := v[j+6], v[j+7]
-			v[j+4] = float64(r0*cr) + float64(r1*dr)
-			v[j+5] = float64(r0*ci) + float64(r1*di)
-			v[j+6] = float64(r2*cr) + float64(r3*dr)
-			v[j+7] = float64(r2*ci) + float64(r3*di)
-		}
-		if j+3 < len(v) {
-			ar, ai := v[j], v[j+1]
-			br, bi := v[j+2], v[j+3]
-			v[j] = float64(r0*ar) + float64(r1*br)
-			v[j+1] = float64(r0*ai) + float64(r1*bi)
-			v[j+2] = float64(r2*ar) + float64(r3*br)
-			v[j+3] = float64(r2*ai) + float64(r3*bi)
-		}
-	case 4: // target bit 1: two pairs per block, unrolled flat
-		for j := 0; j+7 < len(v); j += 8 {
-			ar, ai := v[j], v[j+1]
-			br, bi := v[j+4], v[j+5]
-			v[j] = float64(r0*ar) + float64(r1*br)
-			v[j+1] = float64(r0*ai) + float64(r1*bi)
-			v[j+4] = float64(r2*ar) + float64(r3*br)
-			v[j+5] = float64(r2*ai) + float64(r3*bi)
-			cr, ci := v[j+2], v[j+3]
-			dr, di := v[j+6], v[j+7]
-			v[j+2] = float64(r0*cr) + float64(r1*dr)
-			v[j+3] = float64(r0*ci) + float64(r1*di)
-			v[j+6] = float64(r2*cr) + float64(r3*dr)
-			v[j+7] = float64(r2*ci) + float64(r3*di)
-		}
-	default:
-		// step is a power of two ≥ 8 here, so each window is a
-		// multiple of two pairs: two per iteration, no tail.
-		for blk := 0; blk < len(v); blk += 2 * step {
-			p0 := v[blk : blk+step : blk+step]
-			p1 := v[blk+step : blk+2*step : blk+2*step]
-			p1 = p1[:len(p0)]
-			for j := 0; j+3 < len(p0); j += 4 {
-				ar, ai := p0[j], p0[j+1]
-				br, bi := p1[j], p1[j+1]
-				p0[j] = float64(r0*ar) + float64(r1*br)
-				p0[j+1] = float64(r0*ai) + float64(r1*bi)
-				p1[j] = float64(r2*ar) + float64(r3*br)
-				p1[j+1] = float64(r2*ai) + float64(r3*bi)
-				cr, ci := p0[j+2], p0[j+3]
-				dr, di := p1[j+2], p1[j+3]
-				p0[j+2] = float64(r0*cr) + float64(r1*dr)
-				p0[j+3] = float64(r0*ci) + float64(r1*di)
-				p1[j+2] = float64(r2*cr) + float64(r3*dr)
-				p1[j+3] = float64(r2*ci) + float64(r3*di)
-			}
-		}
-	}
-}
-
-// scaleRun multiplies a contiguous lane run by the complex scalar
-// (pr + pi·i) — the diagonal-gate inner loop. Kept small enough to
-// inline: diagonal windows can be as narrow as two amplitudes, where
-// a call (or a wider unrolled body that defeats inlining) costs more
-// than the arithmetic.
-func scaleRun(seg []float64, pr, pi float64) {
-	for j := 0; j+1 < len(seg); j += 2 {
-		ar, ai := seg[j], seg[j+1]
-		seg[j] = float64(ar*pr) - float64(ai*pi)
-		seg[j+1] = float64(ar*pi) + float64(ai*pr)
-	}
-}
-
-// scaleOdd multiplies the odd amplitude slots of a lane window by the
-// scalar — a diagonal factor on qubit 0.
-func scaleOdd(seg []float64, pr, pi float64) {
-	for j := 2; j+1 < len(seg); j += 4 {
-		ar, ai := seg[j], seg[j+1]
-		seg[j] = float64(ar*pr) - float64(ai*pi)
-		seg[j+1] = float64(ar*pi) + float64(ai*pr)
 	}
 }
 

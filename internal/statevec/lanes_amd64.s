@@ -1,0 +1,230 @@
+#include "textflag.h"
+
+// SSE2 bodies of the lane primitives (lanes.go, lanes_amd64.go): one
+// amplitude per XMM register; scale and real pair take two amplitudes
+// per loop iteration and a one-amplitude tail, the complex pair (eight
+// factor registers) one. Unaligned loads and stores throughout. MULPD
+// and ADDPD only — no FMA, nothing above SSE2.
+
+// func scaleWindowsSSE2(v *float64, amps, period, count int, pr, pi float64)
+TEXT ·scaleWindowsSSE2(SB), NOSPLIT, $0-48
+	MOVQ	v+0(FP), DI
+	MOVQ	amps+8(FP), CX
+	MOVQ	period+16(FP), DX
+	SHLQ	$3, DX              // period in bytes
+	MOVQ	count+24(FP), BX
+	MOVSD	pr+32(FP), X0
+	UNPCKLPD	X0, X0          // X0 = [pr, pr]
+	MOVSD	pi+40(FP), X1
+	UNPCKLPD	X1, X1          // X1 = [pi, pi]
+	MOVQ	$0x8000000000000000, AX
+	MOVQ	AX, X7              // X7 = [sign bit, 0]
+	XORPD	X7, X1              // X1 = [-pi, pi]
+	TESTQ	BX, BX
+	JLE	done
+
+window:
+	MOVQ	DI, SI
+	MOVQ	CX, AX
+	SUBQ	$2, AX
+	JL	tail
+
+two:
+	MOVUPD	(SI), X2            // [ar, ai]
+	MOVUPD	16(SI), X3
+	PSHUFD	$0x4e, X2, X4       // [ai, ar]
+	PSHUFD	$0x4e, X3, X5
+	MULPD	X0, X2              // [ar*pr, ai*pr]
+	MULPD	X0, X3
+	MULPD	X1, X4              // [ai*-pi, ar*pi]
+	MULPD	X1, X5
+	ADDPD	X4, X2              // [ar*pr - ai*pi, ai*pr + ar*pi]
+	ADDPD	X5, X3
+	MOVUPD	X2, (SI)
+	MOVUPD	X3, 16(SI)
+	ADDQ	$32, SI
+	SUBQ	$2, AX
+	JGE	two
+
+tail:
+	CMPQ	AX, $-1             // -1: one amplitude left, -2: none
+	JNE	next
+	MOVUPD	(SI), X2
+	PSHUFD	$0x4e, X2, X4
+	MULPD	X0, X2
+	MULPD	X1, X4
+	ADDPD	X4, X2
+	MOVUPD	X2, (SI)
+
+next:
+	ADDQ	DX, DI
+	DECQ	BX
+	JNZ	window
+
+done:
+	RET
+
+// func pairRealSSE2(v *float64, dist, amps, period, count int, r0, r1, r2, r3 float64)
+TEXT ·pairRealSSE2(SB), NOSPLIT, $0-72
+	MOVQ	v+0(FP), DI
+	MOVQ	dist+8(FP), R8
+	SHLQ	$3, R8              // dist in bytes
+	MOVQ	amps+16(FP), CX
+	MOVQ	period+24(FP), DX
+	SHLQ	$3, DX              // period in bytes
+	MOVQ	count+32(FP), BX
+	MOVSD	r0+40(FP), X0
+	UNPCKLPD	X0, X0          // X0 = [r0, r0]
+	MOVSD	r1+48(FP), X1
+	UNPCKLPD	X1, X1
+	MOVSD	r2+56(FP), X2
+	UNPCKLPD	X2, X2
+	MOVSD	r3+64(FP), X3
+	UNPCKLPD	X3, X3
+	TESTQ	BX, BX
+	JLE	done
+
+window:
+	MOVQ	DI, SI              // SI: window, R9: partner
+	LEAQ	(DI)(R8*1), R9
+	MOVQ	CX, AX
+	SUBQ	$2, AX
+	JL	tail
+
+two:
+	MOVUPD	(SI), X4            // a
+	MOVUPD	(R9), X5            // b
+	MOVUPD	16(SI), X6          // c
+	MOVUPD	16(R9), X7          // d
+	MOVAPD	X4, X8
+	MOVAPD	X5, X9
+	MULPD	X0, X4              // r0*a
+	MULPD	X1, X9              // r1*b
+	MULPD	X2, X8              // r2*a
+	MULPD	X3, X5              // r3*b
+	ADDPD	X9, X4              // r0*a + r1*b
+	ADDPD	X5, X8              // r2*a + r3*b
+	MOVAPD	X6, X10
+	MOVAPD	X7, X11
+	MULPD	X0, X6
+	MULPD	X1, X11
+	MULPD	X2, X10
+	MULPD	X3, X7
+	ADDPD	X11, X6
+	ADDPD	X7, X10
+	MOVUPD	X4, (SI)
+	MOVUPD	X8, (R9)
+	MOVUPD	X6, 16(SI)
+	MOVUPD	X10, 16(R9)
+	ADDQ	$32, SI
+	ADDQ	$32, R9
+	SUBQ	$2, AX
+	JGE	two
+
+tail:
+	CMPQ	AX, $-1             // -1: one amplitude left, -2: none
+	JNE	next
+	MOVUPD	(SI), X4
+	MOVUPD	(R9), X5
+	MOVAPD	X4, X8
+	MOVAPD	X5, X9
+	MULPD	X0, X4
+	MULPD	X1, X9
+	MULPD	X2, X8
+	MULPD	X3, X5
+	ADDPD	X9, X4
+	ADDPD	X5, X8
+	MOVUPD	X4, (SI)
+	MOVUPD	X8, (R9)
+
+next:
+	ADDQ	DX, DI
+	DECQ	BX
+	JNZ	window
+
+done:
+	RET
+
+// func pairComplexSSE2(v *float64, dist, amps, period, count int, r0, i0, r1, i1, r2, i2, r3, i3 float64)
+//
+// Each complex product m·a is a·[re m, re m] + swap(a)·[−im m, im m]:
+// [re m·re a − im m·im a, re m·im a + im m·re a], the two groups of
+// the scalar form in their order; the two products of a row are then
+// added, as the scalar form adds its groups.
+TEXT ·pairComplexSSE2(SB), NOSPLIT, $0-104
+	MOVQ	v+0(FP), DI
+	MOVQ	dist+8(FP), R8
+	SHLQ	$3, R8              // dist in bytes
+	MOVQ	amps+16(FP), CX
+	MOVQ	period+24(FP), DX
+	SHLQ	$3, DX              // period in bytes
+	MOVQ	count+32(FP), BX
+	MOVQ	$0x8000000000000000, AX
+	MOVQ	AX, X15             // X15 = [sign bit, 0]
+	MOVSD	r0+40(FP), X0
+	UNPCKLPD	X0, X0          // X0 = [r0, r0]
+	MOVSD	i0+48(FP), X1
+	UNPCKLPD	X1, X1
+	XORPD	X15, X1             // X1 = [-i0, i0]
+	MOVSD	r1+56(FP), X2
+	UNPCKLPD	X2, X2
+	MOVSD	i1+64(FP), X3
+	UNPCKLPD	X3, X3
+	XORPD	X15, X3
+	MOVSD	r2+72(FP), X4
+	UNPCKLPD	X4, X4
+	MOVSD	i2+80(FP), X5
+	UNPCKLPD	X5, X5
+	XORPD	X15, X5
+	MOVSD	r3+88(FP), X6
+	UNPCKLPD	X6, X6
+	MOVSD	i3+96(FP), X7
+	UNPCKLPD	X7, X7
+	XORPD	X15, X7
+	TESTQ	BX, BX
+	JLE	done
+
+window:
+	MOVQ	DI, SI              // SI: window, R9: partner
+	LEAQ	(DI)(R8*1), R9
+	MOVQ	CX, AX
+	TESTQ	AX, AX
+	JLE	next
+
+one:
+	MOVUPD	(SI), X8            // a = [ar, ai]
+	MOVUPD	(R9), X9            // b = [br, bi]
+	PSHUFD	$0x4e, X8, X10      // [ai, ar]
+	PSHUFD	$0x4e, X9, X11      // [bi, br]
+	MOVAPD	X8, X12
+	MULPD	X0, X12             // [r0*ar, r0*ai]
+	MOVAPD	X10, X13
+	MULPD	X1, X13             // [ai*-i0, ar*i0]
+	ADDPD	X13, X12            // m0·a
+	MOVAPD	X9, X13
+	MULPD	X2, X13
+	MOVAPD	X11, X14
+	MULPD	X3, X14
+	ADDPD	X14, X13            // m1·b
+	ADDPD	X13, X12            // m0·a + m1·b
+	MULPD	X4, X8
+	MULPD	X5, X10
+	ADDPD	X10, X8             // m2·a
+	MULPD	X6, X9
+	MULPD	X7, X11
+	ADDPD	X11, X9             // m3·b
+	ADDPD	X9, X8              // m2·a + m3·b
+	MOVUPD	X12, (SI)
+	MOVUPD	X8, (R9)
+	ADDQ	$16, SI
+	ADDQ	$16, R9
+	DECQ	AX
+	JNZ	one
+
+next:
+	ADDQ	DX, DI
+	DECQ	BX
+	JNZ	window
+
+done:
+	RET

@@ -1,7 +1,10 @@
 package statevec
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"qgear/internal/gate"
@@ -26,6 +29,38 @@ func randAmps(n int, rng *qmath.RNG) []complex128 {
 		a[i] = complex(re, im)
 	}
 	return a
+}
+
+// specialLanes are the lane values at the edges of IEEE 754 arithmetic:
+// signed zeros, infinities and subnormals.
+var specialLanes = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	0x1p-1060, -0x1.8p-1030,
+}
+
+// seedSpecials overwrites about one lane in eight with a special lane
+// value. Products with them make further zeros, infinities, subnormal
+// results and NaNs (0·∞, ∞ − ∞).
+func seedSpecials(a []complex128, rng *qmath.RNG) {
+	v := lanes(a)
+	for k := len(v)/8 + 1; k > 0; k-- {
+		v[rng.Intn(len(v))] = specialLanes[rng.Intn(len(specialLanes))]
+	}
+}
+
+// lanesEqual is bitsEqual for states seeded with special lanes: every
+// lane bit for bit, except that a NaN matches any NaN — which NaN an
+// operation propagates is not part of the lane contract (lanes.go).
+func lanesEqual(t *testing.T, got, want []complex128, ctx string) {
+	t.Helper()
+	g, w := lanes(got), lanes(want)
+	for i := range w {
+		if math.Float64bits(g[i]) != math.Float64bits(w[i]) && !(math.IsNaN(g[i]) && math.IsNaN(w[i])) {
+			t.Fatalf("%s: lane %d (amplitude %d) differs: got %v (%#x) want %v (%#x)",
+				ctx, i, i/2, g[i], math.Float64bits(g[i]), w[i], math.Float64bits(w[i]))
+		}
+	}
 }
 
 // randUnitary2 returns a dense complex 2×2 unitary (u3-shaped);
@@ -156,19 +191,29 @@ func refTileRelPhase(tile []complex128, base uint64, op *TileOp) {
 // TestTileKernelBitIdentityFuzz drives every tile micro-op kind over
 // random tiles, operand placements, and both matrix families, and
 // requires the lane kernels to reproduce the complex128 references
-// bit for bit.
+// bit for bit. Tile widths reach 12, so one-amplitude windows, the
+// lane primitives' two-amplitude loop with and without its
+// one-amplitude tail, and long windows all run. Every other trial seeds
+// special lanes (±0, ±∞, subnormals); those trials draw only complex
+// matrices, because the real fast path differs from complex arithmetic
+// on exact zeros and infinities by design (lanes.go) — its body is held
+// to its Go loop on arbitrary bits by FuzzLanePrimitives instead.
 func TestTileKernelBitIdentityFuzz(t *testing.T) {
 	rng := qmath.NewRNG(0x1a9e5)
-	for trial := 0; trial < 400; trial++ {
-		tb := 2 + rng.Intn(7) // tile widths 2..8
+	for trial := 0; trial < 800; trial++ { // 400 ordinary, 400 special
+		tb := 2 + rng.Intn(11) // tile widths 2..12
 		tile := randAmps(1<<uint(tb), rng)
+		special := trial%2 == 1
+		if special {
+			seedSpecials(tile, rng)
+		}
 		ref := append([]complex128(nil), tile...)
 
 		var ctx string
 		switch rng.Intn(4) {
 		case 0: // TileMat1, all control placements
 			op := TileOp{Kind: TileMat1, T: uint8(rng.Intn(tb))}
-			if rng.Intn(2) == 0 {
+			if special || rng.Intn(2) == 0 {
 				op.M = randUnitary2(rng)
 			} else {
 				op.M = randReal2(rng)
@@ -218,7 +263,11 @@ func TestTileKernelBitIdentityFuzz(t *testing.T) {
 			applyTileRelPhase(tile, base, &op)
 			refTileRelPhase(ref, base, &op)
 		}
-		bitsEqual(t, tile, ref, ctx)
+		if special {
+			lanesEqual(t, tile, ref, ctx+" (special lanes)")
+		} else {
+			bitsEqual(t, tile, ref, ctx)
+		}
 	}
 }
 
@@ -279,6 +328,16 @@ func refControlledPhase(amps []complex128, c, t uint, phase complex128) {
 	}
 }
 
+func refCX(amps []complex128, c, t uint) {
+	for i := range amps {
+		u := uint64(i)
+		if u>>c&1 == 1 && u>>t&1 == 0 {
+			j := u | 1<<t
+			amps[i], amps[j] = amps[j], amps[i]
+		}
+	}
+}
+
 func refSwapBits(amps []complex128, a, b uint) {
 	for i := range amps {
 		u := uint64(i)
@@ -292,14 +351,19 @@ func refSwapBits(amps []complex128, a, b uint) {
 // TestFullSweepKernelBitIdentityFuzz checks the full-state kernels
 // against per-index complex references, at every worker count the
 // fuzz reaches — the sharded sweeps must be bit-identical to the
-// serial reference regardless of chunk boundaries.
+// serial reference regardless of chunk boundaries. Widths, special
+// lanes and matrix families as in TestTileKernelBitIdentityFuzz.
 func TestFullSweepKernelBitIdentityFuzz(t *testing.T) {
 	rng := qmath.NewRNG(0xf0522)
-	for trial := 0; trial < 250; trial++ {
-		n := 2 + rng.Intn(8) // 2..9 qubits
+	for trial := 0; trial < 500; trial++ { // 250 ordinary, 250 special
+		n := 2 + rng.Intn(11) // 2..12 qubits
 		workers := []int{1, 2, 4}[rng.Intn(3)]
 		s := MustNew(n, workers)
 		amps := randAmps(1<<uint(n), rng)
+		special := trial%2 == 1
+		if special {
+			seedSpecials(amps, rng)
+		}
 		copy(s.amps, amps)
 		ref := append([]complex128(nil), amps...)
 
@@ -308,7 +372,7 @@ func TestFullSweepKernelBitIdentityFuzz(t *testing.T) {
 		case 0:
 			tq := uint(rng.Intn(n))
 			var m gate.Mat2
-			if rng.Intn(2) == 0 {
+			if special || rng.Intn(2) == 0 {
 				m = randUnitary2(rng)
 			} else {
 				m = randReal2(rng)
@@ -323,7 +387,7 @@ func TestFullSweepKernelBitIdentityFuzz(t *testing.T) {
 				tq++
 			}
 			var m gate.Mat2
-			if rng.Intn(2) == 0 {
+			if special || rng.Intn(2) == 0 {
 				m = randUnitary2(rng)
 			} else {
 				m = randReal2(rng)
@@ -339,7 +403,11 @@ func TestFullSweepKernelBitIdentityFuzz(t *testing.T) {
 			}
 			ctx = "ApplyCX"
 			s.ApplyCX(int(c), int(tq))
-			refControlled1(ref, c, tq, gate.Matrix1(gate.X, nil))
+			if special {
+				refCX(ref, c, tq) // X arithmetic would turn ±0 and ∞ into other bits
+			} else {
+				refControlled1(ref, c, tq, gate.Matrix1(gate.X, nil))
+			}
 		case 3:
 			tq := uint(rng.Intn(n))
 			if rng.Intn(2) == 0 {
@@ -373,7 +441,11 @@ func TestFullSweepKernelBitIdentityFuzz(t *testing.T) {
 			s.ApplySwap(int(a), int(b))
 			refSwapBits(ref, a, b)
 		}
-		bitsEqual(t, s.amps, ref, ctx)
+		if special {
+			lanesEqual(t, s.amps, ref, ctx+" (special lanes)")
+		} else {
+			bitsEqual(t, s.amps, ref, ctx)
+		}
 	}
 }
 
@@ -583,5 +655,195 @@ func BenchmarkRepeatedReadout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.Probabilities()
+	}
+}
+
+// TestSubspaceSetsCoverChunk checks the window-set enumeration every
+// kernel runs on: for random fixed bits, values and member ranges —
+// chunk edges anywhere, not only where a power-of-two worker count puts
+// them — the windows cover exactly members [lo, hi) of the subspace,
+// each amplitude once.
+func TestSubspaceSetsCoverChunk(t *testing.T) {
+	rng := qmath.NewRNG(0x5e75)
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(10)
+		var fixed uint64
+		for k := rng.Intn(min(n, 4) + 1); k > 0; k-- {
+			fixed |= 1 << uint(rng.Intn(n))
+		}
+		val := fixed & rng.Uint64()
+		var members []int
+		for i := 0; i < 1<<uint(n); i++ {
+			if uint64(i)&fixed == val {
+				members = append(members, i)
+			}
+		}
+		lo := rng.Intn(len(members) + 1)
+		hi := lo + rng.Intn(len(members)-lo+1)
+
+		hits := make([]int, 1<<uint(n))
+		subspaceSets(fixed, val, lo, hi, func(off, run, period, count int) {
+			if run < 1 || count < 1 || (count > 1 && period < run) {
+				t.Fatalf("n=%d fixed=%#x: malformed set off=%d run=%d period=%d count=%d", n, fixed, off, run, period, count)
+			}
+			for w := 0; w < count; w++ {
+				for j := 0; j < run; j++ {
+					hits[off+w*period+j]++
+				}
+			}
+		})
+		want := make([]int, 1<<uint(n))
+		for _, i := range members[lo:hi] {
+			want[i] = 1
+		}
+		for i := range want {
+			if hits[i] != want[i] {
+				t.Fatalf("n=%d fixed=%#x val=%#x members [%d,%d): amplitude %d visited %d times, want %d",
+					n, fixed, val, lo, hi, i, hits[i], want[i])
+			}
+		}
+	}
+}
+
+// sameLanes reports whether two lane slices are equal bit for bit, a
+// NaN matching any NaN (the packed bodies' one divergence, lanes.go).
+func sameLanes(got, want []float64) (int, bool) {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// disjointPairs reports whether pairReal's windows and partners touch
+// every lane of an n-lane buffer at most once — the shapes the kernels
+// produce, and the only ones the primitive is defined on.
+func disjointPairs(n, dist, run, period int) bool {
+	if dist < run {
+		return false
+	}
+	seen := make([]bool, n)
+	for b := 0; b+dist+run <= n; b += period {
+		for j := 0; j < run&^1; j++ {
+			for _, i := range []int{b + j, b + dist + j} {
+				if seen[i] {
+					return false
+				}
+				seen[i] = true
+			}
+		}
+	}
+	return true
+}
+
+// FuzzLanePrimitives holds the three lane primitives — the SSE2 bodies
+// on amd64 — bit for bit to their Go loops over arbitrary lane bits,
+// arbitrary factors and arbitrary (run, period, dist) window shapes.
+// A NaN is compared only as a NaN: its sign is the one documented
+// divergence of the packed form. On other GOARCH both sides are the Go
+// loop.
+func FuzzLanePrimitives(f *testing.F) {
+	specials := make([]byte, 0, 8*len(specialLanes))
+	for _, x := range specialLanes {
+		specials = binary.LittleEndian.AppendUint64(specials, math.Float64bits(x))
+	}
+	ordinary := make([]byte, 0, 8*64)
+	for i := 0; i < 64; i++ {
+		ordinary = binary.LittleEndian.AppendUint64(ordinary, math.Float64bits(float64(i)-31.5))
+	}
+	c, s := math.Cos(0.3), math.Sin(0.3)
+	for _, shape := range [][3]uint16{{2, 4, 2}, {4, 8, 4}, {6, 16, 8}, {2, 4, 16}, {64, 128, 64}, {64, 64, 0}} {
+		f.Add(ordinary, shape[0], shape[1], shape[2], c, s, c, -s)
+		f.Add(append(append([]byte(nil), specials...), ordinary...), shape[0], shape[1], shape[2], s, c, math.Inf(1), 0.0)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, run, period, dist uint16, f0, f1, f2, f3 float64) {
+		n := min(len(data)/8, 1024)
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		r, p, d := int(run)%(n+1), 1+int(period)%(n+1), int(dist)%(n+1)
+
+		got, want := append([]float64(nil), v...), append([]float64(nil), v...)
+		scaleWindows(got, r, p, f0, f1)
+		scaleWindowsGo(want, r, p, f0, f1)
+		if i, ok := sameLanes(got, want); !ok {
+			t.Fatalf("scaleWindows(run %d, period %d, %v%+vi): lane %d = %#x, Go loop %#x",
+				r, p, f0, f1, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+
+		if !disjointPairs(n, d, r, p) {
+			return
+		}
+		copy(got, v)
+		copy(want, v)
+		pairReal(got, d, r, p, f0, f1, f2, f3)
+		pairRealGo(want, d, r, p, f0, f1, f2, f3)
+		if i, ok := sameLanes(got, want); !ok {
+			t.Fatalf("pairReal(dist %d, run %d, period %d, [%v %v; %v %v]): lane %d = %#x, Go loop %#x",
+				d, r, p, f0, f1, f2, f3, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+
+		// The complex matrix reuses the four factors crosswise, so
+		// every entry has both parts drawn from the input.
+		m := laneMat2{r0: f0, i0: f1, r1: f2, i1: f3, r2: f3, i2: f2, r3: f1, i3: f0}
+		copy(got, v)
+		copy(want, v)
+		pairComplex(got, d, r, p, &m)
+		pairComplexGo(want, d, r, p, &m)
+		if i, ok := sameLanes(got, want); !ok {
+			t.Fatalf("pairComplex(dist %d, run %d, period %d, %+v): lane %d = %#x, Go loop %#x",
+				d, r, p, m, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	})
+}
+
+// BenchmarkLanePrimitives reports each lane primitive's GB/s (b.SetBytes:
+// the lanes it reads and writes once per call) for this GOARCH's body
+// and the Go loop, over a 2^14-amplitude (256 KiB, L2-resident) buffer,
+// by window width in amplitudes: 1 (qubit 0), 2 (qubit 1), 32, and one
+// contiguous window. scale windows sit at every other window slot;
+// pair (real) and cpair (complex, u3) windows fill the buffer with
+// their partners.
+func BenchmarkLanePrimitives(b *testing.B) {
+	v := lanes(randAmps(1<<14, qmath.NewRNG(9)))
+	c, s := math.Cos(0.3), math.Sin(0.3) // unit factors keep the lanes bounded
+	u := mat2Lanes(gate.Matrix1(gate.U3, []float64{0.3, 0.5, 0.7}))
+	bodies := []struct {
+		name  string
+		scale func(v []float64, run, period int, pr, pi float64)
+		pair  func(v []float64, dist, run, period int, r0, r1, r2, r3 float64)
+		cpair func(v []float64, dist, run, period int, m *laneMat2)
+	}{
+		{runtime.GOARCH, scaleWindows, pairReal, pairComplex},
+		{"go", scaleWindowsGo, pairRealGo, pairComplexGo},
+	}
+	for _, body := range bodies {
+		for _, amps := range []int{1, 2, 32, len(v) / 4} {
+			run := 2 * amps
+			name := fmt.Sprintf("w%d", amps)
+			if amps == len(v)/4 {
+				name = "contiguous"
+			}
+			b.Run("scale/"+body.name+"/"+name, func(b *testing.B) {
+				b.SetBytes(int64(8 * len(v) / 2))
+				for i := 0; i < b.N; i++ {
+					body.scale(v, run, 2*run, c, s)
+				}
+			})
+			b.Run("pair/"+body.name+"/"+name, func(b *testing.B) {
+				b.SetBytes(int64(8 * len(v)))
+				for i := 0; i < b.N; i++ {
+					body.pair(v, run, run, 2*run, c, -s, s, c)
+				}
+			})
+			b.Run("cpair/"+body.name+"/"+name, func(b *testing.B) {
+				b.SetBytes(int64(8 * len(v)))
+				for i := 0; i < b.N; i++ {
+					body.cpair(v, run, run, 2*run, &u)
+				}
+			})
+		}
 	}
 }

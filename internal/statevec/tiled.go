@@ -229,66 +229,29 @@ func (s *State) ApplyTileRun(tileBits int, base uint64, ops []TileOp) error {
 }
 
 // The in-tile kernels below run on the float64 lane layer (lanes.go):
-// index subspaces are enumerated as contiguous runs — pure increments,
-// no per-index bit insertion — and the arithmetic is explicit real/imag
-// lane math that is bit-identical to the complex128 form (see the
-// contract in lanes.go; pinned by the fuzz suite in lanes_test.go).
-// Visit order over the disjoint pairs changes relative to the
-// full-sweep kernels, but the per-amplitude arithmetic is identical, so
-// results stay bit-identical; the sequential access pattern is what
-// lets a hot tile stream through the core at L2 speed.
+// a tile's affected subspace is enumerated as sets of strided windows
+// — the same enumeration the full-sweep kernels run on a worker's
+// chunk, no per-index bit insertion — and each set is one call of a
+// lane primitive, whose arithmetic is bit-identical to the complex128
+// form (see the contract in lanes.go; pinned by the fuzz suite in
+// lanes_test.go). Visit order over the disjoint pairs changes relative
+// to the full-sweep kernels, but the per-amplitude arithmetic is
+// identical, so results stay bit-identical; the sequential access
+// pattern is what lets a hot tile stream through the core at L2 speed.
 
 // applyTileMat1 mirrors ApplyMat1 / applyControlled1 within one tile.
-// Controlled cases reduce to the uncontrolled sweep: with C > T each
-// control=1 block is a contiguous window holding an uncontrolled mat1;
-// with C < T the control selects strided sub-runs inside each target
-// block (odd amplitude slots when C = 0).
+// With the control below the target (C < T) the pairs take the full
+// complex update even for a real matrix, as this kernel always has, so
+// tile results stay bit-identical to earlier releases' down to the sign
+// of an exact zero (the real fast path note in lanes.go).
 func applyTileMat1(tile []complex128, op *TileOp) {
 	lm := mat2Lanes(op.M)
-	v := lanes(tile)
-	step := 2 << op.T
-	if !op.HasCtrl {
-		lm.sweep(v, step)
-		return
+	var cbit uint64
+	if op.HasCtrl {
+		cbit = 1 << op.C
+		lm.isReal = lm.isReal && op.C > op.T
 	}
-	cstep := 2 << op.C
-	if op.C > op.T {
-		for cb := cstep; cb < len(v); cb += 2 * cstep {
-			lm.sweep(v[cb:cb+cstep:cb+cstep], step)
-		}
-		return
-	}
-	// C < T: the control selects short strided sub-runs inside each
-	// target block — too short to amortize a call per run, so the pair
-	// body is inlined here (lanes.go contract; pinned by the fuzz
-	// suite).
-	r0, i0, r1, i1 := lm.r0, lm.i0, lm.r1, lm.i1
-	r2, i2, r3, i3 := lm.r2, lm.i2, lm.r3, lm.i3
-	if op.C == 0 {
-		for blk := 0; blk < len(v); blk += 2 * step {
-			for j := blk + 2; j < blk+step; j += 4 {
-				ar, ai := v[j], v[j+1]
-				br, bi := v[j+step], v[j+step+1]
-				v[j] = (float64(r0*ar) - float64(i0*ai)) + (float64(r1*br) - float64(i1*bi))
-				v[j+1] = (float64(r0*ai) + float64(i0*ar)) + (float64(r1*bi) + float64(i1*br))
-				v[j+step] = (float64(r2*ar) - float64(i2*ai)) + (float64(r3*br) - float64(i3*bi))
-				v[j+step+1] = (float64(r2*ai) + float64(i2*ar)) + (float64(r3*bi) + float64(i3*br))
-			}
-		}
-		return
-	}
-	for blk := 0; blk < len(v); blk += 2 * step {
-		for cb := blk + cstep; cb < blk+step; cb += 2 * cstep {
-			for j := cb; j < cb+cstep; j += 2 {
-				ar, ai := v[j], v[j+1]
-				br, bi := v[j+step], v[j+step+1]
-				v[j] = (float64(r0*ar) - float64(i0*ai)) + (float64(r1*br) - float64(i1*bi))
-				v[j+1] = (float64(r0*ai) + float64(i0*ar)) + (float64(r1*bi) + float64(i1*br))
-				v[j+step] = (float64(r2*ar) - float64(i2*ai)) + (float64(r3*br) - float64(i3*bi))
-				v[j+step+1] = (float64(r2*ai) + float64(i2*ar)) + (float64(r3*bi) + float64(i3*br))
-			}
-		}
-	}
+	lm.pairSubspace(lanes(tile), uint(op.T), cbit, cbit, 0, len(tile)>>(1+bits.OnesCount64(cbit)))
 }
 
 // applyTileCX mirrors ApplyCX (and the uncontrolled X pair-swap)
@@ -322,73 +285,12 @@ func applyTileCX(tile []complex128, op *TileOp) {
 
 // applyTileDiag multiplies by op.Phase() every tile amplitude whose
 // LowMask bits are all set, enumerating only the affected subspace as
-// lane runs. The scale loops are written inline, two amplitudes per
-// iteration — this is the cr1 inner loop that dominates the QFT tile
-// profile, and every window here is a multiple of four lanes (the
-// single-low-bit widths that aren't route through scaleOdd), so the
-// unrolled loop needs no tail. Per-amplitude arithmetic is exactly
-// scaleRun's.
+// sets of strided windows — any number of mask bits, the cr1 inner loop
+// that dominates the QFT tile profile among them.
 func applyTileDiag(tile []complex128, op *TileOp) {
-	v := lanes(tile)
 	phase := op.Phase()
-	pr, pi := real(phase), imag(phase)
-	switch bits.OnesCount64(op.LowMask) {
-	case 0: // all diagonal factors live in the tile base: whole tile
-		for j := 0; j+3 < len(v); j += 4 {
-			ar, ai := v[j], v[j+1]
-			br, bi := v[j+2], v[j+3]
-			v[j] = float64(ar*pr) - float64(ai*pi)
-			v[j+1] = float64(ar*pi) + float64(ai*pr)
-			v[j+2] = float64(br*pr) - float64(bi*pi)
-			v[j+3] = float64(br*pi) + float64(bi*pr)
-		}
-	case 1:
-		step := 2 << uint(bits.TrailingZeros64(op.LowMask))
-		if step == 2 {
-			scaleOdd(v, pr, pi)
-			return
-		}
-		for blk := step; blk < len(v); blk += 2 * step {
-			seg := v[blk : blk+step : blk+step]
-			for j := 0; j+3 < len(seg); j += 4 {
-				ar, ai := seg[j], seg[j+1]
-				br, bi := seg[j+2], seg[j+3]
-				seg[j] = float64(ar*pr) - float64(ai*pi)
-				seg[j+1] = float64(ar*pi) + float64(ai*pr)
-				seg[j+2] = float64(br*pr) - float64(bi*pi)
-				seg[j+3] = float64(br*pi) + float64(bi*pr)
-			}
-		}
-	case 2:
-		lo := bits.TrailingZeros64(op.LowMask)
-		hi := 63 - bits.LeadingZeros64(op.LowMask)
-		lstep, hstep := 2<<uint(lo), 2<<uint(hi)
-		if lstep == 2 {
-			for hb := hstep; hb < len(v); hb += 2 * hstep {
-				scaleOdd(v[hb:hb+hstep:hb+hstep], pr, pi)
-			}
-			return
-		}
-		for hb := hstep; hb < len(v); hb += 2 * hstep {
-			for lb := hb + lstep; lb < hb+hstep; lb += 2 * lstep {
-				seg := v[lb : lb+lstep : lb+lstep]
-				for j := 0; j+3 < len(seg); j += 4 {
-					ar, ai := seg[j], seg[j+1]
-					br, bi := seg[j+2], seg[j+3]
-					seg[j] = float64(ar*pr) - float64(ai*pi)
-					seg[j+1] = float64(ar*pi) + float64(ai*pr)
-					seg[j+2] = float64(br*pr) - float64(bi*pi)
-					seg[j+3] = float64(br*pi) + float64(bi*pr)
-				}
-			}
-		}
-	default: // not produced by the current gate set; kept for safety
-		for i := range tile {
-			if uint64(i)&op.LowMask == op.LowMask {
-				tile[i] *= phase
-			}
-		}
-	}
+	m := op.LowMask
+	scaleSubspace(lanes(tile), m, m, 0, len(tile)>>bits.OnesCount64(m), real(phase), imag(phase))
 }
 
 // applyTileRelPhase mirrors ApplyGlobalAndRelativePhase: diag(A, B) on
@@ -401,18 +303,8 @@ func applyTileRelPhase(tile []complex128, base uint64, op *TileOp) {
 		if base&op.HighMask != 0 {
 			a = b
 		}
-		scaleRun(v, real(a), imag(a))
+		scaleWindows(v, len(v), len(v), real(a), imag(a))
 		return
 	}
-	ar, ai := real(a), imag(a)
-	br, bi := real(b), imag(b)
-	if op.T == 0 {
-		scaleAB(v, ar, ai, br, bi)
-		return
-	}
-	step := 2 << op.T
-	for blk := 0; blk < len(v); blk += 2 * step {
-		scaleRun(v[blk:blk+step:blk+step], ar, ai)
-		scaleRun(v[blk+step:blk+2*step:blk+2*step], br, bi)
-	}
+	diag1Chunk(v, uint(op.T), a, b, 0, len(tile)>>1)
 }

@@ -362,10 +362,13 @@ var tileRunShapes = []struct {
 	op   TileOp
 }{
 	{"mat1", TileOp{Kind: TileMat1, T: 5, M: gate.Matrix1(gate.U3, []float64{0.3, 0.5, 0.7})}},
+	{"mat1realT0", TileOp{Kind: TileMat1, T: 0, M: gate.Matrix1(gate.RY, []float64{0.3})}},
+	{"mat1realT5", TileOp{Kind: TileMat1, T: 5, M: gate.Matrix1(gate.RY, []float64{0.3})}},
 	{"mat1ctrl", TileOp{Kind: TileMat1, T: 5, C: 9, HasCtrl: true, M: gate.Matrix1(gate.RY, []float64{0.3})}},
 	{"cx", TileOp{Kind: TileCX, T: 5, C: 9, HasCtrl: true}},
 	{"diag1", DiagOp(1i, 1<<5, 0)},
 	{"diag2", DiagOp(1i, 1<<5|1<<9, 0)},
+	{"diag2lo", DiagOp(1i, 1<<1|1<<9, 0)}, // two-amplitude windows
 	{"relphase", RelPhaseOp(1i, -1i, 5, 0)},
 }
 
