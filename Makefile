@@ -147,14 +147,18 @@ ci-load: build
 # worklist beyond what it returns, and distributed ⟨H⟩: bit-equal to
 # one device at 2–16 ranks (1e-12 at 32) and, on TFIM-20 at 1–16
 # ranks, at most 2 + log2(ranks) sweeps of the root shard and one
-# exchange per rank for each rank part of a flip mask. The plan,
-# lane-kernel, mgpu, small-state schedule and sampler micro-benchmarks
-# run one iteration each so they cannot rot — their numbers gate
+# exchange per rank for each rank part of a flip mask. Readout through
+# a pending permutation rides along too: bit-equal to a materialized
+# readout on every layout, width and worker count, its walk cached per
+# permutation, and the Pauli lane primitive's seed corpus against its Go
+# loop. The plan, lane-kernel, Pauli evaluator, readout, mgpu,
+# small-state schedule and sampler micro-benchmarks run one iteration
+# each so they cannot rot — their numbers gate
 # nothing, BENCHMARK.json does (the samplers' DRAM-resident alias shape
 # is there to be read).
 ci-scaling: build
-	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
-	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|PlanPerGate|TileRun|LanePrimitives|ExecutePlanQCrank' -benchtime=1x \
+	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape|ProbabilitiesReadThroughPerm|PermTablesCached|FuzzPauliLanes,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
+	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|PlanPerGate|TileRun|LanePrimitives|ExpPauliGroup|^BenchmarkReadout$$|ExecutePlanQCrank' -benchtime=1x \
 		./internal/statevec/ ./internal/kernel/ ./internal/mgpu/
 	$(GO) test -run '^$$' -bench SmallStateSchedule -benchtime=1x ./internal/backend/
 	$(GO) test -run '^$$' -bench AblationSamplers -benchtime=1x .
@@ -173,7 +177,8 @@ ci-oneproc: build
 # Fixed-budget native fuzzing (seed corpus first, then mutation; a
 # failing input lands in testdata/fuzz and fails the gate): the grouped
 # Pauli evaluator against the per-index reference loop, the lane
-# primitives' bodies (SSE2 on amd64) against their Go loops, then the
+# primitives' bodies (SSE2 on amd64) against their Go loops — the three
+# amplitude kernels, then the Pauli chunk sums — then the
 # artifact envelope, every payload decoder behind it and the store's
 # manifest-journal replay — never a panic, allocation bounded by the
 # input's length, and whatever a decoder accepts re-encodes to the
@@ -193,6 +198,7 @@ FUZZ_DECODER = -fuzztime 10s -fuzzminimizetime 100x
 ci-fuzz: build
 	$(call run-selected,FuzzExpPauliGroup,./internal/statevec/,-fuzz FuzzExpPauliGroup -fuzztime 20s)
 	$(call run-selected,FuzzLanePrimitives,./internal/statevec/,-fuzz FuzzLanePrimitives $(FUZZ_DECODER))
+	$(call run-selected,FuzzPauliLanes,./internal/statevec/,-fuzz FuzzPauliLanes $(FUZZ_DECODER))
 	$(call run-selected,FuzzOpen,./internal/artifact/,-fuzz FuzzOpen $(FUZZ_DECODER))
 	$(call run-selected,FuzzDecodeKernel,./internal/kernel/,-fuzz FuzzDecodeKernel $(FUZZ_DECODER))
 	$(call run-selected,FuzzDecodePlan,./internal/kernel/,-fuzz FuzzDecodePlan $(FUZZ_DECODER))
@@ -210,11 +216,13 @@ ci-fuzz: build
 # The portable build: the lane primitives have an assembly body on
 # amd64 only, and every other GOARCH compiles their Go loops instead
 # (lanes_noasm.go). This keeps that build vetted and the statevec test
-# binary linking on arm64. Nothing here runs an arm64 binary; the Go
-# loops run on amd64 too, as the reference of FuzzLanePrimitives.
+# binary linking on arm64, and runs the Go bodies as the body: 386 is
+# not amd64 and runs natively on an amd64 host, so the short statevec
+# suite holds them to the reference loops there.
 ci-portable:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/statevec/
+	GOARCH=386 $(GO) test -short -count=1 ./internal/statevec/
 
 # Chaos acceptance: the seeded fault-injection suite, race-enabled.
 # Injected disk faults, short writes, execution panics, and tight

@@ -49,7 +49,29 @@ import (
 // chunk partials from it. On the identity layout the blocks are
 // slices of the amplitude array; on a permuted layout each amplitude
 // is gathered exactly once per group into a reused scratch buffer that
-// stays in L2, in ascending physical address order.
+// stays in L2, along the line-blocked permWalk readout takes too.
+//
+// Lanes are blocks. A job's chunks in the blocks of one super-block
+// walk the same windows — same in-block flip bits, sign bits and pivot
+// — and differ only in the parity the bits above the block contribute
+// (the phase's sign, or which odd-parity half is read) and in the
+// partner block. So the lane primitive pauliChunks (lanes.go, SSE2 on
+// amd64) sums pauliL of them at once, one chunk per lane, each lane in
+// its own ascending-j order: every partial keeps its bits, whichever
+// lanes it shared a call with, and a high pivot (two chunks per block),
+// a two-sided or partner-shard group and a state too narrow for pauliL
+// active blocks take the same call with fewer lanes or twice.
+//
+// A pair term 2·Re(ph·a·conj(p)) with ph = ±1 or ±i is summed in its
+// real-phase form, ±2·(ar·pr + ai·pi) for ±1 and ±2·(ar·pi − ai·pr) for
+// ±i: Go's complex product rounds exactly these two products and their
+// sum — its other products are by the phase's exact 0 and ±1 parts, so
+// they are exact ±0 or ±a — and doubling and negation are exact. The
+// forms differ only in the sign of an exactly-zero term, and a partial
+// cannot observe it: it starts at +0, +0 + ±0 = +0, and x + ±0 = x for
+// any nonzero x. A NaN amplitude gives a NaN either way; an infinite
+// one, where the complex product's 0·∞ makes a NaN, may give ±∞ here —
+// a state holding either is already lost.
 
 const (
 	// expMaxChunkBits caps one chunk at 2^12 contributions: small
@@ -315,9 +337,48 @@ type pauliJob struct {
 	pivot    int        // the lowest flip (or Z) qubit
 	partials []float64  // one slot per canonical chunk
 
-	// Set by sweep from the block width bb.
-	lowFlip  uint64 // flip bits inside a block
-	highFlip uint64 // flip bits above it, as a block-index xor
+	highFlip uint64 // flip bits above a block, as a block-index xor; set by sweep
+}
+
+// walk is the job's chunk walk for blocks of 2^bb amplitudes. The
+// enumeration is walked in windows of consecutive indices over which
+// the phase (or the odd-parity choice of the pivot bit) is constant and
+// the partner indices are consecutive too: as long as the lowest bit
+// under the term's masks inside the block.
+func (j *pauliJob) walk(bb, cb int) pauliWalk {
+	w := pauliWalk{
+		cnt:  1 << uint(cb),
+		low:  -1,
+		sign: int(j.sign & (1<<uint(bb) - 1)),
+		flip: int(j.flipMask & (1<<uint(bb) - 1)),
+	}
+	m := uint64(w.flip | w.sign)
+	if j.pivot < bb {
+		w.low = 1<<uint(j.pivot) - 1
+		m |= 1 << uint(j.pivot)
+		if !j.flip {
+			w.half = 1 << uint(j.pivot)
+		}
+	}
+	w.run = w.cnt
+	if m != 0 && int(m&-m) < w.cnt {
+		w.run = int(m & -m)
+	}
+	switch {
+	case !j.flip:
+		w.kind = pauliNorm
+	case real(j.ph0) != 0:
+		w.kind = pauliReal
+		if real(j.ph0) < 0 {
+			w.neg = 1
+		}
+	default:
+		w.kind = pauliImag
+		if imag(j.ph0) < 0 {
+			w.neg = 1
+		}
+	}
+	return w
 }
 
 // active reports whether block B (an absolute logical index shifted
@@ -336,77 +397,27 @@ func (j *pauliJob) active(B uint64, bb int) bool {
 	}
 }
 
-// evalBlock accumulates the chunk partials whose contributions read
-// block B: self is the block's 2^bb amplitudes in logical order, other
-// the partner block's (B ⊕ highFlip, from the partner shard when there
-// is one).
-func (j *pauliJob) evalBlock(B uint64, bb, cb int, self, other []complex128) {
-	hp := bits.OnesCount64(B<<uint(bb)&j.sign) & 1
+// evalLanes sums the chunks of the nl blocks in l, one block per lane
+// (blk holds their block indices), into their partial slots; w is the
+// job's walk. With the pivot inside the block, inserting it maps chunk
+// B onto block B (bb = cb+1); above it, the block's halves are two
+// contiguous chunks of the enumeration, one pauliChunks call each.
+func (j *pauliJob) evalLanes(l *pauliLanes, blk *[pauliL]uint64, w pauliWalk, nl, bb, cb int) {
 	if j.pivot < bb {
-		// bb = cb+1: inserting the pivot maps chunk B onto block B.
-		j.partials[B] = j.chunk(self, other, 0, 1<<uint(cb), j.pivot, hp)
+		pauliChunks(l, nl, &w)
+		for i, B := range blk[:nl] {
+			j.partials[B] = l.acc[i]
+		}
 		return
 	}
-	// The block's halves are contiguous runs of the enumeration.
-	for off := 0; off < 1<<uint(bb); off += 1 << uint(cb) {
-		c := removeBit(B<<uint(bb)|uint64(off), uint(j.pivot))
-		j.partials[c>>uint(cb)] = j.chunk(self, other, off, 1<<uint(cb), -1, hp)
+	for w.off = 0; w.off < 1<<uint(bb); w.off += 1 << uint(cb) {
+		pauliChunks(l, nl, &w)
+		for i, B := range blk[:nl] {
+			c := removeBit(B<<uint(bb)|uint64(w.off), uint(j.pivot))
+			j.partials[c>>uint(cb)] = l.acc[i]
+		}
 	}
 }
-
-// chunk sums one canonical chunk in ascending enumeration order: cnt
-// block-local indices starting at off, or — with pivot ≥ 0 — the cnt
-// indices of the block whose pivot bit is clear. hp is the parity the
-// bits above the block contribute. The enumeration is walked in runs
-// of consecutive indices over which the phase (or the odd-parity
-// choice of the pivot bit) is constant and the partner indices are
-// consecutive too: as long as the lowest bit under the term's masks.
-// This loop is the only place the contribution expressions live; every
-// entry point reaches it.
-func (j *pauliJob) chunk(self, other []complex128, off, cnt, pivot, hp int) float64 {
-	m := (j.lowFlip | j.sign) & uint64(len(self)-1)
-	if pivot >= 0 {
-		m |= 1 << uint(pivot)
-	}
-	run := cnt
-	if m != 0 && int(m&-m) < cnt {
-		run = int(m & -m)
-	}
-	var acc float64
-	for i := 0; i < cnt; i += run {
-		b := uint64(off + i)
-		if pivot >= 0 {
-			b = insertBit(uint64(i), uint(pivot), 0)
-		}
-		par := (hp + bits.OnesCount64(b&j.sign)) & 1
-		if j.flip {
-			ph := j.ph0
-			if par == 1 {
-				ph = -ph
-			}
-			pm := other[b^j.lowFlip:][:run]
-			for k, am := range self[b:][:run] {
-				acc += pairTerm(ph, am, pm[k])
-			}
-			continue
-		}
-		if pivot >= 0 {
-			b |= uint64(1-par) << uint(pivot)
-		}
-		for _, am := range self[b:][:run] {
-			acc += norm2(am)
-		}
-	}
-	return acc
-}
-
-// pairTerm is one index pair's contribution, 2·Re(ph·am·conj(pm)).
-func pairTerm(ph, am, pm complex128) float64 {
-	t := ph * am * complex(real(pm), -imag(pm))
-	return 2 * real(t)
-}
-
-func norm2(am complex128) float64 { return real(am)*real(am) + imag(am)*imag(am) }
 
 // removeBit deletes bit pos of x, shifting the higher bits down — the
 // inverse of insertBit.
@@ -481,7 +492,6 @@ func (e *PauliEvaluator) sweep(jobs []pauliJob, partner []complex128, cb int, po
 place:
 	for i := range jobs {
 		j := &jobs[i]
-		j.lowFlip = j.flipMask & (1<<uint(bb) - 1)
 		j.highFlip = j.flipMask >> uint(bb)
 		// First fit: a sweep serves every term whose high flip bits on
 		// this state it can keep resident together. A term's flip bits
@@ -540,9 +550,9 @@ func (e *PauliEvaluator) sweepGroup(g *pauliGroup, partner []complex128, bb, cb 
 	s := e.s
 	w := bits.OnesCount64(g.wide)
 	fixed := (uint64(1)<<uint(s.n-bb) - 1) &^ g.wide
-	var tabs gatherTabs
+	var tabs permWalk
 	if e.inv != nil {
-		tabs = e.gatherTabs(g.wide, bb)
+		tabs = e.gatherWalk(g.wide, bb)
 	}
 	otherSrc := partner
 	if otherSrc == nil {
@@ -583,13 +593,29 @@ func (e *PauliEvaluator) sweepGroup(g *pauliGroup, partner []complex128, bb, cb 
 			r.hb = depositBits(uint64(u), fixed)
 			r.loaded = false
 			for _, j := range g.jobs {
+				// The job's active blocks, pauliL at a time, are the
+				// lanes of one pauliChunks call.
+				var (
+					l   pauliLanes
+					blk [pauliL]uint64
+				)
+				walk, nl := j.walk(bb, cb), 0
 				for k := uint64(0); k < 1<<uint(w); k++ {
 					B := bBase | r.hb | depositBits(k, g.wide)
 					if !j.active(B, bb) {
 						continue
 					}
 					self, other := r.blocks(j, B, k)
-					j.evalBlock(B, bb, cb, self, other)
+					l.self[nl], l.other[nl] = lanes(self), lanes(other)
+					l.hp[nl] = bits.OnesCount64(B<<uint(bb)&j.sign) & 1
+					blk[nl] = B
+					if nl++; nl == pauliL {
+						j.evalLanes(&l, &blk, walk, nl, bb, cb)
+						nl = 0
+					}
+				}
+				if nl > 0 {
+					j.evalLanes(&l, &blk, walk, nl, bb, cb)
 				}
 			}
 		}
@@ -603,7 +629,7 @@ type expResident struct {
 	g        *pauliGroup
 	bb       int
 	otherSrc []complex128 // the partner shard, or the state itself
-	tabs     *gatherTabs
+	tabs     *permWalk
 	// self/other are the scratch sides of a permuted layout (the same
 	// slice unless the group is two-sided); nil reads blocks in place.
 	self, other []complex128
@@ -642,84 +668,34 @@ func (e *PauliEvaluator) physBase(hb uint64, bb int) uint64 {
 	return base
 }
 
-// gatherTabs enumerates a super-block's amplitudes for the gather:
-// entry i of the (hi, lo) split tables gives the physical offset and
-// the scratch slot contributed by bit-chunk i, so slot(i) =
-// scrHi[i>>loBits] | scrLo[i&loMask] and likewise for the address.
-// Scratch slots are logical: block k of the super-block occupies
-// scratch[k<<bb : (k+1)<<bb].
-type gatherTabs struct {
-	physLo, scrLo, physHi, scrHi []uint32
+// gatherWalk is the permWalk of a super-block: its free qubits are the
+// block's and the wide ones, each landing on the scratch bit of its
+// logical slot (block k of the super-block occupies scratch[k<<bb :
+// (k+1)<<bb]), with the scratch's 64-byte lines walked first.
+func (e *PauliEvaluator) gatherWalk(wide uint64, bb int) permWalk {
+	return newPermWalk(e.inv, expLineBits, func(q int) int {
+		switch {
+		case q < bb:
+			return q
+		case wide>>uint(q-bb)&1 == 1:
+			return bb + bits.OnesCount64(wide&(1<<uint(q-bb)-1))
+		}
+		return -1
+	})
 }
 
-// expLineBits is log2 of the amplitudes in a 64-byte cache line.
+// expLineBits is log2 of the complex128 amplitudes in a 64-byte cache
+// line.
 const expLineBits = 2
-
-func (e *PauliEvaluator) gatherTabs(wide uint64, bb int) gatherTabs {
-	// The free qubits, each with its physical position and the scratch
-	// bit it maps to, in enumeration order (fastest first): the qubits
-	// inside one scratch line and those inside one state line, so every
-	// line the innermost iterations touch on either side is finished
-	// while it is in L1, then the rest in ascending physical position,
-	// which keeps the reads a few forward streams.
-	var phys, scr [MaxQubits]uint
-	m := 0
-	for pass := 0; pass < 3; pass++ {
-		for p, q := range e.inv {
-			var sb int
-			switch {
-			case q < bb:
-				sb = q
-			case wide>>uint(q-bb)&1 == 1:
-				sb = bb + bits.OnesCount64(wide&(1<<uint(q-bb)-1))
-			default:
-				continue
-			}
-			rank := 2
-			if sb < expLineBits {
-				rank = 0
-			} else if p < expLineBits {
-				rank = 1
-			}
-			if rank == pass {
-				phys[m], scr[m] = uint(p), uint(sb)
-				m++
-			}
-		}
-	}
-	loBits := (m + 1) / 2
-	nLo, nHi := 1<<uint(loBits), 1<<uint(m-loBits)
-	slab := make([]uint32, 2*(nLo+nHi))
-	t := gatherTabs{
-		physLo: slab[:nLo], scrLo: slab[nLo : 2*nLo],
-		physHi: slab[2*nLo : 2*nLo+nHi], scrHi: slab[2*nLo+nHi:],
-	}
-	spread := func(v int, pos []uint) uint32 {
-		var out uint32
-		for i, p := range pos {
-			out |= uint32(v>>uint(i)&1) << p
-		}
-		return out
-	}
-	for v := range t.physLo {
-		t.physLo[v] = spread(v, phys[:loBits])
-		t.scrLo[v] = spread(v, scr[:loBits])
-	}
-	for v := range t.physHi {
-		t.physHi[v] = spread(v, phys[loBits:m])
-		t.scrHi[v] = spread(v, scr[loBits:m])
-	}
-	return t
-}
 
 // gather copies the super-block at physical offset base out of src
 // into dst's logical slots.
-func (t *gatherTabs) gather(dst, src []complex128, base uint64) {
+func (t *permWalk) gather(dst, src []complex128, base uint64) {
 	for h, ph := range t.physHi {
-		sh := t.scrHi[h]
+		sh := t.slotHi[h]
 		row := base | uint64(ph)
 		for l, pl := range t.physLo {
-			dst[sh|t.scrLo[l]] = src[row|uint64(pl)]
+			dst[sh|t.slotLo[l]] = src[row|uint64(pl)]
 		}
 	}
 }

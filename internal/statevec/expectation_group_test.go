@@ -504,21 +504,53 @@ func FuzzExpPauliGroup(f *testing.F) {
 }
 
 // BenchmarkExpPauliGroup is the TFIM-20 term list through the grouped
-// sweep on the layout a plain circuit leaves and the one a QFT plan
-// leaves.
+// sweep on the layout a plain circuit leaves, the one a QFT plan leaves
+// and a random one, at 1 and 2 workers. Its MB/s counts the amplitudes
+// read: sweeps × 2^n × 16 B.
 func BenchmarkExpPauliGroup(b *testing.B) {
 	const n = 20
-	for _, layout := range []string{"identity", "bitrev"} {
-		b.Run(layout+"/tfim20", func(b *testing.B) {
-			s := layoutState(b, n, 2, layout, qmath.NewRNG(20))
-			terms := tfimTerms(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := s.PauliEvaluator().ExpPauliGroup(terms, nil); err != nil {
+	for _, layout := range groupLayouts {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/tfim20/w%d", layout, workers), func(b *testing.B) {
+				s := layoutState(b, n, workers, layout, qmath.NewRNG(20))
+				terms := tfimTerms(n)
+				_, sweeps, err := s.PauliEvaluator().ExpPauliGroup(terms, nil)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.SetBytes(int64(sweeps) << n * 16)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := s.PauliEvaluator().ExpPauliGroup(terms, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkReadout is ProbabilitiesInto of a 21-qubit state on the
+// identity, bit-reversed and random layouts, at 1 and 2 workers, the
+// readout walk cached as after a state's first readout. Its MB/s counts
+// the amplitudes read, 2^n × 16 B.
+func BenchmarkReadout(b *testing.B) {
+	const n = 21
+	for _, layout := range groupLayouts {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", layout, workers), func(b *testing.B) {
+				s := layoutState(b, n, workers, layout, qmath.NewRNG(21))
+				defer s.Release()
+				p := make([]float64, 1<<n)
+				s.ProbabilitiesInto(p)
+				b.SetBytes(16 << n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.ProbabilitiesInto(p)
+				}
+			})
+		}
 	}
 }

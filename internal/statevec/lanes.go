@@ -16,11 +16,13 @@ import (
 // and drop the block/stride bookkeeping to plain increments — none of
 // which the compiler can do for opaque complex128 values.
 //
-// Every kernel is one of three strided primitives — scaleWindows (a
-// complex scale), pairReal and pairComplex (a 2×2 on lanes dist apart)
-// — applied to the sets of strided windows subspaceSets enumerates.
-// Call granularity is the rule: a primitive is called once per set of
-// windows, never once per window, so the narrowest shapes (one
+// Every kernel is one of four strided primitives. Three write
+// amplitudes — scaleWindows (a complex scale), pairReal and pairComplex
+// (a 2×2 on lanes dist apart) — applied to the sets of strided windows
+// subspaceSets enumerates; one reads them, pauliChunks (the Pauli
+// evaluator's chunk sums, pauliL canonical chunks per call, one per
+// lane). Call granularity is the rule: a primitive is called once per
+// set of windows, never once per window, so the narrowest shapes (one
 // amplitude per window, qubit 0) cost no call per amplitude and the
 // primitives are free to be out-of-line assembly.
 //
@@ -40,7 +42,7 @@ import (
 // (lanes_test.go) pins exact bit equality against reference complex128
 // implementations for every micro-op kind.
 //
-// Packed doubles (lanes_amd64.s): the SSE2 bodies of the three
+// Packed doubles (lanes_amd64.s): the SSE2 bodies of the amplitude
 // primitives work on one amplitude per register, both lanes at once,
 // with MULPD and ADDPD — each lane still one IEEE 754 multiply or add of
 // the same operands, so it rounds exactly as the scalar form. A complex
@@ -49,13 +51,18 @@ import (
 // so a·(−b) = −(a·b), and IEEE 754 defines x − y as x + (−y). Addition
 // is commutative, so a lane's two operands may arrive in either order;
 // the grouping of a sum of products is the scalar form's. No FMA and
-// nothing above SSE2 (GOAMD64=v1), so no CPU detection. The one divergence is the sign (and payload) of a NaN: a
+// nothing above SSE2 (GOAMD64=v1), so no CPU detection. pauliChunks'
+// body holds two chunk sums per register instead, one per lane: a
+// lane's products are transposed against its neighbour's (UNPCKLPD,
+// UNPCKHPD) so the two sums of products add lane-wise, still one IEEE
+// 754 operation on the scalar form's operands each. The one divergence
+// is the sign (and payload) of a NaN: a
 // NaN propagates through a flipped factor and through either operand
 // order, where the scalar form's choice of NaN operand differs — a
 // state holding a NaN is already lost, and every NaN stays a NaN.
-// FuzzLanePrimitives holds each assembly body bit for bit to its Go
-// loop over arbitrary lane bits and window shapes, NaNs compared only
-// as NaNs.
+// FuzzLanePrimitives and FuzzPauliLanes hold each assembly body bit for
+// bit to its Go loop over arbitrary lane bits and window shapes, NaNs
+// compared only as NaNs.
 //
 // Real-matrix fast path: matrices whose four imaginary lanes are all
 // exactly +0 (h, x, y-axis rotations — the QCrank workload is nothing
@@ -256,6 +263,87 @@ func pairComplexGo(v []float64, dist, run, period int, m *laneMat2) {
 			p1[j] = (float64(r2*ar) - float64(i2*ai)) + (float64(r3*br) - float64(i3*bi))
 			p1[j+1] = (float64(r2*ai) + float64(i2*ar)) + (float64(r3*bi) + float64(i3*br))
 		}
+	}
+}
+
+// pauliL is the lane count of pauliChunks: the canonical chunks of
+// one Pauli job summed in one call, one chunk per lane. It is part of
+// the SSE2 body's register layout (two lanes per register), not a knob.
+const pauliL = 4
+
+// The contribution kinds of a Pauli walk.
+const (
+	pauliReal = iota // a pair term with phase ±1: ±2·(ar·pr + ai·pi)
+	pauliImag        // a pair term with phase ±i: ±2·(ar·pi − ai·pr)
+	pauliNorm        // a parity term: ar² + ai²
+)
+
+// pauliWalk is the walk one Pauli job takes through a canonical chunk
+// of every block it reads, shared by all lanes: cnt enumeration indices
+// j from block index off, in windows of run consecutive amplitudes.
+// Index j sits at block index b = off | j&low | (j&^low)<<1, the
+// in-block pivot inserted as a clear bit (low = 2^pivot − 1; −1 with
+// the pivot above the block). A window's parity is its lane's high
+// parity plus popcount(b & sign); a pair reads its partner window at
+// b ^ flip and takes the phase's sign from the parity (negated once
+// more by neg), a parity walk reads b | half when the parity is even.
+type pauliWalk struct {
+	off, cnt, run int
+	low, sign     int
+	flip, half    int
+	kind, neg     int
+}
+
+// pauliLanes holds the lanes of one pauliChunks call: each lane's block
+// and partner block (lane views; other is unused by a parity walk), the
+// parity the bits above the block contribute, and the chunk sum the
+// call writes.
+type pauliLanes struct {
+	self, other [pauliL][]float64
+	hp          [pauliL]int
+	acc         [pauliL]float64
+}
+
+// pauliChunksGo sums one canonical chunk in each of the first nl lanes,
+// each in ascending j: pauliChunks' Go body, and the only place the
+// Pauli contribution expressions live. A pair term is 2·Re(ph·a·conj(p))
+// in its real-phase form (expectation.go has the argument that the sum
+// keeps its bits).
+func pauliChunksGo(l *pauliLanes, nl int, w *pauliWalk) {
+	for i := 0; i < nl; i++ {
+		self, other := l.self[i], l.other[i]
+		var acc float64
+		for j := 0; j < w.cnt; j += w.run {
+			b := w.off | j&w.low | (j&^w.low)<<1
+			par := (l.hp[i] + bits.OnesCount(uint(b&w.sign))) & 1
+			if w.kind == pauliNorm {
+				if par == 0 {
+					b |= w.half
+				}
+				a := self[2*b:][:2*w.run]
+				for k := 0; k+1 < len(a); k += 2 {
+					acc += float64(a[k]*a[k]) + float64(a[k+1]*a[k+1])
+				}
+				continue
+			}
+			a := self[2*b:][:2*w.run]
+			p := other[2*(b^w.flip):][:len(a)]
+			neg := par^w.neg == 1
+			for k := 0; k+1 < len(a); k += 2 {
+				var x float64
+				if w.kind == pauliReal {
+					x = float64(a[k]*p[k]) + float64(a[k+1]*p[k+1])
+				} else {
+					x = float64(a[k]*p[k+1]) - float64(a[k+1]*p[k])
+				}
+				x += x
+				if neg {
+					x = -x
+				}
+				acc += x
+			}
+		}
+		l.acc[i] = acc
 	}
 }
 

@@ -3,8 +3,9 @@
 // SSE2 bodies of the lane primitives (lanes.go, lanes_amd64.go): one
 // amplitude per XMM register; scale and real pair take two amplitudes
 // per loop iteration and a one-amplitude tail, the complex pair (eight
-// factor registers) one. Unaligned loads and stores throughout. MULPD
-// and ADDPD only — no FMA, nothing above SSE2.
+// factor registers) one; the Pauli chunk sums take one amplitude of
+// each of four lanes. Unaligned loads and stores throughout. MULPD,
+// ADDPD and SUBPD only — no FMA, nothing above SSE2.
 
 // func scaleWindowsSSE2(v *float64, amps, period, count int, pr, pi float64)
 TEXT ·scaleWindowsSSE2(SB), NOSPLIT, $0-48
@@ -227,4 +228,207 @@ next:
 	JNZ	window
 
 done:
+	RET
+
+// func pauliChunksSSE2(l *pauliLaneArgs, off, cnt, run, low, sign, flip, kind int)
+//
+// Two lanes per register: lanes 0 and 1 sum into X10, lanes 2 and 3
+// into X11. Per amplitude and lane pair, the two lanes' products
+// [ar·pr, ai·pi] (a norm: [ar·ar, ai·ai]; ±i: the partner swapped first,
+// [ar·pi, ai·pr]) are transposed by UNPCKLPD/UNPCKHPD into a register
+// of first terms and one of second terms, then added (subtracted for
+// ±i), doubled for a pair, sign-flipped per lane by XORPD and added to
+// the sums — pauliChunksGo's operations, lane by lane. Window pointers
+// point at the window's end and one negative index counts up to zero.
+//
+// pauliLaneArgs: a [4]*float64 at 0, b at 32, sgn [4]uint64 at 64, acc
+// [4]float64 at 96 (checked in lanes_amd64.go).
+TEXT ·pauliChunksSSE2(SB), NOSPLIT, $0-64
+	MOVQ	l+0(FP), DX
+	XORPD	X10, X10
+	XORPD	X11, X11
+	MOVUPD	64(DX), X12         // sgn of lanes 0, 1
+	MOVUPD	80(DX), X13         // sgn of lanes 2, 3
+	XORQ	BX, BX              // BX: j
+
+window:
+	CMPQ	BX, cnt+16(FP)
+	JGE	done
+	MOVQ	low+32(FP), AX      // CX = b = off | j&low | (j&^low)<<1
+	MOVQ	AX, CX
+	NOTQ	CX
+	ANDQ	BX, CX
+	SHLQ	$1, CX
+	ANDQ	BX, AX
+	ORQ	AX, CX
+	ORQ	off+8(FP), CX
+	MOVQ	sign+40(FP), AX     // AX = parity(b & sign)
+	ANDQ	CX, AX
+	MOVQ	AX, DI
+	SHRQ	$32, DI
+	XORQ	DI, AX
+	MOVQ	AX, DI
+	SHRQ	$16, DI
+	XORQ	DI, AX
+	MOVQ	AX, DI
+	SHRQ	$8, DI
+	XORQ	DI, AX
+	MOVQ	AX, DI
+	SHRQ	$4, DI
+	XORQ	DI, AX
+	MOVQ	AX, DI
+	SHRQ	$2, DI
+	XORQ	DI, AX
+	MOVQ	AX, DI
+	SHRQ	$1, DI
+	XORQ	DI, AX
+	ANDQ	$1, AX
+	MOVQ	flip+48(FP), DI     // DI = (b^flip + run)·16: partner window end
+	XORQ	CX, DI
+	ADDQ	run+24(FP), DI
+	SHLQ	$4, DI
+	ADDQ	run+24(FP), CX      // CX = (b + run)·16: window end
+	SHLQ	$4, CX
+	CMPQ	kind+56(FP), $2
+	JEQ	norm
+
+	SHLQ	$63, AX             // X8, X9: this window's lane signs
+	MOVQ	AX, X15
+	PUNPCKLQDQ	X15, X15
+	MOVAPD	X12, X8
+	XORPD	X15, X8
+	MOVAPD	X13, X9
+	XORPD	X15, X9
+	MOVQ	0(DX), SI           // SI, R8, R9, R10: the lanes' windows
+	ADDQ	CX, SI
+	MOVQ	8(DX), R8
+	ADDQ	CX, R8
+	MOVQ	16(DX), R9
+	ADDQ	CX, R9
+	MOVQ	24(DX), R10
+	ADDQ	CX, R10
+	MOVQ	32(DX), R11         // R11, R12, R13, R14: their partners
+	ADDQ	DI, R11
+	MOVQ	40(DX), R12
+	ADDQ	DI, R12
+	MOVQ	48(DX), R13
+	ADDQ	DI, R13
+	MOVQ	56(DX), R14
+	ADDQ	DI, R14
+	MOVQ	run+24(FP), AX
+	SHLQ	$4, AX
+	NEGQ	AX
+	CMPQ	kind+56(FP), $1
+	JEQ	imag
+
+real:
+	MOVUPD	(SI)(AX*1), X0      // lane 0: [ar, ai]
+	MOVUPD	(R11)(AX*1), X1     // [pr, pi]
+	MULPD	X1, X0              // [ar·pr, ai·pi]
+	MOVUPD	(R8)(AX*1), X2      // lane 1
+	MOVUPD	(R12)(AX*1), X3
+	MULPD	X3, X2
+	MOVAPD	X0, X1
+	UNPCKLPD	X2, X0          // [ar·pr of lane 0, of lane 1]
+	UNPCKHPD	X2, X1          // [ai·pi of lane 0, of lane 1]
+	ADDPD	X1, X0
+	ADDPD	X0, X0
+	XORPD	X8, X0
+	ADDPD	X0, X10
+	MOVUPD	(R9)(AX*1), X4      // lanes 2 and 3
+	MOVUPD	(R13)(AX*1), X5
+	MULPD	X5, X4
+	MOVUPD	(R10)(AX*1), X6
+	MOVUPD	(R14)(AX*1), X7
+	MULPD	X7, X6
+	MOVAPD	X4, X5
+	UNPCKLPD	X6, X4
+	UNPCKHPD	X6, X5
+	ADDPD	X5, X4
+	ADDPD	X4, X4
+	XORPD	X9, X4
+	ADDPD	X4, X11
+	ADDQ	$16, AX
+	JNZ	real
+	JMP	next
+
+imag:
+	MOVUPD	(SI)(AX*1), X0      // lane 0: [ar, ai]
+	MOVUPD	(R11)(AX*1), X1
+	PSHUFD	$0x4e, X1, X1       // [pi, pr]
+	MULPD	X1, X0              // [ar·pi, ai·pr]
+	MOVUPD	(R8)(AX*1), X2      // lane 1
+	MOVUPD	(R12)(AX*1), X3
+	PSHUFD	$0x4e, X3, X3
+	MULPD	X3, X2
+	MOVAPD	X0, X1
+	UNPCKLPD	X2, X0
+	UNPCKHPD	X2, X1
+	SUBPD	X1, X0              // ar·pi − ai·pr
+	ADDPD	X0, X0
+	XORPD	X8, X0
+	ADDPD	X0, X10
+	MOVUPD	(R9)(AX*1), X4      // lanes 2 and 3
+	MOVUPD	(R13)(AX*1), X5
+	PSHUFD	$0x4e, X5, X5
+	MULPD	X5, X4
+	MOVUPD	(R10)(AX*1), X6
+	MOVUPD	(R14)(AX*1), X7
+	PSHUFD	$0x4e, X7, X7
+	MULPD	X7, X6
+	MOVAPD	X4, X5
+	UNPCKLPD	X6, X4
+	UNPCKHPD	X6, X5
+	SUBPD	X5, X4
+	ADDPD	X4, X4
+	XORPD	X9, X4
+	ADDPD	X4, X11
+	ADDQ	$16, AX
+	JNZ	imag
+	JMP	next
+
+norm:
+	SHLQ	$5, AX              // the lanes' reads for this parity: a or b
+	ADDQ	DX, AX
+	MOVQ	0(AX), SI
+	ADDQ	CX, SI
+	MOVQ	8(AX), R8
+	ADDQ	CX, R8
+	MOVQ	16(AX), R9
+	ADDQ	CX, R9
+	MOVQ	24(AX), R10
+	ADDQ	CX, R10
+	MOVQ	run+24(FP), AX
+	SHLQ	$4, AX
+	NEGQ	AX
+
+sq:
+	MOVUPD	(SI)(AX*1), X0
+	MULPD	X0, X0              // [ar·ar, ai·ai]
+	MOVUPD	(R8)(AX*1), X2
+	MULPD	X2, X2
+	MOVAPD	X0, X1
+	UNPCKLPD	X2, X0
+	UNPCKHPD	X2, X1
+	ADDPD	X1, X0
+	ADDPD	X0, X10
+	MOVUPD	(R9)(AX*1), X4
+	MULPD	X4, X4
+	MOVUPD	(R10)(AX*1), X6
+	MULPD	X6, X6
+	MOVAPD	X4, X5
+	UNPCKLPD	X6, X4
+	UNPCKHPD	X6, X5
+	ADDPD	X5, X4
+	ADDPD	X4, X11
+	ADDQ	$16, AX
+	JNZ	sq
+
+next:
+	ADDQ	run+24(FP), BX
+	JMP	window
+
+done:
+	MOVUPD	X10, 96(DX)
+	MOVUPD	X11, 112(DX)
 	RET

@@ -15,3 +15,7 @@ func pairReal(v []float64, dist, run, period int, r0, r1, r2, r3 float64) {
 func pairComplex(v []float64, dist, run, period int, m *laneMat2) {
 	pairComplexGo(v, dist, run, period, m)
 }
+
+func pauliChunks(l *pauliLanes, nl int, w *pauliWalk) {
+	pauliChunksGo(l, nl, w)
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"testing"
 
@@ -574,7 +575,7 @@ func TestWorkerCountBitIdentity(t *testing.T) {
 	}
 }
 
-// TestPermTablesCached checks the readout-table cache: permTables is
+// TestPermTablesCached checks the readout-walk cache: the permWalk is
 // built once per permutation, reused across repeated readouts (the
 // shot-loop pattern), shared by Clone, and dropped by every perm
 // mutation.
@@ -595,11 +596,11 @@ func TestPermTablesCached(t *testing.T) {
 	p1 := s.Probabilities()
 	tab := s.permTab
 	if tab == nil {
-		t.Fatal("readout did not populate the permTables cache")
+		t.Fatal("readout did not populate the readout-walk cache")
 	}
 	p2 := s.Probabilities()
 	if s.permTab != tab {
-		t.Fatal("second readout rebuilt the cached tables")
+		t.Fatal("second readout rebuilt the cached walk")
 	}
 	for i := range p1 {
 		if math.Float64bits(p1[i]) != math.Float64bits(p2[i]) {
@@ -607,37 +608,38 @@ func TestPermTablesCached(t *testing.T) {
 		}
 	}
 
-	// Clone shares the immutable tables.
+	// Clone shares the immutable walk.
 	c := s.Clone()
 	if c.permTab != tab {
-		t.Fatal("Clone did not share the cached tables")
+		t.Fatal("Clone did not share the cached walk")
 	}
 
-	// A further logical swap invalidates; the rebuilt tables must give
-	// the same answer as a brute-force Amp readout.
+	// A further logical swap invalidates; the rebuilt walk must give
+	// the same bits as a brute-force Amp readout (both compute the
+	// same |a|² expression).
 	s.SwapLogical(1, 6)
 	if s.permTab != nil {
-		t.Fatal("SwapLogical left stale tables cached")
+		t.Fatal("SwapLogical left a stale walk cached")
 	}
 	p3 := s.Probabilities()
 	for i := range p3 {
 		a := s.Amp(uint64(i))
-		want := real(a)*real(a) + imag(a)*imag(a)
-		if math.Abs(p3[i]-want) > 1e-15 {
+		want := float64(real(a)*real(a)) + float64(imag(a)*imag(a))
+		if math.Float64bits(p3[i]) != math.Float64bits(want) {
 			t.Fatalf("post-invalidation readout wrong at %d: %v vs %v", i, p3[i], want)
 		}
 	}
 
-	// Materializing drops both the permutation and the tables.
+	// Materializing drops both the permutation and the walk.
 	s.MaterializePerm()
 	if s.permTab != nil {
-		t.Fatal("MaterializePerm left tables cached")
+		t.Fatal("MaterializePerm left a walk cached")
 	}
 	if err := s.PrepareBasis(3); err != nil {
 		t.Fatal(err)
 	}
 	if s.permTab != nil {
-		t.Fatal("PrepareBasis left tables cached")
+		t.Fatal("PrepareBasis left a walk cached")
 	}
 }
 
@@ -795,6 +797,86 @@ func FuzzLanePrimitives(f *testing.F) {
 		if i, ok := sameLanes(got, want); !ok {
 			t.Fatalf("pairComplex(dist %d, run %d, period %d, %+v): lane %d = %#x, Go loop %#x",
 				d, r, p, m, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	})
+}
+
+// FuzzPauliLanes holds pauliChunks — the SSE2 body on amd64 — bit for
+// bit to pauliChunksGo over arbitrary lane bits (the seeds carry ±0,
+// ±∞ and subnormals), 1 to pauliL lanes with arbitrary high parities,
+// and the walks the evaluator builds from arbitrary Pauli masks on a
+// block of 2 to 128 amplitudes and two qubits above it: runs of one, two
+// and many amplitudes, a pivot inside or above the block (then either
+// chunk of it), phases ±1 and ±i, parity walks, and partner offsets
+// inside the block. A NaN is compared only as a NaN. On other GOARCH
+// both sides are the Go loop.
+func FuzzPauliLanes(f *testing.F) {
+	specials := make([]byte, 0, 8*len(specialLanes))
+	for _, x := range specialLanes {
+		specials = binary.LittleEndian.AppendUint64(specials, math.Float64bits(x))
+	}
+	ordinary := make([]byte, 0, 8*64)
+	for i := 0; i < 64; i++ {
+		ordinary = binary.LittleEndian.AppendUint64(ordinary, math.Float64bits(float64(i)/8-3.9))
+	}
+	for _, shape := range [][4]uint8{
+		{0, 1, 0, 0}, {2, 2, 0, 1}, {3, 0, 4, 3}, {4, 0, 0, 3}, // X₀, Y₁, Y₂Z₀… runs of 1 and 2
+		{5, 32, 0, 0}, {6, 0, 64, 1}, {6, 128, 0, 0}, {6, 0, 0, 192}, // runs of 32, pivot above the block
+		{2, 0, 0, 3}, {3, 0, 0, 8}, {5, 6, 1, 16}, {6, 0, 3, 0}, // parity walks and mixed strings
+	} {
+		for _, nl := range []uint8{1, 3, 4} {
+			f.Add(ordinary, shape[0], shape[1], shape[2], shape[3], nl, uint8(0x3), nl == 3)
+			f.Add(append(append([]byte(nil), specials...), ordinary...), shape[0], shape[1], shape[2], shape[3], nl, uint8(0x6), nl == 4)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, bbSel, xm, ym, zm, lanesSel, hpBits uint8, upper bool) {
+		if len(data) < 8 {
+			return
+		}
+		bb := 1 + int(bbSel)%7
+		mask := uint64(1)<<uint(bb+2) - 1
+		x := uint64(xm) & mask
+		y := uint64(ym) & mask &^ x
+		z := uint64(zm) & mask &^ (x | y)
+		if x|y|z == 0 {
+			return
+		}
+		j := pauliJob{flipMask: x | y, sign: z, pivot: bits.TrailingZeros64(z)}
+		if x|y != 0 {
+			j.flip, j.sign = true, y|z
+			j.ph0 = iPow(bits.OnesCount64(y))
+			j.pivot = bits.TrailingZeros64(x | y)
+		}
+		w := j.walk(bb, bb-1)
+		if j.pivot >= bb && upper {
+			w.off = w.cnt // the block's second chunk
+		}
+
+		// Each lane's block and partner block, lane bits cycled from
+		// data.
+		nl := 1 + int(lanesSel)%pauliL
+		var l pauliLanes
+		next := 0
+		block := func() []float64 {
+			v := make([]float64, 2<<uint(bb))
+			for i := range v {
+				v[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[next:]))
+				if next += 8; next+8 > len(data) {
+					next = 0
+				}
+			}
+			return v
+		}
+		for i := 0; i < nl; i++ {
+			l.self[i], l.other[i] = block(), block()
+			l.hp[i] = int(hpBits>>uint(i)) & 1
+		}
+		want := l
+		pauliChunks(&l, nl, &w)
+		pauliChunksGo(&want, nl, &w)
+		if i, ok := sameLanes(l.acc[:nl], want.acc[:nl]); !ok {
+			t.Fatalf("pauliChunks(%d lanes, walk %+v): lane %d = %#x, Go loop %#x",
+				nl, w, i, math.Float64bits(l.acc[i]), math.Float64bits(want.acc[i]))
 		}
 	})
 }

@@ -41,15 +41,7 @@ type State struct {
 	sortBuf []int     // reusable sorted-qubit buffer for ApplyFused
 	maskBuf []uint64  // reusable bit-mask buffer for ApplyFused
 	perm    []int     // logical→physical qubit map; nil = identity
-	permTab *permTabs // cached permTables for the current perm; nil = stale
-}
-
-// permTabs is the cached physical→logical index-chunk translation of
-// one specific permutation. It is immutable once built (invalidation
-// replaces the pointer), so clones may share it.
-type permTabs struct {
-	lo, hi []uint64
-	loBits uint
+	permTab *permWalk // cached readout walk for the current perm; nil = stale
 }
 
 // New returns the n-qubit |0...0> state with the given worker count
@@ -175,10 +167,9 @@ func (s *State) Clone() *State {
 
 // Probabilities returns |αi|² for every basis state in logical qubit
 // order (allocates 2^n float64). A pending qubit permutation is read
-// *through*, not materialized: scattering |amps[i]|² to its logical
-// slot costs two table lookups per index — far cheaper than the up to
-// n-1 bit-swap sweeps a physical rearrangement would pay — and the
-// amplitude layout is left untouched for further tiled execution.
+// *through*, not materialized — far cheaper than the up to n-1 bit-swap
+// sweeps a physical rearrangement would pay — and the amplitude layout
+// is left untouched for further tiled execution.
 func (s *State) Probabilities() []float64 {
 	p := make([]float64, len(s.amps))
 	s.ProbabilitiesInto(p) // panics on a released state
@@ -188,6 +179,12 @@ func (s *State) Probabilities() []float64 {
 // ProbabilitiesInto is Probabilities written into p, which must hold
 // 2^n entries — the distributed engine hands each rank its slice of the
 // one gathered vector, so a shard's readout is never copied.
+//
+// Through a pending permutation the readout is the evaluator's gather
+// with the whole state as one super-block: the line-blocked permWalk
+// (cached on the state per permutation) visits each 64-byte line of p
+// and then each line of amplitudes while it is in L1, the rest in
+// ascending physical position, fanned out over its high table.
 func (s *State) ProbabilitiesInto(p []float64) {
 	s.live()
 	n := len(s.amps)
@@ -203,11 +200,11 @@ func (s *State) ProbabilitiesInto(p []float64) {
 		}
 		return
 	}
-	tabLo, tabHi, loBits := s.permTables()
+	t := s.readoutWalk()
 	if s.serial(n) {
-		probsPermChunk(p, v, tabLo, tabHi, loBits, 0, n)
+		t.probs(p, s.amps, 0, len(t.physHi))
 	} else {
-		s.fanOut(n, func(_, lo, hi int) { probsPermChunk(p, v, tabLo, tabHi, loBits, lo, hi) })
+		s.fanOut(len(t.physHi), func(_, lo, hi int) { t.probs(p, s.amps, lo, hi) })
 	}
 }
 
@@ -219,52 +216,100 @@ func probsChunk(p, v []float64, lo, hi int) {
 	}
 }
 
-// probsPermChunk scatters |amps[i]|² for physical i in [lo, hi) to its
-// logical slot through the permTables lookup.
-func probsPermChunk(p, v []float64, tabLo, tabHi []uint64, loBits uint, lo, hi int) {
-	loMask := uint64(1)<<loBits - 1
-	for i := lo; i < hi; i++ {
-		ar, ai := v[2*i], v[2*i+1]
-		l := tabLo[uint64(i)&loMask] | tabHi[uint64(i)>>loBits]
-		p[l] = float64(ar*ar) + float64(ai*ai)
-	}
+// permWalk is the one walk every read through a pending permutation
+// takes: the readout over the whole state and the evaluator's gather of
+// a super-block. Entry i of the (hi, lo) split tables gives the
+// physical offset and the destination slot contributed by bit-chunk i,
+// so slot(i) = slotHi[i>>loBits] | slotLo[i&loMask] and likewise for the
+// offset. It is immutable once built, so clones may share it.
+type permWalk struct {
+	physLo, slotLo, physHi, slotHi []uint32
 }
 
-// permTables returns physical→logical index-chunk lookup tables: a bit
-// permutation maps each index chunk independently, so logical(i) =
-// tabLo[low chunk] | tabHi[high chunk]. The tables are built once per
-// permutation and cached on the state (every perm mutation clears the
-// cache), so repeated readout — the sample-then-read-again pattern of
-// shot loops — pays the O(2^(n/2)) rebuild only when the layout
-// actually changed.
-func (s *State) permTables() (tabLo, tabHi []uint64, loBits uint) {
-	if tab := s.permTab; tab != nil {
-		return tab.lo, tab.hi, tab.loBits
-	}
-	loBits = uint(s.n) / 2
-	hiBits := uint(s.n) - loBits
-	inv := make([]int, s.n) // physical→logical
-	for q, pos := range s.perm {
-		inv[pos] = q
-	}
-	tabLo = make([]uint64, 1<<loBits)
-	for v := range tabLo {
-		var l uint64
-		for b := uint(0); b < loBits; b++ {
-			l |= (uint64(v) >> b & 1) << uint(inv[b])
+// newPermWalk builds the walk over the physical positions p (inv is the
+// physical→logical qubit map) whose logical qubit q has a destination
+// bit slot(q) ≥ 0; the rest are fixed by the caller's base offset. The
+// free qubits are enumerated fastest first: those inside one
+// destination line (dstLine bits), then those inside one 64-byte line
+// of amplitudes, so every line the innermost iterations touch on either
+// side is finished while it is in L1, then the rest in ascending
+// physical position, which keeps the reads a few forward streams.
+func newPermWalk(inv []int, dstLine int, slot func(q int) int) permWalk {
+	var phys, dst [MaxQubits]uint
+	m := 0
+	for pass := 0; pass < 3; pass++ {
+		for p, q := range inv {
+			sb := slot(q)
+			if sb < 0 {
+				continue
+			}
+			rank := 2
+			if sb < dstLine {
+				rank = 0
+			} else if p < expLineBits {
+				rank = 1
+			}
+			if rank == pass {
+				phys[m], dst[m] = uint(p), uint(sb)
+				m++
+			}
 		}
-		tabLo[v] = l
 	}
-	tabHi = make([]uint64, 1<<hiBits)
-	for v := range tabHi {
-		var l uint64
-		for b := uint(0); b < hiBits; b++ {
-			l |= (uint64(v) >> b & 1) << uint(inv[loBits+b])
+	loBits := (m + 1) / 2
+	nLo, nHi := 1<<uint(loBits), 1<<uint(m-loBits)
+	slab := make([]uint32, 2*(nLo+nHi))
+	t := permWalk{
+		physLo: slab[:nLo], slotLo: slab[nLo : 2*nLo],
+		physHi: slab[2*nLo : 2*nLo+nHi], slotHi: slab[2*nLo+nHi:],
+	}
+	spread := func(v int, pos []uint) uint32 {
+		var out uint32
+		for i, p := range pos {
+			out |= uint32(v>>uint(i)&1) << p
 		}
-		tabHi[v] = l
+		return out
 	}
-	s.permTab = &permTabs{lo: tabLo, hi: tabHi, loBits: loBits}
-	return tabLo, tabHi, loBits
+	for v := range t.physLo {
+		t.physLo[v] = spread(v, phys[:loBits])
+		t.slotLo[v] = spread(v, dst[:loBits])
+	}
+	for v := range t.physHi {
+		t.physHi[v] = spread(v, phys[loBits:m])
+		t.slotHi[v] = spread(v, dst[loBits:m])
+	}
+	return t
+}
+
+// probLineBits is log2 of the float64 probabilities in a 64-byte line.
+const probLineBits = 3
+
+// readoutWalk returns the readout walk of the current permutation: every
+// qubit free, on its logical bit. It is built once per permutation and
+// cached on the state (every perm mutation clears the cache), so
+// repeated readout — the sample-then-read-again pattern of shot loops —
+// pays the O(2^(n/2)) build only when the layout actually changed.
+func (s *State) readoutWalk() *permWalk {
+	if s.permTab == nil {
+		var inv [MaxQubits]int // physical→logical
+		for q, p := range s.perm {
+			inv[p] = q
+		}
+		t := newPermWalk(inv[:s.n], probLineBits, func(q int) int { return q })
+		s.permTab = &t
+	}
+	return s.permTab
+}
+
+// probs writes |a|² of rows [lo, hi) of the walk's high table to their
+// logical slots of p.
+func (t *permWalk) probs(p []float64, amps []complex128, lo, hi int) {
+	for h := lo; h < hi; h++ {
+		ph, sh := t.physHi[h], t.slotHi[h]
+		for l, pl := range t.physLo {
+			a := amps[ph|pl]
+			p[sh|t.slotLo[l]] = float64(real(a)*real(a)) + float64(imag(a)*imag(a))
+		}
+	}
 }
 
 // checkQubit panics on out-of-range targets: gate application is on the

@@ -2,6 +2,7 @@ package statevec
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
 	"testing"
 	"unsafe"
@@ -123,26 +124,39 @@ func TestPermutationLifecycle(t *testing.T) {
 }
 
 // TestProbabilitiesReadThroughPerm: the probability pass must resolve
-// a pending permutation via index translation — identical values to a
-// materialized readout — while leaving the table pending (no hidden
-// bit-swap sweeps).
+// a pending permutation through the readout walk — bit-identical to a
+// materialized readout of a clone — while leaving the table pending (no
+// hidden bit-swap sweeps), over every layout, worker count and a range
+// of widths (the walk's line bits, its hi/lo split and the fan-out
+// threshold all change with n).
 func TestProbabilitiesReadThroughPerm(t *testing.T) {
-	const n = 7
-	a := MustNew(n, 3)
-	randomize(a, qmath.NewRNG(61))
-	b := a.Clone()
-	a.SwapLogical(0, 6)
-	a.SwapLogical(2, 5)
-	b.ApplySwap(0, 6)
-	b.ApplySwap(2, 5)
-	pa, pb := a.Probabilities(), b.Probabilities()
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("probability %d: %g vs %g", i, pa[i], pb[i])
-		}
+	widths := []int{1, 2, 3, 5, 8, 13, 14}
+	if !testing.Short() {
+		widths = append(widths, 21)
 	}
-	if a.PermIsIdentity() {
-		t.Fatal("Probabilities should not have materialized the permutation")
+	r := qmath.NewRNG(61)
+	for _, n := range widths {
+		for _, layout := range groupLayouts {
+			for _, workers := range []int{1, 2, 3} {
+				what := fmt.Sprintf("n=%d %s workers=%d", n, layout, workers)
+				s := layoutState(t, n, workers, layout, r)
+				perm := fmt.Sprint(s.Permutation())
+				ref := s.Clone()
+				ref.MaterializePerm()
+				want := ref.Probabilities()
+				ref.Release()
+				got := s.Probabilities()
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: probability %d = %v, materialized readout %v", what, i, got[i], want[i])
+					}
+				}
+				if after := fmt.Sprint(s.Permutation()); after != perm {
+					t.Fatalf("%s: readout changed the permutation %s to %s", what, perm, after)
+				}
+				s.Release()
+			}
+		}
 	}
 }
 
