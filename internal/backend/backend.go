@@ -74,7 +74,10 @@ type Config struct {
 	// Seed drives shot sampling.
 	Seed uint64
 	// FusionWindow forwards to the kernel transformation (GPU-class
-	// targets only; aer runs unfused like Aer's default path here).
+	// targets only; aer runs unfused like Aer's default path here). A
+	// window whose gates are all diagonal stays a run of gates, not a
+	// dense block: every plan, aer's included, groups adjacent diagonal
+	// gates into one phase-table pass whatever the window.
 	FusionWindow int
 	// PruneAngle forwards to the kernel transformation.
 	PruneAngle float64
@@ -252,6 +255,12 @@ func (c Config) Signature() string {
 // tile into two tiles, where stores written before that rule hold the
 // per-gate plan (slower to run and, under PlanFusion, rounded
 // differently) and its result under the bare signature.
+//
+// Every signature ends in "|dt": every plan runs a group of two or more
+// adjacent diagonal gates as one phase table, whose factors are
+// multiplied together before they meet an amplitude, so results agree
+// with those of stores written before the rule to rounding, not bit for
+// bit, and such a store's plans run its groups gate by gate.
 func (c Config) StoreSignature() string {
 	c.Workers, c.Shots, c.Seed = 0, 0, 0
 	c.TileBits = c.tileBits()
@@ -259,7 +268,7 @@ func (c Config) StoreSignature() string {
 	if c.Target != TargetNvidiaMGPU && 1<<c.TileBits>>1 >= statevec.MinParallelWork {
 		sig += "|split"
 	}
-	return sig
+	return sig + "|dt"
 }
 
 // Validate rejects what no circuit can run under: an unknown target
@@ -301,7 +310,9 @@ func (c Config) transformOptions(n int) kernel.Options {
 	case TargetAer:
 		// Aer baseline: no fusion, serial; the kernel transformation
 		// still runs (Q-GEAR converts regardless; the target decides
-		// execution).
+		// execution). Its per-gate plan still runs each group of
+		// adjacent diagonal gates as one phase table, as every plan does,
+		// so aer stays bit-identical to the other targets.
 	case TargetNvidiaMGPU:
 		opts.FusionWindow = c.FusionWindow
 		opts.FusionLocalQubits = n - c.globalBits()

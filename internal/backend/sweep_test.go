@@ -55,8 +55,35 @@ var sweepEngines = []Config{
 func TestRunSweepDifferential(t *testing.T) {
 	const nq = 5
 	c := sweepTestCircuit(nq)
-	h := observable.TransverseFieldIsing(nq, 1.0, 0.7)
-	pts := sweepTestPoints(c.NumParams(), 12, 21)
+	sweepDifferential(t, c, observable.TransverseFieldIsing(nq, 1.0, 0.7), sweepTestPoints(c.NumParams(), 12, 21))
+}
+
+// TestRunSweepGroupedDiagonals is the differential suite on an ansatz
+// whose rz layers and cp ladders are diagonal groups: a group's members
+// keep their binding sites, so every point is still a rebind, and the
+// rebound table runs bit-identical to a fresh compile of the point.
+func TestRunSweepGroupedDiagonals(t *testing.T) {
+	const nq = 6
+	c := circuit.New(nq, 0)
+	for layer := 0; layer < 2; layer++ {
+		for q := 0; q < nq; q++ {
+			c.RY(0.1*float64(q+1), q)
+		}
+		for q := 0; q < nq; q++ {
+			c.RZ(0.2*float64(q+1), q)
+		}
+		for q := 0; q+1 < nq; q++ {
+			c.CP(0.3, q, q+1)
+		}
+	}
+	sweepDifferential(t, c, observable.TransverseFieldIsing(nq, 1.0, 0.7), sweepTestPoints(c.NumParams(), 8, 22))
+}
+
+// sweepDifferential runs the sweep of c on every engine and holds each
+// point to an individual expectation job, bit for bit, and to the
+// oracle within 1e-12; every point must be a rebind.
+func sweepDifferential(t *testing.T, c *circuit.Circuit, h *observable.Hamiltonian, pts [][]float64) {
+	t.Helper()
 	for _, cfg := range sweepEngines {
 		res, err := RunSweep(c, h, pts, cfg)
 		if err != nil {

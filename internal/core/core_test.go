@@ -158,13 +158,13 @@ func TestSignatureAndCacheKeyGolden(t *testing.T) {
 	h := observable.TransverseFieldIsing(2, 1, 0.7)
 	for _, tc := range []struct{ name, got, want string }{
 		{"Signature", o.Signature(), "f2|p3e112e0be826d695|tnvidia-mqpu|d4|w3|s100|r7|b12|pftrue"},
-		{"StoreSignature", o.StoreSignature(), "f2|p3e112e0be826d695|tnvidia-mqpu|d4|w0|s0|r0|b12|pftrue"},
+		{"StoreSignature", o.StoreSignature(), "f2|p3e112e0be826d695|tnvidia-mqpu|d4|w0|s0|r0|b12|pftrue|dt"},
 		{"StoreSignature/aer", Options{Target: backend.TargetAer, Workers: 5, Shots: 9, Seed: 1}.StoreSignature(),
-			"f0|p0|taer|d0|w0|s0|r0|b0|pffalse"},
+			"f0|p0|taer|d0|w0|s0|r0|b0|pffalse|dt"},
 		{"StoreSignature/split", Options{Target: backend.TargetNvidia, TileBits: 16}.StoreSignature(),
-			"f0|p0|tnvidia|d0|w0|s0|r0|b16|pffalse|split"},
+			"f0|p0|tnvidia|d0|w0|s0|r0|b16|pffalse|split|dt"},
 		{"StoreSignature/mgpu", Options{Target: backend.TargetNvidiaMGPU, Devices: 2, TileBits: 16}.StoreSignature(),
-			"f0|p0|tnvidia-mgpu|d2|w0|s0|r0|b16|pffalse"},
+			"f0|p0|tnvidia-mgpu|d2|w0|s0|r0|b16|pffalse|dt"},
 		{"CacheKey", CacheKey(c, o), "8171640d315f4dc097a0acdaab7a09355468d529ace99e3f9b486093562a1a48"},
 		{"ExpectationCacheKey", ExpectationCacheKey(c, h, o), "556a3dd78c2bb1197d33aca8da2258758e4dc4c12ad9c4f86901717cd08c74ff"},
 		{"SweepCacheKey/exact", SweepCacheKey(c, h, [][]float64{{0.1, 0.2}, {0.3, 0.4}}, o),

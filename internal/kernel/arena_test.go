@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -251,7 +252,8 @@ func randKernel(tb testing.TB, n int) *Kernel {
 
 // TestPerGatePlan pins the width-0 plan's shape — compiled at width 0,
 // and at every width a state of 12 qubits or fewer fits in (the auto
-// width 16 among them): one SegGlobal per planned instruction over an
+// width 16 among them): one SegGlobal per planned instruction or
+// diagonal group over an
 // arena that is the kernel's own instruction slice exactly when nothing
 // unplanned sits among the gates, no op, no relabeling, nothing
 // absorbed — and DeepEqual to its decoded self either way.
@@ -287,23 +289,28 @@ func TestPerGatePlan(t *testing.T) {
 					}
 				}
 			}
-			if !reflect.DeepEqual(p.Globals, want) || len(p.Segments) != len(want) {
-				t.Fatalf("%s %+v: %d segments over %d globals, want the %d planned instructions", tc.k.Name, cfg, len(p.Segments), len(p.Globals), len(want))
-			}
-			for i, seg := range p.Segments {
-				if seg != (Segment{Kind: SegGlobal, Lo: int32(i), Hi: int32(i + 1)}) {
-					t.Fatalf("%s %+v: segment %d is %+v", tc.k.Name, cfg, i, seg)
+			// One sweep per planned instruction, or per diagonal group.
+			var segs []Segment
+			for i, at := 0, int32(0); i < len(tc.k.Instrs); {
+				n := max(diagGroup(tc.k.Instrs[i:]), 1)
+				if planned(tc.k.Instrs[i]) {
+					segs = append(segs, Segment{Kind: SegGlobal, Lo: at, Hi: at + int32(n)})
+					at += int32(n)
 				}
+				i += n
+			}
+			if tc.k == identity && len(segs) != 2 {
+				t.Fatalf("identity: cr1 and rz are not one group: %+v", segs)
+			}
+			if !reflect.DeepEqual(p.Globals, want) || !reflect.DeepEqual(p.Segments, segs) {
+				t.Fatalf("%s %+v: segments %+v over %d globals, want %+v over the %d planned instructions", tc.k.Name, cfg, p.Segments, len(p.Globals), segs, len(want))
 			}
 			if p.TileBits != 0 || p.GlobalBits != 0 || len(p.Ops) != 0 || p.FinalPerm != nil {
 				t.Errorf("%s %+v: tile %d, %d rank bits, %d ops, final permutation %v; want none of them",
 					tc.k.Name, cfg, p.TileBits, p.GlobalBits, len(p.Ops), p.FinalPerm)
 			}
-			if p.Stats != (PlanStats{Global: len(want)}) {
-				t.Errorf("%s %+v: stats %+v, want %d global sweeps and nothing else", tc.k.Name, cfg, p.Stats, len(want))
-			}
-			if tc.k != interior && tc.k != identity && p.Stats.Global != tc.k.NumGates() {
-				t.Errorf("%s: %d global sweeps for %d gates", tc.k.Name, p.Stats.Global, tc.k.NumGates())
+			if p.Stats != (PlanStats{Global: len(segs)}) {
+				t.Errorf("%s %+v: stats %+v, want %d global sweeps and nothing else", tc.k.Name, cfg, p.Stats, len(segs))
 			}
 			if shared := len(want) > 0 && &p.Globals[0] == &tc.k.Instrs[0]; shared != tc.shared {
 				t.Errorf("%s %+v: arena shared with the kernel = %v, want %v", tc.k.Name, cfg, shared, tc.shared)
@@ -373,4 +380,30 @@ func BenchmarkPlanQFT21(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchmarkPlan(b, k, PlanConfig{TileBits: 16})
+}
+
+// BenchmarkExecuteQFT21 runs QFT-21's per-gate plan (aer's: one sweep
+// per gate or diagonal group) and its tile-16 plan on one worker, from
+// a fresh basis state each time; SetBytes is one pass over the state.
+func BenchmarkExecuteQFT21(b *testing.B) {
+	k, _, err := FromCircuit(qftCircuit(21), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tb := range []int{0, 16} {
+		p, err := Plan(k, PlanConfig{TileBits: tb})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("tile=%d", tb), func(b *testing.B) {
+			b.SetBytes(16 << 21)
+			for i := 0; i < b.N; i++ {
+				s := statevec.MustNew(21, 1)
+				if err := p.Execute(s); err != nil {
+					b.Fatal(err)
+				}
+				s.Release()
+			}
+		})
+	}
 }

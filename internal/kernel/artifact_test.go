@@ -165,6 +165,85 @@ func TestPlanReaderRelabelRule(t *testing.T) {
 	}
 }
 
+// groupPlans is a QFT's per-gate and tiled plans — cr1 ladders, a
+// diagonal group each — and the encoded shapes of them the reader
+// refuses: no executor could run them as a phase table.
+func groupPlans(tb testing.TB) (legal []*TilePlan, illegal []refusedPlan) {
+	tb.Helper()
+	k := New("qft", 6)
+	for j := 5; j >= 0; j-- {
+		k.H(j)
+		for q := j - 1; q >= 0; q-- {
+			k.CR1(0.5/float64(j-q), q, j)
+		}
+	}
+	k.Swap(0, 5)
+	perGate, err := Plan(k, PlanConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tiled, err := Plan(k, PlanConfig{TileBits: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	header := slices.IndexFunc(tiled.Ops, func(op statevec.TileOp) bool { return op.Kind == statevec.TileTable })
+	group := slices.IndexFunc(perGate.Segments, func(seg Segment) bool { return seg.Hi-seg.Lo > 1 })
+	if header < 0 || group < 0 {
+		tb.Fatalf("no diagonal group: header %d, sweep %d", header, group)
+	}
+	// Eleven one-bit phases on a 13-qubit register read eleven free bits.
+	wide := &TilePlan{TileBits: 12, NumQubits: 13, Segments: []Segment{{Kind: SegRun, Lo: 0, Hi: 12}},
+		Ops: []statevec.TileOp{statevec.TableOp(11)}}
+	for q := 0; q < 11; q++ {
+		wide.Ops = append(wide.Ops, statevec.DiagOp(1i, 1<<uint(q), 0))
+	}
+	illegal = []refusedPlan{{"eleven free bits", encodePlanBytes(tb, wide)}}
+	for _, sp := range []struct {
+		name  string
+		of    *TilePlan
+		spoil func(p *TilePlan)
+	}{
+		{"header past its run", tiled, func(p *TilePlan) { p.Ops[header] = statevec.TableOp(len(p.Ops)) }},
+		{"header of one member", tiled, func(p *TilePlan) { p.Ops[header] = statevec.TableOp(1) }},
+		{"mixing member", tiled, func(p *TilePlan) {
+			p.Ops[header+1] = statevec.TileOp{Kind: statevec.TileMat1, M: gate.Matrix1(gate.H, nil)}
+		}},
+		{"mixing gate in a group sweep", perGate, func(p *TilePlan) {
+			p.Globals[p.Segments[group].Lo] = Instr{Kind: KGate, Gate: gate.H, Qubits: []int{0}}
+		}},
+		{"group sweep in a tiled plan", tiled, func(p *TilePlan) {
+			p.Segments = append(p.Segments, Segment{Kind: SegGlobal, Lo: int32(len(p.Globals)), Hi: int32(len(p.Globals) + 2)})
+			p.Globals = append(p.Globals, Instr{Kind: KGate, Gate: gate.Z, Qubits: []int{0}}, Instr{Kind: KGate, Gate: gate.Z, Qubits: []int{1}})
+		}},
+	} {
+		p := *sp.of
+		p.Segments = slices.Clone(sp.of.Segments)
+		p.Ops, p.Globals = slices.Clone(sp.of.Ops), slices.Clone(sp.of.Globals)
+		sp.spoil(&p)
+		illegal = append(illegal, refusedPlan{sp.name, encodePlanBytes(tb, &p)})
+	}
+	return []*TilePlan{perGate, tiled}, illegal
+}
+
+// TestPlanReaderGroupRule: grouped plans decode to themselves; a group
+// header counting members outside its run or fewer than two, a member
+// that is not diagonal, a group over statevec.MaxTableBits free bits
+// and a sweep of several instructions that is not a width-0 plan's
+// diagonal group do not decode.
+func TestPlanReaderGroupRule(t *testing.T) {
+	legal, illegal := groupPlans(t)
+	for _, p := range legal {
+		if got, err := DecodePlan(bytes.NewReader(encodePlanBytes(t, p))); err != nil || !reflect.DeepEqual(got, p) {
+			t.Fatalf("the grouped plan of width %d decodes to %+v (err %v)", p.TileBits, got, err)
+		}
+	}
+	for _, p := range illegal {
+		if _, err := DecodePlan(bytes.NewReader(p.data)); err == nil {
+			t.Errorf("%s: decoded", p.name)
+		}
+	}
+}
+
 func FuzzDecodePlan(f *testing.F) {
 	var like []byte
 	for i, k := range seedKernels(f) {
@@ -182,6 +261,13 @@ func FuzzDecodePlan(f *testing.F) {
 	relabel, refused := relabelPlans(f)
 	f.Add(artifacttest.Payload(f, encodePlanBytes(f, relabel)))
 	for _, p := range refused {
+		f.Add(artifacttest.Payload(f, p.data))
+	}
+	grouped, refusedGroups := groupPlans(f)
+	for _, p := range grouped {
+		f.Add(artifacttest.Payload(f, encodePlanBytes(f, p)))
+	}
+	for _, p := range refusedGroups {
 		f.Add(artifacttest.Payload(f, p.data))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {

@@ -135,6 +135,9 @@ func (p *TilePlan) Bind(params []float64) (*TilePlan, error) {
 		vals := params[lo:hi]
 		switch b.Kind {
 		case BindRun:
+			if out.Ops[at].Kind == statevec.TileTable {
+				return nil, fmt.Errorf("kernel: binding site references the header of a diagonal group in segment %d", b.Seg)
+			}
 			rebindTileOp(&out.Ops[at], b.Gate, vals)
 		case BindGlobal:
 			if owned == nil {

@@ -5,6 +5,8 @@ import (
 	"math/cmplx"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"qgear/internal/circuit"
@@ -66,28 +68,30 @@ func TestRunFusionFoldsAdjacentMat1(t *testing.T) {
 
 // TestRunFusionFoldsDiagonals checks plan-time diagonal folding:
 // single-target diagonal micro-ops (t/s/p/rz) merge into a neighboring
-// mat1 on the same target as a row or column scale, adjacent diagonals
-// collapse to one TileRelPhase, and the folded plan agrees with the
-// exact plan to rounding.
+// mat1 on the same target as a row or column scale, and the folded plan
+// agrees with the exact plan to rounding. Adjacent diagonals are a
+// phase-table group in every plan (diagGroup), which within-run fusion
+// leaves as it is: the fused plan's ops are the exact plan's.
 func TestRunFusionFoldsDiagonals(t *testing.T) {
 	const n, tileBits = 8, 4
 	type variant struct {
-		name  string
-		build func(c *circuit.Circuit, q int, rng *qmath.RNG)
+		name    string
+		build   func(c *circuit.Circuit, q int, rng *qmath.RNG)
+		grouped bool
 	}
 	for _, v := range []variant{
 		{"diag-after-mat1", func(c *circuit.Circuit, q int, rng *qmath.RNG) {
 			c.H(q)
 			c.Append(gate.T, []int{q}, nil) // row scale: T·H
-		}},
+		}, false},
 		{"mat1-after-diag", func(c *circuit.Circuit, q int, rng *qmath.RNG) {
 			c.Append(gate.P, []int{q}, []float64{rng.Angle()})
 			c.RY(rng.Angle(), q) // column scale: RY·P
-		}},
+		}, false},
 		{"diag-after-diag", func(c *circuit.Circuit, q int, rng *qmath.RNG) {
 			c.Append(gate.RZ, []int{q}, []float64{rng.Angle()})
-			c.Append(gate.S, []int{q}, nil) // collapses to one TileRelPhase
-		}},
+			c.Append(gate.S, []int{q}, nil) // one phase-table group
+		}, true},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			rng := qmath.NewRNG(97)
@@ -111,10 +115,14 @@ func TestRunFusionFoldsDiagonals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fused.Stats.FusedOps == 0 {
+			if v.grouped {
+				if !slices.ContainsFunc(fused.Ops, func(op statevec.TileOp) bool { return op.Kind == statevec.TileTable }) ||
+					!reflect.DeepEqual(fused.Ops, exact.Ops) || fused.Stats.FusedOps != 0 {
+					t.Fatalf("diagonal pairs: fusion folded %d ops of the groups (%d ops, exact %d)", fused.Stats.FusedOps, len(fused.Ops), len(exact.Ops))
+				}
+			} else if fused.Stats.FusedOps == 0 {
 				t.Fatal("no micro-ops folded in a diagonal-heavy stream")
-			}
-			if len(fused.Ops) >= len(exact.Ops) {
+			} else if len(fused.Ops) >= len(exact.Ops) {
 				t.Errorf("diag folding did not shrink the op stream: %d vs %d",
 					len(fused.Ops), len(exact.Ops))
 			}
@@ -133,10 +141,11 @@ func TestRunFusionFoldsDiagonals(t *testing.T) {
 	}
 }
 
-// TestDiagDiagCollapsesToRelPhase pins the merged-op shape: two
-// adjacent diagonals on one low target become exactly one TileRelPhase
-// micro-op carrying the product factors.
-func TestDiagDiagCollapsesToRelPhase(t *testing.T) {
+// TestDiagDiagIsOneTablePass pins the shape two adjacent diagonals on
+// one low target take, under within-run fusion too: a group header and
+// the two members as compiled alone, run as one pass whose single table
+// entry is the product factor on the target's 1 half.
+func TestDiagDiagIsOneTablePass(t *testing.T) {
 	c := circuit.New(5, 0)
 	c.Append(gate.T, []int{1}, nil)
 	c.Append(gate.S, []int{1}, nil)
@@ -148,21 +157,20 @@ func TestDiagDiagCollapsesToRelPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := fused.Ops
-	if len(ops) != 1 {
-		t.Fatalf("want 1 merged micro-op, got %d", len(ops))
-	}
-	op := ops[0]
-	if op.Kind != statevec.TileRelPhase || op.T != 1 {
-		t.Fatalf("want TileRelPhase on target 1, got kind=%d T=%d", op.Kind, op.T)
+	tph, sph := gate.Matrix1(gate.T, nil)[3], gate.Matrix1(gate.S, nil)[3]
+	want := []statevec.TileOp{statevec.TableOp(2), statevec.DiagOp(tph, 1<<1, 0), statevec.DiagOp(sph, 1<<1, 0)}
+	if !reflect.DeepEqual(fused.Ops, want) || fused.Stats.FusedOps != 0 {
+		t.Fatalf("ops %+v (%d folded), want a header and the two phases", fused.Ops, fused.Stats.FusedOps)
 	}
 	// T then S is diag(1, e^{iπ/4}) then diag(1, i): product diag(1, e^{i3π/4}).
-	want := complex(math.Cos(3*math.Pi/4), math.Sin(3*math.Pi/4))
-	if a, b := op.AB(); cmplx.Abs(a-1) > 1e-15 || cmplx.Abs(b-want) > 1e-15 {
-		t.Fatalf("merged factors A=%v B=%v, want A=1 B=%v", a, b, want)
+	s := statevec.MustNew(5, 1)
+	s.ApplyGate(gate.H, []int{1}, nil)
+	if err := fused.Execute(s); err != nil {
+		t.Fatal(err)
 	}
-	if fused.Stats.FusedOps != 1 {
-		t.Fatalf("FusedOps = %d, want 1", fused.Stats.FusedOps)
+	phase := complex(math.Cos(3*math.Pi/4), math.Sin(3*math.Pi/4))
+	if a0, a1 := s.Amp(0), s.Amp(2); cmplx.Abs(a0-complex(math.Sqrt2/2, 0)) > 1e-15 || cmplx.Abs(a1-phase*math.Sqrt2/2) > 1e-15 {
+		t.Fatalf("amplitudes %v, %v; want 1/√2 and e^{i3π/4}/√2", a0, a1)
 	}
 }
 

@@ -55,6 +55,14 @@ import (
 // plan always exists: the tile is clamped strictly inside the shard,
 // and a 1-qubit shard is one tile.
 //
+// Diagonal groups: every maximal run of two or more adjacent diagonal
+// gates (diagGroup, one rule for every plan shape) runs as one
+// phase-table pass (statevec/table.go). In a tiled or distributed plan
+// the group is a TileTable header op followed by its members' own
+// micro-ops, all in one run — a diagonal gate never relabels or falls
+// back — and in the per-gate plan one SegGlobal over the members'
+// instructions. Members keep their binding sites either way.
+//
 // "No tile" is a plan too: width 0 compiles the per-gate schedule
 // (planPerGate), one full sweep per instruction: aer's baseline, and the
 // reference the tiled and distributed schedules are held bit-identical
@@ -105,8 +113,8 @@ const (
 type Segment struct {
 	Kind SegmentKind
 	// [Lo, Hi) is the segment's range of TilePlan.Ops (SegRun) or
-	// Globals (SegGlobal, one entry). Ranges follow program order and
-	// tile their arena exactly.
+	// Globals (SegGlobal: one entry, or a width-0 plan's diagonal group).
+	// Ranges follow program order and tile their arena exactly.
 	Lo, Hi int32
 	// A, B are a SegBitSwap's physical bit positions.
 	A, B int32
@@ -117,7 +125,7 @@ type Segment struct {
 // CLI output, the serving API, and the bench JSONs.
 type PlanStats struct {
 	TileLocal     int `json:"tile_local_gates"`   // gate instructions compiled into tile runs
-	Global        int `json:"global_sweeps"`      // full-sweep fallbacks
+	Global        int `json:"global_sweeps"`      // full sweeps: fallbacks, a width-0 plan's gates and diagonal groups
 	Runs          int `json:"runs"`               // tile runs emitted (≈ memory passes for local gates)
 	BitSwaps      int `json:"bit_swaps"`          // relabeling swaps inserted, rank-boundary ones included
 	PermSwaps     int `json:"perm_swaps"`         // SWAP gates absorbed into the permutation table
@@ -163,7 +171,7 @@ type TilePlan struct {
 	GlobalBits int // rank-index bits of a distributed plan; 0 = single-process
 	Segments   []Segment
 	Ops        []statevec.TileOp // every SegRun's micro-ops, in program order
-	Globals    []Instr           // every SegGlobal's instruction, with physical qubit operands (width 0: the kernel's own slice)
+	Globals    []Instr           // every SegGlobal's instructions, with physical qubit operands (width 0: the kernel's own slice)
 	// FinalPerm is the logical→physical layout the state data is left
 	// in after all segments run (nil when it ends at the identity);
 	// Execute hands it to the state, which materializes lazily on
@@ -217,6 +225,77 @@ func mixingTargets(in Instr, dst []int) []int {
 		}
 	}
 	return dst
+}
+
+// diagMasks returns the qubits a diagonal gate requires to be 1 for its
+// factor to apply (req: every operand of z, s, sdg, t, tdg, p, cz, cp;
+// none of rz) and every qubit it reads (all); ok is false for any other
+// instruction.
+func diagMasks(in Instr) (req, all uint64, ok bool) {
+	if in.Kind != KGate || !statevec.IsDiagonalGate(in.Gate) {
+		return 0, 0, false
+	}
+	for _, q := range in.Qubits {
+		if q >= 64 {
+			return 0, 0, false
+		}
+		all |= 1 << uint(q)
+	}
+	if in.Gate != gate.RZ {
+		req = all
+	}
+	return req, all, true
+}
+
+// diagGroup is the grouping rule every plan shape shares, on the
+// kernel's logical instruction stream: it returns how many instructions
+// from the start of instrs form one diagonal group — a maximal run of
+// adjacent diagonal gates, extended greedily while the group has at most
+// statevec.MaxTableBits free bits (the bits its members read, less the
+// common ones every member requires to be 1). Any other instruction
+// ends it: a SWAP (the tiled plan absorbs it into its permutation
+// table, the per-gate plan sweeps it), a barrier, a measurement, a
+// fused block. 0 means instrs starts with no diagonal gate, 1 a lone
+// one, which compiles exactly as it always has; a group of two or more
+// runs as one phase-table pass (statevec/table.go).
+func diagGroup(instrs []Instr) int {
+	common, union, ok := diagMasks(instrs[0])
+	if !ok {
+		return 0
+	}
+	n := 1
+	for ; n < len(instrs); n++ {
+		req, all, ok := diagMasks(instrs[n])
+		if !ok || mbits.OnesCount64((union|all)&^(common&req)) > statevec.MaxTableBits {
+			break
+		}
+		common, union = common&req, union|all
+	}
+	return n
+}
+
+// checkGroup accepts the instructions of one SegGlobal: a single one, or
+// one diagonal group — what a plan reader must see before a sweep runs
+// them as one table. A prefix of a group reads no more free bits than
+// the group, so diagGroup takes a whole valid group in.
+func checkGroup(ins []Instr) error {
+	if len(ins) > 1 && diagGroup(ins) != len(ins) {
+		return fmt.Errorf("a sweep of %d instructions is not one group of diagonal gates over at most %d free bits", len(ins), statevec.MaxTableBits)
+	}
+	return nil
+}
+
+// diagGroups counts the groups diagGroup cuts instrs into.
+func diagGroups(instrs []Instr) int {
+	groups := 0
+	for i := 0; i < len(instrs); {
+		n := diagGroup(instrs[i:])
+		if n >= 2 {
+			groups++
+		}
+		i += max(n, 1)
+	}
+	return groups
 }
 
 // Plan compiles the kernel into an execution plan: the per-gate
@@ -274,6 +353,7 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 			nOps++
 		}
 	}
+	nOps += diagGroups(k.Instrs) // one header op per group
 	uses := make([][]int, n)
 	free := make([]int, nUses)
 	for q, c := range ptr {
@@ -328,6 +408,10 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	// run indexes the open SegRun header — the one the next tile op
 	// extends in place — or is -1; closing it is forgetting its index.
 	run := -1
+	// sealed is the op count up to which no op may be folded into by
+	// within-run fusion: a group's header counts its members, so its
+	// ops neither fold nor are folded into.
+	sealed, inGroup := 0, false
 
 	// swap emits a physical bit-swap of positions a < b; b at a rank
 	// position makes it an exchange with the partner rank.
@@ -410,7 +494,7 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 			run = len(p.Segments)
 			p.Segments = append(p.Segments, Segment{Kind: SegRun, Lo: int32(len(p.Ops)), Hi: int32(len(p.Ops))})
 			p.Stats.Runs++
-		} else if cfg.FuseRuns {
+		} else if cfg.FuseRuns && !inGroup && len(p.Ops) > sealed {
 			last := &p.Ops[len(p.Ops)-1]
 			if plainMat1(&op) {
 				if plainMat1(last) && last.T == op.T {
@@ -513,10 +597,26 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 		return nil
 	}
 
-	for i, in := range k.Instrs {
-		if err := add(in, i); err != nil {
-			return nil, err
+	for i := 0; i < len(k.Instrs); {
+		n := diagGroup(k.Instrs[i:])
+		if n < 2 {
+			if err := add(k.Instrs[i], i); err != nil {
+				return nil, err
+			}
+			i++
+			continue
 		}
+		// A group is its header and then its members, each compiled and
+		// bound as it would be alone. A diagonal gate never relabels or
+		// falls back to a sweep, so all of them land in one run.
+		inGroup = true
+		appendRunOp(statevec.TableOp(n))
+		for end := i + n; i < end; i++ {
+			if err := add(k.Instrs[i], i); err != nil {
+				return nil, err
+			}
+		}
+		inGroup, sealed = false, len(p.Ops)
 	}
 	// Every rank position gets its own qubit back: one swap from the
 	// shard position it sits at, or two — through position 0 — when it is
@@ -545,11 +645,13 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 
 // planPerGate compiles the width-0 plan: one SegGlobal per planned
 // instruction at the identity layout, so a SWAP stays a real sweep and
-// nothing is left to materialize. No op is lowered — the plan executes
-// the kernel's own instructions: Globals is the shared, capacity-clipped
-// prefix of k.Instrs when every barrier and measurement trails the gates
-// (any measured circuit) and a filtered copy otherwise, DeepEqual to the
-// decoded plan either way. Only headers and binding sites are allocated.
+// nothing is left to materialize — or per diagonal group (diagGroup),
+// whose SegGlobal covers its members and runs as one phase-table sweep.
+// No op is lowered — the plan executes the kernel's own instructions:
+// Globals is the shared, capacity-clipped prefix of k.Instrs when every
+// barrier and measurement trails the gates (any measured circuit) and a
+// filtered copy otherwise, DeepEqual to the decoded plan either way.
+// Only headers and binding sites are allocated.
 func planPerGate(k *Kernel, bindable bool) *TilePlan {
 	p := &TilePlan{NumQubits: k.NumQubits, Bindable: bindable}
 	m, nBinds, prefix := 0, 0, true
@@ -569,15 +671,33 @@ func planPerGate(k *Kernel, bindable bool) *TilePlan {
 	if !prefix {
 		p.Globals = slices.DeleteFunc(slices.Clone(k.Instrs), func(in Instr) bool { return !planned(in) })
 	}
-	p.Segments, p.Binds, p.Stats.Global = make([]Segment, m), arena[BindSite](nBinds), m
-	for i, in := range p.Globals {
-		p.Segments[i] = Segment{Kind: SegGlobal, Lo: int32(i), Hi: int32(i + 1)}
-		if parameterized(in) {
-			if bindable {
-				p.Binds = append(p.Binds, BindSite{Kind: BindGlobal, Gate: in.Gate, Seg: int32(i), Slot: int32(p.BindSlots), NParams: int32(len(in.Params))})
+	// A group's members are planned and adjacent in k.Instrs, so they are
+	// adjacent in Globals too.
+	nseg := m
+	for i := 0; i < len(k.Instrs); {
+		n := max(diagGroup(k.Instrs[i:]), 1)
+		nseg -= n - 1
+		i += n
+	}
+	p.Segments, p.Binds, p.Stats.Global = make([]Segment, 0, nseg), arena[BindSite](nBinds), nseg
+	at := 0
+	for i := 0; i < len(k.Instrs); {
+		n := max(diagGroup(k.Instrs[i:]), 1)
+		if planned(k.Instrs[i]) {
+			seg := int32(len(p.Segments))
+			p.Segments = append(p.Segments, Segment{Kind: SegGlobal, Lo: int32(at), Hi: int32(at + n)})
+			for j, in := range p.Globals[at : at+n] {
+				if !parameterized(in) {
+					continue
+				}
+				if bindable {
+					p.Binds = append(p.Binds, BindSite{Kind: BindGlobal, Gate: in.Gate, Seg: seg, Op: int32(j), Slot: int32(p.BindSlots), NParams: int32(len(in.Params))})
+				}
+				p.BindSlots += len(in.Params)
 			}
-			p.BindSlots += len(in.Params)
+			at += n
 		}
+		i += n
 	}
 	return p
 }
@@ -592,13 +712,25 @@ func physInstr(in Instr, perm []int) Instr {
 	return out
 }
 
-// compileTileOp lowers one tile-local instruction to a micro-op. The
-// matrices and phases are derived exactly as the per-gate path derives
-// them (statevec.ApplyGate), keeping the two executors
-// arithmetic-identical. Positions at or above the tile width
-// land in HighMask — including rank-bit positions of distributed
-// plans, which each rank's shard base answers (statevec.ApplyTileRun).
+// identity is the identity layout of every register a state can hold.
+var identity = func() (id [statevec.MaxQubits]int) {
+	for q := range id {
+		id[q] = q
+	}
+	return id
+}()
+
+// compileTileOp lowers one tile-local instruction to a micro-op; a nil
+// perm is the identity layout. The matrices and phases are derived
+// exactly as the per-gate path derives them (statevec.ApplyGate),
+// keeping the two executors arithmetic-identical. Positions at or above
+// the tile width land in HighMask — including rank-bit positions of
+// distributed plans, which each rank's shard base answers
+// (statevec.ApplyTileRun).
 func compileTileOp(in Instr, perm []int, tileBits int) statevec.TileOp {
+	if perm == nil { // the identity layout: in's operands are physical
+		perm = identity[:]
+	}
 	split := func(pos int) (low uint64, high uint64) {
 		if pos < tileBits {
 			return 1 << uint(pos), 0
@@ -691,7 +823,7 @@ func (p *TilePlan) ExecuteCancel(s *statevec.State, flag *cancel.Flag) error {
 		case SegBitSwap:
 			s.ApplySwap(int(seg.A), int(seg.B))
 		case SegGlobal:
-			if err := p.Globals[seg.Lo].Apply(s); err != nil {
+			if err := p.ApplyGlobal(s, seg); err != nil {
 				return fmt.Errorf("kernel: global segment %d: %w", i, err)
 			}
 		default:
@@ -702,4 +834,24 @@ func (p *TilePlan) ExecuteCancel(s *statevec.State, flag *cancel.Flag) error {
 		return s.SetPermutation(p.FinalPerm)
 	}
 	return nil
+}
+
+// ApplyGlobal runs a SegGlobal of p against s (a state or a rank shard):
+// one instruction as its own sweep, a diagonal group as one phase-table
+// sweep over its members lowered at the state's width (every position
+// low, so the table's bits are the members' operands).
+func (p *TilePlan) ApplyGlobal(s *statevec.State, seg Segment) error {
+	ins := p.Globals[seg.Lo:seg.Hi]
+	if len(ins) == 1 {
+		return ins[0].Apply(s)
+	}
+	if err := checkGroup(ins); err != nil {
+		return fmt.Errorf("kernel: %w", err)
+	}
+	var buf [16]statevec.TileOp
+	ops := buf[:0]
+	for _, in := range ins {
+		ops = append(ops, compileTileOp(in, nil, s.NumQubits()))
+	}
+	return s.ApplyPhaseGroup(ops)
 }

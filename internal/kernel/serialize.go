@@ -23,6 +23,12 @@ import (
 // serialVersion tags the kernel and plan payload layouts.
 const serialVersion uint16 = 1
 
+// wireGlobalGroup is the wire tag of a SegGlobal that covers a diagonal
+// group: a count and the members' instructions. A one-instruction sweep
+// keeps SegGlobal's tag and layout, so plans without a group encode as
+// they always have. Tag 3 was a batched rank-exchange segment.
+const wireGlobalGroup = 4
+
 // Smallest encodings of one element, the divisors of Reader.Count.
 const (
 	minInstrBytes   = 1 + 1 + 4 + 4 + 4 + 8
@@ -195,6 +201,14 @@ func WritePlan(w *artifact.Writer, p *TilePlan) {
 	w.U32(uint32(p.GlobalBits))
 	w.Count(len(p.Segments))
 	for _, seg := range p.Segments {
+		if seg.Kind == SegGlobal && seg.Hi-seg.Lo > 1 {
+			w.U8(wireGlobalGroup)
+			w.Count(int(seg.Hi - seg.Lo))
+			for _, in := range p.Globals[seg.Lo:seg.Hi] {
+				writeInstr(w, in)
+			}
+			continue
+		}
 		w.U8(uint8(seg.Kind))
 		switch seg.Kind {
 		case SegRun:
@@ -321,6 +335,14 @@ func arenaSizes(r artifact.Reader, nseg int) (ops, globals int) {
 		r.Skip(n * elem)
 		return n
 	}
+	instr := func() {
+		globals++
+		r.Skip(2)
+		skip(4)
+		skip(8)
+		skip(16)
+		r.Skip(8)
+	}
 	for ; nseg > 0 && r.Err() == nil; nseg-- {
 		switch SegmentKind(r.U8()) {
 		case SegRun:
@@ -331,12 +353,11 @@ func arenaSizes(r artifact.Reader, nseg int) (ops, globals int) {
 				skip(16)
 			}
 		case SegGlobal:
-			globals++
-			r.Skip(2)
-			skip(4)
-			skip(8)
-			skip(16)
-			r.Skip(8)
+			instr()
+		case wireGlobalGroup:
+			for n := r.Count(minInstrBytes); n > 0 && r.Err() == nil; n-- {
+				instr()
+			}
 		case SegBitSwap:
 			r.Skip(8)
 		default:
@@ -363,7 +384,11 @@ func arena[T any](n int) []T {
 // position with itself or outside the register, or of two rank
 // positions; a global sweep with an operand outside the shard; a
 // segment or binding-site kind the format does not have (kind 3 was a
-// batched rank-exchange segment, kind 2 its binding site).
+// batched rank-exchange segment, kind 2 its binding site); a diagonal
+// group whose header counts members outside its run, holds one that is
+// not diagonal, or reads more than statevec.MaxTableBits free bits; and
+// a sweep of several instructions that is not such a group of a width-0
+// plan.
 func ReadPlan(r *artifact.Reader) *TilePlan {
 	p := &TilePlan{}
 	p.TileBits = int(r.U32())
@@ -385,14 +410,28 @@ func ReadPlan(r *artifact.Reader) *TilePlan {
 				p.Ops = append(p.Ops, readTileOp(r))
 			}
 			seg.Hi = int32(len(p.Ops))
-		case SegGlobal:
-			seg.Lo = int32(len(p.Globals))
-			in := readInstr(r)
-			if slices.ContainsFunc(in.Qubits, func(q int) bool { return q >= local }) {
-				r.Failf("global segment %d has an operand outside the %d-qubit shard", i, local)
+			if err := statevec.CheckGroups(p.Ops[seg.Lo:seg.Hi]); err != nil && r.Err() == nil {
+				r.Failf("segment %d: %v", i, err)
 			}
-			p.Globals = append(p.Globals, in)
-			seg.Hi = seg.Lo + 1
+		case SegGlobal, wireGlobalGroup:
+			n := 1
+			if seg.Kind == wireGlobalGroup {
+				if n = r.Count(minInstrBytes); n < 2 || p.TileBits != 0 {
+					r.Failf("segment %d sweeps %d instructions in a plan of tile width %d", i, n, p.TileBits)
+				}
+			}
+			seg.Kind, seg.Lo = SegGlobal, int32(len(p.Globals))
+			for ; n > 0 && r.Err() == nil; n-- {
+				in := readInstr(r)
+				if slices.ContainsFunc(in.Qubits, func(q int) bool { return q >= local }) {
+					r.Failf("global segment %d has an operand outside the %d-qubit shard", i, local)
+				}
+				p.Globals = append(p.Globals, in)
+			}
+			seg.Hi = int32(len(p.Globals))
+			if err := checkGroup(p.Globals[seg.Lo:seg.Hi]); err != nil && r.Err() == nil {
+				r.Failf("segment %d: %v", i, err)
+			}
 		case SegBitSwap:
 			a, b := int(r.U32()), int(r.U32())
 			if a == b || max(a, b) >= p.NumQubits || min(a, b) >= local {
@@ -479,7 +518,7 @@ func (k *Kernel) SizeBytes() int64 { r, _ := k.sizes(); return r }
 func (k *Kernel) EncodedLen() int { _, e := k.sizes(); return e }
 
 // segFieldBytes is what follows a segment's kind byte, its ops aside: a
-// count, nothing, two positions.
+// count, nothing (a group's count is added apart), two positions.
 var segFieldBytes = [4]int{SegRun: 4, SegGlobal: 0, SegBitSwap: 8}
 
 func (p *TilePlan) sizes() (resident int64, encoded int) {
@@ -489,6 +528,9 @@ func (p *TilePlan) sizes() (resident int64, encoded int) {
 		minTileOpBytes*len(p.Ops)
 	for _, seg := range p.Segments {
 		encoded += 1 + segFieldBytes[seg.Kind&3] // an unknown kind fails the encode anyway
+		if seg.Kind == SegGlobal && seg.Hi-seg.Lo > 1 {
+			encoded += 4
+		}
 	}
 	for i := range p.Ops {
 		if fb := p.Ops[i].Fused; fb != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
@@ -125,7 +126,8 @@ func maxAbs(params []float64) float64 {
 // of operands fits in `window` qubits into single dense unitaries,
 // mirroring cuQuantum-style gate fusion. Barriers and measurements cut
 // fusion groups; gates touching qubits at or above localLimit (when
-// positive) are emitted unfused.
+// positive) are emitted unfused, and so is a group whose gates are all
+// diagonal, which the plan lowers to a phase table instead.
 func fuse(k *Kernel, window, localLimit int, st *Stats) {
 	var out []Instr
 	var group []Instr
@@ -134,8 +136,11 @@ func fuse(k *Kernel, window, localLimit int, st *Stats) {
 	flush := func() {
 		switch {
 		case len(group) == 0:
-		case len(group) == 1:
-			out = append(out, group[0])
+		case len(group) == 1 || !slices.ContainsFunc(group, func(in Instr) bool { return !statevec.IsDiagonalGate(in.Gate) }):
+			// A lone gate, or a group of diagonals: the plan runs those as
+			// one phase table (diagGroup), one multiply per amplitude
+			// where a dense block would pay 2^k.
+			out = append(out, group...)
 		default:
 			qubits := make([]int, 0, len(groupQubits))
 			for q := range groupQubits {
@@ -277,7 +282,8 @@ func Execute(k *Kernel, s *statevec.State) error {
 }
 
 // Apply runs one gate or fused instruction, operands physical, as a full
-// sweep over s — a SegGlobal, on a single state or a rank shard alike.
+// sweep over s — a one-instruction SegGlobal, on a single state or a rank
+// shard alike.
 func (in *Instr) Apply(s *statevec.State) error {
 	switch in.Kind {
 	case KGate:

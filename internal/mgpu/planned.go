@@ -71,7 +71,7 @@ func (d *DistState) ExecutePlanCancel(p *kernel.TilePlan, flag *cancel.Flag) err
 			}
 		case kernel.SegGlobal:
 			// The planner keeps every operand of a sweep in the shard.
-			err = p.Globals[seg.Lo].Apply(d.st)
+			err = p.ApplyGlobal(d.st, seg)
 		default:
 			err = fmt.Errorf("unknown segment kind %d", seg.Kind)
 		}

@@ -10,6 +10,7 @@ import (
 	"qgear/internal/gate"
 	"qgear/internal/kernel"
 	"qgear/internal/qcrank"
+	"qgear/internal/qft"
 	"qgear/internal/qmath"
 	"qgear/internal/sampling"
 	"qgear/internal/statevec"
@@ -106,9 +107,9 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 		{8, 4, 3, 0, true, 72},   // within-run fusion on
 		{9, 8, 3, 0, false, 152}, // deep rank boundary
 		{9, 8, 3, 0, true, 152},  //   ... with fusion
-		{8, 4, 3, 3, false, 84},  // transform-level fused blocks in the stream
-		{8, 4, 3, 3, true, 84},   // both fusion layers at once
-		{10, 2, 4, 4, false, 26}, // wide fused blocks, single rank bit
+		{8, 4, 3, 3, false, 64},  // transform-level fused blocks in the stream
+		{8, 4, 3, 3, true, 64},   // both fusion layers at once
+		{10, 2, 4, 4, false, 20}, // wide fused blocks, single rank bit
 		{2, 2, 3, 0, false, 68},  // 1-qubit shards: the shard is one tile
 		{3, 4, 3, 0, false, 176},
 		{4, 8, 3, 0, true, 328},
@@ -468,6 +469,79 @@ func BenchmarkExecutePlanQCrank(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestGroupedPlansMatchPerGate: on circuits full of diagonal groups — a
+// QFT's cr1 ladders, TFIM's rz layers and cp ladders, a diagonal-heavy
+// soup with SWAPs — every world from 1 to 16 ranks at 1 to 3 workers
+// per rank reads out the probabilities of the per-gate plan on one
+// device bit for bit: a group's table has the same entries on every
+// rank, and its free bits on rank positions are read from the shard
+// base.
+func TestGroupedPlansMatchPerGate(t *testing.T) {
+	const n = 9
+	qftC, err := qft.Circuit(n, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tfim := circuit.New(n, 0)
+	for s := 0; s < 2; s++ {
+		for q := 0; q < n; q++ {
+			tfim.RX(0.3+0.01*float64(q), q)
+		}
+		for q := 0; q < n; q++ {
+			tfim.RZ(0.7-0.02*float64(q), q)
+		}
+		for q := 0; q+1 < n; q++ {
+			tfim.CP(0.4+0.03*float64(q), q, q+1)
+		}
+	}
+	rng := qmath.NewRNG(0xd1a6)
+	soup := circuit.New(n, 0)
+	for i := 0; i < 200; i++ {
+		q0, q1 := rng.Intn(n), rng.Intn(n-1)
+		if q1 >= q0 {
+			q1++
+		}
+		switch r := rng.Intn(10); {
+		case r < 3:
+			soup.CP(rng.Angle(), q0, q1)
+		case r < 5:
+			soup.RZ(rng.Angle(), q0)
+		case r < 6:
+			soup.Append(gate.T, []int{q0}, nil)
+		case r < 7:
+			soup.SWAP(q0, q1)
+		case r < 8:
+			soup.H(q0)
+		case r < 9:
+			soup.RX(rng.Angle(), q0)
+		default:
+			soup.CX(q0, q1)
+		}
+	}
+	for ci, c := range []*circuit.Circuit{qftC, tfim, soup} {
+		k, _, err := kernel.FromCircuit(c, kernel.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := singleDeviceProbs(t, k)
+		if d := maxDiff(want, oracleProbs(c)); d > 1e-12 {
+			t.Errorf("circuit %d: per-gate vs oracle %g", ci, d)
+		}
+		for ranks := 1; ranks <= 16; ranks *= 2 {
+			for w := 1; w <= 3; w++ {
+				plan := planFor(t, k, ranks, min(3, n-log2ranks(ranks)-1))
+				res, err := SimulateCompiled(k, plan, ranks, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := maxDiff(res.Probabilities, want); d != 0 {
+					t.Errorf("circuit %d, %d ranks, %d workers: %g from the per-gate plan, want 0", ci, ranks, w, d)
+				}
+			}
 		}
 	}
 }

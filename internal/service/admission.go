@@ -3,12 +3,14 @@ package service
 import (
 	"bufio"
 	"math"
+	"math/bits"
 	"os"
 	"strconv"
 	"strings"
 
 	"qgear/internal/backend"
 	"qgear/internal/sampling"
+	"qgear/internal/statevec"
 )
 
 // Memory admission control: a dense n-qubit statevector is 2^n
@@ -28,9 +30,10 @@ const runOverheadBytes = 256 << 10
 // amplitude vector (16 bytes each; recycled between runs, resident
 // either way), the probability readout (8 bytes each; the distributed
 // ranks write theirs straight into it), on the distributed target the
-// exchange buffers (one more amplitude vector across all ranks), and
-// the sampler's working set — per simulated QPU on mqpu, which samples
-// its shares concurrently.
+// exchange buffers (one more amplitude vector across all ranks), each
+// state's phase-table scratch (a rank shard each on mgpu), and the
+// sampler's working set — per simulated QPU on mqpu, which samples its
+// shares concurrently.
 func (s *Server) estimateStateBytes(n, shots int) int64 {
 	if n < 0 {
 		return 0
@@ -41,9 +44,13 @@ func (s *Server) estimateStateBytes(n, shots int) int64 {
 		return math.MaxInt64
 	}
 	b := int64(24)<<uint(n) + runOverheadBytes
+	states, local := 1, n // the states a run holds, and their qubits
 	if s.cfg.Target == backend.TargetNvidiaMGPU {
 		b += int64(16) << uint(n)
+		states = max(1, s.cfg.Devices)
+		local = n - bits.Len(uint(states)) + 1
 	}
+	b += int64(states) * statevec.MaxTableBytes(local)
 	samplers := 1
 	if d := s.cfg.Devices; s.cfg.Target == backend.TargetNvidiaMQPU && d > 1 && shots >= d {
 		samplers = d

@@ -2,10 +2,12 @@ package service
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -451,5 +453,67 @@ func TestPreSplitArtifactsAreRefused(t *testing.T) {
 		if _, info, err := s3.Run(context.Background(), c, opts); err != nil || !info.Cached || s3.Stats().StoreHits != 1 {
 			t.Fatalf("plan fusion %v: rerun after restart cached %v, store hits %d, err %v; want a store hit", tc.planFusion, info.Cached, s3.Stats().StoreHits, err)
 		}
+	}
+}
+
+// TestPreTableArtifactsAreRefused: a store written before adjacent
+// diagonal gates ran as one phase table holds plans that run them gate
+// by gate and results that differ from a table run in the last bits,
+// under a signature without the "|dt" suffix. Reopened, both artifacts
+// of a QFT (all cr1 ladders) are refused, the job is recompiled and run,
+// and what that run spilled is served on the next start.
+func TestPreTableArtifactsAreRefused(t *testing.T) {
+	cfg := Config{StoreDir: t.TempDir(), WorkerPool: 1, MaxBatch: 1}
+	c := circuit.New(10, 0)
+	for j := 9; j >= 0; j-- {
+		c.H(j)
+		for k := j - 1; k >= 0; k-- {
+			c.CP(math.Pi/float64(int(1)<<uint(j-k)), k, j)
+		}
+	}
+	c.MeasureAll()
+	opts := SubmitOptions{Shots: 100, Seed: 3}
+
+	s1 := newTestServer(t, cfg)
+	parentSig, ok := strings.CutSuffix(s1.cfgSig, "|dt")
+	if !ok {
+		t.Fatalf("signature %q does not end in the table suffix", s1.cfgSig)
+	}
+	bcfg := backend.Config{Target: backend.TargetNvidia, Shots: opts.Shots, Seed: opts.Seed}
+	comp, err := backend.Compile(c, bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := backend.RunCompiled(comp, bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resKey, planKey := s1.key(kindSimulate, c, opts), s1.planKey(c, c.Fingerprint())
+	if err := s1.store.SavePlan(planKey, parentSig, comp, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.store.SaveResult(resKey, parentSig, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, cfg)
+	if !s2.store.HasResult(resKey) || !s2.store.HasPlan(planKey) {
+		t.Fatal("the reopened store lost the old artifacts")
+	}
+	if _, info, err := s2.Run(context.Background(), c, opts); err != nil {
+		t.Fatal(err)
+	} else if st := s2.Stats(); info.Cached || st.StoreHits != 0 || st.StorePlanHits != 0 || st.Executed != 1 || st.StoreQuarantines != 2 {
+		t.Fatalf("cached %v, store hits %d, plan store hits %d, executed %d, quarantines %d; want the result and plan refused and the job run",
+			info.Cached, st.StoreHits, st.StorePlanHits, st.Executed, st.StoreQuarantines)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3 := newTestServer(t, cfg)
+	if _, info, err := s3.Run(context.Background(), c, opts); err != nil || !info.Cached || s3.Stats().StoreHits != 1 {
+		t.Fatalf("rerun after restart cached %v, store hits %d, err %v; want a store hit", info.Cached, s3.Stats().StoreHits, err)
 	}
 }

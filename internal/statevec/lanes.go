@@ -16,15 +16,25 @@ import (
 // and drop the block/stride bookkeeping to plain increments — none of
 // which the compiler can do for opaque complex128 values.
 //
-// Every kernel is one of four strided primitives. Three write
-// amplitudes — scaleWindows (a complex scale), pairReal and pairComplex
+// Every kernel is one of five strided primitives. Four write
+// amplitudes — scaleWindows (a complex scale), scaleTable (a complex
+// scale per amplitude, read from a table row), pairReal and pairComplex
 // (a 2×2 on lanes dist apart) — applied to the sets of strided windows
-// subspaceSets enumerates; one reads them, pauliChunks (the Pauli
-// evaluator's chunk sums, pauliL canonical chunks per call, one per
-// lane). Call granularity is the rule: a primitive is called once per
-// set of windows, never once per window, so the narrowest shapes (one
-// amplitude per window, qubit 0) cost no call per amplitude and the
-// primitives are free to be out-of-line assembly.
+// subspaceSets (tableSubspace, for scaleTable) enumerates; one reads
+// them, pauliChunks (the Pauli evaluator's chunk sums, pauliL canonical
+// chunks per call, one per lane). Call granularity is the rule: a
+// primitive is called once per set of windows, never once per window,
+// so the narrowest shapes (one amplitude per window, qubit 0) cost no
+// call per amplitude and the primitives are free to be out-of-line
+// assembly.
+//
+// The table contract (table.go): scaleTable multiplies window j by the
+// table row at entry j·tstep, element by element and repeated along the
+// window, so a diagonal group's table reaches every amplitude of its
+// common subspace with no per-amplitude index — the index moves once
+// per window. tstep is one entry stride of the table when the windows
+// step along a stretch of free bits, 0 when they step along bits no
+// member reads, and the row is one entry when bit 0 is not free.
 //
 // Bit-identity contract: every lane kernel performs *exactly* the
 // operations of the complex128 arithmetic it replaces, in the same
@@ -60,9 +70,9 @@ import (
 // NaN propagates through a flipped factor and through either operand
 // order, where the scalar form's choice of NaN operand differs — a
 // state holding a NaN is already lost, and every NaN stays a NaN.
-// FuzzLanePrimitives and FuzzPauliLanes hold each assembly body bit for
-// bit to its Go loop over arbitrary lane bits and window shapes, NaNs
-// compared only as NaNs.
+// FuzzLanePrimitives, FuzzPauliLanes and FuzzScaleTable hold each
+// assembly body bit for bit to its Go loop over arbitrary lane bits and
+// window shapes, NaNs compared only as NaNs.
 //
 // Real-matrix fast path: matrices whose four imaginary lanes are all
 // exactly +0 (h, x, y-axis rotations — the QCrank workload is nothing
@@ -223,6 +233,26 @@ func scaleWindowsGo(v []float64, run, period int, pr, pi float64) {
 			ar, ai := w[j], w[j+1]
 			w[j] = float64(ar*pr) - float64(ai*pi)
 			w[j+1] = float64(ar*pi) + float64(ai*pr)
+		}
+	}
+}
+
+// scaleTableGo multiplies every amplitude of the windows by a table
+// entry: window j takes the row of row lanes at lane j·tstep of t, and
+// its amplitude k the row's entry k mod row/2 — the row repeats along a
+// window longer than it (row/2 divides the window's amplitudes), and
+// tstep 0 gives every window the same row. The product is scaleWindows',
+// entry for scalar: scaleTable's Go body.
+func scaleTableGo(v, t []float64, run, period, row, tstep int) {
+	for b, r := 0, 0; b+run <= len(v); b, r = b+period, r+tstep {
+		w := v[b : b+run : b+run]
+		e := t[r : r+row : r+row]
+		for j := 0; j+1 < len(w); j += 2 {
+			k := j % row
+			ar, ai := w[j], w[j+1]
+			er, ei := e[k], e[k+1]
+			w[j] = float64(ar*er) - float64(ai*ei)
+			w[j+1] = float64(ar*ei) + float64(ai*er)
 		}
 	}
 }

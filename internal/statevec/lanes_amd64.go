@@ -5,14 +5,27 @@ import "unsafe"
 // The amd64 lane primitives: thin wrappers that turn a lane slice into
 // a window count (and pauliLanes into pointers) for the SSE2 bodies in
 // lanes_amd64.s. Same windows, same arithmetic as scaleWindowsGo,
-// pairRealGo, pairComplexGo and pauliChunksGo (see the packed double
-// note in lanes.go).
+// scaleTableGo, pairRealGo, pairComplexGo and pauliChunksGo (see the
+// packed double note in lanes.go).
 
 func scaleWindows(v []float64, run, period int, pr, pi float64) {
 	if run < 2 || len(v) < run {
 		return
 	}
 	scaleWindowsSSE2(&v[0], run/2, period, (len(v)-run)/period+1, pr, pi)
+}
+
+// scaleTable panics on a row that does not fit its windows or a table
+// too short for them: the assembly does not check.
+func scaleTable(v, t []float64, run, period, row, tstep int) {
+	if run < 2 || len(v) < run {
+		return
+	}
+	count, amps, entries := (len(v)-run)/period+1, run/2, row/2
+	if entries < 1 || amps%entries != 0 || tstep < 0 || len(t) < (count-1)*tstep+2*entries {
+		panic("statevec: scaleTable row does not fit its windows")
+	}
+	scaleTableSSE2(&v[0], &t[0], entries, amps/entries, period, tstep, count)
 }
 
 func pairReal(v []float64, dist, run, period int, r0, r1, r2, r3 float64) {
@@ -66,6 +79,13 @@ func pauliChunks(l *pauliLanes, nl int, w *pauliWalk) {
 //
 //go:noescape
 func scaleWindowsSSE2(v *float64, amps, period, count int, pr, pi float64)
+
+// scaleTableSSE2 multiplies count windows, one every period lanes from
+// v, each reps repetitions of a row of row amplitudes, by rows of row
+// entries, one every tstep lanes from t.
+//
+//go:noescape
+func scaleTableSSE2(v, t *float64, row, reps, period, tstep, count int)
 
 // pairRealSSE2 applies [r0 r1; r2 r3] to count windows of amps
 // amplitudes, one every period lanes from v, and their partners dist

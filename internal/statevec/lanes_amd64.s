@@ -1,9 +1,10 @@
 #include "textflag.h"
 
 // SSE2 bodies of the lane primitives (lanes.go, lanes_amd64.go): one
-// amplitude per XMM register; scale and real pair take two amplitudes
-// per loop iteration and a one-amplitude tail, the complex pair (eight
-// factor registers) one; the Pauli chunk sums take one amplitude of
+// amplitude per XMM register; scale, a table row read once per window
+// and real pair take two amplitudes per loop iteration and a
+// one-amplitude tail, the complex pair (eight factor registers) and a
+// repeated table row one; the Pauli chunk sums take one amplitude of
 // each of four lanes. Unaligned loads and stores throughout. MULPD,
 // ADDPD and SUBPD only — no FMA, nothing above SSE2.
 
@@ -61,6 +62,175 @@ next:
 	ADDQ	DX, DI
 	DECQ	BX
 	JNZ	window
+
+done:
+	RET
+
+// func scaleTableSSE2(v, t *float64, row, reps, period, tstep, count int)
+//
+// scaleWindowsSSE2's product with the factor read from the table and
+// split into [er, er] and [-ei, ei] once per entry. A row of one entry
+// is loaded once per window and runs scaleWindowsSSE2's loop over the
+// window; a row read once per window takes its entries two at a time,
+// in step with the amplitudes; a row repeated along the window is walked
+// entry by entry, each entry applied to its amplitude in every
+// repetition, so the split is not repeated.
+TEXT ·scaleTableSSE2(SB), NOSPLIT, $0-56
+	MOVQ	v+0(FP), DI
+	MOVQ	t+8(FP), R8
+	MOVQ	row+16(FP), R10
+	MOVQ	reps+24(FP), CX
+	MOVQ	period+32(FP), DX
+	SHLQ	$3, DX              // period in bytes
+	MOVQ	tstep+40(FP), R11
+	SHLQ	$3, R11             // tstep in bytes
+	MOVQ	count+48(FP), BX
+	MOVQ	$0x8000000000000000, AX
+	MOVQ	AX, X7              // X7 = [sign bit, 0]
+	TESTQ	BX, BX
+	JLE	done
+	CMPQ	R10, $1
+	JE	scalar
+	CMPQ	CX, $1
+	JE	once
+	MOVQ	R10, R13
+	SHLQ	$4, R13             // R13: the row in bytes, the stride of a repetition
+	JMP	columns
+
+scalar:
+	MOVUPD	(R8), X0            // [er, ei]
+	MOVAPD	X0, X1
+	UNPCKLPD	X0, X0          // X0 = [er, er]
+	UNPCKHPD	X1, X1
+	XORPD	X7, X1              // X1 = [-ei, ei]
+	MOVQ	DI, SI
+	MOVQ	CX, AX
+	SUBQ	$2, AX
+	JL	stail
+
+stwo:
+	MOVUPD	(SI), X2            // [ar, ai]
+	MOVUPD	16(SI), X3
+	PSHUFD	$0x4e, X2, X4       // [ai, ar]
+	PSHUFD	$0x4e, X3, X5
+	MULPD	X0, X2              // [ar*er, ai*er]
+	MULPD	X0, X3
+	MULPD	X1, X4              // [ai*-ei, ar*ei]
+	MULPD	X1, X5
+	ADDPD	X4, X2              // [ar*er - ai*ei, ai*er + ar*ei]
+	ADDPD	X5, X3
+	MOVUPD	X2, (SI)
+	MOVUPD	X3, 16(SI)
+	ADDQ	$32, SI
+	SUBQ	$2, AX
+	JGE	stwo
+
+stail:
+	CMPQ	AX, $-1             // -1: one amplitude left, -2: none
+	JNE	snext
+	MOVUPD	(SI), X2
+	PSHUFD	$0x4e, X2, X4
+	MULPD	X0, X2
+	MULPD	X1, X4
+	ADDPD	X4, X2
+	MOVUPD	X2, (SI)
+
+snext:
+	ADDQ	DX, DI
+	ADDQ	R11, R8
+	DECQ	BX
+	JNZ	scalar
+	RET
+
+once:
+	MOVQ	DI, SI              // SI: the amplitude, R12: its entry
+	MOVQ	R8, R12
+	MOVQ	R10, AX
+	SUBQ	$2, AX
+	JL	otail
+
+otwo:
+	MOVUPD	(SI), X2            // [ar, ai]
+	MOVUPD	16(SI), X3
+	MOVUPD	(R12), X0           // [er, ei]
+	MOVUPD	16(R12), X8
+	MOVAPD	X0, X1
+	MOVAPD	X8, X9
+	UNPCKLPD	X0, X0          // [er, er]
+	UNPCKLPD	X8, X8
+	UNPCKHPD	X1, X1
+	UNPCKHPD	X9, X9
+	XORPD	X7, X1              // [-ei, ei]
+	XORPD	X7, X9
+	PSHUFD	$0x4e, X2, X4       // [ai, ar]
+	PSHUFD	$0x4e, X3, X5
+	MULPD	X0, X2              // [ar*er, ai*er]
+	MULPD	X8, X3
+	MULPD	X1, X4              // [ai*-ei, ar*ei]
+	MULPD	X9, X5
+	ADDPD	X4, X2
+	ADDPD	X5, X3
+	MOVUPD	X2, (SI)
+	MOVUPD	X3, 16(SI)
+	ADDQ	$32, SI
+	ADDQ	$32, R12
+	SUBQ	$2, AX
+	JGE	otwo
+
+otail:
+	CMPQ	AX, $-1             // -1: one entry left, -2: none
+	JNE	onext
+	MOVUPD	(SI), X2
+	MOVUPD	(R12), X0
+	MOVAPD	X0, X1
+	UNPCKLPD	X0, X0
+	UNPCKHPD	X1, X1
+	XORPD	X7, X1
+	PSHUFD	$0x4e, X2, X4
+	MULPD	X0, X2
+	MULPD	X1, X4
+	ADDPD	X4, X2
+	MOVUPD	X2, (SI)
+
+onext:
+	ADDQ	DX, DI
+	ADDQ	R11, R8
+	DECQ	BX
+	JNZ	once
+	RET
+
+columns:
+	MOVQ	DI, SI              // SI: entry k's amplitude in the first repetition
+	MOVQ	R8, R12             // R12: entry k, R14: entries left
+	MOVQ	R10, R14
+
+entry:
+	MOVUPD	(R12), X0           // [er, ei]
+	MOVAPD	X0, X1
+	UNPCKLPD	X0, X0          // [er, er]
+	UNPCKHPD	X1, X1
+	XORPD	X7, X1              // [-ei, ei]
+	MOVQ	SI, R9              // R9: the amplitude, AX: repetitions left
+	MOVQ	CX, AX
+
+rep:
+	MOVUPD	(R9), X2            // [ar, ai]
+	PSHUFD	$0x4e, X2, X4       // [ai, ar]
+	MULPD	X0, X2
+	MULPD	X1, X4
+	ADDPD	X4, X2
+	MOVUPD	X2, (R9)
+	ADDQ	R13, R9
+	DECQ	AX
+	JNZ	rep
+	ADDQ	$16, SI
+	ADDQ	$16, R12
+	DECQ	R14
+	JNZ	entry
+	ADDQ	DX, DI
+	ADDQ	R11, R8
+	DECQ	BX
+	JNZ	columns
 
 done:
 	RET

@@ -8,6 +8,10 @@ func scaleWindows(v []float64, run, period int, pr, pi float64) {
 	scaleWindowsGo(v, run, period, pr, pi)
 }
 
+func scaleTable(v, t []float64, run, period, row, tstep int) {
+	scaleTableGo(v, t, run, period, row, tstep)
+}
+
 func pairReal(v []float64, dist, run, period int, r0, r1, r2, r3 float64) {
 	pairRealGo(v, dist, run, period, r0, r1, r2, r3)
 }

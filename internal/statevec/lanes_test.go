@@ -885,21 +885,29 @@ func FuzzPauliLanes(f *testing.F) {
 // the lanes it reads and writes once per call) for this GOARCH's body
 // and the Go loop, over a 2^14-amplitude (256 KiB, L2-resident) buffer,
 // by window width in amplitudes: 1 (qubit 0), 2 (qubit 1), 32, and one
-// contiguous window. scale windows sit at every other window slot;
-// pair (real) and cpair (complex, u3) windows fill the buffer with
-// their partners.
+// contiguous window. scale and table windows sit at every other window
+// slot; pair (real) and cpair (complex, u3) windows fill the buffer with
+// their partners. A table row is one entry per window advancing window
+// by window at width 1 (a free stretch above other bits), and the
+// window's own 32 or 1024 entries, repeated along it, at width 32 and
+// contiguous (a free stretch from bit 0).
 func BenchmarkLanePrimitives(b *testing.B) {
 	v := lanes(randAmps(1<<14, qmath.NewRNG(9)))
+	tab := make([]complex128, 1<<13)
+	for i := range tab {
+		tab[i] = complex(math.Cos(float64(i)), math.Sin(float64(i)))
+	}
 	c, s := math.Cos(0.3), math.Sin(0.3) // unit factors keep the lanes bounded
 	u := mat2Lanes(gate.Matrix1(gate.U3, []float64{0.3, 0.5, 0.7}))
 	bodies := []struct {
 		name  string
 		scale func(v []float64, run, period int, pr, pi float64)
+		table func(v, t []float64, run, period, row, tstep int)
 		pair  func(v []float64, dist, run, period int, r0, r1, r2, r3 float64)
 		cpair func(v []float64, dist, run, period int, m *laneMat2)
 	}{
-		{runtime.GOARCH, scaleWindows, pairReal, pairComplex},
-		{"go", scaleWindowsGo, pairRealGo, pairComplexGo},
+		{runtime.GOARCH, scaleWindows, scaleTable, pairReal, pairComplex},
+		{"go", scaleWindowsGo, scaleTableGo, pairRealGo, pairComplexGo},
 	}
 	for _, body := range bodies {
 		for _, amps := range []int{1, 2, 32, len(v) / 4} {
@@ -914,6 +922,18 @@ func BenchmarkLanePrimitives(b *testing.B) {
 					body.scale(v, run, 2*run, c, s)
 				}
 			})
+			if amps != 2 {
+				row, tstep := 2*min(amps, 1<<10), 0
+				if amps == 1 {
+					tstep = 2
+				}
+				b.Run("table/"+body.name+"/"+name, func(b *testing.B) {
+					b.SetBytes(int64(8 * len(v) / 2))
+					for i := 0; i < b.N; i++ {
+						body.table(v, lanes(tab), run, 2*run, row, tstep)
+					}
+				})
+			}
 			b.Run("pair/"+body.name+"/"+name, func(b *testing.B) {
 				b.SetBytes(int64(8 * len(v)))
 				for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // The state-slab free list. A run's amplitude vector is the largest
@@ -24,7 +25,7 @@ type slabList struct {
 	// fresh[n] and old[n]: free 2^n-amplitude slabs released since the
 	// last GC cycle, and during the cycle before it.
 	fresh, old [MaxQubits + 1][][]complex128
-	armed      bool // a gcSentinel's finalizer is pending
+	armed      bool // the list waits for a gcSentinel's finalizer
 	stats      PoolStats
 }
 
@@ -35,7 +36,12 @@ type PoolStats struct {
 	RetainedBytes int64
 }
 
-var slabs slabList
+// slabs holds state-sized slabs, exchange buffers and alias tables — what
+// SlabStats counts; tables holds the phase tables of diagonal groups
+// (table.go), a few KiB each, under the same retention rule and out of
+// those counters, so a run's state-slab traffic reads the same whether
+// or not its circuit groups diagonals.
+var slabs, tables slabList
 
 // SlabStats snapshots the free list's counters.
 func SlabStats() PoolStats {
@@ -46,8 +52,9 @@ func SlabStats() PoolStats {
 
 // TakeSlab returns 2^n zeroed amplitudes, recycled when the free list
 // holds a slab of that size. The caller owns them until PutSlab.
-func TakeSlab(n int) []complex128 {
-	l := &slabs
+func TakeSlab(n int) []complex128 { return slabs.take(n) }
+
+func (l *slabList) take(n int) []complex128 {
 	l.mu.Lock()
 	gen := &l.fresh[n]
 	if len(*gen) == 0 {
@@ -72,12 +79,13 @@ func TakeSlab(n int) []complex128 {
 // PutSlab hands a slab back. The caller must hold the only reference:
 // the next TakeSlab of this size zeroes and reuses it. A slice that is
 // not a whole power-of-two slab is left to the collector.
-func PutSlab(slab []complex128) {
+func PutSlab(slab []complex128) { slabs.put(slab) }
+
+func (l *slabList) put(slab []complex128) {
 	n := bits.Len(uint(len(slab))) - 1
 	if n < 0 || n > MaxQubits || len(slab) != 1<<uint(n) || cap(slab) != len(slab) {
 		return
 	}
-	l := &slabs
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.fresh[n] = append(l.fresh[n], slab)
@@ -91,13 +99,23 @@ func PutSlab(slab []complex128) {
 type gcSentinel struct{ self *gcSentinel }
 
 // arm schedules one age() after the next GC cycle unless one is pending
-// (l.mu held).
+// (l.mu held). Both lists share one sentinel, so a GC cycle costs one
+// allocation to watch for however many lists retain something.
 func (l *slabList) arm() {
 	if !l.armed {
 		l.armed = true
-		runtime.SetFinalizer(new(gcSentinel), func(*gcSentinel) { l.age() })
+		if gcPending.CompareAndSwap(false, true) {
+			runtime.SetFinalizer(new(gcSentinel), func(*gcSentinel) {
+				gcPending.Store(false)
+				slabs.age()
+				tables.age()
+			})
+		}
 	}
 }
+
+// gcPending: a gcSentinel's finalizer is pending.
+var gcPending atomic.Bool
 
 // age is one GC cycle passing: old slabs are dropped, fresh ones become
 // old. It re-arms only while something is retained, so an idle process

@@ -38,10 +38,11 @@ type State struct {
 	n       int
 	amps    []complex128
 	workers int
-	sortBuf []int     // reusable sorted-qubit buffer for ApplyFused
-	maskBuf []uint64  // reusable bit-mask buffer for ApplyFused
-	perm    []int     // logical→physical qubit map; nil = identity
-	permTab *permWalk // cached readout walk for the current perm; nil = stale
+	sortBuf []int        // reusable sorted-qubit buffer for ApplyFused
+	maskBuf []uint64     // reusable bit-mask buffer for ApplyFused
+	perm    []int        // logical→physical qubit map; nil = identity
+	permTab *permWalk    // cached readout walk for the current perm; nil = stale
+	tabs    []complex128 // phase-table scratch (table.go), held until Release; nil until a group runs
 }
 
 // New returns the n-qubit |0...0> state with the given worker count
@@ -75,12 +76,14 @@ func MustNew(n, workers int) *State {
 	return s
 }
 
-// Release returns the state's amplitudes to the slab free list. The
-// state is unusable afterwards: it holds no amplitudes, so a use after
-// release panics instead of writing into a slab that now belongs to
-// another run. A second Release is a no-op (PutSlab ignores nil).
+// Release returns the state's amplitudes to the slab free list, and its
+// phase-table scratch to the table list. The state is unusable
+// afterwards: it holds no amplitudes, so a use after release panics
+// instead of writing into a slab that now belongs to another run. A
+// second Release is a no-op (PutSlab ignores nil).
 func (s *State) Release() {
 	PutSlab(s.amps)
+	tables.put(s.tabs)
 	*s = State{n: s.n, workers: s.workers}
 }
 

@@ -13,9 +13,10 @@ import (
 // to each tile while it is hot in L2 — one memory pass for the whole
 // run instead of one per gate. Within a tile, every micro-op performs
 // exactly the arithmetic of the corresponding full-sweep kernel on the
-// same amplitude pairs, so tiled execution is bit-identical to the
-// per-gate path; only the order in which disjoint tiles are visited
-// changes, and tiles never interact inside a run.
+// same amplitude pairs — a diagonal group (TileTable) the same table
+// entry per amplitude as ApplyPhaseGroup — so tiled execution is
+// bit-identical to the per-gate path; only the order in which disjoint
+// tiles are visited changes, and tiles never interact inside a run.
 //
 // Operand placement rules (what the scheduler in internal/kernel may
 // compile into a run):
@@ -48,6 +49,10 @@ const (
 	// TileFused applies a dense 2^k×2^k unitary to k low qubits,
 	// sharing the unrolled k=1..3 fast paths with ApplyFused.
 	TileFused
+	// TileTable heads a diagonal group: its Members() ops that follow
+	// (TileDiag and TileRelPhase) apply as one phase-table pass over
+	// the tile (table.go) instead of one pass each.
+	TileTable
 )
 
 // TileOp is one compiled tile-local micro-op, 96 bytes — the tile loop
@@ -58,13 +63,14 @@ const (
 //
 // M is the one value slot: TileMat1's 2×2, TileRelPhase's diag(A, B) on
 // its diagonal (M[0], M[3]), TileDiag's Phase in M[1] — written by
-// DiagOp and RelPhaseOp, read by Phase and AB.
+// DiagOp and RelPhaseOp, read by Phase and AB. A TileTable header keeps
+// its member count in LowMask (TableOp, Members).
 type TileOp struct {
 	Kind     TileOpKind
 	T, C     uint8       // low physical positions: target, control (HasCtrl)
 	HasCtrl  bool        // low control present (TileMat1 / TileCX)
 	HighMask uint64      // absolute bit positions ≥ tile width that must be 1
-	LowMask  uint64      // TileDiag: in-tile bits that must be 1
+	LowMask  uint64      // TileDiag: in-tile bits that must be 1; TileTable: member count
 	M        gate.Mat2   // TileMat1 matrix; TileDiag / TileRelPhase factors
 	Fused    *FusedBlock // TileFused payload, nil otherwise
 }
@@ -105,7 +111,8 @@ type tileFusedPre struct {
 // ApplyTileRun applies a compiled run of tile-local micro-ops, one
 // cache-resident tile at a time. Tiles are independent by
 // construction, so they shard across the worker pool like any other
-// sweep — but the whole run costs a single pass over the state.
+// sweep — but the whole run costs a single pass over the state (one
+// more per table cap its diagonal groups' tables exceed).
 //
 // base is the absolute index of this state's amplitude 0: 0 on one
 // device, rank << local on a rank shard. HighMask is tested against
@@ -127,8 +134,9 @@ func (s *State) ApplyTileRun(tileBits int, base uint64, ops []TileOp) error {
 	if base&uint64(len(s.amps)-1) != 0 {
 		return fmt.Errorf("statevec: shard base %#x is not a multiple of the %d-amplitude shard", base, len(s.amps))
 	}
-	tileSize := 1 << uint(tileBits)
-	tiles := len(s.amps) >> uint(tileBits)
+	if err := CheckGroups(ops); err != nil {
+		return err
+	}
 
 	// Validate every op's in-tile positions up front — a bad position
 	// must surface as an error here, not as an index panic inside a
@@ -189,20 +197,68 @@ func (s *State) ApplyTileRun(tileBits int, base uint64, ops []TileOp) error {
 		}
 	}
 
-	amps := s.amps
-	s.parallelTiles(tiles, tileBits, func(_, lo, hi int) {
+	// Every group's table is expanded once per pass into the state's table
+	// scratch, in op order, and each tile reads its row of each. A run
+	// whose tables exceed the scratch's cap takes one pass per stretch of
+	// ops whose tables fit: every amplitude still meets every op in order.
+	limit := maxTableEntries(s.n)
+	for lo := 0; lo < len(ops); {
+		hi, entries := lo, 0
+		for hi < len(ops) {
+			span, size := 1, 0
+			if ops[hi].Kind == TileTable {
+				_, free, _ := groupMasks(ops[hi+1 : hi+1+ops[hi].Members()])
+				span, size = 1+ops[hi].Members(), 1<<bits.OnesCount64(free)
+			}
+			if hi > lo && entries+size > limit {
+				break
+			}
+			hi, entries = hi+span, entries+size
+		}
+		var fpres []*tileFusedPre
+		if pres != nil {
+			fpres = pres[lo:hi]
+		}
+		s.tilePass(tileBits, base, ops[lo:hi], fpres, maxDim, s.tableScratch(entries))
+		lo = hi
+	}
+	return nil
+}
+
+// tilePass is one pass of ApplyTileRun over every tile: ops validated,
+// pres their fused expansion tables (nil without a fused op), tabs room
+// for their groups' tables.
+func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, pres []*tileFusedPre, maxDim int, tabs []complex128) {
+	off := 0
+	for i := range ops {
+		if ops[i].Kind == TileTable {
+			members := ops[i+1 : i+1+ops[i].Members()]
+			_, free, _ := groupMasks(members)
+			expandTable(tabs[off:off+1<<bits.OnesCount64(free)], members, free)
+			off += 1 << bits.OnesCount64(free)
+		}
+	}
+	amps, tileSize := s.amps, 1<<uint(tileBits)
+	s.parallelTiles(len(s.amps)>>uint(tileBits), tileBits, func(_, lo, hi int) {
 		var scr fusedScratch
 		in, out, idx := scr.amps[:maxDim], scr.amps[maxDim:2*maxDim], scr.idx[:maxDim]
 		for t := lo; t < hi; t++ {
 			off := uint64(t) << uint(tileBits)
 			tile := amps[off : off+uint64(tileSize)]
 			abs := base | off
-			for i := range ops {
+			tab := tabs
+			for i := 0; i < len(ops); i++ {
 				op := &ops[i]
 				if abs&op.HighMask != op.HighMask && op.Kind != TileRelPhase {
 					continue
 				}
 				switch op.Kind {
+				case TileTable:
+					n := op.Members()
+					common, free, _ := groupMasks(ops[i+1 : i+1+n])
+					size := 1 << bits.OnesCount64(free)
+					applyTileTable(tile, abs, tileBits, common, free, tab[:size])
+					tab, i = tab[size:], i+n
 				case TileMat1:
 					applyTileMat1(tile, op)
 				case TileCX:
@@ -225,7 +281,6 @@ func (s *State) ApplyTileRun(tileBits int, base uint64, ops []TileOp) error {
 			}
 		}
 	})
-	return nil
 }
 
 // The in-tile kernels below run on the float64 lane layer (lanes.go):
