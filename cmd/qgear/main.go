@@ -314,8 +314,8 @@ func cmdRun(fs *flag.FlagSet) func(out io.Writer) error {
 			}
 			fmt.Fprintln(out)
 			if st := res.PlanStats; st != nil {
-				fmt.Fprintf(out, "    plan: tile=%d runs=%d local=%d global=%d fused=%d relabels=%d free-swaps=%d",
-					res.TileBits, st.Runs, st.TileLocal, st.Global, st.FusedOps, st.BitSwaps, st.PermSwaps)
+				fmt.Fprintf(out, "    plan: tile=%d runs=%d local=%d global=%d relabels=%d free-swaps=%d",
+					res.TileBits, st.Runs, st.TileLocal, st.Global, st.BitSwaps, st.PermSwaps)
 				if st.ExchangeSegs > 0 || st.RankLocal > 0 {
 					fmt.Fprintf(out, " exch-segs=%d rank-local=%d", st.ExchangeSegs, st.RankLocal)
 				}

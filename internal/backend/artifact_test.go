@@ -22,9 +22,10 @@ func encodeCompiled(tb testing.TB, c *Compiled) []byte {
 }
 
 // FuzzDecodeCompiled starts from what Compile really produces for one
-// small circuit of each workload family, tiled and per-gate, and from
-// the three mixes of a width-0 plan the plan reader refuses: a tile run,
-// a relabeling, rank bits.
+// small circuit of each workload family, tiled and per-gate, from the
+// three mixes of a width-0 plan the plan reader refuses — a tile run, a
+// relabeling, rank bits — and from a plan with parameter slots the
+// kernel does not have, and one marked not bindable.
 func FuzzDecodeCompiled(f *testing.F) {
 	var like []byte
 	for i, c := range artifacttest.SeedCircuits(f) {
@@ -34,6 +35,19 @@ func FuzzDecodeCompiled(f *testing.F) {
 		}
 		like = encodeCompiled(f, comp)
 		f.Add(artifacttest.Payload(f, like))
+		slots, bare := *comp.Plan, *comp.Plan
+		slots.BindSlots++
+		bare.Binds, bare.BindSlots = nil, 0
+		unbindable := bytes.Clone(artifacttest.Payload(f, like))
+		// The plan's bindable byte precedes BindSlots, the site count, the
+		// sites, the transform stats and the tile width.
+		unbindable[len(artifacttest.Payload(f, encodeCompiled(f, &Compiled{Kernel: comp.Kernel, Plan: &bare})))-9-6*8-8] = 0
+		for _, bad := range [][]byte{encodeCompiled(f, &Compiled{Kernel: comp.Kernel, Plan: &slots}), artifacttest.Forge(f, like, unbindable)} {
+			if _, err := DecodeCompiled(bytes.NewReader(bad)); err == nil {
+				f.Fatal("a plan with parameter slots its kernel lacks, or marked not bindable, decoded")
+			}
+			f.Add(artifacttest.Payload(f, bad))
+		}
 		if comp.Plan.TileBits != 0 {
 			continue
 		}

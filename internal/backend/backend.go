@@ -96,12 +96,6 @@ type Config struct {
 	// only when half of it is under statevec.MinParallelWork (12 qubits
 	// or fewer), where no per-gate sweep fans out.
 	TileBits int
-	// PlanFusion enables within-run fusion in the plan compiler:
-	// adjacent same-target single-qubit gates pre-multiply into one
-	// micro-op. Off (the default) keeps tiled execution
-	// arithmetic-identical to the per-gate schedule; on trades exactness
-	// at the ~1e-15 rounding level for fewer in-tile multiplies.
-	PlanFusion bool
 	// Cancel, when non-nil, is a cooperative cancellation flag the
 	// executors poll at work boundaries (plan segment, expectation
 	// block batch): a tripped flag stops the run with the flag's error.
@@ -159,8 +153,8 @@ type Result struct {
 	SweepPoints int
 	// Rebinds counts sweep points served by rebinding the compiled
 	// plan; SweepCompiles counts points that needed a full per-point
-	// compile (fusion/pruning configurations). Their sum is SweepPoints
-	// on sweep runs.
+	// compile (gate fusion or pruning configurations). Exactly one of
+	// them is SweepPoints on a sweep run.
 	Rebinds       int
 	SweepCompiles int
 	// Gradient is the parameter-shift gradient ∂⟨H⟩/∂θ of a gradient
@@ -170,7 +164,7 @@ type Result struct {
 	// KernelStats reports the circuit→kernel transformation.
 	KernelStats kernel.Stats
 	// PlanStats reports what the plan compiler did (tile runs, global
-	// sweeps, fused micro-ops, relabeling swaps); on the per-gate
+	// sweeps, relabeling swaps); on the per-gate
 	// schedule Global is the gate count and the rest are zero.
 	PlanStats *kernel.PlanStats
 	// TileBits is the tile width of the plan the run executed; 0 is the
@@ -232,11 +226,15 @@ func (c Config) tileBits() int {
 // Signature returns the output-affecting option encoding core.CacheKey
 // folds into the content address: transform knobs (fusion window,
 // prune angle), target, device/worker sizing, the shot budget and
-// seed, and the plan-shaping knobs (tile width, plan fusion).
+// seed, and the plan-shaping tile width. It ends in "|pffalse", the
+// slot of a plan fusion option that no longer exists: every
+// signature, cache key and store address stays the one the default
+// configuration always had, and one written with the option on no
+// longer matches.
 func (c Config) Signature() string {
-	return fmt.Sprintf("f%d|p%x|t%s|d%d|w%d|s%d|r%d|b%d|pf%t",
+	return fmt.Sprintf("f%d|p%x|t%s|d%d|w%d|s%d|r%d|b%d|pffalse",
 		c.FusionWindow, math.Float64bits(c.PruneAngle), c.Target,
-		c.Devices, c.Workers, c.Shots, c.Seed, c.TileBits, c.PlanFusion)
+		c.Devices, c.Workers, c.Shots, c.Seed, c.TileBits)
 }
 
 // StoreSignature is the per-job-normalized signature a persistent
@@ -244,17 +242,16 @@ func (c Config) Signature() string {
 // only and Shots/Seed are already part of the entry's cache key, so
 // all three are zeroed. TileBits is resolved to the *effective* width
 // (tileBits: "0 = auto" differs across machines and QGEAR_TILE_BITS
-// environments, and under PlanFusion a different width changes run
-// boundaries and therefore rounding), so artifacts written under one
-// effective tiling are rejected by a server running another. A
+// environments), so artifacts written under one effective tiling are
+// rejected by a server running another. A
 // warm-starting server compares this against its own configuration
 // before trusting an on-disk artifact.
 //
 // A single-process width above the fan-out threshold ends in "|split":
 // under it kernel.Plan splits a 13-qubit-or-wider state that fits one
 // tile into two tiles, where stores written before that rule hold the
-// per-gate plan (slower to run and, under PlanFusion, rounded
-// differently) and its result under the bare signature.
+// per-gate plan (slower to run) and its result under the bare
+// signature.
 //
 // Every signature ends in "|dt": every plan runs a group of two or more
 // adjacent diagonal gates as one phase table, whose factors are
@@ -346,7 +343,9 @@ func (c *Compiled) newResult(target Target) *Result {
 }
 
 // Compile transforms a circuit for the configured target and compiles
-// its execution plan, without running anything.
+// its execution plan, without running anything; kernel.Plan picks the
+// shape (width 0, and a state of 12 qubits or fewer that fits one tile,
+// plan as the per-gate schedule).
 func Compile(c *circuit.Circuit, cfg Config) (*Compiled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -355,18 +354,6 @@ func Compile(c *circuit.Circuit, cfg Config) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	comp, err := compileKernel(k, cfg)
-	if err != nil {
-		return nil, err
-	}
-	comp.TransformStats = stats
-	return comp, nil
-}
-
-// compileKernel plans an already-transformed kernel under a validated
-// configuration; kernel.Plan picks the shape (width 0, and a state of 12
-// qubits or fewer that fits one tile, plan as the per-gate schedule).
-func compileKernel(k *kernel.Kernel, cfg Config) (*Compiled, error) {
 	tb := cfg.tileBits()
 	g := cfg.globalBits()
 	if cfg.Target == TargetNvidiaMGPU {
@@ -382,15 +369,11 @@ func compileKernel(k *kernel.Kernel, cfg Config) (*Compiled, error) {
 			tb = min(tb, n-1)
 		}
 	}
-	plan, err := kernel.Plan(k, kernel.PlanConfig{
-		TileBits:   tb,
-		GlobalBits: g,
-		FuseRuns:   cfg.PlanFusion,
-	})
+	plan, err := kernel.Plan(k, kernel.PlanConfig{TileBits: tb, GlobalBits: g})
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{Kernel: k, Plan: plan}, nil
+	return &Compiled{Kernel: k, Plan: plan, TransformStats: stats}, nil
 }
 
 // Run transforms the circuit for the configured target and executes it

@@ -77,7 +77,7 @@ func RunExpectationCompiled(comp *Compiled, h *observable.Hamiltonian, cfg Confi
 		pennylaneTranspile(comp.Kernel)
 		tr.Add(telemetry.StageTranspile, time.Since(t0))
 		fallthrough
-	default: // aer, nvidia, pennylane, and the mqpu term-parallel mode
+	default: // aer, nvidia, nvidia-mqpu, pennylane: one state, one grouped sweep
 		t0 := time.Now()
 		s, err := runSingleState(comp, cfg.workers(), cfg.Cancel)
 		if err != nil {
@@ -86,16 +86,7 @@ func RunExpectationCompiled(comp *Compiled, h *observable.Hamiltonian, cfg Confi
 		defer s.Release()
 		tr.Add(telemetry.StageExecute, time.Since(t0))
 		t1 := time.Now()
-		if cfg.Target == TargetNvidiaMQPU && cfg.devices() > 1 {
-			// Term-partitioned parallel evaluation: the simulated QPUs
-			// each sweep a stripe of terms over the shared read-only
-			// state; the term-ordered final sum keeps the value
-			// bit-identical to sequential evaluation.
-			val, err = h.ExpectationParallelCancel(s, cfg.devices(), cfg.Cancel)
-		} else {
-			val, err = h.ExpectationCancel(s, cfg.Cancel)
-		}
-		if err != nil {
+		if val, err = h.ExpectationCancel(s, cfg.Cancel); err != nil {
 			return nil, err
 		}
 		tr.Add(telemetry.StageExpectation, time.Since(t1))

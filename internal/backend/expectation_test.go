@@ -253,12 +253,20 @@ func TestExpectationDifferentialSuite(t *testing.T) {
 				t.Fatalf("trial %d (n=%d): fused run %d deviates %.3g from dense reference", trial, n, fi, d)
 			}
 		}
+	}
+}
 
-		// Plan fusion (within-run 1q pre-multiplication) relaxes
-		// bit-identity by design; it must still track the reference.
-		pf := expValue(t, c, h, Config{Target: TargetNvidia, TileBits: tb, PlanFusion: true})
-		if d := math.Abs(pf - ref); d > 1e-12 {
-			t.Fatalf("trial %d (n=%d): plan-fusion value deviates %.3g from dense reference", trial, n, d)
+// TestMQPUExpectationMatchesSingleDevice: ⟨H⟩ on nvidia-mqpu is the
+// one grouped sweep nvidia runs, so 1–4 simulated QPUs return nvidia's
+// value bit for bit.
+func TestMQPUExpectationMatchesSingleDevice(t *testing.T) {
+	c := soupCircuit(9, 80, 41)
+	for _, h := range []*observable.Hamiltonian{observable.TransverseFieldIsing(9, 1, 0.7), randomHamiltonian(9, 12, qmath.NewRNG(41))} {
+		want := expValue(t, c, h, Config{Target: TargetNvidia})
+		for devices := 1; devices <= 4; devices++ {
+			if got := expValue(t, c, h, Config{Target: TargetNvidiaMQPU, Devices: devices}); got != want {
+				t.Errorf("%d terms on %d QPUs: %.17g, nvidia %.17g", len(h.Terms), devices, got, want)
+			}
 		}
 	}
 }

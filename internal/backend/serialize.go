@@ -57,8 +57,9 @@ func WriteCompiled(w *artifact.Writer, c *Compiled) {
 }
 
 // ReadCompiled reads a WriteCompiled payload; a failure is left on r. A
-// payload without a plan (per-gate execution, once) fails, so its
-// artifact is quarantined and recompiled.
+// payload without a plan (per-gate execution, once) fails, and so does
+// one whose plan's parameter slots are not the kernel's — a sweep could
+// not rebind it — so its artifact is quarantined and recompiled.
 func ReadCompiled(r *artifact.Reader) *Compiled {
 	comp := &Compiled{Kernel: kernel.ReadKernel(r)}
 	if !r.Bool() {
@@ -68,6 +69,9 @@ func ReadCompiled(r *artifact.Reader) *Compiled {
 	comp.Plan = kernel.ReadPlan(r)
 	if r.Err() == nil && comp.Plan.NumQubits != comp.Kernel.NumQubits {
 		r.Failf("compiled plan spans %d qubits, kernel %d", comp.Plan.NumQubits, comp.Kernel.NumQubits)
+	}
+	if r.Err() == nil && comp.Plan.BindSlots != comp.Kernel.NumParams() {
+		r.Failf("compiled plan binds %d parameter slots, kernel has %d", comp.Plan.BindSlots, comp.Kernel.NumParams())
 	}
 	comp.TransformStats = kernel.ReadStats(r)
 	if tb := r.Int(); r.Err() == nil && tb != comp.Plan.TileBits {

@@ -29,7 +29,6 @@ func TestCompiledRoundTrip(t *testing.T) {
 		{Target: TargetNvidia, TileBits: 4},
 		{Target: TargetNvidia, TileBits: -1}, // per-gate: the width-0 plan
 		{Target: TargetNvidia, TileBits: 4, FusionWindow: 3},
-		{Target: TargetNvidia, TileBits: 4, PlanFusion: true},
 	} {
 		comp := compileTestCircuit(t, cfg)
 		if comp.Plan == nil || comp.Plan.TileBits != max(cfg.TileBits, 0) {

@@ -30,21 +30,14 @@ import (
 // matrices, angle pruning drops gates), so a compiled artifact cannot
 // be rebound to new values. Circuit-level sweeps (RunSweep) fall back
 // to compiling every point; compiled-only entry points surface it.
-var ErrNotRebindable = errors.New("backend: configuration entangles parameter values with compiled structure (fusion or pruning); sweep points must compile individually")
+var ErrNotRebindable = errors.New("backend: gate fusion or angle pruning entangles parameter values with the kernel; sweep points must compile individually")
 
 // Rebindable reports whether this configuration supports compile-once
-// rebinding: no angle pruning, no gate fusion, no plan fusion. Under
-// it, compiled structure is value-independent and a rebound artifact
-// is bit-identical to a fresh compile — the predicate the service's
-// structural plan-cache keying is gated on.
+// rebinding: no angle pruning, no gate fusion. Under it the kernel maps
+// 1:1 from the circuit, compiled structure is value-independent and a
+// rebound artifact is bit-identical to a fresh compile — the predicate
+// the service's structural plan-cache keying is gated on.
 func (c Config) Rebindable() bool {
-	return c.PruneAngle == 0 && c.FusionWindow < 2 && !c.PlanFusion
-}
-
-// rebindableTransform is the circuit→kernel half of Rebindable: with
-// pruning and fusion off the kernel maps 1:1 from the circuit and
-// kernel-level rebinding is exact, even if the *plan* was fused.
-func (c Config) rebindableTransform() bool {
 	return c.PruneAngle == 0 && c.FusionWindow < 2
 }
 
@@ -77,7 +70,7 @@ func RunSweep(c *circuit.Circuit, h *observable.Hamiltonian, points [][]float64,
 	if !cfg.Target.Valid() {
 		return nil, fmt.Errorf("backend: unknown target %q", cfg.Target)
 	}
-	if !cfg.rebindableTransform() {
+	if !cfg.Rebindable() {
 		return runSweepPerPoint(c, h, points, cfg)
 	}
 	comp, err := Compile(c, cfg)
@@ -96,43 +89,18 @@ func RunSweepCompiled(comp *Compiled, h *observable.Hamiltonian, points [][]floa
 	if !cfg.Target.Valid() {
 		return nil, fmt.Errorf("backend: unknown target %q", cfg.Target)
 	}
-	if !cfg.rebindableTransform() {
+	if !cfg.Rebindable() {
 		return nil, ErrNotRebindable
 	}
-	nParams := comp.Kernel.NumParams()
-	if err := validateSweep(h, points, cfg, nParams, comp.Kernel.NumQubits); err != nil {
+	if err := validateSweep(h, points, cfg, comp.Kernel.NumParams(), comp.Kernel.NumQubits); err != nil {
 		return nil, err
 	}
-
-	// Fast path: patch the compiled plan's value-derived matrices in
-	// place (copy-on-write). A fused plan — or one decoded from an
-	// artifact predating binding sites — recompiles per point from the
-	// rebound kernel instead.
-	planRebind := !cfg.PlanFusion && comp.Plan.Bindable && comp.Plan.BindSlots == nParams
-	bindPoint := func(i int) (*Compiled, error) {
-		if planRebind {
-			return comp.BindParams(points[i])
-		}
-		k, err := comp.Kernel.Bind(points[i])
-		if err != nil {
-			return nil, err
-		}
-		bound, err := compileKernel(k, cfg)
-		if err != nil {
-			return nil, err
-		}
-		bound.TransformStats = comp.TransformStats
-		return bound, nil
-	}
-
+	// Every point patches the compiled plan's value-derived matrices
+	// (copy-on-write): every plan has a binding site per parameterized
+	// gate, and the decoder refuses one whose slots are not the kernel's.
 	res := comp.newResult(cfg.Target)
-	res.SweepPoints = len(points)
-	if planRebind {
-		res.Rebinds = len(points)
-	} else {
-		res.SweepCompiles = len(points)
-	}
-	return runSweepPoints(res, h, points, cfg, bindPoint)
+	res.SweepPoints, res.Rebinds = len(points), len(points)
+	return runSweepPoints(res, h, points, cfg, func(i int) (*Compiled, error) { return comp.BindParams(points[i]) })
 }
 
 // runSweepPerPoint is the value-dependent-transform fallback: every

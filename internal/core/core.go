@@ -32,9 +32,7 @@ type Options = backend.Config
 // may serve one from the other. TileBits is folded in conservatively:
 // the tiled executor is bit-identical to the per-gate path by
 // construction, but the key must stay sound even if a future tile
-// compiler relaxes that — and PlanFusion already does relax it
-// (pre-multiplied rotations differ at rounding level), so it is part
-// of the key too.
+// compiler relaxes that.
 func CacheKey(c *circuit.Circuit, opts Options) string {
 	h := sha256.New()
 	h.Write([]byte(c.Fingerprint()))

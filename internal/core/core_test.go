@@ -148,7 +148,7 @@ func TestErrorPropagation(t *testing.T) {
 // artifacts and cached results are addressed by these strings, so a
 // refactor that moves a byte silently orphans every store directory.
 func TestSignatureAndCacheKeyGolden(t *testing.T) {
-	o := Options{FusionWindow: 2, PruneAngle: 1e-9, TileBits: 12, PlanFusion: true,
+	o := Options{FusionWindow: 2, PruneAngle: 1e-9, TileBits: 12,
 		Target: backend.TargetNvidiaMQPU, Devices: 4, Workers: 3, Shots: 100, Seed: 7}
 	c := circuit.New(2, 0)
 	c.Name = "g"
@@ -157,22 +157,22 @@ func TestSignatureAndCacheKeyGolden(t *testing.T) {
 	c.RY(0.5, 1)
 	h := observable.TransverseFieldIsing(2, 1, 0.7)
 	for _, tc := range []struct{ name, got, want string }{
-		{"Signature", o.Signature(), "f2|p3e112e0be826d695|tnvidia-mqpu|d4|w3|s100|r7|b12|pftrue"},
-		{"StoreSignature", o.StoreSignature(), "f2|p3e112e0be826d695|tnvidia-mqpu|d4|w0|s0|r0|b12|pftrue|dt"},
+		{"Signature", o.Signature(), "f2|p3e112e0be826d695|tnvidia-mqpu|d4|w3|s100|r7|b12|pffalse"},
+		{"StoreSignature", o.StoreSignature(), "f2|p3e112e0be826d695|tnvidia-mqpu|d4|w0|s0|r0|b12|pffalse|dt"},
 		{"StoreSignature/aer", Options{Target: backend.TargetAer, Workers: 5, Shots: 9, Seed: 1}.StoreSignature(),
 			"f0|p0|taer|d0|w0|s0|r0|b0|pffalse|dt"},
 		{"StoreSignature/split", Options{Target: backend.TargetNvidia, TileBits: 16}.StoreSignature(),
 			"f0|p0|tnvidia|d0|w0|s0|r0|b16|pffalse|split|dt"},
 		{"StoreSignature/mgpu", Options{Target: backend.TargetNvidiaMGPU, Devices: 2, TileBits: 16}.StoreSignature(),
 			"f0|p0|tnvidia-mgpu|d2|w0|s0|r0|b16|pffalse|dt"},
-		{"CacheKey", CacheKey(c, o), "8171640d315f4dc097a0acdaab7a09355468d529ace99e3f9b486093562a1a48"},
-		{"ExpectationCacheKey", ExpectationCacheKey(c, h, o), "556a3dd78c2bb1197d33aca8da2258758e4dc4c12ad9c4f86901717cd08c74ff"},
+		{"CacheKey", CacheKey(c, o), "1c7f8ca8d1e72b4477cf124c0ffbffc16e51fe4076ecba07fe7e074ffbbedc36"},
+		{"ExpectationCacheKey", ExpectationCacheKey(c, h, o), "5a6dbd1285c7a2cf99ae6a5f0093e1d18e3e23ef6c2f5450b42596280d7d92e0"},
 		{"SweepCacheKey/exact", SweepCacheKey(c, h, [][]float64{{0.1, 0.2}, {0.3, 0.4}}, o),
-			"c560cb0b0090e20153f965e2e60c9db0d3e5b7e057d69b888e9b5722496291d3"},
+			"f27cde54878d6cb8f23c32e0fdf9ce77519445b61b63a84855ff947494de317f"},
 		{"SweepCacheKey/sampled", SweepCacheKey(c, nil, [][]float64{{0.1, 0.2}}, o),
-			"5684daf7ca28f29b2e486f289e0dc76118d8a751cbed0d314d60908716d75217"},
+			"638675bdb88a9cc82c0107babb38534f5d712baeac4a278ccbcb5198d49395ca"},
 		{"GradientCacheKey", GradientCacheKey(c, h, c.ParamValues(), o),
-			"9fff2113cb06c57a6aeab365a38c91c16c6fdc8119e28c319c7b85cf1123ae2a"},
+			"93b29634a9df928cda201a5772db067472cded0d968ec2231b4dce32ecdc6fda"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s = %s, want %s", tc.name, tc.got, tc.want)

@@ -277,14 +277,14 @@ func TestPerGatePlan(t *testing.T) {
 		{New("empty", 2).Mz(), false}, // nothing planned: no arena to share
 		{New("none", 0), false},
 	} {
-		for _, cfg := range []PlanConfig{{}, {TileBits: tc.k.NumQubits}, {TileBits: 16}, {TileBits: 30}, {FuseRuns: true}} {
+		for _, cfg := range []PlanConfig{{}, {TileBits: tc.k.NumQubits}, {TileBits: 16}, {TileBits: 30}} {
 			p := mustPlan(t, tc.k, cfg)
 			var want []Instr
-			sites := 0 // a parameterized gate each, unless fusion forbids rebinding
+			sites := 0 // a parameterized gate each
 			for _, in := range tc.k.Instrs {
 				if planned(in) {
 					want = append(want, in)
-					if parameterized(in) && !cfg.FuseRuns {
+					if parameterized(in) {
 						sites++
 					}
 				}
@@ -317,8 +317,8 @@ func TestPerGatePlan(t *testing.T) {
 			} else if shared && cap(p.Globals) != len(p.Globals) {
 				t.Errorf("%s: the shared arena reaches %d instructions past the plan's", tc.k.Name, cap(p.Globals)-len(p.Globals))
 			}
-			if p.Bindable == cfg.FuseRuns || p.BindSlots != tc.k.NumParams() || len(p.Binds) != sites {
-				t.Errorf("%s %+v: bindable %v with %d sites over %d slots (kernel has %d)", tc.k.Name, cfg, p.Bindable, len(p.Binds), p.BindSlots, tc.k.NumParams())
+			if p.BindSlots != tc.k.NumParams() || len(p.Binds) != sites {
+				t.Errorf("%s %+v: %d sites over %d slots (kernel has %d)", tc.k.Name, cfg, len(p.Binds), p.BindSlots, tc.k.NumParams())
 			}
 			got, err := DecodePlan(bytes.NewReader(encodePlanBytes(t, p)))
 			if err != nil {

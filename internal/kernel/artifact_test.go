@@ -122,7 +122,7 @@ func relabelPlans(tb testing.TB) (legal *TilePlan, illegal []refusedPlan) {
 	}
 	swap := slices.IndexFunc(legal.Segments, func(seg Segment) bool { return seg.Kind == SegBitSwap })
 	global := slices.IndexFunc(legal.Segments, func(seg Segment) bool { return seg.Kind == SegGlobal })
-	illegal = []refusedPlan{{"exchange segment", withExchangeSegment(tb, legal, 4)}}
+	illegal = []refusedPlan{{"exchange segment", withExchangeSegment(tb, legal, 4)}, {"not bindable", unbindable(tb, legal)}}
 	for _, sp := range []struct {
 		name  string
 		spoil func(p *TilePlan)
@@ -151,8 +151,9 @@ func relabelPlans(tb testing.TB) (legal *TilePlan, illegal []refusedPlan) {
 }
 
 // TestPlanReaderRelabelRule: a cross-rank bit-swap decodes; a swap no
-// shard pair can perform, a sweep with a rank-bit operand and a segment
-// or binding-site kind the format dropped do not.
+// shard pair can perform, a sweep with a rank-bit operand, a segment
+// or binding-site kind the format dropped and a plan marked not
+// bindable do not.
 func TestPlanReaderRelabelRule(t *testing.T) {
 	legal, illegal := relabelPlans(t)
 	if got, err := DecodePlan(bytes.NewReader(encodePlanBytes(t, legal))); err != nil || !reflect.DeepEqual(got, legal) {
@@ -247,7 +248,7 @@ func TestPlanReaderGroupRule(t *testing.T) {
 func FuzzDecodePlan(f *testing.F) {
 	var like []byte
 	for i, k := range seedKernels(f) {
-		p, err := Plan(k, PlanConfig{TileBits: 3, GlobalBits: i % 2, FuseRuns: i == 0})
+		p, err := Plan(k, PlanConfig{TileBits: 3, GlobalBits: i % 2})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -317,7 +318,7 @@ func goldenPlan() *TilePlan {
 		Globals:   []Instr{{Kind: KGate, Gate: gate.RY, Qubits: []int{2}, Params: []float64{0.25}}},
 		FinalPerm: []int{1, 0, 2, 3},
 		Stats:     PlanStats{TileLocal: 3, Global: 1, Runs: 2, BitSwaps: 2, ExchangeSegs: 2, RankLocal: 1},
-		Bindable:  true, BindSlots: 2,
+		BindSlots: 2,
 		Binds: []BindSite{
 			{Kind: BindGlobal, Seg: 1, Gate: gate.RY, Slot: 0, NParams: 1},
 			{Kind: BindRun, Seg: 3, Op: 0, Gate: gate.RY, Slot: 1, NParams: 1},
@@ -333,7 +334,7 @@ func goldenPlan() *TilePlan {
 func withExchangeSegment(tb testing.TB, p *TilePlan, target int) []byte {
 	tb.Helper()
 	head := &TilePlan{TileBits: p.TileBits, NumQubits: p.NumQubits, GlobalBits: p.GlobalBits, Segments: p.Segments, Ops: p.Ops, Globals: p.Globals}
-	tail := &TilePlan{FinalPerm: p.FinalPerm, Stats: p.Stats, Bindable: p.Bindable, BindSlots: p.BindSlots, Binds: p.Binds}
+	tail := &TilePlan{FinalPerm: p.FinalPerm, Stats: p.Stats, BindSlots: p.BindSlots, Binds: p.Binds}
 	const geometry, emptyTail = 4 * 4, 4 + 9*8 + 1 + 4 + 4 // three fields and a count; no permutation, stats, sites
 	like := encodePlanBytes(tb, head)
 	payload := artifacttest.Payload(tb, like)
@@ -357,6 +358,18 @@ func withExchangeSegment(tb testing.TB, p *TilePlan, target int) []byte {
 	return sealed
 }
 
+// unbindable encodes p with its bindable byte false, as builds whose
+// plan compiler could fold gates wrote a fused plan.
+func unbindable(tb testing.TB, p *TilePlan) []byte {
+	tb.Helper()
+	bare := *p
+	bare.Binds, bare.BindSlots = nil, 0
+	sealed := encodePlanBytes(tb, p)
+	payload := artifacttest.Payload(tb, sealed)
+	payload[len(artifacttest.Payload(tb, encodePlanBytes(tb, &bare)))-9] = 0 // the byte, then BindSlots and a site count
+	return artifacttest.Forge(tb, sealed, payload)
+}
+
 // legacyPlan is testdata/plan.golden: a run, a sweep and a bit-swap
 // before the exchange segment.
 func legacyPlan(tb testing.TB) []byte {
@@ -367,8 +380,8 @@ func legacyPlan(tb testing.TB) []byte {
 		Globals:   goldenPlan().Globals,
 		FinalPerm: []int{2, 1, 0},
 		Stats:     PlanStats{TileLocal: 2, Global: 1, Runs: 1, BitSwaps: 1, ExchangeSegs: 1, ExchangeGates: 1},
-		Bindable:  true, BindSlots: 1,
-		Binds: []BindSite{{Kind: BindGlobal, Seg: 1, Gate: gate.RY, Slot: 0, NParams: 1}},
+		BindSlots: 1,
+		Binds:     []BindSite{{Kind: BindGlobal, Seg: 1, Gate: gate.RY, Slot: 0, NParams: 1}},
 	}, 2)
 }
 
@@ -404,7 +417,7 @@ func TestEncodedLenIsThePayloadLength(t *testing.T) {
 	plans := []*TilePlan{goldenPlan()}
 	for _, k := range kernels {
 		for _, cfg := range []PlanConfig{
-			{TileBits: 2}, {TileBits: 1, FuseRuns: true}, {TileBits: 2, GlobalBits: 1}, {TileBits: 1, GlobalBits: 2, FuseRuns: true},
+			{TileBits: 2}, {TileBits: 1}, {TileBits: 2, GlobalBits: 1}, {TileBits: 1, GlobalBits: 2},
 		} {
 			// A fused block that reaches a rank bit has no distributed plan.
 			if p, err := Plan(k, cfg); err == nil {

@@ -18,10 +18,9 @@ import (
 // plan structure is value-independent (mixingTargets never reads
 // Params), so a rebound plan is bit-identical to a fresh compile at
 // the new values: the compile-once guarantee parameter sweeps rest on.
-//
-// Run fusion (PlanConfig.FuseRuns) pre-multiplies matrices at compile
-// time, entangling values with structure; fused plans are compiled
-// with Bindable=false and sweeps fall back to per-point compiles.
+// The plan compiler never folds one gate's values into another's, so
+// every plan is bindable; the one fusion that does is the transform's
+// (Options.FusionWindow), which rebound sweeps leave off.
 
 // BindSiteKind says which arena a binding site patches.
 type BindSiteKind uint8
@@ -66,7 +65,7 @@ func (k *Kernel) NumParams() int {
 
 // parameterized reports whether in is a gate whose matrix depends on
 // rotation angles — an instruction that owns slots of the flat parameter
-// vector and, in a bindable plan, a binding site.
+// vector and a plan binding site.
 func parameterized(in Instr) bool {
 	return in.Kind == KGate && in.Gate.ParamCount() > 0
 }
@@ -104,9 +103,6 @@ func (k *Kernel) Bind(params []float64) (*Kernel, error) {
 // The receiver is never mutated (plans are executed concurrently), and
 // neither is the kernel a width-0 plan shares its Globals with.
 func (p *TilePlan) Bind(params []float64) (*TilePlan, error) {
-	if !p.Bindable {
-		return nil, fmt.Errorf("kernel: plan was compiled without binding sites (run fusion entangles values with structure)")
-	}
 	if len(params) != p.BindSlots {
 		return nil, fmt.Errorf("kernel: binding %d values to a plan with %d parameter slots", len(params), p.BindSlots)
 	}

@@ -97,9 +97,9 @@ func TestPlanBindBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !plan.Bindable || plan.BindSlots != nParams {
-				t.Fatalf("trial %d cfg %+v: plan not bindable (%v, slots %d/%d)",
-					trial, cfg, plan.Bindable, plan.BindSlots, nParams)
+			if plan.BindSlots != nParams {
+				t.Fatalf("trial %d cfg %+v: plan has %d of %d parameter slots",
+					trial, cfg, plan.BindSlots, nParams)
 			}
 			rebound, err := plan.Bind(newVals)
 			if err != nil {
@@ -154,28 +154,6 @@ func encodeKernelBytes(t *testing.T, k *Kernel) []byte {
 	return buf.Bytes()
 }
 
-// TestPlanBindFusedRejected: run fusion entangles values with
-// structure, so fused plans must refuse to rebind.
-func TestPlanBindFusedRejected(t *testing.T) {
-	c := circuit.New(3, 0)
-	c.RX(0.3, 0)
-	c.RY(0.4, 0)
-	k, _, err := FromCircuit(c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Plan(k, PlanConfig{TileBits: 2, FuseRuns: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Bindable {
-		t.Fatal("fused plan claims to be bindable")
-	}
-	if _, err := plan.Bind([]float64{1, 2}); err == nil {
-		t.Fatal("fused plan accepted a rebinding")
-	}
-}
-
 // TestPlanSerializeRoundtripBinds: binding sites survive the plan
 // encoding, and a decoded plan rebinds identically to the original.
 func TestPlanSerializeRoundtripBinds(t *testing.T) {
@@ -197,11 +175,9 @@ func TestPlanSerializeRoundtripBinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decoded.Bindable != plan.Bindable || decoded.BindSlots != plan.BindSlots ||
-		len(decoded.Binds) != len(plan.Binds) {
-		t.Fatalf("binding metadata lost: %v/%d/%d vs %v/%d/%d",
-			decoded.Bindable, decoded.BindSlots, len(decoded.Binds),
-			plan.Bindable, plan.BindSlots, len(plan.Binds))
+	if decoded.BindSlots != plan.BindSlots || len(decoded.Binds) != len(plan.Binds) {
+		t.Fatalf("binding metadata lost: %d/%d vs %d/%d",
+			decoded.BindSlots, len(decoded.Binds), plan.BindSlots, len(plan.Binds))
 	}
 	for i, b := range plan.Binds {
 		if decoded.Binds[i] != b {

@@ -6,145 +6,51 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
-	"qgear/internal/qmath"
 	"qgear/internal/statevec"
 )
 
-// TestRunFusionFoldsAdjacentMat1 checks within-run fusion: adjacent
-// same-target single-qubit gates pre-multiply into one micro-op, the
-// stats record it, and the fused plan matches the exact plan to
-// rounding.
-func TestRunFusionFoldsAdjacentMat1(t *testing.T) {
-	const n, tileBits = 9, 4
-	c := circuit.New(n, 0)
-	rng := qmath.NewRNG(31)
-	// Dense 1q chains on a few targets, interleaved with structure.
-	for i := 0; i < 40; i++ {
-		q := rng.Intn(tileBits)
-		c.RY(rng.Angle(), q).RX(rng.Angle(), q).H(q)
-		if i%5 == 0 {
-			c.CX(q, (q+1)%tileBits)
-		}
-	}
-	k, _, err := FromCircuit(c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := Plan(k, PlanConfig{TileBits: tileBits})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused, err := Plan(k, PlanConfig{TileBits: tileBits, FuseRuns: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fused.Stats.FusedOps == 0 {
-		t.Fatal("no micro-ops fused in a 1q-chain-heavy stream")
-	}
-	if got, want := fused.Stats.TileLocal, exact.Stats.TileLocal; got != want {
-		t.Errorf("TileLocal changed under fusion: %d vs %d (source gates must still be counted)", got, want)
-	}
-	// Fewer executed micro-ops, same distribution to rounding.
-	if len(fused.Ops) >= len(exact.Ops) {
-		t.Errorf("fusion did not shrink the op stream: %d vs %d", len(fused.Ops), len(exact.Ops))
-	}
-	a := statevec.MustNew(n, 1)
-	if err := exact.Execute(a); err != nil {
-		t.Fatal(err)
-	}
-	b := statevec.MustNew(n, 1)
-	if err := fused.Execute(b); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAmpDiff(t, a, b); d > 1e-12 {
-		t.Errorf("fused plan diverged: %g", d)
-	}
-}
-
-// TestRunFusionFoldsDiagonals checks plan-time diagonal folding:
-// single-target diagonal micro-ops (t/s/p/rz) merge into a neighboring
-// mat1 on the same target as a row or column scale, and the folded plan
-// agrees with the exact plan to rounding. Adjacent diagonals are a
-// phase-table group in every plan (diagGroup), which within-run fusion
-// leaves as it is: the fused plan's ops are the exact plan's.
-func TestRunFusionFoldsDiagonals(t *testing.T) {
-	const n, tileBits = 8, 4
-	type variant struct {
-		name    string
-		build   func(c *circuit.Circuit, q int, rng *qmath.RNG)
-		grouped bool
-	}
-	for _, v := range []variant{
-		{"diag-after-mat1", func(c *circuit.Circuit, q int, rng *qmath.RNG) {
-			c.H(q)
-			c.Append(gate.T, []int{q}, nil) // row scale: T·H
-		}, false},
-		{"mat1-after-diag", func(c *circuit.Circuit, q int, rng *qmath.RNG) {
-			c.Append(gate.P, []int{q}, []float64{rng.Angle()})
-			c.RY(rng.Angle(), q) // column scale: RY·P
-		}, false},
-		{"diag-after-diag", func(c *circuit.Circuit, q int, rng *qmath.RNG) {
-			c.Append(gate.RZ, []int{q}, []float64{rng.Angle()})
-			c.Append(gate.S, []int{q}, nil) // one phase-table group
-		}, true},
+// TestFusionWindowCoversRunFolds: the transform's fusion at window 2
+// makes one dense block of each shape a same-target run of gates could
+// be folded into — mat1·mat1, a mat1 then a single-target diagonal,
+// and a diagonal then a mat1 — and compiles it to one micro-op; a pair
+// of diagonals stays two gates, grouped as one phase-table run.
+func TestFusionWindowCoversRunFolds(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(c *circuit.Circuit)
+	}{
+		{"ry rx h", func(c *circuit.Circuit) { c.RY(0.3, 1).RX(0.7, 1).H(1) }},
+		{"h t", func(c *circuit.Circuit) { c.H(1).Append(gate.T, []int{1}, nil) }},
+		{"t h", func(c *circuit.Circuit) { c.Append(gate.T, []int{1}, nil).H(1) }},
+		{"t s", func(c *circuit.Circuit) { c.Append(gate.T, []int{1}, nil).Append(gate.S, []int{1}, nil) }},
 	} {
-		t.Run(v.name, func(t *testing.T) {
-			rng := qmath.NewRNG(97)
-			c := circuit.New(n, 0)
-			for i := 0; i < 24; i++ {
-				q := rng.Intn(tileBits)
-				v.build(c, q, rng)
-				if i%6 == 0 {
-					c.CX(q, (q+1)%tileBits) // break runs so folding must restart
-				}
+		c := circuit.New(5, 0)
+		tc.build(c)
+		k, _, err := FromCircuit(c, Options{FusionWindow: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := mustPlan(t, k, PlanConfig{TileBits: 3})
+		if tc.name == "t s" {
+			if len(k.Instrs) != 2 || k.Instrs[0].Kind != KGate || len(p.Segments) != 1 || len(p.Ops) != 3 || p.Ops[0] != statevec.TableOp(2) {
+				t.Errorf("%s: %d instructions planned as %d segments over ops %+v; want two gates in one table run", tc.name, len(k.Instrs), len(p.Segments), p.Ops)
 			}
-			k, _, err := FromCircuit(c, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			exact, err := Plan(k, PlanConfig{TileBits: tileBits})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fused, err := Plan(k, PlanConfig{TileBits: tileBits, FuseRuns: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.grouped {
-				if !slices.ContainsFunc(fused.Ops, func(op statevec.TileOp) bool { return op.Kind == statevec.TileTable }) ||
-					!reflect.DeepEqual(fused.Ops, exact.Ops) || fused.Stats.FusedOps != 0 {
-					t.Fatalf("diagonal pairs: fusion folded %d ops of the groups (%d ops, exact %d)", fused.Stats.FusedOps, len(fused.Ops), len(exact.Ops))
-				}
-			} else if fused.Stats.FusedOps == 0 {
-				t.Fatal("no micro-ops folded in a diagonal-heavy stream")
-			} else if len(fused.Ops) >= len(exact.Ops) {
-				t.Errorf("diag folding did not shrink the op stream: %d vs %d",
-					len(fused.Ops), len(exact.Ops))
-			}
-			a := statevec.MustNew(n, 1)
-			if err := exact.Execute(a); err != nil {
-				t.Fatal(err)
-			}
-			b := statevec.MustNew(n, 1)
-			if err := fused.Execute(b); err != nil {
-				t.Fatal(err)
-			}
-			if d := maxAmpDiff(t, a, b); d > 1e-12 {
-				t.Errorf("folded plan diverged: %g", d)
-			}
-		})
+			continue
+		}
+		if len(k.Instrs) != 1 || k.Instrs[0].Kind != KFused || len(p.Segments) != 1 || len(p.Ops) != 1 {
+			t.Errorf("%s: instructions %+v planned as %d segments over %d ops; want one fused block, one op", tc.name, k.Instrs, len(p.Segments), len(p.Ops))
+		}
 	}
 }
 
 // TestDiagDiagIsOneTablePass pins the shape two adjacent diagonals on
-// one low target take, under within-run fusion too: a group header and
-// the two members as compiled alone, run as one pass whose single table
-// entry is the product factor on the target's 1 half.
+// one low target take: a group header and the two members as compiled
+// alone, run as one pass whose single table entry is the product factor
+// on the target's 1 half.
 func TestDiagDiagIsOneTablePass(t *testing.T) {
 	c := circuit.New(5, 0)
 	c.Append(gate.T, []int{1}, nil)
@@ -153,19 +59,19 @@ func TestDiagDiagIsOneTablePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := Plan(k, PlanConfig{TileBits: 3, FuseRuns: true})
+	plan, err := Plan(k, PlanConfig{TileBits: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tph, sph := gate.Matrix1(gate.T, nil)[3], gate.Matrix1(gate.S, nil)[3]
 	want := []statevec.TileOp{statevec.TableOp(2), statevec.DiagOp(tph, 1<<1, 0), statevec.DiagOp(sph, 1<<1, 0)}
-	if !reflect.DeepEqual(fused.Ops, want) || fused.Stats.FusedOps != 0 {
-		t.Fatalf("ops %+v (%d folded), want a header and the two phases", fused.Ops, fused.Stats.FusedOps)
+	if !reflect.DeepEqual(plan.Ops, want) {
+		t.Fatalf("ops %+v, want a header and the two phases", plan.Ops)
 	}
 	// T then S is diag(1, e^{iπ/4}) then diag(1, i): product diag(1, e^{i3π/4}).
 	s := statevec.MustNew(5, 1)
 	s.ApplyGate(gate.H, []int{1}, nil)
-	if err := fused.Execute(s); err != nil {
+	if err := plan.Execute(s); err != nil {
 		t.Fatal(err)
 	}
 	phase := complex(math.Cos(3*math.Pi/4), math.Sin(3*math.Pi/4))

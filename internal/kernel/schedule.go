@@ -129,7 +129,7 @@ type PlanStats struct {
 	Runs          int `json:"runs"`               // tile runs emitted (≈ memory passes for local gates)
 	BitSwaps      int `json:"bit_swaps"`          // relabeling swaps inserted, rank-boundary ones included
 	PermSwaps     int `json:"perm_swaps"`         // SWAP gates absorbed into the permutation table
-	FusedOps      int `json:"fused_ops"`          // micro-ops removed by within-run 1q fusion
+	FusedOps      int `json:"fused_ops"`          // always 0 (plans are never fused; the transform fuses); declared for benchmark/
 	ExchangeSegs  int `json:"exchange_segments"`  // relabeling swaps across the rank boundary: one half-shard exchange per rank each
 	ExchangeGates int `json:"exchange_gates"`     // always 0 (every gate is a tile op or a sweep); declared for benchmark/
 	RankLocal     int `json:"rank_local_globals"` // rank-bit diagonal/control ops resolved with zero communication
@@ -147,13 +147,6 @@ type PlanConfig struct {
 	// distributed rank-index bits (the mgpu engine's device boundary);
 	// 0 compiles a single-process plan.
 	GlobalBits int
-	// FuseRuns pre-multiplies adjacent same-target single-qubit gates
-	// into one mat1 micro-op at compile time, and folds single-target
-	// diagonal/phase micro-ops into a neighboring mat1 on the same
-	// target (merged 2×2 row/column scale). Off, plans are
-	// arithmetic-identical to the per-gate path; on, amplitudes agree
-	// to rounding (~1e-15) with fewer in-tile multiplies.
-	FuseRuns bool
 }
 
 // TilePlan is a compiled execution schedule for one kernel, tiled or
@@ -183,11 +176,9 @@ type TilePlan struct {
 	// Binds locates every parameterized gate's value-derived artifact,
 	// letting Bind rebind the plan to new rotation angles without
 	// re-planning (see bind.go). BindSlots is the flat parameter-vector
-	// length Bind expects; Bindable is false for plans compiled with
-	// run fusion, whose matrices were pre-multiplied at compile time.
+	// length Bind expects.
 	Binds     []BindSite
 	BindSlots int
-	Bindable  bool
 }
 
 // planned reports whether the plan compiler emits anything for in:
@@ -322,7 +313,7 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	}
 	n, local := k.NumQubits, k.NumQubits-g
 	if tileBits == 0 || g == 0 && tileBits >= n && 1<<n>>1 < statevec.MinParallelWork {
-		return planPerGate(k, !cfg.FuseRuns), nil
+		return planPerGate(k), nil
 	}
 	// Tiles sit strictly inside the shard — on one process the state, so
 	// a state that fits one tile runs as two; a 1-qubit shard is one tile.
@@ -366,12 +357,7 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 			uses[q] = append(uses[q], i)
 		}
 	}
-	p.Ops = arena[statevec.TileOp](nOps)
-	// Fusion pre-multiplies values into matrices, so fused plans record
-	// no binding sites and stay non-bindable.
-	if p.Bindable = !cfg.FuseRuns; p.Bindable {
-		p.Binds = arena[BindSite](nBinds)
-	}
+	p.Ops, p.Binds = arena[statevec.TileOp](nOps), arena[BindSite](nBinds)
 	// bind records where the parameterized gate in left its value-derived
 	// artifact — op op of segment seg — and advances BindSlots, the
 	// gate's offset into the flat parameter vector (program order).
@@ -379,9 +365,7 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 		if !parameterized(in) {
 			return
 		}
-		if p.Bindable {
-			p.Binds = append(p.Binds, BindSite{Kind: kind, Gate: in.Gate, Seg: int32(seg), Op: int32(op), Slot: int32(p.BindSlots), NParams: int32(len(in.Params))})
-		}
+		p.Binds = append(p.Binds, BindSite{Kind: kind, Gate: in.Gate, Seg: int32(seg), Op: int32(op), Slot: int32(p.BindSlots), NParams: int32(len(in.Params))})
 		p.BindSlots += len(in.Params)
 	}
 
@@ -408,10 +392,6 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 	// run indexes the open SegRun header — the one the next tile op
 	// extends in place — or is -1; closing it is forgetting its index.
 	run := -1
-	// sealed is the op count up to which no op may be folded into by
-	// within-run fusion: a group's header counts its members, so its
-	// ops neither fold nor are folded into.
-	sealed, inGroup := 0, false
 
 	// swap emits a physical bit-swap of positions a < b; b at a rank
 	// position makes it an exchange with the partner rank.
@@ -453,81 +433,13 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 		return victim >= 0
 	}
 
-	// plainMat1 reports whether op is an uncontrolled, unpredicated
-	// mat1 micro-op — the only mat1 shape within-run fusion touches.
-	plainMat1 := func(op *statevec.TileOp) bool {
-		return op.Kind == statevec.TileMat1 && !op.HasCtrl && op.HighMask == 0
-	}
-
-	// diagFactors recognizes a single-target, unpredicated diagonal
-	// micro-op on a low target and returns it as diag(a, b) on t:
-	// TileRelPhase directly, TileDiag with one low bit as diag(1, Phase).
-	diagFactors := func(op *statevec.TileOp) (t uint8, a, b complex128, ok bool) {
-		if op.HighMask != 0 {
-			return 0, 0, 0, false
-		}
-		switch op.Kind {
-		case statevec.TileRelPhase:
-			a, b = op.AB()
-			return op.T, a, b, true
-		case statevec.TileDiag:
-			if mbits.OnesCount64(op.LowMask) == 1 {
-				return uint8(mbits.TrailingZeros64(op.LowMask)), 1, op.Phase(), true
-			}
-		}
-		return 0, 0, 0, false
-	}
-
-	// appendRunOp adds a compiled micro-op to the open run, folding it
-	// into the previous op when within-run fusion (cfg.FuseRuns)
-	// applies: adjacent uncontrolled, unpredicated mat1 ops on the same
-	// target pre-multiply at compile time, and single-target diagonal
-	// micro-ops fold into a neighboring mat1 on the same target as a
-	// row scale (diag after mat1: D·M) or column scale (mat1 after
-	// diag: M·D) — one merged 2×2 instead of two passes over the pair.
-	// Adjacent diagonals on one target collapse to a single
-	// TileRelPhase. Folding reassociates the products, so fused plans
-	// agree with per-gate execution to rounding, not bitwise — the
-	// documented FuseRuns trade.
+	// appendRunOp adds a compiled micro-op to the open run, opening one
+	// when none is.
 	appendRunOp := func(op statevec.TileOp) {
 		if run < 0 {
 			run = len(p.Segments)
 			p.Segments = append(p.Segments, Segment{Kind: SegRun, Lo: int32(len(p.Ops)), Hi: int32(len(p.Ops))})
 			p.Stats.Runs++
-		} else if cfg.FuseRuns && !inGroup && len(p.Ops) > sealed {
-			last := &p.Ops[len(p.Ops)-1]
-			if plainMat1(&op) {
-				if plainMat1(last) && last.T == op.T {
-					last.M = op.M.Mul(last.M)
-					p.Stats.FusedOps++
-					return
-				}
-				if t, a, b, ok := diagFactors(last); ok && t == op.T {
-					m := op.M // column-scale: combined = M·diag(a, b)
-					m[0] *= a
-					m[2] *= a
-					m[1] *= b
-					m[3] *= b
-					*last = statevec.TileOp{Kind: statevec.TileMat1, T: op.T, M: m}
-					p.Stats.FusedOps++
-					return
-				}
-			} else if t, a, b, ok := diagFactors(&op); ok {
-				if plainMat1(last) && last.T == t {
-					// row-scale: combined = diag(a, b)·M
-					last.M[0] *= a
-					last.M[1] *= a
-					last.M[2] *= b
-					last.M[3] *= b
-					p.Stats.FusedOps++
-					return
-				}
-				if lt, la, lb, lok := diagFactors(last); lok && lt == t {
-					*last = statevec.RelPhaseOp(la*a, lb*b, t, 0)
-					p.Stats.FusedOps++
-					return
-				}
-			}
 		}
 		p.Ops = append(p.Ops, op)
 		p.Segments[run].Hi++
@@ -609,14 +521,12 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 		// A group is its header and then its members, each compiled and
 		// bound as it would be alone. A diagonal gate never relabels or
 		// falls back to a sweep, so all of them land in one run.
-		inGroup = true
 		appendRunOp(statevec.TableOp(n))
 		for end := i + n; i < end; i++ {
 			if err := add(k.Instrs[i], i); err != nil {
 				return nil, err
 			}
 		}
-		inGroup, sealed = false, len(p.Ops)
 	}
 	// Every rank position gets its own qubit back: one swap from the
 	// shard position it sits at, or two — through position 0 — when it is
@@ -652,14 +562,14 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 // barrier and measurement trails the gates (any measured circuit) and a
 // filtered copy otherwise, DeepEqual to the decoded plan either way.
 // Only headers and binding sites are allocated.
-func planPerGate(k *Kernel, bindable bool) *TilePlan {
-	p := &TilePlan{NumQubits: k.NumQubits, Bindable: bindable}
+func planPerGate(k *Kernel) *TilePlan {
+	p := &TilePlan{NumQubits: k.NumQubits}
 	m, nBinds, prefix := 0, 0, true
 	for i, in := range k.Instrs {
 		if planned(in) {
 			prefix = prefix && i == m
 			m++
-			if bindable && parameterized(in) {
+			if parameterized(in) {
 				nBinds++
 			}
 		}
@@ -690,9 +600,7 @@ func planPerGate(k *Kernel, bindable bool) *TilePlan {
 				if !parameterized(in) {
 					continue
 				}
-				if bindable {
-					p.Binds = append(p.Binds, BindSite{Kind: BindGlobal, Gate: in.Gate, Seg: seg, Op: int32(j), Slot: int32(p.BindSlots), NParams: int32(len(in.Params))})
-				}
+				p.Binds = append(p.Binds, BindSite{Kind: BindGlobal, Gate: in.Gate, Seg: seg, Op: int32(j), Slot: int32(p.BindSlots), NParams: int32(len(in.Params))})
 				p.BindSlots += len(in.Params)
 			}
 			at += n

@@ -231,7 +231,7 @@ func WritePlan(w *artifact.Writer, p *TilePlan) {
 		w.U32(uint32(q))
 	}
 	WritePlanStats(w, p.Stats)
-	w.Bool(p.Bindable)
+	w.Bool(true) // bindable: every plan is, and the reader refuses false
 	w.U32(uint32(p.BindSlots))
 	w.Count(len(p.Binds))
 	for _, b := range p.Binds {
@@ -452,7 +452,9 @@ func ReadPlan(r *artifact.Reader) *TilePlan {
 		}
 	}
 	p.Stats = ReadPlanStats(r)
-	p.Bindable = r.Bool()
+	if !r.Bool() && r.Err() == nil {
+		r.Failf("encoded plan is not bindable (compiled with the removed run fusion)")
+	}
 	p.BindSlots = int(r.U32())
 	if nb := r.Count(bindSiteBytes); nb > 0 {
 		p.Binds = make([]BindSite, nb)

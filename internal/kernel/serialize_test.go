@@ -71,13 +71,11 @@ func TestKernelRoundTrip(t *testing.T) {
 }
 
 // TestPlanRoundTripConfigs: plans compiled under every configuration
-// axis (distributed rank bits, run fusion) round-trip DeepEqual.
+// axis (distributed rank bits) round-trip DeepEqual.
 func TestPlanRoundTripConfigs(t *testing.T) {
 	for _, cfg := range []PlanConfig{
 		{TileBits: 4},
-		{TileBits: 4, FuseRuns: true},
 		{TileBits: 3, GlobalBits: 2},
-		{TileBits: 3, GlobalBits: 2, FuseRuns: true},
 	} {
 		k := soupKernel(t, 8)
 		p, err := Plan(k, cfg)

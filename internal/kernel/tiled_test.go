@@ -106,8 +106,8 @@ func oracleProbs(c *circuit.Circuit) []float64 {
 }
 
 // executeTiled runs k on s through the plan compiled at tileBits — no
-// rank boundary, no run fusion; when the whole state fits one tile that
-// is the per-gate schedule.
+// rank boundary; when the whole state fits one tile that is the
+// per-gate schedule.
 func executeTiled(k *Kernel, s *statevec.State, tileBits int) error {
 	plan, err := Plan(k, PlanConfig{TileBits: tileBits})
 	if err != nil {

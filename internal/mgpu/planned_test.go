@@ -18,11 +18,10 @@ import (
 
 // The planned-mgpu equivalence suite: distributed execution of a
 // compiled TilePlan must be bit-identical (max |Δp| = 0, fixed-seed
-// shot counts exactly equal; 1e-12 with FuseRuns, which reassociates)
-// to the single-device per-gate engine — kernel.Execute on one
-// statevec.State, an engine that knows nothing of ranks — across rank
-// counts × shard shapes × fusion settings, with the exchange count of
-// every case pinned. oracle_test.go holds both to a naive reference.
+// shot counts exactly equal) to the single-device per-gate engine —
+// kernel.Execute on one statevec.State, an engine that knows nothing of
+// ranks — across rank counts × shard shapes × transform fusion windows,
+// with the exchange count of every case pinned. oracle_test.go holds both to a naive reference.
 
 // soupPool covers every gate the engines execute, including the
 // diagonal family (rank-local when global), SWAP (a permutation-table
@@ -97,23 +96,19 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 	seed := uint64(0xd15712b)
 	for _, tc := range []struct {
 		n, ranks, tileBits, window int
-		fuseRuns                   bool
 		exchanges                  int // pinned: what this plan pays on this world
 	}{
-		{6, 2, 3, 0, false, 16},  // 1 rank bit
-		{6, 4, 2, 0, false, 56},  // 2 rank bits, 4-amp tiles
-		{6, 8, 2, 0, false, 184}, // 3 rank bits, shard of 3 qubits
-		{8, 4, 3, 0, false, 72},  // roomier shard
-		{8, 4, 3, 0, true, 72},   // within-run fusion on
-		{9, 8, 3, 0, false, 152}, // deep rank boundary
-		{9, 8, 3, 0, true, 152},  //   ... with fusion
-		{8, 4, 3, 3, false, 64},  // transform-level fused blocks in the stream
-		{8, 4, 3, 3, true, 64},   // both fusion layers at once
-		{10, 2, 4, 4, false, 20}, // wide fused blocks, single rank bit
-		{2, 2, 3, 0, false, 68},  // 1-qubit shards: the shard is one tile
-		{3, 4, 3, 0, false, 176},
-		{4, 8, 3, 0, true, 328},
-		{5, 16, 3, 0, false, 704},
+		{6, 2, 3, 0, 16},  // 1 rank bit
+		{6, 4, 2, 0, 56},  // 2 rank bits, 4-amp tiles
+		{6, 8, 2, 0, 184}, // 3 rank bits, shard of 3 qubits
+		{8, 4, 3, 0, 72},  // roomier shard
+		{9, 8, 3, 0, 152}, // deep rank boundary
+		{8, 4, 3, 3, 64},  // transform-level fused blocks in the stream
+		{10, 2, 4, 4, 20}, // wide fused blocks, single rank bit
+		{2, 2, 3, 0, 68},  // 1-qubit shards: the shard is one tile
+		{3, 4, 3, 0, 176},
+		{4, 8, 3, 0, 328},
+		{5, 16, 3, 0, 704},
 	} {
 		rng := qmath.NewRNG(seed + uint64(tc.n*1000+tc.ranks*100+tc.tileBits*10+tc.window))
 		c := gateSoup(tc.n, 140, rng)
@@ -129,7 +124,7 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 		}
 		want := singleDeviceProbs(t, k)
 
-		plan, err := kernel.Plan(k, kernel.PlanConfig{TileBits: tc.tileBits, GlobalBits: gbits, FuseRuns: tc.fuseRuns})
+		plan, err := kernel.Plan(k, kernel.PlanConfig{TileBits: tc.tileBits, GlobalBits: gbits})
 		if err != nil {
 			t.Fatalf("ranks=%d: plan: %v", tc.ranks, err)
 		}
@@ -138,12 +133,9 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 			t.Fatalf("ranks=%d: planned: %v", tc.ranks, err)
 		}
 
-		if d := maxDiff(planned.Probabilities, want); d > 1e-12 {
-			t.Errorf("n=%d ranks=%d tile=%d window=%d fuse=%v: planned vs single-device diff %g > 1e-12",
-				tc.n, tc.ranks, tc.tileBits, tc.window, tc.fuseRuns, d)
-		} else if !tc.fuseRuns && d != 0 {
-			// Without run fusion the plan performs the per-gate
-			// arithmetic exactly; any nonzero drift is a compiler bug.
+		if d := maxDiff(planned.Probabilities, want); d != 0 {
+			// The plan performs the per-gate arithmetic exactly; any
+			// nonzero drift is a compiler bug.
 			t.Errorf("n=%d ranks=%d tile=%d window=%d: planned vs single-device diff %g, want exact 0",
 				tc.n, tc.ranks, tc.tileBits, tc.window, d)
 		}
@@ -157,18 +149,15 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 			t.Errorf("n=%d window=%d: single-device vs oracle diff %g > 1e-12", tc.n, tc.window, d)
 		}
 		if d := maxDiff(planned.Probabilities, oracle); d > 1e-12 {
-			t.Errorf("n=%d ranks=%d tile=%d window=%d fuse=%v: planned vs oracle diff %g > 1e-12",
-				tc.n, tc.ranks, tc.tileBits, tc.window, tc.fuseRuns, d)
+			t.Errorf("n=%d ranks=%d tile=%d window=%d: planned vs oracle diff %g > 1e-12",
+				tc.n, tc.ranks, tc.tileBits, tc.window, d)
 		}
 		// Every rank takes part in every swap across the rank boundary,
 		// each a half-shard exchange; nothing else communicates.
 		if planned.Exchanges != tc.exchanges || planned.Exchanges != tc.ranks*plan.Stats.ExchangeSegs ||
 			planned.BytesSent != int64(planned.Exchanges)*8<<uint(local) || plan.Stats.ExchangeGates != 0 {
-			t.Errorf("n=%d ranks=%d tile=%d window=%d fuse=%v: %d exchanges (%d bytes), pinned %d = ranks × %d swaps across ranks",
-				tc.n, tc.ranks, tc.tileBits, tc.window, tc.fuseRuns, planned.Exchanges, planned.BytesSent, tc.exchanges, plan.Stats.ExchangeSegs)
-		}
-		if tc.fuseRuns {
-			continue
+			t.Errorf("n=%d ranks=%d tile=%d window=%d: %d exchanges (%d bytes), pinned %d = ranks × %d swaps across ranks",
+				tc.n, tc.ranks, tc.tileBits, tc.window, planned.Exchanges, planned.BytesSent, tc.exchanges, plan.Stats.ExchangeSegs)
 		}
 		// Exact fixed-seed shot counts from both distributions.
 		cRef, err := sampling.Sample(want, shots, qmath.NewRNG(seed))

@@ -1,20 +1,14 @@
-// Package observable implements Pauli-string observables and
-// Hamiltonian partitioning — the workload structure behind the paper's
-// Fig. 2c large-circuit mode, where "the simulation process partitions
-// them into distinct Hamiltonians ... distributed across multiple
-// hardware resources, thereby enabling efficient parallelization".
+// Package observable implements Pauli-string observables — the
+// workload structure behind the paper's Fig. 2c large-circuit mode.
 //
 // A Hamiltonian is a real-weighted sum of Pauli strings. Expectation
 // values are evaluated directly against the resident state vector
 // (statevec.PauliEvaluator): no clone, no basis-rotation sweeps, no
 // materialization of a pending qubit permutation, only the affected
 // index half enumerated per term, and one sweep over the state per
-// group of terms rather than per term. Partition splits the term
-// list into balanced groups, and ExpectationParallelCancel evaluates terms
-// concurrently across simulated devices with a bit-identical result.
-// Every engine — one device, the term-parallel devices, and the
-// distributed engine's rank shards — reads terms through PauliTerms and
-// finishes with Combine, so the masks and the final sum exist once.
+// group of terms rather than per term. Every engine — one device and
+// the distributed engine's rank shards — reads terms through PauliTerms
+// and finishes with Combine, so the masks and the final sum exist once.
 package observable
 
 import (
@@ -22,7 +16,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"qgear/internal/cancel"
 	"qgear/internal/statevec"
@@ -241,73 +234,9 @@ func sweep(ev *statevec.PauliEvaluator, masks []statevec.PauliTerm, flag *cancel
 	return vals, nil
 }
 
-// Partition splits the term list into k balanced groups (round-robin),
-// the "distinct Hamiltonians" of Fig. 2c.
-func (h *Hamiltonian) Partition(k int) [][]Term {
-	if k < 1 {
-		k = 1
-	}
-	if k > len(h.Terms) && len(h.Terms) > 0 {
-		k = len(h.Terms)
-	}
-	groups := make([][]Term, k)
-	for i, t := range h.Terms {
-		groups[i%k] = append(groups[i%k], t)
-	}
-	return groups
-}
-
-// ExpectationParallelCancel partitions the Hamiltonian's terms over
-// `devices` concurrent evaluators — the multi-device Hamiltonian
-// evaluation mode. Direct evaluation is read-only, so every device
-// works against the one resident state (no per-device clones), and
-// per-term values land in a slice that is then summed in term order:
-// the result is bit-identical to Expectation for any device count.
-// Every device evaluates its stripe of terms as one grouped sweep,
-// polls the cooperative cancellation flag per block batch and abandons
-// the stripe once it trips. A nil flag never trips.
-func (h *Hamiltonian) ExpectationParallelCancel(s *statevec.State, devices int, flag *cancel.Flag) (float64, error) {
-	if devices < 1 {
-		devices = 1
-	}
-	if devices > len(h.Terms) && len(h.Terms) > 0 {
-		devices = len(h.Terms)
-	}
-	masks, err := h.PauliTerms(s.NumQubits())
-	if err != nil {
-		return 0, err
-	}
-	ev := s.PauliEvaluator()
-	stripes := make([][]float64, devices)
-	errs := make([]error, devices)
-	var wg sync.WaitGroup
-	for d := 0; d < devices; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			var stripe []statevec.PauliTerm
-			for i := d; i < len(masks); i += devices {
-				stripe = append(stripe, masks[i])
-			}
-			stripes[d], errs[d] = sweep(ev, stripe, flag)
-		}(d)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	vals := make([]float64, len(h.Terms))
-	for i := range vals {
-		vals[i] = stripes[i%devices][i/devices]
-	}
-	return h.Combine(vals), nil
-}
-
 // TransverseFieldIsing builds the n-qubit TFIM chain
 // H = -J Σ Z_i Z_{i+1} - g Σ X_i, a standard VQA-era benchmark
-// Hamiltonian for the partition mode.
+// Hamiltonian.
 func TransverseFieldIsing(n int, j, g float64) *Hamiltonian {
 	h := &Hamiltonian{NumQubits: n}
 	for i := 0; i+1 < n; i++ {

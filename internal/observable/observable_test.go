@@ -64,6 +64,11 @@ func TestIdentityTermAndValidation(t *testing.T) {
 	if _, err := NewTerm(1, map[int]Pauli{9: Z}).Expectation(s); err == nil {
 		t.Fatal("out-of-range qubit accepted")
 	}
+	h := &Hamiltonian{NumQubits: 2}
+	h.Add(NewTerm(1, map[int]Pauli{5: Z}))
+	if _, err := h.ExpectationCancel(s, nil); err == nil {
+		t.Fatal("out-of-range term accepted by the grouped sweep")
+	}
 }
 
 func TestExpectationDoesNotMutateState(t *testing.T) {
@@ -79,26 +84,27 @@ func TestExpectationDoesNotMutateState(t *testing.T) {
 	}
 }
 
+// TestHamiltonianSequentialVsParallel: the same state built and read
+// by one worker and by several gives bit-identical ⟨H⟩.
 func TestHamiltonianSequentialVsParallel(t *testing.T) {
 	h := TransverseFieldIsing(6, 1.0, 0.7)
-	r := qmath.NewRNG(12)
-	s := statevec.MustNew(6, 1)
-	for i := 0; i < 30; i++ {
-		q := r.Intn(6)
-		s.ApplyMat1(q, gate.Matrix1(gate.U3, []float64{r.Angle(), r.Angle(), r.Angle()}))
-		s.ApplyCX(q, (q+1)%6)
-	}
-	seq, err := h.Expectation(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, devices := range []int{1, 2, 4, 16} {
-		par, err := h.ExpectationParallelCancel(s, devices, nil)
+	var seq float64
+	for _, workers := range []int{1, 2, 4, 16} {
+		r := qmath.NewRNG(12)
+		s := statevec.MustNew(6, workers)
+		for i := 0; i < 30; i++ {
+			q := r.Intn(6)
+			s.ApplyMat1(q, gate.Matrix1(gate.U3, []float64{r.Angle(), r.Angle(), r.Angle()}))
+			s.ApplyCX(q, (q+1)%6)
+		}
+		par, err := h.Expectation(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(par-seq) > 1e-10 {
-			t.Fatalf("devices=%d: parallel %g != sequential %g", devices, par, seq)
+		if workers == 1 {
+			seq = par
+		} else if par != seq {
+			t.Fatalf("workers=%d: parallel %.17g != sequential %.17g", workers, par, seq)
 		}
 	}
 }
@@ -127,31 +133,6 @@ func TestTFIMGroundStateLimits(t *testing.T) {
 	}
 	if math.Abs(e2-(-1.5*float64(n))) > 1e-12 {
 		t.Fatalf("TFIM J=0 energy %g", e2)
-	}
-}
-
-func TestPartitionBalancedAndComplete(t *testing.T) {
-	h := TransverseFieldIsing(8, 1, 1) // 7 + 8 = 15 terms
-	groups := h.Partition(4)
-	if len(groups) != 4 {
-		t.Fatalf("%d groups", len(groups))
-	}
-	total := 0
-	for _, g := range groups {
-		total += len(g)
-		if len(g) < 3 || len(g) > 4 {
-			t.Fatalf("unbalanced group size %d", len(g))
-		}
-	}
-	if total != 15 {
-		t.Fatalf("partition lost terms: %d", total)
-	}
-	// Degenerate cases.
-	if len(h.Partition(0)) != 1 {
-		t.Fatal("k=0 should clamp to 1")
-	}
-	if len(h.Partition(100)) != 15 {
-		t.Fatal("k>terms should clamp to terms")
 	}
 }
 
@@ -195,24 +176,6 @@ func TestTermExpectationVisitCount(t *testing.T) {
 		}
 		if visited != tc.want {
 			t.Errorf("<%s>: visited %d, want %d", tc.term, visited, tc.want)
-		}
-	}
-}
-
-func TestExpectationParallelBitIdentical(t *testing.T) {
-	h := TransverseFieldIsing(7, 1.3, 0.9)
-	s := ghz(t, 7)
-	seq, err := h.Expectation(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, devices := range []int{1, 2, 3, 5, 100} {
-		par, err := h.ExpectationParallelCancel(s, devices, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par != seq {
-			t.Fatalf("devices=%d: parallel %.17g != sequential %.17g (must be bit-identical)", devices, par, seq)
 		}
 	}
 }
@@ -281,14 +244,5 @@ func TestValidateAndClone(t *testing.T) {
 	c.Terms[0].Ops[0] = X // mutate the clone's map
 	if c.Fingerprint() == h.Fingerprint() {
 		t.Fatal("clone shares factor maps with the original")
-	}
-}
-
-func TestParallelErrorPropagation(t *testing.T) {
-	h := &Hamiltonian{NumQubits: 2}
-	h.Add(NewTerm(1, map[int]Pauli{5: Z})) // out of range
-	s := statevec.MustNew(2, 1)
-	if _, err := h.ExpectationParallelCancel(s, 2, nil); err == nil {
-		t.Fatal("error not propagated from parallel group")
 	}
 }

@@ -3,7 +3,7 @@ package service
 import "flag"
 
 // RegisterExecFlags defines the execution-flag block on fs, writing into
-// cfg: the six options that decide what a job computes and where its
+// cfg: the five options that decide what a job computes and where its
 // artifacts persist. Every command that starts a Server (qgear serve,
 // and qgear run / expect / sweep as in-process clients) registers them
 // here, so one spelling, one default and one help text exist for each.
@@ -12,6 +12,5 @@ func RegisterExecFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.IntVar(&cfg.Devices, "devices", 1, "simulated device count for nvidia-mgpu (pooled memory) / nvidia-mqpu (circuit-, shot- and point-parallel)")
 	fs.IntVar(&cfg.FusionWindow, "fusion", 0, "gate-fusion window (0 = off)")
 	fs.IntVar(&cfg.TileBits, "tile", 0, "tiled-executor tile width in qubits (0 = auto from cache geometry, negative = per-gate sweeps on single-process targets; rejected on nvidia-mgpu)")
-	fs.BoolVar(&cfg.PlanFusion, "plan-fusion", false, "pre-multiply adjacent same-target 1q gates in the plan compiler")
 	fs.StringVar(&cfg.StoreDir, "store-dir", "", "persistent artifact store directory: results and compiled plans spill there, and a later process on the same directory answers repeat content addresses from disk, bit-identically, without re-simulating (empty = no persistence)")
 }

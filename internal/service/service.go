@@ -53,7 +53,6 @@ type Config struct {
 	FusionWindow int            // forwarded to the kernel transform
 	PruneAngle   float64        // forwarded to the kernel transform
 	TileBits     int            // tiled-executor tile width (see core.Options.TileBits)
-	PlanFusion   bool           // within-run 1q fusion in the plan compiler
 
 	// QueueSize bounds the job queue; Submit fails with ErrQueueFull
 	// beyond it. Default 256.
@@ -574,7 +573,6 @@ func (s *Server) execOptions() core.Options {
 		FusionWindow: s.cfg.FusionWindow,
 		PruneAngle:   s.cfg.PruneAngle,
 		TileBits:     s.cfg.TileBits,
-		PlanFusion:   s.cfg.PlanFusion,
 		Target:       s.cfg.Target,
 		Devices:      s.cfg.Devices,
 		Workers:      s.cfg.Workers,
@@ -594,9 +592,9 @@ func (s *Server) execOptionsCancel(flag *cancel.Flag) core.Options {
 }
 
 // planKey addresses the compiled-plan cache. Everything else that
-// shapes a plan (target, devices, fusion, prune, plan fusion) is
-// server-constant, so a circuit identity plus the configured tile
-// width identifies the artifact. Under a rebindable configuration —
+// shapes a plan (target, devices, fusion, prune) is server-constant,
+// so a circuit identity plus the configured tile width identifies the
+// artifact. Under a rebindable configuration —
 // where compiled structure is provably value-independent — a
 // parameterized circuit keys by its *structural* fingerprint: every
 // submission sharing a shape, whatever its angles, resolves to one

@@ -385,27 +385,25 @@ func TestStoreEndpoint(t *testing.T) {
 // one tile were split into two, a 13- to 16-qubit circuit compiled to
 // the per-gate plan, and a store kept that plan and its result under
 // the bare signature. Reopened by a server that splits, both artifacts
-// are refused — the plan would run at the old speed and, under plan
-// fusion, round differently from what the server now compiles — and
-// the job is recompiled and simulated, not served.
+// are refused — the plan would run at the old speed — and the job is
+// recompiled and simulated, not served. The same holds for a store
+// written under the removed plan fusion option (its signatures end in
+// "pftrue"; every signature now ends in "pffalse").
 func TestPreSplitArtifactsAreRefused(t *testing.T) {
-	for _, tc := range []struct {
-		planFusion bool
-		parentSig  string
-	}{
-		{false, "f0|p0|tnvidia|d0|w0|s0|r0|b16|pffalse"},
-		{true, "f0|p0|tnvidia|d0|w0|s0|r0|b16|pftrue"},
+	for _, parentSig := range []string{
+		"f0|p0|tnvidia|d0|w0|s0|r0|b16|pffalse",
+		"f0|p0|tnvidia|d0|w0|s0|r0|b16|pftrue",
 	} {
-		cfg := Config{StoreDir: t.TempDir(), WorkerPool: 1, MaxBatch: 1, TileBits: 16, PlanFusion: tc.planFusion}
+		cfg := Config{StoreDir: t.TempDir(), WorkerPool: 1, MaxBatch: 1, TileBits: 16}
 		c := storeTestCircuits(1, 14)[0]
 		opts := SubmitOptions{Shots: 100, Seed: 3}
 
 		// What the parent wrote: the per-gate compile and its run.
 		s1 := newTestServer(t, cfg)
-		if s1.cfgSig == tc.parentSig {
-			t.Fatalf("plan fusion %v: the signature %q did not change with the split rule", tc.planFusion, s1.cfgSig)
+		if s1.cfgSig == parentSig {
+			t.Fatalf("%s: the signature did not change with the split rule", parentSig)
 		}
-		perGate := backend.Config{Target: backend.TargetNvidia, TileBits: -1, PlanFusion: tc.planFusion, Shots: opts.Shots, Seed: opts.Seed}
+		perGate := backend.Config{Target: backend.TargetNvidia, TileBits: -1, Shots: opts.Shots, Seed: opts.Seed}
 		comp, err := backend.Compile(c, perGate)
 		if err != nil {
 			t.Fatal(err)
@@ -415,10 +413,10 @@ func TestPreSplitArtifactsAreRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		resKey, planKey := s1.key(kindSimulate, c, opts), s1.planKey(c, c.Fingerprint())
-		if err := s1.store.SavePlan(planKey, tc.parentSig, comp, 1); err != nil {
+		if err := s1.store.SavePlan(planKey, parentSig, comp, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := s1.store.SaveResult(resKey, tc.parentSig, old); err != nil {
+		if err := s1.store.SaveResult(resKey, parentSig, old); err != nil {
 			t.Fatal(err)
 		}
 		if err := s1.Close(); err != nil {
@@ -427,7 +425,7 @@ func TestPreSplitArtifactsAreRefused(t *testing.T) {
 
 		s2 := newTestServer(t, cfg)
 		if !s2.store.HasResult(resKey) || !s2.store.HasPlan(planKey) {
-			t.Fatalf("plan fusion %v: the reopened store lost the parent's artifacts", tc.planFusion)
+			t.Fatalf("%s: the reopened store lost the parent's artifacts", parentSig)
 		}
 		res, info, err := s2.Run(context.Background(), c, opts)
 		if err != nil {
@@ -435,13 +433,13 @@ func TestPreSplitArtifactsAreRefused(t *testing.T) {
 		}
 		st := s2.Stats()
 		if info.Cached || st.StoreHits != 0 || st.StorePlanHits != 0 || st.Executed != 1 || st.StoreQuarantines != 2 {
-			t.Fatalf("plan fusion %v: cached %v, store hits %d, plan store hits %d, executed %d, quarantines %d; want the result and plan refused and the job run",
-				tc.planFusion, info.Cached, st.StoreHits, st.StorePlanHits, st.Executed, st.StoreQuarantines)
+			t.Fatalf("%s: cached %v, store hits %d, plan store hits %d, executed %d, quarantines %d; want the result and plan refused and the job run",
+				parentSig, info.Cached, st.StoreHits, st.StorePlanHits, st.Executed, st.StoreQuarantines)
 		}
 		if res.TileBits != c.NumQubits-1 {
-			t.Fatalf("plan fusion %v: ran at tile width %d, want the split %d", tc.planFusion, res.TileBits, c.NumQubits-1)
+			t.Fatalf("%s: ran at tile width %d, want the split %d", parentSig, res.TileBits, c.NumQubits-1)
 		}
-		if !tc.planFusion && !reflect.DeepEqual(res.Probabilities, old.Probabilities) {
+		if !reflect.DeepEqual(res.Probabilities, old.Probabilities) {
 			t.Fatal("the split run's probabilities differ from the per-gate run's")
 		}
 		if err := s2.Close(); err != nil {
@@ -451,7 +449,7 @@ func TestPreSplitArtifactsAreRefused(t *testing.T) {
 		// What the splitting server spilled is served on the next start.
 		s3 := newTestServer(t, cfg)
 		if _, info, err := s3.Run(context.Background(), c, opts); err != nil || !info.Cached || s3.Stats().StoreHits != 1 {
-			t.Fatalf("plan fusion %v: rerun after restart cached %v, store hits %d, err %v; want a store hit", tc.planFusion, info.Cached, s3.Stats().StoreHits, err)
+			t.Fatalf("%s: rerun after restart cached %v, store hits %d, err %v; want a store hit", parentSig, info.Cached, s3.Stats().StoreHits, err)
 		}
 	}
 }
