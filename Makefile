@@ -177,11 +177,13 @@ ci-oneproc: build
 # Fixed-budget native fuzzing (seed corpus first, then mutation; a
 # failing input lands in testdata/fuzz and fails the gate): the grouped
 # Pauli evaluator against the per-index reference loop, the lane
-# primitives' bodies (SSE2 on amd64) against their Go loops — the three
-# amplitude kernels, the Pauli chunk sums, then the phase-table scale
-# alone and through its tile enumeration — then the
-# artifact envelope, every payload decoder behind it and the store's
-# manifest-journal replay — never a panic, allocation bounded by the
+# primitives' assembly bodies against their Go loops (on amd64 the SSE2
+# and, where the CPU has it, the AVX body of scaleWindows, scaleTable
+# and pairReal, every input through both) — the three amplitude
+# kernels, the Pauli chunk sums (SSE2 only), then the phase-table scale
+# alone and through its tile enumeration — then the artifact envelope,
+# every payload decoder behind it and the store's manifest-journal
+# replay — never a panic, allocation bounded by the
 # input's length, and whatever a decoder accepts re-encodes to the
 # bytes it was decoded from (a torn journal's records to a prefix) — then
 # the samplers against their table-and-hash references (exact counts,
@@ -215,16 +217,29 @@ ci-fuzz: build
 	$(call run-selected,FuzzSubmitEnvelope,./internal/service/,-fuzz FuzzSubmitEnvelope $(FUZZ_DECODER))
 	$(call run-selected,FuzzQASMParse,./internal/qasm/,-fuzz FuzzQASMParse $(FUZZ_DECODER))
 
-# The portable build: the lane primitives have an assembly body on
+# The portable build: the lane primitives have assembly bodies on
 # amd64 only, and every other GOARCH compiles their Go loops instead
 # (lanes_noasm.go). This keeps that build vetted and the statevec test
 # binary linking on arm64, and runs the Go bodies as the body: 386 is
 # not amd64 and runs natively on an amd64 host, so the short statevec
-# suite holds them to the reference loops there.
+# suite holds them to the reference loops there. The last leg builds the
+# Go loops for GOAMD64=v3, where the compiler may fuse a multiply and an
+# add into one FMA wherever no float64() conversion forbids it: the one
+# code generation that could round them differently from the assembly
+# bodies, held to them by the same suite. A v3 binary does not start on
+# a CPU without every x86-64-v3 feature (V3_FLAGS, as /proc/cpuinfo
+# names them; abm is LZCNT), so there the leg is built and not run.
+V3_FLAGS = avx avx2 bmi1 bmi2 f16c fma abm movbe
+
 ci-portable:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/statevec/
 	GOARCH=386 $(GO) test -short -count=1 ./internal/statevec/
+	GOAMD64=v3 $(GO) test -c -o /dev/null ./internal/statevec/
+	@if (for f in $(V3_FLAGS); do grep -qw $$f /proc/cpuinfo 2>/dev/null || exit 1; done); then \
+		echo 'GOAMD64=v3 $(GO) test -short -count=1 ./internal/statevec/'; \
+		GOAMD64=v3 $(GO) test -short -count=1 ./internal/statevec/; \
+	else echo "ci-portable: this CPU is not x86-64-v3; the GOAMD64=v3 leg was built, not run"; fi
 
 # Chaos acceptance: the seeded fault-injection suite, race-enabled.
 # Injected disk faults, short writes, execution panics, and tight

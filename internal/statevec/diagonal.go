@@ -35,7 +35,7 @@ func (s *State) applyPhase1(target int, phase complex128) {
 // ApplyGlobalAndRelativePhase applies diag(a, b) on the target qubit —
 // the general single-qubit diagonal (rz has a ≠ 1): the target-0 half
 // scaled by a and the target-1 half by b, worked as pairs of the two
-// (interleaved in one pass when t = 0).
+// (on qubit 0, windows of one pair, each scaled by the table row [a, b]).
 func (s *State) ApplyGlobalAndRelativePhase(target int, a, b complex128) {
 	s.ensureCanonical()
 	s.checkQubit(target)
@@ -53,7 +53,8 @@ func (s *State) ApplyGlobalAndRelativePhase(target int, a, b complex128) {
 // — a whole state, a worker's chunk, or a tile.
 func diag1Chunk(v []float64, t uint, a, b complex128, lo, hi int) {
 	if t == 0 {
-		scaleAB(v[4*lo:4*hi], real(a), imag(a), real(b), imag(b))
+		row := [4]float64{real(a), imag(a), real(b), imag(b)}
+		scaleTable(v[4*lo:4*hi], row[:], 4, 4, 4, 0)
 		return
 	}
 	bit := uint64(1) << t

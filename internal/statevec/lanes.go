@@ -52,27 +52,33 @@ import (
 // (lanes_test.go) pins exact bit equality against reference complex128
 // implementations for every micro-op kind.
 //
-// Packed doubles (lanes_amd64.s): the SSE2 bodies of the amplitude
-// primitives work on one amplitude per register, both lanes at once,
-// with MULPD and ADDPD — each lane still one IEEE 754 multiply or add of
-// the same operands, so it rounds exactly as the scalar form. A complex
-// product's real lane is computed as re(x)*re(y) + im(x)*(−im(y)), the
-// factor's sign flipped once by XORPD: rounding to nearest is symmetric,
-// so a·(−b) = −(a·b), and IEEE 754 defines x − y as x + (−y). Addition
-// is commutative, so a lane's two operands may arrive in either order;
-// the grouping of a sum of products is the scalar form's. No FMA and
-// nothing above SSE2 (GOAMD64=v1), so no CPU detection. pauliChunks'
-// body holds two chunk sums per register instead, one per lane: a
-// lane's products are transposed against its neighbour's (UNPCKLPD,
-// UNPCKHPD) so the two sums of products add lane-wise, still one IEEE
-// 754 operation on the scalar form's operands each. The one divergence
-// is the sign (and payload) of a NaN: a
-// NaN propagates through a flipped factor and through either operand
+// Packed doubles (lanes_amd64.s): the assembly bodies of the amplitude
+// primitives work on whole amplitudes, both lanes at once — one per
+// register in the SSE2 bodies (MULPD, ADDPD), two per register in the
+// AVX ones (VMULPD, VADDPD, VADDSUBPD) — each lane still one IEEE 754
+// multiply, add or subtract of the same operands, so it rounds exactly
+// as the scalar form. The SSE2 bodies compute a complex product's real
+// lane as re(x)*re(y) + im(x)*(−im(y)), the factor's sign flipped once
+// by XORPD: rounding to nearest is symmetric, so a·(−b) = −(a·b), and
+// IEEE 754 defines x − y as x + (−y); the AVX bodies subtract directly
+// (VADDSUBPD). Addition and multiplication are commutative, so a lane's
+// two operands may arrive in either order; the grouping of a sum of
+// products is the scalar form's. No FMA anywhere: a fused multiply-add
+// rounds once where the scalar form rounds twice. Every amd64 CPU runs
+// the SSE2 bodies; one CPUID probe at init (hasAVX, lanes_amd64.go)
+// switches the wrappers to the AVX bodies where the CPU has AVX and the
+// OS saves its registers, with no setting to choose it. pairComplex has
+// an SSE2 body only, and so has pauliChunks, which holds two chunk sums per register instead,
+// one per lane: a lane's products are transposed against its
+// neighbour's (UNPCKLPD, UNPCKHPD) so the two sums of products add
+// lane-wise, still one IEEE 754 operation on the scalar form's operands
+// each. The one divergence is the sign (and payload) of a NaN: a NaN
+// propagates through a flipped factor and through either operand
 // order, where the scalar form's choice of NaN operand differs — a
 // state holding a NaN is already lost, and every NaN stays a NaN.
-// FuzzLanePrimitives, FuzzPauliLanes and FuzzScaleTable hold each
-// assembly body bit for bit to its Go loop over arbitrary lane bits and
-// window shapes, NaNs compared only as NaNs.
+// FuzzLanePrimitives, FuzzPauliLanes and FuzzScaleTable hold every
+// assembly body bit for bit to its Go loop over arbitrary lane bits
+// and window shapes, NaNs compared only as NaNs.
 //
 // Real-matrix fast path: matrices whose four imaginary lanes are all
 // exactly +0 (h, x, y-axis rotations — the QCrank workload is nothing
@@ -219,9 +225,10 @@ func subspaceSets(fixed, val uint64, lo, hi int, visit func(off, run, period, co
 // — windows of run lanes, one every period (> 0) lanes from lane 0 of
 // v, as many as fit in v — never one window: at the narrowest windows (one
 // amplitude) a call per window would cost more than the arithmetic. On
-// amd64 they are the SSE2 bodies of lanes_amd64.s; elsewhere they are
-// the Go loops below, which stay compiled on every GOARCH as the
-// reference the lane fuzz suite holds the assembly to. An odd last lane
+// amd64 they are the assembly bodies of lanes_amd64.s (SSE2, or AVX
+// where the CPU has it); elsewhere they are the Go loops below, which
+// stay compiled on every GOARCH as the reference the lane fuzz suite
+// holds the assembly to. An odd last lane
 // of a window is left alone: windows hold whole amplitudes.
 
 // scaleWindowsGo multiplies every amplitude of the windows by the
@@ -374,19 +381,6 @@ func pauliChunksGo(l *pauliLanes, nl int, w *pauliWalk) {
 			}
 		}
 		l.acc[i] = acc
-	}
-}
-
-// scaleAB multiplies even amplitude slots by (ar + ai·i) and odd
-// slots by (br + bi·i) in one pass — diag(A, B) on qubit 0.
-func scaleAB(v []float64, ar, ai, br, bi float64) {
-	for j := 0; j+3 < len(v); j += 4 {
-		xr, xi := v[j], v[j+1]
-		yr, yi := v[j+2], v[j+3]
-		v[j] = float64(xr*ar) - float64(xi*ai)
-		v[j+1] = float64(xr*ai) + float64(xi*ar)
-		v[j+2] = float64(yr*br) - float64(yi*bi)
-		v[j+3] = float64(yr*bi) + float64(yi*br)
 	}
 }
 

@@ -1,80 +1,64 @@
 #include "textflag.h"
 
-// SSE2 bodies of the lane primitives (lanes.go, lanes_amd64.go): one
-// amplitude per XMM register; scale, a table row read once per window
-// and real pair take two amplitudes per loop iteration and a
-// one-amplitude tail, the complex pair (eight factor registers) and a
-// repeated table row one; the Pauli chunk sums take one amplitude of
-// each of four lanes. Unaligned loads and stores throughout. MULPD,
-// ADDPD and SUBPD only — no FMA, nothing above SSE2.
+// Assembly bodies of the lane primitives (lanes.go, lanes_amd64.go), in
+// two sets: SSE2, which every amd64 CPU runs, and AVX, which
+// lanes_amd64.go picks at init where hasAVX finds the CPU and the OS
+// support it. scaleWindows has no body of its own: it is scaleTable's
+// row of one entry. Unaligned loads and stores throughout, and no FMA:
+// every lane is one IEEE 754 multiply, add or subtract of the scalar
+// form's operands (lanes.go).
+//
+// The SSE2 bodies hold one amplitude per XMM register: a table row of
+// one entry or read once per window and the real pair take two
+// amplitudes per loop iteration and a one-amplitude tail, the complex
+// pair (eight factor registers) and a repeated table row one; the Pauli
+// chunk sums take one amplitude of each of four lanes. MULPD, ADDPD and
+// SUBPD only, nothing above SSE2.
+//
+// The AVX bodies (scaleTable, pairReal) hold two amplitudes per YMM
+// register and take one register per loop iteration
+// and a one-amplitude tail on VEX-encoded XMM registers. Nothing above
+// AVX: VMULPD, VADDPD and VADDSUBPD, and the in-lane shuffles VMOVDDUP,
+// VPERMILPD and VBROADCASTSD. Each clears the upper halves
+// (VZEROUPPER) before it returns, so the SSE2 code after it pays no
+// transition. pairComplex and the Pauli chunk sums have the SSE2 body
+// only: no gate the kernels see in volume is a complex non-diagonal
+// 2×2.
 
-// func scaleWindowsSSE2(v *float64, amps, period, count int, pr, pi float64)
-TEXT ·scaleWindowsSSE2(SB), NOSPLIT, $0-48
-	MOVQ	v+0(FP), DI
-	MOVQ	amps+8(FP), CX
-	MOVQ	period+16(FP), DX
-	SHLQ	$3, DX              // period in bytes
-	MOVQ	count+24(FP), BX
-	MOVSD	pr+32(FP), X0
-	UNPCKLPD	X0, X0          // X0 = [pr, pr]
-	MOVSD	pi+40(FP), X1
-	UNPCKLPD	X1, X1          // X1 = [pi, pi]
-	MOVQ	$0x8000000000000000, AX
-	MOVQ	AX, X7              // X7 = [sign bit, 0]
-	XORPD	X7, X1              // X1 = [-pi, pi]
-	TESTQ	BX, BX
-	JLE	done
+// func hasAVX() bool
+//
+// Whether the AVX bodies can run: the CPU has AVX (CPUID.1:ECX bit 28)
+// and the OS saves the YMM registers (OSXSAVE, bit 27, and XCR0's XMM
+// and YMM bits).
+TEXT ·hasAVX(SB), NOSPLIT, $0-1
+	MOVL	$1, AX
+	XORL	CX, CX
+	CPUID
+	ANDL	$0x18000000, CX
+	CMPL	CX, $0x18000000
+	JNE	no
+	XORL	CX, CX
+	XGETBV
+	ANDL	$6, AX
+	CMPL	AX, $6
+	JNE	no
+	MOVB	$1, ret+0(FP)
+	RET
 
-window:
-	MOVQ	DI, SI
-	MOVQ	CX, AX
-	SUBQ	$2, AX
-	JL	tail
-
-two:
-	MOVUPD	(SI), X2            // [ar, ai]
-	MOVUPD	16(SI), X3
-	PSHUFD	$0x4e, X2, X4       // [ai, ar]
-	PSHUFD	$0x4e, X3, X5
-	MULPD	X0, X2              // [ar*pr, ai*pr]
-	MULPD	X0, X3
-	MULPD	X1, X4              // [ai*-pi, ar*pi]
-	MULPD	X1, X5
-	ADDPD	X4, X2              // [ar*pr - ai*pi, ai*pr + ar*pi]
-	ADDPD	X5, X3
-	MOVUPD	X2, (SI)
-	MOVUPD	X3, 16(SI)
-	ADDQ	$32, SI
-	SUBQ	$2, AX
-	JGE	two
-
-tail:
-	CMPQ	AX, $-1             // -1: one amplitude left, -2: none
-	JNE	next
-	MOVUPD	(SI), X2
-	PSHUFD	$0x4e, X2, X4
-	MULPD	X0, X2
-	MULPD	X1, X4
-	ADDPD	X4, X2
-	MOVUPD	X2, (SI)
-
-next:
-	ADDQ	DX, DI
-	DECQ	BX
-	JNZ	window
-
-done:
+no:
+	MOVB	$0, ret+0(FP)
 	RET
 
 // func scaleTableSSE2(v, t *float64, row, reps, period, tstep, count int)
 //
-// scaleWindowsSSE2's product with the factor read from the table and
-// split into [er, er] and [-ei, ei] once per entry. A row of one entry
-// is loaded once per window and runs scaleWindowsSSE2's loop over the
-// window; a row read once per window takes its entries two at a time,
-// in step with the amplitudes; a row repeated along the window is walked
-// entry by entry, each entry applied to its amplitude in every
-// repetition, so the split is not repeated.
+// Each amplitude times its entry, split into [er, er] and [-ei, ei]
+// once per entry: [ar*er - ai*ei, ai*er + ar*ei] as a·[er, er] +
+// swap(a)·[-ei, ei]. A row of one entry is loaded once per window (once
+// per call at tstep 0) and applied two amplitudes at a time; a row read
+// once per window takes its entries two at a time, in step with the
+// amplitudes; a row repeated along the window is walked entry by entry,
+// each entry applied to its amplitude in every repetition, so the split
+// is not repeated.
 TEXT ·scaleTableSSE2(SB), NOSPLIT, $0-56
 	MOVQ	v+0(FP), DI
 	MOVQ	t+8(FP), R8
@@ -103,6 +87,8 @@ scalar:
 	UNPCKLPD	X0, X0          // X0 = [er, er]
 	UNPCKHPD	X1, X1
 	XORPD	X7, X1              // X1 = [-ei, ei]
+
+swindow:
 	MOVQ	DI, SI
 	MOVQ	CX, AX
 	SUBQ	$2, AX
@@ -137,10 +123,12 @@ stail:
 
 snext:
 	ADDQ	DX, DI
-	ADDQ	R11, R8
 	DECQ	BX
-	JNZ	scalar
-	RET
+	JZ	done
+	TESTQ	R11, R11            // tstep 0: the same entry, already split
+	JZ	swindow
+	ADDQ	R11, R8
+	JMP	scalar
 
 once:
 	MOVQ	DI, SI              // SI: the amplitude, R12: its entry
@@ -601,4 +589,178 @@ next:
 done:
 	MOVUPD	X10, 96(DX)
 	MOVUPD	X11, 112(DX)
+	RET
+
+// func scaleTableAVX(v, t *float64, row, reps, period, tstep, count int)
+//
+// scaleTableSSE2 two amplitudes at a time: a·[er, er, er', er'] and
+// swap(a)·[ei, ei, ei', ei'] combined by VADDSUBPD into [ar*er - ai*ei,
+// ai*er + ar*ei, …], the scalar form's subtraction and addition. A row
+// of one entry is broadcast once per window (once per call at tstep 0);
+// a longer row is read once per repetition, two entries at a time, the
+// split done by VMOVDDUP and VPERMILPD as part of the loads.
+TEXT ·scaleTableAVX(SB), NOSPLIT, $0-56
+	MOVQ	v+0(FP), DI
+	MOVQ	t+8(FP), R8
+	MOVQ	row+16(FP), R10
+	MOVQ	reps+24(FP), CX
+	MOVQ	period+32(FP), DX
+	SHLQ	$3, DX              // period in bytes
+	MOVQ	tstep+40(FP), R11
+	SHLQ	$3, R11             // tstep in bytes
+	MOVQ	count+48(FP), BX
+	TESTQ	BX, BX
+	JLE	done
+	CMPQ	R10, $1
+	JNE	row
+
+scalar:
+	VBROADCASTSD	(R8), Y0    // [er, er, er, er]
+	VBROADCASTSD	8(R8), Y1   // [ei, ei, ei, ei]
+
+swindow:
+	MOVQ	DI, SI
+	MOVQ	CX, AX
+	SUBQ	$2, AX
+	JL	stail
+
+stwo:
+	VMOVUPD	(SI), Y2            // [ar, ai, ar', ai']
+	VPERMILPD	$5, Y2, Y3      // [ai, ar, ai', ar']
+	VMULPD	Y0, Y2, Y2          // [ar*er, ai*er, …]
+	VMULPD	Y1, Y3, Y3          // [ai*ei, ar*ei, …]
+	VADDSUBPD	Y3, Y2, Y2      // [ar*er - ai*ei, ai*er + ar*ei, …]
+	VMOVUPD	Y2, (SI)
+	ADDQ	$32, SI
+	SUBQ	$2, AX
+	JGE	stwo
+
+stail:
+	CMPQ	AX, $-1             // -1: one amplitude left, -2: none
+	JNE	snext
+	VMOVUPD	(SI), X2
+	VPERMILPD	$1, X2, X3
+	VMULPD	X0, X2, X2
+	VMULPD	X1, X3, X3
+	VADDSUBPD	X3, X2, X2
+	VMOVUPD	X2, (SI)
+
+snext:
+	ADDQ	DX, DI
+	DECQ	BX
+	JZ	done
+	TESTQ	R11, R11            // tstep 0: the same entry, already broadcast
+	JZ	swindow
+	ADDQ	R11, R8
+	JMP	scalar
+
+row:
+	MOVQ	DI, SI              // SI: the amplitude, R14: repetitions left
+	MOVQ	CX, R14
+
+rep:
+	MOVQ	R8, R12             // R12: the amplitude's entry
+	MOVQ	R10, AX
+	SUBQ	$2, AX
+	JL	rtail
+
+rtwo:
+	VMOVDDUP	(R12), Y0       // [er, er, er', er']
+	VPERMILPD	$15, (R12), Y1  // [ei, ei, ei', ei']
+	VMOVUPD	(SI), Y2
+	VPERMILPD	$5, Y2, Y3
+	VMULPD	Y0, Y2, Y2
+	VMULPD	Y1, Y3, Y3
+	VADDSUBPD	Y3, Y2, Y2
+	VMOVUPD	Y2, (SI)
+	ADDQ	$32, SI
+	ADDQ	$32, R12
+	SUBQ	$2, AX
+	JGE	rtwo
+
+rtail:
+	CMPQ	AX, $-1             // -1: one entry left, -2: none
+	JNE	rnext
+	VMOVDDUP	(R12), X0
+	VPERMILPD	$3, (R12), X1
+	VMOVUPD	(SI), X2
+	VPERMILPD	$1, X2, X3
+	VMULPD	X0, X2, X2
+	VMULPD	X1, X3, X3
+	VADDSUBPD	X3, X2, X2
+	VMOVUPD	X2, (SI)
+	ADDQ	$16, SI
+
+rnext:
+	DECQ	R14
+	JNZ	rep
+	ADDQ	DX, DI
+	ADDQ	R11, R8
+	DECQ	BX
+	JNZ	row
+
+done:
+	VZEROUPPER
+	RET
+
+// func pairRealAVX(v *float64, dist, amps, period, count int, r0, r1, r2, r3 float64)
+TEXT ·pairRealAVX(SB), NOSPLIT, $0-72
+	MOVQ	v+0(FP), DI
+	MOVQ	dist+8(FP), R8
+	SHLQ	$3, R8              // dist in bytes
+	MOVQ	amps+16(FP), CX
+	MOVQ	period+24(FP), DX
+	SHLQ	$3, DX              // period in bytes
+	MOVQ	count+32(FP), BX
+	VBROADCASTSD	r0+40(FP), Y0
+	VBROADCASTSD	r1+48(FP), Y1
+	VBROADCASTSD	r2+56(FP), Y2
+	VBROADCASTSD	r3+64(FP), Y3
+	TESTQ	BX, BX
+	JLE	done
+
+window:
+	MOVQ	DI, SI              // SI: window, R9: partner
+	LEAQ	(DI)(R8*1), R9
+	MOVQ	CX, AX
+	SUBQ	$2, AX
+	JL	tail
+
+two:
+	VMOVUPD	(SI), Y4            // a
+	VMOVUPD	(R9), Y5            // b
+	VMULPD	Y4, Y0, Y6          // r0*a
+	VMULPD	Y5, Y1, Y7          // r1*b
+	VMULPD	Y4, Y2, Y8          // r2*a
+	VMULPD	Y5, Y3, Y9          // r3*b
+	VADDPD	Y7, Y6, Y6          // r0*a + r1*b
+	VADDPD	Y9, Y8, Y8          // r2*a + r3*b
+	VMOVUPD	Y6, (SI)
+	VMOVUPD	Y8, (R9)
+	ADDQ	$32, SI
+	ADDQ	$32, R9
+	SUBQ	$2, AX
+	JGE	two
+
+tail:
+	CMPQ	AX, $-1             // -1: one amplitude left, -2: none
+	JNE	next
+	VMOVUPD	(SI), X4
+	VMOVUPD	(R9), X5
+	VMULPD	X4, X0, X6
+	VMULPD	X5, X1, X7
+	VMULPD	X4, X2, X8
+	VMULPD	X5, X3, X9
+	VADDPD	X7, X6, X6
+	VADDPD	X9, X8, X8
+	VMOVUPD	X6, (SI)
+	VMOVUPD	X8, (R9)
+
+next:
+	ADDQ	DX, DI
+	DECQ	BX
+	JNZ	window
+
+done:
+	VZEROUPPER
 	RET

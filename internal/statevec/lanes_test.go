@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"testing"
 
 	"qgear/internal/gate"
@@ -450,6 +449,37 @@ func TestFullSweepKernelBitIdentityFuzz(t *testing.T) {
 	}
 }
 
+// TestQubit0RelPhaseBitIdentity pins diag(a, b) on qubit 0 — rz's
+// shape there, one scaleTable call over windows of two amplitudes with
+// the row [a, b] — to the complex128 reference bit for bit, at every
+// width from one to twelve qubits and one, two and four workers, on
+// ordinary and on special lanes.
+func TestQubit0RelPhaseBitIdentity(t *testing.T) {
+	rng := qmath.NewRNG(0x9b0)
+	for n := 1; n <= 12; n++ {
+		for _, workers := range []int{1, 2, 4} {
+			for _, special := range []bool{false, true} {
+				s := MustNew(n, workers)
+				amps := randAmps(1<<uint(n), rng)
+				if special {
+					seedSpecials(amps, rng)
+				}
+				copy(s.amps, amps)
+				a, b := phaseOf(rng), phaseOf(rng)
+				s.ApplyGlobalAndRelativePhase(0, a, b)
+				refRelPhase(amps, 0, a, b)
+				ctx := fmt.Sprintf("%d qubits, %d workers", n, workers)
+				if special {
+					lanesEqual(t, s.amps, amps, ctx+" (special lanes)")
+				} else {
+					bitsEqual(t, s.amps, amps, ctx)
+				}
+				s.Release()
+			}
+		}
+	}
+}
+
 // refFused is the generic gather/accumulate fused reference (the
 // complex128 path the unrolled k=1..3 lane fast paths must match).
 func refFused(amps []complex128, qubits []uint, m []complex128) {
@@ -739,12 +769,30 @@ func disjointPairs(n, dist, run, period int) bool {
 	return true
 }
 
-// FuzzLanePrimitives holds the three lane primitives — the SSE2 bodies
-// on amd64 — bit for bit to their Go loops over arbitrary lane bits,
-// arbitrary factors and arbitrary (run, period, dist) window shapes.
-// A NaN is compared only as a NaN: its sign is the one documented
-// divergence of the packed form. On other GOARCH both sides are the Go
-// loop.
+// laneBody is one body of the four amplitude primitives, each at its Go
+// loop's signature; ok is false for a body this CPU cannot run, and
+// cpair is nil for a body without pairComplex.
+type laneBody struct {
+	name  string
+	ok    bool
+	scale func(v []float64, run, period int, pr, pi float64)
+	table func(v, t []float64, run, period, row, tstep int)
+	pair  func(v []float64, dist, run, period int, r0, r1, r2, r3 float64)
+	cpair func(v []float64, dist, run, period int, m *laneMat2)
+}
+
+// goBody is the Go loops, the reference every assembly body in
+// asmBodies (lanes_amd64_test.go; none on other GOARCH) is held to.
+var goBody = laneBody{"go", true, scaleWindowsGo, scaleTableGo, pairRealGo, pairComplexGo}
+
+// FuzzLanePrimitives holds every assembly body of scaleWindows,
+// pairReal and pairComplex — SSE2 and AVX on amd64 (SSE2 only for
+// pairComplex), each called directly whatever the CPU probe picked —
+// bit for bit to its Go loop
+// over arbitrary lane bits, arbitrary factors and arbitrary (run,
+// period, dist) window shapes. A NaN is compared only as a NaN: its
+// sign is the one documented divergence of the packed form. On other
+// GOARCH there is no assembly body to hold.
 func FuzzLanePrimitives(f *testing.F) {
 	specials := make([]byte, 0, 8*len(specialLanes))
 	for _, x := range specialLanes {
@@ -766,37 +814,46 @@ func FuzzLanePrimitives(f *testing.F) {
 			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 		}
 		r, p, d := int(run)%(n+1), 1+int(period)%(n+1), int(dist)%(n+1)
-
-		got, want := append([]float64(nil), v...), append([]float64(nil), v...)
-		scaleWindows(got, r, p, f0, f1)
-		scaleWindowsGo(want, r, p, f0, f1)
-		if i, ok := sameLanes(got, want); !ok {
-			t.Fatalf("scaleWindows(run %d, period %d, %v%+vi): lane %d = %#x, Go loop %#x",
-				r, p, f0, f1, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-		}
-
-		if !disjointPairs(n, d, r, p) {
-			return
-		}
-		copy(got, v)
-		copy(want, v)
-		pairReal(got, d, r, p, f0, f1, f2, f3)
-		pairRealGo(want, d, r, p, f0, f1, f2, f3)
-		if i, ok := sameLanes(got, want); !ok {
-			t.Fatalf("pairReal(dist %d, run %d, period %d, [%v %v; %v %v]): lane %d = %#x, Go loop %#x",
-				d, r, p, f0, f1, f2, f3, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-		}
-
 		// The complex matrix reuses the four factors crosswise, so
 		// every entry has both parts drawn from the input.
 		m := laneMat2{r0: f0, i0: f1, r1: f2, i1: f3, r2: f3, i2: f2, r3: f1, i3: f0}
-		copy(got, v)
-		copy(want, v)
-		pairComplex(got, d, r, p, &m)
-		pairComplexGo(want, d, r, p, &m)
-		if i, ok := sameLanes(got, want); !ok {
-			t.Fatalf("pairComplex(dist %d, run %d, period %d, %+v): lane %d = %#x, Go loop %#x",
-				d, r, p, m, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		pairs := disjointPairs(n, d, r, p)
+
+		scaled, paired, cpaired := append([]float64(nil), v...), append([]float64(nil), v...), append([]float64(nil), v...)
+		scaleWindowsGo(scaled, r, p, f0, f1)
+		if pairs {
+			pairRealGo(paired, d, r, p, f0, f1, f2, f3)
+			pairComplexGo(cpaired, d, r, p, &m)
+		}
+		got := make([]float64, n)
+		for _, body := range asmBodies {
+			if !body.ok {
+				continue
+			}
+			copy(got, v)
+			body.scale(got, r, p, f0, f1)
+			if i, ok := sameLanes(got, scaled); !ok {
+				t.Fatalf("%s scaleWindows(run %d, period %d, %v%+vi): lane %d = %#x, Go loop %#x",
+					body.name, r, p, f0, f1, i, math.Float64bits(got[i]), math.Float64bits(scaled[i]))
+			}
+			if !pairs {
+				continue
+			}
+			copy(got, v)
+			body.pair(got, d, r, p, f0, f1, f2, f3)
+			if i, ok := sameLanes(got, paired); !ok {
+				t.Fatalf("%s pairReal(dist %d, run %d, period %d, [%v %v; %v %v]): lane %d = %#x, Go loop %#x",
+					body.name, d, r, p, f0, f1, f2, f3, i, math.Float64bits(got[i]), math.Float64bits(paired[i]))
+			}
+			if body.cpair == nil {
+				continue
+			}
+			copy(got, v)
+			body.cpair(got, d, r, p, &m)
+			if i, ok := sameLanes(got, cpaired); !ok {
+				t.Fatalf("%s pairComplex(dist %d, run %d, period %d, %+v): lane %d = %#x, Go loop %#x",
+					body.name, d, r, p, m, i, math.Float64bits(got[i]), math.Float64bits(cpaired[i]))
+			}
 		}
 	})
 }
@@ -882,15 +939,17 @@ func FuzzPauliLanes(f *testing.F) {
 }
 
 // BenchmarkLanePrimitives reports each lane primitive's GB/s (b.SetBytes:
-// the lanes it reads and writes once per call) for this GOARCH's body
-// and the Go loop, over a 2^14-amplitude (256 KiB, L2-resident) buffer,
-// by window width in amplitudes: 1 (qubit 0), 2 (qubit 1), 32, and one
-// contiguous window. scale and table windows sit at every other window
-// slot; pair (real) and cpair (complex, u3) windows fill the buffer with
-// their partners. A table row is one entry per window advancing window
-// by window at width 1 (a free stretch above other bits), and the
-// window's own 32 or 1024 entries, repeated along it, at width 32 and
-// contiguous (a free stretch from bit 0).
+// the lanes it reads and writes once per call) for each body — the Go
+// loop, and on amd64 the SSE2 and AVX bodies called directly (the AVX
+// rows skipped on a CPU without it; pairComplex has no AVX body, so no
+// avx cpair row) — over a 2^14-amplitude (256 KiB, L2-resident)
+// buffer, by window width in amplitudes: 1 (qubit 0), 2 (qubit 1), 32,
+// and one contiguous window. scale and table windows sit
+// at every other window slot; pair (real) and cpair (complex, u3)
+// windows fill the buffer with their partners. A table row is one entry
+// per window advancing window by window at width 1 (a free stretch
+// above other bits), and the window's own 32 or 1024 entries, repeated
+// along it, at width 32 and contiguous (a free stretch from bit 0).
 func BenchmarkLanePrimitives(b *testing.B) {
 	v := lanes(randAmps(1<<14, qmath.NewRNG(9)))
 	tab := make([]complex128, 1<<13)
@@ -899,53 +958,36 @@ func BenchmarkLanePrimitives(b *testing.B) {
 	}
 	c, s := math.Cos(0.3), math.Sin(0.3) // unit factors keep the lanes bounded
 	u := mat2Lanes(gate.Matrix1(gate.U3, []float64{0.3, 0.5, 0.7}))
-	bodies := []struct {
-		name  string
-		scale func(v []float64, run, period int, pr, pi float64)
-		table func(v, t []float64, run, period, row, tstep int)
-		pair  func(v []float64, dist, run, period int, r0, r1, r2, r3 float64)
-		cpair func(v []float64, dist, run, period int, m *laneMat2)
-	}{
-		{runtime.GOARCH, scaleWindows, scaleTable, pairReal, pairComplex},
-		{"go", scaleWindowsGo, scaleTableGo, pairRealGo, pairComplexGo},
-	}
-	for _, body := range bodies {
-		for _, amps := range []int{1, 2, 32, len(v) / 4} {
-			run := 2 * amps
-			name := fmt.Sprintf("w%d", amps)
-			if amps == len(v)/4 {
-				name = "contiguous"
-			}
-			b.Run("scale/"+body.name+"/"+name, func(b *testing.B) {
-				b.SetBytes(int64(8 * len(v) / 2))
+	for _, body := range append([]laneBody{goBody}, asmBodies...) {
+		run := func(b *testing.B, name string, bytes int, f func()) {
+			b.Run(name, func(b *testing.B) {
+				if !body.ok {
+					b.Skip("this CPU cannot run the " + body.name + " body")
+				}
+				b.SetBytes(int64(bytes))
 				for i := 0; i < b.N; i++ {
-					body.scale(v, run, 2*run, c, s)
+					f()
 				}
 			})
+		}
+		for _, amps := range []int{1, 2, 32, len(v) / 4} {
+			w := 2 * amps
+			name := fmt.Sprintf("%s/w%d", body.name, amps)
+			if amps == len(v)/4 {
+				name = body.name + "/contiguous"
+			}
+			run(b, "scale/"+name, 8*len(v)/2, func() { body.scale(v, w, 2*w, c, s) })
 			if amps != 2 {
 				row, tstep := 2*min(amps, 1<<10), 0
 				if amps == 1 {
 					tstep = 2
 				}
-				b.Run("table/"+body.name+"/"+name, func(b *testing.B) {
-					b.SetBytes(int64(8 * len(v) / 2))
-					for i := 0; i < b.N; i++ {
-						body.table(v, lanes(tab), run, 2*run, row, tstep)
-					}
-				})
+				run(b, "table/"+name, 8*len(v)/2, func() { body.table(v, lanes(tab), w, 2*w, row, tstep) })
 			}
-			b.Run("pair/"+body.name+"/"+name, func(b *testing.B) {
-				b.SetBytes(int64(8 * len(v)))
-				for i := 0; i < b.N; i++ {
-					body.pair(v, run, run, 2*run, c, -s, s, c)
-				}
-			})
-			b.Run("cpair/"+body.name+"/"+name, func(b *testing.B) {
-				b.SetBytes(int64(8 * len(v)))
-				for i := 0; i < b.N; i++ {
-					body.cpair(v, run, run, 2*run, &u)
-				}
-			})
+			run(b, "pair/"+name, 8*len(v), func() { body.pair(v, w, w, 2*w, c, -s, s, c) })
+			if body.cpair != nil {
+				run(b, "cpair/"+name, 8*len(v), func() { body.cpair(v, w, w, 2*w, &u) })
+			}
 		}
 	}
 }

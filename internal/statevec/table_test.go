@@ -232,14 +232,15 @@ func TestCheckGroupsRefuses(t *testing.T) {
 	}
 }
 
-// FuzzScaleTable holds scaleTable — the SSE2 body on amd64 — bit for
-// bit to its Go loop, twice: as a primitive over arbitrary lane bits
-// (the seeds carry ±0, ±∞ and subnormals) and arbitrary (run, period,
-// row, tstep) shapes; and through tableSubspace's enumeration, a tile at
-// a time, against the per-index product in the Go loop's arithmetic,
+// FuzzScaleTable holds scaleTable bit for bit to its Go loop, twice:
+// every assembly body (SSE2 and AVX on amd64, each called directly) as
+// a primitive over arbitrary lane bits (the seeds carry ±0, ±∞ and
+// subnormals) and arbitrary (run, period, row, tstep) shapes; and the
+// body the CPU probe picked through tableSubspace's enumeration, a tile
+// at a time, against the per-index product in the Go loop's arithmetic,
 // over 0 to 10 free bits in any stretches, any common mask, bits above
 // the tile and rank bits above the shard. A NaN is compared only as a
-// NaN. On other GOARCH both sides are the Go loop.
+// NaN. On other GOARCH the enumeration runs the Go loop.
 func FuzzScaleTable(f *testing.F) {
 	specials := make([]byte, 0, 8*len(specialLanes))
 	for _, x := range specialLanes {
@@ -249,17 +250,22 @@ func FuzzScaleTable(f *testing.F) {
 	for i := 0; i < 64; i++ {
 		ordinary = binary.LittleEndian.AppendUint64(ordinary, math.Float64bits(float64(i)/8-3.9))
 	}
-	for _, shape := range [][3]uint16{
+	shapes := [][3]uint16{
 		{0x0a03, 0x0004, 0x03ff}, // free bits 0..9: one row per tile
 		{0x0a08, 0x0001, 0x03fe}, // common bit 0, the rest free
 		{0x0c06, 0x0800, 0x07e0}, // free stretch in the middle, other bits below
 		{0x0a05, 0x0000, 0x0155}, // scattered free bits, no common bit
 		{0x0b02, 0x0600, 0x0183}, // rank bits common and free
 		{0x0401, 0x0000, 0x0000}, // one entry
-	} {
+	}
+	for _, shape := range shapes {
 		f.Add(ordinary, shape[0], shape[1], shape[2], uint8(3))
 		f.Add(append(append([]byte(nil), specials...), ordinary...), shape[0], shape[1], shape[2], uint8(5))
 	}
+	for _, shape := range shapes { // rows of odd length
+		f.Add(ordinary, shape[0], shape[1], shape[2], uint8(0x81))
+	}
+	f.Add(ordinary, uint16(0x0a08), uint16(0x0001), uint16(0x03ff), uint8(0x81)) // three entries, read once per window
 	f.Fuzz(func(t *testing.T, data []byte, geom, commonSel, freeSel uint16, baseSel uint8) {
 		if len(data) < 16 {
 			return
@@ -292,19 +298,27 @@ func FuzzScaleTable(f *testing.F) {
 		}
 
 		// The primitive over arbitrary table lanes: rows of one entry to
-		// the whole table, windows holding one to four of them.
+		// the whole table, and of one entry more than a power of two
+		// (the bodies' one-entry tail), windows holding one to four of
+		// them.
 		v, tl := lanes(append([]complex128(nil), amps...)), lanes(tab)
-		entries := 1 << (uint(commonSel) % uint(bits.Len(uint(len(tab)))))
+		entries := 1<<(uint(commonSel)%uint(bits.Len(uint(len(tab))))) | int(baseSel>>7)
 		row, run := 2*entries, 2*entries<<(uint(freeSel)%3)
 		period := run + 2*int(baseSel%5)
 		tstep := 2 * (int(geom>>12) % len(tab))
 		if count := (len(v)-run)/period + 1; run <= len(v) && len(tl) >= (count-1)*tstep+row {
-			want := append([]float64(nil), v...)
-			scaleTable(v, tl, run, period, row, tstep)
+			want, got := append([]float64(nil), v...), make([]float64, len(v))
 			scaleTableGo(want, tl, run, period, row, tstep)
-			if i, ok := sameLanes(v, want); !ok {
-				t.Fatalf("scaleTable(run %d, period %d, row %d, tstep %d): lane %d = %#x, Go loop %#x",
-					run, period, row, tstep, i, math.Float64bits(v[i]), math.Float64bits(want[i]))
+			for _, body := range asmBodies {
+				if !body.ok {
+					continue
+				}
+				copy(got, v)
+				body.table(got, tl, run, period, row, tstep)
+				if i, ok := sameLanes(got, want); !ok {
+					t.Fatalf("%s scaleTable(run %d, period %d, row %d, tstep %d): lane %d = %#x, Go loop %#x",
+						body.name, run, period, row, tstep, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
 			}
 		}
 
