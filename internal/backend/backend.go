@@ -509,8 +509,8 @@ func runSingleTraced(comp *Compiled, workers int, tr *telemetry.Trace, flag *can
 
 // runSingleState executes a compiled circuit and returns the resident
 // state itself — possibly with a pending qubit permutation, which the
-// expectation evaluator reads through rather than materializing. The
-// caller releases it; a run that fails releases it here.
+// expectation evaluator materializes in place, with no copy of the
+// state. The caller releases it; a run that fails releases it here.
 func runSingleState(comp *Compiled, workers int, flag *cancel.Flag) (*statevec.State, error) {
 	s, err := statevec.New(comp.Kernel.NumQubits, workers)
 	if err != nil {

@@ -14,13 +14,13 @@ import (
 // Observable estimation as a first-class job kind: the compiled
 // TilePlan executes exactly once and every Pauli term of the
 // Hamiltonian is evaluated against the resident statevector — no
-// probability readout, no permutation materialization, no shot
-// sampling. The single-process engines hand all terms to one grouped
-// block sweep (statevec.PauliEvaluator.ExpPauliGroup) with the
-// canonical chunked reduction; the mqpu target partitions
-// terms across its simulated devices; the mgpu target runs the same
-// sweep on every rank shard into one shared partial slab. All engines
-// return bit-identical ⟨H⟩ values (the differential suite pins this).
+// probability readout, no shot sampling, and a pending permutation
+// materialized once in place. The single-process engines, mqpu
+// included, hand all terms to one grouped block sweep
+// (statevec.PauliEvaluator.ExpPauliGroup) with the canonical chunked
+// reduction; the mgpu target runs the same sweep on every rank shard
+// into one shared partial slab. All engines return bit-identical ⟨H⟩
+// values (the differential suite pins this).
 
 // RunExpectation transforms and compiles the circuit for the
 // configured target, executes it once, and returns the exact ⟨H⟩ on

@@ -17,7 +17,7 @@ import (
 // parity and pivots on rank bits need nothing from this package. Only
 // X/Y factors on rank bits move data: each distinct rank part g of the
 // flip masks costs one exchange with rank ⊕ g and one two-sided sweep
-// against the partner's buffer. Chunk partials land in their canonical
+// against the partner's buffer, in canonical order on both sides. Chunk partials land in their canonical
 // slots of one slab root shares, and root finishes as one device does,
 // so up to 2^4 ranks give the single-device value by construction.
 
@@ -58,8 +58,9 @@ func ExpectationCompiledCancel(k *kernel.Kernel, plan *kernel.TilePlan, h *obser
 	res := &ExpResult{}
 	res.CommStats, err = runWorld(k, plan, nRanks, workersPerRank, flag, func(d *DistState) error {
 		rank := d.comm.Rank()
-		// One evaluator per rank: the shard layout (including a pending
-		// plan permutation) is frozen for the whole evaluation.
+		// One evaluator per rank, built before the first exchange: it
+		// materializes the plan's pending permutation, so the buffer
+		// every exchange ships is in canonical order.
 		ev := d.st.ShardEvaluator(d.n, uint64(rank)<<uint(d.local))
 		var slab []float64
 		if rank == 0 {

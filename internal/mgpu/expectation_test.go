@@ -1,12 +1,15 @@
 package mgpu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"qgear/internal/circuit"
 	"qgear/internal/gate"
 	"qgear/internal/kernel"
 	"qgear/internal/observable"
+	"qgear/internal/qft"
 	"qgear/internal/qmath"
 	"qgear/internal/statevec"
 )
@@ -138,6 +141,71 @@ func TestTFIMRanksShape(t *testing.T) {
 			t.Errorf("ranks=%d: the root rank swept its shard %d times, want <= %d", ranks, res.Sweeps, maxSweeps)
 		}
 		// TFIM flips one qubit per term: one rank part per rank bit.
+		if got := res.Exchanges - ranks*plan.Stats.ExchangeSegs; got != rb*ranks {
+			t.Errorf("ranks=%d: %d expectation exchanges, want %d", ranks, got, rb*ranks)
+		}
+	}
+}
+
+// TestExpectationCanonicalPartner runs TFIM-16 on a QFT-16 with its
+// reversal swaps, which the plan leaves as a pending permutation on
+// every shard. Each rank's evaluator materializes it before the first
+// exchange, so the partner buffer a rank-bit X term reads is in
+// canonical order: on 2 and 4 ranks ⟨H⟩ has nvidia's bits, and the
+// expectation still costs one exchange per rank per rank bit. The QFT
+// acts on a product of distinct RY rotations: on |0…0⟩ every amplitude
+// is the same, and a partner read in the wrong order would not show.
+func TestExpectationCanonicalPartner(t *testing.T) {
+	const n = 16
+	prep := circuit.New(n, 0)
+	for q := 0; q < n; q++ {
+		prep.RY(0.1+0.17*float64(q), q)
+	}
+	f, err := qft.Circuit(n, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := prep.Compose(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, _, err := kernel.FromCircuit(c, kernel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := observable.TransverseFieldIsing(n, 1, 0.7)
+	// nvidia: the single-process tiled plan on one state.
+	single, err := kernel.Plan(k, kernel.PlanConfig{TileBits: kernel.AutoTileBits()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := statevec.MustNew(n, 1)
+	defer s.Release()
+	if err := single.Execute(s); err != nil {
+		t.Fatal(err)
+	}
+	want, err := h.Expectation(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ranks := range []int{2, 4} {
+		rb := log2ranks(ranks)
+		plan := planFor(t, k, ranks, 8)
+		if _, err := runWorld(k, plan, ranks, 1, nil, func(d *DistState) error {
+			if d.st.PermIsIdentity() {
+				return fmt.Errorf("rank %d: the plan left no pending permutation to materialize", d.comm.Rank())
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("ranks=%d: %v", ranks, err)
+		}
+		res, err := ExpectationCompiled(k, plan, h, ranks, 2)
+		if err != nil {
+			t.Fatalf("ranks=%d: %v", ranks, err)
+		}
+		if math.Float64bits(res.Value) != math.Float64bits(want) {
+			t.Errorf("ranks=%d: ⟨H⟩ %.17g, nvidia %.17g", ranks, res.Value, want)
+		}
 		if got := res.Exchanges - ranks*plan.Stats.ExchangeSegs; got != rb*ranks {
 			t.Errorf("ranks=%d: %d expectation exchanges, want %d", ranks, got, rb*ranks)
 		}

@@ -78,7 +78,8 @@ func (d *DistState) Release() {
 
 // exchange swaps the full local buffer with the partner rank and
 // returns the partner's amplitudes, in the physical layout both shards
-// share (SPMD execution). A copy is shipped, not the live slice: real
+// share (SPMD execution) — the canonical one for ⟨H⟩, whose evaluators
+// materialize it first. A copy is shipped, not the live slice: real
 // CUDA-aware MPI would DMA the buffer, and the copy is what makes the
 // communication cost physically meaningful.
 func (d *DistState) exchange(partner int) []complex128 {

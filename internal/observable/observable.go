@@ -3,10 +3,10 @@
 //
 // A Hamiltonian is a real-weighted sum of Pauli strings. Expectation
 // values are evaluated directly against the resident state vector
-// (statevec.PauliEvaluator): no clone, no basis-rotation sweeps, no
-// materialization of a pending qubit permutation, only the affected
-// index half enumerated per term, and one sweep over the state per
-// group of terms rather than per term. Every engine — one device and
+// (statevec.PauliEvaluator): no clone, no basis-rotation sweeps, a
+// pending qubit permutation materialized once in place, only the
+// affected index half enumerated per term, and one sweep over the
+// state per group of terms rather than per term. Every engine — one device and
 // the distributed engine's rank shards — reads terms through PauliTerms
 // and finishes with Combine, so the masks and the final sum exist once.
 package observable
@@ -100,9 +100,9 @@ func (t Term) Masks(n int) (xm, ym, zm uint64, err error) {
 	return xm, ym, zm, nil
 }
 
-// Expectation computes <ψ|T|ψ> directly on the resident state — s is
-// read, never modified (no clone, no rotation sweeps; a pending qubit
-// permutation is read through, not materialized).
+// Expectation computes <ψ|T|ψ> directly on the resident state — no
+// clone, no rotation sweeps. A pending qubit permutation is
+// materialized in place first; the logical state is unchanged.
 func (t Term) Expectation(s *statevec.State) (float64, error) {
 	v, _, err := t.expectationOn(s.PauliEvaluator(), s.NumQubits())
 	return v, err

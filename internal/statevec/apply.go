@@ -131,22 +131,29 @@ func (s *State) ApplySwap(a, b int) {
 	if a == b {
 		panic("statevec: swap with identical operands")
 	}
-	s.swapBits(uint(a), uint(b))
+	s.swapBits([2]uint{uint(a), uint(b)})
 }
 
 // swapBits is the raw physical-bit exchange kernel behind ApplySwap
-// and MaterializePerm. The swapped pair set is symmetric in (a, b), so
-// positions are normalized to lo1 < hi1 and amplitudes with
-// (lo1, hi1) = (1, 0) exchange with their (0, 1) partners over
-// contiguous runs.
-func (s *State) swapBits(a, b uint) {
-	quarter := len(s.amps) >> 2
-	amps := s.amps
+// and MaterializePerm: one sweep per pair of bit positions, in order.
+// The swapped pair set is symmetric in (a, b), so positions are
+// normalized to lo1 < hi1 and amplitudes with (lo1, hi1) = (1, 0)
+// exchange with their (0, 1) partners over contiguous runs. Fanned-out
+// sweeps share one chunk closure, so a materialization allocates the
+// same few words however many sweeps it takes.
+func (s *State) swapBits(pairs ...[2]uint) {
+	amps, quarter := s.amps, len(s.amps)>>2
 	if s.serial(quarter) {
-		swapBitsChunk(amps, a, b, 0, quarter)
+		for _, p := range pairs {
+			swapBitsChunk(amps, p[0], p[1], 0, quarter)
+		}
 		return
 	}
-	s.fanOut(quarter, func(_, lo, hi int) { swapBitsChunk(amps, a, b, lo, hi) })
+	var cur [2]uint // the pair the closure swaps
+	chunk := func(_, lo, hi int) { swapBitsChunk(amps, cur[0], cur[1], lo, hi) }
+	for _, cur = range pairs {
+		s.fanOut(quarter, chunk)
+	}
 }
 
 // swapBitsChunk is swapBits over the exchanged pairs [lo, hi).

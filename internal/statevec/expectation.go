@@ -3,7 +3,6 @@ package statevec
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -11,10 +10,9 @@ import (
 // Canonical Pauli-string expectation evaluation.
 //
 // ⟨ψ|P|ψ⟩ for a Pauli string P is computed directly against the
-// resident amplitude array — no clone, no basis-rotation sweeps, and
-// no materialization of a pending qubit permutation. P acts on a
-// basis state as P|b⟩ = phase(b)·|b ⊕ flip⟩ with flip = X|Y mask and
-// phase(b) = i^{|Y|}·(−1)^{popcount(b & (Y|Z))}, so
+// resident amplitude array — no clone and no basis-rotation sweeps. P
+// acts on a basis state as P|b⟩ = phase(b)·|b ⊕ flip⟩ with flip = X|Y
+// mask and phase(b) = i^{|Y|}·(−1)^{popcount(b & (Y|Z))}, so
 //
 //	⟨P⟩ = Σ_b conj(a_b)·phase(b⊕flip)·a_{b⊕flip}.
 //
@@ -35,21 +33,29 @@ import (
 // (ShardEvaluator) and writes the chunks it holds into the same slots
 // of one shared slab — expReserveBits keeps every chunk inside one
 // shard for up to 2^expReserveBits ranks — so single-device, tiled
-// (permuted layout) and distributed evaluation produce bit-identical
-// values for any worker count.
+// and distributed evaluation produce bit-identical values for any
+// worker count.
+//
+// The layout is canonical. Building an evaluator materializes a
+// pending qubit permutation (the bit-reversal a QFT plan leaves, a
+// tiled plan's relabelings) once, in at most n−1 bit-swap sweeps:
+// cheaper than gathering the state through the permutation once per
+// group of terms, and the values cannot tell, because the reduction
+// order is defined on logical indices. Every block is then a slice of
+// the amplitude array, and a rank shard's partner buffer is in the
+// canonical order too.
 //
 // Memory order is not. A chunk's 2^cb contributions read one block of
-// 2^(cb+1) consecutive logical amplitudes (pivot inside the block) or
-// one half of such a block (pivot above it), plus the block reached by
-// the term's flip bits at or above the block width. The evaluator
+// 2^(cb+1) consecutive amplitudes (pivot inside the block) or one half
+// of such a block (pivot above it), plus the block reached by the
+// term's flip bits at or above the block width. The evaluator
 // therefore sweeps the state once per *group* of terms, not once per
 // term: a worker makes a super-block resident — the 2^w blocks that
 // differ only in w "wide" high qubits, chosen to cover the group's
-// high flip bits — and every term of the group accumulates its own
-// chunk partials from it. On the identity layout the blocks are
-// slices of the amplitude array; on a permuted layout each amplitude
-// is gathered exactly once per group into a reused scratch buffer that
-// stays in L2, along the line-blocked permWalk readout takes too.
+// high flip bits and then the lowest remaining qubits, so a
+// super-block is as few contiguous runs as it can be — and every term
+// of the group accumulates its own chunk partials from it while it is
+// in L2.
 //
 // Lanes are blocks. A job's chunks in the blocks of one super-block
 // walk the same windows — same in-block flip bits, sign bits and pivot
@@ -83,10 +89,10 @@ const (
 	// condition for shard partials to compose into the exact global
 	// reduction tree.
 	expReserveBits = 4
-	// expScratchBits bounds one sweep worker's resident super-block at
-	// 2^16 amplitudes (1 MiB, inside a per-core L2): room for a
+	// expResidentBits bounds one sweep worker's resident super-block
+	// at 2^16 amplitudes (1 MiB, inside a per-core L2): room for a
 	// canonical block widened by three high qubits.
-	expScratchBits = 16
+	expResidentBits = 16
 )
 
 // expChunkBits returns the canonical chunk width (log2 contributions
@@ -137,11 +143,11 @@ func iPow(k int) complex128 {
 // denote the identity.
 type PauliTerm struct{ X, Y, Z uint64 }
 
-// PauliEvaluator evaluates Pauli strings against one state whose
-// amplitude layout may be permuted — the whole register, or one rank
-// shard of it. It is read-only over the state and safe for concurrent
-// calls, but it is a snapshot — it must be rebuilt if the state's
-// amplitudes or permutation change.
+// PauliEvaluator evaluates Pauli strings against one state — the whole
+// register, or one rank shard of it — in the canonical layout its
+// constructor leaves. Its methods are read-only over the state and safe
+// for concurrent calls, but it is a snapshot: it must be rebuilt if the
+// state's amplitudes or permutation change.
 type PauliEvaluator struct {
 	s *State
 	// total is the register's width and base the absolute index of the
@@ -150,32 +156,27 @@ type PauliEvaluator struct {
 	// slots are addressed in the whole register.
 	total int
 	base  uint64
-	// inv is the physical→logical qubit map of a permuted layout; nil
-	// means blocks are read in place.
-	inv []int
-	// scratchBits is expScratchBits; a field so the package's tests can
-	// shrink the resident set and reach the two-sided sweep on small
-	// registers.
-	scratchBits int
+	// residentBits is expResidentBits; a field so the package's tests
+	// can shrink the resident set and reach the two-sided sweep on
+	// small registers.
+	residentBits int
 }
 
-// PauliEvaluator snapshots the state's current layout.
+// PauliEvaluator materializes the state's pending permutation, if any,
+// and evaluates against the canonical layout.
 func (s *State) PauliEvaluator() *PauliEvaluator { return s.ShardEvaluator(s.n, 0) }
 
-// ShardEvaluator snapshots a state holding amplitudes base … base+2^n−1
+// ShardEvaluator materializes the state's pending permutation, if any,
+// and evaluates against a state holding amplitudes base … base+2^n−1
 // of a total-qubit register (rank r's shard: base = r << n). Because
 // every index it computes is absolute, Z/Y signs, parity and pivots on
 // the bits above the shard come out of the same code one device runs.
+// Building it is the one step that writes the state: it must not race
+// with another use of it.
 func (s *State) ShardEvaluator(total int, base uint64) *PauliEvaluator {
 	s.live()
-	e := &PauliEvaluator{s: s, total: total, base: base, scratchBits: expScratchBits}
-	if !s.PermIsIdentity() {
-		e.inv = make([]int, s.n)
-		for q, p := range s.perm {
-			e.inv[p] = q
-		}
-	}
-	return e
+	s.MaterializePerm()
+	return &PauliEvaluator{s: s, total: total, base: base, residentBits: expResidentBits}
 }
 
 // chunkBits is the canonical chunk width, clamped so that one block (a
@@ -224,8 +225,9 @@ func (e *PauliEvaluator) PartialSlab(terms []PauliTerm) ([]float64, error) {
 // bits above the state, shifted down — is rankFlip, and returns the
 // number of sweeps made. Rank flip 0 selects the pure-Z terms and those
 // flipping resident qubits only; any other value the terms pairing
-// this shard with rank ^ rankFlip, whose raw amplitudes (in this
-// shard's physical layout) partner is. poll is as in ExpPauliGroup.
+// this shard with rank ^ rankFlip, whose amplitudes partner is — in
+// canonical order, as every rank's evaluator leaves its shard before
+// the first exchange. poll is as in ExpPauliGroup.
 func (e *PauliEvaluator) SweepShard(terms []PauliTerm, slab []float64, rankFlip uint64, partner []complex128, poll func() error) (int, error) {
 	cb := e.chunkBits()
 	nChunks := 1 << uint(e.total-1-cb)
@@ -438,19 +440,6 @@ func depositBits(v, mask uint64) uint64 {
 	return out
 }
 
-// extractBits gathers the bits of v at the set positions of mask into
-// the low bits of the result, lowest first.
-func extractBits(v, mask uint64) uint64 {
-	var out uint64
-	for i := uint(0); mask != 0; mask &= mask - 1 {
-		if v&mask&-mask != 0 {
-			out |= 1 << i
-		}
-		i++
-	}
-	return out
-}
-
 // pauliGroup is the set of jobs one sweep evaluates. Masks are over
 // block-index bits (qubit q ↔ bit q−bb).
 type pauliGroup struct {
@@ -480,7 +469,7 @@ func (e *PauliEvaluator) sweep(jobs []pauliJob, partner []complex128, cb int, po
 	// between both sides.
 	var wCap [2]int
 	for i := range wCap {
-		wCap[i] = e.scratchBits - bb - i
+		wCap[i] = e.residentBits - bb - i
 		if wCap[i] > n-bb-split {
 			wCap[i] = n - bb - split
 		}
@@ -519,19 +508,14 @@ place:
 	}
 	for gi := range groups {
 		g := &groups[gi]
-		// Spend the remaining width on the qubits at the lowest physical
-		// positions, so a gather uses the whole of each cache line it
-		// touches (and an in-place super-block is one contiguous run).
+		// Spend the remaining width on the lowest qubits above the
+		// block, so a super-block is as few contiguous runs as it can be.
 		w := wCap[0]
 		if g.hx != 0 {
 			w = wCap[1]
 		}
-		for p := 0; p < n && bits.OnesCount64(g.wide) < w; p++ {
-			q := p
-			if e.inv != nil {
-				q = e.inv[p]
-			}
-			if q >= bb && g.hx>>uint(q-bb)&1 == 0 {
+		for q := bb; q < n && bits.OnesCount64(g.wide) < w; q++ {
+			if g.hx>>uint(q-bb)&1 == 0 {
 				g.wide |= 1 << uint(q-bb)
 			}
 		}
@@ -550,31 +534,19 @@ func (e *PauliEvaluator) sweepGroup(g *pauliGroup, partner []complex128, bb, cb 
 	s := e.s
 	w := bits.OnesCount64(g.wide)
 	fixed := (uint64(1)<<uint(s.n-bb) - 1) &^ g.wide
-	var tabs permWalk
-	if e.inv != nil {
-		tabs = e.gatherWalk(g.wide, bb)
-	}
 	otherSrc := partner
 	if otherSrc == nil {
 		otherSrc = s.amps
 	}
 	bBase := e.base >> uint(bb)
+	lm := uint64(len(s.amps) - 1) // bits above the state pick the shard
+	size := 1 << uint(bb)
 	var (
 		failed atomic.Bool
 		mu     sync.Mutex
 		first  error
 	)
 	s.parallelTiles(1<<uint(s.n-bb-w), bb+w, func(_, lo, hi int) {
-		r := expResident{e: e, g: g, bb: bb, otherSrc: otherSrc, tabs: &tabs}
-		if e.inv != nil {
-			buf := getExpScratch()
-			defer putExpScratch(buf)
-			r.self = buf[:1<<uint(bb+w)]
-			r.other = r.self
-			if g.hx != 0 {
-				r.other = buf[1<<uint(bb+w) : 2<<uint(bb+w)]
-			}
-		}
 		for u := lo; u < hi; u++ {
 			if failed.Load() {
 				return
@@ -590,8 +562,7 @@ func (e *PauliEvaluator) sweepGroup(g *pauliGroup, partner []complex128, bb, cb 
 					return
 				}
 			}
-			r.hb = depositBits(uint64(u), fixed)
-			r.loaded = false
+			hb := depositBits(uint64(u), fixed)
 			for _, j := range g.jobs {
 				// The job's active blocks, pauliL at a time, are the
 				// lanes of one pauliChunks call.
@@ -601,12 +572,13 @@ func (e *PauliEvaluator) sweepGroup(g *pauliGroup, partner []complex128, bb, cb 
 				)
 				walk, nl := j.walk(bb, cb), 0
 				for k := uint64(0); k < 1<<uint(w); k++ {
-					B := bBase | r.hb | depositBits(k, g.wide)
+					B := bBase | hb | depositBits(k, g.wide)
 					if !j.active(B, bb) {
 						continue
 					}
-					self, other := r.blocks(j, B, k)
-					l.self[nl], l.other[nl] = lanes(self), lanes(other)
+					P := B ^ j.highFlip
+					l.self[nl] = lanes(s.amps[B<<uint(bb)&lm:][:size])
+					l.other[nl] = lanes(otherSrc[P<<uint(bb)&lm:][:size])
 					l.hp[nl] = bits.OnesCount64(B<<uint(bb)&j.sign) & 1
 					blk[nl] = B
 					if nl++; nl == pauliL {
@@ -623,110 +595,12 @@ func (e *PauliEvaluator) sweepGroup(g *pauliGroup, partner []complex128, bb, cb 
 	return first
 }
 
-// expResident is one worker's view of the current super-block.
-type expResident struct {
-	e        *PauliEvaluator
-	g        *pauliGroup
-	bb       int
-	otherSrc []complex128 // the partner shard, or the state itself
-	tabs     *permWalk
-	// self/other are the scratch sides of a permuted layout (the same
-	// slice unless the group is two-sided); nil reads blocks in place.
-	self, other []complex128
-	hb          uint64 // the super-block's fixed high bits on this state
-	loaded      bool   // scratch holds super-block hb
-}
-
-// blocks returns block B (wide index k of the current super-block) and
-// the job's partner block, gathering the super-block on first use so
-// one with no active chunk costs no memory traffic.
-func (r *expResident) blocks(j *pauliJob, B, k uint64) (self, other []complex128) {
-	size := 1 << uint(r.bb)
-	if r.self == nil {
-		lm := uint64(len(r.e.s.amps) - 1) // bits above the state pick the shard
-		P := B ^ j.highFlip
-		return r.e.s.amps[B<<uint(r.bb)&lm:][:size], r.otherSrc[P<<uint(r.bb)&lm:][:size]
-	}
-	if !r.loaded {
-		r.loaded = true
-		r.tabs.gather(r.self, r.e.s.amps, r.e.physBase(r.hb, r.bb))
-		if r.g.hx != 0 {
-			r.tabs.gather(r.other, r.otherSrc, r.e.physBase(r.hb^r.g.hx, r.bb))
-		}
-	}
-	kp := k ^ extractBits(j.highFlip, r.g.wide)
-	return r.self[k<<uint(r.bb):][:size], r.other[kp<<uint(r.bb):][:size]
-}
-
-// physBase is the physical offset of the block-index bits hb on this
-// state; bits above it pick the shard, not an offset.
-func (e *PauliEvaluator) physBase(hb uint64, bb int) uint64 {
-	var base uint64
-	for hb &= 1<<uint(e.s.n-bb) - 1; hb != 0; hb &= hb - 1 {
-		base |= 1 << uint(e.s.perm[bb+bits.TrailingZeros64(hb)])
-	}
-	return base
-}
-
-// gatherWalk is the permWalk of a super-block: its free qubits are the
-// block's and the wide ones, each landing on the scratch bit of its
-// logical slot (block k of the super-block occupies scratch[k<<bb :
-// (k+1)<<bb]), with the scratch's 64-byte lines walked first.
-func (e *PauliEvaluator) gatherWalk(wide uint64, bb int) permWalk {
-	return newPermWalk(e.inv, expLineBits, func(q int) int {
-		switch {
-		case q < bb:
-			return q
-		case wide>>uint(q-bb)&1 == 1:
-			return bb + bits.OnesCount64(wide&(1<<uint(q-bb)-1))
-		}
-		return -1
-	})
-}
-
-// expLineBits is log2 of the complex128 amplitudes in a 64-byte cache
-// line.
-const expLineBits = 2
-
-// gather copies the super-block at physical offset base out of src
-// into dst's logical slots.
-func (t *permWalk) gather(dst, src []complex128, base uint64) {
-	for h, ph := range t.physHi {
-		sh := t.slotHi[h]
-		row := base | uint64(ph)
-		for l, pl := range t.physLo {
-			dst[sh|t.slotLo[l]] = src[row|uint64(pl)]
-		}
-	}
-}
-
-// expScratch is the process-wide free list of gather buffers: at most
-// one per sweep-pool worker is kept, so a permuted-layout sweep
-// allocates nothing in steady state and an idle process holds a
-// bounded amount.
-var expScratch = make(chan []complex128, runtime.NumCPU())
-
-func getExpScratch() []complex128 {
-	select {
-	case buf := <-expScratch:
-		return buf
-	default:
-		return make([]complex128, 1<<expScratchBits)
-	}
-}
-
-func putExpScratch(buf []complex128) {
-	select {
-	case expScratch <- buf:
-	default:
-	}
-}
-
 // AmplitudesRaw exposes the amplitude slice in its current physical
-// layout WITHOUT materializing a pending qubit permutation — the
-// expectation path's exchange buffers ship raw layouts and the
-// evaluator gathers through the permutation instead. Interpret indices
-// via Permutation(); use Amplitudes() for the canonical logical order.
+// layout WITHOUT materializing a pending qubit permutation — for the
+// distributed engine's exchange steps, which move data in whatever
+// layout the shard holds (the canonical one once an evaluator has been
+// built on it). Interpret indices via Permutation(); use Amplitudes()
+// for the canonical logical order.
 func (s *State) AmplitudesRaw() []complex128 {
 	s.live()
 	return s.amps

@@ -231,7 +231,7 @@ func checkGroup(t testing.TB, s *State, ev *PauliEvaluator, terms []PauliTerm, w
 // TestExpPauliGroupMatchesReference holds the grouped block sweep to
 // the old per-index loop, bit for bit, over register sizes, worker
 // counts, layouts, random strings and the block-geometry corner cases
-// — at the real scratch bound and at one shrunk so far that every high
+// — at the real resident bound and at one shrunk so far that every high
 // flip bit takes the two-sided path.
 func TestExpPauliGroupMatchesReference(t *testing.T) {
 	r := qmath.NewRNG(0x9a0f15)
@@ -265,8 +265,8 @@ func TestExpPauliGroupMatchesReference(t *testing.T) {
 				}
 
 				small := s.PauliEvaluator()
-				small.scratchBits = expChunkBits(n) + 1 + r.Intn(2)
-				checkGroup(t, s, small, terms, what+" shrunk scratch")
+				small.residentBits = expChunkBits(n) + 1 + r.Intn(2)
+				checkGroup(t, s, small, terms, what+" shrunk resident set")
 			}
 		}
 	}
@@ -326,7 +326,7 @@ func TestShardMatchesReference(t *testing.T) {
 		ev := s.ShardEvaluator(total, uint64(rank)<<uint(local))
 		cb := min(expChunkBits(total), local-1)
 		if r.Intn(2) == 0 {
-			ev.scratchBits = cb + 1 + r.Intn(3)
+			ev.residentBits = cb + 1 + r.Intn(3)
 		}
 		rankFlip := (term.X | term.Y) >> uint(local)
 		var partner []complex128
@@ -407,8 +407,8 @@ func TestExpPauliGroupPassCount(t *testing.T) {
 }
 
 // TestExpPauliGroupCancellation trips the poll mid-sweep: the sweep
-// must return that error within one block batch per worker, and every
-// gather buffer must be back on the free list.
+// must return that error within one block batch per worker, and the
+// evaluator must still work afterwards.
 func TestExpPauliGroupCancellation(t *testing.T) {
 	const n = 18
 	r := qmath.NewRNG(18)
@@ -417,11 +417,6 @@ func TestExpPauliGroupCancellation(t *testing.T) {
 		s := layoutState(t, n, workers, "bitrev", r)
 		ev := s.PauliEvaluator()
 		terms := tfimTerms(n)
-
-		// Park a known buffer on the free list; the sweep must take it
-		// (not allocate) and hand it back.
-		drained := drainExpScratch()
-		putExpScratch(make([]complex128, 1<<expScratchBits))
 
 		var polls atomic.Int64
 		_, _, err := ev.ExpPauliGroup(terms, func() error {
@@ -438,32 +433,14 @@ func TestExpPauliGroupCancellation(t *testing.T) {
 		if got := polls.Load(); got > int64(3+workers) {
 			t.Errorf("workers=%d: %d polls, want <= %d (one block batch per worker after the trip)", workers, got, 3+workers)
 		}
-		if len(expScratch) == 0 {
-			t.Errorf("workers=%d: no gather buffer returned to the free list after cancellation", workers)
-		}
-		for _, buf := range drained {
-			putExpScratch(buf)
-		}
 
 		// The same evaluator still works after a cancelled sweep.
 		checkGroup(t, s, ev, terms[:3], "after cancel")
 	}
 }
 
-func drainExpScratch() [][]complex128 {
-	var out [][]complex128
-	for {
-		select {
-		case buf := <-expScratch:
-			out = append(out, buf)
-		default:
-			return out
-		}
-	}
-}
-
 // FuzzExpPauliGroup decodes a register size, layout, worker count,
-// scratch bound and term list from the input and holds the grouped
+// resident bound and term list from the input and holds the grouped
 // sweep to the reference loop bit for bit. Seeds are the table test's
 // corner cases.
 func FuzzExpPauliGroup(f *testing.F) {
@@ -490,7 +467,7 @@ func FuzzExpPauliGroup(f *testing.F) {
 		r := qmath.NewRNG(uint64(data[3]))
 		s := layoutState(t, n, workers, layout, r)
 		ev := s.PauliEvaluator()
-		ev.scratchBits = 1 + int(data[3])%expScratchBits
+		ev.residentBits = 1 + int(data[3])%expResidentBits
 		mask := uint64(1)<<uint(n) - 1
 		var terms []PauliTerm
 		for rest := data[4:]; len(rest) >= 6 && len(terms) < 48; rest = rest[6:] {
@@ -505,14 +482,18 @@ func FuzzExpPauliGroup(f *testing.F) {
 
 // BenchmarkExpPauliGroup is the TFIM-20 term list through the grouped
 // sweep on the layout a plain circuit leaves, the one a QFT plan leaves
-// and a random one, at 1 and 2 workers. Its MB/s counts the amplitudes
-// read: sweeps × 2^n × 16 B.
+// and a random one, at 1 and 2 workers. A permuted row re-declares its
+// layout before every iteration, outside the timer, so each iteration
+// times the materialization and the sweeps, as an evaluation after a
+// plan run pays them. Its MB/s counts the amplitudes the sweeps read:
+// sweeps × 2^n × 16 B.
 func BenchmarkExpPauliGroup(b *testing.B) {
 	const n = 20
 	for _, layout := range groupLayouts {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/tfim20/w%d", layout, workers), func(b *testing.B) {
 				s := layoutState(b, n, workers, layout, qmath.NewRNG(20))
+				perm := s.Permutation()
 				terms := tfimTerms(n)
 				_, sweeps, err := s.PauliEvaluator().ExpPauliGroup(terms, nil)
 				if err != nil {
@@ -522,6 +503,13 @@ func BenchmarkExpPauliGroup(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					if perm != nil {
+						b.StopTimer()
+						if err := s.SetPermutation(perm); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
 					if _, _, err := s.PauliEvaluator().ExpPauliGroup(terms, nil); err != nil {
 						b.Fatal(err)
 					}

@@ -110,7 +110,8 @@ func TestExpPauliVisitCounts(t *testing.T) {
 // TestExpPauliPermutationInvariant evaluates through pending
 // permutations: a physically relabeled layout holding the same
 // logical state must give bit-identical values, and the evaluation
-// must not materialize the layout.
+// leaves it materialized — the identity layout, every amplitude the
+// logical one it held before.
 func TestExpPauliPermutationInvariant(t *testing.T) {
 	r := qmath.NewRNG(11)
 	for trial := 0; trial < 20; trial++ {
@@ -142,6 +143,7 @@ func TestExpPauliPermutationInvariant(t *testing.T) {
 		if perm.PermIsIdentity() {
 			t.Fatal("construction failed to leave a pending permutation")
 		}
+		before := perm.Clone()
 		got, _, err := perm.ExpPauli(xm, ym, zm)
 		if err != nil {
 			t.Fatal(err)
@@ -149,8 +151,13 @@ func TestExpPauliPermutationInvariant(t *testing.T) {
 		if got != base {
 			t.Fatalf("trial %d: permuted layout %.17g != canonical %.17g", trial, got, base)
 		}
-		if perm.PermIsIdentity() {
-			t.Fatal("evaluation materialized the pending permutation")
+		if !perm.PermIsIdentity() {
+			t.Fatal("evaluation left the permutation pending")
+		}
+		for i := uint64(0); i < 1<<uint(n); i++ {
+			if perm.Amp(i) != before.Amp(i) {
+				t.Fatalf("trial %d: amplitude %d changed by the evaluation", trial, i)
+			}
 		}
 	}
 }

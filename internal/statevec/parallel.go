@@ -31,6 +31,12 @@ type sweepTask struct {
 var (
 	poolOnce  sync.Once
 	poolTasks chan sweepTask
+	// waitGroups is fanOut's free list: a WaitGroup goes back once its
+	// Wait has returned, so a fan-out allocates nothing of its own in
+	// steady state. A channel, not a sync.Pool: a Pool drops entries
+	// under the race detector and at GC, and the allocation tests pin
+	// the count.
+	waitGroups = make(chan *sync.WaitGroup, runtime.NumCPU())
 )
 
 func poolInit() {
@@ -89,7 +95,12 @@ func (s *State) fanOut(n int, fn func(worker, lo, hi int)) {
 		w = n
 	}
 	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
+	var wg *sync.WaitGroup
+	select {
+	case wg = <-waitGroups:
+	default:
+		wg = new(sync.WaitGroup)
+	}
 	id := 0
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
@@ -97,8 +108,12 @@ func (s *State) fanOut(n int, fn func(worker, lo, hi int)) {
 			hi = n
 		}
 		wg.Add(1)
-		poolTasks <- sweepTask{fn: fn, worker: id, lo: lo, hi: hi, wg: &wg}
+		poolTasks <- sweepTask{fn: fn, worker: id, lo: lo, hi: hi, wg: wg}
 		id++
 	}
 	wg.Wait()
+	select {
+	case waitGroups <- wg:
+	default:
+	}
 }

@@ -183,11 +183,11 @@ func (s *State) Probabilities() []float64 {
 // 2^n entries — the distributed engine hands each rank its slice of the
 // one gathered vector, so a shard's readout is never copied.
 //
-// Through a pending permutation the readout is the evaluator's gather
-// with the whole state as one super-block: the line-blocked permWalk
-// (cached on the state per permutation) visits each 64-byte line of p
-// and then each line of amplitudes while it is in L1, the rest in
-// ascending physical position, fanned out over its high table.
+// Through a pending permutation the readout takes the line-blocked
+// permWalk (cached on the state per permutation): it visits each
+// 64-byte line of p and then each line of amplitudes while it is in
+// L1, the rest in ascending physical position, fanned out over its
+// high table.
 func (s *State) ProbabilitiesInto(p []float64) {
 	s.live()
 	n := len(s.amps)
@@ -219,41 +219,35 @@ func probsChunk(p, v []float64, lo, hi int) {
 	}
 }
 
-// permWalk is the one walk every read through a pending permutation
-// takes: the readout over the whole state and the evaluator's gather of
-// a super-block. Entry i of the (hi, lo) split tables gives the
-// physical offset and the destination slot contributed by bit-chunk i,
-// so slot(i) = slotHi[i>>loBits] | slotLo[i&loMask] and likewise for the
-// offset. It is immutable once built, so clones may share it.
+// permWalk is the readout's walk through a pending permutation. Entry
+// i of the (hi, lo) split tables gives the physical offset and the
+// logical slot contributed by bit-chunk i, so slot(i) =
+// slotHi[i>>loBits] | slotLo[i&loMask] and likewise for the offset. It
+// is immutable once built, so clones may share it.
 type permWalk struct {
 	physLo, slotLo, physHi, slotHi []uint32
 }
 
-// newPermWalk builds the walk over the physical positions p (inv is the
-// physical→logical qubit map) whose logical qubit q has a destination
-// bit slot(q) ≥ 0; the rest are fixed by the caller's base offset. The
-// free qubits are enumerated fastest first: those inside one
-// destination line (dstLine bits), then those inside one 64-byte line
-// of amplitudes, so every line the innermost iterations touch on either
-// side is finished while it is in L1, then the rest in ascending
-// physical position, which keeps the reads a few forward streams.
-func newPermWalk(inv []int, dstLine int, slot func(q int) int) permWalk {
+// newPermWalk builds the walk over every physical position p (inv is
+// the physical→logical qubit map), each landing on its logical bit. The
+// qubits are enumerated fastest first: those inside one line of
+// probabilities, then those inside one 64-byte line of amplitudes, so
+// every line the innermost iterations touch on either side is finished
+// while it is in L1, then the rest in ascending physical position,
+// which keeps the reads a few forward streams.
+func newPermWalk(inv []int) permWalk {
 	var phys, dst [MaxQubits]uint
 	m := 0
 	for pass := 0; pass < 3; pass++ {
 		for p, q := range inv {
-			sb := slot(q)
-			if sb < 0 {
-				continue
-			}
 			rank := 2
-			if sb < dstLine {
+			if q < probLineBits {
 				rank = 0
-			} else if p < expLineBits {
+			} else if p < ampLineBits {
 				rank = 1
 			}
 			if rank == pass {
-				phys[m], dst[m] = uint(p), uint(sb)
+				phys[m], dst[m] = uint(p), uint(q)
 				m++
 			}
 		}
@@ -283,8 +277,12 @@ func newPermWalk(inv []int, dstLine int, slot func(q int) int) permWalk {
 	return t
 }
 
-// probLineBits is log2 of the float64 probabilities in a 64-byte line.
-const probLineBits = 3
+// ampLineBits and probLineBits are log2 of the complex128 amplitudes
+// and of the float64 probabilities in a 64-byte line.
+const (
+	ampLineBits  = 2
+	probLineBits = 3
+)
 
 // readoutWalk returns the readout walk of the current permutation: every
 // qubit free, on its logical bit. It is built once per permutation and
@@ -297,7 +295,7 @@ func (s *State) readoutWalk() *permWalk {
 		for q, p := range s.perm {
 			inv[p] = q
 		}
-		t := newPermWalk(inv[:s.n], probLineBits, func(q int) int { return q })
+		t := newPermWalk(inv[:s.n])
 		s.permTab = &t
 	}
 	return s.permTab
@@ -430,18 +428,22 @@ func (s *State) MaterializePerm() {
 	perm := s.perm
 	s.perm = nil // swapBits below must operate on the raw layout
 	s.permTab = nil
-	inv := make([]int, s.n)
+	var inv [MaxQubits]int
 	for q, p := range perm {
 		inv[p] = q
 	}
+	var swaps [MaxQubits][2]uint // placement is planned first, then swept
+	k := 0
 	for pos := 0; pos < s.n; pos++ {
 		q := inv[pos] // logical qubit currently living at position pos
 		if q == pos {
 			continue
 		}
 		src := perm[pos] // where logical qubit pos currently lives
-		s.swapBits(uint(pos), uint(src))
+		swaps[k] = [2]uint{uint(pos), uint(src)}
+		k++
 		perm[pos], perm[q] = pos, src
 		inv[pos], inv[src] = pos, q
 	}
+	s.swapBits(swaps[:k]...)
 }

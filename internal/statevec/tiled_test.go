@@ -123,6 +123,27 @@ func TestPermutationLifecycle(t *testing.T) {
 	statesEqual(t, c, d, 0, "swap chain")
 }
 
+// TestMaterializePermAllocs pins the allocation-flat materialization:
+// bringing a bit-reversed (8 bit-swap sweeps) or a random (up to 15)
+// 2^16 layout back to canonical order at 2 workers, every sweep fanned
+// out, costs at most 3 allocations, however many sweeps it takes.
+func TestMaterializePermAllocs(t *testing.T) {
+	const n = 16
+	r := qmath.NewRNG(16)
+	for _, layout := range []string{"bitrev", "random"} {
+		s := layoutState(t, n, 2, layout, r)
+		perm, buf := s.Permutation(), make([]int, n)
+		a := testing.AllocsPerRun(10, func() {
+			s.perm = append(buf[:0], perm...) // re-declare without SetPermutation's copies
+			s.MaterializePerm()
+		})
+		if a > 3 {
+			t.Errorf("%s: MaterializePerm of a 2^%d layout at 2 workers: %v allocations, want <= 3", layout, n, a)
+		}
+		s.Release()
+	}
+}
+
 // TestProbabilitiesReadThroughPerm: the probability pass must resolve
 // a pending permutation through the readout walk — bit-identical to a
 // materialized readout of a clone — while leaving the table pending (no
