@@ -77,7 +77,7 @@ cover-observable:
 		printf "internal/observable coverage %.1f%% (floor %d%%)\n", t, floor }'
 
 serve: build
-	$(GO) run ./cmd/qgear serve -addr :8042 -fusion 2
+	$(GO) run ./cmd/qgear serve -addr :8042
 
 # The regression gate: the repository's one benchmark (benchmark/,
 # BENCHMARK.json) on BASE and on the work tree, same host, back to back,

@@ -69,7 +69,7 @@ func BenchmarkFig4aShortCPUSerial(b *testing.B) {
 }
 
 func BenchmarkFig4aShortGPUParallel(b *testing.B) {
-	runTarget(b, benchCircuit(b, 16, randcirc.ShortBlocks), backend.Config{Target: backend.TargetNvidia, FusionWindow: 2})
+	runTarget(b, benchCircuit(b, 16, randcirc.ShortBlocks), backend.Config{Target: backend.TargetNvidia})
 }
 
 func BenchmarkFig4aShort4DevMGPU(b *testing.B) {
@@ -81,7 +81,7 @@ func BenchmarkFig4aLongCPUSerial(b *testing.B) {
 }
 
 func BenchmarkFig4aLongGPUParallel(b *testing.B) {
-	runTarget(b, benchCircuit(b, 14, 1000), backend.Config{Target: backend.TargetNvidia, FusionWindow: 2})
+	runTarget(b, benchCircuit(b, 14, 1000), backend.Config{Target: backend.TargetNvidia})
 }
 
 // --- Fig. 4b: the cluster-scaling model over the full sweep ---
@@ -111,7 +111,7 @@ func benchQFT(b *testing.B, n int) *circuit.Circuit {
 }
 
 func BenchmarkFig4cQFTQGear(b *testing.B) {
-	runTarget(b, benchQFT(b, 16), backend.Config{Target: backend.TargetNvidia, FusionWindow: 2})
+	runTarget(b, benchQFT(b, 16), backend.Config{Target: backend.TargetNvidia})
 }
 
 func BenchmarkFig4cQFTPennylane(b *testing.B) {
@@ -144,7 +144,7 @@ func BenchmarkFig5QCrankCPUSerial(b *testing.B) {
 
 func BenchmarkFig5QCrankGPUParallel(b *testing.B) {
 	c, plan := benchQCrank(b, 640, 6, 100)
-	runTarget(b, c, backend.Config{Target: backend.TargetNvidia, FusionWindow: 4, Shots: plan.Shots})
+	runTarget(b, c, backend.Config{Target: backend.TargetNvidia, Shots: plan.Shots})
 }
 
 // --- Fig. 6: full reconstruction round trip ---
@@ -154,7 +154,7 @@ func BenchmarkFig6Reconstruction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := backend.Run(c, backend.Config{Target: backend.TargetNvidia, FusionWindow: 4, Shots: plan.Shots, Seed: uint64(i)})
+		res, err := backend.Run(c, backend.Config{Target: backend.TargetNvidia, Shots: plan.Shots, Seed: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -287,25 +287,12 @@ func mqpuBatch(b *testing.B) []*circuit.Circuit {
 
 // --- Ablations (DESIGN.md §3) ---
 
-// Fusion-window sweep: in the bandwidth-bound regime wider windows
-// trade arithmetic for sweeps; on this compute-bound box the optimum
-// is narrow — the bench quantifies the tradeoff the paper's
-// "gate fusion = 5" makes on an A100.
-func BenchmarkAblationFusionWindow(b *testing.B) {
-	c := benchCircuit(b, 18, 150)
-	for _, w := range []int{0, 2, 3, 4, 5} {
-		b.Run(fmt.Sprintf("window=%d", w), func(b *testing.B) {
-			runTarget(b, c, backend.Config{Target: backend.TargetNvidia, FusionWindow: w})
-		})
-	}
-}
-
 // Pruning thresholds on the QFT's long tail of tiny cr1 angles.
 func BenchmarkAblationPruneQFT(b *testing.B) {
 	c := benchQFT(b, 16)
 	for _, p := range []float64{0, 1e-6, 1e-3, 1e-2} {
 		b.Run(fmt.Sprintf("prune=%g", p), func(b *testing.B) {
-			runTarget(b, c, backend.Config{Target: backend.TargetNvidia, FusionWindow: 2, PruneAngle: p})
+			runTarget(b, c, backend.Config{Target: backend.TargetNvidia, PruneAngle: p})
 		})
 	}
 }
@@ -329,29 +316,6 @@ func BenchmarkAblationMGPUDevices(b *testing.B) {
 			runTarget(b, c, backend.Config{Target: backend.TargetNvidiaMGPU, Devices: d})
 		})
 	}
-}
-
-// Diagonal fast path: QFT's cr1 ladder through the phase-multiply
-// kernels vs the general dense two-qubit kernel.
-func BenchmarkAblationDiagonal(b *testing.B) {
-	n := 16
-	b.Run("fast-path", func(b *testing.B) {
-		s := statevec.MustNew(n, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.ApplyGate(gate.CP, []int{i % n, (i + 1) % n}, []float64{0.3})
-		}
-	})
-	b.Run("general-kernel", func(b *testing.B) {
-		s := statevec.MustNew(n, 1)
-		m := gate.Matrix2(gate.CP, []float64{0.3})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.ApplyFused([]int{(i + 1) % n, i % n}, m[:]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // Sampler choice at the two shapes the benchmark workloads sample:

@@ -101,7 +101,7 @@ func TestQCrankReconstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := backend.Run(c, backend.Config{Target: backend.TargetNvidia, Shots: plan.Shots, Seed: seed, FusionWindow: 4})
+	res, err := backend.Run(c, backend.Config{Target: backend.TargetNvidia, Shots: plan.Shots, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@
 // Usage:
 //
 //	qgear generate -kind random -qubits 8 -blocks 100 -count 4 -out circuits.qpy
-//	qgear transform -in circuits.qpy -fusion 5 -prune 1e-6
+//	qgear transform -in circuits.qpy -prune 1e-6
 //	qgear run -in circuits.qpy -target nvidia -shots 1000
 //	qgear expect -in qft.qpy -tfim-j 1 -tfim-g 0.7 -store-dir /tmp/qgear-store
 //	qgear serve -addr :8042 -target nvidia-mqpu -devices 4 -pool 2 -cache 1024
@@ -210,7 +210,6 @@ func cmdGenerate(fs *flag.FlagSet) func(out io.Writer) error {
 
 func cmdTransform(fs *flag.FlagSet) func(out io.Writer) error {
 	in := fs.String("in", "", "input circuits (.qpy, .qgt or .qasm)")
-	fusion := fs.Int("fusion", 0, "gate fusion window (paper default for QFT: 5)")
 	prune := fs.Float64("prune", 0, "prune rotations below this angle")
 	verbose := fs.Bool("v", false, "print kernel listings")
 	return func(out io.Writer) error {
@@ -218,14 +217,14 @@ func cmdTransform(fs *flag.FlagSet) func(out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		kernels, stats, err := core.Transform(cs, core.Options{FusionWindow: *fusion, PruneAngle: *prune})
+		kernels, stats, err := core.Transform(cs, core.Options{PruneAngle: *prune})
 		if err != nil {
 			return err
 		}
 		for i, k := range kernels {
 			st := stats[i]
-			fmt.Fprintf(out, "%-28s %3d qubits  %6d ops -> %6d instrs  (fused %d groups/%d gates, pruned %d)\n",
-				k.Name, k.NumQubits, st.SourceOps, st.EmittedOps, st.FusedGroups, st.FusedGates, st.PrunedGates)
+			fmt.Fprintf(out, "%-28s %3d qubits  %6d ops -> %6d instrs  (pruned %d)\n",
+				k.Name, k.NumQubits, st.SourceOps, st.EmittedOps, st.PrunedGates)
 			if *verbose {
 				fmt.Fprint(out, k.String())
 			}

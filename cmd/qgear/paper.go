@@ -56,7 +56,7 @@ func cmdQCrank(fs *flag.FlagSet) func(out io.Writer) error {
 			return err
 		}
 		res, err := backend.Run(c, backend.Config{
-			Target: backend.Target(*target), Shots: plan.Shots, Seed: *seed, FusionWindow: 4,
+			Target: backend.Target(*target), Shots: plan.Shots, Seed: *seed,
 		})
 		if err != nil {
 			return err

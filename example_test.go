@@ -16,21 +16,20 @@ func Example_quickstart() {
 	// Object-based circuit (the paper's ghz_obj listing).
 	c := qgear.GHZ(n, false)
 
-	// Q-GEAR transformation: gate-by-gate, with gate fusion.
-	kern, stats, err := qgear.Transform(c, qgear.RunOptions{FusionWindow: 4})
+	// Q-GEAR transformation: gate-by-gate, one instruction per gate.
+	kern, stats, err := qgear.Transform(c, qgear.RunOptions{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("transformed %d ops into %d kernel instructions (%d fused groups)\n",
-		stats.SourceOps, stats.EmittedOps, stats.FusedGroups)
+	fmt.Printf("transformed %d ops into %d kernel instructions\n",
+		stats.SourceOps, stats.EmittedOps)
 	fmt.Printf("kernel: %s over %d qubits\n", kern.Name, kern.NumQubits)
 
 	// Execute on the parallel engine ("nvidia" target) with sampling.
 	res, err := qgear.Run(c, qgear.RunOptions{
-		Target:       qgear.TargetNvidia,
-		FusionWindow: 4,
-		Shots:        10000,
-		Seed:         7,
+		Target: qgear.TargetNvidia,
+		Shots:  10000,
+		Seed:   7,
 	})
 	if err != nil {
 		panic(err)
@@ -41,7 +40,7 @@ func Example_quickstart() {
 	fmt.Printf("sampled %d shots: %d zeros-string, %d ones-string\n",
 		res.Counts.Total(), res.Counts[0], res.Counts[1<<n-1])
 	// Output:
-	// transformed 16 ops into 5 kernel instructions (5 fused groups)
+	// transformed 16 ops into 16 kernel instructions
 	// kernel: ghz_16q_kernel over 16 qubits
 	// ran on nvidia
 	// P(|0...0>) = 0.5000   P(|1...1>) = 0.5000
@@ -122,9 +121,8 @@ func Example_serveEmbedded() {
 	// A 4-device mqpu server: queued jobs are coalesced into one
 	// device-parallel backend.RunBatch call per batch.
 	srv, err := qgear.NewServer(qgear.ServerConfig{
-		Devices:      4,
-		FusionWindow: 2,
-		WorkerPool:   2,
+		Devices:    4,
+		WorkerPool: 2,
 	})
 	if err != nil {
 		panic(err)

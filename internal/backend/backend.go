@@ -3,9 +3,10 @@
 // the paper sets on the command line (§E.3):
 //
 //   - "aer"         — the Qiskit-Aer-on-CPU baseline: the same engine
-//     forced serial (one worker, no fusion), the slow path of Fig. 4a;
+//     forced serial (one worker, per-gate sweeps), the slow path of
+//     Fig. 4a;
 //   - "nvidia"      — one simulated GPU: the parallel sharded engine
-//     with gate fusion, the fast path of Fig. 4a;
+//     running tiled plans, the fast path of Fig. 4a;
 //   - "nvidia-mgpu" — pooled device memory over MPI ranks
 //     (internal/mgpu), the capacity-extending path;
 //   - "nvidia-mqpu" — devices used as independent QPUs for
@@ -73,12 +74,6 @@ type Config struct {
 	Shots int
 	// Seed drives shot sampling.
 	Seed uint64
-	// FusionWindow forwards to the kernel transformation (GPU-class
-	// targets only; aer runs unfused like Aer's default path here). A
-	// window whose gates are all diagonal stays a run of gates, not a
-	// dense block: every plan, aer's included, groups adjacent diagonal
-	// gates into one phase-table pass whatever the window.
-	FusionWindow int
 	// PruneAngle forwards to the kernel transformation.
 	PruneAngle float64
 	// TileBits is the tile width of the compiled plan: runs of gates
@@ -153,7 +148,7 @@ type Result struct {
 	SweepPoints int
 	// Rebinds counts sweep points served by rebinding the compiled
 	// plan; SweepCompiles counts points that needed a full per-point
-	// compile (gate fusion or pruning configurations). Exactly one of
+	// compile (angle pruning configurations). Exactly one of
 	// them is SweepPoints on a sweep run.
 	Rebinds       int
 	SweepCompiles int
@@ -208,7 +203,7 @@ func (c Config) devices() int {
 // tileBits resolves the plan's tile width, 0 being the per-gate
 // schedule: explicit widths win, negative disables, and the zero default
 // enables tiling on GPU-class targets while keeping aer on the per-gate
-// sweep baseline (the same way aer keeps fusion off). The auto width
+// sweep baseline. The auto width
 // comes from the cache geometry detected at startup.
 func (c Config) tileBits() int {
 	switch {
@@ -224,16 +219,16 @@ func (c Config) tileBits() int {
 }
 
 // Signature returns the output-affecting option encoding core.CacheKey
-// folds into the content address: transform knobs (fusion window,
-// prune angle), target, device/worker sizing, the shot budget and
-// seed, and the plan-shaping tile width. It ends in "|pffalse", the
-// slot of a plan fusion option that no longer exists: every
-// signature, cache key and store address stays the one the default
-// configuration always had, and one written with the option on no
-// longer matches.
+// folds into the content address: the transform's prune angle, target,
+// device/worker sizing, the shot budget and seed, and the plan-shaping
+// tile width. It starts with "f0" and ends in "|pffalse", the slots of
+// the gate fusion window and of a plan fusion option, neither of which
+// exists any more: every signature, cache key and store address stays
+// the one the default configuration always had, and one written with
+// either option on no longer matches.
 func (c Config) Signature() string {
-	return fmt.Sprintf("f%d|p%x|t%s|d%d|w%d|s%d|r%d|b%d|pffalse",
-		c.FusionWindow, math.Float64bits(c.PruneAngle), c.Target,
+	return fmt.Sprintf("f0|p%x|t%s|d%d|w%d|s%d|r%d|b%d|pffalse",
+		math.Float64bits(c.PruneAngle), c.Target,
 		c.Devices, c.Workers, c.Shots, c.Seed, c.TileBits)
 }
 
@@ -299,26 +294,6 @@ func (c Config) globalBits() int {
 	return int(qmath.Log2Ceil(uint64(c.devices())))
 }
 
-// transformOptions lowers the config to circuit→kernel transform
-// options for a circuit of n qubits.
-func (c Config) transformOptions(n int) kernel.Options {
-	opts := kernel.Options{PruneAngle: c.PruneAngle}
-	switch c.Target {
-	case TargetAer:
-		// Aer baseline: no fusion, serial; the kernel transformation
-		// still runs (Q-GEAR converts regardless; the target decides
-		// execution). Its per-gate plan still runs each group of
-		// adjacent diagonal gates as one phase table, as every plan does,
-		// so aer stays bit-identical to the other targets.
-	case TargetNvidiaMGPU:
-		opts.FusionWindow = c.FusionWindow
-		opts.FusionLocalQubits = n - c.globalBits()
-	default:
-		opts.FusionWindow = c.FusionWindow
-	}
-	return opts
-}
-
 // Compiled is a circuit lowered all the way to the execution IR: the
 // transformed kernel plus the TilePlan every engine executes — tiled,
 // distributed, or the width-0 per-gate schedule (aer, disabled tiling,
@@ -350,7 +325,7 @@ func Compile(c *circuit.Circuit, cfg Config) (*Compiled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	k, stats, err := kernel.FromCircuit(c, cfg.transformOptions(c.NumQubits))
+	k, stats, err := kernel.FromCircuit(c, kernel.Options{PruneAngle: cfg.PruneAngle})
 	if err != nil {
 		return nil, err
 	}

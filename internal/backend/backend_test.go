@@ -51,7 +51,6 @@ func TestAllTargetsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{
-		{Target: TargetNvidia, FusionWindow: 4},
 		{Target: TargetNvidia},
 		{Target: TargetNvidiaMGPU, Devices: 4},
 		{Target: TargetPennylane},
@@ -106,11 +105,11 @@ func TestShotSampling(t *testing.T) {
 
 func TestKernelStatsSurface(t *testing.T) {
 	c := randomCircuit(5, 60, 3)
-	res, err := Run(c, Config{Target: TargetNvidia, FusionWindow: 3})
+	res, err := Run(c, Config{Target: TargetNvidia})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.KernelStats.SourceOps != 60 || res.KernelStats.FusedGroups == 0 {
+	if res.KernelStats.SourceOps != 60 || res.KernelStats.EmittedOps == 0 {
 		t.Fatalf("stats not surfaced: %+v", res.KernelStats)
 	}
 }
@@ -123,23 +122,6 @@ func TestMGPUCommCountersSurface(t *testing.T) {
 	}
 	if res.Exchanges == 0 || res.BytesSent == 0 {
 		t.Fatal("mgpu counters missing")
-	}
-}
-
-func TestMGPUFusionStaysLocal(t *testing.T) {
-	// Fusion enabled on mgpu must not break on global qubits: the
-	// Config wiring restricts fusion below the device boundary.
-	c := randomCircuit(6, 100, 99)
-	res, err := Run(c, Config{Target: TargetNvidiaMGPU, Devices: 4, FusionWindow: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Run(c, Config{Target: TargetAer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !probsClose(res.Probabilities, ref.Probabilities, 1e-9) {
-		t.Fatal("mgpu fused run differs")
 	}
 }
 

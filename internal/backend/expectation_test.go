@@ -18,8 +18,8 @@ import (
 // dense-matrix ⟨ψ|H|ψ⟩ reference built term-by-term on independently
 // computed amplitudes, and (b) shot-sampled Z-basis estimates within
 // statistical tolerance — randomized over qubit counts, tile widths,
-// rank counts, fusion settings, and pending-permutation states. The
-// per-gate, tiled, and planned-mgpu engines must agree bit for bit.
+// rank counts and pending-permutation states. The per-gate, tiled, and
+// planned-mgpu engines must agree bit for bit.
 
 // soupCircuit generates a gate soup that exercises every plan segment
 // kind: single-qubit rotations, diagonals, CX, CP, and explicit SWAPs
@@ -96,7 +96,7 @@ func oracleAmps(c *circuit.Circuit) []complex128 {
 }
 
 // referenceAmps computes the final-state amplitudes through the per-gate
-// schedule with no fusion and no tiling: the width-0 plan, the engines'
+// schedule with no tiling: the width-0 plan, the engines'
 // own reference.
 func referenceAmps(t *testing.T, c *circuit.Circuit) []complex128 {
 	t.Helper()
@@ -187,7 +187,6 @@ func TestExpectationDifferentialSuite(t *testing.T) {
 		if d := math.Abs(ref - bruteForceExpectation(t, oracleAmps(c), h)); d > 1e-12 {
 			t.Fatalf("trial %d (n=%d): the per-gate schedule's ⟨H⟩ is %.3g off the oracle's", trial, n, d)
 		}
-		fusion := 2 + r.Intn(3)
 		tb := 2
 		if n > 3 {
 			tb += r.Intn(n - 3) // forced width in [2, n-1)
@@ -200,8 +199,8 @@ func TestExpectationDifferentialSuite(t *testing.T) {
 			return n-gbits >= 2
 		}
 
-		// Unfused engines all consume the identical transformed kernel,
-		// so every value must be bit-identical across per-gate, tiled
+		// The engines all consume the identical transformed kernel, so
+		// every value must be bit-identical across per-gate, tiled
 		// (any width, any worker count), term-parallel mqpu, and the
 		// distributed engine at any rank count.
 		configs := []Config{
@@ -231,26 +230,6 @@ func TestExpectationDifferentialSuite(t *testing.T) {
 			if v != vals[0] {
 				t.Fatalf("trial %d (n=%d): engine %d value %.17g != engine 0 value %.17g — engines must be bit-identical",
 					trial, n, i, v, vals[0])
-			}
-		}
-
-		// Fused kernels change rounding — bit-identity is asserted
-		// between the two single-device executors, which share a
-		// transform, and every fused run must still match the dense
-		// reference to 1e-12. The distributed transform fuses only within
-		// shard-local qubits, so its kernel is its own.
-		a := expValue(t, c, h, Config{Target: TargetNvidia, TileBits: -1, FusionWindow: fusion})
-		b := expValue(t, c, h, Config{Target: TargetNvidia, TileBits: tb, FusionWindow: fusion})
-		if a != b {
-			t.Fatalf("trial %d (n=%d): fused: per-gate %.17g != planned %.17g", trial, n, a, b)
-		}
-		fused := []float64{a}
-		if mgpuFits(4) {
-			fused = append(fused, expValue(t, c, h, Config{Target: TargetNvidiaMGPU, Devices: 4, FusionWindow: fusion}))
-		}
-		for fi, v := range fused {
-			if d := math.Abs(v - ref); d > 1e-12 {
-				t.Fatalf("trial %d (n=%d): fused run %d deviates %.3g from dense reference", trial, n, fi, d)
 			}
 		}
 	}

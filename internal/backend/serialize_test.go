@@ -28,7 +28,6 @@ func TestCompiledRoundTrip(t *testing.T) {
 	for _, cfg := range []Config{
 		{Target: TargetNvidia, TileBits: 4},
 		{Target: TargetNvidia, TileBits: -1}, // per-gate: the width-0 plan
-		{Target: TargetNvidia, TileBits: 4, FusionWindow: 3},
 	} {
 		comp := compileTestCircuit(t, cfg)
 		if comp.Plan == nil || comp.Plan.TileBits != max(cfg.TileBits, 0) {

@@ -26,19 +26,19 @@ import (
 // machinery as a derived 2k+1-point sweep.
 
 // ErrNotRebindable reports a configuration whose transform entangles
-// parameter values with kernel structure (gate fusion pre-multiplies
-// matrices, angle pruning drops gates), so a compiled artifact cannot
-// be rebound to new values. Circuit-level sweeps (RunSweep) fall back
-// to compiling every point; compiled-only entry points surface it.
-var ErrNotRebindable = errors.New("backend: gate fusion or angle pruning entangles parameter values with the kernel; sweep points must compile individually")
+// parameter values with kernel structure (angle pruning drops gates by
+// their values), so a compiled artifact cannot be rebound to new
+// values. Circuit-level sweeps (RunSweep) fall back to compiling every
+// point; compiled-only entry points surface it.
+var ErrNotRebindable = errors.New("backend: angle pruning entangles parameter values with the kernel; sweep points must compile individually")
 
 // Rebindable reports whether this configuration supports compile-once
-// rebinding: no angle pruning, no gate fusion. Under it the kernel maps
-// 1:1 from the circuit, compiled structure is value-independent and a
-// rebound artifact is bit-identical to a fresh compile — the predicate
-// the service's structural plan-cache keying is gated on.
+// rebinding: no angle pruning. Under it the kernel maps 1:1 from the
+// circuit, compiled structure is value-independent and a rebound
+// artifact is bit-identical to a fresh compile — the predicate the
+// service's structural plan-cache keying is gated on.
 func (c Config) Rebindable() bool {
-	return c.PruneAngle == 0 && c.FusionWindow < 2
+	return c.PruneAngle == 0
 }
 
 // BindParams returns a copy of the compiled artifact rebound to a new
@@ -64,7 +64,7 @@ func SweepPointSeed(seed uint64, i int) uint64 {
 
 // RunSweep compiles the circuit once and executes it at every
 // parameter point. Configurations whose transform is value-dependent
-// (fusion, pruning) compile every point from the rebound circuit
+// (pruning) compile every point from the rebound circuit
 // instead — same results, none of the compile-once savings.
 func RunSweep(c *circuit.Circuit, h *observable.Hamiltonian, points [][]float64, cfg Config) (*Result, error) {
 	if !cfg.Target.Valid() {

@@ -157,7 +157,7 @@ func TestRunSweepCountsDifferential(t *testing.T) {
 	}
 }
 
-// TestRunSweepFallback: a value-dependent transform (fusion) cannot
+// TestRunSweepFallback: a value-dependent transform (pruning) cannot
 // rebind — RunSweepCompiled surfaces ErrNotRebindable, RunSweep falls
 // back to per-point compiles with identical values.
 func TestRunSweepFallback(t *testing.T) {
@@ -167,19 +167,19 @@ func TestRunSweepFallback(t *testing.T) {
 	pts := sweepTestPoints(c.NumParams(), 4, 5)
 
 	exact := Config{Target: TargetNvidia, Workers: 1, TileBits: 3}
-	fused := exact
-	fused.FusionWindow = 5
-	if fused.Rebindable() {
-		t.Fatal("fused config claims rebindable")
+	pruned := exact
+	pruned.PruneAngle = 1e-3
+	if pruned.Rebindable() {
+		t.Fatal("pruning config claims rebindable")
 	}
-	comp, err := Compile(c, fused)
+	comp, err := Compile(c, pruned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSweepCompiled(comp, h, pts, fused); err != ErrNotRebindable {
-		t.Fatalf("RunSweepCompiled under fusion: %v, want ErrNotRebindable", err)
+	if _, err := RunSweepCompiled(comp, h, pts, pruned); err != ErrNotRebindable {
+		t.Fatalf("RunSweepCompiled under pruning: %v, want ErrNotRebindable", err)
 	}
-	res, err := RunSweep(c, h, pts, fused)
+	res, err := RunSweep(c, h, pts, pruned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestRunSweepFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ind, err := RunExpectation(bound, h, fused)
+		ind, err := RunExpectation(bound, h, pruned)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,20 +36,16 @@ func TestTiledCountsBitIdentical(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name   string
-		fusion int
+		name string
+		c    *circuit.Circuit
 	}{
-		{"qft12", 2},
-		{"qcrank", 4},
+		{"qft12", qftC},
+		{"qcrank", qcC},
 	} {
-		c := qftC
-		if tc.name == "qcrank" {
-			c = qcC
-		}
 		run := func(tileBits int) (map[uint64]int, error) {
-			res, err := Run(c, Config{
+			res, err := Run(tc.c, Config{
 				Target: TargetNvidia, Workers: 4, Shots: 2000, Seed: 77,
-				FusionWindow: tc.fusion, TileBits: tileBits,
+				TileBits: tileBits,
 			})
 			if err != nil {
 				return nil, err

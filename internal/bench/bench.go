@@ -137,6 +137,24 @@ func measure(fn func() error) (float64, error) {
 	return time.Since(start).Seconds(), err
 }
 
+// measureBest runs fn once untimed, then times it runs more times and
+// returns the fastest: a point of a millisecond or less is one shot
+// short enough for a scheduler hiccup or a cold cache to dominate.
+func measureBest(runs int, fn func() error) (float64, error) {
+	if err := fn(); err != nil {
+		return 0, err
+	}
+	best := math.Inf(1)
+	for i := 0; i < runs; i++ {
+		sec, err := measure(fn)
+		if err != nil {
+			return 0, err
+		}
+		best = min(best, sec)
+	}
+	return best, nil
+}
+
 // fitExponentBase2 returns b from a least-squares fit y ≈ a·2^(b·x) —
 // used to verify the ~2^n scaling claims.
 func fitExponentBase2(points []Point) float64 {

@@ -57,12 +57,11 @@ func (r *Runner) Fig5() (Experiment, error) {
 			return exp, err
 		}
 		for _, tgt := range []backend.Target{backend.TargetAer, backend.TargetNvidia} {
-			// Serial unfused CPU baseline vs parallel+fused GPU path —
+			// Serial per-gate CPU baseline vs the parallel tiled GPU path —
 			// the same two mechanisms the paper's Fig. 5 compares.
 			cfg := backend.Config{Target: tgt, Workers: 1, Shots: plan.Shots, Seed: r.Seed}
 			if tgt == backend.TargetNvidia {
 				cfg.Workers = r.Workers
-				cfg.FusionWindow = 4
 			}
 			sec, err := measure(func() error {
 				res, err := backend.Run(c, cfg)
@@ -153,7 +152,7 @@ func (r *Runner) Fig6() (Experiment, error) {
 		if err != nil {
 			return exp, err
 		}
-		res, err := backend.Run(c, backend.Config{Target: backend.TargetNvidia, Workers: r.Workers, FusionWindow: 4, Shots: plan.Shots, Seed: r.Seed})
+		res, err := backend.Run(c, backend.Config{Target: backend.TargetNvidia, Workers: r.Workers, Shots: plan.Shots, Seed: r.Seed})
 		if err != nil {
 			return exp, err
 		}
@@ -299,7 +298,8 @@ func (r *Runner) AppendixC() (Experiment, error) {
 
 // TheoremB3 measures the Appendix B scaling theorem on the real
 // engine: serial per-gate time grows ~2^n; the parallel engine divides
-// it by its worker count.
+// it by its worker count. Each serial point is the best of 5 timed runs
+// after a warm-up: at 12 qubits a run is well under a millisecond.
 func (r *Runner) TheoremB3() (Experiment, error) {
 	var exp Experiment
 	serial := Series{Label: "measured: serial seconds/gate", XLabel: "qubits", YLabel: "seconds"}
@@ -313,7 +313,7 @@ func (r *Runner) TheoremB3() (Experiment, error) {
 		if err != nil {
 			return exp, err
 		}
-		sec, err := measure(func() error {
+		sec, err := measureBest(5, func() error {
 			_, err := backend.Run(c, backend.Config{Target: backend.TargetAer, Workers: 1})
 			return err
 		})

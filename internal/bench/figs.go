@@ -32,20 +32,18 @@ func (r *Runner) localQubitRange() []int {
 }
 
 // runLocalUnitary measures one random-unitary simulation end to end
-// (transform + execute) on the given target.
+// (transform + compile + execute) on the given target. The GPU-class
+// targets run the shipped tiled plan — one cache-resident pass per run
+// of gates, this engine's exact form of the paper's gate fusion; the
+// paper-scale model uses the paper's window of 5 through its
+// FusionFactor.
 func (r *Runner) runLocalUnitary(qubits, blocks int, target backend.Target, devices int) (float64, error) {
 	c, err := randcirc.Generate(randcirc.Spec{Qubits: qubits, Blocks: blocks, Seed: r.Seed + uint64(qubits*1000+blocks)})
 	if err != nil {
 		return 0, err
 	}
-	// Fusion window 2 for measured runs: the Go engine is compute-bound
-	// (unlike an HBM-bound A100), so wide fused matrices cost more
-	// arithmetic than they save in sweeps; the fusion-window ablation
-	// bench quantifies this. The paper-scale model uses the paper's
-	// window of 5 through its FusionFactor.
-	cfg := backend.Config{Target: target, Devices: devices, Workers: r.Workers, FusionWindow: 2}
+	cfg := backend.Config{Target: target, Devices: devices, Workers: r.Workers}
 	if target == backend.TargetAer {
-		cfg.FusionWindow = 0
 		cfg.Workers = 1 // the CPU baseline is the serial path
 	}
 	return measure(func() error {
@@ -248,7 +246,7 @@ func (r *Runner) Fig4c() (Experiment, error) {
 			return exp, err
 		}
 		secQ, err := measure(func() error {
-			_, err := backend.Run(c, backend.Config{Target: backend.TargetNvidia, Workers: r.Workers, FusionWindow: 2})
+			_, err := backend.Run(c, backend.Config{Target: backend.TargetNvidia, Workers: r.Workers})
 			return err
 		})
 		if err != nil {

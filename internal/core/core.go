@@ -46,7 +46,7 @@ func CacheKey(c *circuit.Circuit, opts Options) string {
 func Transform(circuits []*circuit.Circuit, opts Options) ([]*kernel.Kernel, []kernel.Stats, error) {
 	kernels := make([]*kernel.Kernel, len(circuits))
 	stats := make([]kernel.Stats, len(circuits))
-	kopts := kernel.Options{FusionWindow: opts.FusionWindow, PruneAngle: opts.PruneAngle}
+	kopts := kernel.Options{PruneAngle: opts.PruneAngle}
 	for i, c := range circuits {
 		k, st, err := kernel.FromCircuit(c, kopts)
 		if err != nil {

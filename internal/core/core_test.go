@@ -17,7 +17,7 @@ func TestTransformBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernels, stats, err := Transform(circs, Options{FusionWindow: 3})
+	kernels, stats, err := Transform(circs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,9 +27,6 @@ func TestTransformBatch(t *testing.T) {
 	for i, st := range stats {
 		if st.SourceOps != 60 {
 			t.Fatalf("kernel %d: %d source ops", i, st.SourceOps)
-		}
-		if st.FusedGroups == 0 {
-			t.Fatalf("kernel %d: no fusion", i)
 		}
 	}
 }
@@ -51,7 +48,7 @@ func TestEndToEndQPYFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := backend.RunBatch(loaded, Options{Target: backend.TargetNvidia, FusionWindow: 4})
+	results, err := backend.RunBatch(loaded, Options{Target: backend.TargetNvidia})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +145,7 @@ func TestErrorPropagation(t *testing.T) {
 // artifacts and cached results are addressed by these strings, so a
 // refactor that moves a byte silently orphans every store directory.
 func TestSignatureAndCacheKeyGolden(t *testing.T) {
-	o := Options{FusionWindow: 2, PruneAngle: 1e-9, TileBits: 12,
+	o := Options{PruneAngle: 1e-9, TileBits: 12,
 		Target: backend.TargetNvidiaMQPU, Devices: 4, Workers: 3, Shots: 100, Seed: 7}
 	c := circuit.New(2, 0)
 	c.Name = "g"
@@ -157,22 +154,22 @@ func TestSignatureAndCacheKeyGolden(t *testing.T) {
 	c.RY(0.5, 1)
 	h := observable.TransverseFieldIsing(2, 1, 0.7)
 	for _, tc := range []struct{ name, got, want string }{
-		{"Signature", o.Signature(), "f2|p3e112e0be826d695|tnvidia-mqpu|d4|w3|s100|r7|b12|pffalse"},
-		{"StoreSignature", o.StoreSignature(), "f2|p3e112e0be826d695|tnvidia-mqpu|d4|w0|s0|r0|b12|pffalse|dt"},
+		{"Signature", o.Signature(), "f0|p3e112e0be826d695|tnvidia-mqpu|d4|w3|s100|r7|b12|pffalse"},
+		{"StoreSignature", o.StoreSignature(), "f0|p3e112e0be826d695|tnvidia-mqpu|d4|w0|s0|r0|b12|pffalse|dt"},
 		{"StoreSignature/aer", Options{Target: backend.TargetAer, Workers: 5, Shots: 9, Seed: 1}.StoreSignature(),
 			"f0|p0|taer|d0|w0|s0|r0|b0|pffalse|dt"},
 		{"StoreSignature/split", Options{Target: backend.TargetNvidia, TileBits: 16}.StoreSignature(),
 			"f0|p0|tnvidia|d0|w0|s0|r0|b16|pffalse|split|dt"},
 		{"StoreSignature/mgpu", Options{Target: backend.TargetNvidiaMGPU, Devices: 2, TileBits: 16}.StoreSignature(),
 			"f0|p0|tnvidia-mgpu|d2|w0|s0|r0|b16|pffalse|dt"},
-		{"CacheKey", CacheKey(c, o), "1c7f8ca8d1e72b4477cf124c0ffbffc16e51fe4076ecba07fe7e074ffbbedc36"},
-		{"ExpectationCacheKey", ExpectationCacheKey(c, h, o), "5a6dbd1285c7a2cf99ae6a5f0093e1d18e3e23ef6c2f5450b42596280d7d92e0"},
+		{"CacheKey", CacheKey(c, o), "fb8dfe628d625dbf1d012a7cf59485b63d2d5ad37b784270419274ee2e9bd8a8"},
+		{"ExpectationCacheKey", ExpectationCacheKey(c, h, o), "a9cef5561f375a48d2022c5de55979bb9772c7b6e1e5b61e908b76dc89b21747"},
 		{"SweepCacheKey/exact", SweepCacheKey(c, h, [][]float64{{0.1, 0.2}, {0.3, 0.4}}, o),
-			"f27cde54878d6cb8f23c32e0fdf9ce77519445b61b63a84855ff947494de317f"},
+			"32beb40523006eeee6da67909e9ae1f16012024350591d2b542a302b4ce239bd"},
 		{"SweepCacheKey/sampled", SweepCacheKey(c, nil, [][]float64{{0.1, 0.2}}, o),
-			"638675bdb88a9cc82c0107babb38534f5d712baeac4a278ccbcb5198d49395ca"},
+			"28697602845351e6a1362d39f4b850e4f7105bdc90706cffa7c7cf7e46688dd6"},
 		{"GradientCacheKey", GradientCacheKey(c, h, c.ParamValues(), o),
-			"93b29634a9df928cda201a5772db067472cded0d968ec2231b4dce32ecdc6fda"},
+			"a08ff22a388b96e22945d3706c5d7d1fd91cbb6d096dfd4f55158e3c055e029f"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s = %s, want %s", tc.name, tc.got, tc.want)

@@ -25,7 +25,7 @@ func TestQASMInterchangeMatchesQPYPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := backend.Run(c, Options{Target: backend.TargetNvidia, FusionWindow: 3})
+	a, err := backend.Run(c, Options{Target: backend.TargetNvidia})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,7 +261,7 @@ func TestPerGatePlan(t *testing.T) {
 	interior := New("interior", 4).H(0).Barrier().Ry(0.3, 1).XCtrl(0, 1).Swap(1, 3).Mz()
 	identity := New("identity", 3).H(2).gate1(gate.I, 0).CR1(0.7, 2, 0).Rz(0.2, 1)
 	trailing := New("trailing", 3).Rx(0.1, 0).ZCtrl(0, 2).Swap(0, 1).Barrier().Mz()
-	fused, _, err := FromCircuit(gateSoup(6, 60, qmath.NewRNG(5)), Options{FusionWindow: 3})
+	soup, _, err := FromCircuit(gateSoup(6, 60, qmath.NewRNG(5)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestPerGatePlan(t *testing.T) {
 	}{
 		{serveKernel(t), true},
 		{trailing, true},
-		{fused, true}, // nothing unplanned at all
+		{soup, true}, // nothing unplanned at all
 		{interior, false},
 		{identity, false},
 		{New("empty", 2).Mz(), false}, // nothing planned: no arena to share

@@ -3,6 +3,7 @@ package kernel_test
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -14,13 +15,12 @@ import (
 	"qgear/internal/statevec"
 )
 
-// seedKernels transforms the shared seed circuits, the third one with
-// gate fusion.
+// seedKernels transforms the shared seed circuits.
 func seedKernels(tb testing.TB) []*Kernel {
 	tb.Helper()
 	var out []*Kernel
-	for i, c := range artifacttest.SeedCircuits(tb) {
-		k, _, err := FromCircuit(c, Options{FusionWindow: i})
+	for _, c := range artifacttest.SeedCircuits(tb) {
+		k, _, err := FromCircuit(c, Options{})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -38,6 +38,18 @@ func encodeKernelBytes(tb testing.TB, k *Kernel) []byte {
 	return buf.Bytes()
 }
 
+// refusedFixture reads a committed artifact of a shape the encoders no
+// longer write and the readers refuse: a fused instruction or a tile op
+// with a fused block, from builds that had gate fusion.
+func refusedFixture(tb testing.TB, name string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
 func encodePlanBytes(tb testing.TB, p *TilePlan) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -53,6 +65,7 @@ func FuzzDecodeKernel(f *testing.F) {
 		like = encodeKernelBytes(f, k)
 		f.Add(artifacttest.Payload(f, like))
 	}
+	f.Add(artifacttest.Payload(f, refusedFixture(f, "kernel_fused.golden")))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		artifacttest.FuzzDecoder(t, like, payload, func(sealed []byte) (func() ([]byte, error), error) {
 			k, err := DecodeKernel(bytes.NewReader(sealed))
@@ -122,7 +135,11 @@ func relabelPlans(tb testing.TB) (legal *TilePlan, illegal []refusedPlan) {
 	}
 	swap := slices.IndexFunc(legal.Segments, func(seg Segment) bool { return seg.Kind == SegBitSwap })
 	global := slices.IndexFunc(legal.Segments, func(seg Segment) bool { return seg.Kind == SegGlobal })
-	illegal = []refusedPlan{{"exchange segment", withExchangeSegment(tb, legal, 4)}, {"not bindable", unbindable(tb, legal)}}
+	illegal = []refusedPlan{
+		{"exchange segment", withExchangeSegment(tb, legal, 4)},
+		{"not bindable", unbindable(tb, legal)},
+		{"fused block on a tile op", refusedFixture(tb, "plan_relabel_fused.golden")},
+	}
 	for _, sp := range []struct {
 		name  string
 		spoil func(p *TilePlan)
@@ -152,8 +169,8 @@ func relabelPlans(tb testing.TB) (legal *TilePlan, illegal []refusedPlan) {
 
 // TestPlanReaderRelabelRule: a cross-rank bit-swap decodes; a swap no
 // shard pair can perform, a sweep with a rank-bit operand, a segment
-// or binding-site kind the format dropped and a plan marked not
-// bindable do not.
+// or binding-site kind the format dropped, a plan marked not bindable
+// and a tile op carrying a fused block do not.
 func TestPlanReaderRelabelRule(t *testing.T) {
 	legal, illegal := relabelPlans(t)
 	if got, err := DecodePlan(bytes.NewReader(encodePlanBytes(t, legal))); err != nil || !reflect.DeepEqual(got, legal) {
@@ -292,7 +309,6 @@ func goldenKernel() *Kernel {
 	return &Kernel{Name: "golden", NumQubits: 3, NumClbits: 1, Instrs: []Instr{
 		{Kind: KGate, Gate: gate.H, Qubits: []int{0}},
 		{Kind: KGate, Gate: gate.RY, Qubits: []int{1}, Params: []float64{0.125}},
-		{Kind: KFused, Qubits: []int{2}, Mat: []complex128{0, 1, 1, 0}},
 		{Kind: KMeasure, Qubits: []int{2}, Clbit: 0},
 	}}
 }
@@ -311,8 +327,7 @@ func goldenPlan() *TilePlan {
 			{Kind: statevec.TileMat1, T: 1, M: [4]complex128{0, 1, 1, 0}},
 			// Every wire field set at once: A, Phase and B (0.5, 1i, -0.5)
 			// ride in M wherever the op is no TileMat1.
-			{Kind: statevec.TileCX, T: 0, C: 1, HasCtrl: true, HighMask: 4, LowMask: 2, M: [4]complex128{0.5, 1i, 0, -0.5},
-				Fused: &statevec.FusedBlock{Qubits: []uint{0, 1}, Mat: []complex128{1, 0, 0, 1}}},
+			{Kind: statevec.TileCX, T: 0, C: 1, HasCtrl: true, HighMask: 4, LowMask: 2, M: [4]complex128{0.5, 1i, 0, -0.5}},
 			{Kind: statevec.TileMat1, T: 0, HighMask: 8, M: [4]complex128{0.75, -0.5, 0.5, 0.75}},
 		},
 		Globals:   []Instr{{Kind: KGate, Gate: gate.RY, Qubits: []int{2}, Params: []float64{0.25}}},
@@ -359,7 +374,7 @@ func withExchangeSegment(tb testing.TB, p *TilePlan, target int) []byte {
 }
 
 // unbindable encodes p with its bindable byte false, as builds whose
-// plan compiler could fold gates wrote a fused plan.
+// plan compiler could fold gates wrote a run-fused plan.
 func unbindable(tb testing.TB, p *TilePlan) []byte {
 	tb.Helper()
 	bare := *p
@@ -370,47 +385,39 @@ func unbindable(tb testing.TB, p *TilePlan) []byte {
 	return artifacttest.Forge(tb, sealed, payload)
 }
 
-// legacyPlan is testdata/plan.golden: a run, a sweep and a bit-swap
-// before the exchange segment.
-func legacyPlan(tb testing.TB) []byte {
-	return withExchangeSegment(tb, &TilePlan{
-		TileBits: 2, NumQubits: 3, GlobalBits: 1,
-		Segments:  []Segment{{Kind: SegRun, Lo: 0, Hi: 2}, {Kind: SegGlobal, Lo: 0, Hi: 1}, {Kind: SegBitSwap, A: 0, B: 2}},
-		Ops:       goldenPlan().Ops[:2],
-		Globals:   goldenPlan().Globals,
-		FinalPerm: []int{2, 1, 0},
-		Stats:     PlanStats{TileLocal: 2, Global: 1, Runs: 1, BitSwaps: 1, ExchangeSegs: 1, ExchangeGates: 1},
-		BindSlots: 1,
-		Binds:     []BindSite{{Kind: BindGlobal, Seg: 1, Gate: gate.RY, Slot: 0, NParams: 1}},
-	}, 2)
-}
-
 // TestGoldenArtifacts pins the kernel and plan layouts to committed
 // bytes: the encoders still produce them, and they still decode to the
-// values they were made from. plan.golden is a plan with an exchange
-// segment; stores and compiled artifacts hold such plans under the
-// unchanged format versions, so its bytes stay pinned — as a plan the
-// reader refuses (and a store therefore quarantines and recompiles).
+// values they were made from. plan.golden (a plan with an exchange
+// segment and a fused tile op), kernel_fused.golden and
+// plan_relabel_fused.golden (the two goldens as they were with a fused
+// instruction and a fused tile op) are what earlier builds wrote; stores
+// and compiled artifacts hold such values under the unchanged format
+// versions, so their bytes stay pinned — as artifacts the readers refuse
+// (and a store therefore quarantines and recompiles).
 func TestGoldenArtifacts(t *testing.T) {
 	want := artifacttest.Golden(t, "testdata/kernel.golden", encodeKernelBytes(t, goldenKernel()))
 	k, err := DecodeKernel(bytes.NewReader(want))
 	if err != nil || !reflect.DeepEqual(k, goldenKernel()) {
 		t.Fatalf("golden kernel decodes to %+v (err %v)", k, err)
 	}
+	if k, err := DecodeKernel(bytes.NewReader(refusedFixture(t, "kernel_fused.golden"))); err == nil {
+		t.Fatalf("a kernel with a fused instruction decoded to %+v", k)
+	}
 	want = artifacttest.Golden(t, "testdata/plan_relabel.golden", encodePlanBytes(t, goldenPlan()))
 	p, err := DecodePlan(bytes.NewReader(want))
 	if err != nil || !reflect.DeepEqual(p, goldenPlan()) {
 		t.Fatalf("golden plan decodes to %+v (err %v)", p, err)
 	}
-	legacy := artifacttest.Golden(t, "testdata/plan.golden", legacyPlan(t))
-	if p, err := DecodePlan(bytes.NewReader(legacy)); err == nil {
-		t.Fatalf("a plan with an exchange segment decoded to %+v", p)
+	for _, name := range []string{"plan.golden", "plan_relabel_fused.golden"} {
+		if p, err := DecodePlan(bytes.NewReader(refusedFixture(t, name))); err == nil {
+			t.Fatalf("%s decoded to %+v", name, p)
+		}
 	}
 }
 
 // TestEncodedLenIsThePayloadLength: the writers are sized from
 // EncodedLen — not from SizeBytes, which is smaller than the wire form
-// now that a tile op is 96 bytes — so it must be the exact payload
+// now that a tile op is 88 bytes — so it must be the exact payload
 // length of every kernel and plan, or a save regrows its buffer midway.
 func TestEncodedLenIsThePayloadLength(t *testing.T) {
 	kernels := append(seedKernels(t), goldenKernel())
@@ -419,7 +426,6 @@ func TestEncodedLenIsThePayloadLength(t *testing.T) {
 		for _, cfg := range []PlanConfig{
 			{TileBits: 2}, {TileBits: 1}, {TileBits: 2, GlobalBits: 1}, {TileBits: 1, GlobalBits: 2},
 		} {
-			// A fused block that reaches a rank bit has no distributed plan.
 			if p, err := Plan(k, cfg); err == nil {
 				plans = append(plans, p)
 			}

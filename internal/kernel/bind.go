@@ -18,9 +18,8 @@ import (
 // plan structure is value-independent (mixingTargets never reads
 // Params), so a rebound plan is bit-identical to a fresh compile at
 // the new values: the compile-once guarantee parameter sweeps rest on.
-// The plan compiler never folds one gate's values into another's, so
-// every plan is bindable; the one fusion that does is the transform's
-// (Options.FusionWindow), which rebound sweeps leave off.
+// Neither the transform nor the plan compiler folds one gate's values
+// into another's, so every plan is bindable.
 
 // BindSiteKind says which arena a binding site patches.
 type BindSiteKind uint8
@@ -50,9 +49,8 @@ type BindSite struct {
 
 // NumParams returns the kernel's free-parameter count: summed
 // parameter counts of parameterized gate instructions in program
-// order. Fused instructions bake their values into matrices and
-// contribute nothing — callers gating on NumParams equality with the
-// source circuit therefore also detect fusion having eaten a slot.
+// order. Angle pruning drops gates, so callers gating on NumParams
+// equality with the source circuit detect a pruned slot.
 func (k *Kernel) NumParams() int {
 	n := 0
 	for _, in := range k.Instrs {

@@ -3,8 +3,10 @@
 // builder API that mirrors cudaq.kernel programs (h(qr[0]),
 // x.ctrl(qr[0], qr[i]), mz(qr)), and the Q-GEAR transformation that
 // converts object-based circuits into kernels gate-by-gate in constant
-// time per gate (§2.2), with the gate-fusion and small-angle
-// approximation options of Appendix D.2.
+// time per gate (§2.2), with the small-angle approximation option of
+// Appendix D.2. The paper's other option there, gate fusion, is what a
+// compiled tile run already does exactly: one cache-resident pass per
+// run of gates (TilePlan).
 package kernel
 
 import (
@@ -20,9 +22,8 @@ type InstrKind uint8
 const (
 	// KGate is a primitive gate instruction.
 	KGate InstrKind = iota
-	// KFused is a dense fused unitary on up to MaxFusedQubits qubits,
-	// produced by the fusion pass.
-	KFused
+	// 1 was a dense fused block; the decoder refuses it.
+	_
 	// KMeasure measures one qubit into a classical slot.
 	KMeasure
 	// KBarrier is a scheduling barrier.
@@ -35,8 +36,7 @@ type Instr struct {
 	Gate   gate.Type // for KGate
 	Qubits []int
 	Params []float64
-	Mat    []complex128 // for KFused: row-major 2^k × 2^k
-	Clbit  int          // for KMeasure
+	Clbit  int // for KMeasure
 }
 
 // Kernel is a flat instruction stream over a qvector of NumQubits
@@ -140,20 +140,18 @@ func (k *Kernel) MeasureOne(q, cb int) *Kernel {
 	return k
 }
 
-// NumGates returns the number of executable gate instructions (KGate +
-// KFused).
+// NumGates returns the number of executable gate instructions.
 func (k *Kernel) NumGates() int {
 	n := 0
 	for _, in := range k.Instrs {
-		if in.Kind == KGate || in.Kind == KFused {
+		if in.Kind == KGate {
 			n++
 		}
 	}
 	return n
 }
 
-// CountTwoQubit counts primitive two-qubit gates (fused blocks count
-// their source gates via Stats, not here).
+// CountTwoQubit counts two-qubit gates.
 func (k *Kernel) CountTwoQubit() int {
 	n := 0
 	for _, in := range k.Instrs {
@@ -200,22 +198,6 @@ func (k *Kernel) Validate() error {
 			if len(in.Qubits) == 2 && in.Qubits[0] == in.Qubits[1] {
 				return fmt.Errorf("kernel %q instr %d: duplicate operands", k.Name, i)
 			}
-		case KFused:
-			kw := len(in.Qubits)
-			if kw == 0 {
-				return fmt.Errorf("kernel %q instr %d: empty fused op", k.Name, i)
-			}
-			dim := 1 << uint(kw)
-			if len(in.Mat) != dim*dim {
-				return fmt.Errorf("kernel %q instr %d: fused matrix %d entries, want %d", k.Name, i, len(in.Mat), dim*dim)
-			}
-			seen := map[int]bool{}
-			for _, q := range in.Qubits {
-				if seen[q] {
-					return fmt.Errorf("kernel %q instr %d: duplicate fused qubit %d", k.Name, i, q)
-				}
-				seen[q] = true
-			}
 		case KMeasure:
 			if len(in.Qubits) != 1 {
 				return fmt.Errorf("kernel %q instr %d: measure arity", k.Name, i)
@@ -241,8 +223,6 @@ func (k *Kernel) String() string {
 			b.WriteString("  barrier\n")
 		case KMeasure:
 			fmt.Fprintf(&b, "  mz(q[%d]) -> c[%d]\n", in.Qubits[0], in.Clbit)
-		case KFused:
-			fmt.Fprintf(&b, "  fused%d(q%v)\n", len(in.Qubits), in.Qubits)
 		default:
 			name := in.Gate.String()
 			if len(in.Params) > 0 {

@@ -159,60 +159,6 @@ func TestFromCircuitRejectsInvalid(t *testing.T) {
 	if _, _, err := FromCircuit(bad, Options{}); err == nil {
 		t.Fatal("invalid circuit accepted")
 	}
-	if _, _, err := FromCircuit(circuit.New(1, 0), Options{FusionWindow: 99}); err == nil {
-		t.Fatal("oversized fusion window accepted")
-	}
-}
-
-func TestFusionPreservesState(t *testing.T) {
-	for _, window := range []int{2, 3, 4, 5} {
-		c := randomCircuit(6, 150, uint64(window)*7)
-		plain, _, err := FromCircuit(c, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fused, st, err := FromCircuit(c, Options{FusionWindow: window})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.FusedGroups == 0 || st.FusedGates < 2*st.FusedGroups {
-			t.Fatalf("window %d: fusion did nothing: %+v", window, st)
-		}
-		if err := fused.Validate(); err != nil {
-			t.Fatalf("window %d: fused kernel invalid: %v", window, err)
-		}
-		if len(fused.Instrs) >= len(plain.Instrs) {
-			t.Fatalf("window %d: fusion did not shrink the stream (%d vs %d)",
-				window, len(fused.Instrs), len(plain.Instrs))
-		}
-		if !statesClose(runKernel(t, plain), runKernel(t, fused), 1e-9) {
-			t.Fatalf("window %d: fused state differs", window)
-		}
-	}
-}
-
-func TestFusionCutsAtBarriersAndMeasures(t *testing.T) {
-	c := circuit.New(2, 2)
-	c.H(0).RY(0.5, 1).Barrier().RZ(0.2, 0).Measure(0, 0).RX(0.3, 0)
-	k, _, err := FromCircuit(c, Options{FusionWindow: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Expect: fused(h,ry) | barrier | rz | measure | rx — fusion must
-	// not reorder across the barrier or the measurement.
-	kindSeq := make([]InstrKind, len(k.Instrs))
-	for i, in := range k.Instrs {
-		kindSeq[i] = in.Kind
-	}
-	want := []InstrKind{KFused, KBarrier, KGate, KMeasure, KGate}
-	if len(kindSeq) != len(want) {
-		t.Fatalf("instr kinds %v", kindSeq)
-	}
-	for i := range want {
-		if kindSeq[i] != want[i] {
-			t.Fatalf("instr %d kind %v, want %v (%v)", i, kindSeq[i], want[i], kindSeq)
-		}
-	}
 }
 
 func TestPruningDropsSmallAngles(t *testing.T) {
@@ -245,27 +191,24 @@ func TestPruningDropsSmallAngles(t *testing.T) {
 }
 
 func TestAdjointRoundTrip(t *testing.T) {
-	c := randomCircuit(5, 80, 17)
-	for _, window := range []int{0, 3} {
-		k, _, err := FromCircuit(c, Options{FusionWindow: window})
-		if err != nil {
-			t.Fatal(err)
-		}
-		adj, err := k.Adjoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := statevec.MustNew(5, 1)
-		if err := Execute(k, s); err != nil {
-			t.Fatal(err)
-		}
-		if err := Execute(adj, s); err != nil {
-			t.Fatal(err)
-		}
-		// Fidelity with |0...0> is the weight left on amplitude 0.
-		if a := cmplx.Abs(s.Amp(0)); a*a < 1-1e-9 {
-			t.Fatalf("window %d: k·k† != I, fidelity %g", window, a*a)
-		}
+	k, _, err := FromCircuit(randomCircuit(5, 80, 17), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj, err := k.Adjoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := statevec.MustNew(5, 1)
+	if err := Execute(k, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := Execute(adj, s); err != nil {
+		t.Fatal(err)
+	}
+	// Fidelity with |0...0> is the weight left on amplitude 0.
+	if a := cmplx.Abs(s.Amp(0)); a*a < 1-1e-9 {
+		t.Fatalf("k·k† != I, fidelity %g", a*a)
 	}
 }
 
@@ -290,9 +233,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		{NumQubits: 2, Instrs: []Instr{{Kind: KGate, Gate: gate.CX, Qubits: []int{0}}}},
 		{NumQubits: 2, Instrs: []Instr{{Kind: KGate, Gate: gate.RY, Qubits: []int{0}}}},
 		{NumQubits: 2, Instrs: []Instr{{Kind: KGate, Gate: gate.H, Qubits: []int{4}}}},
-		{NumQubits: 2, Instrs: []Instr{{Kind: KFused, Qubits: []int{0, 1}, Mat: make([]complex128, 3)}}},
-		{NumQubits: 2, Instrs: []Instr{{Kind: KFused, Qubits: []int{1, 1}, Mat: make([]complex128, 16)}}},
-		{NumQubits: 2, Instrs: []Instr{{Kind: KFused}}},
+		{NumQubits: 2, Instrs: []Instr{{Kind: InstrKind(1), Qubits: []int{0, 1}}}}, // the old fused-block kind
 		{NumQubits: 2, NumClbits: 0, Instrs: []Instr{{Kind: KMeasure, Qubits: []int{0}, Clbit: 0}}},
 		{NumQubits: 2, Instrs: []Instr{{Kind: InstrKind(9), Qubits: []int{0}}}},
 		{NumQubits: -2},

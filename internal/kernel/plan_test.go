@@ -13,40 +13,6 @@ import (
 	"qgear/internal/statevec"
 )
 
-// TestFusionWindowCoversRunFolds: the transform's fusion at window 2
-// makes one dense block of each shape a same-target run of gates could
-// be folded into — mat1·mat1, a mat1 then a single-target diagonal,
-// and a diagonal then a mat1 — and compiles it to one micro-op; a pair
-// of diagonals stays two gates, grouped as one phase-table run.
-func TestFusionWindowCoversRunFolds(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		build func(c *circuit.Circuit)
-	}{
-		{"ry rx h", func(c *circuit.Circuit) { c.RY(0.3, 1).RX(0.7, 1).H(1) }},
-		{"h t", func(c *circuit.Circuit) { c.H(1).Append(gate.T, []int{1}, nil) }},
-		{"t h", func(c *circuit.Circuit) { c.Append(gate.T, []int{1}, nil).H(1) }},
-		{"t s", func(c *circuit.Circuit) { c.Append(gate.T, []int{1}, nil).Append(gate.S, []int{1}, nil) }},
-	} {
-		c := circuit.New(5, 0)
-		tc.build(c)
-		k, _, err := FromCircuit(c, Options{FusionWindow: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := mustPlan(t, k, PlanConfig{TileBits: 3})
-		if tc.name == "t s" {
-			if len(k.Instrs) != 2 || k.Instrs[0].Kind != KGate || len(p.Segments) != 1 || len(p.Ops) != 3 || p.Ops[0] != statevec.TableOp(2) {
-				t.Errorf("%s: %d instructions planned as %d segments over ops %+v; want two gates in one table run", tc.name, len(k.Instrs), len(p.Segments), p.Ops)
-			}
-			continue
-		}
-		if len(k.Instrs) != 1 || k.Instrs[0].Kind != KFused || len(p.Segments) != 1 || len(p.Ops) != 1 {
-			t.Errorf("%s: instructions %+v planned as %d segments over %d ops; want one fused block, one op", tc.name, k.Instrs, len(p.Segments), len(p.Ops))
-		}
-	}
-}
-
 // TestDiagDiagIsOneTablePass pins the shape two adjacent diagonals on
 // one low target take: a group header and the two members as compiled
 // alone, run as one pass whose single table entry is the product factor

@@ -129,7 +129,7 @@ type PlanStats struct {
 	Runs          int `json:"runs"`               // tile runs emitted (≈ memory passes for local gates)
 	BitSwaps      int `json:"bit_swaps"`          // relabeling swaps inserted, rank-boundary ones included
 	PermSwaps     int `json:"perm_swaps"`         // SWAP gates absorbed into the permutation table
-	FusedOps      int `json:"fused_ops"`          // always 0 (plans are never fused; the transform fuses); declared for benchmark/
+	FusedOps      int `json:"fused_ops"`          // always 0 (nothing fuses; a tile run is the fusion); declared for benchmark/
 	ExchangeSegs  int `json:"exchange_segments"`  // relabeling swaps across the rank boundary: one half-shard exchange per rank each
 	ExchangeGates int `json:"exchange_gates"`     // always 0 (every gate is a tile op or a sweep); declared for benchmark/
 	RankLocal     int `json:"rank_local_globals"` // rank-bit diagonal/control ops resolved with zero communication
@@ -198,24 +198,20 @@ func planned(in Instr) bool {
 // Diagonal gates, controls, and SWAP (absorbed by the permutation
 // table) contribute nothing.
 func mixingTargets(in Instr, dst []int) []int {
-	switch in.Kind {
-	case KFused:
-		return append(dst, in.Qubits...)
-	case KGate:
-		switch {
-		case in.Gate == gate.Barrier || in.Gate == gate.Measure || in.Gate == gate.I:
-			return dst
-		case in.Gate == gate.SWAP:
-			return dst
-		case statevec.IsDiagonalGate(in.Gate):
-			return dst
-		case in.Gate.Arity() == 2: // cx, cry: control free, target mixes
-			return append(dst, in.Qubits[1])
-		default:
-			return append(dst, in.Qubits[0])
-		}
+	switch {
+	case in.Kind != KGate:
+		return dst
+	case in.Gate == gate.Barrier || in.Gate == gate.Measure || in.Gate == gate.I:
+		return dst
+	case in.Gate == gate.SWAP:
+		return dst
+	case statevec.IsDiagonalGate(in.Gate):
+		return dst
+	case in.Gate.Arity() == 2: // cx, cry: control free, target mixes
+		return append(dst, in.Qubits[1])
+	default:
+		return append(dst, in.Qubits[0])
 	}
-	return dst
 }
 
 // diagMasks returns the qubits a diagonal gate requires to be 1 for its
@@ -245,10 +241,10 @@ func diagMasks(in Instr) (req, all uint64, ok bool) {
 // statevec.MaxTableBits free bits (the bits its members read, less the
 // common ones every member requires to be 1). Any other instruction
 // ends it: a SWAP (the tiled plan absorbs it into its permutation
-// table, the per-gate plan sweeps it), a barrier, a measurement, a
-// fused block. 0 means instrs starts with no diagonal gate, 1 a lone
-// one, which compiles exactly as it always has; a group of two or more
-// runs as one phase-table pass (statevec/table.go).
+// table, the per-gate plan sweeps it), a barrier, a measurement. 0
+// means instrs starts with no diagonal gate, 1 a lone one, which
+// compiles exactly as it always has; a group of two or more runs as one
+// phase-table pass (statevec/table.go).
 func diagGroup(instrs []Instr) int {
 	common, union, ok := diagMasks(instrs[0])
 	if !ok {
@@ -407,13 +403,12 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 		inv[a], inv[b] = lb, la
 	}
 
-	// relabel brings logical qubit q below position span (the tile, or
-	// the shard for a fused block wider than the tile) with one bit-swap,
+	// relabel brings logical qubit q into the tile with one bit-swap,
 	// evicting the resident qubit whose next mixing use is farthest away
 	// and that keep does not name. It reports whether a slot qualified.
-	relabel := func(keep []int, q, i, span int) bool {
+	relabel := func(keep []int, q, i int) bool {
 		victim, victimNext := -1, -1
-		for v := 0; v < span; v++ {
+		for v := 0; v < tileBits; v++ {
 			lq := inv[v]
 			if slices.Contains(keep, lq) {
 				continue
@@ -458,35 +453,21 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 			p.Stats.PermSwaps++
 			return nil
 		}
-		// A fused block wider than the tile runs as a shard sweep, which
-		// needs its operands in the shard: it may name shard-local qubits
-		// only (backend keeps fusion below the rank boundary).
-		if in.Kind == KFused {
-			if j := slices.IndexFunc(in.Qubits, func(q int) bool { return q >= local }); j >= 0 {
-				return fmt.Errorf("kernel: fused op touches rank-global qubit %d; restrict fusion to local qubits", in.Qubits[j])
-			}
-		}
-
 		scratch = mixingTargets(in, scratch[:0])
 
 		// Relabel any mixing target off a rank position — into the tile,
 		// the gate's own control a possible victim — and any high one
 		// that will be mixed again or whose control sits on a rank bit
 		// (no full sweep is predicated on a rank bit).
-		fits := len(scratch) <= tileBits
 		rankCtrl := in.Kind == KGate && in.Gate.Arity() == 2 && perm[in.Qubits[0]] >= local
 		for _, q := range scratch {
 			switch pq := perm[q]; {
 			case pq >= local:
-				span := tileBits
-				if !fits {
-					span = local
-				}
-				if !relabel(scratch, q, i, span) {
+				if !relabel(scratch, q, i) {
 					return fmt.Errorf("kernel: no shard position free for rank-global qubit %d", q)
 				}
-			case pq >= tileBits && fits && (rankCtrl || remainingUses(q, i) >= minResidencyUses):
-				relabel(in.Qubits, q, i, tileBits)
+			case pq >= tileBits && (rankCtrl || remainingUses(q, i) >= minResidencyUses):
+				relabel(in.Qubits, q, i)
 			}
 		}
 
@@ -655,13 +636,6 @@ func compileTileOp(in Instr, perm []int, tileBits int) statevec.TileOp {
 		}
 		return op
 	}
-	if in.Kind == KFused {
-		fb := &statevec.FusedBlock{Mat: in.Mat, Qubits: make([]uint, len(in.Qubits))}
-		for j, q := range in.Qubits {
-			fb.Qubits[j] = uint(perm[q])
-		}
-		return statevec.TileOp{Kind: statevec.TileFused, Fused: fb}
-	}
 	g := in.Gate
 	switch {
 	case statevec.IsDiagonalGate(g):
@@ -751,7 +725,8 @@ func (p *TilePlan) ExecuteCancel(s *statevec.State, flag *cancel.Flag) error {
 func (p *TilePlan) ApplyGlobal(s *statevec.State, seg Segment) error {
 	ins := p.Globals[seg.Lo:seg.Hi]
 	if len(ins) == 1 {
-		return ins[0].Apply(s)
+		ins[0].Apply(s)
+		return nil
 	}
 	if err := checkGroup(ins); err != nil {
 		return fmt.Errorf("kernel: %w", err)

@@ -96,13 +96,15 @@ func writeInstr(w *artifact.Writer, in Instr) {
 		w.U32(uint32(q))
 	}
 	w.F64s(in.Params)
-	writeC128s(w, in.Mat)
+	w.Count(0) // the matrix of a fused block, which no instruction has now
 	w.Int(in.Clbit)
 }
 
 func readInstr(r *artifact.Reader) Instr {
 	var in Instr
-	in.Kind = InstrKind(r.U8())
+	if in.Kind = InstrKind(r.U8()); in.Kind != KGate && in.Kind != KMeasure && in.Kind != KBarrier {
+		r.Failf("unknown instruction kind %d (kind 1 was a fused block)", in.Kind)
+	}
 	in.Gate = gate.Type(r.U8())
 	if nq := r.Count(4); nq > 0 {
 		in.Qubits = make([]int, nq)
@@ -111,41 +113,37 @@ func readInstr(r *artifact.Reader) Instr {
 		}
 	}
 	in.Params = r.F64s()
-	in.Mat = readC128s(r)
+	noFused(r, 16, "instruction")
 	in.Clbit = r.Int()
 	return in
 }
 
-func writeC128s(w *artifact.Writer, v []complex128) {
-	w.Count(len(v))
-	for _, m := range v {
-		w.C128(m)
+// noFused reads one of the wire's counted slots for a fused block's
+// contents — elements of elem bytes — which a writer leaves empty now
+// that nothing fuses, and refuses a non-empty one.
+func noFused(r *artifact.Reader, elem int, what string) {
+	if n := r.Count(elem); n != 0 {
+		r.Failf("%s carries a fused block (%d elements); gate fusion was removed", what, n)
 	}
 }
 
-func readC128s(r *artifact.Reader) []complex128 {
-	n := r.Count(16)
-	if n == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	for i := range out {
-		out[i] = r.C128()
-	}
-	return out
-}
-
-// WriteStats appends the transformation statistics.
+// WriteStats appends the transformation statistics. The two slots after
+// EmittedOps counted fused blocks and the gates they absorbed; they are
+// written as 0.
 func WriteStats(w *artifact.Writer, s Stats) {
-	for _, v := range [...]int{s.SourceOps, s.EmittedOps, s.FusedGroups, s.FusedGates, s.PrunedGates, s.Measurements} {
+	for _, v := range [...]int{s.SourceOps, s.EmittedOps, 0, 0, s.PrunedGates, s.Measurements} {
 		w.Int(v)
 	}
 }
 
-// ReadStats reads what WriteStats wrote.
+// ReadStats reads what WriteStats wrote, refusing non-zero fused counts.
 func ReadStats(r *artifact.Reader) (s Stats) {
-	for _, dst := range [...]*int{&s.SourceOps, &s.EmittedOps, &s.FusedGroups, &s.FusedGates, &s.PrunedGates, &s.Measurements} {
+	var fusedGroups, fusedGates int
+	for _, dst := range [...]*int{&s.SourceOps, &s.EmittedOps, &fusedGroups, &fusedGates, &s.PrunedGates, &s.Measurements} {
 		*dst = r.Int()
+	}
+	if fusedGroups != 0 || fusedGates != 0 {
+		r.Failf("kernel statistics count %d fused blocks of %d gates; gate fusion was removed", fusedGroups, fusedGates)
 	}
 	return s
 }
@@ -266,15 +264,8 @@ func writeTileOp(w *artifact.Writer, op *statevec.TileOp) {
 	for _, v := range m {
 		w.C128(v)
 	}
-	var fb statevec.FusedBlock
-	if op.Fused != nil {
-		fb = *op.Fused
-	}
-	w.Count(len(fb.Qubits))
-	for _, q := range fb.Qubits {
-		w.U32(uint32(q))
-	}
-	writeC128s(w, fb.Mat)
+	w.Count(0) // a fused block's qubits
+	w.Count(0) // and its matrix
 }
 
 // valueBits is 0 only for +0 values: a -0 compares equal to 0, so it
@@ -286,12 +277,18 @@ func valueBits(vs ...complex128) (b uint64) {
 	return b
 }
 
-// readTileOp fails the Reader on what the 96-byte form cannot hold — a
-// position that is no bit position, factors on a TileMat1, a matrix on
-// any other kind — so what decodes re-encodes to the bytes it came from.
+// readTileOp fails the Reader on what the 88-byte form cannot hold — a
+// kind it does not have (4 was a fused block), a position that is no bit
+// position, factors on a TileMat1, a matrix on any other kind, a fused
+// block's contents — so what decodes re-encodes to the bytes it came
+// from.
 func readTileOp(r *artifact.Reader) statevec.TileOp {
 	var op statevec.TileOp
-	op.Kind = statevec.TileOpKind(r.U8())
+	switch op.Kind = statevec.TileOpKind(r.U8()); op.Kind {
+	case statevec.TileMat1, statevec.TileCX, statevec.TileDiag, statevec.TileRelPhase, statevec.TileTable:
+	default:
+		r.Failf("unknown tile op kind %d (kind 4 was a fused block)", op.Kind)
+	}
 	t, c := r.U32(), r.U32()
 	if t > 63 || c > 63 {
 		r.Failf("tile op positions %d, %d are not bit positions", t, c)
@@ -312,16 +309,8 @@ func readTileOp(r *artifact.Reader) statevec.TileOp {
 	} else if valueBits(phase, a, b) != 0 {
 		r.Failf("mat1 tile op carries diagonal factors")
 	}
-	var qubits []uint
-	if nq := r.Count(4); nq > 0 {
-		qubits = make([]uint, nq)
-		for j := range qubits {
-			qubits[j] = uint(r.U32())
-		}
-	}
-	if mat := readC128s(r); qubits != nil || mat != nil {
-		op.Fused = &statevec.FusedBlock{Qubits: qubits, Mat: mat}
-	}
+	noFused(r, 4, "tile op")
+	noFused(r, 16, "tile op")
 	return op
 }
 
@@ -486,13 +475,12 @@ func ReadPlan(r *artifact.Reader) *TilePlan {
 // Two sizes of one value: SizeBytes is the resident footprint a
 // byte-accounted cache charges, EncodedLen the exact payload length a
 // Writer is sized with so that it never regrows mid-save. A tile op is
-// 96 bytes in memory and at least 146 on the wire. unsafe.Sizeof is the
+// 88 bytes in memory and 146 on the wire. unsafe.Sizeof is the
 // exact footprint of the fixed parts; slices are added per element.
 const (
 	instrBase  = int64(unsafe.Sizeof(Instr{}))
 	segBase    = int64(unsafe.Sizeof(Segment{}))
 	tileOpBase = int64(unsafe.Sizeof(statevec.TileOp{}))
-	fusedBase  = int64(unsafe.Sizeof(statevec.FusedBlock{}))
 	bindBase   = int64(unsafe.Sizeof(BindSite{}))
 	planBase   = int64(unsafe.Sizeof(TilePlan{}))
 	kernelBase = int64(unsafe.Sizeof(Kernel{}))
@@ -500,7 +488,7 @@ const (
 
 // instrSizes is what one instruction adds to either size.
 func instrSizes(in Instr) (resident int64, encoded int) {
-	q, v := len(in.Qubits), 8*len(in.Params)+16*len(in.Mat)
+	q, v := len(in.Qubits), 8*len(in.Params)
 	return instrBase + int64(8*q+v), minInstrBytes + 4*q + v
 }
 
@@ -534,12 +522,6 @@ func (p *TilePlan) sizes() (resident int64, encoded int) {
 			encoded += 4
 		}
 	}
-	for i := range p.Ops {
-		if fb := p.Ops[i].Fused; fb != nil {
-			q, m := len(fb.Qubits), 16*len(fb.Mat)
-			resident, encoded = resident+fusedBase+int64(8*q+m), encoded+4*q+m
-		}
-	}
 	for _, in := range p.Globals {
 		r, e := instrSizes(in)
 		resident, encoded = resident+r, encoded+e
@@ -549,8 +531,8 @@ func (p *TilePlan) sizes() (resident int64, encoded int) {
 
 // SizeBytes returns the plan's resident memory footprint: headers,
 // binding sites and arenas at their capacity (a global sweep leaves an
-// op slot unused), what fused ops and global instructions point at, and
-// the final permutation.
+// op slot unused), what global instructions point at, and the final
+// permutation.
 func (p *TilePlan) SizeBytes() int64 { r, _ := p.sizes(); return r }
 
 // SizeBytesBeside is SizeBytes for an owner that also holds, and charges

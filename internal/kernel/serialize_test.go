@@ -13,7 +13,7 @@ import (
 
 // soupKernel builds a kernel that exercises every plan feature:
 // tile-local runs, diagonal/control predicates, SWAP absorption,
-// relabeling bit-swaps, global fallbacks, and fused blocks.
+// relabeling bit-swaps and global fallbacks.
 func soupKernel(t *testing.T, n int) *Kernel {
 	t.Helper()
 	k := New("soup", n)
@@ -43,13 +43,6 @@ func soupKernel(t *testing.T, n int) *Kernel {
 			k.ZCtrl(q, p)
 		}
 	}
-	// A dense fused block (identity on two qubits keeps Validate and
-	// execution happy while exercising the KFused wire format).
-	fused := make([]complex128, 16)
-	for i := 0; i < 4; i++ {
-		fused[i*4+i] = 1
-	}
-	k.Instrs = append(k.Instrs, Instr{Kind: KFused, Qubits: []int{0, 1}, Mat: fused})
 	k.Mz()
 	return k
 }

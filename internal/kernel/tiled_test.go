@@ -118,28 +118,27 @@ func executeTiled(k *Kernel, s *statevec.State, tileBits int) error {
 
 // TestTiledGateSoupEquivalence is the randomized equivalence suite:
 // tiled execution must match the naive per-gate schedule (the width-0
-// plan) to 1e-12 across qubit counts, tile widths, worker counts, fusion
-// windows, and the permutation states the SWAP-heavy soup drives the
+// plan) to 1e-12 across qubit counts, tile widths, worker counts and
+// the permutation states the SWAP-heavy soup drives the
 // table through. Both run on one executor now, so both are also held to
 // the oracle, which is none.
 func TestTiledGateSoupEquivalence(t *testing.T) {
 	seed := uint64(0x7a11ed)
 	for _, tc := range []struct {
-		n, tileBits, workers, window int
+		n, tileBits, workers int
 	}{
-		{3, 5, 1, 0},  // smaller than one tile: the per-gate schedule again
-		{6, 3, 1, 0},  // 8 tiles of 8 amplitudes
-		{6, 3, 4, 0},  // same, parallel
-		{9, 4, 1, 0},  // deeper index space
-		{9, 4, 4, 2},  // fused pairs in the stream
-		{11, 5, 4, 0}, // more high qubits than low
-		{11, 5, 4, 4}, // wide fused blocks straddling the boundary
-		{12, 8, 3, 3},
-		{13, 6, 4, 5},
+		{3, 5, 1},  // smaller than one tile: the per-gate schedule again
+		{6, 3, 1},  // 8 tiles of 8 amplitudes
+		{6, 3, 4},  // same, parallel
+		{9, 4, 1},  // deeper index space
+		{9, 4, 4},  // same, parallel
+		{11, 5, 4}, // more high qubits than low
+		{12, 8, 3},
+		{13, 6, 4},
 	} {
-		rng := qmath.NewRNG(seed + uint64(tc.n*1000+tc.tileBits*100+tc.workers*10+tc.window))
+		rng := qmath.NewRNG(seed + uint64(tc.n*1000+tc.tileBits*100+tc.workers*10))
 		c := gateSoup(tc.n, 160, rng)
-		k, _, err := FromCircuit(c, Options{FusionWindow: tc.window})
+		k, _, err := FromCircuit(c, Options{})
 		if err != nil {
 			t.Fatalf("n=%d: transform: %v", tc.n, err)
 		}
@@ -154,19 +153,19 @@ func TestTiledGateSoupEquivalence(t *testing.T) {
 		}
 
 		if d := maxAmpDiff(t, naive, tiled); d > 1e-12 {
-			t.Errorf("n=%d tile=%d workers=%d window=%d: max amplitude diff %g > 1e-12",
-				tc.n, tc.tileBits, tc.workers, tc.window, d)
+			t.Errorf("n=%d tile=%d workers=%d: max amplitude diff %g > 1e-12",
+				tc.n, tc.tileBits, tc.workers, d)
 		}
 		if norm := tiled.Norm(); math.Abs(norm-1) > 1e-9 {
 			t.Errorf("n=%d tile=%d: tiled norm %g", tc.n, tc.tileBits, norm)
 		}
 		want := oracleProbs(c)
 		if d := maxProbDiff(naive, want); d > 1e-12 {
-			t.Errorf("n=%d window=%d: per-gate schedule vs oracle: max |Δp| %g > 1e-12", tc.n, tc.window, d)
+			t.Errorf("n=%d: per-gate schedule vs oracle: max |Δp| %g > 1e-12", tc.n, d)
 		}
 		if d := maxProbDiff(tiled, want); d > 1e-12 {
-			t.Errorf("n=%d tile=%d workers=%d window=%d: tiled vs oracle: max |Δp| %g > 1e-12",
-				tc.n, tc.tileBits, tc.workers, tc.window, d)
+			t.Errorf("n=%d tile=%d workers=%d: tiled vs oracle: max |Δp| %g > 1e-12",
+				tc.n, tc.tileBits, tc.workers, d)
 		}
 	}
 }
@@ -180,16 +179,16 @@ func TestTiledGateSoupEquivalence(t *testing.T) {
 // contract), so equality here is exact.
 func TestTiledWorkerCountBitIdentity(t *testing.T) {
 	for _, tc := range []struct {
-		n, tileBits, window int
+		n, tileBits int
 	}{
-		{6, 3, 0},
-		{10, 4, 0},
-		{12, 6, 3},
-		{13, 5, 5},
+		{6, 3},
+		{10, 4},
+		{12, 6},
+		{13, 5},
 	} {
-		rng := qmath.NewRNG(0xb17 + uint64(tc.n*100+tc.tileBits*10+tc.window))
+		rng := qmath.NewRNG(0xb17 + uint64(tc.n*100+tc.tileBits*10))
 		c := gateSoup(tc.n, 200, rng)
-		k, _, err := FromCircuit(c, Options{FusionWindow: tc.window})
+		k, _, err := FromCircuit(c, Options{})
 		if err != nil {
 			t.Fatalf("n=%d: transform: %v", tc.n, err)
 		}
@@ -208,8 +207,8 @@ func TestTiledWorkerCountBitIdentity(t *testing.T) {
 				got, want := s.Amp(uint64(i)), ref.Amp(uint64(i))
 				if math.Float64bits(real(got)) != math.Float64bits(real(want)) ||
 					math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
-					t.Fatalf("n=%d tile=%d window=%d workers=%d: amplitude %d = %v differs from workers=1 value %v",
-						tc.n, tc.tileBits, tc.window, workers, i, got, want)
+					t.Fatalf("n=%d tile=%d workers=%d: amplitude %d = %v differs from workers=1 value %v",
+						tc.n, tc.tileBits, workers, i, got, want)
 				}
 			}
 		}

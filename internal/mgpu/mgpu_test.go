@@ -260,67 +260,6 @@ func TestKernelSizeMismatch(t *testing.T) {
 	}
 }
 
-// TestFusedRefusesGlobalQubits: a fused block may not straddle the
-// device boundary. The refusal lives in the planner — the one place
-// rank-bit placement is decided — and a kernel fused on shard-local
-// qubits only plans and runs.
-func TestFusedRefusesGlobalQubits(t *testing.T) {
-	c := circuit.New(4, 0)
-	c.H(0).RY(0.3, 0).RZ(0.2, 1) // local at 4 ranks
-	c.H(3).RY(0.1, 3)            // qubit 3 is a rank bit
-	wild, st, err := kernel.FromCircuit(c, kernel.Options{FusionWindow: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FusedGroups == 0 {
-		t.Fatal("expected fusion")
-	}
-	if _, err := kernel.Plan(wild, kernel.PlanConfig{TileBits: 1, GlobalBits: 2}); err == nil {
-		t.Error("planner accepted a fused block on a rank bit")
-	}
-	tame, st, err := kernel.FromCircuit(c, kernel.Options{FusionWindow: 2, FusionLocalQubits: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FusedGroups == 0 {
-		t.Fatal("expected local fusion")
-	}
-	res := simulate(t, tame, 4, 1, 1)
-	if d := maxDiff(res.Probabilities, singleDeviceProbs(t, tame)); d != 0 {
-		t.Errorf("locally fused kernel: distributed vs single-device diff %g, want exact 0", d)
-	}
-}
-
-func TestFusedKernelDistributed(t *testing.T) {
-	// Kernels fused on local qubits only still match the reference.
-	c := circuit.New(6, 0)
-	r := qmath.NewRNG(9)
-	for i := 0; i < 40; i++ {
-		q := r.Intn(3) // only local qubits (ranks=4 -> local=4... use 0..2)
-		q2 := (q + 1) % 3
-		switch r.Intn(3) {
-		case 0:
-			c.H(q)
-		case 1:
-			c.RY(r.Angle(), q)
-		case 2:
-			c.CX(q, q2)
-		}
-	}
-	c.H(5).CX(5, 0) // some global action, kept unfused via FusionLocalQubits
-	k, st, err := kernel.FromCircuit(c, kernel.Options{FusionWindow: 3, FusionLocalQubits: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FusedGroups == 0 {
-		t.Fatal("expected fusion")
-	}
-	res := simulate(t, k, 4, 2, 1)
-	if d := maxDiff(res.Probabilities, singleDeviceProbs(t, k)); d != 0 {
-		t.Fatalf("fused distributed vs single-device diff %g, want exact 0", d)
-	}
-}
-
 func TestNormPreservedAcrossRandomDistributedRuns(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		k := randomKernel(6, 80, seed)

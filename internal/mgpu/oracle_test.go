@@ -71,7 +71,7 @@ type engineRun struct {
 	exp   float64
 }
 
-// engineRuns runs c un-fused through every executor: per-gate and
+// engineRuns runs c through every executor: per-gate and
 // planned on one device, planned on each world of worlds that leaves a
 // rank at least one qubit (1 = a one-rank world running the
 // single-process plan). tile is folded into [1, n).

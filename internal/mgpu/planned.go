@@ -31,8 +31,7 @@ import (
 // schedule (kernel.Execute's width-0 plan on one statevec.State), and
 // a bit-swap only moves values — so planned execution is bit-identical
 // to it. The randomized suite in planned_test.go pins that across rank
-// counts, shard shapes (1-qubit shards included) and fusion settings,
-// and oracle_test.go holds both to a naive dense reference.
+// counts and shard shapes (1-qubit shards included), and oracle_test.go holds both to a naive dense reference.
 
 // ExecutePlanCancel runs a compiled distributed plan against this
 // rank's shard. The plan must have been compiled with GlobalBits

@@ -20,8 +20,7 @@ import (
 // compiled TilePlan must be bit-identical (max |Δp| = 0, fixed-seed
 // shot counts exactly equal) to the single-device per-gate engine —
 // kernel.Execute on one statevec.State, an engine that knows nothing of
-// ranks — across rank counts × shard shapes × transform fusion windows,
-// with the exchange count of every case pinned. oracle_test.go holds both to a naive reference.
+// ranks — across rank counts × shard shapes, with the exchange count of every case pinned. oracle_test.go holds both to a naive reference.
 
 // soupPool covers every gate the engines execute, including the
 // diagonal family (rank-local when global), SWAP (a permutation-table
@@ -95,30 +94,24 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 	const shots = 2048
 	seed := uint64(0xd15712b)
 	for _, tc := range []struct {
-		n, ranks, tileBits, window int
-		exchanges                  int // pinned: what this plan pays on this world
+		n, ranks, tileBits int
+		exchanges          int // pinned: what this plan pays on this world
 	}{
-		{6, 2, 3, 0, 16},  // 1 rank bit
-		{6, 4, 2, 0, 56},  // 2 rank bits, 4-amp tiles
-		{6, 8, 2, 0, 184}, // 3 rank bits, shard of 3 qubits
-		{8, 4, 3, 0, 72},  // roomier shard
-		{9, 8, 3, 0, 152}, // deep rank boundary
-		{8, 4, 3, 3, 64},  // transform-level fused blocks in the stream
-		{10, 2, 4, 4, 20}, // wide fused blocks, single rank bit
-		{2, 2, 3, 0, 68},  // 1-qubit shards: the shard is one tile
-		{3, 4, 3, 0, 176},
-		{4, 8, 3, 0, 328},
-		{5, 16, 3, 0, 704},
+		{6, 2, 3, 16},  // 1 rank bit
+		{6, 4, 2, 56},  // 2 rank bits, 4-amp tiles
+		{6, 8, 2, 184}, // 3 rank bits, shard of 3 qubits
+		{8, 4, 3, 72},  // roomier shard
+		{9, 8, 3, 152}, // deep rank boundary
+		{2, 2, 3, 68},  // 1-qubit shards: the shard is one tile
+		{3, 4, 3, 176},
+		{4, 8, 3, 328},
+		{5, 16, 3, 704},
 	} {
-		rng := qmath.NewRNG(seed + uint64(tc.n*1000+tc.ranks*100+tc.tileBits*10+tc.window))
+		rng := qmath.NewRNG(seed + uint64(tc.n*1000+tc.ranks*100+tc.tileBits*10))
 		c := gateSoup(tc.n, 140, rng)
 		gbits := log2ranks(tc.ranks)
 		local := tc.n - gbits
-		kopts := kernel.Options{}
-		if tc.window > 0 {
-			kopts = kernel.Options{FusionWindow: tc.window, FusionLocalQubits: local}
-		}
-		k, _, err := kernel.FromCircuit(c, kopts)
+		k, _, err := kernel.FromCircuit(c, kernel.Options{})
 		if err != nil {
 			t.Fatalf("n=%d: transform: %v", tc.n, err)
 		}
@@ -136,8 +129,8 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 		if d := maxDiff(planned.Probabilities, want); d != 0 {
 			// The plan performs the per-gate arithmetic exactly; any
 			// nonzero drift is a compiler bug.
-			t.Errorf("n=%d ranks=%d tile=%d window=%d: planned vs single-device diff %g, want exact 0",
-				tc.n, tc.ranks, tc.tileBits, tc.window, d)
+			t.Errorf("n=%d ranks=%d tile=%d: planned vs single-device diff %g, want exact 0",
+				tc.n, tc.ranks, tc.tileBits, d)
 		}
 		if math.Abs(norm(planned.Probabilities)-1) > 1e-9 {
 			t.Errorf("n=%d ranks=%d: planned norm %g", tc.n, tc.ranks, norm(planned.Probabilities))
@@ -146,18 +139,18 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 		// oracle is neither.
 		oracle := oracleProbs(c)
 		if d := maxDiff(want, oracle); d > 1e-12 {
-			t.Errorf("n=%d window=%d: single-device vs oracle diff %g > 1e-12", tc.n, tc.window, d)
+			t.Errorf("n=%d: single-device vs oracle diff %g > 1e-12", tc.n, d)
 		}
 		if d := maxDiff(planned.Probabilities, oracle); d > 1e-12 {
-			t.Errorf("n=%d ranks=%d tile=%d window=%d: planned vs oracle diff %g > 1e-12",
-				tc.n, tc.ranks, tc.tileBits, tc.window, d)
+			t.Errorf("n=%d ranks=%d tile=%d: planned vs oracle diff %g > 1e-12",
+				tc.n, tc.ranks, tc.tileBits, d)
 		}
 		// Every rank takes part in every swap across the rank boundary,
 		// each a half-shard exchange; nothing else communicates.
 		if planned.Exchanges != tc.exchanges || planned.Exchanges != tc.ranks*plan.Stats.ExchangeSegs ||
 			planned.BytesSent != int64(planned.Exchanges)*8<<uint(local) || plan.Stats.ExchangeGates != 0 {
-			t.Errorf("n=%d ranks=%d tile=%d window=%d: %d exchanges (%d bytes), pinned %d = ranks × %d swaps across ranks",
-				tc.n, tc.ranks, tc.tileBits, tc.window, planned.Exchanges, planned.BytesSent, tc.exchanges, plan.Stats.ExchangeSegs)
+			t.Errorf("n=%d ranks=%d tile=%d: %d exchanges (%d bytes), pinned %d = ranks × %d swaps across ranks",
+				tc.n, tc.ranks, tc.tileBits, planned.Exchanges, planned.BytesSent, tc.exchanges, plan.Stats.ExchangeSegs)
 		}
 		// Exact fixed-seed shot counts from both distributions.
 		cRef, err := sampling.Sample(want, shots, qmath.NewRNG(seed))

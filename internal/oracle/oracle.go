@@ -50,8 +50,7 @@ func (s State) Apply(g gate.Type, qubits []int, params []float64) {
 }
 
 // ApplyMatrix applies a dense row-major 2^k × 2^k matrix to the k
-// listed qubits, qubits[j] carrying bit j of the matrix index — the
-// convention of the kernel transformer's fused blocks.
+// listed qubits, qubits[j] carrying bit j of the matrix index.
 func (s State) ApplyMatrix(qubits []int, m []complex128) {
 	dim := 1 << uint(len(qubits))
 	if len(m) != dim*dim {

@@ -3,8 +3,8 @@
 // with controlled arbitrary rotations cr1(λ) (Eq. 9) between each
 // qubit i and all higher qubits j, with angles decreasing as
 // 2π/2^(j-i+1) — O(n²) gates. The kernel generator exposes the
-// paper's tuning hooks: gate fusion (= 5) and pruning of negligible
-// rotation angles.
+// paper's pruning of negligible rotation angles; its other tuning hook,
+// gate fusion (= 5), is what the compiled tile plan does exactly.
 package qft
 
 import (
@@ -44,10 +44,9 @@ func Circuit(n int, reverse bool) (*circuit.Circuit, error) {
 // rotations.
 func GateCount(n int) int { return n + n*(n-1)/2 }
 
-// Kernel builds the QFT directly as a CUDA-Q-style kernel with the
-// paper's default tuning (gate fusion = 5); PruneAngle > 0 drops the
-// deep, negligible cr1 rotations, trading fidelity for speed exactly
-// as Appendix D.2 describes.
+// Kernel builds the QFT directly as a CUDA-Q-style kernel; PruneAngle >
+// 0 drops the deep, negligible cr1 rotations, trading fidelity for
+// speed exactly as Appendix D.2 describes.
 func Kernel(n int, reverse bool, opts kernel.Options) (*kernel.Kernel, kernel.Stats, error) {
 	c, err := Circuit(n, reverse)
 	if err != nil {

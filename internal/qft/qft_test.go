@@ -5,9 +5,7 @@ import (
 	"math/cmplx"
 	"testing"
 
-	"qgear/internal/gate"
 	"qgear/internal/kernel"
-	"qgear/internal/oracle"
 	"qgear/internal/statevec"
 )
 
@@ -104,106 +102,6 @@ func TestGateCount(t *testing.T) {
 	// qubit sweep; GateCount(32) = 32 + 496 = 528.
 	if GateCount(32) != 528 {
 		t.Fatalf("GateCount(32) = %d, want 528 (Table 1)", GateCount(32))
-	}
-}
-
-func TestKernelWithFusionMatchesCircuit(t *testing.T) {
-	n := 6
-	k, st, err := Kernel(n, true, kernel.Options{FusionWindow: 5}) // the Appendix D.2 configuration
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FusedGroups == 0 {
-		t.Fatal("fusion=5 produced no fused groups")
-	}
-	plain := runState(t, n, 11, true)
-	s := statevec.MustNew(n, 1)
-	if err := s.PrepareBasis(11); err != nil {
-		t.Fatal(err)
-	}
-	if err := kernel.Execute(k, s); err != nil {
-		t.Fatal(err)
-	}
-	if f := fidelity(s, plain); f < 1-1e-10 {
-		t.Fatalf("fused QFT kernel fidelity %g", f)
-	}
-}
-
-// TestFusedQFTKeepsDiagonals: under the paper's fusion = 5 a window of
-// cr1 gates alone is not a dense block — it stays gates, which every
-// plan runs as a phase table — so each fused block holds a Hadamard,
-// every plan has diagonal groups, and the per-gate and tiled plans are
-// bit-identical to each other and within 1e-12 of the oracle.
-func TestFusedQFTKeepsDiagonals(t *testing.T) {
-	const n, basis = 12, 0b100001000010
-	k, st, err := Kernel(n, true, kernel.Options{FusionWindow: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gates := 0
-	for _, in := range k.Instrs {
-		if in.Kind == kernel.KGate && in.Gate == gate.CP {
-			gates++
-		}
-		if in.Kind != kernel.KFused {
-			continue
-		}
-		dim := 1 << uint(len(in.Qubits))
-		diagonal := true
-		for i, v := range in.Mat {
-			diagonal = diagonal && (i/dim == i%dim || v == 0)
-		}
-		if diagonal {
-			t.Fatalf("fused block on %v is diagonal", in.Qubits)
-		}
-	}
-	if st.FusedGroups == 0 || gates == 0 || gates+st.FusedGates+st.PrunedGates < GateCount(n) {
-		t.Fatalf("%d fused groups of %d gates, %d cr1 left as gates", st.FusedGroups, st.FusedGates, gates)
-	}
-	c, err := Circuit(n, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := oracle.New(n)
-	o[0], o[basis] = 0, 1
-	for _, op := range c.Ops {
-		o.Apply(op.Gate, op.Qubits, op.Params)
-	}
-	var ref *statevec.State
-	for _, tb := range []int{0, 6, 16} {
-		p, err := kernel.Plan(k, kernel.PlanConfig{TileBits: tb})
-		if err != nil {
-			t.Fatal(err)
-		}
-		groups := 0
-		for _, seg := range p.Segments {
-			if seg.Kind == kernel.SegGlobal && seg.Hi-seg.Lo > 1 {
-				groups++
-			}
-		}
-		for _, op := range p.Ops {
-			if op.Kind == statevec.TileTable {
-				groups++
-			}
-		}
-		s := statevec.MustNew(n, 2)
-		if err := s.PrepareBasis(basis); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Execute(s); err != nil {
-			t.Fatal(err)
-		}
-		for i, a := range s.Amplitudes() {
-			if cmplx.Abs(a-o[i]) > 1e-12 || ref != nil && a != ref.Amp(uint64(i)) {
-				t.Fatalf("tile %d: amplitude %d = %v, oracle %v", tb, i, a, o[i])
-			}
-		}
-		if groups == 0 {
-			t.Errorf("tile %d: no diagonal group in the plan", tb)
-		}
-		if ref == nil {
-			ref = s
-		}
 	}
 }
 

@@ -234,7 +234,10 @@ type ResultResponse struct {
 	Probabilities []float64      `json:"probabilities,omitempty"`
 	Counts        map[string]int `json:"counts,omitempty"`
 	GateCount     int            `json:"gate_count"`
-	FusedOps      int            `json:"fused_ops"`
+	// FusedOps is the kernel's emitted instruction count (the
+	// transform's EmittedOps); the wire name predates the removal of
+	// gate fusion, when a fused block was one instruction.
+	FusedOps int `json:"fused_ops"`
 	// ExpValue/ExpTerms are set on expectation jobs: the exact ⟨H⟩ and
 	// the number of Pauli terms evaluated (no probabilities, no counts).
 	ExpValue *float64 `json:"expval,omitempty"`

@@ -86,7 +86,7 @@ func getStats(t *testing.T, base string) Stats {
 // identical wave that must be served from the content-addressed cache
 // with a hit rate above 50% as reported by /v1/stats.
 func TestHTTPServeGHZ16Waves(t *testing.T) {
-	_, ts := newHTTPServer(t, Config{FusionWindow: 2})
+	_, ts := newHTTPServer(t, Config{})
 	const clients = 100
 	circs := make([]*WireCircuit, clients)
 	for i := range circs {

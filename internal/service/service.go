@@ -47,12 +47,11 @@ const Version = "0.8.0"
 type Config struct {
 	// Execution options applied to every job (the server owns the
 	// target; jobs own circuit, shots, and seed).
-	Target       backend.Target // default nvidia (nvidia-mqpu when Devices > 1)
-	Devices      int            // simulated device count, default 1
-	Workers      int            // per-device goroutine parallelism, 0 = NumCPU
-	FusionWindow int            // forwarded to the kernel transform
-	PruneAngle   float64        // forwarded to the kernel transform
-	TileBits     int            // tiled-executor tile width (see core.Options.TileBits)
+	Target     backend.Target // default nvidia (nvidia-mqpu when Devices > 1)
+	Devices    int            // simulated device count, default 1
+	Workers    int            // per-device goroutine parallelism, 0 = NumCPU
+	PruneAngle float64        // forwarded to the kernel transform
+	TileBits   int            // tiled-executor tile width (see core.Options.TileBits)
 
 	// QueueSize bounds the job queue; Submit fails with ErrQueueFull
 	// beyond it. Default 256.
@@ -343,7 +342,7 @@ type Server struct {
 	store  *store.Store // nil without StoreDir
 	cfgSig string       // normalized option signature stamped on store artifacts
 	// rebindable records whether the execution configuration keeps
-	// compiled structure value-independent (no fusion, no pruning) —
+	// compiled structure value-independent (no pruning) —
 	// the gate for structural plan-cache keying and the sweep
 	// compile-once fast path. Fixed at New.
 	rebindable bool
@@ -570,12 +569,11 @@ func (s *Server) Config() Config { return s.cfg }
 // a probabilities-only run; per-job shots are sampled afterwards.
 func (s *Server) execOptions() core.Options {
 	return core.Options{
-		FusionWindow: s.cfg.FusionWindow,
-		PruneAngle:   s.cfg.PruneAngle,
-		TileBits:     s.cfg.TileBits,
-		Target:       s.cfg.Target,
-		Devices:      s.cfg.Devices,
-		Workers:      s.cfg.Workers,
+		PruneAngle: s.cfg.PruneAngle,
+		TileBits:   s.cfg.TileBits,
+		Target:     s.cfg.Target,
+		Devices:    s.cfg.Devices,
+		Workers:    s.cfg.Workers,
 	}
 }
 
@@ -592,7 +590,7 @@ func (s *Server) execOptionsCancel(flag *cancel.Flag) core.Options {
 }
 
 // planKey addresses the compiled-plan cache. Everything else that
-// shapes a plan (target, devices, fusion, prune) is server-constant,
+// shapes a plan (target, devices, prune) is server-constant,
 // so a circuit identity plus the configured tile width identifies the
 // artifact. Under a rebindable configuration —
 // where compiled structure is provably value-independent — a
@@ -600,8 +598,8 @@ func (s *Server) execOptionsCancel(flag *cancel.Flag) core.Options {
 // submission sharing a shape, whatever its angles, resolves to one
 // cached skeleton that compiled() rebinds to the job's own values. A
 // 10k-point sweep (or 10k individually-submitted points) therefore
-// costs exactly one compile. Value-dependent configurations (fusion,
-// pruning) keep exact-fingerprint keying.
+// costs exactly one compile. Value-dependent configurations (pruning)
+// keep exact-fingerprint keying.
 func (s *Server) planKey(c *circuit.Circuit, fp string) string {
 	if s.rebindable && c.NumParams() > 0 {
 		return fmt.Sprintf("%s|b%d", c.StructuralFingerprint(), s.cfg.TileBits)

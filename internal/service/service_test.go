@@ -76,7 +76,7 @@ func testCircuit(t *testing.T, qubits, blocks int, seed uint64) *circuit.Circuit
 }
 
 func TestRunMatchesBackend(t *testing.T) {
-	s := newTestServer(t, Config{FusionWindow: 2})
+	s := newTestServer(t, Config{})
 	c := circuit.GHZ(10, false)
 	res, info, err := s.Run(context.Background(), c, SubmitOptions{Shots: 500, Seed: 7})
 	if err != nil {
@@ -85,7 +85,7 @@ func TestRunMatchesBackend(t *testing.T) {
 	if info.State != StateDone || info.Cached {
 		t.Fatalf("info = %+v", info)
 	}
-	ref, err := backend.Run(c, backend.Config{Target: backend.TargetNvidia, FusionWindow: 2, Shots: 500, Seed: 7})
+	ref, err := backend.Run(c, backend.Config{Target: backend.TargetNvidia, Shots: 500, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +237,10 @@ func TestBatchMatchesSequential(t *testing.T) {
 	} {
 		t.Run(string(tc.target), func(t *testing.T) {
 			s, started, release := newHeldServer(t, Config{
-				Target:       tc.target,
-				Devices:      tc.devices,
-				WorkerPool:   1,
-				MaxBatch:     8,
-				FusionWindow: 2,
+				Target:     tc.target,
+				Devices:    tc.devices,
+				WorkerPool: 1,
+				MaxBatch:   8,
 			})
 			const n = 6
 			circs := make([]*circuit.Circuit, n)
@@ -286,7 +285,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 				// execution must match a standalone Run bit for bit,
 				// including the mqpu per-device shot-sampling split.
 				ref, err := backend.Run(circs[i], backend.Config{
-					Target: tc.target, Devices: tc.devices, FusionWindow: 2, Shots: 200, Seed: uint64(i),
+					Target: tc.target, Devices: tc.devices, Shots: 200, Seed: uint64(i),
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -388,11 +388,14 @@ func TestStoreEndpoint(t *testing.T) {
 // are refused — the plan would run at the old speed — and the job is
 // recompiled and simulated, not served. The same holds for a store
 // written under the removed plan fusion option (its signatures end in
-// "pftrue"; every signature now ends in "pffalse").
+// "pftrue"; every signature now ends in "pffalse") and for one written
+// with a gate fusion window (its signatures start "f2"; every signature
+// now starts "f0").
 func TestPreSplitArtifactsAreRefused(t *testing.T) {
 	for _, parentSig := range []string{
 		"f0|p0|tnvidia|d0|w0|s0|r0|b16|pffalse",
 		"f0|p0|tnvidia|d0|w0|s0|r0|b16|pftrue",
+		"f2|p0|tnvidia|d0|w0|s0|r0|b16|pffalse",
 	} {
 		cfg := Config{StoreDir: t.TempDir(), WorkerPool: 1, MaxBatch: 1, TileBits: 16}
 		c := storeTestCircuits(1, 14)[0]

@@ -193,181 +193,6 @@ func swapBitsChunk(amps []complex128, a, b uint, lo, hi int) {
 	}
 }
 
-// MaxFusedQubits caps fused-unitary width; the paper's QFT kernel uses
-// gate fusion = 5 (Appendix D.2).
-const MaxFusedQubits = 6
-
-// ApplyFused applies a dense 2^k × 2^k unitary (row-major) to the k
-// listed qubits, where qubits[j] carries bit j of the matrix index.
-// This is the execution primitive behind the kernel transformer's gate
-// fusion pass: adjacent gates on a small qubit set are pre-multiplied
-// into one matrix and applied in a single sweep over the state.
-func (s *State) ApplyFused(qubits []int, m []complex128) error {
-	s.ensureCanonical()
-	k := len(qubits)
-	if k == 0 || k > MaxFusedQubits {
-		return fmt.Errorf("statevec: fused width %d outside [1,%d]", k, MaxFusedQubits)
-	}
-	if k > s.n {
-		return fmt.Errorf("statevec: fused width %d exceeds %d qubits", k, s.n)
-	}
-	dim := 1 << uint(k)
-	if len(m) != dim*dim {
-		return fmt.Errorf("statevec: fused matrix has %d entries, want %d", len(m), dim*dim)
-	}
-	for i, q := range qubits {
-		s.checkQubit(q)
-		for j := 0; j < i; j++ {
-			if qubits[j] == q {
-				return fmt.Errorf("statevec: duplicate fused qubit %d", q)
-			}
-		}
-	}
-
-	// Sorted insertion positions and bit masks, built into per-state
-	// scratch: ApplyFused runs once per fused block on the hot path, so
-	// these must not allocate per call.
-	sorted := append(s.sortBuf[:0], qubits...)
-	for i := 1; i < k; i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	masks := s.maskBuf[:0]
-	for _, q := range qubits {
-		masks = append(masks, 1<<uint(q))
-	}
-	s.sortBuf, s.maskBuf = sorted, masks
-
-	outer := len(s.amps) >> uint(k)
-	if s.serial(outer) {
-		s.fusedChunk(sorted, masks, m, dim, 0, outer)
-		return nil
-	}
-	s.fanOut(outer, func(_, lo, hi int) { s.fusedChunk(sorted, masks, m, dim, lo, hi) })
-	return nil
-}
-
-// fusedChunk is ApplyFused over amplitude groups [lo, hi).
-func (s *State) fusedChunk(sorted []int, masks []uint64, m []complex128, dim, lo, hi int) {
-	var scr fusedScratch
-	in, out, idx := scr.amps[:dim], scr.amps[dim:2*dim], scr.idx[:dim]
-	for p := lo; p < hi; p++ {
-		base := uint64(p)
-		for _, q := range sorted {
-			base = insertBit(base, uint(q), 0)
-		}
-		fusedApplyAt(s.amps, base, masks, m, in, out, idx)
-	}
-}
-
-// fusedScratch is the gather+result and index scratch of one chunk of a
-// fused sweep. MaxFusedQubits bounds it, so it lives on the chunk's
-// stack and a state carries no per-worker buffers.
-type fusedScratch struct {
-	amps [2 << MaxFusedQubits]complex128
-	idx  [1 << MaxFusedQubits]uint64
-}
-
-// fusedApplyAt applies the dim×dim matrix m (dim = 2^len(masks)) to
-// the amplitude group anchored at base, where matrix index bit j
-// selects masks[j]. The k=1..3 widths are unrolled on the float64 lane
-// view with the complex-multiply operation order (lanes.go contract);
-// the term order of every path matches the generic accumulation loop
-// exactly, so fused execution is arithmetic-identical whichever path
-// runs.
-func fusedApplyAt(amps []complex128, base uint64, masks []uint64, m []complex128, in, out []complex128, idx []uint64) {
-	switch len(masks) {
-	case 1:
-		v := lanes(amps)
-		j0 := 2 * int(base)
-		j1 := 2 * int(base|masks[0])
-		ar, ai := v[j0], v[j0+1]
-		br, bi := v[j1], v[j1+1]
-		m0r, m0i := real(m[0]), imag(m[0])
-		m1r, m1i := real(m[1]), imag(m[1])
-		m2r, m2i := real(m[2]), imag(m[2])
-		m3r, m3i := real(m[3]), imag(m[3])
-		v[j0] = (float64(m0r*ar) - float64(m0i*ai)) + (float64(m1r*br) - float64(m1i*bi))
-		v[j0+1] = (float64(m0r*ai) + float64(m0i*ar)) + (float64(m1r*bi) + float64(m1i*br))
-		v[j1] = (float64(m2r*ar) - float64(m2i*ai)) + (float64(m3r*br) - float64(m3i*bi))
-		v[j1+1] = (float64(m2r*ai) + float64(m2i*ar)) + (float64(m3r*bi) + float64(m3i*br))
-	case 2:
-		v := lanes(amps)
-		j0 := 2 * int(base)
-		j1 := 2 * int(base|masks[0])
-		j2 := 2 * int(base|masks[1])
-		j3 := 2 * int(base|masks[0]|masks[1])
-		a0r, a0i := v[j0], v[j0+1]
-		a1r, a1i := v[j1], v[j1+1]
-		a2r, a2i := v[j2], v[j2+1]
-		a3r, a3i := v[j3], v[j3+1]
-		jj := [4]int{j0, j1, j2, j3}
-		for r := 0; r < 4; r++ {
-			row := m[r*4 : r*4+4 : r*4+4]
-			re := (float64(real(row[0])*a0r) - float64(imag(row[0])*a0i)) +
-				(float64(real(row[1])*a1r) - float64(imag(row[1])*a1i)) +
-				(float64(real(row[2])*a2r) - float64(imag(row[2])*a2i)) +
-				(float64(real(row[3])*a3r) - float64(imag(row[3])*a3i))
-			im := (float64(real(row[0])*a0i) + float64(imag(row[0])*a0r)) +
-				(float64(real(row[1])*a1i) + float64(imag(row[1])*a1r)) +
-				(float64(real(row[2])*a2i) + float64(imag(row[2])*a2r)) +
-				(float64(real(row[3])*a3i) + float64(imag(row[3])*a3r))
-			v[jj[r]], v[jj[r]+1] = re, im
-		}
-	case 3:
-		v := lanes(amps)
-		mk0, mk1, mk2 := masks[0], masks[1], masks[2]
-		var j [8]int
-		j[0] = 2 * int(base)
-		j[1] = 2 * int(base|mk0)
-		j[2] = 2 * int(base|mk1)
-		j[3] = 2 * int(base|mk0|mk1)
-		j[4] = 2 * int(base|mk2)
-		j[5] = 2 * int(base|mk0|mk2)
-		j[6] = 2 * int(base|mk1|mk2)
-		j[7] = 2 * int(base|mk0|mk1|mk2)
-		var ar, ai [8]float64
-		for q := 0; q < 8; q++ {
-			ar[q], ai[q] = v[j[q]], v[j[q]+1]
-		}
-		for r := 0; r < 8; r++ {
-			row := m[r*8 : r*8+8 : r*8+8]
-			re := float64(real(row[0])*ar[0]) - float64(imag(row[0])*ai[0])
-			im := float64(real(row[0])*ai[0]) + float64(imag(row[0])*ar[0])
-			for q := 1; q < 8; q++ {
-				re += float64(real(row[q])*ar[q]) - float64(imag(row[q])*ai[q])
-				im += float64(real(row[q])*ai[q]) + float64(imag(row[q])*ar[q])
-			}
-			v[j[r]], v[j[r]+1] = re, im
-		}
-	default:
-		dim := 1 << uint(len(masks))
-		k := len(masks)
-		for v := 0; v < dim; v++ {
-			i := base
-			for j := 0; j < k; j++ {
-				if v>>uint(j)&1 == 1 {
-					i |= masks[j]
-				}
-			}
-			idx[v] = i
-			in[v] = amps[i]
-		}
-		for r := 0; r < dim; r++ {
-			var acc complex128
-			row := m[r*dim : (r+1)*dim]
-			for cI := 0; cI < dim; cI++ {
-				acc += row[cI] * in[cI]
-			}
-			out[r] = acc
-		}
-		for v := 0; v < dim; v++ {
-			amps[idx[v]] = out[v]
-		}
-	}
-}
-
 // ApplyGate dispatches a gate type with qubit operands and params to
 // the right kernel. Measure and Barrier are ignored (sampling is the
 // caller's concern); unknown combinations panic.

@@ -480,84 +480,6 @@ func TestQubit0RelPhaseBitIdentity(t *testing.T) {
 	}
 }
 
-// refFused is the generic gather/accumulate fused reference (the
-// complex128 path the unrolled k=1..3 lane fast paths must match).
-func refFused(amps []complex128, qubits []uint, m []complex128) {
-	k := len(qubits)
-	dim := 1 << uint(k)
-	sorted := append([]uint(nil), qubits...)
-	for i := 1; i < k; i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	in := make([]complex128, dim)
-	idx := make([]uint64, dim)
-	outer := len(amps) >> uint(k)
-	for p := 0; p < outer; p++ {
-		base := uint64(p)
-		for _, q := range sorted {
-			base = insertBit(base, q, 0)
-		}
-		for v := 0; v < dim; v++ {
-			i := base
-			for j := 0; j < k; j++ {
-				if v>>uint(j)&1 == 1 {
-					i |= 1 << qubits[j]
-				}
-			}
-			idx[v] = i
-			in[v] = amps[i]
-		}
-		for r := 0; r < dim; r++ {
-			var acc complex128
-			row := m[r*dim : (r+1)*dim]
-			for c := 0; c < dim; c++ {
-				acc += row[c] * in[c]
-			}
-			amps[idx[r]] = acc
-		}
-	}
-}
-
-// TestFusedKernelBitIdentityFuzz pins the unrolled k=1..3 fused fast
-// paths to the generic complex accumulation loop.
-func TestFusedKernelBitIdentityFuzz(t *testing.T) {
-	rng := qmath.NewRNG(0xf05ed)
-	for trial := 0; trial < 120; trial++ {
-		n := 3 + rng.Intn(6)
-		k := 1 + rng.Intn(3)
-		if k > n {
-			k = n
-		}
-		qubits := make([]int, 0, k)
-		used := uint64(0)
-		for len(qubits) < k {
-			q := rng.Intn(n)
-			if used>>uint(q)&1 == 0 {
-				used |= 1 << uint(q)
-				qubits = append(qubits, q)
-			}
-		}
-		dim := 1 << uint(k)
-		m := randAmps(dim*dim, rng) // dense invertible-enough matrix: arithmetic identity is what's under test
-		s := MustNew(n, 1+rng.Intn(3))
-		amps := randAmps(1<<uint(n), rng)
-		copy(s.amps, amps)
-		ref := append([]complex128(nil), amps...)
-
-		if err := s.ApplyFused(qubits, m); err != nil {
-			t.Fatal(err)
-		}
-		uq := make([]uint, k)
-		for i, q := range qubits {
-			uq[i] = uint(q)
-		}
-		refFused(ref, uq, m)
-		bitsEqual(t, s.amps, ref, "ApplyFused")
-	}
-}
-
 // TestWorkerCountBitIdentity runs the same random gate sequence at 1,
 // 2, and 4 workers and requires bit-identical final states — the
 // contract the workers ablation axis enforces at bench time.

@@ -47,7 +47,6 @@ func TestReleaseMakesStateUnusable(t *testing.T) {
 		t.Fatalf("second Release moved the free list: %+v, was %+v", got, want)
 	}
 	mustPanic(t, "ApplyGate", func() { s.ApplyGate(gate.H, []int{0}, nil) })
-	mustPanic(t, "ApplyFused", func() { _ = s.ApplyFused([]int{0}, make([]complex128, 4)) })
 	mustPanic(t, "ApplyTileRun", func() { _ = s.ApplyTileRun(2, 0, []TileOp{DiagOp(1, 0, 0)}) })
 	mustPanic(t, "Probabilities", func() { s.Probabilities() })
 	mustPanic(t, "Amplitudes", func() { s.Amplitudes() })

@@ -38,8 +38,6 @@ type State struct {
 	n       int
 	amps    []complex128
 	workers int
-	sortBuf []int        // reusable sorted-qubit buffer for ApplyFused
-	maskBuf []uint64     // reusable bit-mask buffer for ApplyFused
 	perm    []int        // logical→physical qubit map; nil = identity
 	permTab *permWalk    // cached readout walk for the current perm; nil = stale
 	tabs    []complex128 // phase-table scratch (table.go), held until Release; nil until a group runs

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qgear/internal/gate"
+	"qgear/internal/oracle"
 	"qgear/internal/qmath"
 )
 
@@ -91,12 +92,10 @@ func TestCXControlTargetOrientation(t *testing.T) {
 
 // applyDense2 applies a 4×4 unitary to the pair (hi=q1, lo=q0) — row
 // and column index (bit(q1)<<1)|bit(q0), gate.Matrix2's convention —
-// through the general dense kernel: the reference the two-qubit fast
-// paths are held to.
+// through the oracle's dense gather/multiply/scatter loop: the reference
+// the two-qubit fast paths are held to.
 func applyDense2(s *State, q1, q0 int, m gate.Mat4) {
-	if err := s.ApplyFused([]int{q0, q1}, m[:]); err != nil {
-		panic(err)
-	}
+	oracle.State(s.amps).ApplyMatrix([]int{q0, q1}, m[:])
 }
 
 func TestControlled1MatchesMat2(t *testing.T) {
@@ -210,92 +209,6 @@ func TestNormPreservationProperty(t *testing.T) {
 	}
 	if n := s.Norm(); math.Abs(n-1) > 1e-9 {
 		t.Fatalf("norm drifted to %g after 500 gates", n)
-	}
-}
-
-// kron returns the Kronecker product hi ⊗ lo: hi acts on the
-// more-significant qubit of the pair, lo on the less-significant one.
-func kron(hi, lo gate.Mat2) gate.Mat4 {
-	var m gate.Mat4
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			for k := 0; k < 2; k++ {
-				for l := 0; l < 2; l++ {
-					m[(i*2+k)*4+(j*2+l)] = hi[i*2+j] * lo[k*2+l]
-				}
-			}
-		}
-	}
-	return m
-}
-
-func TestFusedMatchesSequential(t *testing.T) {
-	// A fused 2-qubit matrix equals applying the constituent gates.
-	r := qmath.NewRNG(13)
-	for trial := 0; trial < 10; trial++ {
-		a := randomState(5, r)
-		b := a.Clone()
-		th := r.Angle()
-		// Sequence: ry(th) on q3; cx(3,1).
-		m := gate.Matrix2(gate.CX, nil).Mul(kron(gate.Matrix1(gate.RY, []float64{th}), gate.Identity2()))
-		// Fused matrix on qubits (hi=3, lo=1): qubits[j]=bit j -> [1,3].
-		if err := a.ApplyFused([]int{1, 3}, m[:]); err != nil {
-			t.Fatal(err)
-		}
-		b.ApplyMat1(3, gate.Matrix1(gate.RY, []float64{th}))
-		b.ApplyCX(3, 1)
-		requireClose(t, a, b, 1e-12)
-	}
-}
-
-func TestFusedThreeQubitGHZ(t *testing.T) {
-	// Build the 3-qubit GHZ unitary as one fused 8×8 matrix and compare
-	// with gate-by-gate execution.
-	gates := []struct {
-		g  gate.Type
-		qs []int
-	}{{gate.H, []int{0}}, {gate.CX, []int{0, 1}}, {gate.CX, []int{0, 2}}}
-
-	seq := MustNew(3, 1)
-	for _, op := range gates {
-		seq.ApplyGate(op.g, op.qs, nil)
-	}
-
-	// Dense 8×8 by applying each gate to basis columns.
-	dim := 8
-	u := make([]complex128, dim*dim)
-	for col := 0; col < dim; col++ {
-		v := MustNew(3, 1)
-		if err := v.PrepareBasis(uint64(col)); err != nil {
-			t.Fatal(err)
-		}
-		for _, op := range gates {
-			v.ApplyGate(op.g, op.qs, nil)
-		}
-		for row := 0; row < dim; row++ {
-			u[row*dim+col] = v.Amp(uint64(row))
-		}
-	}
-	fused := MustNew(3, 2)
-	if err := fused.ApplyFused([]int{0, 1, 2}, u); err != nil {
-		t.Fatal(err)
-	}
-	requireClose(t, fused, seq, 1e-12)
-}
-
-func TestFusedValidation(t *testing.T) {
-	s := MustNew(3, 1)
-	if err := s.ApplyFused(nil, nil); err == nil {
-		t.Fatal("empty qubit list accepted")
-	}
-	if err := s.ApplyFused([]int{0, 0}, make([]complex128, 16)); err == nil {
-		t.Fatal("duplicate qubits accepted")
-	}
-	if err := s.ApplyFused([]int{0, 1}, make([]complex128, 5)); err == nil {
-		t.Fatal("wrong matrix size accepted")
-	}
-	if err := s.ApplyFused([]int{0, 1, 2, 3}, make([]complex128, 256)); err == nil {
-		t.Fatal("width beyond qubit count accepted")
 	}
 }
 

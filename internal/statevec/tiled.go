@@ -46,20 +46,19 @@ const (
 	// the target is low (T), tile-constant when it is high (HighMask
 	// holds the target bit) — rz at any placement.
 	TileRelPhase
-	// TileFused applies a dense 2^k×2^k unitary to k low qubits,
-	// sharing the unrolled k=1..3 fast paths with ApplyFused.
-	TileFused
+	// 4 was a dense fused block; decoders refuse it.
+	_
 	// TileTable heads a diagonal group: its Members() ops that follow
 	// (TileDiag and TileRelPhase) apply as one phase-table pass over
 	// the tile (table.go) instead of one pass each.
 	TileTable
 )
 
-// TileOp is one compiled tile-local micro-op, 96 bytes — the tile loop
-// streams the whole run once per tile. Qubit positions are physical bit
-// positions (the scheduler resolves its permutation table before
-// compiling). Ops are immutable once built: a plan may be executed
-// concurrently against many states.
+// TileOp is one compiled tile-local micro-op, 88 bytes and no pointer
+// — the tile loop streams the whole run once per tile. Qubit positions
+// are physical bit positions (the scheduler resolves its permutation
+// table before compiling). Ops are immutable once built: a plan may be
+// executed concurrently against many states.
 //
 // M is the one value slot: TileMat1's 2×2, TileRelPhase's diag(A, B) on
 // its diagonal (M[0], M[3]), TileDiag's Phase in M[1] — written by
@@ -67,19 +66,11 @@ const (
 // its member count in LowMask (TableOp, Members).
 type TileOp struct {
 	Kind     TileOpKind
-	T, C     uint8       // low physical positions: target, control (HasCtrl)
-	HasCtrl  bool        // low control present (TileMat1 / TileCX)
-	HighMask uint64      // absolute bit positions ≥ tile width that must be 1
-	LowMask  uint64      // TileDiag: in-tile bits that must be 1; TileTable: member count
-	M        gate.Mat2   // TileMat1 matrix; TileDiag / TileRelPhase factors
-	Fused    *FusedBlock // TileFused payload, nil otherwise
-}
-
-// FusedBlock is a TileFused micro-op's dense unitary on a few low
-// qubits — rare, so behind a pointer instead of widening every op.
-type FusedBlock struct {
-	Qubits []uint       // low positions; qubit j is bit j of the matrix index
-	Mat    []complex128 // row-major 2^k × 2^k
+	T, C     uint8     // low physical positions: target, control (HasCtrl)
+	HasCtrl  bool      // low control present (TileMat1 / TileCX)
+	HighMask uint64    // absolute bit positions ≥ tile width that must be 1
+	LowMask  uint64    // TileDiag: in-tile bits that must be 1; TileTable: member count
+	M        gate.Mat2 // TileMat1 matrix; TileDiag / TileRelPhase factors
 }
 
 // DiagOp returns the TileDiag micro-op multiplying by phase where every
@@ -99,14 +90,6 @@ func (op *TileOp) Phase() complex128 { return op.M[1] }
 
 // AB are a TileRelPhase op's factors diag(A, B).
 func (op *TileOp) AB() (a, b complex128) { return op.M[0], op.M[3] }
-
-// tileFusedPre caches the per-op expansion tables a fused micro-op
-// needs inside the tile loop (sorted insertion positions and masks).
-type tileFusedPre struct {
-	sorted []uint
-	masks  []uint64
-	dim    int
-}
 
 // ApplyTileRun applies a compiled run of tile-local micro-ops, one
 // cache-resident tile at a time. Tiles are independent by
@@ -140,9 +123,7 @@ func (s *State) ApplyTileRun(tileBits int, base uint64, ops []TileOp) error {
 
 	// Validate every op's in-tile positions up front — a bad position
 	// must surface as an error here, not as an index panic inside a
-	// pool goroutine — and pre-resolve fused expansion tables.
-	var pres []*tileFusedPre
-	maxDim := 0
+	// pool goroutine.
 	for i := range ops {
 		op := &ops[i]
 		if op.HighMask&(1<<uint(tileBits)-1) != 0 {
@@ -162,38 +143,9 @@ func (s *State) ApplyTileRun(tileBits int, base uint64, ops []TileOp) error {
 			if op.LowMask>>uint(tileBits) != 0 {
 				return fmt.Errorf("statevec: tile op %d low mask %#x exceeds tile width %d", i, op.LowMask, tileBits)
 			}
-		case TileFused:
-			if op.Fused == nil {
-				return fmt.Errorf("statevec: tile op %d is fused without a payload", i)
-			}
-			qs := op.Fused.Qubits
-			kw := len(qs)
-			if kw == 0 || kw > min(tileBits, MaxFusedQubits) {
-				return fmt.Errorf("statevec: tile op %d fused width %d outside [1,%d]", i, kw, min(tileBits, MaxFusedQubits))
-			}
-			if len(op.Fused.Mat) != 1<<uint(2*kw) {
-				return fmt.Errorf("statevec: tile op %d fused matrix has %d entries, want %d", i, len(op.Fused.Mat), 1<<uint(2*kw))
-			}
-			pre := &tileFusedPre{sorted: append([]uint(nil), qs...), masks: make([]uint64, kw), dim: 1 << uint(kw)}
-			for a := 1; a < kw; a++ {
-				for b := a; b > 0 && pre.sorted[b] < pre.sorted[b-1]; b-- {
-					pre.sorted[b], pre.sorted[b-1] = pre.sorted[b-1], pre.sorted[b]
-				}
-			}
-			for j, q := range qs {
-				if int(q) >= tileBits {
-					return fmt.Errorf("statevec: tile op %d fused qubit %d at or above tile width %d", i, q, tileBits)
-				}
-				if j > 0 && pre.sorted[j] == pre.sorted[j-1] {
-					return fmt.Errorf("statevec: tile op %d duplicate fused qubit %d", i, pre.sorted[j])
-				}
-				pre.masks[j] = 1 << q
-			}
-			if pres == nil {
-				pres = make([]*tileFusedPre, len(ops))
-			}
-			pres[i] = pre
-			maxDim = max(maxDim, pre.dim)
+		case TileTable:
+		default:
+			return fmt.Errorf("statevec: tile op %d has unknown kind %d", i, op.Kind)
 		}
 	}
 
@@ -215,20 +167,15 @@ func (s *State) ApplyTileRun(tileBits int, base uint64, ops []TileOp) error {
 			}
 			hi, entries = hi+span, entries+size
 		}
-		var fpres []*tileFusedPre
-		if pres != nil {
-			fpres = pres[lo:hi]
-		}
-		s.tilePass(tileBits, base, ops[lo:hi], fpres, maxDim, s.tableScratch(entries))
+		s.tilePass(tileBits, base, ops[lo:hi], s.tableScratch(entries))
 		lo = hi
 	}
 	return nil
 }
 
 // tilePass is one pass of ApplyTileRun over every tile: ops validated,
-// pres their fused expansion tables (nil without a fused op), tabs room
-// for their groups' tables.
-func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, pres []*tileFusedPre, maxDim int, tabs []complex128) {
+// tabs room for their groups' tables.
+func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, tabs []complex128) {
 	off := 0
 	for i := range ops {
 		if ops[i].Kind == TileTable {
@@ -240,8 +187,6 @@ func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, pres []*tileFu
 	}
 	amps, tileSize := s.amps, 1<<uint(tileBits)
 	s.parallelTiles(len(s.amps)>>uint(tileBits), tileBits, func(_, lo, hi int) {
-		var scr fusedScratch
-		in, out, idx := scr.amps[:maxDim], scr.amps[maxDim:2*maxDim], scr.idx[:maxDim]
 		for t := lo; t < hi; t++ {
 			off := uint64(t) << uint(tileBits)
 			tile := amps[off : off+uint64(tileSize)]
@@ -267,16 +212,6 @@ func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, pres []*tileFu
 					applyTileDiag(tile, op)
 				case TileRelPhase:
 					applyTileRelPhase(tile, abs, op)
-				case TileFused:
-					pre := pres[i]
-					outer := len(tile) >> uint(len(pre.sorted))
-					for p := 0; p < outer; p++ {
-						b := uint64(p)
-						for _, q := range pre.sorted {
-							b = insertBit(b, q, 0)
-						}
-						fusedApplyAt(tile, b, pre.masks, op.Fused.Mat, in, out, idx)
-					}
 				}
 			}
 		}

@@ -191,12 +191,9 @@ func TestApplyTileRunValidatesOps(t *testing.T) {
 		{{Kind: TileCX, T: 1, C: 1, HasCtrl: true}}, // control == target
 		{RelPhaseOp(1, 1, 6, 0)},                    // low relphase out of range
 		{DiagOp(1, 1<<4, 0)},                        // low mask out of range
-		{{Kind: TileFused}},                         // fused without a payload
-		{{Kind: TileFused, Fused: &FusedBlock{Qubits: []uint{4}, Mat: nil}}},                       // fused qubit out of range
-		{{Kind: TileFused, Fused: &FusedBlock{Qubits: []uint{0, 0}, Mat: make([]complex128, 16)}}}, // duplicate fused qubit
-		{{Kind: TileMat1, T: 0, M: gate.Identity2(), HighMask: 1 << 2}},                            // predicate bit below tile width
+		{{Kind: 4}},                                 // the old fused-block kind
+		{{Kind: TileMat1, T: 0, M: gate.Identity2(), HighMask: 1 << 2}}, // predicate bit below tile width
 		{DiagOp(1, 1, 1<<6|1<<3)}, // mixed-high mask dips low
-		{{Kind: TileFused, Fused: &FusedBlock{Qubits: []uint{0, 1}, Mat: make([]complex128, 8)}}}, // short matrix
 	} {
 		if err := s.ApplyTileRun(4, 0, ops); err == nil {
 			t.Errorf("ops %+v accepted at tile width 4", ops)
@@ -294,37 +291,6 @@ func TestApplyTileRunOneTile(t *testing.T) {
 	}
 }
 
-// TestApplyTileRunFused checks the in-tile fused path against the
-// global ApplyFused for k = 1..3 (the unrolled widths) and k = 4.
-func TestApplyTileRunFused(t *testing.T) {
-	const n, tileBits = 9, 5
-	rng := qmath.NewRNG(44)
-	for _, qubits := range [][]int{{3}, {4, 1}, {0, 2, 4}, {3, 1, 4, 0}} {
-		dim := 1 << uint(len(qubits))
-		// A random unitary-ish matrix is unnecessary: equivalence holds
-		// for any matrix, so use random complex entries.
-		m := make([]complex128, dim*dim)
-		for i := range m {
-			m[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
-		}
-		tiled := MustNew(n, 3)
-		randomize(tiled, qmath.NewRNG(55))
-		naive := tiled.Clone()
-
-		uq := make([]uint, len(qubits))
-		for i, q := range qubits {
-			uq[i] = uint(q)
-		}
-		if err := tiled.ApplyTileRun(tileBits, 0, []TileOp{{Kind: TileFused, Fused: &FusedBlock{Qubits: uq, Mat: m}}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := naive.ApplyFused(qubits, m); err != nil {
-			t.Fatal(err)
-		}
-		statesEqual(t, tiled, naive, 0, "tiled fused")
-	}
-}
-
 func qmathAbs(x float64) float64 {
 	if x < 0 {
 		return -x
@@ -332,11 +298,11 @@ func qmathAbs(x float64) float64 {
 	return x
 }
 
-// TestTileOpSize pins the micro-op at 96 bytes: the tile loop streams a
+// TestTileOpSize pins the micro-op at 88 bytes: the tile loop streams a
 // run's ops once per tile, so their size is memory traffic.
 func TestTileOpSize(t *testing.T) {
-	if sz := unsafe.Sizeof(TileOp{}); sz > 96 {
-		t.Fatalf("TileOp is %d bytes, want ≤ 96", sz)
+	if sz := unsafe.Sizeof(TileOp{}); sz > 88 {
+		t.Fatalf("TileOp is %d bytes, want ≤ 88", sz)
 	}
 }
 
@@ -351,23 +317,21 @@ func TestTileRunBaseMatchesFullState(t *testing.T) {
 	h := gate.Matrix1(gate.H, nil)
 	ry := gate.Matrix1(gate.RY, []float64{0.7})
 	phase := cmplx.Exp(complex(0, 0.61))
-	ident := []complex128{1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}
 	for g := 1; g <= 3; g++ {
 		local := n - g
 		top, rank0 := uint64(1)<<(n-1), uint64(1)<<uint(local)
 		ops := []TileOp{
 			{Kind: TileMat1, T: 1, M: h},
-			{Kind: TileMat1, T: 0, C: 2, HasCtrl: true, M: ry, HighMask: top},       // rank-bit control
-			{Kind: TileMat1, T: 2, M: ry, HighMask: top | 1<<uint(tileBits)},        // rank and high local bit
-			{Kind: TileCX, T: 1, HighMask: rank0},                                   // rank-bit control
-			{Kind: TileCX, T: 0, C: 1, HasCtrl: true},                               //
-			DiagOp(phase, 1<<2, top),                                                // cr1 across the boundary
-			DiagOp(-phase, 0, top|rank0),                                            // both factors on rank bits (g = 1: one bit)
-			DiagOp(phase, 1|1<<1, 0),                                                //
-			RelPhaseOp(phase, -phase, 2, 0),                                         // low rz
-			RelPhaseOp(phase, cmplx.Conj(phase), 0, 1<<uint(local-1)),               // rz on a high local bit
-			RelPhaseOp(cmplx.Conj(phase), phase, 0, top),                            // rz on a rank bit
-			{Kind: TileFused, Fused: &FusedBlock{Qubits: []uint{2, 0}, Mat: ident}}, //
+			{Kind: TileMat1, T: 0, C: 2, HasCtrl: true, M: ry, HighMask: top}, // rank-bit control
+			{Kind: TileMat1, T: 2, M: ry, HighMask: top | 1<<uint(tileBits)},  // rank and high local bit
+			{Kind: TileCX, T: 1, HighMask: rank0},                             // rank-bit control
+			{Kind: TileCX, T: 0, C: 1, HasCtrl: true},                         //
+			DiagOp(phase, 1<<2, top),                                          // cr1 across the boundary
+			DiagOp(-phase, 0, top|rank0),                                      // both factors on rank bits (g = 1: one bit)
+			DiagOp(phase, 1|1<<1, 0),                                          //
+			RelPhaseOp(phase, -phase, 2, 0),                                   // low rz
+			RelPhaseOp(phase, cmplx.Conj(phase), 0, 1<<uint(local-1)),         // rz on a high local bit
+			RelPhaseOp(cmplx.Conj(phase), phase, 0, top),                      // rz on a rank bit
 			{Kind: TileMat1, T: 2, M: h},
 		}
 		full := MustNew(n, 2)

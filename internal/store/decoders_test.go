@@ -181,10 +181,23 @@ func goldenResult() *backend.Result {
 		SweepValues: []float64{0.25, -0.25}, SweepPoints: 2, Rebinds: 1, SweepCompiles: 1,
 		SweepCounts: []sampling.Counts{{1: 2}, {}},
 		Gradient:    []float64{0.5, -0.5, 0},
-		KernelStats: kernel.Stats{SourceOps: 4, EmittedOps: 3, FusedGroups: 1, FusedGates: 2, Measurements: 2},
+		KernelStats: kernel.Stats{SourceOps: 4, EmittedOps: 3, Measurements: 2},
 		PlanStats:   &kernel.PlanStats{TileLocal: 3, Runs: 1, FusedOps: 1},
 		TileBits:    2, Exchanges: 1, BytesSent: 64, AvoidedExchanges: 2,
 	}
+}
+
+// fusedResult is testdata/result_fused.golden: goldenResult as builds
+// with gate fusion wrote it, its kernel statistics counting one fused
+// block of two gates. Stores hold such files under this format version,
+// so the bytes stay pinned — as a result that must be refused.
+func fusedResult(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile("testdata/result_fused.golden")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }
 
 // TestGoldenStoreArtifacts pins the result and plan layouts to
@@ -197,6 +210,9 @@ func TestGoldenStoreArtifacts(t *testing.T) {
 	res, err := decodeResult(artifacttest.Golden(t, "testdata/result.golden", data), "golden|key", testSig)
 	if err != nil || !reflect.DeepEqual(res, goldenResult()) {
 		t.Fatalf("golden result decodes to %+v (err %v)", res, err)
+	}
+	if res, err := decodeResult(fusedResult(t), "golden|key", testSig); err == nil {
+		t.Fatalf("a result counting fused blocks decoded to %+v", res)
 	}
 	// plan.golden is what a build wrote while per-gate execution was the
 	// absence of a plan: kernel, a cleared plan flag, transform stats, tile
@@ -266,6 +282,7 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 		f.Add(artifacttest.Payload(f, like))
 	}
+	f.Add(artifacttest.Payload(f, fusedResult(f)))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		artifacttest.FuzzDecoder(t, like, payload, func(sealed []byte) (func() ([]byte, error), error) {
 			res, err := decodeResult(sealed, fuzzKey, testSig)

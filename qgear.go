@@ -72,7 +72,7 @@ type Counts = sampling.Counts
 type RunOptions = core.Options
 
 // PlanStats reports what the plan compiler did (tile runs, full-sweep
-// fallbacks, fused micro-ops, relabeling swaps) — carried on
+// fallbacks, relabeling swaps) — carried on
 // Result.PlanStats for every planned execution.
 type PlanStats = kernel.PlanStats
 
@@ -114,7 +114,7 @@ func NewCircuit(nq, nc int) *Circuit { return circuit.New(nq, nc) }
 func GHZ(n int, measure bool) *Circuit { return circuit.GHZ(n, measure) }
 
 // Transform converts a circuit into a kernel — the Q-GEAR step
-// (§2.2) — with optional gate fusion and small-angle pruning.
+// (§2.2) — with optional small-angle pruning.
 func Transform(c *Circuit, opts RunOptions) (*Kernel, TransformStats, error) {
 	ks, sts, err := core.Transform([]*Circuit{c}, opts)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // submit, wait, fetch, and confirm the content-addressed cache serves
 // the identical resubmission.
 func TestPublicServerAPI(t *testing.T) {
-	srv, err := qgear.NewServer(qgear.ServerConfig{FusionWindow: 2})
+	srv, err := qgear.NewServer(qgear.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +54,12 @@ func TestPublicFingerprintAndCacheKey(t *testing.T) {
 	if qgear.Fingerprint(a) != qgear.Fingerprint(b) {
 		t.Fatal("identical circuits disagree on fingerprint")
 	}
-	opts := qgear.RunOptions{Target: qgear.TargetNvidia, FusionWindow: 2}
+	opts := qgear.RunOptions{Target: qgear.TargetNvidia}
 	if qgear.CacheKey(a, opts) != qgear.CacheKey(b, opts) {
 		t.Fatal("identical (circuit, options) disagree on cache key")
 	}
 	opts2 := opts
-	opts2.FusionWindow = 3
+	opts2.PruneAngle = 1e-6
 	if qgear.CacheKey(a, opts) == qgear.CacheKey(a, opts2) {
 		t.Fatal("transform options ignored by cache key")
 	}

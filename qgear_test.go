@@ -23,11 +23,11 @@ func TestTransformSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, st, err := Transform(c, RunOptions{FusionWindow: 5})
+	k, st, err := Transform(c, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.NumQubits != 6 || st.FusedGroups == 0 {
+	if k.NumQubits != 6 || st.EmittedOps == 0 {
 		t.Fatalf("transform surface wrong: %+v", st)
 	}
 }
