@@ -151,13 +151,15 @@ ci-load: build
 # a pending permutation rides along too: bit-equal to a materialized
 # readout on every layout, width and worker count, its walk cached per
 # permutation, and the Pauli lane primitive's seed corpus against its Go
-# loop. The plan, lane-kernel, Pauli evaluator, readout, mgpu,
+# loop. So does the one dispatcher, statevec.ParallelFor: every index
+# covered once, nested calls (more outer chunks than pool workers)
+# finishing, and a chunk's panic re-raised on the caller. The plan, lane-kernel, Pauli evaluator, readout, mgpu,
 # small-state schedule and sampler micro-benchmarks run one iteration
 # each so they cannot rot — their numbers gate
 # nothing, BENCHMARK.json does (the samplers' DRAM-resident alias shape
 # is there to be read).
 ci-scaling: build
-	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape|ProbabilitiesReadThroughPerm|PermTablesCached|FuzzPauliLanes|FuzzScaleTable|PhaseTableMatchesPerIndex|TileRunPassesOverTableCap|CheckGroupsRefuses|DiagGroupRule|UngroupedPlansUnchanged|GroupedPlansBitIdentical|GroupedPlansMatchPerGate|PlanReaderGroupRule|RunSweepGroupedDiagonals,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
+	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape|ProbabilitiesReadThroughPerm|PermTablesCached|FuzzPauliLanes|FuzzScaleTable|PhaseTableMatchesPerIndex|TileRunPassesOverTableCap|CheckGroupsRefuses|DiagGroupRule|UngroupedPlansUnchanged|GroupedPlansBitIdentical|GroupedPlansMatchPerGate|PlanReaderGroupRule|RunSweepGroupedDiagonals|ParallelForCoverage|ParallelForNesting|ParallelForPanic,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
 	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|ExecuteQFT21|PlanPerGate|TileRun|LanePrimitives|ExpPauliGroup|^BenchmarkReadout$$|ExecutePlanQCrank' -benchtime=1x \
 		./internal/statevec/ ./internal/kernel/ ./internal/mgpu/
 	$(GO) test -run '^$$' -bench SmallStateSchedule -benchtime=1x ./internal/backend/
@@ -245,10 +247,11 @@ ci-portable:
 # Injected disk faults, short writes, execution panics, and tight
 # deadlines must leave the server serving, quarantines firing, fallback
 # re-simulations bit-identical, and no job hung — the hardened-serving
-# invariants, checked deterministically.
+# invariants, checked deterministically. The backend leg holds an mqpu
+# batch's panic to the caller's goroutine, where the server's guard is.
 ci-chaos: build
 	$(GO) test -race -count=1 ./internal/faultfs/
-	$(call run-selected,TestChaos,./internal/service/,-v)
+	$(call run-selected,TestChaos,./internal/service/ ./internal/backend/,-v)
 
 # Sweep acceptance: the compile-once property under race detection.
 # The differential suites prove per-point sweep values bit-identical to

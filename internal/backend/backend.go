@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"qgear/internal/cancel"
@@ -427,10 +426,10 @@ func addDistSpans(tr *telemetry.Trace, wall, exchange time.Duration) {
 // as RunCompiled does for cfg, so schedulers that defer sampling (the
 // service layer) still match a standalone Run bit for bit. On the mqpu
 // target the shot budget is split across the simulated QPUs and sampled
-// concurrently — the multi-shot parallelism of the paper's ref. [23]
-// (and the reason §3 notes mqpu "significantly improves the execution
-// time"); results merge into one Counts and stay deterministic under a
-// fixed seed.
+// side by side on statevec's pool — the multi-shot parallelism of the
+// paper's ref. [23] (and the reason §3 notes mqpu "significantly
+// improves the execution time"); results merge into one Counts and stay
+// deterministic under a fixed seed.
 func SampleShots(probs []float64, cfg Config) (sampling.Counts, error) {
 	devices := cfg.devices()
 	if cfg.Target != TargetNvidiaMQPU || devices <= 1 || cfg.Shots < devices {
@@ -440,19 +439,15 @@ func SampleShots(probs []float64, cfg Config) (sampling.Counts, error) {
 	rem := cfg.Shots % devices
 	parts := make([]sampling.Counts, devices)
 	errs := make([]error, devices)
-	var wg sync.WaitGroup
-	for d := 0; d < devices; d++ {
-		shots := per
-		if d < rem {
-			shots++
-		}
-		wg.Add(1)
-		go func(d, shots int) {
-			defer wg.Done()
+	statevec.ParallelFor(devices, devices, func(lo, hi int) {
+		for d := lo; d < hi; d++ {
+			shots := per
+			if d < rem {
+				shots++
+			}
 			parts[d], errs[d] = sampling.Sample(probs, shots, qmath.NewRNG(cfg.Seed+uint64(d)*0x9e3779b9))
-		}(d, shots)
-	}
-	wg.Wait()
+		}
+	})
 	merged := make(sampling.Counts)
 	for d := 0; d < devices; d++ {
 		if errs[d] != nil {
@@ -537,55 +532,40 @@ func RunBatch(circuits []*circuit.Circuit, cfg Config) ([]*Result, error) {
 
 // RunBatchCompiled executes a batch of compiled circuits. On the mqpu
 // target the batch is spread across cfg.Devices simulated QPUs running
-// concurrently (the §3 four-QPU mode); every other target runs
-// sequentially. Plans compiled under the mqpu target are valid on the
+// side by side (the §3 four-QPU mode); every other target runs it in
+// order. Plans compiled under the mqpu target are valid on the
 // per-device engine — both are single-process plan consumers.
 func RunBatchCompiled(comps []*Compiled, cfg Config) ([]*Result, error) {
-	if cfg.Target != TargetNvidiaMQPU {
-		out := make([]*Result, len(comps))
-		for i, comp := range comps {
-			r, err := RunCompiled(comp, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("backend: circuit %d: %w", i, err)
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-
-	devices := cfg.devices()
-	// Split worker budget across concurrently running devices.
-	perDev := cfg
-	perDev.Target = TargetNvidia
-	if w := cfg.workers() / devices; w > 0 {
-		perDev.Workers = w
-	} else {
-		perDev.Workers = 1
-	}
+	conc, workers := cfg.mqpuShare(len(comps))
 	out := make([]*Result, len(comps))
 	errs := make([]error, len(comps))
-	sem := make(chan struct{}, devices)
-	var wg sync.WaitGroup
-	for i, comp := range comps {
-		wg.Add(1)
-		go func(i int, comp *Compiled) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cfgi := perDev
-			cfgi.Seed = cfg.Seed + uint64(i)
-			r, err := RunCompiled(comp, cfgi)
-			out[i], errs[i] = r, err
-			if r != nil {
-				r.Target = TargetNvidiaMQPU
+	statevec.ParallelFor(len(comps), conc, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			cfgi := cfg
+			if cfg.Target == TargetNvidiaMQPU {
+				cfgi.Target, cfgi.Workers, cfgi.Seed = TargetNvidia, workers, cfg.Seed+uint64(i)
 			}
-		}(i, comp)
-	}
-	wg.Wait()
+			if out[i], errs[i] = RunCompiled(comps[i], cfgi); errs[i] != nil {
+				return
+			}
+			out[i].Target = cfg.Target
+		}
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("backend: circuit %d: %w", i, err)
 		}
 	}
 	return out, nil
+}
+
+// mqpuShare is the per-device budget rule for n independent runs (batch
+// circuits, sweep points): on mqpu, min(devices, n) of them run side by
+// side on equal shares of the workers; other targets run one at a time.
+func (c Config) mqpuShare(n int) (conc, workers int) {
+	conc = 1
+	if c.Target == TargetNvidiaMQPU && n > 1 {
+		conc = min(c.devices(), n)
+	}
+	return conc, max(1, c.workers()/conc)
 }

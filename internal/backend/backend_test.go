@@ -3,6 +3,7 @@ package backend
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"qgear/internal/circuit"
@@ -158,6 +159,39 @@ func TestRunBatchPropagatesErrors(t *testing.T) {
 	bad := []*circuit.Circuit{circuit.GHZ(2, false)}
 	if _, err := RunBatch(bad, Config{Target: TargetNvidiaMGPU, Devices: 8}); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestChaosBatchPanicReachesCaller: an mqpu batch runs its circuits on
+// statevec's pool, and a panic in any one of them is re-raised on the
+// caller of RunBatch, where recover catches it; the pool then runs the
+// next batch.
+func TestChaosBatchPanicReachesCaller(t *testing.T) {
+	batch := []*circuit.Circuit{
+		randomCircuit(4, 30, 1),
+		randomCircuit(4, 30, 2),
+		randomCircuit(4, 30, 3),
+		randomCircuit(4, 30, 4),
+	}
+	const msg = "chaos: injected execution panic"
+	for k := int64(1); k <= int64(len(batch)); k++ {
+		var calls atomic.Int64
+		cfg := Config{Target: TargetNvidiaMQPU, Devices: 2, ExecHook: func() {
+			if calls.Add(1) == k {
+				panic(msg)
+			}
+		}}
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			_, _ = RunBatch(batch, cfg)
+			return nil
+		}()
+		if got != msg {
+			t.Fatalf("panic in execution %d: the caller recovered %v", k, got)
+		}
+	}
+	if _, err := RunBatch(batch, Config{Target: TargetNvidiaMQPU, Devices: 2}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"qgear/internal/circuit"
 	"qgear/internal/observable"
 	"qgear/internal/sampling"
+	"qgear/internal/statevec"
 	"qgear/internal/telemetry"
 )
 
@@ -148,40 +148,30 @@ func validateSweep(h *observable.Hamiltonian, points [][]float64, cfg Config, nP
 }
 
 // runSweepPoints executes every point through bindPoint and aggregates
-// per-point results into the prepared res. On the mqpu target points
-// fan across the simulated QPUs (worker budget split per device);
-// every other target runs them in order. Per-point stage spans are
-// summed by stage into one aggregated trace.
+// per-point results into the prepared res. Points run side by side on
+// the mqpu target (mqpuShare), in order on every other; the first error
+// by point index is returned. Per-point stage spans are summed by stage
+// into one aggregated trace.
 func runSweepPoints(res *Result, h *observable.Hamiltonian, points [][]float64, cfg Config, bindPoint func(i int) (*Compiled, error)) (*Result, error) {
 	start := time.Now()
-	// Fire the fault-injection hook once for the whole sweep, in the
-	// caller's goroutine (guarded by the serving layer's panic
-	// isolation), and strip it from per-point configs.
+	// Fire the fault-injection hook once for the whole sweep, not once
+	// per point, and strip it from per-point configs.
 	cfg.execHook()
 	pcfg := cfg
 	pcfg.ExecHook = nil
+	conc, workers := cfg.mqpuShare(len(points))
+	pcfg.Workers = workers
 
-	conc := 1
-	if cfg.Target == TargetNvidiaMQPU && cfg.devices() > 1 && len(points) > 1 {
-		conc = cfg.devices()
-		if w := cfg.workers() / conc; w > 0 {
-			pcfg.Workers = w
-		} else {
-			pcfg.Workers = 1
-		}
-	}
-
-	runPoint := func(i int) (*Result, time.Duration, error) {
-		if err := cfg.Cancel.Err(); err != nil {
-			return nil, 0, fmt.Errorf("backend: sweep point %d: %w", i, err)
+	runPoint := func(i int) (r *Result, rebind time.Duration, err error) {
+		if err = cfg.Cancel.Err(); err != nil {
+			return nil, 0, err
 		}
 		t0 := time.Now()
 		bound, err := bindPoint(i)
 		if err != nil {
-			return nil, 0, fmt.Errorf("backend: sweep point %d: %w", i, err)
+			return nil, 0, err
 		}
-		rebind := time.Since(t0)
-		var r *Result
+		rebind = time.Since(t0)
 		if h != nil {
 			r, err = RunExpectationCompiled(bound, h, pcfg)
 		} else {
@@ -189,40 +179,22 @@ func runSweepPoints(res *Result, h *observable.Hamiltonian, points [][]float64, 
 			pc.Seed = SweepPointSeed(cfg.Seed, i)
 			r, err = RunCompiled(bound, pc)
 		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("backend: sweep point %d: %w", i, err)
-		}
-		return r, rebind, nil
+		return r, rebind, err
 	}
 
 	results := make([]*Result, len(points))
 	rebinds := make([]time.Duration, len(points))
-	if conc <= 1 {
-		for i := range points {
-			r, rb, err := runPoint(i)
-			if err != nil {
-				return nil, err
+	errs := make([]error, len(points))
+	statevec.ParallelFor(len(points), conc, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if results[i], rebinds[i], errs[i] = runPoint(i); errs[i] != nil {
+				return
 			}
-			results[i], rebinds[i] = r, rb
 		}
-	} else {
-		errs := make([]error, len(points))
-		sem := make(chan struct{}, conc)
-		var wg sync.WaitGroup
-		for i := range points {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				results[i], rebinds[i], errs[i] = runPoint(i)
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("backend: sweep point %d: %w", i, err)
 		}
 	}
 

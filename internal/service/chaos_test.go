@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"qgear/internal/backend"
 	"qgear/internal/circuit"
 	"qgear/internal/faultfs"
 )
@@ -40,10 +41,24 @@ func chaosWait(t *testing.T, s *Server, id string) JobInfo {
 // asserts the blast radius: the panicking job and every single-flight
 // member on its key fail with the panic message, the worker survives,
 // and a later resubmission of the same circuit re-executes cleanly
-// with bit-identical output.
+// with bit-identical output. The mqpu row runs its batch on statevec's
+// pool, so the panic is raised on a chunk and must reach the worker's
+// guard on the calling goroutine.
 func TestChaosPanicIsolation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", Config{WorkerPool: 1, MaxBatch: 1, TileBits: 4}},
+		{"nvidia-mqpu", Config{WorkerPool: 1, MaxBatch: 1, TileBits: 4, Target: backend.TargetNvidiaMQPU, Devices: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { chaosPanicIsolation(t, tc.cfg) })
+	}
+}
+
+func chaosPanicIsolation(t *testing.T, base Config) {
 	var armed atomic.Bool
-	cfg := Config{WorkerPool: 1, MaxBatch: 1, TileBits: 4}
+	cfg := base
 	cfg.ExecHook = func() {
 		if armed.Load() {
 			panic("chaos: injected execution panic")
@@ -102,7 +117,7 @@ func TestChaosPanicIsolation(t *testing.T) {
 	if info.State != StateDone {
 		t.Fatalf("resubmission state %s", info.State)
 	}
-	clean := newTestServer(t, Config{WorkerPool: 1, MaxBatch: 1, TileBits: 4})
+	clean := newTestServer(t, base)
 	want, _, err := clean.Run(context.Background(), c, SubmitOptions{Shots: 100, Seed: 9})
 	if err != nil {
 		t.Fatal(err)

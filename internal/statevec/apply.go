@@ -22,7 +22,7 @@ func (s *State) ApplyMat1(target int, m gate.Mat2) {
 		lm.pairSubspace(v, t, 0, 0, 0, half)
 		return
 	}
-	s.fanOut(half, func(_, lo, hi int) { lm.pairSubspace(v, t, 0, 0, lo, hi) })
+	ParallelFor(half, s.workers, func(lo, hi int) { lm.pairSubspace(v, t, 0, 0, lo, hi) })
 }
 
 // applyControlled1 applies a 2×2 unitary to target, controlled on
@@ -46,7 +46,7 @@ func (s *State) applyControlled1(control, target int, m gate.Mat2) {
 		lm.pairSubspace(v, t, cbit, cbit, 0, quarter)
 		return
 	}
-	s.fanOut(quarter, func(_, lo, hi int) { lm.pairSubspace(v, t, cbit, cbit, lo, hi) })
+	ParallelFor(quarter, s.workers, func(lo, hi int) { lm.pairSubspace(v, t, cbit, cbit, lo, hi) })
 }
 
 // ApplyCX applies the controlled-X with a swap-only inner loop (no
@@ -67,7 +67,7 @@ func (s *State) ApplyCX(control, target int) {
 		cxChunk(amps, c, t, 0, quarter)
 		return
 	}
-	s.fanOut(quarter, func(_, lo, hi int) { cxChunk(amps, c, t, lo, hi) })
+	ParallelFor(quarter, s.workers, func(lo, hi int) { cxChunk(amps, c, t, lo, hi) })
 }
 
 // cxChunk is ApplyCX over control-set pairs [lo, hi).
@@ -150,9 +150,9 @@ func (s *State) swapBits(pairs ...[2]uint) {
 		return
 	}
 	var cur [2]uint // the pair the closure swaps
-	chunk := func(_, lo, hi int) { swapBitsChunk(amps, cur[0], cur[1], lo, hi) }
+	chunk := func(lo, hi int) { swapBitsChunk(amps, cur[0], cur[1], lo, hi) }
 	for _, cur = range pairs {
-		s.fanOut(quarter, chunk)
+		ParallelFor(quarter, s.workers, chunk)
 	}
 }
 

@@ -29,7 +29,7 @@ func (s *State) applyPhase1(target int, phase complex128) {
 		scaleSubspace(v, bit, bit, 0, half, pr, pi)
 		return
 	}
-	s.fanOut(half, func(_, lo, hi int) { scaleSubspace(v, bit, bit, lo, hi, pr, pi) })
+	ParallelFor(half, s.workers, func(lo, hi int) { scaleSubspace(v, bit, bit, lo, hi, pr, pi) })
 }
 
 // ApplyGlobalAndRelativePhase applies diag(a, b) on the target qubit —
@@ -46,7 +46,7 @@ func (s *State) ApplyGlobalAndRelativePhase(target int, a, b complex128) {
 		diag1Chunk(v, t, a, b, 0, half)
 		return
 	}
-	s.fanOut(half, func(_, lo, hi int) { diag1Chunk(v, t, a, b, lo, hi) })
+	ParallelFor(half, s.workers, func(lo, hi int) { diag1Chunk(v, t, a, b, lo, hi) })
 }
 
 // diag1Chunk is diag(a, b) on qubit t over the amplitude pairs [lo, hi)
@@ -81,7 +81,7 @@ func (s *State) applyControlledPhase(control, target int, phase complex128) {
 		scaleSubspace(v, mask, mask, 0, quarter, pr, pi)
 		return
 	}
-	s.fanOut(quarter, func(_, lo, hi int) { scaleSubspace(v, mask, mask, lo, hi, pr, pi) })
+	ParallelFor(quarter, s.workers, func(lo, hi int) { scaleSubspace(v, mask, mask, lo, hi, pr, pi) })
 }
 
 // IsDiagonalGate reports whether the fast path covers gate g.

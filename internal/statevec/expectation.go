@@ -546,7 +546,7 @@ func (e *PauliEvaluator) sweepGroup(g *pauliGroup, partner []complex128, bb, cb 
 		mu     sync.Mutex
 		first  error
 	)
-	s.parallelTiles(1<<uint(s.n-bb-w), bb+w, func(_, lo, hi int) {
+	s.parallelTiles(1<<uint(s.n-bb-w), bb+w, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			if failed.Load() {
 				return

@@ -197,7 +197,7 @@ func (s *State) ProbabilitiesInto(p []float64) {
 		if s.serial(n) {
 			probsChunk(p, v, 0, n)
 		} else {
-			s.fanOut(n, func(_, lo, hi int) { probsChunk(p, v, lo, hi) })
+			ParallelFor(n, s.workers, func(lo, hi int) { probsChunk(p, v, lo, hi) })
 		}
 		return
 	}
@@ -205,7 +205,7 @@ func (s *State) ProbabilitiesInto(p []float64) {
 	if s.serial(n) {
 		t.probs(p, s.amps, 0, len(t.physHi))
 	} else {
-		s.fanOut(len(t.physHi), func(_, lo, hi int) { t.probs(p, s.amps, lo, hi) })
+		ParallelFor(len(t.physHi), s.workers, func(lo, hi int) { t.probs(p, s.amps, lo, hi) })
 	}
 }
 

@@ -240,7 +240,7 @@ func (s *State) ApplyPhaseGroup(members []TileOp) error {
 		tableSubspace(v, tab, common, free, 0, m)
 		return nil
 	}
-	s.fanOut(m, func(_, lo, hi int) { tableSubspace(v, tab, common, free, lo, hi) })
+	ParallelFor(m, s.workers, func(lo, hi int) { tableSubspace(v, tab, common, free, lo, hi) })
 	return nil
 }
 

@@ -186,7 +186,7 @@ func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, tabs []complex
 		}
 	}
 	amps, tileSize := s.amps, 1<<uint(tileBits)
-	s.parallelTiles(len(s.amps)>>uint(tileBits), tileBits, func(_, lo, hi int) {
+	s.parallelTiles(len(s.amps)>>uint(tileBits), tileBits, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			off := uint64(t) << uint(tileBits)
 			tile := amps[off : off+uint64(tileSize)]
