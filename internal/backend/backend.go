@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"qgear/internal/cancel"
@@ -439,14 +440,12 @@ func SampleShots(probs []float64, cfg Config) (sampling.Counts, error) {
 	rem := cfg.Shots % devices
 	parts := make([]sampling.Counts, devices)
 	errs := make([]error, devices)
-	statevec.ParallelFor(devices, devices, func(lo, hi int) {
-		for d := lo; d < hi; d++ {
-			shots := per
-			if d < rem {
-				shots++
-			}
-			parts[d], errs[d] = sampling.Sample(probs, shots, qmath.NewRNG(cfg.Seed+uint64(d)*0x9e3779b9))
+	statevec.ParallelFor(devices, devices, func(d, _ int) { // one device a chunk
+		shots := per
+		if d < rem {
+			shots++
 		}
+		parts[d], errs[d] = sampling.Sample(probs, shots, qmath.NewRNG(cfg.Seed+uint64(d)*0x9e3779b9))
 	})
 	merged := make(sampling.Counts)
 	for d := 0; d < devices; d++ {
@@ -536,36 +535,48 @@ func RunBatch(circuits []*circuit.Circuit, cfg Config) ([]*Result, error) {
 // order. Plans compiled under the mqpu target are valid on the
 // per-device engine — both are single-process plan consumers.
 func RunBatchCompiled(comps []*Compiled, cfg Config) ([]*Result, error) {
-	conc, workers := cfg.mqpuShare(len(comps))
 	out := make([]*Result, len(comps))
-	errs := make([]error, len(comps))
-	statevec.ParallelFor(len(comps), conc, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cfgi := cfg
-			if cfg.Target == TargetNvidiaMQPU {
-				cfgi.Target, cfgi.Workers, cfgi.Seed = TargetNvidia, workers, cfg.Seed+uint64(i)
-			}
-			if out[i], errs[i] = RunCompiled(comps[i], cfgi); errs[i] != nil {
-				return
-			}
+	err := cfg.runEach(len(comps), "circuit", func(i, workers int) (err error) {
+		cfgi := cfg
+		if cfg.Target == TargetNvidiaMQPU {
+			cfgi.Target, cfgi.Workers, cfgi.Seed = TargetNvidia, workers, cfg.Seed+uint64(i)
+		}
+		if out[i], err = RunCompiled(comps[i], cfgi); err == nil {
 			out[i].Target = cfg.Target
 		}
+		return err
 	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("backend: circuit %d: %w", i, err)
-		}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// mqpuShare is the per-device budget rule for n independent runs (batch
-// circuits, sweep points): on mqpu, min(devices, n) of them run side by
-// side on equal shares of the workers; other targets run one at a time.
-func (c Config) mqpuShare(n int) (conc, workers int) {
-	conc = 1
+// runEach runs run(i, workers) for each of n independent items under
+// the per-device budget rule: on mqpu, min(devices, n) items run side by
+// side on equal shares of the workers; other targets run them in order
+// on every worker. A free device takes the next index, and none does
+// once a run has failed, so every item below a failure has run and the
+// error returned, wrapped as "backend: <item> <i>", is the first by index.
+func (c Config) runEach(n int, item string, run func(i, workers int) error) error {
+	conc := 1
 	if c.Target == TargetNvidiaMQPU && n > 1 {
 		conc = min(c.devices(), n)
 	}
-	return conc, max(1, c.workers()/conc)
+	workers := max(1, c.workers()/conc)
+	errs := make([]error, n)
+	var next atomic.Int64
+	statevec.ParallelFor(conc, conc, func(int, int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			if errs[i] = run(i, workers); errs[i] != nil {
+				next.Store(int64(n)) // hand out no further index
+			}
+		}
+	})
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("backend: %s %d: %w", item, i, err)
+		}
+	}
+	return nil
 }

@@ -1,10 +1,12 @@
 package backend
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"qgear/internal/circuit"
 	"qgear/internal/qmath"
@@ -159,6 +161,67 @@ func TestRunBatchPropagatesErrors(t *testing.T) {
 	bad := []*circuit.Circuit{circuit.GHZ(2, false)}
 	if _, err := RunBatch(bad, Config{Target: TargetNvidiaMGPU, Devices: 8}); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestRunEachBudget: on mqpu, min(devices, n) items run at once on equal
+// shares of the workers, a lone item getting all of them; other targets
+// run items one at a time. The error returned is the first by index, and
+// every item below it has run.
+func TestRunEachBudget(t *testing.T) {
+	for _, tc := range []struct {
+		cfg              Config
+		n, conc, workers int
+	}{
+		{Config{Target: TargetNvidiaMQPU, Devices: 4, Workers: 8}, 1, 1, 8},
+		{Config{Target: TargetNvidiaMQPU, Devices: 4, Workers: 8}, 2, 2, 4},
+		{Config{Target: TargetNvidiaMQPU, Devices: 4, Workers: 8}, 6, 4, 2},
+		{Config{Target: TargetNvidiaMQPU, Devices: 4, Workers: 2}, 6, 4, 1},
+		{Config{Target: TargetNvidia, Devices: 4, Workers: 8}, 6, 1, 8},
+	} {
+		var running, peak atomic.Int64
+		ran := make([]atomic.Bool, tc.n)
+		err := tc.cfg.runEach(tc.n, "item", func(i, workers int) error {
+			ran[i].Store(true)
+			if workers != tc.workers {
+				t.Errorf("%s n=%d: item %d got %d workers, want %d", tc.cfg.Target, tc.n, i, workers, tc.workers)
+			}
+			r := running.Add(1)
+			for p := peak.Load(); r > p && !peak.CompareAndSwap(p, r); p = peak.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
+			return nil
+		})
+		if err != nil || peak.Load() > int64(tc.conc) {
+			t.Fatalf("%s n=%d: err %v, %d items at once, want at most %d", tc.cfg.Target, tc.n, err, peak.Load(), tc.conc)
+		}
+		for i := range ran {
+			if !ran[i].Load() {
+				t.Fatalf("%s n=%d: item %d never ran", tc.cfg.Target, tc.n, i)
+			}
+		}
+	}
+
+	for _, cfg := range []Config{{Target: TargetNvidia}, {Target: TargetNvidiaMQPU, Devices: 4}} {
+		for trial := 0; trial < 20; trial++ {
+			ran := make([]atomic.Bool, 12)
+			err := cfg.runEach(len(ran), "item", func(i, _ int) error {
+				ran[i].Store(true)
+				if i == 5 || i == 7 {
+					return errors.New("fail")
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "backend: item 5: fail" {
+				t.Fatalf("%s: err %v, want item 5's", cfg.Target, err)
+			}
+			for i := range ran {
+				if below := i <= 5; ran[i].Load() != below && (below || cfg.Target == TargetNvidia) {
+					t.Fatalf("%s: item %d ran %v around the first failure at 5", cfg.Target, i, ran[i].Load())
+				}
+			}
+		}
 	}
 }
 

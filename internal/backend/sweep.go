@@ -9,7 +9,6 @@ import (
 	"qgear/internal/circuit"
 	"qgear/internal/observable"
 	"qgear/internal/sampling"
-	"qgear/internal/statevec"
 	"qgear/internal/telemetry"
 )
 
@@ -147,55 +146,39 @@ func validateSweep(h *observable.Hamiltonian, points [][]float64, cfg Config, nP
 	return nil
 }
 
-// runSweepPoints executes every point through bindPoint and aggregates
-// per-point results into the prepared res. Points run side by side on
-// the mqpu target (mqpuShare), in order on every other; the first error
-// by point index is returned. Per-point stage spans are summed by stage
-// into one aggregated trace.
+// runSweepPoints executes every point through bindPoint under runEach's
+// budget rule and aggregates per-point results into the prepared res;
+// per-point stage spans are summed by stage into one aggregated trace.
 func runSweepPoints(res *Result, h *observable.Hamiltonian, points [][]float64, cfg Config, bindPoint func(i int) (*Compiled, error)) (*Result, error) {
 	start := time.Now()
 	// Fire the fault-injection hook once for the whole sweep, not once
 	// per point, and strip it from per-point configs.
 	cfg.execHook()
-	pcfg := cfg
-	pcfg.ExecHook = nil
-	conc, workers := cfg.mqpuShare(len(points))
-	pcfg.Workers = workers
 
-	runPoint := func(i int) (r *Result, rebind time.Duration, err error) {
+	results := make([]*Result, len(points))
+	rebinds := make([]time.Duration, len(points))
+	err := cfg.runEach(len(points), "sweep point", func(i, workers int) (err error) {
 		if err = cfg.Cancel.Err(); err != nil {
-			return nil, 0, err
+			return err
 		}
 		t0 := time.Now()
 		bound, err := bindPoint(i)
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
-		rebind = time.Since(t0)
+		rebinds[i] = time.Since(t0)
+		pc := cfg
+		pc.ExecHook, pc.Workers = nil, workers
 		if h != nil {
-			r, err = RunExpectationCompiled(bound, h, pcfg)
+			results[i], err = RunExpectationCompiled(bound, h, pc)
 		} else {
-			pc := pcfg
 			pc.Seed = SweepPointSeed(cfg.Seed, i)
-			r, err = RunCompiled(bound, pc)
+			results[i], err = RunCompiled(bound, pc)
 		}
-		return r, rebind, err
-	}
-
-	results := make([]*Result, len(points))
-	rebinds := make([]time.Duration, len(points))
-	errs := make([]error, len(points))
-	statevec.ParallelFor(len(points), conc, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if results[i], rebinds[i], errs[i] = runPoint(i); errs[i] != nil {
-				return
-			}
-		}
+		return err
 	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("backend: sweep point %d: %w", i, err)
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	if h != nil {

@@ -42,7 +42,7 @@ type forCall struct {
 
 type forOffer struct {
 	c   *forCall
-	gen uint64
+	gen uint32
 }
 
 var (
@@ -88,8 +88,8 @@ func ParallelFor(n, w int, fn func(lo, hi int)) {
 	}
 	c.fn, c.n, c.chunk = fn, n, (n+w-1)/w
 	c.chunks = (n + c.chunk - 1) / c.chunk
-	gen := c.claim.Load()>>32 + 1
-	c.claim.Store(gen<<32 | uint64(c.chunks))
+	gen := uint32(c.claim.Load()>>32) + 1 // wraps to 0 after 2^32 reuses
+	c.claim.Store(uint64(gen)<<32 | uint64(c.chunks))
 offer:
 	for i := 1; i < c.chunks; i++ {
 		select {
@@ -116,10 +116,10 @@ offer:
 // work runs chunks of generation gen until none is left to claim and
 // reports whether this goroutine finished the call's last chunk. A
 // claimed chunk keeps the record from reuse until it finishes.
-func (c *forCall) work(gen uint64) (last bool) {
+func (c *forCall) work(gen uint32) (last bool) {
 	for {
 		w := c.claim.Load()
-		if w>>32 != gen || uint32(w) == 0 {
+		if uint32(w>>32) != gen || uint32(w) == 0 {
 			return last
 		}
 		if !c.claim.CompareAndSwap(w, w-1) {

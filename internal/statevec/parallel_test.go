@@ -147,3 +147,28 @@ func TestParallelForPanic(t *testing.T) {
 		t.Fatalf("after a panic the pool covered %d of %d", covered.Load(), 1<<14)
 	}
 }
+
+// TestParallelForGenerationWrap: a pooled record reused 2^32 times
+// wraps its generation to 0 and still runs every chunk of the next call.
+func TestParallelForGenerationWrap(t *testing.T) {
+	for drained := false; !drained; {
+		select {
+		case <-freeCalls:
+		default:
+			drained = true
+		}
+	}
+	c := &forCall{done: make(chan struct{}, 1)}
+	c.claim.Store(0xFFFFFFFF << 32)
+	freeCalls <- c
+	var covered atomic.Int64
+	within(t, func() {
+		ParallelFor(1<<14, 8, func(lo, hi int) { covered.Add(int64(hi - lo)) })
+	})
+	if covered.Load() != 1<<14 {
+		t.Fatalf("after the wrap the pool covered %d of %d", covered.Load(), 1<<14)
+	}
+	if gen := c.claim.Load() >> 32; gen != 0 {
+		t.Fatalf("the record ran generation %d, want the wrapped 0", gen)
+	}
+}
