@@ -132,9 +132,10 @@ ci-load: build
 	$(call run-selected,TestLoadMixedTraffic|TestSubmitDecodeAllocBound|TestSubmitBodyNotRetained|TestHTTPBodyTooLarge,./internal/service/)
 	$(GO) test -run '^$$' -bench SubmitDecode -benchtime=1x ./internal/service/
 
-# Workers-axis scaling smoke: the lane-kernel and tiled-executor
-# bit-identity fuzz suites, race-enabled and uncached. Worker count
-# must never change an amplitude bit; wall-clock scaling is reported by
+# Workers-axis scaling smoke: the lane-kernel bit-identity fuzz suites
+# and the engine table (every executor at 1–4 and 8 workers, and at 1
+# and 4 per rank, against internal/oracle), race-enabled and uncached. Worker
+# count must never change an amplitude bit; wall-clock scaling is reported by
 # benchmark/ (statevec.scaling_speedup_w*), never gated. The plan IR's
 # size and compile-allocation contract rides along (a 96-byte op, a
 # 24-byte segment header, a shard base instead of per-rank op copies),
@@ -161,7 +162,7 @@ ci-load: build
 # nothing, BENCHMARK.json does (the samplers' DRAM-resident alias shape
 # is there to be read).
 ci-scaling: build
-	$(call run-selected,BitIdentity|TiledGateSoup|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape|ProbabilitiesReadThroughPerm|PermTablesCached|FuzzPauliLanes|FuzzScaleTable|PhaseTableMatchesPerIndex|TileRunPassesOverTableCap|CheckGroupsRefuses|DiagGroupRule|UngroupedPlansUnchanged|GroupedPlansBitIdentical|GroupedPlansMatchPerGate|PlanReaderGroupRule|RunSweepGroupedDiagonals|ParallelForCoverage|ParallelForNesting|ParallelForPanic|ParallelForGenerationWrap|RunEachBudget,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
+	$(call run-selected,BitIdentity|EnginesMatchOracle|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape|ProbabilitiesReadThroughPerm|PermTablesCached|FuzzPauliLanes|FuzzScaleTable|PhaseTableMatchesPerIndex|TileRunPassesOverTableCap|CheckGroupsRefuses|DiagGroupRule|UngroupedPlansUnchanged|GroupedPlansBitIdentical|GroupedPlansMatchPerGate|PlanReaderGroupRule|RunSweepGroupedDiagonals|ParallelForCoverage|ParallelForNesting|ParallelForPanic|ParallelForGenerationWrap|RunEachBudget,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
 	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|ExecuteQFT21|PlanPerGate|TileRun|LanePrimitives|ExpPauliGroup|^BenchmarkReadout$$|ExecutePlanQCrank' -benchtime=1x \
 		./internal/statevec/ ./internal/kernel/ ./internal/mgpu/
 	$(GO) test -run '^$$' -bench SmallStateSchedule -benchtime=1x ./internal/backend/
@@ -258,13 +259,15 @@ ci-chaos: build
 # Sweep acceptance: the compile-once property under race detection.
 # The differential suites prove per-point sweep values bit-identical to
 # individually-submitted jobs on all four engines (backend layer) and
-# through the full service path; the 1000-point acceptance run proves a
+# through the full service path, where the kinds tables hold every kind
+# (sweep and gradient among them) to its HTTP checks, its warm restart
+# from the store and its submit refusals; the 1000-point acceptance run proves a
 # 1k-point TFIM sweep — plus the same 1k points resubmitted as
 # individual expectation jobs — costs exactly one plan compile, via the
 # plan-cache counters of /v1/stats.
 ci-sweep: build
 	$(call run-selected,TestRunSweep|TestRunGradient|TestPlanBind|TestStructuralFingerprint,./internal/backend/ ./internal/kernel/ ./internal/circuit/)
-	$(call run-selected,TestServiceSweep|TestServiceGradient|TestHTTPSweep|TestHTTPGradient|TestHTTPLongPoll,./internal/service/)
+	$(call run-selected,TestServiceSweep|TestKindConformance|TestWarmRestartServesFromStore|TestInvalidSubmissions|TestHTTPLongPoll,./internal/service/)
 	$(call run-selected,TestServiceSweepCompileOnce,./internal/service/,-v -timeout 20m,QGEAR_SWEEP_ACCEPTANCE_POINTS=1000)
 
 # Bounded-store acceptance, race-enabled: the store and service suites

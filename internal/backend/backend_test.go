@@ -9,31 +9,9 @@ import (
 	"time"
 
 	"qgear/internal/circuit"
+	"qgear/internal/oracle"
 	"qgear/internal/qmath"
 )
-
-func randomCircuit(n, ops int, seed uint64) *circuit.Circuit {
-	r := qmath.NewRNG(seed)
-	c := circuit.New(n, 0)
-	c.Name = "random_test"
-	for i := 0; i < ops; i++ {
-		q := r.Intn(n)
-		q2 := (q + 1 + r.Intn(n-1)) % n
-		switch r.Intn(5) {
-		case 0:
-			c.H(q)
-		case 1:
-			c.RY(r.Angle(), q)
-		case 2:
-			c.RZ(r.Angle(), q)
-		case 3:
-			c.CX(q, q2)
-		case 4:
-			c.CP(r.Angle(), q, q2)
-		}
-	}
-	return c
-}
 
 func probsClose(a, b []float64, tol float64) bool {
 	if len(a) != len(b) {
@@ -45,27 +23,6 @@ func probsClose(a, b []float64, tol float64) bool {
 		}
 	}
 	return true
-}
-
-func TestAllTargetsAgree(t *testing.T) {
-	c := randomCircuit(6, 80, 11)
-	ref, err := Run(c, Config{Target: TargetAer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []Config{
-		{Target: TargetNvidia},
-		{Target: TargetNvidiaMGPU, Devices: 4},
-		{Target: TargetPennylane},
-	} {
-		res, err := Run(c, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Target, err)
-		}
-		if !probsClose(res.Probabilities, ref.Probabilities, 1e-9) {
-			t.Fatalf("%s: probabilities differ from aer reference", cfg.Target)
-		}
-	}
 }
 
 func TestUnknownTargetRejected(t *testing.T) {
@@ -107,7 +64,7 @@ func TestShotSampling(t *testing.T) {
 }
 
 func TestKernelStatsSurface(t *testing.T) {
-	c := randomCircuit(5, 60, 3)
+	c := oracle.Soup(5, 60, qmath.NewRNG(3))
 	res, err := Run(c, Config{Target: TargetNvidia})
 	if err != nil {
 		t.Fatal(err)
@@ -125,34 +82,6 @@ func TestMGPUCommCountersSurface(t *testing.T) {
 	}
 	if res.Exchanges == 0 || res.BytesSent == 0 {
 		t.Fatal("mgpu counters missing")
-	}
-}
-
-func TestRunBatchSequentialAndMqpu(t *testing.T) {
-	batch := []*circuit.Circuit{
-		circuit.GHZ(4, false),
-		randomCircuit(4, 30, 1),
-		randomCircuit(4, 30, 2),
-		randomCircuit(4, 30, 3),
-	}
-	seq, err := RunBatch(batch, Config{Target: TargetNvidia})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunBatch(batch, Config{Target: TargetNvidiaMQPU, Devices: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatal("batch size mismatch")
-	}
-	for i := range batch {
-		if !probsClose(seq[i].Probabilities, par[i].Probabilities, 1e-9) {
-			t.Fatalf("circuit %d: mqpu result differs", i)
-		}
-		if par[i].Target != TargetNvidiaMQPU {
-			t.Fatal("mqpu result mislabeled")
-		}
 	}
 }
 
@@ -231,10 +160,10 @@ func TestRunEachBudget(t *testing.T) {
 // next batch.
 func TestChaosBatchPanicReachesCaller(t *testing.T) {
 	batch := []*circuit.Circuit{
-		randomCircuit(4, 30, 1),
-		randomCircuit(4, 30, 2),
-		randomCircuit(4, 30, 3),
-		randomCircuit(4, 30, 4),
+		oracle.Soup(4, 30, qmath.NewRNG(1)),
+		oracle.Soup(4, 30, qmath.NewRNG(2)),
+		oracle.Soup(4, 30, qmath.NewRNG(3)),
+		oracle.Soup(4, 30, qmath.NewRNG(4)),
 	}
 	const msg = "chaos: injected execution panic"
 	for k := int64(1); k <= int64(len(batch)); k++ {

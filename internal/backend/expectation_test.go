@@ -2,60 +2,30 @@ package backend
 
 import (
 	"math"
-	"math/bits"
 	"testing"
 
 	"qgear/internal/circuit"
-	"qgear/internal/kernel"
+	"qgear/internal/gate"
 	"qgear/internal/observable"
 	"qgear/internal/oracle"
 	"qgear/internal/qmath"
-	"qgear/internal/statevec"
 )
 
 // The randomized differential suite for observable estimation:
-// RunExpectation is cross-validated against (a) a brute-force
-// dense-matrix ⟨ψ|H|ψ⟩ reference built term-by-term on independently
-// computed amplitudes, and (b) shot-sampled Z-basis estimates within
-// statistical tolerance — randomized over qubit counts, tile widths,
-// rank counts and pending-permutation states. The per-gate, tiled, and
-// planned-mgpu engines must agree bit for bit.
+// RunExpectation is held to internal/oracle's dense ⟨ψ|H|ψ⟩ at 1e-12,
+// and to shot-sampled Z-basis estimates within statistical tolerance —
+// randomized over qubit counts, tile widths, rank counts and
+// pending-permutation states. The per-gate, tiled, and planned-mgpu
+// engines must agree bit for bit.
 
-// soupCircuit generates a gate soup that exercises every plan segment
-// kind: single-qubit rotations, diagonals, CX, CP, and explicit SWAPs
-// (including trailing ones, so tiled execution finishes with a
-// pending qubit permutation the evaluator must read through).
+// soupCircuit is oracle.Soup with trailing SWAPs, so tiled execution
+// finishes on a non-identity permutation table the evaluator must read
+// through.
 func soupCircuit(n, ops int, seed uint64) *circuit.Circuit {
-	r := qmath.NewRNG(seed)
-	c := circuit.New(n, 0)
-	c.Name = "exp_soup"
-	for i := 0; i < ops; i++ {
-		q := r.Intn(n)
-		q2 := (q + 1 + r.Intn(n-1)) % n
-		switch r.Intn(7) {
-		case 0:
-			c.H(q)
-		case 1:
-			c.RY(r.Angle(), q)
-		case 2:
-			c.RZ(r.Angle(), q)
-		case 3:
-			c.CX(q, q2)
-		case 4:
-			c.CP(r.Angle(), q, q2)
-		case 5:
-			c.SWAP(q, q2)
-		case 6:
-			c.P(r.Angle(), q)
-		}
-	}
-	// Trailing SWAPs: guarantee the tiled engines end on a non-identity
-	// permutation table.
-	if n >= 2 {
-		c.SWAP(0, n-1)
-		if n >= 4 {
-			c.SWAP(1, n-2)
-		}
+	c := oracle.Soup(n, ops, qmath.NewRNG(seed))
+	c.SWAP(0, n-1)
+	if n >= 4 {
+		c.SWAP(1, n-2)
 	}
 	return c
 }
@@ -84,73 +54,19 @@ func randomHamiltonian(n int, terms int, r *qmath.RNG) *observable.Hamiltonian {
 	return h
 }
 
-// oracleAmps computes the final-state amplitudes with internal/oracle's
-// textbook loop — no lane kernel, plan or executor in common with any
-// engine under test.
-func oracleAmps(c *circuit.Circuit) []complex128 {
-	o := oracle.New(c.NumQubits)
-	for _, op := range c.Ops {
-		o.Apply(op.Gate, op.Qubits, op.Params)
-	}
-	return o
-}
-
-// referenceAmps computes the final-state amplitudes through the per-gate
-// schedule with no tiling: the width-0 plan, the engines'
-// own reference.
-func referenceAmps(t *testing.T, c *circuit.Circuit) []complex128 {
-	t.Helper()
-	k, _, err := kernel.FromCircuit(c, kernel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := statevec.MustNew(c.NumQubits, 1)
-	if err := kernel.Execute(k, s); err != nil {
-		t.Fatal(err)
-	}
-	return append([]complex128(nil), s.Amplitudes()...)
-}
-
-// bruteForceExpectation evaluates ⟨ψ|H|ψ⟩ term by term from the dense
-// operator action: P|b⟩ = phase(b)·|b ⊕ flip⟩ applied to every basis
-// amplitude, then the full inner product — no pairing, no parity
-// shortcuts, no shared code with the production evaluator.
-func bruteForceExpectation(t *testing.T, amps []complex128, h *observable.Hamiltonian) float64 {
-	t.Helper()
-	n := 0
-	for 1<<uint(n) < len(amps) {
-		n++
-	}
-	var total float64
-	applied := make([]complex128, len(amps))
-	for _, term := range h.Terms {
-		xm, ym, zm, err := term.Masks(n)
-		if err != nil {
-			t.Fatal(err)
+// oracleExpectation is ⟨H⟩ on c's final state, both walked by
+// internal/oracle: no lane kernel, plan, executor or evaluator in
+// common with any engine under test.
+func oracleExpectation(c *circuit.Circuit, h *observable.Hamiltonian) float64 {
+	factor := map[observable.Pauli]gate.Type{observable.X: gate.X, observable.Y: gate.Y, observable.Z: gate.Z}
+	terms := make([]oracle.PauliTerm, len(h.Terms))
+	for i, t := range h.Terms {
+		terms[i] = oracle.PauliTerm{Coef: t.Coef, Ops: map[int]gate.Type{}}
+		for q, p := range t.Ops {
+			terms[i].Ops[q] = factor[p]
 		}
-		flip := xm | ym
-		for i := range applied {
-			applied[i] = 0
-		}
-		for b := range amps {
-			// phase(b) = i^{|Y|}·(−1)^{popcount(b & (Y|Z))}
-			ph := complex(1, 0)
-			for k := 0; k < bits.OnesCount64(ym); k++ {
-				ph *= complex(0, 1)
-			}
-			if bits.OnesCount64(uint64(b)&(ym|zm))&1 == 1 {
-				ph = -ph
-			}
-			applied[uint64(b)^flip] += ph * amps[b]
-		}
-		var ip complex128
-		for b := range amps {
-			a := amps[b]
-			ip += complex(real(a), -imag(a)) * applied[b]
-		}
-		total += term.Coef * real(ip)
 	}
-	return total
+	return oracle.Run(c).Expectation(terms)
 }
 
 func expValue(t *testing.T, c *circuit.Circuit, h *observable.Hamiltonian, cfg Config) float64 {
@@ -183,10 +99,7 @@ func TestExpectationDifferentialSuite(t *testing.T) {
 		c := soupCircuit(n, ops, r.Uint64())
 		h := randomHamiltonian(n, 1+r.Intn(6), r)
 
-		ref := bruteForceExpectation(t, referenceAmps(t, c), h)
-		if d := math.Abs(ref - bruteForceExpectation(t, oracleAmps(c), h)); d > 1e-12 {
-			t.Fatalf("trial %d (n=%d): the per-gate schedule's ⟨H⟩ is %.3g off the oracle's", trial, n, d)
-		}
+		ref := oracleExpectation(c, h)
 		tb := 2
 		if n > 3 {
 			tb += r.Intn(n - 3) // forced width in [2, n-1)
@@ -224,7 +137,7 @@ func TestExpectationDifferentialSuite(t *testing.T) {
 		}
 		for i, v := range vals {
 			if d := math.Abs(v - ref); d > 1e-12 {
-				t.Fatalf("trial %d (n=%d): engine %d value %.17g deviates %.3g from dense reference %.17g",
+				t.Fatalf("trial %d (n=%d): engine %d value %.17g deviates %.3g from the oracle %.17g",
 					trial, n, i, v, d, ref)
 			}
 			if v != vals[0] {

@@ -10,7 +10,9 @@ import (
 	"qgear/internal/cancel"
 	"qgear/internal/circuit"
 	"qgear/internal/observable"
+	"qgear/internal/oracle"
 	"qgear/internal/qft"
+	"qgear/internal/qmath"
 	"qgear/internal/sampling"
 	"qgear/internal/statevec"
 )
@@ -120,7 +122,7 @@ func TestWarmedRunAllocatesWhatItReturns(t *testing.T) {
 func TestDirtySlabComesBackZero(t *testing.T) {
 	noGC(t)
 	const n = 14
-	second := randomCircuit(n, 120, 5)
+	second := oracle.Soup(n, 120, qmath.NewRNG(5))
 	drainSlabs(n)
 	before := statevec.SlabStats()
 	ref, err := Run(second, Config{Target: TargetAer})
@@ -224,12 +226,13 @@ func TestSweepPointsRecycleOneSlab(t *testing.T) {
 }
 
 // TestMqpuFanOutSharesNoSlab: concurrent devices at mixed sizes (run
-// under -race in `make test`) produce what sequential runs produce.
+// under -race in `make test`) produce what sequential runs produce, bit
+// for bit, each result labeled with the mqpu target.
 func TestMqpuFanOutSharesNoSlab(t *testing.T) {
 	var comps []*Compiled
 	var want [][]float64
 	for i := 0; i < 12; i++ {
-		c := randomCircuit(8+i%3, 60, uint64(100+i))
+		c := oracle.Soup(8+i%3, 60, qmath.NewRNG(uint64(100+i)))
 		comp, err := Compile(c, Config{Target: TargetNvidiaMQPU})
 		if err != nil {
 			t.Fatal(err)
@@ -247,8 +250,8 @@ func TestMqpuFanOutSharesNoSlab(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, r := range out {
-			if !probsClose(r.Probabilities, want[i], 0) {
-				t.Fatalf("round %d circuit %d: mqpu probabilities differ from the sequential run", round, i)
+			if !probsClose(r.Probabilities, want[i], 0) || r.Target != TargetNvidiaMQPU {
+				t.Fatalf("round %d circuit %d: mqpu probabilities (labeled %s) differ from the sequential run", round, i, r.Target)
 			}
 		}
 	}
@@ -260,7 +263,7 @@ func TestMqpuFanOutSharesNoSlab(t *testing.T) {
 func TestFailedRunsLeakNoSlab(t *testing.T) {
 	noGC(t)
 	const n = 12
-	c := randomCircuit(n, 200, 9)
+	c := oracle.Soup(n, 200, qmath.NewRNG(9))
 	c.H(n - 1) // an exchange on the distributed engine
 	ref, err := Run(c, Config{Target: TargetAer})
 	if err != nil {

@@ -109,7 +109,7 @@ func sweepDifferential(t *testing.T, c *circuit.Circuit, h *observable.Hamiltoni
 				t.Fatalf("%s point %d: sweep value %v != individual job %v",
 					cfg.Target, i, res.SweepValues[i], *ind.ExpValue)
 			}
-			if want := bruteForceExpectation(t, oracleAmps(bound), h); math.Abs(res.SweepValues[i]-want) > 1e-12 {
+			if want := oracleExpectation(bound, h); math.Abs(res.SweepValues[i]-want) > 1e-12 {
 				t.Fatalf("%s point %d: sweep value %.17g, oracle %.17g", cfg.Target, i, res.SweepValues[i], want)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
+	"qgear/internal/oracle"
 	"qgear/internal/qmath"
 	"qgear/internal/statevec"
 )
@@ -143,7 +144,7 @@ func tfimCircuit(n, steps int) *circuit.Circuit {
 	return c
 }
 
-// diagSoup is gateSoup weighted toward the diagonal family — about two
+// diagSoup is oracle.Soup weighted toward the diagonal family — about two
 // gates in three — with SWAPs and the mixing gates between them.
 func diagSoup(n, gates int, rng *qmath.RNG) *circuit.Circuit {
 	c := circuit.New(n, 0)
@@ -205,7 +206,7 @@ func TestGroupedPlansBitIdentical(t *testing.T) {
 			if err := perGate.Execute(ref); err != nil {
 				t.Fatal(err)
 			}
-			if d := maxProbDiff(ref, oracleProbs(c)); d > 1e-12 {
+			if d := maxProbDiff(ref, oracle.Run(c).Probabilities()); d > 1e-12 {
 				t.Errorf("n=%d circuit %d: per-gate vs oracle %g", n, ci, d)
 			}
 			for tb := 2; tb <= 16; tb++ {

@@ -8,20 +8,10 @@ import (
 
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
+	"qgear/internal/oracle"
 	"qgear/internal/qmath"
 	"qgear/internal/statevec"
 )
-
-// runCircuit applies circuit ops directly to a fresh state — the
-// reference semantics kernels must reproduce.
-func runCircuit(t *testing.T, c *circuit.Circuit) *statevec.State {
-	t.Helper()
-	s := statevec.MustNew(c.NumQubits, 1)
-	for _, op := range c.Ops {
-		s.ApplyGate(op.Gate, op.Qubits, op.Params)
-	}
-	return s
-}
 
 // runKernel executes a kernel on a fresh state.
 func runKernel(t *testing.T, k *Kernel) *statevec.State {
@@ -33,18 +23,6 @@ func runKernel(t *testing.T, k *Kernel) *statevec.State {
 	return s
 }
 
-func statesClose(a, b *statevec.State, tol float64) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	for i := 0; i < a.Len(); i++ {
-		if cmplx.Abs(a.Amp(uint64(i))-b.Amp(uint64(i))) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // fidelity is |<a|b>|² over the two amplitude vectors.
 func fidelity(a, b *statevec.State) float64 {
 	var ip complex128
@@ -53,32 +31,6 @@ func fidelity(a, b *statevec.State) float64 {
 		ip += cmplx.Conj(x) * bb[i]
 	}
 	return real(ip)*real(ip) + imag(ip)*imag(ip)
-}
-
-// randomCircuit builds a seeded random circuit over n qubits with the
-// paper's gate mix.
-func randomCircuit(n, ops int, seed uint64) *circuit.Circuit {
-	r := qmath.NewRNG(seed)
-	c := circuit.New(n, 0)
-	for i := 0; i < ops; i++ {
-		q := r.Intn(n)
-		q2 := (q + 1 + r.Intn(n-1)) % n
-		switch r.Intn(6) {
-		case 0:
-			c.H(q)
-		case 1:
-			c.RY(r.Angle(), q)
-		case 2:
-			c.RZ(r.Angle(), q)
-		case 3:
-			c.CX(q, q2)
-		case 4:
-			c.CP(r.Angle(), q, q2)
-		case 5:
-			c.RX(r.Angle(), q)
-		}
-	}
-	return c
 }
 
 func TestBuilderGHZKernel(t *testing.T) {
@@ -117,20 +69,6 @@ func TestBuilderPanics(t *testing.T) {
 	mustPanic("dup operands", func() { New("k", 2).XCtrl(1, 1) })
 	mustPanic("negative size", func() { New("k", -1) })
 	mustPanic("negative clbit", func() { New("k", 2).MeasureOne(0, -1) })
-}
-
-func TestFromCircuitMatchesDirectExecution(t *testing.T) {
-	c := randomCircuit(6, 120, 42)
-	k, st, err := FromCircuit(c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SourceOps != 120 || st.EmittedOps != 120 {
-		t.Fatalf("stats wrong: %+v", st)
-	}
-	if !statesClose(runCircuit(t, c), runKernel(t, k), 1e-10) {
-		t.Fatal("kernel execution differs from circuit execution")
-	}
 }
 
 func TestFromCircuitCarriesMeasurements(t *testing.T) {
@@ -191,7 +129,7 @@ func TestPruningDropsSmallAngles(t *testing.T) {
 }
 
 func TestAdjointRoundTrip(t *testing.T) {
-	k, _, err := FromCircuit(randomCircuit(5, 80, 17), Options{})
+	k, _, err := FromCircuit(oracle.Soup(5, 80, qmath.NewRNG(17)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +198,7 @@ func TestTransformIsConstantTimePerGate(t *testing.T) {
 	// super-linear blowup). We verify the output size tracks input size
 	// exactly; wall-clock linearity is covered by BenchmarkTransform.
 	for _, ops := range []int{100, 1000, 4000} {
-		c := randomCircuit(8, ops, uint64(ops))
+		c := oracle.Soup(8, ops, qmath.NewRNG(uint64(ops)))
 		k, st, err := FromCircuit(c, Options{})
 		if err != nil {
 			t.Fatal(err)

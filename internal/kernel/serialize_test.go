@@ -122,32 +122,6 @@ func TestDecodedPlanExecutesIdentically(t *testing.T) {
 	}
 }
 
-// TestDecodeKernelRejectsGarbage: corrupt streams fail cleanly.
-func TestDecodeKernelRejectsGarbage(t *testing.T) {
-	k := soupKernel(t, 6)
-	var buf bytes.Buffer
-	if err := EncodeKernel(&buf, k); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	// Truncations at many offsets must all error, never panic.
-	for cut := 0; cut < len(raw); cut += 13 {
-		if _, err := DecodeKernel(bytes.NewReader(raw[:cut])); err == nil && cut < len(raw)-1 {
-			// A prefix that happens to parse fully would be a miracle;
-			// only the full stream may succeed.
-			t.Fatalf("truncated kernel stream (cut %d/%d) decoded without error", cut, len(raw))
-		}
-	}
-	// A flipped count field fails the checksum; a crafted one, sealed
-	// with a valid checksum, is the business of internal/store's
-	// TestDecodersBoundAllocation.
-	bad := append([]byte(nil), raw...)
-	bad[len(bad)/2] ^= 0xff
-	if _, err := DecodeKernel(bytes.NewReader(bad)); err == nil {
-		t.Fatal("flipped byte accepted")
-	}
-}
-
 // TestSizeBytes: sizes are positive, grow with content, and the plan
 // size reflects its segment arrays.
 func TestSizeBytes(t *testing.T) {

@@ -31,45 +31,6 @@ func qftCircuit(n int) *circuit.Circuit {
 
 func qftGateCount(n int) int { return n + n*(n-1)/2 }
 
-// soupGate is one entry of the randomized gate pool: every gate type
-// the engine executes, including the permutation-table SWAP and the
-// diagonal family the tile compiler special-cases.
-type soupGate struct {
-	g      gate.Type
-	params int
-}
-
-var soupPool = []soupGate{
-	{gate.H, 0}, {gate.X, 0}, {gate.Y, 0}, {gate.Z, 0},
-	{gate.S, 0}, {gate.Sdg, 0}, {gate.T, 0}, {gate.Tdg, 0},
-	{gate.RX, 1}, {gate.RY, 1}, {gate.RZ, 1}, {gate.P, 1}, {gate.U3, 3},
-	{gate.CX, 0}, {gate.CZ, 0}, {gate.CP, 1}, {gate.CRY, 1}, {gate.SWAP, 0},
-}
-
-// gateSoup builds a random circuit over n qubits from the full pool.
-func gateSoup(n, gates int, rng *qmath.RNG) *circuit.Circuit {
-	c := circuit.New(n, 0)
-	c.Name = "soup"
-	for i := 0; i < gates; i++ {
-		sg := soupPool[rng.Intn(len(soupPool))]
-		params := make([]float64, sg.params)
-		for j := range params {
-			params[j] = rng.Angle() - math.Pi
-		}
-		q0 := rng.Intn(n)
-		if sg.g.Arity() == 2 {
-			q1 := rng.Intn(n - 1)
-			if q1 >= q0 {
-				q1++
-			}
-			c.Append(sg.g, []int{q0, q1}, params)
-		} else {
-			c.Append(sg.g, []int{q0}, params)
-		}
-	}
-	return c
-}
-
 // maxAmpDiff compares full amplitude vectors.
 func maxAmpDiff(t *testing.T, a, b *statevec.State) float64 {
 	t.Helper()
@@ -94,17 +55,6 @@ func maxProbDiff(s *statevec.State, want []float64) float64 {
 	return worst
 }
 
-// oracleProbs walks the source circuit — not the kernel, whose transform
-// is under test too — through internal/oracle's textbook loop: the
-// reference that is no executor of this package.
-func oracleProbs(c *circuit.Circuit) []float64 {
-	o := oracle.New(c.NumQubits)
-	for _, op := range c.Ops {
-		o.Apply(op.Gate, op.Qubits, op.Params)
-	}
-	return o.Probabilities()
-}
-
 // executeTiled runs k on s through the plan compiled at tileBits — no
 // rank boundary; when the whole state fits one tile that is the
 // per-gate schedule.
@@ -116,138 +66,13 @@ func executeTiled(k *Kernel, s *statevec.State, tileBits int) error {
 	return plan.Execute(s)
 }
 
-// TestTiledGateSoupEquivalence is the randomized equivalence suite:
-// tiled execution must match the naive per-gate schedule (the width-0
-// plan) to 1e-12 across qubit counts, tile widths, worker counts and
-// the permutation states the SWAP-heavy soup drives the
-// table through. Both run on one executor now, so both are also held to
-// the oracle, which is none.
-func TestTiledGateSoupEquivalence(t *testing.T) {
-	seed := uint64(0x7a11ed)
-	for _, tc := range []struct {
-		n, tileBits, workers int
-	}{
-		{3, 5, 1},  // smaller than one tile: the per-gate schedule again
-		{6, 3, 1},  // 8 tiles of 8 amplitudes
-		{6, 3, 4},  // same, parallel
-		{9, 4, 1},  // deeper index space
-		{9, 4, 4},  // same, parallel
-		{11, 5, 4}, // more high qubits than low
-		{12, 8, 3},
-		{13, 6, 4},
-	} {
-		rng := qmath.NewRNG(seed + uint64(tc.n*1000+tc.tileBits*100+tc.workers*10))
-		c := gateSoup(tc.n, 160, rng)
-		k, _, err := FromCircuit(c, Options{})
-		if err != nil {
-			t.Fatalf("n=%d: transform: %v", tc.n, err)
-		}
-
-		naive := statevec.MustNew(tc.n, tc.workers)
-		if err := Execute(k, naive); err != nil {
-			t.Fatalf("n=%d: naive execute: %v", tc.n, err)
-		}
-		tiled := statevec.MustNew(tc.n, tc.workers)
-		if err := executeTiled(k, tiled, tc.tileBits); err != nil {
-			t.Fatalf("n=%d tile=%d: tiled execute: %v", tc.n, tc.tileBits, err)
-		}
-
-		if d := maxAmpDiff(t, naive, tiled); d > 1e-12 {
-			t.Errorf("n=%d tile=%d workers=%d: max amplitude diff %g > 1e-12",
-				tc.n, tc.tileBits, tc.workers, d)
-		}
-		if norm := tiled.Norm(); math.Abs(norm-1) > 1e-9 {
-			t.Errorf("n=%d tile=%d: tiled norm %g", tc.n, tc.tileBits, norm)
-		}
-		want := oracleProbs(c)
-		if d := maxProbDiff(naive, want); d > 1e-12 {
-			t.Errorf("n=%d: per-gate schedule vs oracle: max |Δp| %g > 1e-12", tc.n, d)
-		}
-		if d := maxProbDiff(tiled, want); d > 1e-12 {
-			t.Errorf("n=%d tile=%d workers=%d: tiled vs oracle: max |Δp| %g > 1e-12",
-				tc.n, tc.tileBits, tc.workers, d)
-		}
-	}
-}
-
-// TestTiledWorkerCountBitIdentity is the workers-axis scaling gate's
-// correctness half: the same tiled plan executed at 1, 2, and 4
-// workers must produce *bit-identical* amplitude vectors, not merely
-// tolerance-close ones. Worker count only changes how disjoint tiles
-// and full-sweep chunks are sharded; every amplitude pair sees exactly
-// one kernel formula regardless of chunk placement (lanes.go
-// contract), so equality here is exact.
-func TestTiledWorkerCountBitIdentity(t *testing.T) {
-	for _, tc := range []struct {
-		n, tileBits int
-	}{
-		{6, 3},
-		{10, 4},
-		{12, 6},
-		{13, 5},
-	} {
-		rng := qmath.NewRNG(0xb17 + uint64(tc.n*100+tc.tileBits*10))
-		c := gateSoup(tc.n, 200, rng)
-		k, _, err := FromCircuit(c, Options{})
-		if err != nil {
-			t.Fatalf("n=%d: transform: %v", tc.n, err)
-		}
-
-		var ref *statevec.State
-		for _, workers := range []int{1, 2, 4} {
-			s := statevec.MustNew(tc.n, workers)
-			if err := executeTiled(k, s, tc.tileBits); err != nil {
-				t.Fatalf("n=%d workers=%d: tiled execute: %v", tc.n, workers, err)
-			}
-			if ref == nil {
-				ref = s
-				continue
-			}
-			for i := 0; i < s.Len(); i++ {
-				got, want := s.Amp(uint64(i)), ref.Amp(uint64(i))
-				if math.Float64bits(real(got)) != math.Float64bits(real(want)) ||
-					math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
-					t.Fatalf("n=%d tile=%d workers=%d: amplitude %d = %v differs from workers=1 value %v",
-						tc.n, tc.tileBits, workers, i, got, want)
-				}
-			}
-		}
-
-		// The QFT workload the bench ablation times must satisfy the
-		// same contract at its exact gate mix.
-		kq, _, err := FromCircuit(qftCircuit(tc.n), Options{})
-		if err != nil {
-			t.Fatalf("qft n=%d: transform: %v", tc.n, err)
-		}
-		var qref *statevec.State
-		for _, workers := range []int{1, 2, 4} {
-			s := statevec.MustNew(tc.n, workers)
-			if err := executeTiled(kq, s, tc.tileBits); err != nil {
-				t.Fatalf("qft n=%d workers=%d: tiled execute: %v", tc.n, workers, err)
-			}
-			if qref == nil {
-				qref = s
-				continue
-			}
-			for i := 0; i < s.Len(); i++ {
-				got, want := s.Amp(uint64(i)), qref.Amp(uint64(i))
-				if math.Float64bits(real(got)) != math.Float64bits(real(want)) ||
-					math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
-					t.Fatalf("qft n=%d workers=%d: amplitude %d = %v differs from workers=1 value %v",
-						tc.n, workers, i, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestTiledResumesAfterMaterialize checks the lazy-permutation
 // contract: after a tiled run leaves a pending relabeling, readout and
 // further gate application on the same state stay correct.
 func TestTiledResumesAfterMaterialize(t *testing.T) {
 	const n, tileBits = 9, 4
 	rng := qmath.NewRNG(99)
-	c := gateSoup(n, 120, rng)
+	c := oracle.Soup(n, 120, rng)
 	k, _, err := FromCircuit(c, Options{})
 	if err != nil {
 		t.Fatal(err)

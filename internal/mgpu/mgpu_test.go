@@ -12,6 +12,7 @@ import (
 	"qgear/internal/kernel"
 	"qgear/internal/mpi"
 	"qgear/internal/observable"
+	"qgear/internal/oracle"
 	"qgear/internal/qmath"
 	"qgear/internal/statevec"
 )
@@ -58,55 +59,6 @@ func norm(probs []float64) float64 {
 	return math.Sqrt(sum)
 }
 
-// randomKernel builds a seeded random kernel covering every locality
-// case (single/controlled × local/global qubits).
-func randomKernel(n, ops int, seed uint64) *kernel.Kernel {
-	r := qmath.NewRNG(seed)
-	c := circuit.New(n, 0)
-	for i := 0; i < ops; i++ {
-		q := r.Intn(n)
-		q2 := (q + 1 + r.Intn(n-1)) % n
-		switch r.Intn(7) {
-		case 0:
-			c.H(q)
-		case 1:
-			c.RY(r.Angle(), q)
-		case 2:
-			c.RZ(r.Angle(), q)
-		case 3:
-			c.CX(q, q2)
-		case 4:
-			c.CP(r.Angle(), q, q2)
-		case 5:
-			c.CRY(r.Angle(), q, q2)
-		case 6:
-			c.SWAP(q, q2)
-		}
-	}
-	k, _, err := kernel.FromCircuit(c, kernel.Options{})
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
-func TestDistributedMatchesSingleDevice(t *testing.T) {
-	for _, w := range []struct{ n, ranks int }{
-		{7, 1}, {7, 2}, {7, 4}, {7, 8},
-		{2, 2}, {3, 4}, {4, 8}, // 1-qubit shards: the whole shard is one tile
-	} {
-		k := randomKernel(w.n, 120, uint64(w.ranks)*31)
-		want := singleDeviceProbs(t, k)
-		res := simulate(t, k, w.ranks, 3, 1)
-		if d := maxDiff(res.Probabilities, want); d != 0 {
-			t.Fatalf("n=%d ranks=%d: distributed vs single-device diff %g, want exact 0", w.n, w.ranks, d)
-		}
-		if math.Abs(norm(res.Probabilities)-1) > 1e-10 {
-			t.Fatalf("n=%d ranks=%d: norm %g", w.n, w.ranks, norm(res.Probabilities))
-		}
-	}
-}
-
 func TestGHZAcrossDevices(t *testing.T) {
 	// GHZ entangles across the device boundary: the cx fan-out from
 	// qubit 0 hits every global qubit. Each rank-bit target is swapped
@@ -131,40 +83,6 @@ func TestGHZAcrossDevices(t *testing.T) {
 	}
 	if res.Exchanges != 4*4 {
 		t.Fatalf("exchanges = %d, want 16", res.Exchanges)
-	}
-}
-
-func TestLocalityCasesExplicitly(t *testing.T) {
-	// n=4, ranks=4 => local=2; qubits 0,1 local, 2,3 global.
-	run := func(build func(c *circuit.Circuit)) (*Result, []float64) {
-		c := circuit.New(4, 0)
-		// Spread amplitude everywhere first so controlled updates act
-		// on non-trivial data.
-		for q := 0; q < 4; q++ {
-			c.H(q)
-		}
-		c.RY(0.3, 0).RY(0.7, 2)
-		build(c)
-		k, _, err := kernel.FromCircuit(c, kernel.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return simulate(t, k, 4, 1, 1), singleDeviceProbs(t, k)
-	}
-
-	cases := map[string]func(c *circuit.Circuit){
-		"local-local":       func(c *circuit.Circuit) { c.CX(0, 1).CP(0.5, 1, 0) },
-		"global-ctl-local":  func(c *circuit.Circuit) { c.CX(3, 1).CRY(0.8, 2, 0) },
-		"local-ctl-global":  func(c *circuit.Circuit) { c.CX(0, 3).CP(1.1, 1, 2) },
-		"global-global":     func(c *circuit.Circuit) { c.CX(2, 3).CP(0.4, 3, 2) },
-		"single-global":     func(c *circuit.Circuit) { c.RY(1.2, 3).H(2) },
-		"swap-cross-border": func(c *circuit.Circuit) { c.SWAP(1, 3) },
-	}
-	for name, build := range cases {
-		res, want := run(build)
-		if d := maxDiff(res.Probabilities, want); d != 0 {
-			t.Errorf("%s: distributed vs single-device diff %g, want exact 0", name, d)
-		}
 	}
 }
 
@@ -260,31 +178,6 @@ func TestKernelSizeMismatch(t *testing.T) {
 	}
 }
 
-func TestNormPreservedAcrossRandomDistributedRuns(t *testing.T) {
-	for seed := uint64(0); seed < 5; seed++ {
-		k := randomKernel(6, 80, seed)
-		res := simulate(t, k, 8, 2, 1)
-		if math.Abs(norm(res.Probabilities)-1) > 1e-9 {
-			t.Fatalf("seed %d: norm %g", seed, norm(res.Probabilities))
-		}
-		var sum float64
-		for _, p := range res.Probabilities {
-			sum += p
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("seed %d: probability sum %g", seed, sum)
-		}
-	}
-}
-
-func TestMoreWorkersPerRank(t *testing.T) {
-	k := randomKernel(8, 60, 404)
-	res := simulate(t, k, 2, 3, 4)
-	if d := maxDiff(res.Probabilities, singleDeviceProbs(t, k)); d != 0 {
-		t.Fatalf("multi-worker ranks vs single-device diff %g, want exact 0", d)
-	}
-}
-
 // TestCancelledWorldReleasesEachSlabOnce: a world stopped part-way —
 // after some exchanges have swapped send buffers between ranks — gives
 // back shards and buffers that are all distinct memory (no slab with
@@ -301,7 +194,7 @@ func TestCancelledWorldReleasesEachSlabOnce(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n, ranks = 11, 4
 	local := n - log2ranks(ranks)
-	c := gateSoup(n, 400, qmath.NewRNG(77))
+	c := oracle.Soup(n, 400, qmath.NewRNG(77))
 	k, _, err := kernel.FromCircuit(c, kernel.Options{})
 	if err != nil {
 		t.Fatal(err)

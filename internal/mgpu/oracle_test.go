@@ -3,6 +3,9 @@ package mgpu
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
+	"slices"
+	"strings"
 	"testing"
 
 	"qgear/internal/circuit"
@@ -21,19 +24,6 @@ import (
 // — judged against something that is none of them: internal/oracle's
 // textbook gather-multiply-scatter loop, and closed forms that need no
 // simulator at all.
-
-// oracleState walks the source circuit (not the transformed kernel:
-// the transform is under test too) through the naive reference.
-func oracleState(c *circuit.Circuit) oracle.State {
-	o := oracle.New(c.NumQubits)
-	for _, op := range c.Ops {
-		o.Apply(op.Gate, op.Qubits, op.Params)
-	}
-	return o
-}
-
-// oracleProbs is the reference's probability vector.
-func oracleProbs(c *circuit.Circuit) []float64 { return oracleState(c).Probabilities() }
 
 // oracleHamiltonian writes h for the oracle.
 func oracleHamiltonian(h *observable.Hamiltonian) []oracle.PauliTerm {
@@ -64,79 +54,113 @@ func randomHamiltonian(n int, r *qmath.RNG) *observable.Hamiltonian {
 	return h
 }
 
-// engineRun is what one executor made of a circuit: its probabilities
-// and its ⟨H⟩.
+// engineRun is what one executor made of a circuit: its probabilities,
+// its ⟨H⟩ and, on one device, its amplitudes.
 type engineRun struct {
 	probs []float64
 	exp   float64
+	amps  []complex128
 }
 
-// engineRuns runs c through every executor: per-gate and
-// planned on one device, planned on each world of worlds that leaves a
-// rank at least one qubit (1 = a one-rank world running the
-// single-process plan). tile is folded into [1, n).
+// deviceWorkers and rankWorkers are the workers axis: every
+// single-device engine runs at each of deviceWorkers, every world at
+// each of rankWorkers per rank.
+var (
+	deviceWorkers = []int{1, 2, 3, 4, 8}
+	rankWorkers   = []int{1, 4}
+)
+
+// engineRuns runs c through every executor at every worker count:
+// per-gate and planned (at tile, which may exceed the register: then
+// the plan is the per-gate schedule) on one device, planned on each
+// world of worlds that leaves a rank at least one qubit (1 = a one-rank
+// world running the single-process plan). Keys are "engine/wN";
+// "per-gate/w1" is the reference the rest must equal.
 func engineRuns(t testing.TB, c *circuit.Circuit, h *observable.Hamiltonian, tile int, worlds []int) map[string]engineRun {
 	t.Helper()
 	n := c.NumQubits
-	tile = 1 + tile%(n-1)
 	k, _, err := kernel.FromCircuit(c, kernel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(s *statevec.State) engineRun {
-		defer s.Release()
-		v, err := h.Expectation(s)
-		if err != nil {
-			t.Fatal(err)
+	single, err := kernel.Plan(k, kernel.PlanConfig{TileBits: tile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]engineRun{}
+	for _, w := range deviceWorkers {
+		for engine, exec := range map[string]func(*statevec.State) error{
+			"per-gate": func(s *statevec.State) error { return kernel.Execute(k, s) },
+			"planned":  single.Execute,
+		} {
+			s := statevec.MustNew(n, w)
+			if err := exec(s); err != nil {
+				t.Fatal(err)
+			}
+			v, err := h.Expectation(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("%s/w%d", engine, w)] = engineRun{s.Probabilities(), v, slices.Clone(s.Amplitudes())}
+			s.Release()
 		}
-		return engineRun{s.Probabilities(), v}
 	}
-	perGate := statevec.MustNew(n, 1)
-	if err := kernel.Execute(k, perGate); err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]engineRun{"per-gate": run(perGate)}
-	planned := statevec.MustNew(n, 2)
-	if err := planFor(t, k, 1, tile).Execute(planned); err != nil {
-		t.Fatal(err)
-	}
-	out["planned"] = run(planned)
 	for _, ranks := range worlds {
 		if n-log2ranks(ranks) < 1 {
 			continue
 		}
 		plan := planFor(t, k, ranks, tile)
-		res, err := SimulateCompiled(k, plan, ranks, 1)
-		if err != nil {
-			t.Fatal(err)
+		for _, w := range rankWorkers {
+			res, err := SimulateCompiled(k, plan, ranks, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := ExpectationCompiled(k, plan, h, ranks, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("mgpu/%d/w%d", ranks, w)] = engineRun{probs: res.Probabilities, exp: e.Value}
 		}
-		e, err := ExpectationCompiled(k, plan, h, ranks, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[fmt.Sprintf("mgpu/%d", ranks)] = engineRun{res.Probabilities, e.Value}
 	}
 	return out
 }
 
-// checkAgainstOracle holds every engine to max |Δp| = 0 and the same
-// ⟨H⟩ bits as the per-gate engine, 1e-12 against the oracle for both,
-// and total probability 1. h is a random Hamiltonian drawn from hseed.
+// fold maps a fuzzer's or a seed's tile byte into [1, n).
+func fold(tile, n int) int { return 1 + tile%(n-1) }
+
+// sameBits reports whether two amplitude vectors are equal bit for bit.
+func sameBits(a, b []complex128) bool {
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// checkAgainstOracle holds every engine at every worker count to
+// max |Δp| = 0 and the same ⟨H⟩ bits as the per-gate engine, 1e-12
+// against the oracle for both, and total probability 1; on one device,
+// to the amplitude bits it has at one worker, the planned amplitudes to
+// within 1e-12 of the per-gate ones, and both to within 1e-12 of the
+// oracle's. h is a random Hamiltonian drawn from hseed.
 func checkAgainstOracle(t testing.TB, name string, c *circuit.Circuit, tile int, worlds []int, hseed uint64) {
 	t.Helper()
 	h := randomHamiltonian(c.NumQubits, qmath.NewRNG(hseed))
-	o := oracleState(c)
+	o := oracle.Run(c)
 	want, wantExp := o.Probabilities(), o.Expectation(oracleHamiltonian(h))
 	got := engineRuns(t, c, h, tile, worlds)
+	ref := got["per-gate/w1"]
 	for engine, r := range got {
-		if d := maxDiff(r.probs, got["per-gate"].probs); d != 0 {
+		if d := maxDiff(r.probs, ref.probs); d != 0 {
 			t.Errorf("%s: %s vs per-gate diff %g, want exact 0", name, engine, d)
 		}
 		if d := maxDiff(r.probs, want); d > 1e-12 {
 			t.Errorf("%s: %s vs oracle diff %g > 1e-12", name, engine, d)
 		}
-		if v := got["per-gate"].exp; math.Float64bits(r.exp) != math.Float64bits(v) {
-			t.Errorf("%s: %s ⟨H⟩ %.17g vs per-gate %.17g, want the same bits", name, engine, r.exp, v)
+		if math.Float64bits(r.exp) != math.Float64bits(ref.exp) {
+			t.Errorf("%s: %s ⟨H⟩ %.17g vs per-gate %.17g, want the same bits", name, engine, r.exp, ref.exp)
 		}
 		if d := math.Abs(r.exp - wantExp); d > 1e-12 {
 			t.Errorf("%s: %s ⟨H⟩ %.17g is %g off the oracle's %.17g", name, engine, r.exp, d, wantExp)
@@ -148,14 +172,94 @@ func checkAgainstOracle(t testing.TB, name string, c *circuit.Circuit, tile int,
 		if math.Abs(sum-1) > 1e-12 {
 			t.Errorf("%s: %s total probability %.17g", name, engine, sum)
 		}
+		if r.amps == nil {
+			continue
+		}
+		base, _, _ := strings.Cut(engine, "/")
+		if !sameBits(r.amps, got[base+"/w1"].amps) {
+			t.Errorf("%s: %s amplitudes differ from its one-worker run, want the same bits", name, engine)
+		}
+		for i, a := range r.amps {
+			if d := cmplx.Abs(a - ref.amps[i]); d > 1e-12 {
+				t.Errorf("%s: %s amplitude %d is %g from per-gate's, want ≤ 1e-12", name, engine, i, d)
+				break
+			}
+			if d := cmplx.Abs(a - o[i]); d > 1e-12 {
+				t.Errorf("%s: %s amplitude %d is %g from the oracle's, want ≤ 1e-12", name, engine, i, d)
+				break
+			}
+		}
 	}
 }
 
+// TestEnginesMatchOracle is the engine-equivalence table: seeded soups
+// at 2–10 qubits on every world up to 8 ranks; soups at chosen tile
+// widths up to 13 qubits, on worlds down to 1-qubit shards and with
+// several workers per rank, and long ones; each locality case of a gate
+// and the rank boundary; randcirc circuits; and the reversed QFT.
 func TestEnginesMatchOracle(t *testing.T) {
 	worlds := []int{1, 2, 4, 8}
 	for seed := uint64(1); seed <= 12; seed++ {
 		n := 2 + int(seed)%9 // 2..10
-		checkAgainstOracle(t, "soup", gateSoup(n, 160, qmath.NewRNG(seed*7919)), int(seed), worlds, seed)
+		checkAgainstOracle(t, "soup", oracle.Soup(n, 160, qmath.NewRNG(seed*7919)), fold(int(seed), n), worlds, seed)
+	}
+	type row struct {
+		n, gates, tile int
+		seed           uint64
+		worlds         []int
+	}
+	rows := []row{
+		// Tile widths against the per-gate schedule, at up to 13 qubits.
+		{3, 160, 5, 0x7a11ed + 3510, nil}, // smaller than one tile: the per-gate schedule again
+		{6, 160, 3, 0x7a11ed + 6310, nil},
+		{6, 160, 3, 0x7a11ed + 6340, nil},
+		{9, 160, 4, 0x7a11ed + 9410, nil},
+		{9, 160, 4, 0x7a11ed + 9440, nil},
+		{11, 160, 5, 0x7a11ed + 11540, nil},
+		{12, 160, 8, 0x7a11ed + 12830, nil},
+		{13, 160, 6, 0x7a11ed + 13640, nil},
+		// Worker counts on one tiled plan.
+		{6, 200, 3, 0xb17 + 630, nil},
+		{10, 200, 4, 0xb17 + 1040, nil},
+		{12, 200, 6, 0xb17 + 1260, nil},
+		{13, 200, 5, 0xb17 + 1350, nil},
+		// Worlds, 1-qubit shards among them.
+		{7, 120, 3, 31, []int{1}},
+		{7, 120, 3, 62, []int{2}},
+		{7, 120, 3, 124, []int{4}},
+		{7, 120, 3, 248, []int{8}},
+		{2, 120, 3, 62, []int{2}},
+		{3, 120, 3, 124, []int{4}},
+		{4, 120, 3, 248, []int{8}},
+		{8, 60, 3, 404, []int{2}},
+		// Long and plain soups on one device.
+		{8, 500, 3, 31, nil},
+		{6, 120, 3, 42, nil},
+	}
+	for seed := uint64(0); seed < 5; seed++ {
+		rows = append(rows, row{6, 80, 2, seed, []int{8}})
+	}
+	for _, r := range rows {
+		name := fmt.Sprintf("soup n=%d seed=%#x", r.n, r.seed)
+		checkAgainstOracle(t, name, oracle.Soup(r.n, r.gates, qmath.NewRNG(r.seed)), r.tile, r.worlds, r.seed)
+	}
+	// Each locality case on a 4-rank world of 4 qubits: 0 and 1 in the
+	// shard, 2 and 3 on rank bits.
+	for name, build := range map[string]func(c *circuit.Circuit){
+		"local-local":       func(c *circuit.Circuit) { c.CX(0, 1).CP(0.5, 1, 0) },
+		"global-ctl-local":  func(c *circuit.Circuit) { c.CX(3, 1).CRY(0.8, 2, 0) },
+		"local-ctl-global":  func(c *circuit.Circuit) { c.CX(0, 3).CP(1.1, 1, 2) },
+		"global-global":     func(c *circuit.Circuit) { c.CX(2, 3).CP(0.4, 3, 2) },
+		"single-global":     func(c *circuit.Circuit) { c.RY(1.2, 3).H(2) },
+		"swap-cross-border": func(c *circuit.Circuit) { c.SWAP(1, 3) },
+	} {
+		c := circuit.New(4, 0)
+		for q := 0; q < 4; q++ {
+			c.H(q)
+		}
+		c.RY(0.3, 0).RY(0.7, 2)
+		build(c)
+		checkAgainstOracle(t, name, c, 1, []int{4}, 4)
 	}
 	for _, spec := range []randcirc.Spec{
 		{Qubits: 5, Blocks: 40, Seed: 3},
@@ -167,6 +271,13 @@ func TestEnginesMatchOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkAgainstOracle(t, c.Name, c, 3, worlds, spec.Seed)
+	}
+	for _, q := range []struct{ n, tile int }{{6, 3}, {10, 4}, {12, 6}, {13, 5}} {
+		c, err := qft.Circuit(q.n, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstOracle(t, c.Name, c, q.tile, []int{2, 4}, uint64(q.n))
 	}
 }
 
@@ -198,8 +309,8 @@ func TestClosedForms(t *testing.T) {
 			c    *circuit.Circuit
 			want []float64
 		}{{"ghz", circuit.GHZ(n, false), ghz}, {"qft|basis⟩", qftOfBasis, uniform}} {
-			got := engineRuns(t, tc.c, &observable.Hamiltonian{NumQubits: n}, 2, []int{2, 4, 8})
-			got["oracle"] = engineRun{probs: oracleProbs(tc.c)}
+			got := engineRuns(t, tc.c, &observable.Hamiltonian{NumQubits: n}, fold(2, n), []int{2, 4, 8})
+			got["oracle"] = engineRun{probs: oracle.Run(tc.c).Probabilities()}
 			for engine, r := range got {
 				if d := maxDiff(r.probs, tc.want); d > 1e-12 {
 					t.Errorf("%s n=%d: %s is %g off the closed form", tc.name, n, engine, d)
@@ -219,7 +330,7 @@ func FuzzEnginesMatchOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, width, rankBits, tile, gates uint8, seed uint64) {
 		n := 2 + int(width)%9               // 2..10
 		ranks := 1 << uint(int(rankBits)%4) // 1, 2, 4, 8
-		c := gateSoup(n, 1+int(gates), qmath.NewRNG(seed))
-		checkAgainstOracle(t, "fuzz", c, int(tile), []int{ranks}, seed)
+		c := oracle.Soup(n, 1+int(gates), qmath.NewRNG(seed))
+		checkAgainstOracle(t, "fuzz", c, fold(int(tile), n), []int{ranks}, seed)
 	})
 }

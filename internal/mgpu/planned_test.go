@@ -9,6 +9,7 @@ import (
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
 	"qgear/internal/kernel"
+	"qgear/internal/oracle"
 	"qgear/internal/qcrank"
 	"qgear/internal/qft"
 	"qgear/internal/qmath"
@@ -21,44 +22,6 @@ import (
 // shot counts exactly equal) to the single-device per-gate engine —
 // kernel.Execute on one statevec.State, an engine that knows nothing of
 // ranks — across rank counts × shard shapes, with the exchange count of every case pinned. oracle_test.go holds both to a naive reference.
-
-// soupPool covers every gate the engines execute, including the
-// diagonal family (rank-local when global), SWAP (a permutation-table
-// update on either side of the rank boundary), and parameterized
-// rotations.
-var soupPool = []struct {
-	g      gate.Type
-	params int
-}{
-	{gate.H, 0}, {gate.X, 0}, {gate.Y, 0}, {gate.Z, 0},
-	{gate.S, 0}, {gate.Sdg, 0}, {gate.T, 0}, {gate.Tdg, 0},
-	{gate.RX, 1}, {gate.RY, 1}, {gate.RZ, 1}, {gate.P, 1}, {gate.U3, 3},
-	{gate.CX, 0}, {gate.CZ, 0}, {gate.CP, 1}, {gate.CRY, 1}, {gate.SWAP, 0},
-}
-
-// gateSoup builds a random circuit over n qubits from the full pool.
-func gateSoup(n, gates int, rng *qmath.RNG) *circuit.Circuit {
-	c := circuit.New(n, 0)
-	c.Name = "soup"
-	for i := 0; i < gates; i++ {
-		sg := soupPool[rng.Intn(len(soupPool))]
-		params := make([]float64, sg.params)
-		for j := range params {
-			params[j] = rng.Angle() - math.Pi
-		}
-		q0 := rng.Intn(n)
-		if sg.g.Arity() == 2 {
-			q1 := rng.Intn(n - 1)
-			if q1 >= q0 {
-				q1++
-			}
-			c.Append(sg.g, []int{q0, q1}, params)
-		} else {
-			c.Append(sg.g, []int{q0}, params)
-		}
-	}
-	return c
-}
 
 func log2ranks(r int) int {
 	g := 0
@@ -108,7 +71,7 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 		{5, 16, 3, 704},
 	} {
 		rng := qmath.NewRNG(seed + uint64(tc.n*1000+tc.ranks*100+tc.tileBits*10))
-		c := gateSoup(tc.n, 140, rng)
+		c := oracle.Soup(tc.n, 140, rng)
 		gbits := log2ranks(tc.ranks)
 		local := tc.n - gbits
 		k, _, err := kernel.FromCircuit(c, kernel.Options{})
@@ -137,11 +100,11 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 		}
 		// The single-device reference is a plan on the same kernels; the
 		// oracle is neither.
-		oracle := oracleProbs(c)
-		if d := maxDiff(want, oracle); d > 1e-12 {
+		ref := oracle.Run(c).Probabilities()
+		if d := maxDiff(want, ref); d > 1e-12 {
 			t.Errorf("n=%d: single-device vs oracle diff %g > 1e-12", tc.n, d)
 		}
-		if d := maxDiff(planned.Probabilities, oracle); d > 1e-12 {
+		if d := maxDiff(planned.Probabilities, ref); d > 1e-12 {
 			t.Errorf("n=%d ranks=%d tile=%d: planned vs oracle diff %g > 1e-12",
 				tc.n, tc.ranks, tc.tileBits, d)
 		}
@@ -200,7 +163,7 @@ func runRelabeled(t *testing.T, name string, c *circuit.Circuit, ranks, tileBits
 	if d := maxDiff(res.Probabilities, singleDeviceProbs(t, k)); d != 0 {
 		t.Errorf("%s: distributed vs single-device diff %g, want exact 0", name, d)
 	}
-	if d := maxDiff(res.Probabilities, oracleProbs(c)); d > 1e-12 {
+	if d := maxDiff(res.Probabilities, oracle.Run(c).Probabilities()); d > 1e-12 {
 		t.Errorf("%s: distributed vs oracle diff %g > 1e-12", name, d)
 	}
 	st, moved := plan.Stats, rankBitsMoved(plan)
@@ -510,7 +473,7 @@ func TestGroupedPlansMatchPerGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := singleDeviceProbs(t, k)
-		if d := maxDiff(want, oracleProbs(c)); d > 1e-12 {
+		if d := maxDiff(want, oracle.Run(c).Probabilities()); d > 1e-12 {
 			t.Errorf("circuit %d: per-gate vs oracle %g", ci, d)
 		}
 		for ranks := 1; ranks <= 16; ranks *= 2 {

@@ -6,17 +6,22 @@
 // back. One loop, Go's own complex arithmetic, no lane kernels, tiles,
 // workers, permutation table or diagonal fast path: nothing it could
 // share a bug with. It is test support — exponentially slower than the
-// engines and meant for ≤ ~12 qubits — and imports only internal/gate
-// (the matrices are the definition of the gate set, not an engine), so
-// the in-package tests of statevec, kernel, mgpu and backend can all
-// hold their engine to it.
+// engines and meant for ≤ ~13 qubits. It imports internal/gate (the
+// matrices are the definition of the gate set), internal/circuit (the
+// input format Run walks) and internal/qmath (the seeded RNG Soup
+// draws from) — none of them an engine — so the in-package tests of
+// statevec, kernel, mgpu and backend can all hold their engine to it,
+// and draw their random circuits from the one Soup.
 package oracle
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
 
+	"qgear/internal/circuit"
 	"qgear/internal/gate"
+	"qgear/internal/qmath"
 )
 
 // State is the amplitude vector of an n-qubit register, index bit q
@@ -29,6 +34,55 @@ func New(n int) State {
 	s := make(State, 1<<uint(n))
 	s[0] = 1
 	return s
+}
+
+// Run walks the source circuit — not a transformed kernel, whose
+// transform is under test too — gate by gate from |0...0>.
+func Run(c *circuit.Circuit) State {
+	s := New(c.NumQubits)
+	for _, op := range c.Ops {
+		s.Apply(op.Gate, op.Qubits, op.Params)
+	}
+	return s
+}
+
+// soupPool is every gate type the engines execute, including the
+// permutation-table SWAP and the diagonal family the tile compiler
+// special-cases, with its parameter count.
+var soupPool = []struct {
+	g      gate.Type
+	params int
+}{
+	{gate.H, 0}, {gate.X, 0}, {gate.Y, 0}, {gate.Z, 0},
+	{gate.S, 0}, {gate.Sdg, 0}, {gate.T, 0}, {gate.Tdg, 0},
+	{gate.RX, 1}, {gate.RY, 1}, {gate.RZ, 1}, {gate.P, 1}, {gate.U3, 3},
+	{gate.CX, 0}, {gate.CZ, 0}, {gate.CP, 1}, {gate.CRY, 1}, {gate.SWAP, 0},
+}
+
+// Soup draws a random circuit of gates gates over n ≥ 2 qubits from the
+// full pool: per gate the pool entry, its angles in [-π, π), then its
+// operands. The draw order is fixed, so a seed names one circuit.
+func Soup(n, gates int, rng *qmath.RNG) *circuit.Circuit {
+	c := circuit.New(n, 0)
+	c.Name = "soup"
+	for i := 0; i < gates; i++ {
+		sg := soupPool[rng.Intn(len(soupPool))]
+		params := make([]float64, sg.params)
+		for j := range params {
+			params[j] = rng.Angle() - math.Pi
+		}
+		q0 := rng.Intn(n)
+		if sg.g.Arity() == 2 {
+			q1 := rng.Intn(n - 1)
+			if q1 >= q0 {
+				q1++
+			}
+			c.Append(sg.g, []int{q0, q1}, params)
+		} else {
+			c.Append(sg.g, []int{q0}, params)
+		}
+	}
+	return c
 }
 
 // Apply applies one gate of the circuit gate set. Measure, Barrier and

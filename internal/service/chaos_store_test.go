@@ -117,7 +117,17 @@ func TestChaosStoreGCFaultingDeletes(t *testing.T) {
 			t.FailNow()
 		}
 		// Drain the spiller, then audit the disk against the budget.
-		time.Sleep(50 * time.Millisecond)
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			s.mu.Lock()
+			pending := len(s.pendingSpills)
+			s.mu.Unlock()
+			if pending == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("wave %d: %d spills still pending after 30 s", wave, pending)
+			}
+		}
 		if got := diskStoreBytes(t, dir); got > budget {
 			t.Fatalf("wave %d: store grew to %d bytes on disk, budget %d", wave, got, budget)
 		}

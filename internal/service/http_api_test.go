@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"reflect"
 	"regexp"
@@ -132,86 +131,6 @@ func TestHTTPQueueFullEnvelope(t *testing.T) {
 		infos = append(infos, info)
 	}
 	t.Skip("queue never filled on this machine")
-}
-
-// TestHTTPSweepJobKind: the sweep kind end to end over the wire,
-// including the truncation rules shared with probability vectors.
-func TestHTTPSweepJobKind(t *testing.T) {
-	_, ts := newHTTPServer(t, Config{Target: backend.TargetNvidia, Workers: 1, TileBits: 3})
-	const nq, points = 4, 40
-	c := sweepAnsatz(nq)
-	h := observable.TransverseFieldIsing(nq, 1.0, 0.7)
-	req := SubmitRequest{
-		Kind:        "sweep",
-		Circuit:     FromCircuit(c),
-		Hamiltonian: FromHamiltonian(h),
-		Points:      angleGrid(c.NumParams(), points),
-	}
-	info, status := postJob(t, ts.URL, req)
-	if status != http.StatusAccepted {
-		t.Fatalf("sweep submit: HTTP %d", status)
-	}
-	info = pollDone(t, ts.URL, info.ID)
-	if info.State != StateDone {
-		t.Fatalf("sweep job: %+v", info)
-	}
-
-	// Default view truncates the 40-point vector to 16 values.
-	var rr ResultResponse
-	getJSON(t, ts.URL+"/v1/results/"+info.ID, &rr)
-	if rr.SweepPoints != points {
-		t.Fatalf("sweep_points = %d, want %d", rr.SweepPoints, points)
-	}
-	if len(rr.SweepValues) != 16 || !rr.Truncated {
-		t.Fatalf("default view: %d values, truncated=%v; want 16/true", len(rr.SweepValues), rr.Truncated)
-	}
-	// ?full=1 returns every point.
-	var full ResultResponse
-	getJSON(t, ts.URL+"/v1/results/"+info.ID+"?full=1", &full)
-	if len(full.SweepValues) != points || full.Truncated {
-		t.Fatalf("full view: %d values, truncated=%v", len(full.SweepValues), full.Truncated)
-	}
-	// ?top=N widens the window.
-	var topped ResultResponse
-	getJSON(t, ts.URL+"/v1/results/"+info.ID+"?top=25", &topped)
-	if len(topped.SweepValues) != 25 || !topped.Truncated {
-		t.Fatalf("top=25 view: %d values, truncated=%v", len(topped.SweepValues), topped.Truncated)
-	}
-	for i, v := range full.SweepValues[:16] {
-		if math.Float64bits(v) != math.Float64bits(rr.SweepValues[i]) {
-			t.Fatalf("truncated view diverges at %d", i)
-		}
-	}
-	if rr.Rebinds != points {
-		t.Errorf("rebinds = %d, want %d", rr.Rebinds, points)
-	}
-}
-
-// TestHTTPGradientJobKind: the gradient kind over the wire.
-func TestHTTPGradientJobKind(t *testing.T) {
-	_, ts := newHTTPServer(t, Config{Target: backend.TargetNvidia, Workers: 1, TileBits: 3})
-	c := sweepAnsatz(4)
-	req := SubmitRequest{
-		Kind:        "gradient",
-		Circuit:     FromCircuit(c),
-		Hamiltonian: FromHamiltonian(observable.TransverseFieldIsing(4, 1.0, 0.7)),
-	}
-	info, status := postJob(t, ts.URL, req)
-	if status != http.StatusAccepted {
-		t.Fatalf("gradient submit: HTTP %d", status)
-	}
-	info = pollDone(t, ts.URL, info.ID)
-	if info.State != StateDone {
-		t.Fatalf("gradient job: %+v", info)
-	}
-	var rr ResultResponse
-	getJSON(t, ts.URL+"/v1/results/"+info.ID, &rr)
-	if len(rr.Gradient) != c.NumParams() {
-		t.Fatalf("gradient has %d entries for %d params", len(rr.Gradient), c.NumParams())
-	}
-	if rr.ExpValue == nil {
-		t.Fatal("gradient result without its base expectation value")
-	}
 }
 
 // TestHTTPLongPoll: GET /v1/jobs/{id}?wait_ms blocks until the job

@@ -98,11 +98,7 @@ func TestRunMatchesBackend(t *testing.T) {
 	if res.PlanStats == nil || res.TileBits == 0 && res.PlanStats.Global != res.KernelStats.EmittedOps {
 		t.Fatalf("tile=%d plan stats %+v for %d kernel instructions", res.TileBits, res.PlanStats, res.KernelStats.EmittedOps)
 	}
-	o := oracle.New(c.NumQubits)
-	for _, op := range c.Ops {
-		o.Apply(op.Gate, op.Qubits, op.Params)
-	}
-	want := o.Probabilities()
+	want := oracle.Run(c).Probabilities()
 	for i := range res.Probabilities {
 		if res.Probabilities[i] != ref.Probabilities[i] {
 			t.Fatalf("prob[%d] = %g, want %g", i, res.Probabilities[i], ref.Probabilities[i])
@@ -117,63 +113,6 @@ func TestRunMatchesBackend(t *testing.T) {
 	for k, v := range ref.Counts {
 		if res.Counts[k] != v {
 			t.Fatalf("counts[%d] = %d, want %d", k, res.Counts[k], v)
-		}
-	}
-}
-
-// TestSingleFlight races concurrent submissions of one content address:
-// exactly one simulation must run, everyone else attaches or hits.
-func TestSingleFlight(t *testing.T) {
-	// The leader's execution is held until every submission has
-	// returned, so all the others meet it in flight.
-	s, _, release := newHeldServer(t, Config{WorkerPool: 2})
-	c := testCircuit(t, 12, 30, 1)
-	const n = 32
-	var wg sync.WaitGroup
-	ids := make([]string, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			info, err := s.Submit(c, SubmitOptions{Shots: 100, Seed: 3})
-			ids[i], errs[i] = info.ID, err
-		}(i)
-	}
-	wg.Wait()
-	release()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for _, id := range ids {
-		info, err := s.Wait(ctx, id)
-		if err != nil || info.State != StateDone {
-			t.Fatalf("job %s: %+v, %v", id, info, err)
-		}
-	}
-	st := s.Stats()
-	if st.Executed != 1 {
-		t.Fatalf("executed %d simulations for %d identical submissions", st.Executed, n)
-	}
-	if got := st.CacheHits + st.SingleFlightHits; got != n-1 {
-		t.Fatalf("hits+joins = %d, want %d", got, n-1)
-	}
-	// Every result pointer resolves and agrees.
-	first, err := s.Result(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids[1:] {
-		r, err := s.Result(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Counts.Total() != first.Counts.Total() {
-			t.Fatalf("diverging results across single-flight jobs")
 		}
 	}
 }
@@ -524,13 +463,13 @@ func TestSubmitOwnsItsInputs(t *testing.T) {
 }
 
 func TestQueueBackpressure(t *testing.T) {
-	s := newTestServer(t, Config{WorkerPool: 1, QueueSize: 1, MaxBatch: 1})
-	// Occupy the worker with a slow job.
+	s, started, release := newHeldServer(t, Config{WorkerPool: 1, QueueSize: 1, MaxBatch: 1})
+	// Occupy the worker: its job is held until the queue has overflowed.
 	slow, err := s.Submit(testCircuit(t, 16, 120, 99), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond) // let the worker pick it up
+	<-started
 	// Fill the queue, then overflow it.
 	var sawFull bool
 	for i := 0; i < 3; i++ {
@@ -546,6 +485,7 @@ func TestQueueBackpressure(t *testing.T) {
 	if !sawFull {
 		t.Fatal("bounded queue accepted more than its capacity while the worker was busy")
 	}
+	release()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if info, err := s.Wait(ctx, slow.ID); err != nil || info.State != StateDone {
@@ -648,31 +588,5 @@ func TestFingerprintProperties(t *testing.T) {
 	}
 	if len(a.Fingerprint()) != 64 {
 		t.Fatalf("fingerprint %q is not a sha256 hex string", a.Fingerprint())
-	}
-}
-
-func TestInvalidSubmissions(t *testing.T) {
-	s := newTestServer(t, Config{})
-	if _, err := s.Submit(nil, SubmitOptions{}); err == nil {
-		t.Fatal("nil circuit accepted")
-	}
-	if _, err := s.Submit(circuit.GHZ(4, false), SubmitOptions{Shots: -1}); err == nil {
-		t.Fatal("negative shots accepted")
-	}
-	broken := &circuit.Circuit{NumQubits: 2, Ops: []circuit.Op{{Gate: 200}}}
-	if _, err := s.Submit(broken, SubmitOptions{}); err == nil {
-		t.Fatal("invalid circuit accepted")
-	}
-	if _, err := New(Config{Target: "warp-drive"}); err == nil {
-		t.Fatal("unknown target accepted")
-	}
-	if _, err := New(Config{Target: backend.TargetNvidiaMGPU, Devices: 3}); err == nil {
-		t.Fatal("mgpu with non-power-of-two devices accepted")
-	}
-	if _, err := New(Config{Target: backend.TargetNvidiaMGPU, Devices: 2, TileBits: -1}); err == nil {
-		t.Fatal("mgpu with per-gate sweeps accepted: its engine executes plans only")
-	}
-	if _, err := s.Job("j-nope"); err != ErrNotFound {
-		t.Fatalf("unknown job: %v", err)
 	}
 }

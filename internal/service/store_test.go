@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"math"
-	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,101 +27,6 @@ func storeTestCircuits(n, qubits int) []*circuit.Circuit {
 		cs[i] = c
 	}
 	return cs
-}
-
-// TestWarmRestartServesFromStore is the acceptance test: a server is
-// filled, closed (spilling to disk), and a second server on the same
-// directory answers every repeat submission — simulate and expectation
-// jobs, one of them through the HTTP handler — from the store: marked
-// cached, zero simulations. Every restarted answer is held against an
-// independent backend.Run / RunExpectation of the same circuit, not
-// against what the first server said: bit-identical probabilities,
-// exact shot counts, bit-identical ⟨H⟩.
-func TestWarmRestartServesFromStore(t *testing.T) {
-	dir := t.TempDir()
-	cfg := pinHost(Config{StoreDir: dir, WorkerPool: 1, MaxBatch: 1, TileBits: 4})
-	circs := storeTestCircuits(5, 8)
-	h := expTestHamiltonian(8)
-	ctx := context.Background()
-	const shots = 300
-
-	s1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range circs {
-		if _, _, err := s1.Run(ctx, c, SubmitOptions{Shots: shots, Seed: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := s1.Run(ctx, circs[0], SubmitOptions{Hamiltonian: h}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ref := backend.Config{Target: backend.TargetNvidia, Workers: cfg.Workers, TileBits: cfg.TileBits, Shots: shots}
-	s2, ts := newHTTPServer(t, cfg)
-	for i, c := range circs {
-		ref.Seed = uint64(i)
-		want, err := backend.Run(c, ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var probs []float64
-		var counts map[string]int
-		var cached bool
-		if i == 0 {
-			// The same job as a client sees it: POST, poll, fetch.
-			info, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", Circuit: FromCircuit(c), Shots: shots, Seed: ref.Seed})
-			if code != http.StatusAccepted {
-				t.Fatalf("submit over HTTP: %d", code)
-			}
-			pollDone(t, ts.URL, info.ID)
-			var body ResultResponse
-			getJSON(t, ts.URL+"/v1/results/"+info.ID+"?full=1", &body)
-			probs, counts, cached = body.Probabilities, body.Counts, body.Cached
-		} else {
-			res, info, err := s2.Run(ctx, c, SubmitOptions{Shots: shots, Seed: ref.Seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			probs, counts, cached = res.Probabilities, bitstringMap(wireCounts{res.Counts, res.NumQubits}), info.Cached
-		}
-		if !cached {
-			t.Fatalf("circuit %d was re-simulated after restart", i)
-		}
-		if !reflect.DeepEqual(probs, want.Probabilities) {
-			t.Fatalf("circuit %d: restarted probabilities differ from an independent run (max |Δp| must be 0)", i)
-		}
-		if wantCounts := bitstringMap(wireCounts{want.Counts, want.NumQubits}); !reflect.DeepEqual(counts, wantCounts) {
-			t.Fatalf("circuit %d: restarted counts %v, independent run %v", i, counts, wantCounts)
-		}
-	}
-	ref.Shots, ref.Seed = 0, 0
-	wantExp, err := backend.RunExpectation(circs[0], h, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, info, err := s2.Run(ctx, circs[0], SubmitOptions{Hamiltonian: h})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Cached || res.ExpValue == nil || *res.ExpValue != *wantExp.ExpValue {
-		t.Fatalf("expectation after restart: cached=%v ⟨H⟩=%v, independent evaluation %.17g", info.Cached, res.ExpValue, *wantExp.ExpValue)
-	}
-
-	st := s2.Stats()
-	if want := uint64(len(circs)) + 1; st.StoreHits != want {
-		t.Fatalf("store hits %d, want %d", st.StoreHits, want)
-	}
-	if st.Executed != 0 {
-		t.Fatalf("%d simulations ran on the warm-started server", st.Executed)
-	}
-	if st.HitRate != 1 {
-		t.Fatalf("hit rate %v, want 1 (store hits count)", st.HitRate)
-	}
 }
 
 // TestWarmRestartPlansFromStore: the compiled-plan cache warm-starts
@@ -240,73 +144,6 @@ func oldPlanIsRecompiled(t *testing.T, cfg Config, write func(w *artifact.Writer
 	}
 	if st := s.Stats(); st.StoreQuarantines != 1 || st.StorePlanHits != 0 {
 		t.Fatalf("%s: quarantines %d, plan store hits %d; want 1 and 0", cfg.Target, st.StoreQuarantines, st.StorePlanHits)
-	}
-}
-
-// TestCorruptStoreFallsBack: a bit-flipped spill file is rejected,
-// quarantined, and the submission transparently falls back to a real
-// simulation with a correct result.
-func TestCorruptStoreFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{StoreDir: dir, WorkerPool: 1, MaxBatch: 1, TileBits: 4}
-	c := storeTestCircuits(1, 8)[0]
-	ctx := context.Background()
-
-	s1, err := New(pinHost(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := s1.Run(ctx, c, SubmitOptions{Shots: 100, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Flip a byte in every result file.
-	matches, err := filepath.Glob(filepath.Join(dir, "results", "*", "*.qgr"))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no spill files found: %v", err)
-	}
-	for _, path := range matches {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[len(raw)/2] ^= 0xff
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	s2 := newTestServer(t, cfg)
-	res, info, err := s2.Run(ctx, c, SubmitOptions{Shots: 100, Seed: 9})
-	if err != nil {
-		t.Fatalf("corrupt store must fall back to simulation, got %v", err)
-	}
-	if info.State != StateDone {
-		t.Fatalf("job state %s", info.State)
-	}
-	for k := range want.Probabilities {
-		if res.Probabilities[k] != want.Probabilities[k] {
-			t.Fatalf("fallback result differs at %d", k)
-		}
-	}
-	st := s2.Stats()
-	if st.StoreErrors == 0 {
-		t.Fatal("corruption was not counted")
-	}
-	if st.StoreHits != 0 {
-		t.Fatalf("store hits %d from a corrupt file", st.StoreHits)
-	}
-	if st.Executed != 1 {
-		t.Fatalf("executed %d, want 1 fallback simulation", st.Executed)
-	}
-	// The corrupt file was quarantined: a second restart re-simulates
-	// without error noise.
-	if got, _ := filepath.Glob(filepath.Join(dir, "results", "*", "*.qgr")); len(got) >= len(matches) {
-		t.Fatalf("corrupt file not dropped: %d files, had %d", len(got), len(matches))
 	}
 }
 

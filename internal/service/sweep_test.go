@@ -152,166 +152,6 @@ func TestServiceSweepCompileOnce(t *testing.T) {
 	}
 }
 
-// TestServiceSweepCached: an identical sweep resubmission is a result
-// cache hit — no new points run.
-func TestServiceSweepCached(t *testing.T) {
-	const nq = 4
-	c := sweepAnsatz(nq)
-	h := observable.TransverseFieldIsing(nq, 1.0, 0.7)
-	pts := anglesGridOrDie(c, 6)
-	s := newTestServer(t, Config{Target: backend.TargetNvidia, Workers: 1, TileBits: 3})
-	first, _, err := s.Run(context.Background(), c, SubmitOptions{Hamiltonian: h, SweepPoints: pts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, info, err := s.Run(context.Background(), c, SubmitOptions{Hamiltonian: h, SweepPoints: pts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Cached {
-		t.Fatal("identical sweep resubmission was not served from cache")
-	}
-	for i := range first.SweepValues {
-		if math.Float64bits(first.SweepValues[i]) != math.Float64bits(again.SweepValues[i]) {
-			t.Fatalf("cached sweep value %d differs", i)
-		}
-	}
-	if st := s.Stats(); st.SweepPointsRun != uint64(len(pts)) {
-		t.Errorf("points run = %d, want %d (cache hit must not re-run)", st.SweepPointsRun, len(pts))
-	}
-}
-
 func anglesGridOrDie(c *circuit.Circuit, n int) [][]float64 {
 	return angleGrid(c.NumParams(), n)
-}
-
-// TestServiceGradientJob: the derived gradient job kind end to end,
-// differenced against the backend entry point.
-func TestServiceGradientJob(t *testing.T) {
-	const nq = 4
-	c := sweepAnsatz(nq)
-	h := observable.TransverseFieldIsing(nq, 1.0, 0.7)
-	s := newTestServer(t, Config{Target: backend.TargetNvidia, Workers: 1, TileBits: 3})
-	res, info, err := s.Run(context.Background(), c, SubmitOptions{Hamiltonian: h, Gradient: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.State != StateDone {
-		t.Fatalf("info = %+v", info)
-	}
-	ref, err := backend.RunGradient(c, h, c.ParamValues(), backend.Config{
-		Target: backend.TargetNvidia, Workers: 1, TileBits: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(*res.ExpValue) != math.Float64bits(*ref.ExpValue) {
-		t.Fatalf("base value %v != backend %v", *res.ExpValue, *ref.ExpValue)
-	}
-	if len(res.Gradient) != len(ref.Gradient) {
-		t.Fatalf("gradient lengths %d vs %d", len(res.Gradient), len(ref.Gradient))
-	}
-	for j := range ref.Gradient {
-		if math.Float64bits(res.Gradient[j]) != math.Float64bits(ref.Gradient[j]) {
-			t.Fatalf("gradient[%d] %v != backend %v", j, res.Gradient[j], ref.Gradient[j])
-		}
-	}
-	if st := s.Stats(); st.GradientJobs != 1 || st.GradientExecuted != 1 {
-		t.Errorf("gradient counters: jobs=%d executed=%d", st.GradientJobs, st.GradientExecuted)
-	}
-}
-
-// TestServiceSweepStoreWarmRestart: a sweep artifact spills to the
-// persistent store on shutdown and a fresh server answers the same
-// submission from disk, bit-identically, without re-running points —
-// for both ⟨H⟩ sweeps and sampled-histogram sweeps.
-func TestServiceSweepStoreWarmRestart(t *testing.T) {
-	dir := t.TempDir()
-	const nq = 4
-	c := sweepAnsatz(nq)
-	h := observable.TransverseFieldIsing(nq, 1.0, 0.7)
-	pts := anglesGridOrDie(c, 5)
-	cfg := Config{Target: backend.TargetNvidia, Workers: 1, TileBits: 3, StoreDir: dir, CacheSize: 1}
-
-	s1 := newTestServer(t, cfg)
-	expRes, _, err := s1.Run(context.Background(), c, SubmitOptions{Hamiltonian: h, SweepPoints: pts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cntRes, _, err := s1.Run(context.Background(), c, SubmitOptions{SweepPoints: pts, Shots: 128, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gradRes, _, err := s1.Run(context.Background(), c, SubmitOptions{Hamiltonian: h, Gradient: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.Close()
-
-	s2 := newTestServer(t, cfg)
-	expAgain, info, err := s2.Run(context.Background(), c, SubmitOptions{Hamiltonian: h, SweepPoints: pts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Cached {
-		t.Fatal("warm-restarted sweep was re-executed")
-	}
-	for i := range expRes.SweepValues {
-		if math.Float64bits(expRes.SweepValues[i]) != math.Float64bits(expAgain.SweepValues[i]) {
-			t.Fatalf("sweep value %d changed across restart", i)
-		}
-	}
-	cntAgain, _, err := s2.Run(context.Background(), c, SubmitOptions{SweepPoints: pts, Shots: 128, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cntAgain.SweepCounts) != len(cntRes.SweepCounts) {
-		t.Fatalf("histogram counts lost across restart: %d vs %d", len(cntAgain.SweepCounts), len(cntRes.SweepCounts))
-	}
-	for i := range cntRes.SweepCounts {
-		if len(cntRes.SweepCounts[i]) != len(cntAgain.SweepCounts[i]) {
-			t.Fatalf("point %d: histogram key sets differ across restart", i)
-		}
-		for k, n := range cntRes.SweepCounts[i] {
-			if cntAgain.SweepCounts[i][k] != n {
-				t.Fatalf("point %d key %b: %d != %d across restart", i, k, cntAgain.SweepCounts[i][k], n)
-			}
-		}
-	}
-	gradAgain, _, err := s2.Run(context.Background(), c, SubmitOptions{Hamiltonian: h, Gradient: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range gradRes.Gradient {
-		if math.Float64bits(gradRes.Gradient[j]) != math.Float64bits(gradAgain.Gradient[j]) {
-			t.Fatalf("gradient[%d] changed across restart", j)
-		}
-	}
-	if st := s2.Stats(); st.SweepPointsRun != 0 {
-		t.Errorf("restarted server ran %d points; all three jobs should be store hits", st.SweepPointsRun)
-	}
-}
-
-// TestServiceSweepValidation covers sweep/gradient admission rules.
-func TestServiceSweepValidation(t *testing.T) {
-	c := sweepAnsatz(3)
-	h := observable.TransverseFieldIsing(3, 1.0, 0.7)
-	s := newTestServer(t, Config{Target: backend.TargetAer, MaxSweepPoints: 4})
-	bad := [][]float64{make([]float64, c.NumParams()+2)}
-	if _, err := s.Submit(c, SubmitOptions{Hamiltonian: h, SweepPoints: bad}); err == nil {
-		t.Error("wrong-arity sweep point accepted")
-	}
-	if _, err := s.Submit(c, SubmitOptions{Hamiltonian: h, SweepPoints: anglesGridOrDie(c, 5)}); err == nil {
-		t.Error("sweep exceeding MaxSweepPoints accepted")
-	}
-	if _, err := s.Submit(c, SubmitOptions{SweepPoints: anglesGridOrDie(c, 2)}); err == nil {
-		t.Error("sampling sweep without shots accepted")
-	}
-	if _, err := s.Submit(c, SubmitOptions{Gradient: true}); err == nil {
-		t.Error("gradient without hamiltonian accepted")
-	}
-	free := circuit.GHZ(3, false)
-	if _, err := s.Submit(free, SubmitOptions{Hamiltonian: h, Gradient: true}); err == nil {
-		t.Error("gradient of a parameter-free circuit accepted")
-	}
 }

@@ -2,10 +2,10 @@ package statevec
 
 import (
 	"math"
-	"math/bits"
 	"testing"
 
 	"qgear/internal/gate"
+	"qgear/internal/oracle"
 	"qgear/internal/qmath"
 )
 
@@ -23,57 +23,36 @@ func expRandomState(n, workers int, seed uint64) *State {
 	return s
 }
 
-// rotationReference computes <P> the pre-expectation-pathway way:
-// clone, rotate X/Y into the Z basis, fold the parity over the full
-// probability vector — an independent oracle for the direct evaluator.
-func rotationReference(s *State, xm, ym, zm uint64) float64 {
-	work := s.Clone()
-	var mask uint64 = xm | ym | zm
-	for q := 0; q < work.NumQubits(); q++ {
-		bit := uint64(1) << uint(q)
-		switch {
-		case xm&bit != 0:
-			work.ApplyMat1(q, gate.Matrix1(gate.H, nil))
-		case ym&bit != 0:
-			work.ApplyMat1(q, gate.Matrix1(gate.Sdg, nil))
-			work.ApplyMat1(q, gate.Matrix1(gate.H, nil))
-		}
-	}
-	var acc float64
-	for i, a := range work.Amplitudes() {
-		p := real(a)*real(a) + imag(a)*imag(a)
-		if bits.OnesCount64(uint64(i)&mask)&1 == 1 {
-			acc -= p
-		} else {
-			acc += p
-		}
-	}
-	return acc
-}
-
-func TestExpPauliMatchesRotationReference(t *testing.T) {
+// TestExpPauliMatchesOracle holds the direct evaluator to
+// internal/oracle's dense ⟨ψ|P|ψ⟩ — P applied factor by factor to a
+// copy, then the inner product — at 1e-12.
+func TestExpPauliMatchesOracle(t *testing.T) {
 	r := qmath.NewRNG(5)
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + r.Intn(9)
 		s := expRandomState(n, 1, r.Uint64())
 		var xm, ym, zm uint64
+		p := oracle.PauliTerm{Coef: 1, Ops: map[int]gate.Type{}}
 		for q := 0; q < n; q++ {
 			switch r.Intn(4) {
 			case 1:
 				xm |= 1 << uint(q)
+				p.Ops[q] = gate.X
 			case 2:
 				ym |= 1 << uint(q)
+				p.Ops[q] = gate.Y
 			case 3:
 				zm |= 1 << uint(q)
+				p.Ops[q] = gate.Z
 			}
 		}
-		want := rotationReference(s, xm, ym, zm)
+		want := oracle.State(s.Amplitudes()).Expectation([]oracle.PauliTerm{p})
 		got, _, err := s.ExpPauli(xm, ym, zm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("trial %d (n=%d, masks %x/%x/%x): direct %.17g vs rotation %.17g",
+			t.Fatalf("trial %d (n=%d, masks %x/%x/%x): direct %.17g vs oracle %.17g",
 				trial, n, xm, ym, zm, got, want)
 		}
 	}

@@ -480,53 +480,6 @@ func TestQubit0RelPhaseBitIdentity(t *testing.T) {
 	}
 }
 
-// TestWorkerCountBitIdentity runs the same random gate sequence at 1,
-// 2, and 4 workers and requires bit-identical final states — the
-// contract the workers ablation axis enforces at bench time.
-func TestWorkerCountBitIdentity(t *testing.T) {
-	rng := qmath.NewRNG(0x77e11)
-	for trial := 0; trial < 20; trial++ {
-		n := 4 + rng.Intn(6)
-		type step struct {
-			g      gate.Type
-			qubits []int
-			params []float64
-		}
-		var prog []step
-		pool := []gate.Type{gate.H, gate.RY, gate.RZ, gate.S, gate.T, gate.U3, gate.CX, gate.CZ, gate.CP, gate.SWAP, gate.CRY}
-		for i := 0; i < 60; i++ {
-			g := pool[rng.Intn(len(pool))]
-			var qs []int
-			q0 := rng.Intn(n)
-			if g.Arity() == 2 {
-				q1 := rng.Intn(n - 1)
-				if q1 >= q0 {
-					q1++
-				}
-				qs = []int{q0, q1}
-			} else {
-				qs = []int{q0}
-			}
-			params := make([]float64, g.ParamCount())
-			for j := range params {
-				params[j] = rng.Angle() - math.Pi
-			}
-			prog = append(prog, step{g, qs, params})
-		}
-		var states []*State
-		for _, w := range []int{1, 2, 4} {
-			s := MustNew(n, w)
-			for _, st := range prog {
-				s.ApplyGate(st.g, st.qubits, st.params)
-			}
-			s.MaterializePerm()
-			states = append(states, s)
-		}
-		bitsEqual(t, states[1].amps, states[0].amps, "workers=2 vs 1")
-		bitsEqual(t, states[2].amps, states[0].amps, "workers=4 vs 1")
-	}
-}
-
 // TestPermTablesCached checks the readout-walk cache: the permWalk is
 // built once per permutation, reused across repeated readouts (the
 // shot-loop pattern), shared by Clone, and dropped by every perm

@@ -155,63 +155,6 @@ func TestApplyGateDispatchAgainstMatrices(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
-	// The GPU-stand-in path (many workers) and the CPU path (1 worker)
-	// must produce identical states on a random circuit.
-	r := qmath.NewRNG(99)
-	const n = 10
-	serial := MustNew(n, 1)
-	parallel := MustNew(n, 8)
-	for i := 0; i < 200; i++ {
-		g := r.Intn(4)
-		q := r.Intn(n)
-		q2 := r.Intn(n)
-		for q2 == q {
-			q2 = r.Intn(n)
-		}
-		switch g {
-		case 0:
-			m := gate.Matrix1(gate.H, nil)
-			serial.ApplyMat1(q, m)
-			parallel.ApplyMat1(q, m)
-		case 1:
-			m := gate.Matrix1(gate.RY, []float64{r.Angle()})
-			serial.ApplyMat1(q, m)
-			parallel.ApplyMat1(q, m)
-		case 2:
-			serial.ApplyCX(q, q2)
-			parallel.ApplyCX(q, q2)
-		case 3:
-			m := gate.Matrix2(gate.CP, []float64{r.Angle()})
-			applyDense2(serial, q, q2, m)
-			applyDense2(parallel, q, q2, m)
-		}
-	}
-	requireClose(t, serial, parallel, 1e-12)
-}
-
-func TestNormPreservationProperty(t *testing.T) {
-	// Unitary evolution preserves Eq. (1)'s normalization across long
-	// random circuits.
-	r := qmath.NewRNG(31)
-	s := randomState(8, r)
-	for i := 0; i < 500; i++ {
-		q := r.Intn(8)
-		q2 := (q + 1 + r.Intn(7)) % 8
-		switch r.Intn(3) {
-		case 0:
-			s.ApplyMat1(q, gate.Matrix1(gate.U3, []float64{r.Angle(), r.Angle(), r.Angle()}))
-		case 1:
-			s.ApplyCX(q, q2)
-		case 2:
-			s.applyControlled1(q, q2, gate.Matrix1(gate.RY, []float64{r.Angle()}))
-		}
-	}
-	if n := s.Norm(); math.Abs(n-1) > 1e-9 {
-		t.Fatalf("norm drifted to %g after 500 gates", n)
-	}
-}
-
 func TestProbabilitiesAndExpZ(t *testing.T) {
 	s := MustNew(2, 1)
 	s.ApplyMat1(0, gate.Matrix1(gate.H, nil))

@@ -255,32 +255,6 @@ func TestGradientLengthMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestGradientRoundTrip pins the healthy path the validator guards.
-func TestGradientRoundTrip(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := 0.75
-	res := &backend.Result{
-		Target:      backend.TargetNvidia,
-		NumQubits:   2,
-		ExpValue:    &ev,
-		Gradient:    []float64{0.1, -0.2, 0.3},
-		SweepPoints: 6,
-	}
-	if err := st.SaveResult("g", testSig, res); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.LoadResult("g", testSig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Gradient, res.Gradient) {
-		t.Fatalf("gradient drifted: %v", got.Gradient)
-	}
-}
-
 // --- temp-name matching: the substring-shadowing bugfix -------------
 
 // TestTmpSubstringKeysSurviveScan: a key merely containing ".tmp"

@@ -19,6 +19,7 @@ import (
 	"qgear/internal/kernel"
 	"qgear/internal/observable"
 	"qgear/internal/qpy"
+	"qgear/internal/randcirc"
 	"qgear/internal/sampling"
 	"qgear/internal/tensorenc"
 )
@@ -45,10 +46,6 @@ func allKinds(t *testing.T) []artifactKind {
 	if err != nil || comp.Plan == nil {
 		t.Fatalf("compiling the sample circuit: plan %v, err %v", comp.Plan, err)
 	}
-	var kbuf, pbuf, cbuf bytes.Buffer
-	if err := errors.Join(kernel.EncodeKernel(&kbuf, comp.Kernel), kernel.EncodePlan(&pbuf, comp.Plan), comp.Encode(&cbuf)); err != nil {
-		t.Fatal(err)
-	}
 	circuits, err := qpy.Marshal([]*circuit.Circuit{c})
 	if err != nil {
 		t.Fatal(err)
@@ -71,15 +68,43 @@ func allKinds(t *testing.T) []artifactKind {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernelHead := func(w *artifact.Writer) { w.Str("k"); w.U32(3); w.U32(0) }
+	kinds := compiledKinds(t, "", comp)
+	return append(kinds,
+		artifactKind{"circuits", circuits,
+			func(d []byte) error { _, err := qpy.Unmarshal(d); return err },
+			func(w *artifact.Writer) { w.U32(1); w.Str("c"); w.U32(3); w.U32(0); w.U32(math.MaxUint32) }},
+		artifactKind{"tensors", tensors,
+			func(d []byte) error { _, err := tensorenc.Unmarshal(d); return err },
+			func(w *artifact.Writer) { w.U32(math.MaxUint32); w.U32(math.MaxUint32); w.U32(math.MaxUint32) }},
+		artifactKind{"result", result,
+			func(d []byte) error { _, err := decodeResult(d, "", ""); return err },
+			func(w *artifact.Writer) { w.Str(""); w.Str(""); w.U32(math.MaxUint32) }},
+		artifactKind{"store plan", plan,
+			func(d []byte) error { _, _, err := decodePlan(d, "", ""); return err },
+			func(w *artifact.Writer) { w.Str(""); w.Str(""); w.F64(7); kernelHead(w); w.U32(math.MaxUint32) }},
+	)
+}
+
+// kernelHead writes a 3-qubit kernel's name and register sizes, the
+// head of a crafted kernel payload.
+func kernelHead(w *artifact.Writer) { w.Str("k"); w.U32(3); w.U32(0) }
+
+// compiledKinds is the kernel, plan and compiled rows of comp, each
+// name suffixed.
+func compiledKinds(t *testing.T, suffix string, comp *backend.Compiled) []artifactKind {
+	t.Helper()
+	var kbuf, pbuf, cbuf bytes.Buffer
+	if err := errors.Join(kernel.EncodeKernel(&kbuf, comp.Kernel), kernel.EncodePlan(&pbuf, comp.Plan), comp.Encode(&cbuf)); err != nil {
+		t.Fatal(err)
+	}
 	return []artifactKind{
-		{"kernel", kbuf.Bytes(),
+		{"kernel" + suffix, kbuf.Bytes(),
 			func(d []byte) error { _, err := kernel.DecodeKernel(bytes.NewReader(d)); return err },
 			func(w *artifact.Writer) { kernelHead(w); w.U32(math.MaxUint32) }},
-		{"plan", pbuf.Bytes(),
+		{"plan" + suffix, pbuf.Bytes(),
 			func(d []byte) error { _, err := kernel.DecodePlan(bytes.NewReader(d)); return err },
 			func(w *artifact.Writer) { w.U32(2); w.U32(3); w.U32(0); w.U32(math.MaxUint32) }},
-		{"compiled", cbuf.Bytes(),
+		{"compiled" + suffix, cbuf.Bytes(),
 			func(d []byte) error { _, err := backend.DecodeCompiled(bytes.NewReader(d)); return err },
 			func(w *artifact.Writer) {
 				kernelHead(w)
@@ -90,18 +115,6 @@ func allKinds(t *testing.T) []artifactKind {
 				w.U32(0)
 				w.U32(math.MaxUint32)
 			}},
-		{"circuits", circuits,
-			func(d []byte) error { _, err := qpy.Unmarshal(d); return err },
-			func(w *artifact.Writer) { w.U32(1); w.Str("c"); w.U32(3); w.U32(0); w.U32(math.MaxUint32) }},
-		{"tensors", tensors,
-			func(d []byte) error { _, err := tensorenc.Unmarshal(d); return err },
-			func(w *artifact.Writer) { w.U32(math.MaxUint32); w.U32(math.MaxUint32); w.U32(math.MaxUint32) }},
-		{"result", result,
-			func(d []byte) error { _, err := decodeResult(d, "", ""); return err },
-			func(w *artifact.Writer) { w.Str(""); w.Str(""); w.U32(math.MaxUint32) }},
-		{"store plan", plan,
-			func(d []byte) error { _, _, err := decodePlan(d, "", ""); return err },
-			func(w *artifact.Writer) { w.Str(""); w.Str(""); w.F64(7); kernelHead(w); w.U32(math.MaxUint32) }},
 	}
 }
 
@@ -132,11 +145,32 @@ func TestDecodersBoundAllocation(t *testing.T) {
 }
 
 // TestByteFlipSweep: flipping any single byte of an artifact of any
-// kind is an error, never a different decoded value — and at the store,
-// an ErrIntegrity, the class that quarantines the file.
+// kind, or cutting it to any proper prefix, is an error, never a
+// different decoded value — and at the store, for results and plans
+// alike, an ErrIntegrity, the class that quarantines the file; Drop
+// then clears the index. Beside the small sample of each kind it sweeps
+// an 8-qubit randcirc compiled at tile 4 and the fuzz seed circuits,
+// whose bytes reach the kernel and plan decoders' every record kind.
 func TestByteFlipSweep(t *testing.T) {
-	for _, k := range allKinds(t) {
-		for i := range k.sample {
+	rc, err := randcirc.Generate(randcirc.Spec{Qubits: 8, Blocks: 20, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := backend.Compile(rc, backend.Config{Target: backend.TargetNvidia, TileBits: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds, err := qpy.Marshal(artifacttest.SeedCircuits(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := append(allKinds(t), compiledKinds(t, " randcirc", comp)...)
+	kinds = append(kinds, artifactKind{name: "circuits seeds", sample: seeds,
+		decode: func(d []byte) error { _, err := qpy.Unmarshal(d); return err }})
+	for _, k := range kinds {
+		// Every byte of a sample under 1 KiB; of the randcirc plans, the
+		// last byte and every tenth or so before it.
+		for i := len(k.sample) - 1; i >= 0; i -= 1 + len(k.sample)>>10 {
 			for _, mask := range []byte{0x01, 0xFF} {
 				bad := append([]byte(nil), k.sample...)
 				bad[i] ^= mask
@@ -144,29 +178,58 @@ func TestByteFlipSweep(t *testing.T) {
 					t.Fatalf("%s: byte %d ^ %#x of %d decoded without error", k.name, i, mask, len(bad))
 				}
 			}
+			if err := k.decode(k.sample[:i]); err == nil {
+				t.Fatalf("%s: the %d-byte prefix of %d decoded without error", k.name, i, len(k.sample))
+			}
 		}
 	}
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveResult(fuzzKey, testSig, goldenResult()); err != nil {
-		t.Fatal(err)
-	}
-	path := st.resultPath(fuzzKey)
-	good, err := os.ReadFile(path)
+	ghz, err := backend.Compile(circuit.GHZ(3, true), backend.Config{Target: backend.TargetNvidia, TileBits: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range good {
-		bad := append([]byte(nil), good...)
-		bad[i] ^= 0xFF
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
+	const expKey = "exp|1"
+	if err := errors.Join(st.SaveResult(fuzzKey, testSig, goldenResult()), st.SaveResult(expKey, testSig, testExpResult(t)),
+		st.SavePlan(fuzzKey, testSig, ghz, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range []struct {
+		name string
+		path string
+		load func() error
+	}{
+		{"result", st.resultPath(fuzzKey), func() error { _, err := st.LoadResult(fuzzKey, testSig); return err }},
+		{"expectation result", st.resultPath(expKey), func() error { _, err := st.LoadResult(expKey, testSig); return err }},
+		{"plan", st.planPath(fuzzKey), func() error { _, _, err := st.LoadPlan(fuzzKey, testSig); return err }},
+	} {
+		good, err := os.ReadFile(leg.path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.LoadResult(fuzzKey, testSig); !errors.Is(err, ErrIntegrity) {
-			t.Fatalf("result byte %d flipped: err = %v, want ErrIntegrity", i, err)
+		for i := range good {
+			bad := append([]byte(nil), good...)
+			bad[i] ^= 0xFF
+			for what, data := range map[string][]byte{"flipped": bad, "cut to": good[:i]} {
+				if err := os.WriteFile(leg.path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := leg.load(); !errors.Is(err, ErrIntegrity) {
+					t.Fatalf("%s byte %d %s: err = %v, want ErrIntegrity", leg.name, i, what, err)
+				}
+			}
 		}
+	}
+	st.DropResult(fuzzKey)
+	st.DropResult(expKey)
+	st.DropPlan(fuzzKey)
+	if st.HasResult(fuzzKey) || st.HasResult(expKey) || st.HasPlan(fuzzKey) {
+		t.Fatal("dropped artifacts still indexed")
+	}
+	if got := st.Stats(); got.ResultEntries != 0 || got.PlanEntries != 0 || got.Bytes != 0 {
+		t.Fatalf("stats after drop: %+v", got)
 	}
 }
 
