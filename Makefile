@@ -183,9 +183,9 @@ ci-oneproc: build
 # failing input lands in testdata/fuzz and fails the gate): the grouped
 # Pauli evaluator against the per-index reference loop, the lane
 # primitives' assembly bodies against their Go loops (on amd64 the SSE2
-# and, where the CPU has it, the AVX body of scaleWindows, scaleTable
-# and pairReal, every input through both) — the three amplitude
-# kernels, the Pauli chunk sums (SSE2 only), then the phase-table scale
+# and, where the CPU has it, the AVX body of scaleWindows, scaleTable,
+# pairReal and pauliChunks, every input through both) — the three
+# amplitude kernels, the Pauli chunk sums, then the phase-table scale
 # alone and through its tile enumeration — then the artifact envelope,
 # every payload decoder behind it and the store's manifest-journal
 # replay — never a panic, allocation bounded by the

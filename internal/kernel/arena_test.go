@@ -64,22 +64,27 @@ var qcrankPlanConfig = PlanConfig{TileBits: 16, GlobalBits: 1}
 // TestPlanCompileAllocBound: compiling a plan allocates little more
 // than the plan — the arenas are sized once from the instruction
 // stream and written in place, so nothing is built in scratch and
-// copied out, and nothing regrows.
+// copied out, and nothing regrows. The counters are process-wide, so a
+// compile's share is the mean over runs (TestPerGatePlanAllocBound has
+// the reason).
 func TestPlanCompileAllocBound(t *testing.T) {
+	const runs = 64
 	k := qcrankKernel(t)
 	var p *TilePlan
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	p = mustPlan(t, k, qcrankPlanConfig)
+	for i := 0; i < runs; i++ {
+		p = mustPlan(t, k, qcrankPlanConfig)
+	}
 	runtime.ReadMemStats(&after)
 
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(p.SizeBytes())*3/2; got > limit {
+	if got, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(p.SizeBytes())*3/2; got > limit {
 		t.Errorf("compiling a %d-byte plan allocated %d bytes, want ≤ %d", p.SizeBytes(), got, limit)
 	}
 	// The compile this layout replaced made 160 allocations here, and 94
 	// while each qubit's use list grew by append; one arena for all the
 	// lists leaves 14.
-	if got := after.Mallocs - before.Mallocs; got >= 20 {
+	if got := (after.Mallocs - before.Mallocs) / runs; got >= 20 {
 		t.Errorf("compile made %d allocations, want fewer than 20", got)
 	}
 	if p.Stats.ExchangeSegs == 0 || p.Stats.Runs == 0 || len(p.Binds) == 0 {

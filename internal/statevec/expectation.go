@@ -61,8 +61,8 @@ import (
 // walk the same windows — same in-block flip bits, sign bits and pivot
 // — and differ only in the parity the bits above the block contribute
 // (the phase's sign, or which odd-parity half is read) and in the
-// partner block. So the lane primitive pauliChunks (lanes.go, SSE2 on
-// amd64) sums pauliL of them at once, one chunk per lane, each lane in
+// partner block. So the lane primitive pauliChunks (lanes.go, SSE2 or
+// AVX on amd64) sums pauliL of them at once, one chunk per lane, each lane in
 // its own ascending-j order: every partial keeps its bits, whichever
 // lanes it shared a call with, and a high pivot (two chunks per block),
 // a two-sided or partner-shard group and a state too narrow for pauliL

@@ -66,19 +66,24 @@ import (
 // products is the scalar form's. No FMA anywhere: a fused multiply-add
 // rounds once where the scalar form rounds twice. Every amd64 CPU runs
 // the SSE2 bodies; one CPUID probe at init (hasAVX, lanes_amd64.go)
-// switches the wrappers to the AVX bodies where the CPU has AVX and the
-// OS saves its registers, with no setting to choose it. pairComplex has
-// an SSE2 body only, and so has pauliChunks, which holds two chunk sums per register instead,
-// one per lane: a lane's products are transposed against its
-// neighbour's (UNPCKLPD, UNPCKHPD) so the two sums of products add
-// lane-wise, still one IEEE 754 operation on the scalar form's operands
-// each. The one divergence is the sign (and payload) of a NaN: a NaN
-// propagates through a flipped factor and through either operand
-// order, where the scalar form's choice of NaN operand differs — a
-// state holding a NaN is already lost, and every NaN stays a NaN.
-// FuzzLanePrimitives, FuzzPauliLanes and FuzzScaleTable hold every
-// assembly body bit for bit to its Go loop over arbitrary lane bits
-// and window shapes, NaNs compared only as NaNs.
+// switches the wrappers to the AVX bodies where the CPU has AVX and
+// POPCNT and the OS saves the YMM registers, with no setting to choose
+// it. pairComplex has an SSE2 body only. pauliChunks has both, and sums
+// a chunk per lane instead: its SSE2 body holds two lanes' sums per
+// register, a lane's products transposed against its neighbour's
+// (UNPCKLPD, UNPCKHPD) so the two sums of products add lane-wise; its
+// AVX body holds all four lanes' sums in one register, two amplitudes
+// of a lane per register transposed the same way in each 128-bit half
+// and then across the halves (VPERM2F128), so each lane still adds its
+// terms one at a time in ascending j. Both stay one IEEE 754 operation
+// on the scalar form's operands per step. The one divergence is the
+// sign (and payload) of a NaN: a NaN propagates through a flipped
+// factor and through either operand order, where the scalar form's
+// choice of NaN operand differs — a state holding a NaN is already
+// lost, and every NaN stays a NaN. FuzzLanePrimitives, FuzzPauliLanes
+// and FuzzScaleTable hold every assembly body bit for bit to its Go
+// loop over arbitrary lane bits and window shapes, NaNs compared only
+// as NaNs.
 //
 // Real-matrix fast path: matrices whose four imaginary lanes are all
 // exactly +0 (h, x, y-axis rotations — the QCrank workload is nothing
@@ -305,7 +310,8 @@ func pairComplexGo(v []float64, dist, run, period int, m *laneMat2) {
 
 // pauliL is the lane count of pauliChunks: the canonical chunks of
 // one Pauli job summed in one call, one chunk per lane. It is part of
-// the SSE2 body's register layout (two lanes per register), not a knob.
+// the assembly bodies' register layout (two lanes per XMM register,
+// four per YMM register), not a knob.
 const pauliL = 4
 
 // The contribution kinds of a Pauli walk.

@@ -6,9 +6,9 @@ import "unsafe"
 // a window count (and pauliLanes into pointers) for the assembly bodies
 // in lanes_amd64.s. Same windows, same arithmetic as scaleWindowsGo,
 // scaleTableGo, pairRealGo, pairComplexGo and pauliChunksGo (see the
-// packed double note in lanes.go). scaleWindows, scaleTable and
-// pairReal have two bodies, SSE2 and AVX, and run the one laneAsm
-// names; pairComplex and pauliChunks have the SSE2 body only.
+// packed double note in lanes.go). scaleWindows, scaleTable, pairReal
+// and pauliChunks have two bodies, SSE2 and AVX, and run the one laneAsm
+// names; pairComplex has the SSE2 body only.
 
 // asmBody names one set of assembly bodies of the primitives that have
 // two.
@@ -87,7 +87,7 @@ func pairComplex(v []float64, dist, run, period int, m *laneMat2) {
 		m.r0, m.i0, m.r1, m.i1, m.r2, m.i2, m.r3, m.i3)
 }
 
-// pauliLaneArgs is pauliLanes as pauliChunksSSE2 reads it. For a pair
+// pauliLaneArgs is pauliLanes as the assembly bodies read it. For a pair
 // walk a and b are each lane's block and partner block and sgn the sign
 // bit of the lane's even-parity term; for a parity walk a and b are the
 // lane's read for an even and for an odd window parity (the lane's high
@@ -103,6 +103,13 @@ const _ = -uint((unsafe.Offsetof(pauliLaneArgs{}.b) ^ 32) |
 	(unsafe.Offsetof(pauliLaneArgs{}.sgn) ^ 64) | (unsafe.Offsetof(pauliLaneArgs{}.acc) ^ 96))
 
 func pauliChunks(l *pauliLanes, nl int, w *pauliWalk) {
+	laneAsm.pauliChunks(l, nl, w)
+}
+
+// pauliChunks runs a walk of one window (a chunk of one contribution)
+// on the SSE2 body whatever b names: the AVX body takes one-amplitude
+// windows two at a time.
+func (b asmBody) pauliChunks(l *pauliLanes, nl int, w *pauliWalk) {
 	var a pauliLaneArgs
 	for i := range a.a {
 		src := min(i, nl-1) // a missing lane repeats the last one
@@ -114,12 +121,16 @@ func pauliChunks(l *pauliLanes, nl int, w *pauliWalk) {
 		a.a[i], a.b[i] = &self[0], &l.other[src][0]
 		a.sgn[i] = uint64(hp^w.neg) << 63
 	}
-	pauliChunksSSE2(&a, w.off, w.cnt, w.run, w.low, w.sign, w.flip, w.kind)
+	if b == bodyAVX && w.cnt > 1 {
+		pauliChunksAVX(&a, w.off, w.cnt, w.run, w.low, w.sign, w.flip, w.kind)
+	} else {
+		pauliChunksSSE2(&a, w.off, w.cnt, w.run, w.low, w.sign, w.flip, w.kind)
+	}
 	copy(l.acc[:nl], a.acc[:])
 }
 
-// hasAVX reports whether the CPU has AVX and the OS saves the YMM
-// registers: whether the AVX bodies can run.
+// hasAVX reports whether the CPU has AVX and POPCNT and the OS saves
+// the YMM registers: whether the AVX bodies can run.
 func hasAVX() bool
 
 // scaleTableSSE2 multiplies count windows, one every period lanes from
@@ -150,7 +161,11 @@ func pairRealAVX(v *float64, dist, amps, period, count int, r0, r1, r2, r3 float
 func pairComplexSSE2(v *float64, dist, amps, period, count int, r0, i0, r1, i1, r2, i2, r3, i3 float64)
 
 // pauliChunksSSE2 sums the chunk walk (off, cnt, run, low, sign, flip,
-// kind) of pauliWalk in all pauliL lanes of l.
+// kind) of pauliWalk in all pauliL lanes of l. pauliChunksAVX is the
+// same on two amplitudes per lane and register; it needs cnt > 1.
 //
 //go:noescape
 func pauliChunksSSE2(l *pauliLaneArgs, off, cnt, run, low, sign, flip, kind int)
+
+//go:noescape
+func pauliChunksAVX(l *pauliLaneArgs, off, cnt, run, low, sign, flip, kind int)

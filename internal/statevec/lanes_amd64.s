@@ -15,27 +15,102 @@
 // chunk sums take one amplitude of each of four lanes. MULPD, ADDPD and
 // SUBPD only, nothing above SSE2.
 //
-// The AVX bodies (scaleTable, pairReal) hold two amplitudes per YMM
-// register and take one register per loop iteration
-// and a one-amplitude tail on VEX-encoded XMM registers. Nothing above
-// AVX: VMULPD, VADDPD and VADDSUBPD, and the in-lane shuffles VMOVDDUP,
-// VPERMILPD and VBROADCASTSD. Each clears the upper halves
-// (VZEROUPPER) before it returns, so the SSE2 code after it pays no
-// transition. pairComplex and the Pauli chunk sums have the SSE2 body
-// only: no gate the kernels see in volume is a complex non-diagonal
-// 2×2.
+// The AVX bodies hold two amplitudes per YMM register. scaleTable and
+// pairReal take one register per loop iteration and a one-amplitude
+// tail on VEX-encoded XMM registers; the Pauli chunk sums take one
+// register of each of four lanes, or two one-amplitude windows per
+// register. Nothing above AVX: VMULPD, VADDPD, VSUBPD and VADDSUBPD,
+// the in-lane shuffles VMOVDDUP, VPERMILPD, VUNPCKLPD/VUNPCKHPD and
+// VBROADCASTSD, and VPERM2F128 and VINSERTF128 across the halves; the
+// Pauli chunk sums also take POPCNTQ, which hasAVX checks for. Each
+// clears the upper halves (VZEROUPPER) before it returns, so the SSE2
+// code after it pays no transition. pairComplex has the SSE2 body only:
+// no gate the kernels see in volume is a complex non-diagonal 2×2.
+
+// Macros of the AVX Pauli chunk sums (pauliChunksAVX, below), which
+// hold two amplitudes of a lane per YMM register. LANESUM(op) turns the
+// four lanes' products — lane k's two amplitudes in Yk, [x, y, x', y']
+// — into the lanes' x op y, transposed in-lane by VUNPCKLPD/VUNPCKHPD
+// as in the SSE2 body and across the 128-bit halves by VPERM2F128:
+// [L0, L1, L2, L3] at the first amplitude in Y0, at the second in Y1.
+#define LANESUM(op) \
+	VUNPCKLPD	Y1, Y0, Y4; \
+	VUNPCKHPD	Y1, Y0, Y0; \
+	op	Y0, Y4, Y4; \
+	VUNPCKLPD	Y3, Y2, Y5; \
+	VUNPCKHPD	Y3, Y2, Y2; \
+	op	Y2, Y5, Y5; \
+	VPERM2F128	$0x20, Y5, Y4, Y0; \
+	VPERM2F128	$0x31, Y5, Y4, Y1
+
+// PAIRACC(s0, s1) doubles Y0 and Y1, flips their lanes' signs by s0 and
+// s1, and adds them to the sums in Y10, Y0 first.
+#define PAIRACC(s0, s1) \
+	VADDPD	Y0, Y0, Y0; \
+	VXORPD	s0, Y0, Y0; \
+	VADDPD	Y0, Y10, Y10; \
+	VADDPD	Y1, Y1, Y1; \
+	VXORPD	s1, Y1, Y1; \
+	VADDPD	Y1, Y10, Y10
+
+// PARITY(b, r) sets r to 32·parity(b & sign): the offset of a window's
+// sign vector in the frame, or of its reads in pauliLaneArgs.
+#define PARITY(b, r) \
+	MOVQ	b, r; \
+	ANDQ	sign+40(FP), r; \
+	POPCNTQ	r, r; \
+	ANDQ	$1, r; \
+	SHLQ	$5, r
+
+// NEXT(b, run) steps block index b on by run enumeration indices: the
+// pivot bit set, so a carry out of the bits below it passes over it,
+// and cleared again.
+#define NEXT(b, run) \
+	ORQ	64(SP), b; \
+	ADDQ	run, b; \
+	ANDQ	72(SP), b
+
+// A lane's products. REAL2 and IMAG2: two amplitudes of a window at
+// byte offset AX times its partner's at CX (swapped for ±i, so
+// [ar·pi, ai·pr]); SQ2: two at CX squared. LOAD1: one amplitude of each
+// of two windows, at AX and DX, into x/y and their partners', at CX and
+// R14, into Y4. SQ1: one amplitude of each of two parity windows, read
+// through a at AX and through b at CX, squared.
+#define REAL2(a, p, y) \
+	VMOVUPD	(a)(AX*1), y; \
+	VMULPD	(p)(CX*1), y, y
+
+#define IMAG2(a, p, y) \
+	VPERMILPD	$5, (p)(CX*1), y; \
+	VMULPD	(a)(AX*1), y, y
+
+#define SQ2(a, y) \
+	VMOVUPD	(a)(CX*1), y; \
+	VMULPD	y, y, y
+
+#define LOAD1(a, p, x, y) \
+	VMOVUPD	(a)(AX*1), x; \
+	VINSERTF128	$1, (a)(DX*1), y, y; \
+	VMOVUPD	(p)(CX*1), X4; \
+	VINSERTF128	$1, (p)(R14*1), Y4, Y4
+
+#define SQ1(a, b, x, y) \
+	VMOVUPD	(a)(AX*1), x; \
+	VINSERTF128	$1, (b)(CX*1), y, y; \
+	VMULPD	y, y, y
 
 // func hasAVX() bool
 //
 // Whether the AVX bodies can run: the CPU has AVX (CPUID.1:ECX bit 28)
-// and the OS saves the YMM registers (OSXSAVE, bit 27, and XCR0's XMM
-// and YMM bits).
+// and POPCNT (bit 23, which the Pauli chunk sums take a window's parity
+// with), and the OS saves the YMM registers (OSXSAVE, bit 27, and
+// XCR0's XMM and YMM bits).
 TEXT ·hasAVX(SB), NOSPLIT, $0-1
 	MOVL	$1, AX
 	XORL	CX, CX
 	CPUID
-	ANDL	$0x18000000, CX
-	CMPL	CX, $0x18000000
+	ANDL	$0x18800000, CX
+	CMPL	CX, $0x18800000
 	JNE	no
 	XORL	CX, CX
 	XGETBV
@@ -762,5 +837,221 @@ next:
 	JNZ	window
 
 done:
+	VZEROUPPER
+	RET
+
+// func pauliChunksAVX(l *pauliLaneArgs, off, cnt, run, low, sign, flip, kind int)
+//
+// pauliChunksSSE2 on two amplitudes per lane and register: all four
+// lanes' sums in Y10, each lane adding its terms in ascending j, j then
+// j+1 (LANESUM, PAIRACC). A window of two or more amplitudes is walked
+// two at a time; a walk of one-amplitude windows (run 1) takes two
+// windows per register, the second in the upper half (VINSERTF128), and
+// needs an even window count. The walk's state stays in registers —
+// the pair walks' eight lane pointers, the block index b stepped by
+// NEXT, byte offsets into the lanes — and a window's parity is one
+// POPCNTQ.
+//
+// Frame: the pair walks' lane sign vectors for an even and for an odd
+// window parity at 0 and 32, the pivot bit at 64, its complement at 72
+// and the walk's end (b at j = cnt) at 80.
+TEXT ·pauliChunksAVX(SB), NOSPLIT, $88-64
+	MOVQ	l+0(FP), DX
+	VXORPD	Y10, Y10, Y10
+	MOVQ	low+32(FP), AX
+	LEAQ	1(AX), CX           // the pivot bit: low+1, 0 above the block
+	MOVQ	CX, 64(SP)
+	NOTQ	CX
+	MOVQ	CX, 72(SP)
+	MOVQ	cnt+16(FP), BX      // the end: off + cnt&low + (cnt&^low)<<1
+	MOVQ	AX, CX
+	NOTQ	CX
+	ANDQ	BX, CX
+	SHLQ	$1, CX
+	ANDQ	BX, AX
+	ADDQ	AX, CX
+	ADDQ	off+8(FP), CX
+	MOVQ	CX, 80(SP)
+	MOVQ	off+8(FP), BX       // BX: b, the window's block index
+	CMPQ	kind+56(FP), $2
+	JEQ	norm
+
+	VMOVUPD	64(DX), Y0          // the sign vectors: sgn, and sgn flipped
+	VMOVUPD	Y0, (SP)
+	MOVQ	$0x8000000000000000, AX
+	VMOVQ	AX, X1
+	VMOVDDUP	X1, X1
+	VINSERTF128	$1, X1, Y1, Y1
+	VXORPD	Y1, Y0, Y0
+	VMOVUPD	Y0, 32(SP)
+	MOVQ	0(DX), SI           // SI, DI, R8, R9: the lanes' blocks
+	MOVQ	8(DX), DI
+	MOVQ	16(DX), R8
+	MOVQ	24(DX), R9
+	MOVQ	32(DX), R10         // R10–R13: their partner blocks
+	MOVQ	40(DX), R11
+	MOVQ	48(DX), R12
+	MOVQ	56(DX), R13
+	MOVQ	run+24(FP), DX
+	CMPQ	DX, $1
+	JEQ	narrow
+
+window:
+	PARITY(BX, AX)
+	VMOVUPD	(SP)(AX*1), Y15     // the window's lane signs
+	MOVQ	BX, CX              // CX: the partner window's byte offset, AX: the window's
+	XORQ	flip+48(FP), CX
+	SHLQ	$4, CX
+	MOVQ	BX, AX
+	SHLQ	$4, AX
+	MOVQ	DX, R14             // R14: amplitude pairs left
+	SHRQ	$1, R14
+	CMPQ	kind+56(FP), $1
+	JEQ	imag
+
+real:
+	REAL2(SI, R10, Y0)
+	REAL2(DI, R11, Y1)
+	REAL2(R8, R12, Y2)
+	REAL2(R9, R13, Y3)
+	LANESUM(VADDPD)
+	PAIRACC(Y15, Y15)
+	ADDQ	$32, AX
+	ADDQ	$32, CX
+	DECQ	R14
+	JNZ	real
+	JMP	next
+
+imag:
+	IMAG2(SI, R10, Y0)
+	IMAG2(DI, R11, Y1)
+	IMAG2(R8, R12, Y2)
+	IMAG2(R9, R13, Y3)
+	LANESUM(VSUBPD)             // ar·pi − ai·pr
+	PAIRACC(Y15, Y15)
+	ADDQ	$32, AX
+	ADDQ	$32, CX
+	DECQ	R14
+	JNZ	imag
+
+next:
+	NEXT(BX, DX)
+	CMPQ	BX, 80(SP)
+	JLT	window
+	JMP	done
+
+narrow:
+	PARITY(BX, AX)
+	VMOVUPD	(SP)(AX*1), Y14     // the first window's lane signs
+	MOVQ	BX, CX
+	XORQ	flip+48(FP), CX
+	SHLQ	$4, CX
+	MOVQ	BX, AX
+	SHLQ	$4, AX
+	NEXT(BX, $1)
+	PARITY(BX, DX)
+	VMOVUPD	(SP)(DX*1), Y15     // the second's
+	MOVQ	BX, R14
+	XORQ	flip+48(FP), R14
+	SHLQ	$4, R14
+	MOVQ	BX, DX
+	SHLQ	$4, DX
+	NEXT(BX, $1)
+	CMPQ	kind+56(FP), $1
+	JEQ	imag1
+	LOAD1(SI, R10, X0, Y0)
+	VMULPD	Y4, Y0, Y0
+	LOAD1(DI, R11, X1, Y1)
+	VMULPD	Y4, Y1, Y1
+	LOAD1(R8, R12, X2, Y2)
+	VMULPD	Y4, Y2, Y2
+	LOAD1(R9, R13, X3, Y3)
+	VMULPD	Y4, Y3, Y3
+	LANESUM(VADDPD)
+	JMP	acc1
+
+imag1:
+	LOAD1(SI, R10, X0, Y0)
+	VPERMILPD	$5, Y4, Y4
+	VMULPD	Y4, Y0, Y0
+	LOAD1(DI, R11, X1, Y1)
+	VPERMILPD	$5, Y4, Y4
+	VMULPD	Y4, Y1, Y1
+	LOAD1(R8, R12, X2, Y2)
+	VPERMILPD	$5, Y4, Y4
+	VMULPD	Y4, Y2, Y2
+	LOAD1(R9, R13, X3, Y3)
+	VPERMILPD	$5, Y4, Y4
+	VMULPD	Y4, Y3, Y3
+	LANESUM(VSUBPD)
+
+acc1:
+	PAIRACC(Y14, Y15)
+	CMPQ	BX, 80(SP)
+	JLT	narrow
+	JMP	done
+
+norm:
+	MOVQ	run+24(FP), R10
+	CMPQ	R10, $1
+	JEQ	sqnarrow
+
+sqwindow:
+	PARITY(BX, AX)
+	MOVQ	(DX)(AX*1), SI      // the lanes' reads for this parity: a or b
+	MOVQ	8(DX)(AX*1), DI
+	MOVQ	16(DX)(AX*1), R8
+	MOVQ	24(DX)(AX*1), R9
+	MOVQ	BX, CX
+	SHLQ	$4, CX
+	MOVQ	R10, R14
+	SHRQ	$1, R14
+
+sq:
+	SQ2(SI, Y0)
+	SQ2(DI, Y1)
+	SQ2(R8, Y2)
+	SQ2(R9, Y3)
+	LANESUM(VADDPD)
+	VADDPD	Y0, Y10, Y10
+	VADDPD	Y1, Y10, Y10
+	ADDQ	$32, CX
+	DECQ	R14
+	JNZ	sq
+	NEXT(BX, R10)
+	CMPQ	BX, 80(SP)
+	JLT	sqwindow
+	JMP	done
+
+sqnarrow:
+	PARITY(BX, R14)
+	MOVQ	(DX)(R14*1), SI     // SI, DI, R8, R9: the first window's reads
+	MOVQ	8(DX)(R14*1), DI
+	MOVQ	16(DX)(R14*1), R8
+	MOVQ	24(DX)(R14*1), R9
+	MOVQ	BX, AX
+	SHLQ	$4, AX
+	NEXT(BX, $1)
+	PARITY(BX, R14)
+	MOVQ	(DX)(R14*1), R10    // R10–R13: the second's
+	MOVQ	8(DX)(R14*1), R11
+	MOVQ	16(DX)(R14*1), R12
+	MOVQ	24(DX)(R14*1), R13
+	MOVQ	BX, CX
+	SHLQ	$4, CX
+	NEXT(BX, $1)
+	SQ1(SI, R10, X0, Y0)
+	SQ1(DI, R11, X1, Y1)
+	SQ1(R8, R12, X2, Y2)
+	SQ1(R9, R13, X3, Y3)
+	LANESUM(VADDPD)
+	VADDPD	Y0, Y10, Y10
+	VADDPD	Y1, Y10, Y10
+	CMPQ	BX, 80(SP)
+	JLT	sqnarrow
+
+done:
+	MOVQ	l+0(FP), DX
+	VMOVUPD	Y10, 96(DX)
 	VZEROUPPER
 	RET

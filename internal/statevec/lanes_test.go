@@ -644,9 +644,9 @@ func disjointPairs(n, dist, run, period int) bool {
 	return true
 }
 
-// laneBody is one body of the four amplitude primitives, each at its Go
-// loop's signature; ok is false for a body this CPU cannot run, and
-// cpair is nil for a body without pairComplex.
+// laneBody is one body of the four amplitude primitives and the Pauli
+// chunk sums, each at its Go loop's signature; ok is false for a body
+// this CPU cannot run, and cpair is nil for a body without pairComplex.
 type laneBody struct {
 	name  string
 	ok    bool
@@ -654,11 +654,12 @@ type laneBody struct {
 	table func(v, t []float64, run, period, row, tstep int)
 	pair  func(v []float64, dist, run, period int, r0, r1, r2, r3 float64)
 	cpair func(v []float64, dist, run, period int, m *laneMat2)
+	pauli func(l *pauliLanes, nl int, w *pauliWalk)
 }
 
 // goBody is the Go loops, the reference every assembly body in
 // asmBodies (lanes_amd64_test.go; none on other GOARCH) is held to.
-var goBody = laneBody{"go", true, scaleWindowsGo, scaleTableGo, pairRealGo, pairComplexGo}
+var goBody = laneBody{"go", true, scaleWindowsGo, scaleTableGo, pairRealGo, pairComplexGo, pauliChunksGo}
 
 // FuzzLanePrimitives holds every assembly body of scaleWindows,
 // pairReal and pairComplex — SSE2 and AVX on amd64 (SSE2 only for
@@ -733,15 +734,16 @@ func FuzzLanePrimitives(f *testing.F) {
 	})
 }
 
-// FuzzPauliLanes holds pauliChunks — the SSE2 body on amd64 — bit for
-// bit to pauliChunksGo over arbitrary lane bits (the seeds carry ±0,
-// ±∞ and subnormals), 1 to pauliL lanes with arbitrary high parities,
-// and the walks the evaluator builds from arbitrary Pauli masks on a
-// block of 2 to 128 amplitudes and two qubits above it: runs of one, two
-// and many amplitudes, a pivot inside or above the block (then either
-// chunk of it), phases ±1 and ±i, parity walks, and partner offsets
-// inside the block. A NaN is compared only as a NaN. On other GOARCH
-// both sides are the Go loop.
+// FuzzPauliLanes holds every assembly body of pauliChunks — SSE2 and
+// AVX on amd64, each called directly whatever the CPU probe picked —
+// bit for bit to pauliChunksGo over arbitrary lane bits (the seeds
+// carry ±0, ±∞ and subnormals), 1 to pauliL lanes with arbitrary high
+// parities, and the walks the evaluator builds from arbitrary Pauli
+// masks on a block of 2 to 128 amplitudes and two qubits above it: runs
+// of one, two and many amplitudes, a pivot inside or above the block
+// (then either chunk of it), phases ±1 and ±i, parity walks, and
+// partner offsets inside the block. A NaN is compared only as a NaN. On
+// other GOARCH there is no assembly body to hold.
 func FuzzPauliLanes(f *testing.F) {
 	specials := make([]byte, 0, 8*len(specialLanes))
 	for _, x := range specialLanes {
@@ -759,6 +761,15 @@ func FuzzPauliLanes(f *testing.F) {
 		for _, nl := range []uint8{1, 3, 4} {
 			f.Add(ordinary, shape[0], shape[1], shape[2], shape[3], nl, uint8(0x3), nl == 3)
 			f.Add(append(append([]byte(nil), specials...), ordinary...), shape[0], shape[1], shape[2], shape[3], nl, uint8(0x6), nl == 4)
+		}
+	}
+	for _, shape := range [][4]uint8{
+		{0, 1, 0, 0}, {3, 1, 0, 0}, {4, 0, 1, 2}, {5, 0, 0, 3}, // runs of 1: X₀ (one window at bb 1), X₀, Y₀Z₁, Z₀Z₁
+		{3, 2, 0, 0}, {4, 0, 2, 4}, {5, 0, 0, 6}, // runs of 2: X₁, Y₁Z₂, Z₁Z₂
+		{5, 64, 0, 1}, {4, 0, 96, 0}, {4, 0, 0, 96}, // the upper chunk of a pivot above the block
+	} {
+		for k := uint8(0); k < pauliL; k++ { // 1 to pauliL lanes
+			f.Add(append(append([]byte(nil), specials...), ordinary...), shape[0], shape[1], shape[2], shape[3], k, uint8(0x5)<<(k&1), true)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, bbSel, xm, ym, zm, lanesSel, hpBits uint8, upper bool) {
@@ -804,11 +815,17 @@ func FuzzPauliLanes(f *testing.F) {
 			l.hp[i] = int(hpBits>>uint(i)) & 1
 		}
 		want := l
-		pauliChunks(&l, nl, &w)
 		pauliChunksGo(&want, nl, &w)
-		if i, ok := sameLanes(l.acc[:nl], want.acc[:nl]); !ok {
-			t.Fatalf("pauliChunks(%d lanes, walk %+v): lane %d = %#x, Go loop %#x",
-				nl, w, i, math.Float64bits(l.acc[i]), math.Float64bits(want.acc[i]))
+		for _, body := range asmBodies {
+			if !body.ok {
+				continue
+			}
+			got := l
+			body.pauli(&got, nl, &w)
+			if i, ok := sameLanes(got.acc[:nl], want.acc[:nl]); !ok {
+				t.Fatalf("%s pauliChunks(%d lanes, walk %+v): lane %d = %#x, Go loop %#x",
+					body.name, nl, w, i, math.Float64bits(got.acc[i]), math.Float64bits(want.acc[i]))
+			}
 		}
 	})
 }
@@ -825,6 +842,11 @@ func FuzzPauliLanes(f *testing.F) {
 // per window advancing window by window at width 1 (a free stretch
 // above other bits), and the window's own 32 or 1024 entries, repeated
 // along it, at width 32 and contiguous (a free stretch from bit 0).
+// pauli rows sum pauliL chunks of 2^10 contributions, one per lane, each
+// lane's block and partner block 2^11 amplitudes of the buffer: real
+// (X on the window's width, or above the block for contiguous) and norm
+// (ZZ on it and the qubit after, or Z above the block) walks, MB/s from
+// the lanes read.
 func BenchmarkLanePrimitives(b *testing.B) {
 	v := lanes(randAmps(1<<14, qmath.NewRNG(9)))
 	tab := make([]complex128, 1<<13)
@@ -863,6 +885,21 @@ func BenchmarkLanePrimitives(b *testing.B) {
 			if body.cpair != nil {
 				run(b, "cpair/"+name, 8*len(v), func() { body.cpair(v, w, w, 2*w, &u) })
 			}
+			const bb = 11
+			q := min(bits.TrailingZeros(uint(amps)), bb)
+			var l pauliLanes
+			for i := range l.self {
+				l.self[i], l.other[i] = v[i<<(bb+1):][:2<<bb], v[(i+pauliL)<<(bb+1):][:2<<bb]
+				l.hp[i] = i & 1
+			}
+			x := pauliJob{flip: true, flipMask: 1 << q, ph0: 1, pivot: q}
+			zz := pauliJob{sign: 3 << q, pivot: q}
+			if q == bb {
+				zz.sign = 1 << q
+			}
+			rw, nw := x.walk(bb, bb-1), zz.walk(bb, bb-1)
+			run(b, "pauli/"+name+"/real", 32*pauliL*rw.cnt, func() { body.pauli(&l, pauliL, &rw) })
+			run(b, "pauli/"+name+"/norm", 16*pauliL*nw.cnt, func() { body.pauli(&l, pauliL, &nw) })
 		}
 	}
 }
