@@ -72,10 +72,10 @@
 
 // A lane's products. REAL2 and IMAG2: two amplitudes of a window at
 // byte offset AX times its partner's at CX (swapped for ±i, so
-// [ar·pi, ai·pr]); SQ2: two at CX squared. LOAD1: one amplitude of each
-// of two windows, at AX and DX, into x/y and their partners', at CX and
-// R14, into Y4. SQ1: one amplitude of each of two parity windows, read
-// through a at AX and through b at CX, squared.
+// [ar·pi, ai·pr]); SQ2: two at CX squared. REAL1 and IMAG1: one
+// amplitude of each of two windows, at AX and DX, times their
+// partners', at CX and R14; SQ1: one amplitude of each of two parity
+// windows, read through a at AX and through b at CX, squared.
 #define REAL2(a, p, y) \
 	VMOVUPD	(a)(AX*1), y; \
 	VMULPD	(p)(CX*1), y, y
@@ -88,11 +88,20 @@
 	VMOVUPD	(a)(CX*1), y; \
 	VMULPD	y, y, y
 
-#define LOAD1(a, p, x, y) \
+#define REAL1(a, p, x, y) \
 	VMOVUPD	(a)(AX*1), x; \
 	VINSERTF128	$1, (a)(DX*1), y, y; \
 	VMOVUPD	(p)(CX*1), X4; \
-	VINSERTF128	$1, (p)(R14*1), Y4, Y4
+	VINSERTF128	$1, (p)(R14*1), Y4, Y4; \
+	VMULPD	Y4, y, y
+
+#define IMAG1(a, p, x, y) \
+	VMOVUPD	(a)(AX*1), x; \
+	VINSERTF128	$1, (a)(DX*1), y, y; \
+	VMOVUPD	(p)(CX*1), X4; \
+	VINSERTF128	$1, (p)(R14*1), Y4, Y4; \
+	VPERMILPD	$5, Y4, Y4; \
+	VMULPD	Y4, y, y
 
 #define SQ1(a, b, x, y) \
 	VMOVUPD	(a)(AX*1), x; \
@@ -959,30 +968,18 @@ narrow:
 	NEXT(BX, $1)
 	CMPQ	kind+56(FP), $1
 	JEQ	imag1
-	LOAD1(SI, R10, X0, Y0)
-	VMULPD	Y4, Y0, Y0
-	LOAD1(DI, R11, X1, Y1)
-	VMULPD	Y4, Y1, Y1
-	LOAD1(R8, R12, X2, Y2)
-	VMULPD	Y4, Y2, Y2
-	LOAD1(R9, R13, X3, Y3)
-	VMULPD	Y4, Y3, Y3
+	REAL1(SI, R10, X0, Y0)
+	REAL1(DI, R11, X1, Y1)
+	REAL1(R8, R12, X2, Y2)
+	REAL1(R9, R13, X3, Y3)
 	LANESUM(VADDPD)
 	JMP	acc1
 
 imag1:
-	LOAD1(SI, R10, X0, Y0)
-	VPERMILPD	$5, Y4, Y4
-	VMULPD	Y4, Y0, Y0
-	LOAD1(DI, R11, X1, Y1)
-	VPERMILPD	$5, Y4, Y4
-	VMULPD	Y4, Y1, Y1
-	LOAD1(R8, R12, X2, Y2)
-	VPERMILPD	$5, Y4, Y4
-	VMULPD	Y4, Y2, Y2
-	LOAD1(R9, R13, X3, Y3)
-	VPERMILPD	$5, Y4, Y4
-	VMULPD	Y4, Y3, Y3
+	IMAG1(SI, R10, X0, Y0)
+	IMAG1(DI, R11, X1, Y1)
+	IMAG1(R8, R12, X2, Y2)
+	IMAG1(R9, R13, X3, Y3)
 	LANESUM(VSUBPD)
 
 acc1:
