@@ -182,9 +182,9 @@ ci-oneproc: build
 # Fixed-budget native fuzzing (seed corpus first, then mutation; a
 # failing input lands in testdata/fuzz and fails the gate): the grouped
 # Pauli evaluator against the per-index reference loop, the lane
-# primitives' assembly bodies against their Go loops (on amd64 the SSE2
-# and, where the CPU has it, the AVX body of scaleWindows, scaleTable,
-# pairReal and pauliChunks, every input through both) — the three
+# primitives' assembly bodies against their Go loops (on amd64 the AVX
+# body of scaleWindows, scaleTable, pairReal and pauliChunks where the
+# CPU has it, and the SSE2 body of pairComplex) — the three
 # amplitude kernels, the Pauli chunk sums, then the phase-table scale
 # alone and through its tile enumeration — then the artifact envelope,
 # every payload decoder behind it and the store's manifest-journal

@@ -61,9 +61,9 @@ import (
 // walk the same windows — same in-block flip bits, sign bits and pivot
 // — and differ only in the parity the bits above the block contribute
 // (the phase's sign, or which odd-parity half is read) and in the
-// partner block. So the lane primitive pauliChunks (lanes.go, SSE2 or
-// AVX on amd64) sums pauliL of them at once, one chunk per lane, each lane in
-// its own ascending-j order: every partial keeps its bits, whichever
+// partner block. So the lane primitive pauliChunks (lanes.go: AVX on
+// amd64 where the CPU has it, else its Go loop) sums pauliL of them at
+// once, one chunk per lane, each lane in its own ascending-j order: every partial keeps its bits, whichever
 // lanes it shared a call with, and a high pivot (two chunks per block),
 // a two-sided or partner-shard group and a state too narrow for pauliL
 // active blocks take the same call with fewer lanes or twice.

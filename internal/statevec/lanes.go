@@ -53,37 +53,35 @@ import (
 // implementations for every micro-op kind.
 //
 // Packed doubles (lanes_amd64.s): the assembly bodies of the amplitude
-// primitives work on whole amplitudes, both lanes at once — one per
-// register in the SSE2 bodies (MULPD, ADDPD), two per register in the
-// AVX ones (VMULPD, VADDPD, VADDSUBPD) — each lane still one IEEE 754
-// multiply, add or subtract of the same operands, so it rounds exactly
-// as the scalar form. The SSE2 bodies compute a complex product's real
-// lane as re(x)*re(y) + im(x)*(−im(y)), the factor's sign flipped once
-// by XORPD: rounding to nearest is symmetric, so a·(−b) = −(a·b), and
-// IEEE 754 defines x − y as x + (−y); the AVX bodies subtract directly
-// (VADDSUBPD). Addition and multiplication are commutative, so a lane's
-// two operands may arrive in either order; the grouping of a sum of
-// products is the scalar form's. No FMA anywhere: a fused multiply-add
-// rounds once where the scalar form rounds twice. Every amd64 CPU runs
-// the SSE2 bodies; one CPUID probe at init (hasAVX, lanes_amd64.go)
-// switches the wrappers to the AVX bodies where the CPU has AVX and
-// POPCNT and the OS saves the YMM registers, with no setting to choose
-// it. pairComplex has an SSE2 body only. pauliChunks has both, and sums
-// a chunk per lane instead: its SSE2 body holds two lanes' sums per
-// register, a lane's products transposed against its neighbour's
-// (UNPCKLPD, UNPCKHPD) so the two sums of products add lane-wise; its
-// AVX body holds all four lanes' sums in one register, two amplitudes
-// of a lane per register transposed the same way in each 128-bit half
-// and then across the halves (VPERM2F128), so each lane still adds its
-// terms one at a time in ascending j. Both stay one IEEE 754 operation
-// on the scalar form's operands per step. The one divergence is the
-// sign (and payload) of a NaN: a NaN propagates through a flipped
-// factor and through either operand order, where the scalar form's
-// choice of NaN operand differs — a state holding a NaN is already
-// lost, and every NaN stays a NaN. FuzzLanePrimitives, FuzzPauliLanes
-// and FuzzScaleTable hold every assembly body bit for bit to its Go
-// loop over arbitrary lane bits and window shapes, NaNs compared only
-// as NaNs.
+// primitives work on whole amplitudes, both lanes at once — two per YMM
+// register in the AVX bodies (VMULPD, VADDPD, VADDSUBPD), one per XMM
+// register in pairComplex's SSE2 body (MULPD, ADDPD) — each lane still
+// one IEEE 754 multiply, add or subtract of the same operands, so it
+// rounds exactly as the scalar form. The AVX bodies subtract directly
+// (VADDSUBPD); the SSE2 body computes a complex product's real lane as
+// re(x)*re(y) + im(x)*(−im(y)), the factor's sign flipped once by
+// XORPD: rounding to nearest is symmetric, so a·(−b) = −(a·b), and
+// IEEE 754 defines x − y as x + (−y). Addition and multiplication are
+// commutative, so a lane's two operands may arrive in either order; the
+// grouping of a sum of products is the scalar form's. No FMA anywhere:
+// a fused multiply-add rounds once where the scalar form rounds twice.
+// One CPUID probe at init (hasAVX, lanes_amd64.go) runs the AVX bodies
+// of scaleWindows, scaleTable, pairReal and pauliChunks where the CPU
+// has AVX and POPCNT and the OS saves the YMM registers, and their Go
+// loops elsewhere, with no setting to choose it; pairComplex runs its
+// SSE2 body on every amd64 CPU. pauliChunks sums a chunk per lane
+// instead: its AVX body holds all four lanes' sums in one register, two
+// amplitudes of a lane per register transposed against the other
+// lanes' (VUNPCKLPD, VUNPCKHPD in each 128-bit half, then VPERM2F128
+// across the halves), so each lane still adds its terms one at a time
+// in ascending j, one IEEE 754 operation on the scalar form's operands
+// per step. The one divergence is the sign (and payload) of a NaN: a
+// NaN propagates through a flipped factor and through either operand
+// order, where the scalar form's choice of NaN operand differs — a
+// state holding a NaN is already lost, and every NaN stays a NaN.
+// FuzzLanePrimitives, FuzzPauliLanes and FuzzScaleTable hold every
+// assembly body bit for bit to its Go loop over arbitrary lane bits and
+// window shapes, NaNs compared only as NaNs.
 //
 // Real-matrix fast path: matrices whose four imaginary lanes are all
 // exactly +0 (h, x, y-axis rotations — the QCrank workload is nothing
@@ -230,10 +228,10 @@ func subspaceSets(fixed, val uint64, lo, hi int, visit func(off, run, period, co
 // — windows of run lanes, one every period (> 0) lanes from lane 0 of
 // v, as many as fit in v — never one window: at the narrowest windows (one
 // amplitude) a call per window would cost more than the arithmetic. On
-// amd64 they are the assembly bodies of lanes_amd64.s (SSE2, or AVX
-// where the CPU has it); elsewhere they are the Go loops below, which
-// stay compiled on every GOARCH as the reference the lane fuzz suite
-// holds the assembly to. An odd last lane
+// an amd64 CPU with AVX they are the assembly bodies of lanes_amd64.s
+// (and pairComplex is its SSE2 body on every amd64 CPU); elsewhere they
+// are the Go loops below, which stay compiled on every GOARCH as the
+// reference the lane fuzz suite holds the assembly to. An odd last lane
 // of a window is left alone: windows hold whole amplitudes.
 
 // scaleWindowsGo multiplies every amplitude of the windows by the
@@ -310,8 +308,8 @@ func pairComplexGo(v []float64, dist, run, period int, m *laneMat2) {
 
 // pauliL is the lane count of pauliChunks: the canonical chunks of
 // one Pauli job summed in one call, one chunk per lane. It is part of
-// the assembly bodies' register layout (two lanes per XMM register,
-// four per YMM register), not a knob.
+// the AVX body's register layout (all four lanes' sums in one YMM
+// register), not a knob.
 const pauliL = 4
 
 // The contribution kinds of a Pauli walk.

@@ -1,19 +1,13 @@
 #include "textflag.h"
 
-// Assembly bodies of the lane primitives (lanes.go, lanes_amd64.go), in
-// two sets: SSE2, which every amd64 CPU runs, and AVX, which
-// lanes_amd64.go picks at init where hasAVX finds the CPU and the OS
-// support it. scaleWindows has no body of its own: it is scaleTable's
-// row of one entry. Unaligned loads and stores throughout, and no FMA:
-// every lane is one IEEE 754 multiply, add or subtract of the scalar
-// form's operands (lanes.go).
-//
-// The SSE2 bodies hold one amplitude per XMM register: a table row of
-// one entry or read once per window and the real pair take two
-// amplitudes per loop iteration and a one-amplitude tail, the complex
-// pair (eight factor registers) and a repeated table row one; the Pauli
-// chunk sums take one amplitude of each of four lanes. MULPD, ADDPD and
-// SUBPD only, nothing above SSE2.
+// Assembly bodies of the lane primitives (lanes.go, lanes_amd64.go):
+// AVX bodies of scaleTable, pairReal and pauliChunks, which the
+// wrappers run where hasAVX finds the CPU and the OS support them (the
+// Go loops elsewhere), and an SSE2 body of pairComplex, which every
+// amd64 CPU runs. scaleWindows is scaleTable's row of one entry.
+// Unaligned loads and stores throughout, and no FMA: every lane is one
+// IEEE 754 multiply, add or subtract of the scalar form's operands
+// (lanes.go).
 //
 // The AVX bodies hold two amplitudes per YMM register. scaleTable and
 // pairReal take one register per loop iteration and a one-amplitude
@@ -23,16 +17,19 @@
 // the in-lane shuffles VMOVDDUP, VPERMILPD, VUNPCKLPD/VUNPCKHPD and
 // VBROADCASTSD, and VPERM2F128 and VINSERTF128 across the halves; the
 // Pauli chunk sums also take POPCNTQ, which hasAVX checks for. Each
-// clears the upper halves (VZEROUPPER) before it returns, so the SSE2
-// code after it pays no transition. pairComplex has the SSE2 body only:
-// no gate the kernels see in volume is a complex non-diagonal 2×2.
+// clears the upper halves (VZEROUPPER) before it returns, so SSE code
+// after it pays no transition.
+//
+// pairComplexSSE2 holds one amplitude per XMM register and the matrix
+// in eight. It has no AVX body: no gate the kernels see in volume is a
+// complex non-diagonal 2×2.
 
 // Macros of the AVX Pauli chunk sums (pauliChunksAVX, below), which
 // hold two amplitudes of a lane per YMM register. LANESUM(op) turns the
 // four lanes' products — lane k's two amplitudes in Yk, [x, y, x', y']
-// — into the lanes' x op y, transposed in-lane by VUNPCKLPD/VUNPCKHPD
-// as in the SSE2 body and across the 128-bit halves by VPERM2F128:
-// [L0, L1, L2, L3] at the first amplitude in Y0, at the second in Y1.
+// — into the lanes' x op y, transposed within each 128-bit half by
+// VUNPCKLPD/VUNPCKHPD and across the halves by VPERM2F128: [L0, L1,
+// L2, L3] at the first amplitude in Y0, at the second in Y1.
 #define LANESUM(op) \
 	VUNPCKLPD	Y1, Y0, Y4; \
 	VUNPCKHPD	Y1, Y0, Y0; \
@@ -133,261 +130,6 @@ no:
 	MOVB	$0, ret+0(FP)
 	RET
 
-// func scaleTableSSE2(v, t *float64, row, reps, period, tstep, count int)
-//
-// Each amplitude times its entry, split into [er, er] and [-ei, ei]
-// once per entry: [ar*er - ai*ei, ai*er + ar*ei] as a·[er, er] +
-// swap(a)·[-ei, ei]. A row of one entry is loaded once per window (once
-// per call at tstep 0) and applied two amplitudes at a time; a row read
-// once per window takes its entries two at a time, in step with the
-// amplitudes; a row repeated along the window is walked entry by entry,
-// each entry applied to its amplitude in every repetition, so the split
-// is not repeated.
-TEXT ·scaleTableSSE2(SB), NOSPLIT, $0-56
-	MOVQ	v+0(FP), DI
-	MOVQ	t+8(FP), R8
-	MOVQ	row+16(FP), R10
-	MOVQ	reps+24(FP), CX
-	MOVQ	period+32(FP), DX
-	SHLQ	$3, DX              // period in bytes
-	MOVQ	tstep+40(FP), R11
-	SHLQ	$3, R11             // tstep in bytes
-	MOVQ	count+48(FP), BX
-	MOVQ	$0x8000000000000000, AX
-	MOVQ	AX, X7              // X7 = [sign bit, 0]
-	TESTQ	BX, BX
-	JLE	done
-	CMPQ	R10, $1
-	JE	scalar
-	CMPQ	CX, $1
-	JE	once
-	MOVQ	R10, R13
-	SHLQ	$4, R13             // R13: the row in bytes, the stride of a repetition
-	JMP	columns
-
-scalar:
-	MOVUPD	(R8), X0            // [er, ei]
-	MOVAPD	X0, X1
-	UNPCKLPD	X0, X0          // X0 = [er, er]
-	UNPCKHPD	X1, X1
-	XORPD	X7, X1              // X1 = [-ei, ei]
-
-swindow:
-	MOVQ	DI, SI
-	MOVQ	CX, AX
-	SUBQ	$2, AX
-	JL	stail
-
-stwo:
-	MOVUPD	(SI), X2            // [ar, ai]
-	MOVUPD	16(SI), X3
-	PSHUFD	$0x4e, X2, X4       // [ai, ar]
-	PSHUFD	$0x4e, X3, X5
-	MULPD	X0, X2              // [ar*er, ai*er]
-	MULPD	X0, X3
-	MULPD	X1, X4              // [ai*-ei, ar*ei]
-	MULPD	X1, X5
-	ADDPD	X4, X2              // [ar*er - ai*ei, ai*er + ar*ei]
-	ADDPD	X5, X3
-	MOVUPD	X2, (SI)
-	MOVUPD	X3, 16(SI)
-	ADDQ	$32, SI
-	SUBQ	$2, AX
-	JGE	stwo
-
-stail:
-	CMPQ	AX, $-1             // -1: one amplitude left, -2: none
-	JNE	snext
-	MOVUPD	(SI), X2
-	PSHUFD	$0x4e, X2, X4
-	MULPD	X0, X2
-	MULPD	X1, X4
-	ADDPD	X4, X2
-	MOVUPD	X2, (SI)
-
-snext:
-	ADDQ	DX, DI
-	DECQ	BX
-	JZ	done
-	TESTQ	R11, R11            // tstep 0: the same entry, already split
-	JZ	swindow
-	ADDQ	R11, R8
-	JMP	scalar
-
-once:
-	MOVQ	DI, SI              // SI: the amplitude, R12: its entry
-	MOVQ	R8, R12
-	MOVQ	R10, AX
-	SUBQ	$2, AX
-	JL	otail
-
-otwo:
-	MOVUPD	(SI), X2            // [ar, ai]
-	MOVUPD	16(SI), X3
-	MOVUPD	(R12), X0           // [er, ei]
-	MOVUPD	16(R12), X8
-	MOVAPD	X0, X1
-	MOVAPD	X8, X9
-	UNPCKLPD	X0, X0          // [er, er]
-	UNPCKLPD	X8, X8
-	UNPCKHPD	X1, X1
-	UNPCKHPD	X9, X9
-	XORPD	X7, X1              // [-ei, ei]
-	XORPD	X7, X9
-	PSHUFD	$0x4e, X2, X4       // [ai, ar]
-	PSHUFD	$0x4e, X3, X5
-	MULPD	X0, X2              // [ar*er, ai*er]
-	MULPD	X8, X3
-	MULPD	X1, X4              // [ai*-ei, ar*ei]
-	MULPD	X9, X5
-	ADDPD	X4, X2
-	ADDPD	X5, X3
-	MOVUPD	X2, (SI)
-	MOVUPD	X3, 16(SI)
-	ADDQ	$32, SI
-	ADDQ	$32, R12
-	SUBQ	$2, AX
-	JGE	otwo
-
-otail:
-	CMPQ	AX, $-1             // -1: one entry left, -2: none
-	JNE	onext
-	MOVUPD	(SI), X2
-	MOVUPD	(R12), X0
-	MOVAPD	X0, X1
-	UNPCKLPD	X0, X0
-	UNPCKHPD	X1, X1
-	XORPD	X7, X1
-	PSHUFD	$0x4e, X2, X4
-	MULPD	X0, X2
-	MULPD	X1, X4
-	ADDPD	X4, X2
-	MOVUPD	X2, (SI)
-
-onext:
-	ADDQ	DX, DI
-	ADDQ	R11, R8
-	DECQ	BX
-	JNZ	once
-	RET
-
-columns:
-	MOVQ	DI, SI              // SI: entry k's amplitude in the first repetition
-	MOVQ	R8, R12             // R12: entry k, R14: entries left
-	MOVQ	R10, R14
-
-entry:
-	MOVUPD	(R12), X0           // [er, ei]
-	MOVAPD	X0, X1
-	UNPCKLPD	X0, X0          // [er, er]
-	UNPCKHPD	X1, X1
-	XORPD	X7, X1              // [-ei, ei]
-	MOVQ	SI, R9              // R9: the amplitude, AX: repetitions left
-	MOVQ	CX, AX
-
-rep:
-	MOVUPD	(R9), X2            // [ar, ai]
-	PSHUFD	$0x4e, X2, X4       // [ai, ar]
-	MULPD	X0, X2
-	MULPD	X1, X4
-	ADDPD	X4, X2
-	MOVUPD	X2, (R9)
-	ADDQ	R13, R9
-	DECQ	AX
-	JNZ	rep
-	ADDQ	$16, SI
-	ADDQ	$16, R12
-	DECQ	R14
-	JNZ	entry
-	ADDQ	DX, DI
-	ADDQ	R11, R8
-	DECQ	BX
-	JNZ	columns
-
-done:
-	RET
-
-// func pairRealSSE2(v *float64, dist, amps, period, count int, r0, r1, r2, r3 float64)
-TEXT ·pairRealSSE2(SB), NOSPLIT, $0-72
-	MOVQ	v+0(FP), DI
-	MOVQ	dist+8(FP), R8
-	SHLQ	$3, R8              // dist in bytes
-	MOVQ	amps+16(FP), CX
-	MOVQ	period+24(FP), DX
-	SHLQ	$3, DX              // period in bytes
-	MOVQ	count+32(FP), BX
-	MOVSD	r0+40(FP), X0
-	UNPCKLPD	X0, X0          // X0 = [r0, r0]
-	MOVSD	r1+48(FP), X1
-	UNPCKLPD	X1, X1
-	MOVSD	r2+56(FP), X2
-	UNPCKLPD	X2, X2
-	MOVSD	r3+64(FP), X3
-	UNPCKLPD	X3, X3
-	TESTQ	BX, BX
-	JLE	done
-
-window:
-	MOVQ	DI, SI              // SI: window, R9: partner
-	LEAQ	(DI)(R8*1), R9
-	MOVQ	CX, AX
-	SUBQ	$2, AX
-	JL	tail
-
-two:
-	MOVUPD	(SI), X4            // a
-	MOVUPD	(R9), X5            // b
-	MOVUPD	16(SI), X6          // c
-	MOVUPD	16(R9), X7          // d
-	MOVAPD	X4, X8
-	MOVAPD	X5, X9
-	MULPD	X0, X4              // r0*a
-	MULPD	X1, X9              // r1*b
-	MULPD	X2, X8              // r2*a
-	MULPD	X3, X5              // r3*b
-	ADDPD	X9, X4              // r0*a + r1*b
-	ADDPD	X5, X8              // r2*a + r3*b
-	MOVAPD	X6, X10
-	MOVAPD	X7, X11
-	MULPD	X0, X6
-	MULPD	X1, X11
-	MULPD	X2, X10
-	MULPD	X3, X7
-	ADDPD	X11, X6
-	ADDPD	X7, X10
-	MOVUPD	X4, (SI)
-	MOVUPD	X8, (R9)
-	MOVUPD	X6, 16(SI)
-	MOVUPD	X10, 16(R9)
-	ADDQ	$32, SI
-	ADDQ	$32, R9
-	SUBQ	$2, AX
-	JGE	two
-
-tail:
-	CMPQ	AX, $-1             // -1: one amplitude left, -2: none
-	JNE	next
-	MOVUPD	(SI), X4
-	MOVUPD	(R9), X5
-	MOVAPD	X4, X8
-	MOVAPD	X5, X9
-	MULPD	X0, X4
-	MULPD	X1, X9
-	MULPD	X2, X8
-	MULPD	X3, X5
-	ADDPD	X9, X4
-	ADDPD	X5, X8
-	MOVUPD	X4, (SI)
-	MOVUPD	X8, (R9)
-
-next:
-	ADDQ	DX, DI
-	DECQ	BX
-	JNZ	window
-
-done:
-	RET
-
 // func pairComplexSSE2(v *float64, dist, amps, period, count int, r0, i0, r1, i1, r2, i2, r3, i3 float64)
 //
 // Each complex product m·a is a·[re m, re m] + swap(a)·[−im m, im m]:
@@ -472,214 +214,12 @@ next:
 done:
 	RET
 
-// func pauliChunksSSE2(l *pauliLaneArgs, off, cnt, run, low, sign, flip, kind int)
-//
-// Two lanes per register: lanes 0 and 1 sum into X10, lanes 2 and 3
-// into X11. Per amplitude and lane pair, the two lanes' products
-// [ar·pr, ai·pi] (a norm: [ar·ar, ai·ai]; ±i: the partner swapped first,
-// [ar·pi, ai·pr]) are transposed by UNPCKLPD/UNPCKHPD into a register
-// of first terms and one of second terms, then added (subtracted for
-// ±i), doubled for a pair, sign-flipped per lane by XORPD and added to
-// the sums — pauliChunksGo's operations, lane by lane. Window pointers
-// point at the window's end and one negative index counts up to zero.
-//
-// pauliLaneArgs: a [4]*float64 at 0, b at 32, sgn [4]uint64 at 64, acc
-// [4]float64 at 96 (checked in lanes_amd64.go).
-TEXT ·pauliChunksSSE2(SB), NOSPLIT, $0-64
-	MOVQ	l+0(FP), DX
-	XORPD	X10, X10
-	XORPD	X11, X11
-	MOVUPD	64(DX), X12         // sgn of lanes 0, 1
-	MOVUPD	80(DX), X13         // sgn of lanes 2, 3
-	XORQ	BX, BX              // BX: j
-
-window:
-	CMPQ	BX, cnt+16(FP)
-	JGE	done
-	MOVQ	low+32(FP), AX      // CX = b = off | j&low | (j&^low)<<1
-	MOVQ	AX, CX
-	NOTQ	CX
-	ANDQ	BX, CX
-	SHLQ	$1, CX
-	ANDQ	BX, AX
-	ORQ	AX, CX
-	ORQ	off+8(FP), CX
-	MOVQ	sign+40(FP), AX     // AX = parity(b & sign)
-	ANDQ	CX, AX
-	MOVQ	AX, DI
-	SHRQ	$32, DI
-	XORQ	DI, AX
-	MOVQ	AX, DI
-	SHRQ	$16, DI
-	XORQ	DI, AX
-	MOVQ	AX, DI
-	SHRQ	$8, DI
-	XORQ	DI, AX
-	MOVQ	AX, DI
-	SHRQ	$4, DI
-	XORQ	DI, AX
-	MOVQ	AX, DI
-	SHRQ	$2, DI
-	XORQ	DI, AX
-	MOVQ	AX, DI
-	SHRQ	$1, DI
-	XORQ	DI, AX
-	ANDQ	$1, AX
-	MOVQ	flip+48(FP), DI     // DI = (b^flip + run)·16: partner window end
-	XORQ	CX, DI
-	ADDQ	run+24(FP), DI
-	SHLQ	$4, DI
-	ADDQ	run+24(FP), CX      // CX = (b + run)·16: window end
-	SHLQ	$4, CX
-	CMPQ	kind+56(FP), $2
-	JEQ	norm
-
-	SHLQ	$63, AX             // X8, X9: this window's lane signs
-	MOVQ	AX, X15
-	PUNPCKLQDQ	X15, X15
-	MOVAPD	X12, X8
-	XORPD	X15, X8
-	MOVAPD	X13, X9
-	XORPD	X15, X9
-	MOVQ	0(DX), SI           // SI, R8, R9, R10: the lanes' windows
-	ADDQ	CX, SI
-	MOVQ	8(DX), R8
-	ADDQ	CX, R8
-	MOVQ	16(DX), R9
-	ADDQ	CX, R9
-	MOVQ	24(DX), R10
-	ADDQ	CX, R10
-	MOVQ	32(DX), R11         // R11, R12, R13, R14: their partners
-	ADDQ	DI, R11
-	MOVQ	40(DX), R12
-	ADDQ	DI, R12
-	MOVQ	48(DX), R13
-	ADDQ	DI, R13
-	MOVQ	56(DX), R14
-	ADDQ	DI, R14
-	MOVQ	run+24(FP), AX
-	SHLQ	$4, AX
-	NEGQ	AX
-	CMPQ	kind+56(FP), $1
-	JEQ	imag
-
-real:
-	MOVUPD	(SI)(AX*1), X0      // lane 0: [ar, ai]
-	MOVUPD	(R11)(AX*1), X1     // [pr, pi]
-	MULPD	X1, X0              // [ar·pr, ai·pi]
-	MOVUPD	(R8)(AX*1), X2      // lane 1
-	MOVUPD	(R12)(AX*1), X3
-	MULPD	X3, X2
-	MOVAPD	X0, X1
-	UNPCKLPD	X2, X0          // [ar·pr of lane 0, of lane 1]
-	UNPCKHPD	X2, X1          // [ai·pi of lane 0, of lane 1]
-	ADDPD	X1, X0
-	ADDPD	X0, X0
-	XORPD	X8, X0
-	ADDPD	X0, X10
-	MOVUPD	(R9)(AX*1), X4      // lanes 2 and 3
-	MOVUPD	(R13)(AX*1), X5
-	MULPD	X5, X4
-	MOVUPD	(R10)(AX*1), X6
-	MOVUPD	(R14)(AX*1), X7
-	MULPD	X7, X6
-	MOVAPD	X4, X5
-	UNPCKLPD	X6, X4
-	UNPCKHPD	X6, X5
-	ADDPD	X5, X4
-	ADDPD	X4, X4
-	XORPD	X9, X4
-	ADDPD	X4, X11
-	ADDQ	$16, AX
-	JNZ	real
-	JMP	next
-
-imag:
-	MOVUPD	(SI)(AX*1), X0      // lane 0: [ar, ai]
-	MOVUPD	(R11)(AX*1), X1
-	PSHUFD	$0x4e, X1, X1       // [pi, pr]
-	MULPD	X1, X0              // [ar·pi, ai·pr]
-	MOVUPD	(R8)(AX*1), X2      // lane 1
-	MOVUPD	(R12)(AX*1), X3
-	PSHUFD	$0x4e, X3, X3
-	MULPD	X3, X2
-	MOVAPD	X0, X1
-	UNPCKLPD	X2, X0
-	UNPCKHPD	X2, X1
-	SUBPD	X1, X0              // ar·pi − ai·pr
-	ADDPD	X0, X0
-	XORPD	X8, X0
-	ADDPD	X0, X10
-	MOVUPD	(R9)(AX*1), X4      // lanes 2 and 3
-	MOVUPD	(R13)(AX*1), X5
-	PSHUFD	$0x4e, X5, X5
-	MULPD	X5, X4
-	MOVUPD	(R10)(AX*1), X6
-	MOVUPD	(R14)(AX*1), X7
-	PSHUFD	$0x4e, X7, X7
-	MULPD	X7, X6
-	MOVAPD	X4, X5
-	UNPCKLPD	X6, X4
-	UNPCKHPD	X6, X5
-	SUBPD	X5, X4
-	ADDPD	X4, X4
-	XORPD	X9, X4
-	ADDPD	X4, X11
-	ADDQ	$16, AX
-	JNZ	imag
-	JMP	next
-
-norm:
-	SHLQ	$5, AX              // the lanes' reads for this parity: a or b
-	ADDQ	DX, AX
-	MOVQ	0(AX), SI
-	ADDQ	CX, SI
-	MOVQ	8(AX), R8
-	ADDQ	CX, R8
-	MOVQ	16(AX), R9
-	ADDQ	CX, R9
-	MOVQ	24(AX), R10
-	ADDQ	CX, R10
-	MOVQ	run+24(FP), AX
-	SHLQ	$4, AX
-	NEGQ	AX
-
-sq:
-	MOVUPD	(SI)(AX*1), X0
-	MULPD	X0, X0              // [ar·ar, ai·ai]
-	MOVUPD	(R8)(AX*1), X2
-	MULPD	X2, X2
-	MOVAPD	X0, X1
-	UNPCKLPD	X2, X0
-	UNPCKHPD	X2, X1
-	ADDPD	X1, X0
-	ADDPD	X0, X10
-	MOVUPD	(R9)(AX*1), X4
-	MULPD	X4, X4
-	MOVUPD	(R10)(AX*1), X6
-	MULPD	X6, X6
-	MOVAPD	X4, X5
-	UNPCKLPD	X6, X4
-	UNPCKHPD	X6, X5
-	ADDPD	X5, X4
-	ADDPD	X4, X11
-	ADDQ	$16, AX
-	JNZ	sq
-
-next:
-	ADDQ	run+24(FP), BX
-	JMP	window
-
-done:
-	MOVUPD	X10, 96(DX)
-	MOVUPD	X11, 112(DX)
-	RET
-
 // func scaleTableAVX(v, t *float64, row, reps, period, tstep, count int)
 //
-// scaleTableSSE2 two amplitudes at a time: a·[er, er, er', er'] and
-// swap(a)·[ei, ei, ei', ei'] combined by VADDSUBPD into [ar*er - ai*ei,
-// ai*er + ar*ei, …], the scalar form's subtraction and addition. A row
+// Each amplitude times its entry, two amplitudes at a time: a·[er, er,
+// er', er'] and swap(a)·[ei, ei, ei', ei'] combined by VADDSUBPD into
+// [ar*er - ai*ei, ai*er + ar*ei, …], the scalar form's subtraction and
+// addition. A row
 // of one entry is broadcast once per window (once per call at tstep 0);
 // a longer row is read once per repetition, two entries at a time, the
 // split done by VMOVDDUP and VPERMILPD as part of the loads.
@@ -851,19 +391,21 @@ done:
 
 // func pauliChunksAVX(l *pauliLaneArgs, off, cnt, run, low, sign, flip, kind int)
 //
-// pauliChunksSSE2 on two amplitudes per lane and register: all four
-// lanes' sums in Y10, each lane adding its terms in ascending j, j then
-// j+1 (LANESUM, PAIRACC). A window of two or more amplitudes is walked
-// two at a time; a walk of one-amplitude windows (run 1) takes two
-// windows per register, the second in the upper half (VINSERTF128), and
-// needs an even window count. The walk's state stays in registers —
-// the pair walks' eight lane pointers, the block index b stepped by
-// NEXT, byte offsets into the lanes — and a window's parity is one
-// POPCNTQ.
+// pauliChunksGo's operations on all four lanes of l, two amplitudes per
+// lane and register: the lanes' sums in Y10, each lane adding its terms
+// in ascending j, j then j+1 (LANESUM, PAIRACC). A window of two or
+// more amplitudes is walked two at a time; a walk of one-amplitude
+// windows (run 1) takes two windows per register, the second in the
+// upper half (VINSERTF128), and needs an even window count. The walk's
+// state stays in registers — the pair walks' eight lane pointers, the
+// block index b stepped by NEXT, byte offsets into the lanes — and a
+// window's parity is one POPCNTQ.
 //
-// Frame: the pair walks' lane sign vectors for an even and for an odd
-// window parity at 0 and 32, the pivot bit at 64, its complement at 72
-// and the walk's end (b at j = cnt) at 80.
+// pauliLaneArgs: a [4]*float64 at 0, b at 32, sgn [4]uint64 at 64, acc
+// [4]float64 at 96 (checked in lanes_amd64.go). Frame: the pair walks'
+// lane sign vectors for an even and for an odd window parity at 0 and
+// 32, the pivot bit at 64, its complement at 72 and the walk's end (b
+// at j = cnt) at 80.
 TEXT ·pauliChunksAVX(SB), NOSPLIT, $88-64
 	MOVQ	l+0(FP), DX
 	VXORPD	Y10, Y10, Y10

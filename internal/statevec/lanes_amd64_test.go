@@ -2,25 +2,27 @@ package statevec
 
 import "testing"
 
-// asmBodies are the two assembly bodies of the lane primitives, each
-// called directly whatever the CPU probe picked; the AVX body runs only
-// where the probe finds AVX, and pairComplex has the SSE2 body only.
+// asmBodies are the assembly bodies of the lane primitives, each called
+// directly whatever the CPU probe picked: AVX for scaleWindows,
+// scaleTable, pairReal and pauliChunks, run only where the probe finds
+// AVX, and SSE2 for pairComplex, the one primitive with no AVX body.
 var asmBodies = []laneBody{
-	{"sse2", true, bodySSE2.scaleWindows, bodySSE2.scaleTable, bodySSE2.pairReal, pairComplex, bodySSE2.pauliChunks},
-	{"avx", hasAVX(), bodyAVX.scaleWindows, bodyAVX.scaleTable, bodyAVX.pairReal, nil, bodyAVX.pauliChunks},
+	{"avx", hasAVX(), avxScaleWindows, avxScaleTable, avxPairReal, nil, avxPauliChunks},
+	{"sse2", true, nil, nil, nil, pairComplex, nil},
 }
 
-// TestSSE2BodiesBitIdentity runs the tile, full-sweep and ⟨H⟩
-// bit-identity suites with the wrappers forced to the SSE2 bodies,
-// which a CPU with AVX runs nowhere else: every kernel shape and every
-// evaluator walk on them, not only the primitives' shapes the fuzz
-// targets draw.
-func TestSSE2BodiesBitIdentity(t *testing.T) {
-	defer func(b asmBody) { laneAsm = b }(laneAsm)
-	laneAsm = bodySSE2
+// TestGoFallbackBitIdentity runs the tile, full-sweep, phase-table and
+// ⟨H⟩ bit-identity suites with useAVX cleared, so the wrappers run the
+// Go loops of scaleWindows, scaleTable, pairReal and pauliChunks next
+// to the SSE2 pairComplex: what an amd64 CPU without AVX runs, and what
+// a CPU with AVX runs nowhere else.
+func TestGoFallbackBitIdentity(t *testing.T) {
+	defer func(b bool) { useAVX = b }(useAVX)
+	useAVX = false
 	t.Run("tile", TestTileKernelBitIdentityFuzz)
 	t.Run("full", TestFullSweepKernelBitIdentityFuzz)
 	t.Run("qubit0", TestQubit0RelPhaseBitIdentity)
+	t.Run("table", TestPhaseTableMatchesPerIndex)
 	t.Run("pauli", TestExpPauliGroupMatchesReference)
 	t.Run("shard", TestShardMatchesReference)
 }

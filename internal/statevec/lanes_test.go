@@ -646,7 +646,7 @@ func disjointPairs(n, dist, run, period int) bool {
 
 // laneBody is one body of the four amplitude primitives and the Pauli
 // chunk sums, each at its Go loop's signature; ok is false for a body
-// this CPU cannot run, and cpair is nil for a body without pairComplex.
+// this CPU cannot run, and a primitive the body lacks is nil.
 type laneBody struct {
 	name  string
 	ok    bool
@@ -662,13 +662,13 @@ type laneBody struct {
 var goBody = laneBody{"go", true, scaleWindowsGo, scaleTableGo, pairRealGo, pairComplexGo, pauliChunksGo}
 
 // FuzzLanePrimitives holds every assembly body of scaleWindows,
-// pairReal and pairComplex — SSE2 and AVX on amd64 (SSE2 only for
-// pairComplex), each called directly whatever the CPU probe picked —
-// bit for bit to its Go loop
-// over arbitrary lane bits, arbitrary factors and arbitrary (run,
-// period, dist) window shapes. A NaN is compared only as a NaN: its
-// sign is the one documented divergence of the packed form. On other
-// GOARCH there is no assembly body to hold.
+// pairReal and pairComplex — on amd64 the AVX bodies of the first two
+// and the SSE2 body of pairComplex, each called directly whatever the
+// CPU probe picked — bit for bit to its Go loop over arbitrary lane
+// bits, arbitrary factors and arbitrary (run, period, dist) window
+// shapes. A NaN is compared only as a NaN: its sign is the one
+// documented divergence of the packed form. On other GOARCH there is no
+// assembly body to hold.
 func FuzzLanePrimitives(f *testing.F) {
 	specials := make([]byte, 0, 8*len(specialLanes))
 	for _, x := range specialLanes {
@@ -706,20 +706,24 @@ func FuzzLanePrimitives(f *testing.F) {
 			if !body.ok {
 				continue
 			}
-			copy(got, v)
-			body.scale(got, r, p, f0, f1)
-			if i, ok := sameLanes(got, scaled); !ok {
-				t.Fatalf("%s scaleWindows(run %d, period %d, %v%+vi): lane %d = %#x, Go loop %#x",
-					body.name, r, p, f0, f1, i, math.Float64bits(got[i]), math.Float64bits(scaled[i]))
+			if body.scale != nil {
+				copy(got, v)
+				body.scale(got, r, p, f0, f1)
+				if i, ok := sameLanes(got, scaled); !ok {
+					t.Fatalf("%s scaleWindows(run %d, period %d, %v%+vi): lane %d = %#x, Go loop %#x",
+						body.name, r, p, f0, f1, i, math.Float64bits(got[i]), math.Float64bits(scaled[i]))
+				}
 			}
 			if !pairs {
 				continue
 			}
-			copy(got, v)
-			body.pair(got, d, r, p, f0, f1, f2, f3)
-			if i, ok := sameLanes(got, paired); !ok {
-				t.Fatalf("%s pairReal(dist %d, run %d, period %d, [%v %v; %v %v]): lane %d = %#x, Go loop %#x",
-					body.name, d, r, p, f0, f1, f2, f3, i, math.Float64bits(got[i]), math.Float64bits(paired[i]))
+			if body.pair != nil {
+				copy(got, v)
+				body.pair(got, d, r, p, f0, f1, f2, f3)
+				if i, ok := sameLanes(got, paired); !ok {
+					t.Fatalf("%s pairReal(dist %d, run %d, period %d, [%v %v; %v %v]): lane %d = %#x, Go loop %#x",
+						body.name, d, r, p, f0, f1, f2, f3, i, math.Float64bits(got[i]), math.Float64bits(paired[i]))
+				}
 			}
 			if body.cpair == nil {
 				continue
@@ -734,16 +738,17 @@ func FuzzLanePrimitives(f *testing.F) {
 	})
 }
 
-// FuzzPauliLanes holds every assembly body of pauliChunks — SSE2 and
-// AVX on amd64, each called directly whatever the CPU probe picked —
-// bit for bit to pauliChunksGo over arbitrary lane bits (the seeds
-// carry ±0, ±∞ and subnormals), 1 to pauliL lanes with arbitrary high
-// parities, and the walks the evaluator builds from arbitrary Pauli
-// masks on a block of 2 to 128 amplitudes and two qubits above it: runs
-// of one, two and many amplitudes, a pivot inside or above the block
-// (then either chunk of it), phases ±1 and ±i, parity walks, and
-// partner offsets inside the block. A NaN is compared only as a NaN. On
-// other GOARCH there is no assembly body to hold.
+// FuzzPauliLanes holds the assembly body of pauliChunks — AVX on
+// amd64, called directly whatever the CPU probe picked, a walk of one
+// window on the Go loop as the wrapper runs it — bit for bit to
+// pauliChunksGo over arbitrary lane bits (the seeds carry ±0, ±∞ and
+// subnormals), 1 to pauliL lanes with arbitrary high parities, and the
+// walks the evaluator builds from arbitrary Pauli masks on a block of 2
+// to 128 amplitudes and two qubits above it: runs of one, two and many
+// amplitudes, a pivot inside or above the block (then either chunk of
+// it), phases ±1 and ±i, parity walks, and partner offsets inside the
+// block. A NaN is compared only as a NaN. On other GOARCH there is no
+// assembly body to hold.
 func FuzzPauliLanes(f *testing.F) {
 	specials := make([]byte, 0, 8*len(specialLanes))
 	for _, x := range specialLanes {
@@ -817,7 +822,7 @@ func FuzzPauliLanes(f *testing.F) {
 		want := l
 		pauliChunksGo(&want, nl, &w)
 		for _, body := range asmBodies {
-			if !body.ok {
+			if !body.ok || body.pauli == nil {
 				continue
 			}
 			got := l
@@ -832,21 +837,21 @@ func FuzzPauliLanes(f *testing.F) {
 
 // BenchmarkLanePrimitives reports each lane primitive's GB/s (b.SetBytes:
 // the lanes it reads and writes once per call) for each body — the Go
-// loop, and on amd64 the SSE2 and AVX bodies called directly (the AVX
-// rows skipped on a CPU without it; pairComplex has no AVX body, so no
-// avx cpair row) — over a 2^14-amplitude (256 KiB, L2-resident)
-// buffer, by window width in amplitudes: 1 (qubit 0), 2 (qubit 1), 32,
-// and one contiguous window. scale and table windows sit
-// at every other window slot; pair (real) and cpair (complex, u3)
-// windows fill the buffer with their partners. A table row is one entry
-// per window advancing window by window at width 1 (a free stretch
-// above other bits), and the window's own 32 or 1024 entries, repeated
-// along it, at width 32 and contiguous (a free stretch from bit 0).
-// pauli rows sum pauliL chunks of 2^10 contributions, one per lane, each
-// lane's block and partner block 2^11 amplitudes of the buffer: real
-// (X on the window's width, or above the block for contiguous) and norm
-// (ZZ on it and the qubit after, or Z above the block) walks, MB/s from
-// the lanes read.
+// loop, and on amd64 the assembly bodies called directly: AVX for every
+// primitive but pairComplex (rows skipped on a CPU without AVX), SSE2
+// for pairComplex (the sse2 rows are cpair's) — over a 2^14-amplitude
+// (256 KiB, L2-resident) buffer, by window width in amplitudes: 1
+// (qubit 0), 2 (qubit 1), 32, and one contiguous window. scale and
+// table windows sit at every other window slot; pair (real) and cpair
+// (complex, u3) windows fill the buffer with their partners. A table
+// row is one entry per window advancing window by window at width 1 (a
+// free stretch above other bits), and the window's own 32 or 1024
+// entries, repeated along it, at width 32 and contiguous (a free
+// stretch from bit 0). pauli rows sum pauliL chunks of 2^10
+// contributions, one per lane, each lane's block and partner block 2^11
+// amplitudes of the buffer: real (X on the window's width, or above the
+// block for contiguous) and norm (ZZ on it and the qubit after, or Z
+// above the block) walks, MB/s from the lanes read.
 func BenchmarkLanePrimitives(b *testing.B) {
 	v := lanes(randAmps(1<<14, qmath.NewRNG(9)))
 	tab := make([]complex128, 1<<13)
@@ -873,17 +878,24 @@ func BenchmarkLanePrimitives(b *testing.B) {
 			if amps == len(v)/4 {
 				name = body.name + "/contiguous"
 			}
-			run(b, "scale/"+name, 8*len(v)/2, func() { body.scale(v, w, 2*w, c, s) })
-			if amps != 2 {
+			if body.scale != nil {
+				run(b, "scale/"+name, 8*len(v)/2, func() { body.scale(v, w, 2*w, c, s) })
+			}
+			if body.table != nil && amps != 2 {
 				row, tstep := 2*min(amps, 1<<10), 0
 				if amps == 1 {
 					tstep = 2
 				}
 				run(b, "table/"+name, 8*len(v)/2, func() { body.table(v, lanes(tab), w, 2*w, row, tstep) })
 			}
-			run(b, "pair/"+name, 8*len(v), func() { body.pair(v, w, w, 2*w, c, -s, s, c) })
+			if body.pair != nil {
+				run(b, "pair/"+name, 8*len(v), func() { body.pair(v, w, w, 2*w, c, -s, s, c) })
+			}
 			if body.cpair != nil {
 				run(b, "cpair/"+name, 8*len(v), func() { body.cpair(v, w, w, 2*w, &u) })
+			}
+			if body.pauli == nil {
+				continue
 			}
 			const bb = 11
 			q := min(bits.TrailingZeros(uint(amps)), bb)

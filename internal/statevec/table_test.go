@@ -233,14 +233,15 @@ func TestCheckGroupsRefuses(t *testing.T) {
 }
 
 // FuzzScaleTable holds scaleTable bit for bit to its Go loop, twice:
-// every assembly body (SSE2 and AVX on amd64, each called directly) as
-// a primitive over arbitrary lane bits (the seeds carry ±0, ±∞ and
-// subnormals) and arbitrary (run, period, row, tstep) shapes; and the
-// body the CPU probe picked through tableSubspace's enumeration, a tile
-// at a time, against the per-index product in the Go loop's arithmetic,
-// over 0 to 10 free bits in any stretches, any common mask, bits above
-// the tile and rank bits above the shard. A NaN is compared only as a
-// NaN. On other GOARCH the enumeration runs the Go loop.
+// its assembly body (AVX on amd64, called directly) as a primitive over
+// arbitrary lane bits (the seeds carry ±0, ±∞ and subnormals) and
+// arbitrary (run, period, row, tstep) shapes; and the body the CPU
+// probe picked through tableSubspace's enumeration, a tile at a time,
+// against the per-index product in the Go loop's arithmetic, over 0 to
+// 10 free bits in any stretches, any common mask, bits above the tile
+// and rank bits above the shard. A NaN is compared only as a NaN. On
+// other GOARCH, and on amd64 without AVX, the enumeration runs the Go
+// loop.
 func FuzzScaleTable(f *testing.F) {
 	specials := make([]byte, 0, 8*len(specialLanes))
 	for _, x := range specialLanes {
@@ -310,7 +311,7 @@ func FuzzScaleTable(f *testing.F) {
 			want, got := append([]float64(nil), v...), make([]float64, len(v))
 			scaleTableGo(want, tl, run, period, row, tstep)
 			for _, body := range asmBodies {
-				if !body.ok {
+				if !body.ok || body.table == nil {
 					continue
 				}
 				copy(got, v)
