@@ -10,6 +10,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"qgear/internal/circuit"
 	"qgear/internal/gate"
 	"qgear/internal/oracle"
 	"qgear/internal/qcrank"
@@ -406,26 +407,50 @@ func BenchmarkPlanQFT21(b *testing.B) {
 
 // BenchmarkExecuteQFT21 runs QFT-21's per-gate plan (aer's: one sweep
 // per gate or diagonal group) and its tile-16 plan on one worker, from
-// a fresh basis state each time; SetBytes is one pass over the state.
+// a fresh |0…0⟩ each time; SetBytes is one pass over the state. Two
+// more legs run the same two plan shapes: "basis", QFT-21 after X on
+// seed-chosen qubits (the shape of benchmark/'s qft_exec), and
+// "randcirc20", a random circuit of 20 qubits and 100 blocks (seed 7).
+// The support (statevec.State) skips most of a QFT's sweeps until its
+// last few Hadamards; randcirc20's state is dense from gate 112 of 300
+// on, and its first 112 gates sweep about 26 states' worth.
 func BenchmarkExecuteQFT21(b *testing.B) {
-	k, _, err := FromCircuit(qftCircuit(21), Options{})
+	basis := circuit.New(21, 0)
+	rng := qmath.NewRNG(47)
+	for q := 0; q < 21; q++ {
+		if rng.Intn(2) == 1 {
+			basis.X(q)
+		}
+	}
+	basis.Ops = append(basis.Ops, qftCircuit(21).Ops...)
+	dense, err := randcirc.Generate(randcirc.Spec{Qubits: 20, Blocks: 100, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, tb := range []int{0, 16} {
-		p, err := Plan(k, PlanConfig{TileBits: tb})
+	for _, leg := range []struct {
+		name string
+		c    *circuit.Circuit
+	}{{"", qftCircuit(21)}, {"basis/", basis}, {"randcirc20/", dense}} {
+		k, _, err := FromCircuit(leg.c, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("tile=%d", tb), func(b *testing.B) {
-			b.SetBytes(16 << 21)
-			for i := 0; i < b.N; i++ {
-				s := statevec.MustNew(21, 1)
-				if err := p.Execute(s); err != nil {
-					b.Fatal(err)
-				}
-				s.Release()
+		n := leg.c.NumQubits
+		for _, tb := range []int{0, 16} {
+			p, err := Plan(k, PlanConfig{TileBits: tb})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			b.Run(fmt.Sprintf("%stile=%d", leg.name, tb), func(b *testing.B) {
+				b.SetBytes(16 << n)
+				for i := 0; i < b.N; i++ {
+					s := statevec.MustNew(n, 1)
+					if err := p.Execute(s); err != nil {
+						b.Fatal(err)
+					}
+					s.Release()
+				}
+			})
+		}
 	}
 }

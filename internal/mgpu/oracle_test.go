@@ -243,6 +243,26 @@ func TestEnginesMatchOracle(t *testing.T) {
 		name := fmt.Sprintf("soup n=%d seed=%#x", r.n, r.seed)
 		checkAgainstOracle(t, name, oracle.Soup(r.n, r.gates, qmath.NewRNG(r.seed)), r.tile, r.worlds, r.seed)
 	}
+	// Basis prefixes (oracle.BasisSoup): X on the qubits of xs, rank
+	// positions included, then a CX from each — flips, known controls
+	// and shards that stay zero until a rank bit mixes.
+	for _, r := range []struct {
+		n, gates, tile int
+		xs, seed       uint64
+		worlds         []int
+	}{
+		{2, 40, 1, 0b10, 71, []int{1, 2}},
+		{5, 80, 2, 0b10110, 72, []int{1, 2, 4, 8}},
+		{7, 120, 3, 0b1100001, 73, []int{2, 4, 8}},
+		{7, 60, 3, 0b1111111, 74, []int{4, 8}},
+		{9, 160, 4, 0b100101010, 75, []int{1, 2, 4}},
+		{10, 200, 4, 0b1111000000, 76, []int{8}},
+		{12, 200, 6, 0b101011100101, 77, nil},
+		{13, 160, 5, 0b1000000000001, 78, nil},
+	} {
+		name := fmt.Sprintf("basis %#b soup n=%d seed=%d", r.xs, r.n, r.seed)
+		checkAgainstOracle(t, name, oracle.BasisSoup(r.n, r.gates, r.xs, qmath.NewRNG(r.seed)), r.tile, r.worlds, r.seed)
+	}
 	// Each locality case on a 4-rank world of 4 qubits: 0 and 1 in the
 	// shard, 2 and 3 on rank bits.
 	for name, build := range map[string]func(c *circuit.Circuit){
@@ -321,16 +341,21 @@ func TestClosedForms(t *testing.T) {
 }
 
 // FuzzEnginesMatchOracle lets the fuzzer pick the register width, the
-// world, the tile width and the gate soup.
+// world, the tile width and the gate soup, and with the seed's top 16
+// bits the qubits of the soup's basis prefix (oracle.BasisSoup; none
+// below 2^48).
 func FuzzEnginesMatchOracle(f *testing.F) {
 	f.Add(uint8(6), uint8(2), uint8(2), uint8(80), uint64(1))
 	f.Add(uint8(2), uint8(1), uint8(0), uint8(40), uint64(2)) // 1-qubit shards
 	f.Add(uint8(10), uint8(3), uint8(7), uint8(120), uint64(3))
-	f.Add(uint8(5), uint8(0), uint8(1), uint8(200), uint64(4)) // a one-rank world
+	f.Add(uint8(5), uint8(0), uint8(1), uint8(200), uint64(4))           // a one-rank world
+	f.Add(uint8(6), uint8(2), uint8(2), uint8(80), uint64(0b100101)<<48) // basis prefixes
+	f.Add(uint8(7), uint8(3), uint8(1), uint8(60), uint64(0b11100000)<<48|5)
+	f.Add(uint8(9), uint8(1), uint8(3), uint8(150), uint64(0xffff)<<48|6)
 	f.Fuzz(func(t *testing.T, width, rankBits, tile, gates uint8, seed uint64) {
 		n := 2 + int(width)%9               // 2..10
 		ranks := 1 << uint(int(rankBits)%4) // 1, 2, 4, 8
-		c := oracle.Soup(n, 1+int(gates), qmath.NewRNG(seed))
+		c := oracle.BasisSoup(n, 1+int(gates), seed>>48, qmath.NewRNG(seed))
 		checkAgainstOracle(t, "fuzz", c, fold(int(tile), n), []int{ranks}, seed)
 	})
 }

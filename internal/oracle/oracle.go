@@ -85,6 +85,28 @@ func Soup(n, gates int, rng *qmath.RNG) *circuit.Circuit {
 	return c
 }
 
+// BasisSoup is Soup after a basis prefix: X on every qubit whose bit of
+// xs is set (bits at or above n are ignored), then a CX from each of
+// them to the next qubit up, cyclically — flips and known controls in
+// front of the soup, on any qubit, the rank bits of a distributed
+// engine included. xs = 0 draws Soup's circuit itself.
+func BasisSoup(n, gates int, xs uint64, rng *qmath.RNG) *circuit.Circuit {
+	c := circuit.New(n, 0)
+	for q := 0; q < n; q++ {
+		if xs>>uint(q)&1 == 1 {
+			c.X(q)
+		}
+	}
+	for q := 0; q < n; q++ {
+		if xs>>uint(q)&1 == 1 {
+			c.CX(q, (q+1)%n)
+		}
+	}
+	soup := Soup(n, gates, rng)
+	c.Name, c.Ops = soup.Name, append(c.Ops, soup.Ops...)
+	return c
+}
+
 // Apply applies one gate of the circuit gate set. Measure, Barrier and
 // the identity leave the state alone, as they do in every engine
 // (sampling is the caller's business).

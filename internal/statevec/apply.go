@@ -2,27 +2,20 @@ package statevec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"qgear/internal/gate"
-	"qgear/internal/qmath"
 )
 
 // ApplyMat1 applies a 2×2 unitary to the target qubit. Per Eq. (2) of
 // the paper this is U acting on qubit t with identities elsewhere; the
-// engine realizes it by mixing the 2^(n-1) amplitude pairs whose
-// indices differ only in bit t.
+// engine realizes it by mixing the amplitude pairs whose indices differ
+// only in bit t — the 2^(n-1) of a dense state, those inside the support
+// (State) of a sparse one.
 func (s *State) ApplyMat1(target int, m gate.Mat2) {
 	s.ensureCanonical()
 	s.checkQubit(target)
-	t := uint(target)
-	half := len(s.amps) >> 1
-	lm := mat2Lanes(m)
-	v := lanes(s.amps)
-	if s.serial(half) {
-		lm.pairSubspace(v, t, 0, 0, 0, half)
-		return
-	}
-	ParallelFor(half, s.workers, func(lo, hi int) { lm.pairSubspace(v, t, 0, 0, lo, hi) })
+	s.pairSweep(0, uint(target), m)
 }
 
 // applyControlled1 applies a 2×2 unitary to target, controlled on
@@ -37,16 +30,23 @@ func (s *State) applyControlled1(control, target int, m gate.Mat2) {
 	if control == target {
 		panic("statevec: control equals target")
 	}
-	c, t := uint(control), uint(target)
-	quarter := len(s.amps) >> 2
-	lm := mat2Lanes(m)
-	v := lanes(s.amps)
-	cbit := uint64(1) << c
-	if s.serial(quarter) {
-		lm.pairSubspace(v, t, cbit, cbit, 0, quarter)
-		return
+	s.pairSweep(1<<uint(control), uint(target), m)
+}
+
+// pairSweep applies m to the pairs on bit t whose ctrl bits are 1,
+// inside the support, and steps the support past it.
+func (s *State) pairSweep(ctrl uint64, t uint, m gate.Mat2) {
+	if fixed, val, ok := s.sup.narrow(ctrl, ctrl, 1<<t); ok {
+		members := len(s.amps) >> (1 + bits.OnesCount64(fixed))
+		lm := mat2Lanes(m)
+		v := lanes(s.amps)
+		if s.serial(members) {
+			lm.pairSubspace(v, t, fixed, val, 0, members)
+		} else {
+			ParallelFor(members, s.workers, func(lo, hi int) { lm.pairSubspace(v, t, fixed, val, lo, hi) })
+		}
 	}
-	ParallelFor(quarter, s.workers, func(lo, hi int) { lm.pairSubspace(v, t, cbit, cbit, lo, hi) })
+	s.sup.mat(ctrl, t, isX(m))
 }
 
 // ApplyCX applies the controlled-X with a swap-only inner loop (no
@@ -60,63 +60,25 @@ func (s *State) ApplyCX(control, target int) {
 	if control == target {
 		panic("statevec: control equals target")
 	}
-	c, t := uint(control), uint(target)
-	quarter := len(s.amps) >> 2
-	amps := s.amps
-	if s.serial(quarter) {
-		cxChunk(amps, c, t, 0, quarter)
-		return
-	}
-	ParallelFor(quarter, s.workers, func(lo, hi int) { cxChunk(amps, c, t, lo, hi) })
+	c, t := uint64(1)<<uint(control), uint64(1)<<uint(target)
+	s.swapSweep(c|t, c, t, int(t))
+	s.sup.mat(c, uint(target), true)
 }
 
-// cxChunk is ApplyCX over control-set pairs [lo, hi).
-func cxChunk(amps []complex128, c, t uint, lo, hi int) {
-	step := 1 << t
-	switch {
-	case t == 0:
-		cw := c - 1
-		cm := 1 << cw
-		for p := lo; p < hi; {
-			within := p & (cm - 1)
-			run := cm - within
-			if run > hi-p {
-				run = hi - p
-			}
-			cell := int(insertBit(uint64(p), cw, 1))
-			swapAdj(amps[2*cell : 2*(cell+run)])
-			p += run
-		}
-	case c == 0:
-		tw := t - 1
-		tm := 1 << tw
-		for p := lo; p < hi; {
-			within := p & (tm - 1)
-			run := tm - within
-			if run > hi-p {
-				run = hi - p
-			}
-			base := int(qmath.InsertTwoBits(uint64(p), 0, 1, t, 0)) - 1
-			swapOdd(amps[base:base+2*run:base+2*run], amps[base+step:base+step+2*run:base+step+2*run])
-			p += run
-		}
-	default:
-		b0 := c
-		if t < c {
-			b0 = t
-		}
-		m0 := 1 << b0
-		for p := lo; p < hi; {
-			within := p & (m0 - 1)
-			run := m0 - within
-			if run > hi-p {
-				run = hi - p
-			}
-			i0 := int(qmath.InsertTwoBits(uint64(p), c, 1, t, 0))
-			swapRun(amps[i0:i0+run:i0+run], amps[i0+step:i0+step+run:i0+step+run])
-			p += run
-		}
+// swapSweep exchanges every amplitude whose fixed bits equal val with
+// the one dist on, inside the support less the bits in mix (the bits
+// the exchange moves).
+func (s *State) swapSweep(fixed, val, mix uint64, dist int) {
+	fixed, val, ok := s.sup.narrow(fixed, val, mix)
+	if !ok {
+		return
 	}
+	amps, m := s.amps, len(s.amps)>>bits.OnesCount64(fixed)
+	if s.serial(m) {
+		swapSubspace(amps, fixed, val, dist, 0, m)
+		return
+	}
+	ParallelFor(m, s.workers, func(lo, hi int) { swapSubspace(amps, fixed, val, dist, lo, hi) })
 }
 
 // ApplySwap exchanges qubits a and b in a single sweep: amplitudes
@@ -135,61 +97,40 @@ func (s *State) ApplySwap(a, b int) {
 }
 
 // swapBits is the raw physical-bit exchange kernel behind ApplySwap
-// and MaterializePerm: one sweep per pair of bit positions, in order.
-// The swapped pair set is symmetric in (a, b), so positions are
-// normalized to lo1 < hi1 and amplitudes with (lo1, hi1) = (1, 0)
-// exchange with their (0, 1) partners over contiguous runs. Fanned-out
-// sweeps share one chunk closure, so a materialization allocates the
-// same few words however many sweeps it takes.
+// and MaterializePerm: one sweep per pair of bit positions, in order,
+// each exchanging the amplitudes whose (lo, hi) bits read (1, 0) with
+// their (0, 1) partners inside the support, whose records it exchanges
+// too. Both bits known and equal leave nothing but zeros to move, so
+// that sweep is skipped. Fanned-out sweeps share one chunk closure, so a
+// materialization allocates the same few words however many sweeps it
+// takes.
 func (s *State) swapBits(pairs ...[2]uint) {
-	amps, quarter := s.amps, len(s.amps)>>2
-	if s.serial(quarter) {
-		for _, p := range pairs {
-			swapBitsChunk(amps, p[0], p[1], 0, quarter)
+	type set struct {
+		fixed, val uint64
+		dist       int
+	}
+	amps := s.amps
+	var cur *set // the set the shared closure sweeps; nil until a sweep fans out
+	var chunk func(lo, hi int)
+	for _, p := range pairs {
+		lo, hi := min(p[0], p[1]), max(p[0], p[1])
+		ab := uint64(1)<<lo | uint64(1)<<hi
+		if s.sup.mask&ab == ab && (s.sup.val>>lo^s.sup.val>>hi)&1 == 0 {
+			continue // the records are equal, so exchanging them changes nothing
 		}
-		return
-	}
-	var cur [2]uint // the pair the closure swaps
-	chunk := func(lo, hi int) { swapBitsChunk(amps, cur[0], cur[1], lo, hi) }
-	for _, cur = range pairs {
-		ParallelFor(quarter, s.workers, chunk)
-	}
-}
-
-// swapBitsChunk is swapBits over the exchanged pairs [lo, hi).
-func swapBitsChunk(amps []complex128, a, b uint, lo, hi int) {
-	lo1, hi1 := a, b
-	if lo1 > hi1 {
-		lo1, hi1 = hi1, lo1
-	}
-	d := 1<<hi1 - 1<<lo1 // partner offset
-	if lo1 == 0 {
-		// One operand is qubit 0: partners interleave, so swap
-		// every second amplitude of paired windows.
-		hw := hi1 - 1
-		hm := 1 << hw
-		for p := lo; p < hi; {
-			within := p & (hm - 1)
-			run := hm - within
-			if run > hi-p {
-				run = hi - p
-			}
-			i0 := 2*int(insertBit(uint64(p), hw, 0)) + 1
-			swapStride(amps[i0:i0+2*run:i0+2*run], amps[i0+d:i0+d+2*run:i0+d+2*run])
-			p += run
+		fixed, val, _ := s.sup.narrow(ab, 1<<lo, ab)
+		s.sup.swap(lo, hi)
+		dist, m := 1<<hi-1<<lo, len(amps)>>bits.OnesCount64(fixed)
+		if s.serial(m) {
+			swapSubspace(amps, fixed, val, dist, 0, m)
+			continue
 		}
-		return
-	}
-	m0 := 1 << lo1
-	for p := lo; p < hi; {
-		within := p & (m0 - 1)
-		run := m0 - within
-		if run > hi-p {
-			run = hi - p
+		if cur == nil {
+			c := new(set)
+			cur, chunk = c, func(lo, hi int) { swapSubspace(amps, c.fixed, c.val, c.dist, lo, hi) }
 		}
-		i0 := int(qmath.InsertTwoBits(uint64(p), lo1, 1, hi1, 0))
-		swapRun(amps[i0:i0+run:i0+run], amps[i0+d:i0+d+run:i0+d+run])
-		p += run
+		*cur = set{fixed, val, dist}
+		ParallelFor(m, s.workers, chunk)
 	}
 }
 

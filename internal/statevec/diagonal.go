@@ -2,6 +2,7 @@ package statevec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"qgear/internal/gate"
 )
@@ -16,50 +17,70 @@ import (
 
 // applyPhase1 multiplies amplitudes whose target bit is 1 by phase —
 // the diag(1, e^{iλ}) family. Stride iteration enumerates exactly the
-// 2^(n-1) affected indices; the untouched half is never read, halving
-// the memory traffic of the old branchy full-2^n scan.
+// affected indices inside the support (2^(n-1) of a dense state); the
+// untouched half is never read, halving the memory traffic of the old
+// branchy full-2^n scan.
 func (s *State) applyPhase1(target int, phase complex128) {
 	s.ensureCanonical()
 	s.checkQubit(target)
 	bit := uint64(1) << uint(target)
-	half := len(s.amps) >> 1
-	pr, pi := real(phase), imag(phase)
-	v := lanes(s.amps)
-	if s.serial(half) {
-		scaleSubspace(v, bit, bit, 0, half, pr, pi)
+	s.scaleSweep(bit, bit, phase)
+}
+
+// scaleSweep multiplies by f every amplitude of the support whose fixed
+// bits equal val. A diagonal gate leaves the support as it is.
+func (s *State) scaleSweep(fixed, val uint64, f complex128) {
+	fixed, val, ok := s.sup.narrow(fixed, val, 0)
+	if !ok {
 		return
 	}
-	ParallelFor(half, s.workers, func(lo, hi int) { scaleSubspace(v, bit, bit, lo, hi, pr, pi) })
+	pr, pi := real(f), imag(f)
+	v, m := lanes(s.amps), len(s.amps)>>bits.OnesCount64(fixed)
+	if s.serial(m) {
+		scaleSubspace(v, fixed, val, 0, m, pr, pi)
+		return
+	}
+	ParallelFor(m, s.workers, func(lo, hi int) { scaleSubspace(v, fixed, val, lo, hi, pr, pi) })
 }
 
 // ApplyGlobalAndRelativePhase applies diag(a, b) on the target qubit —
 // the general single-qubit diagonal (rz has a ≠ 1): the target-0 half
 // scaled by a and the target-1 half by b, worked as pairs of the two
-// (on qubit 0, windows of one pair, each scaled by the table row [a, b]).
+// (on qubit 0, windows of pairs, each scaled by the table row [a, b]).
+// A target the support knows takes its one factor.
 func (s *State) ApplyGlobalAndRelativePhase(target int, a, b complex128) {
 	s.ensureCanonical()
 	s.checkQubit(target)
 	t := uint(target)
-	half := len(s.amps) >> 1
+	if bit := uint64(1) << t; s.sup.mask&bit != 0 {
+		if s.sup.val&bit != 0 {
+			a = b
+		}
+		s.scaleSweep(0, 0, a)
+		return
+	}
+	fixed, val := s.sup.mask, s.sup.val
+	half := len(s.amps) >> (1 + bits.OnesCount64(fixed))
 	v := lanes(s.amps)
 	if s.serial(half) {
-		diag1Chunk(v, t, a, b, 0, half)
+		relPhaseSubspace(v, t, a, b, fixed, val, 0, half)
 		return
 	}
-	ParallelFor(half, s.workers, func(lo, hi int) { diag1Chunk(v, t, a, b, lo, hi) })
+	ParallelFor(half, s.workers, func(lo, hi int) { relPhaseSubspace(v, t, a, b, fixed, val, lo, hi) })
 }
 
-// diag1Chunk is diag(a, b) on qubit t over the amplitude pairs [lo, hi)
-// — a whole state, a worker's chunk, or a tile.
-func diag1Chunk(v []float64, t uint, a, b complex128, lo, hi int) {
+// relPhaseSubspace is diag(a, b) on bit t over members [lo, hi) of the
+// amplitude pairs on t whose fixed bits (t not among them) equal val —
+// a whole state, a worker's chunk, or a tile.
+func relPhaseSubspace(v []float64, t uint, a, b complex128, fixed, val uint64, lo, hi int) {
+	bit := uint64(1) << t
 	if t == 0 {
-		row := [4]float64{real(a), imag(a), real(b), imag(b)}
-		scaleTable(v[4*lo:4*hi], row[:], 4, 4, 4, 0)
+		row := [2]complex128{a, b}
+		tableSubspace(v, row[:], fixed, val, bit, 2*lo, 2*hi)
 		return
 	}
-	bit := uint64(1) << t
-	scaleSubspace(v, bit, 0, lo, hi, real(a), imag(a))
-	scaleSubspace(v, bit, bit, lo, hi, real(b), imag(b))
+	scaleSubspace(v, fixed|bit, val, lo, hi, real(a), imag(a))
+	scaleSubspace(v, fixed|bit, val|bit, lo, hi, real(b), imag(b))
 }
 
 // applyControlledPhase multiplies amplitudes with both control and
@@ -74,14 +95,7 @@ func (s *State) applyControlledPhase(control, target int, phase complex128) {
 		panic("statevec: control equals target")
 	}
 	mask := uint64(1)<<uint(control) | uint64(1)<<uint(target)
-	quarter := len(s.amps) >> 2
-	pr, pi := real(phase), imag(phase)
-	v := lanes(s.amps)
-	if s.serial(quarter) {
-		scaleSubspace(v, mask, mask, 0, quarter, pr, pi)
-		return
-	}
-	ParallelFor(quarter, s.workers, func(lo, hi int) { scaleSubspace(v, mask, mask, lo, hi, pr, pi) })
+	s.scaleSweep(mask, mask, phase)
 }
 
 // IsDiagonalGate reports whether the fast path covers gate g.

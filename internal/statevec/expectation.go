@@ -600,8 +600,10 @@ func (e *PauliEvaluator) sweepGroup(g *pauliGroup, partner []complex128, bb, cb 
 // distributed engine's exchange steps, which move data in whatever
 // layout the shard holds (the canonical one once an evaluator has been
 // built on it). Interpret indices via Permutation(); use Amplitudes()
-// for the canonical logical order.
+// for the canonical logical order. Like Amplitudes, it forgets the
+// support.
 func (s *State) AmplitudesRaw() []complex128 {
 	s.live()
+	s.sup = support{}
 	return s.amps
 }

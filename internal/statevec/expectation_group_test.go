@@ -139,7 +139,7 @@ var groupLayouts = []string{"identity", "bitrev", "random"}
 // the named layout.
 func layoutState(t testing.TB, n, workers int, layout string, r *qmath.RNG) *State {
 	s := MustNew(n, workers)
-	copy(s.amps, randAmps(1<<uint(n), r))
+	copy(s.AmplitudesRaw(), randAmps(1<<uint(n), r))
 	perm := make([]int, n)
 	for q := range perm {
 		perm[q] = q

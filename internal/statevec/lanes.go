@@ -22,7 +22,13 @@ import (
 // (a 2×2 on lanes dist apart) — applied to the sets of strided windows
 // subspaceSets (tableSubspace, for scaleTable) enumerates; one reads
 // them, pauliChunks (the Pauli evaluator's chunk sums, pauliL canonical
-// chunks per call, one per lane). Call granularity is the rule: a
+// chunks per call, one per lane). The swaps (CX, bit swaps) move whole
+// amplitudes on the same windows. A sweep's subspace is its own fixed
+// bits (controls, the clear half of a pair, a phase's predicate) plus
+// the bits the state's support knows, less those the sweep mixes
+// (support.narrow): the enumeration never visits an amplitude the
+// support rules out, and costs nothing extra on a dense state, whose
+// support is empty. Call granularity is the rule: a
 // primitive is called once per set of windows, never once per window,
 // so the narrowest shapes (one amplitude per window, qubit 0) cost no
 // call per amplitude and the primitives are free to be out-of-line
@@ -388,51 +394,34 @@ func pauliChunksGo(l *pauliLanes, nl int, w *pauliWalk) {
 	}
 }
 
-// Swap kernels stay on complex128 elements: a swap moves values
-// exactly whatever the view, and 16-byte moves are the faster shape.
+// Swaps stay on complex128 elements: a swap moves values exactly
+// whatever the view, and 16-byte moves are the faster shape.
 
-// swapRun exchanges a[i] <-> b[i] over two equal-length runs.
-func swapRun(a, b []complex128) {
-	b = b[:len(a)]
-	for i := range a {
-		a[i], b[i] = b[i], a[i]
-	}
+// swapSubspace exchanges members [lo, hi) of the subspace whose fixed
+// bits equal val with the amplitudes dist on — a CX (control set,
+// target clear, dist the target's bit) or a bit swap (the low bit set,
+// the high one clear, dist the difference of the two bits) over a whole
+// state, a worker's chunk of one, or a tile — on subspaceSets' windows.
+func swapSubspace(a []complex128, fixed, val uint64, dist, lo, hi int) {
+	subspaceSets(fixed, val, lo, hi, func(off, run, period, count int) {
+		swapWindows(a[off:off+(count-1)*period+dist+run], dist, run, period)
+	})
 }
 
-// swapAdj exchanges adjacent amplitude pairs (target qubit 0).
-func swapAdj(w []complex128) {
-	for i := 0; i+1 < len(w); i += 2 {
-		w[i], w[i+1] = w[i+1], w[i]
-	}
-}
-
-// swapOdd exchanges the odd slots of two windows (control qubit 0).
-func swapOdd(a, b []complex128) {
-	b = b[:len(a)]
-	for i := 1; i < len(a); i += 2 {
-		a[i], b[i] = b[i], a[i]
-	}
-}
-
-// swapStride exchanges every second element of two runs starting at
-// their first elements — the bit-swap pattern when one operand is
-// qubit 0.
-func swapStride(a, b []complex128) {
-	b = b[:len(a)]
-	for i := 0; i < len(a); i += 2 {
-		a[i], b[i] = b[i], a[i]
-	}
-}
-
-// swapSweep exchanges every pair of a window whose target stride is
-// step amplitudes — the uncontrolled X pattern, reused per control
-// block by the controlled kernels.
-func swapSweep(w []complex128, step int) {
-	if step == 1 {
-		swapAdj(w)
+// swapWindows exchanges windows of run amplitudes, one every period
+// from a[0] (as many as fit), each with the window dist on.
+func swapWindows(a []complex128, dist, run, period int) {
+	if run == 1 { // qubit 0 is a fixed bit: every other amplitude
+		b := a[dist:]
+		for i := 0; i < len(b); i += period {
+			a[i], b[i] = b[i], a[i]
+		}
 		return
 	}
-	for blk := 0; blk < len(w); blk += 2 * step {
-		swapRun(w[blk:blk+step:blk+step], w[blk+step:blk+2*step:blk+2*step])
+	for w := 0; w+dist+run <= len(a); w += period {
+		x, y := a[w:w+run:w+run], a[w+dist:w+dist+run:w+dist+run]
+		for i := range x {
+			x[i], y[i] = y[i], x[i]
+		}
 	}
 }

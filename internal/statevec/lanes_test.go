@@ -226,7 +226,7 @@ func TestTileKernelBitIdentityFuzz(t *testing.T) {
 				}
 			}
 			ctx = "mat1"
-			applyTileMat1(tile, &op)
+			applyTileMat1(tile, &op, support{})
 			refTileMat1(ref, &op)
 		case 1: // TileCX, all control placements
 			op := TileOp{Kind: TileCX, T: uint8(rng.Intn(tb))}
@@ -238,7 +238,7 @@ func TestTileKernelBitIdentityFuzz(t *testing.T) {
 				}
 			}
 			ctx = "cx"
-			applyTileCX(tile, &op)
+			applyTileCX(tile, &op, support{})
 			refTileCX(ref, &op)
 		case 2: // TileDiag with 0..3 low predicate bits
 			op := DiagOp(phaseOf(rng), 0, 0)
@@ -246,7 +246,7 @@ func TestTileKernelBitIdentityFuzz(t *testing.T) {
 				op.LowMask |= 1 << uint(rng.Intn(tb))
 			}
 			ctx = "diag"
-			applyTileDiag(tile, &op)
+			applyTileDiag(tile, &op, support{})
 			refTileDiag(ref, &op)
 		case 3: // TileRelPhase, low target and high (tile-constant) form
 			op := RelPhaseOp(phaseOf(rng), phaseOf(rng), 0, 0)
@@ -260,7 +260,7 @@ func TestTileKernelBitIdentityFuzz(t *testing.T) {
 				}
 			}
 			ctx = "relphase"
-			applyTileRelPhase(tile, base, &op)
+			applyTileRelPhase(tile, base, &op, support{})
 			refTileRelPhase(ref, base, &op)
 		}
 		if special {
@@ -364,7 +364,7 @@ func TestFullSweepKernelBitIdentityFuzz(t *testing.T) {
 		if special {
 			seedSpecials(amps, rng)
 		}
-		copy(s.amps, amps)
+		copy(s.AmplitudesRaw(), amps)
 		ref := append([]complex128(nil), amps...)
 
 		var ctx string
@@ -464,7 +464,7 @@ func TestQubit0RelPhaseBitIdentity(t *testing.T) {
 				if special {
 					seedSpecials(amps, rng)
 				}
-				copy(s.amps, amps)
+				copy(s.AmplitudesRaw(), amps)
 				a, b := phaseOf(rng), phaseOf(rng)
 				s.ApplyGlobalAndRelativePhase(0, a, b)
 				refRelPhase(amps, 0, a, b)
@@ -487,10 +487,11 @@ func TestQubit0RelPhaseBitIdentity(t *testing.T) {
 func TestPermTablesCached(t *testing.T) {
 	rng := qmath.NewRNG(0x9e2a)
 	s := MustNew(8, 2)
-	copy(s.amps, randAmps(1<<8, rng))
+	amps := s.AmplitudesRaw()
+	copy(amps, randAmps(1<<8, rng))
 	nrm := math.Sqrt(s.Norm())
-	for i := range s.amps {
-		s.amps[i] /= complex(nrm, 0)
+	for i := range amps {
+		amps[i] /= complex(nrm, 0)
 	}
 
 	s.SwapLogical(0, 5)
@@ -554,7 +555,7 @@ func TestPermTablesCached(t *testing.T) {
 func BenchmarkRepeatedReadout(b *testing.B) {
 	rng := qmath.NewRNG(0xbe9c)
 	s := MustNew(16, 1)
-	copy(s.amps, randAmps(1<<16, rng))
+	copy(s.AmplitudesRaw(), randAmps(1<<16, rng))
 	s.SwapLogical(0, 13)
 	s.SwapLogical(4, 11)
 	s.Probabilities() // warm the cache outside the timed region

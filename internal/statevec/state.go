@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"qgear/internal/gate"
 	"qgear/internal/qmath"
 )
 
@@ -34,6 +35,18 @@ const MaxQubits = 28
 // to relabel qubits without moving data — a logical SWAP is a table
 // update — and readout entry points materialize the permutation back
 // to the identity layout lazily, on first access.
+//
+// Beside the permutation the state carries its support (sup): the
+// physical bit positions known to be classical, and their values.
+// Every amplitude outside it is exactly +0, and every sweep kernel
+// enumerates only the amplitudes inside it — so a circuit that starts
+// from |0…0⟩ or a basis state sweeps a few amplitudes until its first
+// mixing gates, and a dense state sweeps all of them, as it always did.
+// New and PrepareBasis know every bit; X and a CX whose control is
+// known flip a known bit, any other mixing gate forgets its target,
+// diagonal gates change nothing, and swaps exchange the records (see
+// support). Handing out a mutable slice (Amplitudes, AmplitudesRaw)
+// forgets every bit: whoever holds it may write anywhere.
 type State struct {
 	n       int
 	amps    []complex128
@@ -41,7 +54,73 @@ type State struct {
 	perm    []int        // logical→physical qubit map; nil = identity
 	permTab *permWalk    // cached readout walk for the current perm; nil = stale
 	tabs    []complex128 // phase-table scratch (table.go), held until Release; nil until a group runs
+	sup     support      // the known classical bits, at physical positions
 }
+
+// support records the physical bit positions a state knows to be
+// classical (mask) and their values (val, inside mask): every amplitude
+// whose index bits under mask differ from val is exactly +0.
+//
+// The +0 matters: the schedules realize a permutation differently (a
+// tiled plan relabels, the per-gate plan sweeps a SWAP, readout
+// materializes), and a bit swap skips pairs that lie wholly outside
+// the support, so the zeros there must be alike for every schedule to
+// leave the same bits. Nothing writes a zero out there but a flip,
+// which moves one (a swap) or makes one from +0 partners (X's 2×2, whose
+// zero entries contribute ±0 to a +0 sum).
+type support struct{ mask, val uint64 }
+
+// fullSupport is the support of the basis state |idx⟩ on n qubits.
+func fullSupport(n int, idx uint64) support {
+	return support{mask: 1<<uint(n) - 1, val: idx}
+}
+
+// narrow returns the subspace a sweep enumerates: its own fixed bits
+// and their values, plus every known bit but those in mix (the bits it
+// mixes). ok is false when a fixed bit contradicts a known one: every
+// amplitude the sweep would touch is zero, and it skips them all.
+func (sp support) narrow(fixed, val, mix uint64) (f, v uint64, ok bool) {
+	known := sp.mask &^ mix
+	if (val^sp.val)&fixed&known != 0 {
+		return 0, 0, false
+	}
+	return fixed | known, val&fixed | sp.val&known, true
+}
+
+// mat steps the support past a gate that mixes bit t where every ctrl
+// bit is 1: nothing happens under a control known to be 0; an X (flip)
+// under known controls flips a known t; anything else forgets t.
+func (sp *support) mat(ctrl uint64, t uint, flip bool) {
+	bit := uint64(1) << t
+	switch {
+	case ctrl&sp.mask&^sp.val != 0:
+	case flip && ctrl&^sp.mask == 0:
+		sp.val ^= bit & sp.mask
+	default:
+		sp.mask &^= bit
+		sp.val &^= bit
+	}
+}
+
+// swap exchanges the records of bit positions a and b.
+func (sp *support) swap(a, b uint) {
+	ab := uint64(1)<<a | uint64(1)<<b
+	if (sp.mask>>a^sp.mask>>b)&1 == 1 {
+		sp.mask ^= ab
+	}
+	if (sp.val>>a^sp.val>>b)&1 == 1 {
+		sp.val ^= ab
+	}
+}
+
+// isX reports whether m is the Pauli X matrix, the one 2×2 the support
+// follows through (zero entries of either sign).
+func isX(m gate.Mat2) bool { return m[0] == 0 && m[1] == 1 && m[2] == 1 && m[3] == 0 }
+
+// Support returns the state's known classical bits at physical
+// positions and their values: every amplitude whose index bits under
+// mask differ from val is exactly +0.
+func (s *State) Support() (mask, val uint64) { return s.sup.mask, s.sup.val }
 
 // New returns the n-qubit |0...0> state with the given worker count
 // (workers <= 1 selects the serial path), on a slab from the free list
@@ -60,6 +139,7 @@ func New(n, workers int) (*State, error) {
 		n:       n,
 		amps:    TakeSlab(n),
 		workers: workers,
+		sup:     fullSupport(n, 0),
 	}
 	s.amps[0] = 1
 	return s, nil
@@ -111,22 +191,29 @@ func (s *State) Amp(i uint64) complex128 {
 }
 
 // SetAmp overwrites amplitude i; used by tests and the distributed
-// engine's exchange step.
+// engine's set-up. Any value but +0 narrows the support to the bits i
+// agrees with it on; a +0 never changes it.
 func (s *State) SetAmp(i uint64, v complex128) {
 	if s.perm != nil {
 		s.MaterializePerm()
 	}
 	s.amps[i] = v
+	if math.Float64bits(real(v))|math.Float64bits(imag(v)) != 0 {
+		s.sup.mask &^= i ^ s.sup.val
+		s.sup.val &= s.sup.mask
+	}
 }
 
 // Amplitudes exposes the raw amplitude slice (shared, not copied); the
 // mgpu engine and samplers iterate it directly. A pending qubit
 // permutation is materialized first so indices read in logical order.
+// The caller may write anywhere, so the state forgets its support.
 func (s *State) Amplitudes() []complex128 {
 	s.live()
 	if s.perm != nil {
 		s.MaterializePerm()
 	}
+	s.sup = support{}
 	return s.amps
 }
 
@@ -141,6 +228,7 @@ func (s *State) PrepareBasis(idx uint64) error {
 		s.amps[i] = 0
 	}
 	s.amps[idx] = 1
+	s.sup = fullSupport(s.n, idx)
 	return nil
 }
 
@@ -159,6 +247,7 @@ func (s *State) Clone() *State {
 	s.live()
 	c := MustNew(s.n, s.workers)
 	copy(c.amps, s.amps)
+	c.sup = s.sup
 	if s.perm != nil {
 		c.perm = append([]int(nil), s.perm...)
 		c.permTab = s.permTab // immutable once built; safe to share

@@ -95,7 +95,7 @@ func TestCXControlTargetOrientation(t *testing.T) {
 // through the oracle's dense gather/multiply/scatter loop: the reference
 // the two-qubit fast paths are held to.
 func applyDense2(s *State, q1, q0 int, m gate.Mat4) {
-	oracle.State(s.amps).ApplyMatrix([]int{q0, q1}, m[:])
+	oracle.State(s.AmplitudesRaw()).ApplyMatrix([]int{q0, q1}, m[:])
 }
 
 func TestControlled1MatchesMat2(t *testing.T) {

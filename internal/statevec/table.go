@@ -205,16 +205,21 @@ func expandTable(tab []complex128, members []TileOp, free uint64) {
 // applyTileTable multiplies a tile (abs its absolute base index) by a
 // group's table: nothing when a common bit above the tile is 0, else
 // the tile's row — the entries its free bits above the tile select,
-// rank bits included — over the in-tile common subspace.
-func applyTileTable(tile []complex128, abs uint64, tileBits int, common, free uint64, tab []complex128) {
+// rank bits included — over the in-tile common subspace inside sp, the
+// tile's support.
+func applyTileTable(tile []complex128, abs uint64, tileBits int, common, free uint64, tab []complex128, sp support) {
 	low := uint64(1)<<uint(tileBits) - 1
 	if hc := common &^ low; abs&hc != hc {
+		return
+	}
+	fixed, val, ok := sp.narrow(common&low, common&low, 0)
+	if !ok {
 		return
 	}
 	hf := newGather(free &^ low)
 	nl := bits.OnesCount64(free & low)
 	row := hf.of(abs) << uint(nl)
-	tableSubspace(lanes(tile), tab[row:row+1<<uint(nl)], common&low, free&low, 0, len(tile)>>bits.OnesCount64(common&low))
+	tableSubspace(lanes(tile), tab[row:row+1<<uint(nl)], fixed, val, free&low, 0, len(tile)>>bits.OnesCount64(fixed))
 }
 
 // ApplyPhaseGroup applies a diagonal group — micro-ops compiled with
@@ -232,53 +237,59 @@ func (s *State) ApplyPhaseGroup(members []TileOp) error {
 	case bits.OnesCount64(free) > MaxTableBits:
 		return fmt.Errorf("statevec: phase group of %d free bits, over %d", bits.OnesCount64(free), MaxTableBits)
 	}
+	fixed, val, ok := s.sup.narrow(common, common, 0)
+	if !ok {
+		return nil // a common bit is known to be 0: no member applies inside the support
+	}
 	tab := s.tableScratch(1 << bits.OnesCount64(free))
 	expandTable(tab, members, free)
 	v := lanes(s.amps)
-	m := len(s.amps) >> bits.OnesCount64(common)
+	m := len(s.amps) >> bits.OnesCount64(fixed)
 	if s.serial(m) {
-		tableSubspace(v, tab, common, free, 0, m)
+		tableSubspace(v, tab, fixed, val, free, 0, m)
 		return nil
 	}
-	ParallelFor(m, s.workers, func(lo, hi int) { tableSubspace(v, tab, common, free, lo, hi) })
+	ParallelFor(m, s.workers, func(lo, hi int) { tableSubspace(v, tab, fixed, val, free, lo, hi) })
 	return nil
 }
 
 // tableSubspace multiplies members [lo, hi) of the subspace of v whose
-// common bits are all 1 by the entries of tab: amplitude i takes entry
-// i's free bits, gathered. It is subspaceSets' enumeration with the
-// table index riding along: in each cube the free bits from bit 0 make
-// a row (scaleTable multiplies a window by it element by element, no
-// per-amplitude index), the other bits below the first common or free
-// bit lengthen the window that repeats it, one stretch of bits of one
-// kind — free, advancing the row, or other, repeating it — makes the
-// stride, and every remaining bit is enumerated, one set each.
-func tableSubspace(v []float64, tab []complex128, common, free uint64, lo, hi int) {
+// fixed bits equal val by the entries of tab: amplitude i takes entry
+// i's free bits, gathered — a free bit that is also fixed (a bit the
+// support knows) reads its one value. It is subspaceSets' enumeration
+// with the table index riding along: in each cube the varying free bits
+// from bit 0 make a row (scaleTable multiplies a window by it element by
+// element, no per-amplitude index), the other bits below the first fixed
+// or free bit lengthen the window that repeats it, one stretch of bits
+// of one kind — free, advancing the row, or other, repeating it — makes
+// the stride, and every remaining bit is enumerated, one set each.
+func tableSubspace(v []float64, tab []complex128, fixed, val, free uint64, lo, hi int) {
 	const strideBits = 4 // as in subspaceSets
 	ix := newGather(free)
 	t := lanes(tab)
+	vfree := free &^ fixed // the free bits the members vary
 	for p := lo; p < hi; {
 		k := bits.Len(uint(hi-p)) - 1
 		if tz := bits.TrailingZeros(uint(p)); tz < k {
 			k = tz
 		}
 		base, w := uint64(p), k
-		for f := common; f != 0; f &= f - 1 {
+		for f := fixed; f != 0; f &= f - 1 {
 			pos := bits.TrailingZeros64(f)
-			base = insertBit(base, uint(pos), 1)
+			base = insertBit(base, uint(pos), val>>uint(pos)&1)
 			if pos < w {
 				w++
 			}
 		}
 		cube := uint64(1)<<uint(w) - 1
-		base = base&^cube | common&cube
-		l := bits.TrailingZeros64(^(free & cube))
-		r0 := min(bits.TrailingZeros64((common|free)&cube&^(uint64(1)<<uint(l)-1)), w)
-		vary := cube &^ common &^ (uint64(1)<<uint(r0) - 1)
+		base = base&^cube | val&fixed&cube
+		l := bits.TrailingZeros64(^(vfree & cube))
+		r0 := min(bits.TrailingZeros64((fixed|vfree)&cube&^(uint64(1)<<uint(l)-1)), w)
+		vary := cube &^ fixed &^ (uint64(1)<<uint(r0) - 1)
 		g, glen := 0, 0
 		for f := vary; f != 0; {
 			s := bits.TrailingZeros64(f)
-			kind := free >> uint(s)
+			kind := vfree >> uint(s)
 			if kind&1 == 0 {
 				kind = ^kind
 			}
@@ -293,7 +304,7 @@ func tableSubspace(v []float64, tab []complex128, common, free uint64, lo, hi in
 		}
 		stride := (uint64(1)<<uint(glen) - 1) << uint(g)
 		tstep := 0
-		if free&stride != 0 {
+		if vfree&stride != 0 {
 			tstep = 1 << bits.OnesCount64(free&(uint64(1)<<uint(g)-1))
 		}
 		outer := vary &^ stride

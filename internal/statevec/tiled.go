@@ -18,6 +18,14 @@ import (
 // bit-identical to the per-gate path; only the order in which disjoint
 // tiles are visited changes, and tiles never interact inside a run.
 //
+// The state's support (State) skips work at both levels: a run visits
+// only the tiles whose base agrees with the support's bits above the
+// tile, which no op of a run can change, and each micro-op enumerates
+// only the in-tile amplitudes the support leaves at that op — the set
+// the per-gate sweep of the same gate enumerates. Until a circuit's
+// first mixing gate on a high qubit, one tile holds every amplitude
+// that can be non-zero, and a run over it costs one tile's pass.
+//
 // Operand placement rules (what the scheduler in internal/kernel may
 // compile into a run):
 //   - diagonal factors may sit anywhere: a bit at or above the tile
@@ -173,8 +181,13 @@ func (s *State) ApplyTileRun(tileBits int, base uint64, ops []TileOp) error {
 	return nil
 }
 
-// tilePass is one pass of ApplyTileRun over every tile: ops validated,
-// tabs room for their groups' tables.
+// tilePass is one pass of ApplyTileRun over the tiles the support
+// leaves: ops validated, tabs room for their groups' tables. A run mixes
+// only bits inside the tile, so the support's bits above the tile hold
+// through it and a tile that disagrees with them is all zeros. Inside a
+// tile each op runs on the support as the ops before it left it — the
+// same support the per-gate schedule sweeps at that gate — and the pass
+// leaves the state the support after the last op.
 func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, tabs []complex128) {
 	off := 0
 	for i := range ops {
@@ -185,37 +198,68 @@ func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, tabs []complex
 			off += 1 << bits.OnesCount64(free)
 		}
 	}
-	amps, tileSize := s.amps, 1<<uint(tileBits)
-	s.parallelTiles(len(s.amps)>>uint(tileBits), tileBits, func(lo, hi int) {
+	amps, tileSize, nq := s.amps, 1<<uint(tileBits), s.n
+	start := s.sup
+	low := uint64(tileSize - 1)
+	high, hval := start.mask&^low, start.val&^low
+	s.parallelTiles(len(s.amps)>>uint(tileBits)>>bits.OnesCount64(high), tileBits, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			off := uint64(t) << uint(tileBits)
+			for f := high; f != 0; f &= f - 1 {
+				pos := uint(bits.TrailingZeros64(f))
+				off = insertBit(off, pos, hval>>pos&1)
+			}
 			tile := amps[off : off+uint64(tileSize)]
 			abs := base | off
-			tab := tabs
+			tab, sp := tabs, start
 			for i := 0; i < len(ops); i++ {
 				op := &ops[i]
-				if abs&op.HighMask != op.HighMask && op.Kind != TileRelPhase {
-					continue
+				in := support{sp.mask & low, sp.val & low}
+				if abs&op.HighMask == op.HighMask || op.Kind == TileRelPhase {
+					switch op.Kind {
+					case TileTable:
+						n := op.Members()
+						common, free, _ := groupMasks(ops[i+1 : i+1+n])
+						size := 1 << bits.OnesCount64(free)
+						applyTileTable(tile, abs, tileBits, common, free, tab[:size], in)
+						tab, i = tab[size:], i+n
+					case TileMat1:
+						applyTileMat1(tile, op, in)
+					case TileCX:
+						applyTileCX(tile, op, in)
+					case TileDiag:
+						applyTileDiag(tile, op, in)
+					case TileRelPhase:
+						applyTileRelPhase(tile, abs, op, in)
+					}
 				}
-				switch op.Kind {
-				case TileTable:
-					n := op.Members()
-					common, free, _ := groupMasks(ops[i+1 : i+1+n])
-					size := 1 << bits.OnesCount64(free)
-					applyTileTable(tile, abs, tileBits, common, free, tab[:size])
-					tab, i = tab[size:], i+n
-				case TileMat1:
-					applyTileMat1(tile, op)
-				case TileCX:
-					applyTileCX(tile, op)
-				case TileDiag:
-					applyTileDiag(tile, op)
-				case TileRelPhase:
-					applyTileRelPhase(tile, abs, op)
-				}
+				sp.tileOp(op, base, nq)
 			}
 		}
 	})
+	for i := range ops {
+		s.sup.tileOp(&ops[i], base, nq)
+	}
+}
+
+// tileOp steps the support past one micro-op of a run on the shard at
+// base of an n-qubit shard. Only TileMat1 and TileCX mix; a control
+// above the shard (a rank bit) is known to be its bit of base.
+func (sp *support) tileOp(op *TileOp, base uint64, n int) {
+	if op.Kind != TileMat1 && op.Kind != TileCX {
+		return
+	}
+	ctrl := op.HighMask
+	if op.HasCtrl {
+		ctrl |= 1 << op.C
+	}
+	if rank := ctrl >> uint(n) << uint(n); rank != 0 {
+		if base&rank != rank {
+			return
+		}
+		ctrl &^= rank
+	}
+	sp.mat(ctrl, uint(op.T), op.Kind == TileCX || isX(op.M))
 }
 
 // The in-tile kernels below run on the float64 lane layer (lanes.go):
@@ -224,7 +268,10 @@ func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, tabs []complex
 // chunk, no per-index bit insertion — and each set is one call of a
 // lane primitive, whose arithmetic is bit-identical to the complex128
 // form (see the contract in lanes.go; pinned by the fuzz suite in
-// lanes_test.go). Visit order over the disjoint pairs changes relative
+// lanes_test.go). Each takes the tile's support (its bits inside the
+// tile) and narrows the subspace by it exactly as the full sweep
+// narrows its own, so a tile visits the amplitudes the per-gate sweep
+// visits there. Visit order over the disjoint pairs changes relative
 // to the full-sweep kernels, but the per-amplitude arithmetic is
 // identical, so results stay bit-identical; the sequential access
 // pattern is what lets a hot tile stream through the core at L2 speed.
@@ -234,67 +281,68 @@ func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, tabs []complex
 // complex update even for a real matrix, as this kernel always has, so
 // tile results stay bit-identical to earlier releases' down to the sign
 // of an exact zero (the real fast path note in lanes.go).
-func applyTileMat1(tile []complex128, op *TileOp) {
+func applyTileMat1(tile []complex128, op *TileOp, sp support) {
 	lm := mat2Lanes(op.M)
 	var cbit uint64
 	if op.HasCtrl {
 		cbit = 1 << op.C
 		lm.isReal = lm.isReal && op.C > op.T
 	}
-	lm.pairSubspace(lanes(tile), uint(op.T), cbit, cbit, 0, len(tile)>>(1+bits.OnesCount64(cbit)))
+	fixed, val, ok := sp.narrow(cbit, cbit, 1<<op.T)
+	if !ok {
+		return
+	}
+	lm.pairSubspace(lanes(tile), uint(op.T), fixed, val, 0, len(tile)>>(1+bits.OnesCount64(fixed)))
 }
 
 // applyTileCX mirrors ApplyCX (and the uncontrolled X pair-swap)
-// within one tile, with the same run decomposition as applyTileMat1;
-// swaps move complex128 values directly.
-func applyTileCX(tile []complex128, op *TileOp) {
-	step := 1 << op.T
-	if !op.HasCtrl {
-		swapSweep(tile, step)
+// within one tile, on the same enumeration; swaps move complex128
+// values directly.
+func applyTileCX(tile []complex128, op *TileOp, sp support) {
+	var cbit uint64
+	if op.HasCtrl {
+		cbit = 1 << op.C
+	}
+	tbit := uint64(1) << op.T
+	fixed, val, ok := sp.narrow(cbit|tbit, cbit, tbit)
+	if !ok {
 		return
 	}
-	cstep := 1 << op.C
-	if op.C > op.T {
-		for cb := cstep; cb < len(tile); cb += 2 * cstep {
-			swapSweep(tile[cb:cb+cstep:cb+cstep], step)
-		}
-		return
-	}
-	if op.C == 0 {
-		for blk := 0; blk < len(tile); blk += 2 * step {
-			swapOdd(tile[blk:blk+step:blk+step], tile[blk+step:blk+2*step:blk+2*step])
-		}
-		return
-	}
-	for blk := 0; blk < len(tile); blk += 2 * step {
-		for cb := blk + cstep; cb < blk+step; cb += 2 * cstep {
-			swapRun(tile[cb:cb+cstep:cb+cstep], tile[cb+step:cb+step+cstep:cb+step+cstep])
-		}
-	}
+	swapSubspace(tile, fixed, val, int(tbit), 0, len(tile)>>bits.OnesCount64(fixed))
 }
 
 // applyTileDiag multiplies by op.Phase() every tile amplitude whose
 // LowMask bits are all set, enumerating only the affected subspace as
 // sets of strided windows — any number of mask bits, the cr1 inner loop
 // that dominates the QFT tile profile among them.
-func applyTileDiag(tile []complex128, op *TileOp) {
+func applyTileDiag(tile []complex128, op *TileOp, sp support) {
 	phase := op.Phase()
-	m := op.LowMask
-	scaleSubspace(lanes(tile), m, m, 0, len(tile)>>bits.OnesCount64(m), real(phase), imag(phase))
+	fixed, val, ok := sp.narrow(op.LowMask, op.LowMask, 0)
+	if !ok {
+		return
+	}
+	scaleSubspace(lanes(tile), fixed, val, 0, len(tile)>>bits.OnesCount64(fixed), real(phase), imag(phase))
 }
 
 // applyTileRelPhase mirrors ApplyGlobalAndRelativePhase: diag(A, B) on
-// a low target multiplies pairs in-tile; on a high target the whole
-// tile shares one factor chosen by the tile base bit.
-func applyTileRelPhase(tile []complex128, base uint64, op *TileOp) {
+// a low target multiplies pairs in-tile; on a high target, or a low one
+// the support knows, the tile shares one factor chosen by the bit.
+func applyTileRelPhase(tile []complex128, base uint64, op *TileOp, sp support) {
 	v := lanes(tile)
 	a, b := op.AB()
-	if op.HighMask != 0 {
+	bit := uint64(1) << op.T
+	switch {
+	case op.HighMask != 0:
 		if base&op.HighMask != 0 {
 			a = b
 		}
-		scaleWindows(v, len(v), len(v), real(a), imag(a))
+	case sp.mask&bit != 0:
+		if sp.val&bit != 0 {
+			a = b
+		}
+	default:
+		relPhaseSubspace(v, uint(op.T), a, b, sp.mask, sp.val, 0, len(tile)>>(1+bits.OnesCount64(sp.mask)))
 		return
 	}
-	diag1Chunk(v, uint(op.T), a, b, 0, len(tile)>>1)
+	scaleSubspace(v, sp.mask, sp.val, 0, len(tile)>>bits.OnesCount64(sp.mask), real(a), imag(a))
 }
