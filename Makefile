@@ -156,13 +156,16 @@ ci-load: build
 # covered once, nested calls (more outer chunks than pool workers)
 # finishing, a chunk's panic re-raised on the caller, and a record's
 # generation wrapping at 2^32 — and backend's per-device budget rule
-# built on it (RunEachBudget). The plan, lane-kernel, Pauli evaluator, readout, mgpu,
+# built on it (RunEachBudget). So does the state's support: never
+# wrong after any plan segment, and skipping changes no amplitude bit
+# at any schedule or worker count (SupportNeverLies, SupportSkipSameBits).
+# The plan, lane-kernel, Pauli evaluator, readout, mgpu,
 # small-state schedule and sampler micro-benchmarks run one iteration
 # each so they cannot rot — their numbers gate
 # nothing, BENCHMARK.json does (the samplers' DRAM-resident alias shape
 # is there to be read).
 ci-scaling: build
-	$(call run-selected,BitIdentity|EnginesMatchOracle|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape|ProbabilitiesReadThroughPerm|PermTablesCached|FuzzPauliLanes|FuzzScaleTable|PhaseTableMatchesPerIndex|TileRunPassesOverTableCap|CheckGroupsRefuses|DiagGroupRule|UngroupedPlansUnchanged|GroupedPlansBitIdentical|GroupedPlansMatchPerGate|PlanReaderGroupRule|RunSweepGroupedDiagonals|ParallelForCoverage|ParallelForNesting|ParallelForPanic|ParallelForGenerationWrap|RunEachBudget,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
+	$(call run-selected,BitIdentity|EnginesMatchOracle|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape|ProbabilitiesReadThroughPerm|PermTablesCached|FuzzPauliLanes|FuzzScaleTable|PhaseTableMatchesPerIndex|TileRunPassesOverTableCap|CheckGroupsRefuses|DiagGroupRule|UngroupedPlansUnchanged|GroupedPlansBitIdentical|GroupedPlansMatchPerGate|PlanReaderGroupRule|RunSweepGroupedDiagonals|ParallelForCoverage|ParallelForNesting|ParallelForPanic|ParallelForGenerationWrap|RunEachBudget|SupportNeverLies|SupportSkipSameBits,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
 	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|ExecuteQFT21|PlanPerGate|TileRun|LanePrimitives|ExpPauliGroup|^BenchmarkReadout$$|ExecutePlanQCrank' -benchtime=1x \
 		./internal/statevec/ ./internal/kernel/ ./internal/mgpu/
 	$(GO) test -run '^$$' -bench SmallStateSchedule -benchtime=1x ./internal/backend/

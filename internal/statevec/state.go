@@ -42,11 +42,13 @@ const MaxQubits = 28
 // enumerates only the amplitudes inside it — so a circuit that starts
 // from |0…0⟩ or a basis state sweeps a few amplitudes until its first
 // mixing gates, and a dense state sweeps all of them, as it always did.
-// New and PrepareBasis know every bit; X and a CX whose control is
-// known flip a known bit, any other mixing gate forgets its target,
-// diagonal gates change nothing, and swaps exchange the records (see
-// support). Handing out a mutable slice (Amplitudes, AmplitudesRaw)
-// forgets every bit: whoever holds it may write anywhere.
+// New and PrepareBasis know every bit. X flips a known bit; a
+// controlled gate (CX included) does nothing under a control known to
+// be 0 and acts uncontrolled under controls known to be 1; any other
+// mixing gate forgets its target; diagonal gates change nothing; swaps
+// exchange the records (see support). Handing out a mutable slice
+// (Amplitudes, AmplitudesRaw) forgets every bit: whoever holds it may
+// write anywhere.
 type State struct {
 	n       int
 	amps    []complex128
@@ -65,9 +67,9 @@ type State struct {
 // tiled plan relabels, the per-gate plan sweeps a SWAP, readout
 // materializes), and a bit swap skips pairs that lie wholly outside
 // the support, so the zeros there must be alike for every schedule to
-// leave the same bits. Nothing writes a zero out there but a flip,
-// which moves one (a swap) or makes one from +0 partners (X's 2×2, whose
-// zero entries contribute ±0 to a +0 sum).
+// leave the same bits. Nothing puts a zero out there but a flip — a
+// swap moves one, and X's 2×2 makes ±0 + 1·(+0) = +0 — and SetAmp,
+// which keeps a bit known only for a +0 write.
 type support struct{ mask, val uint64 }
 
 // fullSupport is the support of the basis state |idx⟩ on n qubits.
