@@ -189,7 +189,9 @@ ci-oneproc: build
 # body of scaleWindows, scaleTable, pairReal and pauliChunks where the
 # CPU has it, and the SSE2 body of pairComplex) — the three
 # amplitude kernels, the Pauli chunk sums, then the phase-table scale
-# alone and through its tile enumeration — then the artifact envelope,
+# alone and through its tile enumeration — then MaterializePerm's
+# one-pass relayout against one bit-swap sweep per pair (amplitude bits
+# and support, every layout kind), then the artifact envelope,
 # every payload decoder behind it and the store's manifest-journal
 # replay — never a panic, allocation bounded by the
 # input's length, and whatever a decoder accepts re-encodes to the
@@ -211,6 +213,7 @@ ci-fuzz: build
 	$(call run-selected,FuzzLanePrimitives,./internal/statevec/,-fuzz FuzzLanePrimitives $(FUZZ_DECODER))
 	$(call run-selected,FuzzPauliLanes,./internal/statevec/,-fuzz FuzzPauliLanes $(FUZZ_DECODER))
 	$(call run-selected,FuzzScaleTable,./internal/statevec/,-fuzz FuzzScaleTable $(FUZZ_DECODER))
+	$(call run-selected,FuzzMaterializePerm,./internal/statevec/,-fuzz FuzzMaterializePerm $(FUZZ_DECODER))
 	$(call run-selected,FuzzOpen,./internal/artifact/,-fuzz FuzzOpen $(FUZZ_DECODER))
 	$(call run-selected,FuzzDecodeKernel,./internal/kernel/,-fuzz FuzzDecodeKernel $(FUZZ_DECODER))
 	$(call run-selected,FuzzDecodePlan,./internal/kernel/,-fuzz FuzzDecodePlan $(FUZZ_DECODER))

@@ -104,12 +104,20 @@ func (c Counts) Marginal(qubits []int) Counts {
 // sorted, and placed by one merge pass over probs carrying the running
 // sum the table would hold — the counts of a binary search of that table
 // per shot, bit for bit, for 8 bytes per shot and one map insert per
-// distinct outcome.
+// distinct outcome. The pass that totals probs keeps the running sum at
+// the end of every block of 2^ckBits outcomes (scratch off the state
+// slab free list's table side), and the merge steps over every block
+// whose sum is below the current draw instead of through it.
 func SampleCumulative(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
 	if shots < 0 {
 		return nil, fmt.Errorf("sampling: negative shots %d", shots)
 	}
-	total, err := sum(probs)
+	var ck []float64
+	if blocks := (len(probs) - 1) >> ckBits; blocks > 0 {
+		ck = statevec.TakeScratch(bits.Len(uint(blocks - 1)))[:blocks]
+		defer statevec.PutScratch(ck)
+	}
+	total, err := sum(probs, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -125,10 +133,17 @@ func SampleCumulative(probs []float64, shots int, rng *qmath.RNG) (Counts, error
 	// for it. Draws ascend and the table never descends, so each search
 	// resumes here: on to the first i with cum ≥ x, past a zero-probability
 	// plateau aliasing onto that boundary, never past the last outcome
-	// (where a NaN draw, being below no entry, ends up as well).
+	// (where a NaN draw, being below no entry, ends up as well). A block
+	// whose checkpoint is below x (a NaN one never is) holds no entry at
+	// or above x, so the search would step through all of it.
 	i, cum := 0, probs[0]
 	for s := 0; s < shots; {
 		for x := xs[s]; i < last && (!(cum >= x) || probs[i] == 0); {
+			if b := i >> ckBits; b < len(ck) && ck[b] < x {
+				i = (b + 1) << ckBits
+				cum = ck[b] + probs[i]
+				continue
+			}
 			i++
 			cum += probs[i]
 		}
@@ -140,14 +155,23 @@ func SampleCumulative(probs []float64, shots int, rng *qmath.RNG) (Counts, error
 	return counts, nil
 }
 
-// sum validates a distribution and returns its sequential total.
-func sum(probs []float64) (float64, error) {
+// ckBits is log2 of the outcomes between two of SampleCumulative's
+// checkpoints: a block is 64 outcomes, one 512-byte stretch of probs.
+const ckBits = 6
+
+// sum validates a distribution and returns its sequential total. It
+// stores the running total after outcome 2^ckBits·(b+1) − 1 in ck[b], for
+// every b ck holds: the blocks that end before the last outcome.
+func sum(probs, ck []float64) (float64, error) {
 	var total float64
 	for i, p := range probs {
 		if p < 0 {
 			return 0, fmt.Errorf("sampling: negative probability at %d", i)
 		}
 		total += p
+		if b := i >> ckBits; i&(1<<ckBits-1) == 1<<ckBits-1 && b < len(ck) {
+			ck[b] = total
+		}
 	}
 	if total <= 0 {
 		return 0, fmt.Errorf("sampling: zero total probability")
@@ -180,7 +204,7 @@ func aliasTotal(probs []float64) (float64, error) {
 	if len(probs) == 0 {
 		return 0, fmt.Errorf("sampling: empty distribution")
 	}
-	return sum(probs)
+	return sum(probs, nil)
 }
 
 // build fills t's columns from probs, whose sum is total. The scaled
@@ -294,7 +318,9 @@ func PeakBytes(outcomes, shots int) int64 {
 		// worklist that becomes the histogram; a presized Counts.
 		return 24*int64(outcomes) + 64*distinct
 	}
-	return (8 + 128) * distinct // a sorted draw and a grown Counts entry per shot
+	// A sorted draw and a grown Counts entry per shot; the checkpoints,
+	// a power of two of them, when the scratch list has none to hand.
+	return (8+128)*distinct + 16*int64(max(0, outcomes-1)>>ckBits)
 }
 
 // Sample picks the faster sampler for the workload.

@@ -419,6 +419,19 @@ func TestSamplersMatchReference(t *testing.T) {
 			p[r.Intn(n)] = 1
 			return p
 		},
+		"zero runs across block edges": func(r *qmath.RNG) []float64 {
+			// SampleCumulative's checkpoints sit every 2^ckBits outcomes:
+			// zero runs straddle them, end at one, start at one, and fill
+			// a whole block.
+			p := make([]float64, n)
+			for i := range p {
+				p[i] = r.Float64()
+			}
+			for _, run := range [][2]int{{60, 70}, {124, 200}, {250, 256}, {256, 262}, {320, 384}, {n - 3, n}} {
+				clear(p[run[0]:run[1]])
+			}
+			return p
+		},
 		"single outcome": func(*qmath.RNG) []float64 { return []float64{0.7} },
 		"two outcomes, first zero": func(*qmath.RNG) []float64 {
 			return []float64{0, 1}
@@ -435,6 +448,22 @@ func TestSamplersMatchReference(t *testing.T) {
 			}
 		}
 	}
+	// A draw equal to a checkpoint. With dyadic probabilities summing to
+	// exactly 1, the first draw is the RNG's first Float64 u itself, and
+	// the running sum reaches u exactly at the end of block 3: that draw
+	// lands on the block's last outcome, not past it.
+	for seed := uint64(1); seed <= 6; seed++ {
+		u := qmath.NewRNG(seed).Float64()
+		probs := make([]float64, n)
+		edge := 4<<ckBits - 1
+		probs[edge], probs[300] = u, 1-u
+		for _, shots := range []int{1, 7, 100} {
+			sameAsReference(t, "checkpoint draw/cumulative", probs, shots, seed, SampleCumulative, refSampleCumulative)
+		}
+		if c, err := SampleCumulative(probs, 1, qmath.NewRNG(seed)); err != nil || c[uint64(edge)] != 1 {
+			t.Fatalf("seed %d: a draw equal to the checkpoint at %d gave %v, %v", seed, edge, c, err)
+		}
+	}
 	// Invalid inputs fail the same way.
 	for _, probs := range [][]float64{nil, {}, {0, 0}, {0.5, -0.1}, {-1}} {
 		for _, shots := range []int{-1, 0, 10, 5000} {
@@ -444,10 +473,21 @@ func TestSamplersMatchReference(t *testing.T) {
 	}
 	// A non-finite total is garbage in, but the same garbage out: NaN
 	// draws clamp to the last outcome, infinite ones find the first
-	// infinite entry.
+	// infinite entry — also when it sits past a checkpoint, in the
+	// middle of a block whose checkpoint is then infinite or NaN.
+	long := func(at int, v float64) []float64 {
+		p := make([]float64, 200)
+		for i := range p {
+			p[i] = 0.01
+		}
+		p[at] = v
+		return p
+	}
 	for _, probs := range [][]float64{
 		{0.25, math.NaN(), 0.5},
 		{0.25, math.Inf(1), 0.5, math.Inf(1), 0},
+		long(100, math.NaN()),
+		long(100, math.Inf(1)),
 	} {
 		sameAsReference(t, "non-finite/cumulative", probs, 200, 3, SampleCumulative, refSampleCumulative)
 	}

@@ -93,45 +93,23 @@ func (s *State) ApplySwap(a, b int) {
 	if a == b {
 		panic("statevec: swap with identical operands")
 	}
-	s.swapBits([2]uint{uint(a), uint(b)})
+	s.swapBits(uint(a), uint(b))
 }
 
-// swapBits is the raw physical-bit exchange kernel behind ApplySwap
-// and MaterializePerm: one sweep per pair of bit positions, in order,
-// each exchanging the amplitudes whose (lo, hi) bits read (1, 0) with
-// their (0, 1) partners inside the support, whose records it exchanges
-// too. Both bits known and equal leave nothing but zeros to move, so
-// that sweep is skipped. Fanned-out sweeps share one chunk closure, so a
-// materialization allocates the same few words however many sweeps it
-// takes.
-func (s *State) swapBits(pairs ...[2]uint) {
-	type set struct {
-		fixed, val uint64
-		dist       int
+// swapBits is the raw physical-bit exchange kernel behind ApplySwap:
+// one sweep exchanging the amplitudes whose (lo, hi) bits read (1, 0)
+// with their (0, 1) partners inside the support, whose records it
+// exchanges too. Both bits known and equal leave nothing but zeros to
+// move, so the sweep is skipped. (MaterializePerm moves many pairs at
+// once in one blocked pass instead: relayout.)
+func (s *State) swapBits(a, b uint) {
+	lo, hi := min(a, b), max(a, b)
+	ab := uint64(1)<<lo | uint64(1)<<hi
+	if s.sup.mask&ab == ab && (s.sup.val>>lo^s.sup.val>>hi)&1 == 0 {
+		return // the records are equal, so exchanging them changes nothing
 	}
-	amps := s.amps
-	var cur *set // the set the shared closure sweeps; nil until a sweep fans out
-	var chunk func(lo, hi int)
-	for _, p := range pairs {
-		lo, hi := min(p[0], p[1]), max(p[0], p[1])
-		ab := uint64(1)<<lo | uint64(1)<<hi
-		if s.sup.mask&ab == ab && (s.sup.val>>lo^s.sup.val>>hi)&1 == 0 {
-			continue // the records are equal, so exchanging them changes nothing
-		}
-		fixed, val, _ := s.sup.narrow(ab, 1<<lo, ab)
-		s.sup.swap(lo, hi)
-		dist, m := 1<<hi-1<<lo, len(amps)>>bits.OnesCount64(fixed)
-		if s.serial(m) {
-			swapSubspace(amps, fixed, val, dist, 0, m)
-			continue
-		}
-		if cur == nil {
-			c := new(set)
-			cur, chunk = c, func(lo, hi int) { swapSubspace(amps, c.fixed, c.val, c.dist, lo, hi) }
-		}
-		*cur = set{fixed, val, dist}
-		ParallelFor(m, s.workers, chunk)
-	}
+	s.swapSweep(ab, 1<<lo, ab, 1<<hi-1<<lo)
+	s.sup.swap(lo, hi)
 }
 
 // ApplyGate dispatches a gate type with qubit operands and params to

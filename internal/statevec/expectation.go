@@ -38,8 +38,10 @@ import (
 //
 // The layout is canonical. Building an evaluator materializes a
 // pending qubit permutation (the bit-reversal a QFT plan leaves, a
-// tiled plan's relabelings) once, in at most n−1 bit-swap sweeps:
-// cheaper than gathering the state through the permutation once per
+// tiled plan's relabelings) once, in one cache-blocked relayout pass
+// (two for a layout with a cycle of three or more positions; see
+// MaterializePerm): cheaper than gathering the state through the
+// permutation once per
 // group of terms, and the values cannot tell, because the reduction
 // order is defined on logical indices. Every block is then a slice of
 // the amplitude array, and a rank shard's partner buffer is in the

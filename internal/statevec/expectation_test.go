@@ -118,7 +118,7 @@ func TestExpPauliPermutationInvariant(t *testing.T) {
 		a := r.Intn(n)
 		b := (a + 1 + r.Intn(n-1)) % n
 		perm.ApplySwap(a, b)
-		perm.SwapLogical(a, b)
+		declareSwaps(t, perm, [2]int{a, b})
 		if perm.PermIsIdentity() {
 			t.Fatal("construction failed to leave a pending permutation")
 		}

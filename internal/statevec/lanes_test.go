@@ -494,8 +494,7 @@ func TestPermTablesCached(t *testing.T) {
 		amps[i] /= complex(nrm, 0)
 	}
 
-	s.SwapLogical(0, 5)
-	s.SwapLogical(2, 7)
+	declareSwaps(t, s, [2]int{0, 5}, [2]int{2, 7})
 	if s.permTab != nil {
 		t.Fatal("cache populated before any readout")
 	}
@@ -520,12 +519,12 @@ func TestPermTablesCached(t *testing.T) {
 		t.Fatal("Clone did not share the cached walk")
 	}
 
-	// A further logical swap invalidates; the rebuilt walk must give
+	// A new layout invalidates; the rebuilt walk must give
 	// the same bits as a brute-force Amp readout (both compute the
 	// same |a|² expression).
-	s.SwapLogical(1, 6)
+	declareSwaps(t, s, [2]int{1, 6})
 	if s.permTab != nil {
-		t.Fatal("SwapLogical left a stale walk cached")
+		t.Fatal("SetPermutation left a stale walk cached")
 	}
 	p3 := s.Probabilities()
 	for i := range p3 {
@@ -556,8 +555,7 @@ func BenchmarkRepeatedReadout(b *testing.B) {
 	rng := qmath.NewRNG(0xbe9c)
 	s := MustNew(16, 1)
 	copy(s.AmplitudesRaw(), randAmps(1<<16, rng))
-	s.SwapLogical(0, 13)
-	s.SwapLogical(4, 11)
+	declareSwaps(b, s, [2]int{0, 13}, [2]int{4, 11})
 	s.Probabilities() // warm the cache outside the timed region
 	b.ReportAllocs()
 	b.ResetTimer()

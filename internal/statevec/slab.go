@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // The state-slab free list. A run's amplitude vector is the largest
@@ -91,6 +92,25 @@ func (l *slabList) put(slab []complex128) {
 	l.fresh[n] = append(l.fresh[n], slab)
 	l.stats.RetainedBytes += int64(16 * len(slab))
 	l.arm()
+}
+
+// TakeScratch returns 2^n zeroed float64s off the list that holds the
+// phase tables: scratch a caller gives back with PutScratch, outside
+// SlabStats, so taking it leaves a run's state-slab counts as they were.
+// Beyond the list's sizes it is a fresh array PutScratch drops.
+func TakeScratch(n int) []float64 {
+	if n > MaxQubits+1 {
+		return make([]float64, 1<<uint(n))
+	}
+	return lanes(tables.take(max(0, n-1)))[:1<<uint(n)]
+}
+
+// PutScratch hands back what TakeScratch returned (resliced or not).
+// The caller must hold the only reference.
+func PutScratch(f []float64) {
+	if cap(f) >= 2 {
+		tables.put(unsafe.Slice((*complex128)(unsafe.Pointer(unsafe.SliceData(f))), cap(f)/2))
+	}
 }
 
 // gcSentinel is an unreachable object whose finalizer runs after the

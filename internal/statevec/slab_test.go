@@ -71,7 +71,7 @@ func TestRecycledSlabIsZeroState(t *testing.T) {
 		s.ApplyGate(gate.H, []int{q}, nil)
 		s.ApplyGate(gate.T, []int{q}, nil)
 	}
-	s.SwapLogical(0, 3) // a pending permutation must not survive either
+	declareSwaps(t, s, [2]int{0, 3}) // a pending permutation must not survive either
 	first := &s.AmplitudesRaw()[0]
 	before := SlabStats()
 	s.Release()

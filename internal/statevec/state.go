@@ -259,9 +259,8 @@ func (s *State) Clone() *State {
 
 // Probabilities returns |αi|² for every basis state in logical qubit
 // order (allocates 2^n float64). A pending qubit permutation is read
-// *through*, not materialized — far cheaper than the up to n-1 bit-swap
-// sweeps a physical rearrangement would pay — and the amplitude layout
-// is left untouched for further tiled execution.
+// *through*, not materialized, and the amplitude layout is left
+// untouched for further tiled execution.
 func (s *State) Probabilities() []float64 {
 	p := make([]float64, len(s.amps))
 	s.ProbabilitiesInto(p) // panics on a released state
@@ -421,7 +420,12 @@ func insertBit(x uint64, pos uint, val uint64) uint64 { return qmath.InsertBit(x
 // SWAP gate, or a planned relabeling that brings a hot high qubit into
 // a tile-resident position, is recorded here and only turned into data
 // movement when (a) the executor itself pays one bit-swap sweep to
-// relocate a qubit, or (b) readout needs the canonical logical layout.
+// relocate a qubit, or (b) a reader needs the canonical logical layout
+// (the ⟨H⟩ evaluator, Amplitudes, SetAmp, a new SetPermutation). Then
+// MaterializePerm moves the whole layout back at once: one
+// cache-blocked pass per involution of its bit permutation, at most two
+// (relayout.go), however many qubits the table moved. Probability
+// readout reads through the table instead (readoutWalk).
 
 // ensureCanonical materializes any pending qubit permutation so that
 // gate kernels can address raw bit positions; a nil check keeps it
@@ -487,52 +491,38 @@ func (s *State) SetPermutation(perm []int) error {
 	return nil
 }
 
-// SwapLogical exchanges the physical homes of logical qubits a and b —
-// the free realization of a SWAP gate: a table update, no data
-// movement.
-func (s *State) SwapLogical(a, b int) {
-	s.checkQubit(a)
-	s.checkQubit(b)
-	if a == b {
-		return
-	}
-	if s.perm == nil {
-		s.perm = make([]int, s.n)
-		for q := range s.perm {
-			s.perm[q] = q
-		}
-	}
-	s.perm[a], s.perm[b] = s.perm[b], s.perm[a]
-	s.permTab = nil
-}
-
 // MaterializePerm rearranges the amplitude data back to the canonical
-// layout (logical qubit q at bit position q) and clears the table. It
-// decomposes the bit permutation into at most n-1 physical bit-swap
-// sweeps, placing one qubit per sweep.
+// layout (logical qubit q at bit position q) and clears the table. The
+// qubit at position p moves to position inv(p), its logical index; inv
+// splits into at most two involutions, each one relayout pass: an
+// involution (bit reversal, any set of swaps) is one pass, and a longer
+// cycle c0 → c1 → … → c(k−1) of positions is two, the reflection
+// ci ↔ c(−i) and then the reflection cj ↔ c(1−j), indices mod k.
 func (s *State) MaterializePerm() {
 	if s.perm == nil {
 		return
 	}
 	perm := s.perm
-	s.perm = nil // swapBits below must operate on the raw layout
+	s.perm = nil
 	s.permTab = nil
 	var inv [MaxQubits]int
 	for q, p := range perm {
 		inv[p] = q
 	}
-	var swaps [MaxQubits][2]uint // placement is planned first, then swept
-	k := 0
-	for pos := 0; pos < s.n; pos++ {
-		q := inv[pos] // logical qubit currently living at position pos
-		if q == pos {
-			continue
+	first, second := identityInvolution(), identityInvolution()
+	var seen uint64
+	for c0 := 0; c0 < s.n; c0++ {
+		var cyc [MaxQubits]uint8
+		k := 0
+		for p := c0; seen>>uint(p)&1 == 0; p = inv[p] {
+			seen |= 1 << uint(p)
+			cyc[k] = uint8(p)
+			k++
 		}
-		src := perm[pos] // where logical qubit pos currently lives
-		swaps[k] = [2]uint{uint(pos), uint(src)}
-		k++
-		perm[pos], perm[q] = pos, src
-		inv[pos], inv[src] = pos, q
+		for i := 0; i < k; i++ {
+			first[cyc[i]] = cyc[(k-i)%k]
+			second[cyc[i]] = cyc[(k+1-i)%k]
+		}
 	}
-	s.swapBits(swaps[:k]...)
+	s.relayout(first, second)
 }

@@ -90,9 +90,9 @@ func TestPermutationLifecycle(t *testing.T) {
 	b := a.Clone()
 
 	// Logical swap versus physical swap must agree on readout.
-	a.SwapLogical(1, 4)
+	declareSwaps(t, a, [2]int{1, 4})
 	if a.PermIsIdentity() {
-		t.Fatal("perm should be pending after SwapLogical")
+		t.Fatal("perm should be pending after SetPermutation")
 	}
 	b.ApplySwap(1, 4)
 	// Probabilities reads through the pending table without materializing.
@@ -105,7 +105,7 @@ func TestPermutationLifecycle(t *testing.T) {
 	if a.PermIsIdentity() {
 		t.Fatal("Probabilities materialized the permutation")
 	}
-	statesEqual(t, a, b, 0, "SwapLogical vs ApplySwap") // Amp materializes a
+	statesEqual(t, a, b, 0, "declared swap vs ApplySwap") // Amp materializes a
 	if !a.PermIsIdentity() {
 		t.Fatal("readout should have materialized the permutation")
 	}
@@ -114,9 +114,7 @@ func TestPermutationLifecycle(t *testing.T) {
 	c := MustNew(n, 2)
 	randomize(c, qmath.NewRNG(22))
 	d := c.Clone()
-	c.SwapLogical(0, 5)
-	c.SwapLogical(5, 3)
-	c.SwapLogical(2, 0)
+	declareSwaps(t, c, [2]int{0, 5}, [2]int{5, 3}, [2]int{2, 0})
 	d.ApplySwap(0, 5)
 	d.ApplySwap(5, 3)
 	d.ApplySwap(2, 0)
@@ -141,6 +139,197 @@ func TestMaterializePermAllocs(t *testing.T) {
 			t.Errorf("%s: MaterializePerm of a 2^%d layout at 2 workers: %v allocations, want <= 3", layout, n, a)
 		}
 		s.Release()
+	}
+}
+
+// declareSwaps declares s's data to be laid out with the physical homes
+// of each pair of logical qubits exchanged, in order, starting from the
+// canonical layout: a pending permutation that moved no data.
+func declareSwaps(t testing.TB, s *State, pairs ...[2]int) {
+	t.Helper()
+	perm := make([]int, s.n)
+	for q := range perm {
+		perm[q] = q
+	}
+	for _, p := range pairs {
+		perm[p[0]], perm[p[1]] = perm[p[1]], perm[p[0]]
+	}
+	if err := s.SetPermutation(perm); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// materializeByPairs is MaterializePerm as one bit-swap sweep per pair,
+// placing one qubit per sweep: the materialization the one-pass
+// relayout replaced, kept as its reference.
+func materializeByPairs(s *State) {
+	if s.perm == nil {
+		return
+	}
+	perm := s.perm
+	s.perm = nil
+	s.permTab = nil
+	var inv [MaxQubits]int
+	for q, p := range perm {
+		inv[p] = q
+	}
+	for pos := 0; pos < s.n; pos++ {
+		q := inv[pos] // logical qubit currently living at position pos
+		if q == pos {
+			continue
+		}
+		src := perm[pos] // where logical qubit pos currently lives
+		s.swapBits(uint(pos), uint(src))
+		perm[pos], perm[q] = pos, src
+		inv[pos], inv[src] = pos, q
+	}
+}
+
+// relayoutKinds are the layouts the materialization tests declare:
+// canonical, an involution (disjoint swaps), a random permutation, one
+// cycle through a random subset of positions, and one transposition.
+var relayoutKinds = []string{"identity", "involution", "random", "cycle", "pair"}
+
+// relayoutPerm draws a layout of the named kind on n qubits.
+func relayoutPerm(n int, kind string, r *qmath.RNG) []int {
+	perm := make([]int, n)
+	for q := range perm {
+		perm[q] = q
+	}
+	pos := r.Perm(n)
+	switch kind {
+	case "involution":
+		for i, k := 0, r.Intn(n+1); i+1 < k; i += 2 {
+			perm[pos[i]], perm[pos[i+1]] = pos[i+1], pos[i]
+		}
+	case "random":
+		perm = pos
+	case "cycle":
+		k := r.Intn(n + 1)
+		for i := 0; i < k; i++ {
+			perm[pos[i]] = pos[(i+1)%k]
+		}
+	case "pair":
+		if n > 1 {
+			perm[pos[0]], perm[pos[1]] = pos[1], pos[0]
+		}
+	}
+	return perm
+}
+
+// relayoutState is an n-qubit state ready for a materialization: either
+// random amplitudes (no support) or a basis state after a few mixing
+// gates (a support of the bits they leave alone), then a declared layout.
+func relayoutState(t testing.TB, n, workers, gates int, kind string, r *qmath.RNG) *State {
+	s := MustNew(n, workers)
+	if gates < 0 {
+		copy(s.AmplitudesRaw(), randAmps(1<<uint(n), r))
+	} else {
+		if err := s.PrepareBasis(r.Uint64() & (1<<uint(n) - 1)); err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g < gates; g++ {
+			s.ApplyMat1(r.Intn(n), gate.Matrix1(gate.RY, []float64{r.Angle()}))
+		}
+	}
+	if err := s.SetPermutation(relayoutPerm(n, kind, r)); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// checkMaterialize holds MaterializePerm to the pair-by-pair reference:
+// the same amplitude bits and the same support.
+func checkMaterialize(t *testing.T, s *State, what string) {
+	t.Helper()
+	ref := s.Clone()
+	materializeByPairs(ref)
+	s.MaterializePerm()
+	if !s.PermIsIdentity() {
+		t.Fatalf("%s: layout still pending", what)
+	}
+	lanesEqual(t, s.amps, ref.amps, what)
+	if gm, gv := s.Support(); gm != ref.sup.mask || gv != ref.sup.val {
+		t.Fatalf("%s: support (%#x, %#x), pair by pair (%#x, %#x)", what, gm, gv, ref.sup.mask, ref.sup.val)
+	}
+	ref.Release()
+}
+
+// TestMaterializePermMatchesPairs: the one-pass materialization against
+// the pair-by-pair sweeps on states large enough to fan out (2^14 and
+// up) and small enough to stay serial, every layout kind, dense and
+// sparse, at 1 to 4 workers.
+func TestMaterializePermMatchesPairs(t *testing.T) {
+	r := qmath.NewRNG(48)
+	for _, n := range []int{2, 5, 9, 14, 16} {
+		for _, kind := range relayoutKinds {
+			for workers := 1; workers <= 4; workers++ {
+				for _, gates := range []int{-1, 0, 3} {
+					s := relayoutState(t, n, workers, gates, kind, r)
+					checkMaterialize(t, s, fmt.Sprintf("n=%d %s workers=%d gates=%d", n, kind, workers, gates))
+					s.Release()
+				}
+			}
+		}
+	}
+}
+
+// FuzzMaterializePerm draws a register size (up to 12 qubits), a layout
+// kind, a worker count and a support (a basis state and up to a few
+// mixing gates, or none) and holds MaterializePerm to the pair-by-pair
+// reference, bit for bit, support included.
+func FuzzMaterializePerm(f *testing.F) {
+	for i := range relayoutKinds {
+		f.Add(uint8(4+2*i), uint8(i), uint8(i), int8(i-1), uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, n, kind, workers uint8, gates int8, seed uint64) {
+		nq := 1 + int(n)%12
+		k := relayoutKinds[int(kind)%len(relayoutKinds)]
+		s := relayoutState(t, nq, 1+int(workers)%4, int(gates)%5, k, qmath.NewRNG(seed))
+		checkMaterialize(t, s, fmt.Sprintf("n=%d %s gates=%d seed=%d", nq, k, gates, seed))
+		s.Release()
+	})
+}
+
+// BenchmarkMaterializePerm brings a 20-qubit state back to canonical
+// order from the layout a reversed QFT leaves (bitrev: one pass), a
+// random one (two passes) and one transposition (pair(0,19): the
+// layout one bit-swap sweep restores), at 1 and 2 workers. Each
+// iteration re-declares the layout outside the timer, as
+// BenchmarkExpPauliGroup's permuted rows do. Its MB/s counts the state
+// once, 2^n × 16 B.
+func BenchmarkMaterializePerm(b *testing.B) {
+	const n = 20
+	pair := make([]int, n)
+	for q := range pair {
+		pair[q] = q
+	}
+	pair[0], pair[n-1] = n-1, 0
+	for _, layout := range []string{"bitrev", "random", "pair(0,19)"} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", layout, workers), func(b *testing.B) {
+				var s *State
+				if layout == "pair(0,19)" {
+					s = layoutState(b, n, workers, "identity", qmath.NewRNG(20))
+					if err := s.SetPermutation(pair); err != nil {
+						b.Fatal(err)
+					}
+				} else {
+					s = layoutState(b, n, workers, layout, qmath.NewRNG(20))
+				}
+				defer s.Release()
+				perm, buf := s.Permutation(), make([]int, n)
+				b.SetBytes(16 << n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					s.perm = append(buf[:0], perm...) // re-declare without SetPermutation's copies
+					b.StartTimer()
+					s.MaterializePerm()
+				}
+			})
+		}
 	}
 }
 
