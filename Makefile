@@ -159,16 +159,22 @@ ci-load: build
 # built on it (RunEachBudget). So does the state's support: never
 # wrong after any plan segment, and skipping changes no amplitude bit
 # at any schedule or worker count (SupportNeverLies, SupportSkipSameBits).
+# So does the shot draw split over workers: the serial draw's counts
+# and RNG end state at 1–4 workers (SampleParallelMatchesSerial), and a
+# seeded run's counts at every nvidia and nvidia-mgpu worker budget
+# (SampledCountsIgnoreTheWorkerBudget); and a warmed fanned-out
+# relayout allocating nothing (MaterializePermRecyclesItsJob).
 # The plan, lane-kernel, Pauli evaluator, readout, mgpu,
 # small-state schedule and sampler micro-benchmarks run one iteration
 # each so they cannot rot — their numbers gate
 # nothing, BENCHMARK.json does (the samplers' DRAM-resident alias shape
 # is there to be read).
 ci-scaling: build
-	$(call run-selected,BitIdentity|EnginesMatchOracle|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape|ProbabilitiesReadThroughPerm|PermTablesCached|FuzzPauliLanes|FuzzScaleTable|PhaseTableMatchesPerIndex|TileRunPassesOverTableCap|CheckGroupsRefuses|DiagGroupRule|UngroupedPlansUnchanged|GroupedPlansBitIdentical|GroupedPlansMatchPerGate|PlanReaderGroupRule|RunSweepGroupedDiagonals|ParallelForCoverage|ParallelForNesting|ParallelForPanic|ParallelForGenerationWrap|RunEachBudget|SupportNeverLies|SupportSkipSameBits,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
+	$(call run-selected,BitIdentity|EnginesMatchOracle|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape|ProbabilitiesReadThroughPerm|PermTablesCached|FuzzPauliLanes|FuzzScaleTable|PhaseTableMatchesPerIndex|TileRunPassesOverTableCap|CheckGroupsRefuses|DiagGroupRule|UngroupedPlansUnchanged|GroupedPlansBitIdentical|GroupedPlansMatchPerGate|PlanReaderGroupRule|RunSweepGroupedDiagonals|ParallelForCoverage|ParallelForNesting|ParallelForPanic|ParallelForGenerationWrap|RunEachBudget|SupportNeverLies|SupportSkipSameBits|SampleParallelMatchesSerial|SampledCountsIgnoreTheWorkerBudget|MaterializePermRecyclesItsJob,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
 	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|ExecuteQFT21|PlanPerGate|TileRun|LanePrimitives|ExpPauliGroup|^BenchmarkReadout$$|ExecutePlanQCrank' -benchtime=1x \
 		./internal/statevec/ ./internal/kernel/ ./internal/mgpu/
 	$(GO) test -run '^$$' -bench SmallStateSchedule -benchtime=1x ./internal/backend/
+	$(GO) test -run '^$$' -bench 'BenchmarkSample$$|Jump' -benchtime=1x ./internal/sampling/ ./internal/qmath/
 	$(GO) test -run '^$$' -bench AblationSamplers -benchtime=1x .
 
 # One P: the whole suite with GOMAXPROCS=1. The sweep pool, the grouped
@@ -197,7 +203,9 @@ ci-oneproc: build
 # input's length, and whatever a decoder accepts re-encodes to the
 # bytes it was decoded from (a torn journal's records to a prefix) — then
 # the samplers against their table-and-hash references (exact counts,
-# same RNG consumption), then the three executors against the naive
+# same RNG consumption, the alias draw also split into 1–8 jumped
+# chunks), then the RNG's jump-ahead against stepping and against two
+# shorter jumps, then the three executors against the naive
 # oracle (fuzzer-chosen width, world, tile and gate soup: probabilities
 # and ⟨H⟩ of a random Hamiltonian with factors on rank bits exact among
 # themselves and 1e-12 to internal/oracle, total probability 1), then the
@@ -224,6 +232,7 @@ ci-fuzz: build
 	$(call run-selected,FuzzDecodePlan,./internal/store/,-fuzz FuzzDecodePlan $(FUZZ_DECODER))
 	$(call run-selected,FuzzParseManifest,./internal/store/,-fuzz FuzzParseManifest $(FUZZ_DECODER))
 	$(call run-selected,FuzzSampleMatchesReference,./internal/sampling/,-fuzz FuzzSampleMatchesReference $(FUZZ_DECODER))
+	$(call run-selected,FuzzJump,./internal/qmath/,-fuzz FuzzJump $(FUZZ_DECODER))
 	$(call run-selected,FuzzEnginesMatchOracle,./internal/mgpu/,-fuzz FuzzEnginesMatchOracle $(FUZZ_DECODER))
 	$(call run-selected,FuzzSubmitEnvelope,./internal/service/,-fuzz FuzzSubmitEnvelope $(FUZZ_DECODER))
 	$(call run-selected,FuzzQASMParse,./internal/qasm/,-fuzz FuzzQASMParse $(FUZZ_DECODER))

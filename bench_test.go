@@ -321,18 +321,23 @@ func BenchmarkAblationMGPUDevices(b *testing.B) {
 // Sampler choice at the two shapes the benchmark workloads sample:
 // qft_exec's (2^21 outcomes, 4096 shots — Sample takes the cumulative
 // path) and qcrank_mgpu's (2^15 outcomes, 1 536 000 shots — the alias
-// path), plus one alias shape whose 64 MiB table is DRAM-resident, as
+// path, also split over two workers as backend.Run draws it on two
+// ranks), plus one alias shape whose 64 MiB table is DRAM-resident, as
 // at the paper's QCrank scale, where a draw's one-entry column read
 // shows. MB/s is the probability vector consumed per second.
 func BenchmarkAblationSamplers(b *testing.B) {
+	aliasW2 := func(probs []float64, shots int, rng *qmath.RNG) (sampling.Counts, error) {
+		return sampling.SampleParallel(probs, shots, 2, rng)
+	}
 	for _, shape := range []struct {
 		name            string
 		outcomes, shots int
 		aliasOnly       bool // 2^24 sorted draws would dwarf the alias run
+		split           bool // an alias_w2 row
 	}{
-		{"qft_2p21_x4096", 1 << 21, 4096, false},
-		{"qcrank_2p15_x1536000", 1 << 15, 1536000, false},
-		{"dram_2p22_x2p24", 1 << 22, 1 << 24, true},
+		{"qft_2p21_x4096", 1 << 21, 4096, false, false},
+		{"qcrank_2p15_x1536000", 1 << 15, 1536000, false, true},
+		{"dram_2p22_x2p24", 1 << 22, 1 << 24, true, false},
 	} {
 		probs := make([]float64, shape.outcomes)
 		r := qmath.NewRNG(2)
@@ -344,9 +349,10 @@ func BenchmarkAblationSamplers(b *testing.B) {
 			sample func([]float64, int, *qmath.RNG) (sampling.Counts, error)
 		}{
 			{"alias", sampling.SampleAlias},
+			{"alias_w2", aliasW2},
 			{"cumulative", sampling.SampleCumulative},
 		} {
-			if shape.aliasOnly && s.name != "alias" {
+			if shape.aliasOnly && s.name == "cumulative" || !shape.split && s.name == "alias_w2" {
 				continue
 			}
 			b.Run(shape.name+"/"+s.name, func(b *testing.B) {

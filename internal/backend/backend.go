@@ -193,6 +193,20 @@ func (c Config) workers() int {
 	return runtime.NumCPU()
 }
 
+// SampleWorkers is the worker budget SampleShots draws shots on: the
+// run's — Devices × Workers on nvidia-mgpu, Workers on the other
+// single-device targets — and one per simulated QPU on mqpu, whose
+// QPUs sample side by side.
+func (c Config) SampleWorkers() int {
+	switch c.Target {
+	case TargetNvidiaMQPU:
+		return 1
+	case TargetNvidiaMGPU:
+		return c.devices() * c.workers()
+	}
+	return c.workers()
+}
+
 func (c Config) devices() int {
 	if c.Devices > 0 {
 		return c.Devices
@@ -425,8 +439,14 @@ func addDistSpans(tr *telemetry.Trace, wall, exchange time.Duration) {
 
 // SampleShots draws measurement shots from a probability vector exactly
 // as RunCompiled does for cfg, so schedulers that defer sampling (the
-// service layer) still match a standalone Run bit for bit. On the mqpu
-// target the shot budget is split across the simulated QPUs and sampled
+// service layer) still match a standalone Run bit for bit.
+//
+// A large alias draw runs on the run's own worker budget
+// (SampleWorkers): every nvidia-mgpu rank's workers, or the device's on
+// the other single-device targets. Each worker draws a contiguous
+// slice of the one seeded stream, so the counts are the serial draw's
+// at every budget. On the mqpu target the shot budget is instead split
+// across the simulated QPUs, each on a seed of its own, and sampled
 // side by side on statevec's pool — the multi-shot parallelism of the
 // paper's ref. [23] (and the reason §3 notes mqpu "significantly
 // improves the execution time"); results merge into one Counts and stay
@@ -434,7 +454,7 @@ func addDistSpans(tr *telemetry.Trace, wall, exchange time.Duration) {
 func SampleShots(probs []float64, cfg Config) (sampling.Counts, error) {
 	devices := cfg.devices()
 	if cfg.Target != TargetNvidiaMQPU || devices <= 1 || cfg.Shots < devices {
-		return sampling.Sample(probs, cfg.Shots, qmath.NewRNG(cfg.Seed))
+		return sampling.SampleParallel(probs, cfg.Shots, cfg.SampleWorkers(), qmath.NewRNG(cfg.Seed))
 	}
 	per := cfg.Shots / devices
 	rem := cfg.Shots % devices

@@ -3,6 +3,7 @@ package backend
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"qgear/internal/circuit"
 	"qgear/internal/oracle"
 	"qgear/internal/qmath"
+	"qgear/internal/sampling"
 )
 
 func probsClose(a, b []float64, tol float64) bool {
@@ -60,6 +62,44 @@ func TestShotSampling(t *testing.T) {
 	}
 	if res2.Counts[0] != res.Counts[0] {
 		t.Fatal("sampling not deterministic under fixed seed")
+	}
+}
+
+// TestSampledCountsIgnoreTheWorkerBudget: a large seeded draw splits
+// over the run's worker budget — nvidia at 1, 2 and 4 workers,
+// nvidia-mgpu at 2×1 and 4×1 — and every split gives the counts of the
+// serial draw of the same probabilities.
+func TestSampledCountsIgnoreTheWorkerBudget(t *testing.T) {
+	const shots = 300000 // four chunks' worth of the sampler's floor
+	c := oracle.Soup(12, 150, qmath.NewRNG(8))
+	c.MeasureAll()
+	var want sampling.Counts
+	for _, cfg := range []Config{
+		{Target: TargetNvidia, Workers: 1},
+		{Target: TargetNvidia, Workers: 2},
+		{Target: TargetNvidia, Workers: 4},
+		{Target: TargetNvidiaMGPU, Devices: 2, Workers: 1},
+		{Target: TargetNvidiaMGPU, Devices: 4, Workers: 1},
+	} {
+		cfg.Shots, cfg.Seed = shots, 21
+		res, err := Run(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			if want, err = sampling.Sample(res.Probabilities, shots, qmath.NewRNG(21)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w := max(1, cfg.Devices) * cfg.Workers; cfg.SampleWorkers() != w {
+			t.Errorf("%s %d×%d: a sampling budget of %d workers, want %d", cfg.Target, cfg.Devices, cfg.Workers, cfg.SampleWorkers(), w)
+		}
+		if !reflect.DeepEqual(res.Counts, want) {
+			t.Errorf("%s %d×%d: counts differ from the serial draw", cfg.Target, cfg.Devices, cfg.Workers)
+		}
+	}
+	if w := (Config{Target: TargetNvidiaMQPU, Devices: 4, Workers: 8}).SampleWorkers(); w != 1 {
+		t.Errorf("mqpu draws each QPU's share on %d workers, want 1", w)
 	}
 }
 

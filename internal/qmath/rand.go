@@ -50,10 +50,29 @@ func (r *RNG) Uint64() uint64 {
 	return res
 }
 
-// Float64 returns a uniform float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+// Fill writes the next len(buf) outputs into buf: what len(buf) calls
+// of Uint64 return, with the state held in registers across the loop.
+func (r *RNG) Fill(buf []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range buf {
+		buf[i] = rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
+
+// Float64 returns a uniform float64 in [0, 1).
+func (r *RNG) Float64() float64 { return UnitFloat(r.Uint64()) }
+
+// UnitFloat is the float64 in [0, 1) that Float64 makes of the output
+// x: its top 53 bits over 2^53.
+func UnitFloat(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // Intn returns a uniform int in [0, n). n must be positive.
 func (r *RNG) Intn(n int) int {

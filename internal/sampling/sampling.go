@@ -3,10 +3,19 @@
 // half of the paper's QCrank runtime budget (§3), which for large
 // images rivals the unitary computation itself.
 //
-// Two samplers are provided: a cumulative-distribution binary-search
-// sampler (simple, O(log N) per shot) and an alias-table sampler (O(1)
-// per shot after O(N) setup), the right tool for the paper's 3M–98M
-// shot QCrank runs. Both are deterministic given an RNG.
+// Two samplers are provided: a cumulative-distribution sampler
+// (simple, O(log N) per shot) and an alias-table sampler (O(1) per shot
+// after O(N) setup), the right tool for the paper's 3M–98M shot QCrank
+// runs. Both are deterministic given an RNG.
+//
+// The serial draw is the reference: shot s of an alias draw reads
+// outputs 2s and 2s+1 of the RNG's stream. SampleParallel splits a large
+// alias draw into contiguous shot ranges on several workers; each
+// starts from a copy of the generator jumped (qmath.RNG.Jump) to its
+// range's first output and counts into a histogram of its own. The
+// histograms sum to the serial draw's, bit for bit at every worker
+// count, since integer sums do not depend on their order, and the
+// caller's RNG ends where the serial loop leaves it.
 package sampling
 
 import (
@@ -15,6 +24,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"qgear/internal/qmath"
 	"qgear/internal/statevec"
@@ -252,14 +262,36 @@ func (t *AliasTable) Draw(rng *qmath.RNG) uint64 {
 	return uint64(imag(col))
 }
 
-// SampleAlias draws shots with an alias table and allocates little but
-// the Counts it returns. The table is 16 bytes per outcome, a whole
-// state slab for 2^n outcomes: it is taken from the slab free list —
-// after a run, the slab the run's state just released — and given back
-// once the shots are drawn. The worklist is dead once the table is
-// built and becomes the dense histogram (no hash per shot) that turns
-// into a presized Counts once.
+// SampleAlias draws shots with an alias table, on the caller, and
+// allocates little but the Counts it returns. The table is 16 bytes
+// per outcome, a whole state slab for 2^n outcomes: it is taken from
+// the slab free list — after a run, the slab the run's state just
+// released — and given back once the shots are drawn. The worklist is
+// dead once the table is built and becomes the dense histogram (no hash
+// per shot) that turns into a presized Counts once. It is the
+// one-worker case of SampleParallel's draw.
 func SampleAlias(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
+	return sampleAlias(probs, shots, 1, rng)
+}
+
+// minChunkShots is the fewest shots a chunk of a parallel alias draw
+// takes: a chunk's jump, histogram and merge cost about a thousand
+// shots' worth, and ParallelFor's dispatch a few more.
+const minChunkShots = 1 << 16
+
+// aliasChunks is how many chunks SampleParallel draws shots in.
+func aliasChunks(shots, workers int) int {
+	return max(1, min(workers, shots/minChunkShots))
+}
+
+// sampleAlias is the alias draw in at most chunks contiguous shot
+// ranges, one per statevec.ParallelFor index. The first range counts into
+// the worklist, every other into its own stretch of one scratch array
+// off the free list's table side, summed into the worklist afterwards.
+// Range [lo, hi) draws on a copy of rng jumped by 2·lo outputs (each
+// shot reads two) held in a local value, and the last range's end state
+// is rng's: where the serial loop leaves it.
+func sampleAlias(probs []float64, shots, chunks int, rng *qmath.RNG) (Counts, error) {
 	if shots < 0 {
 		return nil, fmt.Errorf("sampling: negative shots %d", shots)
 	}
@@ -267,19 +299,53 @@ func SampleAlias(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := AliasTable{cols: tableCols(len(probs))}
-	hist := make([]int, len(probs))
+	n := len(probs)
+	t := AliasTable{cols: tableCols(n)}
+	size := (shots + chunks - 1) / max(1, chunks) // shots per range
+	more := 0                                     // the ranges after the first
+	var scratch []float64
+	if chunks > 1 && shots > size {
+		// Taken before the worklist is allocated, like the table: a GC
+		// cycle that allocation starts cannot age it off the list.
+		more = (shots+size-1)/size - 1
+		scratch = statevec.TakeScratch(bits.Len(uint(more*n - 1)))
+	}
+	hist := make([]int, n)
 	t.build(probs, total, hist)
 	clear(hist)
-	distinct := 0
-	for s := 0; s < shots; s++ {
-		i := t.Draw(rng)
-		if hist[i] == 0 {
-			distinct++
+	if more == 0 {
+		*rng = drawInto(t.cols, hist, *rng, shots)
+	} else {
+		hists := unsafe.Slice((*int)(unsafe.Pointer(unsafe.SliceData(scratch))), more*n) // an int is at most 8 bytes
+		start, cols := *rng, t.cols
+		statevec.ParallelFor(more+1, more+1, func(lo, hi int) {
+			for c := lo; c < hi; c++ {
+				h := hist
+				if c > 0 {
+					h = hists[(c-1)*n : c*n]
+				}
+				from, to := c*size, min((c+1)*size, shots)
+				r := start
+				r.Jump(2 * uint64(from))
+				if r = drawInto(cols, h, r, to-from); to == shots {
+					*rng = r
+				}
+			}
+		})
+		for c := 0; c < more; c++ {
+			for i, v := range hists[c*n : (c+1)*n] {
+				hist[i] += v
+			}
 		}
-		hist[i]++
+		statevec.PutScratch(scratch)
 	}
 	statevec.PutSlab(t.cols)
+	distinct := 0
+	for _, c := range hist {
+		if c > 0 {
+			distinct++
+		}
+	}
 	counts := make(Counts, distinct)
 	for i, c := range hist {
 		if c > 0 {
@@ -287,6 +353,33 @@ func SampleAlias(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
 		}
 	}
 	return counts, nil
+}
+
+// drawInto draws shots from the table cols on r, counting each outcome
+// in hist, and returns r's end state. Shot by shot it is Draw, bit for
+// bit, with Draw's calls taken out of the loop: r's outputs come a
+// block at a time (Fill), and Intn's remainder is a mask for 2^k
+// outcomes — every state vector's.
+func drawInto(cols []complex128, hist []int, r qmath.RNG, shots int) qmath.RNG {
+	var buf [512]uint64 // 256 shots' outputs
+	n := uint64(len(cols))
+	mask, pow2 := n-1, n&(n-1) == 0
+	for shots > 0 {
+		out := buf[:2*min(shots, len(buf)/2)]
+		r.Fill(out)
+		for j := 0; j < len(out); j += 2 {
+			i := out[j] & mask
+			if !pow2 {
+				i = out[j] % n
+			}
+			if col := cols[i]; !(qmath.UnitFloat(out[j+1]) < real(col)) {
+				i = uint64(imag(col))
+			}
+			hist[i]++
+		}
+		shots -= len(out) / 2
+	}
+	return r
 }
 
 // tableCols returns n zeroed table columns: a slab off the state free
@@ -306,27 +399,41 @@ func usesAlias(outcomes, shots int) bool {
 	return shots > outcomes/4 && shots > 1024
 }
 
-// PeakBytes bounds what Sample allocates, working set and returned
-// Counts together: admission control's price of a job's shots. A Counts
-// entry is a map slot and its share of an at-worst half-empty bucket
-// array, 64 bytes; grown by insertion it costs that twice, for the
-// arrays growth left behind.
-func PeakBytes(outcomes, shots int) int64 {
+// PeakBytes bounds what SampleParallel allocates on workers, working
+// set and returned Counts together: admission control's price of a
+// job's shots. A Counts entry is a map slot and its share of an
+// at-worst half-empty bucket array, 64 bytes; grown by insertion it
+// costs that twice, for the arrays growth left behind.
+func PeakBytes(outcomes, shots, workers int) int64 {
 	distinct := int64(max(0, min(outcomes, shots)))
 	if usesAlias(outcomes, shots) {
 		// The table (a state slab when it hits the free list) and the
-		// worklist that becomes the histogram; a presized Counts.
-		return 24*int64(outcomes) + 64*distinct
+		// worklist that becomes the histogram; a presized Counts; past
+		// one chunk, the other chunks' histograms, one power-of-two
+		// scratch array when the scratch list has none to hand.
+		b := 24*int64(outcomes) + 64*distinct
+		if more := aliasChunks(shots, workers) - 1; more > 0 {
+			b += 8 << uint(bits.Len(uint(more*outcomes-1)))
+		}
+		return b
 	}
 	// A sorted draw and a grown Counts entry per shot; the checkpoints,
 	// a power of two of them, when the scratch list has none to hand.
 	return (8+128)*distinct + 16*int64(max(0, outcomes-1)>>ckBits)
 }
 
-// Sample picks the faster sampler for the workload.
+// Sample picks the faster sampler for the workload, on the caller.
 func Sample(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
+	return SampleParallel(probs, shots, 1, rng)
+}
+
+// SampleParallel is Sample on up to workers goroutines: an alias draw
+// of at least minChunkShots shots per worker is split over them, with
+// the serial draw's counts and end state (see the package doc). The
+// cumulative path stays on the caller.
+func SampleParallel(probs []float64, shots, workers int, rng *qmath.RNG) (Counts, error) {
 	if usesAlias(len(probs), shots) {
-		return SampleAlias(probs, shots, rng)
+		return sampleAlias(probs, shots, aliasChunks(shots, workers), rng)
 	}
 	return SampleCumulative(probs, shots, rng)
 }

@@ -361,10 +361,20 @@ func sameAsReference(t *testing.T, what string, probs []float64, shots int, seed
 	}
 }
 
+// chunked is the alias draw forced into chunks ranges, whatever the
+// shot count: the parallel path on inputs too small to reach
+// minChunkShots per worker.
+func chunked(chunks int) func([]float64, int, *qmath.RNG) (Counts, error) {
+	return func(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
+		return sampleAlias(probs, shots, chunks, rng)
+	}
+}
+
 // TestSamplersMatchReference: the table-free cumulative sampler and the
 // dense-histogram alias sampler are the old samplers — exact Counts
 // equality over seeded random distributions of every awkward shape, at
-// shot counts on both sides of Sample's switch.
+// shot counts on both sides of Sample's switch — and so is the alias
+// draw split into 2, 3 or 4 jumped chunks.
 func TestSamplersMatchReference(t *testing.T) {
 	const n = 512
 	shapes := map[string]func(r *qmath.RNG) []float64{
@@ -445,6 +455,9 @@ func TestSamplersMatchReference(t *testing.T) {
 				sameAsReference(t, name+"/cumulative", probs, shots, seed, SampleCumulative, refSampleCumulative)
 				sameAsReference(t, name+"/alias", probs, shots, seed, SampleAlias, refSampleAlias)
 				sameAsReference(t, name+"/sample", probs, shots, seed, Sample, refSample)
+				for w := 1; w <= 4; w++ {
+					sameAsReference(t, fmt.Sprintf("%s/alias w%d", name, w), probs, shots, seed, chunked(w), refSampleAlias)
+				}
 			}
 		}
 	}
@@ -469,12 +482,14 @@ func TestSamplersMatchReference(t *testing.T) {
 		for _, shots := range []int{-1, 0, 10, 5000} {
 			sameAsReference(t, "invalid/cumulative", probs, shots, 1, SampleCumulative, refSampleCumulative)
 			sameAsReference(t, "invalid/alias", probs, shots, 1, SampleAlias, refSampleAlias)
+			sameAsReference(t, "invalid/alias w3", probs, shots, 1, chunked(3), refSampleAlias)
 		}
 	}
 	// A non-finite total is garbage in, but the same garbage out: NaN
 	// draws clamp to the last outcome, infinite ones find the first
 	// infinite entry — also when it sits past a checkpoint, in the
-	// middle of a block whose checkpoint is then infinite or NaN.
+	// middle of a block whose checkpoint is then infinite or NaN; the
+	// alias table pairs its NaN and zero columns as the reference does.
 	long := func(at int, v float64) []float64 {
 		p := make([]float64, 200)
 		for i := range p {
@@ -490,6 +505,10 @@ func TestSamplersMatchReference(t *testing.T) {
 		long(100, math.Inf(1)),
 	} {
 		sameAsReference(t, "non-finite/cumulative", probs, 200, 3, SampleCumulative, refSampleCumulative)
+		for _, shots := range []int{200, 3000} {
+			sameAsReference(t, "non-finite/alias", probs, shots, 3, SampleAlias, refSampleAlias)
+			sameAsReference(t, "non-finite/alias w3", probs, shots, 3, chunked(3), refSampleAlias)
+		}
 	}
 }
 
@@ -557,8 +576,9 @@ func TestAliasTableSlab(t *testing.T) {
 
 // TestSamplerWorkingSet pins what the rewrite is for: the cumulative
 // path allocates per shot, not per outcome, and the alias path builds
-// its table and a worklist that becomes the histogram (PeakBytes is
-// what admission charges; it must cover both).
+// its table and a worklist that becomes the histogram, plus, split over
+// workers, one scratch array for the other chunks' histograms
+// (PeakBytes is what admission charges; it must cover all of it).
 func TestSamplerWorkingSet(t *testing.T) {
 	const n = 1 << 16
 	probs := make([]float64, n)
@@ -566,21 +586,48 @@ func TestSamplerWorkingSet(t *testing.T) {
 	for i := range probs {
 		probs[i] = r.Float64()
 	}
-	for _, shots := range []int{1024, n / 4, n/4 + 1, 2 * n} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		c, err := Sample(probs, shots, qmath.NewRNG(9))
-		runtime.ReadMemStats(&after)
-		if err != nil || c.Total() != shots {
-			t.Fatalf("shots=%d: %v, total %d", shots, err, c.Total())
+	for _, w := range []int{1, 2, 4} {
+		for _, shots := range []int{1024, n / 4, n/4 + 1, 2 * n, 4 * n} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c, err := SampleParallel(probs, shots, w, qmath.NewRNG(9))
+			runtime.ReadMemStats(&after)
+			if err != nil || c.Total() != shots {
+				t.Fatalf("w=%d shots=%d: %v, total %d", w, shots, err, c.Total())
+			}
+			grew := int64(after.TotalAlloc - before.TotalAlloc)
+			if limit := PeakBytes(n, shots, w); grew > limit {
+				t.Errorf("w=%d shots=%d: SampleParallel allocated %d bytes, PeakBytes prices it at %d", w, shots, grew, limit)
+			}
+			if shots == 1024 && grew > 8*n/4 {
+				t.Errorf("w=%d shots=%d: the cumulative path allocated %d bytes; an outcome-sized table would be %d", w, shots, grew, 8*n)
+			}
 		}
-		grew := int64(after.TotalAlloc - before.TotalAlloc)
-		if limit := PeakBytes(n, shots); grew > limit {
-			t.Errorf("shots=%d: Sample allocated %d bytes, PeakBytes prices it at %d", shots, grew, limit)
+	}
+	if got, want := PeakBytes(n, 4*n, 4)-PeakBytes(n, 4*n, 1), int64(8*4*n); got != want {
+		t.Errorf("three more chunks are priced at %d bytes, want one 3·2^16-int scratch array rounded up: %d", got, want)
+	}
+}
+
+// TestSampleParallelMatchesSerial: above the chunk floor, SampleParallel
+// at 1–4 workers draws the serial sampler's counts and leaves its RNG
+// where the serial draw does, over outcome counts that are and are not
+// powers of two.
+func TestSampleParallelMatchesSerial(t *testing.T) {
+	for _, n := range []int{2, 1000, 1 << 12} {
+		r := qmath.NewRNG(uint64(n))
+		probs := make([]float64, n)
+		for i := range probs {
+			probs[i] = r.Float64()
 		}
-		if shots == 1024 && grew > 8*n/4 {
-			t.Errorf("shots=%d: the cumulative path allocated %d bytes; an outcome-sized table would be %d", shots, grew, 8*n)
+		shots := 3*minChunkShots + 17
+		for w := 1; w <= 4; w++ {
+			sameAsReference(t, fmt.Sprintf("n=%d w%d", n, w), probs, shots, 3,
+				func(p []float64, s int, rng *qmath.RNG) (Counts, error) { return SampleParallel(p, s, w, rng) }, Sample)
 		}
+	}
+	if got := aliasChunks(minChunkShots-1, 8); got != 1 {
+		t.Errorf("%d shots on 8 workers draw in %d chunks, want one below the floor", minChunkShots-1, got)
 	}
 }
 
@@ -589,11 +636,11 @@ func TestSamplerWorkingSet(t *testing.T) {
 // small values mapped to exact zeros so plateaus are common, scaled by a
 // fuzzed magnitude so Σp is rarely 1.
 func FuzzSampleMatchesReference(f *testing.F) {
-	f.Add([]byte{0, 0, 9, 200, 0, 0, 0, 31, 7, 0}, uint16(40), uint64(1), uint8(3))
-	f.Add([]byte{255}, uint16(2000), uint64(2), uint8(0))
-	f.Add([]byte{0, 0, 0, 1}, uint16(1), uint64(3), uint8(9))
-	f.Add(bytes.Repeat([]byte{5, 0, 77, 0}, 64), uint16(1100), uint64(4), uint8(200))
-	f.Fuzz(func(t *testing.T, raw []byte, shots uint16, seed uint64, scale uint8) {
+	f.Add([]byte{0, 0, 9, 200, 0, 0, 0, 31, 7, 0}, uint16(40), uint64(1), uint8(3), uint8(2))
+	f.Add([]byte{255}, uint16(2000), uint64(2), uint8(0), uint8(1))
+	f.Add([]byte{0, 0, 0, 1}, uint16(1), uint64(3), uint8(9), uint8(8))
+	f.Add(bytes.Repeat([]byte{5, 0, 77, 0}, 64), uint16(1100), uint64(4), uint8(200), uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, shots uint16, seed uint64, scale, chunks uint8) {
 		if len(raw) > 1<<12 {
 			raw = raw[:1<<12]
 		}
@@ -608,5 +655,29 @@ func FuzzSampleMatchesReference(f *testing.F) {
 		sameAsReference(t, "fuzz/cumulative", probs, n, seed, SampleCumulative, refSampleCumulative)
 		sameAsReference(t, "fuzz/alias", probs, n, seed, SampleAlias, refSampleAlias)
 		sameAsReference(t, "fuzz/sample", probs, n, seed, Sample, refSample)
+		// Its shots never reach minChunkShots, so the chunk count is forced.
+		sameAsReference(t, "fuzz/alias chunked", probs, n, seed, chunked(1+int(chunks%8)), refSampleAlias)
 	})
+}
+
+// BenchmarkSample: the QCrank workload's shape (2^15 outcomes, 1 536 000
+// shots, the alias path) on one and two workers. MB/s is the
+// probability vector consumed per second.
+func BenchmarkSample(b *testing.B) {
+	probs := make([]float64, 1<<15)
+	r := qmath.NewRNG(2)
+	for i := range probs {
+		probs[i] = r.Float64()
+	}
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * len(probs)))
+			for i := 0; i < b.N; i++ {
+				if _, err := SampleParallel(probs, 1536000, w, qmath.NewRNG(uint64(i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

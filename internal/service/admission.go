@@ -33,7 +33,8 @@ const runOverheadBytes = 256 << 10
 // exchange buffers (one more amplitude vector across all ranks), each
 // state's phase-table scratch (a rank shard each on mgpu), and the
 // sampler's working set — per simulated QPU on mqpu, which samples its
-// shares concurrently.
+// shares concurrently, and with the other chunks' histograms where a
+// large draw is split over the run's workers.
 func (s *Server) estimateStateBytes(n, shots int) int64 {
 	if n < 0 {
 		return 0
@@ -55,7 +56,8 @@ func (s *Server) estimateStateBytes(n, shots int) int64 {
 	if d := s.cfg.Devices; s.cfg.Target == backend.TargetNvidiaMQPU && d > 1 && shots >= d {
 		samplers = d
 	}
-	return b + int64(samplers)*sampling.PeakBytes(1<<uint(n), (shots+samplers-1)/samplers)
+	workers := s.sampleConfig(shots, 0).SampleWorkers()
+	return b + int64(samplers)*sampling.PeakBytes(1<<uint(n), (shots+samplers-1)/samplers, workers)
 }
 
 // defaultMaxStateBytes derives the default admission budget: half the

@@ -577,6 +577,20 @@ func (s *Server) execOptions() core.Options {
 	}
 }
 
+// sampleConfig is the backend configuration a job's shots are drawn
+// under: the server's target, devices and per-device workers, so a
+// server with Workers = 1 draws each job on one worker however large
+// its pool.
+func (s *Server) sampleConfig(shots int, seed uint64) backend.Config {
+	return backend.Config{
+		Target:  s.cfg.Target,
+		Devices: s.cfg.Devices,
+		Workers: s.cfg.Workers,
+		Shots:   shots,
+		Seed:    seed,
+	}
+}
+
 // execOptionsCancel is execOptions armed for a real execution: the
 // job's cancellation flag and the configured fault-injection hook.
 // Neither field enters option signatures or cache keys (they never
@@ -1489,12 +1503,7 @@ func (s *Server) runCoalesced(batch []*job, dequeued time.Time, t *batchTally) {
 				// backend.Run bit for bit.
 				ts := time.Now()
 				if gerr := s.guardPanic(func() {
-					jr.Counts, serr = backend.SampleShots(jr.Probabilities, backend.Config{
-						Target:  s.cfg.Target,
-						Devices: s.cfg.Devices,
-						Shots:   j.opts.Shots,
-						Seed:    j.opts.Seed,
-					})
+					jr.Counts, serr = backend.SampleShots(jr.Probabilities, s.sampleConfig(j.opts.Shots, j.opts.Seed))
 				}); gerr != nil {
 					serr = gerr
 				}

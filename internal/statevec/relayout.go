@@ -2,6 +2,7 @@ package statevec
 
 import (
 	"math/bits"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -53,13 +54,23 @@ type relayoutPass struct {
 	blockMap bool       // T moves bits inside K: blocks are gathered, not copied
 }
 
-// relayoutJob is a fanned-out pass: its plan and the shared counter its
-// workers claim frames from.
+// relayoutJob is a fanned-out pass: its plan, the amplitudes, and the
+// shared counter its workers claim frames from. A job and the one
+// closure ParallelFor runs it by are made together and recycled
+// through freeRelayoutJobs, so a warmed fan-out allocates neither.
 type relayoutJob struct {
 	pass          relayoutPass
+	amps          []complex128
 	frames, claim int
 	next          atomic.Int64
+	chunk         func(lo, hi int) // work on this job
 }
+
+// freeRelayoutJobs holds idle jobs: a channel for forCall's reasons,
+// with room for one per CPU, the most materializations that can make
+// progress at once; a job returned to a full list is left to the
+// collector.
+var freeRelayoutJobs = make(chan *relayoutJob, runtime.NumCPU())
 
 // relayout runs one pass per involution, in order: each exchanges every
 // amplitude j with t(j) and the support's records of each pair. A pair
@@ -68,11 +79,10 @@ type relayoutJob struct {
 // skipped. Serially a pass allocates nothing (its offset tables are on
 // the stack). Fanned out, its workers claim frames off a shared counter,
 // so each gets an equal share of the work however the block pairs fall
-// in the frame range, and the passes share one job and one closure.
+// in the frame range, and the passes share one recycled job.
 func (s *State) relayout(ts ...involution) {
 	amps := s.amps
 	var job *relayoutJob // nil until a pass fans out
-	var chunk func(lo, hi int)
 	for i := range ts {
 		pass, ok := s.planRelayout(&ts[i])
 		if !ok {
@@ -86,19 +96,32 @@ func (s *State) relayout(ts ...involution) {
 			continue
 		}
 		if job == nil {
-			j := new(relayoutJob)
-			job, chunk = j, func(_, _ int) { j.work(amps) }
+			select {
+			case job = <-freeRelayoutJobs:
+			default:
+				j := new(relayoutJob)
+				j.chunk = func(_, _ int) { j.work() }
+				job = j
+			}
+			job.amps = amps
 		}
 		job.pass, job.frames = pass, frames
 		job.claim = max(1, relayoutClaimAmps>>bits.OnesCount64(pass.kmask))
 		job.next.Store(0)
-		ParallelFor(s.workers, s.workers, chunk)
+		ParallelFor(s.workers, s.workers, job.chunk)
+	}
+	if job != nil {
+		job.amps = nil // the state's slab goes back to the free list without it
+		select {
+		case freeRelayoutJobs <- job:
+		default:
+		}
 	}
 }
 
 // work is one worker of a fanned-out pass: it claims frames until none
 // is left.
-func (j *relayoutJob) work(amps []complex128) {
+func (j *relayoutJob) work() {
 	var tab relayoutTables
 	j.pass.tables(&tab)
 	for {
@@ -106,7 +129,7 @@ func (j *relayoutJob) work(amps []complex128) {
 		if lo >= j.frames {
 			return
 		}
-		j.pass.frames(amps, &tab, lo, min(lo+j.claim, j.frames))
+		j.pass.frames(j.amps, &tab, lo, min(lo+j.claim, j.frames))
 	}
 }
 

@@ -142,6 +142,27 @@ func TestMaterializePermAllocs(t *testing.T) {
 	}
 }
 
+// TestMaterializePermRecyclesItsJob: a warmed fanned-out
+// materialization reuses its job record and closure: it allocates
+// nothing, where the pair-by-pair sweeps it replaced allocated a 24-byte
+// record and its first version a 112-byte job.
+func TestMaterializePermRecyclesItsJob(t *testing.T) {
+	const n = 16
+	r := qmath.NewRNG(17)
+	for _, layout := range []string{"bitrev", "random"} {
+		s := layoutState(t, n, 2, layout, r)
+		perm, buf := s.Permutation(), make([]int, n)
+		a := testing.AllocsPerRun(100, func() {
+			s.perm = append(buf[:0], perm...)
+			s.MaterializePerm()
+		})
+		if a != 0 {
+			t.Errorf("%s: a warmed materialization at 2 workers allocates %v times, want 0", layout, a)
+		}
+		s.Release()
+	}
+}
+
 // declareSwaps declares s's data to be laid out with the physical homes
 // of each pair of logical qubits exchanged, in order, starting from the
 // canonical layout: a pending permutation that moved no data.
