@@ -324,37 +324,40 @@ func BenchmarkAblationMGPUDevices(b *testing.B) {
 // path, also split over two workers as backend.Run draws it on two
 // ranks), plus one alias shape whose 64 MiB table is DRAM-resident, as
 // at the paper's QCrank scale, where a draw's one-entry column read
-// shows. MB/s is the probability vector consumed per second.
+// shows, serial and offered two and four workers (SampleParallel takes
+// at most two chunks there: four shots per outcome). MB/s is the
+// probability vector consumed per second.
 func BenchmarkAblationSamplers(b *testing.B) {
-	aliasW2 := func(probs []float64, shots int, rng *qmath.RNG) (sampling.Counts, error) {
-		return sampling.SampleParallel(probs, shots, 2, rng)
-	}
 	for _, shape := range []struct {
 		name            string
 		outcomes, shots int
-		aliasOnly       bool // 2^24 sorted draws would dwarf the alias run
-		split           bool // an alias_w2 row
+		aliasOnly       bool  // 2^24 sorted draws would dwarf the alias run
+		split           []int // an alias_w<N> row per worker count N
 	}{
-		{"qft_2p21_x4096", 1 << 21, 4096, false, false},
-		{"qcrank_2p15_x1536000", 1 << 15, 1536000, false, true},
-		{"dram_2p22_x2p24", 1 << 22, 1 << 24, true, false},
+		{"qft_2p21_x4096", 1 << 21, 4096, false, nil},
+		{"qcrank_2p15_x1536000", 1 << 15, 1536000, false, []int{2}},
+		{"dram_2p22_x2p24", 1 << 22, 1 << 24, true, []int{2, 4}},
 	} {
 		probs := make([]float64, shape.outcomes)
 		r := qmath.NewRNG(2)
 		for i := range probs {
 			probs[i] = r.Float64()
 		}
-		for _, s := range []struct {
+		type sampler struct {
 			name   string
 			sample func([]float64, int, *qmath.RNG) (sampling.Counts, error)
-		}{
-			{"alias", sampling.SampleAlias},
-			{"alias_w2", aliasW2},
-			{"cumulative", sampling.SampleCumulative},
-		} {
-			if shape.aliasOnly && s.name == "cumulative" || !shape.split && s.name == "alias_w2" {
-				continue
-			}
+		}
+		samplers := []sampler{{"alias", sampling.SampleAlias}}
+		for _, w := range shape.split {
+			w := w
+			samplers = append(samplers, sampler{fmt.Sprintf("alias_w%d", w), func(probs []float64, shots int, rng *qmath.RNG) (sampling.Counts, error) {
+				return sampling.SampleParallel(probs, shots, w, rng)
+			}})
+		}
+		if !shape.aliasOnly {
+			samplers = append(samplers, sampler{"cumulative", sampling.SampleCumulative})
+		}
+		for _, s := range samplers {
 			b.Run(shape.name+"/"+s.name, func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(8 * shape.outcomes))

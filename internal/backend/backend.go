@@ -443,14 +443,15 @@ func addDistSpans(tr *telemetry.Trace, wall, exchange time.Duration) {
 //
 // A large alias draw runs on the run's own worker budget
 // (SampleWorkers): every nvidia-mgpu rank's workers, or the device's on
-// the other single-device targets. Each worker draws a contiguous
-// slice of the one seeded stream, so the counts are the serial draw's
-// at every budget. On the mqpu target the shot budget is instead split
-// across the simulated QPUs, each on a seed of its own, and sampled
-// side by side on statevec's pool — the multi-shot parallelism of the
-// paper's ref. [23] (and the reason §3 notes mqpu "significantly
-// improves the execution time"); results merge into one Counts and stay
-// deterministic under a fixed seed.
+// the other single-device targets, as many of them as GOMAXPROCS and
+// the draw's shots per outcome let pay (sampling.SampleParallel). Each
+// worker draws a contiguous slice of the one seeded stream, so the
+// counts are the serial draw's at every budget. On the mqpu target the
+// shot budget is instead split across the simulated QPUs, each on a
+// seed of its own, and sampled side by side on statevec's pool — the
+// multi-shot parallelism of the paper's ref. [23] (and the reason §3
+// notes mqpu "significantly improves the execution time"); results
+// merge into one Counts and stay deterministic under a fixed seed.
 func SampleShots(probs []float64, cfg Config) (sampling.Counts, error) {
 	devices := cfg.devices()
 	if cfg.Target != TargetNvidiaMQPU || devices <= 1 || cfg.Shots < devices {

@@ -37,17 +37,24 @@ func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
+// step is one step of the generator from state (s0, s1, s2, s3): its
+// output and the next state.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, rotl(s3, 45)
+}
+
 // Uint64 returns the next 64 uniformly random bits.
 func (r *RNG) Uint64() uint64 {
-	res := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return res
+	out, s0, s1, s2, s3 := step(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return out
 }
 
 // Fill writes the next len(buf) outputs into buf: what len(buf) calls
@@ -55,14 +62,7 @@ func (r *RNG) Uint64() uint64 {
 func (r *RNG) Fill(buf []uint64) {
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for i := range buf {
-		buf[i] = rotl(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
+		buf[i], s0, s1, s2, s3 = step(s0, s1, s2, s3)
 	}
 	r.s = [4]uint64{s0, s1, s2, s3}
 }

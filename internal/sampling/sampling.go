@@ -21,6 +21,7 @@ package sampling
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -275,13 +276,31 @@ func SampleAlias(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
 }
 
 // minChunkShots is the fewest shots a chunk of a parallel alias draw
-// takes: a chunk's jump, histogram and merge cost about a thousand
-// shots' worth, and ParallelFor's dispatch a few more.
+// takes. A chunk's fixed cost is its jump (4–7 µs, BenchmarkJump) and
+// its dispatch. BenchmarkSample's small_2p10 rows (two cores) put the
+// split's gain at 15 % with 2^14 shots a chunk and at half the draw
+// with 2^16.
 const minChunkShots = 1 << 16
 
-// aliasChunks is how many chunks SampleParallel draws shots in.
-func aliasChunks(shots, workers int) int {
-	return max(1, min(workers, shots/minChunkShots))
+// aliasChunks is how many chunks SampleParallel draws shots in: one per
+// worker, but no more than GOMAXPROCS can run at once, each of at least
+// minChunkShots shots, and few enough that c chunks keep
+// c·(c−1)·outcomes ≤ shots. Every chunk past the first counts into an
+// outcome-sized histogram, zeroed and summed on the caller; the last
+// rule holds those (c−1)·outcomes entries to the shots one chunk draws.
+// So that scratch is at most 8 bytes per shot of a chunk (16 after its
+// power-of-two rounding), and its serial zeroing and merge, about a
+// nanosecond an entry, stays a small share of a chunk's draw (15–20 ns
+// a shot for a table in cache, over 100 for one in DRAM), however many
+// workers the run has. The rule is conservative: BenchmarkSample's
+// dram_2p22 rows (two cores) show two chunks still paying at half a
+// shot per outcome each, and no longer at an eighth.
+func aliasChunks(outcomes, shots, workers int) int {
+	c := max(1, min(workers, runtime.GOMAXPROCS(0), shots/minChunkShots))
+	for c > 1 && (c-1)*outcomes > shots/c {
+		c--
+	}
+	return c
 }
 
 // sampleAlias is the alias draw in at most chunks contiguous shot
@@ -412,7 +431,7 @@ func PeakBytes(outcomes, shots, workers int) int64 {
 		// one chunk, the other chunks' histograms, one power-of-two
 		// scratch array when the scratch list has none to hand.
 		b := 24*int64(outcomes) + 64*distinct
-		if more := aliasChunks(shots, workers) - 1; more > 0 {
+		if more := aliasChunks(outcomes, shots, workers) - 1; more > 0 {
 			b += 8 << uint(bits.Len(uint(more*outcomes-1)))
 		}
 		return b
@@ -427,13 +446,13 @@ func Sample(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
 	return SampleParallel(probs, shots, 1, rng)
 }
 
-// SampleParallel is Sample on up to workers goroutines: an alias draw
-// of at least minChunkShots shots per worker is split over them, with
-// the serial draw's counts and end state (see the package doc). The
+// SampleParallel is Sample on up to workers goroutines: a large alias
+// draw is split into as many chunks as aliasChunks allows, with the
+// serial draw's counts and end state (see the package doc). The
 // cumulative path stays on the caller.
 func SampleParallel(probs []float64, shots, workers int, rng *qmath.RNG) (Counts, error) {
 	if usesAlias(len(probs), shots) {
-		return sampleAlias(probs, shots, aliasChunks(shots, workers), rng)
+		return sampleAlias(probs, shots, aliasChunks(len(probs), shots, workers), rng)
 	}
 	return SampleCumulative(probs, shots, rng)
 }

@@ -442,6 +442,13 @@ func TestSamplersMatchReference(t *testing.T) {
 			}
 			return p
 		},
+		"not a power of two": func(r *qmath.RNG) []float64 {
+			p := make([]float64, 1000)
+			for i := range p {
+				p[i] = r.Float64()
+			}
+			return p
+		},
 		"single outcome": func(*qmath.RNG) []float64 { return []float64{0.7} },
 		"two outcomes, first zero": func(*qmath.RNG) []float64 {
 			return []float64{0, 1}
@@ -460,6 +467,16 @@ func TestSamplersMatchReference(t *testing.T) {
 				}
 			}
 		}
+		// Above the chunk floor SampleParallel splits the draw itself, into
+		// as many chunks as aliasChunks allows for 1–4 workers.
+		probs := shape(qmath.NewRNG(977))
+		for w := 1; w <= 4; w++ {
+			parallel := func(p []float64, s int, rng *qmath.RNG) (Counts, error) { return SampleParallel(p, s, w, rng) }
+			sameAsReference(t, fmt.Sprintf("%s/parallel w%d", name, w), probs, 3*minChunkShots+17, 1, parallel, refSampleAlias)
+		}
+	}
+	if got := aliasChunks(2, minChunkShots-1, 8); got != 1 {
+		t.Errorf("%d shots on 8 workers draw in %d chunks, want one below the floor", minChunkShots-1, got)
 	}
 	// A draw equal to a checkpoint. With dyadic probabilities summing to
 	// exactly 1, the first draw is the RNG's first Float64 u itself, and
@@ -578,56 +595,58 @@ func TestAliasTableSlab(t *testing.T) {
 // path allocates per shot, not per outcome, and the alias path builds
 // its table and a worklist that becomes the histogram, plus, split over
 // workers, one scratch array for the other chunks' histograms
-// (PeakBytes is what admission charges; it must cover all of it).
+// (PeakBytes is what admission charges; it must cover all of it). That
+// array costs at most 8 bytes per shot drawn however many workers the
+// draw is offered: aliasChunks takes no more chunks than GOMAXPROCS can
+// run, and no more than c with c·(c−1)·outcomes ≤ shots.
 func TestSamplerWorkingSet(t *testing.T) {
-	const n = 1 << 16
-	probs := make([]float64, n)
-	r := qmath.NewRNG(5)
-	for i := range probs {
-		probs[i] = r.Float64()
-	}
-	for _, w := range []int{1, 2, 4} {
-		for _, shots := range []int{1024, n / 4, n/4 + 1, 2 * n, 4 * n} {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			c, err := SampleParallel(probs, shots, w, qmath.NewRNG(9))
-			runtime.ReadMemStats(&after)
-			if err != nil || c.Total() != shots {
-				t.Fatalf("w=%d shots=%d: %v, total %d", w, shots, err, c.Total())
-			}
-			grew := int64(after.TotalAlloc - before.TotalAlloc)
-			if limit := PeakBytes(n, shots, w); grew > limit {
-				t.Errorf("w=%d shots=%d: SampleParallel allocated %d bytes, PeakBytes prices it at %d", w, shots, grew, limit)
-			}
-			if shots == 1024 && grew > 8*n/4 {
-				t.Errorf("w=%d shots=%d: the cumulative path allocated %d bytes; an outcome-sized table would be %d", w, shots, grew, 8*n)
-			}
-		}
-	}
-	if got, want := PeakBytes(n, 4*n, 4)-PeakBytes(n, 4*n, 1), int64(8*4*n); got != want {
-		t.Errorf("three more chunks are priced at %d bytes, want one 3·2^16-int scratch array rounded up: %d", got, want)
-	}
-}
-
-// TestSampleParallelMatchesSerial: above the chunk floor, SampleParallel
-// at 1–4 workers draws the serial sampler's counts and leaves its RNG
-// where the serial draw does, over outcome counts that are and are not
-// powers of two.
-func TestSampleParallelMatchesSerial(t *testing.T) {
-	for _, n := range []int{2, 1000, 1 << 12} {
-		r := qmath.NewRNG(uint64(n))
+	sample := func(n, shots, w int) {
+		t.Helper()
 		probs := make([]float64, n)
+		r := qmath.NewRNG(5)
 		for i := range probs {
 			probs[i] = r.Float64()
 		}
-		shots := 3*minChunkShots + 17
-		for w := 1; w <= 4; w++ {
-			sameAsReference(t, fmt.Sprintf("n=%d w%d", n, w), probs, shots, 3,
-				func(p []float64, s int, rng *qmath.RNG) (Counts, error) { return SampleParallel(p, s, w, rng) }, Sample)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := SampleParallel(probs, shots, w, qmath.NewRNG(9))
+		runtime.ReadMemStats(&after)
+		if err != nil || c.Total() != shots {
+			t.Fatalf("n=%d w=%d shots=%d: %v, total %d", n, w, shots, err, c.Total())
+		}
+		grew := int64(after.TotalAlloc - before.TotalAlloc)
+		if limit := PeakBytes(n, shots, w); grew > limit {
+			t.Errorf("n=%d w=%d shots=%d: SampleParallel allocated %d bytes, PeakBytes prices it at %d", n, w, shots, grew, limit)
+		}
+		if shots == 1024 && grew > 8*int64(n)/4 {
+			t.Errorf("n=%d w=%d shots=%d: the cumulative path allocated %d bytes; an outcome-sized table would be %d", n, w, shots, grew, 8*n)
 		}
 	}
-	if got := aliasChunks(minChunkShots-1, 8); got != 1 {
-		t.Errorf("%d shots on 8 workers draw in %d chunks, want one below the floor", minChunkShots-1, got)
+	const n = 1 << 16
+	for _, w := range []int{1, 2, 4} {
+		for _, shots := range []int{1024, n / 4, n/4 + 1, 2 * n, 4 * n} {
+			sample(n, shots, w)
+		}
+	}
+	// Many workers on a large table: two chunks at most, not 32.
+	sample(1<<20, 1<<21, 64)
+
+	procs := runtime.GOMAXPROCS(0)
+	for _, outcomes := range []int{1, 2, 1000, 1 << 15, 1 << 22, 1 << 24} {
+		for _, shots := range []int{minChunkShots - 1, minChunkShots, 3*minChunkShots + 17, 1536000, 1 << 23, 1 << 24, 98 << 20} {
+			for _, w := range []int{1, 2, 4, 16, 64, 512} {
+				want := 1 // the most chunks every limit allows
+				for c := 2; c <= min(w, procs) && shots/c >= minChunkShots && c*(c-1)*outcomes <= shots; c++ {
+					want = c
+				}
+				if got := aliasChunks(outcomes, shots, w); got != want {
+					t.Errorf("outcomes=%d shots=%d w=%d: %d chunks, want %d", outcomes, shots, w, got, want)
+				}
+				if extra := PeakBytes(outcomes, shots, w) - PeakBytes(outcomes, shots, 1); extra > 8*int64(shots) {
+					t.Errorf("outcomes=%d shots=%d w=%d: the other chunks are priced at %d bytes, over 8 per shot", outcomes, shots, w, extra)
+				}
+			}
+		}
 	}
 }
 
@@ -660,24 +679,38 @@ func FuzzSampleMatchesReference(f *testing.F) {
 	})
 }
 
-// BenchmarkSample: the QCrank workload's shape (2^15 outcomes, 1 536 000
-// shots, the alias path) on one and two workers. MB/s is the
-// probability vector consumed per second.
+// BenchmarkSample: the alias draw forced into 1, 2 and 4 chunks, at
+// the shapes aliasChunks' rule is read from: the QCrank workload's
+// (2^15 outcomes, 1 536 000 shots), a DRAM-resident table at 4, 1 and
+// 1/4 shots per outcome, and a small table just past the chunk floor.
+// ns/shot is the wall time per shot drawn.
 func BenchmarkSample(b *testing.B) {
-	probs := make([]float64, 1<<15)
-	r := qmath.NewRNG(2)
-	for i := range probs {
-		probs[i] = r.Float64()
-	}
-	for _, w := range []int{1, 2} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(8 * len(probs)))
-			for i := 0; i < b.N; i++ {
-				if _, err := SampleParallel(probs, 1536000, w, qmath.NewRNG(uint64(i))); err != nil {
-					b.Fatal(err)
+	for _, shape := range []struct {
+		name            string
+		outcomes, shots int
+	}{
+		{"qcrank_2p15_x1536000", 1 << 15, 1536000},
+		{"dram_2p22_x2p24", 1 << 22, 1 << 24},
+		{"dram_2p22_x2p22", 1 << 22, 1 << 22},
+		{"dram_2p22_x2p20", 1 << 22, 1 << 20},
+		{"small_2p10_x2p15", 1 << 10, 1 << 15},
+		{"small_2p10_x2p17", 1 << 10, 1 << 17},
+	} {
+		probs := make([]float64, shape.outcomes)
+		r := qmath.NewRNG(2)
+		for i := range probs {
+			probs[i] = r.Float64()
+		}
+		for _, c := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/c%d", shape.name, c), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := sampleAlias(probs, shape.shots, c, qmath.NewRNG(uint64(i))); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.shots), "ns/shot")
+			})
+		}
 	}
 }
