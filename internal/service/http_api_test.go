@@ -105,7 +105,7 @@ func TestHTTPQueueFullEnvelope(t *testing.T) {
 	// Stall the worker with slow jobs, then overfill the queue.
 	var infos []JobInfo
 	for i := 0; i < 16; i++ {
-		body := fmt.Sprintf(`{"kind":"simulate","qasm":"OPENQASM 2.0;\nqreg q[14];\nh q[%d];\n","shots":1,"seed":%d}`, i%14, i)
+		body := fmt.Sprintf(`{"kind":"simulate","qasm":"OPENQASM 2.0;\nqreg q[20];\nh q[%d];\n","shots":1,"seed":%d}`, i%20, i)
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
