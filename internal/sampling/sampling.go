@@ -276,10 +276,10 @@ func SampleAlias(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
 }
 
 // minChunkShots is the fewest shots a chunk of a parallel alias draw
-// takes. A chunk's fixed cost is its jump (4–7 µs, BenchmarkJump) and
-// its dispatch. BenchmarkSample's small_2p10 rows (two cores) put the
-// split's gain at 15 % with 2^14 shots a chunk and at half the draw
-// with 2^16.
+// takes. BenchmarkSample's small_2p10 rows (two cores) put the split's
+// gain at a quarter of the draw with 2^14 shots a chunk and near a third
+// with 2^16: a chunk's fixed cost is 0.1–0.15 ms there, of which its
+// jump is 4–7 µs (BenchmarkJump), against 7–10 ns a shot.
 const minChunkShots = 1 << 16
 
 // aliasChunks is how many chunks SampleParallel draws shots in: one per
@@ -290,11 +290,11 @@ const minChunkShots = 1 << 16
 // rule holds those (c−1)·outcomes entries to the shots one chunk draws.
 // So that scratch is at most 8 bytes per shot of a chunk (16 after its
 // power-of-two rounding), and its serial zeroing and merge, about a
-// nanosecond an entry, stays a small share of a chunk's draw (15–20 ns
+// nanosecond an entry, stays a small share of a chunk's draw (7–12 ns
 // a shot for a table in cache, over 100 for one in DRAM), however many
 // workers the run has. The rule is conservative: BenchmarkSample's
 // dram_2p22 rows (two cores) show two chunks still paying at half a
-// shot per outcome each, and no longer at an eighth.
+// shot per outcome each, and at most a tenth at an eighth.
 func aliasChunks(outcomes, shots, workers int) int {
 	c := max(1, min(workers, runtime.GOMAXPROCS(0), shots/minChunkShots))
 	for c > 1 && (c-1)*outcomes > shots/c {
