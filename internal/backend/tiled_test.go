@@ -222,3 +222,38 @@ func BenchmarkSmallStateSchedule(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkQCrankSchedule times the qcrank_mgpu benchmark's simulation
+// (the a9_d6 QCrank encoding, 15 qubits, probabilities only, compiled
+// once): on one nvidia device at 1 and 2 workers — at 2, the
+// benchmark's single-device reference run — and on two nvidia-mgpu
+// ranks of one worker each. Each row reports the plan's bit swaps.
+// Until the planner evicts the address qubits early (kernel's
+// evictFloor), one of the two tiles or ranks holds only zeros for most
+// of the plan, and the w=2 and ranks=2 rows run barely faster than w=1.
+func BenchmarkQCrankSchedule(b *testing.B) {
+	c := qcrankTestCircuit(b, 9, 6)
+	for _, row := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"one-device/w=1", Config{Target: TargetNvidia, Workers: 1}},
+		{"one-device/w=2", Config{Target: TargetNvidia, Workers: 2}},
+		{"ranks=2/w=1", Config{Target: TargetNvidiaMGPU, Devices: 2, Workers: 1}},
+	} {
+		comp, err := Compile(c, row.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := RunCompiled(comp, row.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(res.PlanStats.BitSwaps), "bit_swaps")
+			}
+		})
+	}
+}

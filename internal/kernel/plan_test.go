@@ -1,11 +1,13 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"qgear/internal/circuit"
@@ -262,6 +264,84 @@ func TestDistributedPlanStatsShape(t *testing.T) {
 	for q, pos := range plan.FinalPerm {
 		if q >= n-gbits && pos != q {
 			t.Errorf("rank qubit %d ends at position %d", q, pos)
+		}
+	}
+}
+
+// planShape renders a plan's segments: R<ops> a run, G a sweep,
+// S(a,b) a bit swap.
+func planShape(p *TilePlan) string {
+	var b strings.Builder
+	for _, seg := range p.Segments {
+		switch seg.Kind {
+		case SegRun:
+			fmt.Fprintf(&b, " R%d", seg.Hi-seg.Lo)
+		case SegGlobal:
+			b.WriteString(" G")
+		case SegBitSwap:
+			fmt.Fprintf(&b, " S(%d,%d)", seg.A, seg.B)
+		}
+	}
+	return strings.TrimSpace(b.String())
+}
+
+// TestQCrankPlansKeepEveryTileLive is the golden of QCrank a9_d6's plans
+// (the qcrank_mgpu benchmark's circuit) on one device and on 2 and 4
+// ranks. The address qubits' h layer is the last mixing use each has,
+// so the planner brings the data qubits it will relabel into their
+// slots right there, while only 2^9 amplitudes are live (evictEarly):
+// after the h layer every position at or above the tile holds a qubit
+// that has been mixed, so no tile and no rank holds only zeros, and
+// the swaps, exchanges and runs are as many as when each relabel waited
+// for its qubit's first use (R5129 S(0,14) R1024; R4105 S(0,13) R1024
+// S(0,14) R1024 S(0,14); R3081 S(0,12) R1024 S(0,13) R1024 S(0,14)
+// R1024 S(0,14) S(0,13)).
+func TestQCrankPlansKeepEveryTileLive(t *testing.T) {
+	const addr = 9
+	k := qcrankKernel(t)
+	for _, tc := range []struct {
+		name                   string
+		cfg                    PlanConfig
+		shape                  string
+		runs, swaps, exchanges int
+	}{
+		{"one device", PlanConfig{TileBits: 16}, "R7 S(6,14) R6146", 2, 1, 0},
+		{"2 ranks", PlanConfig{TileBits: 16, GlobalBits: 1}, "R7 S(6,13) R1 S(7,14) R6145 S(7,14)", 3, 3, 2},
+		{"4 ranks", PlanConfig{TileBits: 16, GlobalBits: 2}, "R7 S(6,12) R1 S(7,13) R1 S(8,14) R6144 S(7,13) S(8,14)", 4, 5, 4},
+	} {
+		p := mustPlan(t, k, tc.cfg)
+		if got := planShape(p); got != tc.shape {
+			t.Errorf("%s: plan %s, want %s", tc.name, got, tc.shape)
+		}
+		if st := p.Stats; st.Runs != tc.runs || st.BitSwaps != tc.swaps || st.ExchangeSegs != tc.exchanges || st.Global != 0 {
+			t.Errorf("%s: %+v, want %d runs, %d swaps, %d across ranks, no sweep", tc.name, st, tc.runs, tc.swaps, tc.exchanges)
+		}
+		// Replay the layout up to the first op after the h layer.
+		inv := make([]int, k.NumQubits) // physical → logical
+		for q := range inv {
+			inv[q] = q
+		}
+		mixed := make([]bool, k.NumQubits)
+		ops := 0
+	replay:
+		for _, seg := range p.Segments {
+			switch seg.Kind {
+			case SegBitSwap:
+				inv[seg.A], inv[seg.B] = inv[seg.B], inv[seg.A]
+			case SegRun:
+				for _, op := range p.Ops[seg.Lo:seg.Hi] {
+					if ops == addr {
+						break replay
+					}
+					mixed[inv[op.T]] = true
+					ops++
+				}
+			}
+		}
+		for pos := p.TileBits; pos < k.NumQubits; pos++ {
+			if !mixed[inv[pos]] {
+				t.Errorf("%s: after the h layer position %d (tile %d) holds qubit %d, not yet mixed", tc.name, pos, p.TileBits, inv[pos])
+			}
 		}
 	}
 }

@@ -30,6 +30,16 @@ import (
 //     the boundary (evicting, Bélády-style, the resident qubit whose
 //     next mixing use is farthest away), and every later gate on it is
 //     tile-local;
+//   - a resident qubit's last mixing use makes it the perfect victim,
+//     so the relabel that would evict it later is made right there
+//     (evictEarly): the outside qubit the planner relabels next moves
+//     into its slot while the state is still sparse. Under the support
+//     skip (statevec.State) a tile or rank whose high bits hold a qubit
+//     never yet mixed holds only zeros and does nothing; moving those
+//     qubits down early puts a mixed one above every tile — the
+//     global/local qubit swap of Qibo's distributed engine, made where
+//     it is cheapest — so every worker and every rank has work, with
+//     the same swaps and exchanges the plan would pay anyway;
 //   - a high-target gate used only once falls back to today's full
 //     sweep — a relabeling would cost the same pass without the payoff.
 //
@@ -86,6 +96,20 @@ const DefaultTileBits = 14
 // one sweep, the same as a single global fallback, so it takes two
 // uses to come out ahead.
 const minResidencyUses = 2
+
+// evictFloor is the lowest in-tile position an early eviction takes
+// its victim from (see Plan's evictEarly). The classical qubit moving
+// in stays known until its first mixing use, and every sweep skips the
+// half of the tile it rules out, so its position is the width of the
+// contiguous windows the sweeps run on until then: at position p,
+// windows of 2^p amplitudes. On QCrank a9_d6 at one worker
+// (internal/backend's BenchmarkQCrankSchedule, 2-core Xeon, go1.24.0,
+// medians of three runs of 15 ops) a floor of 0 ran 52 ms per run, 4
+// 48 ms, 5 40 ms, 6 35 ms, 7 37 ms and 8 34 ms, against 43 ms with no
+// early eviction. 6 is the lowest floor at the plateau, and it leaves
+// QCrank's three address qubits 6–8 to park the three data qubits a
+// 4-rank plan holds above its tile.
+const evictFloor = 6
 
 // ErrNoTiling is never returned: a state too small to tile compiles to
 // the width-0 plan. It stays declared until benchmark/ (its own module,
@@ -428,6 +452,33 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 		return victim >= 0
 	}
 
+	// evictEarly runs the next relabel now when resident qubit q has
+	// just had its last mixing use at instruction i: the outside qubit
+	// whose mixing use comes first among those the planner relabels
+	// (minResidencyUses uses to go, or any use at a rank position) takes
+	// q's slot, the slot Bélády would hand it then. The swap is the one
+	// the plan pays anyway, made while the state is sparser, and every
+	// tile and rank holds live amplitudes from here on (the support skip
+	// idles those that hold only zeros). q must sit at or above
+	// evictFloor, so the classical qubit it takes in does not cut the
+	// sweeps' windows short.
+	evictEarly := func(q, i int) {
+		if v := perm[q]; v < evictFloor || v >= tileBits || nextUse(q, i+1) != math.MaxInt {
+			return
+		}
+		next, nextAt := -1, math.MaxInt
+		for pos := tileBits; pos < n; pos++ {
+			lq := inv[pos]
+			nu := nextUse(lq, i+1)
+			if nu < nextAt && (pos >= local || remainingUses(lq, i+1) >= minResidencyUses) {
+				next, nextAt = pos, nu
+			}
+		}
+		if next >= 0 {
+			swap(perm[q], next)
+		}
+	}
+
 	// appendRunOp adds a compiled micro-op to the open run, opening one
 	// when none is.
 	appendRunOp := func(op statevec.TileOp) {
@@ -487,6 +538,9 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 		appendRunOp(op)
 		bind(BindRun, run, len(p.Ops)-1-int(p.Segments[run].Lo), in)
 		p.Stats.TileLocal++
+		for _, q := range scratch {
+			evictEarly(q, i)
+		}
 		return nil
 	}
 

@@ -31,11 +31,12 @@ import (
 
 // DistState is one rank's shard of a distributed 2^n state vector.
 type DistState struct {
-	comm    *mpi.Comm
-	n       int // total qubits
-	local   int // local qubits (amplitude bits resident on this rank)
-	st      *statevec.State
-	sendBuf []complex128
+	comm  *mpi.Comm
+	n     int // total qubits
+	local int // local qubits (amplitude bits resident on this rank)
+	st    *statevec.State
+	out   *parcel // what the next exchange ships: box at first, then the last parcel received
+	box   parcel
 
 	// Stats
 	exchanges  int
@@ -61,9 +62,25 @@ func NewDist(comm *mpi.Comm, n, workersPerRank int) (*DistState, error) {
 		return nil, err
 	}
 	if comm.Rank() != 0 {
-		st.SetAmp(0, 0) // only the global |0...0> amplitude is 1
+		// Only the global |0...0> amplitude is 1: every other shard is
+		// all zero, and skips its sweeps until an exchange brings it
+		// amplitudes.
+		st.SetAmp(0, 0)
+		st.SetSupportRecord(statevec.Support{Zero: true})
 	}
-	return &DistState{comm: comm, n: n, local: local, st: st}, nil
+	d := &DistState{comm: comm, n: n, local: local, st: st}
+	d.out = &d.box
+	return d, nil
+}
+
+// parcel is what one exchange hands the partner rank: a whole slab from
+// the free list, its first amplitudes filled, and the sender's support
+// record from before the exchange. Ownership moves with it — the parcel
+// received is this rank's to fill for its next exchange — so no two
+// ranks ever hold one, and the pointer travels without an allocation.
+type parcel struct {
+	buf []complex128
+	sup statevec.Support
 }
 
 // Release gives this rank's shard and exchange buffer back to the slab
@@ -72,8 +89,8 @@ func NewDist(comm *mpi.Comm, n, workersPerRank int) (*DistState, error) {
 // rank releases only what nobody else reads, whenever it stops.
 func (d *DistState) Release() {
 	d.st.Release()
-	statevec.PutSlab(d.sendBuf)
-	d.sendBuf = nil
+	statevec.PutSlab(d.out.buf)
+	d.out.buf = nil
 }
 
 // exchange swaps the full local buffer with the partner rank and
@@ -84,26 +101,26 @@ func (d *DistState) Release() {
 // communication cost physically meaningful.
 func (d *DistState) exchange(partner int) []complex128 {
 	start := time.Now()
-	return d.trade(partner, copy(d.slab(), d.st.AmplitudesRaw()), start)
+	return d.trade(partner, copy(d.slab(), d.st.AmplitudesRaw()), start).buf
 }
 
 // slab returns this rank's send buffer, a whole 2^local slab taken from
 // the free list on first use.
 func (d *DistState) slab() []complex128 {
-	if d.sendBuf == nil {
-		d.sendBuf = statevec.TakeSlab(d.local)
+	if d.out.buf == nil {
+		d.out.buf = statevec.TakeSlab(d.local)
 	}
-	return d.sendBuf
+	return d.out.buf
 }
 
-// trade hands the send buffer, its first n amplitudes filled, to the
-// partner rank and returns the partner's. Ownership transfers: the
-// buffer received becomes this rank's send buffer for the next exchange
-// (fully consumed before that exchange starts, because segments run
-// sequentially within a rank).
-func (d *DistState) trade(partner, n int, start time.Time) []complex128 {
-	theirs := d.comm.Exchange(partner, d.sendBuf).([]complex128)
-	d.sendBuf = theirs
+// trade hands the outgoing parcel, its buffer's first n amplitudes
+// filled, to the partner rank and returns the partner's. Ownership
+// transfers: the parcel received becomes this rank's outgoing one for
+// the next exchange (fully consumed before that exchange starts,
+// because segments run sequentially within a rank).
+func (d *DistState) trade(partner, n int, start time.Time) *parcel {
+	theirs := d.comm.Exchange(partner, d.out).(*parcel)
+	d.out = theirs
 	d.exchanges++
 	d.bytesSent += int64(16 * n)
 	d.exchangeNS += int64(time.Since(start))

@@ -109,14 +109,16 @@ func TestExchangeAccounting(t *testing.T) {
 	// the tile and back: two exchanges per rank.
 	c := circuit.New(4, 0)
 	c.RY(0.5, 3)
-	_, res := runRelabeled(t, "ry", c, 4, 1, 256)
+	plan, res := runRelabeled(t, "ry", c, 4, 1, 256)
 	if res.Exchanges != 2*4 {
 		t.Fatalf("exchanges = %d, want 8", res.Exchanges)
 	}
 	// local = 2 qubits => half a shard, 2 amplitudes × 16 bytes, per
-	// rank per swap.
-	if res.BytesSent != 2*4*2*16 {
-		t.Fatalf("bytes = %d, want %d", res.BytesSent, 2*4*2*16)
+	// rank per swap whose outgoing half is not known to be zero: on the
+	// way in every half is zero, on the way back rank 0's ry'd half is
+	// the only live one.
+	if live, unproven := halfBytes(t, plan); res.BytesSent != 2*16 || live != res.BytesSent || unproven != res.BytesSent {
+		t.Fatalf("bytes = %d, want %d (one live half; a dense replay finds %d live, %d unproven)", res.BytesSent, 2*16, live, unproven)
 	}
 	// Local gates are free.
 	k2 := kernel.New("loc", 4).Ry(0.5, 0).XCtrl(0, 1)

@@ -6,6 +6,7 @@ import (
 
 	"qgear/internal/cancel"
 	"qgear/internal/kernel"
+	"qgear/internal/statevec"
 )
 
 // Planned execution: the distributed engine consumes the same compiled
@@ -26,12 +27,20 @@ import (
 //     partner rank), and hands every rank position back before the
 //     plan ends.
 //
+// Each shard keeps its support record (statevec.State) across all of
+// it: a shard starts all zero on every rank but 0 and skips its sweeps
+// while it is, and an exchange ships the record beside the data, sends
+// no half the record proves zero and steps both ranks' records past
+// the swap (exchangedSupport), so a rank skips what it can prove zero
+// after an exchange as before it.
+//
 // Every gate therefore runs on the lane kernels, as the same
 // arithmetic on the same amplitudes as the single-device per-gate
 // schedule (kernel.Execute's width-0 plan on one statevec.State), and
 // a bit-swap only moves values — so planned execution is bit-identical
 // to it. The randomized suite in planned_test.go pins that across rank
-// counts and shard shapes (1-qubit shards included), and oracle_test.go holds both to a naive dense reference.
+// counts and shard shapes (1-qubit shards included), and oracle_test.go
+// holds both to a naive dense reference.
 
 // ExecutePlanCancel runs a compiled distributed plan against this
 // rank's shard. The plan must have been compiled with GlobalBits
@@ -51,28 +60,10 @@ func (d *DistState) ExecutePlanCancel(p *kernel.TilePlan, flag *cancel.Flag) err
 		return fmt.Errorf("mgpu: plan tile width %d outside [1,%d]", p.TileBits, d.local)
 	}
 	d.st.MaterializePerm()
-	// The shard's absolute index base: ApplyTileRun tests every HighMask
-	// predicate against it, so rank-bit predicates need no rewriting.
-	rankAbs := uint64(d.comm.Rank()) << uint(d.local)
 	for i, seg := range p.Segments {
-		var err error
-		if err = d.pollCancel(flag); err != nil {
-			return fmt.Errorf("mgpu: plan segment %d: %w", i, err)
-		}
-		switch seg.Kind {
-		case kernel.SegRun:
-			err = d.st.ApplyTileRun(p.TileBits, rankAbs, p.Ops[seg.Lo:seg.Hi])
-		case kernel.SegBitSwap:
-			if a, b := int(min(seg.A, seg.B)), int(max(seg.A, seg.B)); b >= d.local {
-				d.swapRankBit(a, b)
-			} else {
-				d.st.ApplySwap(a, b)
-			}
-		case kernel.SegGlobal:
-			// The planner keeps every operand of a sweep in the shard.
-			err = p.ApplyGlobal(d.st, seg)
-		default:
-			err = fmt.Errorf("unknown segment kind %d", seg.Kind)
+		err := d.pollCancel(flag)
+		if err == nil {
+			err = d.runSegment(p, seg)
 		}
 		if err != nil {
 			return fmt.Errorf("mgpu: plan segment %d: %w", i, err)
@@ -86,27 +77,92 @@ func (d *DistState) ExecutePlanCancel(p *kernel.TilePlan, flag *cancel.Flag) err
 	return nil
 }
 
+// runSegment runs one segment of p on this rank's shard.
+func (d *DistState) runSegment(p *kernel.TilePlan, seg kernel.Segment) error {
+	switch seg.Kind {
+	case kernel.SegRun:
+		// The shard's absolute index base: ApplyTileRun tests every
+		// HighMask predicate against it, so rank-bit predicates need no
+		// rewriting.
+		return d.st.ApplyTileRun(p.TileBits, uint64(d.comm.Rank())<<uint(d.local), p.Ops[seg.Lo:seg.Hi])
+	case kernel.SegBitSwap:
+		if a, b := int(min(seg.A, seg.B)), int(max(seg.A, seg.B)); b >= d.local {
+			d.swapRankBit(a, b)
+		} else {
+			d.st.ApplySwap(a, b)
+		}
+		return nil
+	case kernel.SegGlobal:
+		// The planner keeps every operand of a sweep in the shard.
+		return p.ApplyGlobal(d.st, seg)
+	}
+	return fmt.Errorf("unknown segment kind %d", seg.Kind)
+}
+
 // swapRankBit exchanges shard position l with rank position r. The
 // amplitudes whose bit l equals this rank's bit r stay put; the other
 // half goes to the partner rank across r, whose matching half comes
 // back into the same indices. Both halves are packed in index order, so
 // the k-th amplitude sent is the k-th received. Each side ships half a
 // shard — in the front of a whole exchange slab, which is what the free
-// list recycles.
+// list recycles — and its support record beside it.
+//
+// The support crosses the exchange instead of being forgotten: a half
+// the sender's record proves zero is not sent, and the receiver writes
+// +0 there, and the shard's new record is exchangedSupport of the two.
+// A shard left all zero skips every sweep until an exchange brings it
+// amplitudes.
 func (d *DistState) swapRankBit(l, r int) {
 	start := time.Now()
+	bit := uint(l)
+	mine := uint64(d.comm.Rank() >> uint(r-d.local) & 1)
+	own := d.st.SupportRecord()
 	amps, buf := d.st.AmplitudesRaw(), d.slab()
-	run := 1 << uint(l)
-	first := (d.comm.Rank()>>uint(r-d.local)&1 ^ 1) << uint(l) // the first index whose bit l differs
+	run := 1 << bit
+	first := int(mine^1) << bit // the first index whose bit l differs
 	n := 0
-	for i := first; i < len(amps); i += 2 * run {
-		n += copy(buf[n:], amps[i:i+run])
+	if !own.HalfZero(bit, mine^1) {
+		for i := first; i < len(amps); i += 2 * run {
+			n += copy(buf[n:], amps[i:i+run])
+		}
 	}
+	d.out.sup = own
 	theirs := d.trade(d.comm.Rank()^1<<uint(r-d.local), n, start)
-	n = 0
-	for i := first; i < len(amps); i += 2 * run {
-		n += copy(amps[i:i+run], theirs[n:])
+	switch {
+	case !theirs.sup.HalfZero(bit, mine):
+		n = 0
+		for i := first; i < len(amps); i += 2 * run {
+			n += copy(amps[i:i+run], theirs.buf[n:])
+		}
+	case n > 0: // a zero half comes back where a live one left
+		for i := first; i < len(amps); i += 2 * run {
+			clear(amps[i : i+run])
+		}
 	}
+	d.st.SetSupportRecord(exchangedSupport(own, theirs.sup, bit, mine))
+}
+
+// exchangedSupport is the record of a shard after swapRankBit on bit l:
+// the half where bit l is mine is its own (own's record), the other
+// half came from the partner (theirs, a record of the partner's half
+// where bit l is mine too). A half either record proves zero adds
+// nothing: both zero leave the shard all zero, one zero makes bit l
+// known (the live half's value) and keeps the other half's bits. Two
+// live halves keep the bits both records know with equal values, and
+// bit l is unknown.
+func exchangedSupport(own, theirs statevec.Support, l uint, mine uint64) statevec.Support {
+	ownZero, theirZero := own.HalfZero(l, mine), theirs.HalfZero(l, mine)
+	lb := uint64(1) << l
+	switch {
+	case ownZero && theirZero:
+		return statevec.Support{Zero: true}
+	case theirZero:
+		return statevec.Support{Mask: own.Mask | lb, Val: own.Val&^lb | mine<<l}
+	case ownZero:
+		return statevec.Support{Mask: theirs.Mask | lb, Val: theirs.Val&^lb | (mine^1)<<l}
+	}
+	mask := own.Mask & theirs.Mask &^ (own.Val ^ theirs.Val) &^ lb
+	return statevec.Support{Mask: mask, Val: own.Val & mask}
 }
 
 // SimulateCompiled runs a compiled plan on nRanks simulated devices and

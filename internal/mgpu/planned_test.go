@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
 	"qgear/internal/kernel"
+	"qgear/internal/mpi"
 	"qgear/internal/oracle"
 	"qgear/internal/qcrank"
 	"qgear/internal/qft"
@@ -58,22 +60,22 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 	seed := uint64(0xd15712b)
 	for _, tc := range []struct {
 		n, ranks, tileBits int
-		exchanges          int // pinned: what this plan pays on this world
+		exchanges          int   // pinned: what this plan pays on this world
+		bytes              int64 // pinned: the halves no record proves zero
 	}{
-		{6, 2, 3, 16},  // 1 rank bit
-		{6, 4, 2, 56},  // 2 rank bits, 4-amp tiles
-		{6, 8, 2, 184}, // 3 rank bits, shard of 3 qubits
-		{8, 4, 3, 72},  // roomier shard
-		{9, 8, 3, 152}, // deep rank boundary
-		{2, 2, 3, 68},  // 1-qubit shards: the shard is one tile
-		{3, 4, 3, 176},
-		{4, 8, 3, 328},
-		{5, 16, 3, 704},
+		{6, 2, 3, 16, 3840},   // 1 rank bit
+		{6, 4, 2, 56, 6528},   // 2 rank bits, 4-amp tiles
+		{6, 8, 2, 184, 9664},  // 3 rank bits, shard of 3 qubits
+		{8, 4, 3, 72, 31232},  // roomier shard
+		{9, 8, 3, 152, 61952}, // deep rank boundary
+		{2, 2, 3, 68, 1072},   // 1-qubit shards: the shard is one tile
+		{3, 4, 3, 176, 2608},
+		{4, 8, 3, 328, 4512},
+		{5, 16, 3, 704, 9584},
 	} {
 		rng := qmath.NewRNG(seed + uint64(tc.n*1000+tc.ranks*100+tc.tileBits*10))
 		c := oracle.Soup(tc.n, 140, rng)
 		gbits := log2ranks(tc.ranks)
-		local := tc.n - gbits
 		k, _, err := kernel.FromCircuit(c, kernel.Options{})
 		if err != nil {
 			t.Fatalf("n=%d: transform: %v", tc.n, err)
@@ -109,11 +111,15 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 				tc.n, tc.ranks, tc.tileBits, d)
 		}
 		// Every rank takes part in every swap across the rank boundary,
-		// each a half-shard exchange; nothing else communicates.
-		if planned.Exchanges != tc.exchanges || planned.Exchanges != tc.ranks*plan.Stats.ExchangeSegs ||
-			planned.BytesSent != int64(planned.Exchanges)*8<<uint(local) || plan.Stats.ExchangeGates != 0 {
-			t.Errorf("n=%d ranks=%d tile=%d: %d exchanges (%d bytes), pinned %d = ranks × %d swaps across ranks",
-				tc.n, tc.ranks, tc.tileBits, planned.Exchanges, planned.BytesSent, tc.exchanges, plan.Stats.ExchangeSegs)
+		// each a half-shard exchange that ships its half unless the
+		// shard's record proves it zero; nothing else communicates.
+		if planned.Exchanges != tc.exchanges || planned.Exchanges != tc.ranks*plan.Stats.ExchangeSegs || plan.Stats.ExchangeGates != 0 {
+			t.Errorf("n=%d ranks=%d tile=%d: %d exchanges, pinned %d = ranks × %d swaps across ranks",
+				tc.n, tc.ranks, tc.tileBits, planned.Exchanges, tc.exchanges, plan.Stats.ExchangeSegs)
+		}
+		if live, unproven := halfBytes(t, plan); planned.BytesSent != tc.bytes || planned.BytesSent < live || planned.BytesSent > unproven {
+			t.Errorf("n=%d ranks=%d tile=%d: %d bytes sent, pinned %d; the live halves are %d bytes, the halves one device's support leaves %d",
+				tc.n, tc.ranks, tc.tileBits, planned.BytesSent, tc.bytes, live, unproven)
 		}
 		// Exact fixed-seed shot counts from both distributions.
 		cRef, err := sampling.Sample(want, shots, qmath.NewRNG(seed))
@@ -127,6 +133,123 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 		if !sameCounts(cRef, cPlanned) {
 			t.Errorf("n=%d ranks=%d: fixed-seed shot counts differ between planned and single-device", tc.n, tc.ranks)
 		}
+	}
+}
+
+// halfBytes replays p on one full state, from |0…0⟩, and brackets the
+// bytes its rank exchanges ship when a half known to be zero stays
+// home. A swap across the rank boundary ships, for each rank, the
+// amplitudes of its shard where the two swapped bits differ: half a
+// shard, 8·2^local bytes. live counts the halves holding a non-zero
+// amplitude, which every exchange must ship; unproven those the full
+// state's support does not prove zero. A shard's record knows at least
+// that much (it resolves rank-bit controls against its own rank, which
+// the full state does not), and no record knows every zero (a y gate
+// moves amplitudes as an x does, and the support forgets its target),
+// so live ≤ sent ≤ unproven, and the exact count is pinned per case.
+func halfBytes(t testing.TB, p *kernel.TilePlan) (live, unproven int64) {
+	t.Helper()
+	s := statevec.MustNew(p.NumQubits, 1)
+	defer s.Release()
+	local := uint(p.NumQubits - p.GlobalBits)
+	for i, seg := range p.Segments {
+		var err error
+		switch a, b := uint(min(seg.A, seg.B)), uint(max(seg.A, seg.B)); seg.Kind {
+		case kernel.SegRun:
+			err = s.ApplyTileRun(p.TileBits, 0, p.Ops[seg.Lo:seg.Hi])
+		case kernel.SegBitSwap:
+			mask, val := s.Support()
+			for r := uint64(0); b >= local && r < 1<<uint(p.GlobalBits); r++ {
+				// The half's index bits: the rank's above the shard, and
+				// bit a the opposite of the rank's bit b.
+				half := r<<local | (r>>(b-local)&1^1)<<a
+				if (half^val)&mask&(^uint64(0)<<local|1<<a) == 0 {
+					unproven++
+				}
+				for j := r << local; j < (r+1)<<local; j++ {
+					if (j>>a^j>>b)&1 == 1 && s.Amp(j) != 0 {
+						live++
+						break
+					}
+				}
+			}
+			s.ApplySwap(int(a), int(b))
+		case kernel.SegGlobal:
+			err = p.ApplyGlobal(s, seg)
+		}
+		if err != nil {
+			t.Fatalf("segment %d: %v", i, err)
+		}
+	}
+	return live * 8 << local, unproven * 8 << local
+}
+
+// TestExchangeKeepsSupport runs basis-prefixed soups on 2 to 16 ranks
+// segment by segment and, after every swap across the rank boundary,
+// holds each shard to its support record: every amplitude outside it
+// is exactly +0, and a shard recorded as all zero is all zero. The
+// prefixes put flips and known controls on rank bits too, so records
+// reach every case of exchangedSupport; the test fails if some case
+// (both halves live, one zero, both zero) never happened.
+func TestExchangeKeepsSupport(t *testing.T) {
+	rng := qmath.NewRNG(0x5ab0)
+	var cases [4]atomic.Int64 // after an exchange: all zero, bit l known, live without it, and checks made
+	for trial := 0; trial < 48; trial++ {
+		ranks := 2 << uint(trial%4)
+		gbits := log2ranks(ranks)
+		n := gbits + 1 + rng.Intn(6)
+		c := oracle.BasisSoup(n, 4+rng.Intn(60), rng.Uint64(), rng)
+		k, _, err := kernel.FromCircuit(c, kernel.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := planFor(t, k, ranks, 1+rng.Intn(n-gbits))
+		err = mpi.Run(ranks, func(comm *mpi.Comm) error {
+			d, err := NewDist(comm, n, 1)
+			if err != nil {
+				return err
+			}
+			defer d.Release()
+			// A rank that stopped early would strand its partner in the
+			// next exchange: every rank runs the whole plan and reports
+			// its first mismatch at the end.
+			var bad error
+			for i, seg := range plan.Segments {
+				if err := d.runSegment(plan, seg); err != nil {
+					return err
+				}
+				l := uint(min(seg.A, seg.B))
+				if seg.Kind != kernel.SegBitSwap || int(max(seg.A, seg.B)) < d.local {
+					continue
+				}
+				sp := d.st.SupportRecord()
+				for j := uint64(0); j < uint64(d.st.Len()) && bad == nil; j++ {
+					a := d.st.Amp(j)
+					if (sp.Zero || (j^sp.Val)&sp.Mask != 0) && math.Float64bits(real(a))|math.Float64bits(imag(a)) != 0 {
+						bad = fmt.Errorf("segment %d: amplitude %d is %v outside the record %+v", i, j, a, sp)
+					}
+				}
+				switch {
+				case sp.Zero:
+					cases[0].Add(1)
+				case sp.Mask>>l&1 == 1:
+					cases[1].Add(1)
+				default:
+					cases[2].Add(1)
+				}
+				cases[3].Add(1)
+			}
+			return bad
+		})
+		if err != nil {
+			t.Fatalf("trial %d (n=%d ranks=%d): %v", trial, n, ranks, err)
+		}
+	}
+	t.Logf("records after %d exchanges: %d all zero, %d with the swapped bit known, %d with it unknown",
+		cases[3].Load(), cases[0].Load(), cases[1].Load(), cases[2].Load())
+	if cases[0].Load() == 0 || cases[1].Load() == 0 || cases[2].Load() == 0 {
+		t.Errorf("records after %d exchanges: %d all zero, %d with the swapped bit known, %d with it unknown; want each case",
+			cases[3].Load(), cases[0].Load(), cases[1].Load(), cases[2].Load())
 	}
 }
 

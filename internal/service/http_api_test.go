@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"regexp"
 	"sort"
@@ -101,36 +102,47 @@ func TestHTTPErrorEnvelopeGolden(t *testing.T) {
 // TestHTTPQueueFullEnvelope: 429 carries both the Retry-After header
 // and retry_after_ms inside the envelope.
 func TestHTTPQueueFullEnvelope(t *testing.T) {
-	s, ts := newHTTPServer(t, Config{WorkerPool: 1, MaxBatch: 1, QueueSize: 1})
-	// Stall the worker with slow jobs, then overfill the queue.
-	var infos []JobInfo
-	for i := 0; i < 16; i++ {
-		body := fmt.Sprintf(`{"kind":"simulate","qasm":"OPENQASM 2.0;\nqreg q[20];\nh q[%d];\n","shots":1,"seed":%d}`, i%20, i)
+	s, started, release := newHeldServer(t, Config{WorkerPool: 1, MaxBatch: 1, QueueSize: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	// The first job holds the one worker in ExecHook until the queue has
+	// refused one, the second fills the one queue slot, the third must
+	// be refused: on any core count, GOMAXPROCS=1 included.
+	post := func(i int) *http.Response {
+		t.Helper()
+		body := fmt.Sprintf(`{"kind":"simulate","qasm":"OPENQASM 2.0;\nqreg q[4];\nh q[%d];\n","shots":1,"seed":%d}`, i%4, i)
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			if got := resp.Header.Get("Retry-After"); got == "" {
-				t.Error("429 without Retry-After header")
-			}
-			e := decodeError(t, resp)
-			resp.Body.Close()
-			if e.Error.Code != CodeQueueFull {
-				t.Fatalf("429 code %q, want %q", e.Error.Code, CodeQueueFull)
-			}
-			if e.Error.RetryAfterMs <= 0 {
-				t.Fatalf("429 envelope without retry_after_ms: %+v", e.Error)
-			}
-			_ = s
-			return
-		}
-		var info JobInfo
-		_ = json.NewDecoder(resp.Body).Decode(&info)
-		resp.Body.Close()
-		infos = append(infos, info)
+		return resp
 	}
-	t.Skip("queue never filled on this machine")
+	for i := 0; i < 2; i++ {
+		resp := post(i)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("job %d: HTTP %d, want %d", i, resp.StatusCode, http.StatusAccepted)
+		}
+		if i == 0 {
+			<-started
+		}
+	}
+	resp := post(2)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("job 2 with the worker held and the queue full: HTTP %d, want %d", resp.StatusCode, http.StatusTooManyRequests)
+	}
+	if got := resp.Header.Get("Retry-After"); got == "" {
+		t.Error("429 without Retry-After header")
+	}
+	e := decodeError(t, resp)
+	if e.Error.Code != CodeQueueFull {
+		t.Fatalf("429 code %q, want %q", e.Error.Code, CodeQueueFull)
+	}
+	if e.Error.RetryAfterMs <= 0 {
+		t.Fatalf("429 envelope without retry_after_ms: %+v", e.Error)
+	}
+	release()
 }
 
 // TestHTTPLongPoll: GET /v1/jobs/{id}?wait_ms blocks until the job

@@ -59,6 +59,9 @@ func (s *State) ApplyGlobalAndRelativePhase(target int, a, b complex128) {
 		s.scaleSweep(0, 0, a)
 		return
 	}
+	if s.sup.zero {
+		return
+	}
 	fixed, val := s.sup.mask, s.sup.val
 	half := len(s.amps) >> (1 + bits.OnesCount64(fixed))
 	v := lanes(s.amps)

@@ -603,7 +603,8 @@ func (e *PauliEvaluator) sweepGroup(g *pauliGroup, partner []complex128, bb, cb 
 // layout the shard holds (the canonical one once an evaluator has been
 // built on it). Interpret indices via Permutation(); use Amplitudes()
 // for the canonical logical order. Like Amplitudes, it forgets the
-// support.
+// support; a caller that knows what it wrote hands a record back with
+// SetSupportRecord.
 func (s *State) AmplitudesRaw() []complex128 {
 	s.live()
 	s.sup = support{}

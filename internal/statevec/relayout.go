@@ -142,7 +142,7 @@ func (s *State) planRelayout(t *involution) (pass relayoutPass, ok bool) {
 	for q := 0; q < s.n; q++ {
 		p := uint(t[q])
 		ab := uint64(1)<<uint(q) | uint64(1)<<p
-		if p <= uint(q) || old.mask&ab == ab && (old.val>>uint(q)^old.val>>p)&1 == 0 {
+		if p <= uint(q) || old.zero || old.mask&ab == ab && (old.val>>uint(q)^old.val>>p)&1 == 0 {
 			continue
 		}
 		pass.to[q], pass.to[p] = uint8(p), uint8(q)

@@ -48,7 +48,10 @@ const MaxQubits = 28
 // mixing gate forgets its target; diagonal gates change nothing; swaps
 // exchange the records (see support). Handing out a mutable slice
 // (Amplitudes, AmplitudesRaw) forgets every bit: whoever holds it may
-// write anywhere.
+// write anywhere. A state can also be known to be all zero — a rank
+// shard that holds none of the state yet (mgpu) — and then every sweep
+// skips it whole; only SetAmp, PrepareBasis or a record handed in
+// through SetSupportRecord brings it back.
 type State struct {
 	n       int
 	amps    []complex128
@@ -70,7 +73,14 @@ type State struct {
 // leave the same bits. Nothing puts a zero out there but a flip — a
 // swap moves one, and X's 2×2 makes ±0 + 1·(+0) = +0 — and SetAmp,
 // which keeps a bit known only for a +0 write.
-type support struct{ mask, val uint64 }
+//
+// zero records a state all of whose amplitudes are +0 (mask and val are
+// then 0): every sweep narrows to nothing, so a shard that holds none
+// of a distributed state does no work.
+type support struct {
+	mask, val uint64
+	zero      bool
+}
 
 // fullSupport is the support of the basis state |idx⟩ on n qubits.
 func fullSupport(n int, idx uint64) support {
@@ -83,7 +93,7 @@ func fullSupport(n int, idx uint64) support {
 // amplitude the sweep would touch is zero, and it skips them all.
 func (sp support) narrow(fixed, val, mix uint64) (f, v uint64, ok bool) {
 	known := sp.mask &^ mix
-	if (val^sp.val)&fixed&known != 0 {
+	if sp.zero || (val^sp.val)&fixed&known != 0 {
 		return 0, 0, false
 	}
 	return fixed | known, val&fixed | sp.val&known, true
@@ -123,6 +133,39 @@ func isX(m gate.Mat2) bool { return m[0] == 0 && m[1] == 1 && m[2] == 1 && m[3] 
 // positions and their values: every amplitude whose index bits under
 // mask differ from val is exactly +0.
 func (s *State) Support() (mask, val uint64) { return s.sup.mask, s.sup.val }
+
+// Support is a state's support record as a caller that moves amplitudes
+// itself carries it: the distributed engine ships it beside a half-shard
+// exchange and steps it past the exchange (mgpu.swapRankBit).
+type Support struct {
+	Mask, Val uint64 // known bits at physical positions, and their values inside Mask
+	Zero      bool   // every amplitude is +0; Mask and Val are then 0
+}
+
+// HalfZero reports whether the record proves +0 every amplitude whose
+// bit l is v.
+func (sp Support) HalfZero(l uint, v uint64) bool {
+	return sp.Zero || sp.Mask>>l&1 == 1 && sp.Val>>l&1 != v
+}
+
+// SupportRecord returns the state's support record.
+func (s *State) SupportRecord() Support {
+	return Support{Mask: s.sup.mask, Val: s.sup.val, Zero: s.sup.zero}
+}
+
+// SetSupportRecord replaces the state's support record — after the
+// caller has written its amplitudes through AmplitudesRaw, which forgot
+// the old one. The caller vouches for it: every amplitude outside the
+// record must be exactly +0, every amplitude of a Zero record too.
+// Bits at or above the state's width are dropped.
+func (s *State) SetSupportRecord(sp Support) {
+	if sp.Zero {
+		s.sup = support{zero: true}
+		return
+	}
+	mask := sp.Mask & (1<<uint(s.n) - 1)
+	s.sup = support{mask: mask, val: sp.Val & mask}
+}
 
 // New returns the n-qubit |0...0> state with the given worker count
 // (workers <= 1 selects the serial path), on a slab from the free list
@@ -194,13 +237,18 @@ func (s *State) Amp(i uint64) complex128 {
 
 // SetAmp overwrites amplitude i; used by tests and the distributed
 // engine's set-up. Any value but +0 narrows the support to the bits i
-// agrees with it on; a +0 never changes it.
+// agrees with it on (on an all-zero state, to i alone); a +0 never
+// changes it.
 func (s *State) SetAmp(i uint64, v complex128) {
 	if s.perm != nil {
 		s.MaterializePerm()
 	}
 	s.amps[i] = v
-	if math.Float64bits(real(v))|math.Float64bits(imag(v)) != 0 {
+	switch {
+	case math.Float64bits(real(v))|math.Float64bits(imag(v)) == 0:
+	case s.sup.zero: // i holds the one amplitude that can be non-zero
+		s.sup = fullSupport(s.n, i)
+	default:
 		s.sup.mask &^= i ^ s.sup.val
 		s.sup.val &= s.sup.mask
 	}

@@ -275,3 +275,49 @@ func TestSerialKernelsAllocateNothing(t *testing.T) {
 		t.Errorf("Probabilities on an identity layout: %v allocations, want 1 (%d entries)", a, len(probs))
 	}
 }
+
+// TestZeroRecordSkipsEverything: a state recorded as all zero — an mgpu
+// shard that holds none of the state yet — stays all +0 and all zero
+// through every kernel (per-gate sweeps, a tile run, a phase group, a
+// bit swap, a relayout), and a non-zero SetAmp brings it back as the
+// basis state it wrote.
+func TestZeroRecordSkipsEverything(t *testing.T) {
+	const n = 6
+	s := MustNew(n, 2)
+	defer s.Release()
+	s.SetAmp(0, 0)
+	s.SetSupportRecord(Support{Zero: true})
+	for q := 0; q < n; q++ {
+		s.ApplyGate(gate.H, []int{q}, nil)
+	}
+	s.ApplyGate(gate.CX, []int{0, 3}, nil)
+	s.ApplyGate(gate.RZ, []int{2}, []float64{0.7})
+	s.ApplyGate(gate.RY, []int{5}, []float64{-0.4})
+	if err := s.ApplyTileRun(3, 0, []TileOp{
+		{Kind: TileMat1, T: 1, M: gate.Matrix1(gate.H, nil)},
+		{Kind: TileCX, T: 2, C: 0, HasCtrl: true},
+		RelPhaseOp(1, 1i, 0, 0),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ApplyPhaseGroup([]TileOp{DiagOp(1i, 1<<1|1<<4, 0), DiagOp(-1, 1<<2, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	s.ApplySwap(1, 5)
+	if err := s.SetPermutation([]int{5, 4, 3, 2, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	s.MaterializePerm()
+	if sp := s.SupportRecord(); sp != (Support{Zero: true}) {
+		t.Fatalf("record %+v after the gates, want all zero", sp)
+	}
+	for i := uint64(0); i < 1<<n; i++ {
+		if a := s.Amp(i); math.Float64bits(real(a))|math.Float64bits(imag(a)) != 0 {
+			t.Fatalf("amplitude %d is %v, want +0", i, a)
+		}
+	}
+	s.SetAmp(5, 1)
+	if mask, val := s.Support(); mask != 1<<n-1 || val != 5 || s.SupportRecord().Zero {
+		t.Fatalf("support (%#x, %#x) zero=%v after SetAmp(5, 1), want the basis state 5", mask, val, s.SupportRecord().Zero)
+	}
+}

@@ -198,6 +198,9 @@ func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, tabs []complex
 			off += 1 << bits.OnesCount64(free)
 		}
 	}
+	if s.sup.zero {
+		return // no tile holds a non-zero amplitude, and no op makes one
+	}
 	amps, tileSize, nq := s.amps, 1<<uint(tileBits), s.n
 	start := s.sup
 	low := uint64(tileSize - 1)
@@ -214,7 +217,7 @@ func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, tabs []complex
 			tab, sp := tabs, start
 			for i := 0; i < len(ops); i++ {
 				op := &ops[i]
-				in := support{sp.mask & low, sp.val & low}
+				in := support{mask: sp.mask & low, val: sp.val & low}
 				if abs&op.HighMask == op.HighMask || op.Kind == TileRelPhase {
 					switch op.Kind {
 					case TileTable:
