@@ -145,7 +145,8 @@ func TestSupportNeverLies(t *testing.T) {
 			}
 			name := fmt.Sprintf("n=%d trial %d tile %d (plan width %d)", n, trial, tb, p.TileBits)
 			check := func(when string) {
-				mask, val := s.Support()
+				sp := s.Support()
+				mask, val := sp.Mask, sp.Val
 				if wm, wv := want.masks(); mask != wm || val != wv {
 					t.Fatalf("%s, %s: support (%#x, %#x), the rule says (%#x, %#x)", name, when, mask, val, wm, wv)
 				}

@@ -66,7 +66,7 @@ func NewDist(comm *mpi.Comm, n, workersPerRank int) (*DistState, error) {
 		// all zero, and skips its sweeps until an exchange brings it
 		// amplitudes.
 		st.SetAmp(0, 0)
-		st.SetSupportRecord(statevec.Support{Zero: true})
+		st.SetSupport(statevec.Support{Zero: true})
 	}
 	d := &DistState{comm: comm, n: n, local: local, st: st}
 	d.out = &d.box

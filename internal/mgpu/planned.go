@@ -116,7 +116,7 @@ func (d *DistState) swapRankBit(l, r int) {
 	start := time.Now()
 	bit := uint(l)
 	mine := uint64(d.comm.Rank() >> uint(r-d.local) & 1)
-	own := d.st.SupportRecord()
+	own := d.st.Support()
 	amps, buf := d.st.AmplitudesRaw(), d.slab()
 	run := 1 << bit
 	first := int(mine^1) << bit // the first index whose bit l differs
@@ -139,7 +139,7 @@ func (d *DistState) swapRankBit(l, r int) {
 			clear(amps[i : i+run])
 		}
 	}
-	d.st.SetSupportRecord(exchangedSupport(own, theirs.sup, bit, mine))
+	d.st.SetSupport(exchangedSupport(own, theirs.sup, bit, mine))
 }
 
 // exchangedSupport is the record of a shard after swapRankBit on bit l:

@@ -158,12 +158,12 @@ func halfBytes(t testing.TB, p *kernel.TilePlan) (live, unproven int64) {
 		case kernel.SegRun:
 			err = s.ApplyTileRun(p.TileBits, 0, p.Ops[seg.Lo:seg.Hi])
 		case kernel.SegBitSwap:
-			mask, val := s.Support()
+			sp := s.Support()
 			for r := uint64(0); b >= local && r < 1<<uint(p.GlobalBits); r++ {
 				// The half's index bits: the rank's above the shard, and
 				// bit a the opposite of the rank's bit b.
 				half := r<<local | (r>>(b-local)&1^1)<<a
-				if (half^val)&mask&(^uint64(0)<<local|1<<a) == 0 {
+				if (half^sp.Val)&sp.Mask&(^uint64(0)<<local|1<<a) == 0 {
 					unproven++
 				}
 				for j := r << local; j < (r+1)<<local; j++ {
@@ -222,7 +222,7 @@ func TestExchangeKeepsSupport(t *testing.T) {
 				if seg.Kind != kernel.SegBitSwap || int(max(seg.A, seg.B)) < d.local {
 					continue
 				}
-				sp := d.st.SupportRecord()
+				sp := d.st.Support()
 				for j := uint64(0); j < uint64(d.st.Len()) && bad == nil; j++ {
 					a := d.st.Amp(j)
 					if (sp.Zero || (j^sp.Val)&sp.Mask != 0) && math.Float64bits(real(a))|math.Float64bits(imag(a)) != 0 {

@@ -105,7 +105,7 @@ func (s *State) ApplySwap(a, b int) {
 func (s *State) swapBits(a, b uint) {
 	lo, hi := min(a, b), max(a, b)
 	ab := uint64(1)<<lo | uint64(1)<<hi
-	if s.sup.mask&ab == ab && (s.sup.val>>lo^s.sup.val>>hi)&1 == 0 {
+	if s.sup.Mask&ab == ab && (s.sup.Val>>lo^s.sup.Val>>hi)&1 == 0 {
 		return // the records are equal, so exchanging them changes nothing
 	}
 	s.swapSweep(ab, 1<<lo, ab, 1<<hi-1<<lo)

@@ -52,17 +52,17 @@ func (s *State) ApplyGlobalAndRelativePhase(target int, a, b complex128) {
 	s.ensureCanonical()
 	s.checkQubit(target)
 	t := uint(target)
-	if bit := uint64(1) << t; s.sup.mask&bit != 0 {
-		if s.sup.val&bit != 0 {
+	if bit := uint64(1) << t; s.sup.Mask&bit != 0 {
+		if s.sup.Val&bit != 0 {
 			a = b
 		}
 		s.scaleSweep(0, 0, a)
 		return
 	}
-	if s.sup.zero {
+	if s.sup.Zero {
 		return
 	}
-	fixed, val := s.sup.mask, s.sup.val
+	fixed, val := s.sup.Mask, s.sup.Val
 	half := len(s.amps) >> (1 + bits.OnesCount64(fixed))
 	v := lanes(s.amps)
 	if s.serial(half) {

@@ -604,9 +604,9 @@ func (e *PauliEvaluator) sweepGroup(g *pauliGroup, partner []complex128, bb, cb 
 // built on it). Interpret indices via Permutation(); use Amplitudes()
 // for the canonical logical order. Like Amplitudes, it forgets the
 // support; a caller that knows what it wrote hands a record back with
-// SetSupportRecord.
+// SetSupport.
 func (s *State) AmplitudesRaw() []complex128 {
 	s.live()
-	s.sup = support{}
+	s.sup = Support{}
 	return s.amps
 }

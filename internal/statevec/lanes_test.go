@@ -226,7 +226,7 @@ func TestTileKernelBitIdentityFuzz(t *testing.T) {
 				}
 			}
 			ctx = "mat1"
-			applyTileMat1(tile, &op, support{})
+			applyTileMat1(tile, &op, Support{})
 			refTileMat1(ref, &op)
 		case 1: // TileCX, all control placements
 			op := TileOp{Kind: TileCX, T: uint8(rng.Intn(tb))}
@@ -238,7 +238,7 @@ func TestTileKernelBitIdentityFuzz(t *testing.T) {
 				}
 			}
 			ctx = "cx"
-			applyTileCX(tile, &op, support{})
+			applyTileCX(tile, &op, Support{})
 			refTileCX(ref, &op)
 		case 2: // TileDiag with 0..3 low predicate bits
 			op := DiagOp(phaseOf(rng), 0, 0)
@@ -246,7 +246,7 @@ func TestTileKernelBitIdentityFuzz(t *testing.T) {
 				op.LowMask |= 1 << uint(rng.Intn(tb))
 			}
 			ctx = "diag"
-			applyTileDiag(tile, &op, support{})
+			applyTileDiag(tile, &op, Support{})
 			refTileDiag(ref, &op)
 		case 3: // TileRelPhase, low target and high (tile-constant) form
 			op := RelPhaseOp(phaseOf(rng), phaseOf(rng), 0, 0)
@@ -260,7 +260,7 @@ func TestTileKernelBitIdentityFuzz(t *testing.T) {
 				}
 			}
 			ctx = "relphase"
-			applyTileRelPhase(tile, base, &op, support{})
+			applyTileRelPhase(tile, base, &op, Support{})
 			refTileRelPhase(ref, base, &op)
 		}
 		if special {

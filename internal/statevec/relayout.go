@@ -142,7 +142,7 @@ func (s *State) planRelayout(t *involution) (pass relayoutPass, ok bool) {
 	for q := 0; q < s.n; q++ {
 		p := uint(t[q])
 		ab := uint64(1)<<uint(q) | uint64(1)<<p
-		if p <= uint(q) || old.zero || old.mask&ab == ab && (old.val>>uint(q)^old.val>>p)&1 == 0 {
+		if p <= uint(q) || old.Zero || old.Mask&ab == ab && (old.Val>>uint(q)^old.Val>>p)&1 == 0 {
 			continue
 		}
 		pass.to[q], pass.to[p] = uint8(p), uint8(q)
@@ -166,7 +166,7 @@ func (s *State) planRelayout(t *involution) (pass relayoutPass, ok bool) {
 		pass.kmask |= q
 	}
 	pass.omask = uint64(len(s.amps)-1) &^ pass.kmask
-	pass.zm, pass.zv = old.mask&pass.omask, old.val&pass.omask
+	pass.zm, pass.zv = old.Mask&pass.omask, old.Val&pass.omask
 	for m := moved & pass.omask; m != 0; m &= m - 1 {
 		if q := bits.TrailingZeros64(m); int(pass.to[q]) > q {
 			pass.plow |= 1 << uint(q)

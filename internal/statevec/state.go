@@ -46,12 +46,12 @@ const MaxQubits = 28
 // controlled gate (CX included) does nothing under a control known to
 // be 0 and acts uncontrolled under controls known to be 1; any other
 // mixing gate forgets its target; diagonal gates change nothing; swaps
-// exchange the records (see support). Handing out a mutable slice
+// exchange the records (see Support). Handing out a mutable slice
 // (Amplitudes, AmplitudesRaw) forgets every bit: whoever holds it may
 // write anywhere. A state can also be known to be all zero — a rank
 // shard that holds none of the state yet (mgpu) — and then every sweep
-// skips it whole; only SetAmp, PrepareBasis or a record handed in
-// through SetSupportRecord brings it back.
+// skips it whole, until SetAmp, PrepareBasis, SetSupport or handing out
+// the slice replaces the record.
 type State struct {
 	n       int
 	amps    []complex128
@@ -59,12 +59,17 @@ type State struct {
 	perm    []int        // logical→physical qubit map; nil = identity
 	permTab *permWalk    // cached readout walk for the current perm; nil = stale
 	tabs    []complex128 // phase-table scratch (table.go), held until Release; nil until a group runs
-	sup     support      // the known classical bits, at physical positions
+	sup     Support      // the known classical bits, at physical positions
 }
 
-// support records the physical bit positions a state knows to be
-// classical (mask) and their values (val, inside mask): every amplitude
-// whose index bits under mask differ from val is exactly +0.
+// Support records the physical bit positions a state knows to be
+// classical (Mask) and their values (Val, inside Mask): every amplitude
+// whose index bits under Mask differ from Val is exactly +0. Zero
+// records a state all of whose amplitudes are +0 (Mask and Val are then
+// 0): every sweep narrows to nothing, so a rank shard that holds none of
+// a distributed state does no work. The distributed engine, which moves
+// amplitudes itself, carries a shard's record across an exchange
+// (mgpu.swapRankBit).
 //
 // The +0 matters: the schedules realize a permutation differently (a
 // tiled plan relabels, the per-gate plan sweeps a SWAP, readout
@@ -72,56 +77,53 @@ type State struct {
 // the support, so the zeros there must be alike for every schedule to
 // leave the same bits. Nothing puts a zero out there but a flip — a
 // swap moves one, and X's 2×2 makes ±0 + 1·(+0) = +0 — and SetAmp,
-// which keeps a bit known only for a +0 write.
-//
-// zero records a state all of whose amplitudes are +0 (mask and val are
-// then 0): every sweep narrows to nothing, so a shard that holds none
-// of a distributed state does no work.
-type support struct {
-	mask, val uint64
-	zero      bool
+// which keeps a bit known only for a +0 write, and a rank exchange,
+// which writes +0 where a half proven zero arrives.
+type Support struct {
+	Mask, Val uint64
+	Zero      bool
 }
 
 // fullSupport is the support of the basis state |idx⟩ on n qubits.
-func fullSupport(n int, idx uint64) support {
-	return support{mask: 1<<uint(n) - 1, val: idx}
+func fullSupport(n int, idx uint64) Support {
+	return Support{Mask: 1<<uint(n) - 1, Val: idx}
 }
 
 // narrow returns the subspace a sweep enumerates: its own fixed bits
 // and their values, plus every known bit but those in mix (the bits it
 // mixes). ok is false when a fixed bit contradicts a known one: every
 // amplitude the sweep would touch is zero, and it skips them all.
-func (sp support) narrow(fixed, val, mix uint64) (f, v uint64, ok bool) {
-	known := sp.mask &^ mix
-	if sp.zero || (val^sp.val)&fixed&known != 0 {
+func (sp Support) narrow(fixed, val, mix uint64) (f, v uint64, ok bool) {
+	known := sp.Mask &^ mix
+	if sp.Zero || (val^sp.Val)&fixed&known != 0 {
 		return 0, 0, false
 	}
-	return fixed | known, val&fixed | sp.val&known, true
+	return fixed | known, val&fixed | sp.Val&known, true
 }
 
 // mat steps the support past a gate that mixes bit t where every ctrl
 // bit is 1: nothing happens under a control known to be 0; an X (flip)
 // under known controls flips a known t; anything else forgets t.
-func (sp *support) mat(ctrl uint64, t uint, flip bool) {
+func (sp *Support) mat(ctrl uint64, t uint, flip bool) {
 	bit := uint64(1) << t
 	switch {
-	case ctrl&sp.mask&^sp.val != 0:
-	case flip && ctrl&^sp.mask == 0:
-		sp.val ^= bit & sp.mask
+	case ctrl&sp.Mask&^sp.Val != 0:
+	case flip && ctrl&^sp.Mask == 0:
+		sp.Val ^= bit & sp.Mask
 	default:
-		sp.mask &^= bit
-		sp.val &^= bit
+		sp.Mask &^= bit
+		sp.Val &^= bit
 	}
 }
 
 // swap exchanges the records of bit positions a and b.
-func (sp *support) swap(a, b uint) {
+func (sp *Support) swap(a, b uint) {
 	ab := uint64(1)<<a | uint64(1)<<b
-	if (sp.mask>>a^sp.mask>>b)&1 == 1 {
-		sp.mask ^= ab
+	if (sp.Mask>>a^sp.Mask>>b)&1 == 1 {
+		sp.Mask ^= ab
 	}
-	if (sp.val>>a^sp.val>>b)&1 == 1 {
-		sp.val ^= ab
+	if (sp.Val>>a^sp.Val>>b)&1 == 1 {
+		sp.Val ^= ab
 	}
 }
 
@@ -129,18 +131,8 @@ func (sp *support) swap(a, b uint) {
 // follows through (zero entries of either sign).
 func isX(m gate.Mat2) bool { return m[0] == 0 && m[1] == 1 && m[2] == 1 && m[3] == 0 }
 
-// Support returns the state's known classical bits at physical
-// positions and their values: every amplitude whose index bits under
-// mask differ from val is exactly +0.
-func (s *State) Support() (mask, val uint64) { return s.sup.mask, s.sup.val }
-
-// Support is a state's support record as a caller that moves amplitudes
-// itself carries it: the distributed engine ships it beside a half-shard
-// exchange and steps it past the exchange (mgpu.swapRankBit).
-type Support struct {
-	Mask, Val uint64 // known bits at physical positions, and their values inside Mask
-	Zero      bool   // every amplitude is +0; Mask and Val are then 0
-}
+// Support returns the state's support record.
+func (s *State) Support() Support { return s.sup }
 
 // HalfZero reports whether the record proves +0 every amplitude whose
 // bit l is v.
@@ -148,24 +140,11 @@ func (sp Support) HalfZero(l uint, v uint64) bool {
 	return sp.Zero || sp.Mask>>l&1 == 1 && sp.Val>>l&1 != v
 }
 
-// SupportRecord returns the state's support record.
-func (s *State) SupportRecord() Support {
-	return Support{Mask: s.sup.mask, Val: s.sup.val, Zero: s.sup.zero}
-}
-
-// SetSupportRecord replaces the state's support record — after the
-// caller has written its amplitudes through AmplitudesRaw, which forgot
-// the old one. The caller vouches for it: every amplitude outside the
+// SetSupport replaces the state's support record — after the caller
+// has written its amplitudes through AmplitudesRaw, which forgot the
+// old one. The caller vouches for it: every amplitude outside the
 // record must be exactly +0, every amplitude of a Zero record too.
-// Bits at or above the state's width are dropped.
-func (s *State) SetSupportRecord(sp Support) {
-	if sp.Zero {
-		s.sup = support{zero: true}
-		return
-	}
-	mask := sp.Mask & (1<<uint(s.n) - 1)
-	s.sup = support{mask: mask, val: sp.Val & mask}
-}
+func (s *State) SetSupport(sp Support) { s.sup = sp }
 
 // New returns the n-qubit |0...0> state with the given worker count
 // (workers <= 1 selects the serial path), on a slab from the free list
@@ -246,11 +225,11 @@ func (s *State) SetAmp(i uint64, v complex128) {
 	s.amps[i] = v
 	switch {
 	case math.Float64bits(real(v))|math.Float64bits(imag(v)) == 0:
-	case s.sup.zero: // i holds the one amplitude that can be non-zero
+	case s.sup.Zero: // i holds the one amplitude that can be non-zero
 		s.sup = fullSupport(s.n, i)
 	default:
-		s.sup.mask &^= i ^ s.sup.val
-		s.sup.val &= s.sup.mask
+		s.sup.Mask &^= i ^ s.sup.Val
+		s.sup.Val &= s.sup.Mask
 	}
 }
 
@@ -263,7 +242,7 @@ func (s *State) Amplitudes() []complex128 {
 	if s.perm != nil {
 		s.MaterializePerm()
 	}
-	s.sup = support{}
+	s.sup = Support{}
 	return s.amps
 }
 

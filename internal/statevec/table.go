@@ -207,7 +207,7 @@ func expandTable(tab []complex128, members []TileOp, free uint64) {
 // the tile's row — the entries its free bits above the tile select,
 // rank bits included — over the in-tile common subspace inside sp, the
 // tile's support.
-func applyTileTable(tile []complex128, abs uint64, tileBits int, common, free uint64, tab []complex128, sp support) {
+func applyTileTable(tile []complex128, abs uint64, tileBits int, common, free uint64, tab []complex128, sp Support) {
 	low := uint64(1)<<uint(tileBits) - 1
 	if hc := common &^ low; abs&hc != hc {
 		return

@@ -326,7 +326,7 @@ func FuzzScaleTable(f *testing.F) {
 		// The enumeration, one tile at a time.
 		got, want := append([]complex128(nil), amps...), append([]complex128(nil), amps...)
 		for off := 0; off < len(got); off += 1 << uint(tb) {
-			applyTileTable(got[off:off+1<<uint(tb)], base|uint64(off), tb, common, free, tab, support{})
+			applyTileTable(got[off:off+1<<uint(tb)], base|uint64(off), tb, common, free, tab, Support{})
 		}
 		refApplyTable(want, base, common, free, tab)
 		if i, ok := sameLanes(lanes(got), lanes(want)); !ok {

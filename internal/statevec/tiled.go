@@ -198,13 +198,13 @@ func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, tabs []complex
 			off += 1 << bits.OnesCount64(free)
 		}
 	}
-	if s.sup.zero {
+	if s.sup.Zero {
 		return // no tile holds a non-zero amplitude, and no op makes one
 	}
 	amps, tileSize, nq := s.amps, 1<<uint(tileBits), s.n
 	start := s.sup
 	low := uint64(tileSize - 1)
-	high, hval := start.mask&^low, start.val&^low
+	high, hval := start.Mask&^low, start.Val&^low
 	s.parallelTiles(len(s.amps)>>uint(tileBits)>>bits.OnesCount64(high), tileBits, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			off := uint64(t) << uint(tileBits)
@@ -217,7 +217,7 @@ func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, tabs []complex
 			tab, sp := tabs, start
 			for i := 0; i < len(ops); i++ {
 				op := &ops[i]
-				in := support{mask: sp.mask & low, val: sp.val & low}
+				in := Support{Mask: sp.Mask & low, Val: sp.Val & low}
 				if abs&op.HighMask == op.HighMask || op.Kind == TileRelPhase {
 					switch op.Kind {
 					case TileTable:
@@ -248,7 +248,7 @@ func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, tabs []complex
 // tileOp steps the support past one micro-op of a run on the shard at
 // base of an n-qubit shard. Only TileMat1 and TileCX mix; a control
 // above the shard (a rank bit) is known to be its bit of base.
-func (sp *support) tileOp(op *TileOp, base uint64, n int) {
+func (sp *Support) tileOp(op *TileOp, base uint64, n int) {
 	if op.Kind != TileMat1 && op.Kind != TileCX {
 		return
 	}
@@ -284,7 +284,7 @@ func (sp *support) tileOp(op *TileOp, base uint64, n int) {
 // complex update even for a real matrix, as this kernel always has, so
 // tile results stay bit-identical to earlier releases' down to the sign
 // of an exact zero (the real fast path note in lanes.go).
-func applyTileMat1(tile []complex128, op *TileOp, sp support) {
+func applyTileMat1(tile []complex128, op *TileOp, sp Support) {
 	lm := mat2Lanes(op.M)
 	var cbit uint64
 	if op.HasCtrl {
@@ -301,7 +301,7 @@ func applyTileMat1(tile []complex128, op *TileOp, sp support) {
 // applyTileCX mirrors ApplyCX (and the uncontrolled X pair-swap)
 // within one tile, on the same enumeration; swaps move complex128
 // values directly.
-func applyTileCX(tile []complex128, op *TileOp, sp support) {
+func applyTileCX(tile []complex128, op *TileOp, sp Support) {
 	var cbit uint64
 	if op.HasCtrl {
 		cbit = 1 << op.C
@@ -318,7 +318,7 @@ func applyTileCX(tile []complex128, op *TileOp, sp support) {
 // LowMask bits are all set, enumerating only the affected subspace as
 // sets of strided windows — any number of mask bits, the cr1 inner loop
 // that dominates the QFT tile profile among them.
-func applyTileDiag(tile []complex128, op *TileOp, sp support) {
+func applyTileDiag(tile []complex128, op *TileOp, sp Support) {
 	phase := op.Phase()
 	fixed, val, ok := sp.narrow(op.LowMask, op.LowMask, 0)
 	if !ok {
@@ -330,7 +330,7 @@ func applyTileDiag(tile []complex128, op *TileOp, sp support) {
 // applyTileRelPhase mirrors ApplyGlobalAndRelativePhase: diag(A, B) on
 // a low target multiplies pairs in-tile; on a high target, or a low one
 // the support knows, the tile shares one factor chosen by the bit.
-func applyTileRelPhase(tile []complex128, base uint64, op *TileOp, sp support) {
+func applyTileRelPhase(tile []complex128, base uint64, op *TileOp, sp Support) {
 	v := lanes(tile)
 	a, b := op.AB()
 	bit := uint64(1) << op.T
@@ -339,13 +339,13 @@ func applyTileRelPhase(tile []complex128, base uint64, op *TileOp, sp support) {
 		if base&op.HighMask != 0 {
 			a = b
 		}
-	case sp.mask&bit != 0:
-		if sp.val&bit != 0 {
+	case sp.Mask&bit != 0:
+		if sp.Val&bit != 0 {
 			a = b
 		}
 	default:
-		relPhaseSubspace(v, uint(op.T), a, b, sp.mask, sp.val, 0, len(tile)>>(1+bits.OnesCount64(sp.mask)))
+		relPhaseSubspace(v, uint(op.T), a, b, sp.Mask, sp.Val, 0, len(tile)>>(1+bits.OnesCount64(sp.Mask)))
 		return
 	}
-	scaleSubspace(v, sp.mask, sp.val, 0, len(tile)>>bits.OnesCount64(sp.mask), real(a), imag(a))
+	scaleSubspace(v, sp.Mask, sp.Val, 0, len(tile)>>bits.OnesCount64(sp.Mask), real(a), imag(a))
 }

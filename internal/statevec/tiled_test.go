@@ -270,8 +270,8 @@ func checkMaterialize(t *testing.T, s *State, what string) {
 		t.Fatalf("%s: layout still pending", what)
 	}
 	lanesEqual(t, s.amps, ref.amps, what)
-	if gm, gv := s.Support(); gm != ref.sup.mask || gv != ref.sup.val {
-		t.Fatalf("%s: support (%#x, %#x), pair by pair (%#x, %#x)", what, gm, gv, ref.sup.mask, ref.sup.val)
+	if got := s.Support(); got != ref.sup {
+		t.Fatalf("%s: support %+v, pair by pair %+v", what, got, ref.sup)
 	}
 	ref.Release()
 }
