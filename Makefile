@@ -142,10 +142,8 @@ ci-load: build
 # as do the distributed relabeling's reader rule and shapes, the split
 # of a 13- to 16-qubit state that fits one tile into two (its plan
 # shapes, and probabilities, ⟨H⟩ and rebound sweep points bit-equal to
-# aer's per-gate run at 1–3 workers), the alias sampler's packed table
-# (entry for entry the two-array reference, a state slab when 2^n
-# outcomes make one), a warmed alias-path run allocating only its
-# worklist beyond what it returns, and distributed ⟨H⟩: bit-equal to
+# aer's per-gate run at 1–3 workers), a warmed sampled run allocating
+# only its probabilities and the Counts it returns, and distributed ⟨H⟩: bit-equal to
 # one device at 2–16 ranks (1e-12 at 32) and, on TFIM-20 at 1–16
 # ranks, at most 2 + log2(ranks) sweeps of the root shard and one
 # exchange per rank for each rank part of a flip mask. Readout through
@@ -159,22 +157,23 @@ ci-load: build
 # built on it (RunEachBudget). So does the state's support: never
 # wrong after any plan segment, and skipping changes no amplitude bit
 # at any schedule or worker count (SupportNeverLies, SupportSkipSameBits).
-# So does the shot draw split over workers: a seeded run's counts at
+# So does the shot draw handed to workers: a seeded run's counts at
 # every nvidia and nvidia-mgpu worker budget
-# (SampledCountsIgnoreTheWorkerBudget); and a warmed fanned-out
+# (SampledCountsIgnoreTheWorkerBudget), the sampler's own at 1, 2, 4
+# and 7 workers (CountsIgnoreWorkers) and pinned by hash
+# (SeededCountsPinned); and a warmed fanned-out
 # relayout allocating nothing (MaterializePermRecyclesItsJob).
 # The plan, lane-kernel, Pauli evaluator, readout, mgpu,
 # small-state schedule and sampler micro-benchmarks run one iteration
 # each so they cannot rot — their numbers gate
-# nothing, BENCHMARK.json does (the samplers' DRAM-resident alias shape
-# is there to be read).
+# nothing, BENCHMARK.json does (the sampler's DRAM-sized shapes are
+# there to be read).
 ci-scaling: build
-	$(call run-selected,BitIdentity|EnginesMatchOracle|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|AliasTableMatchesReference|AliasTableSlab|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape|ProbabilitiesReadThroughPerm|PermTablesCached|FuzzPauliLanes|FuzzScaleTable|PhaseTableMatchesPerIndex|TileRunPassesOverTableCap|CheckGroupsRefuses|DiagGroupRule|UngroupedPlansUnchanged|GroupedPlansBitIdentical|GroupedPlansMatchPerGate|PlanReaderGroupRule|RunSweepGroupedDiagonals|ParallelForCoverage|ParallelForNesting|ParallelForPanic|ParallelForGenerationWrap|RunEachBudget|SupportNeverLies|SupportSkipSameBits|SampledCountsIgnoreTheWorkerBudget|MaterializePermRecyclesItsJob,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
+	$(call run-selected,BitIdentity|EnginesMatchOracle|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape|ProbabilitiesReadThroughPerm|PermTablesCached|FuzzPauliLanes|FuzzScaleTable|PhaseTableMatchesPerIndex|TileRunPassesOverTableCap|CheckGroupsRefuses|DiagGroupRule|UngroupedPlansUnchanged|GroupedPlansBitIdentical|GroupedPlansMatchPerGate|PlanReaderGroupRule|RunSweepGroupedDiagonals|ParallelForCoverage|ParallelForNesting|ParallelForPanic|ParallelForGenerationWrap|RunEachBudget|SupportNeverLies|SupportSkipSameBits|SampledCountsIgnoreTheWorkerBudget|CountsIgnoreWorkers|SeededCountsPinned|MaterializePermRecyclesItsJob,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
 	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|ExecuteQFT21|PlanPerGate|TileRun|LanePrimitives|ExpPauliGroup|^BenchmarkReadout$$|ExecutePlanQCrank' -benchtime=1x \
 		./internal/statevec/ ./internal/kernel/ ./internal/mgpu/
 	$(GO) test -run '^$$' -bench SmallStateSchedule -benchtime=1x ./internal/backend/
-	$(GO) test -run '^$$' -bench 'BenchmarkSample$$|Jump' -benchtime=1x ./internal/sampling/ ./internal/qmath/
-	$(GO) test -run '^$$' -bench AblationSamplers -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkSample$$' -benchtime=1x ./internal/sampling/
 
 # One P: the whole suite with GOMAXPROCS=1. The sweep pool, the grouped
 # expectation sweep's fan-out and its scratch free list, the service's
@@ -201,10 +200,9 @@ ci-oneproc: build
 # replay — never a panic, allocation bounded by the
 # input's length, and whatever a decoder accepts re-encodes to the
 # bytes it was decoded from (a torn journal's records to a prefix) — then
-# the samplers against their table-and-hash references (exact counts,
-# same RNG consumption, the alias draw also split into 1–8 jumped
-# chunks), then the RNG's jump-ahead against stepping and against two
-# shorter jumps, then the three executors against the naive
+# the sampler's invariants (exactly the shots drawn, never a
+# zero-probability outcome, the same counts at 1, 2, 4 and 7 workers,
+# invalid input an error), then the three executors against the naive
 # oracle (fuzzer-chosen width, world, tile and gate soup: probabilities
 # and ⟨H⟩ of a random Hamiltonian with factors on rank bits exact among
 # themselves and 1e-12 to internal/oracle, total probability 1), then the
@@ -230,8 +228,7 @@ ci-fuzz: build
 	$(call run-selected,FuzzDecodeResult,./internal/store/,-fuzz FuzzDecodeResult $(FUZZ_DECODER))
 	$(call run-selected,FuzzDecodePlan,./internal/store/,-fuzz FuzzDecodePlan $(FUZZ_DECODER))
 	$(call run-selected,FuzzParseManifest,./internal/store/,-fuzz FuzzParseManifest $(FUZZ_DECODER))
-	$(call run-selected,FuzzSampleMatchesReference,./internal/sampling/,-fuzz FuzzSampleMatchesReference $(FUZZ_DECODER))
-	$(call run-selected,FuzzJump,./internal/qmath/,-fuzz FuzzJump $(FUZZ_DECODER))
+	$(call run-selected,FuzzSampleInvariants,./internal/sampling/,-fuzz FuzzSampleInvariants $(FUZZ_DECODER))
 	$(call run-selected,FuzzEnginesMatchOracle,./internal/mgpu/,-fuzz FuzzEnginesMatchOracle $(FUZZ_DECODER))
 	$(call run-selected,FuzzSubmitEnvelope,./internal/service/,-fuzz FuzzSubmitEnvelope $(FUZZ_DECODER))
 	$(call run-selected,FuzzQASMParse,./internal/qasm/,-fuzz FuzzQASMParse $(FUZZ_DECODER))
@@ -241,24 +238,34 @@ ci-fuzz: build
 # (lanes_noasm.go). This keeps that build vetted and the statevec test
 # binary linking on arm64, and runs the Go bodies as the body: 386 is
 # not amd64 and runs natively on an amd64 host, so the short statevec
-# suite holds them to the reference loops there. The last leg builds the
-# Go loops for GOAMD64=v3, where the compiler may fuse a multiply and an
-# add into one FMA wherever no float64() conversion forbids it: the one
-# code generation that could round them differently from the assembly
-# bodies, held to them by the same suite. A v3 binary does not start on
-# a CPU without every x86-64-v3 feature (V3_FLAGS, as /proc/cpuinfo
-# names them; abm is LZCNT), so there the leg is built and not run.
+# suite holds them to the reference loops there. The sampler rides
+# along: its seeded counts must not depend on the architecture (its
+# logarithm is Go code, and every product that feeds an add is rounded
+# on its own), so its short suite under 386 compares them to the hashes
+# TestSeededCountsPinned holds, and its arm64 assembly, where Go fuses
+# a multiply and an add that no float64() conversion keeps apart, must
+# hold no fused multiply-add. The last legs build both packages for
+# GOAMD64=v3, where the compiler may fuse a multiply and an add into one
+# FMA wherever no float64() conversion forbids it: the one code
+# generation that could round the Go loops differently from the
+# assembly bodies, and a draw differently from its pin, held to them by
+# the same suites. A v3 binary does not start on a CPU without every
+# x86-64-v3 feature (V3_FLAGS, as /proc/cpuinfo names them; abm is
+# LZCNT), so there the legs are built and not run.
 V3_FLAGS = avx avx2 bmi1 bmi2 f16c fma abm movbe
+PORTABLE_PKGS = ./internal/statevec/ ./internal/sampling/
 
 ci-portable:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/statevec/
-	GOARCH=386 $(GO) test -short -count=1 ./internal/statevec/
-	GOAMD64=v3 $(GO) test -c -o /dev/null ./internal/statevec/
+	GOARCH=386 $(GO) test -short -count=1 $(PORTABLE_PKGS)
+	@if GOARCH=arm64 $(GO) build -gcflags=-S ./internal/sampling/ 2>&1 | grep -E 'FN?M(ADD|SUB)D'; then \
+		echo "ci-portable: the sampler fuses a multiply and an add on arm64 (above): round the product with float64()"; exit 1; fi
+	for p in $(PORTABLE_PKGS); do GOAMD64=v3 $(GO) test -c -o /dev/null $$p || exit 1; done
 	@if (for f in $(V3_FLAGS); do grep -qw $$f /proc/cpuinfo 2>/dev/null || exit 1; done); then \
-		echo 'GOAMD64=v3 $(GO) test -short -count=1 ./internal/statevec/'; \
-		GOAMD64=v3 $(GO) test -short -count=1 ./internal/statevec/; \
-	else echo "ci-portable: this CPU is not x86-64-v3; the GOAMD64=v3 leg was built, not run"; fi
+		echo 'GOAMD64=v3 $(GO) test -short -count=1 $(PORTABLE_PKGS)'; \
+		GOAMD64=v3 $(GO) test -short -count=1 $(PORTABLE_PKGS); \
+	else echo "ci-portable: this CPU is not x86-64-v3; the GOAMD64=v3 legs were built, not run"; fi
 
 # Chaos acceptance: the seeded fault-injection suite, race-enabled.
 # Injected disk faults, short writes, execution panics, and tight

@@ -17,9 +17,7 @@ import (
 	"qgear/internal/qcrank"
 	"qgear/internal/qft"
 	"qgear/internal/qimage"
-	"qgear/internal/qmath"
 	"qgear/internal/randcirc"
-	"qgear/internal/sampling"
 	"qgear/internal/statevec"
 	"qgear/internal/tensorenc"
 )
@@ -315,59 +313,6 @@ func BenchmarkAblationMGPUDevices(b *testing.B) {
 		b.Run(fmt.Sprintf("devices=%d", d), func(b *testing.B) {
 			runTarget(b, c, backend.Config{Target: backend.TargetNvidiaMGPU, Devices: d})
 		})
-	}
-}
-
-// Sampler choice at the two shapes the benchmark workloads sample:
-// qft_exec's (2^21 outcomes, 4096 shots — Sample takes the cumulative
-// path) and qcrank_mgpu's (2^15 outcomes, 1 536 000 shots — the alias
-// path, also split over two workers as backend.Run draws it on two
-// ranks), plus one alias shape whose 64 MiB table is DRAM-resident, as
-// at the paper's QCrank scale, where a draw's one-entry column read
-// shows, serial and offered two and four workers (SampleParallel takes
-// at most two chunks there: four shots per outcome). MB/s is the
-// probability vector consumed per second.
-func BenchmarkAblationSamplers(b *testing.B) {
-	for _, shape := range []struct {
-		name            string
-		outcomes, shots int
-		aliasOnly       bool  // 2^24 sorted draws would dwarf the alias run
-		split           []int // an alias_w<N> row per worker count N
-	}{
-		{"qft_2p21_x4096", 1 << 21, 4096, false, nil},
-		{"qcrank_2p15_x1536000", 1 << 15, 1536000, false, []int{2}},
-		{"dram_2p22_x2p24", 1 << 22, 1 << 24, true, []int{2, 4}},
-	} {
-		probs := make([]float64, shape.outcomes)
-		r := qmath.NewRNG(2)
-		for i := range probs {
-			probs[i] = r.Float64()
-		}
-		type sampler struct {
-			name   string
-			sample func([]float64, int, *qmath.RNG) (sampling.Counts, error)
-		}
-		samplers := []sampler{{"alias", sampling.SampleAlias}}
-		for _, w := range shape.split {
-			w := w
-			samplers = append(samplers, sampler{fmt.Sprintf("alias_w%d", w), func(probs []float64, shots int, rng *qmath.RNG) (sampling.Counts, error) {
-				return sampling.SampleParallel(probs, shots, w, rng)
-			}})
-		}
-		if !shape.aliasOnly {
-			samplers = append(samplers, sampler{"cumulative", sampling.SampleCumulative})
-		}
-		for _, s := range samplers {
-			b.Run(shape.name+"/"+s.name, func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(int64(8 * shape.outcomes))
-				for i := 0; i < b.N; i++ {
-					if _, err := s.sample(probs, shape.shots, qmath.NewRNG(uint64(i))); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

@@ -44,7 +44,7 @@ func Example_quickstart() {
 	// kernel: ghz_16q_kernel over 16 qubits
 	// ran on nvidia
 	// P(|0...0>) = 0.5000   P(|1...1>) = 0.5000
-	// sampled 10000 shots: 4987 zeros-string, 5013 ones-string
+	// sampled 10000 shots: 4980 zeros-string, 5020 ones-string
 }
 
 // Expectation values as a first-class job kind. A transverse-field
@@ -173,21 +173,21 @@ func Example_serveEmbedded() {
 	fmt.Printf("GHZ-16 fingerprint: %s (stable: %v)\n",
 		qgear.Fingerprint(a)[:16]+"...", qgear.Fingerprint(a) == qgear.Fingerprint(b))
 	// Output:
-	// round 1 job j-00000001: done cached=false shots=500 distinct-outcomes=384
-	// round 1 job j-00000002: done cached=false shots=500 distinct-outcomes=298
-	// round 1 job j-00000003: done cached=false shots=500 distinct-outcomes=377
-	// round 1 job j-00000004: done cached=false shots=500 distinct-outcomes=349
-	// round 1 job j-00000005: done cached=false shots=500 distinct-outcomes=353
-	// round 1 job j-00000006: done cached=false shots=500 distinct-outcomes=316
-	// round 1 job j-00000007: done cached=false shots=500 distinct-outcomes=413
-	// round 1 job j-00000008: done cached=false shots=500 distinct-outcomes=414
-	// round 2 job j-00000009: done cached=true  shots=500 distinct-outcomes=384
-	// round 2 job j-00000010: done cached=true  shots=500 distinct-outcomes=298
-	// round 2 job j-00000011: done cached=true  shots=500 distinct-outcomes=377
-	// round 2 job j-00000012: done cached=true  shots=500 distinct-outcomes=349
-	// round 2 job j-00000013: done cached=true  shots=500 distinct-outcomes=353
-	// round 2 job j-00000014: done cached=true  shots=500 distinct-outcomes=316
-	// round 2 job j-00000015: done cached=true  shots=500 distinct-outcomes=413
-	// round 2 job j-00000016: done cached=true  shots=500 distinct-outcomes=414
+	// round 1 job j-00000001: done cached=false shots=500 distinct-outcomes=406
+	// round 1 job j-00000002: done cached=false shots=500 distinct-outcomes=304
+	// round 1 job j-00000003: done cached=false shots=500 distinct-outcomes=387
+	// round 1 job j-00000004: done cached=false shots=500 distinct-outcomes=365
+	// round 1 job j-00000005: done cached=false shots=500 distinct-outcomes=378
+	// round 1 job j-00000006: done cached=false shots=500 distinct-outcomes=327
+	// round 1 job j-00000007: done cached=false shots=500 distinct-outcomes=419
+	// round 1 job j-00000008: done cached=false shots=500 distinct-outcomes=413
+	// round 2 job j-00000009: done cached=true  shots=500 distinct-outcomes=406
+	// round 2 job j-00000010: done cached=true  shots=500 distinct-outcomes=304
+	// round 2 job j-00000011: done cached=true  shots=500 distinct-outcomes=387
+	// round 2 job j-00000012: done cached=true  shots=500 distinct-outcomes=365
+	// round 2 job j-00000013: done cached=true  shots=500 distinct-outcomes=378
+	// round 2 job j-00000014: done cached=true  shots=500 distinct-outcomes=327
+	// round 2 job j-00000015: done cached=true  shots=500 distinct-outcomes=419
+	// round 2 job j-00000016: done cached=true  shots=500 distinct-outcomes=413
 	// GHZ-16 fingerprint: ad10a42ce6f886e2... (stable: true)
 }

@@ -441,12 +441,13 @@ func addDistSpans(tr *telemetry.Trace, wall, exchange time.Duration) {
 // as RunCompiled does for cfg, so schedulers that defer sampling (the
 // service layer) still match a standalone Run bit for bit.
 //
-// A large alias draw runs on the run's own worker budget
-// (SampleWorkers): every nvidia-mgpu rank's workers, or the device's on
-// the other single-device targets, as many of them as GOMAXPROCS and
-// the draw's shots per outcome let pay (sampling.SampleParallel). Each
-// worker draws a contiguous slice of the one seeded stream, so the
-// counts are the serial draw's at every budget. On the mqpu target the
+// A large draw runs on the run's own worker budget (SampleWorkers):
+// every nvidia-mgpu rank's workers, or the device's on the other
+// single-device targets, one for every 2^14 shots at most
+// (sampling.SampleParallel). The workers share out fixed subtrees of
+// the sampler's sum tree, each drawn on random streams keyed by its
+// nodes and the seed, so the counts are the same at every budget and
+// equal sampling.Sample's for the same seed. On the mqpu target the
 // shot budget is instead split across the simulated QPUs, each on a
 // seed of its own, and sampled side by side on statevec's pool — the
 // multi-shot parallelism of the paper's ref. [23] (and the reason §3

@@ -65,12 +65,12 @@ func TestShotSampling(t *testing.T) {
 	}
 }
 
-// TestSampledCountsIgnoreTheWorkerBudget: a large seeded draw splits
-// over the run's worker budget — nvidia at 1, 2 and 4 workers,
-// nvidia-mgpu at 2×1 and 4×1 — and every split gives the counts of the
-// serial draw of the same probabilities.
+// TestSampledCountsIgnoreTheWorkerBudget: a large seeded draw runs on
+// the run's worker budget — nvidia at 1, 2 and 4 workers, nvidia-mgpu at
+// 2×1 and 4×1 — and every budget gives the counts of the one-worker
+// draw of the same probabilities.
 func TestSampledCountsIgnoreTheWorkerBudget(t *testing.T) {
-	const shots = 300000 // four chunks' worth of the sampler's floor
+	const shots = 300000 // past 2^14 shots for each of four workers
 	c := oracle.Soup(12, 150, qmath.NewRNG(8))
 	c.MeasureAll()
 	var want sampling.Counts

@@ -43,12 +43,11 @@ func noGC(t *testing.T) {
 }
 
 // TestWarmedRunAllocatesWhatItReturns: a warmed 16-qubit sampled
-// RunCompiled allocates its 8·2^n probability vector plus a term linear
-// in the shots — no second state, no outcome-sized table — and every
-// such run is a free-list hit that leaves exactly its slab behind. With
-// enough shots for the alias table, the table is one more hit (on one
-// device, the slab the run's state just released) and the run adds only
-// the table's worklist and the Counts it returns.
+// RunCompiled allocates its 8·2^n probability vector and the Counts it
+// returns — no second state, no outcome-sized table: the sampler's sum
+// tree and output come off the scratch list — and every such run is a
+// free-list hit that leaves exactly its slab behind, as many hits at
+// three shots per outcome as at 1000 shots.
 func TestWarmedRunAllocatesWhatItReturns(t *testing.T) {
 	noGC(t)
 	const n = 16
@@ -57,7 +56,7 @@ func TestWarmedRunAllocatesWhatItReturns(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.MeasureAll()
-	hits := map[Target]uint64{} // slab takes of a cumulative-path run
+	hits := map[Target]uint64{} // slab takes of a 1000-shot run
 	for _, tc := range []struct {
 		target Target
 		shots  int
@@ -69,7 +68,6 @@ func TestWarmedRunAllocatesWhatItReturns(t *testing.T) {
 		{TargetNvidia, 3 << n, 8},
 		{TargetNvidiaMGPU, 3 << n, 8},
 	} {
-		alias := tc.shots > 1000
 		what := fmt.Sprintf("%s shots=%d", tc.target, tc.shots)
 		cfg := Config{Target: tc.target, Devices: 2, Workers: 2, Shots: tc.shots, Seed: 7}
 		comp, err := Compile(c, cfg)
@@ -89,23 +87,19 @@ func TestWarmedRunAllocatesWhatItReturns(t *testing.T) {
 		if after.Misses != before.Misses || after.Hits == before.Hits {
 			t.Errorf("%s: warmed run was not a free-list hit: %+v, before %+v", what, after, before)
 		}
-		if !alias {
+		if got, ok := hits[tc.target]; !ok {
 			hits[tc.target] = after.Hits - before.Hits
-		} else if got := after.Hits - before.Hits; got != hits[tc.target]+1 {
-			t.Errorf("%s: %d slab hits, want %d: the state's and one for the alias table", what, got, hits[tc.target]+1)
+		} else if after.Hits-before.Hits != got {
+			t.Errorf("%s: %d slab hits, want %d: the sampler takes no slab", what, after.Hits-before.Hits, got)
 		}
 		if after.RetainedBytes != before.RetainedBytes {
 			t.Errorf("%s: retained bytes moved %d → %d over a run", what, before.RetainedBytes, after.RetainedBytes)
 		}
-		// The probabilities; per shot the sorted draw (8 B) and at worst a
-		// Counts entry of its own — or, on the alias path, the worklist
-		// (8·2^n) and the Counts as returned; 128 KiB for the result, its
-		// trace, tile scratch and the rank mailboxes.
-		limit := uint64(tc.probs<<n + 160*tc.shots + 128<<10)
-		if alias {
-			counts := artifacttest.AllocBytes(func() { _ = make(sampling.Counts, len(res.Counts)) })
-			limit = uint64(tc.probs<<n+8<<n+128<<10) + counts
-		}
+		// The probabilities and the Counts as returned; 128 KiB for the
+		// result, its trace, tile scratch, the rank mailboxes and the
+		// sampler's record.
+		counts := artifacttest.AllocBytes(func() { _ = make(sampling.Counts, len(res.Counts)) })
+		limit := uint64(tc.probs<<n+128<<10) + counts
 		if grew > limit {
 			t.Errorf("%s: warmed run allocated %d bytes, want ≤ %d (%d·2^n = %d)", what, grew, limit, tc.probs, tc.probs<<n)
 		}

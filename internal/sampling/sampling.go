@@ -3,28 +3,40 @@
 // half of the paper's QCrank runtime budget (§3), which for large
 // images rivals the unitary computation itself.
 //
-// Two samplers are provided: a cumulative-distribution sampler
-// (simple, O(log N) per shot) and an alias-table sampler (O(1) per shot
-// after O(N) setup), the right tool for the paper's 3M–98M shot QCrank
-// runs. Both are deterministic given an RNG.
+// Every caller wants a histogram, never a list of shots, so the
+// multinomial histogram is drawn directly, by conditional binomial
+// splitting down a sum tree (Davis, The computer generation of
+// multinomial random variates, CSDA 1993): a node that receives k shots
+// sends a Binomial(k, left/total) share of them to its left child and
+// the rest to its right. The tree's leaves are blocks of 64 outcomes,
+// whose sums the pass that validates the probabilities writes, and a
+// block splits its shots down six more levels, its own sum tree over
+// its entries. A node that receives at most 32 shots draws them one at
+// a time instead: each walks down to its outcome by comparisons and a
+// scan of its block. So a draw costs about one binomial per node its
+// shots reach, which stops growing with the shot count once shots
+// outnumber outcomes, and reads only the blocks its shots land in.
+// Binomials are exact: a Bernoulli draw for one shot, inversion up to a
+// mean of 30, BTPE (Kachitvichyanukul & Schmeiser, CACM 1988) above.
 //
-// The serial draw is the reference: shot s of an alias draw reads
-// outputs 2s and 2s+1 of the RNG's stream. SampleParallel splits a large
-// alias draw into contiguous shot ranges on several workers; each
-// starts from a copy of the generator jumped (qmath.RNG.Jump) to its
-// range's first output and counts into a histogram of its own. The
-// histograms sum to the serial draw's, bit for bit at every worker
-// count, since integer sums do not depend on their order, and the
-// caller's RNG ends where the serial loop leaves it.
+// Every node draws on a stream of its own, keyed by the node's index
+// and one output of the caller's RNG, so the counts are a pure function
+// of the probabilities' bits, the shots and the seed, however many
+// workers SampleParallel hands the top subtrees to. They do not depend
+// on the architecture either: BTPE's logarithm is computed in Go here
+// (math.Log has an amd64 assembly body), and every product that feeds
+// an add is rounded on its own (float64()), so no fused multiply-add
+// can change a draw.
 package sampling
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"unsafe"
 
 	"qgear/internal/qmath"
@@ -106,360 +118,521 @@ func (c Counts) Marginal(qubits []int) Counts {
 	return out
 }
 
-// SampleCumulative draws shots by inverting the cumulative distribution
-// of probs: a shot lands on the first outcome whose running sum reaches
-// its uniform draw. probs must be non-negative; it is normalized
-// internally so small fp drift in Σp is tolerated.
-//
-// No cumulative table is built: the draws are taken in RNG order,
-// sorted, and placed by one merge pass over probs carrying the running
-// sum the table would hold — the counts of a binary search of that table
-// per shot, bit for bit, for 8 bytes per shot and one map insert per
-// distinct outcome. The pass that totals probs keeps the running sum at
-// the end of every block of 2^ckBits outcomes (scratch off the state
-// slab free list's table side), and the merge steps over every block
-// whose sum is below the current draw instead of through it.
-func SampleCumulative(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
-	if shots < 0 {
-		return nil, fmt.Errorf("sampling: negative shots %d", shots)
-	}
-	var ck []float64
-	if blocks := (len(probs) - 1) >> ckBits; blocks > 0 {
-		ck = statevec.TakeScratch(bits.Len(uint(blocks - 1)))[:blocks]
-		defer statevec.PutScratch(ck)
-	}
-	total, err := sum(probs, ck)
-	if err != nil {
-		return nil, err
-	}
-	xs := make([]float64, shots)
-	for s := range xs {
-		xs[s] = rng.Float64() * total
-	}
-	slices.Sort(xs)
+// blockBits is log2 of the outcomes in one leaf of the sum tree: a
+// block is 64 outcomes, one 512-byte stretch of probs.
+const blockBits = 6
 
-	counts := make(Counts)
-	last := len(probs) - 1
-	// i is the outcome the previous draw landed on, cum the table's entry
-	// for it. Draws ascend and the table never descends, so each search
-	// resumes here: on to the first i with cum ≥ x, past a zero-probability
-	// plateau aliasing onto that boundary, never past the last outcome
-	// (where a NaN draw, being below no entry, ends up as well). A block
-	// whose checkpoint is below x (a NaN one never is) holds no entry at
-	// or above x, so the search would step through all of it.
-	i, cum := 0, probs[0]
-	for s := 0; s < shots; {
-		for x := xs[s]; i < last && (!(cum >= x) || probs[i] == 0); {
-			if b := i >> ckBits; b < len(ck) && ck[b] < x {
-				i = (b + 1) << ckBits
-				cum = ck[b] + probs[i]
-				continue
-			}
-			i++
-			cum += probs[i]
-		}
-		run := s
-		for s++; s < shots && xs[s] <= cum; s++ {
-		}
-		counts[uint64(i)] += s - run
-	}
-	return counts, nil
-}
+// walkShots is the most shots a node draws one at a time; more split
+// between its children by a binomial.
+const walkShots = 32
 
-// ckBits is log2 of the outcomes between two of SampleCumulative's
-// checkpoints: a block is 64 outcomes, one 512-byte stretch of probs.
-const ckBits = 6
+// topTasks is how many subtrees the draw is cut into, at a fixed level
+// of the tree so that the cut cannot change a count: the level above
+// it is split on the caller, and workers claim the subtrees one at a
+// time, so one held up elsewhere holds little of the draw.
+const topTasks = 64
 
-// sum validates a distribution and returns its sequential total. It
-// stores the running total after outcome 2^ckBits·(b+1) − 1 in ck[b], for
-// every b ck holds: the blocks that end before the last outcome.
-func sum(probs, ck []float64) (float64, error) {
-	var total float64
-	for i, p := range probs {
-		if p < 0 {
-			return 0, fmt.Errorf("sampling: negative probability at %d", i)
-		}
-		total += p
-		if b := i >> ckBits; i&(1<<ckBits-1) == 1<<ckBits-1 && b < len(ck) {
-			ck[b] = total
-		}
-	}
-	if total <= 0 {
-		return 0, fmt.Errorf("sampling: zero total probability")
-	}
-	return total, nil
-}
-
-// AliasTable is a Walker alias table for O(1) categorical sampling. An
-// outcome's column is one 16-byte entry — the probability of keeping
-// the outcome in the real part, its alias index in the imaginary part
-// (an index below 2^53 is exact in a float64) — so a draw reads one
-// entry, one cache line however far the table outgrows the cache.
-type AliasTable struct {
-	cols []complex128
-}
-
-// NewAliasTable builds the table in O(N) and one N-length worklist.
-func NewAliasTable(probs []float64) (*AliasTable, error) {
-	total, err := aliasTotal(probs)
-	if err != nil {
-		return nil, err
-	}
-	t := &AliasTable{cols: make([]complex128, len(probs))}
-	t.build(probs, total, make([]int, len(probs)))
-	return t, nil
-}
-
-// aliasTotal validates a distribution an alias table can be built over.
-func aliasTotal(probs []float64) (float64, error) {
-	if len(probs) == 0 {
-		return 0, fmt.Errorf("sampling: empty distribution")
-	}
-	return sum(probs, nil)
-}
-
-// build fills t's columns from probs, whose sum is total. The scaled
-// probabilities settle in place into the real parts, and the small and
-// large worklists are two stacks growing from the two ends of work (an
-// outcome is on exactly one of them until it is paired).
-func (t *AliasTable) build(probs []float64, total float64, work []int) {
-	cols := t.cols
-	n := len(cols)
-	small, large := 0, n // the stacks are work[:small] and work[large:]
-	push := func(i int) {
-		if real(cols[i]) < 1 {
-			work[small] = i
-			small++
-		} else {
-			large--
-			work[large] = i
-		}
-	}
-	for i, p := range probs {
-		cols[i] = complex(p/total*float64(n), 0)
-		push(i)
-	}
-	for small > 0 && large < n {
-		small--
-		s, l := work[small], work[large]
-		large++
-		cols[s] = complex(real(cols[s]), float64(l))
-		cols[l] = complex(real(cols[l])-(1-real(cols[s])), 0)
-		push(l)
-	}
-	// One stack is empty now; the other's outcomes keep whole columns.
-	for _, i := range append(work[:small], work[large:]...) {
-		cols[i] = complex(1, float64(i))
-	}
-}
-
-// Draw returns one sample.
-func (t *AliasTable) Draw(rng *qmath.RNG) uint64 {
-	i := rng.Intn(len(t.cols))
-	col := t.cols[i]
-	if rng.Float64() < real(col) {
-		return uint64(i)
-	}
-	return uint64(imag(col))
-}
-
-// SampleAlias draws shots with an alias table, on the caller, and
-// allocates little but the Counts it returns. The table is 16 bytes
-// per outcome, a whole state slab for 2^n outcomes: it is taken from
-// the slab free list — after a run, the slab the run's state just
-// released — and given back once the shots are drawn. The worklist is
-// dead once the table is built and becomes the dense histogram (no hash
-// per shot) that turns into a presized Counts once. It is the
-// one-worker case of SampleParallel's draw.
-func SampleAlias(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
-	return sampleAlias(probs, shots, 1, rng)
-}
-
-// minChunkShots is the fewest shots a chunk of a parallel alias draw
-// takes. BenchmarkSample's small_2p10 rows (two cores) put the split's
-// gain at a quarter of the draw with 2^14 shots a chunk and near a third
-// with 2^16: a chunk's fixed cost is 0.1–0.15 ms there, of which its
-// jump is 4–7 µs (BenchmarkJump), against 7–10 ns a shot.
-const minChunkShots = 1 << 16
-
-// aliasChunks is how many chunks SampleParallel draws shots in: one per
-// worker, but no more than GOMAXPROCS can run at once, each of at least
-// minChunkShots shots, and few enough that c chunks keep
-// c·(c−1)·outcomes ≤ shots. Every chunk past the first counts into an
-// outcome-sized histogram, zeroed and summed on the caller; the last
-// rule holds those (c−1)·outcomes entries to the shots one chunk draws.
-// So that scratch is at most 8 bytes per shot of a chunk (16 after its
-// power-of-two rounding), and its serial zeroing and merge, about a
-// nanosecond an entry, stays a small share of a chunk's draw (7–12 ns
-// a shot for a table in cache, over 100 for one in DRAM), however many
-// workers the run has. The rule is conservative: BenchmarkSample's
-// dram_2p22 rows (two cores) show two chunks still paying at half a
-// shot per outcome each, and at most a tenth at an eighth.
-func aliasChunks(outcomes, shots, workers int) int {
-	c := max(1, min(workers, runtime.GOMAXPROCS(0), shots/minChunkShots))
-	for c > 1 && (c-1)*outcomes > shots/c {
-		c--
-	}
-	return c
-}
-
-// sampleAlias is the alias draw in at most chunks contiguous shot
-// ranges, one per statevec.ParallelFor index. The first range counts into
-// the worklist, every other into its own stretch of one scratch array
-// off the free list's table side, summed into the worklist afterwards.
-// Range [lo, hi) draws on a copy of rng jumped by 2·lo outputs (each
-// shot reads two) held in a local value, and the last range's end state
-// is rng's: where the serial loop leaves it.
-func sampleAlias(probs []float64, shots, chunks int, rng *qmath.RNG) (Counts, error) {
-	if shots < 0 {
-		return nil, fmt.Errorf("sampling: negative shots %d", shots)
-	}
-	total, err := aliasTotal(probs)
-	if err != nil {
-		return nil, err
-	}
-	n := len(probs)
-	t := AliasTable{cols: tableCols(n)}
-	size := (shots + chunks - 1) / max(1, chunks) // shots per range
-	more := 0                                     // the ranges after the first
-	var scratch []float64
-	if chunks > 1 && shots > size {
-		// Taken before the worklist is allocated, like the table: a GC
-		// cycle that allocation starts cannot age it off the list.
-		more = (shots+size-1)/size - 1
-		scratch = statevec.TakeScratch(bits.Len(uint(more*n - 1)))
-	}
-	hist := make([]int, n)
-	t.build(probs, total, hist)
-	clear(hist)
-	if more == 0 {
-		*rng = drawInto(t.cols, hist, *rng, shots)
-	} else {
-		hists := unsafe.Slice((*int)(unsafe.Pointer(unsafe.SliceData(scratch))), more*n) // an int is at most 8 bytes
-		start, cols := *rng, t.cols
-		statevec.ParallelFor(more+1, more+1, func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				h := hist
-				if c > 0 {
-					h = hists[(c-1)*n : c*n]
-				}
-				from, to := c*size, min((c+1)*size, shots)
-				r := start
-				r.Jump(2 * uint64(from))
-				if r = drawInto(cols, h, r, to-from); to == shots {
-					*rng = r
-				}
-			}
-		})
-		for c := 0; c < more; c++ {
-			for i, v := range hists[c*n : (c+1)*n] {
-				hist[i] += v
-			}
-		}
-		statevec.PutScratch(scratch)
-	}
-	statevec.PutSlab(t.cols)
-	distinct := 0
-	for _, c := range hist {
-		if c > 0 {
-			distinct++
-		}
-	}
-	counts := make(Counts, distinct)
-	for i, c := range hist {
-		if c > 0 {
-			counts[uint64(i)] = c
-		}
-	}
-	return counts, nil
-}
-
-// drawInto draws shots from the table cols on r, counting each outcome
-// in hist, and returns r's end state. Shot by shot it is Draw, bit for
-// bit, with Draw's calls taken out of the loop: r's outputs come a
-// block at a time (Fill), Intn's remainder is a mask for 2^k
-// outcomes — every state vector's — and the choice between a column's
-// outcome and its alias is a mask too: a branch on it is a coin flip the
-// predictor misses about half the time (a third of the draw's time on
-// BenchmarkSample's qcrank shape).
-func drawInto(cols []complex128, hist []int, r qmath.RNG, shots int) qmath.RNG {
-	var buf [512]uint64 // 256 shots' outputs
-	n := uint64(len(cols))
-	mask, pow2 := n-1, n&(n-1) == 0
-	for shots > 0 {
-		out := buf[:2*min(shots, len(buf)/2)]
-		r.Fill(out)
-		for j := 0; j < len(out); j += 2 {
-			i := out[j] & mask
-			if !pow2 {
-				i = out[j] % n
-			}
-			col := cols[i]
-			alias := uint64(int64(imag(col))) // below 2^53: exact either way
-			var keep uint64
-			if qmath.UnitFloat(out[j+1]) < real(col) {
-				keep = 1
-			}
-			i = alias ^ (i^alias)&-keep
-			hist[i]++
-		}
-		shots -= len(out) / 2
-	}
-	return r
-}
-
-// tableCols returns n zeroed table columns: a slab off the state free
-// list when n is one (2^k outcomes, k ≤ statevec.MaxQubits), and a
-// fresh array the free list will not take back otherwise.
-func tableCols(n int) []complex128 {
-	if k := bits.Len(uint(n)) - 1; n == 1<<k && k <= statevec.MaxQubits {
-		return statevec.TakeSlab(k)
-	}
-	return make([]complex128, n)
-}
-
-// usesAlias is Sample's choice: the alias table when the shots amortize
-// its O(N) build — then shots > N/4, so the dense histogram is under 32
-// bytes per shot — and the cumulative merge otherwise.
-func usesAlias(outcomes, shots int) bool {
-	return shots > outcomes/4 && shots > 1024
-}
-
-// PeakBytes bounds what SampleParallel allocates on workers, working
-// set and returned Counts together: admission control's price of a
-// job's shots. A Counts entry is a map slot and its share of an
-// at-worst half-empty bucket array, 64 bytes; grown by insertion it
-// costs that twice, for the arrays growth left behind.
-func PeakBytes(outcomes, shots, workers int) int64 {
-	distinct := int64(max(0, min(outcomes, shots)))
-	if usesAlias(outcomes, shots) {
-		// The table (a state slab when it hits the free list) and the
-		// worklist that becomes the histogram; a presized Counts; past
-		// one chunk, the other chunks' histograms, one power-of-two
-		// scratch array when the scratch list has none to hand.
-		b := 24*int64(outcomes) + 64*distinct
-		if more := aliasChunks(outcomes, shots, workers) - 1; more > 0 {
-			b += 8 << uint(bits.Len(uint(more*outcomes-1)))
-		}
-		return b
-	}
-	// A sorted draw and a grown Counts entry per shot; the checkpoints,
-	// a power of two of them, when the scratch list has none to hand.
-	return (8+128)*distinct + 16*int64(max(0, outcomes-1)>>ckBits)
-}
-
-// Sample picks the faster sampler for the workload, on the caller.
+// Sample draws shots from probs on the caller: SampleParallel on one
+// worker, with the same counts.
 func Sample(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
 	return SampleParallel(probs, shots, 1, rng)
 }
 
-// SampleParallel is Sample on up to workers goroutines: a large alias
-// draw is split into as many chunks as aliasChunks allows, with the
-// serial draw's counts and end state (see the package doc). The
-// cumulative path stays on the caller.
+// SampleParallel draws a histogram of shots from the distribution
+// probs, which need not sum to 1, on up to workers goroutines (see the
+// package doc); the counts do not depend on workers. probs must be
+// finite and non-negative with a positive total. The draw takes one
+// output of rng, none when shots is 0.
 func SampleParallel(probs []float64, shots, workers int, rng *qmath.RNG) (Counts, error) {
-	if usesAlias(len(probs), shots) {
-		return sampleAlias(probs, shots, aliasChunks(len(probs), shots, workers), rng)
+	if shots < 0 {
+		return nil, fmt.Errorf("sampling: negative shots %d", shots)
 	}
-	return SampleCumulative(probs, shots, rng)
+	if len(probs) == 0 {
+		return nil, fmt.Errorf("sampling: empty distribution")
+	}
+	leaves, outWords := shape(len(probs), shots)
+	t := &tree{probs: probs, leaves: leaves, tasks: min(leaves, topTasks), workers: workers}
+	t.sums = statevec.TakeScratch(bits.Len(uint(2*leaves - 1)))
+	defer statevec.PutScratch(t.sums)
+	if err := t.sum(); err != nil {
+		return nil, err
+	}
+	if shots == 0 {
+		return Counts{}, nil
+	}
+	t.out = statevec.TakeScratch(bits.Len(uint(outWords - 1)))
+	defer statevec.PutScratch(t.out)
+	t.key = rng.Uint64()
+	return t.draw(shots), nil
+}
+
+// tree is one draw: its sum tree and its output, each a scratch array
+// off the free list's table side, and the cut into top subtrees.
+type tree struct {
+	probs []float64
+	// sums[i] is node i's probability: the root is node 1, node i's
+	// children are 2i and 2i+1, and block b is leaf node leaves+b.
+	sums   []float64
+	leaves int // blocks, rounded up to a power of two
+	// The top subtrees are the nodes tasks to 2·tasks−1: shots[i] is
+	// what node i receives, for i below 2·tasks, and subtree j appends
+	// its outcomes as (index, count) pairs to out from start[j], at most
+	// twice the lesser of its shots and its outcomes, ending at end[j].
+	tasks      int
+	shots      [2 * topTasks]int
+	start, end [topTasks]int
+	out        []float64
+	next       atomic.Int64 // the next subtree a worker claims
+	key        uint64       // the caller's RNG output every stream is keyed by
+	workers    int          // the workers offered
+}
+
+// shape returns the sum tree's leaves and the float64 words the output
+// of a draw of shots over outcomes needs: two per outcome drawn.
+func shape(outcomes, shots int) (leaves, outWords int) {
+	return 1 << bits.Len(uint((outcomes-1)>>blockBits)), 2 * min(shots, outcomes)
+}
+
+// sum validates probs and fills the tree's sums: the blocks' (on the
+// workers offered when there are many) and then every node's. A negative
+// entry makes its block's sum NaN, and a NaN, infinite or overflowing
+// one makes the root non-finite, so one check of the root finds all of
+// them.
+func (t *tree) sum() error {
+	if blocks := (len(t.probs)-1)>>blockBits + 1; blocks >= 1<<10 && t.workers > 1 {
+		statevec.ParallelFor(blocks, t.workers, t.blockSums)
+	} else {
+		t.blockSums(0, blocks)
+	}
+	for i := t.leaves - 1; i >= 1; i-- {
+		t.sums[i] = t.sums[2*i] + t.sums[2*i+1]
+	}
+	switch total := t.sums[1]; {
+	case total == 0:
+		return fmt.Errorf("sampling: zero total probability")
+	case total <= math.MaxFloat64:
+		return nil
+	}
+	for i, p := range t.probs {
+		switch {
+		case math.IsNaN(p) || math.IsInf(p, 0):
+			return fmt.Errorf("sampling: non-finite probability at %d", i)
+		case p < 0:
+			return fmt.Errorf("sampling: negative probability at %d", i)
+		}
+	}
+	return fmt.Errorf("sampling: total probability overflows")
+}
+
+// blockSums fills the sums of blocks lo to hi−1.
+func (t *tree) blockSums(lo, hi int) {
+	for b := lo; b < hi; b++ {
+		t.sums[t.leaves+b] = blockSum(t.probs[b<<blockBits : min((b+1)<<blockBits, len(t.probs))])
+	}
+}
+
+// blockSum is the sum of one block's entries, or NaN if one is
+// negative. Four interleaved partial sums keep the adds independent (one
+// running sum would be a chain of dependent adds as long as probs); the
+// sign bits are ORed alongside, and only a block with one set (a
+// negative entry or a −0) is looked at again.
+func blockSum(ps []float64) float64 {
+	var s0, s1, s2, s3 float64
+	var sign uint64
+	j := 0
+	for ; j+4 <= len(ps); j += 4 {
+		p := ps[j : j+4 : j+4]
+		s0, s1, s2, s3 = s0+p[0], s1+p[1], s2+p[2], s3+p[3]
+		sign |= math.Float64bits(p[0]) | math.Float64bits(p[1]) | math.Float64bits(p[2]) | math.Float64bits(p[3])
+	}
+	for ; j < len(ps); j++ {
+		s0 += ps[j]
+		sign |= math.Float64bits(ps[j])
+	}
+	if sign>>63 != 0 {
+		for _, p := range ps {
+			if p < 0 {
+				return math.NaN()
+			}
+		}
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// draw sends shots down the tree: through the levels above the top
+// subtrees on the caller, then the subtrees, on up to one worker for
+// every 2^14 shots; then gathers the outcomes.
+func (t *tree) draw(shots int) Counts {
+	t.shots[1] = shots
+	for node := 1; node < t.tasks; node++ {
+		if k := t.shots[node]; k > 0 {
+			x := t.split(node, k)
+			t.shots[2*node], t.shots[2*node+1] = x, k-x
+		}
+	}
+	span := t.leaves / t.tasks << blockBits // outcomes a subtree covers
+	at := 0
+	for j := 0; j < t.tasks; j++ {
+		t.start[j], t.end[j] = at, at
+		at += 2 * min(t.shots[t.tasks+j], max(0, min(span, len(t.probs)-j*span)))
+	}
+	if w := min(t.workers, shots>>14); w > 1 {
+		statevec.ParallelFor(w, w, t.subtrees)
+	} else {
+		t.subtrees(0, 1)
+	}
+	distinct := 0
+	for j := 0; j < t.tasks; j++ {
+		distinct += (t.end[j] - t.start[j]) / 2
+	}
+	counts := make(Counts, distinct)
+	for j := 0; j < t.tasks; j++ {
+		pairs := t.out[t.start[j]:t.end[j]]
+		for e := 0; e < len(pairs); e += 2 {
+			counts[uint64(pairs[e])] = int(pairs[e+1])
+		}
+	}
+	return counts
+}
+
+// subtrees draws top subtrees until none is left to claim: one
+// worker's share of the draw, whatever its (lo, hi).
+func (t *tree) subtrees(int, int) {
+	for j := int(t.next.Add(1)) - 1; j < t.tasks; j = int(t.next.Add(1)) - 1 {
+		if k := t.shots[t.tasks+j]; k > 0 {
+			from := t.start[j]
+			t.end[j] = from + len(t.descend(t.tasks+j, k, t.out[from:from]))
+		}
+	}
+}
+
+// split draws how many of the k shots node receives go to its left
+// child.
+func (t *tree) split(node, k int) int {
+	r := t.stream(node)
+	return binomial(&r, k, t.sums[2*node]/t.sums[node])
+}
+
+// descend draws the k shots node receives down to its outcomes and
+// appends them to out: one at a time when they are few, and otherwise
+// split between its children, or, at a block, down the block's own
+// tree.
+func (t *tree) descend(node, k int, out []float64) []float64 {
+	switch {
+	case k <= walkShots:
+		return t.walk(node, k, out)
+	case node >= t.leaves:
+		return t.block(node-t.leaves, k, out)
+	}
+	x := t.split(node, k)
+	if x > 0 {
+		out = t.descend(2*node, x, out)
+	}
+	if x < k {
+		out = t.descend(2*node+1, k-x, out)
+	}
+	return out
+}
+
+// walk draws k ≤ walkShots shots from node one uniform draw each, and
+// appends the outcomes drawn, with their counts, to out. A draw walks
+// down the sum tree, turning left when it is below the left sum or the
+// right one is zero, and otherwise subtracting the left sum and turning
+// right, so it never enters a zero subtree, rounding or not. In its
+// block it lands on the first entry whose running sum exceeds it, which
+// is never a zero entry, or, when the running sum does not reach it
+// (the block's sum was added in another order), on the last non-zero
+// entry. The draws are sorted first: their outcomes come in order, and
+// draws landing in one block share one scan of it.
+func (t *tree) walk(node, k int, out []float64) []float64 {
+	r := t.stream(node)
+	var us [walkShots]float64
+	for s := range us[:k] {
+		us[s] = float64(r.unit() * t.sums[node])
+	}
+	slices.Sort(us[:k])
+	// The scan of block lo: entries before j summed into acc, the last
+	// non-zero one of them at hit.
+	lo, j, acc, hit, run := -1, 0, 0.0, 0, 0
+	var ps []float64
+	for _, u := range us[:k] {
+		i := node
+		for i < t.leaves {
+			if i *= 2; u >= t.sums[i] && t.sums[i+1] > 0 {
+				u -= t.sums[i]
+				i++
+			}
+		}
+		if b := (i - t.leaves) << blockBits; b != lo {
+			if run > 0 {
+				out = append(out, float64(lo+hit), float64(run))
+			}
+			lo, j, acc, run = b, 0, 0, 0
+			ps = t.probs[lo:min(lo+1<<blockBits, len(t.probs))]
+		}
+		prev := hit
+		for ; !(u < acc) && j < len(ps); j++ {
+			if ps[j] > 0 {
+				hit = j
+			}
+			acc += ps[j]
+		}
+		if hit != prev && run > 0 {
+			out = append(out, float64(lo+prev), float64(run))
+			run = 0
+		}
+		run++
+	}
+	return append(out, float64(lo+hit), float64(run))
+}
+
+// block draws k > walkShots shots among block b's outcomes down six
+// more tree levels, the block's own sum tree (nodes 1 to 63, entry j
+// at 64+j) built here, splitting them by binomials as above it, and
+// appends each outcome drawn, with its count, to out.
+func (t *tree) block(b, k int, out []float64) []float64 {
+	lo := b << blockBits
+	ps := t.probs[lo:min(lo+1<<blockBits, len(t.probs))]
+	var sums [2 << blockBits]float64
+	copy(sums[1<<blockBits:], ps)
+	for i := 1<<blockBits - 1; i >= 1; i-- {
+		sums[i] = sums[2*i] + sums[2*i+1]
+	}
+	r := t.stream(t.leaves + b)
+	var n [2 << blockBits]int // shots per node
+	n[1] = k
+	for i := 1; i < 1<<blockBits; i++ {
+		x := 0
+		if n[i] > 0 {
+			x = binomial(&r, n[i], sums[2*i]/sums[i])
+		}
+		n[2*i], n[2*i+1] = x, n[i]-x
+	}
+	for j, c := range n[1<<blockBits : 1<<blockBits+len(ps)] {
+		if c > 0 {
+			out = append(out, float64(lo+j), float64(c))
+		}
+	}
+	return out
+}
+
+// stream is one tree node's random stream: SplitMix64 (Steele, Lea &
+// Flood, OOPSLA 2014) from a state that mixes the draw's key with the
+// node's index.
+type stream uint64
+
+func (t *tree) stream(node int) stream {
+	return stream(mix(t.key ^ uint64(node)*0xd1b54a32d192ed03))
+}
+
+// unit returns the stream's next uniform float64 in [0, 1).
+func (s *stream) unit() float64 {
+	*s += 0x9e3779b97f4a7c15
+	return qmath.UnitFloat(mix(uint64(*s)))
+}
+
+func mix(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// binomial draws from Binomial(n, p) on r, for n ≥ 1 and p in [0, 1].
+func binomial(r *stream, n int, p float64) int {
+	switch {
+	case p == 0:
+		return 0
+	case p == 1:
+		return n
+	case n == 1:
+		if r.unit() < p {
+			return 1
+		}
+		return 0
+	case p > 0.5:
+		return n - binomial(r, n, 1-p)
+	case float64(n)*p <= 30:
+		return inversion(r, n, p)
+	}
+	return btpe(r, n, p)
+}
+
+// inversion walks the probability mass function up from 0 until a
+// uniform draw is spent (BINV, Kachitvichyanukul & Schmeiser), for
+// p ≤ 1/2 and a mean of at most 30. A walk past ten standard deviations
+// above the mean, where rounding has left the uniform, starts over: the
+// tail it cuts weighs under 1e-15.
+func inversion(r *stream, n int, p float64) int {
+	q := 1 - p
+	s := p / q
+	a := float64(float64(n+1) * s)
+	mean := float64(float64(n) * p)
+	stop := min(float64(n), mean+float64(10*math.Sqrt(float64(mean*q)+1)))
+	f0 := pow(q, n)
+	for {
+		u, f := r.unit(), f0
+		for x := 0; float64(x) <= stop; x++ {
+			if u < f {
+				return x
+			}
+			u -= f
+			f = float64(f * (a/float64(x+1) - s))
+		}
+	}
+}
+
+// pow is x^n by squaring: products only, the same bits everywhere. A
+// bit of n picks its factor by index, not by a branch the predictor
+// misses half the time.
+func pow(x float64, n int) float64 {
+	y := 1.0
+	for ; n > 0; n >>= 1 {
+		y = float64(y * [2]float64{1, x}[n&1])
+		x = float64(x * x)
+	}
+	return y
+}
+
+// btpe is Kachitvichyanukul & Schmeiser's BTPE for p ≤ 1/2 and a mean
+// above 30: a triangle, two parallelograms and two exponential tails
+// over the mass function, an immediate accept in the triangle, and
+// otherwise an acceptance test against the mass ratio f(y)/f(m) — by
+// its recurrence near the mode, by a squeeze and Stirling's formula
+// far from it. Every product that feeds an add is rounded on its own.
+func btpe(r *stream, n int, p float64) int {
+	nf, q := float64(n), 1-p
+	npq := float64(float64(nf*p) * q)
+	fm := float64(nf*p) + p
+	m := math.Floor(fm)
+	p1 := math.Floor(float64(2.195*math.Sqrt(npq))-float64(4.6*q)) + 0.5
+	xm := m + 0.5
+	xl, xr := xm-p1, xm+p1
+	c := 0.134 + 20.5/(15.3+m)
+	a := (fm - xl) / (fm - float64(xl*p))
+	laml := float64(a * (1 + float64(a/2)))
+	a = (xr - fm) / float64(xr*q)
+	lamr := float64(a * (1 + float64(a/2)))
+	p2 := float64(p1 * (1 + float64(2*c)))
+	p3 := p2 + c/laml
+	p4 := p3 + c/lamr
+	s := p / q // f(i)/f(i−1) = a/i − s
+	a = float64(s * (nf + 1))
+	for {
+		u := float64(r.unit() * p4)
+		v := r.unit()
+		var y float64
+		switch {
+		case u <= p1: // the triangle
+			return int(math.Floor(xm - float64(p1*v) + u))
+		case u <= p2: // the parallelograms
+			x := xl + (u-p1)/c
+			v = float64(v*c) + 1 - math.Abs(m-x+0.5)/p1
+			if v > 1 {
+				continue
+			}
+			y = math.Floor(x)
+		case u <= p3: // the left tail
+			y = math.Floor(xl + ln(v)/laml)
+			if y < 0 || v == 0 {
+				continue
+			}
+			v = float64(float64(v*(u-p2)) * laml)
+		default: // the right tail
+			y = math.Floor(xr - ln(v)/lamr)
+			if y > nf || v == 0 {
+				continue
+			}
+			v = float64(float64(v*(u-p3)) * lamr)
+		}
+		if k := math.Abs(y - m); k <= 20 || k >= float64(npq/2)-1 {
+			f := 1.0
+			for i := m + 1; i <= y; i++ {
+				f = float64(f * (a/i - s))
+			}
+			for i := y + 1; i <= m; i++ {
+				f /= a/i - s
+			}
+			if v <= f {
+				return int(y)
+			}
+			continue
+		} else {
+			rho := float64((k / npq) * ((float64(k*(k/3+0.625))+1.0/6)/npq + 0.5))
+			t := -float64(k*k) / (2 * npq)
+			lv := ln(v)
+			if lv < t-rho {
+				return int(y)
+			}
+			if lv > t+rho {
+				continue
+			}
+			x1, f1, z, w := y+1, m+1, nf+1-m, nf-y+1
+			if lv <= float64(xm*ln(f1/x1))+float64((nf-m+0.5)*ln(z/w))+
+				float64((y-m)*ln(float64(w*p)/float64(x1*q)))+
+				stirling(f1)+stirling(z)+stirling(x1)+stirling(w) {
+				return int(y)
+			}
+		}
+	}
+}
+
+// stirling is the correction term of Stirling's series for ln x!,
+// 1/12x − 1/360x³ + 1/1260x⁵ − 1/1680x⁷ + 1/1188x⁹, over 166320. (The
+// published BTPE has 13680 for 166320/12 = 13860.)
+func stirling(x float64) float64 {
+	x2 := float64(x * x)
+	return (13860 - (462-(132-(99-140/x2)/x2)/x2)/x2) / x / 166320
+}
+
+// ln is the natural logarithm for x ≥ 0: FreeBSD's e_log.c reduction
+// and minimax polynomial, which math.Log's Go body also uses, written
+// out here so that neither math.Log's amd64 assembly body nor a fused
+// multiply-add can change a draw.
+func ln(x float64) float64 {
+	const (
+		ln2Hi = 6.93147180369123816490e-01
+		ln2Lo = 1.90821492927058770002e-10
+		l1    = 6.666666666666735130e-01
+		l2    = 3.999999999940941908e-01
+		l3    = 2.857142874366239149e-01
+		l4    = 2.222219843214978396e-01
+		l5    = 1.818357216161805012e-01
+		l6    = 1.531383769920937332e-01
+		l7    = 1.479819860511658591e-01
+	)
+	if x == 0 {
+		return math.Inf(-1)
+	}
+	f, e := math.Frexp(x) // x = f·2^e, f in [1/2, 1)
+	if f < math.Sqrt2/2 {
+		f, e = 2*f, e-1
+	}
+	f--
+	k := float64(e)
+	s := f / (2 + f)
+	s2 := float64(s * s)
+	s4 := float64(s2 * s2)
+	t1 := float64(s2 * (l1 + float64(s4*(l3+float64(s4*(l5+float64(s4*l7)))))))
+	t2 := float64(s4 * (l2 + float64(s4*(l4+float64(s4*l6)))))
+	hfsq := float64(float64(0.5*f) * f)
+	return float64(k*ln2Hi) - ((hfsq - (float64(s*(hfsq+t1+t2)) + float64(k*ln2Lo))) - f)
+}
+
+// PeakBytes bounds what SampleParallel allocates, working set and
+// returned Counts together: admission control's price of a job's
+// shots. The working set is the sum tree and the output, each a power
+// of two of float64s, when the scratch list has none to hand, and the
+// draw's record; a Counts entry is a map slot and its share of an
+// at-worst half-empty table, 64 bytes, the map presized. The workers
+// the draw is offered do not change it.
+func PeakBytes(outcomes, shots, workers int) int64 {
+	if outcomes <= 0 || shots < 0 {
+		return 0
+	}
+	leaves, outWords := shape(outcomes, shots)
+	b := int64(8*2*leaves) + int64(unsafe.Sizeof(tree{})) + 256
+	if shots > 0 {
+		b += 8<<uint(bits.Len(uint(outWords-1))) + 64*int64(min(outcomes, shots))
+	}
+	return b
 }

@@ -33,8 +33,7 @@ const runOverheadBytes = 256 << 10
 // exchange buffers (one more amplitude vector across all ranks), each
 // state's phase-table scratch (a rank shard each on mgpu), and the
 // sampler's working set — per simulated QPU on mqpu, which samples its
-// shares concurrently, and with the other chunks' histograms where a
-// large draw is split over the run's workers.
+// shares concurrently.
 func (s *Server) estimateStateBytes(n, shots int) int64 {
 	if n < 0 {
 		return 0

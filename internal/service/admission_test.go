@@ -29,8 +29,8 @@ func drainSlabs(n int) {
 // TestAdmissionPricesAColdRun: estimateStateBytes is at least what a
 // cold run of that job allocates — every state-sized array it will ever
 // hold, measured with the slab free list emptied of its sizes first —
-// on both sampler paths, and is not so far above it that the budget
-// means something else.
+// at few shots and at many per outcome, and is not so far above it that
+// the budget means something else.
 func TestAdmissionPricesAColdRun(t *testing.T) {
 	old := debug.SetGCPercent(-1) // no cycle may age or free anything mid-measurement
 	defer debug.SetGCPercent(old)
@@ -42,7 +42,7 @@ func TestAdmissionPricesAColdRun(t *testing.T) {
 	c.MeasureAll()
 	for _, target := range []backend.Target{backend.TargetNvidia, backend.TargetNvidiaMGPU, backend.TargetNvidiaMQPU} {
 		s := newTestServer(t, Config{Target: target, Devices: 2})
-		for _, shots := range []int{1000, 1<<n/4 + 1, 3 << n} { // cumulative, the first alias count, deep alias
+		for _, shots := range []int{1000, 1<<n/4 + 1, 3 << n} { // walks, a quarter shot an outcome, three shots an outcome
 			cfg := backend.Config{Target: target, Devices: 2, Workers: 2, Shots: shots, Seed: 3}
 			comp, err := backend.Compile(c, cfg)
 			if err != nil {
@@ -71,16 +71,17 @@ func TestAdmissionPricesAColdRun(t *testing.T) {
 }
 
 // TestAdmissionCountsTheSampler: the same circuit fits the budget with
-// few shots and is refused with enough to select the alias table.
+// few shots and is refused with enough that the sampler's output and
+// Counts no longer fit.
 func TestAdmissionCountsTheSampler(t *testing.T) {
 	const n = 14
 	s := newTestServer(t, Config{MaxStateBytes: 30<<n + runOverheadBytes})
 	c := circuit.GHZ(n, true)
 	if _, _, err := s.Run(context.Background(), c, SubmitOptions{Shots: 100, Seed: 1}); err != nil {
-		t.Fatalf("cumulative-path job refused: %v", err)
+		t.Fatalf("100-shot job refused: %v", err)
 	}
 	if _, err := s.Submit(c, SubmitOptions{Shots: 1<<n/4 + 1, Seed: 1}); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("alias-path job under a 30·2^n budget: error %v, want ErrTooLarge", err)
+		t.Fatalf("%d-shot job under a 30·2^n budget: error %v, want ErrTooLarge", 1<<n/4+1, err)
 	}
 	if got := s.estimateStateBytes(60, 0); got <= 0 {
 		t.Fatalf("60-qubit estimate overflowed to %d", got)

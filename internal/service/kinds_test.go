@@ -730,9 +730,9 @@ var goldenMetricHelp = []string{
 	"qgear_queue_depth Jobs waiting in the bounded queue.",
 	"qgear_singleflight_hits_total Submissions attached to an identical in-flight job.",
 	"qgear_stage_duration_seconds Pipeline stage latency, labeled by stage.",
-	"qgear_state_pool_hits_total Slab takes (states, exchange buffers, sampler tables) served from a recycled slab.",
-	"qgear_state_pool_misses_total Slab takes (states, exchange buffers, sampler tables) that had to allocate.",
-	"qgear_state_pool_retained_bytes Bytes of released slabs (states, exchange buffers, sampler tables) held for reuse (dropped after two idle GC cycles).",
+	"qgear_state_pool_hits_total Slab takes (states, exchange buffers) served from a recycled slab.",
+	"qgear_state_pool_misses_total Slab takes (states, exchange buffers) that had to allocate.",
+	"qgear_state_pool_retained_bytes Bytes of released slabs (states, exchange buffers) held for reuse (dropped after two idle GC cycles).",
 	"qgear_store_admission_skips_total Results not persisted because recomputing them is cheaper than a median store load.",
 	"qgear_store_bytes Bytes resident in the persistent store.",
 	"qgear_store_entries Persistent-store entries, labeled by artifact kind.",

@@ -151,13 +151,13 @@ func (s *Server) registerMetrics() {
 	r.CounterFunc("qgear_mgpu_bytes_sent_total", "Bytes moved by distributed buffer exchanges.", nil,
 		locked(func() float64 { return float64(s.stats.MgpuBytesSent) }))
 
-	// The slab free list (states, mgpu exchange buffers, alias-sampler
-	// tables): process-wide, so not in /v1/stats.
-	r.CounterFunc("qgear_state_pool_hits_total", "Slab takes (states, exchange buffers, sampler tables) served from a recycled slab.", nil,
+	// The slab free list (states, mgpu exchange buffers): process-wide,
+	// so not in /v1/stats.
+	r.CounterFunc("qgear_state_pool_hits_total", "Slab takes (states, exchange buffers) served from a recycled slab.", nil,
 		func() float64 { return float64(statevec.SlabStats().Hits) })
-	r.CounterFunc("qgear_state_pool_misses_total", "Slab takes (states, exchange buffers, sampler tables) that had to allocate.", nil,
+	r.CounterFunc("qgear_state_pool_misses_total", "Slab takes (states, exchange buffers) that had to allocate.", nil,
 		func() float64 { return float64(statevec.SlabStats().Misses) })
-	r.GaugeFunc("qgear_state_pool_retained_bytes", "Bytes of released slabs (states, exchange buffers, sampler tables) held for reuse (dropped after two idle GC cycles).", nil,
+	r.GaugeFunc("qgear_state_pool_retained_bytes", "Bytes of released slabs (states, exchange buffers) held for reuse (dropped after two idle GC cycles).", nil,
 		func() float64 { return float64(statevec.SlabStats().RetainedBytes) })
 
 	// Queue and worker pool.

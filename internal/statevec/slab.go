@@ -12,8 +12,8 @@ import (
 // thing it allocates and the one thing it never returns, so New takes a
 // 2^n-amplitude slab from here and Release gives it back: a warmed
 // process allocates per run what the run hands its caller and nothing
-// state-sized. The distributed engine's exchange buffers and the alias
-// sampler's tables (16 bytes per outcome) come from the same list.
+// state-sized. The distributed engine's exchange buffers come from the
+// same list.
 //
 // Retention is the standard library object pool's rule without its
 // per-P slots (they hide one large object from a caller that migrated
@@ -37,10 +37,10 @@ type PoolStats struct {
 	RetainedBytes int64
 }
 
-// slabs holds state-sized slabs, exchange buffers and alias tables — what
-// SlabStats counts; tables holds the phase tables of diagonal groups
-// (table.go), a few KiB each, under the same retention rule and out of
-// those counters, so a run's state-slab traffic reads the same whether
+// slabs holds state-sized slabs and exchange buffers — what SlabStats
+// counts; tables holds the phase tables of diagonal groups (table.go), a
+// few KiB each, and the sampler's sum trees and outputs, under the same
+// retention rule and out of those counters, so a run's state-slab traffic reads the same whether
 // or not its circuit groups diagonals.
 var slabs, tables slabList
 
