@@ -5,28 +5,24 @@
 //
 // Every caller wants a histogram, never a list of shots, so the
 // multinomial histogram is drawn directly, by conditional binomial
-// splitting down a sum tree (Davis, The computer generation of
-// multinomial random variates, CSDA 1993): a node that receives k shots
-// sends a Binomial(k, left/total) share of them to its left child and
-// the rest to its right. The tree's leaves are blocks of 64 outcomes,
-// whose sums the pass that validates the probabilities writes, and a
-// block splits its shots down six more levels, its own sum tree over
-// its entries. A node that receives at most 32 shots draws them one at
-// a time instead: each walks down to its outcome by comparisons and a
-// scan of its block. So a draw costs about one binomial per node its
-// shots reach, which stops growing with the shot count once shots
-// outnumber outcomes, and reads only the blocks its shots land in.
-// Binomials are exact: a Bernoulli draw for one shot, inversion up to a
-// mean of 30, BTPE (Kachitvichyanukul & Schmeiser, CACM 1988) above.
+// splitting down a sum tree (Davis, CSDA 1993): a node that receives k
+// shots sends a Binomial(k, left/total) share of them to its left child
+// and the rest to its right. The leaves are blocks of 64 outcomes, whose
+// sums the pass that validates the probabilities writes; a block splits
+// its shots down six more levels, its own sum tree. A node that receives
+// at most 32 shots walks them down one at a time instead. So a draw
+// costs about one binomial per node its shots reach, which stops growing
+// with the shots once they outnumber the outcomes, and reads only the
+// blocks its shots land in. Binomials are exact: Bernoulli for one shot,
+// inversion up to a mean of 30, BTPE (Kachitvichyanukul & Schmeiser,
+// CACM 1988) above.
 //
-// Every node draws on a stream of its own, keyed by the node's index
-// and one output of the caller's RNG, so the counts are a pure function
-// of the probabilities' bits, the shots and the seed, however many
-// workers SampleParallel hands the top subtrees to. They do not depend
-// on the architecture either: BTPE's logarithm is computed in Go here
-// (math.Log has an amd64 assembly body), and every product that feeds
-// an add is rounded on its own (float64()), so no fused multiply-add
-// can change a draw.
+// Every node draws on a stream of its own, keyed by its index and one
+// output of the caller's RNG, so the counts are a pure function of the
+// probabilities' bits, the shots and the seed, however many workers
+// SampleParallel hands the top subtrees to, and on every architecture:
+// BTPE's logarithm is Go code here (math.Log has an amd64 assembly
+// body), and every product that feeds an add is rounded on its own.
 package sampling
 
 import (
@@ -118,31 +114,24 @@ func (c Counts) Marginal(qubits []int) Counts {
 	return out
 }
 
-// blockBits is log2 of the outcomes in one leaf of the sum tree: a
-// block is 64 outcomes, one 512-byte stretch of probs.
-const blockBits = 6
+const (
+	blockBits = 6  // log2 of the outcomes in a leaf of the sum tree, one 512-byte block
+	walkShots = 32 // the most shots a node walks down one at a time
+	// topTasks is how many subtrees the draw is cut into, at a fixed
+	// level so the cut cannot change a count; workers claim them one at a
+	// time, so one held up elsewhere holds little of the draw.
+	topTasks = 64
+)
 
-// walkShots is the most shots a node draws one at a time; more split
-// between its children by a binomial.
-const walkShots = 32
-
-// topTasks is how many subtrees the draw is cut into, at a fixed level
-// of the tree so that the cut cannot change a count: the level above
-// it is split on the caller, and workers claim the subtrees one at a
-// time, so one held up elsewhere holds little of the draw.
-const topTasks = 64
-
-// Sample draws shots from probs on the caller: SampleParallel on one
-// worker, with the same counts.
+// Sample is SampleParallel on the caller alone, with the same counts.
 func Sample(probs []float64, shots int, rng *qmath.RNG) (Counts, error) {
 	return SampleParallel(probs, shots, 1, rng)
 }
 
-// SampleParallel draws a histogram of shots from the distribution
-// probs, which need not sum to 1, on up to workers goroutines (see the
-// package doc); the counts do not depend on workers. probs must be
-// finite and non-negative with a positive total. The draw takes one
-// output of rng, none when shots is 0.
+// SampleParallel draws shots from probs, finite and non-negative with
+// a positive total that need not be 1, on up to workers goroutines, with
+// the same counts on any number; it takes one output of rng, none for
+// zero shots.
 func SampleParallel(probs []float64, shots, workers int, rng *qmath.RNG) (Counts, error) {
 	if shots < 0 {
 		return nil, fmt.Errorf("sampling: negative shots %d", shots)
@@ -166,18 +155,16 @@ func SampleParallel(probs []float64, shots, workers int, rng *qmath.RNG) (Counts
 	return t.draw(shots), nil
 }
 
-// tree is one draw: its sum tree and its output, each a scratch array
-// off the free list's table side, and the cut into top subtrees.
+// tree is one draw. sums and out are scratch off the free list's table
+// side: sums[i] is node i's probability (the root is node 1, node i's
+// children 2i and 2i+1, block b leaf leaves+b), and top subtree j, node
+// tasks+j, appends its outcomes as (index, count) pairs to out from
+// start[j] to end[j], at most twice the lesser of its shots and its
+// outcomes. shots[i] is what node i receives, for i below 2·tasks.
 type tree struct {
-	probs []float64
-	// sums[i] is node i's probability: the root is node 1, node i's
-	// children are 2i and 2i+1, and block b is leaf node leaves+b.
-	sums   []float64
-	leaves int // blocks, rounded up to a power of two
-	// The top subtrees are the nodes tasks to 2·tasks−1: shots[i] is
-	// what node i receives, for i below 2·tasks, and subtree j appends
-	// its outcomes as (index, count) pairs to out from start[j], at most
-	// twice the lesser of its shots and its outcomes, ending at end[j].
+	probs      []float64
+	sums       []float64
+	leaves     int // blocks, rounded up to a power of two
 	tasks      int
 	shots      [2 * topTasks]int
 	start, end [topTasks]int
@@ -187,17 +174,14 @@ type tree struct {
 	workers    int          // the workers offered
 }
 
-// shape returns the sum tree's leaves and the float64 words the output
-// of a draw of shots over outcomes needs: two per outcome drawn.
+// shape returns a draw's sum-tree leaves and output words (two an outcome).
 func shape(outcomes, shots int) (leaves, outWords int) {
 	return 1 << bits.Len(uint((outcomes-1)>>blockBits)), 2 * min(shots, outcomes)
 }
 
-// sum validates probs and fills the tree's sums: the blocks' (on the
-// workers offered when there are many) and then every node's. A negative
-// entry makes its block's sum NaN, and a NaN, infinite or overflowing
-// one makes the root non-finite, so one check of the root finds all of
-// them.
+// sum validates probs and fills the sums, the blocks' on the workers
+// when there are many: a negative entry makes its block's sum NaN, so one
+// check of the root finds every invalid entry.
 func (t *tree) sum() error {
 	if blocks := (len(t.probs)-1)>>blockBits + 1; blocks >= 1<<10 && t.workers > 1 {
 		statevec.ParallelFor(blocks, t.workers, t.blockSums)
@@ -224,44 +208,34 @@ func (t *tree) sum() error {
 	return fmt.Errorf("sampling: total probability overflows")
 }
 
-// blockSums fills the sums of blocks lo to hi−1.
+// blockSums fills the sums of blocks lo to hi−1, NaN for a block with
+// a negative entry: four partial sums, not one chain of dependent adds,
+// and the entries' sign bits ORed, a block with one set (a −0 sets one
+// too) looked at again.
 func (t *tree) blockSums(lo, hi int) {
 	for b := lo; b < hi; b++ {
-		t.sums[t.leaves+b] = blockSum(t.probs[b<<blockBits : min((b+1)<<blockBits, len(t.probs))])
-	}
-}
-
-// blockSum is the sum of one block's entries, or NaN if one is
-// negative. Four interleaved partial sums keep the adds independent (one
-// running sum would be a chain of dependent adds as long as probs); the
-// sign bits are ORed alongside, and only a block with one set (a
-// negative entry or a −0) is looked at again.
-func blockSum(ps []float64) float64 {
-	var s0, s1, s2, s3 float64
-	var sign uint64
-	j := 0
-	for ; j+4 <= len(ps); j += 4 {
-		p := ps[j : j+4 : j+4]
-		s0, s1, s2, s3 = s0+p[0], s1+p[1], s2+p[2], s3+p[3]
-		sign |= math.Float64bits(p[0]) | math.Float64bits(p[1]) | math.Float64bits(p[2]) | math.Float64bits(p[3])
-	}
-	for ; j < len(ps); j++ {
-		s0 += ps[j]
-		sign |= math.Float64bits(ps[j])
-	}
-	if sign>>63 != 0 {
-		for _, p := range ps {
-			if p < 0 {
-				return math.NaN()
-			}
+		ps := t.probs[b<<blockBits : min((b+1)<<blockBits, len(t.probs))]
+		var s0, s1, s2, s3 float64
+		var sign uint64
+		j := 0
+		for ; j+4 <= len(ps); j += 4 {
+			p := ps[j : j+4 : j+4]
+			s0, s1, s2, s3 = s0+p[0], s1+p[1], s2+p[2], s3+p[3]
+			sign |= math.Float64bits(p[0]) | math.Float64bits(p[1]) | math.Float64bits(p[2]) | math.Float64bits(p[3])
 		}
+		for ; j < len(ps); j++ {
+			s0 += ps[j]
+			sign |= math.Float64bits(ps[j])
+		}
+		if sign>>63 != 0 && slices.ContainsFunc(ps, func(p float64) bool { return p < 0 }) {
+			s0 = math.NaN()
+		}
+		t.sums[t.leaves+b] = (s0 + s1) + (s2 + s3)
 	}
-	return (s0 + s1) + (s2 + s3)
 }
 
-// draw sends shots down the tree: through the levels above the top
-// subtrees on the caller, then the subtrees, on up to one worker for
-// every 2^14 shots; then gathers the outcomes.
+// draw sends shots down the levels above the top subtrees on the
+// caller, then the subtrees on up to one worker per 2^14 shots.
 func (t *tree) draw(shots int) Counts {
 	t.shots[1] = shots
 	for node := 1; node < t.tasks; node++ {
@@ -295,8 +269,7 @@ func (t *tree) draw(shots int) Counts {
 	return counts
 }
 
-// subtrees draws top subtrees until none is left to claim: one
-// worker's share of the draw, whatever its (lo, hi).
+// subtrees draws top subtrees until none is left to claim.
 func (t *tree) subtrees(int, int) {
 	for j := int(t.next.Add(1)) - 1; j < t.tasks; j = int(t.next.Add(1)) - 1 {
 		if k := t.shots[t.tasks+j]; k > 0 {
@@ -334,16 +307,14 @@ func (t *tree) descend(node, k int, out []float64) []float64 {
 	return out
 }
 
-// walk draws k ≤ walkShots shots from node one uniform draw each, and
+// walk draws k ≤ walkShots shots from node one uniform draw each and
 // appends the outcomes drawn, with their counts, to out. A draw walks
 // down the sum tree, turning left when it is below the left sum or the
-// right one is zero, and otherwise subtracting the left sum and turning
-// right, so it never enters a zero subtree, rounding or not. In its
-// block it lands on the first entry whose running sum exceeds it, which
-// is never a zero entry, or, when the running sum does not reach it
-// (the block's sum was added in another order), on the last non-zero
-// entry. The draws are sorted first: their outcomes come in order, and
-// draws landing in one block share one scan of it.
+// right one is zero, so it never enters a zero subtree, rounding or not.
+// In its block it lands on the first entry whose running sum exceeds
+// it, never a zero entry, or, when the running sum (added in another
+// order than the block's) does not reach it, on the last non-zero one.
+// Sorted, the draws land in order and share the scans of their blocks.
 func (t *tree) walk(node, k int, out []float64) []float64 {
 	r := t.stream(node)
 	var us [walkShots]float64
@@ -351,11 +322,9 @@ func (t *tree) walk(node, k int, out []float64) []float64 {
 		us[s] = float64(r.unit() * t.sums[node])
 	}
 	slices.Sort(us[:k])
-	// The scan of block lo: entries before j summed into acc, the last
-	// non-zero one of them at hit.
-	lo, j, acc, hit, run := -1, 0, 0.0, 0, 0
-	var ps []float64
-	for _, u := range us[:k] {
+	var at [walkShots]int
+	lo, j, acc, hit := -1, 0, 0.0, 0 // block lo's scan: acc sums the entries before j
+	for s, u := range us[:k] {
 		i := node
 		for i < t.leaves {
 			if i *= 2; u >= t.sums[i] && t.sums[i+1] > 0 {
@@ -364,26 +333,23 @@ func (t *tree) walk(node, k int, out []float64) []float64 {
 			}
 		}
 		if b := (i - t.leaves) << blockBits; b != lo {
-			if run > 0 {
-				out = append(out, float64(lo+hit), float64(run))
-			}
-			lo, j, acc, run = b, 0, 0, 0
-			ps = t.probs[lo:min(lo+1<<blockBits, len(t.probs))]
+			lo, j, acc = b, 0, 0
 		}
-		prev := hit
-		for ; !(u < acc) && j < len(ps); j++ {
+		for ps := t.probs[lo:min(lo+1<<blockBits, len(t.probs))]; !(u < acc) && j < len(ps); j++ {
 			if ps[j] > 0 {
 				hit = j
 			}
 			acc += ps[j]
 		}
-		if hit != prev && run > 0 {
-			out = append(out, float64(lo+prev), float64(run))
-			run = 0
-		}
-		run++
+		at[s] = lo + hit
 	}
-	return append(out, float64(lo+hit), float64(run))
+	for s := 0; s < k; {
+		run := s
+		for s++; s < k && at[s] == at[run]; s++ {
+		}
+		out = append(out, float64(at[run]), float64(s-run))
+	}
+	return out
 }
 
 // block draws k > walkShots shots among block b's outcomes down six
@@ -402,11 +368,10 @@ func (t *tree) block(b, k int, out []float64) []float64 {
 	var n [2 << blockBits]int // shots per node
 	n[1] = k
 	for i := 1; i < 1<<blockBits; i++ {
-		x := 0
 		if n[i] > 0 {
-			x = binomial(&r, n[i], sums[2*i]/sums[i])
+			n[2*i] = binomial(&r, n[i], sums[2*i]/sums[i])
+			n[2*i+1] = n[i] - n[2*i]
 		}
-		n[2*i], n[2*i+1] = x, n[i]-x
 	}
 	for j, c := range n[1<<blockBits : 1<<blockBits+len(ps)] {
 		if c > 0 {
@@ -416,9 +381,8 @@ func (t *tree) block(b, k int, out []float64) []float64 {
 	return out
 }
 
-// stream is one tree node's random stream: SplitMix64 (Steele, Lea &
-// Flood, OOPSLA 2014) from a state that mixes the draw's key with the
-// node's index.
+// stream is a node's random stream: SplitMix64 (Steele, Lea & Flood,
+// OOPSLA 2014) from the draw's key mixed with the node's index.
 type stream uint64
 
 func (t *tree) stream(node int) stream {
@@ -457,11 +421,10 @@ func binomial(r *stream, n int, p float64) int {
 	return btpe(r, n, p)
 }
 
-// inversion walks the probability mass function up from 0 until a
-// uniform draw is spent (BINV, Kachitvichyanukul & Schmeiser), for
-// p ≤ 1/2 and a mean of at most 30. A walk past ten standard deviations
-// above the mean, where rounding has left the uniform, starts over: the
-// tail it cuts weighs under 1e-15.
+// inversion walks the mass function up from 0 until a uniform draw is
+// spent (BINV), for p ≤ 1/2 and a mean of at most 30. A walk past ten
+// standard deviations above the mean, where only rounding leaves the
+// uniform unspent, starts over: the tail it cuts weighs under 1e-15.
 func inversion(r *stream, n int, p float64) int {
 	q := 1 - p
 	s := p / q
@@ -481,9 +444,8 @@ func inversion(r *stream, n int, p float64) int {
 	}
 }
 
-// pow is x^n by squaring: products only, the same bits everywhere. A
-// bit of n picks its factor by index, not by a branch the predictor
-// misses half the time.
+// pow is x^n by squaring, each bit of n picking its factor by index,
+// not by a branch the predictor misses half the time.
 func pow(x float64, n int) float64 {
 	y := 1.0
 	for ; n > 0; n >>= 1 {
@@ -493,12 +455,10 @@ func pow(x float64, n int) float64 {
 	return y
 }
 
-// btpe is Kachitvichyanukul & Schmeiser's BTPE for p ≤ 1/2 and a mean
-// above 30: a triangle, two parallelograms and two exponential tails
-// over the mass function, an immediate accept in the triangle, and
-// otherwise an acceptance test against the mass ratio f(y)/f(m) — by
-// its recurrence near the mode, by a squeeze and Stirling's formula
-// far from it. Every product that feeds an add is rounded on its own.
+// btpe is BTPE for p ≤ 1/2 and a mean above 30: a triangle (accepted
+// at once), two parallelograms and two exponential tails over the mass
+// function, the rest tested against f(y)/f(m) by its recurrence near the
+// mode and by a squeeze and Stirling's series far from it.
 func btpe(r *stream, n int, p float64) int {
 	nf, q := float64(n), 1-p
 	npq := float64(float64(nf*p) * q)
@@ -544,7 +504,8 @@ func btpe(r *stream, n int, p float64) int {
 			}
 			v = float64(float64(v*(u-p3)) * lamr)
 		}
-		if k := math.Abs(y - m); k <= 20 || k >= float64(npq/2)-1 {
+		k := math.Abs(y - m)
+		if k <= 20 || k >= float64(npq/2)-1 {
 			f := 1.0
 			for i := m + 1; i <= y; i++ {
 				f = float64(f * (a/i - s))
@@ -556,22 +517,17 @@ func btpe(r *stream, n int, p float64) int {
 				return int(y)
 			}
 			continue
-		} else {
-			rho := float64((k / npq) * ((float64(k*(k/3+0.625))+1.0/6)/npq + 0.5))
-			t := -float64(k*k) / (2 * npq)
-			lv := ln(v)
-			if lv < t-rho {
-				return int(y)
-			}
-			if lv > t+rho {
-				continue
-			}
-			x1, f1, z, w := y+1, m+1, nf+1-m, nf-y+1
-			if lv <= float64(xm*ln(f1/x1))+float64((nf-m+0.5)*ln(z/w))+
-				float64((y-m)*ln(float64(w*p)/float64(x1*q)))+
-				stirling(f1)+stirling(z)+stirling(x1)+stirling(w) {
-				return int(y)
-			}
+		}
+		rho := float64((k / npq) * ((float64(k*(k/3+0.625))+1.0/6)/npq + 0.5))
+		t, lv := -float64(k*k)/(2*npq), ln(v)
+		if lv < t-rho {
+			return int(y)
+		}
+		x1, f1, z, w := y+1, m+1, nf+1-m, nf-y+1
+		if lv <= t+rho && lv <= float64(xm*ln(f1/x1))+float64((nf-m+0.5)*ln(z/w))+
+			float64((y-m)*ln(float64(w*p)/float64(x1*q)))+
+			stirling(f1)+stirling(z)+stirling(x1)+stirling(w) {
+			return int(y)
 		}
 	}
 }
@@ -590,15 +546,10 @@ func stirling(x float64) float64 {
 // multiply-add can change a draw.
 func ln(x float64) float64 {
 	const (
-		ln2Hi = 6.93147180369123816490e-01
-		ln2Lo = 1.90821492927058770002e-10
-		l1    = 6.666666666666735130e-01
-		l2    = 3.999999999940941908e-01
-		l3    = 2.857142874366239149e-01
-		l4    = 2.222219843214978396e-01
-		l5    = 1.818357216161805012e-01
-		l6    = 1.531383769920937332e-01
-		l7    = 1.479819860511658591e-01
+		ln2Hi, ln2Lo = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+		l1, l2, l3   = 6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01
+		l4, l5       = 2.222219843214978396e-01, 1.818357216161805012e-01
+		l6, l7       = 1.531383769920937332e-01, 1.479819860511658591e-01
 	)
 	if x == 0 {
 		return math.Inf(-1)
@@ -619,12 +570,10 @@ func ln(x float64) float64 {
 }
 
 // PeakBytes bounds what SampleParallel allocates, working set and
-// returned Counts together: admission control's price of a job's
-// shots. The working set is the sum tree and the output, each a power
-// of two of float64s, when the scratch list has none to hand, and the
-// draw's record; a Counts entry is a map slot and its share of an
-// at-worst half-empty table, 64 bytes, the map presized. The workers
-// the draw is offered do not change it.
+// returned Counts together, on any workers: admission control's price
+// of a job's shots. The working set is the draw's record and its two
+// scratch arrays when the list has none to hand; a Counts entry is a
+// map slot and its share of an at-worst half-empty table, 64 bytes.
 func PeakBytes(outcomes, shots, workers int) int64 {
 	if outcomes <= 0 || shots < 0 {
 		return 0
