@@ -176,10 +176,10 @@ func TestSamplerErrors(t *testing.T) {
 }
 
 // TestSampleDispatch: every path of the draw returns exactly its shots
-// and never a zero-probability outcome — a block's scans (up to
-// walkShots shots) and its conditional binomials (more), one block or
-// many, a partial last block, shots on one worker or split over top
-// subtrees — and takes one output of the RNG (none for zero shots).
+// and never a zero-probability outcome — walks (up to walkShots shots
+// at a node) and binomial splits (more), one block or many, a partial
+// last block, shots on one worker or on several — and takes one output
+// of the RNG (none for zero shots).
 func TestSampleDispatch(t *testing.T) {
 	for _, n := range []int{1, 8, 64, 1000, 1 << 16} {
 		probs := make([]float64, n)
