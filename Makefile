@@ -106,13 +106,21 @@ bench-compare:
 
 # Gates that cannot rot: every ci-* target of this Makefile must be run
 # by the workflow, so a gate that is added here and never wired fails
-# CI the day it is added instead of silently never running. The same
-# holds for the one front door: qgear/cmd/qgear is the module's only
-# main package, so a second binary fails CI the day it is added.
+# CI the day it is added instead of silently never running. So must
+# every fuzz target of the module be fuzzed: a func Fuzz… without its
+# ci-fuzz leg fails here (its seed corpus alone runs under go test). The
+# same holds for the one front door: qgear/cmd/qgear is the module's
+# only main package, so a second binary fails CI the day it is added.
 ci-wired:
 	@for t in $$(grep -oE '^ci-[a-z0-9-]+:' Makefile | tr -d ':'); do \
 		grep -Eq "run: make ([a-z0-9-]+ )*$$t( |\$$)" .github/workflows/ci.yml || \
 			{ echo "ci-wired: target $$t is not run by .github/workflows/ci.yml"; unwired=1; }; \
+	done; test -z "$$unwired"
+	@for f in $$(grep -rlE --include='*_test.go' '^func Fuzz' . | grep -v '^\./benchmark/'); do \
+		for fn in $$(grep -oE '^func Fuzz[A-Za-z0-9_]*' $$f | cut -d' ' -f2); do \
+			grep -Eq "run-selected,$$fn,$$(dirname $$f)/,-fuzz $$fn[ )]" Makefile || \
+				{ echo "ci-wired: $$fn ($$f) has no ci-fuzz leg"; unwired=1; }; \
+		done; \
 	done; test -z "$$unwired"
 	@mains="$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./... | sed '/^$$/d')" || exit 1; \
 	test "$$mains" = qgear/cmd/qgear || \
@@ -149,8 +157,9 @@ ci-load: build
 # exchange per rank for each rank part of a flip mask. Readout through
 # a pending permutation rides along too: bit-equal to a materialized
 # readout on every layout, width and worker count, its walk cached per
-# permutation, and the Pauli lane primitive's seed corpus against its Go
-# loop. So does the one dispatcher, statevec.ParallelFor: every index
+# permutation, the grouped and shard Pauli evaluator's seed corpus
+# against its reference loop, and the Pauli lane primitive's against its
+# Go loop. So does the one dispatcher, statevec.ParallelFor: every index
 # covered once, nested calls (more outer chunks than pool workers)
 # finishing, a chunk's panic re-raised on the caller, and a record's
 # generation wrapping at 2^32 — and backend's per-device budget rule
@@ -169,7 +178,7 @@ ci-load: build
 # nothing, BENCHMARK.json does (the sampler's DRAM-sized shapes are
 # there to be read).
 ci-scaling: build
-	$(call run-selected,BitIdentity|EnginesMatchOracle|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape|ProbabilitiesReadThroughPerm|PermTablesCached|FuzzPauliLanes|FuzzScaleTable|PhaseTableMatchesPerIndex|TileRunPassesOverTableCap|CheckGroupsRefuses|DiagGroupRule|UngroupedPlansUnchanged|GroupedPlansBitIdentical|GroupedPlansMatchPerGate|PlanReaderGroupRule|RunSweepGroupedDiagonals|ParallelForCoverage|ParallelForNesting|ParallelForPanic|ParallelForGenerationWrap|RunEachBudget|SupportNeverLies|SupportSkipSameBits|SampledCountsIgnoreTheWorkerBudget|CountsIgnoreWorkers|SeededCountsPinned|MaterializePermRecyclesItsJob,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
+	$(call run-selected,BitIdentity|EnginesMatchOracle|TileOpSize|SegmentSize|PlanCompileAllocBound|PerGatePlan|PerGatePlanAllocBound|SmallStatePlanShape|SplitStateBitIdentical|SplitStateExpectationBitIdentical|TileRunBaseMatchesFullState|PlanReaderRelabelRule|RankBitRelabelCases|WarmedRunAllocatesWhatItReturns|ExpectationMatchesSingleDevice|TFIMRanksShape|ProbabilitiesReadThroughPerm|PermTablesCached|FuzzExpPauliGroup|FuzzPauliLanes|FuzzScaleTable|PhaseTableMatchesPerIndex|TileRunPassesOverTableCap|CheckGroupsRefuses|DiagGroupRule|UngroupedPlansUnchanged|GroupedPlansBitIdentical|GroupedPlansMatchPerGate|PlanReaderGroupRule|RunSweepGroupedDiagonals|ParallelForCoverage|ParallelForNesting|ParallelForPanic|ParallelForGenerationWrap|RunEachBudget|SupportNeverLies|SupportSkipSameBits|SampledCountsIgnoreTheWorkerBudget|CountsIgnoreWorkers|SeededCountsPinned|MaterializePermRecyclesItsJob,./internal/statevec/ ./internal/kernel/ ./internal/mgpu/ ./internal/sampling/ ./internal/backend/)
 	$(GO) test -run '^$$' -bench 'PlanQCrank|PlanQFT21|ExecuteQFT21|PlanPerGate|TileRun|LanePrimitives|ExpPauliGroup|^BenchmarkReadout$$|ExecutePlanQCrank' -benchtime=1x \
 		./internal/statevec/ ./internal/kernel/ ./internal/mgpu/
 	$(GO) test -run '^$$' -bench SmallStateSchedule -benchtime=1x ./internal/backend/
@@ -188,8 +197,11 @@ ci-oneproc: build
 
 # Fixed-budget native fuzzing (seed corpus first, then mutation; a
 # failing input lands in testdata/fuzz and fails the gate): the grouped
-# Pauli evaluator against the per-index reference loop, the lane
-# primitives' assembly bodies against their Go loops (on amd64 the AVX
+# Pauli evaluator, on the whole register and on a rank shard, against
+# the per-index reference loop, and the tile and full-state lane kernels
+# against their complex128 references — both on the AVX bodies and on
+# the Go loops — then the lane primitives' assembly bodies against
+# their Go loops (on amd64 the AVX
 # body of scaleWindows, scaleTable, pairReal and pauliChunks where the
 # CPU has it, and the SSE2 body of pairComplex) — the three
 # amplitude kernels, the Pauli chunk sums, then the phase-table scale
@@ -215,6 +227,7 @@ ci-oneproc: build
 FUZZ_DECODER = -fuzztime 10s -fuzzminimizetime 100x
 ci-fuzz: build
 	$(call run-selected,FuzzExpPauliGroup,./internal/statevec/,-fuzz FuzzExpPauliGroup -fuzztime 20s)
+	$(call run-selected,FuzzKernelBitIdentity,./internal/statevec/,-fuzz FuzzKernelBitIdentity $(FUZZ_DECODER))
 	$(call run-selected,FuzzLanePrimitives,./internal/statevec/,-fuzz FuzzLanePrimitives $(FUZZ_DECODER))
 	$(call run-selected,FuzzPauliLanes,./internal/statevec/,-fuzz FuzzPauliLanes $(FUZZ_DECODER))
 	$(call run-selected,FuzzScaleTable,./internal/statevec/,-fuzz FuzzScaleTable $(FUZZ_DECODER))

@@ -3,12 +3,15 @@ package backend_test
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"qgear/internal/artifact/artifacttest"
 	. "qgear/internal/backend"
 	"qgear/internal/gate"
 	"qgear/internal/kernel"
+	"qgear/internal/oracle"
+	"qgear/internal/qmath"
 	"qgear/internal/statevec"
 )
 
@@ -76,6 +79,46 @@ func FuzzDecodeCompiled(f *testing.F) {
 			}, err
 		})
 	})
+}
+
+// TestCompiledRoundTrip: what Compile produces, tiled and per gate, for the
+// circuits FuzzDecodeCompiled starts from and ten seeded gate soups
+// decodes DeepEqual to itself, and the decoded artifact runs to the
+// original's probabilities bit for bit (max |Δp| = 0) and its
+// fixed-seed shot counts exactly.
+func TestCompiledRoundTrip(t *testing.T) {
+	circuits := artifacttest.SeedCircuits(t)
+	for seed := uint64(0); seed < 10; seed++ {
+		r := qmath.NewRNG(seed)
+		circuits = append(circuits, oracle.Soup(5+r.Intn(4), 50, r))
+	}
+	for i, c := range circuits {
+		for _, tile := range []int{3, -1} { // -1: per gate, the width-0 plan
+			cfg := Config{Target: TargetNvidia, TileBits: tile, Workers: 1, Shots: 500, Seed: 13}
+			comp, err := Compile(c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if comp.Plan == nil || comp.Plan.TileBits != max(tile, 0) {
+				t.Fatalf("circuit %d, tile %d: compiled plan %+v", i, tile, comp.Plan)
+			}
+			decoded, err := DecodeCompiled(bytes.NewReader(encodeCompiled(t, comp)))
+			if err != nil || !reflect.DeepEqual(decoded, comp) {
+				t.Fatalf("circuit %d, tile %d: compiled artifact drifted through encoding (err %v)", i, tile, err)
+			}
+			a, err := RunCompiled(comp, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := RunCompiled(decoded, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(a.Probabilities, b.Probabilities) || !reflect.DeepEqual(a.Counts, b.Counts) {
+				t.Fatalf("circuit %d, tile %d: the decoded artifact runs to other probabilities or counts", i, tile)
+			}
+		}
+	}
 }
 
 // goldenCompiled is written out by hand so the committed bytes move

@@ -2,7 +2,6 @@ package backend
 
 import (
 	"bytes"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -20,63 +19,6 @@ func compileTestCircuit(t *testing.T, cfg Config) *Compiled {
 		t.Fatal(err)
 	}
 	return comp
-}
-
-// TestCompiledRoundTrip: a Compiled encodes and decodes DeepEqual,
-// tiled plan or per-gate schedule.
-func TestCompiledRoundTrip(t *testing.T) {
-	for _, cfg := range []Config{
-		{Target: TargetNvidia, TileBits: 4},
-		{Target: TargetNvidia, TileBits: -1}, // per-gate: the width-0 plan
-	} {
-		comp := compileTestCircuit(t, cfg)
-		if comp.Plan == nil || comp.Plan.TileBits != max(cfg.TileBits, 0) {
-			t.Fatalf("cfg %+v: compiled plan %+v", cfg, comp.Plan)
-		}
-		var buf bytes.Buffer
-		if err := comp.Encode(&buf); err != nil {
-			t.Fatalf("cfg %+v: %v", cfg, err)
-		}
-		got, err := DecodeCompiled(&buf)
-		if err != nil {
-			t.Fatalf("cfg %+v: %v", cfg, err)
-		}
-		if !reflect.DeepEqual(got, comp) {
-			t.Fatalf("cfg %+v: compiled artifact drifted through encoding", cfg)
-		}
-	}
-}
-
-// TestDecodedCompiledRunsIdentically: executing the decoded artifact
-// must reproduce the original's probabilities bit for bit, and its
-// fixed-seed shot counts exactly.
-func TestDecodedCompiledRunsIdentically(t *testing.T) {
-	cfg := Config{Target: TargetNvidia, TileBits: 4, Workers: 1, Shots: 500, Seed: 13}
-	comp := compileTestCircuit(t, cfg)
-	var buf bytes.Buffer
-	if err := comp.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeCompiled(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := RunCompiled(comp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCompiled(decoded, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Probabilities {
-		if a.Probabilities[i] != b.Probabilities[i] {
-			t.Fatalf("probability[%d]: %v vs %v (max |Δp| must be 0)", i, a.Probabilities[i], b.Probabilities[i])
-		}
-	}
-	if !reflect.DeepEqual(a.Counts, b.Counts) {
-		t.Fatalf("fixed-seed counts differ: %v vs %v", a.Counts, b.Counts)
-	}
 }
 
 // TestSizeBytesAccounting: results are charged their probability

@@ -12,6 +12,8 @@ import (
 	"qgear/internal/artifact/artifacttest"
 	"qgear/internal/gate"
 	. "qgear/internal/kernel"
+	"qgear/internal/oracle"
+	"qgear/internal/qmath"
 	"qgear/internal/statevec"
 )
 
@@ -76,6 +78,54 @@ func FuzzDecodeKernel(f *testing.F) {
 			}, err
 		})
 	})
+}
+
+// TestKernelRoundTrip: the kernels FuzzDecodeKernel starts from and twenty
+// seeded gate soups, and their plans per gate, in tiles and in tiles
+// over two rank bits, decode DeepEqual to what was encoded; a decoded
+// single-process plan executes to the original's amplitudes bit for
+// bit.
+func TestKernelRoundTrip(t *testing.T) {
+	kernels := seedKernels(t)
+	for seed := uint64(0); seed < 20; seed++ {
+		r := qmath.NewRNG(seed)
+		k, _, err := FromCircuit(oracle.Soup(6+r.Intn(3), 60, r), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels = append(kernels, k)
+	}
+	for i, k := range kernels {
+		got, err := DecodeKernel(bytes.NewReader(encodeKernelBytes(t, k)))
+		if err != nil || !reflect.DeepEqual(got, k) {
+			t.Fatalf("kernel %d drifted through encoding (err %v):\n got %+v\nwant %+v", i, err, got, k)
+		}
+		for _, cfg := range []PlanConfig{{}, {TileBits: 4}, {TileBits: 3, GlobalBits: 2}} {
+			p, err := Plan(k, cfg)
+			if err != nil {
+				t.Fatalf("kernel %d, %+v: %v", i, cfg, err)
+			}
+			decoded, err := DecodePlan(bytes.NewReader(encodePlanBytes(t, p)))
+			if err != nil || !reflect.DeepEqual(decoded, p) {
+				t.Fatalf("kernel %d, %+v: plan drifted through encoding (err %v)", i, cfg, err)
+			}
+			if cfg.GlobalBits > 0 {
+				continue
+			}
+			a, b := statevec.MustNew(k.NumQubits, 1), statevec.MustNew(k.NumQubits, 1)
+			if err := p.Execute(a); err != nil {
+				t.Fatal(err)
+			}
+			if err := decoded.Execute(b); err != nil {
+				t.Fatal(err)
+			}
+			if pa, pb := a.Amplitudes(), b.Amplitudes(); !slices.Equal(pa, pb) {
+				t.Fatalf("kernel %d, %+v: the decoded plan executes to other amplitudes", i, cfg)
+			}
+			a.Release()
+			b.Release()
+		}
+	}
 }
 
 // width0Plans is the per-gate plan of the first seed circuit and the

@@ -1,14 +1,11 @@
 package kernel
 
 import (
-	"bytes"
 	"math"
-	"reflect"
 	"testing"
 
 	"qgear/internal/gate"
 	"qgear/internal/qmath"
-	"qgear/internal/statevec"
 )
 
 // soupKernel builds a kernel that exercises every plan feature:
@@ -45,81 +42,6 @@ func soupKernel(t *testing.T, n int) *Kernel {
 	}
 	k.Mz()
 	return k
-}
-
-// TestKernelRoundTrip: encode/decode reproduces the kernel exactly.
-func TestKernelRoundTrip(t *testing.T) {
-	k := soupKernel(t, 8)
-	var buf bytes.Buffer
-	if err := EncodeKernel(&buf, k); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeKernel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, k) {
-		t.Fatalf("kernel drifted through encoding:\n got %+v\nwant %+v", got, k)
-	}
-}
-
-// TestPlanRoundTripConfigs: plans compiled under every configuration
-// axis (distributed rank bits) round-trip DeepEqual.
-func TestPlanRoundTripConfigs(t *testing.T) {
-	for _, cfg := range []PlanConfig{
-		{TileBits: 4},
-		{TileBits: 3, GlobalBits: 2},
-	} {
-		k := soupKernel(t, 8)
-		p, err := Plan(k, cfg)
-		if err != nil {
-			t.Fatalf("cfg %+v: %v", cfg, err)
-		}
-		var buf bytes.Buffer
-		if err := EncodePlan(&buf, p); err != nil {
-			t.Fatalf("cfg %+v: %v", cfg, err)
-		}
-		got, err := DecodePlan(&buf)
-		if err != nil {
-			t.Fatalf("cfg %+v: %v", cfg, err)
-		}
-		if !reflect.DeepEqual(got, p) {
-			t.Fatalf("cfg %+v: plan drifted through encoding", cfg)
-		}
-	}
-}
-
-// TestDecodedPlanExecutesIdentically: the decoded plan must produce
-// bit-identical amplitudes to the original plan on the same kernel.
-func TestDecodedPlanExecutesIdentically(t *testing.T) {
-	k := soupKernel(t, 8)
-	p, err := Plan(k, PlanConfig{TileBits: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EncodePlan(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodePlan(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	a := statevec.MustNew(8, 1)
-	b := statevec.MustNew(8, 1)
-	if err := p.Execute(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := decoded.Execute(b); err != nil {
-		t.Fatal(err)
-	}
-	pa, pb := a.Probabilities(), b.Probabilities()
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("probability[%d]: %v vs %v", i, pa[i], pb[i])
-		}
-	}
 }
 
 // TestSizeBytes: sizes are positive, grow with content, and the plan

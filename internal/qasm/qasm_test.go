@@ -10,6 +10,7 @@ import (
 	"qgear/internal/artifact/artifacttest"
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
+	"qgear/internal/oracle"
 	"qgear/internal/qmath"
 )
 
@@ -70,39 +71,42 @@ func allGatesCircuit() *circuit.Circuit {
 	return c
 }
 
-func TestRoundTripAllGates(t *testing.T) {
-	c := allGatesCircuit()
-	src, err := Export(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(src)
-	if err != nil {
-		t.Fatalf("parse failed: %v\nsource:\n%s", err, src)
-	}
-	if !reflect.DeepEqual(normalize(c), normalize(back)) {
-		t.Fatalf("round trip differs:\nwant %+v\ngot  %+v", c, back)
-	}
-}
-
-func TestRoundTripExactAngles(t *testing.T) {
-	// Angles must survive bit-exactly through %.17g.
-	angles := []float64{math.Pi, -math.Pi / 7, 1e-17, 0.1 + 0.2, 2.000000000000004}
+// exactAngles is a circuit of angles that survive only a bit-exact
+// spelling (%.17g).
+func exactAngles() *circuit.Circuit {
 	c := circuit.New(1, 0)
-	for _, a := range angles {
+	for _, a := range []float64{math.Pi, -math.Pi / 7, 1e-17, 0.1 + 0.2, 2.000000000000004} {
 		c.RY(a, 0)
 	}
-	src, err := Export(c)
-	if err != nil {
-		t.Fatal(err)
+	return c
+}
+
+// TestRoundTripAllGates: Export then Parse gives back exactly the
+// circuit written — every gate, bit-exact angles, the empty circuit, the
+// shared seed circuits and thirty seeded gate soups with measurements.
+func TestRoundTripAllGates(t *testing.T) {
+	want := append(artifacttest.SeedCircuits(t), bellCircuit(), allGatesCircuit(), exactAngles(), circuit.New(3, 0))
+	for seed := uint64(0); seed < 30; seed++ {
+		r := qmath.NewRNG(seed)
+		n := 2 + r.Intn(5)
+		c := oracle.Soup(n, r.Intn(40), r)
+		c.NumClbits = n
+		for i := r.Intn(n); i > 0; i-- {
+			c.Measure(r.Intn(n), r.Intn(n))
+		}
+		want = append(want, c)
 	}
-	back, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range angles {
-		if back.Ops[i].Params[0] != a {
-			t.Fatalf("angle %d: %v != %v", i, back.Ops[i].Params[0], a)
+	for i, c := range want {
+		src, err := Export(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Parse(src)
+		if err != nil {
+			t.Fatalf("circuit %d: %v\nsource:\n%s", i, err, src)
+		}
+		if !reflect.DeepEqual(normalize(c), normalize(back)) {
+			t.Errorf("circuit %d: round trip differs:\nwant %+v\ngot  %+v", i, c, back)
 		}
 	}
 }
@@ -177,61 +181,6 @@ func TestExportRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestRandomRoundTripProperty(t *testing.T) {
-	r := qmath.NewRNG(321)
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + r.Intn(5)
-		c := circuit.New(n, n)
-		c.Name = "prop"
-		for i := 0; i < r.Intn(40); i++ {
-			q := r.Intn(n)
-			q2 := (q + 1 + r.Intn(n-1)) % n
-			switch r.Intn(7) {
-			case 0:
-				c.H(q)
-			case 1:
-				c.RY(r.Angle(), q)
-			case 2:
-				c.CX(q, q2)
-			case 3:
-				c.CP(r.Angle(), q, q2)
-			case 4:
-				c.U3(r.Angle(), r.Angle(), r.Angle(), q)
-			case 5:
-				c.Barrier()
-			case 6:
-				c.Measure(q, r.Intn(n))
-			}
-		}
-		src, err := Export(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := Parse(src)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !reflect.DeepEqual(normalize(c), normalize(back)) {
-			t.Fatalf("trial %d: round trip differs", trial)
-		}
-	}
-}
-
-func TestEmptyCircuitRoundTrip(t *testing.T) {
-	c := circuit.New(3, 0)
-	src, err := Export(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumQubits != 3 || len(back.Ops) != 0 {
-		t.Fatal("empty circuit round trip failed")
-	}
-}
-
 // sameCircuit is normalize-equality with parameters compared by bits;
 // any two NaNs are equal, since Export spells every NaN the same way.
 func sameCircuit(a, b *circuit.Circuit) bool {
@@ -255,7 +204,7 @@ func sameCircuit(a, b *circuit.Circuit) bool {
 // times the source (a huge qreg costs nothing per qubit), and whatever it
 // accepts and Export can write re-parses to the same circuit.
 func FuzzQASMParse(f *testing.F) {
-	for _, c := range append(artifacttest.SeedCircuits(f), bellCircuit(), allGatesCircuit(), circuit.New(3, 0)) {
+	for _, c := range append(artifacttest.SeedCircuits(f), bellCircuit(), allGatesCircuit(), exactAngles(), circuit.New(3, 0)) {
 		src, err := Export(c)
 		if err != nil {
 			f.Fatal(err)

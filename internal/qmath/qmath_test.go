@@ -299,26 +299,3 @@ func TestAlmostEqual(t *testing.T) {
 		t.Fatal("NaN must never be almost equal")
 	}
 }
-
-// TestFillMatchesUint64: Fill writes what as many Uint64 calls return
-// and leaves the state where they do, at every length up to a few
-// blocks; UnitFloat of an output is the Float64 drawn from it.
-func TestFillMatchesUint64(t *testing.T) {
-	for n := 0; n <= 1100; n += 1 + n/7 {
-		r, want := NewRNG(uint64(n)), NewRNG(uint64(n))
-		buf := make([]uint64, n)
-		r.Fill(buf)
-		for i, got := range buf {
-			if w := want.Uint64(); got != w {
-				t.Fatalf("len %d: output %d is %#x, Uint64 gave %#x", n, i, got, w)
-			}
-		}
-		if r.s != want.s {
-			t.Fatalf("len %d: Fill left the state at %#x, Uint64 at %#x", n, r.s, want.s)
-		}
-		x := *r
-		if UnitFloat(x.Uint64()) != r.Float64() {
-			t.Fatalf("len %d: UnitFloat differs from Float64", n)
-		}
-	}
-}

@@ -57,16 +57,6 @@ func (r *RNG) Uint64() uint64 {
 	return out
 }
 
-// Fill writes the next len(buf) outputs into buf: what len(buf) calls
-// of Uint64 return, with the state held in registers across the loop.
-func (r *RNG) Fill(buf []uint64) {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for i := range buf {
-		buf[i], s0, s1, s2, s3 = step(s0, s1, s2, s3)
-	}
-	r.s = [4]uint64{s0, s1, s2, s3}
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 { return UnitFloat(r.Uint64()) }
 

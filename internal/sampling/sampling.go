@@ -572,16 +572,22 @@ func ln(x float64) float64 {
 // PeakBytes bounds what SampleParallel allocates, working set and
 // returned Counts together, on any workers: admission control's price
 // of a job's shots. The working set is the draw's record and its two
-// scratch arrays when the list has none to hand; a Counts entry is a
-// map slot and its share of an at-worst half-empty table, 64 bytes.
+// scratch arrays when the list has none to hand; after a GC cycle,
+// handing an array back can cost the list a slot array and a sentinel
+// (56 bytes), and waiting for the workers the runtime a sudog (96); a
+// Counts entry is a map slot and its share of an at-worst half-empty
+// table, 64 bytes.
 func PeakBytes(outcomes, shots, workers int) int64 {
 	if outcomes <= 0 || shots < 0 {
 		return 0
 	}
 	leaves, outWords := shape(outcomes, shots)
-	b := int64(8*2*leaves) + int64(unsafe.Sizeof(tree{})) + 256
+	b := int64(8*2*leaves) + int64(unsafe.Sizeof(tree{})) + 256 + 56
+	if workers > 1 {
+		b += 96
+	}
 	if shots > 0 {
-		b += 8<<uint(bits.Len(uint(outWords-1))) + 64*int64(min(outcomes, shots))
+		b += 56 + 8<<uint(bits.Len(uint(outWords-1))) + 64*int64(min(outcomes, shots))
 	}
 	return b
 }

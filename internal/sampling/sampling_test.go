@@ -15,6 +15,7 @@ import (
 	"unsafe"
 
 	"qgear/internal/qmath"
+	"qgear/internal/statevec"
 )
 
 func TestBitstring(t *testing.T) {
@@ -358,7 +359,12 @@ func TestCountsIgnoreWorkers(t *testing.T) {
 // a draw allocates, cold or warm and on any worker count; a warm draw's
 // scratch comes off the free list, so it allocates its Counts and its
 // record (the tree value) and little else; and the working set scales
-// with the blocks and the shots, not the outcomes.
+// with the blocks and the shots, not the outcomes. A cold draw is one
+// after two GC cycles with no draw between them have aged every scratch
+// array off the list (its finalizer runs after a cycle): it allocates
+// its own scratch and pays the list, and the runtime caches a cycle
+// empties, for handing it back; a try the finalizer was too late for is
+// not counted.
 func TestSamplerWorkingSet(t *testing.T) {
 	sample := func(n, shots, w int) int64 {
 		t.Helper()
@@ -374,23 +380,51 @@ func TestSamplerWorkingSet(t *testing.T) {
 		if err != nil || c.Total() != shots {
 			t.Fatalf("n=%d w=%d shots=%d: %v, total %d", n, w, shots, err, c.Total())
 		}
-		grew := int64(after.TotalAlloc - before.TotalAlloc)
-		if limit := PeakBytes(n, shots, w); grew > limit {
-			t.Errorf("n=%d w=%d shots=%d: SampleParallel allocated %d bytes, PeakBytes prices it at %d", n, w, shots, grew, limit)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	// least is the least of three draws, each held to PeakBytes: what
+	// another goroutine allocates meanwhile (a GC worker's, the
+	// finalizer's) lands in some windows, not in all three.
+	least := func(n, shots, w int, cold bool) int64 {
+		t.Helper()
+		best := int64(math.MaxInt64)
+		for seen, try := 0, 0; seen < 3; try++ {
+			if try == 30 {
+				t.Fatalf("n=%d w=%d shots=%d: no draw in 30 found the scratch list empty", n, w, shots)
+			}
+			if cold {
+				runtime.GC()
+				runtime.GC()
+			}
+			grew := sample(n, shots, w)
+			if cold && grew < 8*2*int64(n>>blockBits) {
+				continue
+			}
+			best, seen = min(best, grew), seen+1
 		}
-		return grew
+		if limit := PeakBytes(n, shots, w); best > limit {
+			t.Errorf("n=%d w=%d shots=%d: SampleParallel allocated %d bytes, PeakBytes prices it at %d", n, w, shots, best, limit)
+		}
+		return best
 	}
 	const n = 1 << 16
+	statevec.ParallelFor(2, 2, func(int, int) {}) // the dispatcher's pool starts once a process, not per draw
+	for _, w := range []int{1, 4} {
+		for _, shots := range []int{0, 1024} {
+			least(n, shots, w, true)
+		}
+	}
 	for _, w := range []int{1, 2, 4, 64} {
 		for _, shots := range []int{0, 1, 1024, n / 4, 2 * n, 4 * n} {
-			sample(n, shots, w)
-			warm := sample(n, shots, w)
+			warm := least(n, shots, w, false)
 			if counts := 64 * int64(min(n, shots)); warm > counts+int64(unsafe.Sizeof(tree{}))+512 {
 				t.Errorf("n=%d w=%d shots=%d: a warm draw allocated %d bytes, its Counts about %d", n, w, shots, warm, counts)
 			}
 		}
 	}
-	sample(1<<20, 1<<21, 64)
+	if grew, limit := sample(1<<20, 1<<21, 64), PeakBytes(1<<20, 1<<21, 64); grew > limit {
+		t.Errorf("2^20 outcomes, 2^21 shots: SampleParallel allocated %d bytes, PeakBytes prices it at %d", grew, limit)
+	}
 	for _, outcomes := range []int{1, 2, 1000, 1 << 15, 1 << 22, 1 << 24} {
 		for _, shots := range []int{0, 1, 4096, 1536000, 98 << 20} {
 			for _, w := range []int{1, 2, 16, 512} {

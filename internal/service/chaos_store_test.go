@@ -165,6 +165,19 @@ func TestChaosManifestReplayAfterKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The abandoned spiller goes on landing s1's backlog after the test
+	// body; the directory is removed only once it has.
+	t.Cleanup(func() {
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			s1.mu.Lock()
+			backlog := len(s1.pendingSpills)
+			s1.mu.Unlock()
+			if backlog == 0 {
+				return
+			}
+		}
+		t.Error("s1's spill backlog never drained")
+	})
 	want := make([][]float64, len(circs))
 	for i, c := range circs {
 		res, _, err := s1.Run(ctx, c, SubmitOptions{Shots: 150, Seed: uint64(i)})

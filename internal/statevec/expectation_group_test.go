@@ -113,22 +113,57 @@ func refShard(s *State, a shardArgs) (float64, int) {
 	return treeSum(partials), 1 << uint(m)
 }
 
+// refTermShard folds term t of a total-qubit register into the
+// reference arguments of s as the shard holding rank's amplitudes (rank
+// 0 of a register as wide as s is s itself), as the distributed engine
+// did term by term before shards ran the grouped sweep — a constant
+// phase and parity seed from the rank bits, a pivot of −1 on a rank bit
+// — and returns the sum of the shard's chunks: 0 when it owns none of
+// them (the pivot rank bit is set, or a Z string on rank bits only is
+// even here).
+func refTermShard(s *State, t PauliTerm, total, rank int, partner []complex128) float64 {
+	local := s.n
+	lmask := uint64(1)<<uint(local) - 1
+	a := shardArgs{XMask: t.X & lmask, YMask: t.Y & lmask, ZMask: t.Z & lmask, Partner: partner,
+		ChunkBits: min(expChunkBits(total), local-1)}
+	hi := uint64(rank)
+	if flip := t.X | t.Y; flip != 0 {
+		a.Flip = true
+		a.Phase0 = iPow(bits.OnesCount64(t.Y))
+		if bits.OnesCount64(hi&((t.Y|t.Z)>>uint(local)))&1 == 1 {
+			a.Phase0 = -a.Phase0
+		}
+		a.Pivot = bits.TrailingZeros64(flip)
+		if a.Pivot >= local {
+			a.Pivot = -1
+			if hi>>uint(bits.TrailingZeros64(flip)-local)&1 == 1 {
+				return 0
+			}
+		}
+	} else {
+		parity := bits.OnesCount64(hi&(t.Z>>uint(local))) & 1
+		a.Pivot = bits.TrailingZeros64(t.Z)
+		if a.Pivot >= local {
+			a.Pivot = -1 // the whole shard is on one side of the parity
+			if parity == 0 {
+				return 0
+			}
+		}
+		a.ParityBase = parity
+	}
+	v, _ := refShard(s, a)
+	return v
+}
+
 // refExpPauli is the old ExpPauli over refShard.
 func refExpPauli(s *State, t PauliTerm) float64 {
-	if t.X|t.Y|t.Z == 0 {
+	switch {
+	case t.X|t.Y|t.Z == 0:
 		return 1
+	case t.X|t.Y == 0:
+		return 1 - 2*refTermShard(s, t, s.n, 0, nil)
 	}
-	args := shardArgs{XMask: t.X, YMask: t.Y, ZMask: t.Z, ChunkBits: expChunkBits(s.n)}
-	if flip := t.X | t.Y; flip != 0 {
-		args.Flip = true
-		args.Phase0 = iPow(bits.OnesCount64(t.Y))
-		args.Pivot = bits.TrailingZeros64(flip)
-		v, _ := refShard(s, args)
-		return v
-	}
-	args.Pivot = bits.TrailingZeros64(t.Z)
-	sOdd, _ := refShard(s, args)
-	return 1 - 2*sOdd
+	return refTermShard(s, t, s.n, 0, nil)
 }
 
 // groupLayouts are the amplitude layouts the grouped sweep must read
@@ -214,147 +249,95 @@ func edgeTerms(n int) []PauliTerm {
 	return terms
 }
 
-func checkGroup(t testing.TB, s *State, ev *PauliEvaluator, terms []PauliTerm, what string) {
-	got, _, err := ev.ExpPauliGroup(terms, nil)
-	if err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
+// checkGroup holds ExpPauliGroup over terms, through each of evs and on
+// every body the lane wrappers take here, to the reference loop bit for
+// bit — and ExpPauli of each of the first three terms alone to it too,
+// with its visit count: 2^(n−1), none for the identity.
+func checkGroup(t testing.TB, s *State, terms []PauliTerm, what string, evs ...*PauliEvaluator) {
+	want := make([]float64, len(terms))
 	for i, term := range terms {
-		want := refExpPauli(s, term)
-		if math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Fatalf("%s: term %d (%x/%x/%x): grouped %.17g (%x) != reference %.17g (%x)",
-				what, i, term.X, term.Y, term.Z, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
-		}
+		want[i] = refExpPauli(s, term)
 	}
-}
-
-// TestExpPauliGroupMatchesReference holds the grouped block sweep to
-// the old per-index loop, bit for bit, over register sizes, worker
-// counts, layouts, random strings and the block-geometry corner cases
-// — at the real resident bound and at one shrunk so far that every high
-// flip bit takes the two-sided path.
-func TestExpPauliGroupMatchesReference(t *testing.T) {
-	r := qmath.NewRNG(0x9a0f15)
-	for n := 1; n <= 17; n++ {
-		for _, workers := range []int{1, 2, 3} {
-			for _, layout := range groupLayouts {
-				if n == 1 && layout != "identity" {
-					continue
+	wrapperBodies(func(body string) {
+		for _, ev := range evs {
+			at := fmt.Sprintf("%s, resident %d (%s)", what, ev.residentBits, body)
+			got, _, err := ev.ExpPauliGroup(terms, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			for i, term := range terms {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: term %d (%x/%x/%x): grouped %.17g (%x) != reference %.17g (%x)",
+						at, i, term.X, term.Y, term.Z, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 				}
-				s := layoutState(t, n, workers, layout, r)
-				terms := edgeTerms(n)
-				for len(terms) < 40 {
-					terms = append(terms, randomTerm(n, r))
+			}
+			for i, term := range terms[:min(3, len(terms))] {
+				one, visited, err := ev.ExpPauli(term.X, term.Y, term.Z)
+				if err != nil {
+					t.Fatal(err)
 				}
-				ev := s.PauliEvaluator()
-				what := fmt.Sprintf("n=%d workers=%d %s", n, workers, layout)
-				checkGroup(t, s, ev, terms, what+" full group")
-
-				// A term alone and inside the 40-term group: same bits.
-				for _, i := range []int{3, 7, len(terms) - 1} {
-					one, visited, err := ev.ExpPauli(terms[i].X, terms[i].Y, terms[i].Z)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := refExpPauli(s, terms[i]); math.Float64bits(one) != math.Float64bits(want) {
-						t.Fatalf("%s: one-term group %.17g != reference %.17g", what, one, want)
-					}
-					if visited != 1<<uint(n-1) {
-						t.Fatalf("%s: visited %d, want %d", what, visited, 1<<uint(n-1))
-					}
+				if math.Float64bits(one) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: term %d alone %.17g != reference %.17g", at, i, one, want[i])
 				}
-
-				small := s.PauliEvaluator()
-				small.residentBits = expChunkBits(n) + 1 + r.Intn(2)
-				checkGroup(t, s, small, terms, what+" shrunk resident set")
+				wantVisits := 1 << uint(s.n-1)
+				if term == (PauliTerm{}) {
+					wantVisits = 0
+				}
+				if visited != wantVisits {
+					t.Fatalf("%s: term %d visited %d, want %d", at, i, visited, wantVisits)
+				}
 			}
 		}
-	}
+	})
 }
 
-// refTermShard folds a whole-register term into shard rank's reference
-// arguments, as the distributed engine did term by term before shards
-// ran the grouped sweep: a constant phase and parity seed from the rank
-// bits, a pivot of −1 on a rank bit. ok is false when the shard owns
-// none of the term's chunks (the pivot rank bit is set, or a Z string
-// on rank bits only is even here).
-func refTermShard(t PauliTerm, local, rank, cb int, partner []complex128) (a shardArgs, ok bool) {
-	lmask := uint64(1)<<uint(local) - 1
-	a = shardArgs{XMask: t.X & lmask, YMask: t.Y & lmask, ZMask: t.Z & lmask, Partner: partner, ChunkBits: cb}
-	hi := uint64(rank)
-	if flip := t.X | t.Y; flip != 0 {
-		a.Flip = true
-		a.Phase0 = iPow(bits.OnesCount64(t.Y))
-		if bits.OnesCount64(hi&((t.Y|t.Z)>>uint(local)))&1 == 1 {
-			a.Phase0 = -a.Phase0
+// checkShard holds the sweeps of one rank shard of a total-qubit
+// register — one SweepShard per rank flip the terms carry, each nonzero
+// one with a random partner shard — through each of evs and on every
+// body the lane wrappers take here, to the per-term reference loop:
+// each term's slots of the slab reduce, bit for bit, to the reference
+// sum of the shard's chunks (the shard's chunks are an aligned
+// power-of-two run of the slots and every other slot stays zero, so the
+// run reduces to the shard's subtree).
+func checkShard(t testing.TB, s *State, total, rank int, terms []PauliTerm, r *qmath.RNG, what string, evs ...*PauliEvaluator) {
+	partners := map[uint64][]complex128{0: nil}
+	want := make([]float64, len(terms))
+	for i, term := range terms {
+		if term == (PauliTerm{}) {
+			continue
 		}
-		a.Pivot = bits.TrailingZeros64(flip)
-		if a.Pivot >= local {
-			a.Pivot = -1
-			return a, hi>>uint(bits.TrailingZeros64(flip)-local)&1 == 0
+		rankFlip := (term.X | term.Y) >> uint(s.n)
+		if _, ok := partners[rankFlip]; !ok {
+			partners[rankFlip] = randAmps(1<<uint(s.n), r)
 		}
-		return a, true
+		want[i] = refTermShard(s, term, total, rank, partners[rankFlip])
 	}
-	parity := bits.OnesCount64(hi&(t.Z>>uint(local))) & 1
-	a.Pivot = bits.TrailingZeros64(t.Z)
-	if a.Pivot >= local {
-		a.Pivot = -1 // the whole shard is on one side of the parity
-		return a, parity == 1
-	}
-	a.ParityBase = parity
-	return a, true
-}
-
-// TestShardMatchesReference drives the evaluator on one rank shard of a
-// wider register — terms with X/Y/Z factors on rank bits, partner
-// buffers for pairs across the rank boundary, pivots on rank bits,
-// rank-bit parity and phase, and worlds of up to 64 ranks, whose shards
-// are smaller than one canonical chunk — and holds the shard's slots of
-// the partial slab to the per-term reference loop, bit for bit.
-func TestShardMatchesReference(t *testing.T) {
-	r := qmath.NewRNG(0x5ba2d)
-	for trial := 0; trial < 500; trial++ {
-		local := 1 + r.Intn(15)
-		total := local + r.Intn(7)
-		rank := r.Intn(1 << uint(total-local))
-		layout := groupLayouts[r.Intn(len(groupLayouts))]
-		if local == 1 {
-			layout = "identity"
+	wrapperBodies(func(body string) {
+		for _, ev := range evs {
+			at := fmt.Sprintf("%s, resident %d (%s)", what, ev.residentBits, body)
+			slab, err := ev.PartialSlab(terms)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			for rankFlip, partner := range partners {
+				if _, err := ev.SweepShard(terms, slab, rankFlip, partner, nil); err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+			}
+			nChunks, slot := 1<<uint(total-1-ev.chunkBits()), 0
+			for i, term := range terms {
+				if term == (PauliTerm{}) {
+					continue
+				}
+				got := treeSum(slab[slot*nChunks : (slot+1)*nChunks])
+				slot++
+				if math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: term %d (%x/%x/%x): shard %.17g != reference %.17g",
+						at, i, term.X, term.Y, term.Z, got, want[i])
+				}
+			}
 		}
-		s := layoutState(t, local, 1+r.Intn(3), layout, r)
-		term := randomTerm(total, r)
-		ev := s.ShardEvaluator(total, uint64(rank)<<uint(local))
-		cb := min(expChunkBits(total), local-1)
-		if r.Intn(2) == 0 {
-			ev.residentBits = cb + 1 + r.Intn(3)
-		}
-		rankFlip := (term.X | term.Y) >> uint(local)
-		var partner []complex128
-		if rankFlip != 0 {
-			partner = randAmps(1<<uint(local), r)
-		}
-		terms := []PauliTerm{term}
-		slab, err := ev.PartialSlab(terms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ev.SweepShard(terms, slab, rankFlip, partner, nil); err != nil {
-			t.Fatal(err)
-		}
-		// The shard's chunks are an aligned power-of-two run of slots and
-		// every other slot is still zero, so the whole slab reduces to
-		// the shard's subtree.
-		got := treeSum(slab)
-		var want float64
-		a, ok := refTermShard(term, local, rank, cb, partner)
-		if ok {
-			want, _ = refShard(s, a)
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d (local=%d total=%d rank=%d %s, term %x/%x/%x): shard %.17g != reference %.17g",
-				trial, local, total, rank, layout, term.X, term.Y, term.Z, got, want)
-		}
-	}
+	})
 }
 
 // tfimTerms is the transverse-field Ising chain as masks: n−1 ZZ bonds
@@ -435,48 +418,97 @@ func TestExpPauliGroupCancellation(t *testing.T) {
 		}
 
 		// The same evaluator still works after a cancelled sweep.
-		checkGroup(t, s, ev, terms[:3], "after cancel")
+		checkGroup(t, s, terms[:3], "after cancel", ev)
 	}
 }
 
-// FuzzExpPauliGroup decodes a register size, layout, worker count,
-// resident bound and term list from the input and holds the grouped
-// sweep to the reference loop bit for bit. Seeds are the table test's
-// corner cases.
-func FuzzExpPauliGroup(f *testing.F) {
-	for n := 1; n <= 12; n += 3 {
-		var seed []byte
-		seed = append(seed, byte(n), byte(n%3), byte(n%3), byte(n))
-		for _, term := range edgeTerms(n) {
-			seed = binary.LittleEndian.AppendUint16(seed, uint16(term.X))
-			seed = binary.LittleEndian.AppendUint16(seed, uint16(term.Y))
-			seed = binary.LittleEndian.AppendUint16(seed, uint16(term.Z))
+// pauliInput is FuzzExpPauliGroup's input: the state's width n
+// (1–17), layout (an index into groupLayouts), workers (1–3) and
+// amplitude seed; a resident bound (0: the shipped one only, else that
+// one too); the world (0: the whole register through PauliEvaluator, w:
+// a rank shard of a register w−1 qubits wider through ShardEvaluator)
+// and the shard's rank; then X, Y and Z of each term, 4 bytes each.
+func pauliInput(n, layout, workers, seed, resident, world, rank int, terms []PauliTerm) []byte {
+	in := []byte{byte(n - 1), byte(layout), byte(workers - 1), byte(seed), byte(resident), byte(world)}
+	in = binary.LittleEndian.AppendUint16(in, uint16(rank))
+	for _, t := range terms {
+		for _, m := range []uint64{t.X, t.Y, t.Z} {
+			in = binary.LittleEndian.AppendUint32(in, uint32(m))
 		}
-		f.Add(seed)
+	}
+	return in
+}
+
+// FuzzExpPauliGroup decodes a state, evaluators of the whole register
+// or of one rank shard of a wider one, and a term list from the input
+// (pauliInput), and holds the grouped sweep to the per-index reference
+// loop bit for bit on every body the lane wrappers take here
+// (checkGroup, checkShard). The seeds are the register sizes 1–17, each
+// at the shipped resident bound and at one shrunk so far that every
+// high flip bit takes the two-sided path, over its block-geometry
+// corner cases and random strings; and shards of 1 to 16 qubits in
+// worlds of 1 to 64 ranks — smaller than one canonical chunk at the
+// widest — over the corner cases of the whole register: X/Y/Z factors
+// on rank bits, partner buffers for pairs across the rank boundary,
+// pivots on rank bits, rank-bit parity and phase.
+func FuzzExpPauliGroup(f *testing.F) {
+	r := qmath.NewRNG(0x9a0f15)
+	for n := 1; n <= 17; n++ {
+		terms := edgeTerms(n)
+		for len(terms) < 28 {
+			terms = append(terms, randomTerm(n, r))
+		}
+		f.Add(pauliInput(n, n%3, 1+n%3, n, expChunkBits(n)+1+n%2, 0, 0, terms))
+	}
+	for i, local := range []int{1, 2, 3, 5, 8, 12, 16} {
+		for _, extra := range []int{0, 1, 6} {
+			total := local + extra
+			terms := edgeTerms(total)
+			for len(terms) < 28 {
+				terms = append(terms, randomTerm(total, r))
+			}
+			resident := min(expChunkBits(total), local-1) + 1 + extra%3
+			f.Add(pauliInput(local, i%3, 1+i%3, i, resident, extra+1, (1<<uint(extra)-1)*(i%2), terms))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
+		if len(data) < 8 {
 			return
 		}
-		n := 1 + int(data[0])%12
+		n := 1 + int(data[0])%17
 		layout := groupLayouts[int(data[1])%len(groupLayouts)]
 		if n == 1 {
 			layout = "identity"
 		}
-		workers := 1 + int(data[2])%3
 		r := qmath.NewRNG(uint64(data[3]))
-		s := layoutState(t, n, workers, layout, r)
+		s := layoutState(t, n, 1+int(data[2])%3, layout, r)
+		extra := int(data[5])%8 - 1 // −1: the whole register
+		total := n + max(extra, 0)
+		rank := int(binary.LittleEndian.Uint16(data[6:])) % (1 << uint(max(extra, 0)))
 		ev := s.PauliEvaluator()
-		ev.residentBits = 1 + int(data[3])%expResidentBits
-		mask := uint64(1)<<uint(n) - 1
+		if extra >= 0 {
+			ev = s.ShardEvaluator(total, uint64(rank)<<uint(n))
+		}
+		evs := []*PauliEvaluator{ev}
+		if data[4] != 0 {
+			shrunk := *ev
+			shrunk.residentBits = 1 + int(data[4]-1)%expResidentBits
+			evs = append(evs, &shrunk)
+		}
+		mask := uint64(1)<<uint(total) - 1
 		var terms []PauliTerm
-		for rest := data[4:]; len(rest) >= 6 && len(terms) < 48; rest = rest[6:] {
-			x := uint64(binary.LittleEndian.Uint16(rest)) & mask
-			y := uint64(binary.LittleEndian.Uint16(rest[2:])) & mask &^ x
-			z := uint64(binary.LittleEndian.Uint16(rest[4:])) & mask &^ (x | y)
+		for rest := data[8:]; len(rest) >= 12 && len(terms) < 48; rest = rest[12:] {
+			x := uint64(binary.LittleEndian.Uint32(rest)) & mask
+			y := uint64(binary.LittleEndian.Uint32(rest[4:])) & mask &^ x
+			z := uint64(binary.LittleEndian.Uint32(rest[8:])) & mask &^ (x | y)
 			terms = append(terms, PauliTerm{X: x, Y: y, Z: z})
 		}
-		checkGroup(t, s, ev, terms, layout)
+		what := fmt.Sprintf("n=%d %s", n, layout)
+		if extra < 0 {
+			checkGroup(t, s, terms, what, evs...)
+			return
+		}
+		checkShard(t, s, total, rank, terms, r, fmt.Sprintf("%s, shard %d of a %d-qubit register", what, rank, total), evs...)
 	})
 }
 

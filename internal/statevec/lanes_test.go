@@ -188,89 +188,6 @@ func refTileRelPhase(tile []complex128, base uint64, op *TileOp) {
 	}
 }
 
-// TestTileKernelBitIdentityFuzz drives every tile micro-op kind over
-// random tiles, operand placements, and both matrix families, and
-// requires the lane kernels to reproduce the complex128 references
-// bit for bit. Tile widths reach 12, so one-amplitude windows, the
-// lane primitives' two-amplitude loop with and without its
-// one-amplitude tail, and long windows all run. Every other trial seeds
-// special lanes (±0, ±∞, subnormals); those trials draw only complex
-// matrices, because the real fast path differs from complex arithmetic
-// on exact zeros and infinities by design (lanes.go) — its body is held
-// to its Go loop on arbitrary bits by FuzzLanePrimitives instead.
-func TestTileKernelBitIdentityFuzz(t *testing.T) {
-	rng := qmath.NewRNG(0x1a9e5)
-	for trial := 0; trial < 800; trial++ { // 400 ordinary, 400 special
-		tb := 2 + rng.Intn(11) // tile widths 2..12
-		tile := randAmps(1<<uint(tb), rng)
-		special := trial%2 == 1
-		if special {
-			seedSpecials(tile, rng)
-		}
-		ref := append([]complex128(nil), tile...)
-
-		var ctx string
-		switch rng.Intn(4) {
-		case 0: // TileMat1, all control placements
-			op := TileOp{Kind: TileMat1, T: uint8(rng.Intn(tb))}
-			if special || rng.Intn(2) == 0 {
-				op.M = randUnitary2(rng)
-			} else {
-				op.M = randReal2(rng)
-			}
-			if tb >= 2 && rng.Intn(3) > 0 {
-				op.HasCtrl = true
-				op.C = uint8(rng.Intn(tb - 1))
-				if op.C >= op.T {
-					op.C++
-				}
-			}
-			ctx = "mat1"
-			applyTileMat1(tile, &op, Support{})
-			refTileMat1(ref, &op)
-		case 1: // TileCX, all control placements
-			op := TileOp{Kind: TileCX, T: uint8(rng.Intn(tb))}
-			if tb >= 2 && rng.Intn(3) > 0 {
-				op.HasCtrl = true
-				op.C = uint8(rng.Intn(tb - 1))
-				if op.C >= op.T {
-					op.C++
-				}
-			}
-			ctx = "cx"
-			applyTileCX(tile, &op, Support{})
-			refTileCX(ref, &op)
-		case 2: // TileDiag with 0..3 low predicate bits
-			op := DiagOp(phaseOf(rng), 0, 0)
-			for n := rng.Intn(4); n > 0; n-- {
-				op.LowMask |= 1 << uint(rng.Intn(tb))
-			}
-			ctx = "diag"
-			applyTileDiag(tile, &op, Support{})
-			refTileDiag(ref, &op)
-		case 3: // TileRelPhase, low target and high (tile-constant) form
-			op := RelPhaseOp(phaseOf(rng), phaseOf(rng), 0, 0)
-			var base uint64
-			if rng.Intn(2) == 0 {
-				op.T = uint8(rng.Intn(tb))
-			} else {
-				op.HighMask = 1 << uint(tb+rng.Intn(8))
-				if rng.Intn(2) == 0 {
-					base = op.HighMask
-				}
-			}
-			ctx = "relphase"
-			applyTileRelPhase(tile, base, &op, Support{})
-			refTileRelPhase(ref, base, &op)
-		}
-		if special {
-			lanesEqual(t, tile, ref, ctx+" (special lanes)")
-		} else {
-			bitsEqual(t, tile, ref, ctx)
-		}
-	}
-}
-
 func phaseOf(rng *qmath.RNG) complex128 {
 	a := rng.Angle()
 	return complex(math.Cos(a), math.Sin(a))
@@ -348,136 +265,160 @@ func refSwapBits(amps []complex128, a, b uint) {
 	}
 }
 
-// TestFullSweepKernelBitIdentityFuzz checks the full-state kernels
-// against per-index complex references, at every worker count the
-// fuzz reaches — the sharded sweeps must be bit-identical to the
-// serial reference regardless of chunk boundaries. Widths, special
-// lanes and matrix families as in TestTileKernelBitIdentityFuzz.
-func TestFullSweepKernelBitIdentityFuzz(t *testing.T) {
-	rng := qmath.NewRNG(0xf0522)
-	for trial := 0; trial < 500; trial++ { // 250 ordinary, 250 special
-		n := 2 + rng.Intn(11) // 2..12 qubits
-		workers := []int{1, 2, 4}[rng.Intn(3)]
-		s := MustNew(n, workers)
+// FuzzKernelBitIdentity holds the lane kernels to the complex128
+// references above bit for bit, on every body the lane wrappers take
+// here (wrapperBodies). op picks one tile micro-op (0–3: TileMat1 and
+// TileCX, with or without a control, TileDiag with 0–3 low predicate
+// bits, TileRelPhase on a low target or as a tile constant from a high
+// bit) or one full-state kernel (4–10: ApplyMat1, applyControlled1,
+// ApplyCX, applyPhase1, ApplyGlobalAndRelativePhase,
+// applyControlledPhase, ApplySwap, at 1, 2 or 4 workers: a sharded
+// sweep must match the serial reference whatever its chunk
+// boundaries) on 1–12 qubits (2–12 for a tile or a two-qubit kernel),
+// so one-amplitude windows, the lane primitives' two-amplitude loop
+// with and without its one-amplitude tail, and long windows all run.
+// Operands come from the input, amplitudes, matrices and phases from
+// seed. With special set, about one lane in eight is ±0, ±∞ or a
+// subnormal and only complex matrices are drawn: the real fast path
+// differs from complex arithmetic on exact zeros and infinities by
+// design (lanes.go), and its body is held to its Go loop on arbitrary
+// bits by FuzzLanePrimitives instead. The seeds are every op at five
+// widths, two operand placements and both lane regimes, and diag(a, b)
+// on qubit 0 — rz's shape there, one scaleTable call over windows of
+// two amplitudes with the row [a, b] — at every width and worker count.
+func FuzzKernelBitIdentity(f *testing.F) {
+	for op := uint8(0); op < 11; op++ {
+		for i, w := range []uint8{0, 1, 3, 6, 11} {
+			for j := uint8(0); j < 2; j++ {
+				for _, special := range []bool{false, true} {
+					f.Add(op, w, uint8(i)*5+j*3, uint8(i)*7+1+j*5, uint8(i), special, uint64(op)<<8|uint64(i)<<1|uint64(j))
+				}
+			}
+		}
+	}
+	for n := uint8(0); n < 12; n++ {
+		for w := uint8(0); w < 3; w++ {
+			for _, special := range []bool{false, true} {
+				f.Add(uint8(8), n, uint8(0), uint8(0), w, special, uint64(n)<<2|uint64(w))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, op, width, target, control, workers uint8, special bool, seed uint64) {
+		op %= 11
+		n := 1 + int(width)%12
+		if op < 4 || op == 5 || op == 6 || op >= 9 {
+			n = max(n, 2)
+		}
+		tq := int(target) % n
+		cq := int(control/3) % max(n-1, 1)
+		if cq >= tq {
+			cq++
+		}
+		rng := qmath.NewRNG(seed)
 		amps := randAmps(1<<uint(n), rng)
-		special := trial%2 == 1
 		if special {
 			seedSpecials(amps, rng)
 		}
-		copy(s.AmplitudesRaw(), amps)
-		ref := append([]complex128(nil), amps...)
-
-		var ctx string
-		switch rng.Intn(6) {
-		case 0:
-			tq := uint(rng.Intn(n))
-			var m gate.Mat2
-			if special || rng.Intn(2) == 0 {
-				m = randUnitary2(rng)
-			} else {
-				m = randReal2(rng)
+		m := randUnitary2(rng)
+		if !special && seed&1 == 0 {
+			m = randReal2(rng)
+		}
+		p, a, b := phaseOf(rng), phaseOf(rng), phaseOf(rng)
+		var to TileOp // a tile op applies to the whole state as one tile
+		var base uint64
+		switch op {
+		case 0, 1:
+			to = TileOp{Kind: TileMat1, T: uint8(tq), M: m}
+			if op == 1 {
+				to = TileOp{Kind: TileCX, T: uint8(tq)}
 			}
-			ctx = "ApplyMat1"
-			s.ApplyMat1(int(tq), m)
-			refMat1(ref, tq, m)
-		case 1:
-			c := uint(rng.Intn(n))
-			tq := uint(rng.Intn(n - 1))
-			if tq >= c {
-				tq++
+			if control%3 > 0 {
+				to.HasCtrl, to.C = true, uint8(cq)
 			}
-			var m gate.Mat2
-			if special || rng.Intn(2) == 0 {
-				m = randUnitary2(rng)
-			} else {
-				m = randReal2(rng)
-			}
-			ctx = "applyControlled1"
-			s.applyControlled1(int(c), int(tq), m)
-			refControlled1(ref, c, tq, m)
 		case 2:
-			c := uint(rng.Intn(n))
-			tq := uint(rng.Intn(n - 1))
-			if tq >= c {
-				tq++
-			}
-			ctx = "ApplyCX"
-			s.ApplyCX(int(c), int(tq))
-			if special {
-				refCX(ref, c, tq) // X arithmetic would turn ±0 and ∞ into other bits
-			} else {
-				refControlled1(ref, c, tq, gate.Matrix1(gate.X, nil))
+			to = DiagOp(p, 0, 0)
+			for k := control % 4; k > 0; k-- {
+				to.LowMask |= 1 << uint(rng.Intn(n))
 			}
 		case 3:
-			tq := uint(rng.Intn(n))
-			if rng.Intn(2) == 0 {
-				p := phaseOf(rng)
-				ctx = "applyPhase1"
-				s.applyPhase1(int(tq), p)
-				refPhase1(ref, tq, p)
+			to = RelPhaseOp(a, b, 0, 0)
+			if control&1 == 0 {
+				to.T = uint8(tq)
 			} else {
-				a, b := phaseOf(rng), phaseOf(rng)
-				ctx = "ApplyGlobalAndRelativePhase"
-				s.ApplyGlobalAndRelativePhase(int(tq), a, b)
-				refRelPhase(ref, tq, a, b)
+				to.HighMask = 1 << uint(n+rng.Intn(8))
+				if control&2 != 0 {
+					base = to.HighMask
+				}
 			}
+		}
+		want := append([]complex128(nil), amps...)
+		ctx := [...]string{"mat1", "cx", "diag", "relphase", "ApplyMat1", "applyControlled1", "ApplyCX",
+			"applyPhase1", "ApplyGlobalAndRelativePhase", "applyControlledPhase", "ApplySwap"}[op]
+		switch op {
+		case 0:
+			refTileMat1(want, &to)
+		case 1:
+			refTileCX(want, &to)
+		case 2:
+			refTileDiag(want, &to)
+		case 3:
+			refTileRelPhase(want, base, &to)
 		case 4:
-			c := uint(rng.Intn(n))
-			tq := uint(rng.Intn(n - 1))
-			if tq >= c {
-				tq++
-			}
-			p := phaseOf(rng)
-			ctx = "applyControlledPhase"
-			s.applyControlledPhase(int(c), int(tq), p)
-			refControlledPhase(ref, c, tq, p)
+			refMat1(want, uint(tq), m)
 		case 5:
-			a := uint(rng.Intn(n))
-			b := uint(rng.Intn(n - 1))
-			if b >= a {
-				b++
+			refControlled1(want, uint(cq), uint(tq), m)
+		case 6:
+			if special {
+				refCX(want, uint(cq), uint(tq)) // X arithmetic would turn ±0 and ∞ into other bits
+			} else {
+				refControlled1(want, uint(cq), uint(tq), gate.Matrix1(gate.X, nil))
 			}
-			ctx = "ApplySwap"
-			s.ApplySwap(int(a), int(b))
-			refSwapBits(ref, a, b)
+		case 7:
+			refPhase1(want, uint(tq), p)
+		case 8:
+			refRelPhase(want, uint(tq), a, b)
+		case 9:
+			refControlledPhase(want, uint(cq), uint(tq), p)
+		case 10:
+			refSwapBits(want, uint(cq), uint(tq))
 		}
-		if special {
-			lanesEqual(t, s.amps, ref, ctx+" (special lanes)")
-		} else {
-			bitsEqual(t, s.amps, ref, ctx)
-		}
-	}
-}
-
-// TestQubit0RelPhaseBitIdentity pins diag(a, b) on qubit 0 — rz's
-// shape there, one scaleTable call over windows of two amplitudes with
-// the row [a, b] — to the complex128 reference bit for bit, at every
-// width from one to twelve qubits and one, two and four workers, on
-// ordinary and on special lanes.
-func TestQubit0RelPhaseBitIdentity(t *testing.T) {
-	rng := qmath.NewRNG(0x9b0)
-	for n := 1; n <= 12; n++ {
-		for _, workers := range []int{1, 2, 4} {
-			for _, special := range []bool{false, true} {
-				s := MustNew(n, workers)
-				amps := randAmps(1<<uint(n), rng)
-				if special {
-					seedSpecials(amps, rng)
-				}
-				copy(s.AmplitudesRaw(), amps)
-				a, b := phaseOf(rng), phaseOf(rng)
-				s.ApplyGlobalAndRelativePhase(0, a, b)
-				refRelPhase(amps, 0, a, b)
-				ctx := fmt.Sprintf("%d qubits, %d workers", n, workers)
-				if special {
-					lanesEqual(t, s.amps, amps, ctx+" (special lanes)")
-				} else {
-					bitsEqual(t, s.amps, amps, ctx)
-				}
-				s.Release()
+		wrapperBodies(func(body string) {
+			s := MustNew(n, []int{1, 2, 4}[workers%3])
+			defer s.Release()
+			got := s.AmplitudesRaw()
+			copy(got, amps)
+			switch op {
+			case 0:
+				applyTileMat1(got, &to, Support{})
+			case 1:
+				applyTileCX(got, &to, Support{})
+			case 2:
+				applyTileDiag(got, &to, Support{})
+			case 3:
+				applyTileRelPhase(got, base, &to, Support{})
+			case 4:
+				s.ApplyMat1(tq, m)
+			case 5:
+				s.applyControlled1(cq, tq, m)
+			case 6:
+				s.ApplyCX(cq, tq)
+			case 7:
+				s.applyPhase1(tq, p)
+			case 8:
+				s.ApplyGlobalAndRelativePhase(tq, a, b)
+			case 9:
+				s.applyControlledPhase(cq, tq, p)
+			case 10:
+				s.ApplySwap(cq, tq)
 			}
-		}
-	}
+			what := fmt.Sprintf("%s on %d qubits (target %d, control %d), %s body", ctx, n, tq, cq, body)
+			if special {
+				lanesEqual(t, got, want, what+" (special lanes)")
+			} else {
+				bitsEqual(t, got, want, what)
+			}
+		})
+	})
 }
 
 // TestPermTablesCached checks the readout-walk cache: the permWalk is

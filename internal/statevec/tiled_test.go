@@ -501,13 +501,6 @@ func TestApplyTileRunOneTile(t *testing.T) {
 	}
 }
 
-func qmathAbs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // TestTileOpSize pins the micro-op at 88 bytes: the tile loop streams a
 // run's ops once per tile, so their size is memory traffic.
 func TestTileOpSize(t *testing.T) {

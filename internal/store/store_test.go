@@ -2,12 +2,14 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"qgear/internal/artifact/artifacttest"
 	"qgear/internal/backend"
 	"qgear/internal/circuit"
 	"qgear/internal/sampling"
@@ -64,33 +66,32 @@ func TestResultRoundTripBitIdentity(t *testing.T) {
 	}
 }
 
-// TestPlanRoundTrip: a compiled plan survives the sidecar byte-for-
-// byte — same segments, same stats, same cost tag.
+// TestPlanRoundTrip: what Compile produces, tiled and per gate, for
+// the circuits FuzzDecodePlan starts from survives the sidecar — same
+// kernel, segments and stats, same cost tag.
 func TestPlanRoundTrip(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := circuit.GHZ(8, false)
-	comp, err := backend.Compile(c, backend.Config{Target: backend.TargetNvidia, TileBits: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.Plan == nil {
-		t.Fatal("test needs a planned compile")
-	}
-	if err := st.SavePlan("fp|b4", testSig, comp, 42.5); err != nil {
-		t.Fatal(err)
-	}
-	got, cost, err := st.LoadPlan("fp|b4", testSig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != 42.5 {
-		t.Fatalf("cost %v, want 42.5", cost)
-	}
-	if !reflect.DeepEqual(got, comp) {
-		t.Fatalf("plan drifted through the sidecar:\n got %+v\nwant %+v", got, comp)
+	for i, c := range artifacttest.SeedCircuits(t) {
+		for _, tile := range []int{4, -1} {
+			comp, err := backend.Compile(c, backend.Config{Target: backend.TargetNvidia, TileBits: tile})
+			if err != nil {
+				t.Fatal(err)
+			}
+			key, cost := fmt.Sprintf("fp%d|b%d", i, tile), 42.5+float64(i)
+			if err := st.SavePlan(key, testSig, comp, cost); err != nil {
+				t.Fatal(err)
+			}
+			got, gotCost, err := st.LoadPlan(key, testSig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotCost != cost || !reflect.DeepEqual(got, comp) {
+				t.Fatalf("%s: plan drifted through the sidecar (cost %v, want %v):\n got %+v\nwant %+v", key, gotCost, cost, got, comp)
+			}
+		}
 	}
 }
 
