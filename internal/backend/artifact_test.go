@@ -2,6 +2,7 @@ package backend_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -81,12 +82,10 @@ func FuzzDecodeCompiled(f *testing.F) {
 	})
 }
 
-// TestCompiledRoundTrip: what Compile produces, tiled and per gate, for the
-// circuits FuzzDecodeCompiled starts from and ten seeded gate soups
-// decodes DeepEqual to itself, and the decoded artifact runs to the
-// original's probabilities bit for bit (max |Δp| = 0) and its
-// fixed-seed shot counts exactly.
-func TestCompiledRoundTrip(t *testing.T) {
+// compiledRoundTrips compiles the circuits FuzzDecodeCompiled starts
+// from and ten seeded gate soups, tiled and per gate, and calls check
+// with each artifact, what it decodes to and its config.
+func compiledRoundTrips(t *testing.T, check func(what string, comp, decoded *Compiled, cfg Config)) {
 	circuits := artifacttest.SeedCircuits(t)
 	for seed := uint64(0); seed < 10; seed++ {
 		r := qmath.NewRNG(seed)
@@ -99,26 +98,46 @@ func TestCompiledRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			what := fmt.Sprintf("circuit %d, tile %d", i, tile)
 			if comp.Plan == nil || comp.Plan.TileBits != max(tile, 0) {
-				t.Fatalf("circuit %d, tile %d: compiled plan %+v", i, tile, comp.Plan)
+				t.Fatalf("%s: compiled plan %+v", what, comp.Plan)
 			}
 			decoded, err := DecodeCompiled(bytes.NewReader(encodeCompiled(t, comp)))
-			if err != nil || !reflect.DeepEqual(decoded, comp) {
-				t.Fatalf("circuit %d, tile %d: compiled artifact drifted through encoding (err %v)", i, tile, err)
-			}
-			a, err := RunCompiled(comp, cfg)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", what, err)
 			}
-			b, err := RunCompiled(decoded, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(a.Probabilities, b.Probabilities) || !reflect.DeepEqual(a.Counts, b.Counts) {
-				t.Fatalf("circuit %d, tile %d: the decoded artifact runs to other probabilities or counts", i, tile)
-			}
+			check(what, comp, decoded, cfg)
 		}
 	}
+}
+
+// TestCompiledRoundTrip: a Compiled encodes and decodes DeepEqual,
+// tiled plan or per-gate schedule.
+func TestCompiledRoundTrip(t *testing.T) {
+	compiledRoundTrips(t, func(what string, comp, decoded *Compiled, _ Config) {
+		if !reflect.DeepEqual(decoded, comp) {
+			t.Fatalf("%s: compiled artifact drifted through encoding", what)
+		}
+	})
+}
+
+// TestDecodedCompiledRunsIdentically: executing the decoded artifact
+// reproduces the original's probabilities bit for bit (max |Δp| = 0)
+// and its fixed-seed shot counts exactly.
+func TestDecodedCompiledRunsIdentically(t *testing.T) {
+	compiledRoundTrips(t, func(what string, comp, decoded *Compiled, cfg Config) {
+		a, err := RunCompiled(comp, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := RunCompiled(decoded, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a.Probabilities, b.Probabilities) || !reflect.DeepEqual(a.Counts, b.Counts) {
+			t.Fatalf("%s: the decoded artifact runs to other probabilities or counts", what)
+		}
+	})
 }
 
 // goldenCompiled is written out by hand so the committed bytes move

@@ -80,12 +80,9 @@ func FuzzDecodeKernel(f *testing.F) {
 	})
 }
 
-// TestKernelRoundTrip: the kernels FuzzDecodeKernel starts from and twenty
-// seeded gate soups, and their plans per gate, in tiles and in tiles
-// over two rank bits, decode DeepEqual to what was encoded; a decoded
-// single-process plan executes to the original's amplitudes bit for
-// bit.
-func TestKernelRoundTrip(t *testing.T) {
+// roundTripKernels are the kernels FuzzDecodeKernel starts from and
+// twenty seeded gate soups.
+func roundTripKernels(t *testing.T) []*Kernel {
 	kernels := seedKernels(t)
 	for seed := uint64(0); seed < 20; seed++ {
 		r := qmath.NewRNG(seed)
@@ -95,23 +92,54 @@ func TestKernelRoundTrip(t *testing.T) {
 		}
 		kernels = append(kernels, k)
 	}
-	for i, k := range kernels {
+	return kernels
+}
+
+// roundTripPlan compiles k under cfg and returns the plan and what it
+// decodes to.
+func roundTripPlan(t *testing.T, k *Kernel, cfg PlanConfig) (p, decoded *TilePlan) {
+	t.Helper()
+	p, err := Plan(k, cfg)
+	if err != nil {
+		t.Fatalf("%+v: %v", cfg, err)
+	}
+	decoded, err = DecodePlan(bytes.NewReader(encodePlanBytes(t, p)))
+	if err != nil {
+		t.Fatalf("%+v: %v", cfg, err)
+	}
+	return p, decoded
+}
+
+// TestKernelRoundTrip: each kernel decodes DeepEqual to what was
+// encoded.
+func TestKernelRoundTrip(t *testing.T) {
+	for i, k := range roundTripKernels(t) {
 		got, err := DecodeKernel(bytes.NewReader(encodeKernelBytes(t, k)))
 		if err != nil || !reflect.DeepEqual(got, k) {
 			t.Fatalf("kernel %d drifted through encoding (err %v):\n got %+v\nwant %+v", i, err, got, k)
 		}
+	}
+}
+
+// TestPlanRoundTripConfigs: plans per gate, in tiles and in tiles over
+// two rank bits decode DeepEqual to what was encoded.
+func TestPlanRoundTripConfigs(t *testing.T) {
+	for i, k := range roundTripKernels(t) {
 		for _, cfg := range []PlanConfig{{}, {TileBits: 4}, {TileBits: 3, GlobalBits: 2}} {
-			p, err := Plan(k, cfg)
-			if err != nil {
-				t.Fatalf("kernel %d, %+v: %v", i, cfg, err)
+			if p, decoded := roundTripPlan(t, k, cfg); !reflect.DeepEqual(decoded, p) {
+				t.Fatalf("kernel %d, %+v: plan drifted through encoding", i, cfg)
 			}
-			decoded, err := DecodePlan(bytes.NewReader(encodePlanBytes(t, p)))
-			if err != nil || !reflect.DeepEqual(decoded, p) {
-				t.Fatalf("kernel %d, %+v: plan drifted through encoding (err %v)", i, cfg, err)
-			}
-			if cfg.GlobalBits > 0 {
-				continue
-			}
+		}
+	}
+}
+
+// TestDecodedPlanExecutesIdentically: a decoded single-process plan,
+// per gate or in tiles, executes to the original's amplitudes bit for
+// bit.
+func TestDecodedPlanExecutesIdentically(t *testing.T) {
+	for i, k := range roundTripKernels(t) {
+		for _, cfg := range []PlanConfig{{}, {TileBits: 4}} {
+			p, decoded := roundTripPlan(t, k, cfg)
 			a, b := statevec.MustNew(k.NumQubits, 1), statevec.MustNew(k.NumQubits, 1)
 			if err := p.Execute(a); err != nil {
 				t.Fatal(err)

@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -81,11 +82,39 @@ func exactAngles() *circuit.Circuit {
 	return c
 }
 
-// TestRoundTripAllGates: Export then Parse gives back exactly the
-// circuit written — every gate, bit-exact angles, the empty circuit, the
-// shared seed circuits and thirty seeded gate soups with measurements.
+// roundTrip: Export then Parse gives back exactly the circuit written.
+func roundTrip(t *testing.T, what string, c *circuit.Circuit) {
+	t.Helper()
+	src, err := Export(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Parse(src)
+	if err != nil {
+		t.Fatalf("%s: %v\nsource:\n%s", what, err, src)
+	}
+	if !reflect.DeepEqual(normalize(c), normalize(back)) {
+		t.Errorf("%s: round trip differs:\nwant %+v\ngot  %+v", what, c, back)
+	}
+}
+
+// TestRoundTripAllGates: every gate, the shared seed circuits and the
+// Bell pair.
 func TestRoundTripAllGates(t *testing.T) {
-	want := append(artifacttest.SeedCircuits(t), bellCircuit(), allGatesCircuit(), exactAngles(), circuit.New(3, 0))
+	for i, c := range append(artifacttest.SeedCircuits(t), bellCircuit(), allGatesCircuit()) {
+		roundTrip(t, fmt.Sprintf("circuit %d", i), c)
+	}
+}
+
+// TestRoundTripExactAngles: the angles come back bit-exact (DeepEqual
+// compares the floats exactly).
+func TestRoundTripExactAngles(t *testing.T) {
+	roundTrip(t, "exact angles", exactAngles())
+}
+
+// TestRandomRoundTripProperty: thirty seeded gate soups with
+// measurements.
+func TestRandomRoundTripProperty(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		r := qmath.NewRNG(seed)
 		n := 2 + r.Intn(5)
@@ -94,21 +123,12 @@ func TestRoundTripAllGates(t *testing.T) {
 		for i := r.Intn(n); i > 0; i-- {
 			c.Measure(r.Intn(n), r.Intn(n))
 		}
-		want = append(want, c)
+		roundTrip(t, fmt.Sprintf("soup %d", seed), c)
 	}
-	for i, c := range want {
-		src, err := Export(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := Parse(src)
-		if err != nil {
-			t.Fatalf("circuit %d: %v\nsource:\n%s", i, err, src)
-		}
-		if !reflect.DeepEqual(normalize(c), normalize(back)) {
-			t.Errorf("circuit %d: round trip differs:\nwant %+v\ngot  %+v", i, c, back)
-		}
-	}
+}
+
+func TestEmptyCircuitRoundTrip(t *testing.T) {
+	roundTrip(t, "empty", circuit.New(3, 0))
 }
 
 const piExprSrc = `OPENQASM 2.0;

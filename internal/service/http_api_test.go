@@ -48,9 +48,6 @@ var errorEnvelopeRows = []struct {
 	{"missing kind", "POST", "/v1/jobs", `{"qasm":"OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n","shots":32,"seed":1}`, http.StatusBadRequest, CodeInvalidRequest},
 	{"unknown field", "POST", "/v1/jobs", `{"kind":"simulate","bogus":1}`, http.StatusBadRequest, CodeInvalidRequest},
 	{"missing circuit", "POST", "/v1/jobs", `{"kind":"simulate"}`, http.StatusBadRequest, CodeInvalidRequest},
-	{"both forms", "POST", "/v1/jobs", `{"kind":"simulate","qasm":"x","circuit":{"qubits":1,"ops":[]}}`, http.StatusBadRequest, CodeInvalidRequest},
-	{"bad gate", "POST", "/v1/jobs", `{"kind":"simulate","circuit":{"qubits":1,"clbits":0,"ops":[{"gate":"warp","qubits":[0]}]}}`, http.StatusBadRequest, CodeInvalidRequest},
-	{"bad qubit", "POST", "/v1/jobs", `{"kind":"simulate","circuit":{"qubits":1,"clbits":0,"ops":[{"gate":"h","qubits":[4]}]}}`, http.StatusBadRequest, CodeInvalidRequest},
 	{"sweep without points", "POST", "/v1/jobs", `{"kind":"sweep","qasm":"OPENQASM 2.0;\nqreg q[1];\nrx(0.5) q[0];\n"}`, http.StatusBadRequest, CodeInvalidRequest},
 	{"job not found", "GET", "/v1/jobs/j-missing", "", http.StatusNotFound, CodeNotFound},
 	{"result not found", "GET", "/v1/results/j-missing", "", http.StatusNotFound, CodeNotFound},
@@ -218,9 +215,8 @@ var (
 // TestHTTPResultWireCompat: for every job kind and every view, the
 // /v1/results body decodes strictly into the ResultResponse that
 // buildResultResponse describes — the direct histogram encoding changed
-// no field, name or value — with histogram keys in ascending order, an
-// empty histogram omitted and a simulation's probability vector only in
-// the full view.
+// no field, name or value — with histogram keys in ascending order and
+// an empty histogram omitted.
 func TestHTTPResultWireCompat(t *testing.T) {
 	s, ts := newHTTPServer(t, Config{Target: backend.TargetNvidia, Workers: 1})
 	const nq, points = 4, 20
@@ -280,10 +276,6 @@ func TestHTTPResultWireCompat(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: decoded body differs from the rendered result\n got %+v\nwant %+v", name, got, want)
-			}
-			// A simulation's probability vector is in its full view only.
-			if strings.HasPrefix(tc.name, "simulate") && (len(got.Probabilities) == 1<<nq) != view.full {
-				t.Fatalf("%s: %d probabilities in the body", name, len(got.Probabilities))
 			}
 
 			hists := wireHistogram.FindAll(body, -1)

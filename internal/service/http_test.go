@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -138,6 +139,120 @@ func TestHTTPServeGHZ16Waves(t *testing.T) {
 	}
 	if wave2.Failed != 0 {
 		t.Fatalf("%d jobs failed", wave2.Failed)
+	}
+}
+
+func TestHTTPResultShapes(t *testing.T) {
+	_, ts := newHTTPServer(t, Config{})
+	qasm := `OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[2];
+creg c[2];
+h q[0];
+cx q[0],q[1];
+measure q[0] -> c[0];
+measure q[1] -> c[1];
+`
+	info, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", QASM: qasm, Shots: 1000, Seed: 5})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit HTTP %d", code)
+	}
+	if fin := pollDone(t, ts.URL, info.ID); fin.State != StateDone {
+		t.Fatalf("job: %+v", fin)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/results/" + info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr ResultResponse
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if rr.NumQubits != 2 || len(rr.Top) != 2 {
+		t.Fatalf("result %+v", rr)
+	}
+	// Bell state: only 00 and 11 appear.
+	total := 0
+	for bits, n := range rr.Counts {
+		if bits != "00" && bits != "11" {
+			t.Fatalf("unexpected outcome %q", bits)
+		}
+		total += n
+	}
+	if total != 1000 {
+		t.Fatalf("counts total %d", total)
+	}
+	if len(rr.Probabilities) != 0 {
+		t.Fatal("full vector returned without ?full=1")
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/results/" + info.ID + "?full=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full ResultResponse
+	if err := json.NewDecoder(resp.Body).Decode(&full); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(full.Probabilities) != 4 {
+		t.Fatalf("full vector has %d entries", len(full.Probabilities))
+	}
+}
+
+func TestHTTPErrors(t *testing.T) {
+	_, ts := newHTTPServer(t, Config{})
+
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"empty", `{}`, http.StatusBadRequest},
+		{"both forms", `{"kind":"simulate","qasm":"x","circuit":{"qubits":1,"ops":[]}}`, http.StatusBadRequest},
+		{"bad gate", `{"kind":"simulate","circuit":{"qubits":1,"clbits":0,"ops":[{"gate":"warp","qubits":[0]}]}}`, http.StatusBadRequest},
+		{"bad qubit", `{"kind":"simulate","circuit":{"qubits":1,"clbits":0,"ops":[{"gate":"h","qubits":[4]}]}}`, http.StatusBadRequest},
+		{"bad json", `{`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: HTTP %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+
+	for _, path := range []string{"/v1/jobs/j-missing", "/v1/results/j-missing"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: HTTP %d, want 404", path, resp.StatusCode)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /v1/jobs: HTTP %d", resp.StatusCode)
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: HTTP %d", resp.StatusCode)
 	}
 }
 

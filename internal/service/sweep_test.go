@@ -41,6 +41,59 @@ func angleGrid(nParams, n int) [][]float64 {
 	return pts
 }
 
+// TestServiceSweepAllEngines: the sweep job kind through the full
+// service path on all four engines, differenced against individually
+// submitted expectation jobs at the same points — values bit-identical.
+func TestServiceSweepAllEngines(t *testing.T) {
+	const nq, points = 5, 8
+	h := observable.TransverseFieldIsing(nq, 1.0, 0.7)
+	for _, tc := range []struct {
+		target  backend.Target
+		devices int
+	}{
+		{backend.TargetAer, 1},
+		{backend.TargetNvidia, 1},
+		{backend.TargetNvidiaMQPU, 2},
+		{backend.TargetNvidiaMGPU, 2},
+	} {
+		t.Run(string(tc.target), func(t *testing.T) {
+			c := sweepAnsatz(nq)
+			pts := angleGrid(c.NumParams(), points)
+			sweepSrv := newTestServer(t, Config{Target: tc.target, Devices: tc.devices, Workers: 2, TileBits: 3})
+			res, info, err := sweepSrv.Run(context.Background(), c, SubmitOptions{Hamiltonian: h, SweepPoints: pts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.State != StateDone {
+				t.Fatalf("info = %+v", info)
+			}
+			if len(res.SweepValues) != points || res.SweepPoints != points {
+				t.Fatalf("%d values / %d points recorded for %d submitted", len(res.SweepValues), res.SweepPoints, points)
+			}
+			// Individual expectation jobs on a separate server (so the
+			// sweep server's caches can't serve them).
+			indSrv := newTestServer(t, Config{Target: tc.target, Devices: tc.devices, Workers: 2, TileBits: 3})
+			for i, pt := range pts {
+				bound, err := c.BindParams(pt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ind, _, err := indSrv.Run(context.Background(), bound, SubmitOptions{Hamiltonian: h})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(res.SweepValues[i]) != math.Float64bits(*ind.ExpValue) {
+					t.Fatalf("point %d: sweep %v != individual job %v", i, res.SweepValues[i], *ind.ExpValue)
+				}
+			}
+			st := sweepSrv.Stats()
+			if st.SweepJobs != 1 || st.SweepExecuted != 1 || st.SweepPointsRun != points {
+				t.Errorf("sweep counters: jobs=%d executed=%d points=%d", st.SweepJobs, st.SweepExecuted, st.SweepPointsRun)
+			}
+		})
+	}
+}
+
 // TestServiceSweepCompileOnce is the compile-once acceptance check: an
 // N-point TFIM sweep performs exactly one plan compile, and the same N
 // points submitted as individual expectation jobs afterwards still

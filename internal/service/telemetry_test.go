@@ -75,53 +75,167 @@ func TestBoundsUnmarshal(t *testing.T) {
 // TestTraceWithinWall asserts the tentpole's core accounting invariant:
 // for a freshly executed (non-cached) job, the stage spans are
 // sequential and non-overlapping, so their sum is bounded by the job's
-// measured wall time. A sampled job's trace holds its compile and
-// execute spans; an expectation job on the same circuit (a plan-cache
-// hit) its execute and reduction spans. A repeat is a cache hit that
-// shares the original execution's trace.
+// measured wall time.
 func TestTraceWithinWall(t *testing.T) {
 	s := newTestServer(t, Config{WorkerPool: 1})
 	c := circuit.GHZ(8, false)
-	for _, job := range []struct {
-		opts   SubmitOptions
-		stages []string
-	}{
-		{SubmitOptions{Shots: 64, Seed: 7}, []string{telemetry.StageCompile, telemetry.StageExecute}},
-		{SubmitOptions{Hamiltonian: expTestHamiltonian(8)}, []string{telemetry.StageExecute, telemetry.StageExpectation}},
-	} {
-		res, info, err := s.Run(context.Background(), c, job.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Cached {
-			t.Fatal("first submission reported cached")
-		}
-		if res.Trace == nil || len(res.Trace.Spans) == 0 {
-			t.Fatal("fresh execution carries no trace")
-		}
-		wall := info.FinishedAt.Sub(info.SubmittedAt)
-		if sum := res.Trace.Sum(); sum > wall {
-			t.Errorf("trace sum %v exceeds wall %v (spans: %+v)", sum, wall, res.Trace.Spans)
-		}
-		stages := map[string]bool{}
-		for _, sp := range res.Trace.Spans {
-			stages[sp.Stage] = true
-		}
-		for _, want := range job.stages {
-			if !stages[want] {
-				t.Errorf("trace missing %s span: %+v", want, res.Trace.Spans)
-			}
-		}
 
-		res2, info2, err := s.Run(context.Background(), c, job.opts)
+	res, info, err := s.Run(context.Background(), c, SubmitOptions{Shots: 64, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Cached {
+		t.Fatal("first submission reported cached")
+	}
+	if res.Trace == nil || len(res.Trace.Spans) == 0 {
+		t.Fatal("fresh execution carries no trace")
+	}
+	wall := info.FinishedAt.Sub(info.SubmittedAt)
+	if sum := res.Trace.Sum(); sum > wall {
+		t.Errorf("trace sum %v exceeds wall %v (spans: %+v)", sum, wall, res.Trace.Spans)
+	}
+	stages := map[string]bool{}
+	for _, sp := range res.Trace.Spans {
+		stages[sp.Stage] = true
+	}
+	for _, want := range []string{telemetry.StageCompile, telemetry.StageExecute} {
+		if !stages[want] {
+			t.Errorf("trace missing %s span: %+v", want, res.Trace.Spans)
+		}
+	}
+
+	// A repeat submission is a cache hit: it shares the original
+	// execution's trace (flagged Cached), same span set.
+	res2, info2, err := s.Run(context.Background(), c, SubmitOptions{Shots: 64, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info2.Cached {
+		t.Fatal("repeat submission not served from cache")
+	}
+	if res2.Trace != res.Trace {
+		t.Error("cached result does not share the original trace")
+	}
+}
+
+// TestExpectationTrace checks the expectation path records its
+// reduction stage.
+func TestExpectationTrace(t *testing.T) {
+	s := newTestServer(t, Config{})
+	c := circuit.GHZ(6, false)
+	res, info, err := s.Run(context.Background(), c, SubmitOptions{Hamiltonian: expTestHamiltonian(6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace == nil {
+		t.Fatal("expectation result carries no trace")
+	}
+	var hasReduce bool
+	for _, sp := range res.Trace.Spans {
+		if sp.Stage == telemetry.StageExpectation {
+			hasReduce = true
+		}
+	}
+	if !hasReduce {
+		t.Errorf("no %s span in %+v", telemetry.StageExpectation, res.Trace.Spans)
+	}
+	if sum := res.Trace.Sum(); sum > info.FinishedAt.Sub(info.SubmittedAt) {
+		t.Errorf("trace sum %v exceeds wall", sum)
+	}
+}
+
+// TestMetricsEndpoint drives jobs through the HTTP API and checks the
+// /metrics exposition: required families present, values consistent
+// with /v1/stats, traces visible in /v1/results.
+func TestMetricsEndpoint(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Two fresh jobs plus one repeat (a result-cache hit).
+	var lastID string
+	for i, seed := range []uint64{1, 2, 1} {
+		c := circuit.GHZ(7, false)
+		if i == 1 {
+			c.RZ(0.25, 0)
+		}
+		body, _ := json.Marshal(SubmitRequest{Kind: "simulate", Circuit: FromCircuit(c), Shots: 16, Seed: seed})
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !info2.Cached {
-			t.Fatal("repeat submission not served from cache")
+		var info JobInfo
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+			t.Fatal(err)
 		}
-		if res2.Trace != res.Trace {
-			t.Error("cached result does not share the original trace")
+		resp.Body.Close()
+		lastID = info.ID
+		waitDone(t, ts.URL, info.ID)
+	}
+
+	// The result payload carries the trace.
+	resp, err := http.Get(ts.URL + "/v1/results/" + lastID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr ResultResponse
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if rr.Trace == nil || len(rr.Trace.Spans) == 0 {
+		t.Error("/v1/results payload has no trace")
+	}
+	if !rr.Cached {
+		t.Error("third submission (repeat) not flagged cached")
+	}
+
+	metrics := fetchText(t, ts.URL+"/metrics")
+	for _, fam := range []string{
+		"# TYPE qgear_jobs_submitted_total counter",
+		"# TYPE qgear_cache_hits_total counter",
+		"# TYPE qgear_job_duration_seconds histogram",
+		"# TYPE qgear_stage_duration_seconds histogram",
+		"# TYPE qgear_queue_depth gauge",
+		"# TYPE go_goroutines gauge",
+		"# TYPE qgear_build_info gauge",
+	} {
+		if !strings.Contains(metrics, fam) {
+			t.Errorf("/metrics missing %q", fam)
+		}
+	}
+
+	var st Stats
+	if err := json.Unmarshal([]byte(fetchText(t, ts.URL+"/v1/stats")), &st); err != nil {
+		t.Fatal(err)
+	}
+	checks := map[string]float64{
+		"qgear_jobs_submitted_total":             float64(st.Submitted),
+		"qgear_jobs_completed_total":             float64(st.Completed),
+		"qgear_jobs_executed_total":              float64(st.Executed),
+		`qgear_cache_hits_total{cache="result"}`: float64(st.CacheHits),
+		`qgear_cache_hits_total{cache="plan"}`:   float64(st.PlanCacheHits),
+	}
+	for series, want := range checks {
+		got, ok := metricValue(metrics, series)
+		if !ok {
+			t.Errorf("/metrics missing series %s", series)
+			continue
+		}
+		if got != want {
+			t.Errorf("%s = %v, /v1/stats says %v", series, got, want)
+		}
+	}
+	if v, ok := metricValue(metrics, `qgear_build_info{version="`+Version+`"}`); !ok || v != 1 {
+		t.Errorf("build info series wrong: %v %v", v, ok)
+	}
+
+	// The per-path latency family mirrors the Stats latency map.
+	for path, snap := range st.Latency {
+		series := `qgear_job_duration_seconds_count{path="` + path + `"}`
+		got, ok := metricValue(metrics, series)
+		if !ok || got != float64(snap.Count) {
+			t.Errorf("%s = %v ok=%v, stats count %d", series, got, ok, snap.Count)
 		}
 	}
 }
@@ -133,9 +247,8 @@ func TestTraceWithinWall(t *testing.T) {
 // working set and a live store, so eviction, spill and store-hit paths
 // all run under real concurrency; then one repeat of a result the load
 // evicted to the store must be a store hit. Afterwards /metrics must
-// expose every required family, agree with /v1/stats on the job and
-// cache totals and on every latency path, and show that hits, evictions
-// and store hits all moved.
+// expose every required family, agree with /v1/stats on the job totals,
+// and show that hits, evictions and store hits all moved.
 func TestLoadMixedTraffic(t *testing.T) {
 	const (
 		clients  = 50
@@ -242,7 +355,6 @@ func TestLoadMixedTraffic(t *testing.T) {
 		"qgear_state_pool_hits_total counter",
 		"qgear_state_pool_misses_total counter",
 		"qgear_state_pool_retained_bytes gauge",
-		"qgear_build_info gauge",
 		"go_goroutines gauge",
 	} {
 		if !strings.Contains(metrics, "# TYPE "+fam) {
@@ -260,23 +372,12 @@ func TestLoadMixedTraffic(t *testing.T) {
 			st.Submitted, st.Completed, st.Failed, total, total)
 	}
 	for series, want := range map[string]uint64{
-		"qgear_jobs_submitted_total":                  st.Submitted,
-		"qgear_jobs_completed_total":                  st.Completed,
-		"qgear_jobs_failed_total":                     st.Failed,
-		"qgear_jobs_executed_total":                   st.Executed,
-		`qgear_cache_hits_total{cache="result"}`:      st.CacheHits,
-		`qgear_cache_hits_total{cache="plan"}`:        st.PlanCacheHits,
-		`qgear_build_info{version="` + Version + `"}`: 1,
+		"qgear_jobs_submitted_total": st.Submitted,
+		"qgear_jobs_completed_total": st.Completed,
+		"qgear_jobs_failed_total":    st.Failed,
 	} {
 		if got, ok := metricValue(metrics, series); !ok || got != float64(want) {
 			t.Errorf("%s = %v (present %v), /v1/stats says %d", series, got, ok, want)
-		}
-	}
-	// The per-path latency family mirrors the /v1/stats latency map.
-	for path, snap := range st.Latency {
-		series := `qgear_job_duration_seconds_count{path="` + path + `"}`
-		if got, ok := metricValue(metrics, series); !ok || got != float64(snap.Count) {
-			t.Errorf("%s = %v (present %v), /v1/stats count %d", series, got, ok, snap.Count)
 		}
 	}
 	// Repeats hit; the tight budget evicted; evicted repeats came back
@@ -375,6 +476,13 @@ func fetchText(t *testing.T, url string) string {
 		t.Fatalf("GET %s: HTTP %d: %s", url, resp.StatusCode, b)
 	}
 	return string(b)
+}
+
+func waitDone(t *testing.T, base, id string) {
+	t.Helper()
+	if err := awaitDone(base, id); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // awaitDone polls a job to StateDone. It reports failure as an error,

@@ -249,52 +249,49 @@ func edgeTerms(n int) []PauliTerm {
 	return terms
 }
 
-// checkGroup holds ExpPauliGroup over terms, through each of evs and on
-// every body the lane wrappers take here, to the reference loop bit for
-// bit — and ExpPauli of each of the first three terms alone to it too,
+// checkGroup holds ExpPauliGroup over terms, through each of evs, to
+// the reference loop bit for bit — and ExpPauli of each of the first three terms alone to it too,
 // with its visit count: 2^(n−1), none for the identity.
 func checkGroup(t testing.TB, s *State, terms []PauliTerm, what string, evs ...*PauliEvaluator) {
 	want := make([]float64, len(terms))
 	for i, term := range terms {
 		want[i] = refExpPauli(s, term)
 	}
-	wrapperBodies(func(body string) {
-		for _, ev := range evs {
-			at := fmt.Sprintf("%s, resident %d (%s)", what, ev.residentBits, body)
-			got, _, err := ev.ExpPauliGroup(terms, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", at, err)
-			}
-			for i, term := range terms {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s: term %d (%x/%x/%x): grouped %.17g (%x) != reference %.17g (%x)",
-						at, i, term.X, term.Y, term.Z, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-				}
-			}
-			for i, term := range terms[:min(3, len(terms))] {
-				one, visited, err := ev.ExpPauli(term.X, term.Y, term.Z)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Float64bits(one) != math.Float64bits(want[i]) {
-					t.Fatalf("%s: term %d alone %.17g != reference %.17g", at, i, one, want[i])
-				}
-				wantVisits := 1 << uint(s.n-1)
-				if term == (PauliTerm{}) {
-					wantVisits = 0
-				}
-				if visited != wantVisits {
-					t.Fatalf("%s: term %d visited %d, want %d", at, i, visited, wantVisits)
-				}
+	for _, ev := range evs {
+		at := fmt.Sprintf("%s, resident %d", what, ev.residentBits)
+		got, _, err := ev.ExpPauliGroup(terms, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		for i, term := range terms {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: term %d (%x/%x/%x): grouped %.17g (%x) != reference %.17g (%x)",
+					at, i, term.X, term.Y, term.Z, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
-	})
+		for i, term := range terms[:min(3, len(terms))] {
+			one, visited, err := ev.ExpPauli(term.X, term.Y, term.Z)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(one) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: term %d alone %.17g != reference %.17g", at, i, one, want[i])
+			}
+			wantVisits := 1 << uint(s.n-1)
+			if term == (PauliTerm{}) {
+				wantVisits = 0
+			}
+			if visited != wantVisits {
+				t.Fatalf("%s: term %d visited %d, want %d", at, i, visited, wantVisits)
+			}
+		}
+	}
 }
 
 // checkShard holds the sweeps of one rank shard of a total-qubit
 // register — one SweepShard per rank flip the terms carry, each nonzero
-// one with a random partner shard — through each of evs and on every
-// body the lane wrappers take here, to the per-term reference loop:
+// one with a random partner shard — through each of evs, to the
+// per-term reference loop:
 // each term's slots of the slab reduce, bit for bit, to the reference
 // sum of the shard's chunks (the shard's chunks are an aligned
 // power-of-two run of the slots and every other slot stays zero, so the
@@ -312,32 +309,85 @@ func checkShard(t testing.TB, s *State, total, rank int, terms []PauliTerm, r *q
 		}
 		want[i] = refTermShard(s, term, total, rank, partners[rankFlip])
 	}
-	wrapperBodies(func(body string) {
-		for _, ev := range evs {
-			at := fmt.Sprintf("%s, resident %d (%s)", what, ev.residentBits, body)
-			slab, err := ev.PartialSlab(terms)
-			if err != nil {
+	for _, ev := range evs {
+		at := fmt.Sprintf("%s, resident %d", what, ev.residentBits)
+		slab, err := ev.PartialSlab(terms)
+		if err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		for rankFlip, partner := range partners {
+			if _, err := ev.SweepShard(terms, slab, rankFlip, partner, nil); err != nil {
 				t.Fatalf("%s: %v", at, err)
 			}
-			for rankFlip, partner := range partners {
-				if _, err := ev.SweepShard(terms, slab, rankFlip, partner, nil); err != nil {
-					t.Fatalf("%s: %v", at, err)
-				}
+		}
+		nChunks, slot := 1<<uint(total-1-ev.chunkBits()), 0
+		for i, term := range terms {
+			if term == (PauliTerm{}) {
+				continue
 			}
-			nChunks, slot := 1<<uint(total-1-ev.chunkBits()), 0
-			for i, term := range terms {
-				if term == (PauliTerm{}) {
-					continue
-				}
-				got := treeSum(slab[slot*nChunks : (slot+1)*nChunks])
-				slot++
-				if math.Float64bits(got) != math.Float64bits(want[i]) {
-					t.Fatalf("%s: term %d (%x/%x/%x): shard %.17g != reference %.17g",
-						at, i, term.X, term.Y, term.Z, got, want[i])
-				}
+			got := treeSum(slab[slot*nChunks : (slot+1)*nChunks])
+			slot++
+			if math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: term %d (%x/%x/%x): shard %.17g != reference %.17g",
+					at, i, term.X, term.Y, term.Z, got, want[i])
 			}
 		}
-	})
+	}
+}
+
+// TestExpPauliGroupMatchesReference holds the grouped block sweep to
+// the old per-index loop, bit for bit, over register sizes, worker
+// counts, layouts, random strings and the block-geometry corner cases
+// — at the real resident bound and at one shrunk so far that every high
+// flip bit takes the two-sided path — and a term alone to it too, with
+// its visit count.
+func TestExpPauliGroupMatchesReference(t *testing.T) {
+	r := qmath.NewRNG(0x9a0f15)
+	for n := 1; n <= 17; n++ {
+		for _, workers := range []int{1, 2, 3} {
+			for _, layout := range groupLayouts {
+				if n == 1 && layout != "identity" {
+					continue
+				}
+				s := layoutState(t, n, workers, layout, r)
+				terms := edgeTerms(n)
+				for len(terms) < 40 {
+					terms = append(terms, randomTerm(n, r))
+				}
+				small := s.PauliEvaluator()
+				small.residentBits = expChunkBits(n) + 1 + r.Intn(2)
+				checkGroup(t, s, terms, fmt.Sprintf("n=%d workers=%d %s", n, workers, layout), s.PauliEvaluator(), small)
+			}
+		}
+	}
+}
+
+// TestShardMatchesReference drives the evaluator on one rank shard of a
+// wider register — terms with X/Y/Z factors on rank bits, partner
+// buffers for pairs across the rank boundary, pivots on rank bits,
+// rank-bit parity and phase, and worlds of up to 64 ranks, whose shards
+// are smaller than one canonical chunk — and holds the shard's slots of
+// the partial slab to the per-term reference loop, bit for bit
+// (checkShard).
+func TestShardMatchesReference(t *testing.T) {
+	r := qmath.NewRNG(0x5ba2d)
+	for trial := 0; trial < 500; trial++ {
+		local := 1 + r.Intn(15)
+		total := local + r.Intn(7)
+		rank := r.Intn(1 << uint(total-local))
+		layout := groupLayouts[r.Intn(len(groupLayouts))]
+		if local == 1 {
+			layout = "identity"
+		}
+		s := layoutState(t, local, 1+r.Intn(3), layout, r)
+		term := randomTerm(total, r)
+		ev := s.ShardEvaluator(total, uint64(rank)<<uint(local))
+		if r.Intn(2) == 0 {
+			ev.residentBits = min(expChunkBits(total), local-1) + 1 + r.Intn(3)
+		}
+		what := fmt.Sprintf("trial %d (local=%d total=%d rank=%d %s)", trial, local, total, rank, layout)
+		checkShard(t, s, total, rank, []PauliTerm{term}, r, what, ev)
+	}
 }
 
 // tfimTerms is the transverse-field Ising chain as masks: n−1 ZZ bonds
@@ -503,12 +553,14 @@ func FuzzExpPauliGroup(f *testing.F) {
 			z := uint64(binary.LittleEndian.Uint32(rest[8:])) & mask &^ (x | y)
 			terms = append(terms, PauliTerm{X: x, Y: y, Z: z})
 		}
-		what := fmt.Sprintf("n=%d %s", n, layout)
-		if extra < 0 {
-			checkGroup(t, s, terms, what, evs...)
-			return
-		}
-		checkShard(t, s, total, rank, terms, r, fmt.Sprintf("%s, shard %d of a %d-qubit register", what, rank, total), evs...)
+		wrapperBodies(func(body string) {
+			what := fmt.Sprintf("n=%d %s, %s body", n, layout, body)
+			if extra < 0 {
+				checkGroup(t, s, terms, what, evs...)
+				return
+			}
+			checkShard(t, s, total, rank, terms, r, fmt.Sprintf("%s, shard %d of a %d-qubit register", what, rank, total), evs...)
+		})
 	})
 }
 

@@ -265,158 +265,191 @@ func refSwapBits(amps []complex128, a, b uint) {
 	}
 }
 
-// FuzzKernelBitIdentity holds the lane kernels to the complex128
-// references above bit for bit, on every body the lane wrappers take
-// here (wrapperBodies). op picks one tile micro-op (0–3: TileMat1 and
-// TileCX, with or without a control, TileDiag with 0–3 low predicate
-// bits, TileRelPhase on a low target or as a tile constant from a high
-// bit) or one full-state kernel (4–10: ApplyMat1, applyControlled1,
-// ApplyCX, applyPhase1, ApplyGlobalAndRelativePhase,
-// applyControlledPhase, ApplySwap, at 1, 2 or 4 workers: a sharded
-// sweep must match the serial reference whatever its chunk
-// boundaries) on 1–12 qubits (2–12 for a tile or a two-qubit kernel),
-// so one-amplitude windows, the lane primitives' two-amplitude loop
-// with and without its one-amplitude tail, and long windows all run.
-// Operands come from the input, amplitudes, matrices and phases from
-// seed. With special set, about one lane in eight is ±0, ±∞ or a
-// subnormal and only complex matrices are drawn: the real fast path
-// differs from complex arithmetic on exact zeros and infinities by
-// design (lanes.go), and its body is held to its Go loop on arbitrary
-// bits by FuzzLanePrimitives instead. The seeds are every op at five
-// widths, two operand placements and both lane regimes, and diag(a, b)
-// on qubit 0 — rz's shape there, one scaleTable call over windows of
-// two amplitudes with the row [a, b] — at every width and worker count.
-func FuzzKernelBitIdentity(f *testing.F) {
-	for op := uint8(0); op < 11; op++ {
-		for i, w := range []uint8{0, 1, 3, 6, 11} {
-			for j := uint8(0); j < 2; j++ {
-				for _, special := range []bool{false, true} {
-					f.Add(op, w, uint8(i)*5+j*3, uint8(i)*7+1+j*5, uint8(i), special, uint64(op)<<8|uint64(i)<<1|uint64(j))
-				}
+// checkKernel holds one lane kernel to its complex128 reference above
+// bit for bit, on the body the lane wrappers take now. op picks one
+// tile micro-op (0–3: TileMat1 and TileCX, with or without a control,
+// TileDiag with 0–3 low predicate bits, TileRelPhase on a low target or
+// as a tile constant from a high bit) or one full-state kernel (4–10:
+// ApplyMat1, applyControlled1, ApplyCX, applyPhase1,
+// ApplyGlobalAndRelativePhase, applyControlledPhase, ApplySwap, at 1, 2
+// or 4 workers: a sharded sweep must match the serial reference
+// whatever its chunk boundaries) on 1–12 qubits (2–12 for a tile or a
+// two-qubit kernel), so one-amplitude windows, the lane primitives'
+// two-amplitude loop with and without its one-amplitude tail, and long
+// windows all run. Operands come from the arguments, amplitudes,
+// matrices and phases from seed. With special set, about one lane in
+// eight is ±0, ±∞ or a subnormal and only complex matrices are drawn:
+// the real fast path differs from complex arithmetic on exact zeros and
+// infinities by design (lanes.go), and its body is held to its Go loop
+// on arbitrary bits by FuzzLanePrimitives instead.
+func checkKernel(t *testing.T, at string, op, width, target, control, workers uint8, special bool, seed uint64) {
+	op %= 11
+	n := 1 + int(width)%12
+	if op < 4 || op == 5 || op == 6 || op >= 9 {
+		n = max(n, 2)
+	}
+	tq := int(target) % n
+	cq := int(control/3) % max(n-1, 1)
+	if cq >= tq {
+		cq++
+	}
+	rng := qmath.NewRNG(seed)
+	amps := randAmps(1<<uint(n), rng)
+	if special {
+		seedSpecials(amps, rng)
+	}
+	m := randUnitary2(rng)
+	if !special && seed&1 == 0 {
+		m = randReal2(rng)
+	}
+	p, a, b := phaseOf(rng), phaseOf(rng), phaseOf(rng)
+	var to TileOp // a tile op applies to the whole state as one tile
+	var base uint64
+	switch op {
+	case 0, 1:
+		to = TileOp{Kind: TileMat1, T: uint8(tq), M: m}
+		if op == 1 {
+			to = TileOp{Kind: TileCX, T: uint8(tq)}
+		}
+		if control%3 > 0 {
+			to.HasCtrl, to.C = true, uint8(cq)
+		}
+	case 2:
+		to = DiagOp(p, 0, 0)
+		for k := control % 4; k > 0; k-- {
+			to.LowMask |= 1 << uint(rng.Intn(n))
+		}
+	case 3:
+		to = RelPhaseOp(a, b, 0, 0)
+		if control&1 == 0 {
+			to.T = uint8(tq)
+		} else {
+			to.HighMask = 1 << uint(n+rng.Intn(8))
+			if control&2 != 0 {
+				base = to.HighMask
 			}
 		}
 	}
-	for n := uint8(0); n < 12; n++ {
-		for w := uint8(0); w < 3; w++ {
+	want := append([]complex128(nil), amps...)
+	ctx := [...]string{"mat1", "cx", "diag", "relphase", "ApplyMat1", "applyControlled1", "ApplyCX",
+		"applyPhase1", "ApplyGlobalAndRelativePhase", "applyControlledPhase", "ApplySwap"}[op]
+	switch op {
+	case 0:
+		refTileMat1(want, &to)
+	case 1:
+		refTileCX(want, &to)
+	case 2:
+		refTileDiag(want, &to)
+	case 3:
+		refTileRelPhase(want, base, &to)
+	case 4:
+		refMat1(want, uint(tq), m)
+	case 5:
+		refControlled1(want, uint(cq), uint(tq), m)
+	case 6:
+		if special {
+			refCX(want, uint(cq), uint(tq)) // X arithmetic would turn ±0 and ∞ into other bits
+		} else {
+			refControlled1(want, uint(cq), uint(tq), gate.Matrix1(gate.X, nil))
+		}
+	case 7:
+		refPhase1(want, uint(tq), p)
+	case 8:
+		refRelPhase(want, uint(tq), a, b)
+	case 9:
+		refControlledPhase(want, uint(cq), uint(tq), p)
+	case 10:
+		refSwapBits(want, uint(cq), uint(tq))
+	}
+	s := MustNew(n, []int{1, 2, 4}[workers%3])
+	defer s.Release()
+	got := s.AmplitudesRaw()
+	copy(got, amps)
+	switch op {
+	case 0:
+		applyTileMat1(got, &to, Support{})
+	case 1:
+		applyTileCX(got, &to, Support{})
+	case 2:
+		applyTileDiag(got, &to, Support{})
+	case 3:
+		applyTileRelPhase(got, base, &to, Support{})
+	case 4:
+		s.ApplyMat1(tq, m)
+	case 5:
+		s.applyControlled1(cq, tq, m)
+	case 6:
+		s.ApplyCX(cq, tq)
+	case 7:
+		s.applyPhase1(tq, p)
+	case 8:
+		s.ApplyGlobalAndRelativePhase(tq, a, b)
+	case 9:
+		s.applyControlledPhase(cq, tq, p)
+	case 10:
+		s.ApplySwap(cq, tq)
+	}
+	what := fmt.Sprintf("%s: %s on %d qubits (target %d, control %d)", at, ctx, n, tq, cq)
+	if special {
+		lanesEqual(t, got, want, what+" (special lanes)")
+	} else {
+		bitsEqual(t, got, want, what)
+	}
+}
+
+// TestTileKernelBitIdentityFuzz drives every tile micro-op kind over
+// random tiles of 2 to 12 qubits, operand placements and both matrix
+// families (checkKernel's ops 0–3); every other trial seeds special
+// lanes.
+func TestTileKernelBitIdentityFuzz(t *testing.T) {
+	rng := qmath.NewRNG(0x1a9e5)
+	for trial := 0; trial < 800; trial++ { // 400 ordinary, 400 special
+		checkKernel(t, fmt.Sprintf("trial %d", trial), uint8(rng.Intn(4)), uint8(1+rng.Intn(11)),
+			uint8(rng.Intn(256)), uint8(rng.Intn(256)), 0, trial%2 == 1, rng.Uint64())
+	}
+}
+
+// TestFullSweepKernelBitIdentityFuzz checks the full-state kernels
+// (checkKernel's ops 4–10) on 2 to 12 qubits at every worker count —
+// the sharded sweeps must be bit-identical to the serial reference
+// regardless of chunk boundaries. Every other trial seeds special
+// lanes.
+func TestFullSweepKernelBitIdentityFuzz(t *testing.T) {
+	rng := qmath.NewRNG(0xf0522)
+	for trial := 0; trial < 500; trial++ { // 250 ordinary, 250 special
+		checkKernel(t, fmt.Sprintf("trial %d", trial), uint8(4+rng.Intn(7)), uint8(1+rng.Intn(11)),
+			uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(3)), trial%2 == 1, rng.Uint64())
+	}
+}
+
+// TestQubit0RelPhaseBitIdentity pins diag(a, b) on qubit 0 — rz's
+// shape there, one scaleTable call over windows of two amplitudes with
+// the row [a, b] — to the complex128 reference bit for bit, at every
+// width from one to twelve qubits and one, two and four workers, on
+// ordinary and on special lanes.
+func TestQubit0RelPhaseBitIdentity(t *testing.T) {
+	rng := qmath.NewRNG(0x9b0)
+	for width := uint8(0); width < 12; width++ {
+		for workers := uint8(0); workers < 3; workers++ {
 			for _, special := range []bool{false, true} {
-				f.Add(uint8(8), n, uint8(0), uint8(0), w, special, uint64(n)<<2|uint64(w))
+				checkKernel(t, "qubit 0", 8, width, 0, 0, workers, special, rng.Uint64())
 			}
+		}
+	}
+}
+
+// FuzzKernelBitIdentity runs checkKernel on every body the lane
+// wrappers take here (wrapperBodies). The seeds are every op on both
+// lane regimes.
+func FuzzKernelBitIdentity(f *testing.F) {
+	for op := uint8(0); op < 11; op++ {
+		for _, special := range []bool{false, true} {
+			f.Add(op, op, 3*op, op+1, op%3, special, uint64(op))
 		}
 	}
 	f.Fuzz(func(t *testing.T, op, width, target, control, workers uint8, special bool, seed uint64) {
-		op %= 11
-		n := 1 + int(width)%12
-		if op < 4 || op == 5 || op == 6 || op >= 9 {
-			n = max(n, 2)
-		}
-		tq := int(target) % n
-		cq := int(control/3) % max(n-1, 1)
-		if cq >= tq {
-			cq++
-		}
-		rng := qmath.NewRNG(seed)
-		amps := randAmps(1<<uint(n), rng)
-		if special {
-			seedSpecials(amps, rng)
-		}
-		m := randUnitary2(rng)
-		if !special && seed&1 == 0 {
-			m = randReal2(rng)
-		}
-		p, a, b := phaseOf(rng), phaseOf(rng), phaseOf(rng)
-		var to TileOp // a tile op applies to the whole state as one tile
-		var base uint64
-		switch op {
-		case 0, 1:
-			to = TileOp{Kind: TileMat1, T: uint8(tq), M: m}
-			if op == 1 {
-				to = TileOp{Kind: TileCX, T: uint8(tq)}
-			}
-			if control%3 > 0 {
-				to.HasCtrl, to.C = true, uint8(cq)
-			}
-		case 2:
-			to = DiagOp(p, 0, 0)
-			for k := control % 4; k > 0; k-- {
-				to.LowMask |= 1 << uint(rng.Intn(n))
-			}
-		case 3:
-			to = RelPhaseOp(a, b, 0, 0)
-			if control&1 == 0 {
-				to.T = uint8(tq)
-			} else {
-				to.HighMask = 1 << uint(n+rng.Intn(8))
-				if control&2 != 0 {
-					base = to.HighMask
-				}
-			}
-		}
-		want := append([]complex128(nil), amps...)
-		ctx := [...]string{"mat1", "cx", "diag", "relphase", "ApplyMat1", "applyControlled1", "ApplyCX",
-			"applyPhase1", "ApplyGlobalAndRelativePhase", "applyControlledPhase", "ApplySwap"}[op]
-		switch op {
-		case 0:
-			refTileMat1(want, &to)
-		case 1:
-			refTileCX(want, &to)
-		case 2:
-			refTileDiag(want, &to)
-		case 3:
-			refTileRelPhase(want, base, &to)
-		case 4:
-			refMat1(want, uint(tq), m)
-		case 5:
-			refControlled1(want, uint(cq), uint(tq), m)
-		case 6:
-			if special {
-				refCX(want, uint(cq), uint(tq)) // X arithmetic would turn ±0 and ∞ into other bits
-			} else {
-				refControlled1(want, uint(cq), uint(tq), gate.Matrix1(gate.X, nil))
-			}
-		case 7:
-			refPhase1(want, uint(tq), p)
-		case 8:
-			refRelPhase(want, uint(tq), a, b)
-		case 9:
-			refControlledPhase(want, uint(cq), uint(tq), p)
-		case 10:
-			refSwapBits(want, uint(cq), uint(tq))
-		}
 		wrapperBodies(func(body string) {
-			s := MustNew(n, []int{1, 2, 4}[workers%3])
-			defer s.Release()
-			got := s.AmplitudesRaw()
-			copy(got, amps)
-			switch op {
-			case 0:
-				applyTileMat1(got, &to, Support{})
-			case 1:
-				applyTileCX(got, &to, Support{})
-			case 2:
-				applyTileDiag(got, &to, Support{})
-			case 3:
-				applyTileRelPhase(got, base, &to, Support{})
-			case 4:
-				s.ApplyMat1(tq, m)
-			case 5:
-				s.applyControlled1(cq, tq, m)
-			case 6:
-				s.ApplyCX(cq, tq)
-			case 7:
-				s.applyPhase1(tq, p)
-			case 8:
-				s.ApplyGlobalAndRelativePhase(tq, a, b)
-			case 9:
-				s.applyControlledPhase(cq, tq, p)
-			case 10:
-				s.ApplySwap(cq, tq)
-			}
-			what := fmt.Sprintf("%s on %d qubits (target %d, control %d), %s body", ctx, n, tq, cq, body)
-			if special {
-				lanesEqual(t, got, want, what+" (special lanes)")
-			} else {
-				bitsEqual(t, got, want, what)
-			}
+			checkKernel(t, body+" body", op, width, target, control, workers, special, seed)
 		})
 	})
 }

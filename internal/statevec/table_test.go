@@ -122,84 +122,81 @@ func randGroup(rng *qmath.RNG, nbits, tileBits int) []TileOp {
 // full sweep (ApplyPhaseGroup, 1 to 3 workers) equals the tiled form bit
 // for bit; and both agree with applying the members one at a time within
 // 1e-12. Every other trial seeds special lanes (NaN matching any NaN).
-// It runs on every body the lane wrappers take here (wrapperBodies).
 func TestPhaseTableMatchesPerIndex(t *testing.T) {
-	wrapperBodies(func(body string) {
-		rng := qmath.NewRNG(0x7ab1e)
-		for trial := 0; trial < 600; trial++ {
-			n := 1 + rng.Intn(11)
-			ranks := rng.Intn(3) // rank bits above the shard
-			tb := 1 + rng.Intn(n)
-			members := randGroup(rng, n+ranks, tb)
-			common, free, _ := groupMasks(members)
-			if bits.OnesCount64(free) > MaxTableBits {
-				continue
-			}
-			base := uint64(rng.Intn(1<<uint(ranks))) << uint(n)
-			amps := randAmps(1<<uint(n), rng)
-			special := trial%2 == 1
-			if special {
-				seedSpecials(amps, rng)
-			}
-			want := append([]complex128(nil), amps...)
-			refApplyTable(want, base, common, free, refTable(members, common, free))
-			ctx := fmt.Sprintf("%s body, trial %d: %d qubits, %d rank bits (base %#x), tile %d, common %#x, free %#x", body, trial, n, ranks, base, tb, common, free)
+	rng := qmath.NewRNG(0x7ab1e)
+	for trial := 0; trial < 600; trial++ {
+		n := 1 + rng.Intn(11)
+		ranks := rng.Intn(3) // rank bits above the shard
+		tb := 1 + rng.Intn(n)
+		members := randGroup(rng, n+ranks, tb)
+		common, free, _ := groupMasks(members)
+		if bits.OnesCount64(free) > MaxTableBits {
+			continue
+		}
+		base := uint64(rng.Intn(1<<uint(ranks))) << uint(n)
+		amps := randAmps(1<<uint(n), rng)
+		special := trial%2 == 1
+		if special {
+			seedSpecials(amps, rng)
+		}
+		want := append([]complex128(nil), amps...)
+		refApplyTable(want, base, common, free, refTable(members, common, free))
+		ctx := fmt.Sprintf("trial %d: %d qubits, %d rank bits (base %#x), tile %d, common %#x, free %#x", trial, n, ranks, base, tb, common, free)
 
-			s := MustNew(n, 1+rng.Intn(3))
+		s := MustNew(n, 1+rng.Intn(3))
+		copy(s.AmplitudesRaw(), amps)
+		ops := append([]TileOp{TableOp(len(members))}, members...)
+		if err := s.ApplyTileRun(tb, base, ops); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		lanesEqual(t, s.AmplitudesRaw(), want, ctx+" (tile run)")
+		s.Release()
+
+		if ranks > 0 {
+			continue // the full sweep is a whole state's, no rank bits
+		}
+		for w := 1; w <= 3; w++ {
+			// Compiled at the state's width: every position low.
+			full := make([]TileOp, len(members))
+			for i, op := range members {
+				full[i] = op
+				if op.Kind == TileDiag {
+					full[i].LowMask, full[i].HighMask = op.LowMask|op.HighMask, 0
+				} else if op.HighMask != 0 {
+					full[i].T, full[i].HighMask = uint8(bits.TrailingZeros64(op.HighMask)), 0
+				}
+			}
+			s := MustNew(n, w)
 			copy(s.AmplitudesRaw(), amps)
-			ops := append([]TileOp{TableOp(len(members))}, members...)
-			if err := s.ApplyTileRun(tb, base, ops); err != nil {
+			if err := s.ApplyPhaseGroup(full); err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
-			lanesEqual(t, s.AmplitudesRaw(), want, ctx+" (tile run)")
+			lanesEqual(t, s.AmplitudesRaw(), want, fmt.Sprintf("%s (full sweep, %d workers)", ctx, w))
 			s.Release()
-
-			if ranks > 0 {
-				continue // the full sweep is a whole state's, no rank bits
-			}
-			for w := 1; w <= 3; w++ {
-				// Compiled at the state's width: every position low.
-				full := make([]TileOp, len(members))
-				for i, op := range members {
-					full[i] = op
-					if op.Kind == TileDiag {
-						full[i].LowMask, full[i].HighMask = op.LowMask|op.HighMask, 0
-					} else if op.HighMask != 0 {
-						full[i].T, full[i].HighMask = uint8(bits.TrailingZeros64(op.HighMask)), 0
-					}
-				}
-				s := MustNew(n, w)
-				copy(s.AmplitudesRaw(), amps)
-				if err := s.ApplyPhaseGroup(full); err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
-				lanesEqual(t, s.AmplitudesRaw(), want, fmt.Sprintf("%s (full sweep, %d workers)", ctx, w))
-				s.Release()
-			}
-			if special {
-				continue
-			}
-			chain := append([]complex128(nil), amps...)
-			tile := 1 << uint(tb)
-			for off := 0; off < len(chain); off += tile {
-				run := chain[off : off+tile]
-				abs := base | uint64(off)
-				for i := range members {
-					op := &members[i]
-					if op.Kind == TileDiag && abs&op.HighMask == op.HighMask {
-						refTileDiag(run, op)
-					} else if op.Kind == TileRelPhase {
-						refTileRelPhase(run, abs, op)
-					}
-				}
-			}
-			for i := range chain {
-				if d := chain[i] - want[i]; math.Hypot(real(d), imag(d)) > 1e-12 {
-					t.Fatalf("%s: amplitude %d = %v one member at a time, %v as a table", ctx, i, chain[i], want[i])
+		}
+		if special {
+			continue
+		}
+		chain := append([]complex128(nil), amps...)
+		tile := 1 << uint(tb)
+		for off := 0; off < len(chain); off += tile {
+			run := chain[off : off+tile]
+			abs := base | uint64(off)
+			for i := range members {
+				op := &members[i]
+				if op.Kind == TileDiag && abs&op.HighMask == op.HighMask {
+					refTileDiag(run, op)
+				} else if op.Kind == TileRelPhase {
+					refTileRelPhase(run, abs, op)
 				}
 			}
 		}
-	})
+		for i := range chain {
+			if d := chain[i] - want[i]; math.Hypot(real(d), imag(d)) > 1e-12 {
+				t.Fatalf("%s: amplitude %d = %v one member at a time, %v as a table", ctx, i, chain[i], want[i])
+			}
+		}
+	}
 }
 
 // TestCheckGroupsRefuses: a header must head two or more diagonal

@@ -1,6 +1,7 @@
 package tensorenc
 
 import (
+	"bytes"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -37,44 +38,66 @@ func normalize(c *circuit.Circuit) *circuit.Circuit {
 	return out
 }
 
-// TestEncodeDecodeRoundTrip: circuit lists — the sample, the shared seed circuits
-// and thirty seeded gate soups with measurements, the last two in the
-// native basis — come back from Encode/Decode, from Marshal/Unmarshal
-// and from a file exactly as written (the clbit count aside: Decode
-// sizes it from the measurements present). Encode sizes an automatic
-// capacity to the longest circuit; an explicit one pads with empty
-// slots, and its tensors survive Marshal/Unmarshal DeepEqual in a file
-// that deflates below their raw size (Appendix C).
-func TestEncodeDecodeRoundTrip(t *testing.T) {
+// roundTripLists are the circuit lists the round trips below write: the
+// sample and the shared seed circuits in the native basis.
+func roundTripLists(t *testing.T) map[string][]*circuit.Circuit {
 	seeds := artifacttest.SeedCircuits(t)
-	var soups []*circuit.Circuit
-	for seed := uint64(0); seed < 30; seed++ {
-		r := qmath.NewRNG(seed)
-		n := 2 + r.Intn(5)
-		c := oracle.Soup(n, r.Intn(40), r).Transpile(circuit.BasisNative)
-		c.NumClbits = n
-		for i := r.Intn(n); i > 0; i-- {
-			c.Measure(r.Intn(n), r.Intn(n))
-		}
-		soups = append(soups, c)
-	}
 	for i, c := range seeds {
 		seeds[i] = c.Transpile(circuit.BasisNative)
 	}
-	dir := t.TempDir()
-	for name, want := range map[string][]*circuit.Circuit{"sample": sampleCircuits(), "seeds": seeds, "soups": soups} {
-		auto, err := Encode(want, 0)
+	return map[string][]*circuit.Circuit{"sample": sampleCircuits(), "seeds": seeds}
+}
+
+// decodesTo: e decodes to want exactly, the clbit count aside — Decode
+// sizes it from the measurements present, which can be tighter than the
+// builder's register.
+func decodesTo(t *testing.T, what string, e *Encoding, want []*circuit.Circuit) {
+	t.Helper()
+	got, err := e.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d circuits, wrote %d", what, len(got), len(want))
+	}
+	for i := range want {
+		w, g := normalize(want[i]), normalize(got[i])
+		w.NumClbits = g.NumClbits
+		if !reflect.DeepEqual(w, g) {
+			t.Errorf("%s: circuit %d differs:\nwant %+v\ngot  %+v", what, i, w, g)
+		}
+	}
+}
+
+func longestOps(cs []*circuit.Circuit) int {
+	longest := 0
+	for _, c := range cs {
+		longest = max(longest, len(c.Ops))
+	}
+	return longest
+}
+
+// TestEncodeDecodeRoundTrip: Encode sizes an automatic capacity to the
+// longest circuit, and Decode gives back what was written.
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	for name, want := range roundTripLists(t) {
+		e, err := Encode(want, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		longest := 0
-		for _, c := range want {
-			longest = max(longest, len(c.Ops))
+		if longest := longestOps(want); e.NumCircuits != len(want) || e.Capacity != longest {
+			t.Fatalf("%s: %d circuits at capacity %d, want %d at %d", name, e.NumCircuits, e.Capacity, len(want), longestOps(want))
 		}
-		if auto.NumCircuits != len(want) || auto.Capacity != longest {
-			t.Fatalf("%s: %d circuits at capacity %d, want %d at %d", name, auto.NumCircuits, auto.Capacity, len(want), longest)
-		}
-		e, err := Encode(want, longest+4)
+		decodesTo(t, name, e, want)
+	}
+}
+
+// TestMarshalRoundTrip: tensors padded to an explicit capacity survive
+// Marshal/Unmarshal DeepEqual, re-marshal to the same bytes and deflate
+// below their raw size (Appendix C).
+func TestMarshalRoundTrip(t *testing.T) {
+	for name, want := range roundTripLists(t) {
+		e, err := Encode(want, longestOps(want)+4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,36 +110,57 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(e, back) {
-			t.Fatalf("%s: tensors differ after Marshal/Unmarshal:\n%+v\n%+v", name, e, back)
+			t.Fatalf("%s: round trip differs:\n%+v\n%+v", name, e, back)
+		}
+		again, err := back.Marshal()
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("%s: re-encoding differs (err %v)", name, err)
 		}
 		if raw := 8 * (len(e.CircType) + len(e.GateType) + len(e.GateParam)); len(data) >= raw {
 			t.Fatalf("%s: %d-byte file for %d raw tensor bytes", name, len(data), raw)
+		}
+		decodesTo(t, name, back, want)
+	}
+}
+
+func TestFileRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	for name, want := range roundTripLists(t) {
+		e, err := Encode(want, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
 		path := filepath.Join(dir, name+".qgt")
 		if err := e.SaveFile(path); err != nil {
 			t.Fatal(err)
 		}
-		fromFile, err := LoadFile(path)
+		back, err := LoadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, enc := range []*Encoding{auto, back, fromFile} {
-			got, err := enc.Decode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d circuits, wrote %d", name, len(got), len(want))
-			}
-			for i := range want {
-				w, g := normalize(want[i]), normalize(got[i])
-				w.NumClbits = g.NumClbits
-				if !reflect.DeepEqual(w, g) {
-					t.Errorf("%s: circuit %d differs:\nwant %+v\ngot  %+v", name, i, w, g)
-				}
-			}
-		}
+		decodesTo(t, name, back, want)
 	}
+}
+
+// TestRandomRoundTripProperty: thirty seeded gate soups with
+// measurements, in the native basis, come back from Encode/Decode.
+func TestRandomRoundTripProperty(t *testing.T) {
+	var want []*circuit.Circuit
+	for seed := uint64(0); seed < 30; seed++ {
+		r := qmath.NewRNG(seed)
+		n := 2 + r.Intn(5)
+		c := oracle.Soup(n, r.Intn(40), r).Transpile(circuit.BasisNative)
+		c.NumClbits = n
+		for i := r.Intn(n); i > 0; i-- {
+			c.Measure(r.Intn(n), r.Intn(n))
+		}
+		want = append(want, c)
+	}
+	e, err := Encode(want, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodesTo(t, "soups", e, want)
 }
 
 func TestInferType(t *testing.T) {
