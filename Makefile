@@ -285,7 +285,7 @@ ci-portable:
 # deadlines must leave the server serving, quarantines firing, fallback
 # re-simulations bit-identical, and no job hung — the hardened-serving
 # invariants, checked deterministically. The backend leg holds an mqpu
-# batch's panic to the caller's goroutine, where the server's guard is.
+# batch's panic (backend.RunBatch) to the caller's goroutine.
 ci-chaos: build
 	$(GO) test -race -count=1 ./internal/faultfs/
 	$(call run-selected,TestChaos,./internal/service/ ./internal/backend/,-v)

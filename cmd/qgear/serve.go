@@ -30,7 +30,7 @@ func serviceFlags(fs *flag.FlagSet) *service.Config {
 	fs.IntVar(&cfg.PlanCacheSize, "plan-cache", 512, "compiled-plan cache entry bound (-1 disables)")
 	fs.Int64Var(&cfg.MaxPlanCacheBytes, "max-plan-cache-bytes", 0, "plan-cache resident byte budget (0 = 256 MiB default, -1 = unbounded)")
 	fs.Int64Var(&cfg.MaxStoreBytes, "max-store-bytes", 0, "on-disk store byte budget: saves evict lowest-priority artifacts (Greedy-Dual-Size) or are refused so the store directory never outgrows this (0 = unbounded)")
-	fs.IntVar(&cfg.MaxBatch, "batch", 8, "max queued jobs one worker coalesces into one run (it takes a backlog, never waits for one)")
+	fs.IntVar(&cfg.MaxBatch, "batch", 8, "max queued jobs one worker takes at once; those of one circuit share one run (it takes a backlog, never waits for one)")
 	fs.DurationVar(&cfg.JobTimeout, "job-timeout", 0, "per-job lifetime bound from submission (0 = unbounded); expired jobs fail with a 504 result")
 	fs.IntVar(&cfg.MaxWaitMs, "max-wait-ms", 0, "long-poll cap for GET /v1/jobs/{id}?wait_ms=N in milliseconds (0 = 30000 default); larger client budgets are clamped, never rejected")
 	fs.Int64Var(&cfg.MaxStateBytes, "max-state-bytes", 0, "memory admission budget: reject circuits whose simulation working set exceeds this many bytes with 422 (0 = half of available RAM, -1 = no admission control)")
@@ -57,8 +57,8 @@ func newHTTPServer(addr string, h http.Handler, maxWaitMs int) *http.Server {
 }
 
 // cmdServe puts an HTTP listener on service.Server — the bounded job
-// queue, worker pool, batch coalescing onto the mqpu device-parallel
-// path and content-addressed result cache — until SIGINT or SIGTERM,
+// queue, worker pool, shared runs for the queued jobs of one circuit
+// and content-addressed result cache — until SIGINT or SIGTERM,
 // then drains it. Load generation lives in benchmark/ (the serve_mix
 // workload).
 func cmdServe(fs *flag.FlagSet) func(out io.Writer) error {

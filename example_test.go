@@ -118,8 +118,9 @@ func Example_observableEstimation() {
 // exposes over HTTP — and watch the content-addressed cache answer a
 // repeated workload.
 func Example_serveEmbedded() {
-	// A 4-device mqpu server: queued jobs are coalesced into one
-	// device-parallel backend.RunBatch call per batch.
+	// A 4-device mqpu server: a worker takes the queued jobs as a batch
+	// and runs their circuits one after another, and each job's shots
+	// are split across the four simulated QPUs.
 	srv, err := qgear.NewServer(qgear.ServerConfig{
 		Devices:    4,
 		WorkerPool: 2,
@@ -144,8 +145,8 @@ func Example_serveEmbedded() {
 	}
 
 	for round := 1; round <= 2; round++ {
-		// Submit the whole round asynchronously so the server can
-		// coalesce the burst, then wait for each job.
+		// Submit the whole round asynchronously so the workers take
+		// the burst as batches, then wait for each job.
 		var infos []qgear.JobInfo
 		for _, c := range circuits {
 			info, err := srv.Submit(c, qgear.SubmitOptions{Shots: 500, Seed: 7})

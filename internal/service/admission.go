@@ -19,6 +19,11 @@ import (
 // the server's fate instead of the server. Submit therefore prices
 // every circuit before any allocation and refuses, with ErrTooLarge,
 // anything whose working set cannot fit the configured budget.
+//
+// The price is one run's, and a worker holds at most one run's state at
+// a time: a batch runs its circuits one after another, and the jobs of
+// one circuit share a single run. So WorkerPool runs' states are the
+// most resident at once, whatever the target or MaxBatch.
 
 // runOverheadBytes covers what a run allocates that scales with neither
 // 2^n nor the shots: the result and its trace, tile and gather scratch,
@@ -60,8 +65,9 @@ func (s *Server) estimateStateBytes(n, shots int) int64 {
 }
 
 // defaultMaxStateBytes derives the default admission budget: half the
-// machine's currently available RAM, so one admitted worst-case job
-// leaves headroom for the caches, the queue, and a second worker. When
+// machine's currently available RAM, so one admitted worst-case job —
+// one state on its worker — leaves headroom for the caches, the queue,
+// and a second worker. When
 // availability cannot be determined (non-Linux, hardened /proc), a
 // conservative 4 GiB applies.
 func defaultMaxStateBytes() int64 {

@@ -23,7 +23,7 @@ type (
 )
 
 // Accounting note: seed-variant entries of one fingerprint produced by
-// a coalesced batch share one underlying probability slice but are
+// one shared run share one underlying probability slice but are
 // each charged its full size. The overstatement is deliberate — it is
 // the safe side (resident memory can only be below the budget, never
 // above it), it disappears as soon as any variant is evicted, and

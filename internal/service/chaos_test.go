@@ -41,9 +41,7 @@ func chaosWait(t *testing.T, s *Server, id string) JobInfo {
 // asserts the blast radius: the panicking job and every single-flight
 // member on its key fail with the panic message, the worker survives,
 // and a later resubmission of the same circuit re-executes cleanly
-// with bit-identical output. The mqpu row runs its batch on statevec's
-// pool, so the panic is raised on a chunk and must reach the worker's
-// guard on the calling goroutine.
+// with bit-identical output, on the default and the mqpu target.
 func TestChaosPanicIsolation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -133,7 +131,8 @@ func chaosPanicIsolation(t *testing.T, base Config) {
 // TestChaosDeadlineRunning stalls the execute path past a per-job
 // deadline and asserts the job stops cooperatively: it fails with
 // ErrDeadlineExceeded, the running-stage cancellation counter moves,
-// and the worker goes on to serve the next job.
+// and the worker goes on to serve the next job — also when the job was
+// dequeued beside an unbounded job of another circuit.
 func TestChaosDeadlineRunning(t *testing.T) {
 	var stall atomic.Bool
 	cfg := Config{WorkerPool: 1, MaxBatch: 1, TileBits: 4}
@@ -167,6 +166,40 @@ func TestChaosDeadlineRunning(t *testing.T) {
 	if _, _, err := s.Run(context.Background(), c, SubmitOptions{Shots: 100, Seed: 1}); err != nil {
 		t.Fatalf("post-deadline resubmission: %v", err)
 	}
+
+	// A tight job dequeued beside an unbounded job of another circuit
+	// keeps its own budget: only the jobs of one circuit share a run, and
+	// with it a deadline.
+	t.Run("beside-unbounded", func(t *testing.T) {
+		var calls atomic.Int32
+		s, started, release, _ := newHeldServer(t, Config{WorkerPool: 1, TileBits: 4, ExecHook: func() {
+			if calls.Add(1) > 1 { // every run after the held one stalls
+				time.Sleep(80 * time.Millisecond)
+			}
+		}})
+		if _, err := s.Submit(testCircuit(t, 8, 10, 8), SubmitOptions{Shots: 100, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		tight, err := s.Submit(testCircuit(t, 8, 10, 9), SubmitOptions{Shots: 100, Seed: 1, TimeoutMs: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loose, err := s.Submit(testCircuit(t, 8, 10, 10), SubmitOptions{Shots: 100, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		if fin := chaosWait(t, s, tight.ID); fin.State != StateFailed {
+			t.Fatalf("tight job state %s, want failed", fin.State)
+		}
+		if _, err := s.Result(tight.ID); !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatalf("tight job error %v, want ErrDeadlineExceeded", err)
+		}
+		if fin := chaosWait(t, s, loose.ID); fin.State != StateDone {
+			t.Fatalf("unbounded job state %s (%s), want done", fin.State, fin.Error)
+		}
+	})
 }
 
 // TestChaosDeadlineQueueExpiry parks a short-deadline job behind a

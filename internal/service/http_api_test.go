@@ -98,7 +98,7 @@ func TestHTTPErrorEnvelopeGolden(t *testing.T) {
 // TestHTTPQueueFullEnvelope: 429 carries both the Retry-After header
 // and retry_after_ms inside the envelope.
 func TestHTTPQueueFullEnvelope(t *testing.T) {
-	s, started, release := newHeldServer(t, Config{WorkerPool: 1, MaxBatch: 1, QueueSize: 1})
+	s, started, release, _ := newHeldServer(t, Config{WorkerPool: 1, MaxBatch: 1, QueueSize: 1})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	// The first job holds the one worker in ExecHook until the queue has

@@ -47,11 +47,14 @@ type kindSpec struct {
 	// key is the kind's content address; kopts is the server's execution
 	// configuration with the wall-clock-only fields already zeroed.
 	key func(c *circuit.Circuit, opts SubmitOptions, kopts core.Options) string
-	// run executes one job alone on its compiled circuit. Nil marks the
-	// coalesced kind: its jobs share one batched execution per circuit
-	// fingerprint and are sampled per job afterwards.
-	run func(j *job, comp *backend.Compiled, o core.Options) (*backend.Result, error)
+	// run executes one job alone on its compiled circuit. Nil marks
+	// simulate: a batch's simulate jobs of one circuit share one
+	// backend.RunCompiled, and each draws its own shots from it.
+	run runFunc
 }
+
+// runFunc runs one job's compiled circuit: its kind's run, or runShared.
+type runFunc func(j *job, comp *backend.Compiled, o core.Options) (*backend.Result, error)
 
 var kinds = [numKinds]kindSpec{
 	kindSimulate: {

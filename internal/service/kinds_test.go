@@ -456,7 +456,7 @@ func TestSingleFlight(t *testing.T) {
 		spec := &kinds[k]
 		t.Run(spec.name, func(t *testing.T) {
 			for ji, j := range jobs[spec.name] {
-				s, _, release := newHeldServer(t, Config{WorkerPool: 2})
+				s, _, release, _ := newHeldServer(t, Config{WorkerPool: 2})
 				var wg sync.WaitGroup
 				ids := make([]string, n)
 				errs := make([]error, n)

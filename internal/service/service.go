@@ -11,14 +11,14 @@
 //     cached and identical resubmissions are served instantly;
 //   - single-flight: concurrent submissions of the same key attach to
 //     the one in-flight execution instead of queueing duplicates;
-//   - batch coalescing: a worker that finds a backlog takes up to
-//     MaxBatch queued jobs and executes them in one backend.RunBatch call,
-//     exploiting the nvidia-mqpu device-parallel path; it never waits for
-//     one to form.
+//   - shared runs: a worker that finds a backlog takes up to MaxBatch
+//     queued jobs (it never waits for one to form), and the simulate jobs
+//     of one circuit among them share one execution; distinct circuits
+//     run one after another.
 //
-// Shot sampling is performed per job from the batch-computed
-// probability vector with the job's own seed, so coalesced execution
-// is bit-identical to running each job alone (see TestBatchMatchesSequential).
+// Shot sampling is performed per job from the shared run's probability
+// vector with the job's own seed, so a shared run is bit-identical to
+// running each job alone (see TestBatchMatchesSequential).
 package service
 
 import (
@@ -93,10 +93,10 @@ type Config struct {
 	// the in-memory caches) or are refused, so the directory can never
 	// outgrow the budget. 0 = unbounded. Ignored without StoreDir.
 	MaxStoreBytes int64
-	// MaxBatch caps how many queued jobs one worker coalesces into a
-	// single backend.RunBatch call. Default 8; 1 disables coalescing.
-	// Batches form from backlog only: a worker takes what is already
-	// queued and never waits for more.
+	// MaxBatch caps how many queued jobs one worker takes at once; the
+	// simulate jobs of one circuit among them share one run. Default 8;
+	// 1 disables sharing. Batches form from backlog only: a worker takes
+	// what is already queued and never waits for more.
 	MaxBatch int
 	// MaxRetainedJobs bounds the finished-job table consulted by
 	// polling clients; the oldest finished jobs are forgotten beyond
@@ -1113,7 +1113,7 @@ func (s *Server) serveFromStore(key string) {
 	}
 }
 
-// worker drains the queue, coalescing compatible jobs into batches.
+// worker drains the queue a backlog at a time.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -1183,41 +1183,24 @@ func (s *Server) guardPanic(fn func()) (err error) {
 	return nil
 }
 
-// classifyExecErr lifts engine-level cancellation verdicts into the
-// service error taxonomy: anything the cancel package tripped becomes
-// ErrDeadlineExceeded (HTTP 504); every other error passes through.
-func classifyExecErr(err error) error {
-	if err != nil && errors.Is(err, cancel.ErrCancelled) {
-		return fmt.Errorf("%w: %v", ErrDeadlineExceeded, err)
-	}
-	return err
-}
-
-// queueExpiredErr is the dequeue-time drop: the job's budget ran out
-// before a worker ever picked it up, so it fails without executing.
-func queueExpiredErr(cause error) error {
-	return fmt.Errorf("%w (expired in queue): %v", ErrDeadlineExceeded, cause)
-}
-
-// batchFlag derives the coalesced batch's shared cancellation flag: the
-// batch is one execution, so the loosest member deadline governs, and
-// any unbounded member makes the whole batch unbounded (its result is
-// owed regardless of how long it takes).
+// batchFlag picks the cancellation flag a shared run executes under: the
+// flag of the member with the loosest deadline, an unbounded member
+// winning outright, since the run owes each of them its result. The
+// members are the jobs of one circuit, so no job's budget depends on
+// another circuit's jobs dequeued beside it. The flag is a member's own,
+// so a single-flight joiner's Extend still reaches the running execution.
 func batchFlag(jobs []*job) *cancel.Flag {
-	var max time.Time
-	for _, j := range jobs {
-		d := j.flag.Deadline()
-		if d.IsZero() {
-			return nil
+	f := jobs[0].flag
+	for _, j := range jobs[1:] {
+		cur := f.Deadline()
+		if cur.IsZero() {
+			break
 		}
-		if d.After(max) {
-			max = d
+		if d := j.flag.Deadline(); d.IsZero() || d.After(cur) {
+			f = j.flag
 		}
 	}
-	if max.IsZero() {
-		return nil
-	}
-	return cancel.WithDeadline(max)
+	return f
 }
 
 // runBatchSafe is the worker's last-resort net around runBatch: the
@@ -1257,42 +1240,29 @@ type outcome struct {
 // the lock, so a big batch never stalls submissions, polls, or other
 // workers' completions; runBatch commits it in one critical section.
 type batchTally struct {
-	outs                             []outcome
-	cancelledQueue, cancelledRunning uint64
-	sweepPts                         uint64
-	// Distributed-communication totals of the batch's fresh executions,
-	// counted once per execution event (batch-mates share one execution,
-	// so summing per job would overcount).
+	outs     []outcome
+	sweepPts uint64
+	// Distributed-communication totals, counted once per execution (jobs
+	// sharing one run would overcount them per job).
 	mgpuExch  uint64
 	mgpuBytes int64
 }
 
-// ran folds one fresh execution event's counters into the tally.
-func (t *batchTally) ran(res *backend.Result) {
-	t.sweepPts += uint64(res.SweepPoints)
-	t.mgpuExch += uint64(res.Exchanges)
-	t.mgpuBytes += res.BytesSent
+// runShared is the run the simulate jobs of one circuit share:
+// probabilities only, each job drawing its own shots afterwards.
+func runShared(_ *job, comp *backend.Compiled, o core.Options) (*backend.Result, error) {
+	return backend.RunCompiled(comp, o)
 }
 
-// failed records err for jobs, classifying deadline verdicts.
-func (t *batchTally) failed(jobs []*job, err error) {
-	for _, j := range jobs {
-		if errors.Is(err, ErrDeadlineExceeded) {
-			t.cancelledRunning++
-		}
-		t.outs = append(t.outs, outcome{j: j, err: err})
-	}
-}
-
-// runBatch executes one dequeued batch in the two shapes the kind table
-// distinguishes. Solo kinds (a run function in the table) execute one by
-// one through the compiled-plan cache — their keys are unique within a
-// batch by single-flight, so one cached compile serves any number of
-// observables or sweep points on the same circuit. The coalesced kind
-// runs every unique circuit (by fingerprint) in a single backend call —
-// the mqpu device-parallel path when so configured — then samples each
-// job's shots from its circuit's probability vector with the job's own
-// seed, reproducing exactly what a standalone backend.Run would return.
+// runBatch executes one dequeued batch, every job through execute. A
+// solo-kind job (a run function in the kind table) executes alone: its
+// key is unique within the batch by single-flight, and one cached
+// compile serves any number of observables or sweep points on its
+// circuit. The simulate jobs of one circuit (by fingerprint) share one
+// run, then each draws its own shots from its probability vector with
+// its own seed, reproducing exactly what a standalone backend.Run would
+// return. Distinct circuits run one after another, so a worker holds one
+// state at a time.
 func (s *Server) runBatch(batch []*job) {
 	// Queue wait ends for every member when the worker picks the batch
 	// up; each job's queue_wait span is measured against its own
@@ -1301,23 +1271,42 @@ func (s *Server) runBatch(batch []*job) {
 	s.markRunning(batch)
 
 	var t batchTally
-	var coalesced []*job
+	var order []string
+	var byFP map[string][]*job
 	for _, j := range batch {
 		if cerr := j.flag.Err(); cerr != nil {
 			// The budget ran out while the job sat in the queue: fail it
 			// without paying for compilation or execution.
-			t.cancelledQueue++
-			t.outs = append(t.outs, outcome{j: j, err: queueExpiredErr(cerr), skipped: true})
+			err := fmt.Errorf("%w (expired in queue): %v", ErrDeadlineExceeded, cerr)
+			t.outs = append(t.outs, outcome{j: j, err: err, skipped: true})
 			continue
 		}
-		if kinds[j.kind].run == nil {
-			coalesced = append(coalesced, j)
+		if run := kinds[j.kind].run; run != nil {
+			res, err := s.execute(&t, j, j.flag, run)
+			if err == nil {
+				res = s.traced(j, res, dequeued, 0)
+			}
+			t.outs = append(t.outs, outcome{j: j, res: res, err: err})
 			continue
 		}
-		s.runSolo(j, dequeued, &t)
+		if byFP == nil {
+			byFP = make(map[string][]*job)
+		}
+		if byFP[j.fp] == nil {
+			order = append(order, j.fp)
+		}
+		byFP[j.fp] = append(byFP[j.fp], j)
 	}
-	if len(coalesced) > 0 {
-		s.runCoalesced(coalesced, dequeued, &t)
+	for _, fp := range order {
+		jobs := byFP[fp]
+		res, err := s.execute(&t, jobs[0], batchFlag(jobs), runShared)
+		for _, j := range jobs {
+			if err != nil {
+				t.outs = append(t.outs, outcome{j: j, err: err})
+				continue
+			}
+			t.outs = append(t.outs, s.sample(j, res, dequeued))
+		}
 	}
 
 	s.mu.Lock()
@@ -1326,12 +1315,16 @@ func (s *Server) runBatch(batch []*job) {
 	s.stats.BatchedJobs += uint64(len(t.outs))
 	s.stats.MgpuExchanges += t.mgpuExch
 	s.stats.MgpuBytesSent += t.mgpuBytes
-	s.stats.CancelledQueue += t.cancelledQueue
-	s.stats.CancelledRunning += t.cancelledRunning
 	s.stats.SweepPointsRun += t.sweepPts
 	for _, o := range t.outs {
-		if !o.skipped {
+		deadline := errors.Is(o.err, ErrDeadlineExceeded)
+		if o.skipped {
+			s.stats.CancelledQueue++
+		} else {
 			s.stats.Executed++
+			if deadline {
+				s.stats.CancelledRunning++
+			}
 			if f := kinds[o.j.kind].counters; f != nil {
 				_, executed := f(&s.stats)
 				*executed++
@@ -1341,186 +1334,89 @@ func (s *Server) runBatch(batch []*job) {
 		if key == "" {
 			key = string(s.cfg.Target)
 		}
-		if o.err != nil && errors.Is(o.err, ErrDeadlineExceeded) {
+		if deadline {
 			key = "deadline"
 		}
 		s.completeKeyLocked(o.j.key, o.res, o.err, key)
 	}
 }
 
-// runSolo executes one solo-kind job behind the panic guard: resolve
-// the circuit's execution IR through the plan cache, then hand it to
-// the kind's run function under the job's own cancellation flag.
-func (s *Server) runSolo(j *job, dequeued time.Time, t *batchTally) {
+// execute is the one execution step of every job kind: resolve j's
+// circuit through the plan cache, run it under flag, recover a panic as
+// ErrPanic and lift whatever the cancel package tripped to
+// ErrDeadlineExceeded (HTTP 504). The result's trace is the
+// plan-resolution spans followed by the run's own, observed here once
+// per execution however many jobs share it; traced adds each job's own.
+func (s *Server) execute(t *batchTally, j *job, flag *cancel.Flag, run runFunc) (*backend.Result, error) {
 	var ctr *telemetry.Trace
 	var res *backend.Result
 	var err error
 	if gerr := s.guardPanic(func() {
 		var comp *backend.Compiled
 		if comp, ctr, err = s.compiled(j.circ, j.fp); err == nil {
-			res, err = kinds[j.kind].run(j, comp, s.execOptionsCancel(j.flag))
-		}
-	}); gerr != nil {
-		res, err = nil, gerr
-	}
-	if cls := classifyExecErr(err); cls != err { //nolint:errorlint // identity check, not a match
-		res, err = nil, cls
-		t.cancelledRunning++
-	}
-	if res != nil {
-		// Solo keys are unique within a batch (single-flight collapses
-		// duplicates), so the merged trace is both this job's breakdown
-		// and exactly one execution event.
-		tr := &telemetry.Trace{}
-		tr.Add(telemetry.StageQueueWait, dequeued.Sub(j.submittedAt))
-		tr.Append(ctr)
-		tr.Append(res.Trace)
-		res.Trace = tr
-		s.observeStages(tr)
-		t.ran(res)
-	}
-	t.outs = append(t.outs, outcome{j: j, res: res, err: err})
-}
-
-// runCoalesced executes the batch's coalesced jobs: one execution per
-// unique fingerprint, then per-job shot sampling.
-func (s *Server) runCoalesced(batch []*job, dequeued time.Time, t *batchTally) {
-	var order []string
-	byFP := make(map[string][]*job, len(batch))
-	circs := make([]*circuit.Circuit, 0, len(batch))
-	for _, j := range batch {
-		if byFP[j.fp] == nil {
-			order = append(order, j.fp)
-			circs = append(circs, j.circ)
-		}
-		byFP[j.fp] = append(byFP[j.fp], j)
-	}
-
-	// Resolve each unique circuit's execution IR through the plan
-	// cache, then execute the precompiled batch — repeat fingerprints
-	// pay zero transform/planning cost. Both phases run behind the
-	// panic guard (the tile compiler and the engines are the code most
-	// likely to trip on a pathological circuit), and the batch executes
-	// under the members' loosest deadline.
-	var err error
-	comps := make([]*backend.Compiled, len(circs))
-	compTrs := make([]*telemetry.Trace, len(circs))
-	bflag := batchFlag(batch)
-	if gerr := s.guardPanic(func() {
-		for i, c := range circs {
-			if comps[i], compTrs[i], err = s.compiled(c, order[i]); err != nil {
-				break
-			}
+			res, err = run(j, comp, s.execOptionsCancel(flag))
 		}
 	}); gerr != nil {
 		err = gerr
 	}
-	var results []*backend.Result
-	if err == nil {
-		if gerr := s.guardPanic(func() {
-			results, err = backend.RunBatchCompiled(comps, s.execOptionsCancel(bflag))
-		}); gerr != nil {
-			results, err = nil, gerr
+	if err != nil {
+		if errors.Is(err, cancel.ErrCancelled) {
+			err = fmt.Errorf("%w: %v", ErrDeadlineExceeded, err)
 		}
+		return nil, err
 	}
-	var indivErrs []error
-	if err != nil && len(circs) > 1 && !errors.Is(err, cancel.ErrCancelled) {
-		// One poisonous circuit must not fail its batch-mates: fall
-		// back to individual runs so errors stay job-local (each behind
-		// its own panic guard, so a per-circuit panic fails only that
-		// circuit). The good circuits are re-simulated —
-		// backend.RunBatch discards its partial results on error —
-		// which is acceptable because error batches are rare and bad
-		// circuits are mostly rejected at Submit by Validate. A batch
-		// cancelled on deadline skips the fallback entirely: the shared
-		// flag was the loosest member budget, so every member is
-		// equally expired and re-running them would just burn a worker.
-		results = make([]*backend.Result, len(circs))
-		indivErrs = make([]error, len(circs))
-		for i, c := range circs {
-			i, c := i, c
-			if gerr := s.guardPanic(func() {
-				results[i], indivErrs[i] = backend.Run(c, s.execOptionsCancel(bflag))
-			}); gerr != nil {
-				results[i], indivErrs[i] = nil, gerr
-			}
-			indivErrs[i] = classifyExecErr(indivErrs[i])
-		}
-		err = nil
-	}
-	err = classifyExecErr(err)
+	tr := &telemetry.Trace{}
+	tr.Append(ctr)
+	tr.Append(res.Trace)
+	res.Trace = tr
+	s.observeStages(tr)
+	t.sweepPts += uint64(res.SweepPoints)
+	t.mgpuExch += uint64(res.Exchanges)
+	t.mgpuBytes += res.BytesSent
+	return res, nil
+}
 
-	// Build every job's outcome, including shot sampling, which is
-	// O(2^n + shots).
-	for i, fp := range order {
-		jobs := byFP[fp]
-		if err != nil {
-			t.failed(jobs, err)
-			continue
+// sample finishes one job of a shared run: a shallow copy of the run's
+// result (the probability vector stays shared, read-only) holding the
+// job's own shots, drawn by backend.SampleShots — the target's own
+// sampling path, the mqpu per-device split included — so its counts
+// match a standalone backend.Run bit for bit.
+func (s *Server) sample(j *job, shared *backend.Result, dequeued time.Time) outcome {
+	res := *shared
+	var err error
+	var d time.Duration
+	if j.opts.Shots > 0 {
+		t0 := time.Now()
+		if gerr := s.guardPanic(func() {
+			res.Counts, err = backend.SampleShots(res.Probabilities, s.sampleConfig(j.opts.Shots, j.opts.Seed))
+		}); gerr != nil {
+			err = gerr
 		}
-		if results[i] == nil {
-			// Individual-fallback failure for this circuit: surface
-			// its own error, not a generic one.
-			ferr := fmt.Errorf("service: simulation failed for circuit %q", jobs[0].circ.Name)
-			if indivErrs != nil && indivErrs[i] != nil {
-				ferr = indivErrs[i]
-			}
-			t.failed(jobs, ferr)
-			continue
-		}
-		// The compile/store-load/execute spans are shared by every
-		// batch-mate of this fingerprint: observe them once per
-		// execution event, not once per job.
-		shared := &telemetry.Trace{}
-		shared.Append(compTrs[i])
-		shared.Append(results[i].Trace)
-		s.observeStages(shared)
-		t.ran(results[i])
-		for _, j := range jobs {
-			// Duration is this circuit's own simulation time (from
-			// backend.Run), not the whole batch's wall-clock.
-			jr := &backend.Result{
-				Target:        s.cfg.Target,
-				Probabilities: results[i].Probabilities,
-				KernelStats:   results[i].KernelStats,
-				PlanStats:     results[i].PlanStats,
-				TileBits:      results[i].TileBits,
-				NumQubits:     results[i].NumQubits,
-				Exchanges:     results[i].Exchanges,
-				BytesSent:     results[i].BytesSent,
-				Duration:      results[i].Duration,
-			}
-			// Per-job spans (queue_wait, sample) are observed per job;
-			// the attached trace additionally carries the shared spans
-			// so each result explains its own end-to-end path.
-			queueWait := dequeued.Sub(j.submittedAt)
-			var serr error
-			var sampleDur time.Duration
-			if j.opts.Shots > 0 {
-				// backend.SampleShots applies the target's own
-				// sampling path (incl. the mqpu per-device split), so
-				// a coalesced job's counts match a standalone
-				// backend.Run bit for bit.
-				ts := time.Now()
-				if gerr := s.guardPanic(func() {
-					jr.Counts, serr = backend.SampleShots(jr.Probabilities, s.sampleConfig(j.opts.Shots, j.opts.Seed))
-				}); gerr != nil {
-					serr = gerr
-				}
-				sampleDur = time.Since(ts)
-			}
-			own := &telemetry.Trace{}
-			own.Add(telemetry.StageQueueWait, queueWait)
-			own.Add(telemetry.StageSample, sampleDur)
-			s.observeStages(own)
-			tr := &telemetry.Trace{}
-			tr.Add(telemetry.StageQueueWait, queueWait)
-			tr.Append(shared)
-			tr.Add(telemetry.StageSample, sampleDur)
-			jr.Trace = tr
-			t.outs = append(t.outs, outcome{j: j, res: jr, err: serr})
-		}
+		d = time.Since(t0)
 	}
+	if err != nil {
+		return outcome{j: j, err: err}
+	}
+	return outcome{j: j, res: s.traced(j, &res, dequeued, d)}
+}
+
+// traced gives a job's result its own trace — its queue wait, the spans
+// of the execution it ran in, then its own sample span — and observes
+// the job's own spans; execute observed the execution's.
+func (s *Server) traced(j *job, res *backend.Result, dequeued time.Time, sample time.Duration) *backend.Result {
+	wait := dequeued.Sub(j.submittedAt)
+	tr := &telemetry.Trace{Spans: make([]telemetry.Span, 0, len(res.Trace.Spans)+2)}
+	tr.Add(telemetry.StageQueueWait, wait)
+	tr.Append(res.Trace)
+	tr.Add(telemetry.StageSample, sample)
+	res.Trace = tr
+	if wait > 0 {
+		s.stageHist(telemetry.StageQueueWait).Observe(wait)
+	}
+	if sample > 0 {
+		s.stageHist(telemetry.StageSample).Observe(sample)
+	}
+	return res
 }
 
 // Job returns the snapshot of a job by id.

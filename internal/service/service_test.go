@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,23 +48,49 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 // itself on started. Tests build a backlog deterministically behind a
 // held worker instead of racing a timer — the worker takes whatever is
 // queued the moment it is released. Cleanup releases, so a failing test
-// never wedges Close.
-func newHeldServer(t *testing.T, cfg Config) (s *Server, started <-chan struct{}, release func()) {
+// never wedges Close. A hook already in cfg runs after the gate. The
+// returned counts are the executions started and the most that were
+// inside the hook at once; each stays there heldOverlap past the gate, so
+// executions running side by side overlap in it.
+func newHeldServer(t *testing.T, cfg Config) (s *Server, started <-chan struct{}, release func(), execs *heldExecs) {
 	t.Helper()
 	entered := make(chan struct{}, 1)
 	gate := make(chan struct{})
+	execs = &heldExecs{}
+	inner := cfg.ExecHook
 	cfg.ExecHook = func() {
+		execs.calls.Add(1)
+		n := execs.running.Add(1)
+		defer execs.running.Add(-1)
+		for p := execs.peak.Load(); n > p; p = execs.peak.Load() {
+			if execs.peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
 		select {
 		case entered <- struct{}{}:
 		default:
 		}
 		<-gate
+		time.Sleep(heldOverlap)
+		if inner != nil {
+			inner()
+		}
 	}
 	s = newTestServer(t, cfg)
 	var once sync.Once
 	release = func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(release)
-	return s, entered, release
+	return s, entered, release, execs
+}
+
+// heldOverlap is how long newHeldServer's hook holds an execution after
+// release.
+const heldOverlap = 5 * time.Millisecond
+
+// heldExecs counts what newHeldServer's hook saw.
+type heldExecs struct {
+	calls, running, peak atomic.Int64
 }
 
 func testCircuit(t *testing.T, qubits, blocks int, seed uint64) *circuit.Circuit {
@@ -160,13 +187,17 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequential coalesces a backlog of distinct jobs into
-// one shared backend.RunBatch call and verifies each job's probabilities
-// and counts are bit-identical to a standalone backend.Run. The backlog
-// builds behind the single worker while it is held in the first job: on
-// release that job finishes alone and the worker takes all the others at
-// once — two batches, with no timer anywhere.
+// TestBatchMatchesSequential builds a backlog behind the single worker
+// while it is held in the first job: on release that job finishes alone
+// and the worker takes all the others at once — two batches, with no
+// timer anywhere. Each job's probabilities and counts must be
+// bit-identical to a standalone backend.Run. Distinct circuits run one
+// after another, so no more executions are under way at once than there
+// are workers (one state per worker, as admission prices it); the jobs
+// of one circuit under many seeds share one run, so their backlog costs
+// a single execution.
 func TestBatchMatchesSequential(t *testing.T) {
+	const workers = 1
 	for _, tc := range []struct {
 		target  backend.Target
 		devices int
@@ -175,73 +206,90 @@ func TestBatchMatchesSequential(t *testing.T) {
 		{backend.TargetNvidia, 1},
 	} {
 		t.Run(string(tc.target), func(t *testing.T) {
-			s, started, release := newHeldServer(t, Config{
-				Target:     tc.target,
-				Devices:    tc.devices,
-				WorkerPool: 1,
-				MaxBatch:   8,
-			})
-			const n = 6
-			circs := make([]*circuit.Circuit, n)
-			for i := range circs {
-				circs[i] = testCircuit(t, 10, 20, uint64(100+i))
-			}
-			ids := make([]string, n)
-			for i, c := range circs {
-				info, err := s.Submit(c, SubmitOptions{Shots: 200, Seed: uint64(i)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ids[i] = info.ID
-				if i == 0 {
-					<-started // the worker now sits in job 0; the rest queue behind it
-				}
-			}
-			release()
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			for _, id := range ids {
-				if info, err := s.Wait(ctx, id); err != nil || info.State != StateDone {
-					t.Fatalf("job %s: %+v, %v", id, info, err)
-				}
-			}
-			st := s.Stats()
-			if st.BatchedJobs != n {
-				t.Fatalf("batched jobs %d, want %d", st.BatchedJobs, n)
-			}
-			if st.Batches >= n {
-				t.Fatalf("no coalescing: %d batches for %d jobs", st.Batches, n)
-			}
-			if st.Batches > 2 {
-				t.Fatalf("%d batches for a held job plus a backlog of %d, want 2", st.Batches, n-1)
-			}
-			for i, id := range ids {
-				got, err := s.Result(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Reference runs on the server's own target/devices: coalesced
-				// execution must match a standalone Run bit for bit,
-				// including the mqpu per-device shot-sampling split.
-				ref, err := backend.Run(circs[i], backend.Config{
-					Target: tc.target, Devices: tc.devices, Shots: 200, Seed: uint64(i),
+			for _, in := range []struct {
+				name     string
+				circuits []uint64 // job i runs testCircuit(circuits[i]) with seed i
+				execs    int64
+			}{
+				{"distinct", []uint64{100, 101, 102, 103, 104, 105}, 6},
+				{"one-circuit", []uint64{100, 100, 100, 100, 100}, 2},
+			} {
+				t.Run(in.name, func(t *testing.T) {
+					s, started, release, execs := newHeldServer(t, Config{
+						Target:     tc.target,
+						Devices:    tc.devices,
+						WorkerPool: workers,
+						MaxBatch:   8,
+					})
+					n := len(in.circuits)
+					circs := make([]*circuit.Circuit, n)
+					for i := range circs {
+						circs[i] = testCircuit(t, 10, 20, in.circuits[i])
+					}
+					ids := make([]string, n)
+					for i, c := range circs {
+						info, err := s.Submit(c, SubmitOptions{Shots: 200, Seed: uint64(i)})
+						if err != nil {
+							t.Fatal(err)
+						}
+						ids[i] = info.ID
+						if i == 0 {
+							<-started // the worker now sits in job 0; the rest queue behind it
+						}
+					}
+					release()
+					ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+					defer cancel()
+					for _, id := range ids {
+						if info, err := s.Wait(ctx, id); err != nil || info.State != StateDone {
+							t.Fatalf("job %s: %+v, %v", id, info, err)
+						}
+					}
+					st := s.Stats()
+					if st.BatchedJobs != uint64(n) {
+						t.Fatalf("batched jobs %d, want %d", st.BatchedJobs, n)
+					}
+					if st.Batches >= uint64(n) {
+						t.Fatalf("no coalescing: %d batches for %d jobs", st.Batches, n)
+					}
+					if st.Batches > 2 {
+						t.Fatalf("%d batches for a held job plus a backlog of %d, want 2", st.Batches, n-1)
+					}
+					if got := execs.calls.Load(); got != in.execs {
+						t.Fatalf("%d executions for %d jobs, want %d", got, n, in.execs)
+					}
+					if p := execs.peak.Load(); p > workers {
+						t.Fatalf("%d executions at once on %d workers: more than one state per worker", p, workers)
+					}
+					for i, id := range ids {
+						got, err := s.Result(id)
+						if err != nil {
+							t.Fatal(err)
+						}
+						// Reference runs on the server's own target/devices: a shared
+						// or back-to-back run must match a standalone Run bit for bit,
+						// including the mqpu per-device shot-sampling split.
+						ref, err := backend.Run(circs[i], backend.Config{
+							Target: tc.target, Devices: tc.devices, Shots: 200, Seed: uint64(i),
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for j := range ref.Probabilities {
+							if got.Probabilities[j] != ref.Probabilities[j] {
+								t.Fatalf("job %d prob[%d]: %g vs %g", i, j, got.Probabilities[j], ref.Probabilities[j])
+							}
+						}
+						if len(got.Counts) != len(ref.Counts) {
+							t.Fatalf("job %d: counts size %d vs %d", i, len(got.Counts), len(ref.Counts))
+						}
+						for k, v := range ref.Counts {
+							if got.Counts[k] != v {
+								t.Fatalf("job %d counts[%d]: %d vs %d", i, k, got.Counts[k], v)
+							}
+						}
+					}
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for j := range ref.Probabilities {
-					if got.Probabilities[j] != ref.Probabilities[j] {
-						t.Fatalf("job %d prob[%d]: %g vs %g", i, j, got.Probabilities[j], ref.Probabilities[j])
-					}
-				}
-				if len(got.Counts) != len(ref.Counts) {
-					t.Fatalf("job %d: counts size %d vs %d", i, len(got.Counts), len(ref.Counts))
-				}
-				for k, v := range ref.Counts {
-					if got.Counts[k] != v {
-						t.Fatalf("job %d counts[%d]: %d vs %d", i, k, got.Counts[k], v)
-					}
-				}
 			}
 		})
 	}
@@ -279,11 +327,11 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 // TestFailureIsolation: a job that exceeds the single-device qubit
-// limit fails alone; batch-mates coalesced with it still succeed.
+// limit fails alone; batch-mates dequeued with it still succeed.
 func TestFailureIsolation(t *testing.T) {
 	// No admission budget: the bad job must reach execution, where
 	// statevec.New refuses n > 28 before allocating anything.
-	s, started, release := newHeldServer(t, Config{WorkerPool: 1, MaxBatch: 4, MaxStateBytes: -1})
+	s, started, release, _ := newHeldServer(t, Config{WorkerPool: 1, MaxBatch: 4, MaxStateBytes: -1})
 	// A first job holds the only worker while the bad job and its
 	// batch-mate queue up behind it.
 	if _, err := s.Submit(circuit.GHZ(6, false), SubmitOptions{}); err != nil {
@@ -366,7 +414,7 @@ func TestIdleServerDispatchesAtOnce(t *testing.T) {
 // circuit, Hamiltonian and sweep points while the jobs are still queued
 // changes neither their results nor their cache keys.
 func TestSubmitOwnsItsInputs(t *testing.T) {
-	s, started, release := newHeldServer(t, Config{Target: backend.TargetNvidia, WorkerPool: 1})
+	s, started, release, _ := newHeldServer(t, Config{Target: backend.TargetNvidia, WorkerPool: 1})
 	if _, err := s.Submit(circuit.GHZ(6, false), SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +511,7 @@ func TestSubmitOwnsItsInputs(t *testing.T) {
 }
 
 func TestQueueBackpressure(t *testing.T) {
-	s, started, release := newHeldServer(t, Config{WorkerPool: 1, QueueSize: 1, MaxBatch: 1})
+	s, started, release, _ := newHeldServer(t, Config{WorkerPool: 1, QueueSize: 1, MaxBatch: 1})
 	// Occupy the worker: its job is held until the queue has overflowed.
 	slow, err := s.Submit(testCircuit(t, 16, 120, 99), SubmitOptions{})
 	if err != nil {

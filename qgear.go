@@ -136,8 +136,8 @@ func Fingerprint(c *Circuit) string { return c.Fingerprint() }
 func CacheKey(c *Circuit, opts RunOptions) string { return core.CacheKey(c, opts) }
 
 // Server is the embeddable simulation service: a bounded job queue and
-// worker pool over the pipeline, with single-flight deduplication,
-// batch coalescing onto the mqpu device-parallel path, and a
+// worker pool over the pipeline, with single-flight deduplication, one
+// shared run for the queued jobs of one circuit, and a
 // content-addressed LRU result cache. The `qgear serve` command exposes
 // the same server over HTTP.
 type Server = service.Server
@@ -163,7 +163,7 @@ const (
 )
 
 // ServerStats is a snapshot of a Server's counters: queue depth, cache
-// hit rate, batch coalescing, and per-target latency histograms.
+// hit rate, batching, and per-target latency histograms.
 type ServerStats = service.Stats
 
 // NewServer starts a simulation server with its worker pool running;
