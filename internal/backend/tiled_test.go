@@ -227,10 +227,13 @@ func BenchmarkSmallStateSchedule(b *testing.B) {
 // (the a9_d6 QCrank encoding, 15 qubits, probabilities only, compiled
 // once): on one nvidia device at 1 and 2 workers — at 2, the
 // benchmark's single-device reference run — and on two nvidia-mgpu
-// ranks of one worker each. Each row reports the plan's bit swaps.
-// Until the planner evicts the address qubits early (kernel's
-// evictFloor), one of the two tiles or ranks holds only zeros for most
-// of the plan, and the w=2 and ranks=2 rows run barely faster than w=1.
+// ranks of one worker each. Each row reports the plan's bit swaps. The
+// planner evicts the address qubits right after their h layer (kernel's
+// evictFloor), so both tiles or ranks are live for almost the whole
+// plan and the w=2 and ranks=2 rows split the work in two. Nearly all
+// of it is the multiplexed-ry chains: 3,072 ry→cx pairs on six targets,
+// all but 24 (36 on two ranks, whose control sits at or above the tile)
+// one pass each (statevec's FusesCX).
 func BenchmarkQCrankSchedule(b *testing.B) {
 	c := qcrankTestCircuit(b, 9, 6)
 	for _, row := range []struct {

@@ -296,6 +296,12 @@ func planShape(p *TilePlan) string {
 // for its qubit's first use (R5129 S(0,14) R1024; R4105 S(0,13) R1024
 // S(0,14) R1024 S(0,14); R3081 S(0,12) R1024 S(0,13) R1024 S(0,14)
 // R1024 S(0,14) S(0,13)).
+//
+// Each row also pins how many of its runs' 3,072 CXs run in one pass
+// with the ry before them (statevec's FusesCX): all but those whose
+// control the plan holds at or above the tile, 24 on one device and 12
+// more per rank bit. A planner change that splits the pairs fails here
+// instead of doubling those CXs' cost.
 func TestQCrankPlansKeepEveryTileLive(t *testing.T) {
 	const addr = 9
 	k := qcrankKernel(t)
@@ -304,10 +310,11 @@ func TestQCrankPlansKeepEveryTileLive(t *testing.T) {
 		cfg                    PlanConfig
 		shape                  string
 		runs, swaps, exchanges int
+		fused                  int // Mat1→CX pairs tilePass runs as one
 	}{
-		{"one device", PlanConfig{TileBits: 16}, "R7 S(6,14) R6146", 2, 1, 0},
-		{"2 ranks", PlanConfig{TileBits: 16, GlobalBits: 1}, "R7 S(6,13) R1 S(7,14) R6145 S(7,14)", 3, 3, 2},
-		{"4 ranks", PlanConfig{TileBits: 16, GlobalBits: 2}, "R7 S(6,12) R1 S(7,13) R1 S(8,14) R6144 S(7,13) S(8,14)", 4, 5, 4},
+		{"one device", PlanConfig{TileBits: 16}, "R7 S(6,14) R6146", 2, 1, 0, 3048},
+		{"2 ranks", PlanConfig{TileBits: 16, GlobalBits: 1}, "R7 S(6,13) R1 S(7,14) R6145 S(7,14)", 3, 3, 2, 3036},
+		{"4 ranks", PlanConfig{TileBits: 16, GlobalBits: 2}, "R7 S(6,12) R1 S(7,13) R1 S(8,14) R6144 S(7,13) S(8,14)", 4, 5, 4, 3024},
 	} {
 		p := mustPlan(t, k, tc.cfg)
 		if got := planShape(p); got != tc.shape {
@@ -315,6 +322,24 @@ func TestQCrankPlansKeepEveryTileLive(t *testing.T) {
 		}
 		if st := p.Stats; st.Runs != tc.runs || st.BitSwaps != tc.swaps || st.ExchangeSegs != tc.exchanges || st.Global != 0 {
 			t.Errorf("%s: %+v, want %d runs, %d swaps, %d across ranks, no sweep", tc.name, st, tc.runs, tc.swaps, tc.exchanges)
+		}
+		fused, cxs := 0, 0
+		for _, seg := range p.Segments {
+			if seg.Kind != SegRun {
+				continue
+			}
+			run := p.Ops[seg.Lo:seg.Hi]
+			for i := range run {
+				if run[i].Kind != statevec.TileCX {
+					continue
+				}
+				if cxs++; i > 0 && run[i-1].FusesCX(&run[i]) {
+					fused++
+				}
+			}
+		}
+		if fused != tc.fused || cxs != 3072 {
+			t.Errorf("%s: %d of %d CXs run in one pass with the ry before them, want %d of 3072", tc.name, fused, cxs, tc.fused)
 		}
 		// Replay the layout up to the first op after the h layer.
 		inv := make([]int, k.NumQubits) // physical → logical

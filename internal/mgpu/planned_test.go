@@ -3,6 +3,7 @@ package mgpu
 import (
 	"fmt"
 	"math"
+	mbits "math/bits"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -132,6 +133,73 @@ func TestPlannedGateSoupEquivalence(t *testing.T) {
 		}
 		if !sameCounts(cRef, cPlanned) {
 			t.Errorf("n=%d ranks=%d: fixed-seed shot counts differ between planned and single-device", tc.n, tc.ranks)
+		}
+	}
+
+	// The UCRy leg: QCrank's multiplexed-ry shape, Gray-code chains of
+	// ry and cx on one target, whose pairs a tile run takes in one pass
+	// when the control is inside the tile (statevec's FusesCX). Two
+	// chains on 9 qubits, their controls below and above their targets.
+	// Qubit 1 is only ever flipped, so the support knows it, and it
+	// controls a lone pair on a target the support still knows, and a
+	// gate on another qubit follows each chain in its run: the pair must
+	// step the support past both of its gates, or that gate skips half
+	// its amplitudes. Rank bits and bits above the tile turn controls
+	// into HighMask predicates, which keep their CXs apart.
+	c := circuit.New(9, 0)
+	rng := qmath.NewRNG(seed)
+	for _, q := range []int{0, 2, 5, 7, 8} {
+		c.H(q)
+	}
+	c.X(1)
+	for _, chain := range []struct {
+		target int
+		ctrls  []int
+	}{{4, []int{1}}, {3, []int{1, 0, 5, 7}}, {6, []int{8, 2, 0}}} {
+		for i := 0; i < 1<<len(chain.ctrls); i++ {
+			c.RY(rng.Angle(), chain.target)
+			c.CX(chain.ctrls[min(mbits.TrailingZeros(uint(i+1)), len(chain.ctrls)-1)], chain.target)
+		}
+		c.RY(rng.Angle(), 2)
+	}
+	k, _, err := kernel.FromCircuit(c, kernel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := singleDeviceProbs(t, k)
+	cRef, err := sampling.Sample(want, shots, qmath.NewRNG(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ranks := range []int{1, 2, 4, 8, 16} {
+		plan := planFor(t, k, ranks, 3)
+		fused := 0
+		for _, seg := range plan.Segments {
+			if seg.Kind == kernel.SegRun {
+				run := plan.Ops[seg.Lo:seg.Hi]
+				for i := 1; i < len(run); i++ {
+					if run[i-1].FusesCX(&run[i]) {
+						fused++
+					}
+				}
+			}
+		}
+		if fused == 0 {
+			t.Errorf("ucry ranks=%d: no ry and cx of the plan run as one pass", ranks)
+		}
+		planned, err := SimulateCompiled(k, plan, ranks, 1)
+		if err != nil {
+			t.Fatalf("ucry ranks=%d: %v", ranks, err)
+		}
+		if d := maxDiff(planned.Probabilities, want); d != 0 {
+			t.Errorf("ucry ranks=%d (%d pairs in one pass): planned vs per-gate diff %g, want exact 0", ranks, fused, d)
+		}
+		cPlanned, err := sampling.Sample(planned.Probabilities, shots, qmath.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameCounts(cRef, cPlanned) {
+			t.Errorf("ucry ranks=%d: fixed-seed shot counts differ between planned and per-gate", ranks)
 		}
 	}
 }

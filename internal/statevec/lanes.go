@@ -23,7 +23,9 @@ import (
 // subspaceSets (tableSubspace, for scaleTable) enumerates; one reads
 // them, pauliChunks (the Pauli evaluator's chunk sums, pauliL canonical
 // chunks per call, one per lane). The swaps (CX, bit swaps) move whole
-// amplitudes on the same windows. A sweep's subspace is its own fixed
+// amplitudes on the same windows, but for a CX right after an
+// uncontrolled real 2×2 on its target in a tile run: that one rides in
+// the 2×2's pass, as pairReal's swap form (tiled.go's FusesCX). A sweep's subspace is its own fixed
 // bits (controls, the clear half of a pair, a phase's predicate) plus
 // the bits the state's support knows, less those the sweep mixes
 // (support.narrow): the enumeration never visits an amplitude the
@@ -137,7 +139,7 @@ func mat2Lanes(m gate.Mat2) laneMat2 {
 // dist lanes on; real matrices take pairReal, the rest pairComplex.
 func (m *laneMat2) pairs(v []float64, dist, run, period int) {
 	if m.isReal {
-		pairReal(v, dist, run, period, m.r0, m.r1, m.r2, m.r3)
+		pairReal(v, dist, run, period, m.r0, m.r1, m.r2, m.r3, 0)
 		return
 	}
 	pairComplex(v, dist, run, period, m)
@@ -277,17 +279,27 @@ func scaleTableGo(v, t []float64, run, period, row, tstep int) {
 // its partner dist lanes on, lane by lane (real and imaginary lanes
 // decouple under a real matrix): pairReal's Go body. Windows and
 // partners must not overlap (dist ≥ run, no lane in two windows).
-func pairRealGo(v []float64, dist, run, period int, r0, r1, r2, r3 float64) {
+//
+// swap is 0 or one lane bit of at least 2 (an amplitude bit): where
+// it is set in the window's lane offset b or in the pair's offset j
+// within the window, the pair's two results trade places. With swap
+// the bit of a control, that is the pair update followed by a CX on
+// the pair's target — the values only move, so they keep their bits.
+func pairRealGo(v []float64, dist, run, period int, r0, r1, r2, r3 float64, swap int) {
 	for b := 0; b+dist+run <= len(v); b += period {
 		p0 := v[b : b+run : b+run]
 		p1 := v[b+dist : b+dist+run : b+dist+run]
 		for j := 0; j+1 < len(p0); j += 2 {
 			ar, ai := p0[j], p0[j+1]
 			br, bi := p1[j], p1[j+1]
-			p0[j] = float64(r0*ar) + float64(r1*br)
-			p0[j+1] = float64(r0*ai) + float64(r1*bi)
-			p1[j] = float64(r2*ar) + float64(r3*br)
-			p1[j+1] = float64(r2*ai) + float64(r3*bi)
+			q0, q1 := p0, p1
+			if (b|j)&swap != 0 {
+				q0, q1 = p1, p0
+			}
+			q0[j] = float64(r0*ar) + float64(r1*br)
+			q0[j+1] = float64(r0*ai) + float64(r1*bi)
+			q1[j] = float64(r2*ar) + float64(r3*br)
+			q1[j+1] = float64(r2*ai) + float64(r3*bi)
 		}
 	}
 }

@@ -31,12 +31,12 @@ func scaleTable(v, t []float64, run, period, row, tstep int) {
 	avxScaleTable(v, t, run, period, row, tstep)
 }
 
-func pairReal(v []float64, dist, run, period int, r0, r1, r2, r3 float64) {
+func pairReal(v []float64, dist, run, period int, r0, r1, r2, r3 float64, swap int) {
 	if !useAVX {
-		pairRealGo(v, dist, run, period, r0, r1, r2, r3)
+		pairRealGo(v, dist, run, period, r0, r1, r2, r3, swap)
 		return
 	}
-	avxPairReal(v, dist, run, period, r0, r1, r2, r3)
+	avxPairReal(v, dist, run, period, r0, r1, r2, r3, swap)
 }
 
 func pauliChunks(l *pauliLanes, nl int, w *pauliWalk) {
@@ -68,11 +68,16 @@ func avxScaleTable(v, t []float64, run, period, row, tstep int) {
 	scaleTableAVX(&v[0], &t[0], entries, amps/entries, period, tstep, count)
 }
 
-func avxPairReal(v []float64, dist, run, period int, r0, r1, r2, r3 float64) {
+// avxPairReal panics on a swap that is not 0 or one lane bit of at
+// least 2: the assembly counts windows of the bit, not the bit itself.
+func avxPairReal(v []float64, dist, run, period int, r0, r1, r2, r3 float64, swap int) {
+	if swap < 0 || swap == 1 || swap&(swap-1) != 0 {
+		panic("statevec: pairReal swap is not one amplitude bit")
+	}
 	if run < 2 || len(v) < dist+run {
 		return
 	}
-	pairRealAVX(&v[0], dist, run/2, period, (len(v)-dist-run)/period+1, r0, r1, r2, r3)
+	pairRealAVX(&v[0], dist, run/2, period, (len(v)-dist-run)/period+1, r0, r1, r2, r3, swap)
 }
 
 func pairComplex(v []float64, dist, run, period int, m *laneMat2) {
@@ -134,10 +139,11 @@ func scaleTableAVX(v, t *float64, row, reps, period, tstep, count int)
 
 // pairRealAVX applies [r0 r1; r2 r3] to count windows of amps
 // amplitudes, one every period lanes from v, and their partners dist
-// lanes on.
+// lanes on, trading a pair's two results where the lane bit swap (0
+// for none) is set in the window's offset or the pair's within it.
 //
 //go:noescape
-func pairRealAVX(v *float64, dist, amps, period, count int, r0, r1, r2, r3 float64)
+func pairRealAVX(v *float64, dist, amps, period, count int, r0, r1, r2, r3 float64, swap int)
 
 // pairComplexSSE2 is pairRealAVX's windows under the complex matrix
 // [r0+i0·i r1+i1·i; r2+i2·i r3+i3·i].

@@ -13,9 +13,12 @@
 // pairReal take one register per loop iteration and a one-amplitude
 // tail on VEX-encoded XMM registers; the Pauli chunk sums take one
 // register of each of four lanes, or two one-amplitude windows per
-// register. Nothing above AVX: VMULPD, VADDPD, VSUBPD and VADDSUBPD,
-// the in-lane shuffles VMOVDDUP, VPERMILPD, VUNPCKLPD/VUNPCKHPD and
-// VBROADCASTSD, and VPERM2F128 and VINSERTF128 across the halves; the
+// register. pairReal's swap form (a CX riding in the pair update) is
+// the same loop with the matrix's rows traded in registers where the
+// control bit is 1, per register half by VBLENDPD for a control on
+// qubit 0. Nothing above AVX: VMULPD, VADDPD, VSUBPD and VADDSUBPD,
+// the in-lane shuffles VMOVDDUP, VPERMILPD, VUNPCKLPD/VUNPCKHPD,
+// VBLENDPD and VBROADCASTSD, and VPERM2F128 and VINSERTF128 across the halves; the
 // Pauli chunk sums also take POPCNTQ, which hasAVX checks for. Each
 // clears the upper halves (VZEROUPPER) before it returns, so SSE code
 // after it pays no transition.
@@ -327,8 +330,19 @@ done:
 	VZEROUPPER
 	RET
 
-// func pairRealAVX(v *float64, dist, amps, period, count int, r0, r1, r2, r3 float64)
-TEXT ·pairRealAVX(SB), NOSPLIT, $0-72
+// func pairRealAVX(v *float64, dist, amps, period, count int, r0, r1, r2, r3 float64, swap int)
+//
+// With swap 0 the pair update alone. Otherwise the swap form: where a
+// pair's results trade places, row 0 of the matrix computes the
+// partner's result and row 1 the window's, the same products summed in
+// the same order. The rows are set per window: traded where the
+// window's offset has the bit; else, with swap two lanes (qubit 0),
+// mixed per register half by VBLENDPD — a register's second amplitude
+// has the bit, its first not, since each register starts at an even
+// amplitude of the window; else as given, traded again each time the
+// walk crosses swap lanes, so a register's two amplitudes share the
+// bit, as does the tail's one.
+TEXT ·pairRealAVX(SB), NOSPLIT, $0-80
 	MOVQ	v+0(FP), DI
 	MOVQ	dist+8(FP), R8
 	SHLQ	$3, R8              // dist in bytes
@@ -340,8 +354,12 @@ TEXT ·pairRealAVX(SB), NOSPLIT, $0-72
 	VBROADCASTSD	r1+48(FP), Y1
 	VBROADCASTSD	r2+56(FP), Y2
 	VBROADCASTSD	r3+64(FP), Y3
+	MOVQ	swap+72(FP), R10
+	SHLQ	$3, R10             // swap in bytes
 	TESTQ	BX, BX
 	JLE	done
+	TESTQ	R10, R10
+	JNZ	swapped
 
 window:
 	MOVQ	DI, SI              // SI: window, R9: partner
@@ -386,6 +404,96 @@ next:
 	JNZ	window
 
 done:
+	VZEROUPPER
+	RET
+
+swapped:
+	MOVQ	DI, R11             // R11: v, the origin of window offsets
+	VMOVAPD	Y0, Y10             // Y10-Y13: the rows as given
+	VMOVAPD	Y1, Y11
+	VMOVAPD	Y2, Y12
+	VMOVAPD	Y3, Y13
+
+swindow:
+	MOVQ	DI, SI
+	LEAQ	(DI)(R8*1), R9
+	MOVQ	$-1, R12            // R12: bytes to the next trade of the rows; odd, so none
+	MOVQ	DI, R13
+	SUBQ	R11, R13
+	TESTQ	R10, R13
+	JZ	sclear
+	VMOVAPD	Y12, Y0             // the window's offset has the bit: rows traded
+	VMOVAPD	Y13, Y1
+	VMOVAPD	Y10, Y2
+	VMOVAPD	Y11, Y3
+	JMP	sgo
+
+sclear:
+	CMPQ	R10, $16
+	JNE	sflip
+	VBLENDPD	$12, Y12, Y10, Y0 // qubit 0: [r0, r2] — a register's second
+	VBLENDPD	$12, Y13, Y11, Y1 // amplitude has the bit, its first not
+	VBLENDPD	$12, Y10, Y12, Y2
+	VBLENDPD	$12, Y11, Y13, Y3
+	JMP	sgo
+
+sflip:
+	VMOVAPD	Y10, Y0             // rows as given for the first swap bytes
+	VMOVAPD	Y11, Y1
+	VMOVAPD	Y12, Y2
+	VMOVAPD	Y13, Y3
+	MOVQ	R10, R12
+
+sgo:
+	MOVQ	CX, AX
+	SUBQ	$2, AX
+	JL	stail
+
+stwo:
+	VMOVUPD	(SI), Y4
+	VMOVUPD	(R9), Y5
+	VMULPD	Y4, Y0, Y6
+	VMULPD	Y5, Y1, Y7
+	VMULPD	Y4, Y2, Y8
+	VMULPD	Y5, Y3, Y9
+	VADDPD	Y7, Y6, Y6
+	VADDPD	Y9, Y8, Y8
+	VMOVUPD	Y6, (SI)
+	VMOVUPD	Y8, (R9)
+	ADDQ	$32, SI
+	ADDQ	$32, R9
+	SUBQ	$32, R12
+	JNZ	skeep
+	VMOVAPD	Y0, Y14             // the walk crossed swap bytes: trade the rows
+	VMOVAPD	Y2, Y0
+	VMOVAPD	Y14, Y2
+	VMOVAPD	Y1, Y14
+	VMOVAPD	Y3, Y1
+	VMOVAPD	Y14, Y3
+	MOVQ	R10, R12
+
+skeep:
+	SUBQ	$2, AX
+	JGE	stwo
+
+stail:
+	CMPQ	AX, $-1
+	JNE	snext
+	VMOVUPD	(SI), X4
+	VMOVUPD	(R9), X5
+	VMULPD	X4, X0, X6
+	VMULPD	X5, X1, X7
+	VMULPD	X4, X2, X8
+	VMULPD	X5, X3, X9
+	VADDPD	X7, X6, X6
+	VADDPD	X9, X8, X8
+	VMOVUPD	X6, (SI)
+	VMOVUPD	X8, (R9)
+
+snext:
+	ADDQ	DX, DI
+	DECQ	BX
+	JNZ	swindow
 	VZEROUPPER
 	RET
 

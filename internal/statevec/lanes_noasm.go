@@ -12,8 +12,8 @@ func scaleTable(v, t []float64, run, period, row, tstep int) {
 	scaleTableGo(v, t, run, period, row, tstep)
 }
 
-func pairReal(v []float64, dist, run, period int, r0, r1, r2, r3 float64) {
-	pairRealGo(v, dist, run, period, r0, r1, r2, r3)
+func pairReal(v []float64, dist, run, period int, r0, r1, r2, r3 float64, swap int) {
+	pairRealGo(v, dist, run, period, r0, r1, r2, r3, swap)
 }
 
 func pairComplex(v []float64, dist, run, period int, m *laneMat2) {

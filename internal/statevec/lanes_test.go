@@ -282,8 +282,16 @@ func refSwapBits(amps []complex128, a, b uint) {
 // the real fast path differs from complex arithmetic on exact zeros and
 // infinities by design (lanes.go), and its body is held to its Go loop
 // on arbitrary bits by FuzzLanePrimitives instead.
+//
+// op 11 is the swap form: a real TileMat1 and the CX after it on the
+// same target, one tile run that tilePass takes in one pass (FusesCX),
+// held to the two kernels in turn — pairReal's update, then
+// swapWindows over the control's 1 half — on a support control%3
+// picks: none, one that knows the control, or a random one (which may
+// know the target, the control or neither). Its reference is the lane
+// kernels themselves, so a real matrix is drawn on special lanes too.
 func checkKernel(t *testing.T, at string, op, width, target, control, workers uint8, special bool, seed uint64) {
-	op %= 11
+	op %= 12
 	n := 1 + int(width)%12
 	if op < 4 || op == 5 || op == 6 || op >= 9 {
 		n = max(n, 2)
@@ -299,7 +307,7 @@ func checkKernel(t *testing.T, at string, op, width, target, control, workers ui
 		seedSpecials(amps, rng)
 	}
 	m := randUnitary2(rng)
-	if !special && seed&1 == 0 {
+	if !special && seed&1 == 0 || op == 11 {
 		m = randReal2(rng)
 	}
 	p, a, b := phaseOf(rng), phaseOf(rng), phaseOf(rng)
@@ -332,7 +340,11 @@ func checkKernel(t *testing.T, at string, op, width, target, control, workers ui
 	}
 	want := append([]complex128(nil), amps...)
 	ctx := [...]string{"mat1", "cx", "diag", "relphase", "ApplyMat1", "applyControlled1", "ApplyCX",
-		"applyPhase1", "ApplyGlobalAndRelativePhase", "applyControlledPhase", "ApplySwap"}[op]
+		"applyPhase1", "ApplyGlobalAndRelativePhase", "applyControlledPhase", "ApplySwap", "mat1+cx"}[op]
+	if op == 11 {
+		checkSwapForm(t, at+": "+ctx, amps, m, n, tq, cq, control%3, rng, special)
+		return
+	}
 	switch op {
 	case 0:
 		refTileMat1(want, &to)
@@ -395,6 +407,78 @@ func checkKernel(t *testing.T, at string, op, width, target, control, workers ui
 	} else {
 		bitsEqual(t, got, want, what)
 	}
+}
+
+// checkSwapForm is checkKernel's op 11: ry-shaped m on target tq, then
+// a CX from cq, as a tile run over the whole n-qubit state, against
+// applyTileMat1 and applyTileCX in turn. known picks the support: 0
+// none, 1 the control's bit, 2 random bits; amplitudes outside it are
+// +0, as the support promises.
+func checkSwapForm(t *testing.T, what string, amps []complex128, m gate.Mat2, n, tq, cq int, known uint8, rng *qmath.RNG, special bool) {
+	var sp Support
+	switch known {
+	case 1:
+		sp = Support{Mask: 1 << uint(cq), Val: uint64(rng.Intn(2)) << uint(cq)}
+	case 2:
+		sp.Mask = rng.Uint64() & (1<<uint(n) - 1)
+		sp.Val = rng.Uint64() & sp.Mask
+	}
+	for i := range amps {
+		if uint64(i)&sp.Mask != sp.Val {
+			amps[i] = 0
+		}
+	}
+	ops := []TileOp{{Kind: TileMat1, T: uint8(tq), M: m}, {Kind: TileCX, T: uint8(tq), C: uint8(cq), HasCtrl: true}}
+	if !ops[0].FusesCX(&ops[1]) {
+		t.Fatalf("%s: a real mat1 and a cx on its target do not fuse", what)
+	}
+	want := append([]complex128(nil), amps...)
+	applyTileMat1(want, &ops[0], sp)
+	after := sp
+	after.tileOp(&ops[0], 0, n)
+	applyTileCX(want, &ops[1], after)
+	after.tileOp(&ops[1], 0, n)
+
+	s := MustNew(n, 1)
+	defer s.Release()
+	copy(s.AmplitudesRaw(), amps)
+	s.SetSupport(sp)
+	if err := s.ApplyTileRun(n, 0, ops); err != nil {
+		t.Fatal(err)
+	}
+	what = fmt.Sprintf("%s on %d qubits (target %d, control %d, support %+v)", what, n, tq, cq, sp)
+	if s.Support() != after {
+		t.Fatalf("%s: support %+v after the run, want %+v", what, s.Support(), after)
+	}
+	if special {
+		lanesEqual(t, s.amps, want, what+" (special lanes)")
+	} else {
+		bitsEqual(t, s.amps, want, what)
+	}
+}
+
+// TestTileMat1CXBitIdentity runs the swap form (checkKernel's op 11) on
+// every body the wrappers take, at every target and control of 2 to 9
+// qubits — the control inside the target's windows, on the stride they
+// step along, or above both, and one-amplitude windows at target 0 —
+// under each kind of support, on ordinary and on special lanes.
+func TestTileMat1CXBitIdentity(t *testing.T) {
+	rng := qmath.NewRNG(0x5a7f)
+	wrapperBodies(func(body string) {
+		for n := uint8(2); n <= 9; n++ {
+			for tq := uint8(0); tq < n; tq++ {
+				for c := uint8(0); c < n-1; c++ {
+					for known := uint8(0); known < 3; known++ {
+						for _, special := range []bool{false, true} {
+							// n-1 for width and 3c+known for control give n
+							// qubits and control c (skipping the target).
+							checkKernel(t, body+" body", 11, n-1, tq, 3*c+known, 0, special, rng.Uint64())
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestTileKernelBitIdentityFuzz drives every tile micro-op kind over
@@ -625,7 +709,7 @@ type laneBody struct {
 	ok    bool
 	scale func(v []float64, run, period int, pr, pi float64)
 	table func(v, t []float64, run, period, row, tstep int)
-	pair  func(v []float64, dist, run, period int, r0, r1, r2, r3 float64)
+	pair  func(v []float64, dist, run, period int, r0, r1, r2, r3 float64, swap int)
 	cpair func(v []float64, dist, run, period int, m *laneMat2)
 	pauli func(l *pauliLanes, nl int, w *pauliWalk)
 }
@@ -633,6 +717,61 @@ type laneBody struct {
 // goBody is the Go loops, the reference every assembly body in
 // asmBodies (lanes_amd64_test.go; none on other GOARCH) is held to.
 var goBody = laneBody{"go", true, scaleWindowsGo, scaleTableGo, pairRealGo, pairComplexGo, pauliChunksGo}
+
+// TestPairRealSwapBitIdentity holds pairReal's swap form on every body
+// (the Go loop among them) to the pair update followed by the trade it
+// stands for: pairReal with swap 0, then each pair whose window offset
+// b or in-window offset j has the swap bit exchanged with its partner.
+// The shapes are wider than the tile kernels make: windows of 1 to 7
+// amplitudes (odd tails), at any lane offset, periods and partner
+// distances not powers of two, and every swap bit from qubit 0's up to
+// one above the buffer, on ordinary and on special lanes.
+func TestPairRealSwapBitIdentity(t *testing.T) {
+	rng := qmath.NewRNG(0x5a9)
+	c, s := math.Cos(0.7), math.Sin(0.7)
+	for trial := 0; trial < 400; trial++ {
+		amps := randAmps(96, rng)
+		if trial%2 == 1 {
+			seedSpecials(amps, rng)
+		}
+		v := lanes(amps)[2*rng.Intn(3):]
+		run := 2 * (1 + rng.Intn(7))
+		dist := run + 2*rng.Intn(9)
+		period := dist + run + 2*rng.Intn(5)
+		if rng.Intn(2) == 0 {
+			period, dist = 2*run+2*rng.Intn(4), run // partners inside the period: windows interleave
+			if period < dist+run {
+				period = dist + run
+			}
+		}
+		swap := 2 << uint(rng.Intn(9))
+		if !disjointPairs(len(v), dist, run, period) {
+			continue
+		}
+		want := append([]float64(nil), v...)
+		pairRealGo(want, dist, run, period, c, -s, s, c, 0)
+		for b := 0; b+dist+run <= len(want); b += period {
+			for j := 0; j+1 < run; j += 2 {
+				if (b|j)&swap != 0 {
+					x, y := want[b+j:b+j+2], want[b+dist+j:b+dist+j+2]
+					x[0], x[1], y[0], y[1] = y[0], y[1], x[0], x[1]
+				}
+			}
+		}
+		got := make([]float64, len(v))
+		for _, body := range append([]laneBody{goBody}, asmBodies...) {
+			if !body.ok || body.pair == nil {
+				continue
+			}
+			copy(got, v)
+			body.pair(got, dist, run, period, c, -s, s, c, swap)
+			if i, ok := sameLanes(got, want); !ok {
+				t.Fatalf("trial %d: %s pairReal(dist %d, run %d, period %d, swap %d) on %d lanes: lane %d = %#x, want %#x",
+					trial, body.name, dist, run, period, swap, len(v), i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
 
 // FuzzLanePrimitives holds every assembly body of scaleWindows,
 // pairReal and pairComplex — on amd64 the AVX bodies of the first two
@@ -671,7 +810,7 @@ func FuzzLanePrimitives(f *testing.F) {
 		scaled, paired, cpaired := append([]float64(nil), v...), append([]float64(nil), v...), append([]float64(nil), v...)
 		scaleWindowsGo(scaled, r, p, f0, f1)
 		if pairs {
-			pairRealGo(paired, d, r, p, f0, f1, f2, f3)
+			pairRealGo(paired, d, r, p, f0, f1, f2, f3, 0)
 			pairComplexGo(cpaired, d, r, p, &m)
 		}
 		got := make([]float64, n)
@@ -692,7 +831,7 @@ func FuzzLanePrimitives(f *testing.F) {
 			}
 			if body.pair != nil {
 				copy(got, v)
-				body.pair(got, d, r, p, f0, f1, f2, f3)
+				body.pair(got, d, r, p, f0, f1, f2, f3, 0)
 				if i, ok := sameLanes(got, paired); !ok {
 					t.Fatalf("%s pairReal(dist %d, run %d, period %d, [%v %v; %v %v]): lane %d = %#x, Go loop %#x",
 						body.name, d, r, p, f0, f1, f2, f3, i, math.Float64bits(got[i]), math.Float64bits(paired[i]))
@@ -816,7 +955,10 @@ func FuzzPauliLanes(f *testing.F) {
 // (256 KiB, L2-resident) buffer, by window width in amplitudes: 1
 // (qubit 0), 2 (qubit 1), 32, and one contiguous window. scale and
 // table windows sit at every other window slot; pair (real) and cpair
-// (complex, u3) windows fill the buffer with their partners. A table
+// (complex, u3) windows fill the buffer with their partners; pairswap,
+// at width 32 only, is pair's swap form with the control on qubit 0 —
+// QCrank's commonest ry→cx pair, each register's two amplitudes
+// trading differently — against pair/w32 the cost of the trade. A table
 // row is one entry per window advancing window by window at width 1 (a
 // free stretch above other bits), and the window's own 32 or 1024
 // entries, repeated along it, at width 32 and contiguous (a free
@@ -862,7 +1004,10 @@ func BenchmarkLanePrimitives(b *testing.B) {
 				run(b, "table/"+name, 8*len(v)/2, func() { body.table(v, lanes(tab), w, 2*w, row, tstep) })
 			}
 			if body.pair != nil {
-				run(b, "pair/"+name, 8*len(v), func() { body.pair(v, w, w, 2*w, c, -s, s, c) })
+				run(b, "pair/"+name, 8*len(v), func() { body.pair(v, w, w, 2*w, c, -s, s, c, 0) })
+				if amps == 32 {
+					run(b, "pairswap/"+name, 8*len(v), func() { body.pair(v, w, w, 2*w, c, -s, s, c, 2) })
+				}
 			}
 			if body.cpair != nil {
 				run(b, "cpair/"+name, 8*len(v), func() { body.cpair(v, w, w, 2*w, &u) })

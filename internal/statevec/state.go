@@ -266,7 +266,7 @@ func (s *State) PrepareBasis(idx uint64) error {
 func (s *State) Norm() float64 {
 	var acc float64
 	for _, a := range s.amps {
-		acc += real(a)*real(a) + imag(a)*imag(a)
+		acc += float64(real(a)*real(a)) + float64(imag(a)*imag(a))
 	}
 	return math.Sqrt(acc)
 }

@@ -227,6 +227,13 @@ func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, tabs []complex
 						applyTileTable(tile, abs, tileBits, common, free, tab[:size], in)
 						tab, i = tab[size:], i+n
 					case TileMat1:
+						if i+1 < len(ops) && op.FusesCX(&ops[i+1]) {
+							applyTileMat1CX(tile, op, ops[i+1].C, in)
+							sp.tileOp(op, base, nq)
+							i++
+							op = &ops[i] // the support steps past the CX below
+							break
+						}
 						applyTileMat1(tile, op, in)
 					case TileCX:
 						applyTileCX(tile, op, in)
@@ -243,6 +250,16 @@ func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, tabs []complex
 	for i := range ops {
 		s.sup.tileOp(&ops[i], base, nq)
 	}
+}
+
+// FusesCX reports whether the TileCX next, directly after op in a run,
+// runs in op's pass (applyTileMat1CX): op is an uncontrolled real
+// TileMat1, and next a CX on its target under the same HighMask with
+// its control inside the tile — QCrank's multiplexed-ry chains are
+// nothing but such pairs. Any other CX keeps its own swap pass.
+func (op *TileOp) FusesCX(next *TileOp) bool {
+	return op.Kind == TileMat1 && !op.HasCtrl && mat2Lanes(op.M).isReal &&
+		next.Kind == TileCX && next.HasCtrl && next.T == op.T && next.HighMask == op.HighMask
 }
 
 // tileOp steps the support past one micro-op of a run on the shard at
@@ -296,6 +313,32 @@ func applyTileMat1(tile []complex128, op *TileOp, sp Support) {
 		return
 	}
 	lm.pairSubspace(lanes(tile), uint(op.T), fixed, val, 0, len(tile)>>(1+bits.OnesCount64(fixed)))
+}
+
+// applyTileMat1CX is applyTileMat1 (uncontrolled, real) and then
+// applyTileCX with control c on the same target, as one pass over the
+// Mat1's pairs: a pair whose bit c is 1 stores its two results swapped
+// (pairReal's swap form). The CX's pairs are the Mat1's with bit c set —
+// the support narrows both by the same known bits, those but the
+// target's — so the values are the two kernels' bit for bit.
+func applyTileMat1CX(tile []complex128, op *TileOp, c uint8, sp Support) {
+	fixed, val, ok := sp.narrow(0, 0, 1<<op.T)
+	if !ok {
+		return
+	}
+	lm := mat2Lanes(op.M)
+	v, dist, cb := lanes(tile), 1<<op.T, 1<<c
+	subspaceSets(fixed|1<<op.T, val, 0, len(tile)>>(1+bits.OnesCount64(fixed)), func(off, run, period, count int) {
+		r0, r1, r2, r3, swap := lm.r0, lm.r1, lm.r2, lm.r3, 0
+		switch {
+		case cb < run || cb >= period && cb < period*count: // c varies in the set
+			swap = 2 * cb
+		case off&cb != 0: // c is 1 throughout: every pair trades, the rows swap
+			r0, r1, r2, r3 = r2, r3, r0, r1
+		}
+		end := off + (count-1)*period + dist + run
+		pairReal(v[2*off:2*end], 2*dist, 2*run, 2*period, r0, r1, r2, r3, swap)
+	})
 }
 
 // applyTileCX mirrors ApplyCX (and the uncontrolled X pair-swap)
