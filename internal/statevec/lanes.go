@@ -25,7 +25,8 @@ import (
 // chunks per call, one per lane). The swaps (CX, bit swaps) move whole
 // amplitudes on the same windows, but for a CX right after an
 // uncontrolled real 2×2 on its target in a tile run: that one rides in
-// the 2×2's pass, as pairReal's swap form (tiled.go's FusesCX). A sweep's subspace is its own fixed
+// the 2×2's pass, as pairReal's swap form (tiled.go's FusesCX). A
+// sweep's subspace is its own fixed
 // bits (controls, the clear half of a pair, a phase's predicate) plus
 // the bits the state's support knows, less those the sweep mixes
 // (support.narrow): the enumeration never visits an amplitude the

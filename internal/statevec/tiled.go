@@ -258,8 +258,8 @@ func (s *State) tilePass(tileBits int, base uint64, ops []TileOp, tabs []complex
 // its control inside the tile — QCrank's multiplexed-ry chains are
 // nothing but such pairs. Any other CX keeps its own swap pass.
 func (op *TileOp) FusesCX(next *TileOp) bool {
-	return op.Kind == TileMat1 && !op.HasCtrl && mat2Lanes(op.M).isReal &&
-		next.Kind == TileCX && next.HasCtrl && next.T == op.T && next.HighMask == op.HighMask
+	return next.Kind == TileCX && next.HasCtrl && next.T == op.T && next.HighMask == op.HighMask &&
+		op.Kind == TileMat1 && !op.HasCtrl && mat2Lanes(op.M).isReal
 }
 
 // tileOp steps the support past one micro-op of a run on the shard at
