@@ -14,7 +14,8 @@ import (
 // run instead of one per gate. Within a tile, every micro-op performs
 // exactly the arithmetic of the corresponding full-sweep kernel on the
 // same amplitude pairs — a diagonal group (TileTable) the same table
-// entry per amplitude as ApplyPhaseGroup — so tiled execution is
+// entry per amplitude as ApplyPhaseGroup, a CX fused into the real
+// 2×2 before it (FusesCX) the same values moved — so tiled execution is
 // bit-identical to the per-gate path; only the order in which disjoint
 // tiles are visited changes, and tiles never interact inside a run.
 //
