@@ -41,11 +41,15 @@ fmt-check:
 
 # ROADMAP aim 2's metric: lines outside benchmark/ (which is its own
 # module and its own budget), non-test and test. Assembly (*.s) is
-# non-test code, counted with the Go and shown beside it.
+# non-test code, counted with the Go and shown beside it. Then the
+# non-test lines (Go and assembly) of each package under internal/.
 loc:
 	@count() { find . -not -path './benchmark/*' -not -path './.bench_build/*' "$$@" -print0 | xargs -0 -r cat | wc -l; }; \
 	go=$$(count -name '*.go' -not -name '*_test.go'); asm=$$(count -name '*.s'); \
-	printf 'non-test LoC:    %d (Go %d, assembly %d)\ntest Go LoC:     %d\n' "$$((go + asm))" "$$go" "$$asm" "$$(count -name '*_test.go')"
+	printf 'non-test LoC:    %d (Go %d, assembly %d)\ntest Go LoC:     %d\n' "$$((go + asm))" "$$go" "$$asm" "$$(count -name '*_test.go')"; \
+	for d in $$(find internal -name '*.go' -not -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		printf '  %-32s %6d\n' "$$d" "$$(find $$d -maxdepth 1 \( -name '*.s' -o -name '*.go' -not -name '*_test.go' \) -print0 | xargs -0 cat | wc -l)"; \
+	done
 
 test: vet
 	$(GO) test -race ./...

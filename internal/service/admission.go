@@ -60,7 +60,7 @@ func (s *Server) estimateStateBytes(n, shots int) int64 {
 	if d := s.cfg.Devices; s.cfg.Target == backend.TargetNvidiaMQPU && d > 1 && shots >= d {
 		samplers = d
 	}
-	workers := s.sampleConfig(shots, 0).SampleWorkers()
+	workers := s.execOptions().SampleWorkers()
 	return b + int64(samplers)*sampling.PeakBytes(1<<uint(n), (shots+samplers-1)/samplers, workers)
 }
 

@@ -45,9 +45,3 @@ func resultCost(res *backend.Result) float64 {
 	}
 	return float64(1+res.KernelStats.EmittedOps) * float64(size)
 }
-
-// planCost models a compiled plan's recompute cost: transformation and
-// planning are linear passes over the instruction stream.
-func planCost(comp *backend.Compiled) float64 {
-	return float64(1 + len(comp.Kernel.Instrs))
-}

@@ -19,6 +19,7 @@ import (
 	"qgear/internal/kernel"
 	"qgear/internal/observable"
 	"qgear/internal/sampling"
+	"qgear/internal/store"
 	"qgear/internal/telemetry"
 )
 
@@ -667,23 +668,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // StoreResponse is the GET /v1/store payload: what the persistent
-// artifact store holds on disk.
+// artifact store holds on disk, all zero (and no dir) without one.
 type StoreResponse struct {
-	Enabled       bool   `json:"enabled"`
-	Dir           string `json:"dir,omitempty"`
-	ResultEntries int    `json:"result_entries"`
-	PlanEntries   int    `json:"plan_entries"`
-	Bytes         int64  `json:"bytes"`
-	// MaxBytes is the on-disk budget (0 = unbounded); the GC fields
-	// report its enforcement and ManifestRecords/BootScanned how the
-	// index was built at the last open.
-	MaxBytes            int64  `json:"max_bytes"`
-	GCEvictions         uint64 `json:"gc_evictions"`
-	GCEvictedBytes      int64  `json:"gc_evicted_bytes"`
-	GCRejected          uint64 `json:"gc_rejected"`
-	ManifestRecords     uint64 `json:"manifest_records"`
-	ManifestCompactions uint64 `json:"manifest_compactions"`
-	BootScanned         bool   `json:"boot_scanned"`
+	Enabled bool `json:"enabled"`
+	store.Stats
 }
 
 func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
@@ -693,21 +681,7 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := StoreResponse{}
 	if s.store != nil {
-		ss := s.store.Stats()
-		resp = StoreResponse{
-			Enabled:             true,
-			Dir:                 ss.Dir,
-			ResultEntries:       ss.ResultEntries,
-			PlanEntries:         ss.PlanEntries,
-			Bytes:               ss.Bytes,
-			MaxBytes:            ss.MaxBytes,
-			GCEvictions:         ss.GCEvictions,
-			GCEvictedBytes:      ss.GCEvictedBytes,
-			GCRejected:          ss.GCRejected,
-			ManifestRecords:     ss.ManifestRecords,
-			ManifestCompactions: ss.ManifestCompactions,
-			BootScanned:         ss.BootScanned,
-		}
+		resp = StoreResponse{Enabled: true, Stats: s.store.Stats()}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

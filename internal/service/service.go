@@ -315,23 +315,6 @@ func (j *job) info() JobInfo {
 	return in
 }
 
-// flight tracks one in-flight cache key and every job attached to it.
-// The leader's cancel flag doubles as the flight's time budget: joiners
-// Extend it (deadlines only ever loosen — a second submission of a
-// running key must not tighten what the leader already executes under).
-type flight struct {
-	jobs []*job
-}
-
-// flightFlag returns the flight's shared cancellation flag (the
-// leader's); nil-safe for flights without one.
-func (f *flight) flag() *cancel.Flag {
-	if f == nil || len(f.jobs) == 0 {
-		return nil
-	}
-	return f.jobs[0].flag
-}
-
 // Server is the simulation service. Create with New, submit with
 // Submit, stop with Close (which drains in-flight work and spills
 // resident cache entries to the persistent store when one is
@@ -346,7 +329,6 @@ type Server struct {
 	// the gate for structural plan-cache keying and the sweep
 	// compile-once fast path. Fixed at New.
 	rebindable bool
-	spill      chan spillItem
 	// reg is the server's metric registry: every counter below is
 	// exported through it (as a callback reading the same field, so
 	// /metrics and /v1/stats can never disagree), job and stage
@@ -358,27 +340,33 @@ type Server struct {
 	// serving path.
 	busy atomic.Int64
 
-	mu          sync.Mutex
-	closed      bool
-	nextID      uint64
-	jobs        map[string]*job
-	doneOrder   []string // finished job ids, oldest first (retention)
-	inflight    map[string]*flight
+	queue  chan *job
+	wg     sync.WaitGroup // the worker pool
+	loadWG sync.WaitGroup // in-flight store loads
+
+	// mu guards the fields from closed to latency below, the spill
+	// backlog's byte count and lookaside (spill.go), and every job
+	// record's state and outcome. It is held only to read or update
+	// them: compilation, execution, sampling and store I/O never run
+	// under it, so a slow job never stalls a submit, a poll or another
+	// worker's completion.
+	mu        sync.Mutex
+	closed    bool
+	nextID    uint64
+	jobs      map[string]*job
+	doneOrder []string // finished job ids, oldest first (retention)
+	// inflight holds the jobs attached to each in-flight cache key, the
+	// leader first. The leader's cancel flag is the flight's time
+	// budget: joiners Extend it (deadlines only ever loosen — a second
+	// submission of a running key must not tighten what the leader
+	// already executes under).
+	inflight    map[string][]*job
 	cache       *resultCache
 	plans       *planCache
 	planFlights map[string]chan struct{} // plan keys being compiled right now
-	// pendingSpills is the spill lookaside window: entries evicted from
-	// a cache stay answerable here until the spiller has them durably
-	// on disk, so an eviction immediately followed by a repeat
-	// submission never re-simulates.
-	pendingSpills map[string]spillItem
-	queue         chan *job
-	wg            sync.WaitGroup
-	loadWG        sync.WaitGroup // in-flight store loads
-	spillWG       sync.WaitGroup // the spiller goroutine
-	spillBytes    int64          // bytes pinned by the eviction-spill backlog
+	spillBacklog
 
-	// stats is the one set of counters (under mu): the serving path
+	// stats is the one set of counters: the serving path
 	// counts straight into it, Stats() copies it and fills in the gauges
 	// and derived ratios, and the metric registry reads the same fields.
 	// Submitted and Executed — with their per-kind fields, picked by
@@ -399,37 +387,6 @@ type Server struct {
 	storeLoad *telemetry.Histogram
 }
 
-// spillItem is one artifact bound for the persistent store: exactly
-// one of result and plan is set. bytes is the entry's accounted size
-// while it waits in the backlog (0 for shutdown-time items, which
-// bypass the budget).
-type spillItem struct {
-	key    string
-	result *backend.Result
-	plan   *backend.Compiled
-	cost   float64
-	bytes  int64
-}
-
-// spillQueueDepth bounds the eviction-spill backlog's entry count; the
-// backlog is additionally byte-bounded (spillByteBudget) because the
-// entries it pins live entirely outside the cache's byte budget. When
-// either bound is hit, eviction spills are dropped (and counted)
-// rather than stalling the serving path — the shutdown spill still
-// persists whatever is resident.
-const spillQueueDepth = 256
-
-// spillBudget sizes the backlog's byte bound from the result cache's
-// budget: a quarter of it, floored so small test configurations can
-// still spill at all, and defaulted when the cache is unbounded.
-func spillBudget(maxCacheBytes int64) int64 {
-	b := maxCacheBytes / 4
-	if b < 16<<20 {
-		b = 16 << 20 // 16 MiB floor (also the unbounded-cache default)
-	}
-	return b
-}
-
 // New starts a server with cfg's worker pool running.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
@@ -437,7 +394,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		start:       time.Now(),
 		jobs:        make(map[string]*job),
-		inflight:    make(map[string]*flight),
+		inflight:    make(map[string][]*job),
 		cache:       store.NewCache[*backend.Result](cfg.CacheSize, cfg.MaxCacheBytes),
 		plans:       store.NewCache[*backend.Compiled](cfg.PlanCacheSize, cfg.MaxPlanCacheBytes),
 		planFlights: make(map[string]chan struct{}),
@@ -461,105 +418,13 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.store = ast
-		s.spill = make(chan spillItem, spillQueueDepth)
-		s.pendingSpills = make(map[string]spillItem)
-		s.spillWG.Add(1)
-		go s.spiller()
+		s.startSpiller()
 	}
 	for i := 0; i < cfg.WorkerPool; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
 	return s, nil
-}
-
-// spiller drains eviction- and shutdown-time artifacts to the
-// persistent store off the serving path. Saves are idempotent, so
-// spilling an entry that warm-started from disk is a no-op.
-func (s *Server) spiller() {
-	defer s.spillWG.Done()
-	for it := range s.spill {
-		var err error
-		t0 := time.Now()
-		if it.result != nil {
-			err = s.store.SaveResult(it.key, s.cfgSig, it.result)
-		} else {
-			err = s.store.SavePlan(it.key, s.cfgSig, it.plan, it.cost)
-		}
-		// Spills run off the serving path, so the stage appears in the
-		// registry histograms but never in a job trace.
-		s.stageHist(telemetry.StageSpill).Observe(time.Since(t0))
-		s.mu.Lock()
-		if err != nil {
-			s.stats.StoreErrors++
-		} else {
-			s.stats.StoreSpills++
-		}
-		s.spillBytes -= it.bytes
-		if cur, ok := s.pendingSpills[it.key]; ok && cur.result == it.result && cur.plan == it.plan {
-			delete(s.pendingSpills, it.key)
-		}
-		s.mu.Unlock()
-	}
-}
-
-// minAdmissionSamples is how many store loads must have been measured
-// before the measured-admission rule activates; below it every result
-// is persisted (cold stores should fill, not starve).
-const minAdmissionSamples = 32
-
-// admitResultSpill applies measured admission: once enough store
-// loads have been observed, a result whose modeled recompute cost
-// (its recorded simulation time) is below the observed median load
-// latency is cheaper to re-simulate than to read back, so persisting
-// it would only burn disk budget and GC pressure. Shutdown-time
-// spills bypass this (Close writes the spill channel directly):
-// post-restart the cache is empty and even cheap results are wins.
-func (s *Server) admitResultSpill(res *backend.Result) bool {
-	d := s.storeLoad.Snapshot()
-	if d.N < minAdmissionSamples || res.Duration <= 0 {
-		return true
-	}
-	// Median from the bucket histogram: the upper bound of the first
-	// bucket holding the middle observation.
-	var cum uint64
-	median := telemetry.BucketBoundSeconds(telemetry.HistogramBuckets)
-	for i, c := range d.Counts {
-		cum += c
-		if cum*2 >= d.N {
-			median = telemetry.BucketBoundSeconds(i)
-			break
-		}
-	}
-	return res.Duration.Seconds() >= median
-}
-
-// enqueueSpillLocked hands an artifact to the spiller without ever
-// blocking the serving path. Callers hold s.mu.
-func (s *Server) enqueueSpillLocked(it spillItem) {
-	if s.spill == nil {
-		return
-	}
-	if it.result != nil && !s.admitResultSpill(it.result) {
-		s.stats.StoreAdmissionSkips++
-		return
-	}
-	if s.spillBytes > 0 && s.spillBytes+it.bytes > spillBudget(s.cfg.MaxCacheBytes) {
-		// The backlog already pins its byte budget of unaccounted
-		// memory; shedding keeps -max-cache-bytes an honest bound on
-		// the process, at the cost of re-simulating this key if it is
-		// asked for after a restart. An empty backlog always admits one
-		// entry, so even over-budget artifacts eventually persist.
-		s.stats.StoreSpillDrops++
-		return
-	}
-	select {
-	case s.spill <- it:
-		s.spillBytes += it.bytes
-		s.pendingSpills[it.key] = it
-	default:
-		s.stats.StoreSpillDrops++
-	}
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -575,204 +440,6 @@ func (s *Server) execOptions() core.Options {
 		Devices:    s.cfg.Devices,
 		Workers:    s.cfg.Workers,
 	}
-}
-
-// sampleConfig is the backend configuration a job's shots are drawn
-// under: the server's target, devices and per-device workers, so a
-// server with Workers = 1 draws each job on one worker however large
-// its pool.
-func (s *Server) sampleConfig(shots int, seed uint64) backend.Config {
-	return backend.Config{
-		Target:  s.cfg.Target,
-		Devices: s.cfg.Devices,
-		Workers: s.cfg.Workers,
-		Shots:   shots,
-		Seed:    seed,
-	}
-}
-
-// execOptionsCancel is execOptions armed for a real execution: the
-// job's cancellation flag and the configured fault-injection hook.
-// Neither field enters option signatures or cache keys (they never
-// shape a completed run's output), so key derivation keeps using the
-// bare execOptions.
-func (s *Server) execOptionsCancel(flag *cancel.Flag) core.Options {
-	o := s.execOptions()
-	o.Cancel = flag
-	o.ExecHook = s.cfg.ExecHook
-	return o
-}
-
-// planKey addresses the compiled-plan cache. Everything else that
-// shapes a plan (target, devices, prune) is server-constant,
-// so a circuit identity plus the configured tile width identifies the
-// artifact. Under a rebindable configuration —
-// where compiled structure is provably value-independent — a
-// parameterized circuit keys by its *structural* fingerprint: every
-// submission sharing a shape, whatever its angles, resolves to one
-// cached skeleton that compiled() rebinds to the job's own values. A
-// 10k-point sweep (or 10k individually-submitted points) therefore
-// costs exactly one compile. Value-dependent configurations (pruning)
-// keep exact-fingerprint keying.
-func (s *Server) planKey(c *circuit.Circuit, fp string) string {
-	if s.rebindable && c.NumParams() > 0 {
-		return fmt.Sprintf("%s|b%d", c.StructuralFingerprint(), s.cfg.TileBits)
-	}
-	return fmt.Sprintf("%s|b%d", fp, s.cfg.TileBits)
-}
-
-// compiled returns the circuit's execution IR, serving repeat
-// fingerprints from the plan cache so resubmissions — including ones
-// with different shots or seeds, which miss the result cache — skip
-// transformation and plan compilation entirely. Compiled plans are
-// immutable and safe to execute concurrently. Concurrent misses for
-// one key single-flight: workers that lose the race wait for the
-// winner's plan instead of compiling the same circuit again.
-//
-// The returned trace fragment breaks the call's own wall time into a
-// fresh compile span, a persistent-store load span, a rebind span
-// (structural-key hits only), and a plan_cache span covering
-// everything else (lookup, single-flight waits, spill lookaside) — so
-// a cache hit shows pure plan_cache time while a cold miss shows
-// mostly compile.
-//
-// Under structural keying (see planKey) the cached artifact is a
-// *skeleton*: its structure matches every circuit sharing the shape,
-// but its value-derived matrices carry whatever parameter values
-// first populated the key. Every serving path that did not compile
-// from this job's own circuit — cache hit, spill lookaside, store
-// load — therefore rebinds the skeleton to c's parameter values
-// before returning; only a fresh compile is already bound.
-func (s *Server) compiled(c *circuit.Circuit, fp string) (*backend.Compiled, *telemetry.Trace, error) {
-	t0 := time.Now()
-	structural := s.rebindable && c.NumParams() > 0
-	key := s.planKey(c, fp)
-	s.mu.Lock()
-	for {
-		if comp, ok := s.plans.Get(key); ok {
-			s.stats.PlanCacheHits++
-			s.mu.Unlock()
-			return s.rebound(comp, c, structural, t0, 0, 0)
-		}
-		if it, ok := s.pendingSpills[key]; ok && it.plan != nil {
-			// Spill lookaside: an evicted plan still bound for disk is
-			// an ordinary cache hit (it never touched the store) —
-			// serve it and re-admit.
-			comp := it.plan
-			s.stats.PlanCacheHits++
-			for _, ev := range s.plans.Add(key, comp, comp.SizeBytes(), planCost(comp)) {
-				s.stats.PlanCacheEvictedBytes += ev.Bytes
-				s.enqueueSpillLocked(spillItem{key: ev.Key, plan: ev.Val, cost: ev.Cost, bytes: ev.Bytes})
-			}
-			s.mu.Unlock()
-			return s.rebound(comp, c, structural, t0, 0, 0)
-		}
-		ch, compiling := s.planFlights[key]
-		if !compiling {
-			break
-		}
-		s.mu.Unlock()
-		<-ch
-		s.mu.Lock()
-		// Re-check: the winner cached the plan (or failed, in which
-		// case this worker becomes the next compiler).
-	}
-	s.stats.PlanCacheMisses++
-	ch := make(chan struct{})
-	s.planFlights[key] = ch
-	s.mu.Unlock()
-
-	// Warm start: a plan compiled by an earlier process may be on disk.
-	// Checksum or signature failures quarantine the file and fall
-	// through to a fresh compile.
-	var comp *backend.Compiled
-	var err error
-	var cost float64
-	var loadDur, compileDur time.Duration
-	fromStore := false
-	if s.store != nil && s.store.HasPlan(key) {
-		tl := time.Now()
-		comp, cost, err = s.store.LoadPlan(key, s.cfgSig)
-		loadDur = time.Since(tl)
-		if err == nil {
-			fromStore = true
-		} else {
-			quarantined := false
-			if errors.Is(err, store.ErrIntegrity) {
-				s.store.DropPlan(key)
-				quarantined = true
-			}
-			s.mu.Lock()
-			s.stats.StoreErrors++
-			if quarantined {
-				s.stats.StoreQuarantines++
-			}
-			s.mu.Unlock()
-			comp = nil
-		}
-	}
-	if comp == nil {
-		tc := time.Now()
-		comp, err = backend.Compile(c, s.execOptions())
-		compileDur = time.Since(tc)
-	}
-
-	s.mu.Lock()
-	if err == nil {
-		if fromStore {
-			s.stats.StorePlanHits++
-		}
-		// Admit at the cost the sidecar recorded when warm-started (the
-		// same units planCost produces), else the fresh model value.
-		if !fromStore || cost <= 0 {
-			cost = planCost(comp)
-		}
-		for _, ev := range s.plans.Add(key, comp, comp.SizeBytes(), cost) {
-			s.stats.PlanCacheEvictedBytes += ev.Bytes
-			s.enqueueSpillLocked(spillItem{key: ev.Key, plan: ev.Val, cost: ev.Cost, bytes: ev.Bytes})
-		}
-	}
-	delete(s.planFlights, key)
-	close(ch)
-	s.mu.Unlock()
-	if err == nil && fromStore {
-		// A warm-started skeleton was compiled by another process from
-		// values this job never chose — rebind like any other hit.
-		return s.rebound(comp, c, structural, t0, loadDur, compileDur)
-	}
-	return comp, planTrace(t0, loadDur, compileDur, 0), err
-}
-
-// rebound finishes a structural-cache hit: the cached skeleton's
-// value-derived matrices are patched (copy-on-write — the cached
-// artifact stays immutable and shared) to this circuit's own parameter
-// values. Exact-keyed artifacts pass through untouched.
-func (s *Server) rebound(comp *backend.Compiled, c *circuit.Circuit, structural bool, t0 time.Time, loadDur, compileDur time.Duration) (*backend.Compiled, *telemetry.Trace, error) {
-	if !structural {
-		return comp, planTrace(t0, loadDur, compileDur, 0), nil
-	}
-	tb := time.Now()
-	bound, err := comp.BindParams(c.ParamValues())
-	rebindDur := time.Since(tb)
-	if err != nil {
-		return nil, nil, fmt.Errorf("service: rebinding cached plan: %w", err)
-	}
-	s.mu.Lock()
-	s.stats.PlanRebinds++
-	s.mu.Unlock()
-	return bound, planTrace(t0, loadDur, compileDur, rebindDur), nil
-}
-
-// planTrace assembles compiled()'s trace fragment: store-load,
-// compile, and rebind get their own spans, and whatever remains of the
-// call's wall time is plan-cache overhead.
-func planTrace(t0 time.Time, loadDur, compileDur, rebindDur time.Duration) *telemetry.Trace {
-	tr := &telemetry.Trace{}
-	tr.Add(telemetry.StagePlanCache, time.Since(t0)-loadDur-compileDur-rebindDur)
-	tr.Add(telemetry.StageStoreLoad, loadDur)
-	tr.Add(telemetry.StageCompile, compileDur)
-	tr.Add(telemetry.StageRebind, rebindDur)
-	return tr
 }
 
 // stageHist returns the registry histogram for one pipeline stage.
@@ -946,19 +613,19 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions, owned bool) (*jo
 		s.admitLocked(j)
 		s.stats.SingleFlightHits++
 		j.cached = true
-		j.state = f.jobs[0].state // queued or already running
-		f.flag().Extend(s.deadlineFor(j.submittedAt, opts))
-		f.jobs = append(f.jobs, j)
+		j.state = f[0].state // queued or already running
+		f[0].flag.Extend(s.deadlineFor(j.submittedAt, opts))
+		s.inflight[key] = append(f, j)
 		return j, nil
 	}
 	// Spill lookaside: an entry evicted moments ago may still be in
 	// flight to disk — serve it from the spill window instead of
 	// re-simulating (or racing the spiller on the file).
-	if it, ok := s.pendingSpills[key]; ok && it.result != nil {
+	if res := s.spilledLocked(key).result; res != nil {
 		s.admitLocked(j)
 		s.stats.CacheHits++
 		j.cached = true
-		s.finishLocked(j, it.result, nil, "cache")
+		s.finishLocked(j, res, nil, "cache")
 		s.retainLocked(j)
 		return j, nil
 	}
@@ -972,7 +639,7 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions, owned bool) (*jo
 	// again.
 	if s.store != nil && s.store.HasResult(key) {
 		s.admitLocked(j)
-		s.inflight[key] = &flight{jobs: []*job{j}}
+		s.inflight[key] = []*job{j}
 		s.loadWG.Add(1)
 		go s.serveFromStore(key)
 		return j, nil
@@ -989,7 +656,7 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions, owned bool) (*jo
 		return nil, ErrQueueFull
 	}
 	s.admitLocked(j)
-	s.inflight[key] = &flight{jobs: []*job{j}}
+	s.inflight[key] = []*job{j}
 	return j, nil
 }
 
@@ -1043,8 +710,8 @@ func (s *Server) retainLocked(j *job) {
 // admitting the result to the byte-accounted cache and routing any
 // evicted entries to the spiller.
 func (s *Server) completeKeyLocked(key string, res *backend.Result, err error, latencyKey string) {
-	f := s.inflight[key]
-	if f == nil {
+	f, ok := s.inflight[key]
+	if !ok {
 		return
 	}
 	delete(s.inflight, key)
@@ -1054,7 +721,7 @@ func (s *Server) completeKeyLocked(key string, res *backend.Result, err error, l
 			s.enqueueSpillLocked(spillItem{key: ev.Key, result: ev.Val, bytes: ev.Bytes})
 		}
 	}
-	for _, j := range f.jobs {
+	for _, j := range f {
 		s.finishLocked(j, res, err, latencyKey)
 		s.retainLocked(j)
 	}
@@ -1068,49 +735,55 @@ func (s *Server) serveFromStore(key string) {
 	t0 := time.Now()
 	res, err := s.store.LoadResult(key, s.cfgSig)
 	loadDur := time.Since(t0)
-	if err == nil {
-		s.storeLoad.Observe(loadDur)
-		// The store does not persist traces; a loaded result's trace is
-		// this serving event's own cost — one store_load span.
-		tr := &telemetry.Trace{}
-		tr.Add(telemetry.StageStoreLoad, loadDur)
-		res.Trace = tr
-		s.observeStages(tr)
-	}
-	s.mu.Lock()
-	if err == nil {
-		s.stats.StoreHits++
-		if f := s.inflight[key]; f != nil {
-			for _, j := range f.jobs {
-				j.cached = true
-			}
+	if err != nil {
+		s.storeLoadFailed(err, s.store.DropResult, key)
+		// Capture the leader under the mutex: concurrent identical
+		// submissions keep appending to the flight through the
+		// single-flight path, so it must not be read unlocked.
+		var leader *job
+		s.mu.Lock()
+		if f := s.inflight[key]; len(f) > 0 {
+			leader = f[0]
 		}
-		s.completeKeyLocked(key, res, nil, "store")
 		s.mu.Unlock()
+		if leader != nil {
+			// Blocking send is safe: Close waits for in-flight loads before
+			// closing the queue, and workers keep draining until then.
+			s.queue <- leader
+		}
 		return
 	}
+	s.storeLoad.Observe(loadDur)
+	// The store does not persist traces; a loaded result's trace is this
+	// serving event's own cost — one store_load span.
+	tr := &telemetry.Trace{}
+	tr.Add(telemetry.StageStoreLoad, loadDur)
+	res.Trace = tr
+	s.observeStages(tr)
+	s.mu.Lock()
+	s.stats.StoreHits++
+	for _, j := range s.inflight[key] {
+		j.cached = true
+	}
+	s.completeKeyLocked(key, res, nil, "store")
+	s.mu.Unlock()
+}
+
+// storeLoadFailed counts a failed store load. A file that fails its
+// checksum or integrity checks (store.ErrIntegrity) is dropped through
+// drop and counted as a quarantine; a transient I/O failure leaves the
+// artifact for the next attempt. Callers do not hold s.mu.
+func (s *Server) storeLoadFailed(err error, drop func(key string), key string) {
+	quarantine := errors.Is(err, store.ErrIntegrity)
+	if quarantine {
+		drop(key)
+	}
+	s.mu.Lock()
 	s.stats.StoreErrors++
-	if errors.Is(err, store.ErrIntegrity) {
+	if quarantine {
 		s.stats.StoreQuarantines++
 	}
-	// Capture the leader under the mutex: concurrent identical
-	// submissions keep appending to f.jobs through the single-flight
-	// path, so the slice must not be read unlocked.
-	var leader *job
-	if f := s.inflight[key]; f != nil {
-		leader = f.jobs[0]
-	}
 	s.mu.Unlock()
-	if errors.Is(err, store.ErrIntegrity) {
-		// Quarantine only provably bad files; a transient I/O failure
-		// leaves the artifact for the next attempt.
-		s.store.DropResult(key)
-	}
-	if leader != nil {
-		// Blocking send is safe: Close waits for in-flight loads before
-		// closing the queue, and workers keep draining until then.
-		s.queue <- leader
-	}
 }
 
 // worker drains the queue a backlog at a time.
@@ -1157,10 +830,8 @@ func (s *Server) markRunning(batch []*job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, j := range batch {
-		if f := s.inflight[j.key]; f != nil {
-			for _, m := range f.jobs {
-				m.state = StateRunning
-			}
+		for _, m := range s.inflight[j.key] {
+			m.state = StateRunning
 		}
 	}
 }
@@ -1354,7 +1025,11 @@ func (s *Server) execute(t *batchTally, j *job, flag *cancel.Flag, run runFunc) 
 	if gerr := s.guardPanic(func() {
 		var comp *backend.Compiled
 		if comp, ctr, err = s.compiled(j.circ, j.fp); err == nil {
-			res, err = run(j, comp, s.execOptionsCancel(flag))
+			// The cancel flag and the fault-injection hook never shape a
+			// completed run's output, so keys and signatures omit them.
+			o := s.execOptions()
+			o.Cancel, o.ExecHook = flag, s.cfg.ExecHook
+			res, err = run(j, comp, o)
 		}
 	}); gerr != nil {
 		err = gerr
@@ -1388,7 +1063,9 @@ func (s *Server) sample(j *job, shared *backend.Result, dequeued time.Time) outc
 	if j.opts.Shots > 0 {
 		t0 := time.Now()
 		if gerr := s.guardPanic(func() {
-			res.Counts, err = backend.SampleShots(res.Probabilities, s.sampleConfig(j.opts.Shots, j.opts.Seed))
+			o := s.execOptions()
+			o.Shots, o.Seed = j.opts.Shots, j.opts.Seed
+			res.Counts, err = backend.SampleShots(res.Probabilities, o)
 		}); gerr != nil {
 			err = gerr
 		}
@@ -1589,32 +1266,14 @@ func (s *Server) cacheKeys() []string {
 // call twice.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		s.spillWG.Wait()
-		return nil
-	}
+	first := !s.closed
 	s.closed = true
 	s.mu.Unlock()
-	s.loadWG.Wait() // store loads finish (and their fallbacks enqueue) first
-	close(s.queue)
-	s.wg.Wait()
-	if s.store != nil {
-		s.mu.Lock()
-		items := make([]spillItem, 0, s.cache.Len()+s.plans.Len())
-		for _, e := range s.cache.Entries() {
-			items = append(items, spillItem{key: e.Key, result: e.Val})
-		}
-		for _, e := range s.plans.Entries() {
-			items = append(items, spillItem{key: e.Key, plan: e.Val, cost: e.Cost})
-		}
-		s.mu.Unlock()
-		for _, it := range items {
-			s.spill <- it // blocking: shutdown durability beats latency
-		}
-		close(s.spill)
-		s.spillWG.Wait()
+	if first {
+		s.loadWG.Wait() // store loads finish (and their fallbacks enqueue) first
+		close(s.queue)
 	}
+	s.wg.Wait()
+	s.drainSpills(first)
 	return nil
 }

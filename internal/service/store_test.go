@@ -2,7 +2,11 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -202,19 +206,44 @@ func TestCacheByteBoundUnderLoad(t *testing.T) {
 	}
 }
 
-// TestStoreEndpoint: /v1/store reports the on-disk contents.
+// TestStoreEndpoint: GET /v1/store reports what the store holds on
+// disk, every key present even at zero, and a store-less server answers
+// with the same keys, "enabled": false and no "dir".
 func TestStoreEndpoint(t *testing.T) {
+	get := func(s *Server) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/store", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/store: status %d, body %s", rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	const gc = `"gc_evictions":0,"gc_evicted_bytes":0,"gc_rejected":0,`
+	want := `{"enabled":false,"result_entries":0,"plan_entries":0,"bytes":0,"max_bytes":0,` + gc +
+		`"manifest_records":0,"manifest_compactions":0,"boot_scanned":false}` + "\n"
+	if got := get(newTestServer(t, Config{WorkerPool: 1})); got != want {
+		t.Fatalf("store-less /v1/store:\n got %s\nwant %s", got, want)
+	}
+
 	dir := t.TempDir()
-	s := newTestServer(t, Config{StoreDir: dir, WorkerPool: 1, TileBits: 4})
+	cfg := Config{StoreDir: dir, MaxStoreBytes: 1 << 20, WorkerPool: 1, TileBits: 4}
+	s := newTestServer(t, cfg)
 	if _, _, err := s.Run(context.Background(), storeTestCircuits(1, 8)[0], SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Force a spill by closing; then inspect a fresh server's endpoint.
 	s.Close()
-	s2 := newTestServer(t, Config{StoreDir: dir, WorkerPool: 1, TileBits: 4})
+	s2 := newTestServer(t, cfg)
 	st := s2.Stats()
-	if st.StoreResultEntries == 0 || st.StoreBytes == 0 || st.StoreDir != dir {
+	if st.StoreBytes == 0 || st.StoreManifestRecords == 0 {
 		t.Fatalf("store stats %+v, want indexed artifacts under %s", st, dir)
+	}
+	quoted, _ := json.Marshal(dir)
+	want = fmt.Sprintf(`{"enabled":true,"dir":%s,"result_entries":1,"plan_entries":1,"bytes":%d,"max_bytes":1048576,`+gc+
+		`"manifest_records":%d,"manifest_compactions":0,"boot_scanned":false}`+"\n", quoted, st.StoreBytes, st.StoreManifestRecords)
+	if got := get(s2); got != want {
+		t.Fatalf("store-backed /v1/store:\n got %s\nwant %s", got, want)
 	}
 }
 

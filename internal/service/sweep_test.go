@@ -152,6 +152,56 @@ func TestServiceSweepCompileOnce(t *testing.T) {
 	}
 }
 
+// TestServiceSweepUnderPruning: a pruning server's transform depends on
+// the angles, so no plan can be rebound and its sweep and gradient jobs
+// compile every point from the source circuit. They still answer what
+// backend.RunSweep and backend.RunGradient answer under the server's own
+// configuration, bit for bit, and report no rebind. The first point's
+// angles lie below the prune threshold, so pruning really drops gates.
+func TestServiceSweepUnderPruning(t *testing.T) {
+	const nq, points = 4, 6
+	c := sweepAnsatz(nq)
+	h := observable.TransverseFieldIsing(nq, 1.0, 0.7)
+	pts := angleGrid(c.NumParams(), points)
+	for j := range pts[0] {
+		pts[0][j] = 1e-4
+	}
+	s := newTestServer(t, Config{Target: backend.TargetNvidia, Workers: 2, TileBits: 3, PruneAngle: 1e-3})
+	if s.rebindable {
+		t.Fatal("a pruning server reports rebindable plans")
+	}
+
+	res, _, err := s.Run(context.Background(), c, SubmitOptions{Hamiltonian: h, SweepPoints: pts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := backend.RunSweep(c, h, pts, s.execOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameAnswer(res, ref) {
+		t.Errorf("sweep %v, backend.RunSweep %v", res.SweepValues, ref.SweepValues)
+	}
+	if res.SweepCompiles != points || res.Rebinds != 0 {
+		t.Errorf("sweep: %d per-point compiles / %d rebinds, want %d/0", res.SweepCompiles, res.Rebinds, points)
+	}
+
+	grad, _, err := s.Run(context.Background(), c, SubmitOptions{Hamiltonian: h, Gradient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gref, err := backend.RunGradient(c, h, c.ParamValues(), s.execOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameAnswer(grad, gref) {
+		t.Errorf("gradient %v at ⟨H⟩ %v, backend.RunGradient %v at %v", grad.Gradient, *grad.ExpValue, gref.Gradient, *gref.ExpValue)
+	}
+	if want := 1 + 2*c.NumParams(); grad.SweepCompiles != want || grad.Rebinds != 0 {
+		t.Errorf("gradient: %d per-point compiles / %d rebinds, want %d/0", grad.SweepCompiles, grad.Rebinds, want)
+	}
+}
+
 func anglesGridOrDie(c *circuit.Circuit, n int) [][]float64 {
 	return angleGrid(c.NumParams(), n)
 }

@@ -134,23 +134,23 @@ type Store struct {
 
 // Stats is a point-in-time view of the store's contents.
 type Stats struct {
-	Dir           string `json:"dir"`
+	Dir           string `json:"dir,omitempty"`
 	ResultEntries int    `json:"result_entries"`
 	PlanEntries   int    `json:"plan_entries"`
 	Bytes         int64  `json:"bytes"`
 	// MaxBytes is the on-disk budget (0 = unbounded).
-	MaxBytes int64 `json:"max_bytes,omitempty"`
+	MaxBytes int64 `json:"max_bytes"`
 	// GCEvictions / GCEvictedBytes count artifacts removed from disk by
 	// the budget enforcer; GCRejected counts saves refused because the
 	// artifact could not fit (or eviction could not make room).
-	GCEvictions    uint64 `json:"gc_evictions,omitempty"`
-	GCEvictedBytes int64  `json:"gc_evicted_bytes,omitempty"`
-	GCRejected     uint64 `json:"gc_rejected,omitempty"`
+	GCEvictions    uint64 `json:"gc_evictions"`
+	GCEvictedBytes int64  `json:"gc_evicted_bytes"`
+	GCRejected     uint64 `json:"gc_rejected"`
 	// ManifestRecords is the journal's current record count;
 	// ManifestCompactions counts rewrites. BootScanned reports whether
 	// the last Open had to fall back to the full directory scan.
 	ManifestRecords     uint64 `json:"manifest_records"`
-	ManifestCompactions uint64 `json:"manifest_compactions,omitempty"`
+	ManifestCompactions uint64 `json:"manifest_compactions"`
 	BootScanned         bool   `json:"boot_scanned"`
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -194,6 +195,55 @@ func TestReopenIndexes(t *testing.T) {
 	}
 	if st3.Stats().ResultEntries != 2 {
 		t.Fatalf("stray file counted as artifact: %+v", st3.Stats())
+	}
+}
+
+// TestGhostEntryHeals: a result whose file is removed behind the
+// store's back fails its load wrapping fs.ErrNotExist, and that load
+// drops the index entry: HasResult and Stats stop counting it, and a
+// store reopened from the journal does not index it again.
+func TestGhostEntryHeals(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := testResult(t)
+	for _, key := range []string{"ghost", "kept"} {
+		if err := st.SaveResult(key, testSig, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept, err := os.Stat(st.resultPath("kept"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(st.resultPath("ghost")); err != nil {
+		t.Fatal(err)
+	}
+	if !st.HasResult("ghost") {
+		t.Fatal("the index forgot the entry before a load found it gone")
+	}
+	if _, err := st.LoadResult("ghost", testSig); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("loading a removed file: %v, want fs.ErrNotExist", err)
+	}
+	if st.HasResult("ghost") {
+		t.Fatal("HasResult still reports the removed file")
+	}
+	if got := st.Stats(); got.ResultEntries != 1 || got.Bytes != kept.Size() {
+		t.Fatalf("stats %+v, want 1 result of %d bytes", got, kept.Size())
+	}
+
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := st2.Stats()
+	if got.BootScanned {
+		t.Fatal("the reopen scanned the directory; want the journal replayed")
+	}
+	if st2.HasResult("ghost") || got.ResultEntries != 1 || got.Bytes != kept.Size() {
+		t.Fatalf("reopened: ghost indexed %v, stats %+v", st2.HasResult("ghost"), got)
 	}
 }
 
