@@ -333,7 +333,8 @@ ci-store: build
 # result on disk; the second must answer every circuit from there —
 # each result line marked "(store hit)" — and print, that marker aside,
 # exactly what the first printed: the recorded durations and the
-# fixed-seed shot counts, line for line.
+# fixed-seed shot counts, line for line. The server persists results
+# only, so the last line fails if the store holds any compiled plan.
 ci-warmstart: build
 	rm -rf $(WARMSTART_DIR)
 	mkdir -p $(WARMSTART_DIR)
@@ -346,6 +347,7 @@ ci-warmstart: build
 	sed 's/  (store hit)//' second.txt | diff first.txt - || \
 		{ echo "ci-warmstart: the store answered differently from the run that filled it"; exit 1; }; \
 	echo "ci-warmstart: PASS — $$(grep -c 'target=' second.txt) circuits answered from the store, output identical"
+	@if find $(WARMSTART_DIR)/store -name '*.plan' | grep .; then echo "ci-warmstart: the server persisted the compiled plans above"; exit 1; fi
 
 clean:
 	$(GO) clean ./...

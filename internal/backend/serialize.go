@@ -9,11 +9,10 @@ import (
 	"qgear/internal/kernel"
 )
 
-// Compiled artifacts persist so a warm-started server decodes the plan
-// it compiled last run instead of re-transforming and re-planning the
-// circuit. The payload is the exact kernel + TilePlan encoding from
-// internal/kernel, so a decoded Compiled executes amplitude-identically
-// to the original.
+// A Compiled artifact is the payload of the store's plan files
+// (store.SavePlan). The payload is the exact kernel + TilePlan encoding
+// from internal/kernel, so a decoded Compiled executes
+// amplitude-identically to the original.
 
 // compiledVersion tags the Compiled payload layout (3: the shared
 // artifact envelope; 2 added binding sites to the plan encoding).

@@ -51,6 +51,12 @@ type kindSpec struct {
 	// simulate: a batch's simulate jobs of one circuit share one
 	// backend.RunCompiled, and each draws its own shots from it.
 	run runFunc
+	// unbound runs the job from its source circuit, compiling each
+	// point afresh. execute takes it instead of a plan when the server's
+	// plans cannot be rebound (pruning: the transform depends on the
+	// angles), so no plan is compiled that run could not use. Nil for
+	// kinds whose one plan serves as is.
+	unbound func(j *job, o core.Options) (*backend.Result, error)
 }
 
 // runFunc runs one job's compiled circuit: its kind's run, or runShared.
@@ -122,18 +128,14 @@ var kinds = [numKinds]kindSpec{
 			kopts.Shots, kopts.Seed = opts.Shots, opts.Seed
 			return core.SweepCacheKey(c, opts.Hamiltonian, opts.SweepPoints, kopts)
 		},
-		// One compiled() resolution serves every point through rebinds. A
-		// configuration whose transform is value-dependent surfaces
-		// ErrNotRebindable and falls back to per-point compilation from
-		// the source circuit: same results, none of the compile-once
-		// savings.
+		// One compiled() resolution serves every point through rebinds.
 		run: func(j *job, comp *backend.Compiled, o core.Options) (*backend.Result, error) {
 			o.Shots, o.Seed = j.opts.Shots, j.opts.Seed
-			res, err := backend.RunSweepCompiled(comp, j.opts.Hamiltonian, j.opts.SweepPoints, o)
-			if errors.Is(err, backend.ErrNotRebindable) {
-				res, err = backend.RunSweep(j.circ, j.opts.Hamiltonian, j.opts.SweepPoints, o)
-			}
-			return res, err
+			return backend.RunSweepCompiled(comp, j.opts.Hamiltonian, j.opts.SweepPoints, o)
+		},
+		unbound: func(j *job, o core.Options) (*backend.Result, error) {
+			o.Shots, o.Seed = j.opts.Shots, j.opts.Seed
+			return backend.RunSweep(j.circ, j.opts.Hamiltonian, j.opts.SweepPoints, o)
 		},
 	},
 	kindGradient: {
@@ -172,12 +174,10 @@ var kinds = [numKinds]kindSpec{
 			return core.GradientCacheKey(c, opts.Hamiltonian, c.ParamValues(), kopts)
 		},
 		run: func(j *job, comp *backend.Compiled, o core.Options) (*backend.Result, error) {
-			base := j.circ.ParamValues()
-			res, err := backend.RunGradientCompiled(comp, j.opts.Hamiltonian, base, o)
-			if errors.Is(err, backend.ErrNotRebindable) {
-				res, err = backend.RunGradient(j.circ, j.opts.Hamiltonian, base, o)
-			}
-			return res, err
+			return backend.RunGradientCompiled(comp, j.opts.Hamiltonian, j.circ.ParamValues(), o)
+		},
+		unbound: func(j *job, o core.Options) (*backend.Result, error) {
+			return backend.RunGradient(j.circ, j.opts.Hamiltonian, j.circ.ParamValues(), o)
 		},
 	},
 }

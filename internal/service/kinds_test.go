@@ -686,8 +686,6 @@ var goldenStatsKeys = []string{
 	"store_manifest_records",
 	"store_max_bytes",
 	"store_misses",
-	"store_plan_entries",
-	"store_plan_hits",
 	"store_quarantines",
 	"store_result_entries",
 	"store_spill_drops",

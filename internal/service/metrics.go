@@ -113,8 +113,6 @@ func (s *Server) registerMetrics() {
 	}
 	r.CounterFunc("qgear_store_hits_total", "Persistent-store hits, labeled by artifact kind.", telemetry.Labels{"kind": "result"},
 		locked(func() float64 { return float64(s.stats.StoreHits) }))
-	r.CounterFunc("qgear_store_hits_total", "Persistent-store hits, labeled by artifact kind.", telemetry.Labels{"kind": "plan"},
-		locked(func() float64 { return float64(s.stats.StorePlanHits) }))
 	r.CounterFunc("qgear_store_misses_total", "Result-cache misses the store could not answer either.", nil,
 		locked(func() float64 { return float64(s.stats.StoreMisses) }))
 	r.CounterFunc("qgear_store_spills_total", "Artifacts written to the persistent store.", nil,
@@ -129,8 +127,6 @@ func (s *Server) registerMetrics() {
 		onDisk(func(ss store.Stats) float64 { return float64(ss.Bytes) }))
 	r.GaugeFunc("qgear_store_entries", "Persistent-store entries, labeled by artifact kind.", telemetry.Labels{"kind": "result"},
 		onDisk(func(ss store.Stats) float64 { return float64(ss.ResultEntries) }))
-	r.GaugeFunc("qgear_store_entries", "Persistent-store entries, labeled by artifact kind.", telemetry.Labels{"kind": "plan"},
-		onDisk(func(ss store.Stats) float64 { return float64(ss.PlanEntries) }))
 	r.GaugeFunc("qgear_store_max_bytes", "Configured on-disk store budget (0 = unbounded).", nil,
 		func() float64 { return float64(s.cfg.MaxStoreBytes) })
 	r.CounterFunc("qgear_store_gc_total", "Artifacts evicted from disk by the store byte-budget GC.", nil,

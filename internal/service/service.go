@@ -80,13 +80,13 @@ type Config struct {
 	// (TilePlan segment arrays are byte-accounted like results).
 	// Default 256 MiB; < 0 removes the byte bound.
 	MaxPlanCacheBytes int64
-	// StoreDir enables the persistent artifact store: evicted and
-	// shutdown-time cache entries are written there (results keyed by
-	// core.CacheKey, compiled plans by plan-cache key, one
-	// internal/artifact file each), and a restarting server warm-starts
-	// from it — repeat fingerprints are answered from disk,
-	// bit-identically, without re-simulating. Empty disables
-	// persistence.
+	// StoreDir enables the persistent result store: evicted and
+	// shutdown-time results are written there (keyed by core.CacheKey,
+	// one internal/artifact file each), and a restarting server
+	// answers repeat submissions from it, bit-identically, without
+	// re-simulating. Compiled plans are not persisted: compiling one
+	// costs less than loading it, and plan files an older build left
+	// in the directory are never read. Empty disables persistence.
 	StoreDir string
 	// MaxStoreBytes bounds the store's on-disk footprint: saves evict
 	// the lowest-priority artifacts (Greedy-Dual-Size, same policy as
@@ -317,8 +317,7 @@ func (j *job) info() JobInfo {
 
 // Server is the simulation service. Create with New, submit with
 // Submit, stop with Close (which drains in-flight work and spills
-// resident cache entries to the persistent store when one is
-// configured).
+// resident results to the persistent store when one is configured).
 type Server struct {
 	cfg    Config
 	start  time.Time
@@ -621,7 +620,7 @@ func (s *Server) submit(c *circuit.Circuit, opts SubmitOptions, owned bool) (*jo
 	// Spill lookaside: an entry evicted moments ago may still be in
 	// flight to disk — serve it from the spill window instead of
 	// re-simulating (or racing the spiller on the file).
-	if res := s.spilledLocked(key).result; res != nil {
+	if res := s.spilledLocked(key); res != nil {
 		s.admitLocked(j)
 		s.stats.CacheHits++
 		j.cached = true
@@ -736,7 +735,7 @@ func (s *Server) serveFromStore(key string) {
 	res, err := s.store.LoadResult(key, s.cfgSig)
 	loadDur := time.Since(t0)
 	if err != nil {
-		s.storeLoadFailed(err, s.store.DropResult, key)
+		s.storeLoadFailed(err, key)
 		// Capture the leader under the mutex: concurrent identical
 		// submissions keep appending to the flight through the
 		// single-flight path, so it must not be read unlocked.
@@ -769,14 +768,14 @@ func (s *Server) serveFromStore(key string) {
 	s.mu.Unlock()
 }
 
-// storeLoadFailed counts a failed store load. A file that fails its
-// checksum or integrity checks (store.ErrIntegrity) is dropped through
-// drop and counted as a quarantine; a transient I/O failure leaves the
-// artifact for the next attempt. Callers do not hold s.mu.
-func (s *Server) storeLoadFailed(err error, drop func(key string), key string) {
+// storeLoadFailed counts a failed result load. A file that fails its
+// checksum or integrity checks (store.ErrIntegrity) is dropped and
+// counted as a quarantine; a transient I/O failure leaves the result
+// for the next attempt. Callers do not hold s.mu.
+func (s *Server) storeLoadFailed(err error, key string) {
 	quarantine := errors.Is(err, store.ErrIntegrity)
 	if quarantine {
-		drop(key)
+		s.store.DropResult(key)
 	}
 	s.mu.Lock()
 	s.stats.StoreErrors++
@@ -1013,22 +1012,28 @@ func (s *Server) runBatch(batch []*job) {
 }
 
 // execute is the one execution step of every job kind: resolve j's
-// circuit through the plan cache, run it under flag, recover a panic as
-// ErrPanic and lift whatever the cancel package tripped to
-// ErrDeadlineExceeded (HTTP 504). The result's trace is the
-// plan-resolution spans followed by the run's own, observed here once
-// per execution however many jobs share it; traced adds each job's own.
+// circuit through the plan cache (or, for a kind whose plan this server
+// could not rebind, run its unbound form from the source circuit), run
+// it under flag, recover a panic as ErrPanic and lift whatever the
+// cancel package tripped to ErrDeadlineExceeded (HTTP 504). The
+// result's trace is the plan-resolution spans followed by the run's
+// own, observed here once per execution however many jobs share it;
+// traced adds each job's own.
 func (s *Server) execute(t *batchTally, j *job, flag *cancel.Flag, run runFunc) (*backend.Result, error) {
 	var ctr *telemetry.Trace
 	var res *backend.Result
 	var err error
 	if gerr := s.guardPanic(func() {
+		// The cancel flag and the fault-injection hook never shape a
+		// completed run's output, so keys and signatures omit them.
+		o := s.execOptions()
+		o.Cancel, o.ExecHook = flag, s.cfg.ExecHook
+		if unbound := kinds[j.kind].unbound; unbound != nil && !s.rebindable {
+			res, err = unbound(j, o)
+			return
+		}
 		var comp *backend.Compiled
 		if comp, ctr, err = s.compiled(j.circ, j.fp); err == nil {
-			// The cancel flag and the fault-injection hook never shape a
-			// completed run's output, so keys and signatures omit them.
-			o := s.execOptions()
-			o.Cancel, o.ExecHook = flag, s.cfg.ExecHook
 			res, err = run(j, comp, o)
 		}
 	}); gerr != nil {
@@ -1225,7 +1230,6 @@ func (s *Server) Stats() Stats {
 		ss := s.store.Stats()
 		st.StoreDir = ss.Dir
 		st.StoreResultEntries = ss.ResultEntries
-		st.StorePlanEntries = ss.PlanEntries
 		st.StoreBytes = ss.Bytes
 		st.StoreMaxBytes = ss.MaxBytes
 		st.StoreGCEvictions = ss.GCEvictions
@@ -1261,9 +1265,9 @@ func (s *Server) cacheKeys() []string {
 
 // Close stops accepting submissions, drains every queued and in-flight
 // job to completion, stops the worker pool, and — when a persistent
-// store is configured — spills every resident cache entry to disk so
-// the next process warm-starts with this one's working set. Safe to
-// call twice.
+// store is configured — spills every resident result to disk so the
+// next process answers from this one's working set. Safe to call
+// twice.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	first := !s.closed

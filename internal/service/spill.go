@@ -8,7 +8,7 @@ import (
 	"qgear/internal/telemetry"
 )
 
-// spillBacklog is the eviction-spill backlog: artifacts bound for the
+// spillBacklog is the eviction-spill backlog: results bound for the
 // persistent store wait here for the spiller, which saves them off the
 // serving path. It is embedded in Server and only the functions of this
 // file touch it. spill is made once, in startSpiller, and stays nil
@@ -18,22 +18,19 @@ type spillBacklog struct {
 	spill      chan spillItem
 	spillWG    sync.WaitGroup // the spiller goroutine
 	spillBytes int64          // bytes pinned by the backlog
-	// pendingSpills is the spill lookaside window: entries evicted from
-	// a cache stay answerable here until the spiller has them durably
-	// on disk, so an eviction immediately followed by a repeat
+	// pendingSpills is the spill lookaside window: results evicted
+	// from the cache stay answerable here until the spiller has them
+	// durably on disk, so an eviction immediately followed by a repeat
 	// submission never re-simulates.
-	pendingSpills map[string]spillItem
+	pendingSpills map[string]*backend.Result
 }
 
-// spillItem is one artifact bound for the persistent store: exactly
-// one of result and plan is set. bytes is the entry's accounted size
-// while it waits in the backlog (0 for shutdown-time items, which
-// bypass the budget).
+// spillItem is one result bound for the persistent store. bytes is the
+// entry's accounted size while it waits in the backlog (0 for
+// shutdown-time items, which bypass the budget).
 type spillItem struct {
 	key    string
 	result *backend.Result
-	plan   *backend.Compiled
-	cost   float64
 	bytes  int64
 }
 
@@ -60,24 +57,19 @@ func spillBudget(maxCacheBytes int64) int64 {
 // once the store is open.
 func (s *Server) startSpiller() {
 	s.spill = make(chan spillItem, spillQueueDepth)
-	s.pendingSpills = make(map[string]spillItem)
+	s.pendingSpills = make(map[string]*backend.Result)
 	s.spillWG.Add(1)
 	go s.spiller()
 }
 
-// spiller drains eviction- and shutdown-time artifacts to the
-// persistent store off the serving path. Saves are idempotent, so
-// spilling an entry that warm-started from disk is a no-op.
+// spiller drains eviction- and shutdown-time results to the persistent
+// store off the serving path. Saves are idempotent, so spilling a
+// result that was loaded from disk is a no-op.
 func (s *Server) spiller() {
 	defer s.spillWG.Done()
 	for it := range s.spill {
-		var err error
 		t0 := time.Now()
-		if it.result != nil {
-			err = s.store.SaveResult(it.key, s.cfgSig, it.result)
-		} else {
-			err = s.store.SavePlan(it.key, s.cfgSig, it.plan, it.cost)
-		}
+		err := s.store.SaveResult(it.key, s.cfgSig, it.result)
 		// Spills run off the serving path, so the stage appears in the
 		// registry histograms but never in a job trace.
 		s.stageHist(telemetry.StageSpill).Observe(time.Since(t0))
@@ -88,16 +80,16 @@ func (s *Server) spiller() {
 			s.stats.StoreSpills++
 		}
 		s.spillBytes -= it.bytes
-		if cur, ok := s.pendingSpills[it.key]; ok && cur.result == it.result && cur.plan == it.plan {
+		if s.pendingSpills[it.key] == it.result {
 			delete(s.pendingSpills, it.key)
 		}
 		s.mu.Unlock()
 	}
 }
 
-// spilledLocked returns the artifact key still waits with in the
-// backlog, if any (the zero item otherwise). Callers hold s.mu.
-func (s *Server) spilledLocked(key string) spillItem {
+// spilledLocked returns the result key still waits with in the
+// backlog, if any (nil otherwise). Callers hold s.mu.
+func (s *Server) spilledLocked(key string) *backend.Result {
 	return s.pendingSpills[key]
 }
 
@@ -132,13 +124,13 @@ func (s *Server) admitResultSpill(res *backend.Result) bool {
 	return res.Duration.Seconds() >= median
 }
 
-// enqueueSpillLocked hands an artifact to the spiller without ever
+// enqueueSpillLocked hands a result to the spiller without ever
 // blocking the serving path. Callers hold s.mu.
 func (s *Server) enqueueSpillLocked(it spillItem) {
 	if s.spill == nil {
 		return
 	}
-	if it.result != nil && !s.admitResultSpill(it.result) {
+	if !s.admitResultSpill(it.result) {
 		s.stats.StoreAdmissionSkips++
 		return
 	}
@@ -147,21 +139,21 @@ func (s *Server) enqueueSpillLocked(it spillItem) {
 		// memory; shedding keeps -max-cache-bytes an honest bound on
 		// the process, at the cost of re-simulating this key if it is
 		// asked for after a restart. An empty backlog always admits one
-		// entry, so even over-budget artifacts eventually persist.
+		// entry, so even over-budget results eventually persist.
 		s.stats.StoreSpillDrops++
 		return
 	}
 	select {
 	case s.spill <- it:
 		s.spillBytes += it.bytes
-		s.pendingSpills[it.key] = it
+		s.pendingSpills[it.key] = it.result
 	default:
 		s.stats.StoreSpillDrops++
 	}
 }
 
 // drainSpills is Close's last step with a store: the first Close
-// (first set) hands every resident cache entry to the spiller —
+// (first set) hands every resident result to the spiller —
 // blocking, since shutdown durability beats latency — and closes the
 // backlog; every Close then waits for the spiller to finish.
 func (s *Server) drainSpills(first bool) {
@@ -170,12 +162,9 @@ func (s *Server) drainSpills(first bool) {
 	}
 	if first {
 		s.mu.Lock()
-		items := make([]spillItem, 0, s.cache.Len()+s.plans.Len())
+		items := make([]spillItem, 0, s.cache.Len())
 		for _, e := range s.cache.Entries() {
 			items = append(items, spillItem{key: e.Key, result: e.Val})
-		}
-		for _, e := range s.plans.Entries() {
-			items = append(items, spillItem{key: e.Key, plan: e.Val, cost: e.Cost})
 		}
 		s.mu.Unlock()
 		for _, it := range items {

@@ -172,25 +172,23 @@ type Stats struct {
 	PlanCacheEvictions    uint64 `json:"plan_cache_evictions"`
 	PlanCacheEvictedBytes int64  `json:"plan_cache_evicted_bytes"`
 
-	// Persistent store (zero-valued unless StoreDir is configured).
+	// Persistent result store (zero-valued unless StoreDir is
+	// configured; it holds results only, never compiled plans).
 	// StoreHits are submissions answered from disk without simulating;
-	// StorePlanHits are compilations answered from a persisted plan;
 	// StoreMisses are result-cache misses the store could not answer
-	// either. StoreSpills counts artifacts written (evictions and
+	// either. StoreSpills counts results written (evictions and
 	// shutdown), StoreSpillDrops eviction-spills shed under backlog,
 	// StoreErrors files rejected by integrity checks or failed writes,
 	// and StoreQuarantines the subset of errors where a provably
 	// corrupt file was dropped from the store.
 	StoreDir           string `json:"store_dir,omitempty"`
 	StoreHits          uint64 `json:"store_hits"`
-	StorePlanHits      uint64 `json:"store_plan_hits"`
 	StoreMisses        uint64 `json:"store_misses"`
 	StoreSpills        uint64 `json:"store_spills"`
 	StoreSpillDrops    uint64 `json:"store_spill_drops"`
 	StoreErrors        uint64 `json:"store_errors"`
 	StoreQuarantines   uint64 `json:"store_quarantines"`
 	StoreResultEntries int    `json:"store_result_entries"`
-	StorePlanEntries   int    `json:"store_plan_entries"`
 	StoreBytes         int64  `json:"store_bytes"`
 	// On-disk GC (zero-valued unless MaxStoreBytes is set):
 	// StoreGCEvictions/StoreGCEvictedBytes count artifacts deleted by

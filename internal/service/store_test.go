@@ -7,19 +7,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"qgear/internal/artifact"
-	"qgear/internal/artifact/artifacttest"
 	"qgear/internal/backend"
 	"qgear/internal/circuit"
-	"qgear/internal/kernel"
-	"qgear/internal/store"
 )
 
 // storeTestCircuits builds n deterministic, distinct circuits.
@@ -33,10 +27,13 @@ func storeTestCircuits(n, qubits int) []*circuit.Circuit {
 	return cs
 }
 
-// TestWarmRestartPlansFromStore: the compiled-plan cache warm-starts
-// too — a new shots/seed submission of a known circuit (result-cache
-// miss) reuses the persisted plan instead of recompiling.
-func TestWarmRestartPlansFromStore(t *testing.T) {
+// TestWarmRestartIgnoresStoredPlans: the server persists results only.
+// A plan file an older build left under the job's own plan key and
+// signature is neither read nor quarantined: a new shots/seed submission
+// of the circuit (a result-store miss) compiles afresh and answers what
+// a fresh backend.Run answers. A server that evicts plans and then
+// closes writes none to the store.
+func TestWarmRestartIgnoresStoredPlans(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{StoreDir: dir, WorkerPool: 1, MaxBatch: 1, TileBits: 4}
 	c := storeTestCircuits(1, 8)[0]
@@ -49,105 +46,57 @@ func TestWarmRestartPlansFromStore(t *testing.T) {
 	if _, _, err := s1.Run(ctx, c, SubmitOptions{Shots: 100, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
+	comp, err := backend.Compile(c, s1.execOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.store.SavePlan(s1.planKey(c, c.Fingerprint()), s1.cfgSig, comp, 1); err != nil {
+		t.Fatal(err)
+	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := newTestServer(t, cfg)
-	// Different shots: misses the result store, must still simulate —
-	// but through the persisted plan.
-	if _, _, err := s2.Run(ctx, c, SubmitOptions{Shots: 200, Seed: 2}); err != nil {
+	opts := SubmitOptions{Shots: 200, Seed: 2}
+	res, _, err := s2.Run(ctx, c, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	st := s2.Stats()
-	if st.StorePlanHits != 1 {
-		t.Fatalf("plan store hits %d, want 1", st.StorePlanHits)
+	if st.PlanCacheMisses != 1 || st.StoreErrors != 0 || st.StoreQuarantines != 0 || st.Executed != 1 {
+		t.Fatalf("plan cache misses %d, store errors %d, quarantines %d, executed %d; want 1, 0, 0, 1",
+			st.PlanCacheMisses, st.StoreErrors, st.StoreQuarantines, st.Executed)
 	}
-	if st.Executed != 1 {
-		t.Fatalf("executed %d, want 1", st.Executed)
-	}
-}
-
-// TestPlanlessMGPUArtifactIsRecompiled: a store written while per-gate
-// execution was the absence of a plan — aer, small states, and before
-// that small nvidia-mgpu worlds — holds compiled artifacts with no plan
-// under an unchanged signature. Every engine executes plans only, so the
-// warm-starting server quarantines one like a corrupt file and compiles
-// afresh, whatever the target.
-func TestPlanlessMGPUArtifactIsRecompiled(t *testing.T) {
-	for _, cfg := range []Config{
-		{Target: backend.TargetAer},
-		{Target: backend.TargetNvidiaMGPU, Devices: 2},
-	} {
-		// What the older build wrote: kernel, a cleared plan flag,
-		// transform stats, tile width 0.
-		oldPlanIsRecompiled(t, cfg, func(w *artifact.Writer, comp *backend.Compiled) {
-			kernel.WriteKernel(w, comp.Kernel)
-			w.Bool(false)
-			kernel.WriteStats(w, comp.TransformStats)
-			w.Int(0)
-		})
-	}
-}
-
-// TestExchangePlanArtifactIsRecompiled: a store written while rank-bit
-// targets compiled into exchange segments holds nvidia-mgpu plans with
-// a segment kind the plan reader no longer has, under an unchanged
-// format version and signature. The warm-starting server quarantines
-// one and compiles afresh.
-func TestExchangePlanArtifactIsRecompiled(t *testing.T) {
-	oldPlanIsRecompiled(t, Config{Target: backend.TargetNvidiaMGPU, Devices: 2}, func(w *artifact.Writer, comp *backend.Compiled) {
-		kernel.WriteKernel(w, comp.Kernel)
-		w.Bool(true)
-		artifacttest.WriteExchangePlan(w, comp.Plan.TileBits, comp.Kernel.NumQubits)
-		kernel.WriteStats(w, comp.TransformStats)
-		w.Int(comp.Plan.TileBits)
-	})
-}
-
-// oldPlanIsRecompiled saves a circuit's plan through a fresh server for
-// cfg, replaces the file's payload after key, signature and cost by what
-// write puts there, and checks that the next run of the circuit
-// quarantines the file and compiles afresh.
-func oldPlanIsRecompiled(t *testing.T, cfg Config, write func(w *artifact.Writer, comp *backend.Compiled)) {
-	t.Helper()
-	cfg.StoreDir, cfg.WorkerPool, cfg.MaxBatch = t.TempDir(), 1, 1
-	c := storeTestCircuits(1, 6)[0]
-	s := newTestServer(t, cfg)
-	key := s.planKey(c, c.Fingerprint())
-	comp, err := backend.Compile(c, backend.Config{Target: cfg.Target, Devices: cfg.Devices})
+	bcfg := s2.execOptions()
+	bcfg.Shots, bcfg.Seed = opts.Shots, opts.Seed
+	ref, err := backend.Run(c, bcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The index entry comes from a real save; the file is then replaced.
-	if err := s.store.SavePlan(key, s.cfgSig, comp, 1); err != nil {
+	if !reflect.DeepEqual(res.Probabilities, ref.Probabilities) {
+		t.Fatal("the restarted server's probabilities differ from a fresh backend.Run")
+	}
+	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(cfg.StoreDir, "plans", "*", "*.plan"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("plan files %v (err %v), want one", files, err)
+
+	cfg.PlanCacheSize = 1
+	s3 := newTestServer(t, cfg)
+	before := s3.store.Stats().PlanEntries
+	for _, n := range []int{5, 6, 7} { // three plan keys, structural or not
+		if _, _, err := s3.Run(ctx, storeTestCircuits(1, n)[0], SubmitOptions{Shots: 10, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	w := artifact.NewWriter(0)
-	w.Str(key)
-	w.Str(s.cfgSig)
-	w.F64(1)
-	write(w, comp)
-	old, err := w.Seal(artifact.KindStorePlan, store.FormatVersion, false)
-	if err != nil {
+	if st := s3.Stats(); st.PlanCacheEvictions != 2 {
+		t.Fatalf("plan cache evictions %d, want 2", st.PlanCacheEvictions)
+	}
+	if err := s3.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(files[0], old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := s.Run(context.Background(), c, SubmitOptions{Shots: 100, Seed: 4})
-	if err != nil {
-		t.Fatalf("%s: an old plan artifact must fall back to a fresh compile, got %v", cfg.Target, err)
-	}
-	if res.PlanStats == nil {
-		t.Fatalf("%s: the job ran without a plan", cfg.Target)
-	}
-	if st := s.Stats(); st.StoreQuarantines != 1 || st.StorePlanHits != 0 {
-		t.Fatalf("%s: quarantines %d, plan store hits %d; want 1 and 0", cfg.Target, st.StoreQuarantines, st.StorePlanHits)
+	if after := s3.store.Stats().PlanEntries; after != before {
+		t.Fatalf("store plan entries %d -> %d: the server persisted plans", before, after)
 	}
 }
 
@@ -229,7 +178,17 @@ func TestStoreEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{StoreDir: dir, MaxStoreBytes: 1 << 20, WorkerPool: 1, TileBits: 4}
 	s := newTestServer(t, cfg)
-	if _, _, err := s.Run(context.Background(), storeTestCircuits(1, 8)[0], SubmitOptions{}); err != nil {
+	c := storeTestCircuits(1, 8)[0]
+	if _, _, err := s.Run(context.Background(), c, SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// The server persists results only; plan_entries counts the plan
+	// files an older build left, such as this one.
+	comp, err := backend.Compile(c, s.execOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.store.SavePlan(s.planKey(c, c.Fingerprint()), s.cfgSig, comp, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Force a spill by closing; then inspect a fresh server's endpoint.
@@ -249,10 +208,9 @@ func TestStoreEndpoint(t *testing.T) {
 
 // TestPreSplitArtifactsAreRefused: before single-process states that fit
 // one tile were split into two, a 13- to 16-qubit circuit compiled to
-// the per-gate plan, and a store kept that plan and its result under
-// the bare signature. Reopened by a server that splits, both artifacts
-// are refused — the plan would run at the old speed — and the job is
-// recompiled and simulated, not served. The same holds for a store
+// the per-gate plan, and a store kept its result under the bare
+// signature. Reopened by a server that splits, the result is refused
+// and the job is compiled and simulated, not served. The same holds for a store
 // written under the removed plan fusion option (its signatures end in
 // "pftrue"; every signature now ends in "pffalse") and for one written
 // with a gate fusion window (its signatures start "f2"; every signature
@@ -281,10 +239,7 @@ func TestPreSplitArtifactsAreRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resKey, planKey := s1.key(kindSimulate, c, opts), s1.planKey(c, c.Fingerprint())
-		if err := s1.store.SavePlan(planKey, parentSig, comp, 1); err != nil {
-			t.Fatal(err)
-		}
+		resKey := s1.key(kindSimulate, c, opts)
 		if err := s1.store.SaveResult(resKey, parentSig, old); err != nil {
 			t.Fatal(err)
 		}
@@ -293,17 +248,17 @@ func TestPreSplitArtifactsAreRefused(t *testing.T) {
 		}
 
 		s2 := newTestServer(t, cfg)
-		if !s2.store.HasResult(resKey) || !s2.store.HasPlan(planKey) {
-			t.Fatalf("%s: the reopened store lost the parent's artifacts", parentSig)
+		if !s2.store.HasResult(resKey) {
+			t.Fatalf("%s: the reopened store lost the parent's result", parentSig)
 		}
 		res, info, err := s2.Run(context.Background(), c, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := s2.Stats()
-		if info.Cached || st.StoreHits != 0 || st.StorePlanHits != 0 || st.Executed != 1 || st.StoreQuarantines != 2 {
-			t.Fatalf("%s: cached %v, store hits %d, plan store hits %d, executed %d, quarantines %d; want the result and plan refused and the job run",
-				parentSig, info.Cached, st.StoreHits, st.StorePlanHits, st.Executed, st.StoreQuarantines)
+		if info.Cached || st.StoreHits != 0 || st.Executed != 1 || st.StoreQuarantines != 1 {
+			t.Fatalf("%s: cached %v, store hits %d, executed %d, quarantines %d; want the result refused and the job run",
+				parentSig, info.Cached, st.StoreHits, st.Executed, st.StoreQuarantines)
 		}
 		if res.TileBits != c.NumQubits-1 {
 			t.Fatalf("%s: ran at tile width %d, want the split %d", parentSig, res.TileBits, c.NumQubits-1)
@@ -324,11 +279,11 @@ func TestPreSplitArtifactsAreRefused(t *testing.T) {
 }
 
 // TestPreTableArtifactsAreRefused: a store written before adjacent
-// diagonal gates ran as one phase table holds plans that run them gate
-// by gate and results that differ from a table run in the last bits,
-// under a signature without the "|dt" suffix. Reopened, both artifacts
-// of a QFT (all cr1 ladders) are refused, the job is recompiled and run,
-// and what that run spilled is served on the next start.
+// diagonal gates ran as one phase table holds results that differ from
+// a table run in the last bits, under a signature without the "|dt"
+// suffix. Reopened, the result of a QFT (all cr1 ladders) is refused,
+// the job is compiled and run, and what that run spilled is served on
+// the next start.
 func TestPreTableArtifactsAreRefused(t *testing.T) {
 	cfg := Config{StoreDir: t.TempDir(), WorkerPool: 1, MaxBatch: 1}
 	c := circuit.New(10, 0)
@@ -355,10 +310,7 @@ func TestPreTableArtifactsAreRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resKey, planKey := s1.key(kindSimulate, c, opts), s1.planKey(c, c.Fingerprint())
-	if err := s1.store.SavePlan(planKey, parentSig, comp, 1); err != nil {
-		t.Fatal(err)
-	}
+	resKey := s1.key(kindSimulate, c, opts)
 	if err := s1.store.SaveResult(resKey, parentSig, res); err != nil {
 		t.Fatal(err)
 	}
@@ -367,14 +319,14 @@ func TestPreTableArtifactsAreRefused(t *testing.T) {
 	}
 
 	s2 := newTestServer(t, cfg)
-	if !s2.store.HasResult(resKey) || !s2.store.HasPlan(planKey) {
-		t.Fatal("the reopened store lost the old artifacts")
+	if !s2.store.HasResult(resKey) {
+		t.Fatal("the reopened store lost the old result")
 	}
 	if _, info, err := s2.Run(context.Background(), c, opts); err != nil {
 		t.Fatal(err)
-	} else if st := s2.Stats(); info.Cached || st.StoreHits != 0 || st.StorePlanHits != 0 || st.Executed != 1 || st.StoreQuarantines != 2 {
-		t.Fatalf("cached %v, store hits %d, plan store hits %d, executed %d, quarantines %d; want the result and plan refused and the job run",
-			info.Cached, st.StoreHits, st.StorePlanHits, st.Executed, st.StoreQuarantines)
+	} else if st := s2.Stats(); info.Cached || st.StoreHits != 0 || st.Executed != 1 || st.StoreQuarantines != 1 {
+		t.Fatalf("cached %v, store hits %d, executed %d, quarantines %d; want the result refused and the job run",
+			info.Cached, st.StoreHits, st.Executed, st.StoreQuarantines)
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)

@@ -156,34 +156,44 @@ func TestServiceSweepCompileOnce(t *testing.T) {
 // the angles, so no plan can be rebound and its sweep and gradient jobs
 // compile every point from the source circuit. They still answer what
 // backend.RunSweep and backend.RunGradient answer under the server's own
-// configuration, bit for bit, and report no rebind. The first point's
-// angles lie below the prune threshold, so pruning really drops gates.
+// configuration, bit for bit, and report no rebind. The server knows
+// this up front, so they never touch the plan cache: three sweeps and a
+// gradient of one circuit leave it empty, with no hit and no miss. Each
+// sweep's first point lies below the prune threshold, so pruning really
+// drops gates.
 func TestServiceSweepUnderPruning(t *testing.T) {
 	const nq, points = 4, 6
 	c := sweepAnsatz(nq)
 	h := observable.TransverseFieldIsing(nq, 1.0, 0.7)
-	pts := angleGrid(c.NumParams(), points)
-	for j := range pts[0] {
-		pts[0][j] = 1e-4
-	}
 	s := newTestServer(t, Config{Target: backend.TargetNvidia, Workers: 2, TileBits: 3, PruneAngle: 1e-3})
 	if s.rebindable {
 		t.Fatal("a pruning server reports rebindable plans")
 	}
 
-	res, _, err := s.Run(context.Background(), c, SubmitOptions{Hamiltonian: h, SweepPoints: pts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := backend.RunSweep(c, h, pts, s.execOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameAnswer(res, ref) {
-		t.Errorf("sweep %v, backend.RunSweep %v", res.SweepValues, ref.SweepValues)
-	}
-	if res.SweepCompiles != points || res.Rebinds != 0 {
-		t.Errorf("sweep: %d per-point compiles / %d rebinds, want %d/0", res.SweepCompiles, res.Rebinds, points)
+	for k := 0; k < 3; k++ {
+		pts := angleGrid(c.NumParams(), points)
+		for i := range pts {
+			for j := range pts[i] {
+				pts[i][j] += 0.3 * float64(k)
+			}
+		}
+		for j := range pts[0] {
+			pts[0][j] = 1e-4
+		}
+		res, _, err := s.Run(context.Background(), c, SubmitOptions{Hamiltonian: h, SweepPoints: pts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := backend.RunSweep(c, h, pts, s.execOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameAnswer(res, ref) {
+			t.Errorf("sweep %d: %v, backend.RunSweep %v", k, res.SweepValues, ref.SweepValues)
+		}
+		if res.SweepCompiles != points || res.Rebinds != 0 {
+			t.Errorf("sweep %d: %d per-point compiles / %d rebinds, want %d/0", k, res.SweepCompiles, res.Rebinds, points)
+		}
 	}
 
 	grad, _, err := s.Run(context.Background(), c, SubmitOptions{Hamiltonian: h, Gradient: true})
@@ -199,6 +209,10 @@ func TestServiceSweepUnderPruning(t *testing.T) {
 	}
 	if want := 1 + 2*c.NumParams(); grad.SweepCompiles != want || grad.Rebinds != 0 {
 		t.Errorf("gradient: %d per-point compiles / %d rebinds, want %d/0", grad.SweepCompiles, grad.Rebinds, want)
+	}
+	if st := s.Stats(); st.PlanCacheMisses != 0 || st.PlanCacheHits != 0 || st.PlanCacheLen != 0 {
+		t.Errorf("plan cache misses %d, hits %d, len %d; want no plan compiled or cached",
+			st.PlanCacheMisses, st.PlanCacheHits, st.PlanCacheLen)
 	}
 }
 

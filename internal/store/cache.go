@@ -59,7 +59,6 @@ type Evicted[V any] struct {
 	Key   string
 	Val   V
 	Bytes int64
-	Cost  float64
 }
 
 // NewCache returns a cache bounded to maxEntries entries (0 =
@@ -109,7 +108,7 @@ func (c *Cache[V]) touch(e *centry[V]) {
 // spill path still sees it.
 func (c *Cache[V]) Add(key string, val V, bytes int64, cost float64) []Evicted[V] {
 	if c.disabled {
-		return []Evicted[V]{{Key: key, Val: val, Bytes: bytes, Cost: cost}}
+		return []Evicted[V]{{Key: key, Val: val, Bytes: bytes}}
 	}
 	if c.maxBytes > 0 && bytes > c.maxBytes {
 		// Inadmissible value: a resident entry under this key is
@@ -121,7 +120,7 @@ func (c *Cache[V]) Add(key string, val V, bytes int64, cost float64) []Evicted[V
 			delete(c.items, key)
 			c.bytes -= e.bytes
 		}
-		return []Evicted[V]{{Key: key, Val: val, Bytes: bytes, Cost: cost}}
+		return []Evicted[V]{{Key: key, Val: val, Bytes: bytes}}
 	}
 	if e, ok := c.items[key]; ok {
 		c.bytes += bytes - e.bytes
@@ -152,7 +151,7 @@ func (c *Cache[V]) enforce() []Evicted[V] {
 			c.clock = e.prio // Greedy-Dual aging: future entries outrank the departed
 		}
 		c.evictions++
-		out = append(out, Evicted[V]{Key: e.key, Val: e.val, Bytes: e.bytes, Cost: e.cost})
+		out = append(out, Evicted[V]{Key: e.key, Val: e.val, Bytes: e.bytes})
 	}
 	return out
 }
@@ -182,7 +181,7 @@ func (c *Cache[V]) Keys() []string {
 func (c *Cache[V]) Entries() []Evicted[V] {
 	out := make([]Evicted[V], 0, len(c.heap))
 	for _, e := range c.heap {
-		out = append(out, Evicted[V]{Key: e.key, Val: e.val, Bytes: e.bytes, Cost: e.cost})
+		out = append(out, Evicted[V]{Key: e.key, Val: e.val, Bytes: e.bytes})
 	}
 	return out
 }

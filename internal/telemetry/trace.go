@@ -41,8 +41,7 @@ const (
 	// without re-planning. One aggregated span covers all points of a
 	// sweep job.
 	StageRebind = "rebind"
-	// StageStoreLoad is a persistent-store artifact load (result or
-	// plan).
+	// StageStoreLoad is a persistent-store result load.
 	StageStoreLoad = "store_load"
 	// StageSpill is a persistent-store artifact write. Spills happen
 	// off the serving path, so the stage appears in the registry
