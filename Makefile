@@ -237,7 +237,6 @@ ci-fuzz: build
 	$(call run-selected,FuzzScaleTable,./internal/statevec/,-fuzz FuzzScaleTable $(FUZZ_DECODER))
 	$(call run-selected,FuzzMaterializePerm,./internal/statevec/,-fuzz FuzzMaterializePerm $(FUZZ_DECODER))
 	$(call run-selected,FuzzOpen,./internal/artifact/,-fuzz FuzzOpen $(FUZZ_DECODER))
-	$(call run-selected,FuzzDecodeKernel,./internal/kernel/,-fuzz FuzzDecodeKernel $(FUZZ_DECODER))
 	$(call run-selected,FuzzDecodePlan,./internal/kernel/,-fuzz FuzzDecodePlan $(FUZZ_DECODER))
 	$(call run-selected,FuzzDecodeCompiled,./internal/backend/,-fuzz FuzzDecodeCompiled $(FUZZ_DECODER))
 	$(call run-selected,FuzzUnmarshal,./internal/qpy/,-fuzz FuzzUnmarshal $(FUZZ_DECODER))

@@ -41,7 +41,6 @@ type Kind string
 // versions live with the package that owns the value (README, "On-disk
 // formats").
 const (
-	KindKernel    Kind = "QGKN" // kernel.EncodeKernel
 	KindPlan      Kind = "QGTP" // kernel.EncodePlan
 	KindCompiled  Kind = "QGCM" // (*backend.Compiled).Encode
 	KindStorePlan Kind = "QGSP" // store.SavePlan

@@ -127,6 +127,3 @@ func (f *Flag) Err() error {
 	}
 	return nil
 }
-
-// Expired reports whether the flag has tripped, without allocating.
-func (f *Flag) Expired() bool { return f.Err() != nil }

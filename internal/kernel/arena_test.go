@@ -144,8 +144,9 @@ func TestSizeBytesTracksHeap(t *testing.T) {
 // TestBindSharesNothingMutable executes a plan while it is being
 // rebound and the rebound copies execute beside it: Bind writes only
 // into the arenas it copied, so under -race this is silent, and the
-// source plan still encodes to the bytes it had — as does the kernel,
-// whose instruction slice the width-0 plan executes in place.
+// source plan still encodes to the bytes it had — and the kernel, whose
+// instruction slice the width-0 plan executes in place, still equals a
+// fresh compile of its circuit.
 func TestBindSharesNothingMutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const nq = 7
@@ -153,7 +154,10 @@ func TestBindSharesNothingMutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantKernel := encodeKernelBytes(t, k)
+	wantKernel, _, err := FromCircuit(paramCircuit(nq, rand.New(rand.NewSource(9))), Options{})
+	if err != nil || !reflect.DeepEqual(k, wantKernel) {
+		t.Fatalf("two compiles of one circuit differ (err %v)", err)
+	}
 	for _, cfg := range []PlanConfig{{TileBits: 3}, {}} {
 		plan := mustPlan(t, k, cfg)
 		if len(plan.Globals) == 0 || len(plan.Binds) == 0 {
@@ -199,7 +203,7 @@ func TestBindSharesNothingMutable(t *testing.T) {
 		if !bytes.Equal(encodePlanBytes(t, plan), want) {
 			t.Fatalf("tile width %d: Bind mutated the plan it copied", cfg.TileBits)
 		}
-		if !bytes.Equal(encodeKernelBytes(t, k), wantKernel) {
+		if !reflect.DeepEqual(k, wantKernel) {
 			t.Fatalf("tile width %d: Bind wrote into the kernel's parameters", cfg.TileBits)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"qgear/internal/artifact"
@@ -31,13 +32,17 @@ func seedKernels(tb testing.TB) []*Kernel {
 	return out
 }
 
-func encodeKernelBytes(tb testing.TB, k *Kernel) []byte {
+// kernelPayload is WriteKernel's encoding of k, as the artifacts that
+// embed a kernel carry it.
+func kernelPayload(tb testing.TB, k *Kernel) []byte {
 	tb.Helper()
-	var buf bytes.Buffer
-	if err := EncodeKernel(&buf, k); err != nil {
+	w := artifact.NewWriter(0)
+	WriteKernel(w, k)
+	sealed, err := w.Seal("TEST", 0, false)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	return buf.Bytes()
+	return artifacttest.Payload(tb, sealed)
 }
 
 // refusedFixture reads a committed artifact of a shape the encoders no
@@ -61,27 +66,7 @@ func encodePlanBytes(tb testing.TB, p *TilePlan) []byte {
 	return buf.Bytes()
 }
 
-func FuzzDecodeKernel(f *testing.F) {
-	var like []byte
-	for _, k := range seedKernels(f) {
-		like = encodeKernelBytes(f, k)
-		f.Add(artifacttest.Payload(f, like))
-	}
-	f.Add(artifacttest.Payload(f, refusedFixture(f, "kernel_fused.golden")))
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		artifacttest.FuzzDecoder(t, like, payload, func(sealed []byte) (func() ([]byte, error), error) {
-			k, err := DecodeKernel(bytes.NewReader(sealed))
-			return func() ([]byte, error) {
-				var buf bytes.Buffer
-				err := EncodeKernel(&buf, k)
-				return buf.Bytes(), err
-			}, err
-		})
-	})
-}
-
-// roundTripKernels are the kernels FuzzDecodeKernel starts from and
-// twenty seeded gate soups.
+// roundTripKernels are the seed kernels and twenty seeded gate soups.
 func roundTripKernels(t *testing.T) []*Kernel {
 	kernels := seedKernels(t)
 	for seed := uint64(0); seed < 20; seed++ {
@@ -108,17 +93,6 @@ func roundTripPlan(t *testing.T, k *Kernel, cfg PlanConfig) (p, decoded *TilePla
 		t.Fatalf("%+v: %v", cfg, err)
 	}
 	return p, decoded
-}
-
-// TestKernelRoundTrip: each kernel decodes DeepEqual to what was
-// encoded.
-func TestKernelRoundTrip(t *testing.T) {
-	for i, k := range roundTripKernels(t) {
-		got, err := DecodeKernel(bytes.NewReader(encodeKernelBytes(t, k)))
-		if err != nil || !reflect.DeepEqual(got, k) {
-			t.Fatalf("kernel %d drifted through encoding (err %v):\n got %+v\nwant %+v", i, err, got, k)
-		}
-	}
 }
 
 // TestPlanRoundTripConfigs: plans per gate, in tiles and in tiles over
@@ -218,6 +192,7 @@ func relabelPlans(tb testing.TB) (legal *TilePlan, illegal []refusedPlan) {
 		{"not bindable", unbindable(tb, legal)},
 		{"fused block on a tile op", refusedFixture(tb, "plan_relabel_fused.golden")},
 	}
+	illegal = append(illegal, fusedInstructions(tb)...)
 	for _, sp := range []struct {
 		name  string
 		spoil func(p *TilePlan)
@@ -245,10 +220,40 @@ func relabelPlans(tb testing.TB) (legal *TilePlan, illegal []refusedPlan) {
 	return legal, illegal
 }
 
+// fusedInstructions are a per-gate plan of one H whose instruction is
+// what builds with gate fusion wrote for a fused block: of kind 1, or
+// carrying the block's 2×2 in the instruction's matrix slot. Every
+// artifact that holds an instruction (a plan, a compiled kernel) reads
+// it with the same reader, which refuses both.
+func fusedInstructions(tb testing.TB) []refusedPlan {
+	tb.Helper()
+	p, err := Plan(New("fused", 1).H(0), PlanConfig{})
+	if err != nil || len(p.Segments) != 1 || p.Segments[0].Kind != SegGlobal {
+		tb.Fatalf("one H plans to %+v (err %v), want one sweep", p, err)
+	}
+	// Geometry (three fields and a segment count) and the segment kind;
+	// then the instruction's kind, gate, one qubit and no parameters.
+	const kindAt = 4*4 + 1
+	const matrixAt = kindAt + 1 + 1 + 4 + 4 + 4
+	sealed := encodePlanBytes(tb, p)
+	payload := artifacttest.Payload(tb, sealed)
+	if binary.LittleEndian.Uint32(payload[matrixAt:]) != 0 {
+		tb.Fatalf("no empty matrix slot at byte %d of %x", matrixAt, payload)
+	}
+	kind := slices.Clone(payload)
+	kind[kindAt] = 1
+	matrix := binary.LittleEndian.AppendUint32(slices.Clone(payload[:matrixAt]), 4)
+	matrix = append(append(matrix, make([]byte, 4*16)...), payload[matrixAt+4:]...)
+	return []refusedPlan{
+		{"instruction of the fused-block kind", artifacttest.Forge(tb, sealed, kind)},
+		{"fused block on an instruction", artifacttest.Forge(tb, sealed, matrix)},
+	}
+}
+
 // TestPlanReaderRelabelRule: a cross-rank bit-swap decodes; a swap no
 // shard pair can perform, a sweep with a rank-bit operand, a segment
 // or binding-site kind the format dropped, a plan marked not bindable
-// and a tile op carrying a fused block do not.
+// and a tile op or an instruction carrying a fused block do not.
 func TestPlanReaderRelabelRule(t *testing.T) {
 	legal, illegal := relabelPlans(t)
 	if got, err := DecodePlan(bytes.NewReader(encodePlanBytes(t, legal))); err != nil || !reflect.DeepEqual(got, legal) {
@@ -378,11 +383,12 @@ func FuzzDecodePlan(f *testing.F) {
 	})
 }
 
-// goldenKernel and goldenPlan are written out by hand, not compiled,
-// so the committed bytes move only when the layout does — not when the
-// transformer or the planner changes its mind. goldenPlan is the shape
-// of a distributed plan: a run, a sweep above the tile, a rank bit
-// swapped into the tile, a run on it, and the swap back.
+// goldenPlan is written out by hand, not compiled, so the committed
+// bytes move only when the layout does — not when the planner changes
+// its mind. It is the shape of a distributed plan: a run, a sweep above
+// the tile, a rank bit swapped into the tile, a run on it, and the swap
+// back. goldenKernel, also by hand, is a gate, a parameterized gate and
+// a measurement.
 func goldenKernel() *Kernel {
 	return &Kernel{Name: "golden", NumQubits: 3, NumClbits: 1, Instrs: []Instr{
 		{Kind: KGate, Gate: gate.H, Qubits: []int{0}},
@@ -463,25 +469,18 @@ func unbindable(tb testing.TB, p *TilePlan) []byte {
 	return artifacttest.Forge(tb, sealed, payload)
 }
 
-// TestGoldenArtifacts pins the kernel and plan layouts to committed
-// bytes: the encoders still produce them, and they still decode to the
-// values they were made from. plan.golden (a plan with an exchange
-// segment and a fused tile op), kernel_fused.golden and
-// plan_relabel_fused.golden (the two goldens as they were with a fused
-// instruction and a fused tile op) are what earlier builds wrote; stores
-// and compiled artifacts hold such values under the unchanged format
-// versions, so their bytes stay pinned — as artifacts the readers refuse
-// (and a store therefore quarantines and recompiles).
+// TestGoldenArtifacts pins the plan layout to committed bytes: the
+// encoder still produces them, and they still decode to the value they
+// were made from. plan.golden (a plan with an exchange segment and a
+// fused tile op) and plan_relabel_fused.golden (the golden as it was
+// with a fused instruction and a fused tile op) are what earlier builds
+// wrote; stores and compiled artifacts hold such values under the
+// unchanged format versions, so their bytes stay pinned — as artifacts
+// the readers refuse (and a store therefore quarantines and
+// recompiles). A fused instruction is refused for what it is, whatever
+// else the artifact holds.
 func TestGoldenArtifacts(t *testing.T) {
-	want := artifacttest.Golden(t, "testdata/kernel.golden", encodeKernelBytes(t, goldenKernel()))
-	k, err := DecodeKernel(bytes.NewReader(want))
-	if err != nil || !reflect.DeepEqual(k, goldenKernel()) {
-		t.Fatalf("golden kernel decodes to %+v (err %v)", k, err)
-	}
-	if k, err := DecodeKernel(bytes.NewReader(refusedFixture(t, "kernel_fused.golden"))); err == nil {
-		t.Fatalf("a kernel with a fused instruction decoded to %+v", k)
-	}
-	want = artifacttest.Golden(t, "testdata/plan_relabel.golden", encodePlanBytes(t, goldenPlan()))
+	want := artifacttest.Golden(t, "testdata/plan_relabel.golden", encodePlanBytes(t, goldenPlan()))
 	p, err := DecodePlan(bytes.NewReader(want))
 	if err != nil || !reflect.DeepEqual(p, goldenPlan()) {
 		t.Fatalf("golden plan decodes to %+v (err %v)", p, err)
@@ -489,6 +488,12 @@ func TestGoldenArtifacts(t *testing.T) {
 	for _, name := range []string{"plan.golden", "plan_relabel_fused.golden"} {
 		if p, err := DecodePlan(bytes.NewReader(refusedFixture(t, name))); err == nil {
 			t.Fatalf("%s decoded to %+v", name, p)
+		}
+	}
+	for i, want := range []string{"unknown instruction kind 1", "instruction carries a fused block"} {
+		p := fusedInstructions(t)[i]
+		if _, err := DecodePlan(bytes.NewReader(p.data)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want %q", p.name, err, want)
 		}
 	}
 }
@@ -513,7 +518,7 @@ func TestEncodedLenIsThePayloadLength(t *testing.T) {
 		t.Fatalf("only %d plans compiled", len(plans))
 	}
 	for i, k := range kernels {
-		if got, want := k.EncodedLen(), len(artifacttest.Payload(t, encodeKernelBytes(t, k))); got != want {
+		if got, want := k.EncodedLen(), len(kernelPayload(t, k)); got != want {
 			t.Errorf("kernel %d: EncodedLen %d, payload is %d bytes", i, got, want)
 		}
 	}

@@ -145,15 +145,6 @@ func encodePlanBytes(t *testing.T, p *TilePlan) []byte {
 	return buf.Bytes()
 }
 
-func encodeKernelBytes(t *testing.T, k *Kernel) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := EncodeKernel(&buf, k); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestPlanSerializeRoundtripBinds: binding sites survive the plan
 // encoding, and a decoded plan rebinds identically to the original.
 func TestPlanSerializeRoundtripBinds(t *testing.T) {

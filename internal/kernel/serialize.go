@@ -12,12 +12,12 @@ import (
 )
 
 // Binary serialization for the execution IR: kernels and compiled
-// TilePlans are artifact payloads (internal/artifact). EncodeKernel and
-// EncodePlan seal one value per artifact; WriteKernel/ReadKernel and
-// WritePlan/ReadPlan are the payload halves, for the artifacts that
-// embed them (a backend.Compiled, a store plan file) under their own
-// single checksum. Encodings are exact — float64 parameters and complex
-// matrix entries are written bit-for-bit — so a decoded plan executes
+// TilePlans are artifact payloads (internal/artifact). EncodePlan seals
+// one plan per artifact; WriteKernel/ReadKernel and WritePlan/ReadPlan
+// are the payload halves, for the artifacts that embed them (a
+// backend.Compiled, a store plan file) under their own single checksum.
+// Encodings are exact — float64 parameters and complex matrix entries
+// are written bit-for-bit — so a decoded plan executes
 // amplitude-identically to the one that was saved.
 
 // serialVersion tags the kernel and plan payload layouts.
@@ -37,27 +37,6 @@ const (
 	bindSiteBytes   = 1 + 4 + 4 + 1 + 4 + 4
 	planStatsBytes  = 9 * 8
 )
-
-// EncodeKernel writes k to w as one sealed artifact.
-func EncodeKernel(w io.Writer, k *Kernel) error {
-	aw := artifact.NewWriter(k.EncodedLen())
-	WriteKernel(aw, k)
-	return aw.SealTo(w, artifact.KindKernel, serialVersion, false)
-}
-
-// DecodeKernel reads a kernel written by EncodeKernel: checksum first,
-// then the fields, then the kernel's structural invariants.
-func DecodeKernel(r io.Reader) (*Kernel, error) {
-	ar, err := artifact.Read(r, artifact.KindKernel, serialVersion)
-	if err != nil {
-		return nil, err
-	}
-	k := ReadKernel(ar)
-	if err := ar.Close(); err != nil {
-		return nil, err
-	}
-	return k, nil
-}
 
 // WriteKernel appends k's payload encoding.
 func WriteKernel(w *artifact.Writer, k *Kernel) {

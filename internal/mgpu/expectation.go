@@ -21,7 +21,7 @@ import (
 // slots of one slab root shares, and root finishes as one device does,
 // so up to 2^4 ranks give the single-device value by construction.
 
-// ExpResult is what ExpectationCompiled returns at root.
+// ExpResult is what ExpectationCompiledCancel returns at root.
 type ExpResult struct {
 	Value float64
 	// Sweeps counts the root rank's passes over its shard: the local
@@ -32,21 +32,17 @@ type ExpResult struct {
 	CommStats
 }
 
-// ExpectationCompiled executes the compiled plan on nRanks simulated
-// devices (a nil plan is an error, as in SimulateCompiled) and evaluates
-// ⟨H⟩ on the resident shards: bit-identical to the single-device
-// engines for up to 16 ranks (the reserve the canonical chunk width keeps).
-// Beyond that a shard is smaller than one canonical chunk and the last
-// ulp can differ.
-func ExpectationCompiled(k *kernel.Kernel, plan *kernel.TilePlan, h *observable.Hamiltonian, nRanks, workersPerRank int) (*ExpResult, error) {
-	return ExpectationCompiledCancel(k, plan, h, nRanks, workersPerRank, nil)
-}
-
-// ExpectationCompiledCancel is ExpectationCompiled with a cooperative
-// cancellation flag, polled collectively during plan execution, before
-// the local sweep and before every expectation exchange. It is never
-// polled inside a sweep: a rank that stopped alone there would strand
-// its partner in the next exchange.
+// ExpectationCompiledCancel executes the compiled plan on nRanks
+// simulated devices (a nil plan is an error, as in SimulateCompiled)
+// and evaluates ⟨H⟩ on the resident shards: bit-identical to the
+// single-device engines for up to 16 ranks (the reserve the canonical
+// chunk width keeps). Beyond that a shard is smaller than one canonical
+// chunk and the last ulp can differ.
+//
+// A non-nil flag is a cooperative cancellation, polled collectively
+// during plan execution, before the local sweep and before every
+// expectation exchange. It is never polled inside a sweep: a rank that
+// stopped alone there would strand its partner in the next exchange.
 func ExpectationCompiledCancel(k *kernel.Kernel, plan *kernel.TilePlan, h *observable.Hamiltonian, nRanks, workersPerRank int, flag *cancel.Flag) (*ExpResult, error) {
 	if h == nil {
 		return nil, errors.New("mgpu: nil hamiltonian")

@@ -91,7 +91,7 @@ func TestExpectationMatchesSingleDevice(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ranks=%d plan: %v", ranks, err)
 			}
-			planned, err := ExpectationCompiled(k, plan, h, ranks, 2)
+			planned, err := ExpectationCompiledCancel(k, plan, h, ranks, 2, nil)
 			if err != nil {
 				t.Fatalf("ranks=%d planned: %v", ranks, err)
 			}
@@ -130,7 +130,7 @@ func TestTFIMRanksShape(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4, 8, 16} {
 		rb := log2ranks(ranks)
 		plan := planFor(t, k, ranks, 8)
-		res, err := ExpectationCompiled(k, plan, h, ranks, 1)
+		res, err := ExpectationCompiledCancel(k, plan, h, ranks, 1, nil)
 		if err != nil {
 			t.Fatalf("ranks=%d: %v", ranks, err)
 		}
@@ -199,7 +199,7 @@ func TestExpectationCanonicalPartner(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("ranks=%d: %v", ranks, err)
 		}
-		res, err := ExpectationCompiled(k, plan, h, ranks, 2)
+		res, err := ExpectationCompiledCancel(k, plan, h, ranks, 2, nil)
 		if err != nil {
 			t.Fatalf("ranks=%d: %v", ranks, err)
 		}
@@ -217,7 +217,7 @@ func TestExpectationIdentityAndEmpty(t *testing.T) {
 	k := soupK(t, 4, 10, 1)
 	plan := planFor(t, k, 2, 2)
 	empty := &observable.Hamiltonian{NumQubits: 4}
-	res, err := ExpectationCompiled(k, plan, empty, 2, 1)
+	res, err := ExpectationCompiledCancel(k, plan, empty, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestExpectationIdentityAndEmpty(t *testing.T) {
 	}
 	ident := &observable.Hamiltonian{NumQubits: 4}
 	ident.Add(observable.NewTerm(2.5, nil))
-	res, err = ExpectationCompiled(k, plan, ident, 2, 1)
+	res, err = ExpectationCompiledCancel(k, plan, ident, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestExpectationIdentityAndEmpty(t *testing.T) {
 	}
 	bad := &observable.Hamiltonian{NumQubits: 4}
 	bad.Add(observable.NewTerm(1, map[int]observable.Pauli{9: observable.Z}))
-	if _, err := ExpectationCompiled(k, plan, bad, 2, 1); err == nil {
+	if _, err := ExpectationCompiledCancel(k, plan, bad, 2, 1, nil); err == nil {
 		t.Fatal("out-of-range term accepted")
 	}
 }

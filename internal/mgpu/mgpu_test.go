@@ -155,8 +155,8 @@ func TestNilPlanIsAnError(t *testing.T) {
 	}
 	h := &observable.Hamiltonian{NumQubits: 4}
 	h.Add(observable.NewTerm(1, map[int]observable.Pauli{3: observable.Z}))
-	if _, err := ExpectationCompiled(k, nil, h, 2, 1); err == nil {
-		t.Error("ExpectationCompiled ran without a plan")
+	if _, err := ExpectationCompiledCancel(k, nil, h, 2, 1, nil); err == nil {
+		t.Error("ExpectationCompiledCancel ran without a plan")
 	}
 }
 

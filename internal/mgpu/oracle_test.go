@@ -115,7 +115,7 @@ func engineRuns(t testing.TB, c *circuit.Circuit, h *observable.Hamiltonian, til
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := ExpectationCompiled(k, plan, h, ranks, w)
+			e, err := ExpectationCompiledCancel(k, plan, h, ranks, w, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

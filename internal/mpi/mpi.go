@@ -3,9 +3,8 @@
 // Ranks are goroutines inside one address space; messages are Go values
 // on per-(src,dst) FIFO channels, so the semantics match MPI
 // point-to-point ordering guarantees. The collectives implemented are
-// exactly those the distributed state-vector engine (internal/mgpu) and
-// the Slurm pipeline need: Barrier, Bcast, Reduce, Allreduce, Gather,
-// Allgather and pairwise Exchange.
+// exactly those the distributed state-vector engine (internal/mgpu)
+// needs: Barrier, Bcast, Reduce, Allreduce and pairwise Exchange.
 //
 // Passing a slice transfers ownership to the receiver, mirroring how
 // CUDA-aware MPI hands off device buffers without copies.
@@ -177,12 +176,6 @@ var (
 		}
 		return b
 	}
-	OpMin ReduceOp = func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
 )
 
 // Reduce folds every rank's v at root with op; the result is valid only
@@ -211,29 +204,4 @@ func (c *Comm) Allreduce(v float64, op ReduceOp) float64 {
 	res := c.Reduce(0, v, op)
 	out := c.Bcast(0, res)
 	return out.(float64)
-}
-
-// Gather collects every rank's value at root, indexed by rank; nil on
-// other ranks.
-func (c *Comm) Gather(root int, v any) []any {
-	c.checkPeer(root)
-	if c.rank == root {
-		out := make([]any, c.w.size)
-		out[root] = v
-		for r := 0; r < c.w.size; r++ {
-			if r != root {
-				out[r] = c.Recv(r)
-			}
-		}
-		return out
-	}
-	c.Send(root, v)
-	return nil
-}
-
-// Allgather collects every rank's value on all ranks.
-func (c *Comm) Allgather(v any) []any {
-	got := c.Gather(0, v)
-	out := c.Bcast(0, got)
-	return out.([]any)
 }

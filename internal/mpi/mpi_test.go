@@ -138,10 +138,6 @@ func TestReduceAndAllreduce(t *testing.T) {
 		if all != 5 {
 			return fmt.Errorf("allreduce max %g", all)
 		}
-		mn := c.Allreduce(float64(c.Rank()+3), OpMin)
-		if mn != 3 {
-			return fmt.Errorf("allreduce min %g", mn)
-		}
 		return nil
 	})
 	if err != nil {
@@ -171,31 +167,6 @@ func TestReduceDeterministicOrder(t *testing.T) {
 		} else if got != first {
 			t.Fatalf("reduce not deterministic: %g vs %g", got, first)
 		}
-	}
-}
-
-func TestGatherAndAllgather(t *testing.T) {
-	err := Run(4, func(c *Comm) error {
-		got := c.Gather(1, c.Rank()*10)
-		if c.Rank() == 1 {
-			for r := 0; r < 4; r++ {
-				if got[r].(int) != r*10 {
-					return fmt.Errorf("gather slot %d = %v", r, got[r])
-				}
-			}
-		} else if got != nil {
-			return errors.New("non-root gather should be nil")
-		}
-		all := c.Allgather(c.Rank())
-		for r := 0; r < 4; r++ {
-			if all[r].(int) != r {
-				return fmt.Errorf("allgather slot %d = %v", r, all[r])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1251,11 +1251,6 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Registry returns the server's telemetry registry — the backing for
-// the /metrics exposition, exposed so embedders can mount it
-// themselves or add process-level instruments.
-func (s *Server) Registry() *telemetry.Registry { return s.reg }
-
 // cacheKeys exposes LRU recency order to tests.
 func (s *Server) cacheKeys() []string {
 	s.mu.Lock()

@@ -199,9 +199,6 @@ func (s *State) live() {
 // NumQubits returns n.
 func (s *State) NumQubits() int { return s.n }
 
-// Workers returns the parallel worker count.
-func (s *State) Workers() int { return s.workers }
-
 // Len returns the number of amplitudes, 2^n.
 func (s *State) Len() int { return len(s.amps) }
 

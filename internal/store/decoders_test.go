@@ -89,40 +89,30 @@ func allKinds(t *testing.T) []artifactKind {
 // head of a crafted kernel payload.
 func kernelHead(w *artifact.Writer) { w.Str("k"); w.U32(3); w.U32(0) }
 
-// compiledKinds is the kernel, plan and compiled rows of comp, each
-// name suffixed.
+// compiledKinds is the plan and compiled rows of comp, each name
+// suffixed. The compiled row's maximal count is its kernel's
+// instruction count.
 func compiledKinds(t *testing.T, suffix string, comp *backend.Compiled) []artifactKind {
 	t.Helper()
-	var kbuf, pbuf, cbuf bytes.Buffer
-	if err := errors.Join(kernel.EncodeKernel(&kbuf, comp.Kernel), kernel.EncodePlan(&pbuf, comp.Plan), comp.Encode(&cbuf)); err != nil {
+	var pbuf, cbuf bytes.Buffer
+	if err := errors.Join(kernel.EncodePlan(&pbuf, comp.Plan), comp.Encode(&cbuf)); err != nil {
 		t.Fatal(err)
 	}
 	return []artifactKind{
-		{"kernel" + suffix, kbuf.Bytes(),
-			func(d []byte) error { _, err := kernel.DecodeKernel(bytes.NewReader(d)); return err },
-			func(w *artifact.Writer) { kernelHead(w); w.U32(math.MaxUint32) }},
 		{"plan" + suffix, pbuf.Bytes(),
 			func(d []byte) error { _, err := kernel.DecodePlan(bytes.NewReader(d)); return err },
 			func(w *artifact.Writer) { w.U32(2); w.U32(3); w.U32(0); w.U32(math.MaxUint32) }},
 		{"compiled" + suffix, cbuf.Bytes(),
 			func(d []byte) error { _, err := backend.DecodeCompiled(bytes.NewReader(d)); return err },
-			func(w *artifact.Writer) {
-				kernelHead(w)
-				w.U32(0)
-				w.Bool(true)
-				w.U32(2)
-				w.U32(3)
-				w.U32(0)
-				w.U32(math.MaxUint32)
-			}},
+			func(w *artifact.Writer) { kernelHead(w); w.U32(math.MaxUint32) }},
 	}
 }
 
 // TestDecodersBoundAllocation is the regression for counts that reached
-// make() unguarded by the input's size (a 4-byte field could ask
-// DecodeKernel for ~6 GiB): every decoder, handed at most 64 bytes in a
-// valid envelope with a valid checksum and a maximal count, must refuse
-// without allocating.
+// make() unguarded by the input's size (a 4-byte field could ask the
+// kernel reader for ~6 GiB): every decoder, handed at most 64 bytes in
+// a valid envelope with a valid checksum and a maximal count, must
+// refuse without allocating.
 func TestDecodersBoundAllocation(t *testing.T) {
 	for _, k := range allKinds(t) {
 		w := artifact.NewWriter(0)

@@ -1,17 +1,17 @@
 // Package telemetry is the zero-dependency metrics substrate of the
-// serving layer: a registry of counters, gauges, and exponential
-// latency histograms with Prometheus text-format exposition, plus the
-// per-job stage Trace that travels with backend results.
+// serving layer: a registry of callback counters and gauges and
+// exponential latency histograms with Prometheus text-format
+// exposition, plus the per-job stage Trace that travels with backend
+// results.
 //
-// Three metric flavors cover every signal the server produces:
+// Two metric flavors cover every signal the server produces:
 //
-//   - direct instruments (Counter, Gauge, Histogram) are lock-free
-//     atomics, cheap enough for per-job hot paths;
 //   - callback instruments (CounterFunc, GaugeFunc) are read at scrape
 //     time, so counters that already live behind the server's mutex
 //     (cache hits, store spills, ...) are exposed without duplicate
 //     bookkeeping — /metrics and /v1/stats can never disagree;
-//   - histograms share the power-of-two microsecond bucket shape of
+//   - histograms are lock-free atomics, cheap enough for per-job hot
+//     paths, and share the power-of-two microsecond bucket shape of
 //     the service latency histograms, exposed cumulatively in seconds
 //     with a proper +Inf bucket.
 //
@@ -32,7 +32,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Labels name one series within a metric family. A nil or empty map is
@@ -61,50 +60,6 @@ func (k Kind) String() string {
 	return "untyped"
 }
 
-// Counter is a monotonically increasing value.
-type Counter struct{ bits atomic.Uint64 }
-
-// Add increases the counter by v (negative deltas are ignored:
-// counters only go up).
-func (c *Counter) Add(v float64) {
-	if v < 0 {
-		return
-	}
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add shifts the gauge by v.
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Registry holds metric families and renders them in Prometheus text
 // format. The zero value is not usable; create with NewRegistry.
 type Registry struct {
@@ -120,15 +75,12 @@ type family struct {
 	series     map[string]*series
 }
 
-// series is one label combination of a family. Exactly one of the
-// value fields is populated, matching the family kind (fn may stand in
-// for counter or gauge).
+// series is one label combination of a family: fn for a counter or
+// gauge family, hist for a histogram family.
 type series struct {
-	pairs   []string // rendered `name="escaped"` pairs, sorted by label name
-	counter *Counter
-	gauge   *Gauge
-	fn      func() float64
-	hist    *Histogram
+	pairs []string // rendered `name="escaped"` pairs, sorted by label name
+	fn    func() float64
+	hist  *Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -208,59 +160,17 @@ func (r *Registry) bindSeries(name, help string, kind Kind, labels Labels, bind 
 	bind(s)
 }
 
-// Counter returns the counter for (name, labels), creating it on first
-// use. Repeat calls return the same instance.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	var c *Counter
-	r.bindSeries(name, help, KindCounter, labels, func(s *series) {
-		if s.counter == nil && s.fn == nil {
-			s.counter = &Counter{}
-		}
-		if s.counter == nil {
-			panic(fmt.Sprintf("telemetry: metric %q series already bound to a callback", name))
-		}
-		c = s.counter
-	})
-	return c
-}
-
 // CounterFunc registers a callback-backed counter series: fn is read
 // at every scrape and must be monotonically non-decreasing.
 // Re-registering the same series replaces the callback.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
-	r.bindSeries(name, help, KindCounter, labels, func(s *series) {
-		if s.counter != nil {
-			panic(fmt.Sprintf("telemetry: metric %q series already bound to a direct counter", name))
-		}
-		s.fn = fn
-	})
-}
-
-// Gauge returns the gauge for (name, labels), creating it on first
-// use.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	var g *Gauge
-	r.bindSeries(name, help, KindGauge, labels, func(s *series) {
-		if s.gauge == nil && s.fn == nil {
-			s.gauge = &Gauge{}
-		}
-		if s.gauge == nil {
-			panic(fmt.Sprintf("telemetry: metric %q series already bound to a callback", name))
-		}
-		g = s.gauge
-	})
-	return g
+	r.bindSeries(name, help, KindCounter, labels, func(s *series) { s.fn = fn })
 }
 
 // GaugeFunc registers a callback-backed gauge series, read at every
 // scrape. Re-registering the same series replaces the callback.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	r.bindSeries(name, help, KindGauge, labels, func(s *series) {
-		if s.gauge != nil {
-			panic(fmt.Sprintf("telemetry: metric %q series already bound to a direct gauge", name))
-		}
-		s.fn = fn
-	})
+	r.bindSeries(name, help, KindGauge, labels, func(s *series) { s.fn = fn })
 }
 
 // Histogram returns the histogram for (name, labels), creating it on
@@ -286,11 +196,9 @@ type famSnap struct {
 }
 
 type serSnap struct {
-	pairs   []string
-	counter *Counter
-	gauge   *Gauge
-	fn      func() float64
-	hist    *Histogram
+	pairs []string
+	fn    func() float64
+	hist  *Histogram
 }
 
 // snapshot copies the registry structure under the lock.
@@ -312,7 +220,7 @@ func (r *Registry) snapshot() []famSnap {
 		sort.Strings(keys)
 		for _, k := range keys {
 			s := f.series[k]
-			fs.series = append(fs.series, serSnap{pairs: s.pairs, counter: s.counter, gauge: s.gauge, fn: s.fn, hist: s.hist})
+			fs.series = append(fs.series, serSnap{pairs: s.pairs, fn: s.fn, hist: s.hist})
 		}
 		out = append(out, fs)
 	}
@@ -363,10 +271,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeHistogram(&buf, f.name, s.pairs, s.hist.Snapshot())
 			case s.fn != nil:
 				fmt.Fprintf(&buf, "%s%s %s\n", f.name, labelBlock(s.pairs, ""), formatValue(s.fn()))
-			case s.counter != nil:
-				fmt.Fprintf(&buf, "%s%s %s\n", f.name, labelBlock(s.pairs, ""), formatValue(s.counter.Value()))
-			case s.gauge != nil:
-				fmt.Fprintf(&buf, "%s%s %s\n", f.name, labelBlock(s.pairs, ""), formatValue(s.gauge.Value()))
 			}
 		}
 	}

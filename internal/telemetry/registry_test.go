@@ -22,12 +22,8 @@ func render(t *testing.T, r *Registry) string {
 
 func TestCounterGaugeExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_ops_total", "Operations.", Labels{"kind": "read"})
-	c.Add(3)
-	c.Inc()
-	g := r.Gauge("test_depth", "Depth.", nil)
-	g.Set(7)
-	g.Add(-2)
+	r.CounterFunc("test_ops_total", "Operations.", Labels{"kind": "read"}, func() float64 { return 4 })
+	r.GaugeFunc("test_depth", "Depth.", nil, func() float64 { return 5 })
 	out := render(t, r)
 	for _, want := range []string{
 		"# HELP test_ops_total Operations.\n",
@@ -40,13 +36,6 @@ func TestCounterGaugeExposition(t *testing.T) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
 	}
-	if c.Value() != 4 {
-		t.Errorf("counter value = %v, want 4", c.Value())
-	}
-	c.Add(-5) // counters never go down
-	if c.Value() != 4 {
-		t.Errorf("counter accepted negative delta: %v", c.Value())
-	}
 }
 
 // TestHelpTypePairing asserts every family is announced exactly once:
@@ -54,9 +43,10 @@ func TestCounterGaugeExposition(t *testing.T) {
 // samples — the format contract scrapers depend on.
 func TestHelpTypePairing(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total", "A.", Labels{"x": "1"}).Inc()
-	r.Counter("a_total", "A.", Labels{"x": "2"}).Inc()
-	r.Gauge("b", "B.", nil).Set(1)
+	one := func() float64 { return 1 }
+	r.CounterFunc("a_total", "A.", Labels{"x": "1"}, one)
+	r.CounterFunc("a_total", "A.", Labels{"x": "2"}, one)
+	r.GaugeFunc("b", "B.", nil, one)
 	r.Histogram("c_seconds", "C.", nil).Observe(time.Millisecond)
 	out := render(t, r)
 
@@ -101,7 +91,7 @@ func TestHelpTypePairing(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("esc_total", "Escapes.", Labels{"path": "a\\b\"c\nd"}).Inc()
+	r.CounterFunc("esc_total", "Escapes.", Labels{"path": "a\\b\"c\nd"}, func() float64 { return 1 })
 	out := render(t, r)
 	want := `esc_total{path="a\\b\"c\nd"} 1`
 	if !strings.Contains(out, want) {
@@ -111,7 +101,7 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestHelpEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("h", "line one\nline two \\ done", nil).Set(1)
+	r.GaugeFunc("h", "line one\nline two \\ done", nil, func() float64 { return 1 })
 	out := render(t, r)
 	if !strings.Contains(out, `# HELP h line one\nline two \\ done`) {
 		t.Errorf("HELP escaping wrong in:\n%s", out)
@@ -204,12 +194,11 @@ func TestBucketBounds(t *testing.T) {
 	}
 }
 
-// TestMonotonicAcrossScrapes differentiates two scrapes: counter series
-// must never decrease between them, and the histogram count must grow
-// with observations.
+// TestMonotonicAcrossScrapes differentiates two scrapes: a counter
+// series must never decrease between them, and the histogram count
+// must grow with observations.
 func TestMonotonicAcrossScrapes(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("mono_total", "Mono.", nil)
 	var backing float64
 	r.CounterFunc("cb_total", "Callback.", nil, func() float64 { return backing })
 	h := r.Histogram("mono_seconds", "Mono latency.", nil)
@@ -226,29 +215,28 @@ func TestMonotonicAcrossScrapes(t *testing.T) {
 		return 0
 	}
 
-	c.Add(2)
 	backing = 5
 	h.Observe(time.Millisecond)
 	out1 := render(t, r)
-	c.Add(3)
 	backing = 9
 	h.Observe(time.Millisecond)
 	out2 := render(t, r)
 
-	for _, name := range []string{"mono_total", "cb_total", "mono_seconds_count"} {
+	for _, name := range []string{"cb_total", "mono_seconds_count"} {
 		v1, v2 := parse(out1, name), parse(out2, name)
 		if v2 < v1 {
 			t.Errorf("%s decreased across scrapes: %v -> %v", name, v1, v2)
 		}
 	}
-	if parse(out2, "mono_total") != 5 || parse(out2, "cb_total") != 9 {
+	if parse(out2, "cb_total") != 9 || parse(out2, "mono_seconds_count") != 2 {
 		t.Errorf("unexpected counter values in second scrape:\n%s", out2)
 	}
 }
 
 // TestConcurrentObserveScrape exercises the registry under -race:
-// writers hammer counters, gauges, and histograms (including lazy
-// series creation) while readers scrape.
+// writers register callback counters and gauges and hammer histograms
+// (including lazy series creation) while readers scrape, so the
+// callbacks run concurrently with their own re-registration.
 func TestConcurrentObserveScrape(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -263,8 +251,9 @@ func TestConcurrentObserveScrape(t *testing.T) {
 					return
 				default:
 				}
-				r.Counter("race_total", "R.", Labels{"w": fmt.Sprint(w)}).Inc()
-				r.Gauge("race_gauge", "R.", nil).Set(float64(i))
+				v := float64(i)
+				r.CounterFunc("race_total", "R.", Labels{"w": fmt.Sprint(w)}, func() float64 { return v })
+				r.GaugeFunc("race_gauge", "R.", nil, func() float64 { return v })
 				r.Histogram("race_seconds", "R.", Labels{"stage": fmt.Sprint(i % 3)}).Observe(time.Microsecond * time.Duration(i%100+1))
 			}
 		}(w)
@@ -298,18 +287,18 @@ func TestCallbackReplacedOnReregister(t *testing.T) {
 
 func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("k_total", "K.", nil)
+	r.CounterFunc("k_total", "K.", nil, func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Error("reusing a counter name as gauge did not panic")
 		}
 	}()
-	r.Gauge("k_total", "K.", nil)
+	r.GaugeFunc("k_total", "K.", nil, func() float64 { return 0 })
 }
 
 func TestHandlerContentType(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("h_total", "H.", nil).Inc()
+	r.CounterFunc("h_total", "H.", nil, func() float64 { return 1 })
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
