@@ -2,10 +2,7 @@ package qgear_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"qgear"
 )
@@ -108,8 +105,6 @@ func Example_observableEstimation() {
 	}
 	fmt.Printf("server: ⟨TFIM⟩ = %+.15f (repeat cached: %v), ⟨ZZ⟩ = %+.15f\n",
 		*res1.ExpValue, info2.Cached, *res3.ExpValue)
-	st := srv.Stats()
-	fmt.Printf("server: %d expectation jobs, %d executed\n", st.ExpectationJobs, st.ExpectationExecuted)
 	// Output:
 	// H = TFIM(J=1, g=0.7) on QFT-16: 31 terms, hash 9a62ecb3c065…
 	//   aer          ⟨H⟩ = -11.199999999999996   (31 terms)
@@ -117,7 +112,6 @@ func Example_observableEstimation() {
 	//   nvidia-mgpu  ⟨H⟩ = -11.199999999999996   (31 terms)
 	//   nvidia-mqpu  ⟨H⟩ = -11.199999999999996   (31 terms)
 	// server: ⟨TFIM⟩ = -11.199999999999996 (repeat cached: true), ⟨ZZ⟩ = +0.000000000000003
-	// server: 3 expectation jobs, 2 executed
 }
 
 // Run the simulation service in-process — the same server `qgear serve`
@@ -175,9 +169,6 @@ func Example_serveEmbedded() {
 		}
 	}
 
-	st := srv.Stats()
-	fmt.Printf("executed %d, answered from the cache %d\n", st.Executed, st.CacheHits)
-
 	// Content addressing directly: identical circuits share a key.
 	a, b := qgear.GHZ(16, false), qgear.GHZ(16, false)
 	fmt.Printf("GHZ-16 fingerprint: %s (stable: %v)\n",
@@ -199,115 +190,5 @@ func Example_serveEmbedded() {
 	// round 2 job j-00000014: done cached=true  shots=500 distinct-outcomes=327
 	// round 2 job j-00000015: done cached=true  shots=500 distinct-outcomes=419
 	// round 2 job j-00000016: done cached=true  shots=500 distinct-outcomes=413
-	// executed 8, answered from the cache 8
 	// GHZ-16 fingerprint: ad10a42ce6f886e2... (stable: true)
-}
-
-// must unwraps a facade call's result for the examples below.
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// Encode a grayscale image into a quantum state with QCrank (the
-// paper's image workload), simulate it, and decode it back: exactly
-// from the probabilities, then from sampled shots as hardware would.
-func Example_qcrankImage() {
-	img := must(qgear.SyntheticImage("zebra", 8, 4, 3))
-	reco := img.Clone()
-
-	exact := must(qgear.NewQCrankPlan(img.Pixels(), 3, 0))
-	res := must(qgear.Run(must(qgear.QCrankEncode(img.Pix, exact, false)), qgear.RunOptions{Target: qgear.TargetNvidia}))
-	copy(reco.Pix, must(qgear.QCrankDecodeProbs(res.Probabilities, exact)))
-	m := must(qgear.CompareImages(img, reco))
-	fmt.Printf("%d pixels, exact decode: max |error| below 1e-9: %v\n", img.Pixels(), m.MaxAbsErr < 1e-9)
-
-	sampled := must(qgear.NewQCrankPlan(img.Pixels(), 3, 5000))
-	res = must(qgear.Run(must(qgear.QCrankEncode(img.Pix, sampled, true)),
-		qgear.RunOptions{Target: qgear.TargetNvidia, Shots: sampled.Shots, Seed: 11}))
-	vals, missing, err := qgear.QCrankDecodeCounts(res.Counts, sampled)
-	if err != nil {
-		panic(err)
-	}
-	copy(reco.Pix, vals)
-	m = must(qgear.CompareImages(img, reco))
-	fmt.Printf("5000 shots per address: %d addresses missing, correlation %.3f\n", len(missing), m.Correlation)
-	// Output:
-	// 32 pixels, exact decode: max |error| below 1e-9: true
-	// 5000 shots per address: 0 addresses missing, correlation 0.999
-}
-
-// Circuits travel as files (a QPY-style circuit list, the paper's
-// tensor encoding) and as OpenQASM 2.0, and every result is addressed
-// by its content: the circuit, the options that change what runs, and
-// the observable.
-func Example_circuitInterchange() {
-	fmt.Printf("paper workloads: %d, %d and %d CX blocks\n", qgear.ShortBlocks, qgear.IntermediateBlocks, qgear.LongBlocks)
-	list := must(qgear.RandomUnitaryList(4, 5, 3, 2))
-	dir := must(os.MkdirTemp("", "qgear-example"))
-	defer os.RemoveAll(dir)
-	qpyPath, tensorPath := filepath.Join(dir, "c.qpy"), filepath.Join(dir, "c.qgt")
-	if err := errors.Join(qgear.SaveQPY(qpyPath, list), qgear.SaveTensors(tensorPath, list, 0)); err != nil {
-		panic(err)
-	}
-	same := func(back []*qgear.Circuit) bool {
-		for i := range list {
-			if qgear.Fingerprint(back[i]) != qgear.Fingerprint(list[i]) {
-				return false
-			}
-		}
-		return len(back) == len(list)
-	}
-	fmt.Printf("%d circuits of %d CX blocks: qpy round trip %v, tensor round trip %v\n",
-		len(list), list[0].CountTwoQubit(), same(must(qgear.LoadQPY(qpyPath))), same(must(qgear.LoadTensors(tensorPath))))
-
-	ghz := qgear.GHZ(3, true)
-	src := must(qgear.ExportQASM(ghz))
-	fmt.Print(src)
-	fmt.Printf("parsed back: same fingerprint %v\n", qgear.Fingerprint(must(qgear.ParseQASM(src))) == qgear.Fingerprint(ghz))
-
-	opts := qgear.RunOptions{Target: qgear.TargetNvidia}
-	aer, pruned := opts, opts
-	aer.Target, pruned.PruneAngle = qgear.TargetAer, 1e-6
-	fmt.Printf("cache key moves with the target %v and the transform %v\n",
-		qgear.CacheKey(ghz, opts) != qgear.CacheKey(ghz, aer), qgear.CacheKey(ghz, opts) != qgear.CacheKey(ghz, pruned))
-
-	// ⟨Z0Z1 + Z1Z2⟩ on the GHZ state is 2; the measurements are dropped.
-	h := &qgear.Hamiltonian{NumQubits: 3}
-	h.Add(qgear.NewPauliTerm(1, map[int]qgear.Pauli{0: qgear.PauliZ, 1: qgear.PauliZ}))
-	h.Add(qgear.NewPauliTerm(1, map[int]qgear.Pauli{1: qgear.PauliZ, 2: qgear.PauliZ}))
-	res := must(qgear.RunExpectationCompiled(must(qgear.Compile(ghz, opts)), h, opts))
-	fmt.Printf("GHZ-3: ⟨Z0Z1 + Z1Z2⟩ = %g\n", *res.ExpValue)
-	tfim := func(g float64) *qgear.Hamiltonian { return qgear.TransverseFieldIsing(6, 1.25, g) }
-	fmt.Printf("expectation key: one for equal operators %v, two for g and g+1e-10 %v\n",
-		qgear.ExpectationCacheKey(ghz, tfim(0.5), opts) == qgear.ExpectationCacheKey(ghz, tfim(0.5), opts),
-		qgear.ExpectationCacheKey(ghz, tfim(0.5), opts) != qgear.ExpectationCacheKey(ghz, tfim(0.5000000001), opts))
-
-	// |0…0⟩ has TFIM energy −J(n−1), here on four term-parallel QPUs.
-	res = must(qgear.RunExpectation(qgear.NewCircuit(6, 0), tfim(0.5), qgear.RunOptions{Target: qgear.TargetNvidiaMQPU, Devices: 4}))
-	fmt.Printf("TFIM(J=1.25, g=0.5) on |000000⟩ = %g\n", *res.ExpValue)
-	pm := qgear.Perlmutter()
-	fmt.Printf("targets %v; modelled on %s and %s\n", qgear.Targets(), pm.GPU.Name, pm.CPU.Name)
-	// Output:
-	// paper workloads: 100, 3000 and 10000 CX blocks
-	// 3 circuits of 5 CX blocks: qpy round trip true, tensor round trip true
-	// OPENQASM 2.0;
-	// include "qelib1.inc";
-	// // circuit: ghz_3q
-	// qreg q[3];
-	// creg c[3];
-	// h q[0];
-	// cx q[0],q[1];
-	// cx q[0],q[2];
-	// measure q[0] -> c[0];
-	// measure q[1] -> c[1];
-	// measure q[2] -> c[2];
-	// parsed back: same fingerprint true
-	// cache key moves with the target true and the transform true
-	// GHZ-3: ⟨Z0Z1 + Z1Z2⟩ = 2
-	// expectation key: one for equal operators true, two for g and g+1e-10 true
-	// TFIM(J=1.25, g=0.5) on |000000⟩ = -6.25
-	// targets [aer nvidia nvidia-mgpu nvidia-mqpu pennylane]; modelled on A100-40GB and EPYC-7763x2
 }

@@ -142,6 +142,66 @@ func TestHTTPServeGHZ16Waves(t *testing.T) {
 	}
 }
 
+func TestHTTPResultShapes(t *testing.T) {
+	_, ts := newHTTPServer(t, Config{})
+	qasm := `OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[2];
+creg c[2];
+h q[0];
+cx q[0],q[1];
+measure q[0] -> c[0];
+measure q[1] -> c[1];
+`
+	info, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", QASM: qasm, Shots: 1000, Seed: 5})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit HTTP %d", code)
+	}
+	if fin := pollDone(t, ts.URL, info.ID); fin.State != StateDone {
+		t.Fatalf("job: %+v", fin)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/results/" + info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr ResultResponse
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if rr.NumQubits != 2 || len(rr.Top) != 2 {
+		t.Fatalf("result %+v", rr)
+	}
+	// Bell state: only 00 and 11 appear.
+	total := 0
+	for bits, n := range rr.Counts {
+		if bits != "00" && bits != "11" {
+			t.Fatalf("unexpected outcome %q", bits)
+		}
+		total += n
+	}
+	if total != 1000 {
+		t.Fatalf("counts total %d", total)
+	}
+	if len(rr.Probabilities) != 0 {
+		t.Fatal("full vector returned without ?full=1")
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/results/" + info.ID + "?full=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full ResultResponse
+	if err := json.NewDecoder(resp.Body).Decode(&full); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(full.Probabilities) != 4 {
+		t.Fatalf("full vector has %d entries", len(full.Probabilities))
+	}
+}
+
 func TestHTTPErrors(t *testing.T) {
 	_, ts := newHTTPServer(t, Config{})
 

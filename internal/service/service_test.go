@@ -558,6 +558,41 @@ func TestSeedNormalizationSharesKey(t *testing.T) {
 	}
 }
 
+func TestStatsShape(t *testing.T) {
+	s := newTestServer(t, Config{})
+	if _, _, err := s.Run(context.Background(), circuit.GHZ(6, false), SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Run(context.Background(), circuit.GHZ(6, false), SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Submitted != 2 || st.Executed != 1 || st.CacheHits != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+	if math.Abs(st.HitRate-0.5) > 1e-9 {
+		t.Fatalf("hit rate %g, want 0.5", st.HitRate)
+	}
+	h, ok := st.Latency[string(backend.TargetNvidia)]
+	if !ok || h.Count != 1 {
+		t.Fatalf("execution latency histogram missing: %+v", st.Latency)
+	}
+	hc, ok := st.Latency["cache"]
+	if !ok || hc.Count != 1 {
+		t.Fatalf("cache latency histogram missing: %+v", st.Latency)
+	}
+	if len(h.Counts) != len(h.UpperBoundsUS) {
+		t.Fatal("histogram shape mismatch")
+	}
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total != h.Count {
+		t.Fatalf("histogram counts sum %d != count %d", total, h.Count)
+	}
+}
+
 func TestJobRetention(t *testing.T) {
 	s := newTestServer(t, Config{MaxRetainedJobs: 3, CacheSize: -1})
 	ctx := context.Background()

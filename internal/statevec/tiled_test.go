@@ -276,22 +276,35 @@ func checkMaterialize(t *testing.T, s *State, what string) {
 	ref.Release()
 }
 
-// FuzzMaterializePerm draws a register size (up to 16 qubits), a layout
-// kind, a worker count and a support (a basis state and up to a few
-// mixing gates, or none) and holds MaterializePerm to the pair-by-pair
-// reference, bit for bit, support included. Its seeds are the corners:
-// states small enough to stay serial and large enough to fan out (2^14
-// and up), every layout kind, dense and sparse, at 1 to 4 workers.
-func FuzzMaterializePerm(f *testing.F) {
-	for i, n := range []int{2, 5, 9, 14, 16} {
-		for k := range relayoutKinds {
-			for g, gates := range []int8{-1, 0, 3} {
-				f.Add(uint8(n-1), uint8(k), uint8(i+k+g), gates, uint64(48+i))
+// TestMaterializePermMatchesPairs: the one-pass materialization against
+// the pair-by-pair sweeps on states large enough to fan out (2^14 and
+// up) and small enough to stay serial, every layout kind, dense and
+// sparse, at 1 to 4 workers.
+func TestMaterializePermMatchesPairs(t *testing.T) {
+	r := qmath.NewRNG(48)
+	for _, n := range []int{2, 5, 9, 14, 16} {
+		for _, kind := range relayoutKinds {
+			for workers := 1; workers <= 4; workers++ {
+				for _, gates := range []int{-1, 0, 3} {
+					s := relayoutState(t, n, workers, gates, kind, r)
+					checkMaterialize(t, s, fmt.Sprintf("n=%d %s workers=%d gates=%d", n, kind, workers, gates))
+					s.Release()
+				}
 			}
 		}
 	}
+}
+
+// FuzzMaterializePerm draws a register size (up to 12 qubits), a layout
+// kind, a worker count and a support (a basis state and up to a few
+// mixing gates, or none) and holds MaterializePerm to the pair-by-pair
+// reference, bit for bit, support included.
+func FuzzMaterializePerm(f *testing.F) {
+	for i := range relayoutKinds {
+		f.Add(uint8(4+2*i), uint8(i), uint8(i), int8(i-1), uint64(i))
+	}
 	f.Fuzz(func(t *testing.T, n, kind, workers uint8, gates int8, seed uint64) {
-		nq := 1 + int(n)%16
+		nq := 1 + int(n)%12
 		k := relayoutKinds[int(kind)%len(relayoutKinds)]
 		s := relayoutState(t, nq, 1+int(workers)%4, int(gates)%5, k, qmath.NewRNG(seed))
 		checkMaterialize(t, s, fmt.Sprintf("n=%d %s gates=%d seed=%d", nq, k, gates, seed))
