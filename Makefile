@@ -139,10 +139,12 @@ ci-wired:
 # decoder's allocation bound on serve_mix's three envelope shapes, no
 # decoded job sharing bytes with its pooled body buffer under
 # concurrent submitters, and the 413 limit with and without a declared
-# length; BenchmarkSubmitDecode runs once and gates nothing.
+# length; so does the response path: the result and long-poll handlers'
+# allocation bound on serve_mix's simulate shape. BenchmarkSubmitDecode
+# and BenchmarkResultRender run once and gate nothing.
 ci-load: build
-	$(call run-selected,TestLoadMixedTraffic|TestSubmitDecodeAllocBound|TestSubmitBodyNotRetained|TestHTTPBodyTooLarge,./internal/service/)
-	$(GO) test -run '^$$' -bench SubmitDecode -benchtime=1x ./internal/service/
+	$(call run-selected,TestLoadMixedTraffic|TestSubmitDecodeAllocBound|TestSubmitBodyNotRetained|TestHTTPBodyTooLarge|TestResultHandlerAllocBound,./internal/service/)
+	$(GO) test -run '^$$' -bench 'SubmitDecode|ResultRender' -benchtime=1x ./internal/service/
 
 # Workers-axis scaling smoke: the lane-kernel bit-identity fuzz suites
 # and the engine table (every executor at 1–4 and 8 workers, and at 1
@@ -224,7 +226,9 @@ ci-oneproc: build
 # themselves and 1e-12 to internal/oracle, total probability 1), then the
 # two readers of a job submission's untrusted bytes: the POST /v1/jobs
 # envelope decoder against the reflection decode it replaced (same
-# verdict, same job) and the QASM parser (export∘parse round trip).
+# verdict, same job) and the QASM parser (export∘parse round trip) — and
+# the op path's response renderer against encoding/json (the same bytes,
+# or both refusing a value).
 # go test fuzzes one target of one package per run, hence one leg each;
 # minimization is capped because its default budget (60 s per new
 # input) would eat a 10 s leg whole.
@@ -247,6 +251,7 @@ ci-fuzz: build
 	$(call run-selected,FuzzSampleInvariants,./internal/sampling/,-fuzz FuzzSampleInvariants $(FUZZ_DECODER))
 	$(call run-selected,FuzzEnginesMatchOracle,./internal/mgpu/,-fuzz FuzzEnginesMatchOracle $(FUZZ_DECODER))
 	$(call run-selected,FuzzSubmitEnvelope,./internal/service/,-fuzz FuzzSubmitEnvelope $(FUZZ_DECODER))
+	$(call run-selected,FuzzRenderResult,./internal/service/,-fuzz FuzzRenderResult $(FUZZ_DECODER))
 	$(call run-selected,FuzzQASMParse,./internal/qasm/,-fuzz FuzzQASMParse $(FUZZ_DECODER))
 
 # The portable build: the lane primitives have assembly bodies on

@@ -297,3 +297,28 @@ func TestRunGradient(t *testing.T) {
 		}
 	}
 }
+
+// TestRunGradientAtCoefficientBound: the largest coefficient sum
+// Hamiltonian.Validate accepts, MaxFloat64/4, on ry(π/2)|0⟩ puts the
+// two shifted values at ∓MaxFloat64/4; the gradient, half their
+// difference, is finite and exact.
+func TestRunGradientAtCoefficientBound(t *testing.T) {
+	const c = math.MaxFloat64 / 4
+	circ := circuit.New(1, 0)
+	circ.RY(math.Pi/2, 0)
+	h := &observable.Hamiltonian{NumQubits: 1}
+	h.Add(observable.NewTerm(c, map[int]observable.Pauli{0: observable.Z}))
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunGradient(circ, h, circ.ParamValues(), Config{Target: TargetNvidia, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := res.Gradient[0]; math.IsInf(g, 0) || math.Abs(g+c) > c*1e-12 {
+		t.Fatalf("gradient %v, want -%v", g, c)
+	}
+	if v := *res.ExpValue; math.IsInf(v, 0) || math.Abs(v) > c*1e-12 {
+		t.Fatalf("⟨H⟩ %v, want about 0", v)
+	}
+}

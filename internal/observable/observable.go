@@ -144,13 +144,24 @@ func (h *Hamiltonian) Clone() *Hamiltonian {
 	return c
 }
 
+// maxCoefSum is the largest absolute sum of coefficients Validate
+// accepts. A term's computed expectation is its coefficient times a
+// Pauli sum of magnitude at most the state's squared norm, which
+// rounding can leave just above 1, so ⟨H⟩ and every sweep value stay
+// well inside MaxFloat64/2, and a gradient entry, half the difference
+// of two of them, stays finite too.
+const maxCoefSum = math.MaxFloat64 / 4
+
 // Validate checks that every term stays inside the declared register,
 // uses only X/Y/Z factors, and carries a finite coefficient (NaN or
-// Inf would poison content hashes and cached sums).
+// Inf would poison content hashes and cached sums), and that the
+// coefficients' absolute sum is at most maxCoefSum, so that ⟨H⟩,
+// every sweep value and every gradient entry are finite.
 func (h *Hamiltonian) Validate() error {
 	if h.NumQubits < 0 || h.NumQubits > 64 {
 		return fmt.Errorf("observable: invalid qubit count %d", h.NumQubits)
 	}
+	norm := 0.0
 	for i, t := range h.Terms {
 		if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
 			return fmt.Errorf("observable: term %d has non-finite coefficient %v", i, t.Coef)
@@ -158,6 +169,10 @@ func (h *Hamiltonian) Validate() error {
 		if _, _, _, err := t.Masks(h.NumQubits); err != nil {
 			return fmt.Errorf("observable: term %d: %w", i, err)
 		}
+		norm += math.Abs(t.Coef)
+	}
+	if !(norm <= maxCoefSum) {
+		return fmt.Errorf("observable: the coefficients' absolute sum %g exceeds %g", norm, maxCoefSum)
 	}
 	return nil
 }

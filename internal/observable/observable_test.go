@@ -231,6 +231,32 @@ func TestValidateAndClone(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("infinite coefficient accepted")
 	}
+	// Two finite terms whose ⟨H⟩ on |0⟩ is 2e308: the sum must be refused.
+	overflow := &Hamiltonian{NumQubits: 2}
+	overflow.Add(NewTerm(1e308, nil))
+	overflow.Add(NewTerm(1e308, map[int]Pauli{0: Z}))
+	if err := overflow.Validate(); err == nil {
+		t.Fatal("coefficients whose absolute sum overflows accepted")
+	}
+	// One finite identity term: a state norm rounded just above 1 would
+	// make its ⟨H⟩ +Inf, so it is refused with the margin.
+	huge := &Hamiltonian{NumQubits: 1}
+	huge.Add(NewTerm(math.MaxFloat64, nil))
+	if err := huge.Validate(); err == nil {
+		t.Fatal("a MaxFloat64 coefficient accepted")
+	}
+	// The edge: a sum of exactly maxCoefSum is accepted, one ulp more is not.
+	edge := &Hamiltonian{NumQubits: 2}
+	edge.Add(NewTerm(maxCoefSum/2, map[int]Pauli{0: Z}))
+	edge.Add(NewTerm(-maxCoefSum/2, map[int]Pauli{1: X}))
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("absolute sum of exactly maxCoefSum refused: %v", err)
+	}
+	above := &Hamiltonian{NumQubits: 1}
+	above.Add(NewTerm(math.Nextafter(maxCoefSum, math.Inf(1)), map[int]Pauli{0: Z}))
+	if err := above.Validate(); err == nil {
+		t.Fatal("absolute sum one ulp above maxCoefSum accepted")
+	}
 	oob := &Hamiltonian{NumQubits: 2}
 	oob.Add(NewTerm(1, map[int]Pauli{5: Z}))
 	if err := oob.Validate(); err == nil {

@@ -2,11 +2,12 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
+	"math"
 	"strconv"
 	"sync"
 
@@ -74,15 +75,67 @@ type arena[T any] struct {
 	n int
 }
 
+// add counts v on the counting pass and appends it on the fill pass.
+func (a *arena[T]) add(fill bool, v T) {
+	if fill {
+		a.s = append(a.s, v)
+	} else {
+		a.n++
+	}
+}
+
+// next adds a zero element and returns it to be read into: on the fill
+// pass the arena's, on the counting pass one that is thrown away.
+func (a *arena[T]) next(fill bool) *T {
+	if !fill {
+		a.n++
+		return new(T)
+	}
+	a.s = append(a.s, *new(T))
+	return &a.s[len(a.s)-1]
+}
+
+// since carves what was added from start on: nil when nothing was, as
+// circuit.Carve leaves an empty slice.
+func (a *arena[T]) since(start int) []T {
+	if end := len(a.s); end > start {
+		return a.s[start:end:end]
+	}
+	return nil
+}
+
+// gateNames lists every gate's wire name, indexed by its type.
+var gateNames = func() []string {
+	var names []string
+	for g := gate.Type(0); g.Valid(); g++ {
+		names = append(names, g.String())
+	}
+	return names
+}()
+
+// lookupGate is gate.Parse for a name in the body: no string made, no
+// hash taken.
+func lookupGate(name []byte) (gate.Type, bool) {
+	for g, n := range gateNames {
+		if len(n) == len(name) && n[0] == name[0] && string(name) == n {
+			return gate.Type(g), true
+		}
+	}
+	return 0, false
+}
+
 // jobDecoder reads the envelope SubmitRequest describes, each value as
 // encoding/json reads it, but refuses repeated keys, keys matching a field
 // only after case folding, and anything after the envelope. It reads the
-// body twice with the same code: the first pass checks everything and
-// counts, the second fills arenas of exactly the counted sizes.
+// body twice with the same code: the first pass checks the syntax and
+// counts, the second fills arenas of exactly the counted sizes and parses
+// each number, once. Every reader takes the cursor and returns it past
+// what it read; a reader that fails records the error and returns the end
+// of the body, where every reader stops.
 type jobDecoder struct {
 	b    []byte
-	i    int
 	fill bool
+	err  error // the first failure
 	job  *submitJob
 
 	ops    arena[circuit.Op]
@@ -93,325 +146,529 @@ type jobDecoder struct {
 	paulis arena[WirePauli]
 }
 
+// The fields of each object of the envelope, in the order its reader
+// switches on them.
+var (
+	envelopeFields    = []string{"kind", "circuit", "qasm", "shots", "seed", "hamiltonian", "points", "timeout_ms"}
+	circuitFields     = []string{"name", "qubits", "clbits", "ops"}
+	opFields          = []string{"gate", "qubits", "params", "clbit"}
+	hamiltonianFields = []string{"qubits", "terms"}
+	termFields        = []string{"coef", "paulis"}
+	pauliFields       = []string{"q", "p"}
+)
+
 // decodeJob decodes one envelope; the result shares no memory with body.
 func decodeJob(body []byte) (*submitJob, error) {
 	d := jobDecoder{b: body, job: new(submitJob)}
-	err := d.pass()
-	if err == nil {
-		d.i, d.fill, *d.job = 0, true, submitJob{}
+	d.pass()
+	if d.err == nil {
+		d.fill, *d.job = true, submitJob{}
 		d.ops.s = make([]circuit.Op, 0, d.ops.n)
 		d.qubits.s = make([]int, 0, d.qubits.n)
 		d.floats.s = make([]float64, 0, d.floats.n)
 		d.points.s = make([][]float64, 0, d.points.n)
 		d.terms.s = make([]WireTerm, 0, d.terms.n)
 		d.paulis.s = make([]WirePauli, 0, d.paulis.n)
-		err = d.pass()
+		d.pass()
 	}
-	if err != nil {
-		return nil, err
+	if d.err != nil {
+		return nil, d.err
 	}
 	return d.job, nil
 }
 
 // pass reads the whole body: one envelope or null, then only whitespace.
-func (d *jobDecoder) pass() error {
+func (d *jobDecoder) pass() {
+	if i := ws(d.b, d.envelope(0)); i < len(d.b) {
+		d.fail(fmt.Errorf("invalid character %q at offset %d after the envelope", d.b[i], i))
+	}
+}
+
+func (d *jobDecoder) envelope(i int) int {
 	req := &d.job.req
-	_, err := d.object([]string{"kind", "circuit", "qasm", "shots", "seed", "hamiltonian", "points", "timeout_ms"}, func(f string) error {
-		switch f {
-		case "kind":
-			return d.readText(&req.Kind)
-		case "circuit":
-			c := &d.job.circ
-			ok, err := d.object([]string{"name", "qubits", "clbits", "ops"}, func(f string) error {
-				switch f {
-				case "name":
-					return d.readText(&c.Name)
-				case "qubits":
-					return d.readNumber(&c.NumQubits)
-				case "clbits":
-					return d.readNumber(&c.NumClbits)
-				}
-				return arrayInto(d, &d.ops, &c.Ops, d.op)
-			})
-			d.job.hasCircuit = ok
-			return err
-		case "qasm":
-			return d.readText(&req.QASM)
-		case "shots":
-			return d.readNumber(&req.Shots)
-		case "seed":
-			return d.readNumber(&req.Seed)
-		case "hamiltonian":
-			h := &d.job.ham
-			ok, err := d.object([]string{"qubits", "terms"}, func(f string) error {
-				if f == "qubits" {
-					return d.readNumber(&h.Qubits)
-				}
-				return arrayInto(d, &d.terms, &h.Terms, d.term)
-			})
-			if ok {
-				req.Hamiltonian = h
-			}
-			return err
-		case "points":
-			return arrayInto(d, &d.points, &req.Points, func() (pt []float64, err error) {
-				err = d.floatArray(&pt)
-				return
-			})
-		}
-		return d.readNumber(&req.TimeoutMs)
-	})
-	if d.ws(); err == nil && d.i < len(d.b) {
-		err = fmt.Errorf("invalid character %q at offset %d after the envelope", d.b[d.i], d.i)
-	}
-	return err
-}
-
-// op reads one op. A missing or null gate name is the empty one, which
-// the fill pass refuses as ToCircuit does.
-func (d *jobDecoder) op() (op circuit.Op, err error) {
-	var name []byte
-	_, err = d.object([]string{"gate", "qubits", "params", "clbit"}, func(f string) (err error) {
-		switch f {
-		case "gate":
-			name, err = d.str()
-			return err
-		case "qubits":
-			return arrayInto(d, &d.qubits, &op.Qubits, func() (q int, err error) {
-				err = d.readNumber(&q)
-				return
-			})
-		case "params":
-			return d.floatArray(&op.Params)
-		}
-		return d.readNumber(&op.Clbit)
-	})
-	if err != nil || !d.fill {
-		return op, err
-	}
-	g := gate.Type(0) // a byte-keyed lookup: gate.Parse(string(name)) allocates
-	for g.Valid() && g.String() != string(name) {
-		g++
-	}
-	if !g.Valid() && d.job.circErr == nil {
-		_, perr := gate.Parse(string(name))
-		d.job.circErr = fmt.Errorf("op %d: %w", len(d.ops.s), perr)
-	}
-	op.Gate = g
-	return op, nil
-}
-
-func (d *jobDecoder) floatArray(dst *[]float64) error {
-	return arrayInto(d, &d.floats, dst, func() (v float64, err error) {
-		err = d.readNumber(&v)
-		return
-	})
-}
-
-func (d *jobDecoder) term() (t WireTerm, err error) {
-	_, err = d.object([]string{"coef", "paulis"}, func(f string) error {
-		if f == "coef" {
-			return d.readNumber(&t.Coef)
-		}
-		return arrayInto(d, &d.paulis, &t.Paulis, func() (p WirePauli, err error) {
-			_, err = d.object([]string{"q", "p"}, func(f string) error {
-				if f == "q" {
-					return d.readNumber(&p.Q)
-				}
-				return d.readText(&p.P)
-			})
-			return
-		})
-	})
-	return
-}
-
-// arrayInto reads an array, or null, of elements read decodes into the
-// next carve of a: nil when empty, as circuit.Carve leaves it.
-func arrayInto[T any](d *jobDecoder, a *arena[T], dst *[]T, read func() (T, error)) error {
-	start := len(a.s)
-	_, err := d.seq('[', ']', func() error {
-		v, err := read()
-		if d.fill {
-			a.s = append(a.s, v)
-		} else {
-			a.n++
-		}
-		return err
-	})
-	if end := len(a.s); end > start {
-		*dst = a.s[start:end:end]
-	}
-	return err
-}
-
-// object reads an object, or null, calling read at each member's value
-// with its key out of fields, and reports whether there was an object. A
-// key that is not exactly one of fields, or that repeats, is an error.
-func (d *jobDecoder) object(fields []string, read func(f string) error) (bool, error) {
+	i, ok := d.open(i, '{')
 	var seen uint32
-	return d.seq('{', '}', func() error {
-		key, err := d.str()
-		if err != nil {
-			return err
+	for n := 0; ok; n++ {
+		var f int
+		switch i, f = d.member(i, n, &seen, envelopeFields); f {
+		case -1:
+			ok = false
+		case 0:
+			i = d.readText(i, &req.Kind)
+		case 1:
+			i, d.job.hasCircuit = d.circuit(i)
+		case 2:
+			i = d.readText(i, &req.QASM)
+		case 3:
+			i = d.readInt(i, &req.Shots)
+		case 4:
+			i = d.readUint(i, &req.Seed)
+		case 5:
+			var has bool
+			if i, has = d.hamiltonian(i); has {
+				req.Hamiltonian = &d.job.ham
+			}
+		case 6:
+			req.Points, i = d.pointList(i)
+		case 7:
+			i = d.readInt(i, &req.TimeoutMs)
 		}
-		k := slices.Index(fields, string(key))
-		if k < 0 || seen&(1<<k) != 0 {
-			return fmt.Errorf("unknown or repeated field %q", key)
-		}
-		seen |= 1 << k
-		if d.ws(); !d.eat(':') {
-			return d.fail("':'")
-		}
-		return read(fields[k])
-	})
+	}
+	return i
 }
 
-// seq reads an object or an array, or null, calling read with the cursor
-// at each member or element, and reports whether there was one.
-func (d *jobDecoder) seq(open, close byte, read func() error) (bool, error) {
-	if d.null() {
-		return false, nil
-	}
-	if !d.eat(open) {
-		return false, d.fail(strconv.QuoteRune(rune(open)))
-	}
-	for n := 0; ; n++ {
-		if d.ws(); d.eat(close) {
-			return true, nil
+// circuit reads the "circuit" member, or null, and reports whether there
+// was one.
+func (d *jobDecoder) circuit(i int) (int, bool) {
+	c := &d.job.circ
+	i, has := d.open(i, '{')
+	var seen uint32
+	for n, ok := 0, has; ok; n++ {
+		var f int
+		switch i, f = d.member(i, n, &seen, circuitFields); f {
+		case -1:
+			ok = false
+		case 0:
+			i = d.readText(i, &c.Name)
+		case 1:
+			i = d.readInt(i, &c.NumQubits)
+		case 2:
+			i = d.readInt(i, &c.NumClbits)
+		case 3:
+			c.Ops, i = d.opList(i)
 		}
-		if n > 0 && !d.eat(',') {
-			return true, d.fail("',' or " + strconv.QuoteRune(rune(close)))
-		}
-		if err := read(); err != nil {
-			return true, err
-		}
 	}
+	return i, has
 }
 
-func (d *jobDecoder) eat(c byte) bool {
-	if d.i < len(d.b) && d.b[d.i] == c {
-		d.i++
-		return true
+func (d *jobDecoder) opList(i int) ([]circuit.Op, int) {
+	start := len(d.ops.s)
+	i, ok := d.open(i, '[')
+	for n := 0; ok; n++ {
+		if i, ok = d.more(i, n, ']'); ok {
+			i = d.op(i, d.ops.next(d.fill))
+		}
 	}
-	return false
+	return d.ops.since(start), i
 }
 
-func (d *jobDecoder) ws() {
-	for d.i < len(d.b) && (d.b[d.i] == ' ' || d.b[d.i] == '\t' || d.b[d.i] == '\n' || d.b[d.i] == '\r') {
-		d.i++
+// op reads one op into dst, in any form encoding/json reads. A missing
+// or null gate name is the empty one, which the fill pass refuses as
+// ToCircuit does.
+func (d *jobDecoder) op(i int, dst *circuit.Op) int {
+	var name []byte
+	i, ok := d.open(i, '{')
+	var seen uint32
+	for n := 0; ok; n++ {
+		var f int
+		switch i, f = d.member(i, n, &seen, opFields); f {
+		case -1:
+			ok = false
+		case 0:
+			name, i = d.str(i)
+		case 1:
+			dst.Qubits, i = d.intList(i)
+		case 2:
+			dst.Params, i = d.floatList(i)
+		case 3:
+			i = d.readInt(i, &dst.Clbit)
+		}
 	}
+	if !d.fill || d.err != nil {
+		return i
+	}
+	g, known := lookupGate(name)
+	if !known && d.job.circErr == nil {
+		_, perr := gate.Parse(string(name))
+		d.job.circErr = fmt.Errorf("op %d: %w", len(d.ops.s)-1, perr)
+	}
+	dst.Gate = g
+	return i
 }
 
-// null skips whitespace and then a null literal if one is next: as with
+func (d *jobDecoder) intList(i int) ([]int, int) {
+	start := len(d.qubits.s)
+	i, ok := d.open(i, '[')
+	for n := 0; ok; n++ {
+		if i, ok = d.more(i, n, ']'); ok {
+			var q int
+			i = d.readInt(i, &q)
+			d.qubits.add(d.fill, q)
+		}
+	}
+	return d.qubits.since(start), i
+}
+
+func (d *jobDecoder) floatList(i int) ([]float64, int) {
+	start := len(d.floats.s)
+	i, ok := d.open(i, '[')
+	for n := 0; ok; n++ {
+		if i, ok = d.more(i, n, ']'); ok {
+			var v float64
+			i = d.readFloat(i, &v)
+			d.floats.add(d.fill, v)
+		}
+	}
+	return d.floats.since(start), i
+}
+
+func (d *jobDecoder) pointList(i int) ([][]float64, int) {
+	start := len(d.points.s)
+	i, ok := d.open(i, '[')
+	for n := 0; ok; n++ {
+		if i, ok = d.more(i, n, ']'); ok {
+			var pt []float64
+			pt, i = d.floatList(i)
+			d.points.add(d.fill, pt)
+		}
+	}
+	return d.points.since(start), i
+}
+
+// hamiltonian reads the "hamiltonian" member, or null, and reports
+// whether there was one.
+func (d *jobDecoder) hamiltonian(i int) (int, bool) {
+	h := &d.job.ham
+	i, has := d.open(i, '{')
+	var seen uint32
+	for n, ok := 0, has; ok; n++ {
+		var f int
+		switch i, f = d.member(i, n, &seen, hamiltonianFields); f {
+		case -1:
+			ok = false
+		case 0:
+			i = d.readInt(i, &h.Qubits)
+		case 1:
+			h.Terms, i = d.termList(i)
+		}
+	}
+	return i, has
+}
+
+func (d *jobDecoder) termList(i int) ([]WireTerm, int) {
+	start := len(d.terms.s)
+	i, ok := d.open(i, '[')
+	for n := 0; ok; n++ {
+		if i, ok = d.more(i, n, ']'); ok {
+			var t WireTerm
+			t, i = d.term(i)
+			d.terms.add(d.fill, t)
+		}
+	}
+	return d.terms.since(start), i
+}
+
+func (d *jobDecoder) term(i int) (t WireTerm, _ int) {
+	i, ok := d.open(i, '{')
+	var seen uint32
+	for n := 0; ok; n++ {
+		var f int
+		switch i, f = d.member(i, n, &seen, termFields); f {
+		case -1:
+			ok = false
+		case 0:
+			i = d.readFloat(i, &t.Coef)
+		case 1:
+			t.Paulis, i = d.pauliList(i)
+		}
+	}
+	return t, i
+}
+
+func (d *jobDecoder) pauliList(i int) ([]WirePauli, int) {
+	start := len(d.paulis.s)
+	i, ok := d.open(i, '[')
+	for n := 0; ok; n++ {
+		if i, ok = d.more(i, n, ']'); ok {
+			var p WirePauli
+			p, i = d.pauli(i)
+			d.paulis.add(d.fill, p)
+		}
+	}
+	return d.paulis.since(start), i
+}
+
+func (d *jobDecoder) pauli(i int) (p WirePauli, _ int) {
+	i, ok := d.open(i, '{')
+	var seen uint32
+	for n := 0; ok; n++ {
+		var f int
+		switch i, f = d.member(i, n, &seen, pauliFields); f {
+		case -1:
+			ok = false
+		case 0:
+			i = d.readInt(i, &p.Q)
+		case 1:
+			i = d.readText(i, &p.P)
+		}
+	}
+	return p, i
+}
+
+// open reads the opening bracket c of an object or array, or null, and
+// reports whether there was one.
+func (d *jobDecoder) open(i int, c byte) (int, bool) {
+	switch i = ws(d.b, i); {
+	case i < len(d.b) && d.b[i] == c:
+		return i + 1, true
+	case isNull(d.b, i):
+		return i + len("null"), false
+	}
+	return d.want(i, strconv.QuoteRune(rune(c))), false
+}
+
+// more reports whether another member or element follows in the object
+// or array open at i, n of them read so far, reading the comma before it
+// or the closing bracket after the last.
+func (d *jobDecoder) more(i, n int, close byte) (int, bool) {
+	i = ws(d.b, i)
+	switch {
+	case i >= len(d.b):
+	case d.b[i] == close:
+		return i + 1, false
+	case n == 0:
+		return i, true
+	case d.b[i] == ',':
+		return i + 1, true
+	}
+	if n == 0 {
+		return i, true // the first element's reader reports the end
+	}
+	return d.want(i, "',' or "+strconv.QuoteRune(rune(close))), false
+}
+
+// member reads the next member's key and colon in the object open at i,
+// n members read so far, and returns the key's index in names: -1 once
+// the object has closed. A key that is not exactly one of names, or that
+// seen already holds, is an error.
+func (d *jobDecoder) member(i, n int, seen *uint32, names []string) (int, int) {
+	i, more := d.more(i, n, '}')
+	if !more {
+		return i, -1
+	}
+	var key []byte
+	if key, i = d.str(i); d.err != nil {
+		return i, -1
+	}
+	f := 0
+	for f < len(names) && string(key) != names[f] {
+		f++
+	}
+	if f == len(names) || *seen&(1<<f) != 0 {
+		return d.fail(fmt.Errorf("unknown or repeated field %q", key)), -1
+	}
+	*seen |= 1 << f
+	if i = ws(d.b, i); i >= len(d.b) || d.b[i] != ':' {
+		return d.want(i, "':'"), -1
+	}
+	return i + 1, f
+}
+
+// ws returns the index of the first byte at or after i that is not JSON
+// whitespace.
+func ws(b []byte, i int) int {
+	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// isNull reports whether a null literal starts at b[i]: as with
 // encoding/json, a null value leaves its field as it is.
-func (d *jobDecoder) null() bool {
-	if d.ws(); d.i+4 <= len(d.b) && d.b[d.i] == 'n' && string(d.b[d.i:d.i+4]) == "null" {
-		d.i += 4
-		return true
-	}
-	return false
+func isNull(b []byte, i int) bool {
+	return i+4 <= len(b) && string(b[i:i+4]) == "null"
 }
 
-func (d *jobDecoder) fail(want string) error {
-	if d.i >= len(d.b) {
-		return fmt.Errorf("unexpected end of JSON input, want %s", want)
+// fail records err unless an earlier failure is recorded, and returns the
+// end of the body.
+func (d *jobDecoder) fail(err error) int {
+	if d.err == nil {
+		d.err = err
 	}
-	return fmt.Errorf("invalid character %q at offset %d, want %s", d.b[d.i], d.i, want)
+	return len(d.b)
+}
+
+// want fails with a syntax error at b[i]: what was wanted there.
+func (d *jobDecoder) want(i int, what string) int {
+	if i >= len(d.b) {
+		return d.fail(fmt.Errorf("unexpected end of JSON input, want %s", what))
+	}
+	return d.fail(fmt.Errorf("invalid character %q at offset %d, want %s", d.b[i], i, what))
 }
 
 // str reads a string literal, or null (nil), and returns the bytes between
 // its quotes, or when they hold an escape or a byte ≥ 0x80 what
 // json.Unmarshal makes of it: escapes, surrogates and U+FFFD as encoding/json.
-func (d *jobDecoder) str() ([]byte, error) {
-	if d.null() {
-		return nil, nil
+func (d *jobDecoder) str(i int) ([]byte, int) {
+	b := d.b
+	if i = ws(b, i); i >= len(b) || b[i] != '"' {
+		if isNull(b, i) {
+			return nil, i + len("null")
+		}
+		return nil, d.want(i, "string")
 	}
-	if !d.eat('"') {
-		return nil, d.fail("string")
-	}
-	start, plain := d.i, true
-	for ; d.i < len(d.b) && d.b[d.i] != '"'; d.i++ {
-		switch c := d.b[d.i]; {
+	i++
+	start, plain := i, true
+	for ; i < len(b) && b[i] != '"'; i++ {
+		switch c := b[i]; {
+		case c >= 0x20 && c < 0x80 && c != '\\':
 		case c < 0x20:
-			return nil, d.fail("string character")
+			return nil, d.want(i, "string character")
 		case c == '\\':
 			plain = false
-			d.i++ // the escaped byte
-		case c >= 0x80:
+			i++ // the escaped byte
+		default:
 			plain = false
 		}
 	}
-	if !d.eat('"') {
-		return nil, d.fail("'\"'")
+	if i >= len(b) {
+		return nil, d.want(i, "'\"'")
 	}
 	if plain {
-		return d.b[start : d.i-1], nil
+		return b[start:i], i + 1
 	}
 	var s string
-	err := json.Unmarshal(d.b[start-1:d.i], &s)
-	return []byte(s), err
+	if err := json.Unmarshal(b[start-1:i+1], &s); err != nil {
+		return nil, d.fail(err)
+	}
+	return []byte(s), i + 1
 }
 
 // readText copies a string out of the body into dst. A kind name is stored
 // as the kinds table's own string: no allocation.
-func (d *jobDecoder) readText(dst *string) error {
-	b, err := d.str()
-	if err != nil || !d.fill {
-		return err
+func (d *jobDecoder) readText(i int, dst *string) int {
+	b, i := d.str(i)
+	if !d.fill || b == nil {
+		return i
 	}
 	for k := range kinds {
 		if kinds[k].name == string(b) {
 			*dst = kinds[k].name
-			return nil
+			return i
 		}
 	}
 	*dst = string(b)
-	return nil
+	return i
 }
 
-// readNumber reads a JSON number, or null, into *int, *uint64 or *float64
-// under strconv's rules for that type, as encoding/json does: 1.0, 1e2 and
-// -1 are not a uint64, 1e400 is not a float64, and -0 keeps its sign.
-func (d *jobDecoder) readNumber(dst any) error {
-	if d.null() {
-		return nil
+// number reads a JSON number, or null (nil), and returns its literal.
+// Both passes check its syntax; only the fill pass parses it.
+func (d *jobDecoder) number(i int) ([]byte, int) {
+	b := d.b
+	start := ws(b, i)
+	i, ok := numberEnd(b, start)
+	switch {
+	case ok:
+		return b[start:i], i
+	case i == start && isNull(b, i):
+		return nil, i + len("null")
 	}
-	start := d.i
-	d.eat('-')
-	ok := d.eat('0') || d.digits()
-	if ok && d.eat('.') {
-		ok = d.digits()
+	return nil, d.want(i, "number")
+}
+
+// numberEnd scans the JSON number syntax at b[i:] and returns where it
+// ends, or where it breaks and false.
+func numberEnd(b []byte, i int) (int, bool) {
+	if i < len(b) && b[i] == '-' {
+		i++
 	}
-	if ok && (d.eat('e') || d.eat('E')) {
-		if !d.eat('+') {
-			d.eat('-')
+	ok := i < len(b) && b[i] == '0' // a leading zero is the whole integer part
+	if ok {
+		i++
+	} else {
+		i, ok = digits(b, i)
+	}
+	if ok && i < len(b) && b[i] == '.' {
+		i, ok = digits(b, i+1)
+	}
+	if ok && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
 		}
-		ok = d.digits()
+		i, ok = digits(b, i)
 	}
-	if !ok {
-		return d.fail("number")
-	}
-	lit := string(d.b[start:d.i])
-	var err error
-	switch p := dst.(type) {
-	case *int:
-		var v int64
-		v, err = strconv.ParseInt(lit, 10, strconv.IntSize)
-		*p = int(v)
-	case *uint64:
-		*p, err = strconv.ParseUint(lit, 10, 64)
-	case *float64:
-		*p, err = strconv.ParseFloat(lit, 64)
-	}
-	return err
+	return i, ok
 }
 
-// digits consumes a run of decimal digits and reports whether it was one.
-func (d *jobDecoder) digits() bool {
-	start := d.i
-	for d.i < len(d.b) && '0' <= d.b[d.i] && d.b[d.i] <= '9' {
-		d.i++
+// readInt reads a number, or null, into dst as encoding/json reads one
+// into an int: no fraction, no exponent, within the int's range; -0 is 0.
+func (d *jobDecoder) readInt(i int, dst *int) int {
+	lit, i := d.number(i)
+	if !d.fill || lit == nil {
+		return i
 	}
-	return d.i > start
+	neg := lit[0] == '-'
+	digits := lit
+	if neg {
+		digits = lit[1:]
+	}
+	v, ok := decimal(digits)
+	switch {
+	case ok && !neg && v <= math.MaxInt:
+		*dst = int(v)
+	case ok && neg && v <= -math.MinInt:
+		*dst = int(-v)
+	default:
+		return d.fail(fmt.Errorf("number %s does not fit an int", lit))
+	}
+	return i
+}
+
+// readUint reads a number, or null, into dst as encoding/json reads one
+// into a uint64: digits only, so -0 is refused as -1 is.
+func (d *jobDecoder) readUint(i int, dst *uint64) int {
+	lit, i := d.number(i)
+	if !d.fill || lit == nil {
+		return i
+	}
+	v, ok := decimal(lit)
+	if !ok {
+		return d.fail(fmt.Errorf("number %s does not fit a uint64", lit))
+	}
+	*dst = v
+	return i
+}
+
+// readFloat reads a number, or null, into dst under strconv's rules, as
+// encoding/json does: 1e400 is refused and -0 keeps its sign.
+func (d *jobDecoder) readFloat(i int, dst *float64) int {
+	lit, i := d.number(i)
+	if !d.fill || lit == nil {
+		return i
+	}
+	v, err := strconv.ParseFloat(string(lit), 64)
+	if err != nil {
+		return d.fail(err)
+	}
+	*dst = v
+	return i
+}
+
+// decimal parses lit as an unsigned decimal integer: false when it holds
+// anything but digits or exceeds a uint64.
+func decimal(lit []byte) (uint64, bool) {
+	var v uint64
+	for _, c := range lit {
+		c -= '0'
+		if c > 9 || v > (math.MaxUint64-uint64(c))/10 {
+			return 0, false
+		}
+		v = v*10 + uint64(c)
+	}
+	return v, true
+}
+
+// digits skips the run of decimal digits at b[i:] and reports whether
+// there was one.
+func digits(b []byte, i int) (int, bool) {
+	start := i
+	for ; i+8 <= len(b); i += 8 { // eight bytes at a time while all are digits
+		if w := binary.LittleEndian.Uint64(b[i:]); w&0xF0F0F0F0F0F0F0F0|(w+0x0606060606060606)&0xF0F0F0F0F0F0F0F0>>4 != 0x3333333333333333 {
+			break
+		}
+	}
+	for i < len(b) && b[i]-'0' <= 9 {
+		i++
+	}
+	return i, i > start
 }

@@ -506,9 +506,17 @@ func TestHTTPBodyTooLarge(t *testing.T) {
 }
 
 // BenchmarkSubmitDecode reads and decodes each serve_mix envelope shape
-// through the pooled buffer, as handleJobs does.
+// through the pooled buffer, as handleJobs does, and the simulate shape
+// once more indented as json.MarshalIndent or Python's json.dumps with
+// indent=2 writes it: whitespace between every token. Compare its ns/op,
+// not its MB/s, with the compact shape's; the whitespace counts as bytes.
 func BenchmarkSubmitDecode(b *testing.B) {
-	for _, s := range serveMixShapes(b) {
+	shapes := serveMixShapes(b)
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, shapes[0].body, "", "  "); err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range append(shapes, submitShape{"simulate_indented", indented.Bytes()}) {
 		b.Run(s.name, func(b *testing.B) {
 			rd := bytes.NewReader(s.body)
 			b.ReportAllocs()

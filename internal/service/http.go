@@ -1,24 +1,20 @@
 package service
 
 import (
-	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"qgear/internal/backend"
 	"qgear/internal/circuit"
 	"qgear/internal/gate"
 	"qgear/internal/kernel"
 	"qgear/internal/observable"
-	"qgear/internal/sampling"
 	"qgear/internal/store"
 	"qgear/internal/telemetry"
 )
@@ -51,8 +47,9 @@ import (
 //
 // with machine-readable codes: invalid_request (400/405),
 // not_found (404), too_large (413/422), queue_full (429, with
-// retry_after_ms and a Retry-After header), unavailable (503), and
-// deadline_exceeded (504).
+// retry_after_ms and a Retry-After header), unavailable (503),
+// deadline_exceeded (504), and internal (500: a response the server
+// could not render).
 
 // WireOp is one operation of a structured circuit submission. Gate
 // names are the canonical lowercase spellings of internal/gate ("h",
@@ -309,10 +306,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeJSON sends v as encoding/json encodes it, or a 500 when it cannot:
+// the status is written only once the body exists.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(ErrorResponse{Error: APIError{ // strings always marshal
+			Code: CodeInternal, Message: "rendering the response: " + err.Error()}})
+	}
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n')) // a failed write is the client's to see
 }
 
 // Machine-readable error codes of the uniform error envelope. Clients
@@ -324,6 +329,7 @@ const (
 	CodeQueueFull        = "queue_full"
 	CodeUnavailable      = "unavailable"
 	CodeDeadlineExceeded = "deadline_exceeded"
+	CodeInternal         = "internal"
 )
 
 // APIError is the machine-readable error body of every non-2xx
@@ -411,7 +417,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 	default:
-		writeJSON(w, http.StatusAccepted, info)
+		writeInfo(w, http.StatusAccepted, &info)
 	}
 }
 
@@ -433,7 +439,7 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	var info JobInfo
 	var err error
-	if wv := r.URL.Query().Get("wait_ms"); wv != "" {
+	if wv := queryGet(r.URL, "wait_ms"); wv != "" {
 		// Long poll: hold the request until the job finishes or the
 		// budget elapses, then return the current snapshot either way.
 		// Budgets are clamped to the server's MaxWaitMs, never rejected,
@@ -454,7 +460,7 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	writeInfo(w, http.StatusOK, &info)
 }
 
 // Artifact truncation — the one place the rules live, applied
@@ -469,17 +475,34 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 //     marks an elided payload;
 //   - ?full=1 disables truncation entirely: the whole 2^n probability
 //     vector, every sweep point, every gradient entry.
-func truncationLimit(q url.Values) (k int, full bool) {
-	if q.Get("full") == "1" {
+func truncationLimit(u *url.URL) (k int, full bool) {
+	if queryGet(u, "full") == "1" {
 		return 0, true
 	}
 	k = 16
-	if kv := q.Get("top"); kv != "" {
+	if kv := queryGet(u, "top"); kv != "" {
 		if n, err := strconv.Atoi(kv); err == nil && n > 0 && n <= 4096 {
 			k = n
 		}
 	}
 	return k, false
+}
+
+// queryGet is u.Query().Get(key) without building the url.Values map
+// when the raw query holds nothing ParseQuery would decode or refuse.
+func queryGet(u *url.URL, key string) string {
+	raw := u.RawQuery
+	if strings.ContainsAny(raw, "%+;") {
+		return u.Query().Get(key)
+	}
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if k, v, _ := strings.Cut(pair, "="); k == key {
+			return v
+		}
+	}
+	return ""
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -495,7 +518,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if errors.Is(err, ErrNotDone) {
-		writeJSON(w, http.StatusAccepted, info)
+		writeInfo(w, http.StatusAccepted, &info)
 		return
 	}
 	if errors.Is(err, ErrDeadlineExceeded) {
@@ -505,158 +528,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		// Failed job: surface the simulation error with the snapshot.
-		writeJSON(w, http.StatusOK, info)
+		writeInfo(w, http.StatusOK, &info)
 		return
 	}
-	k, full := truncationLimit(r.URL.Query())
-	writeJSON(w, http.StatusOK, buildResultResponse(info, res, k, full))
-}
-
-// resultWire is ResultResponse as the server writes it: every field and
-// JSON name of the embedded struct, with the two histogram fields
-// shadowed by ones that encode straight from sampling.Counts (the
-// embedded Counts and SweepCounts stay nil).
-type resultWire struct {
-	ResultResponse
-	Counts      *wireCounts  `json:"counts,omitempty"`
-	SweepCounts []wireCounts `json:"sweep_counts,omitempty"`
-}
-
-// wireCounts renders one histogram as the JSON object a map[string]int
-// of bitstring keys would: keys are fixed-width, so ascending index
-// order is encoding/json's sorted key order.
-type wireCounts struct {
-	counts sampling.Counts
-	qubits int
-}
-
-// MarshalJSON appends every "bitstring":count pair into one buffer
-// sized up front — no per-key string, no map, no reflection over
-// entries.
-func (w wireCounts) MarshalJSON() ([]byte, error) {
-	idx := make([]uint64, 0, len(w.counts))
-	size := 2
-	for i, n := range w.counts {
-		idx = append(idx, i)
-		size += w.qubits + 5 // two quotes, colon, comma, first digit
-		for ; n >= 10; n /= 10 {
-			size++
-		}
-	}
-	slices.Sort(idx)
-	buf := append(make([]byte, 0, size), '{')
-	for k, i := range idx {
-		if k > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, '"')
-		buf = sampling.AppendBitstring(buf, i, w.qubits)
-		buf = append(buf, '"', ':')
-		buf = strconv.AppendInt(buf, int64(w.counts[i]), 10)
-	}
-	return append(buf, '}'), nil
-}
-
-// buildResultResponse renders a finished result under the truncation
-// rules documented at truncationLimit.
-func buildResultResponse(info JobInfo, res *backend.Result, k int, full bool) resultWire {
-	resp := resultWire{ResultResponse: ResultResponse{
-		ID:            info.ID,
-		State:         info.State,
-		Cached:        info.Cached,
-		Target:        string(res.Target),
-		DurationMS:    float64(res.Duration.Microseconds()) / 1e3,
-		NumQubits:     res.NumQubits,
-		GateCount:     res.KernelStats.SourceOps,
-		FusedOps:      res.KernelStats.EmittedOps,
-		ExpValue:      res.ExpValue,
-		ExpTerms:      res.ExpTerms,
-		TileBits:      res.TileBits,
-		PlanStats:     res.PlanStats,
-		Trace:         res.Trace,
-		SweepPoints:   res.SweepPoints,
-		Rebinds:       res.Rebinds,
-		SweepCompiles: res.SweepCompiles,
-	}}
-	if len(res.Counts) > 0 {
-		resp.Counts = &wireCounts{res.Counts, resp.NumQubits}
-	}
-	if full {
-		resp.Probabilities = res.Probabilities
-	} else if len(res.Probabilities) > 0 {
-		resp.Top = topProbs(res.Probabilities, k, resp.NumQubits)
-	}
-	sv, grad, sc := res.SweepValues, res.Gradient, res.SweepCounts
-	if !full {
-		if len(sv) > k {
-			sv, resp.Truncated = sv[:k], true
-		}
-		if len(grad) > k {
-			grad, resp.Truncated = grad[:k], true
-		}
-		if len(sc) > k {
-			sc, resp.Truncated = sc[:k], true
-		}
-	}
-	resp.SweepValues = sv
-	resp.Gradient = grad
-	if len(sc) > 0 {
-		resp.SweepCounts = make([]wireCounts, len(sc))
-		for i, cts := range sc {
-			resp.SweepCounts[i] = wireCounts{cts, resp.NumQubits}
-		}
-	}
-	return resp
-}
-
-// topHeap is a bounded min-heap on (probability, index): the root is
-// the current weakest of the kept top-k entries. "Worse" means lower
-// probability, ties broken by larger index, so the surviving set (and
-// hence the sorted output) matches a full descending sort.
-type topHeap []TopProb
-
-func (h topHeap) Len() int { return len(h) }
-func (h topHeap) Less(a, b int) bool {
-	if h[a].Probability != h[b].Probability {
-		return h[a].Probability < h[b].Probability
-	}
-	return h[a].Index > h[b].Index
-}
-func (h topHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *topHeap) Push(x any)   { *h = append(*h, x.(TopProb)) }
-func (h *topHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h topHeap) worseThan(p float64, i uint64) bool {
-	if h[0].Probability != p {
-		return h[0].Probability < p
-	}
-	return h[0].Index > i
-}
-
-// topProbs returns the k highest-probability basis states in
-// descending order (ties broken by index). One O(n log k) pass — no
-// index-slice allocation, which matters for 2^28-amplitude results.
-func topProbs(probs []float64, k int, nq int) []TopProb {
-	h := make(topHeap, 0, k)
-	for i, p := range probs {
-		if p == 0 {
-			continue
-		}
-		switch {
-		case len(h) < k:
-			heap.Push(&h, TopProb{Index: uint64(i), Probability: p})
-		case h.worseThan(p, uint64(i)):
-			h[0] = TopProb{Index: uint64(i), Probability: p}
-			heap.Fix(&h, 0)
-		}
-	}
-	out := make([]TopProb, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(TopProb)
-	}
-	for i := range out {
-		out[i].Bitstring = sampling.Bitstring(out[i].Index, nq)
-	}
-	return out
+	k, full := truncationLimit(r.URL)
+	resp := buildResultResponse(info, res, k, full)
+	writeResult(w, &resp)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

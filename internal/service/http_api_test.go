@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"regexp"
 	"sort"
@@ -59,6 +60,10 @@ var errorEnvelopeRows = []struct {
 	{"trailing data", "POST", "/v1/jobs", `{"kind":"simulate","qasm":"OPENQASM 2.0;\nqreg q[1];\nh q[0];\n"} {"kind":"simulate"}`, http.StatusBadRequest, CodeInvalidRequest},
 	{"duplicate key", "POST", "/v1/jobs", `{"kind":"simulate","circuit":{"qubits":1},"circuit":{"ops":[{"gate":"h","qubits":[0]}]}}`, http.StatusBadRequest, CodeInvalidRequest},
 	{"case-folded key", "POST", "/v1/jobs", `{"KIND":"simulate","qasm":"OPENQASM 2.0;\nqreg q[1];\nh q[0];\n"}`, http.StatusBadRequest, CodeInvalidRequest},
+	// Two finite terms whose ⟨H⟩ on |0⟩, 2e308, has no JSON form: refused
+	// at submit, not answered later with an empty result.
+	{"overflowing hamiltonian", "POST", "/v1/jobs", `{"kind":"expectation","circuit":{"qubits":1,"ops":[{"gate":"id","qubits":[0]}]},` +
+		`"hamiltonian":{"qubits":1,"terms":[{"coef":1e308},{"coef":1e308,"paulis":[{"q":0,"p":"Z"}]}]}}`, http.StatusBadRequest, CodeInvalidRequest},
 }
 
 // TestHTTPErrorEnvelopeGolden: every failure mode answers with the
@@ -319,5 +324,19 @@ func TestRenderHistogramAllocationBudget(t *testing.T) {
 	})
 	if allocs > 8 {
 		t.Fatalf("rendering a 1000-key histogram: %v allocations, want <= 8", allocs)
+	}
+}
+
+// TestQueryGetMatchesQuery: queryGet reads a raw query as
+// url.Values.Get reads the map ParseQuery builds from it.
+func TestQueryGetMatchesQuery(t *testing.T) {
+	for _, raw := range []string{"", "top=3", "full=1&top=3", "top=3&top=4", "top", "top=", "=3&top=5", "&&top=7&",
+		"top=%33", "t%6fp=3", "top=3;full=1", "top=+3", "top=3%", "x=1&top=2=3", "wait_ms=5000", "wait_ms=5%"} {
+		u := &url.URL{RawQuery: raw}
+		for _, key := range []string{"top", "full", "wait_ms"} {
+			if got, want := queryGet(u, key), u.Query().Get(key); got != want {
+				t.Errorf("%q, %s: %q, want %q", raw, key, got, want)
+			}
+		}
 	}
 }

@@ -44,11 +44,13 @@ func postJob(t *testing.T, base string, req SubmitRequest) (JobInfo, int) {
 	return info, resp.StatusCode
 }
 
+// pollDone long-polls a job until it is done or failed: the server
+// holds each request until the job finishes or its wait budget runs out.
 func pollDone(t *testing.T, base, id string) JobInfo {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/jobs/" + id)
+		resp, err := http.Get(base + "/v1/jobs/" + id + "?wait_ms=60000")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +63,6 @@ func pollDone(t *testing.T, base, id string) JobInfo {
 		if info.State == StateDone || info.State == StateFailed {
 			return info
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not finish", id)
 	return JobInfo{}

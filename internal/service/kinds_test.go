@@ -536,6 +536,8 @@ func TestInvalidSubmissions(t *testing.T) {
 	nan := &observable.Hamiltonian{NumQubits: 4}
 	nan.Add(observable.NewTerm(math.NaN(), map[int]observable.Pauli{0: observable.Z}))
 	badPauli := &WireHamiltonian{Qubits: 4, Terms: []WireTerm{{Coef: 1, Paulis: []WirePauli{{Q: 0, P: "Q"}}}}}
+	// Two finite terms whose ⟨H⟩ on |0⟩ is 2e308, which has no JSON form.
+	overflow := []WireTerm{{Coef: 1e308}, {Coef: 1e308, Paulis: []WirePauli{{Q: 0, P: "Z"}}}}
 	refusals := map[string]struct {
 		jobs []kindJob       // Submit refuses each
 		wire []SubmitRequest // POST /v1/jobs answers each with a 400
@@ -557,10 +559,13 @@ func TestInvalidSubmissions(t *testing.T) {
 			{ansatz, SubmitOptions{Hamiltonian: h3, SweepPoints: anglesGridOrDie(ansatz, 5)}}, // over MaxSweepPoints
 			{ansatz, SubmitOptions{SweepPoints: anglesGridOrDie(ansatz, 2)}},                  // sampling without shots
 		}},
-		"gradient": {jobs: []kindJob{
-			{ansatz, SubmitOptions{Gradient: true}},
-			{circuit.GHZ(3, false), SubmitOptions{Hamiltonian: h3, Gradient: true}},
-		}},
+		"gradient": {
+			jobs: []kindJob{
+				{ansatz, SubmitOptions{Gradient: true}},
+				{circuit.GHZ(3, false), SubmitOptions{Hamiltonian: h3, Gradient: true}},
+			},
+			wire: []SubmitRequest{{Circuit: FromCircuit(ansatz), Hamiltonian: &WireHamiltonian{Qubits: 3, Terms: overflow}}},
+		},
 	}
 	for k := range kinds {
 		name := kinds[k].name

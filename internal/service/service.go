@@ -1170,12 +1170,16 @@ func (s *Server) WaitFor(id string, d time.Duration) (JobInfo, error) {
 	if !ok {
 		return JobInfo{}, ErrNotFound
 	}
-	if d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-j.done:
-		case <-t.C:
+	select {
+	case <-j.done: // finished already: no timer to make
+	default:
+		if d > 0 {
+			t := time.NewTimer(d)
+			defer t.Stop()
+			select {
+			case <-j.done:
+			case <-t.C:
+			}
 		}
 	}
 	s.mu.Lock()

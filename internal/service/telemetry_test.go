@@ -485,12 +485,12 @@ func waitDone(t *testing.T, base, id string) {
 	}
 }
 
-// awaitDone polls a job to StateDone. It reports failure as an error,
-// not through t, so client goroutines can call it.
+// awaitDone long-polls a job to StateDone. It reports failure as an
+// error, not through t, so client goroutines can call it.
 func awaitDone(base, id string) error {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/jobs/" + id)
+		resp, err := http.Get(base + "/v1/jobs/" + id + "?wait_ms=30000")
 		if err != nil {
 			return err
 		}
@@ -506,7 +506,6 @@ func awaitDone(base, id string) error {
 		case StateFailed:
 			return fmt.Errorf("job %s failed: %s", id, info.Error)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	return fmt.Errorf("job %s did not finish", id)
 }

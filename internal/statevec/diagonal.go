@@ -12,8 +12,8 @@ import (
 // amplitudes in place without the pair gather/scatter of the general
 // kernels — half the memory traffic and no index insertion. The QFT
 // workload (Appendix D.2) is dominated by cr1 gates, so this path is a
-// large fraction of its runtime; BenchmarkAblationDiagonal quantifies
-// it.
+// large fraction of its runtime; kernel's BenchmarkExecuteQFT21 and
+// BenchmarkTileRun here time it.
 
 // applyPhase1 multiplies amplitudes whose target bit is 1 by phase —
 // the diag(1, e^{iλ}) family. Stride iteration enumerates exactly the
