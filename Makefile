@@ -10,7 +10,7 @@ COVER_OUT ?= /tmp/qgear-observable-cover.out
 OBSERVABLE_COVER_FLOOR ?= 85
 
 .PHONY: build vet fmt-check loc test test-fresh check cover-observable serve \
-	bench-compare ci-wired ci-load ci-warmstart ci-chaos \
+	bench-compare ci-names ci-wired ci-load ci-warmstart ci-chaos \
 	ci-scaling ci-sweep ci-store ci-oneproc ci-fuzz ci-portable clean
 
 # run-selected is how every ci-* gate picks tests by name: a fresh,
@@ -107,6 +107,35 @@ bench-compare:
 	bash $$base/benchmark/run.sh --out .bench_build/base.json; \
 	bash benchmark/run.sh --out .bench_build/head.json; \
 	bash benchmark/run.sh --compare .bench_build/base.json .bench_build/head.json
+
+# A test name cannot silently disappear: every Test, Fuzz, Example and
+# Benchmark name that `go test -list` shows in BASE (checked out as a git
+# worktree under the git-ignored .bench_build/, removed again on every
+# exit, as bench-compare does) must still be listed in the work tree,
+# unless a line this change adds to CHANGES.md accounts for it with a
+# marker: `removed: <package>/<Name>` for a test deleted with its code,
+# `renamed: <package>/<Name> -> <package>/<NewName>` for one whose new
+# name the work tree lists (backquotes around a name are allowed). A
+# name that is only mentioned does not count; a test that merely
+# vanishes fails here. Both lists stay in .bench_build/.
+ci-names:
+	@test -n "$(BASE)" || { echo "usage: make ci-names BASE=<rev>"; exit 2; }
+	@set -e; mkdir -p .bench_build; base=.bench_build/names-base; \
+	trap 'git worktree remove --force '$$base' 2>/dev/null; git worktree prune' EXIT; \
+	git worktree remove --force $$base 2>/dev/null || true; \
+	git worktree add --quiet --detach $$base $(BASE); \
+	list() { (cd "$$1" && $(GO) test -list '.*' ./...) > "$$2.raw" || { cat "$$2.raw"; exit 1; }; \
+		awk '/^ok /{ for (i = 1; i <= n; i++) print $$2 "/" names[i]; n = 0; next } \
+			/^(Test|Fuzz|Example|Benchmark)/{ names[++n] = $$1 }' "$$2.raw" | LC_ALL=C sort -u > "$$2"; }; \
+	list $$base .bench_build/names-base.txt; list . .bench_build/names-head.txt; \
+	added="$$(git diff $(BASE) -- CHANGES.md | grep '^+' | grep -v '^+++ ' || true)"; \
+	gone=0; for name in $$(LC_ALL=C comm -23 .bench_build/names-base.txt .bench_build/names-head.txt); do \
+		new="$$(echo "$$added" | sed -nE "s%.*renamed: \`?$$name\`? -> \`?([A-Za-z0-9_/.]+).*%\1%p" | head -1)"; \
+		if echo "$$added" | grep -Eq -- "removed: \`?$$name(\`|[^A-Za-z0-9_/]|\$$)"; then echo "ci-names: $$name removed, as CHANGES.md says"; \
+		elif [ -n "$$new" ] && grep -qxF -- "$$new" .bench_build/names-head.txt; then echo "ci-names: $$name renamed to $$new, as CHANGES.md says"; \
+		else echo "ci-names: $$name is listed in $(BASE) and not here"; gone=1; fi; \
+	done; \
+	test $$gone = 0 && echo "ci-names: all $$(wc -l < .bench_build/names-base.txt) names of $(BASE) accounted for"
 
 # Gates that cannot rot: every ci-* target of this Makefile must be run
 # by the workflow, so a gate that is added here and never wired fails

@@ -83,13 +83,6 @@ func TestFromCircuitCarriesMeasurements(t *testing.T) {
 	if k.NumClbits != 3 {
 		t.Fatal("clbits not carried")
 	}
-	k2, _, err := FromCircuit(c, Options{DropMeasurements: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k2.HasMeasurements() {
-		t.Fatal("DropMeasurements ignored")
-	}
 }
 
 func TestFromCircuitRejectsInvalid(t *testing.T) {

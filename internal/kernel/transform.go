@@ -19,9 +19,6 @@ type Options struct {
 	// (a compiled tile run is the fusion, exact). It stays only for
 	// source compatibility with callers that still set it.
 	FusionLocalQubits int
-	// DropMeasurements omits measure instructions, producing the pure
-	// unitary kernel (the caller samples from the final state instead).
-	DropMeasurements bool
 }
 
 // Stats reports what the transformation did; Q-GEAR surfaces these so
@@ -61,9 +58,6 @@ func FromCircuit(c *circuit.Circuit, opts Options) (*Kernel, Stats, error) {
 		case gate.Barrier:
 			k.Barrier()
 		case gate.Measure:
-			if opts.DropMeasurements {
-				continue
-			}
 			st.Measurements++
 			k.MeasureOne(op.Qubits[0], op.Clbit)
 		case gate.I:

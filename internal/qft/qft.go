@@ -2,9 +2,10 @@
 // per Appendix D.2 of the paper: a Hadamard on each qubit interleaved
 // with controlled arbitrary rotations cr1(λ) (Eq. 9) between each
 // qubit i and all higher qubits j, with angles decreasing as
-// 2π/2^(j-i+1) — O(n²) gates. The kernel generator exposes the
-// paper's pruning of negligible rotation angles; its other tuning hook,
-// gate fusion (= 5), is what the compiled tile plan does exactly.
+// 2π/2^(j-i+1) — O(n²) gates. The paper's two tuning hooks live
+// elsewhere: kernel.Options.PruneAngle prunes negligible rotation
+// angles, and gate fusion (= 5) is what the compiled tile plan does
+// exactly.
 package qft
 
 import (
@@ -12,7 +13,6 @@ import (
 	"math"
 
 	"qgear/internal/circuit"
-	"qgear/internal/kernel"
 )
 
 // Circuit returns the n-qubit QFT as an object-based circuit. With
@@ -43,28 +43,3 @@ func Circuit(n int, reverse bool) (*circuit.Circuit, error) {
 // without the reversal swaps: n Hadamards + n(n-1)/2 controlled
 // rotations.
 func GateCount(n int) int { return n + n*(n-1)/2 }
-
-// Kernel builds the QFT directly as a CUDA-Q-style kernel; PruneAngle >
-// 0 drops the deep, negligible cr1 rotations, trading fidelity for
-// speed exactly as Appendix D.2 describes.
-func Kernel(n int, reverse bool, opts kernel.Options) (*kernel.Kernel, kernel.Stats, error) {
-	c, err := Circuit(n, reverse)
-	if err != nil {
-		return nil, kernel.Stats{}, err
-	}
-	return kernel.FromCircuit(c, opts)
-}
-
-// Inverse returns the inverse QFT circuit.
-func Inverse(n int, reverse bool) (*circuit.Circuit, error) {
-	c, err := Circuit(n, reverse)
-	if err != nil {
-		return nil, err
-	}
-	inv, err := c.Inverse()
-	if err != nil {
-		return nil, err
-	}
-	inv.Name = fmt.Sprintf("qft_inv_%dq", n)
-	return inv, nil
-}

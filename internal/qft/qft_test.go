@@ -69,7 +69,7 @@ func TestInverseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv, err := Inverse(n, true)
+	inv, err := fwd.Inverse()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,15 @@ func TestPruningTradesFidelityForGates(t *testing.T) {
 	// Deep QFT rotations shrink as 2π/2^(j-i+1); pruning at 1e-2 drops
 	// the long tail with tiny fidelity loss.
 	n := 12
-	full, _, err := Kernel(n, false, kernel.Options{})
+	c, err := Circuit(n, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, st, err := Kernel(n, false, kernel.Options{PruneAngle: 1e-2})
+	full, _, err := kernel.FromCircuit(c, kernel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned, st, err := kernel.FromCircuit(c, kernel.Options{PruneAngle: 1e-2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +151,7 @@ func TestBadSizes(t *testing.T) {
 	if _, err := Circuit(0, false); err == nil {
 		t.Fatal("0-qubit QFT accepted")
 	}
-	if _, _, err := Kernel(-1, false, kernel.Options{}); err == nil {
+	if _, err := Circuit(-1, false); err == nil {
 		t.Fatal("negative QFT accepted")
-	}
-	if _, err := Inverse(0, false); err == nil {
-		t.Fatal("0-qubit inverse accepted")
 	}
 }

@@ -27,7 +27,9 @@ import (
 
 // runOverheadBytes covers what a run allocates that scales with neither
 // 2^n nor the shots: the result and its trace, tile and gather scratch,
-// the rank mailboxes of a small distributed world.
+// the rank mailboxes of a small distributed world, and the start of
+// statevec's dispatch pool (about 1.6 KB) that the first multi-worker
+// run of a process pays.
 const runOverheadBytes = 256 << 10
 
 // estimateStateBytes prices the peak resident working set of one

@@ -1,9 +1,7 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"reflect"
@@ -266,8 +264,9 @@ func TestChaosAdmissionTooLarge(t *testing.T) {
 }
 
 // TestChaosHTTPStatusCodes pins the failure-mode status codes of the
-// HTTP surface: 422 for over-budget, 504 for deadline-exceeded
-// results, and 429 with a Retry-After hint when the queue sheds.
+// HTTP surface: 422 for over-budget and 504 for deadline-exceeded
+// results, after which the server is still healthy. The 429 of a full
+// queue is TestHTTPQueueFullEnvelope's.
 func TestChaosHTTPStatusCodes(t *testing.T) {
 	var stall atomic.Bool
 	cfg := Config{WorkerPool: 1, MaxBatch: 1, QueueSize: 1, MaxStateBytes: 1 << 20, TileBits: 4}
@@ -276,7 +275,7 @@ func TestChaosHTTPStatusCodes(t *testing.T) {
 			time.Sleep(60 * time.Millisecond)
 		}
 	}
-	s, ts := newHTTPServer(t, cfg)
+	_, ts := newHTTPServer(t, cfg)
 
 	// 422: priced out at admission.
 	_, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", Circuit: FromCircuit(circuit.GHZ(20, false))})
@@ -305,30 +304,7 @@ func TestChaosHTTPStatusCodes(t *testing.T) {
 		t.Fatalf("deadline-exceeded result returned %d, want 504", resp.StatusCode)
 	}
 
-	// 429 + Retry-After: flood a 1-slot queue while the worker stalls.
-	var saw429 bool
-	for i := 0; i < 64 && !saw429; i++ {
-		req := SubmitRequest{Kind: "simulate", Circuit: FromCircuit(testCircuit(t, 8, 10, uint64(200+i))), Shots: 10}
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			saw429 = true
-			if ra := resp.Header.Get("Retry-After"); ra != retryAfterSeconds {
-				t.Fatalf("429 Retry-After = %q, want %q", ra, retryAfterSeconds)
-			}
-		}
-		resp.Body.Close()
-	}
 	stall.Store(false)
-	if !saw429 {
-		t.Fatal("queue never shed under flood")
-	}
 
 	// The server is still healthy after all of it.
 	hresp, err := http.Get(ts.URL + "/v1/healthz")
@@ -339,7 +315,6 @@ func TestChaosHTTPStatusCodes(t *testing.T) {
 	if hresp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz %d after chaos", hresp.StatusCode)
 	}
-	_ = s
 }
 
 // TestChaosStoreFaultsUnderLoad drives concurrent distinct submissions
@@ -397,9 +372,20 @@ func TestChaosStoreFaultsUnderLoad(t *testing.T) {
 		wg.Wait()
 	}
 	wave("fill")
-	// Let the spiller drain the eviction backlog so wave two's misses
-	// actually reach disk (and its injected read faults).
-	time.Sleep(50 * time.Millisecond)
+	// Wait for the spiller to settle the eviction backlog, so that wave
+	// two's misses reach disk (and its injected read faults). Every
+	// eviction ends as a spill, a shed entry, a skipped one, or, when its
+	// write is faulted, a store error.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := s.Stats()
+		if st.StoreSpills+st.StoreSpillDrops+st.StoreAdmissionSkips+st.StoreErrors >= st.CacheEvictions {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("spiller never settled: %d spills, %d drops, %d skips, %d errors vs %d evictions",
+				st.StoreSpills, st.StoreSpillDrops, st.StoreAdmissionSkips, st.StoreErrors, st.CacheEvictions)
+		}
+	}
 	wave("reload")
 	if t.Failed() {
 		t.FailNow()
@@ -413,30 +399,21 @@ func TestChaosStoreFaultsUnderLoad(t *testing.T) {
 }
 
 // TestChaosCorruptStoreQuarantine warm-restarts over a store whose
-// every read comes back bit-flipped: integrity checks must quarantine
-// the artifacts and fall back to re-simulation, bit-identical to the
-// run that produced them.
+// every read comes back bit-flipped at the filesystem seam: integrity
+// checks must refuse every artifact, count the errors, and let each job
+// run. TestCorruptStoreFallsBack holds the fallback's answer and
+// execution count.
 func TestChaosCorruptStoreQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	base := Config{StoreDir: dir, WorkerPool: 1, MaxBatch: 1, TileBits: 4}
 	circs := storeTestCircuits(4, 8)
 	ctx := context.Background()
 
-	s1, err := New(pinHost(base))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := make([]struct {
-		probs  []float64
-		counts any
-	}, len(circs))
+	s1 := newTestServer(t, base)
 	for i, c := range circs {
-		res, _, err := s1.Run(ctx, c, SubmitOptions{Shots: 100, Seed: uint64(i)})
-		if err != nil {
+		if _, _, err := s1.Run(ctx, c, SubmitOptions{Shots: 100, Seed: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
-		refs[i].probs = res.Probabilities
-		refs[i].counts = res.Counts
 	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
@@ -450,25 +427,11 @@ func TestChaosCorruptStoreQuarantine(t *testing.T) {
 	cfg2.StoreFS = corrupt
 	s2 := newTestServer(t, cfg2)
 	for i, c := range circs {
-		res, _, err := s2.Run(ctx, c, SubmitOptions{Shots: 100, Seed: uint64(i)})
-		if err != nil {
+		if _, _, err := s2.Run(ctx, c, SubmitOptions{Shots: 100, Seed: uint64(i)}); err != nil {
 			t.Fatalf("circuit %d did not fall back past corruption: %v", i, err)
 		}
-		if !reflect.DeepEqual(res.Probabilities, refs[i].probs) {
-			t.Fatalf("circuit %d fallback probabilities diverged", i)
-		}
-		if !reflect.DeepEqual(res.Counts, refs[i].counts) {
-			t.Fatalf("circuit %d fallback counts diverged", i)
-		}
 	}
-	st := s2.Stats()
-	if st.StoreHits != 0 {
-		t.Fatalf("%d store hits from corrupt artifacts", st.StoreHits)
-	}
-	if st.StoreErrors == 0 {
-		t.Fatal("corruption was not counted as store errors")
-	}
-	if st.Executed != uint64(len(circs)) {
-		t.Fatalf("executed %d, want %d fallback re-simulations", st.Executed, len(circs))
+	if st := s2.Stats(); st.StoreHits != 0 || st.StoreErrors == 0 {
+		t.Fatalf("%d store hits, %d store errors from corrupt artifacts; want none and some", st.StoreHits, st.StoreErrors)
 	}
 }

@@ -68,7 +68,4 @@ func TestExpectationEndToEnd(t *testing.T) {
 	if after.PlanCacheHits <= before.PlanCacheHits {
 		t.Fatal("second observable on the same circuit did not reuse the compiled plan")
 	}
-	if after.ExpectationJobs != 3 || after.ExpectationExecuted != 2 {
-		t.Fatalf("expectation counters: jobs=%d executed=%d", after.ExpectationJobs, after.ExpectationExecuted)
-	}
 }

@@ -16,15 +16,9 @@ import (
 
 func newHTTPServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(pinHost(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
+	t.Cleanup(ts.Close)
 	return s, ts
 }
 
@@ -44,42 +38,34 @@ func postJob(t *testing.T, base string, req SubmitRequest) (JobInfo, int) {
 	return info, resp.StatusCode
 }
 
-// pollDone long-polls a job until it is done or failed: the server
-// holds each request until the job finishes or its wait budget runs out.
+// pollDone long-polls a job until it is done or failed.
 func pollDone(t *testing.T, base, id string) JobInfo {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
+	info, err := pollJob(base, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
+// pollJob long-polls a job until it is done or failed: the server holds
+// each request until the job finishes or its wait budget runs out. It
+// reports failure as an error, not through t, so client goroutines can
+// call it.
+func pollJob(base, id string) (JobInfo, error) {
+	for deadline := time.Now().Add(60 * time.Second); time.Now().Before(deadline); {
 		resp, err := http.Get(base + "/v1/jobs/" + id + "?wait_ms=60000")
 		if err != nil {
-			t.Fatal(err)
+			return JobInfo{}, err
 		}
 		var info JobInfo
 		err = json.NewDecoder(resp.Body).Decode(&info)
 		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.State == StateDone || info.State == StateFailed {
-			return info
+		if err != nil || info.State == StateDone || info.State == StateFailed {
+			return info, err
 		}
 	}
-	t.Fatalf("job %s did not finish", id)
-	return JobInfo{}
-}
-
-func getStats(t *testing.T, base string) Stats {
-	t.Helper()
-	resp, err := http.Get(base + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return JobInfo{}, fmt.Errorf("job %s did not finish", id)
 }
 
 // TestHTTPServeGHZ16Waves is the serving-layer acceptance test: 100
@@ -102,13 +88,8 @@ func TestHTTPServeGHZ16Waves(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				info, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", Circuit: circs[i]})
-				if code != http.StatusAccepted {
-					errs <- fmt.Errorf("client %d: HTTP %d", i, code)
-					return
-				}
-				if fin := pollDone(t, ts.URL, info.ID); fin.State != StateDone {
-					errs <- fmt.Errorf("client %d: job %s state %q: %s", i, fin.ID, fin.State, fin.Error)
+				if _, err := submitAndAwait(ts.URL, SubmitRequest{Kind: "simulate", Circuit: circs[i]}, false); err != nil {
+					errs <- fmt.Errorf("client %d: %w", i, err)
 				}
 			}(i)
 		}
@@ -120,13 +101,14 @@ func TestHTTPServeGHZ16Waves(t *testing.T) {
 	}
 
 	runWave()
-	wave1 := getStats(t, ts.URL)
+	var wave1, wave2 Stats
+	getJSON(t, ts.URL+"/v1/stats", &wave1)
 	if wave1.Submitted != clients {
 		t.Fatalf("wave 1 submitted %d, want %d", wave1.Submitted, clients)
 	}
 
 	runWave()
-	wave2 := getStats(t, ts.URL)
+	getJSON(t, ts.URL+"/v1/stats", &wave2)
 	dHits := (wave2.CacheHits + wave2.SingleFlightHits) - (wave1.CacheHits + wave1.SingleFlightHits)
 	dSub := wave2.Submitted - wave1.Submitted
 	if dSub != clients {
@@ -143,6 +125,9 @@ func TestHTTPServeGHZ16Waves(t *testing.T) {
 	}
 }
 
+// TestHTTPResultShapes: a QASM Bell job's default view carries its
+// top outcomes and counts but not the probability vector, which
+// ?full=1 adds.
 func TestHTTPResultShapes(t *testing.T) {
 	_, ts := newHTTPServer(t, Config{})
 	qasm := `OPENQASM 2.0;
@@ -161,116 +146,52 @@ measure q[1] -> c[1];
 	if fin := pollDone(t, ts.URL, info.ID); fin.State != StateDone {
 		t.Fatalf("job: %+v", fin)
 	}
-
-	resp, err := http.Get(ts.URL + "/v1/results/" + info.ID)
-	if err != nil {
-		t.Fatal(err)
+	var rr, full ResultResponse
+	getJSON(t, ts.URL+"/v1/results/"+info.ID, &rr)
+	if rr.NumQubits != 2 || len(rr.Top) != 2 || len(rr.Counts) != 2 || len(rr.Probabilities) != 0 {
+		t.Fatalf("default view %+v", rr)
 	}
-	var rr ResultResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if rr.NumQubits != 2 || len(rr.Top) != 2 {
-		t.Fatalf("result %+v", rr)
-	}
-	// Bell state: only 00 and 11 appear.
-	total := 0
-	for bits, n := range rr.Counts {
-		if bits != "00" && bits != "11" {
-			t.Fatalf("unexpected outcome %q", bits)
-		}
-		total += n
-	}
-	if total != 1000 {
-		t.Fatalf("counts total %d", total)
-	}
-	if len(rr.Probabilities) != 0 {
-		t.Fatal("full vector returned without ?full=1")
-	}
-
-	resp, err = http.Get(ts.URL + "/v1/results/" + info.ID + "?full=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var full ResultResponse
-	if err := json.NewDecoder(resp.Body).Decode(&full); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	getJSON(t, ts.URL+"/v1/results/"+info.ID+"?full=1", &full)
 	if len(full.Probabilities) != 4 {
 		t.Fatalf("full vector has %d entries", len(full.Probabilities))
 	}
 }
 
+// TestHTTPErrors: submissions TestHTTPErrorEnvelopeGolden's rows do not
+// cover — both circuit forms, an unknown gate, a qubit out of range —
+// are 400s.
 func TestHTTPErrors(t *testing.T) {
 	_, ts := newHTTPServer(t, Config{})
-
-	for _, tc := range []struct {
-		name string
-		body string
-		want int
-	}{
-		{"empty", `{}`, http.StatusBadRequest},
-		{"both forms", `{"kind":"simulate","qasm":"x","circuit":{"qubits":1,"ops":[]}}`, http.StatusBadRequest},
-		{"bad gate", `{"kind":"simulate","circuit":{"qubits":1,"clbits":0,"ops":[{"gate":"warp","qubits":[0]}]}}`, http.StatusBadRequest},
-		{"bad qubit", `{"kind":"simulate","circuit":{"qubits":1,"clbits":0,"ops":[{"gate":"h","qubits":[4]}]}}`, http.StatusBadRequest},
-		{"bad json", `{`, http.StatusBadRequest},
+	for _, tc := range []struct{ name, body string }{
+		{"both forms", `{"kind":"simulate","qasm":"x","circuit":{"qubits":1,"ops":[]}}`},
+		{"bad gate", `{"kind":"simulate","circuit":{"qubits":1,"clbits":0,"ops":[{"gate":"warp","qubits":[0]}]}}`},
+		{"bad qubit", `{"kind":"simulate","circuit":{"qubits":1,"clbits":0,"ops":[{"gate":"h","qubits":[4]}]}}`},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Fatalf("%s: HTTP %d, want %d", tc.name, resp.StatusCode, tc.want)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: HTTP %d, want 400", tc.name, resp.StatusCode)
 		}
-	}
-
-	for _, path := range []string{"/v1/jobs/j-missing", "/v1/results/j-missing"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s: HTTP %d, want 404", path, resp.StatusCode)
-		}
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/jobs: HTTP %d", resp.StatusCode)
-	}
-
-	resp, err = http.Get(ts.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: HTTP %d", resp.StatusCode)
 	}
 }
 
 // TestHTTPResultPending covers the not-finished path: a queued job's
-// result endpoint answers 202 with the job snapshot.
+// result endpoint answers 202 with the job snapshot. The first job holds
+// the one worker, so the second is still queued when its result is
+// asked for, on any core count.
 func TestHTTPResultPending(t *testing.T) {
-	s, ts := newHTTPServer(t, Config{WorkerPool: 1, MaxBatch: 1, QueueSize: 8})
-	// A slow job keeps the worker busy so the next job stays queued.
-	slow := circuit.GHZ(18, false)
-	for i := 0; i < 40; i++ {
-		slow.H(0).H(0)
-	}
-	info1, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", Circuit: FromCircuit(slow)})
+	s, started, release, _ := newHeldServer(t, Config{WorkerPool: 1, MaxBatch: 1, QueueSize: 8})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	info1, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", Circuit: FromCircuit(circuit.GHZ(6, false))})
 	if code != http.StatusAccepted {
 		t.Fatalf("HTTP %d", code)
 	}
-	info2, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", Circuit: FromCircuit(circuit.GHZ(6, false))})
+	<-started
+	info2, code := postJob(t, ts.URL, SubmitRequest{Kind: "simulate", Circuit: FromCircuit(circuit.GHZ(7, false))})
 	if code != http.StatusAccepted {
 		t.Fatalf("HTTP %d", code)
 	}
@@ -278,11 +199,13 @@ func TestHTTPResultPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var pending JobInfo
+	err = json.NewDecoder(resp.Body).Decode(&pending)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		t.Fatalf("pending result: HTTP %d", resp.StatusCode)
+	if err != nil || resp.StatusCode != http.StatusAccepted || pending.ID != info2.ID || pending.State != StateQueued {
+		t.Fatalf("pending result: HTTP %d, %+v (%v); want 202 with the queued job", resp.StatusCode, pending, err)
 	}
+	release()
 	pollDone(t, ts.URL, info1.ID)
 	pollDone(t, ts.URL, info2.ID)
-	_ = s
 }

@@ -249,7 +249,7 @@ func kindJobs(t *testing.T) map[string][]kindJob {
 	t.Helper()
 	ansatz := sweepAnsatz(4)
 	tfim, h8 := expTestHamiltonian(4), expTestHamiltonian(8)
-	pts := anglesGridOrDie(ansatz, 5)
+	pts := angleGrid(ansatz.NumParams(), 5)
 	circs := storeTestCircuits(5, 8)
 	jobs := map[string][]kindJob{
 		"simulate": {
@@ -330,10 +330,7 @@ func TestWarmRestartServesFromStore(t *testing.T) {
 	cfg := Config{StoreDir: t.TempDir(), WorkerPool: 1, MaxBatch: 1, TileBits: 4}
 	ctx := context.Background()
 	jobs := kindJobs(t)
-	s1, err := New(pinHost(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := newTestServer(t, cfg)
 	for _, list := range jobs {
 		for _, j := range list {
 			if _, _, err := s1.Run(ctx, j.c, j.opts); err != nil {
@@ -382,10 +379,7 @@ func TestCorruptStoreFallsBack(t *testing.T) {
 	cfg := Config{StoreDir: dir, WorkerPool: 1, MaxBatch: 1, TileBits: 4}
 	ctx := context.Background()
 	jobs := kindJobs(t)
-	s1, err := New(pinHost(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := newTestServer(t, cfg)
 	want := map[string][]*backend.Result{}
 	for name, list := range jobs {
 		for _, j := range list {
@@ -556,8 +550,8 @@ func TestInvalidSubmissions(t *testing.T) {
 		},
 		"sweep": {jobs: []kindJob{
 			{ansatz, SubmitOptions{Hamiltonian: h3, SweepPoints: [][]float64{make([]float64, ansatz.NumParams()+2)}}},
-			{ansatz, SubmitOptions{Hamiltonian: h3, SweepPoints: anglesGridOrDie(ansatz, 5)}}, // over MaxSweepPoints
-			{ansatz, SubmitOptions{SweepPoints: anglesGridOrDie(ansatz, 2)}},                  // sampling without shots
+			{ansatz, SubmitOptions{Hamiltonian: h3, SweepPoints: angleGrid(ansatz.NumParams(), 5)}}, // over MaxSweepPoints
+			{ansatz, SubmitOptions{SweepPoints: angleGrid(ansatz.NumParams(), 2)}},                  // sampling without shots
 		}},
 		"gradient": {
 			jobs: []kindJob{

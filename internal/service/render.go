@@ -69,23 +69,6 @@ func send(w http.ResponseWriter, code int, bp *[]byte, j *jsonBuf) {
 	}
 }
 
-// MarshalJSON renders the result as writeResult does (without the
-// newline): one renderer for the handler and for encoding/json. The
-// bytes are the caller's, so they go into one buffer of about their size.
-func (r resultWire) MarshalJSON() ([]byte, error) {
-	size := 512 + 48*len(r.Top) + 24*(len(r.Probabilities)+len(r.SweepValues)+len(r.Gradient))
-	entry := r.NumQubits + 8 // a histogram entry: quotes, colon, comma, count
-	if r.Counts != nil {
-		size += entry * len(r.Counts.counts)
-	}
-	for _, c := range r.SweepCounts {
-		size += 2 + entry*len(c.counts)
-	}
-	j := jsonBuf{b: make([]byte, 0, size)}
-	j.result(&r)
-	return j.b, j.err
-}
-
 // jsonBuf appends JSON values as encoding/json writes them. err holds
 // the first value JSON cannot represent; the bytes are then unusable.
 type jsonBuf struct {

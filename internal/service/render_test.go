@@ -29,6 +29,15 @@ type legacyResultWire struct {
 	SweepCounts []map[string]int `json:"sweep_counts,omitempty"`
 }
 
+// bitstringMap is a histogram in the map form encoding/json wrote.
+func bitstringMap(w wireCounts) map[string]int {
+	m := make(map[string]int, len(w.counts))
+	for idx, n := range w.counts {
+		m[sampling.Bitstring(idx, w.qubits)] = n
+	}
+	return m
+}
+
 // encoded is what json.NewEncoder(...).Encode writes for v.
 func encoded(v any) ([]byte, error) {
 	var buf bytes.Buffer
@@ -162,6 +171,7 @@ func TestOpPathBodiesMatchEncodingJSON(t *testing.T) {
 	}
 	for _, req := range []SubmitRequest{
 		{Kind: "simulate", Circuit: circ, Shots: 500, Seed: 3},
+		{Kind: "simulate", Circuit: circ},
 		{Kind: "expectation", Circuit: circ, Hamiltonian: ham},
 		{Kind: "sweep", Circuit: circ, Hamiltonian: ham, Points: grid},
 		{Kind: "sweep", Circuit: circ, Shots: 100, Seed: 5, Points: grid},
@@ -312,22 +322,28 @@ func serveMixResult(t testing.TB, s *Server) string {
 	return info.ID
 }
 
-// handlerAllocs is the least number of allocations one request to h
-// made over several warm calls (under the race detector sync.Pool drops
-// objects at random), and the response's status.
-func handlerAllocs(h http.Handler, target string) (allocs uint64, code int) {
-	w := &discardWriter{header: http.Header{}}
-	r := httptest.NewRequest(http.MethodGet, target, nil)
-	h.ServeHTTP(w, r)
-	allocs = math.MaxUint64
+// leastAllocs is the least number of allocations one call of fn made
+// over several warm calls: under the race detector sync.Pool drops
+// objects at random, so a mean counts the drops.
+func leastAllocs(fn func()) uint64 {
+	fn()
+	allocs := uint64(math.MaxUint64)
 	var before, after runtime.MemStats
 	for i := 0; i < 12; i++ {
 		runtime.ReadMemStats(&before)
-		h.ServeHTTP(w, r)
+		fn()
 		runtime.ReadMemStats(&after)
 		allocs = min(allocs, after.Mallocs-before.Mallocs)
 	}
-	return allocs, w.code
+	return allocs
+}
+
+// handlerAllocs is leastAllocs of one request to h, and the response's
+// status.
+func handlerAllocs(h http.Handler, target string) (allocs uint64, code int) {
+	w := &discardWriter{header: http.Header{}}
+	r := httptest.NewRequest(http.MethodGet, target, nil)
+	return leastAllocs(func() { h.ServeHTTP(w, r) }), w.code
 }
 
 // TestResultHandlerAllocBound: fetching serve_mix's simulate result
@@ -335,11 +351,7 @@ func handlerAllocs(h http.Handler, target string) (allocs uint64, code int) {
 // no encoder, no per-key string, no boxed heap entry — and a long poll
 // of a finished job little more than its snapshot.
 func TestResultHandlerAllocBound(t *testing.T) {
-	s, err := New(pinHost(Config{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newTestServer(t, Config{})
 	id := serveMixResult(t, s)
 	h := s.Handler()
 	for _, tc := range []struct {
@@ -364,11 +376,7 @@ func TestResultHandlerAllocBound(t *testing.T) {
 // shape in process: the handler, the top-k and the histogram rendered
 // into the pooled buffer.
 func BenchmarkResultRender(b *testing.B) {
-	s, err := New(pinHost(Config{}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
+	s := newTestServer(b, Config{})
 	h := s.Handler()
 	w := &discardWriter{header: http.Header{}}
 	r := httptest.NewRequest(http.MethodGet, "/v1/results/"+serveMixResult(b, s), nil)

@@ -1255,13 +1255,6 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// cacheKeys exposes LRU recency order to tests.
-func (s *Server) cacheKeys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cache.Keys()
-}
-
 // Close stops accepting submissions, drains every queued and in-flight
 // job to completion, stops the worker pool, and — when a persistent
 // store is configured — spills every resident result to disk so the

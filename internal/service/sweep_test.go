@@ -86,10 +86,6 @@ func TestServiceSweepAllEngines(t *testing.T) {
 					t.Fatalf("point %d: sweep %v != individual job %v", i, res.SweepValues[i], *ind.ExpValue)
 				}
 			}
-			st := sweepSrv.Stats()
-			if st.SweepJobs != 1 || st.SweepExecuted != 1 || st.SweepPointsRun != points {
-				t.Errorf("sweep counters: jobs=%d executed=%d points=%d", st.SweepJobs, st.SweepExecuted, st.SweepPointsRun)
-			}
 		})
 	}
 }
@@ -214,8 +210,4 @@ func TestServiceSweepUnderPruning(t *testing.T) {
 		t.Errorf("plan cache misses %d, hits %d, len %d; want no plan compiled or cached",
 			st.PlanCacheMisses, st.PlanCacheHits, st.PlanCacheLen)
 	}
-}
-
-func anglesGridOrDie(c *circuit.Circuit, n int) [][]float64 {
-	return angleGrid(c.NumParams(), n)
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,13 +45,11 @@ func TestHistogramSnapshotGoldenJSON(t *testing.T) {
 	if !math.IsInf(back.UpperBoundsUS[len(back.UpperBoundsUS)-1], 1) {
 		t.Errorf("round-trip lost the +Inf overflow bound: %v", back.UpperBoundsUS)
 	}
-	if len(back.Counts) != len(back.UpperBoundsUS) {
-		t.Errorf("counts/bounds length mismatch: %d vs %d", len(back.Counts), len(back.UpperBoundsUS))
-	}
 }
 
 // TestBoundsUnmarshal: numbers decode verbatim (no value is a sentinel
-// for the overflow bucket), "+Inf" decodes to the infinite bound.
+// for the overflow bucket) and other strings than "+Inf" are refused.
+// TestHistogramSnapshotGoldenJSON round-trips "+Inf".
 func TestBoundsUnmarshal(t *testing.T) {
 	var b BoundsUS
 	if err := json.Unmarshal([]byte(`[1,2,-1]`), &b); err != nil {
@@ -60,12 +57,6 @@ func TestBoundsUnmarshal(t *testing.T) {
 	}
 	if b[2] != -1 {
 		t.Errorf("-1 rewritten to %v", b[2])
-	}
-	if err := json.Unmarshal([]byte(`[1,"+Inf"]`), &b); err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(b[1], 1) {
-		t.Errorf(`"+Inf" string not decoded: %v`, b)
 	}
 	if err := json.Unmarshal([]byte(`["nope"]`), &b); err == nil {
 		t.Error("garbage bound accepted")
@@ -145,73 +136,32 @@ func TestExpectationTrace(t *testing.T) {
 }
 
 // TestMetricsEndpoint drives jobs through the HTTP API and checks the
-// /metrics exposition: required families present, values consistent
-// with /v1/stats, traces visible in /v1/results.
+// /metrics exposition against /v1/stats: the build info, the executed
+// and cache-hit series, and one latency family per Stats latency path.
+// TestLoadMixedTraffic holds the other families and the job totals.
 func TestMetricsEndpoint(t *testing.T) {
-	s := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	_, ts := newHTTPServer(t, Config{})
 
 	// Two fresh jobs plus one repeat (a result-cache hit).
-	var lastID string
 	for i, seed := range []uint64{1, 2, 1} {
 		c := circuit.GHZ(7, false)
 		if i == 1 {
 			c.RZ(0.25, 0)
 		}
-		body, _ := json.Marshal(SubmitRequest{Kind: "simulate", Circuit: FromCircuit(c), Shots: 16, Seed: seed})
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
-		if err != nil {
+		if _, err := submitAndAwait(ts.URL, SubmitRequest{Kind: "simulate", Circuit: FromCircuit(c), Shots: 16, Seed: seed}, false); err != nil {
 			t.Fatal(err)
 		}
-		var info JobInfo
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		lastID = info.ID
-		waitDone(t, ts.URL, info.ID)
-	}
-
-	// The result payload carries the trace.
-	resp, err := http.Get(ts.URL + "/v1/results/" + lastID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rr ResultResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if rr.Trace == nil || len(rr.Trace.Spans) == 0 {
-		t.Error("/v1/results payload has no trace")
-	}
-	if !rr.Cached {
-		t.Error("third submission (repeat) not flagged cached")
 	}
 
 	metrics := fetchText(t, ts.URL+"/metrics")
-	for _, fam := range []string{
-		"# TYPE qgear_jobs_submitted_total counter",
-		"# TYPE qgear_cache_hits_total counter",
-		"# TYPE qgear_job_duration_seconds histogram",
-		"# TYPE qgear_stage_duration_seconds histogram",
-		"# TYPE qgear_queue_depth gauge",
-		"# TYPE go_goroutines gauge",
-		"# TYPE qgear_build_info gauge",
-	} {
-		if !strings.Contains(metrics, fam) {
-			t.Errorf("/metrics missing %q", fam)
-		}
+	if !strings.Contains(metrics, "# TYPE qgear_build_info gauge") {
+		t.Error("/metrics missing the qgear_build_info family")
 	}
-
 	var st Stats
 	if err := json.Unmarshal([]byte(fetchText(t, ts.URL+"/v1/stats")), &st); err != nil {
 		t.Fatal(err)
 	}
 	checks := map[string]float64{
-		"qgear_jobs_submitted_total":             float64(st.Submitted),
-		"qgear_jobs_completed_total":             float64(st.Completed),
 		"qgear_jobs_executed_total":              float64(st.Executed),
 		`qgear_cache_hits_total{cache="result"}`: float64(st.CacheHits),
 		`qgear_cache_hits_total{cache="plan"}`:   float64(st.PlanCacheHits),
@@ -255,14 +205,12 @@ func TestLoadMixedTraffic(t *testing.T) {
 		requests = 6
 		qubits   = 14 // 128 KiB of probabilities per result: ~16 fit the budget
 	)
-	s := newTestServer(t, Config{
+	s, ts := newHTTPServer(t, Config{
 		WorkerPool:    2,
 		QueueSize:     256,
 		MaxCacheBytes: 2 << 20,
 		StoreDir:      t.TempDir(),
 	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
 
 	ham := FromHamiltonian(expTestHamiltonian(qubits))
 	var traced atomic.Int64
@@ -416,8 +364,14 @@ func submitAndAwait(base string, req SubmitRequest, fetch bool) (hasTrace bool, 
 	if err != nil {
 		return false, err
 	}
-	if err := awaitDone(base, info.ID); err != nil || !fetch {
+	if info, err = pollJob(base, info.ID); err != nil {
 		return false, err
+	}
+	if info.State != StateDone {
+		return false, fmt.Errorf("job %s failed: %s", info.ID, info.Error)
+	}
+	if !fetch {
+		return false, nil
 	}
 	resp, err = http.Get(base + "/v1/results/" + info.ID)
 	if err != nil {
@@ -432,9 +386,7 @@ func submitAndAwait(base string, req SubmitRequest, fetch bool) (hasTrace bool, 
 }
 
 func TestHealthz(t *testing.T) {
-	s := newTestServer(t, Config{WorkerPool: 3, QueueSize: 17})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	_, ts := newHTTPServer(t, Config{WorkerPool: 3, QueueSize: 17})
 	var h HealthResponse
 	if err := json.Unmarshal([]byte(fetchText(t, ts.URL+"/v1/healthz")), &h); err != nil {
 		t.Fatal(err)
@@ -476,36 +428,4 @@ func fetchText(t *testing.T, url string) string {
 		t.Fatalf("GET %s: HTTP %d: %s", url, resp.StatusCode, b)
 	}
 	return string(b)
-}
-
-func waitDone(t *testing.T, base, id string) {
-	t.Helper()
-	if err := awaitDone(base, id); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// awaitDone long-polls a job to StateDone. It reports failure as an
-// error, not through t, so client goroutines can call it.
-func awaitDone(base, id string) error {
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/jobs/" + id + "?wait_ms=30000")
-		if err != nil {
-			return err
-		}
-		var info JobInfo
-		err = json.NewDecoder(resp.Body).Decode(&info)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		switch info.State {
-		case StateDone:
-			return nil
-		case StateFailed:
-			return fmt.Errorf("job %s failed: %s", id, info.Error)
-		}
-	}
-	return fmt.Errorf("job %s did not finish", id)
 }

@@ -322,13 +322,6 @@ func (e *PauliEvaluator) ExpPauli(xm, ym, zm uint64) (float64, int, error) {
 	return vals[0], 1 << uint(e.s.n-1), nil
 }
 
-// ExpPauli is the one-shot form of PauliEvaluator().ExpPauli for a
-// single term; Hamiltonian sweeps should hand every term to one
-// ExpPauliGroup call.
-func (s *State) ExpPauli(xm, ym, zm uint64) (float64, int, error) {
-	return s.PauliEvaluator().ExpPauli(xm, ym, zm)
-}
-
 // pauliJob is one term prepared for the block sweep, its masks over
 // the whole register. A flip job sums pair products
 // 2·Re(ph·a_b·conj(a'_{b⊕flip})); a parity job sums |a_b|² over the

@@ -47,7 +47,7 @@ func TestExpPauliMatchesOracle(t *testing.T) {
 			}
 		}
 		want := oracle.State(s.Amplitudes()).Expectation([]oracle.PauliTerm{p})
-		got, _, err := s.ExpPauli(xm, ym, zm)
+		got, _, err := s.PauliEvaluator().ExpPauli(xm, ym, zm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestExpPauliVisitCounts(t *testing.T) {
 		{"XYZ", 1 << 0, 1 << 4, 1 << 7, half},
 		{"all-Z", 0, 0, 0xff, half},
 	} {
-		_, visited, err := s.ExpPauli(tc.xm, tc.ym, tc.zm)
+		_, visited, err := s.PauliEvaluator().ExpPauli(tc.xm, tc.ym, tc.zm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestExpPauliPermutationInvariant(t *testing.T) {
 				ym |= 1 << uint(q)
 			}
 		}
-		base, _, err := s.ExpPauli(xm, ym, zm)
+		base, _, err := s.PauliEvaluator().ExpPauli(xm, ym, zm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestExpPauliPermutationInvariant(t *testing.T) {
 			t.Fatal("construction failed to leave a pending permutation")
 		}
 		before := perm.Clone()
-		got, _, err := perm.ExpPauli(xm, ym, zm)
+		got, _, err := perm.PauliEvaluator().ExpPauli(xm, ym, zm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,13 +145,13 @@ func TestExpPauliPermutationInvariant(t *testing.T) {
 // tree sum gives the same bits for any worker count.
 func TestExpPauliWorkerInvariant(t *testing.T) {
 	base := expRandomState(12, 1, 77)
-	want, _, err := base.ExpPauli(1<<2, 1<<9, 1<<5|1<<11)
+	want, _, err := base.PauliEvaluator().ExpPauli(1<<2, 1<<9, 1<<5|1<<11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 5, 8, 16} {
 		s := expRandomState(12, workers, 77)
-		got, _, err := s.ExpPauli(1<<2, 1<<9, 1<<5|1<<11)
+		got, _, err := s.PauliEvaluator().ExpPauli(1<<2, 1<<9, 1<<5|1<<11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,13 +163,13 @@ func TestExpPauliWorkerInvariant(t *testing.T) {
 
 func TestExpPauliValidation(t *testing.T) {
 	s := MustNew(3, 1)
-	if _, _, err := s.ExpPauli(1<<5, 0, 0); err == nil {
+	if _, _, err := s.PauliEvaluator().ExpPauli(1<<5, 0, 0); err == nil {
 		t.Fatal("out-of-range mask accepted")
 	}
-	if _, _, err := s.ExpPauli(1, 1, 0); err == nil {
+	if _, _, err := s.PauliEvaluator().ExpPauli(1, 1, 0); err == nil {
 		t.Fatal("overlapping masks accepted")
 	}
-	v, visited, err := s.ExpPauli(0, 0, 0)
+	v, visited, err := s.PauliEvaluator().ExpPauli(0, 0, 0)
 	if err != nil || v != 1 || visited != 0 {
 		t.Fatalf("identity: v=%v visited=%d err=%v", v, visited, err)
 	}

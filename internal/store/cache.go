@@ -7,10 +7,7 @@
 // plan-cache key, one checksummed internal/artifact file each.
 package store
 
-import (
-	"container/heap"
-	"sort"
-)
+import "container/heap"
 
 // Cache is a byte-accounted cache with cost-aware eviction: every
 // entry carries its resident size in bytes and a recompute cost, and
@@ -164,18 +161,6 @@ func (c *Cache[V]) Bytes() int64 { return c.bytes }
 
 // Evictions returns the cumulative eviction count.
 func (c *Cache[V]) Evictions() uint64 { return c.evictions }
-
-// Keys returns resident keys from most to least recently used (test
-// hook for eviction/recency assertions).
-func (c *Cache[V]) Keys() []string {
-	entries := append([]*centry[V](nil), c.heap...)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq > entries[j].seq })
-	keys := make([]string, len(entries))
-	for i, e := range entries {
-		keys[i] = e.key
-	}
-	return keys
-}
 
 // Entries snapshots every resident entry (shutdown-time spill hook).
 func (c *Cache[V]) Entries() []Evicted[V] {

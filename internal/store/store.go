@@ -494,14 +494,6 @@ func (st *Store) HasResult(key string) bool {
 	return ok
 }
 
-// HasPlan reports whether a compiled plan for key is on disk.
-func (st *Store) HasPlan(key string) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	_, ok := st.plans[encodeKey(key)]
-	return ok
-}
-
 // touchEntry refreshes a loaded artifact's Greedy-Dual priority (and,
 // when the load learned the real recompute cost, its cost) so hits
 // keep it resident — the on-disk mirror of Cache.touch.
@@ -698,11 +690,6 @@ func (st *Store) LoadPlan(key, sig string) (*backend.Compiled, float64, error) {
 // and the index so it is never consulted again.
 func (st *Store) DropResult(key string) {
 	st.dropKey(kindResult, key)
-}
-
-// DropPlan removes a plan file from disk and the index.
-func (st *Store) DropPlan(key string) {
-	st.dropKey(kindPlan, key)
 }
 
 func (st *Store) dropKey(k kind, key string) {
