@@ -347,15 +347,18 @@ ci-sweep: build
 
 # Bounded-store acceptance, race-enabled: the store and service suites
 # covering on-disk GC, the manifest journal, the sharded layout, and
-# the store-layer bugfix regressions — then the two-phase acceptance
-# run: (1) 2000 concurrent saves against a tight byte budget, with the
-# on-disk footprint audited against the budget after every wave and
-# warm-restart survivors verified bit-identical; (2) a 10k-artifact
-# store whose second Open must index everything from the manifest
-# journal alone — zero ReadDir calls, proven by faultfs op counters.
+# the store-layer bugfix regressions, and one pass of each
+# BenchmarkSaveUnderBudget row so the benchmark cannot rot — then the
+# two-phase acceptance run: (1) 2000 concurrent saves against a tight
+# byte budget, with the on-disk footprint audited against the budget
+# after every wave and warm-restart survivors verified bit-identical;
+# (2) a 10k-artifact store whose second Open must index everything
+# from the manifest journal alone — zero ReadDir calls, proven by
+# faultfs op counters.
 # The phase report lands in $(BENCH_OUT)/BENCH_store.json.
 ci-store: build
 	$(GO) test -race -count=1 ./internal/store/
+	$(GO) test -run '^$$' -bench SaveUnderBudget -benchtime=1x ./internal/store/
 	$(call run-selected,TestChaosStoreGCFaultingDeletes|TestChaosManifestReplayAfterKill|TestStoreAdmissionSkipsCheapResults|TestWarmRestart|TestCorruptStore,./internal/service/)
 	mkdir -p $(BENCH_OUT)
 	$(call run-selected,TestStoreAcceptance,./internal/store/,-v -timeout 20m,QGEAR_STORE_ACCEPTANCE_N=10000 QGEAR_STORE_STATS_OUT=$(BENCH_OUT)/BENCH_store.json)

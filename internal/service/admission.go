@@ -29,7 +29,11 @@ import (
 // 2^n nor the shots: the result and its trace, tile and gather scratch,
 // the rank mailboxes of a small distributed world, and the start of
 // statevec's dispatch pool (about 1.6 KB) that the first multi-worker
-// run of a process pays.
+// run of a process pays. That first run allocates more than a warm one
+// (16 qubits, 1000 shots: about 165 KB more), but the rest is the
+// phase-table slab (128 KiB) and the sampler's two 16 KiB scratch
+// arrays, which later runs take off statevec's table free list and
+// which MaxTableBytes and sampling.PeakBytes already price.
 const runOverheadBytes = 256 << 10
 
 // estimateStateBytes prices the peak resident working set of one

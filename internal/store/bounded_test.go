@@ -683,3 +683,45 @@ func TestGCFaultingDeletesNeverOvershoot(t *testing.T) {
 		t.Fatal("expected refusals while victims were undeletable")
 	}
 }
+
+// noSyncFS is the real filesystem with a no-op fsync, so a benchmark
+// times the store's own work rather than the disk's flushes.
+type noSyncFS struct{ faultfs.OS }
+
+func (noSyncFS) Sync(string) error { return nil }
+
+// BenchmarkSaveUnderBudget times a save into a store whose byte budget
+// is full at n resident artifacts, so every save evicts: the part of
+// its cost that grows with n is the index's eviction.
+func BenchmarkSaveUnderBudget(b *testing.B) {
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("resident=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			fill, err := OpenOptions(dir, Options{FS: noSyncFS{}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := fill.SaveResult(fmt.Sprintf("k%08d", i), testSig, probsResult(i, 1+i%7)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			budget := fill.Stats().Bytes
+			st, err := OpenOptions(dir, Options{FS: noSyncFS{}, MaxBytes: budget})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := n; i < n+b.N; i++ {
+				if err := st.SaveResult(fmt.Sprintf("k%08d", i), testSig, probsResult(i, 1+i%7)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if s := st.Stats(); s.GCEvictions == 0 || s.Bytes > budget {
+				b.Fatalf("after %d saves under a full budget: %+v", b.N, s)
+			}
+		})
+	}
+}

@@ -25,7 +25,8 @@ import "container/heap"
 // workloads.
 //
 // Cache is not safe for concurrent use; callers serialize access (the
-// service holds it under the server mutex).
+// service holds it under the server mutex, the on-disk Store under its
+// own).
 type Cache[V any] struct {
 	maxEntries int   // > 0 bounds the entry count; 0 = unbounded
 	maxBytes   int64 // > 0 bounds resident bytes; 0 = unbounded
@@ -50,12 +51,14 @@ type centry[V any] struct {
 	idx   int // heap index
 }
 
-// Evicted reports one entry pushed out by the byte or entry bound —
-// the caller's hook for spilling it to disk.
+// Evicted reports one entry pushed out by the byte or entry bound or
+// by EvictTo — the caller's hook for spilling it to disk or deleting
+// its file.
 type Evicted[V any] struct {
 	Key   string
 	Val   V
 	Bytes int64
+	Cost  float64
 }
 
 // NewCache returns a cache bounded to maxEntries entries (0 =
@@ -89,12 +92,52 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return e.val, true
 }
 
-// touch refreshes an entry's Greedy-Dual priority against the current
+// Peek returns the cached value for key without touching its priority
+// or recency.
+func (c *Cache[V]) Peek(key string) (V, bool) {
+	e, ok := c.items[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return e.val, true
+}
+
+// Touch refreshes key's priority and recency like a Get; a cost > 0
+// replaces the entry's recompute cost first (a load that learned the
+// real cost).
+func (c *Cache[V]) Touch(key string, cost float64) {
+	if e, ok := c.items[key]; ok {
+		if cost > 0 {
+			e.cost = cost
+		}
+		c.touch(e)
+	}
+}
+
+// Remove drops key and reports whether it was resident. A removal is
+// not an eviction: it is not counted and does not age the clock.
+func (c *Cache[V]) Remove(key string) bool {
+	e, ok := c.items[key]
+	if ok {
+		heap.Remove(&c.heap, e.idx)
+		delete(c.items, key)
+		c.bytes -= e.bytes
+	}
+	return ok
+}
+
+// stamp sets an entry's Greedy-Dual priority against the current
 // clock and marks it most recently used.
-func (c *Cache[V]) touch(e *centry[V]) {
+func (c *Cache[V]) stamp(e *centry[V]) {
 	e.prio = c.clock + e.cost/float64(max(e.bytes, int64(1)))
 	c.seq++
 	e.seq = c.seq
+}
+
+// touch restamps a resident entry and restores heap order.
+func (c *Cache[V]) touch(e *centry[V]) {
+	c.stamp(e)
 	heap.Fix(&c.heap, e.idx)
 }
 
@@ -105,19 +148,15 @@ func (c *Cache[V]) touch(e *centry[V]) {
 // spill path still sees it.
 func (c *Cache[V]) Add(key string, val V, bytes int64, cost float64) []Evicted[V] {
 	if c.disabled {
-		return []Evicted[V]{{Key: key, Val: val, Bytes: bytes}}
+		return []Evicted[V]{{Key: key, Val: val, Bytes: bytes, Cost: cost}}
 	}
 	if c.maxBytes > 0 && bytes > c.maxBytes {
 		// Inadmissible value: a resident entry under this key is
 		// superseded and must not keep serving, so drop it (a
 		// replacement, not an eviction) and bounce the new value to the
 		// caller's spill path.
-		if e, ok := c.items[key]; ok {
-			heap.Remove(&c.heap, e.idx)
-			delete(c.items, key)
-			c.bytes -= e.bytes
-		}
-		return []Evicted[V]{{Key: key, Val: val, Bytes: bytes}}
+		c.Remove(key)
+		return []Evicted[V]{{Key: key, Val: val, Bytes: bytes, Cost: cost}}
 	}
 	if e, ok := c.items[key]; ok {
 		c.bytes += bytes - e.bytes
@@ -126,9 +165,7 @@ func (c *Cache[V]) Add(key string, val V, bytes int64, cost float64) []Evicted[V
 		return c.enforce()
 	}
 	e := &centry[V]{key: key, val: val, bytes: bytes, cost: cost}
-	e.prio = c.clock + cost/float64(max(bytes, int64(1)))
-	c.seq++
-	e.seq = c.seq
+	c.stamp(e)
 	c.items[key] = e
 	heap.Push(&c.heap, e)
 	c.bytes += bytes
@@ -141,16 +178,32 @@ func (c *Cache[V]) enforce() []Evicted[V] {
 	for len(c.heap) > 0 &&
 		((c.maxEntries > 0 && len(c.heap) > c.maxEntries) ||
 			(c.maxBytes > 0 && c.bytes > c.maxBytes)) {
-		e := heap.Pop(&c.heap).(*centry[V])
-		delete(c.items, e.key)
-		c.bytes -= e.bytes
-		if e.prio > c.clock {
-			c.clock = e.prio // Greedy-Dual aging: future entries outrank the departed
-		}
-		c.evictions++
-		out = append(out, Evicted[V]{Key: e.key, Val: e.val, Bytes: e.bytes})
+		out = append(out, c.evict())
 	}
 	return out
+}
+
+// EvictTo evicts lowest-value-per-byte entries, in the order the
+// bounds would, until at most target bytes stay resident, and returns
+// them.
+func (c *Cache[V]) EvictTo(target int64) []Evicted[V] {
+	var out []Evicted[V]
+	for len(c.heap) > 0 && c.bytes > target {
+		out = append(out, c.evict())
+	}
+	return out
+}
+
+// evict pops the cheapest-to-lose entry and ages the clock to it.
+func (c *Cache[V]) evict() Evicted[V] {
+	e := heap.Pop(&c.heap).(*centry[V])
+	delete(c.items, e.key)
+	c.bytes -= e.bytes
+	if e.prio > c.clock {
+		c.clock = e.prio // Greedy-Dual aging: future entries outrank the departed
+	}
+	c.evictions++
+	return Evicted[V]{Key: e.key, Val: e.val, Bytes: e.bytes, Cost: e.cost}
 }
 
 // Len returns the number of resident entries.
@@ -162,11 +215,12 @@ func (c *Cache[V]) Bytes() int64 { return c.bytes }
 // Evictions returns the cumulative eviction count.
 func (c *Cache[V]) Evictions() uint64 { return c.evictions }
 
-// Entries snapshots every resident entry (shutdown-time spill hook).
+// Entries snapshots every resident entry (the service's shutdown
+// spill, the store's manifest compaction).
 func (c *Cache[V]) Entries() []Evicted[V] {
 	out := make([]Evicted[V], 0, len(c.heap))
 	for _, e := range c.heap {
-		out = append(out, Evicted[V]{Key: e.key, Val: e.val, Bytes: e.bytes})
+		out = append(out, Evicted[V]{Key: e.key, Val: e.val, Bytes: e.bytes, Cost: e.cost})
 	}
 	return out
 }

@@ -193,7 +193,7 @@ func TestByteFlipSweep(t *testing.T) {
 	}{
 		{"result", st.resultPath(fuzzKey), func() error { _, err := st.LoadResult(fuzzKey, testSig); return err }},
 		{"expectation result", st.resultPath(expKey), func() error { _, err := st.LoadResult(expKey, testSig); return err }},
-		{"plan", st.planPath(fuzzKey), func() error { _, _, err := st.LoadPlan(fuzzKey, testSig); return err }},
+		{"plan", st.stemPath(kindPlan, encodeKey(fuzzKey)), func() error { _, _, err := st.LoadPlan(fuzzKey, testSig); return err }},
 	} {
 		good, err := os.ReadFile(leg.path)
 		if err != nil {

@@ -3,32 +3,16 @@ package store
 import (
 	"errors"
 	"io/fs"
-	"sort"
 )
 
 // On-disk GC: when the store has a byte budget, every save first
-// reserves room, evicting the lowest-priority artifacts under the
-// same Greedy-Dual-Size policy the in-memory Cache uses (priority =
-// clock + recompute-cost/bytes, clock ratcheting to each eviction's
-// priority). Victims leave the index under the lock but their files
-// are deleted afterwards, outside it — batched, lock-free deletes —
-// and until a delete succeeds the victim's bytes stay charged against
-// the budget (the doomed set), so the on-disk footprint can never
-// overshoot even when deletes fail.
-
-// victim is an evicted artifact awaiting its disk delete.
-type victim struct {
-	kind kind
-	stem string
-	size int64
-}
-
-func vkey(k kind, stem string) string {
-	if k == kindPlan {
-		return "p/" + stem
-	}
-	return "r/" + stem
-}
+// reserves room, evicting the lowest-priority artifacts from the
+// index, which is a Cache: the Greedy-Dual-Size policy of the
+// in-memory caches, applied to files. Victims leave the index under
+// the lock but their files are deleted afterwards, outside it —
+// batched, lock-free deletes — and until a delete succeeds the
+// victim's bytes stay charged against the budget (the doomed set), so
+// the on-disk footprint can never overshoot even when deletes fail.
 
 // reserve admits size new bytes against the budget, evicting as
 // needed. Eviction is optimistic — it assumes the victims' deletes
@@ -38,7 +22,7 @@ func vkey(k kind, stem string) string {
 // victim whose file still needs deleting (including retries of
 // earlier failed deletes) and whether the save may tentatively
 // proceed.
-func (st *Store) reserve(size int64) ([]victim, bool) {
+func (st *Store) reserve(size int64) ([]Evicted[kind], bool) {
 	if st.maxBytes <= 0 {
 		return nil, true
 	}
@@ -49,7 +33,7 @@ func (st *Store) reserve(size int64) ([]victim, bool) {
 		return st.pendingVictimsLocked(), false
 	}
 	st.evictLocked(st.maxBytes - size - st.reserved)
-	if st.bytes+st.reserved+size > st.maxBytes {
+	if st.index.Bytes()+st.reserved+size > st.maxBytes {
 		// Even evicting everything could not make room (concurrent
 		// reservations hold the rest of the budget).
 		st.gcRejected++
@@ -70,7 +54,7 @@ func (st *Store) confirmReserve(size int64) bool {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.bytes+st.doomedBytes+st.reserved <= st.maxBytes {
+	if st.index.Bytes()+st.doomedBytes+st.reserved <= st.maxBytes {
 		return true
 	}
 	st.reserved -= size
@@ -89,50 +73,20 @@ func (st *Store) unreserve(size int64) {
 // here — eviction assumes their deletes will succeed; confirmReserve
 // accounts for the ones that did not.
 func (st *Store) evictLocked(target int64) {
-	if target < 0 {
-		target = 0
-	}
-	if st.bytes <= target {
-		return
-	}
-	type cand struct {
-		k kind
-		e *entry
-	}
-	cands := make([]cand, 0, len(st.results)+len(st.plans))
-	for _, e := range st.results {
-		cands = append(cands, cand{kindResult, e})
-	}
-	for _, e := range st.plans {
-		cands = append(cands, cand{kindPlan, e})
-	}
-	// Min-priority first, ties broken toward least recently touched —
-	// the same order Cache's eviction heap pops.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].e.prio != cands[j].e.prio {
-			return cands[i].e.prio < cands[j].e.prio
+	for _, v := range st.index.EvictTo(max(target, 0)) {
+		if v.Val == kindPlan {
+			st.plans--
 		}
-		return cands[i].e.seq < cands[j].e.seq
-	})
-	for _, c := range cands {
-		if st.bytes <= target {
-			break
-		}
-		delete(st.index(c.k), c.e.stem)
-		st.bytes -= c.e.size
-		st.doomed[vkey(c.k, c.e.stem)] = victim{kind: c.k, stem: c.e.stem, size: c.e.size}
-		st.doomedBytes += c.e.size
-		if c.e.prio > st.clock {
-			st.clock = c.e.prio // Greedy-Dual aging: survivors now outrank the departed
-		}
+		st.doomed[v.Key] = v
+		st.doomedBytes += v.Bytes
 	}
 }
 
-func (st *Store) pendingVictimsLocked() []victim {
+func (st *Store) pendingVictimsLocked() []Evicted[kind] {
 	if len(st.doomed) == 0 {
 		return nil
 	}
-	out := make([]victim, 0, len(st.doomed))
+	out := make([]Evicted[kind], 0, len(st.doomed))
 	for _, v := range st.doomed {
 		out = append(out, v)
 	}
@@ -144,38 +98,39 @@ func (st *Store) pendingVictimsLocked() []victim {
 // victim's budget charge and journals the drop; a failed delete
 // leaves it doomed — still charged — to be retried by the next
 // reserve.
-func (st *Store) removeVictims(victims []victim) {
+func (st *Store) removeVictims(victims []Evicted[kind]) {
 	if len(victims) == 0 {
 		return
 	}
 	var dropped []manRecord
 	for _, v := range victims {
+		stem := v.Key[2:]
 		st.mu.Lock()
-		if _, doomed := st.doomed[vkey(v.kind, v.stem)]; !doomed {
+		if _, doomed := st.doomed[v.Key]; !doomed {
 			// Another save's batch already settled this victim.
 			st.mu.Unlock()
 			continue
 		}
-		if _, revived := st.index(v.kind)[v.stem]; revived {
+		if _, revived := st.index.Peek(v.Key); revived {
 			// The key was re-saved while doomed; the new file must
-			// live. Its new size is already accounted in st.bytes.
-			delete(st.doomed, vkey(v.kind, v.stem))
-			st.doomedBytes -= v.size
+			// live. Its new size is already accounted in the index.
+			delete(st.doomed, v.Key)
+			st.doomedBytes -= v.Bytes
 			st.mu.Unlock()
 			continue
 		}
 		st.mu.Unlock()
-		err := st.fsys.Remove(st.stemPath(v.kind, v.stem))
+		err := st.fsys.Remove(st.stemPath(v.Val, stem))
 		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			continue
 		}
 		st.mu.Lock()
-		if _, doomed := st.doomed[vkey(v.kind, v.stem)]; doomed {
-			delete(st.doomed, vkey(v.kind, v.stem))
-			st.doomedBytes -= v.size
+		if _, doomed := st.doomed[v.Key]; doomed {
+			delete(st.doomed, v.Key)
+			st.doomedBytes -= v.Bytes
 			st.gcEvictions++
-			st.gcEvictedBytes += v.size
-			dropped = append(dropped, manRecord{op: manDrop, kind: v.kind, stem: v.stem})
+			st.gcEvictedBytes += v.Bytes
+			dropped = append(dropped, manRecord{op: manDrop, kind: v.Val, stem: stem})
 		}
 		st.mu.Unlock()
 	}

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"qgear/internal/faultfs"
@@ -58,6 +59,9 @@ type manRecord struct {
 	stem string
 	size int64
 	cost float64
+	// ikey is a decoded record's index key, built in the stem's
+	// allocation (stem is ikey[2:]); encoding reads kind and stem.
+	ikey string
 }
 
 // manifest owns the journal file. Appends are serialized and fsynced;
@@ -129,7 +133,12 @@ func decodeRecordPayload(p []byte) (manRecord, error) {
 	if uint32(len(rest)) < stemLen || len(rest)-int(stemLen) != 16 {
 		return r, errors.New("bad record layout")
 	}
-	r.stem = string(rest[:stemLen])
+	var b strings.Builder
+	b.Grow(2 + int(stemLen))
+	b.WriteString(r.kind.prefix())
+	b.Write(rest[:stemLen])
+	r.ikey = b.String()
+	r.stem = r.ikey[2:]
 	r.size = int64(binary.LittleEndian.Uint64(rest[stemLen:]))
 	r.cost = math.Float64frombits(binary.LittleEndian.Uint64(rest[stemLen+8:]))
 	if r.stem == "" || r.size < 0 {
@@ -234,7 +243,7 @@ func (st *Store) appendManifest(recs ...manRecord) {
 	}
 	st.man.append(recs...)
 	st.mu.Lock()
-	live := uint64(len(st.results) + len(st.plans))
+	live := uint64(st.index.Len())
 	st.mu.Unlock()
 	if st.man.needsCompact(live) {
 		st.compactManifest()
@@ -251,12 +260,10 @@ func (st *Store) appendManifest(recs ...manRecord) {
 func (st *Store) compactManifest() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	recs := make([]manRecord, 0, len(st.results)+len(st.plans))
-	for _, e := range st.results {
-		recs = append(recs, manRecord{op: manAdd, kind: kindResult, stem: e.stem, size: e.size, cost: e.cost})
-	}
-	for _, e := range st.plans {
-		recs = append(recs, manRecord{op: manAdd, kind: kindPlan, stem: e.stem, size: e.size, cost: e.cost})
+	ents := st.index.Entries()
+	recs := make([]manRecord, len(ents))
+	for i, e := range ents {
+		recs[i] = manRecord{op: manAdd, kind: e.Val, stem: e.Key[2:], size: e.Bytes, cost: e.Cost}
 	}
 	sort.Slice(recs, func(i, j int) bool {
 		if recs[i].kind != recs[j].kind {

@@ -79,15 +79,12 @@ func (k kind) ext() string {
 	return resultExt
 }
 
-// entry is one indexed on-disk artifact. cost and prio mirror the
-// Greedy-Dual-Size accounting of Cache: prio = clock + cost/size at
-// last touch, and the store-level GC evicts lowest-prio first.
-type entry struct {
-	stem string
-	size int64
-	cost float64
-	prio float64
-	seq  uint64
+// prefix is the kind's two bytes at the head of an index key.
+func (k kind) prefix() string {
+	if k == kindPlan {
+		return "p/"
+	}
+	return "r/"
 }
 
 // Store is the on-disk artifact store: simulation results keyed by
@@ -112,19 +109,20 @@ type Store struct {
 
 	man *manifest
 
-	mu      sync.Mutex
-	results map[string]*entry // stem -> entry
-	plans   map[string]*entry
-	bytes   int64 // total size of indexed artifacts
+	mu sync.Mutex
+	// index holds every indexed artifact under its index key
+	// (indexKey), accounted at its file size: an unbounded Cache, so
+	// the byte-budget GC evicts in its Greedy-Dual-Size order. plans
+	// counts the index's plan entries.
+	index *Cache[kind]
+	plans int
 	// reserved is bytes claimed by in-flight saves that have evicted
 	// their way under budget but not yet landed on disk.
 	reserved int64
-	clock    float64 // Greedy-Dual aging clock (see cache.go)
-	seq      uint64
 	// doomed holds evicted entries whose file delete has not yet
 	// succeeded; their bytes still count against the budget so a
 	// failing delete can never let the disk footprint overshoot.
-	doomed         map[string]victim
+	doomed         map[string]Evicted[kind]
 	doomedBytes    int64
 	gcEvictions    uint64
 	gcEvictedBytes int64
@@ -182,9 +180,8 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 		dir:      dir,
 		fsys:     fsys,
 		maxBytes: opts.MaxBytes,
-		results:  make(map[string]*entry),
-		plans:    make(map[string]*entry),
-		doomed:   make(map[string]victim),
+		index:    NewCache[kind](0, 0),
+		doomed:   make(map[string]Evicted[kind]),
 	}
 	st.man = &manifest{path: filepath.Join(dir, manifestName), fsys: fsys}
 	for _, sub := range []string{resultsSubdir, plansSubdir} {
@@ -228,48 +225,43 @@ func (st *Store) load() error {
 		purge = errors.Is(perr, errOtherFormat)
 	}
 	st.bootScanned = true
-	if err := st.scanKind(kindResult, st.results, purge); err != nil {
+	if err := st.scanKind(kindResult, purge); err != nil {
 		return err
 	}
-	if err := st.scanKind(kindPlan, st.plans, purge); err != nil {
+	if err := st.scanKind(kindPlan, purge); err != nil {
 		return err
 	}
 	st.compactManifest()
 	return nil
 }
 
-// applyRecord replays one manifest record into the index (boot only;
-// no locking needed).
+// applyRecord replays one decoded manifest record into the index
+// (boot only; no locking needed).
 func (st *Store) applyRecord(r manRecord) {
-	var index map[string]*entry
-	switch r.kind {
-	case kindResult:
-		index = st.results
-	case kindPlan:
-		index = st.plans
-	default:
+	if r.op == manDrop {
+		st.unindex(r.kind, r.ikey)
 		return
 	}
-	switch r.op {
-	case manAdd:
-		if old, ok := index[r.stem]; ok {
-			st.bytes -= old.size
-		}
-		st.seq++
-		index[r.stem] = &entry{
-			stem: r.stem,
-			size: r.size,
-			cost: r.cost,
-			prio: r.cost / float64(max(r.size, int64(1))),
-			seq:  st.seq,
-		}
-		st.bytes += r.size
-	case manDrop:
-		if old, ok := index[r.stem]; ok {
-			st.bytes -= old.size
-			delete(index, r.stem)
-		}
+	st.put(r.kind, r.ikey, r.size, r.cost)
+}
+
+// put indexes an artifact, or re-indexes it at a new size and cost.
+// The caller holds st.mu (or is booting), as for unindex.
+func (st *Store) put(k kind, ikey string, size int64, cost float64) {
+	if _, ok := st.index.Peek(ikey); !ok && k == kindPlan {
+		st.plans++
 	}
+	st.index.Add(ikey, k, size, cost)
+}
+
+// unindex drops an artifact from the index and reports whether it was
+// indexed.
+func (st *Store) unindex(k kind, ikey string) bool {
+	ok := st.index.Remove(ikey)
+	if ok && k == kindPlan {
+		st.plans--
+	}
+	return ok
 }
 
 // isShardDir reports whether a directory name is one of the 256
@@ -290,14 +282,14 @@ func isShardDir(name string) bool {
 // scanKind walks one artifact family's shard buckets, indexing what it
 // finds — or, with purge, removing it. Anything else under the family
 // root is not the store's and is left alone.
-func (st *Store) scanKind(k kind, index map[string]*entry, purge bool) error {
+func (st *Store) scanKind(k kind, purge bool) error {
 	entries, err := st.fsys.ReadDir(filepath.Join(st.dir, k.subdir()))
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	for _, e := range entries {
 		if e.IsDir() && isShardDir(e.Name()) {
-			if err := st.scanShard(k, e.Name(), index, purge); err != nil {
+			if err := st.scanShard(k, e.Name(), purge); err != nil {
 				return err
 			}
 		}
@@ -305,7 +297,7 @@ func (st *Store) scanKind(k kind, index map[string]*entry, purge bool) error {
 	return nil
 }
 
-func (st *Store) scanShard(k kind, shard string, index map[string]*entry, purge bool) error {
+func (st *Store) scanShard(k kind, shard string, purge bool) error {
 	dir := filepath.Join(st.dir, k.subdir(), shard)
 	entries, err := st.fsys.ReadDir(dir)
 	if err != nil {
@@ -339,27 +331,12 @@ func (st *Store) scanShard(k kind, shard string, index map[string]*entry, purge 
 		if err != nil {
 			continue // raced with deletion; skip
 		}
-		st.addScanned(index, stem, info.Size())
+		// A neutral cost, one per byte (priority 1); the real recompute
+		// cost is refreshed from the artifact's own metadata on its
+		// first successful load.
+		st.put(k, k.prefix()+stem, info.Size(), float64(max(info.Size(), 1)))
 	}
 	return nil
-}
-
-// addScanned indexes a scanned artifact at a neutral cost (its size,
-// i.e. cost-per-byte 1); the real recompute cost is refreshed from the
-// artifact's own metadata on its first successful load.
-func (st *Store) addScanned(index map[string]*entry, stem string, size int64) {
-	if old, ok := index[stem]; ok {
-		st.bytes -= old.size
-	}
-	st.seq++
-	index[stem] = &entry{
-		stem: stem,
-		size: size,
-		cost: float64(size),
-		prio: 1,
-		seq:  st.seq,
-	}
-	st.bytes += size
 }
 
 // reapStaleTemp removes a temp file only if it is old enough to be a
@@ -402,17 +379,14 @@ func (st *Store) writeAtomic(path string, data []byte) error {
 	return nil
 }
 
-// Dir returns the store's root directory.
-func (st *Store) Dir() string { return st.dir }
-
 // Stats snapshots the index.
 func (st *Store) Stats() Stats {
 	st.mu.Lock()
 	s := Stats{
 		Dir:            st.dir,
-		ResultEntries:  len(st.results),
-		PlanEntries:    len(st.plans),
-		Bytes:          st.bytes,
+		ResultEntries:  st.index.Len() - st.plans,
+		PlanEntries:    st.plans,
+		Bytes:          st.index.Bytes(),
 		MaxBytes:       st.maxBytes,
 		GCEvictions:    st.gcEvictions,
 		GCEvictedBytes: st.gcEvictedBytes,
@@ -436,9 +410,15 @@ func safeStemByte(c byte) bool {
 // escape byte itself) becomes %XX — so distinct keys always get
 // distinct stems and a loaded artifact's recorded-key check can never
 // condemn an innocent collision victim.
-func encodeKey(key string) string {
+func encodeKey(key string) string { return indexKey(kindResult, key)[2:] }
+
+// indexKey is an artifact's key in the store's index: its kind's
+// prefix, then its file stem, built in one allocation, so the stem is
+// indexKey(k, key)[2:].
+func indexKey(k kind, key string) string {
 	var b strings.Builder
-	b.Grow(len(key))
+	b.Grow(2 + len(key))
+	b.WriteString(k.prefix())
 	for i := 0; i < len(key); i++ {
 		c := key[i]
 		if safeStemByte(c) {
@@ -471,58 +451,26 @@ func (st *Store) stemPath(k kind, stem string) string {
 	return filepath.Join(st.dir, k.subdir(), shardOf(stem), stem+k.ext())
 }
 
-func (st *Store) resultPath(key string) string {
-	return st.stemPath(kindResult, encodeKey(key))
-}
-
-func (st *Store) planPath(key string) string {
-	return st.stemPath(kindPlan, encodeKey(key))
-}
-
-func (st *Store) index(k kind) map[string]*entry {
-	if k == kindPlan {
-		return st.plans
-	}
-	return st.results
-}
-
 // HasResult reports whether a result for key is on disk.
 func (st *Store) HasResult(key string) bool {
+	return st.indexed(indexKey(kindResult, key))
+}
+
+func (st *Store) indexed(ikey string) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	_, ok := st.results[encodeKey(key)]
+	_, ok := st.index.Peek(ikey)
 	return ok
 }
 
-// touchEntry refreshes a loaded artifact's Greedy-Dual priority (and,
-// when the load learned the real recompute cost, its cost) so hits
-// keep it resident — the on-disk mirror of Cache.touch.
-func (st *Store) touchEntry(k kind, stem string, cost float64) {
+// forget unindexes an artifact whose file is gone (dropped, or a ghost
+// the manifest promised) and journals the drop so the next boot agrees.
+func (st *Store) forget(k kind, ikey string) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if e, ok := st.index(k)[stem]; ok {
-		if cost > 0 {
-			e.cost = cost
-		}
-		e.prio = st.clock + e.cost/float64(max(e.size, int64(1)))
-		st.seq++
-		e.seq = st.seq
-	}
-}
-
-// forget drops a ghost index entry (manifest said add, file is gone)
-// and journals the drop so the next boot agrees.
-func (st *Store) forget(k kind, stem string) {
-	st.mu.Lock()
-	index := st.index(k)
-	e, ok := index[stem]
-	if ok {
-		st.bytes -= e.size
-		delete(index, stem)
-	}
+	ok := st.unindex(k, ikey)
 	st.mu.Unlock()
 	if ok {
-		st.appendManifest(manRecord{op: manDrop, kind: k, stem: stem})
+		st.appendManifest(manRecord{op: manDrop, kind: k, stem: ikey[2:]})
 	}
 }
 
@@ -535,11 +483,8 @@ func (st *Store) forget(k kind, stem string) {
 // lower-priority artifacts, or be skipped entirely (nil error) if the
 // artifact cannot fit.
 func (st *Store) SaveResult(key, sig string, res *backend.Result) error {
-	stem := encodeKey(key)
-	st.mu.Lock()
-	_, exists := st.results[stem]
-	st.mu.Unlock()
-	if exists {
+	ikey := indexKey(kindResult, key)
+	if st.indexed(ikey) {
 		return nil
 	}
 
@@ -551,7 +496,7 @@ func (st *Store) SaveResult(key, sig string, res *backend.Result) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	return st.saveArtifact(kindResult, stem, data, resultRecomputeCost(res))
+	return st.saveArtifact(kindResult, ikey, data, resultRecomputeCost(res))
 }
 
 // saveArtifact lands an encoded artifact under the byte budget:
@@ -560,7 +505,8 @@ func (st *Store) SaveResult(key, sig string, res *backend.Result) error {
 // the index and the manifest journal. A budget refusal is not an
 // error — the artifact is simply not persisted (counted in
 // GCRejected).
-func (st *Store) saveArtifact(k kind, stem string, data []byte, cost float64) error {
+func (st *Store) saveArtifact(k kind, ikey string, data []byte, cost float64) error {
+	stem := ikey[2:]
 	size := int64(len(data))
 	victims, admit := st.reserve(size)
 	st.removeVictims(victims)
@@ -588,20 +534,8 @@ func (st *Store) saveArtifact(k kind, stem string, data []byte, cost float64) er
 	st.mu.Lock()
 	st.man.append(manRecord{op: manAdd, kind: k, stem: stem, size: size, cost: cost})
 	st.reserved -= size
-	index := st.index(k)
-	if old, ok := index[stem]; ok {
-		st.bytes -= old.size
-	}
-	st.seq++
-	index[stem] = &entry{
-		stem: stem,
-		size: size,
-		cost: cost,
-		prio: st.clock + cost/float64(max(size, int64(1))),
-		seq:  st.seq,
-	}
-	st.bytes += size
-	live := uint64(len(st.results) + len(st.plans))
+	st.put(k, ikey, size, cost)
+	live := uint64(st.index.Len())
 	st.mu.Unlock()
 	if st.man.needsCompact(live) {
 		st.compactManifest()
@@ -614,8 +548,8 @@ func (st *Store) saveArtifact(k kind, stem string, data []byte, cost float64) er
 // requested, and its configuration signature matches sig. The returned
 // probabilities and counts are bit-identical to what was saved.
 func (st *Store) LoadResult(key, sig string) (*backend.Result, error) {
-	stem := encodeKey(key)
-	raw, err := st.readArtifact(kindResult, stem)
+	ikey := indexKey(kindResult, key)
+	raw, err := st.readArtifact(kindResult, ikey)
 	if err != nil {
 		return nil, err
 	}
@@ -623,7 +557,9 @@ func (st *Store) LoadResult(key, sig string) (*backend.Result, error) {
 	if err != nil {
 		return nil, integrityErr("store: result %s: %v", key, err)
 	}
-	st.touchEntry(kindResult, stem, resultRecomputeCost(res))
+	st.mu.Lock()
+	st.index.Touch(ikey, resultRecomputeCost(res)) // hits keep it resident
+	st.mu.Unlock()
 	return res, nil
 }
 
@@ -631,13 +567,13 @@ func (st *Store) LoadResult(key, sig string) (*backend.Result, error) {
 // two steps so a transient I/O failure stays distinguishable from a
 // corrupt file: only the latter is ErrIntegrity and only it justifies
 // quarantining the artifact.
-func (st *Store) readArtifact(k kind, stem string) ([]byte, error) {
-	raw, err := st.fsys.ReadFile(st.stemPath(k, stem))
+func (st *Store) readArtifact(k kind, ikey string) ([]byte, error) {
+	raw, err := st.fsys.ReadFile(st.stemPath(k, ikey[2:]))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			// A ghost entry (journal promised a file that is gone) heals
 			// here, so the miss is not permanent.
-			st.forget(k, stem)
+			st.forget(k, ikey)
 		}
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -650,11 +586,8 @@ func (st *Store) readArtifact(k kind, stem string) ([]byte, error) {
 // durability, atomicity, idempotence, and budget discipline as
 // SaveResult.
 func (st *Store) SavePlan(key, sig string, comp *backend.Compiled, cost float64) error {
-	stem := encodeKey(key)
-	st.mu.Lock()
-	_, exists := st.plans[stem]
-	st.mu.Unlock()
-	if exists {
+	ikey := indexKey(kindPlan, key)
+	if st.indexed(ikey) {
 		return nil
 	}
 	data, err := encodePlan(key, sig, comp, cost)
@@ -664,7 +597,7 @@ func (st *Store) SavePlan(key, sig string, comp *backend.Compiled, cost float64)
 	if cost <= 0 {
 		cost = float64(len(data))
 	}
-	return st.saveArtifact(kindPlan, stem, data, cost)
+	return st.saveArtifact(kindPlan, ikey, data, cost)
 }
 
 // LoadPlan reads the compiled plan stored under key, with the same
@@ -673,8 +606,8 @@ func (st *Store) SavePlan(key, sig string, comp *backend.Compiled, cost float64)
 // and the recompute cost recorded when it was built (the abstract
 // units SavePlan was given).
 func (st *Store) LoadPlan(key, sig string) (*backend.Compiled, float64, error) {
-	stem := encodeKey(key)
-	raw, err := st.readArtifact(kindPlan, stem)
+	ikey := indexKey(kindPlan, key)
+	raw, err := st.readArtifact(kindPlan, ikey)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -682,7 +615,9 @@ func (st *Store) LoadPlan(key, sig string) (*backend.Compiled, float64, error) {
 	if err != nil {
 		return nil, 0, integrityErr("store: plan %s: %v", key, err)
 	}
-	st.touchEntry(kindPlan, stem, cost)
+	st.mu.Lock()
+	st.index.Touch(ikey, cost)
+	st.mu.Unlock()
 	return comp, cost, nil
 }
 
@@ -693,17 +628,7 @@ func (st *Store) DropResult(key string) {
 }
 
 func (st *Store) dropKey(k kind, key string) {
-	stem := encodeKey(key)
-	st.mu.Lock()
-	index := st.index(k)
-	e, had := index[stem]
-	if had {
-		st.bytes -= e.size
-		delete(index, stem)
-	}
-	st.mu.Unlock()
-	st.fsys.Remove(st.stemPath(k, stem))
-	if had {
-		st.appendManifest(manRecord{op: manDrop, kind: k, stem: stem})
-	}
+	ikey := indexKey(k, key)
+	st.fsys.Remove(st.stemPath(k, ikey[2:]))
+	st.forget(k, ikey)
 }

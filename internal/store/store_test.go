@@ -18,6 +18,11 @@ import (
 
 const testSig = "f0|p0|tnvidia|d1|w0|s0|r0|b0|pffalse"
 
+// resultPath is the on-disk location of the result saved under key.
+func (st *Store) resultPath(key string) string {
+	return st.stemPath(kindResult, encodeKey(key))
+}
+
 // testResult simulates a small circuit for round-trip material.
 func testResult(t *testing.T) *backend.Result {
 	t.Helper()
@@ -278,7 +283,8 @@ func TestSaveIdempotent(t *testing.T) {
 // TestPlanKeySanitized: plan keys carry a '|' which must not leak into
 // filenames; the artifact still round-trips under the original key.
 func TestPlanKeySanitized(t *testing.T) {
-	st, err := Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +297,7 @@ func TestPlanKeySanitized(t *testing.T) {
 	if err := st.SavePlan(key, testSig, comp, 1); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(filepath.Join(st.Dir(), plansSubdir))
+	entries, err := os.ReadDir(filepath.Join(dir, plansSubdir))
 	if err != nil {
 		t.Fatal(err)
 	}
