@@ -15,18 +15,23 @@ OBSERVABLE_COVER_FLOOR ?= 85
 
 # run-selected is how every ci-* gate picks tests by name: a fresh,
 # race-enabled `go test -run '$(1)' $(2)` with extra flags $(3) and
-# environment $(4) — but only after `go test -list` has shown that each
+# environment $(4) — but only after `selects` (below) has shown that each
 # `|` alternative of the pattern still selects at least one test in
 # those packages, so renaming or deleting a test fails its gate instead
-# of silently dropping out of it.
+# of silently dropping out of it. ci-wired makes the same check for
+# every run-selected line, so a leg whose job did not run is held too.
 define run-selected
-@listed="$$($(GO) test -list . $(2))" || { echo "$$listed"; exit 1; }; \
-for alt in $$(echo '$(1)' | tr '|' ' '); do \
-	echo "$$listed" | grep -E '^(Test|Fuzz|Example)' | grep -Eq -e "$$alt" || \
-		{ echo "ci gate: -run alternative '$$alt' selects no test in $(2)"; exit 1; }; \
-done
+@$(SELECTS); selects '$(1)' '$(2)'
 $(4) $(GO) test -race -count=1 $(3) -run '$(1)' $(2)
 endef
+
+# selects SEL PKGS fails unless each | alternative of SEL matches a name
+# `go test -list` prints in PKGS.
+SELECTS = selects() { listed="$$($(GO) test -list . $$2)" || { echo "$$listed"; return 1; }; \
+	for alt in $$(echo "$$1" | tr '|' ' '); do \
+		echo "$$listed" | grep -E '^(Test|Fuzz|Example)' | grep -Eq -e "$$alt" || \
+			{ echo "ci gate: -run alternative '$$alt' selects no test in $$2"; return 1; }; \
+	done; }
 
 build:
 	$(GO) build ./...
@@ -144,6 +149,9 @@ ci-names:
 # ci-fuzz leg fails here (its seed corpus alone runs under go test). The
 # same holds for the one front door: qgear/cmd/qgear is the module's
 # only main package, so a second binary fails CI the day it is added.
+# And every run-selected selector must still select: each | alternative
+# matches a name `go test -list` prints in its packages, checked here
+# for every leg whether or not its job runs.
 ci-wired:
 	@for t in $$(grep -oE '^ci-[a-z0-9-]+:' Makefile | tr -d ':'); do \
 		grep -Eq "run: make ([a-z0-9-]+ )*$$t( |\$$)" .github/workflows/ci.yml || \
@@ -158,6 +166,8 @@ ci-wired:
 	@mains="$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./... | sed '/^$$/d')" || exit 1; \
 	test "$$mains" = qgear/cmd/qgear || \
 		{ echo "ci-wired: main packages other than qgear/cmd/qgear:"; echo "$$mains"; exit 1; }
+	@$(SELECTS); grep -oE '\$$\(call run-selected,[^,]+,[^,)]+' Makefile | \
+		while IFS=, read -r _ sel pkgs; do selects "$$sel" "$$pkgs" || exit 1; done
 
 # CI service load check: 50 concurrent HTTP clients of mixed
 # simulate/expectation jobs against a deliberately tight byte budget

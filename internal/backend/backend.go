@@ -207,6 +207,15 @@ func (c Config) SampleWorkers() int {
 	return c.workers()
 }
 
+// ShotSplit is how many simulated QPUs a run's shots are split over
+// (SampleShots): every device on mqpu when each gets a shot, else one.
+func (c Config) ShotSplit() int {
+	if d := c.devices(); c.Target == TargetNvidiaMQPU && c.Shots >= d {
+		return d
+	}
+	return 1
+}
+
 func (c Config) devices() int {
 	if c.Devices > 0 {
 		return c.Devices
@@ -454,8 +463,8 @@ func addDistSpans(tr *telemetry.Trace, wall, exchange time.Duration) {
 // notes mqpu "significantly improves the execution time"); results
 // merge into one Counts and stay deterministic under a fixed seed.
 func SampleShots(probs []float64, cfg Config) (sampling.Counts, error) {
-	devices := cfg.devices()
-	if cfg.Target != TargetNvidiaMQPU || devices <= 1 || cfg.Shots < devices {
+	devices := cfg.ShotSplit()
+	if devices == 1 {
 		return sampling.SampleParallel(probs, cfg.Shots, cfg.SampleWorkers(), qmath.NewRNG(cfg.Seed))
 	}
 	per := cfg.Shots / devices

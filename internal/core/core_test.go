@@ -162,6 +162,12 @@ func TestSignatureAndCacheKeyGolden(t *testing.T) {
 			"f0|p0|tnvidia|d0|w0|s0|r0|b16|pffalse|split|dt"},
 		{"StoreSignature/mgpu", Options{Target: backend.TargetNvidiaMGPU, Devices: 2, TileBits: 16}.StoreSignature(),
 			"f0|p0|tnvidia-mgpu|d2|w0|s0|r0|b16|pffalse|dt"},
+		{"StoreSignature/pennylane", Options{Target: backend.TargetPennylane, TileBits: 14}.StoreSignature(),
+			"f0|p0|tpennylane|d0|w0|s0|r0|b14|pffalse|split|dt"},
+		{"StoreSignature/pergate", Options{Target: backend.TargetNvidia, TileBits: -1}.StoreSignature(),
+			"f0|p0|tnvidia|d0|w0|s0|r0|b0|pffalse|dt"},
+		{"StoreSignature/mgpu1", Options{Target: backend.TargetNvidiaMGPU, Devices: 1, TileBits: 16}.StoreSignature(),
+			"f0|p0|tnvidia-mgpu|d1|w0|s0|r0|b16|pffalse|dt"},
 		{"CacheKey", CacheKey(c, o), "fb8dfe628d625dbf1d012a7cf59485b63d2d5ad37b784270419274ee2e9bd8a8"},
 		{"ExpectationCacheKey", ExpectationCacheKey(c, h, o), "a9cef5561f375a48d2022c5de55979bb9772c7b6e1e5b61e908b76dc89b21747"},
 		{"SweepCacheKey/exact", SweepCacheKey(c, h, [][]float64{{0.1, 0.2}, {0.3, 0.4}}, o),

@@ -11,13 +11,14 @@ import (
 // records, for every gate whose matrix depends on a rotation angle,
 // *where* the value-derived artifact landed (a micro-op in a tile run
 // or a global-sweep instruction). Rebinding then patches exactly those
-// artifacts with matrices derived by the same gate.Matrix1 calls a
-// fresh compile would make, while reusing the plan's structure — run
-// boundaries, the relabeling schedule across the tile and rank
-// boundaries — untouched. At the default transform configuration the
-// plan structure is value-independent (mixingTargets never reads
-// Params), so a rebound plan is bit-identical to a fresh compile at
-// the new values: the compile-once guarantee parameter sweeps rest on.
+// artifacts with the values a fresh compile derives (a micro-op's by
+// the (*TileOp).Rebind that statevec.Lower ends in), while reusing the
+// plan's structure — run boundaries, the relabeling schedule across the
+// tile and rank boundaries — untouched. At the default transform
+// configuration the plan structure is value-independent (mixingTargets
+// never reads Params), so a rebound plan is bit-identical to a fresh
+// compile at the new values: the compile-once guarantee parameter
+// sweeps rest on.
 // Neither the transform nor the plan compiler folds one gate's values
 // into another's, so every plan is bindable.
 
@@ -95,9 +96,9 @@ func (k *Kernel) Bind(params []float64) (*Kernel, error) {
 // Segment headers, binding sites and the final permutation are shared;
 // the two arenas are copied — one copy each, whatever the segment
 // count — and only the value-derived fields of the sites themselves are
-// recomputed, with the identical gate.Matrix1 derivations compileTileOp
-// makes, so at configurations where plan structure is value-independent
-// the result is bit-identical to freshly compiling the rebound kernel.
+// recomputed, by the Rebind statevec.Lower itself ends in, so at
+// configurations where plan structure is value-independent the result
+// is bit-identical to freshly compiling the rebound kernel.
 // The receiver is never mutated (plans are executed concurrently), and
 // neither is the kernel a width-0 plan shares its Globals with.
 func (p *TilePlan) Bind(params []float64) (*TilePlan, error) {
@@ -132,7 +133,7 @@ func (p *TilePlan) Bind(params []float64) (*TilePlan, error) {
 			if out.Ops[at].Kind == statevec.TileTable {
 				return nil, fmt.Errorf("kernel: binding site references the header of a diagonal group in segment %d", b.Seg)
 			}
-			rebindTileOp(&out.Ops[at], b.Gate, vals)
+			out.Ops[at].Rebind(b.Gate, vals)
 		case BindGlobal:
 			if owned == nil {
 				owned = append([]float64(nil), params...)
@@ -141,32 +142,4 @@ func (p *TilePlan) Bind(params []float64) (*TilePlan, error) {
 		}
 	}
 	return &out, nil
-}
-
-// rebindTileOp recomputes the value-derived fields of a tile micro-op
-// for new parameter values, mirroring compileTileOp's lowering exactly:
-// positions, masks, and control layout are structure and stay put.
-func rebindTileOp(op *statevec.TileOp, g gate.Type, vals []float64) {
-	switch {
-	case g == gate.RZ:
-		m := gate.Matrix1(g, vals)
-		*op = statevec.RelPhaseOp(m[0], m[3], op.T, op.HighMask)
-	case statevec.IsDiagonalGate(g):
-		if g == gate.CP {
-			g = gate.P
-		}
-		*op = statevec.DiagOp(gate.Matrix1(g, vals)[3], op.LowMask, op.HighMask)
-	default:
-		op.M = targetMatrix(g, vals)
-	}
-}
-
-// targetMatrix re-derives the 2×2 a non-diagonal parameterized gate
-// applies to its target (rx, ry, u3; cry's is ry's) for new values,
-// mirroring the lowering in compileTileOp.
-func targetMatrix(g gate.Type, vals []float64) gate.Mat2 {
-	if g == gate.CRY {
-		g = gate.RY
-	}
-	return gate.Matrix1(g, vals)
 }

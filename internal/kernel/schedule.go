@@ -531,7 +531,7 @@ func Plan(k *Kernel, cfg PlanConfig) (*TilePlan, error) {
 			p.Stats.Global++
 			return nil
 		}
-		op := compileTileOp(in, perm, tileBits)
+		op := statevec.Lower(in.Gate, in.Qubits, in.Params, perm, tileBits)
 		if g > 0 && op.HighMask>>uint(local) != 0 {
 			p.Stats.RankLocal++
 		}
@@ -655,78 +655,6 @@ func physInstr(in Instr, perm []int) Instr {
 	return out
 }
 
-// identity is the identity layout of every register a state can hold.
-var identity = func() (id [statevec.MaxQubits]int) {
-	for q := range id {
-		id[q] = q
-	}
-	return id
-}()
-
-// compileTileOp lowers one tile-local instruction to a micro-op; a nil
-// perm is the identity layout. The matrices and phases are derived
-// exactly as the per-gate path derives them (statevec.ApplyGate),
-// keeping the two executors arithmetic-identical. Positions at or above
-// the tile width land in HighMask — including rank-bit positions of
-// distributed plans, which each rank's shard base answers
-// (statevec.ApplyTileRun).
-func compileTileOp(in Instr, perm []int, tileBits int) statevec.TileOp {
-	if perm == nil { // the identity layout: in's operands are physical
-		perm = identity[:]
-	}
-	split := func(pos int) (low uint64, high uint64) {
-		if pos < tileBits {
-			return 1 << uint(pos), 0
-		}
-		return 0, 1 << uint(pos)
-	}
-	// ctrl places a control: a low one is the op's C, a high one a
-	// HighMask predicate.
-	ctrl := func(op statevec.TileOp, pos int) statevec.TileOp {
-		if pos < tileBits {
-			op.C, op.HasCtrl = uint8(pos), true
-		} else {
-			op.HighMask = 1 << uint(pos)
-		}
-		return op
-	}
-	g := in.Gate
-	switch {
-	case statevec.IsDiagonalGate(g):
-		switch g {
-		case gate.RZ:
-			m := gate.Matrix1(g, in.Params)
-			pos := perm[in.Qubits[0]]
-			if pos < tileBits {
-				return statevec.RelPhaseOp(m[0], m[3], uint8(pos), 0)
-			}
-			return statevec.RelPhaseOp(m[0], m[3], 0, 1<<uint(pos))
-		default: // z, s, sdg, t, tdg, p, cz, cp: one phase where every operand bit is 1
-			phase := complex128(-1) // cz
-			if g == gate.CP {
-				phase = gate.Matrix1(gate.P, in.Params)[3]
-			} else if g != gate.CZ {
-				phase = gate.Matrix1(g, in.Params)[3]
-			}
-			var lowMask, highMask uint64
-			for _, q := range in.Qubits {
-				low, high := split(perm[q])
-				lowMask |= low
-				highMask |= high
-			}
-			return statevec.DiagOp(phase, lowMask, highMask)
-		}
-	case g == gate.CX:
-		return ctrl(statevec.TileOp{Kind: statevec.TileCX, T: uint8(perm[in.Qubits[1]])}, perm[in.Qubits[0]])
-	case g == gate.CRY: // cz/cp are diagonal, swap never reaches here
-		return ctrl(statevec.TileOp{Kind: statevec.TileMat1, T: uint8(perm[in.Qubits[1]]), M: gate.Matrix1(gate.RY, in.Params)}, perm[in.Qubits[0]])
-	case g.Arity() == 2:
-		panic(fmt.Sprintf("kernel: unhandled two-qubit gate %v in tile compiler", g))
-	default:
-		return statevec.TileOp{Kind: statevec.TileMat1, T: uint8(perm[in.Qubits[0]]), M: gate.Matrix1(g, in.Params)}
-	}
-}
-
 // Execute runs a single-process plan against a state. The state must
 // be in the canonical layout (any pending permutation is materialized
 // first); afterwards the state carries the plan's final permutation,
@@ -779,7 +707,9 @@ func (p *TilePlan) ExecuteCancel(s *statevec.State, flag *cancel.Flag) error {
 func (p *TilePlan) ApplyGlobal(s *statevec.State, seg Segment) error {
 	ins := p.Globals[seg.Lo:seg.Hi]
 	if len(ins) == 1 {
-		ins[0].Apply(s)
+		if in := &ins[0]; in.Kind == KGate {
+			s.ApplyGate(in.Gate, in.Qubits, in.Params)
+		}
 		return nil
 	}
 	if err := checkGroup(ins); err != nil {
@@ -788,7 +718,7 @@ func (p *TilePlan) ApplyGlobal(s *statevec.State, seg Segment) error {
 	var buf [16]statevec.TileOp
 	ops := buf[:0]
 	for _, in := range ins {
-		ops = append(ops, compileTileOp(in, nil, s.NumQubits()))
+		ops = append(ops, statevec.Lower(in.Gate, in.Qubits, in.Params, nil, s.NumQubits()))
 	}
 	return s.ApplyPhaseGroup(ops)
 }

@@ -135,12 +135,3 @@ func Execute(k *Kernel, s *statevec.State) error {
 	}
 	return p.Execute(s)
 }
-
-// Apply runs one gate instruction, operands physical, as a full sweep
-// over s — a one-instruction SegGlobal, on a single state or a rank
-// shard alike.
-func (in *Instr) Apply(s *statevec.State) {
-	if in.Kind == KGate {
-		s.ApplyGate(in.Gate, in.Qubits, in.Params)
-	}
-}

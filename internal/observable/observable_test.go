@@ -14,9 +14,9 @@ import (
 func ghz(t *testing.T, n int) *statevec.State {
 	t.Helper()
 	s := statevec.MustNew(n, 1)
-	s.ApplyMat1(0, gate.Matrix1(gate.H, nil))
+	s.ApplyGate(gate.H, []int{0}, nil)
 	for i := 1; i < n; i++ {
-		s.ApplyCX(0, i)
+		s.ApplyGate(gate.CX, []int{0, i}, nil)
 	}
 	return s
 }
@@ -48,13 +48,13 @@ func TestSingleQubitRotationExpectations(t *testing.T) {
 	// RY(θ)|0>: <Z> = cos θ, <X> = sin θ, <Y> = 0.
 	th := 0.81
 	s := statevec.MustNew(1, 1)
-	s.ApplyMat1(0, gate.Matrix1(gate.RY, []float64{th}))
+	s.ApplyGate(gate.RY, []int{0}, []float64{th})
 	expectTerm(t, s, NewTerm(1, map[int]Pauli{0: Z}), math.Cos(th))
 	expectTerm(t, s, NewTerm(1, map[int]Pauli{0: X}), math.Sin(th))
 	expectTerm(t, s, NewTerm(1, map[int]Pauli{0: Y}), 0)
 	// RX(θ)|0>: <Y> = -sin θ.
 	s2 := statevec.MustNew(1, 1)
-	s2.ApplyMat1(0, gate.Matrix1(gate.RX, []float64{th}))
+	s2.ApplyGate(gate.RX, []int{0}, []float64{th})
 	expectTerm(t, s2, NewTerm(1, map[int]Pauli{0: Y}), -math.Sin(th))
 }
 
@@ -94,8 +94,8 @@ func TestHamiltonianSequentialVsParallel(t *testing.T) {
 		s := statevec.MustNew(6, workers)
 		for i := 0; i < 30; i++ {
 			q := r.Intn(6)
-			s.ApplyMat1(q, gate.Matrix1(gate.U3, []float64{r.Angle(), r.Angle(), r.Angle()}))
-			s.ApplyCX(q, (q+1)%6)
+			s.ApplyGate(gate.U3, []int{q}, []float64{r.Angle(), r.Angle(), r.Angle()})
+			s.ApplyGate(gate.CX, []int{q, (q + 1) % 6}, nil)
 		}
 		par, err := h.Expectation(s)
 		if err != nil {
@@ -125,7 +125,7 @@ func TestTFIMGroundStateLimits(t *testing.T) {
 	h2 := TransverseFieldIsing(n, 0, 1.5)
 	s2 := statevec.MustNew(n, 1)
 	for q := 0; q < n; q++ {
-		s2.ApplyMat1(q, gate.Matrix1(gate.H, nil))
+		s2.ApplyGate(gate.H, []int{q}, nil)
 	}
 	e2, err := h2.Expectation(s2)
 	if err != nil {

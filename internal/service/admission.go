@@ -62,12 +62,10 @@ func (s *Server) estimateStateBytes(n, shots int) int64 {
 		local = n - bits.Len(uint(states)) + 1
 	}
 	b += int64(states) * statevec.MaxTableBytes(local)
-	samplers := 1
-	if d := s.cfg.Devices; s.cfg.Target == backend.TargetNvidiaMQPU && d > 1 && shots >= d {
-		samplers = d
-	}
-	workers := s.execOptions().SampleWorkers()
-	return b + int64(samplers)*sampling.PeakBytes(1<<uint(n), (shots+samplers-1)/samplers, workers)
+	opts := s.execOptions()
+	opts.Shots = shots
+	samplers := opts.ShotSplit()
+	return b + int64(samplers)*sampling.PeakBytes(1<<uint(n), (shots+samplers-1)/samplers, opts.SampleWorkers())
 }
 
 // defaultMaxStateBytes derives the default admission budget: half the

@@ -42,7 +42,7 @@ func TestAdmissionPricesAColdRun(t *testing.T) {
 	c.MeasureAll()
 	for _, target := range []backend.Target{backend.TargetNvidia, backend.TargetNvidiaMGPU, backend.TargetNvidiaMQPU} {
 		s := newTestServer(t, Config{Target: target, Devices: 2})
-		for _, shots := range []int{1000, 1<<n/4 + 1, 3 << n} { // walks, a quarter shot an outcome, three shots an outcome
+		for _, shots := range []int{1, 1000, 1<<n/4 + 1, 3 << n} { // one shot (no mqpu split), walks, a quarter shot an outcome, three shots an outcome
 			cfg := backend.Config{Target: target, Devices: 2, Workers: 2, Shots: shots, Seed: 3}
 			comp, err := backend.Compile(c, cfg)
 			if err != nil {

@@ -7,30 +7,135 @@ import (
 	"qgear/internal/gate"
 )
 
-// ApplyMat1 applies a 2×2 unitary to the target qubit. Per Eq. (2) of
-// the paper this is U acting on qubit t with identities elsewhere; the
-// engine realizes it by mixing the amplitude pairs whose indices differ
-// only in bit t — the 2^(n-1) of a dense state, those inside the support
-// (State) of a sparse one.
-func (s *State) ApplyMat1(target int, m gate.Mat2) {
-	s.ensureCanonical()
-	s.checkQubit(target)
-	s.pairSweep(0, uint(target), m)
-}
+// identity is the identity layout of every register a state can hold.
+var identity = func() (id [MaxQubits]int) {
+	for q := range id {
+		id[q] = q
+	}
+	return id
+}()
 
-// applyControlled1 applies a 2×2 unitary to target, controlled on
-// control being |1> — Eq. (3)'s diag(I, U) block structure. Only the
-// 2^(n-2) amplitude pairs with the control bit set are touched, which
-// is the scattered, non-contiguous access pattern Appendix A describes
-// for the CX gate.
-func (s *State) applyControlled1(control, target int, m gate.Mat2) {
-	s.ensureCanonical()
-	s.checkQubit(control)
-	s.checkQubit(target)
-	if control == target {
+// Lower is the one place a gate becomes arithmetic: the micro-op applying
+// g to qubits placed through perm (nil: the identity layout) on tiles of
+// tileBits, then its values (Rebind). A position at or above the width — a
+// control, a diagonal's bit, an rz target, a rank bit of a distributed plan
+// — lands in HighMask. ApplyGate lowers at the state's width (every operand
+// low), the tile compiler every tile-local gate and phase-table member.
+func Lower(g gate.Type, qubits []int, params []float64, perm []int, tileBits int) (op TileOp) {
+	if perm == nil {
+		perm = identity[:]
+	}
+	t := perm[qubits[g.Arity()-1]]
+	if g.Arity() == 2 && perm[qubits[0]] == t {
 		panic("statevec: control equals target")
 	}
-	s.pairSweep(1<<uint(control), uint(target), m)
+	switch {
+	case g == gate.RZ:
+		op.Kind = TileRelPhase
+		if t < tileBits {
+			op.T = uint8(t)
+		} else {
+			op.HighMask = 1 << uint(t)
+		}
+	case IsDiagonalGate(g): // one phase where every operand bit is 1
+		op.Kind = TileDiag
+		for _, q := range qubits {
+			if pos := perm[q]; pos < tileBits {
+				op.LowMask |= 1 << uint(pos)
+			} else {
+				op.HighMask |= 1 << uint(pos)
+			}
+		}
+	default:
+		op.Kind, op.T = TileMat1, uint8(t)
+		if g == gate.CX {
+			op.Kind = TileCX
+		}
+		if g.Arity() == 2 { // a low control is C, a high one a HighMask predicate
+			if c := perm[qubits[0]]; c < tileBits {
+				op.C, op.HasCtrl = uint8(c), true
+			} else {
+				op.HighMask = 1 << uint(c)
+			}
+		}
+	}
+	op.Rebind(g, params)
+	return op
+}
+
+// Rebind sets the value fields of op, lowered from gate g, for params:
+// the 2×2 of a TileMat1, rz's diag(a, b), a TileDiag's phase — of a
+// controlled gate, those of the one-qubit gate on its target. Kind,
+// positions and masks are structure and stay put, so a rebound plan is
+// bit-identical to a fresh compile.
+func (op *TileOp) Rebind(g gate.Type, params []float64) {
+	switch g {
+	case gate.CX:
+		return // swap-only: no values
+	case gate.CZ:
+		g = gate.Z
+	case gate.CP:
+		g = gate.P
+	case gate.CRY:
+		g = gate.RY
+	}
+	switch m := gate.Matrix1(g, params); {
+	case g == gate.RZ:
+		*op = RelPhaseOp(m[0], m[3], op.T, op.HighMask)
+	case IsDiagonalGate(g):
+		*op = DiagOp(m[3], op.LowMask, op.HighMask)
+	default:
+		op.M = m
+	}
+}
+
+// ApplyOp applies one micro-op to the whole state as a single sweep,
+// every position low. A TileMat1 is Eq. (2) of the paper, U on qubit T
+// with identities elsewhere: it mixes the amplitude pairs whose indices
+// differ only in bit T — the 2^(n-1) of a dense state, those inside the
+// support (State) of a sparse one. With a control (HasCtrl) it is Eq.
+// (3)'s diag(I, U): only the 2^(n-2) pairs with bit C set are touched,
+// the scattered access pattern Appendix A describes for the CX gate. A
+// TileCX moves those pairs without a multiply — the paper's QCrank
+// workload has as many CX as pixels, so this path dominates image
+// encoding. A TileDiag scales the amplitudes whose LowMask bits are all
+// 1, and a TileRelPhase applies diag(A, B) on T (diagonal.go).
+func (s *State) ApplyOp(op TileOp) {
+	s.ensureCanonical()
+	s.live()
+	if op.HighMask != 0 {
+		panic(fmt.Sprintf("statevec: op reads bits %#x above a whole state", op.HighMask))
+	}
+	switch op.Kind {
+	case TileMat1, TileCX:
+		s.checkQubit(int(op.T))
+		var ctrl uint64
+		if op.HasCtrl {
+			s.checkQubit(int(op.C))
+			if op.C == op.T {
+				panic("statevec: control equals target")
+			}
+			ctrl = 1 << op.C
+		}
+		if op.Kind == TileMat1 {
+			s.pairSweep(ctrl, uint(op.T), op.M)
+			return
+		}
+		t := uint64(1) << op.T
+		s.swapSweep(ctrl|t, ctrl, t, int(t))
+		s.sup.mat(ctrl, uint(op.T), true)
+	case TileDiag:
+		if op.LowMask>>uint(s.n) != 0 {
+			panic(fmt.Sprintf("statevec: op reads bits %#x of a %d-qubit state", op.LowMask, s.n))
+		}
+		s.scaleSweep(op.LowMask, op.LowMask, op.Phase())
+	case TileRelPhase:
+		s.checkQubit(int(op.T))
+		a, b := op.AB()
+		s.relPhase(uint(op.T), a, b)
+	default:
+		panic(fmt.Sprintf("statevec: op of kind %d applies to no whole state", op.Kind))
+	}
 }
 
 // pairSweep applies m to the pairs on bit t whose ctrl bits are 1,
@@ -47,22 +152,6 @@ func (s *State) pairSweep(ctrl uint64, t uint, m gate.Mat2) {
 		}
 	}
 	s.sup.mat(ctrl, t, isX(m))
-}
-
-// ApplyCX applies the controlled-X with a swap-only inner loop (no
-// complex multiplies), the special case the paper's QCrank workload
-// leans on: the CX count equals the pixel count, so this path dominates
-// image-encoding simulations.
-func (s *State) ApplyCX(control, target int) {
-	s.ensureCanonical()
-	s.checkQubit(control)
-	s.checkQubit(target)
-	if control == target {
-		panic("statevec: control equals target")
-	}
-	c, t := uint64(1)<<uint(control), uint64(1)<<uint(target)
-	s.swapSweep(c|t, c, t, int(t))
-	s.sup.mat(c, uint(target), true)
 }
 
 // swapSweep exchanges every amplitude whose fixed bits equal val with
@@ -84,7 +173,7 @@ func (s *State) swapSweep(fixed, val, mix uint64, dist int) {
 // ApplySwap exchanges qubits a and b in a single sweep: amplitudes
 // whose (a, b) bits read 01 swap with their 10 partners; the 00 and 11
 // subspaces are untouched. One pass over half the amplitudes, versus
-// the three ApplyCX passes of the textbook decomposition — the moves
+// the three CX passes of the textbook decomposition — the moves
 // are value-exact either way, so both produce bit-identical states.
 func (s *State) ApplySwap(a, b int) {
 	s.ensureCanonical()
@@ -112,34 +201,15 @@ func (s *State) swapBits(a, b uint) {
 	s.sup.swap(lo, hi)
 }
 
-// ApplyGate dispatches a gate type with qubit operands and params to
-// the right kernel. Measure and Barrier are ignored (sampling is the
-// caller's concern); unknown combinations panic.
+// ApplyGate applies a gate with qubit operands and params as one sweep:
+// swap as ApplySwap, every other gate as the micro-op Lower derives.
+// Measure and Barrier are ignored (sampling is the caller's concern).
 func (s *State) ApplyGate(g gate.Type, qubits []int, params []float64) {
-	switch {
-	case g == gate.Barrier || g == gate.Measure || g == gate.I:
-		return
-	case IsDiagonalGate(g):
-		s.applyDiagonalGate(g, qubits, params)
-	case g == gate.CX:
-		s.ApplyCX(qubits[0], qubits[1])
-	case g == gate.SWAP:
+	switch g {
+	case gate.Barrier, gate.Measure, gate.I:
+	case gate.SWAP:
 		s.ApplySwap(qubits[0], qubits[1])
-	case g.Arity() == 2:
-		// Remaining controlled gates: CZ, CP, CRY.
-		var tgt gate.Mat2
-		switch g {
-		case gate.CZ:
-			tgt = gate.Matrix1(gate.Z, nil)
-		case gate.CP:
-			tgt = gate.Matrix1(gate.P, params)
-		case gate.CRY:
-			tgt = gate.Matrix1(gate.RY, params)
-		default:
-			panic(fmt.Sprintf("statevec: unhandled two-qubit gate %v", g))
-		}
-		s.applyControlled1(qubits[0], qubits[1], tgt)
 	default:
-		s.ApplyMat1(qubits[0], gate.Matrix1(g, params))
+		s.ApplyOp(Lower(g, qubits, params, nil, s.n))
 	}
 }

@@ -1,31 +1,21 @@
 package statevec
 
 import (
-	"fmt"
 	"math/bits"
 
 	"qgear/internal/gate"
 )
 
 // Diagonal-gate fast paths. Z-axis rotations (rz, p, z, s, t) and
-// controlled phases (cz, cp/cr1) have diagonal unitaries: they scale
-// amplitudes in place without the pair gather/scatter of the general
-// kernels — half the memory traffic and no index insertion. The QFT
+// controlled phases (cz, cp/cr1) have diagonal unitaries: Lower makes
+// them a TileDiag (rz a TileRelPhase), which scales amplitudes in place
+// without the pair gather/scatter of the general kernels — half the
+// memory traffic and no index insertion — and enumerates only the
+// affected indices inside the support (2^(n-1) of a dense state for one
+// bit, a quarter for cz/cr1): the untouched part is never read. The QFT
 // workload (Appendix D.2) is dominated by cr1 gates, so this path is a
 // large fraction of its runtime; kernel's BenchmarkExecuteQFT21 and
 // BenchmarkTileRun here time it.
-
-// applyPhase1 multiplies amplitudes whose target bit is 1 by phase —
-// the diag(1, e^{iλ}) family. Stride iteration enumerates exactly the
-// affected indices inside the support (2^(n-1) of a dense state); the
-// untouched half is never read, halving the memory traffic of the old
-// branchy full-2^n scan.
-func (s *State) applyPhase1(target int, phase complex128) {
-	s.ensureCanonical()
-	s.checkQubit(target)
-	bit := uint64(1) << uint(target)
-	s.scaleSweep(bit, bit, phase)
-}
 
 // scaleSweep multiplies by f every amplitude of the support whose fixed
 // bits equal val. A diagonal gate leaves the support as it is.
@@ -43,15 +33,12 @@ func (s *State) scaleSweep(fixed, val uint64, f complex128) {
 	ParallelFor(m, s.workers, func(lo, hi int) { scaleSubspace(v, fixed, val, lo, hi, pr, pi) })
 }
 
-// ApplyGlobalAndRelativePhase applies diag(a, b) on the target qubit —
-// the general single-qubit diagonal (rz has a ≠ 1): the target-0 half
-// scaled by a and the target-1 half by b, worked as pairs of the two
-// (on qubit 0, windows of pairs, each scaled by the table row [a, b]).
-// A target the support knows takes its one factor.
-func (s *State) ApplyGlobalAndRelativePhase(target int, a, b complex128) {
-	s.ensureCanonical()
-	s.checkQubit(target)
-	t := uint(target)
+// relPhase applies diag(a, b) on bit t of the whole state — the
+// general single-qubit diagonal (rz has a ≠ 1): the t = 0 half scaled by
+// a and the t = 1 half by b, worked as pairs of the two (on qubit 0,
+// windows of pairs, each scaled by the table row [a, b]). A target the
+// support knows takes its one factor.
+func (s *State) relPhase(t uint, a, b complex128) {
 	if bit := uint64(1) << t; s.sup.Mask&bit != 0 {
 		if s.sup.Val&bit != 0 {
 			a = b
@@ -86,21 +73,6 @@ func relPhaseSubspace(v []float64, t uint, a, b complex128, fixed, val uint64, l
 	scaleSubspace(v, fixed|bit, val|bit, lo, hi, real(b), imag(b))
 }
 
-// applyControlledPhase multiplies amplitudes with both control and
-// target bits set by phase — cz (phase = -1) and cr1(λ) (Eq. 9).
-// Stride iteration touches only the affected quarter of the indices
-// instead of scanning and branch-testing all 2^n.
-func (s *State) applyControlledPhase(control, target int, phase complex128) {
-	s.ensureCanonical()
-	s.checkQubit(control)
-	s.checkQubit(target)
-	if control == target {
-		panic("statevec: control equals target")
-	}
-	mask := uint64(1)<<uint(control) | uint64(1)<<uint(target)
-	s.scaleSweep(mask, mask, phase)
-}
-
 // IsDiagonalGate reports whether the fast path covers gate g.
 func IsDiagonalGate(g gate.Type) bool {
 	switch g {
@@ -108,24 +80,4 @@ func IsDiagonalGate(g gate.Type) bool {
 		return true
 	}
 	return false
-}
-
-// applyDiagonalGate dispatches a diagonal gate through the fast path.
-// It panics for non-diagonal gates; callers gate on IsDiagonalGate.
-func (s *State) applyDiagonalGate(g gate.Type, qubits []int, params []float64) {
-	switch g {
-	case gate.Z, gate.S, gate.Sdg, gate.T, gate.Tdg, gate.P:
-		m := gate.Matrix1(g, params)
-		s.applyPhase1(qubits[0], m[3])
-	case gate.RZ:
-		m := gate.Matrix1(g, params)
-		s.ApplyGlobalAndRelativePhase(qubits[0], m[0], m[3])
-	case gate.CZ:
-		s.applyControlledPhase(qubits[0], qubits[1], -1)
-	case gate.CP:
-		m := gate.Matrix1(gate.P, params)
-		s.applyControlledPhase(qubits[0], qubits[1], m[3])
-	default:
-		panic(fmt.Sprintf("statevec: %v is not diagonal", g))
-	}
 }

@@ -18,10 +18,10 @@ func TestDiagonalFastPathMatchesGeneralKernels(t *testing.T) {
 		slow := fast.Clone()
 		switch g.Arity() {
 		case 1:
-			fast.applyDiagonalGate(g, []int{2}, params[g])
-			slow.ApplyMat1(2, gate.Matrix1(g, params[g]))
+			fast.ApplyGate(g, []int{2}, params[g])
+			applyMat1(slow, 2, gate.Matrix1(g, params[g]))
 		case 2:
-			fast.applyDiagonalGate(g, []int{1, 3}, params[g])
+			fast.ApplyGate(g, []int{1, 3}, params[g])
 			applyDense2(slow, 1, 3, gate.Matrix2(g, params[g]))
 		}
 		requireClose(t, fast, slow, 1e-13)
@@ -34,12 +34,6 @@ func TestNonDiagonalGatesExcluded(t *testing.T) {
 			t.Fatalf("%v wrongly classified diagonal", g)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-diagonal dispatch")
-		}
-	}()
-	MustNew(2, 1).applyDiagonalGate(gate.H, []int{0}, nil)
 }
 
 func TestApplyGateUsesDiagonalPath(t *testing.T) {
@@ -63,7 +57,7 @@ func TestApplyGateUsesDiagonalPath(t *testing.T) {
 		a.ApplyGate(op.g, op.qs, op.ps)
 		switch op.g.Arity() {
 		case 1:
-			b.ApplyMat1(op.qs[0], gate.Matrix1(op.g, op.ps))
+			applyMat1(b, op.qs[0], gate.Matrix1(op.g, op.ps))
 		case 2:
 			applyDense2(b, op.qs[0], op.qs[1], gate.Matrix2(op.g, op.ps))
 		}
@@ -79,11 +73,11 @@ func TestDiagonalPreservesNorm(t *testing.T) {
 		q2 := (q + 1 + r.Intn(7)) % 8
 		switch r.Intn(3) {
 		case 0:
-			s.applyDiagonalGate(gate.RZ, []int{q}, []float64{r.Angle()})
+			s.ApplyGate(gate.RZ, []int{q}, []float64{r.Angle()})
 		case 1:
-			s.applyDiagonalGate(gate.CP, []int{q, q2}, []float64{r.Angle()})
+			s.ApplyGate(gate.CP, []int{q, q2}, []float64{r.Angle()})
 		case 2:
-			s.applyDiagonalGate(gate.CZ, []int{q, q2}, nil)
+			s.ApplyGate(gate.CZ, []int{q, q2}, nil)
 		}
 	}
 	if n := s.Norm(); n < 1-1e-10 || n > 1+1e-10 {
@@ -97,5 +91,5 @@ func TestDiagonalControlEqualsTargetPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MustNew(3, 1).applyControlledPhase(1, 1, -1)
+	MustNew(3, 1).ApplyGate(gate.CZ, []int{1, 1}, nil)
 }

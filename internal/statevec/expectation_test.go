@@ -15,9 +15,9 @@ func expRandomState(n, workers int, seed uint64) *State {
 	s := MustNew(n, workers)
 	for i := 0; i < 4*n; i++ {
 		q := r.Intn(n)
-		s.ApplyMat1(q, gate.Matrix1(gate.U3, []float64{r.Angle(), r.Angle(), r.Angle()}))
+		s.ApplyGate(gate.U3, []int{q}, []float64{r.Angle(), r.Angle(), r.Angle()})
 		if n > 1 {
-			s.ApplyCX(q, (q+1+r.Intn(n-1))%n)
+			s.ApplyGate(gate.CX, []int{q, (q + 1 + r.Intn(n-1)) % n}, nil)
 		}
 	}
 	return s

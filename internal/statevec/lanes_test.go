@@ -270,8 +270,8 @@ func refSwapBits(amps []complex128, a, b uint) {
 // tile micro-op (0–3: TileMat1 and TileCX, with or without a control,
 // TileDiag with 0–3 low predicate bits, TileRelPhase on a low target or
 // as a tile constant from a high bit) or one full-state kernel (4–10:
-// ApplyMat1, applyControlled1, ApplyCX, applyPhase1,
-// ApplyGlobalAndRelativePhase, applyControlledPhase, ApplySwap, at 1, 2
+// ApplyOp's TileMat1 without and with a control, its TileCX, its TileDiag
+// on one bit, its TileRelPhase, its TileDiag on two bits, and ApplySwap, at 1, 2
 // or 4 workers: a sharded sweep must match the serial reference
 // whatever its chunk boundaries) on 1–12 qubits (2–12 for a tile or a
 // two-qubit kernel), so one-amplitude windows, the lane primitives'
@@ -339,8 +339,8 @@ func checkKernel(t *testing.T, at string, op, width, target, control, workers ui
 		}
 	}
 	want := append([]complex128(nil), amps...)
-	ctx := [...]string{"mat1", "cx", "diag", "relphase", "ApplyMat1", "applyControlled1", "ApplyCX",
-		"applyPhase1", "ApplyGlobalAndRelativePhase", "applyControlledPhase", "ApplySwap", "mat1+cx"}[op]
+	ctx := [...]string{"mat1", "cx", "diag", "relphase", "sweep mat1", "sweep controlled mat1", "sweep cx",
+		"sweep phase", "sweep relphase", "sweep controlled phase", "ApplySwap", "mat1+cx"}[op]
 	if op == 11 {
 		checkSwapForm(t, at+": "+ctx, amps, m, n, tq, cq, control%3, rng, special)
 		return
@@ -387,17 +387,17 @@ func checkKernel(t *testing.T, at string, op, width, target, control, workers ui
 	case 3:
 		applyTileRelPhase(got, base, &to, Support{})
 	case 4:
-		s.ApplyMat1(tq, m)
+		applyMat1(s, tq, m)
 	case 5:
-		s.applyControlled1(cq, tq, m)
+		applyCtrl1(s, cq, tq, m)
 	case 6:
-		s.ApplyCX(cq, tq)
+		s.ApplyGate(gate.CX, []int{cq, tq}, nil)
 	case 7:
-		s.applyPhase1(tq, p)
+		applyPhase(s, 1<<tq, p)
 	case 8:
-		s.ApplyGlobalAndRelativePhase(tq, a, b)
+		applyRelPhase(s, tq, a, b)
 	case 9:
-		s.applyControlledPhase(cq, tq, p)
+		applyPhase(s, 1<<cq|1<<tq, p)
 	case 10:
 		s.ApplySwap(cq, tq)
 	}

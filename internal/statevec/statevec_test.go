@@ -31,7 +31,7 @@ func TestNewState(t *testing.T) {
 
 func TestHadamardOnZero(t *testing.T) {
 	s := MustNew(1, 1)
-	s.ApplyMat1(0, gate.Matrix1(gate.H, nil))
+	s.ApplyGate(gate.H, []int{0}, nil)
 	want := complex(1/math.Sqrt2, 0)
 	if cmplx.Abs(s.Amp(0)-want) > 1e-15 || cmplx.Abs(s.Amp(1)-want) > 1e-15 {
 		t.Fatalf("H|0> wrong: %v %v", s.Amp(0), s.Amp(1))
@@ -40,8 +40,8 @@ func TestHadamardOnZero(t *testing.T) {
 
 func TestBellState(t *testing.T) {
 	s := MustNew(2, 1)
-	s.ApplyMat1(0, gate.Matrix1(gate.H, nil))
-	s.ApplyCX(0, 1)
+	s.ApplyGate(gate.H, []int{0}, nil)
+	s.ApplyGate(gate.CX, []int{0, 1}, nil)
 	w := 1 / math.Sqrt2
 	if cmplx.Abs(s.Amp(0)-complex(w, 0)) > 1e-15 ||
 		cmplx.Abs(s.Amp(3)-complex(w, 0)) > 1e-15 ||
@@ -59,7 +59,7 @@ func TestAppendixAExample(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.SetAmp(uint64(i), complex(float64(i+1), 0))
 	}
-	s.ApplyCX(0, 2)
+	s.ApplyGate(gate.CX, []int{0, 2}, nil)
 	// q0 is bit 0, q2 is bit 2. Pairs with bit0=1: (001,101)=(1,5), (011,111)=(3,7).
 	wants := []float64{1, 6, 3, 8, 5, 2, 7, 4}
 	for i, w := range wants {
@@ -75,7 +75,7 @@ func TestCXControlTargetOrientation(t *testing.T) {
 	if err := s.PrepareBasis(0b01); err != nil {
 		t.Fatal(err)
 	}
-	s.ApplyCX(0, 1)
+	s.ApplyGate(gate.CX, []int{0, 1}, nil)
 	if cmplx.Abs(s.Amp(0b11)-1) > 1e-15 {
 		t.Fatalf("cx(0,1)|01> != |11>: %v", s.Amplitudes())
 	}
@@ -84,7 +84,7 @@ func TestCXControlTargetOrientation(t *testing.T) {
 	if err := s2.PrepareBasis(0b01); err != nil {
 		t.Fatal(err)
 	}
-	s2.ApplyCX(1, 0)
+	s2.ApplyGate(gate.CX, []int{1, 0}, nil)
 	if cmplx.Abs(s2.Amp(0b01)-1) > 1e-15 {
 		t.Fatal("cx(1,0)|01> should be a no-op")
 	}
@@ -98,8 +98,19 @@ func applyDense2(s *State, q1, q0 int, m gate.Mat4) {
 	oracle.State(s.AmplitudesRaw()).ApplyMatrix([]int{q0, q1}, m[:])
 }
 
+// The whole-state sweep of an arbitrary 2×2 (controlled with applyCtrl1),
+// phase on the amplitudes whose mask bits are all 1, or diag(a, b): the
+// kernels no named gate reaches with any value (ApplyGate lowers rz to
+// diag(a, b), not to its 2×2).
+func applyMat1(s *State, t int, m gate.Mat2) { s.ApplyOp(TileOp{Kind: TileMat1, T: uint8(t), M: m}) }
+func applyCtrl1(s *State, c, t int, m gate.Mat2) {
+	s.ApplyOp(TileOp{Kind: TileMat1, T: uint8(t), C: uint8(c), HasCtrl: true, M: m})
+}
+func applyPhase(s *State, mask uint64, p complex128) { s.ApplyOp(DiagOp(p, mask, 0)) }
+func applyRelPhase(s *State, t int, a, b complex128) { s.ApplyOp(RelPhaseOp(a, b, uint8(t), 0)) }
+
 func TestControlled1MatchesMat2(t *testing.T) {
-	// applyControlled1(c,t,U) must equal the dense 4×4 diag(I,U).
+	// A controlled TileMat1 (c, t, U) must equal the dense 4×4 diag(I,U).
 	r := qmath.NewRNG(5)
 	for trial := 0; trial < 20; trial++ {
 		n := 4
@@ -111,7 +122,7 @@ func TestControlled1MatchesMat2(t *testing.T) {
 		if c == tg {
 			continue
 		}
-		a.applyControlled1(c, tg, u)
+		applyCtrl1(a, c, tg, u)
 		// q1=control, q0=target: ControlledOnHigh.
 		applyDense2(b, c, tg, gate.ControlledOnHigh(u))
 		requireClose(t, a, b, 1e-12)
@@ -146,7 +157,7 @@ func TestApplyGateDispatchAgainstMatrices(t *testing.T) {
 		switch g.Arity() {
 		case 1:
 			a.ApplyGate(g, []int{1}, params[g])
-			b.ApplyMat1(1, gate.Matrix1(g, params[g]))
+			applyMat1(b, 1, gate.Matrix1(g, params[g]))
 		case 2:
 			a.ApplyGate(g, []int{2, 0}, params[g])
 			applyDense2(b, 2, 0, gate.Matrix2(g, params[g]))
@@ -157,7 +168,7 @@ func TestApplyGateDispatchAgainstMatrices(t *testing.T) {
 
 func TestProbabilitiesAndExpZ(t *testing.T) {
 	s := MustNew(2, 1)
-	s.ApplyMat1(0, gate.Matrix1(gate.H, nil))
+	s.ApplyGate(gate.H, []int{0}, nil)
 	p := s.Probabilities()
 	if math.Abs(p[0]-0.5) > 1e-12 || math.Abs(p[1]-0.5) > 1e-12 || p[2] != 0 || p[3] != 0 {
 		t.Fatalf("probs wrong: %v", p)
@@ -179,7 +190,7 @@ func TestProbabilitiesAndExpZ(t *testing.T) {
 	// RY(θ)|0>: <Z> = cos θ — the QCrank readout relation.
 	th := 0.87
 	s2 := MustNew(1, 1)
-	s2.ApplyMat1(0, gate.Matrix1(gate.RY, []float64{th}))
+	s2.ApplyGate(gate.RY, []int{0}, []float64{th})
 	if z := expZ(s2.Probabilities(), 0); math.Abs(z-math.Cos(th)) > 1e-12 {
 		t.Fatalf("<Z> = %g, want cos θ = %g", z, math.Cos(th))
 	}
@@ -208,7 +219,7 @@ func TestPrepareBasisAndReset(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	a := MustNew(2, 1)
 	b := a.Clone()
-	b.ApplyMat1(0, gate.Matrix1(gate.X, nil))
+	b.ApplyGate(gate.X, []int{0}, nil)
 	if a.Amp(1) != 0 {
 		t.Fatal("clone shares storage")
 	}
@@ -220,10 +231,10 @@ func randomState(n int, r *qmath.RNG) *State {
 	s := MustNew(n, 1)
 	for i := 0; i < 3*n; i++ {
 		q := r.Intn(n)
-		s.ApplyMat1(q, gate.Matrix1(gate.U3, []float64{r.Angle(), r.Angle(), r.Angle()}))
+		s.ApplyGate(gate.U3, []int{q}, []float64{r.Angle(), r.Angle(), r.Angle()})
 		if n > 1 {
 			q2 := (q + 1 + r.Intn(n-1)) % n
-			s.ApplyCX(q, q2)
+			s.ApplyGate(gate.CX, []int{q, q2}, nil)
 		}
 	}
 	return s

@@ -12,7 +12,7 @@ import (
 // operands all lie below the tile boundary is applied gate-after-gate
 // to each tile while it is hot in L2 — one memory pass for the whole
 // run instead of one per gate. Within a tile, every micro-op performs
-// exactly the arithmetic of the corresponding full-sweep kernel on the
+// exactly the arithmetic of its own whole-state sweep (ApplyOp) on the
 // same amplitude pairs — a diagonal group (TileTable) the same table
 // entry per amplitude as ApplyPhaseGroup, a CX fused into the real
 // 2×2 before it (FusesCX) the same values moved — so tiled execution is
@@ -65,14 +65,14 @@ const (
 
 // TileOp is one compiled tile-local micro-op, 88 bytes and no pointer
 // — the tile loop streams the whole run once per tile. Qubit positions
-// are physical bit positions (the scheduler resolves its permutation
-// table before compiling). Ops are immutable once built: a plan may be
-// executed concurrently against many states.
+// are physical bit positions (Lower resolves the scheduler's permutation
+// table). Ops are immutable once built: a plan may be executed
+// concurrently against many states.
 //
 // M is the one value slot: TileMat1's 2×2, TileRelPhase's diag(A, B) on
 // its diagonal (M[0], M[3]), TileDiag's Phase in M[1] — written by
-// DiagOp and RelPhaseOp, read by Phase and AB. A TileTable header keeps
-// its member count in LowMask (TableOp, Members).
+// Rebind, DiagOp and RelPhaseOp, read by Phase and AB. A TileTable
+// header keeps its member count in LowMask (TableOp, Members).
 type TileOp struct {
 	Kind     TileOpKind
 	T, C     uint8     // low physical positions: target, control (HasCtrl)
@@ -297,7 +297,7 @@ func (sp *Support) tileOp(op *TileOp, base uint64, n int) {
 // identical, so results stay bit-identical; the sequential access
 // pattern is what lets a hot tile stream through the core at L2 speed.
 
-// applyTileMat1 mirrors ApplyMat1 / applyControlled1 within one tile.
+// applyTileMat1 is ApplyOp's TileMat1 sweep (pairSweep) within one tile.
 // With the control below the target (C < T) the pairs take the full
 // complex update even for a real matrix, as this kernel always has, so
 // tile results stay bit-identical to earlier releases' down to the sign
@@ -342,7 +342,7 @@ func applyTileMat1CX(tile []complex128, op *TileOp, c uint8, sp Support) {
 	})
 }
 
-// applyTileCX mirrors ApplyCX (and the uncontrolled X pair-swap)
+// applyTileCX is ApplyOp's TileCX sweep (swapSweep), controlled or not,
 // within one tile, on the same enumeration; swaps move complex128
 // values directly.
 func applyTileCX(tile []complex128, op *TileOp, sp Support) {
@@ -371,7 +371,7 @@ func applyTileDiag(tile []complex128, op *TileOp, sp Support) {
 	scaleSubspace(lanes(tile), fixed, val, 0, len(tile)>>bits.OnesCount64(fixed), real(phase), imag(phase))
 }
 
-// applyTileRelPhase mirrors ApplyGlobalAndRelativePhase: diag(A, B) on
+// applyTileRelPhase is ApplyOp's TileRelPhase sweep: diag(A, B) on
 // a low target multiplies pairs in-tile; on a high target, or a low one
 // the support knows, the tile shares one factor chosen by the bit.
 func applyTileRelPhase(tile []complex128, base uint64, op *TileOp, sp Support) {

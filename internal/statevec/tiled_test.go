@@ -15,11 +15,11 @@ import (
 func randomize(s *State, rng *qmath.RNG) {
 	n := s.NumQubits()
 	for q := 0; q < n; q++ {
-		s.ApplyMat1(q, gate.Matrix1(gate.RY, []float64{rng.Angle()}))
-		s.ApplyMat1(q, gate.Matrix1(gate.RZ, []float64{rng.Angle()}))
+		s.ApplyGate(gate.RY, []int{q}, []float64{rng.Angle()})
+		applyMat1(s, q, gate.Matrix1(gate.RZ, []float64{rng.Angle()}))
 	}
 	for q := 0; q+1 < n; q++ {
-		s.ApplyCX(q, q+1)
+		s.ApplyGate(gate.CX, []int{q, q + 1}, nil)
 	}
 }
 
@@ -41,9 +41,9 @@ func TestApplySwapMatchesCXDecomposition(t *testing.T) {
 		randomize(a, qmath.NewRNG(5))
 		b := a.Clone()
 		a.ApplySwap(pair[0], pair[1])
-		b.ApplyCX(pair[0], pair[1])
-		b.ApplyCX(pair[1], pair[0])
-		b.ApplyCX(pair[0], pair[1])
+		b.ApplyGate(gate.CX, []int{pair[0], pair[1]}, nil)
+		b.ApplyGate(gate.CX, []int{pair[1], pair[0]}, nil)
+		b.ApplyGate(gate.CX, []int{pair[0], pair[1]}, nil)
 		for i := 0; i < a.Len(); i++ {
 			if a.Amp(uint64(i)) != b.Amp(uint64(i)) {
 				t.Fatalf("swap %v: amplitude %d not bit-identical", pair, i)
@@ -69,16 +69,16 @@ func TestDiagonalStrideEquivalence(t *testing.T) {
 	s1 := MustNew(n, 4)
 	randomize(s1, qmath.NewRNG(11))
 	s2 := s1.Clone()
-	s1.applyPhase1(6, phase)
+	applyPhase(s1, 1<<6, phase)
 	ref(s2, 1<<6)
-	statesEqual(t, s1, s2, 0, "applyPhase1")
+	statesEqual(t, s1, s2, 0, "one-bit phase")
 
 	s3 := MustNew(n, 4)
 	randomize(s3, qmath.NewRNG(12))
 	s4 := s3.Clone()
-	s3.applyControlledPhase(2, 8, phase)
+	applyPhase(s3, 1<<2|1<<8, phase)
 	ref(s4, 1<<2|1<<8)
-	statesEqual(t, s3, s4, 0, "applyControlledPhase")
+	statesEqual(t, s3, s4, 0, "controlled phase")
 }
 
 // TestPermutationLifecycle exercises the lazy table: logical swaps are
@@ -250,7 +250,7 @@ func relayoutState(t testing.TB, n, workers, gates int, kind string, r *qmath.RN
 			t.Fatal(err)
 		}
 		for g := 0; g < gates; g++ {
-			s.ApplyMat1(r.Intn(n), gate.Matrix1(gate.RY, []float64{r.Angle()}))
+			s.ApplyGate(gate.RY, []int{r.Intn(n)}, []float64{r.Angle()})
 		}
 	}
 	if err := s.SetPermutation(relayoutPerm(n, kind, r)); err != nil {
@@ -457,14 +457,14 @@ func TestApplyTileRunDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	naive.ApplyMat1(2, h)
-	naive.applyControlled1(8, 1, ry)
-	naive.ApplyCX(3, 0)
-	naive.ApplyCX(9, 2)
-	naive.applyControlledPhase(7, 1, phase)
-	naive.applyControlledPhase(6, 9, phase)
-	naive.ApplyGlobalAndRelativePhase(3, phase, cmplx.Conj(phase))
-	naive.ApplyGlobalAndRelativePhase(5, phase, -phase)
+	applyMat1(naive, 2, h)
+	applyCtrl1(naive, 8, 1, ry)
+	naive.ApplyGate(gate.CX, []int{3, 0}, nil)
+	naive.ApplyGate(gate.CX, []int{9, 2}, nil)
+	applyPhase(naive, 1<<7|1<<1, phase)
+	applyPhase(naive, 1<<6|1<<9, phase)
+	applyRelPhase(naive, 3, phase, cmplx.Conj(phase))
+	applyRelPhase(naive, 5, phase, -phase)
 
 	statesEqual(t, tiled, naive, 0, "tile micro-ops")
 }
@@ -489,11 +489,11 @@ func TestApplyTileRunOneTile(t *testing.T) {
 		if err := tiled.ApplyTileRun(n, 0, ops); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		naive.ApplyMat1(n-1, h)
-		naive.ApplyMat1(0, gate.Matrix1(gate.X, nil))
-		naive.applyPhase1(0, phase)
-		naive.ApplyGlobalAndRelativePhase(0, phase, phase)
-		naive.ApplyGlobalAndRelativePhase(0, phase, -phase)
+		applyMat1(naive, n-1, h)
+		naive.ApplyGate(gate.X, []int{0}, nil)
+		applyPhase(naive, 1, phase)
+		applyRelPhase(naive, 0, phase, phase)
+		applyRelPhase(naive, 0, phase, -phase)
 		statesEqual(t, tiled, naive, 0, "one-tile run")
 		if err := tiled.ApplyTileRun(n+1, 0, ops); err == nil {
 			t.Fatalf("n=%d: tile width %d accepted", n, n+1)

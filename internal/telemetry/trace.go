@@ -110,11 +110,3 @@ func (t *Trace) Sum() time.Duration {
 	}
 	return time.Duration(ns)
 }
-
-// Clone returns an independent copy (nil in, nil out).
-func (t *Trace) Clone() *Trace {
-	if t == nil {
-		return nil
-	}
-	return &Trace{Spans: append([]Span(nil), t.Spans...)}
-}
